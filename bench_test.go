@@ -199,22 +199,16 @@ func BenchmarkPrivateAcquisitionM8(b *testing.B) { bench.RunSharedAcquisitionBen
 // path without the sockets), reported as subscriber-deliveries per second.
 func BenchmarkSSEFanOut64(b *testing.B) { bench.RunHubFanOutBench(b, 64) }
 
-// BenchmarkWireEpochRTT measures what one federated epoch costs in round
-// trips at a link-dominated RTT (wire.Faults injects a symmetric 1ms
-// per-frame delay, so RTT = 2ms): the pre-PR-9 per-call protocol pays
-// (1+G) round trips per epoch, the pipelined client overlaps the G
-// acquires down to ~2, and the batched epoch-round protocol pays exactly
-// one. rounds/epoch and wire_bytes/epoch are reported alongside ns/op so
-// the protocol cost is visible independent of host speed.
+// BenchmarkWireEpochRTT measures what one federated epoch costs at a
+// link-dominated RTT (wire.Faults injects a symmetric 1ms per-frame delay,
+// so RTT = 2ms): the epoch-round protocol pays exactly one round trip for
+// the sense and all G groups. rounds/epoch and wire_bytes/epoch are
+// reported alongside ns/op so the protocol cost is visible independent of
+// host speed.
 func BenchmarkWireEpochRTT(b *testing.B) {
-	for _, leg := range []bench.WireLeg{bench.WirePerCallSerialized, bench.WirePerCallOverlapped, bench.WireBatched} {
-		leg := leg
-		b.Run(leg.String(), func(b *testing.B) {
-			rounds, bytes := bench.RunWireEpochRTTBench(b, leg, bench.WireRTTLinkDelay, bench.WireRTTGroups)
-			if b.N > 0 {
-				b.ReportMetric(rounds, "rounds/epoch")
-				b.ReportMetric(bytes, "wire_bytes/epoch")
-			}
-		})
+	rounds, bytes := bench.RunWireEpochRTTBench(b, bench.WireRTTLinkDelay, bench.WireRTTGroups)
+	if b.N > 0 {
+		b.ReportMetric(rounds, "rounds/epoch")
+		b.ReportMetric(bytes, "wire_bytes/epoch")
 	}
 }

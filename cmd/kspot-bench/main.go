@@ -11,7 +11,9 @@
 // Benchmark trajectory (machine-readable, see BENCH_PR10.json, which
 // carries the PR 3-9 trajectory forward; PR 7 — the wire transport —
 // recorded no trajectory run, so the file jumps from pr6 to pr8; PR 9
-// added the wire-epoch-* rounds_per_epoch / wire_bytes_per_epoch entries;
+// added the wire-epoch-* rounds_per_epoch / wire_bytes_per_epoch entries
+// (only wire-epoch-batched is still measured; the per-call protocol the
+// other two timed is deleted, their recorded runs stay as history);
 // PR 10 adds store-recovery (recovery_ms) and reshard-downtime
 // (resharding_downtime_epochs) for the durable tier):
 //

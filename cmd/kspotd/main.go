@@ -23,6 +23,9 @@
 //
 // A shard server prints "kspotd-wire <addr>" on stdout once it listens
 // (so spawners can pass -wire-addr 127.0.0.1:0 and parse the port).
+// Coordinator and shards must run the same wire protocol version — there
+// is one protocol and no negotiation; a skewed peer fails the handshake
+// with an error naming both versions.
 //
 // The daemon is multi-tenant: -queries-file loads a workload at boot
 // (validated in full before any query arms), POST /query admits new
@@ -192,7 +195,6 @@ func main() {
 		serveShard   = flag.Int("serve-shard", -1, "serve shard N of the scenario over the wire protocol instead of the GUI daemon (see -wire-addr)")
 		wireAddr     = flag.String("wire-addr", "127.0.0.1:0", "listen address for -serve-shard (port 0 picks one; the bound address is printed as \"kspotd-wire <addr>\")")
 		wireLive     = flag.Bool("wire-live", false, "with -serve-shard: host the shard on the concurrent live substrate")
-		wireLegacy   = flag.Bool("wire-legacy", false, "with -serve-shard: withhold the batched epoch-round capability, speaking only the per-call protocol (mixed-version deployments)")
 		connect      = flag.String("connect", "", "comma-separated shard wire addresses: run as the federated coordinator over already-running -serve-shard processes")
 		queriesFile  = flag.String("queries-file", "", "file with one query per line (# comments); every line is validated before any query is armed")
 		epochs       = flag.Int("epochs", 0, "stop stepping after N epochs (0 = run until shutdown); HTTP keeps serving and streams end cleanly")
@@ -228,7 +230,7 @@ func main() {
 		}
 	}
 	if *serveShard >= 0 {
-		serveShardProcess(scen, *serveShard, *wireAddr, *parallel, *wireLive, *window, *wireLegacy, *dataDir)
+		serveShardProcess(scen, *serveShard, *wireAddr, *parallel, *wireLive, *window, *dataDir)
 		return
 	}
 	placement := scen.Placement()
@@ -516,7 +518,7 @@ pre{font-size:13px}</style></head><body>
 // drives it. The bound address is printed to stdout as "kspotd-wire
 // <addr>" so spawners can listen on port 0 and parse the outcome; SIGINT
 // or SIGTERM shuts the server down cleanly.
-func serveShardProcess(scen *config.Scenario, shard int, addr string, parallel int, live bool, window int, legacy bool, dataDir string) {
+func serveShardProcess(scen *config.Scenario, shard int, addr string, parallel int, live bool, window int, dataDir string) {
 	if dataDir != "" {
 		// Every shard process on a host can share one -data-dir: each
 		// shard's segments and journal live under its own shard-named
@@ -525,13 +527,12 @@ func serveShardProcess(scen *config.Scenario, shard int, addr string, parallel i
 		dataDir = filepath.Join(dataDir, scen.ShardName(shard))
 	}
 	srv, err := wire.NewServer(wire.ServerConfig{
-		Scenario:          scen,
-		Shard:             shard,
-		Parallel:          parallel,
-		Live:              live,
-		LiveWindow:        window,
-		DisableEpochRound: legacy,
-		DataDir:           dataDir,
+		Scenario:   scen,
+		Shard:      shard,
+		Parallel:   parallel,
+		Live:       live,
+		LiveWindow: window,
+		DataDir:    dataDir,
 	})
 	if err != nil {
 		log.Fatal("kspotd: ", err)

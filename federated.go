@@ -14,11 +14,9 @@ package kspot
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"kspot/internal/engine"
-	"kspot/internal/model"
 	"kspot/internal/query"
 	"kspot/internal/stats"
 	"kspot/internal/topk/fed"
@@ -50,14 +48,6 @@ func WithWireRetry(retries int, backoff time.Duration) OpenOption {
 // from real networks.
 func withWireFaults(f wire.Faults) OpenOption {
 	return func(c *openConfig) { c.wireFaults = &f }
-}
-
-// withWireLegacy withholds the epoch-round capability from every shard
-// handshake, forcing the per-call protocol — the conformance tests pin the
-// batched round byte-identical to it. Unexported: real deployments
-// negotiate the best protocol both ends speak.
-func withWireLegacy() OpenOption {
-	return func(c *openConfig) { c.wireLegacy = true }
 }
 
 // OpenFederated opens a scenario whose shards are already running as
@@ -116,26 +106,17 @@ func dialShards(s *Scenario, shardScens []*Scenario, addrs []string, cfg openCon
 	clients := make([]*wire.Client, 0, len(addrs))
 	deps := make([]*engine.RemoteDeployment, len(addrs))
 	for i, addr := range addrs {
-		// The shard's sensor roster, ascending — the positional frame of
-		// reference both ends derive from the same scenario, letting epoch
-		// readings cross as a bitmap + delta vector instead of keyed records.
-		roster := make([]model.NodeID, 0, len(shardScens[i].Nodes))
-		for _, n := range shardScens[i].Nodes {
-			roster = append(roster, model.NodeID(n.ID))
-		}
-		slices.Sort(roster)
 		cl, err := wire.Dial(wire.ClientConfig{
-			Addr:              addr,
-			Scenario:          s.Name,
-			Shard:             i,
-			Shards:            len(shardScens),
-			Nodes:             len(shardScens[i].Nodes),
-			Roster:            roster,
-			DisableEpochRound: cfg.wireLegacy,
-			CallTimeout:       cfg.wireCall,
-			Retries:           cfg.wireRetries,
-			Backoff:           cfg.wireBackoff,
-			Faults:            cfg.wireFaults,
+			Addr:        addr,
+			Scenario:    s.Name,
+			Shard:       i,
+			Shards:      len(shardScens),
+			Nodes:       len(shardScens[i].Nodes),
+			Roster:      shardScens[i].Roster(),
+			CallTimeout: cfg.wireCall,
+			Retries:     cfg.wireRetries,
+			Backoff:     cfg.wireBackoff,
+			Faults:      cfg.wireFaults,
 		})
 		if err != nil {
 			for _, prev := range clients {

@@ -22,7 +22,6 @@ package bench
 import (
 	"fmt"
 	"net"
-	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -127,18 +126,13 @@ func startReshardFleet(scen *config.Scenario) (*reshardFleet, error) {
 		}
 		go srv.Serve(ln)
 		f.servers = append(f.servers, srv)
-		roster := make([]model.NodeID, 0, len(sub.Nodes))
-		for _, n := range sub.Nodes {
-			roster = append(roster, model.NodeID(n.ID))
-		}
-		slices.Sort(roster)
 		cl, err := wire.Dial(wire.ClientConfig{
 			Addr:     ln.Addr().String(),
 			Scenario: scen.Name,
 			Shard:    i,
 			Shards:   len(shardScens),
 			Nodes:    len(sub.Nodes),
-			Roster:   roster,
+			Roster:   sub.Roster(),
 		})
 		if err != nil {
 			f.close()

@@ -44,8 +44,8 @@ type MicroResult struct {
 	SubscribersPerSec float64 `json:"subscribers_per_sec,omitempty"`
 	// RoundsPerEpoch and WireBytesPerEpoch are the federated wire-protocol
 	// axes (see internal/bench/wire.go): RPC round trips and frame bytes
-	// (both directions) one coordinator epoch costs per shard — the batched
-	// epoch-round protocol drops rounds from 1+G to 1.
+	// (both directions) one coordinator epoch costs per shard — the
+	// epoch-round protocol holds rounds at 1 whatever the group count.
 	RoundsPerEpoch    float64 `json:"rounds_per_epoch,omitempty"`
 	WireBytesPerEpoch float64 `json:"wire_bytes_per_epoch,omitempty"`
 	// RecoveryMs and ReshardingDowntimeEpochs are the durable-tier axes
@@ -119,9 +119,7 @@ func WriteJSON(w io.Writer, path, runName string, cfg RunConfig) error {
 		{"shared-acquisition-m64", func() (MicroResult, error) { return microSharedAcquisition(64, true) }},
 		{"private-acquisition-m8", func() (MicroResult, error) { return microSharedAcquisition(8, false) }},
 		{"hub-fanout-64", func() (MicroResult, error) { return microHubFanOut(64) }},
-		{"wire-epoch-percall", func() (MicroResult, error) { return microWireEpochRTT(WirePerCallSerialized) }},
-		{"wire-epoch-overlapped", func() (MicroResult, error) { return microWireEpochRTT(WirePerCallOverlapped) }},
-		{"wire-epoch-batched", func() (MicroResult, error) { return microWireEpochRTT(WireBatched) }},
+		{"wire-epoch-batched", func() (MicroResult, error) { return microWireEpochRTT() }},
 		{"store-recovery", func() (MicroResult, error) { return microStoreRecovery() }},
 		{"reshard-downtime", func() (MicroResult, error) { return microReshardDowntime() }},
 	}
@@ -341,14 +339,14 @@ func microHubFanOut(subs int) (MicroResult, error) {
 	return res, err
 }
 
-// microWireEpochRTT measures one leg of the wire epoch-RTT benchmark:
-// wall latency of one federated epoch at an injected link delay, with the
-// protocol's round trips and wire bytes per epoch alongside so the
-// trajectory records the 1+G → 1 collapse independent of host speed.
-func microWireEpochRTT(leg WireLeg) (MicroResult, error) {
+// microWireEpochRTT measures the wire epoch-RTT benchmark: wall latency of
+// one federated epoch at an injected link delay, with the protocol's round
+// trips and wire bytes per epoch alongside so the trajectory records them
+// independent of host speed.
+func microWireEpochRTT() (MicroResult, error) {
 	var rounds, bytes float64
 	r := testing.Benchmark(func(b *testing.B) {
-		rounds, bytes = RunWireEpochRTTBench(b, leg, WireRTTLinkDelay, WireRTTGroups)
+		rounds, bytes = RunWireEpochRTTBench(b, WireRTTLinkDelay, WireRTTGroups)
 	})
 	res, err := micro(r, 0, 0)
 	res.RoundsPerEpoch = rounds

@@ -1,27 +1,20 @@
 package bench
 
-// The wire epoch-RTT benchmark (PR 9): what one federated epoch costs in
-// round trips when the socket has real propagation latency. wire.Faults'
-// LinkDelay leg injects a symmetric per-frame delay on the client's
-// socket path (RTT = 2×LinkDelay), and three legs drive the same G-group
-// epoch against a real shard server:
+// The wire epoch-RTT benchmark: what one federated epoch costs when the
+// socket has real propagation latency. wire.Faults' LinkDelay leg injects
+// a symmetric per-frame delay on the client's socket path (RTT =
+// 2×LinkDelay), and a G-group epoch is driven against a real shard server
+// as the protocol carries it: one MsgEpochRound frame holding the sense
+// and every group's acquisition — 1 round trip, whatever G is.
 //
-//   - per-call-serialized: sense, then each group's acquire back to back —
-//     the pre-PR-9 protocol shape, (1+G) round trips per epoch;
-//   - per-call-overlapped: sense, then the G acquires issued concurrently
-//     on the pipelined connection — 2 round trips of wall clock;
-//   - batched: one MsgEpochRound frame carrying the sense and every
-//     group's acquisition — 1 round trip.
-//
-// BenchmarkWireEpochRTT (module root) and the BENCH_PR9.json trajectory
-// entries both run these bodies; rounds_per_epoch and wire_bytes_per_epoch
-// record the protocol's cost independent of host speed.
+// BenchmarkWireEpochRTT (module root) and the `wire-epoch-batched`
+// trajectory entry both run this body; rounds_per_epoch and
+// wire_bytes_per_epoch record the protocol's cost independent of host
+// speed.
 
 import (
 	"fmt"
 	"net"
-	"slices"
-	"sync"
 	"testing"
 	"time"
 
@@ -31,45 +24,25 @@ import (
 )
 
 // WireRTTGroups is the shared-acquisition group count G of the RTT
-// benchmark: a per-call epoch is 1+G round trips, a batched epoch is one.
+// benchmark: the epoch is one round trip where a call per sense and per
+// group would be 1+G.
 const WireRTTGroups = 4
 
 // WireRTTLinkDelay is the injected one-way propagation delay of the
-// benchmark legs (RTT = 2×WireRTTLinkDelay) — large against loopback
+// benchmark (RTT = 2×WireRTTLinkDelay) — large against loopback
 // scheduling noise, small enough to keep the benchmark quick.
 const WireRTTLinkDelay = time.Millisecond
 
-// WireLeg selects one protocol shape of the epoch-RTT benchmark.
-type WireLeg int
-
-const (
-	WirePerCallSerialized WireLeg = iota
-	WirePerCallOverlapped
-	WireBatched
-)
-
-// String names the leg for reports.
-func (l WireLeg) String() string {
-	switch l {
-	case WirePerCallSerialized:
-		return "per-call-serialized"
-	case WirePerCallOverlapped:
-		return "per-call-overlapped"
-	case WireBatched:
-		return "batched"
-	}
-	return fmt.Sprintf("leg-%d", int(l))
-}
-
-// wireRig is one leg's deployment: a real shard server for the Figure-3
-// scenario on loopback, dialed by one client with link delay armed.
+// wireRig is the benchmark's deployment: a real shard server for the
+// Figure-3 scenario on loopback, dialed by one client with link delay
+// armed.
 type wireRig struct {
 	srv  *wire.Server
 	cl   *wire.Client
 	qids []uint32
 }
 
-func newWireRig(linkDelay time.Duration, groups int, batched bool) (*wireRig, func(), error) {
+func newWireRig(linkDelay time.Duration, groups int) (*wireRig, func(), error) {
 	scen := config.Figure3Scenario()
 	srv, err := wire.NewServer(wire.ServerConfig{Scenario: scen, Shard: 0})
 	if err != nil {
@@ -81,20 +54,14 @@ func newWireRig(linkDelay time.Duration, groups int, batched bool) (*wireRig, fu
 		return nil, nil, err
 	}
 	go srv.Serve(ln)
-	roster := make([]model.NodeID, 0, len(scen.Nodes))
-	for _, n := range scen.Nodes {
-		roster = append(roster, model.NodeID(n.ID))
-	}
-	slices.Sort(roster)
 	cl, err := wire.Dial(wire.ClientConfig{
-		Addr:              ln.Addr().String(),
-		Scenario:          scen.Name,
-		Shard:             0,
-		Shards:            1,
-		Nodes:             len(scen.Nodes),
-		Roster:            roster,
-		DisableEpochRound: !batched,
-		Faults:            &wire.Faults{LinkDelay: linkDelay},
+		Addr:     ln.Addr().String(),
+		Scenario: scen.Name,
+		Shard:    0,
+		Shards:   1,
+		Nodes:    len(scen.Nodes),
+		Roster:   scen.Roster(),
+		Faults:   &wire.Faults{LinkDelay: linkDelay},
 	})
 	if err != nil {
 		srv.Close()
@@ -114,123 +81,83 @@ func newWireRig(linkDelay time.Duration, groups int, batched bool) (*wireRig, fu
 	return rig, func() { cl.Close(); srv.Close() }, nil
 }
 
-// epoch drives one coordinator epoch in the leg's protocol shape.
-func (r *wireRig) epoch(e model.Epoch, leg WireLeg) error {
-	switch leg {
-	case WireBatched:
-		_, results, err := r.cl.EpochRound(e, r.qids)
-		if err != nil {
-			return err
-		}
-		for _, g := range results {
-			if g.Err != nil {
-				return g.Err
-			}
-		}
-	case WirePerCallOverlapped:
-		if _, err := r.cl.Sense(e); err != nil {
-			return err
-		}
-		errs := make([]error, len(r.qids))
-		var wg sync.WaitGroup
-		for i, q := range r.qids {
-			wg.Add(1)
-			go func(i int, q uint32) {
-				defer wg.Done()
-				_, errs[i] = r.cl.Acquire(q, e)
-			}(i, q)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-	default: // WirePerCallSerialized
-		if _, err := r.cl.Sense(e); err != nil {
-			return err
-		}
-		for _, q := range r.qids {
-			if _, err := r.cl.Acquire(q, e); err != nil {
-				return err
-			}
+// epoch drives one coordinator epoch: every group in one round.
+func (r *wireRig) epoch(e model.Epoch) error {
+	_, results, err := r.cl.EpochRound(e, r.qids)
+	if err != nil {
+		return err
+	}
+	for _, g := range results {
+		if g.Err != nil {
+			return g.Err
 		}
 	}
 	return nil
 }
 
-// RunWireEpochRTTBench is the shared measurement body: b.N steady-state
-// epochs of one leg (the attach and a warm-up epoch are off the timer),
-// returning RPC round trips and wire bytes (both directions, frame
-// headers included) per epoch.
-func RunWireEpochRTTBench(b *testing.B, leg WireLeg, linkDelay time.Duration, groups int) (roundsPerEpoch, bytesPerEpoch float64) {
-	rig, cleanup, err := newWireRig(linkDelay, groups, leg == WireBatched)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cleanup()
-	if err := rig.epoch(0, leg); err != nil {
-		b.Fatal(err)
-	}
-	m0 := rig.cl.Metrics()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := rig.epoch(model.Epoch(i+1), leg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	m1 := rig.cl.Metrics()
-	if b.N > 0 {
-		n := float64(b.N)
-		roundsPerEpoch = float64(m1.Calls-m0.Calls) / n
-		bytesPerEpoch = float64((m1.BytesOut - m0.BytesOut) + (m1.BytesIn - m0.BytesIn)) / n
-	}
-	return roundsPerEpoch, bytesPerEpoch
-}
-
-// WireRTTLegResult is one leg's measurement of MeasureWireEpochRTT.
-type WireRTTLegResult struct {
-	Leg            WireLeg
+// WireRTTResult is one measurement of the epoch-RTT benchmark: wall clock,
+// RPC round trips and wire bytes (both directions, frame headers
+// included) per epoch.
+type WireRTTResult struct {
 	NsPerEpoch     float64
 	RoundsPerEpoch float64
 	BytesPerEpoch  float64
 }
 
-// MeasureWireEpochRTT runs all three legs for the given epoch count and
-// returns them in leg order (serialized, overlapped, batched). The
-// speedup the batched protocol buys is serialized/batched wall clock —
-// ideally 1+G at a link-dominated RTT.
-func MeasureWireEpochRTT(linkDelay time.Duration, groups, epochs int) ([]WireRTTLegResult, error) {
-	legs := []WireLeg{WirePerCallSerialized, WirePerCallOverlapped, WireBatched}
-	out := make([]WireRTTLegResult, 0, len(legs))
-	for _, leg := range legs {
-		rig, cleanup, err := newWireRig(linkDelay, groups, leg == WireBatched)
-		if err != nil {
-			return nil, err
-		}
-		if err := rig.epoch(0, leg); err != nil {
-			cleanup()
-			return nil, fmt.Errorf("bench: wire-rtt %s warm-up: %w", leg, err)
-		}
-		m0 := rig.cl.Metrics()
-		start := time.Now()
-		for i := 0; i < epochs; i++ {
-			if err := rig.epoch(model.Epoch(i+1), leg); err != nil {
-				cleanup()
-				return nil, fmt.Errorf("bench: wire-rtt %s epoch %d: %w", leg, i+1, err)
-			}
-		}
-		elapsed := time.Since(start)
-		m1 := rig.cl.Metrics()
-		cleanup()
-		out = append(out, WireRTTLegResult{
-			Leg:            leg,
-			NsPerEpoch:     float64(elapsed.Nanoseconds()) / float64(epochs),
-			RoundsPerEpoch: float64(m1.Calls-m0.Calls) / float64(epochs),
-			BytesPerEpoch:  float64((m1.BytesOut-m0.BytesOut)+(m1.BytesIn-m0.BytesIn)) / float64(epochs),
-		})
+// measure runs a warm-up epoch, calls start (a benchmark resets its timer
+// there), then drives the given number of steady-state epochs.
+func (r *wireRig) measure(epochs int, start func()) (WireRTTResult, error) {
+	if err := r.epoch(0); err != nil {
+		return WireRTTResult{}, fmt.Errorf("bench: wire-rtt warm-up: %w", err)
 	}
-	return out, nil
+	m0 := r.cl.Metrics()
+	start()
+	began := time.Now()
+	for i := 0; i < epochs; i++ {
+		if err := r.epoch(model.Epoch(i + 1)); err != nil {
+			return WireRTTResult{}, fmt.Errorf("bench: wire-rtt epoch %d: %w", i+1, err)
+		}
+	}
+	elapsed := time.Since(began)
+	m1 := r.cl.Metrics()
+	if epochs == 0 {
+		return WireRTTResult{}, nil
+	}
+	n := float64(epochs)
+	return WireRTTResult{
+		NsPerEpoch:     float64(elapsed.Nanoseconds()) / n,
+		RoundsPerEpoch: float64(m1.Calls-m0.Calls) / n,
+		BytesPerEpoch:  float64((m1.BytesOut-m0.BytesOut)+(m1.BytesIn-m0.BytesIn)) / n,
+	}, nil
+}
+
+// MeasureWireEpochRTT measures the given number of steady-state epochs
+// outside the testing.B harness.
+func MeasureWireEpochRTT(linkDelay time.Duration, groups, epochs int) (WireRTTResult, error) {
+	rig, cleanup, err := newWireRig(linkDelay, groups)
+	if err != nil {
+		return WireRTTResult{}, err
+	}
+	defer cleanup()
+	return rig.measure(epochs, func() {})
+}
+
+// RunWireEpochRTTBench is the shared benchmark body: b.N steady-state
+// epochs (the attach and a warm-up epoch are off the timer), returning
+// RPC round trips and wire bytes per epoch.
+func RunWireEpochRTTBench(b *testing.B, linkDelay time.Duration, groups int) (roundsPerEpoch, bytesPerEpoch float64) {
+	rig, cleanup, err := newWireRig(linkDelay, groups)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cleanup()
+	res, err := rig.measure(b.N, func() {
+		b.ReportAllocs()
+		b.ResetTimer()
+	})
+	b.StopTimer()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res.RoundsPerEpoch, res.BytesPerEpoch
 }

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"sort"
 
 	"kspot/internal/faults"
@@ -441,6 +442,19 @@ func ScaleScenario(n int) (*Scenario, error) {
 
 // Sharded reports whether the scenario declares a federated deployment.
 func (s *Scenario) Sharded() bool { return len(s.Shards) > 1 }
+
+// Roster returns the scenario's sensor node ids in ascending order — the
+// positional frame of reference of the wire protocol's epoch-round
+// encoding. Shard server and coordinator both derive it here, from the
+// shard's sub-scenario, so the two ends cannot disagree about it.
+func (s *Scenario) Roster() []model.NodeID {
+	roster := make([]model.NodeID, 0, len(s.Nodes))
+	for _, n := range s.Nodes {
+		roster = append(roster, model.NodeID(n.ID))
+	}
+	slices.Sort(roster)
+	return roster
+}
 
 // ShardName returns shard i's display name ("shard-<i>" when unnamed).
 func (s *Scenario) ShardName(i int) string {

@@ -4,12 +4,12 @@ package engine
 // processes behind sockets. The engine keeps the same coordinator-tier
 // shape as the in-process federation (sense every shard, acquire every
 // shard, union readings, merge answers) but speaks to each shard through
-// the RemoteShard interface — internal/wire's Client implements it over
-// the framed TCP protocol. Per-node operations never cross the wire: a
-// shard's operator, routing tree and energy ledger live in the shard
-// process; only shard-level results (readings, ranked answers, partial
-// sums, counters) do, which is exactly the backhaul the fed layer's
-// Stats account.
+// the RemoteShard interface — one EpochRound call per shard per epoch;
+// internal/wire's Client implements it over the framed TCP protocol.
+// Per-node operations never cross the wire: a shard's operator, routing
+// tree and energy ledger live in the shard process; only shard-level
+// results (readings, ranked answers, partial sums, counters) do, which is
+// exactly the backhaul the fed layer's Stats account.
 
 import (
 	"fmt"
@@ -28,41 +28,29 @@ type RemoteAcquisition struct {
 	Readings map[model.NodeID]model.Reading
 }
 
-// RemoteShard is the coordinator's surface onto one remote shard process:
-// the shard-level half of the Transport contract (sensing and epoch
-// acquisition), with per-node operations confined to the far side.
-type RemoteShard interface {
-	// Sense idle-charges and senses the shard once for the epoch,
-	// returning the post-commit readings.
-	Sense(e model.Epoch) (map[model.NodeID]model.Reading, error)
-	// Acquire runs one epoch of the attached query on the shard.
-	Acquire(query uint32, e model.Epoch) (RemoteAcquisition, error)
-}
-
-// RemoteGroupResult is one shared-acquisition group's slice of a batched
-// epoch round: the group's acquisition, or its isolated failure.
+// RemoteGroupResult is one shared-acquisition group's slice of an epoch
+// round: the group's acquisition, or its isolated failure.
 type RemoteGroupResult struct {
 	Acq RemoteAcquisition
 	Err error
 }
 
-// RemoteRoundShard is optionally implemented by remote shards that can
-// collapse a whole epoch — the sense plus every group's acquisition — into
-// one round trip (wire.Client when the session negotiated CapEpochRound).
-// The scheduled tier prefers it per shard and falls back to the per-call
-// Sense/Acquire protocol for shards that lack it, so mixed deployments
-// keep working.
-type RemoteRoundShard interface {
-	RemoteShard
-	// SupportsEpochRound reports whether the shard's session actually
-	// negotiated the batched protocol (an implementation may exist but be
-	// talking to an old server).
-	SupportsEpochRound() bool
-	// EpochRound senses the epoch and runs one epoch of every listed
-	// attached query, in order. A transport-level failure poisons the
-	// whole round; a single query's failure is carried in its result.
+// RemoteShard is the coordinator's surface onto one remote shard process:
+// the shard-level half of the Transport contract (sensing and epoch
+// acquisition), with per-node operations confined to the far side.
+type RemoteShard interface {
+	// EpochRound idle-charges and senses the shard once for the epoch, then
+	// runs one epoch of every listed attached query, in order, returning
+	// the post-commit readings and one result per query. A transport-level
+	// failure poisons the whole round; a single query's failure is carried
+	// in its result.
 	EpochRound(e model.Epoch, queries []uint32) (map[model.NodeID]model.Reading, []RemoteGroupResult, error)
 }
+
+// RemoteRoundShard is RemoteShard's former optional extension, now the
+// same contract. The frozen benchmark/ module still names it; delete it
+// with the next benchmark PR.
+type RemoteRoundShard = RemoteShard
 
 // RemoteDeployment pairs a remote shard with its display name — the
 // remote analogue of Deployment.
@@ -84,11 +72,10 @@ func (d *RemoteDeployment) Shard() RemoteShard { return d.shard }
 
 // RemoteCoordinator drives remote shard deployments through lock-step
 // epochs, mirroring Coordinator's sense-then-acquire order. Unlike the
-// in-process coordinator it serializes epochs across cursors: every
-// cursor's sense/acquire pair must reach each shard's single state
-// machine unbroken, or one query's acquisition would consume another's
-// sensing. Shard fan-out within an epoch is concurrent — each shard is
-// its own process.
+// in-process coordinator it serializes epochs across cursors: epoch
+// rounds and one-shot historic executions must reach each shard's single
+// state machine one at a time. Shard fan-out within an epoch is
+// concurrent — each shard is its own process.
 type RemoteCoordinator struct {
 	mu   sync.Mutex
 	deps []*RemoteDeployment
@@ -233,16 +220,12 @@ func (c *RemoteCoordinator) Remove(q *RemoteQuery) {
 	}
 }
 
-// runEpochLocked advances the lock-step tier one epoch. Shards whose
-// session speaks the batched protocol (RemoteRoundShard) run the sense
-// AND every group's acquisition in ONE round trip; legacy shards sense
-// first, then run their groups' acquisitions back to back on the
-// pipelined connection — sequential per shard (the per-call protocol's
-// exact execution order on the shard state machine) but with a single
-// barrier for the whole epoch instead of one per group. Then per-member
-// merge and cut at the coordinator. A sense failure poisons the whole
-// epoch (every query buffers the error); an acquisition failure poisons
-// only that group's members.
+// runEpochLocked advances the lock-step tier one epoch: ONE round trip per
+// shard carries the sense and every group's acquisition (in group order,
+// the scheduler's order on the shard state machine), then per-member merge
+// and cut at the coordinator. A failed round poisons the whole epoch
+// (every query buffers the error); a group's failure inside a round
+// poisons only that group's members.
 func (c *RemoteCoordinator) runEpochLocked() {
 	e := c.epoch
 	c.epoch++
@@ -253,36 +236,13 @@ func (c *RemoteCoordinator) runEpochLocked() {
 	}
 
 	senses := make([]map[model.NodeID]model.Reading, n)
+	rounds := make([][]RemoteGroupResult, n)
 	errs := make([]error, n)
-	batched := make([]bool, n)
-	groupAcqs := make([][]RemoteAcquisition, len(c.groups))
-	groupErrs := make([][]error, len(c.groups))
-	for gi := range c.groups {
-		groupAcqs[gi] = make([]RemoteAcquisition, n)
-		groupErrs[gi] = make([]error, n)
-	}
-
-	// Round phase: one trip for batched shards, sense-only for the rest.
 	c.fanOut(func(i int) {
-		if rs, ok := c.deps[i].shard.(RemoteRoundShard); ok && rs.SupportsEpochRound() {
-			batched[i] = true
-			readings, results, err := rs.EpochRound(e, qids)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if len(results) != len(qids) {
-				errs[i] = fmt.Errorf("epoch round returned %d groups, want %d", len(results), len(qids))
-				return
-			}
-			senses[i] = readings
-			for gi := range results {
-				groupAcqs[gi][i] = results[gi].Acq
-				groupErrs[gi][i] = results[gi].Err
-			}
-			return
+		senses[i], rounds[i], errs[i] = c.deps[i].shard.EpochRound(e, qids)
+		if errs[i] == nil && len(rounds[i]) != len(qids) {
+			errs[i] = fmt.Errorf("epoch round returned %d groups, want %d", len(rounds[i]), len(qids))
 		}
-		senses[i], errs[i] = c.deps[i].shard.Sense(e)
 	})
 	if err := c.firstErr(errs); err != nil {
 		for _, q := range c.queries {
@@ -291,22 +251,13 @@ func (c *RemoteCoordinator) runEpochLocked() {
 		return
 	}
 
-	// Legacy acquisition phase: each non-batched shard walks its groups in
-	// group order on its own connection; shards overlap, one barrier total.
-	if len(c.groups) > 0 {
-		c.fanOut(func(i int) {
-			if batched[i] {
-				return
-			}
-			for gi, qid := range qids {
-				groupAcqs[gi][i], groupErrs[gi][i] = c.deps[i].shard.Acquire(qid, e)
-			}
-		})
-	}
-
+	acqs := make([]RemoteAcquisition, n)
+	groupErrs := make([]error, n)
 	for gi, g := range c.groups {
-		acqs := groupAcqs[gi]
-		err := c.firstErr(groupErrs[gi])
+		for i := range rounds {
+			acqs[i], groupErrs[i] = rounds[i][gi].Acq, rounds[i][gi].Err
+		}
+		err := c.firstErr(groupErrs)
 		// Union the readings the group actually ran on: the shared sensing,
 		// or the shards' derived readings when the query overrides them.
 		per := senses
@@ -401,73 +352,12 @@ func (c *RemoteCoordinator) EpochNow() model.Epoch {
 	return c.epoch
 }
 
-// Epoch runs one full federated epoch of a query: sense every shard,
-// acquire every shard, union the readings, merge the answers. A shard
-// loss (socket exhausted its retries, shard process gone) surfaces as
-// Outcome.Err tagged with the shard's name — the same cursor-outcome
-// pathway an in-process shard failure takes — and never wedges: the
-// remaining shards' calls still complete before the outcome returns.
-func (c *RemoteCoordinator) Epoch(query uint32, e model.Epoch, merge MergeFunc) Outcome {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := len(c.deps)
-
-	senses := make([]map[model.NodeID]model.Reading, n)
-	errs := make([]error, n)
-	c.fanOut(func(i int) {
-		senses[i], errs[i] = c.deps[i].shard.Sense(e)
-	})
-	if err := c.firstErr(errs); err != nil {
-		return Outcome{Epoch: e, Err: err}
-	}
-
-	acqs := make([]RemoteAcquisition, n)
-	c.fanOut(func(i int) {
-		acqs[i], errs[i] = c.deps[i].shard.Acquire(query, e)
-	})
-	// Union the readings the query actually ran on: the shared sensing,
-	// or the shards' derived readings when the query overrides them.
-	per := senses
-	override := false
-	for i := range acqs {
-		if acqs[i].Readings != nil {
-			override = true
-			break
-		}
-	}
-	if override {
-		per = make([]map[model.NodeID]model.Reading, n)
-		for i := range acqs {
-			per[i] = acqs[i].Readings
-		}
-	}
-	out := Outcome{Epoch: e, Readings: MergeReadings(per)}
-	if err := c.firstErr(errs); err != nil {
-		out.Err = err
-		return out
-	}
-	perShard := make([][]model.Answer, n)
-	for i := range acqs {
-		perShard[i] = acqs[i].Answers
-	}
-	if merge == nil {
-		if n != 1 {
-			out.Err = fmt.Errorf("engine: %d shards need a merge function", n)
-			return out
-		}
-		out.Answers = perShard[0]
-		return out
-	}
-	out.Answers, out.Err = merge(perShard)
-	return out
-}
-
 // RunShards invokes fn once per shard deployment concurrently (each shard
 // is its own process; socket round trips overlap) and returns the first
 // error in shard order, tagged with the shard's name — the remote
 // analogue of Coordinator.RunShards, serialized against epoch rounds so
-// one-shot historic executions cannot interleave a cursor's sense/acquire
-// pair on the shard state machines.
+// one-shot historic executions cannot interleave an epoch on the shard
+// state machines.
 func (c *RemoteCoordinator) RunShards(fn func(i int, d *RemoteDeployment) error) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -9,36 +9,51 @@ import (
 	"kspot/internal/model"
 )
 
-// stubShard is a scripted RemoteShard for coordinator-path tests.
+// stubShard is a scripted RemoteShard for coordinator-path tests: it serves
+// whole epochs in one call, with per-group scripted results.
 type stubShard struct {
-	mu       sync.Mutex
-	readings map[model.NodeID]model.Reading
-	answers  []model.Answer
-	override map[model.NodeID]model.Reading
-	senseErr error
-	acqErr   error
-	senses   int
-	acquires int
+	mu         sync.Mutex
+	readings   map[model.NodeID]model.Reading
+	answers    []model.Answer
+	override   map[model.NodeID]model.Reading
+	roundErr   error            // transport-level failure of the whole round
+	groupErrAt map[uint32]error // per-qid isolated failure
+	shortReply bool             // return one fewer group than asked
+	rounds     int
+	lastQids   []uint32
 }
 
-func (s *stubShard) Sense(e model.Epoch) (map[model.NodeID]model.Reading, error) {
+func (s *stubShard) EpochRound(e model.Epoch, queries []uint32) (map[model.NodeID]model.Reading, []RemoteGroupResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.senses++
-	if s.senseErr != nil {
-		return nil, s.senseErr
+	s.rounds++
+	s.lastQids = append([]uint32(nil), queries...)
+	if s.roundErr != nil {
+		return nil, nil, s.roundErr
 	}
-	return s.readings, nil
+	n := len(queries)
+	if s.shortReply && n > 0 {
+		n--
+	}
+	results := make([]RemoteGroupResult, n)
+	for i := 0; i < n; i++ {
+		if err := s.groupErrAt[queries[i]]; err != nil {
+			results[i] = RemoteGroupResult{Err: err}
+			continue
+		}
+		results[i] = RemoteGroupResult{Acq: RemoteAcquisition{Answers: s.answers, Readings: s.override}}
+	}
+	return s.readings, results, nil
 }
 
-func (s *stubShard) Acquire(query uint32, e model.Epoch) (RemoteAcquisition, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.acquires++
-	if s.acqErr != nil {
-		return RemoteAcquisition{}, s.acqErr
+// stepOne schedules one private query and steps it once.
+func stepOne(t *testing.T, coord *RemoteCoordinator, qid uint32, merge MergeFunc) Outcome {
+	t.Helper()
+	out, err := coord.Step(coord.Schedule("", qid, merge, 0))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return RemoteAcquisition{Answers: s.answers, Readings: s.override}, nil
+	return out
 }
 
 func readingsOf(ids ...model.NodeID) map[model.NodeID]model.Reading {
@@ -60,7 +75,7 @@ func TestRemoteCoordinatorEpochUnionAndMerge(t *testing.T) {
 		t.Fatalf("Shards() = %d", coord.Shards())
 	}
 	merged := false
-	out := coord.Epoch(1, 4, func(perShard [][]model.Answer) ([]model.Answer, error) {
+	out := stepOne(t, coord, 1, func(perShard [][]model.Answer) ([]model.Answer, error) {
 		merged = true
 		if len(perShard) != 2 {
 			t.Fatalf("merge saw %d shards", len(perShard))
@@ -76,8 +91,8 @@ func TestRemoteCoordinatorEpochUnionAndMerge(t *testing.T) {
 	if len(out.Readings) != 3 {
 		t.Fatalf("union has %d readings, want 3", len(out.Readings))
 	}
-	if a.senses != 1 || b.senses != 1 || a.acquires != 1 || b.acquires != 1 {
-		t.Fatalf("call counts: %d/%d senses, %d/%d acquires", a.senses, b.senses, a.acquires, b.acquires)
+	if a.rounds != 1 || b.rounds != 1 {
+		t.Fatalf("call counts: %d/%d rounds for one epoch", a.rounds, b.rounds)
 	}
 }
 
@@ -90,7 +105,7 @@ func TestRemoteCoordinatorOverrideReadings(t *testing.T) {
 		NewRemoteDeployment("shard-0", a),
 		NewRemoteDeployment("shard-1", b),
 	)
-	out := coord.Epoch(1, 0, func(per [][]model.Answer) ([]model.Answer, error) { return nil, nil })
+	out := stepOne(t, coord, 1, func(per [][]model.Answer) ([]model.Answer, error) { return nil, nil })
 	if out.Err != nil {
 		t.Fatal(out.Err)
 	}
@@ -108,36 +123,44 @@ func TestRemoteCoordinatorOverrideReadings(t *testing.T) {
 
 func TestRemoteCoordinatorShardErrorTagged(t *testing.T) {
 	a := &stubShard{readings: readingsOf(1)}
-	bad := &stubShard{readings: readingsOf(2), acqErr: fmt.Errorf("connection refused")}
+	bad := &stubShard{readings: readingsOf(2), groupErrAt: map[uint32]error{1: fmt.Errorf("connection refused")}}
 	coord := NewRemoteCoordinator(
 		NewRemoteDeployment("shard-0", a),
 		NewRemoteDeployment("shard-1", bad),
 	)
-	out := coord.Epoch(1, 0, func(per [][]model.Answer) ([]model.Answer, error) { return nil, nil })
+	out := stepOne(t, coord, 1, func(per [][]model.Answer) ([]model.Answer, error) { return nil, nil })
 	if out.Err == nil {
 		t.Fatal("shard error swallowed")
 	}
 	if !strings.Contains(out.Err.Error(), "shard-1") {
 		t.Fatalf("error not tagged with shard name: %v", out.Err)
 	}
-	// The healthy shard still completed its calls — no wedging.
-	if a.acquires != 1 {
-		t.Fatalf("healthy shard acquired %d times", a.acquires)
+	// The healthy shard still completed its round — no wedging.
+	if a.rounds != 1 {
+		t.Fatalf("healthy shard ran %d rounds", a.rounds)
 	}
 
-	// A sense failure aborts before any acquisition.
+	// A failed round poisons the whole epoch: every scheduled query, in
+	// every group, buffers the tagged error.
 	a2 := &stubShard{readings: readingsOf(1)}
-	bad2 := &stubShard{senseErr: fmt.Errorf("shard gone")}
+	bad2 := &stubShard{roundErr: fmt.Errorf("shard gone")}
 	coord2 := NewRemoteCoordinator(
 		NewRemoteDeployment("shard-0", a2),
 		NewRemoteDeployment("shard-1", bad2),
 	)
-	out2 := coord2.Epoch(1, 0, nil)
-	if out2.Err == nil || !strings.Contains(out2.Err.Error(), "shard-1") {
-		t.Fatalf("sense error: %v", out2.Err)
+	q1 := coord2.Schedule("g1", 1, nil, 0)
+	q2 := coord2.Schedule("g2", 2, nil, 0)
+	for _, q := range []*RemoteQuery{q1, q2} {
+		out, err := coord2.Step(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Err == nil || !strings.Contains(out.Err.Error(), "shard-1") || !strings.Contains(out.Err.Error(), "shard gone") {
+			t.Fatalf("round error: %v", out.Err)
+		}
 	}
-	if a2.acquires != 0 || bad2.acquires != 0 {
-		t.Fatal("acquisition ran after a failed sense")
+	if a2.rounds != 1 || bad2.rounds != 1 {
+		t.Fatalf("one epoch ran %d/%d rounds", a2.rounds, bad2.rounds)
 	}
 }
 
@@ -146,7 +169,7 @@ func TestRemoteCoordinatorMergeRequired(t *testing.T) {
 		NewRemoteDeployment("shard-0", &stubShard{readings: readingsOf(1)}),
 		NewRemoteDeployment("shard-1", &stubShard{readings: readingsOf(2)}),
 	)
-	if out := coord.Epoch(1, 0, nil); out.Err == nil {
+	if out := stepOne(t, coord, 1, nil); out.Err == nil {
 		t.Fatal("multi-shard epoch without a merge function succeeded")
 	}
 	// A single shard needs no merge: answers pass through.
@@ -154,7 +177,7 @@ func TestRemoteCoordinatorMergeRequired(t *testing.T) {
 		readings: readingsOf(1),
 		answers:  []model.Answer{{Group: 1, Score: 5}},
 	}))
-	out := solo.Epoch(1, 0, nil)
+	out := stepOne(t, solo, 1, nil)
 	if out.Err != nil || len(out.Answers) != 1 {
 		t.Fatalf("flat pass-through: %+v", out)
 	}
@@ -191,47 +214,10 @@ func TestRemoteCoordinatorRunShards(t *testing.T) {
 	}
 }
 
-// roundStubShard is a scripted RemoteRoundShard: a stubShard that can also
-// serve whole epochs in one call, with per-group scripted results.
-type roundStubShard struct {
-	stubShard
-	supports   bool
-	rounds     int
-	lastQids   []uint32
-	roundErr   error
-	groupErrAt map[uint32]error // per-qid isolated failure
-	shortReply bool             // return one fewer group than asked
-}
-
-func (s *roundStubShard) SupportsEpochRound() bool { return s.supports }
-
-func (s *roundStubShard) EpochRound(e model.Epoch, queries []uint32) (map[model.NodeID]model.Reading, []RemoteGroupResult, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.rounds++
-	s.lastQids = append([]uint32(nil), queries...)
-	if s.roundErr != nil {
-		return nil, nil, s.roundErr
-	}
-	n := len(queries)
-	if s.shortReply && n > 0 {
-		n--
-	}
-	results := make([]RemoteGroupResult, n)
-	for i := 0; i < n; i++ {
-		if err := s.groupErrAt[queries[i]]; err != nil {
-			results[i] = RemoteGroupResult{Err: err}
-			continue
-		}
-		results[i] = RemoteGroupResult{Acq: RemoteAcquisition{Answers: s.answers, Readings: s.override}}
-	}
-	return s.readings, results, nil
-}
-
 func TestRemoteCoordinatorBatchedRound(t *testing.T) {
-	// A round-capable shard serves the whole epoch in one call: no Sense,
-	// no Acquire, every group's qid in the request, readings in the union.
-	a := &roundStubShard{stubShard: stubShard{readings: readingsOf(1, 2), answers: []model.Answer{{Group: 1, Score: 10}}}, supports: true}
+	// A shard serves the whole epoch in one call: every group's qid in the
+	// request, in group order, readings in the union.
+	a := &stubShard{readings: readingsOf(1, 2), answers: []model.Answer{{Group: 1, Score: 10}}}
 	coord := NewRemoteCoordinator(NewRemoteDeployment("shard-0", a))
 	q1 := coord.Schedule("g1", 11, nil, 0)
 	q2 := coord.Schedule("g2", 22, nil, 0)
@@ -251,59 +237,18 @@ func TestRemoteCoordinatorBatchedRound(t *testing.T) {
 			t.Fatalf("batched outcome: %+v", out)
 		}
 	}
-	if a.rounds != 1 || a.senses != 0 || a.acquires != 0 {
-		t.Fatalf("calls: %d rounds, %d senses, %d acquires", a.rounds, a.senses, a.acquires)
+	if a.rounds != 1 {
+		t.Fatalf("calls: %d rounds for one epoch", a.rounds)
 	}
 	if len(a.lastQids) != 2 || a.lastQids[0] != 11 || a.lastQids[1] != 22 {
 		t.Fatalf("round qids: %v", a.lastQids)
 	}
 }
 
-func TestRemoteCoordinatorBatchedFallsBackWhenUnsupported(t *testing.T) {
-	// A RemoteRoundShard whose session did NOT negotiate the capability
-	// must be driven through the per-call protocol.
-	a := &roundStubShard{stubShard: stubShard{readings: readingsOf(1)}, supports: false}
-	coord := NewRemoteCoordinator(NewRemoteDeployment("shard-0", a))
-	q := coord.Schedule("", 7, nil, 0)
-	if out, err := coord.Step(q); err != nil || out.Err != nil {
-		t.Fatalf("step: %v / %v", err, out.Err)
-	}
-	if a.rounds != 0 || a.senses != 1 || a.acquires != 1 {
-		t.Fatalf("calls: %d rounds, %d senses, %d acquires", a.rounds, a.senses, a.acquires)
-	}
-}
-
-func TestRemoteCoordinatorMixedBatchedLegacy(t *testing.T) {
-	// One batched shard, one legacy shard: same epoch, merged together.
-	a := &roundStubShard{stubShard: stubShard{readings: readingsOf(1), answers: []model.Answer{{Group: 1, Score: 10}}}, supports: true}
-	b := &stubShard{readings: readingsOf(2), answers: []model.Answer{{Group: 2, Score: 20}}}
-	coord := NewRemoteCoordinator(
-		NewRemoteDeployment("shard-0", a),
-		NewRemoteDeployment("shard-1", b),
-	)
-	merge := func(per [][]model.Answer) ([]model.Answer, error) {
-		return append(append([]model.Answer(nil), per[0]...), per[1]...), nil
-	}
-	q := coord.Schedule("", 9, merge, 0)
-	out, err := coord.Step(q)
-	if err != nil || out.Err != nil {
-		t.Fatalf("step: %v / %v", err, out.Err)
-	}
-	if len(out.Answers) != 2 || len(out.Readings) != 2 {
-		t.Fatalf("mixed outcome: %+v", out)
-	}
-	if a.rounds != 1 || a.senses != 0 || a.acquires != 0 {
-		t.Fatalf("batched shard calls: %d/%d/%d", a.rounds, a.senses, a.acquires)
-	}
-	if b.senses != 1 || b.acquires != 1 {
-		t.Fatalf("legacy shard calls: %d senses, %d acquires", b.senses, b.acquires)
-	}
-}
-
 func TestRemoteCoordinatorBatchedGroupCountMismatch(t *testing.T) {
 	// A reply with the wrong group count is a transport-level failure: the
 	// whole epoch is poisoned, tagged with the shard's name.
-	a := &roundStubShard{stubShard: stubShard{readings: readingsOf(1)}, supports: true, shortReply: true}
+	a := &stubShard{readings: readingsOf(1), shortReply: true}
 	coord := NewRemoteCoordinator(NewRemoteDeployment("shard-0", a))
 	q := coord.Schedule("", 5, nil, 0)
 	out, err := coord.Step(q)
@@ -318,7 +263,7 @@ func TestRemoteCoordinatorBatchedGroupCountMismatch(t *testing.T) {
 func TestRemoteCoordinatorBatchedGroupErrorIsolated(t *testing.T) {
 	// One group's failure inside a round poisons only that group's members;
 	// the other group still gets its answers from the same round trip.
-	a := &roundStubShard{stubShard: stubShard{readings: readingsOf(1), answers: []model.Answer{{Group: 1, Score: 10}}}, supports: true,
+	a := &stubShard{readings: readingsOf(1), answers: []model.Answer{{Group: 1, Score: 10}},
 		groupErrAt: map[uint32]error{33: fmt.Errorf("query gone")}}
 	coord := NewRemoteCoordinator(NewRemoteDeployment("shard-0", a))
 	ok := coord.Schedule("ok", 11, nil, 0)
@@ -340,47 +285,4 @@ func TestRemoteCoordinatorBatchedGroupErrorIsolated(t *testing.T) {
 	if a.rounds != 1 {
 		t.Fatalf("rounds: %d", a.rounds)
 	}
-}
-
-func TestRemoteCoordinatorLegacyOverlapKeepsGroupOrder(t *testing.T) {
-	// The legacy fallback overlaps shards but must walk each shard's groups
-	// in group order — the per-call protocol's exact execution order on the
-	// shard state machine.
-	a := &orderShard{stubShard: stubShard{readings: readingsOf(1)}}
-	b := &orderShard{stubShard: stubShard{readings: readingsOf(2)}}
-	coord := NewRemoteCoordinator(
-		NewRemoteDeployment("shard-0", a),
-		NewRemoteDeployment("shard-1", b),
-	)
-	merge := func(per [][]model.Answer) ([]model.Answer, error) { return nil, nil }
-	q1 := coord.Schedule("g1", 101, merge, 0)
-	coord.Schedule("g2", 102, merge, 0)
-	coord.Schedule("g3", 103, merge, 0)
-	if _, err := coord.Step(q1); err != nil {
-		t.Fatal(err)
-	}
-	want := []uint32{101, 102, 103}
-	for _, s := range []*orderShard{a, b} {
-		if len(s.order) != len(want) {
-			t.Fatalf("acquire order: %v", s.order)
-		}
-		for i, qid := range want {
-			if s.order[i] != qid {
-				t.Fatalf("acquire order: %v, want %v", s.order, want)
-			}
-		}
-	}
-}
-
-// orderShard records the order its acquisitions arrive in.
-type orderShard struct {
-	stubShard
-	order []uint32
-}
-
-func (s *orderShard) Acquire(query uint32, e model.Epoch) (RemoteAcquisition, error) {
-	s.mu.Lock()
-	s.order = append(s.order, query)
-	s.mu.Unlock()
-	return s.stubShard.Acquire(query, e)
 }

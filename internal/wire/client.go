@@ -29,16 +29,10 @@ type ClientConfig struct {
 	Shards   int
 	Nodes    int
 
-	// Roster is the shard's sensor node ids in ascending order — the
-	// positional frame of reference for the batched epoch-round encoding.
-	// Without it the client does not offer CapEpochRound and the session
-	// falls back to the per-call protocol.
+	// Roster is the shard's sensor node ids, strictly ascending, exactly
+	// Nodes of them — the positional frame of reference the epoch-round
+	// encoding is relative to. Dial refuses a config without one.
 	Roster []model.NodeID
-
-	// DisableEpochRound withholds CapEpochRound from the handshake even
-	// when a roster is set, forcing the per-call protocol (tests and the
-	// RTT benchmark compare the two paths).
-	DisableEpochRound bool
 
 	// DialTimeout bounds one connect attempt (default 5s). CallTimeout
 	// bounds one request attempt awaiting its response (default 10s).
@@ -83,19 +77,22 @@ func (c *ClientConfig) backoff() time.Duration {
 	return 50 * time.Millisecond
 }
 
-// offeredCaps is the capability set the client puts in its hello.
-// DisableEpochRound models a pre-batching (and pre-durability) client, so
-// it withholds everything; CapEpochRound additionally needs a roster (the
-// positional frame the batched encoding is relative to).
-func (c *ClientConfig) offeredCaps() uint16 {
-	if c.DisableEpochRound {
-		return 0
+// validate checks the roster against the identity the handshake asserts,
+// before any connection is made: a missing, unsorted or duplicated roster
+// would decode every epoch round against the wrong frame of reference.
+func (c *ClientConfig) validate() error {
+	if len(c.Roster) == 0 {
+		return errors.New("ClientConfig.Roster is empty")
 	}
-	caps := CapSnapshot
-	if len(c.Roster) > 0 {
-		caps |= CapEpochRound
+	if len(c.Roster) != c.Nodes {
+		return fmt.Errorf("ClientConfig.Roster has %d nodes, ClientConfig.Nodes is %d", len(c.Roster), c.Nodes)
 	}
-	return caps
+	for i := 1; i < len(c.Roster); i++ {
+		if c.Roster[i] <= c.Roster[i-1] {
+			return fmt.Errorf("ClientConfig.Roster is not strictly ascending at index %d (%d after %d)", i, c.Roster[i], c.Roster[i-1])
+		}
+	}
+	return nil
 }
 
 // clientNonce distinguishes client sessions on the server's at-most-once
@@ -115,7 +112,7 @@ const latRingCap = 512
 type ClientMetrics struct {
 	Shard     string `json:"shard"`
 	Calls     int64  `json:"calls"`    // completed RPCs (any outcome)
-	Rounds    int64  `json:"rounds"`   // epoch-opening calls (sense / epoch-round)
+	Rounds    int64  `json:"rounds"`   // epoch rounds (MsgEpochRound calls)
 	Retries   int64  `json:"retries"`  // calls that needed >1 attempt
 	BytesOut  int64  `json:"tx_bytes"` // frames written, headers included
 	BytesIn   int64  `json:"rx_bytes"` // frames read, headers included
@@ -176,25 +173,21 @@ func (cc *clientConn) isDead() bool {
 }
 
 // Client is the coordinator's handle on one remote shard. It implements
-// engine.RemoteShard (and, when the session negotiated CapEpochRound,
-// engine.RemoteRoundShard); its historic executions implement
-// fed.HistoricShard. Calls are synchronous for their caller but pipeline
-// on the connection: a reader goroutine demultiplexes responses by
-// sequence number to per-call waiters, so concurrent calls (overlapped
-// group acquisitions, stats polls, historic rounds) share one socket
-// without queueing behind each other. Each call retries with backoff
-// across timeouts and reconnects, reusing its sequence number so the
-// server executes it at most once; the backoff sleeps only the retrying
-// call. Close interrupts in-flight calls promptly.
+// engine.RemoteShard; its historic executions implement fed.HistoricShard.
+// Calls are synchronous for their caller but pipeline on the connection: a
+// reader goroutine demultiplexes responses by sequence number to per-call
+// waiters, so concurrent calls (epoch rounds, stats polls, historic rounds)
+// share one socket without queueing behind each other. Each call retries
+// with backoff across timeouts and reconnects, reusing its sequence number
+// so the server executes it at most once; the backoff sleeps only the
+// retrying call. Close interrupts in-flight calls promptly.
 type Client struct {
 	cfg   ClientConfig
 	nonce uint64
 
-	// name is the shard display name and caps the negotiated capability
-	// set (offered ∩ granted), both from the welcome. Reconnects re-derive
-	// them, so reads synchronize (name under connMu, caps atomically).
+	// name is the shard display name from the welcome. Reconnects re-derive
+	// it, so reads synchronize under connMu.
 	name string
-	caps atomic.Uint32
 
 	seqMu sync.Mutex
 	seq   uint64
@@ -223,6 +216,9 @@ type Client struct {
 
 // Dial connects and handshakes with a shard server.
 func Dial(cfg ClientConfig) (*Client, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, fmt.Errorf("wire: shard %d at %s: %w", cfg.Shard, cfg.Addr, err)
+	}
 	c := &Client{
 		cfg:      cfg,
 		nonce:    newNonce(),
@@ -342,13 +338,11 @@ func (c *Client) handshake() (*clientConn, error) {
 	if err != nil {
 		return nil, err
 	}
-	offered := c.cfg.offeredCaps()
 	hello := AppendHello(nil, Hello{
 		Version:  Version,
 		Shard:    uint16(c.cfg.Shard),
 		Shards:   uint16(c.cfg.Shards),
 		Nodes:    uint16(c.cfg.Nodes),
-		Caps:     offered,
 		Nonce:    c.nonce,
 		Scenario: c.cfg.Scenario,
 	})
@@ -376,10 +370,6 @@ func (c *Client) handshake() (*clientConn, error) {
 		conn.Close()
 		return nil, err
 	}
-	if w.Version != Version {
-		conn.Close()
-		return nil, fmt.Errorf("protocol version %d, client speaks %d", w.Version, Version)
-	}
 	if int(w.Shard) != c.cfg.Shard || int(w.Nodes) != c.cfg.Nodes {
 		conn.Close()
 		return nil, fmt.Errorf("welcome identity shard=%d nodes=%d, want shard=%d nodes=%d", w.Shard, w.Nodes, c.cfg.Shard, c.cfg.Nodes)
@@ -388,7 +378,6 @@ func (c *Client) handshake() (*clientConn, error) {
 	c.connMu.Lock()
 	c.name = w.Name
 	c.connMu.Unlock()
-	c.caps.Store(uint32(offered & w.Caps))
 	cc := &clientConn{conn: conn, dead: make(chan struct{})}
 	return cc, nil
 }
@@ -461,7 +450,7 @@ func (c *Client) sleep(d time.Duration) bool {
 // definitive response and is not retried.
 func (c *Client) call(t MsgType, payload []byte) (Frame, error) {
 	c.calls.Add(1)
-	if t == MsgSense || t == MsgEpochRound {
+	if t == MsgEpochRound {
 		c.rounds.Add(1)
 	}
 	seq := c.nextSeq()
@@ -578,53 +567,8 @@ func (c *Client) Attach(queryID uint32, algo, sql string) error {
 	return nil
 }
 
-// Sense implements engine.RemoteShard: one shared sensing of the epoch.
-func (c *Client) Sense(e model.Epoch) (map[model.NodeID]model.Reading, error) {
-	f, err := c.call(MsgSense, AppendEpoch(nil, e))
-	if err != nil {
-		return nil, err
-	}
-	if f.Type != MsgReadings {
-		return nil, fmt.Errorf("wire: sense reply %v", f.Type)
-	}
-	re, readings, err := DecodeReadings(f.Payload)
-	if err != nil {
-		return nil, err
-	}
-	if re != e {
-		return nil, fmt.Errorf("wire: sense reply for epoch %d, want %d", re, e)
-	}
-	return readings, nil
-}
-
-// Acquire implements engine.RemoteShard: run one epoch of an attached
-// query on the shard.
-func (c *Client) Acquire(queryID uint32, e model.Epoch) (engine.RemoteAcquisition, error) {
-	f, err := c.call(MsgAcquire, AppendAcquire(nil, AcquireReq{Query: queryID, Epoch: e}))
-	if err != nil {
-		return engine.RemoteAcquisition{}, err
-	}
-	if f.Type != MsgAnswers {
-		return engine.RemoteAcquisition{}, fmt.Errorf("wire: acquire reply %v", f.Type)
-	}
-	re, answers, override, err := DecodeAnswers(f.Payload)
-	if err != nil {
-		return engine.RemoteAcquisition{}, err
-	}
-	if re != e {
-		return engine.RemoteAcquisition{}, fmt.Errorf("wire: acquire reply for epoch %d, want %d", re, e)
-	}
-	return engine.RemoteAcquisition{Answers: answers, Readings: override}, nil
-}
-
-// SupportsEpochRound implements engine.RemoteRoundShard: whether the
-// session negotiated the batched one-round protocol.
-func (c *Client) SupportsEpochRound() bool {
-	return uint16(c.caps.Load())&CapEpochRound != 0
-}
-
-// EpochRound implements engine.RemoteRoundShard: sense the epoch and run
-// every group's acquisition in one round trip.
+// EpochRound implements engine.RemoteShard: sense the epoch and run every
+// group's acquisition in one round trip.
 func (c *Client) EpochRound(e model.Epoch, queries []uint32) (map[model.NodeID]model.Reading, []engine.RemoteGroupResult, error) {
 	payload := AppendEpochRound(nil, EpochRoundReq{Epoch: e, Queries: queries})
 	f, err := c.call(MsgEpochRound, payload)
@@ -647,20 +591,13 @@ func (c *Client) EpochRound(e model.Epoch, queries []uint32) (map[model.NodeID]m
 	results := make([]engine.RemoteGroupResult, len(rep.Groups))
 	for i, g := range rep.Groups {
 		if g.Err != "" {
-			// Same shape a per-call MsgError takes, so a group failure is
-			// indistinguishable from the legacy path's acquire failure.
+			// Same shape a whole-call MsgError takes.
 			results[i].Err = fmt.Errorf("wire: shard %s: %s", c.shardLabel(), g.Err)
 			continue
 		}
 		results[i].Acq = engine.RemoteAcquisition{Answers: g.Answers, Readings: g.Override}
 	}
 	return rep.Readings, results, nil
-}
-
-// SupportsSnapshot reports whether the session negotiated CapSnapshot —
-// the shard can stream its durable state out (Snapshot) and in (Restore).
-func (c *Client) SupportsSnapshot() bool {
-	return uint16(c.caps.Load())&CapSnapshot != 0
 }
 
 // Snapshot streams the shard's durable state image — windows, epoch

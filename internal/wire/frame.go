@@ -29,11 +29,14 @@
 // sockets stays byte-identical to the in-process run.
 //
 // The connection is full-duplex: the client pipelines calls, demultiplexing
-// responses back to their callers by sequence number, and — when both peers
-// negotiated CapEpochRound at handshake — collapses a whole federated epoch
-// (sense + every shared-acquisition group) into ONE MsgEpochRound round
+// responses back to their callers by sequence number. A whole federated
+// epoch (sense + every shared-acquisition group) is ONE MsgEpochRound round
 // trip whose readings cross in a roster-positional delta encoding instead
 // of keyed reading records. See round.go.
+//
+// There is one protocol and no feature negotiation: both ends ship from
+// this repository, so an incompatible change bumps Version and a skewed
+// peer is refused at the handshake with an error naming both versions.
 package wire
 
 import (
@@ -46,15 +49,19 @@ import (
 const (
 	// Magic opens every handshake payload ("KSPW", little-endian).
 	Magic uint32 = 0x5750534B
-	// Version is the protocol version; peers must match exactly.
-	Version uint16 = 1
+	// Version is the protocol version; peers must match exactly. It is the
+	// only compatibility mechanism: any change a peer of the previous
+	// version would misread bumps it.
+	Version uint16 = 2
 	// MaxPayload bounds a frame's payload. The largest legitimate frame is
-	// a readings reply (12 bytes per sensor node), so 1 MiB covers ~87k
-	// nodes per shard — far beyond scale-100k split into shards — while a
-	// garbage length prefix is rejected before any allocation.
+	// an epoch-round reply (a few bytes per sensor node per group), so
+	// 1 MiB is far beyond scale-100k split into shards, while a garbage
+	// length prefix is rejected before any allocation.
 	MaxPayload = 1 << 20
 
-	frameHeaderSize = 4 + 8 + 1 // len + seq + type
+	frameHeaderSize  = 4 + 8 + 1             // len + seq + type
+	helloFixedSize   = 4 + 2 + 2 + 2 + 2 + 8 // magic, version, shard, shards, nodes, nonce
+	welcomeFixedSize = 4 + 2 + 2 + 2         // magic, version, shard, nodes
 )
 
 // MsgType tags a frame.
@@ -62,46 +69,28 @@ type MsgType uint8
 
 // Frame types. Requests are client→server, replies server→client.
 const (
-	MsgInvalid  MsgType = iota
-	MsgHello            // handshake request: identity + version
-	MsgWelcome          // handshake reply: server identity
-	MsgError            // reply: application error (string payload)
-	MsgAttach           // attach a query: qid, algorithm, SQL text
-	MsgAttached         // reply: qid
-	MsgSense            // sense an epoch: epoch
-	MsgReadings         // reply: epoch + readings (model codec)
-	MsgAcquire          // run an attached query's epoch: qid, epoch
-	MsgAnswers          // reply: epoch + answers (+ override readings)
-	MsgHistoric         // run a historic execution: exec, algo, k, window, agg
-	MsgTopK             // reply: exec, node count, (group, s64 sum) records
-	MsgFetch            // phase-2 targeted fetch: exec, group ids
-	MsgSums             // reply: exec, (group, s64 sum) records
-	MsgRelease          // drop a historic execution's cached state: exec
-	MsgReleased         // reply: exec
-	MsgStats            // fetch the shard's traffic/energy counters
-	MsgStatsReply       // reply: JSON stats.RunStats
-	MsgClose            // graceful session close
-	MsgClosed           // reply: acknowledged
-	MsgEpochRound       // batched epoch round: epoch + every group's query id
-	MsgEpochRoundReply  // reply: sense readings + every group's acquisition
-	MsgSnapshot         // fetch one bounded chunk of the shard state: offset
-	MsgSnapshotChunk    // reply: total size, offset, chunk bytes
-	MsgRestore          // push one bounded chunk of a shard state: total, offset, bytes
-	MsgRestored         // reply: bytes received so far, applied flag
-)
-
-// Capability bits, negotiated at handshake: the client offers its set in
-// Hello.Caps, the server grants its own in Welcome.Caps, and the session
-// speaks the intersection. An old peer (or one with the capability
-// disabled) simply never sees the newer frames.
-const (
-	// CapEpochRound: the peer speaks the batched one-round epoch protocol
-	// (MsgEpochRound) with roster-positional readings encoding.
-	CapEpochRound uint16 = 1 << 0
-	// CapSnapshot: the peer speaks the shard snapshot/restore protocol
-	// (MsgSnapshot/MsgRestore) — chunked transfer of the durable tier's
-	// windows, epoch cursor and energy ledger.
-	CapSnapshot uint16 = 1 << 1
+	MsgInvalid         MsgType = iota
+	MsgHello                   // handshake request: identity + version
+	MsgWelcome                 // handshake reply: server identity
+	MsgError                   // reply: application error (string payload)
+	MsgAttach                  // attach a query: qid, algorithm, SQL text
+	MsgAttached                // reply: qid
+	MsgHistoric                // run a historic execution: exec, algo, k, window, agg
+	MsgTopK                    // reply: exec, node count, (group, s64 sum) records
+	MsgFetch                   // phase-2 targeted fetch: exec, group ids
+	MsgSums                    // reply: exec, (group, s64 sum) records
+	MsgRelease                 // drop a historic execution's cached state: exec
+	MsgReleased                // reply: exec
+	MsgStats                   // fetch the shard's traffic/energy counters
+	MsgStatsReply              // reply: JSON stats.RunStats
+	MsgClose                   // graceful session close
+	MsgClosed                  // reply: acknowledged
+	MsgEpochRound              // one epoch: epoch + every group's query id
+	MsgEpochRoundReply         // reply: sense readings + every group's acquisition
+	MsgSnapshot                // fetch one bounded chunk of the shard state: offset
+	MsgSnapshotChunk           // reply: total size, offset, chunk bytes
+	MsgRestore                 // push one bounded chunk of a shard state: total, offset, bytes
+	MsgRestored                // reply: bytes received so far, applied flag
 )
 
 func (t MsgType) String() string {
@@ -116,14 +105,6 @@ func (t MsgType) String() string {
 		return "attach"
 	case MsgAttached:
 		return "attached"
-	case MsgSense:
-		return "sense"
-	case MsgReadings:
-		return "readings"
-	case MsgAcquire:
-		return "acquire"
-	case MsgAnswers:
-		return "answers"
 	case MsgHistoric:
 		return "historic"
 	case MsgTopK:
@@ -251,7 +232,6 @@ type Hello struct {
 	Shard    uint16 // shard index the client believes it is dialing
 	Shards   uint16 // total shard count of the deployment
 	Nodes    uint16 // sensor node count of this shard's sub-scenario
-	Caps     uint16 // capability bits the client offers (CapEpochRound, ...)
 	Nonce    uint64
 	Scenario string // flat scenario name
 }
@@ -261,42 +241,57 @@ type Welcome struct {
 	Version uint16
 	Shard   uint16
 	Nodes   uint16
-	Caps    uint16 // capability bits the server grants
 	Name    string // shard display name (panels, error tags)
+}
+
+// checkHandshakeHead verifies the magic and version that open both
+// handshake payloads. The version is checked before anything behind it is
+// parsed — another version may lay the rest out differently — and the
+// error states both versions, so a skewed deployment is diagnosable from
+// either end's log. msg names the payload, self the end decoding it.
+func checkHandshakeHead(b []byte, msg, self string) error {
+	if len(b) < 6 {
+		return io.ErrUnexpectedEOF
+	}
+	if magic := binary.LittleEndian.Uint32(b[0:]); magic != Magic {
+		return fmt.Errorf("wire: bad handshake magic %#x", magic)
+	}
+	if v := binary.LittleEndian.Uint16(b[4:]); v != Version {
+		return fmt.Errorf("wire: %s carries protocol version %d, %s speaks %d", msg, v, self, Version)
+	}
+	return nil
 }
 
 // AppendHello appends the wire form of h.
 func AppendHello(dst []byte, h Hello) []byte {
-	var buf [22]byte
+	var buf [helloFixedSize]byte
 	binary.LittleEndian.PutUint32(buf[0:], Magic)
 	binary.LittleEndian.PutUint16(buf[4:], h.Version)
 	binary.LittleEndian.PutUint16(buf[6:], h.Shard)
 	binary.LittleEndian.PutUint16(buf[8:], h.Shards)
 	binary.LittleEndian.PutUint16(buf[10:], h.Nodes)
-	binary.LittleEndian.PutUint16(buf[12:], h.Caps)
-	binary.LittleEndian.PutUint64(buf[14:], h.Nonce)
+	binary.LittleEndian.PutUint64(buf[12:], h.Nonce)
 	dst = append(dst, buf[:]...)
 	return appendString(dst, h.Scenario)
 }
 
-// DecodeHello decodes a handshake request, rejecting bad magic, truncation
-// and trailing garbage.
+// DecodeHello decodes a handshake request, rejecting bad magic, a skewed
+// version, truncation and trailing garbage.
 func DecodeHello(b []byte) (Hello, error) {
-	if len(b) < 22 {
-		return Hello{}, io.ErrUnexpectedEOF
+	if err := checkHandshakeHead(b, "hello", "server"); err != nil {
+		return Hello{}, err
 	}
-	if binary.LittleEndian.Uint32(b[0:]) != Magic {
-		return Hello{}, fmt.Errorf("wire: bad handshake magic %#x", binary.LittleEndian.Uint32(b[0:]))
+	if len(b) < helloFixedSize {
+		return Hello{}, io.ErrUnexpectedEOF
 	}
 	h := Hello{
 		Version: binary.LittleEndian.Uint16(b[4:]),
 		Shard:   binary.LittleEndian.Uint16(b[6:]),
 		Shards:  binary.LittleEndian.Uint16(b[8:]),
 		Nodes:   binary.LittleEndian.Uint16(b[10:]),
-		Caps:    binary.LittleEndian.Uint16(b[12:]),
-		Nonce:   binary.LittleEndian.Uint64(b[14:]),
+		Nonce:   binary.LittleEndian.Uint64(b[12:]),
 	}
-	s, rest, err := decodeString(b[22:])
+	s, rest, err := decodeString(b[helloFixedSize:])
 	if err != nil {
 		return Hello{}, err
 	}
@@ -309,31 +304,29 @@ func DecodeHello(b []byte) (Hello, error) {
 
 // AppendWelcome appends the wire form of w.
 func AppendWelcome(dst []byte, w Welcome) []byte {
-	var buf [12]byte
+	var buf [welcomeFixedSize]byte
 	binary.LittleEndian.PutUint32(buf[0:], Magic)
 	binary.LittleEndian.PutUint16(buf[4:], w.Version)
 	binary.LittleEndian.PutUint16(buf[6:], w.Shard)
 	binary.LittleEndian.PutUint16(buf[8:], w.Nodes)
-	binary.LittleEndian.PutUint16(buf[10:], w.Caps)
 	dst = append(dst, buf[:]...)
 	return appendString(dst, w.Name)
 }
 
-// DecodeWelcome decodes a handshake reply.
+// DecodeWelcome decodes a handshake reply, with DecodeHello's strictness.
 func DecodeWelcome(b []byte) (Welcome, error) {
-	if len(b) < 12 {
-		return Welcome{}, io.ErrUnexpectedEOF
+	if err := checkHandshakeHead(b, "welcome", "client"); err != nil {
+		return Welcome{}, err
 	}
-	if binary.LittleEndian.Uint32(b[0:]) != Magic {
-		return Welcome{}, fmt.Errorf("wire: bad handshake magic %#x", binary.LittleEndian.Uint32(b[0:]))
+	if len(b) < welcomeFixedSize {
+		return Welcome{}, io.ErrUnexpectedEOF
 	}
 	w := Welcome{
 		Version: binary.LittleEndian.Uint16(b[4:]),
 		Shard:   binary.LittleEndian.Uint16(b[6:]),
 		Nodes:   binary.LittleEndian.Uint16(b[8:]),
-		Caps:    binary.LittleEndian.Uint16(b[10:]),
 	}
-	s, rest, err := decodeString(b[12:])
+	s, rest, err := decodeString(b[welcomeFixedSize:])
 	if err != nil {
 		return Welcome{}, err
 	}

@@ -2,7 +2,10 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"io"
+	"net"
 	"strings"
 	"testing"
 
@@ -13,7 +16,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	frames := []Frame{
 		{Seq: 1, Type: MsgHello, Payload: []byte("hello")},
 		{Seq: 0, Type: MsgClose, Payload: nil},
-		{Seq: ^uint64(0), Type: MsgAnswers, Payload: bytes.Repeat([]byte{0xAB}, 4096)},
+		{Seq: ^uint64(0), Type: MsgEpochRoundReply, Payload: bytes.Repeat([]byte{0xAB}, 4096)},
 	}
 	var stream []byte
 	for _, f := range frames {
@@ -51,7 +54,7 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestFrameRejects(t *testing.T) {
-	full := AppendFrame(nil, Frame{Seq: 7, Type: MsgSense, Payload: []byte{1, 2, 3}})
+	full := AppendFrame(nil, Frame{Seq: 7, Type: MsgEpochRound, Payload: []byte{1, 2, 3}})
 
 	// Every truncation of a valid frame must fail cleanly, never panic.
 	for cut := 0; cut < len(full); cut++ {
@@ -115,55 +118,56 @@ func TestHandshakeRejects(t *testing.T) {
 	if _, err := DecodeHello(append(append([]byte(nil), valid...), 0)); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}
-	for cut := 0; cut < 10; cut++ {
-		wl := AppendWelcome(nil, Welcome{Version: Version, Name: "shard-0"})
-		if cut < len(wl) {
-			if _, err := DecodeWelcome(wl[:cut]); err == nil {
-				t.Fatalf("truncated welcome at %d accepted", cut)
-			}
+	wl := AppendWelcome(nil, Welcome{Version: Version, Name: "shard-0"})
+	for cut := 0; cut < len(wl); cut++ {
+		if _, err := DecodeWelcome(wl[:cut]); err == nil {
+			t.Fatalf("truncated welcome at %d accepted", cut)
 		}
 	}
+
+	// Version skew is refused on the version field alone — a version-1
+	// hello (which still carried a capability word before the nonce) must
+	// not be misparsed under this version's layout — and the error states
+	// both versions, in the codec and from a live server.
+	v1 := binary.LittleEndian.AppendUint32(nil, Magic)
+	for _, f := range []uint16{1 /* version */, 0 /* shard */, 1 /* shards */, 14 /* nodes */, 3 /* caps */} {
+		v1 = binary.LittleEndian.AppendUint16(v1, f)
+	}
+	v1 = binary.LittleEndian.AppendUint64(v1, 0xDEADBEEF00000001)
+	v1 = appendString(v1, "demo")
+	bothVersions := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "speaks 2") {
+			t.Fatalf("%s: %v, want an error naming versions 1 and 2", what, err)
+		}
+	}
+	_, err := DecodeHello(v1)
+	bothVersions("v1 hello", err)
+	skewed := AppendWelcome(nil, Welcome{Version: 1, Name: "shard-0"})
+	_, err = DecodeWelcome(skewed)
+	bothVersions("v1 welcome", err)
+
+	addr, _ := startTestServer(t)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var wbuf []byte
+	if err := WriteFrame(conn, &wbuf, Frame{Seq: 1, Type: MsgHello, Payload: v1}); err != nil {
+		t.Fatal(err)
+	}
+	reply, err := ReadFrame(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reply.Type != MsgError {
+		t.Fatalf("server answered a v1 hello with %v", reply.Type)
+	}
+	bothVersions("server reply to a v1 hello", errors.New(string(reply.Payload)))
 }
 
 func TestPayloadCodecsRoundTrip(t *testing.T) {
-	// Readings: node order must not matter on the way in, and the decoded
-	// map must match value-exactly (centi-quantized fixed point).
-	readings := map[model.NodeID]model.Reading{
-		9: {Node: 9, Group: 2, Value: 55.25},
-		1: {Node: 1, Group: 0, Value: -3.5},
-		4: {Node: 4, Group: 1, Value: 0},
-	}
-	e, got, err := DecodeReadings(AppendReadings(nil, 17, readings))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e != 17 || len(got) != len(readings) {
-		t.Fatalf("epoch %d / %d readings", e, len(got))
-	}
-	for id, r := range readings {
-		if got[id] != r {
-			t.Fatalf("node %d: %+v != %+v", id, got[id], r)
-		}
-	}
-
-	// Answers with an override reading set (GROUP BY ... WITH HISTORY).
-	answers := []model.Answer{{Group: 3, Score: 61.5}, {Group: 1, Score: 60}}
-	ae, gotAns, override, err := DecodeAnswers(AppendAnswers(nil, 5, answers, readings))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ae != 5 || !model.EqualAnswers(gotAns, answers) || len(override) != len(readings) {
-		t.Fatalf("answers round-trip: epoch %d, %v, override %d", ae, gotAns, len(override))
-	}
-	// And without: override must come back nil, not empty.
-	_, _, override, err = DecodeAnswers(AppendAnswers(nil, 5, answers, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if override != nil {
-		t.Fatalf("no-override answers decoded an override set: %v", override)
-	}
-
 	// Historic TOP-K rows carry signed 64-bit centi-sums: values beyond the
 	// 6-byte snapshot answer codec's int32 saturation must survive.
 	big := []model.Answer{
@@ -220,8 +224,6 @@ func TestPayloadCodecsRoundTrip(t *testing.T) {
 
 func TestPayloadCodecsReject(t *testing.T) {
 	valids := [][]byte{
-		AppendReadings(nil, 1, map[model.NodeID]model.Reading{1: {Node: 1, Value: 2}}),
-		AppendAnswers(nil, 1, []model.Answer{{Group: 1, Score: 2}}, nil),
 		AppendTopK(nil, 1, 2, []model.Answer{{Group: 1, Score: 2}}),
 		AppendFetch(nil, 1, []model.GroupID{1}),
 		AppendSums(nil, 1, map[model.GroupID]int64{1: 2}),
@@ -229,8 +231,6 @@ func TestPayloadCodecsReject(t *testing.T) {
 		AppendHistoric(nil, HistoricReq{Exec: 1, K: 1, Window: 1, Agg: model.AggAvg, Algo: "tja"}),
 	}
 	decoders := []func([]byte) error{
-		func(b []byte) error { _, _, err := DecodeReadings(b); return err },
-		func(b []byte) error { _, _, _, err := DecodeAnswers(b); return err },
 		func(b []byte) error { _, _, _, err := DecodeTopK(b); return err },
 		func(b []byte) error { _, _, err := DecodeFetch(b); return err },
 		func(b []byte) error { _, _, err := DecodeSums(b); return err },

@@ -3,28 +3,33 @@ package wire
 // The pipelined-client suite: concurrent calls multiplexing one socket
 // must not queue behind each other's timeouts or backoffs, responses may
 // land out of order, injected frame faults must stay invisible at the
-// at-most-once layer, and the batched epoch round must be byte-identical
-// to the per-call protocol it replaces.
+// at-most-once layer, and the epoch round must be byte-identical to the
+// same shard driven in-process.
 
 import (
 	"bytes"
 	"net"
 	"runtime"
-	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"kspot/internal/config"
+	"kspot/internal/engine"
 	"kspot/internal/model"
+	"kspot/internal/query"
 	"kspot/internal/stats"
+	"kspot/internal/topk"
+	"kspot/internal/topk/registry"
+	"kspot/internal/trace"
 )
 
 // startTestServer runs a real shard server for the Figure-3 scenario on a
 // loopback listener.
-func startTestServer(t *testing.T, legacy bool) (string, *Server) {
+func startTestServer(t *testing.T) (string, *Server) {
 	t.Helper()
-	srv, err := NewServer(ServerConfig{Scenario: config.Figure3Scenario(), Shard: 0, DisableEpochRound: legacy})
+	srv, err := NewServer(ServerConfig{Scenario: config.Figure3Scenario(), Shard: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,29 +42,22 @@ func startTestServer(t *testing.T, legacy bool) (string, *Server) {
 	return ln.Addr().String(), srv
 }
 
-// testClientConfig dials the Figure-3 shard with its roster set (so the
-// client offers CapEpochRound).
+// testClientConfig dials the Figure-3 shard.
 func testClientConfig(addr string) ClientConfig {
 	scen := config.Figure3Scenario()
-	roster := make([]model.NodeID, 0, len(scen.Nodes))
-	for _, n := range scen.Nodes {
-		roster = append(roster, model.NodeID(n.ID))
-	}
-	slices.Sort(roster)
 	return ClientConfig{
 		Addr:     addr,
 		Scenario: scen.Name,
 		Shard:    0,
 		Shards:   1,
 		Nodes:    len(scen.Nodes),
-		Roster:   roster,
+		Roster:   scen.Roster(),
 	}
 }
 
-// startStubServer speaks the handshake (echoing the hello's identity and
-// capability bits), then hands every subsequent frame to fn on its own
-// goroutine; fn returns the reply frame, or ok=false to swallow the
-// request. Concurrent replies interleave under a write mutex — a scripted
+// startStubServer speaks the handshake (echoing the hello's identity),
+// then hands every subsequent frame to fn on its own goroutine; fn returns
+// the reply frame, or ok=false to swallow the request. Concurrent replies interleave under a write mutex — a scripted
 // far end for timeout, backoff and shutdown scenarios a real server
 // answers too quickly to produce.
 func startStubServer(t *testing.T, fn func(f Frame) (Frame, bool)) string {
@@ -87,7 +85,7 @@ func startStubServer(t *testing.T, fn func(f Frame) (Frame, bool)) string {
 				}
 				var wmu sync.Mutex
 				var wbuf []byte
-				welcome := AppendWelcome(nil, Welcome{Version: Version, Shard: h.Shard, Nodes: h.Nodes, Caps: h.Caps, Name: "stub"})
+				welcome := AppendWelcome(nil, Welcome{Version: Version, Shard: h.Shard, Nodes: h.Nodes, Name: "stub"})
 				if err := WriteFrame(conn, &wbuf, Frame{Seq: f.Seq, Type: MsgWelcome, Payload: welcome}); err != nil {
 					return
 				}
@@ -111,10 +109,36 @@ func startStubServer(t *testing.T, fn func(f Frame) (Frame, bool)) string {
 	return ln.Addr().String()
 }
 
+// stubClientConfig dials a stub server as a one-node shard.
+func stubClientConfig(addr string) ClientConfig {
+	return ClientConfig{Addr: addr, Scenario: "stub", Shard: 0, Shards: 1, Nodes: 1, Roster: stubRoster}
+}
+
+var stubRoster = []model.NodeID{1}
+
+// emptyRound is the stub's reply to an epoch round: nothing sensed, no
+// groups.
+func emptyRound(t *testing.T, f Frame) Frame {
+	req, err := DecodeEpochRound(f.Payload)
+	if err != nil {
+		t.Error(err)
+	}
+	payload, err := AppendEpochRoundReply(nil, stubRoster, EpochRoundReply{Epoch: req.Epoch})
+	if err != nil {
+		t.Error(err)
+	}
+	return Frame{Seq: f.Seq, Type: MsgEpochRoundReply, Payload: payload}
+}
+
 // readingsBytes pins byte-identity of a readings map via its canonical
-// wire encoding (sorted node order).
-func readingsBytes(e model.Epoch, readings map[model.NodeID]model.Reading) []byte {
-	return AppendReadings(nil, e, readings)
+// roster-positional encoding.
+func readingsBytes(t *testing.T, roster []model.NodeID, e model.Epoch, readings map[model.NodeID]model.Reading) []byte {
+	t.Helper()
+	b, err := AppendRosterReadings(nil, roster, e, readings)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 func answersBytesOf(answers []model.Answer) []byte {
@@ -125,11 +149,13 @@ func answersBytesOf(answers []model.Answer) []byte {
 	return b
 }
 
-// TestEpochRoundByteIdenticalToPerCall: the batched round — sense plus
-// every group's acquisition in one frame — must produce byte-identical
-// readings, answers and derived-readings overrides to the per-call
-// Sense/Acquire sequence on an identical server, epoch for epoch,
+// TestEpochRoundByteIdenticalToPerCall: the epoch round — sense plus every
+// group's acquisition in one frame — must produce byte-identical readings,
+// answers and derived-readings overrides to the per-call sequence it
+// stands for, run in-process on the same sub-scenario with no socket:
+// PresampleEpoch + CommitSenseEpoch, then each operator's Epoch in order,
 // including a WITH HISTORY group whose override readings ride the reply.
+// A group that fails inside a round stays isolated to its group.
 func TestEpochRoundByteIdenticalToPerCall(t *testing.T) {
 	queries := []struct {
 		qid  uint32
@@ -143,149 +169,206 @@ func TestEpochRoundByteIdenticalToPerCall(t *testing.T) {
 	qids := []uint32{1, 2, 3}
 	const epochs = 6
 
-	// Batched leg: one EpochRound call per epoch.
-	addrA, _ := startTestServer(t, false)
-	clA, err := Dial(testClientConfig(addrA))
+	// Wire leg: one EpochRound call per epoch against a real server.
+	addr, srv := startTestServer(t)
+	cfg := testClientConfig(addr)
+	cl, err := Dial(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer clA.Close()
-	if !clA.SupportsEpochRound() {
-		t.Fatal("session did not negotiate the epoch-round capability")
-	}
+	defer cl.Close()
 	for _, q := range queries {
-		if err := clA.Attach(q.qid, q.algo, q.sql); err != nil {
+		if err := cl.Attach(q.qid, q.algo, q.sql); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	// Per-call leg: identical server, capability withheld client-side.
-	addrB, _ := startTestServer(t, false)
-	cfgB := testClientConfig(addrB)
-	cfgB.DisableEpochRound = true
-	clB, err := Dial(cfgB)
+	// In-process leg: the same network, trace source and operators, driven
+	// call by call.
+	scen := config.Figure3Scenario()
+	network, err := scen.Network()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer clB.Close()
-	if clB.SupportsEpochRound() {
-		t.Fatal("capability negotiated despite DisableEpochRound")
+	src, err := scen.Source()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, q := range queries {
-		if err := clB.Attach(q.qid, q.algo, q.sql); err != nil {
+	type local struct {
+		op       topk.SnapshotOperator
+		override trace.Source
+	}
+	locals := make([]local, len(queries))
+	for i, q := range queries {
+		plan, err := query.PlanText(q.sql, query.DefaultSchema())
+		if err != nil {
 			t.Fatal(err)
+		}
+		op, err := registry.Snapshot(q.algo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := op.Attach(network, plan.Snapshot); err != nil {
+			t.Fatal(err)
+		}
+		locals[i].op = op
+		if plan.Kind == query.PlanHistoricGroupTopK {
+			locals[i].override = trace.WindowAgg(src, plan.History, plan.Snapshot.Agg)
 		}
 	}
 
 	for e := model.Epoch(0); e < epochs; e++ {
-		readings, results, err := clA.EpochRound(e, qids)
+		readings, results, err := cl.EpochRound(e, qids)
 		if err != nil {
 			t.Fatal(err)
 		}
-		senseB, err := clB.Sense(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(readingsBytes(e, readings), readingsBytes(e, senseB)) {
-			t.Fatalf("epoch %d: batched sense diverged from per-call", e)
+		sensed := engine.PresampleEpoch(network, src, e)
+		engine.CommitSenseEpoch(network, e, sensed)
+		if !bytes.Equal(readingsBytes(t, cfg.Roster, e, readings), readingsBytes(t, cfg.Roster, e, sensed)) {
+			t.Fatalf("epoch %d: round sense diverged from in-process", e)
 		}
 		for gi, qid := range qids {
-			acqB, err := clB.Acquire(qid, e)
+			in := sensed
+			var override map[model.NodeID]model.Reading
+			if locals[gi].override != nil {
+				override = engine.DeriveReadings(sensed, locals[gi].override, e)
+				in = override
+			}
+			want, err := locals[gi].op.Epoch(e, in)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if results[gi].Err != nil {
 				t.Fatalf("epoch %d group %d: %v", e, qid, results[gi].Err)
 			}
-			acqA := results[gi].Acq
-			if !bytes.Equal(answersBytesOf(acqA.Answers), answersBytesOf(acqB.Answers)) {
-				t.Fatalf("epoch %d group %d: answers %v != %v", e, qid, acqA.Answers, acqB.Answers)
+			got := results[gi].Acq
+			if !bytes.Equal(answersBytesOf(got.Answers), answersBytesOf(want)) {
+				t.Fatalf("epoch %d group %d: answers %v != %v", e, qid, got.Answers, want)
 			}
-			if (acqA.Readings == nil) != (acqB.Readings == nil) {
+			if (got.Readings == nil) != (override == nil) {
 				t.Fatalf("epoch %d group %d: override presence diverged", e, qid)
 			}
-			if acqA.Readings != nil && !bytes.Equal(readingsBytes(e, acqA.Readings), readingsBytes(e, acqB.Readings)) {
+			if override != nil && !bytes.Equal(readingsBytes(t, cfg.Roster, e, got.Readings), readingsBytes(t, cfg.Roster, e, override)) {
 				t.Fatalf("epoch %d group %d: override readings diverged", e, qid)
 			}
 		}
 	}
-	// The WITH HISTORY group actually exercised the override leg.
-	if _, results, err := clA.EpochRound(epochs, qids); err != nil || results[2].Acq.Readings == nil {
-		t.Fatalf("derived-readings group shipped no override (err %v)", err)
-	}
-}
-
-// TestEpochRoundAgainstLegacyServer: an old server (no CapEpochRound in
-// its welcome) downgrades the session — the client reports no support and
-// keeps working through the per-call protocol; a group error inside a
-// round on a new server stays isolated to its group.
-func TestEpochRoundAgainstLegacyServer(t *testing.T) {
-	addr, _ := startTestServer(t, true) // server withholds the capability
-	cl, err := Dial(testClientConfig(addr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if cl.SupportsEpochRound() {
-		t.Fatal("client negotiated epoch-round against a legacy server")
-	}
-	if err := cl.Attach(1, "mint", "SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Sense(0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Acquire(1, 0); err != nil {
-		t.Fatal(err)
+	// Same sweeps, same charges: the radio counters agree to the message.
+	if w, l := stats.Collect("", srv.Network(), 0), stats.Collect("", network, 0); w.Messages != l.Messages || w.TxBytes != l.TxBytes || w.EnergyUJ != l.EnergyUJ {
+		t.Fatalf("counters diverged: wire %+v, in-process %+v", w, l)
 	}
 
-	// A new server isolates one group's failure inside a round: the unknown
-	// qid errors, the attached one answers, the sense stands.
-	addr2, _ := startTestServer(t, false)
-	cl2, err := Dial(testClientConfig(addr2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl2.Close()
-	if err := cl2.Attach(1, "mint", "SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid"); err != nil {
-		t.Fatal(err)
-	}
-	readings, results, err := cl2.EpochRound(0, []uint32{1, 99})
+	// One more round with an unattached qid appended: the WITH HISTORY
+	// group still ships its override, the unknown qid errors alone, the
+	// attached groups answer and the sense stands.
+	readings, results, err := cl.EpochRound(epochs, append(qids, 99))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(readings) == 0 {
 		t.Fatal("round with a failed group lost the sense")
 	}
-	if results[0].Err != nil {
-		t.Fatalf("healthy group poisoned: %v", results[0].Err)
+	if results[2].Err != nil || results[2].Acq.Readings == nil {
+		t.Fatalf("derived-readings group shipped no override (err %v)", results[2].Err)
 	}
-	if results[1].Err == nil {
+	if results[0].Err != nil || results[1].Err != nil {
+		t.Fatalf("healthy groups poisoned: %v / %v", results[0].Err, results[1].Err)
+	}
+	if results[3].Err == nil {
 		t.Fatal("unknown query id succeeded")
+	}
+}
+
+// TestDialRejectsBadRoster: the roster is the frame of reference every
+// epoch round decodes against, so a config without a usable one is refused
+// with a field-naming error before any connection is attempted (the
+// address is a closed port: reaching the network would fail differently).
+func TestDialRejectsBadRoster(t *testing.T) {
+	base := ClientConfig{Addr: "127.0.0.1:1", Scenario: "stub", Shard: 0, Shards: 1, Nodes: 3, DialTimeout: 50 * time.Millisecond}
+	for name, roster := range map[string][]model.NodeID{
+		"empty":      nil,
+		"short":      {1, 2},
+		"unsorted":   {1, 3, 2},
+		"duplicated": {1, 2, 2},
+	} {
+		cfg := base
+		cfg.Roster = roster
+		cl, err := Dial(cfg)
+		if err == nil {
+			cl.Close()
+			t.Fatalf("%s roster accepted", name)
+		}
+		if !strings.Contains(err.Error(), "ClientConfig.Roster") {
+			t.Fatalf("%s roster: error does not name the field: %v", name, err)
+		}
+	}
+}
+
+// TestServerRefusesEvictedSequence: the at-most-once layer replays a
+// sequence it still caches and refuses one old enough to have been
+// evicted — executing it could be a re-execution.
+func TestServerRefusesEvictedSequence(t *testing.T) {
+	addr, _ := startTestServer(t)
+	cfg := testClientConfig(addr)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var wbuf []byte
+	exchange := func(f Frame) Frame {
+		t.Helper()
+		if err := WriteFrame(conn, &wbuf, f); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := ReadFrame(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	hello := AppendHello(nil, Hello{Version: Version, Shard: 0, Shards: 1, Nodes: uint16(cfg.Nodes), Nonce: 42, Scenario: cfg.Scenario})
+	if rep := exchange(Frame{Seq: 1, Type: MsgHello, Payload: hello}); rep.Type != MsgWelcome {
+		t.Fatalf("handshake reply %v: %s", rep.Type, rep.Payload)
+	}
+	round := Frame{Seq: 2, Type: MsgEpochRound, Payload: AppendEpochRound(nil, EpochRoundReq{Epoch: 0})}
+	first := exchange(round)
+	if first.Type != MsgEpochRoundReply {
+		t.Fatalf("round reply %v: %s", first.Type, first.Payload)
+	}
+	if again := exchange(round); again.Type != first.Type || !bytes.Equal(again.Payload, first.Payload) {
+		t.Fatal("a cached sequence was not replayed byte-identically")
+	}
+	for seq := uint64(3); seq < 3+replayCap; seq++ {
+		if rep := exchange(Frame{Seq: seq, Type: MsgStats}); rep.Type != MsgStatsReply {
+			t.Fatalf("stats reply %v", rep.Type)
+		}
+	}
+	if rep := exchange(round); rep.Type != MsgError || !strings.Contains(string(rep.Payload), "stale sequence") {
+		t.Fatalf("evicted sequence answered %v: %s", rep.Type, rep.Payload)
 	}
 }
 
 // TestClientBackoffDoesNotBlockConcurrentCalls: a call waiting out its
 // retry backoff must not delay other calls on the shared connection — the
 // regression this pins is the serialized client sleeping its backoff
-// under the call mutex. The stub swallows the first sense attempt (the
-// call times out and backs off); a Stats issued mid-backoff must complete
-// immediately.
+// under the call mutex. The stub swallows the first epoch-round attempt
+// (the call times out and backs off); a Stats issued mid-backoff must
+// complete immediately.
 func TestClientBackoffDoesNotBlockConcurrentCalls(t *testing.T) {
 	var mu sync.Mutex
-	senseDropped := false
+	roundDropped := false
 	addr := startStubServer(t, func(f Frame) (Frame, bool) {
 		switch f.Type {
-		case MsgSense:
+		case MsgEpochRound:
 			mu.Lock()
-			first := !senseDropped
-			senseDropped = true
+			first := !roundDropped
+			roundDropped = true
 			mu.Unlock()
 			if first {
 				return Frame{}, false // swallowed: the attempt times out
 			}
-			e, _ := DecodeEpoch(f.Payload)
-			return Frame{Seq: f.Seq, Type: MsgReadings, Payload: AppendReadings(nil, e, nil)}, true
+			return emptyRound(t, f), true
 		case MsgStats:
 			return Frame{Seq: f.Seq, Type: MsgStatsReply, Payload: []byte("{}")}, true
 		case MsgClose:
@@ -293,23 +376,22 @@ func TestClientBackoffDoesNotBlockConcurrentCalls(t *testing.T) {
 		}
 		return Frame{Seq: f.Seq, Type: MsgError, Payload: []byte("unexpected " + f.Type.String())}, true
 	})
-	cl, err := Dial(ClientConfig{
-		Addr: addr, Scenario: "stub", Shard: 0, Shards: 1, Nodes: 0,
-		CallTimeout: 250 * time.Millisecond,
-		Retries:     3,
-		Backoff:     500 * time.Millisecond,
-	})
+	cfg := stubClientConfig(addr)
+	cfg.CallTimeout = 250 * time.Millisecond
+	cfg.Retries = 3
+	cfg.Backoff = 500 * time.Millisecond
+	cl, err := Dial(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
 
-	senseDone := make(chan error, 1)
+	roundDone := make(chan error, 1)
 	go func() {
-		_, err := cl.Sense(0)
-		senseDone <- err
+		_, _, err := cl.EpochRound(0, nil)
+		roundDone <- err
 	}()
-	// Land inside the sense's timeout+backoff window (first attempt is
+	// Land inside the round's timeout+backoff window (first attempt is
 	// swallowed at t=0, times out at 250ms, sleeps 500ms, retries at 750ms).
 	time.Sleep(100 * time.Millisecond)
 	start := time.Now()
@@ -319,11 +401,11 @@ func TestClientBackoffDoesNotBlockConcurrentCalls(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 200*time.Millisecond {
 		t.Fatalf("concurrent Stats took %v while another call was retrying — backoff is blocking the connection", elapsed)
 	}
-	if err := <-senseDone; err != nil {
-		t.Fatalf("the backed-off sense never recovered: %v", err)
+	if err := <-roundDone; err != nil {
+		t.Fatalf("the backed-off round never recovered: %v", err)
 	}
 	if cl.Retried() == 0 {
-		t.Fatal("the swallowed sense never retried — the scenario did not run")
+		t.Fatal("the swallowed round never retried — the scenario did not run")
 	}
 }
 
@@ -336,7 +418,7 @@ func TestClientBackoffDoesNotBlockConcurrentCalls(t *testing.T) {
 func TestClientPipelinedFaultsOutOfOrder(t *testing.T) {
 	const epochs = 8
 	run := func(faults *Faults) ([][]byte, int64, ClientMetrics) {
-		addr, srv := startTestServer(t, false)
+		addr, srv := startTestServer(t)
 		cfg := testClientConfig(addr)
 		cfg.Faults = faults
 		cfg.CallTimeout = 150 * time.Millisecond
@@ -369,11 +451,11 @@ func TestClientPipelinedFaultsOutOfOrder(t *testing.T) {
 		}
 		var senses [][]byte
 		for e := model.Epoch(0); e < epochs; e++ {
-			readings, err := cl.Sense(e)
+			readings, _, err := cl.EpochRound(e, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			senses = append(senses, readingsBytes(e, readings))
+			senses = append(senses, readingsBytes(t, cfg.Roster, e, readings))
 		}
 		close(stop)
 		pollers.Wait()
@@ -412,19 +494,18 @@ func TestClientPipelinedFaultsOutOfOrder(t *testing.T) {
 func TestClientCloseInterruptsInFlight(t *testing.T) {
 	baseGoroutines := runtime.NumGoroutine()
 	addr := startStubServer(t, func(f Frame) (Frame, bool) { return Frame{}, false })
-	cl, err := Dial(ClientConfig{
-		Addr: addr, Scenario: "stub", Shard: 0, Shards: 1, Nodes: 0,
-		CallTimeout: 5 * time.Second,
-		Retries:     5,
-		Backoff:     time.Second,
-	})
+	cfg := stubClientConfig(addr)
+	cfg.CallTimeout = 5 * time.Second
+	cfg.Retries = 5
+	cfg.Backoff = time.Second
+	cl, err := Dial(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	errs := make(chan error, 3)
 	for i := 0; i < 3; i++ {
 		go func(i int) {
-			_, err := cl.Sense(model.Epoch(i))
+			_, _, err := cl.EpochRound(model.Epoch(i), nil)
 			errs <- err
 		}(i)
 	}
@@ -444,7 +525,7 @@ func TestClientCloseInterruptsInFlight(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("Close took %v to interrupt in-flight calls", elapsed)
 	}
-	if _, err := cl.Sense(99); err == nil {
+	if _, _, err := cl.EpochRound(99, nil); err == nil {
 		t.Fatal("a call after Close succeeded")
 	}
 	deadline := time.Now().Add(5 * time.Second)

@@ -1,14 +1,15 @@
 package wire
 
-// Payload codecs for the RPC messages. Readings and snapshot answers reuse
-// the model wire codec verbatim — the same 12- and 6-byte records the radio
-// tier ships — so crossing the socket is exactly as lossy as crossing the
-// air, i.e. not at all: every Value on a shard is already centi-quantized
-// (operators rank with model.Quantize, sensing quantizes at the source), so
-// the fixed-point round trip is the identity. Historic records carry their
-// local sums as signed 64-bit centi-units instead: a window sum is the one
-// quantity in the system that can outgrow the 32-bit answer encoding, and
-// the federated threshold round needs it integer-exact.
+// Payload codecs for the RPC messages (the epoch round's are in round.go).
+// Snapshot answers reuse the model wire codec verbatim — the same 6-byte
+// record the radio tier ships — and readings its fixed-point quantization,
+// so crossing the socket is exactly as lossy as crossing the air, i.e. not
+// at all: every Value on a shard is already centi-quantized (operators rank
+// with model.Quantize, sensing quantizes at the source), so the fixed-point
+// round trip is the identity. Historic records carry their local sums as
+// signed 64-bit centi-units instead: a window sum is the one quantity in
+// the system that can outgrow the 32-bit answer encoding, and the federated
+// threshold round needs it integer-exact.
 
 import (
 	"encoding/binary"
@@ -65,19 +66,11 @@ func DecodeAttach(b []byte) (AttachReq, error) {
 	return r, nil
 }
 
-// AppendEpoch appends a bare epoch payload (sense requests).
+// AppendEpoch appends a bare epoch (the head of an epoch-round payload).
 func AppendEpoch(dst []byte, e model.Epoch) []byte {
 	var buf [4]byte
 	binary.LittleEndian.PutUint32(buf[0:], uint32(e))
 	return append(dst, buf[:]...)
-}
-
-// DecodeEpoch decodes a bare epoch payload.
-func DecodeEpoch(b []byte) (model.Epoch, error) {
-	if len(b) != 4 {
-		return 0, fmt.Errorf("wire: epoch payload is %d bytes, want 4", len(b))
-	}
-	return model.Epoch(binary.LittleEndian.Uint32(b)), nil
 }
 
 // AppendU32 appends a bare u32 payload (attached/released acks).
@@ -93,146 +86,6 @@ func DecodeU32(b []byte) (uint32, error) {
 		return 0, fmt.Errorf("wire: payload is %d bytes, want 4", len(b))
 	}
 	return binary.LittleEndian.Uint32(b), nil
-}
-
-// AcquireReq runs one epoch of an attached query.
-type AcquireReq struct {
-	Query uint32
-	Epoch model.Epoch
-}
-
-// AppendAcquire appends the wire form of r.
-func AppendAcquire(dst []byte, r AcquireReq) []byte {
-	var buf [8]byte
-	binary.LittleEndian.PutUint32(buf[0:], r.Query)
-	binary.LittleEndian.PutUint32(buf[4:], uint32(r.Epoch))
-	return append(dst, buf[:]...)
-}
-
-// DecodeAcquire decodes an acquire request.
-func DecodeAcquire(b []byte) (AcquireReq, error) {
-	if len(b) != 8 {
-		return AcquireReq{}, fmt.Errorf("wire: acquire payload is %d bytes, want 8", len(b))
-	}
-	return AcquireReq{
-		Query: binary.LittleEndian.Uint32(b[0:]),
-		Epoch: model.Epoch(binary.LittleEndian.Uint32(b[4:])),
-	}, nil
-}
-
-// AppendReadings appends an epoch's readings reply: epoch, count, then the
-// model codec's 12-byte reading records in sorted node order (the encoding
-// is canonical so retried frames are byte-identical and fault decisions
-// keyed on content would not flap; sorting also makes tests stable).
-func AppendReadings(dst []byte, e model.Epoch, readings map[model.NodeID]model.Reading) []byte {
-	dst = AppendEpoch(dst, e)
-	var n [2]byte
-	binary.LittleEndian.PutUint16(n[:], uint16(len(readings)))
-	dst = append(dst, n[:]...)
-	for _, id := range sortedNodes(readings) {
-		dst = model.AppendReading(dst, readings[id])
-	}
-	return dst
-}
-
-// DecodeReadings decodes a readings reply into a map.
-func DecodeReadings(b []byte) (model.Epoch, map[model.NodeID]model.Reading, error) {
-	if len(b) < 6 {
-		return 0, nil, io.ErrUnexpectedEOF
-	}
-	e := model.Epoch(binary.LittleEndian.Uint32(b[0:]))
-	n := int(binary.LittleEndian.Uint16(b[4:]))
-	b = b[6:]
-	if len(b) != n*model.ReadingWireSize {
-		return 0, nil, fmt.Errorf("wire: readings payload %d bytes for %d records", len(b), n)
-	}
-	out := make(map[model.NodeID]model.Reading, n)
-	for i := 0; i < n; i++ {
-		r, rest, err := model.DecodeReading(b)
-		if err != nil {
-			return 0, nil, err
-		}
-		out[r.Node] = r
-		b = rest
-	}
-	return e, out, nil
-}
-
-// Answer reply flags.
-const flagOverrideReadings = 1 << 0
-
-// AppendAnswers appends an acquire reply: epoch, flags, the ranked answers
-// in the model codec's 6-byte record, and — for queries whose per-node
-// inputs are derived rather than shared (node-local window aggregation) —
-// the derived readings the shard actually ran on, so the coordinator's
-// exact oracle sees the same inputs the in-process coordinator would.
-func AppendAnswers(dst []byte, e model.Epoch, answers []model.Answer, override map[model.NodeID]model.Reading) []byte {
-	dst = AppendEpoch(dst, e)
-	flags := byte(0)
-	if override != nil {
-		flags |= flagOverrideReadings
-	}
-	dst = append(dst, flags)
-	var n [2]byte
-	binary.LittleEndian.PutUint16(n[:], uint16(len(answers)))
-	dst = append(dst, n[:]...)
-	for _, a := range answers {
-		dst = model.AppendAnswer(dst, a)
-	}
-	if override != nil {
-		binary.LittleEndian.PutUint16(n[:], uint16(len(override)))
-		dst = append(dst, n[:]...)
-		for _, id := range sortedNodes(override) {
-			dst = model.AppendReading(dst, override[id])
-		}
-	}
-	return dst
-}
-
-// DecodeAnswers decodes an acquire reply. override is nil unless the shard
-// ran the query on derived readings.
-func DecodeAnswers(b []byte) (e model.Epoch, answers []model.Answer, override map[model.NodeID]model.Reading, err error) {
-	if len(b) < 7 {
-		return 0, nil, nil, io.ErrUnexpectedEOF
-	}
-	e = model.Epoch(binary.LittleEndian.Uint32(b[0:]))
-	flags := b[4]
-	n := int(binary.LittleEndian.Uint16(b[5:]))
-	b = b[7:]
-	if len(b) < n*model.AnswerWireSize {
-		return 0, nil, nil, io.ErrUnexpectedEOF
-	}
-	answers = make([]model.Answer, 0, n)
-	for i := 0; i < n; i++ {
-		var a model.Answer
-		a, b, err = model.DecodeAnswer(b)
-		if err != nil {
-			return 0, nil, nil, err
-		}
-		answers = append(answers, a)
-	}
-	if flags&flagOverrideReadings != 0 {
-		if len(b) < 2 {
-			return 0, nil, nil, io.ErrUnexpectedEOF
-		}
-		m := int(binary.LittleEndian.Uint16(b[0:]))
-		b = b[2:]
-		if len(b) != m*model.ReadingWireSize {
-			return 0, nil, nil, fmt.Errorf("wire: override payload %d bytes for %d records", len(b), m)
-		}
-		override = make(map[model.NodeID]model.Reading, m)
-		for i := 0; i < m; i++ {
-			var r model.Reading
-			r, b, err = model.DecodeReading(b)
-			if err != nil {
-				return 0, nil, nil, err
-			}
-			override[r.Node] = r
-		}
-	} else if len(b) != 0 {
-		return 0, nil, nil, fmt.Errorf("wire: %d trailing bytes after answers", len(b))
-	}
-	return e, answers, override, nil
 }
 
 // HistoricReq runs a historic execution on the shard's buffered windows.
@@ -391,14 +244,4 @@ func DecodeSums(b []byte) (exec uint32, sums map[model.GroupID]int64, err error)
 		b = b[sumRecordSize:]
 	}
 	return exec, sums, nil
-}
-
-// sortedNodes returns a reading map's node ids in ascending order.
-func sortedNodes(m map[model.NodeID]model.Reading) []model.NodeID {
-	ids := make([]model.NodeID, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	return ids
 }

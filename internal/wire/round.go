@@ -1,6 +1,6 @@
 package wire
 
-// The batched epoch-round codec (CapEpochRound). One MsgEpochRound frame
+// The epoch-round codec. One MsgEpochRound frame
 // carries the epoch and every shared-acquisition group's query id; the
 // MsgEpochRoundReply carries the epoch's sense readings plus every group's
 // acquisition — the whole federated epoch in one round trip instead of

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net"
 	"path/filepath"
-	"slices"
 	"sync"
 
 	"kspot/internal/config"
@@ -43,13 +42,6 @@ type ServerConfig struct {
 	Live bool
 	// LiveWindow sizes the live substrate's per-node history buffer.
 	LiveWindow int
-	// DisableEpochRound withholds CapEpochRound from the handshake and
-	// refuses MsgEpochRound — the server behaves like a pre-batching
-	// deployment, so mixed old/new federations are testable (a client
-	// falls back to the per-call protocol per shard). It also withholds
-	// CapSnapshot: the flag models an old server, and old servers predate
-	// the durable tier.
-	DisableEpochRound bool
 	// DataDir, when non-empty, persists the shard across process deaths:
 	// the durable tier's segment files plus a session journal (coordinator
 	// nonce, attached queries, per-epoch energy checkpoints) live there, so
@@ -84,8 +76,6 @@ type Server struct {
 	mu          sync.Mutex
 	queries     map[uint32]*attachedQuery
 	historics   map[uint32]*historicExec
-	senseEpoch  model.Epoch
-	sensed      map[model.NodeID]model.Reading
 	nonce       uint64
 	evicted     uint64 // highest sequence evicted from the replay cache
 	replay      map[uint64][]byte
@@ -117,8 +107,8 @@ type historicExec struct {
 }
 
 // replayCap bounds the at-most-once response cache. The pipelined client
-// keeps several calls in flight per connection (overlapped group
-// acquisitions, stats polls, concurrent historic rounds), so the cache
+// keeps several calls in flight per connection (epoch rounds, stats polls,
+// concurrent historic rounds), so the cache
 // must outlive the deepest plausible in-flight window plus its retries.
 const replayCap = 64
 
@@ -145,11 +135,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	roster := make([]model.NodeID, 0, len(sub.Nodes))
-	for _, n := range sub.Nodes {
-		roster = append(roster, model.NodeID(n.ID))
-	}
-	slices.Sort(roster)
 	s := &Server{
 		cfg:       cfg,
 		sub:       sub,
@@ -157,7 +142,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		src:       src,
 		schema:    query.DefaultSchema(),
 		name:      cfg.Scenario.ShardName(cfg.Shard),
-		roster:    roster,
+		roster:    sub.Roster(),
 		queries:   make(map[uint32]*attachedQuery),
 		historics: make(map[uint32]*historicExec),
 		replay:    make(map[uint64][]byte),
@@ -348,7 +333,6 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.replayOrder = s.replayOrder[:0]
 		s.queries = make(map[uint32]*attachedQuery)
 		s.historics = make(map[uint32]*historicExec)
-		s.sensed = nil
 		s.snapState = nil
 		s.restoreBuf = nil
 		if err := s.store.Reset(); err != nil {
@@ -365,15 +349,10 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 	}
 	s.mu.Unlock()
-	caps := CapEpochRound | CapSnapshot
-	if s.cfg.DisableEpochRound {
-		caps = 0
-	}
 	welcome := AppendWelcome(nil, Welcome{
 		Version: Version,
 		Shard:   uint16(s.cfg.Shard),
 		Nodes:   uint16(len(s.sub.Nodes)),
-		Caps:    caps,
 		Name:    s.name,
 	})
 	if err := WriteFrame(conn, &wbuf, Frame{Seq: f.Seq, Type: MsgWelcome, Payload: welcome}); err != nil {
@@ -395,12 +374,10 @@ func (s *Server) serveConn(conn net.Conn) {
 }
 
 // checkHello verifies the coordinator dialed the deployment it thinks it
-// dialed: protocol version, scenario name, shard index and count, node
-// count. A mismatch fails the handshake instead of corrupting epochs.
+// dialed: scenario name, shard index and count, node count (DecodeHello
+// already refused a skewed protocol version). A mismatch fails the
+// handshake instead of corrupting epochs.
 func (s *Server) checkHello(h Hello) error {
-	if h.Version != Version {
-		return fmt.Errorf("wire: protocol version %d, server speaks %d", h.Version, Version)
-	}
 	if h.Scenario != s.cfg.Scenario.Name {
 		return fmt.Errorf("wire: scenario %q, server deploys %q", h.Scenario, s.cfg.Scenario.Name)
 	}
@@ -476,56 +453,25 @@ func (s *Server) handle(f Frame) (MsgType, []byte, error) {
 		}
 		return MsgAttached, AppendU32(nil, req.Query), nil
 
-	case MsgSense:
-		e, err := DecodeEpoch(f.Payload)
-		if err != nil {
-			return 0, nil, err
-		}
-		// Presample + commit is the coordinator's exact sensing order
-		// (idle charge, dead-node drop, sensing charge, history record);
-		// the post-commit readings are what this epoch's acquisitions see.
-		readings := engine.PresampleEpoch(s.tp, s.src, e)
-		engine.CommitSenseEpoch(s.tp, e, readings)
-		s.recordEpoch(e, readings)
-		s.senseEpoch, s.sensed = e, readings
-		return MsgReadings, AppendReadings(nil, e, readings), nil
-
-	case MsgAcquire:
-		req, err := DecodeAcquire(f.Payload)
-		if err != nil {
-			return 0, nil, err
-		}
-		if s.sensed == nil || s.senseEpoch != req.Epoch {
-			return 0, nil, fmt.Errorf("wire: acquire epoch %d without a matching sense (last sensed %d)", req.Epoch, s.senseEpoch)
-		}
-		answers, override, err := s.acquireLocked(req.Query, req.Epoch)
-		if err != nil {
-			return 0, nil, err
-		}
-		return MsgAnswers, AppendAnswers(nil, req.Epoch, answers, override), nil
-
 	case MsgEpochRound:
-		if s.cfg.DisableEpochRound {
-			return 0, nil, fmt.Errorf("wire: epoch-round not negotiated")
-		}
 		req, err := DecodeEpochRound(f.Payload)
 		if err != nil {
 			return 0, nil, err
 		}
-		// The whole epoch in one frame: the sense commit, then every
-		// group's acquisition in request order — the exact call order the
-		// per-call protocol produces, so operator and counter state evolve
-		// identically. A group's failure is carried per group (the sensing
-		// and the other groups stand, as they would mid-way through the
-		// per-call sequence).
+		// The whole epoch in one frame. Presample + commit is the
+		// coordinator's exact sensing order (idle charge, dead-node drop,
+		// sensing charge, history record); the post-commit readings are
+		// what every group's acquisition sees, in request order — the
+		// in-process scheduler's order, so operator and counter state
+		// evolve identically. A group's failure is carried per group: the
+		// sensing and the other groups stand.
 		readings := engine.PresampleEpoch(s.tp, s.src, req.Epoch)
 		engine.CommitSenseEpoch(s.tp, req.Epoch, readings)
 		s.recordEpoch(req.Epoch, readings)
-		s.senseEpoch, s.sensed = req.Epoch, readings
 		rep := EpochRoundReply{Epoch: req.Epoch, Readings: readings}
 		for _, qid := range req.Queries {
 			var g RoundGroup
-			answers, override, err := s.acquireLocked(qid, req.Epoch)
+			answers, override, err := s.acquireLocked(qid, req.Epoch, readings)
 			if err != nil {
 				g.Err = err.Error()
 			} else {
@@ -584,9 +530,6 @@ func (s *Server) handle(f Frame) (MsgType, []byte, error) {
 		return MsgReleased, AppendU32(nil, exec), nil
 
 	case MsgSnapshot:
-		if s.cfg.DisableEpochRound {
-			return 0, nil, fmt.Errorf("wire: snapshot not negotiated")
-		}
 		req, err := DecodeSnapshotReq(f.Payload)
 		if err != nil {
 			return 0, nil, err
@@ -616,9 +559,6 @@ func (s *Server) handle(f Frame) (MsgType, []byte, error) {
 		return MsgSnapshotChunk, payload, nil
 
 	case MsgRestore:
-		if s.cfg.DisableEpochRound {
-			return 0, nil, fmt.Errorf("wire: snapshot not negotiated")
-		}
 		req, err := DecodeRestoreChunk(f.Payload)
 		if err != nil {
 			return 0, nil, err
@@ -705,15 +645,15 @@ func (s *Server) Store() *storage.Store { return s.store }
 // rebuilt without charging over the node set the sense committed — the
 // in-process coordinator's exact derivation, so shared epochs stay
 // order-independent across acquisitions — and returned as the override.
-func (s *Server) acquireLocked(qid uint32, e model.Epoch) ([]model.Answer, map[model.NodeID]model.Reading, error) {
+func (s *Server) acquireLocked(qid uint32, e model.Epoch, sensed map[model.NodeID]model.Reading) ([]model.Answer, map[model.NodeID]model.Reading, error) {
 	q, ok := s.queries[qid]
 	if !ok {
 		return nil, nil, fmt.Errorf("wire: query %d not attached", qid)
 	}
-	readings := s.sensed
+	readings := sensed
 	var override map[model.NodeID]model.Reading
 	if q.override != nil {
-		override = engine.DeriveReadings(s.sensed, q.override, e)
+		override = engine.DeriveReadings(sensed, q.override, e)
 		readings = override
 	}
 	answers, err := q.op.Epoch(e, readings)

@@ -1,6 +1,6 @@
 package wire
 
-// Snapshot/restore payload codecs (CapSnapshot). A shard's state — the
+// Snapshot/restore payload codecs. A shard's state — the
 // storage.ShardState bytes: windows, epoch cursor, per-node energy — can
 // exceed a frame, so both directions move it in bounded chunks:
 //

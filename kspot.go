@@ -214,7 +214,6 @@ type openConfig struct {
 	wireRetries int
 	wireBackoff time.Duration
 	wireFaults  *wire.Faults
-	wireLegacy  bool
 }
 
 // WithAdmission arms admission control: every Post first reserves a slot

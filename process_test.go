@@ -238,15 +238,7 @@ func TestProcessFederatedScale1000(t *testing.T) {
 	const shards = 4
 	addrs := make([]string, shards)
 	for i := 0; i < shards; i++ {
-		// Shard 1 runs as an old server (-wire-legacy withholds the batched
-		// epoch-round capability), so this leg pins the mixed-version
-		// deployment: per-call protocol to shard 1, batched rounds to the
-		// rest, byte-identical answers regardless.
-		var extra []string
-		if i == 1 {
-			extra = append(extra, "-wire-legacy")
-		}
-		addrs[i], _ = spawnShardProc(t, bin, scenPath, i, "127.0.0.1:0", extra...)
+		addrs[i], _ = spawnShardProc(t, bin, scenPath, i, "127.0.0.1:0")
 	}
 
 	flat := scale1000Flat(t)

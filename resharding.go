@@ -124,10 +124,6 @@ func (s *System) Reshard(newScenario *Scenario, addrs []string) (*ReshardReport,
 	moved := 0
 	states := make([]storage.ShardState, len(s.remotes))
 	for i, cl := range s.remotes {
-		if !cl.SupportsSnapshot() {
-			closeNew()
-			return nil, fmt.Errorf("kspot: shard %s does not speak the snapshot protocol", s.scenario.ShardName(i))
-		}
 		img, err := cl.Snapshot()
 		if err != nil {
 			closeNew()

@@ -25,14 +25,6 @@ import (
 // loopback listeners (in-process, so the whole protocol runs under the
 // race detector) and returns their addresses in shard order.
 func startWireShards(t *testing.T, scen *Scenario, parallel int) ([]string, []*wire.Server) {
-	return startWireShardsMixed(t, scen, parallel, nil)
-}
-
-// startWireShardsMixed is startWireShards with a per-shard protocol
-// version: shards where legacy(i) is true withhold the epoch-round
-// capability from their welcome, simulating an old server in a
-// mixed-version deployment.
-func startWireShardsMixed(t *testing.T, scen *Scenario, parallel int, legacy func(i int) bool) ([]string, []*wire.Server) {
 	t.Helper()
 	shardScens, err := scen.ShardScenarios()
 	if err != nil {
@@ -41,12 +33,7 @@ func startWireShardsMixed(t *testing.T, scen *Scenario, parallel int, legacy fun
 	addrs := make([]string, len(shardScens))
 	servers := make([]*wire.Server, len(shardScens))
 	for i := range shardScens {
-		srv, err := wire.NewServer(wire.ServerConfig{
-			Scenario:          scen,
-			Shard:             i,
-			Parallel:          parallel,
-			DisableEpochRound: legacy != nil && legacy(i),
-		})
+		srv, err := wire.NewServer(wire.ServerConfig{Scenario: scen, Shard: i, Parallel: parallel})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,6 +112,15 @@ func TestWireFederatedConformance(t *testing.T) {
 				for e := range got {
 					if !got[e].Correct {
 						t.Fatalf("epoch %d: remote answers %v diverged from oracle %v", e, got[e].Answers, got[e].Exact)
+					}
+				}
+
+				// One round trip per epoch: every shard session made exactly
+				// one call per stepped epoch — an epoch round — on top of
+				// the single attach the post cost.
+				for _, m := range remote.WireMetrics() {
+					if m.Rounds != epochs || m.Calls != m.Rounds+1 {
+						t.Fatalf("shard %s: %d rounds, %d calls over %d epochs (want %d rounds + 1 attach)", m.Shard, m.Rounds, m.Calls, epochs, epochs)
 					}
 				}
 
@@ -487,58 +483,4 @@ func TestWireOpenRejects(t *testing.T) {
 	if _, err := sys.PostWith("SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid", Algorithm("bogus")); err == nil {
 		t.Fatal("bogus algorithm accepted on a remote deployment")
 	}
-}
-
-// TestWireMixedProtocolConformance: a deployment where some shard servers
-// are old (no epoch-round capability) and some are new must keep answering
-// byte-identically — the coordinator batches the rounds of the shards that
-// negotiated the capability and walks the per-call protocol for the rest,
-// inside the same epoch. Pinned against the all-legacy run (the client
-// forced per-call everywhere) and against the default all-batched run,
-// with the per-shard wire metrics witnessing which protocol each session
-// actually spoke.
-func TestWireMixedProtocolConformance(t *testing.T) {
-	const sql = "SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid"
-	const epochs = 6
-
-	run := func(legacyShard func(i int) bool, opts ...OpenOption) ([]StepResult, *System) {
-		addrs, _ := startWireShardsMixed(t, shardedDemo(t, 3), 0, legacyShard)
-		sys, err := OpenFederated(shardedDemo(t, 3), addrs, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(sys.Close)
-		return runCursor(t, sys, sql, AlgoMINT, false, epochs), sys
-	}
-
-	batched, batchedSys := run(nil)
-	legacy, _ := run(nil, withWireLegacy())
-	mixed, mixedSys := run(func(i int) bool { return i == 0 }) // shard 0 is an old server
-
-	stepEqualByteIdentical(t, "all-legacy vs all-batched", legacy, batched)
-	stepEqualByteIdentical(t, "mixed vs all-batched", mixed, batched)
-
-	// The metrics witness the negotiated protocols: an epoch on a batched
-	// session is ONE call; on a per-call session it is a sense plus one
-	// acquire per group — strictly more.
-	bm, mm := batchedSys.WireMetrics(), mixedSys.WireMetrics()
-	if len(bm) != 3 || len(mm) != 3 {
-		t.Fatalf("wire metrics rows: %d / %d", len(bm), len(mm))
-	}
-	for i, m := range bm {
-		if m.Rounds == 0 || m.Calls == 0 {
-			t.Fatalf("batched shard %d metrics empty: %+v", i, m)
-		}
-	}
-	if mm[0].Calls <= mm[1].Calls {
-		t.Fatalf("legacy shard 0 made %d calls, batched shard 1 made %d — per-call fallback did not run", mm[0].Calls, mm[1].Calls)
-	}
-
-	// Mixed deployments keep their protocol under frame faults too.
-	faulty, _ := run(func(i int) bool { return i == 0 },
-		withWireFaults(wire.Faults{Seed: 5, Drop: 0.1, Dup: 0.1, Delay: 0.15, DropResp: 0.1, MaxDelay: time.Millisecond}),
-		WithWireTimeout(250*time.Millisecond),
-		WithWireRetry(10, 2*time.Millisecond),
-	)
-	stepEqualByteIdentical(t, "mixed under faults vs all-batched", faulty, batched)
 }
