@@ -1,13 +1,17 @@
 package kspot
 
 import (
+	"context"
 	"testing"
 
 	"kspot/internal/bench"
+	"kspot/internal/config"
+	"kspot/internal/engine"
 	"kspot/internal/model"
 	"kspot/internal/topk"
 	"kspot/internal/topk/mint"
 	"kspot/internal/topk/tag"
+	"kspot/internal/trace"
 )
 
 // mintEpochAllocCeiling bounds the allocations one steady-state MINT epoch
@@ -45,14 +49,21 @@ func measureEpochAllocs(t *testing.T, op topk.SnapshotOperator) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := op.Attach(net, q); err != nil {
+	return epochAllocs(t, net, src, q, op)
+}
+
+// epochAllocs attaches op and measures the allocations of one steady-state
+// epoch (sensing included) on the transport.
+func epochAllocs(t *testing.T, tp engine.Transport, src trace.Source, q topk.SnapshotQuery, op topk.SnapshotOperator) float64 {
+	t.Helper()
+	if err := op.Attach(tp, q); err != nil {
 		t.Fatal(err)
 	}
 	// Warm-up: creation phase plus a few steady epochs so every reusable
 	// buffer (sweep scratch, pooled views, answer slices) reaches capacity.
 	e := model.Epoch(0)
 	step := func() {
-		readings := topk.SenseEpoch(net, src, e)
+		readings := topk.SenseEpoch(tp, src, e)
 		if _, err := op.Epoch(e, readings); err != nil {
 			t.Fatal(err)
 		}
@@ -62,4 +73,39 @@ func measureEpochAllocs(t *testing.T, op topk.SnapshotOperator) float64 {
 		step()
 	}
 	return testing.AllocsPerRun(50, step)
+}
+
+// liveEpochAllocCeiling bounds one steady-state MINT epoch on engine.Live at
+// scale-1000. The goroutine-per-node substrate allocated ~5400 times here
+// (a channel, a delivery goroutine and a map entry per node per sweep); on
+// re-entrant frames the epoch costs what it costs the simulator (~50: the
+// readings and flood maps plus the sink-view copy), whatever the node count.
+const liveEpochAllocCeiling = 100
+
+// TestLiveMintEpochAllocationCeiling pins that no per-node allocation
+// returns to the live sweep: a ceiling a tenth of the node count.
+func TestLiveMintEpochAllocationCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector: a thousand pooled views do not stay pooled")
+	}
+	scen, err := config.ScaleScenario(1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := scen.Network()
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.SetParallel(2)
+	src, err := scen.Source()
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := engine.NewLive(net, engine.LiveOptions{})
+	live.Start(context.Background())
+	defer live.Stop()
+	q := topk.SnapshotQuery{K: 3, Agg: model.AggAvg, Range: &topk.ValueRange{Min: 0, Max: 100}}
+	if allocs := epochAllocs(t, live, src, q, mint.New()); allocs > liveEpochAllocCeiling {
+		t.Errorf("live MINT epoch at scale-1000 allocates %.0f times, ceiling %d (goroutine-per-node: ~5400)", allocs, liveEpochAllocCeiling)
+	}
 }

@@ -81,7 +81,7 @@ func benchOperatorEpoch(b *testing.B, op topk.SnapshotOperator) {
 // flat scale-4000 deployment with the legacy sequential sweep — the
 // baseline of the parallel-sweep speedup curve.
 func BenchmarkMintEpochScale4000(b *testing.B) {
-	benchScaleEpoch(b, bench.SpeedupScaleSize, 1)
+	benchScaleEpoch(b, bench.SpeedupScaleSize, 1, false)
 }
 
 // BenchmarkMintEpochScale4000Parallel is BenchmarkMintEpochScale4000 with
@@ -89,11 +89,24 @@ func BenchmarkMintEpochScale4000(b *testing.B) {
 // and energy accounting are byte-identical to the sequential run (see
 // internal/sim); only the wall clock moves.
 func BenchmarkMintEpochScale4000Parallel(b *testing.B) {
-	benchScaleEpoch(b, bench.SpeedupScaleSize, runtime.NumCPU())
+	benchScaleEpoch(b, bench.SpeedupScaleSize, runtime.NumCPU(), false)
 }
 
-func benchScaleEpoch(b *testing.B, n, workers int) {
-	txBytes, msgs := bench.RunScaleMintEpochBench(b, n, workers)
+// BenchmarkMintEpochScale1000 and BenchmarkLiveMintEpochScale1000 are the
+// substrate pair: the same steady-state MINT epoch on the flat scale-1000
+// deployment at NumCPU sweep workers, on the network itself and on an
+// engine.Live over it. Traffic is identical; the difference is what the
+// concurrent substrate's lock and frame hand-off cost.
+func BenchmarkMintEpochScale1000(b *testing.B) {
+	benchScaleEpoch(b, bench.LiveScaleSize, runtime.NumCPU(), false)
+}
+
+func BenchmarkLiveMintEpochScale1000(b *testing.B) {
+	benchScaleEpoch(b, bench.LiveScaleSize, runtime.NumCPU(), true)
+}
+
+func benchScaleEpoch(b *testing.B, n, workers int, live bool) {
+	txBytes, msgs := bench.RunScaleMintEpochBench(b, n, workers, live)
 	if b.N > 0 {
 		b.ReportMetric(txBytes, "tx_bytes/epoch")
 		b.ReportMetric(msgs, "msgs/epoch")

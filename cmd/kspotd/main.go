@@ -3,9 +3,11 @@
 // the concurrent live deployment advances epochs — the web-era stand-in
 // for the paper's projector at the conference site.
 //
-// The daemon posts its queries on the live substrate (one goroutine per
-// sensor node, see internal/engine): every posted query shares one epoch
-// sweep, so extra -query flags cost beacons and views, not extra sensing.
+// The daemon posts its queries on the live substrate (see internal/engine):
+// every posted query shares one sensed epoch, so extra -query flags cost
+// beacons and views, not extra sensing, and the queries' sweeps run
+// concurrently — each level-synchronous, with -parallel bounding the
+// workers one sweep may use on a wide tree level.
 //
 // Usage:
 //
@@ -101,6 +103,10 @@ type workload struct {
 	cursors []*kspot.Cursor
 	hubs    []*serve.Hub
 	stopped bool
+
+	// failed marks queries whose Step returned an error: their stream has
+	// ended and step skips them. Touched by the epoch loop only.
+	failed map[int]bool
 }
 
 // add posts a query and registers its streaming hub, returning its index.
@@ -112,6 +118,12 @@ func (w *workload) add(sql, tenant string) (int, error) {
 	cur, err := w.sys.Post(sql, opts...)
 	if err != nil {
 		return 0, err
+	}
+	if !cur.Continuous() {
+		// A one-shot historic query (WITH HISTORY without GROUP BY) executes
+		// with Run; the epoch loop could never step it.
+		cur.Close()
+		return 0, fmt.Errorf("kspotd: %q is a one-shot historic query; the daemon streams continuous queries only", sql)
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -134,6 +146,35 @@ func (w *workload) snapshot() ([]*kspot.Cursor, []*serve.Hub) {
 	return w.cursors, w.hubs
 }
 
+// step advances every query one epoch and publishes the results, returning
+// the primary query's (ok false once the primary has failed). A query whose
+// Step fails loses its own stream — hub closed, cursor closed, skipped from
+// then on — and the other tenants' queries keep stepping.
+func (w *workload) step() (primary kspot.StepResult, ok bool) {
+	cursors, hubs := w.snapshot()
+	for i, c := range cursors {
+		if w.failed[i] {
+			continue
+		}
+		res, err := c.Step()
+		if err != nil {
+			log.Printf("kspotd: query %d: step: %v; its stream ends", i, err)
+			if w.failed == nil {
+				w.failed = make(map[int]bool)
+			}
+			w.failed[i] = true
+			hubs[i].Close()
+			c.Close()
+			continue
+		}
+		hubs[i].Publish(serve.Result{Epoch: res.Epoch, Answers: res.Answers, Correct: res.Correct})
+		if i == 0 {
+			primary, ok = res, true
+		}
+	}
+	return primary, ok
+}
+
 // hub returns query i's streaming hub.
 func (w *workload) hub(i int) (*serve.Hub, bool) {
 	w.mu.Lock()
@@ -152,6 +193,95 @@ func (w *workload) stop() {
 	w.stopped = true
 	for _, h := range w.hubs {
 		h.Close()
+	}
+}
+
+// handleQuery is POST /query: admit a query at runtime. Bad SQL and
+// queries the daemon cannot stream answer 400, an admission limit 429;
+// neither disturbs the running queries.
+func (wl *workload) handleQuery(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodPost {
+		http.Error(w, "POST a query (body or q= form value)", http.StatusMethodNotAllowed)
+		return
+	}
+	// Read the body ourselves: r.FormValue would consume it as a
+	// form, silently discarding raw SQL posted with curl's default
+	// urlencoded content type. A body (or URL query) carrying q= is
+	// a form value; anything else is the SQL itself.
+	sql := r.URL.Query().Get("q")
+	if sql == "" {
+		body, err := io.ReadAll(io.LimitReader(r.Body, 1<<16))
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		sql = strings.TrimSpace(string(body))
+		if vals, err := url.ParseQuery(sql); err == nil && vals.Get("q") != "" {
+			sql = strings.TrimSpace(vals.Get("q"))
+		}
+	}
+	if sql == "" {
+		http.Error(w, "empty query", http.StatusBadRequest)
+		return
+	}
+	idx, err := wl.add(sql, r.Header.Get("X-KSpot-Tenant"))
+	if err != nil {
+		status := http.StatusBadRequest
+		var aerr *kspot.AdmissionError
+		if errors.As(err, &aerr) {
+			// Admission rejection is load, not a client error: 429 with
+			// the typed limit detail, running queries undisturbed.
+			status = http.StatusTooManyRequests
+		}
+		http.Error(w, err.Error(), status)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(w).Encode(map[string]interface{}{"query": idx})
+}
+
+// handleWatch is GET /watch?query=N: the query's per-epoch results as
+// Server-Sent Events, replayed from the hub's cache first.
+func (wl *workload) handleWatch(w http.ResponseWriter, r *http.Request) {
+	idx, err := strconv.Atoi(r.URL.Query().Get("query"))
+	if err != nil {
+		http.Error(w, "watch needs ?query=N", http.StatusBadRequest)
+		return
+	}
+	hub, ok := wl.hub(idx)
+	if !ok {
+		http.Error(w, fmt.Sprintf("no query %d", idx), http.StatusNotFound)
+		return
+	}
+	flusher, ok := w.(http.Flusher)
+	if !ok {
+		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
+		return
+	}
+	sub := hub.Subscribe()
+	defer sub.Close()
+	// A dropped client unblocks the Next loop via the subscriber close.
+	go func() {
+		<-r.Context().Done()
+		sub.Close()
+	}()
+	w.Header().Set("Content-Type", "text/event-stream")
+	w.Header().Set("Cache-Control", "no-cache")
+	w.WriteHeader(http.StatusOK)
+	flusher.Flush()
+	for {
+		res, ok := sub.Next()
+		if !ok {
+			return
+		}
+		data, err := json.Marshal(res)
+		if err != nil {
+			return
+		}
+		if _, err := fmt.Fprintf(w, "data: %s\n\n", data); err != nil {
+			return
+		}
+		flusher.Flush()
 	}
 }
 
@@ -191,7 +321,7 @@ func main() {
 		delayP       = flag.Float64("delay", 0, "frame delay probability [0,1)")
 		faultSeed    = flag.Int64("fault-seed", 0, "seed for the fault environment")
 		shards       = flag.Int("shards", 0, "federate the deployment into N shard networks (splits the cluster list)")
-		parallel     = flag.Int("parallel", runtime.NumCPU(), "epoch-sweep worker bound per shard; 1 = exact legacy sequential path (results are byte-identical for every value)")
+		parallel     = flag.Int("parallel", runtime.NumCPU(), "epoch-sweep worker bound per shard, on both substrates; 1 = no spare workers (results are byte-identical for every value)")
 		serveShard   = flag.Int("serve-shard", -1, "serve shard N of the scenario over the wire protocol instead of the GUI daemon (see -wire-addr)")
 		wireAddr     = flag.String("wire-addr", "127.0.0.1:0", "listen address for -serve-shard (port 0 picks one; the bound address is printed as \"kspotd-wire <addr>\")")
 		wireLive     = flag.Bool("wire-live", false, "with -serve-shard: host the shard on the concurrent live substrate")
@@ -298,26 +428,16 @@ func main() {
 				return
 			case <-ticker.C:
 			}
-			cursors, hubs := wl.snapshot()
-			var primaryRes kspot.StepResult
-			for i, c := range cursors {
-				res, err := c.Step()
-				if err != nil {
-					log.Printf("kspotd: step: %v", err)
-					return
-				}
-				hubs[i].Publish(serve.Result{Epoch: res.Epoch, Answers: res.Answers, Correct: res.Correct})
-				if i == 0 {
-					primaryRes = res
-				}
-			}
+			primaryRes, primaryOK := wl.step()
 			// Between steps no epoch is in flight, so the shared network
 			// counters are quiescent and safe to read (summed across every
 			// shard on a federated deployment).
 			total := sys.CaptureStats("live", 0)
 			st.mu.Lock()
-			st.epoch = primaryRes.Epoch
-			st.answers = primaryRes.Answers
+			if primaryOK {
+				st.epoch = primaryRes.Epoch
+				st.answers = primaryRes.Answers
+			}
 			st.messages = total.Messages
 			st.txBytes = total.TxBytes
 			st.drops = total.Drops
@@ -387,88 +507,8 @@ func main() {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
-	mux.HandleFunc("/query", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST a query (body or q= form value)", http.StatusMethodNotAllowed)
-			return
-		}
-		// Read the body ourselves: r.FormValue would consume it as a
-		// form, silently discarding raw SQL posted with curl's default
-		// urlencoded content type. A body (or URL query) carrying q= is
-		// a form value; anything else is the SQL itself.
-		sql := r.URL.Query().Get("q")
-		if sql == "" {
-			body, err := io.ReadAll(io.LimitReader(r.Body, 1<<16))
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			sql = strings.TrimSpace(string(body))
-			if vals, err := url.ParseQuery(sql); err == nil && vals.Get("q") != "" {
-				sql = strings.TrimSpace(vals.Get("q"))
-			}
-		}
-		if sql == "" {
-			http.Error(w, "empty query", http.StatusBadRequest)
-			return
-		}
-		idx, err := wl.add(sql, r.Header.Get("X-KSpot-Tenant"))
-		if err != nil {
-			status := http.StatusBadRequest
-			var aerr *kspot.AdmissionError
-			if errors.As(err, &aerr) {
-				// Admission rejection is load, not a client error: 429 with
-				// the typed limit detail, running queries undisturbed.
-				status = http.StatusTooManyRequests
-			}
-			http.Error(w, err.Error(), status)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(map[string]interface{}{"query": idx})
-	})
-	mux.HandleFunc("/watch", func(w http.ResponseWriter, r *http.Request) {
-		idx, err := strconv.Atoi(r.URL.Query().Get("query"))
-		if err != nil {
-			http.Error(w, "watch needs ?query=N", http.StatusBadRequest)
-			return
-		}
-		hub, ok := wl.hub(idx)
-		if !ok {
-			http.Error(w, fmt.Sprintf("no query %d", idx), http.StatusNotFound)
-			return
-		}
-		flusher, ok := w.(http.Flusher)
-		if !ok {
-			http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-			return
-		}
-		sub := hub.Subscribe()
-		defer sub.Close()
-		// A dropped client unblocks the Next loop via the subscriber close.
-		go func() {
-			<-r.Context().Done()
-			sub.Close()
-		}()
-		w.Header().Set("Content-Type", "text/event-stream")
-		w.Header().Set("Cache-Control", "no-cache")
-		w.WriteHeader(http.StatusOK)
-		flusher.Flush()
-		for {
-			res, ok := sub.Next()
-			if !ok {
-				return
-			}
-			data, err := json.Marshal(res)
-			if err != nil {
-				return
-			}
-			if _, err := fmt.Fprintf(w, "data: %s\n\n", data); err != nil {
-				return
-			}
-			flusher.Flush()
-		}
-	})
+	mux.HandleFunc("/query", wl.handleQuery)
+	mux.HandleFunc("/watch", wl.handleWatch)
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
 			http.NotFound(w, r)

@@ -395,7 +395,7 @@ func (c *Cursor) Run() ([]Answer, error) {
 	if c.live {
 		// One-shot runs bypass the scheduler's epoch lock-step, so they
 		// register with the System: Close waits registered runs out before
-		// stopping any shard's node goroutines (a federated run must never
+		// stopping any shard's live deployment (a federated run must never
 		// find one shard's Live torn down mid-protocol).
 		liveTPs, sched, release, err := c.sys.beginLiveRun()
 		if err != nil {

@@ -304,7 +304,7 @@ func TestFederatedSystemPanel(t *testing.T) {
 // racing System.Close must neither deadlock nor double-deliver — every
 // epoch observed before the close is gapless, a cancelled epoch
 // re-buffered on one shard while another shard's Live tears down is
-// dropped (never resurrected), and every shard's node goroutines exit.
+// dropped (never resurrected), and no goroutine outlives the deployment.
 func TestFederatedCloseDuringStep(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for round := 0; round < 8; round++ {

@@ -129,14 +129,19 @@ func WriteJSON(w io.Writer, path, runName string, cfg RunConfig) error {
 	for _, n := range ScaleSeriesSizes(cfg) {
 		n := n
 		micros = append(micros, microEntry{fmt.Sprintf("mint-epoch-scale-%d", n), func() (MicroResult, error) {
-			return microScaleMintEpoch(n, 1)
+			return microScaleMintEpoch(n, 1, false)
 		}})
 	}
 	if w := cfg.Parallel; w > 1 {
 		micros = append(micros, microEntry{fmt.Sprintf("mint-epoch-scale-%d-parallel", SpeedupScaleSize), func() (MicroResult, error) {
-			return microScaleMintEpoch(SpeedupScaleSize, w)
+			return microScaleMintEpoch(SpeedupScaleSize, w, false)
 		}})
 	}
+	// The substrate comparison: the mint-epoch-scale-1000 epoch on an
+	// engine.Live over the same network, at the configured worker bound.
+	micros = append(micros, microEntry{"live-mint-epoch", func() (MicroResult, error) {
+		return microScaleMintEpoch(LiveScaleSize, cfg.Parallel, true)
+	}})
 	for _, m := range micros {
 		fmt.Fprintf(w, "bench %-28s ... ", m.name)
 		res, err := m.fn()
@@ -294,7 +299,8 @@ func microOperatorEpoch(mk func() topk.SnapshotOperator) (MicroResult, error) {
 // result with µs-per-node-per-epoch and the worker count. The deployment
 // is built once and reused across the benchmark's re-invocations — the
 // O(n²) link construction at scale-100000 costs minutes, the epochs do not.
-func microScaleMintEpoch(n, workers int) (MicroResult, error) {
+// With live set the epochs run on an engine.Live over that network.
+func microScaleMintEpoch(n, workers int, live bool) (MicroResult, error) {
 	net, src, q, err := scaleDeployment(n, workers)
 	if err != nil {
 		return MicroResult{}, err
@@ -302,7 +308,7 @@ func microScaleMintEpoch(n, workers int) (MicroResult, error) {
 	nodes := len(net.Topology().SensorNodes())
 	var txBytes, msgs float64
 	r := testing.Benchmark(func(b *testing.B) {
-		txBytes, msgs = RunScaleMintEpochBenchOn(b, net, src, q)
+		txBytes, msgs = RunScaleMintEpochBenchOn(b, net, live, src, q)
 	})
 	res, err := micro(r, txBytes, msgs)
 	if err != nil {

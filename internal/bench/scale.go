@@ -1,9 +1,11 @@
 package bench
 
 import (
+	"context"
 	"testing"
 
 	"kspot/internal/config"
+	"kspot/internal/engine"
 	"kspot/internal/model"
 	"kspot/internal/sim"
 	"kspot/internal/topk"
@@ -21,6 +23,11 @@ import (
 // SpeedupScaleSize fixes the deployment of the parallel-vs-sequential
 // speedup measurement: scale-4000, the largest committed scenario.
 const SpeedupScaleSize = 4000
+
+// LiveScaleSize fixes the deployment of the substrate comparison
+// (live-mint-epoch against mint-epoch-scale-1000): scale-1000, the size the
+// end-to-end benchmark's flat-sweep workload runs.
+const LiveScaleSize = 1000
 
 // ScaleSeriesSizes returns the deployment sizes of the µs-per-node-per-epoch
 // scale series at the configured run scale. The two committed scenario sizes
@@ -65,45 +72,57 @@ func scaleDeployment(n, workers int) (*sim.Network, trace.Source, topk.SnapshotQ
 }
 
 // RunScaleMintEpochBenchOn is the measurement body of the scale-series
-// benchmarks: a fresh MINT operator attaches to the prebuilt deployment,
-// runs its creation epoch as warm-up, then b.N steady-state epochs are
-// measured — the RunOperatorEpochBench loop with the network construction
+// benchmarks: a fresh MINT operator attaches to the prebuilt deployment —
+// the network itself or, with live set, a fresh engine.Live over it (its
+// history windows refuse the epochs a re-invocation would replay) — runs
+// its creation epoch as warm-up, then b.N steady-state epochs are
+// measured: the RunOperatorEpochBench loop with the network construction
 // hoisted out of the benchmark re-invocations. Returns per-epoch tx bytes
 // and messages.
-func RunScaleMintEpochBenchOn(b *testing.B, net *sim.Network, src trace.Source, q topk.SnapshotQuery) (txBytesPerEpoch, msgsPerEpoch float64) {
+func RunScaleMintEpochBenchOn(b *testing.B, net *sim.Network, live bool, src trace.Source, q topk.SnapshotQuery) (txBytesPerEpoch, msgsPerEpoch float64) {
+	var tp engine.Transport = net
+	if live {
+		l := engine.NewLive(net, engine.LiveOptions{})
+		l.Start(context.Background())
+		defer l.Stop()
+		tp = l
+	}
 	op := mint.New()
-	if err := op.Attach(net, q); err != nil {
+	if err := op.Attach(tp, q); err != nil {
 		b.Fatal(err)
 	}
-	readings := topk.SenseEpoch(net, src, 0)
+	readings := topk.SenseEpoch(tp, src, 0)
 	if _, err := op.Epoch(0, readings); err != nil {
 		b.Fatal(err)
 	}
-	net.Reset()
+	tp.Reset()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := model.Epoch(i + 1)
-		rd := topk.SenseEpoch(net, src, e)
+		rd := topk.SenseEpoch(tp, src, e)
 		if _, err := op.Epoch(e, rd); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
 	if b.N > 0 {
-		txBytesPerEpoch = float64(net.Counter.TotalTxBytes()) / float64(b.N)
-		msgsPerEpoch = float64(net.Counter.TotalMessages()) / float64(b.N)
+		total := tp.Snap()
+		txBytesPerEpoch = float64(total.TxBytes) / float64(b.N)
+		msgsPerEpoch = float64(total.Messages) / float64(b.N)
 	}
 	return txBytesPerEpoch, msgsPerEpoch
 }
 
 // RunScaleMintEpochBench builds scale-<n> at the worker bound and measures
 // one steady-state MINT epoch — the module-root benchmark entry point (the
-// -json path hoists the build out itself, see microScaleMintEpoch).
-func RunScaleMintEpochBench(b *testing.B, n, workers int) (txBytesPerEpoch, msgsPerEpoch float64) {
+// -json path hoists the build out itself, see microScaleMintEpoch). With
+// live set the operator runs on an engine.Live over the same network: the
+// pair is the substrate comparison, same deployment, same epoch.
+func RunScaleMintEpochBench(b *testing.B, n, workers int, live bool) (txBytesPerEpoch, msgsPerEpoch float64) {
 	net, src, q, err := scaleDeployment(n, workers)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return RunScaleMintEpochBenchOn(b, net, src, q)
+	return RunScaleMintEpochBenchOn(b, net, live, src, q)
 }

@@ -7,14 +7,15 @@
 //   - the deterministic substrate is internal/sim's discrete-time
 //     simulator, which satisfies Transport natively and is where the
 //     benchmarks and the reproduction experiments run;
-//   - the concurrent substrate (Live, in this package) runs one goroutine
-//     per sensor node and passes views over channels, borrowing the same
-//     link-layer and energy accounting, and is what cmd/kspotd and the
-//     examples deploy.
+//   - the concurrent substrate (Live, in this package) is that same
+//     network state machine behind a lock, with re-entrant sweeps whose
+//     per-node work runs outside it, so any number of queries can sweep
+//     and flood at once; it is what cmd/kspotd and the examples deploy.
 //
-// Because both substrates implement the identical Transport contract, an
-// operator attached to one returns the same answers and the same message
-// counts on the other (engine's equivalence test pins this, under -race).
+// Because both substrates implement the identical Transport contract — and
+// run the identical sweep — an operator attached to one returns the same
+// answers and, query for query, the same counters on the other (engine's
+// equivalence test pins this, under -race).
 //
 // The package also provides the multi-query Scheduler: one deployment
 // serving several posted cursors in epoch lock-step, sensing each epoch
@@ -32,8 +33,9 @@ import (
 // PruneFunc is the per-node hook of an acquisition sweep: it receives the
 // transmitting node and its full local view V_i and returns the view to
 // transmit V'_i (the input unchanged, a subset, or nil for "send nothing").
-// A PruneFunc may be invoked from per-node goroutines on the concurrent
-// substrate, so it must not mutate operator state.
+// A PruneFunc may be invoked concurrently for distinct nodes of a tree
+// level (on the concurrent substrate, and on the deterministic one at a
+// sweep worker bound above one), so it must not mutate operator state.
 //
 // Ownership: both the received view and the returned one belong to the
 // transport. A PruneFunc must not retain either beyond the call; when it
@@ -47,7 +49,8 @@ type PruneFunc = func(node model.NodeID, v *model.View) *model.View
 // per-message accounting every transmission feeds.
 //
 // *sim.Network satisfies Transport natively (the deterministic substrate);
-// *Live implements it over goroutines and channels (the concurrent one).
+// *Live serializes it behind a lock and makes its sweeps re-entrant (the
+// concurrent one).
 type Transport interface {
 	// Topology returns the node placement (positions, groups, names).
 	Topology() *topo.Placement
@@ -62,7 +65,8 @@ type Transport interface {
 	SendDown(from, to model.NodeID, kind radio.MsgKind, e model.Epoch, payload []byte) bool
 	// BroadcastDown floods a per-child payload from the sink through the
 	// tree (beacons, query installation), returning the nodes reached.
-	// payloadFor may be called concurrently on the live substrate.
+	// payloadFor must not call back into the transport: the live substrate
+	// runs it under its lock.
 	BroadcastDown(kind radio.MsgKind, e model.Epoch, payloadFor func(child model.NodeID) []byte) map[model.NodeID]bool
 	// RouteToSink relays a payload hop by hop to the sink without merging
 	// (the flat pattern of TPUT and the centralized baseline).
@@ -73,10 +77,10 @@ type Transport interface {
 	// Sweep runs one TAG-style leaf-to-root acquisition: every node merges
 	// its own reading with its children's views, applies prune, and ships
 	// the result one hop up; empty views suppress the packet entirely. The
-	// sink's merged view is returned; it is owned by the transport and
-	// valid only until the next Sweep on this transport — callers must
-	// extract what they keep (answers, merged partials) before sweeping
-	// again.
+	// sink's merged view is returned. Callers must extract what they keep
+	// (answers, merged partials) before their own next Sweep on this
+	// transport, which may overwrite it; sweeps other callers run
+	// concurrently on the live substrate never touch it.
 	Sweep(e model.Epoch, kind radio.MsgKind, readings map[model.NodeID]model.Reading, prune PruneFunc) *model.View
 
 	// ChargeSense charges one sensing operation to a node.

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -18,81 +17,50 @@ type LiveOptions struct {
 	// Window is each node's buffered history capacity (for historic
 	// queries over a live deployment). Default 64; minimum 1.
 	Window int
-	// QueueDepth bounds each worker's request mailbox. Default 32.
-	QueueDepth int
 }
 
-// Live is the concurrent substrate: one goroutine per sensor node,
-// exchanging views and beacons over channels — the KSpot client software
-// of the paper's §II expressed as an actual concurrent system, in place of
-// the nesC mote binary. It implements Transport, so every snapshot
-// operator runs on it unchanged.
+// Live is the concurrent substrate: the shared *sim.Network state machine
+// (link layer, loss, framing, energy ledger, budgets) behind a mutex, with
+// re-entrant sweeps and a history window per node — what cmd/kspotd and the
+// examples deploy, where the deterministic substrate serves one caller at
+// a time. It implements Transport, so every snapshot operator runs on it
+// unchanged.
 //
-// Radio and energy semantics are not reimplemented: Live wraps the same
-// *sim.Network state machine (link layer, loss, framing, energy ledger,
-// budgets) behind a mutex and uses it for per-message accounting, while
-// delivery and the epoch data flow happen over channels. That is what
-// makes the two substrates answer- and traffic-equivalent by construction
-// on lossless links.
+// Nothing of the protocol is reimplemented. Sends, floods and relays are
+// the network's own walks under the lock. A sweep is the network's
+// level-synchronous SweepOn on a frame of its own: the per-node work of a
+// level (merge, prune, encode) runs outside the lock on up to
+// base.Parallel() workers, and the level's transmissions commit under the
+// lock in post-order position. A single sweep is therefore byte-identical
+// to the deterministic substrate in every counter, loss draws and the
+// energy ledger included; concurrent sweeps interleave level by level.
 //
 // Concurrency contract: all Transport methods are safe for concurrent use
-// once Start has been called, and multiple Sweeps/BroadcastDowns may be in
-// flight at once (the multi-query scheduler relies on this). PruneFuncs
-// and payloadFor callbacks run on worker goroutines.
+// once Start has been called, and any number of Sweeps and BroadcastDowns
+// may be in flight at once (the multi-query scheduler relies on this).
+// PruneFuncs run concurrently for distinct nodes of a level; payloadFor
+// callbacks run under the lock and must not call back into the transport.
 type Live struct {
 	base *sim.Network
-	mu   sync.Mutex // guards base's link rng, counters, ledger, budgets
+	mu   sync.Mutex // guards base (link rng, counters, ledger, budgets, tree index) and frames
 
-	workers map[model.NodeID]*worker
+	// frames is the free list of sweep frames: a sweep takes one (or makes
+	// one) and returns it, so the list grows to the peak number of sweeps
+	// in flight and steady-state sweeps allocate no per-node scratch.
+	frames []*sim.SweepFrame
 
-	ctx     context.Context
-	cancel  context.CancelFunc
-	wg      sync.WaitGroup
+	winMu sync.Mutex
+	wins  []nodeWindow // every sensor node's history, ascending id
+
+	lifeMu  sync.Mutex // serializes Start and Stop
 	started atomic.Bool
+	unhook  func() bool // detaches Stop from Start's context
 }
 
-// worker is one sensor node's goroutine state.
-type worker struct {
-	id       model.NodeID
-	children []model.NodeID
-	req      chan any // floodReq | sweepReq
-	buf      []byte   // encode buffer, reused across sweeps (worker-serial)
-
-	winMu     sync.Mutex
-	win       *storage.Window
-	lastEpoch model.Epoch
-}
-
-// floodReq relays a downstream beacon parent→children through the worker
-// tree (the TinyOS per-hop re-broadcast).
-type floodReq struct {
-	kind       radio.MsgKind
-	e          model.Epoch
-	payloadFor func(child model.NodeID) []byte
-	reached    *reachedSet
-	wg         *sync.WaitGroup
-}
-
-// sweepReq runs one leaf-to-root acquisition. collect holds a one-shot
-// channel per node: a node's pruned view (nil = suppressed or lost) is
-// published exactly once, and its parent consumes it.
-type sweepReq struct {
-	e        model.Epoch
-	kind     radio.MsgKind
-	readings map[model.NodeID]model.Reading
-	prune    PruneFunc
-	collect  map[model.NodeID]chan *model.View
-}
-
-type reachedSet struct {
-	mu sync.Mutex
-	m  map[model.NodeID]bool
-}
-
-func (r *reachedSet) add(id model.NodeID) {
-	r.mu.Lock()
-	r.m[id] = true
-	r.mu.Unlock()
+// nodeWindow is one sensor node's buffered history.
+type nodeWindow struct {
+	id  model.NodeID
+	win *storage.Window
 }
 
 // NewLive builds the concurrent substrate over an existing network state
@@ -101,174 +69,74 @@ func NewLive(net *sim.Network, opts LiveOptions) *Live {
 	if opts.Window < 1 {
 		opts.Window = 64
 	}
-	if opts.QueueDepth < 1 {
-		opts.QueueDepth = 32
-	}
-	l := &Live{base: net, workers: make(map[model.NodeID]*worker)}
+	l := &Live{base: net}
 	for _, id := range net.Placement.SensorNodes() {
 		win, err := storage.NewWindow(opts.Window)
 		if err != nil {
 			panic("engine: " + err.Error()) // opts.Window clamped ≥ 1 above
 		}
-		l.workers[id] = &worker{
-			id:        id,
-			children:  net.Tree.Children[id],
-			req:       make(chan any, opts.QueueDepth),
-			win:       win,
-			lastEpoch: math.MaxUint32,
-		}
+		l.wins = append(l.wins, nodeWindow{id: id, win: win})
 	}
 	return l
 }
 
-// Start launches the node goroutines. The deployment runs until Stop is
-// called or ctx is cancelled.
+// Start opens the deployment for traffic until Stop is called or ctx is
+// cancelled. Live owns no goroutines: sweeps run on their callers' and on
+// workers that live within one Sweep call.
 func (l *Live) Start(ctx context.Context) {
-	if !l.started.CompareAndSwap(false, true) {
+	l.lifeMu.Lock()
+	defer l.lifeMu.Unlock()
+	if l.started.Load() {
 		return
 	}
-	l.ctx, l.cancel = context.WithCancel(ctx)
-	for _, w := range l.workers {
-		l.wg.Add(1)
-		go l.runWorker(w)
-	}
+	l.started.Store(true)
+	l.unhook = context.AfterFunc(ctx, l.Stop)
 }
 
-// Stop terminates every node goroutine and waits for them to exit.
+// Stop closes the deployment for new sweeps and floods. Those already in
+// flight run to completion on their callers' goroutines.
 func (l *Live) Stop() {
-	if !l.started.CompareAndSwap(true, false) {
+	l.lifeMu.Lock()
+	defer l.lifeMu.Unlock()
+	if !l.started.Load() {
 		return
 	}
-	l.cancel()
-	l.wg.Wait()
+	l.started.Store(false)
+	l.unhook()
 }
 
 // Windows exposes each node's buffered history (for historic queries at
 // the server side), oldest first.
 func (l *Live) Windows() map[model.NodeID][]model.Value {
-	out := make(map[model.NodeID][]model.Value, len(l.workers))
-	for id, w := range l.workers {
-		w.winMu.Lock()
-		out[id] = w.win.Series()
-		w.winMu.Unlock()
+	l.winMu.Lock()
+	defer l.winMu.Unlock()
+	out := make(map[model.NodeID][]model.Value, len(l.wins))
+	for _, w := range l.wins {
+		out[w.id] = w.win.Series()
 	}
 	return out
 }
 
 // RecordReadings buffers the epoch's raw sensed values into the per-node
-// history windows (ReadingsRecorder, called by SenseEpoch once per epoch).
+// history windows (ReadingsRecorder, called by SenseEpoch once per epoch;
+// sweeps may carry derived readings that must not pollute the windows).
 func (l *Live) RecordReadings(e model.Epoch, readings map[model.NodeID]model.Reading) {
-	for id, rd := range readings {
-		w, ok := l.workers[id]
+	l.winMu.Lock()
+	defer l.winMu.Unlock()
+	for _, w := range l.wins {
+		rd, ok := readings[w.id]
 		if !ok {
 			continue
 		}
-		w.winMu.Lock()
-		if e != w.lastEpoch {
+		if last, seen := w.win.LastEpoch(); !seen || last != e {
 			// Push can only fail on clock regression, which monotone
 			// epochs rule out; a regressed push is simply dropped.
 			_ = w.win.Push(e, rd.Value)
-			w.lastEpoch = e
-		}
-		w.winMu.Unlock()
-	}
-}
-
-func (l *Live) runWorker(w *worker) {
-	defer l.wg.Done()
-	for {
-		select {
-		case <-l.ctx.Done():
-			return
-		case r := <-w.req:
-			switch m := r.(type) {
-			case floodReq:
-				l.handleFlood(w, m)
-			case sweepReq:
-				l.handleSweep(w, m)
-			}
 		}
 	}
 }
 
-// handleFlood re-broadcasts the beacon to each child link, charging every
-// hop, and hands the relay on to the children's goroutines.
-func (l *Live) handleFlood(w *worker, r floodReq) {
-	defer r.wg.Done()
-	for _, c := range w.children {
-		var pl []byte
-		if r.payloadFor != nil {
-			pl = r.payloadFor(c)
-		}
-		if !l.lockedSendDown(w.id, c, r.kind, r.e, pl) {
-			continue // child never got the beacon; subtree dark this epoch
-		}
-		r.reached.add(c)
-		r.wg.Add(1)
-		// Hand the relay on without blocking on the child's mailbox: a
-		// synchronous send could chain with other in-flight requests into
-		// a circular wait when many queries run at once. The child's
-		// handler releases the wg count; the cancel path balances it.
-		go func(c model.NodeID) {
-			select {
-			case l.workers[c].req <- r:
-			case <-l.ctx.Done():
-				r.wg.Done()
-			}
-		}(c)
-	}
-}
-
-// handleSweep is the client main loop body of the old bespoke runtime,
-// now driven by the shared operator's prune callback: merge the epoch's
-// own reading with the children's views, prune, ship one hop up. (History
-// buffering happens in recordReadings, fed by SenseEpoch — sweeps may
-// carry derived readings that must not pollute the windows.)
-//
-// Views flow through the pool: the local view and every child view are
-// recycled here once merged; the transmitted view is recycled by whoever
-// consumes it from the collect channel (the parent worker, or Sweep's
-// coordinator at the sink).
-func (l *Live) handleSweep(w *worker, r sweepReq) {
-	rd, sensed := r.readings[w.id]
-	v := model.AcquireView()
-	if sensed {
-		v.Add(rd)
-	}
-	for _, c := range w.children {
-		select {
-		case cv := <-r.collect[c]:
-			if cv != nil {
-				v.MergeView(cv)
-				model.ReleaseView(cv)
-			}
-		case <-l.ctx.Done():
-			model.ReleaseView(v)
-			return
-		}
-	}
-	out := v
-	if r.prune != nil {
-		out = r.prune(w.id, v)
-	}
-	var res *model.View
-	if out != nil && out.Len() > 0 {
-		w.buf = model.AppendView(w.buf[:0], out)
-		if l.lockedSendUp(w.id, r.kind, r.e, w.buf) {
-			res = out
-		}
-	}
-	if out != v {
-		model.ReleaseView(v) // pruned copy made; the local view is done
-	}
-	if res == nil && out != nil {
-		model.ReleaseView(out) // suppressed or lost: nothing travels up
-	}
-	r.collect[w.id] <- res // cap-1 channel, single producer: never blocks
-}
-
-// ready panics when the deployment has not been started — every data-path
-// primitive needs the worker goroutines.
+// ready panics when the deployment has not been started.
 func (l *Live) ready() {
 	if !l.started.Load() {
 		panic("engine: Live transport used before Start (or after Stop)")
@@ -295,42 +163,25 @@ func (l *Live) Alive(id model.NodeID) bool {
 // SendUp implements Transport (single-hop accounting; the view data path
 // of an epoch goes through Sweep).
 func (l *Live) SendUp(from model.NodeID, kind radio.MsgKind, e model.Epoch, payload []byte) bool {
-	return l.lockedSendUp(from, kind, e, payload)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.base.SendUp(from, kind, e, payload)
 }
 
 // SendDown implements Transport.
 func (l *Live) SendDown(from, to model.NodeID, kind radio.MsgKind, e model.Epoch, payload []byte) bool {
-	return l.lockedSendDown(from, to, kind, e, payload)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.base.SendDown(from, to, kind, e, payload)
 }
 
-// BroadcastDown implements Transport: the beacon flood, relayed hop by hop
-// by the worker goroutines exactly as the motes re-broadcast per child
-// link. Blocks until the flood has settled and returns the nodes reached.
+// BroadcastDown implements Transport: the beacon flood, re-broadcast per
+// child link on the shared link model. Returns the nodes reached.
 func (l *Live) BroadcastDown(kind radio.MsgKind, e model.Epoch, payloadFor func(child model.NodeID) []byte) map[model.NodeID]bool {
 	l.ready()
-	rs := &reachedSet{m: map[model.NodeID]bool{model.Sink: true}}
-	var wg sync.WaitGroup
-	for _, child := range l.base.Tree.Children[model.Sink] {
-		var pl []byte
-		if payloadFor != nil {
-			pl = payloadFor(child)
-		}
-		if !l.lockedSendDown(model.Sink, child, kind, e, pl) {
-			continue
-		}
-		rs.add(child)
-		wg.Add(1)
-		req := floodReq{kind: kind, e: e, payloadFor: payloadFor, reached: rs, wg: &wg}
-		go func(child model.NodeID) {
-			select {
-			case l.workers[child].req <- req:
-			case <-l.ctx.Done():
-				wg.Done()
-			}
-		}(child)
-	}
-	wg.Wait()
-	return rs.m
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.base.BroadcastDown(kind, e, payloadFor)
 }
 
 // RouteToSink implements Transport: multihop relay without merging. The
@@ -349,42 +200,25 @@ func (l *Live) RouteFromSink(to model.NodeID, kind radio.MsgKind, e model.Epoch,
 	return l.base.RouteFromSink(to, kind, e, payload)
 }
 
-// Sweep implements Transport: the epoch's up-sweep, executed by the node
-// goroutines concurrently — every subtree merges and prunes in parallel,
-// synchronized only by the child→parent view channels. Multiple sweeps may
-// be in flight at once; each uses its own collection channels.
+// Sweep implements Transport: the epoch's up-sweep, level-synchronous on a
+// frame of its own (see Live). The returned view is a copy made before the
+// frame goes back on the free list, so it belongs to the caller and stays
+// valid whatever other sweeps run.
 func (l *Live) Sweep(e model.Epoch, kind radio.MsgKind, readings map[model.NodeID]model.Reading, prune PruneFunc) *model.View {
 	l.ready()
-	collect := make(map[model.NodeID]chan *model.View, len(l.workers))
-	for id := range l.workers {
-		collect[id] = make(chan *model.View, 1)
+	l.mu.Lock()
+	var f *sim.SweepFrame
+	if n := len(l.frames); n > 0 {
+		f, l.frames = l.frames[n-1], l.frames[:n-1]
+	} else {
+		f = new(sim.SweepFrame)
 	}
-	req := sweepReq{e: e, kind: kind, readings: readings, prune: prune, collect: collect}
-	// Mailbox delivery is asynchronous so the coordinator never blocks on
-	// a busy worker (many queries sweeping at once could otherwise form a
-	// circular wait). The sink cannot observe its children's views before
-	// every node has processed the request, so the goroutines are done by
-	// the time Sweep returns on the success path.
-	for _, w := range l.workers {
-		go func(w *worker) {
-			select {
-			case w.req <- req:
-			case <-l.ctx.Done():
-			}
-		}(w)
-	}
-	v := model.NewView()
-	for _, child := range l.base.Tree.Children[model.Sink] {
-		select {
-		case cv := <-collect[child]:
-			if cv != nil {
-				v.MergeView(cv)
-				model.ReleaseView(cv)
-			}
-		case <-l.ctx.Done():
-			return v
-		}
-	}
+	l.mu.Unlock()
+	// A panicking prune unwinds past the hand-back: its frame is dropped.
+	v := l.base.SweepOn(f, &l.mu, e, kind, readings, prune).Clone()
+	l.mu.Lock()
+	l.frames = append(l.frames, f)
+	l.mu.Unlock()
 	return v
 }
 
@@ -438,16 +272,4 @@ func (l *Live) Reset() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.base.Reset()
-}
-
-func (l *Live) lockedSendUp(from model.NodeID, kind radio.MsgKind, e model.Epoch, payload []byte) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.base.SendUp(from, kind, e, payload)
-}
-
-func (l *Live) lockedSendDown(from, to model.NodeID, kind radio.MsgKind, e model.Epoch, payload []byte) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.base.SendDown(from, to, kind, e, payload)
 }

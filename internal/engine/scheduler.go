@@ -91,8 +91,8 @@ type QuerySpec struct {
 // shard) and every scheduled query runs its per-shard acquisitions over
 // the same readings, merging at the coordinator tier. On the live
 // substrate all acquisitions proceed concurrently, across queries and
-// across shards, interleaving their view sweeps over the shared node
-// goroutines. This is how one KSpot server serves many posted cursors
+// across shards, their view sweeps interleaving level by level on each
+// shard's network. This is how one KSpot server serves many posted cursors
 // without multiplying the per-epoch acquisition cost.
 //
 // Stepping is demand-driven: the epoch advances when a query with no
@@ -291,13 +291,19 @@ func (s *Scheduler) Step(sq *ScheduledQuery) (Outcome, error) {
 // the query's queue, so the next Step observes the epoch stream without a
 // gap (the per-query stepMu holds later steps out until the hand-back
 // lands). Nothing leaks: the in-flight epoch runs to completion on the
-// scheduler's own goroutine and the substrate's workers are untouched.
+// scheduler's own goroutine.
 func (s *Scheduler) StepContext(ctx context.Context, sq *ScheduledQuery) (Outcome, error) {
 	// An already-expired context never starts work: stepping with a dead
 	// ctx would run (and charge) a full epoch in the background on every
 	// call, draining node budgets for a caller that consumes nothing.
 	if err := ctx.Err(); err != nil {
 		return Outcome{}, err
+	}
+	// In lock-step serving most calls find their outcome already buffered
+	// by the cursor that ran the epoch: those are popped inline. Only a
+	// call that must run an epoch (or wait for one) goes asynchronous.
+	if out, ok := s.tryPop(sq); ok {
+		return out, out.Err
 	}
 	type stepRes struct {
 		out Outcome
@@ -324,6 +330,27 @@ func (s *Scheduler) StepContext(ctx context.Context, sq *ScheduledQuery) (Outcom
 		close(abandon)
 		return Outcome{}, ctx.Err()
 	}
+}
+
+// tryPop consumes the query's next buffered outcome without blocking. ok is
+// false when nothing is buffered, when a lock is contended (a step or an
+// epoch is in flight) or when the seat is closed or removed — all left to
+// the blocking path, which waits under ctx and reports the error.
+func (s *Scheduler) tryPop(sq *ScheduledQuery) (out Outcome, ok bool) {
+	if !sq.stepMu.TryLock() {
+		return Outcome{}, false
+	}
+	defer sq.stepMu.Unlock()
+	if !s.mu.TryLock() {
+		return Outcome{}, false
+	}
+	defer s.mu.Unlock()
+	if s.closed || sq.removed || len(sq.pending) == 0 {
+		return Outcome{}, false
+	}
+	out = sq.pending[0]
+	sq.pending = sq.pending[1:]
+	return out, true
 }
 
 // step pops the query's next outcome, running an epoch if none is

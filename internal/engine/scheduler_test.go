@@ -86,3 +86,50 @@ func TestSchedulerSharedEpochs(t *testing.T) {
 		t.Fatalf("ledger %v below sensing+idle floor %v", total, minLedger)
 	}
 }
+
+// TestStepContextPopsBufferedInline pins the lock-step serving path: a
+// StepContext whose outcome another query's step already buffered returns
+// it inline — no goroutine, no channels, so it allocates nothing — and the
+// buffered epochs still arrive gapless and in order.
+func TestStepContextPopsBufferedInline(t *testing.T) {
+	scen := config.Figure3Scenario()
+	net, err := scen.Network()
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := scen.Source()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := engine.NewScheduler(engine.NewDeployment("figure3", net, src))
+	q := topk.SnapshotQuery{K: 2, Agg: model.AggAvg, Range: &topk.ValueRange{Min: 0, Max: 100}}
+	var sqs [2]*engine.ScheduledQuery
+	for i := range sqs {
+		op := tag.New()
+		if err := op.Attach(net, q); err != nil {
+			t.Fatal(err)
+		}
+		sqs[i] = sched.Add([]engine.EpochRunner{op}, nil, nil)
+	}
+	const epochs = 20
+	for i := 0; i < epochs; i++ {
+		if _, err := sched.Step(sqs[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	next := model.Epoch(0)
+	allocs := testing.AllocsPerRun(epochs-1, func() { // plus its warm-up run: every buffered epoch
+		out, err := sched.StepContext(ctx, sqs[1])
+		if err != nil || out.Epoch != next {
+			t.Fatalf("buffered step returned epoch %d (err %v), want %d", out.Epoch, err, next)
+		}
+		next++
+	})
+	if allocs != 0 {
+		t.Errorf("popping a buffered outcome allocates %.0f times, want 0", allocs)
+	}
+	if got := sched.Epoch(); got != epochs {
+		t.Fatalf("scheduler ran %d epochs, want %d: a buffered pop must not run one", got, epochs)
+	}
+}

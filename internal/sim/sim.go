@@ -56,26 +56,48 @@ type Network struct {
 	// values <= 1 select the exact legacy sequential walk. See SetParallel.
 	parallel int
 
-	// sweep holds the per-node view accumulators, the encode buffer the
-	// sequential up-sweep reuses, and the per-slot scratch of the parallel
-	// sweep, so that steady-state sweeps allocate nothing. Like the rest
-	// of *Network, Sweep is not safe for concurrent use — the parallel
-	// sweep's workers live entirely within one Sweep call.
-	sweep struct {
-		acc   map[model.NodeID]*model.View
-		buf   []byte
-		slots []sweepSlot
-	}
+	// frame is the scratch Sweep runs on. Like the rest of *Network, Sweep
+	// is not safe for concurrent use; engine.Live runs concurrent sweeps on
+	// frames of its own through SweepOn.
+	frame SweepFrame
 }
 
-// sweepSlot is the per-node scratch of the parallel sweep: the compute
-// phase of a level fills slots concurrently (one per node, no sharing),
-// the commit phase drains them in ascending id order.
-type sweepSlot struct {
-	local *model.View // the node's own accumulator
-	out   *model.View // pruned view to transmit; may equal local or be nil
-	enc   []byte      // encoded payload, reused across levels and sweeps
-	send  bool        // out is non-empty, so a transmission is due
+// SweepFrame is the scratch one sweep runs on: every node's view
+// accumulator, pruned view and encode buffer, laid out by the tree's
+// LevelIndex so the hot path indexes a slice instead of hashing node ids,
+// and kept between sweeps so that steady-state sweeps allocate nothing. A
+// frame serves one sweep at a time; the zero value is ready to use.
+type SweepFrame struct {
+	idx   *topo.LevelIndex
+	nodes []frameNode
+	buf   []byte // the sequential walk's one encode buffer
+}
+
+// frameNode is one node's slot in a frame. During a level's compute phase
+// each slot is touched by exactly one worker; the commit phase drains the
+// level's slots in ascending id order.
+type frameNode struct {
+	acc  *model.View // the node's reading plus its children's committed views
+	out  *model.View // pruned view to transmit; may equal acc or be nil
+	enc  []byte      // out encoded; reused across sweeps
+	send bool        // out is non-empty, so a transmission is due
+}
+
+// reset lays the frame out for the tree and empties every accumulator:
+// children merge into their parent's accumulator before its turn comes.
+func (f *SweepFrame) reset(idx *topo.LevelIndex) {
+	if f.idx != idx {
+		nodes := make([]frameNode, len(idx.Parent))
+		copy(nodes, f.nodes) // views and buffers are interchangeable: keep the grown ones
+		f.idx, f.nodes = idx, nodes
+	}
+	for i := range f.nodes {
+		if v := f.nodes[i].acc; v != nil {
+			v.Reset()
+		} else {
+			f.nodes[i].acc = model.NewView()
+		}
+	}
 }
 
 // Options configures New.
@@ -183,8 +205,9 @@ func (n *Network) SetFault(m radio.FaultModel) { n.Link.SetFault(m) }
 // the per-level merge/prune/encode work over a bounded pool while the
 // transmissions and parent merges still commit in the sequential post-order
 // position, so answers, messages, frames, bytes, loss draws and the energy
-// ledger are byte-identical for every value. Not safe to call while a
-// Sweep is in flight.
+// ledger are byte-identical for every value. SweepOn is level-synchronous
+// at every bound (<= 1: no spare workers). Not safe to call while a sweep
+// is in flight.
 func (n *Network) SetParallel(workers int) { n.parallel = workers }
 
 // Parallel reports the configured sweep worker bound (0 and 1 both mean
@@ -336,58 +359,31 @@ func (n *Network) Sweep(e model.Epoch, kind radio.MsgKind,
 	prune func(node model.NodeID, v *model.View) *model.View) *model.View {
 
 	if n.parallel > 1 {
-		return n.sweepParallel(e, kind, readings, prune)
+		return n.SweepOn(&n.frame, nil, e, kind, readings, prune)
 	}
-	order := n.Tree.PostOrder()
-	n.resetAccumulators(order)
-	for _, node := range order {
-		v := n.sweep.acc[node] // children's contributions already merged
-		if r, ok := readings[node]; ok {
-			v.Add(r)
-		}
-		if node == n.Tree.Root {
-			return v
-		}
-		out := v
-		if prune != nil {
-			out = prune(node, v)
-		}
-		if out != nil && out.Len() > 0 && n.Alive(node) {
-			n.sweep.buf = model.AppendView(n.sweep.buf[:0], out)
-			if n.SendUp(node, kind, e, n.sweep.buf) {
-				n.sweep.acc[n.Tree.Parent[node]].MergeView(out)
-			}
-		}
-		if out != v {
-			model.ReleaseView(out)
+	// The sequential walk: each node computes and commits in one step, in
+	// post-order — the reference the level-synchronous form must match.
+	f := &n.frame
+	f.reset(n.Tree.LevelIndex())
+	s := sweep{n: n, f: f, e: e, kind: kind, readings: readings, prune: prune}
+	for d := len(f.idx.Levels) - 1; d >= 1; d-- {
+		base := f.idx.Start[d]
+		for j, node := range f.idx.Levels[d] {
+			f.buf = s.compute(base+j, node, f.buf)
+			s.commit(base+j, node, f.buf)
 		}
 	}
-	panic("sim: post-order traversal did not end at the root")
+	return s.root()
 }
 
-// resetAccumulators readies the per-node view accumulators: children merge
-// into their parent's accumulator before the parent's own turn comes.
-func (n *Network) resetAccumulators(order []model.NodeID) {
-	if n.sweep.acc == nil {
-		n.sweep.acc = make(map[model.NodeID]*model.View, len(order))
-	}
-	for _, node := range order {
-		if v := n.sweep.acc[node]; v != nil {
-			v.Reset()
-		} else {
-			n.sweep.acc[node] = model.NewView()
-		}
-	}
-}
-
-// sweepParallel is the level-synchronous form of Sweep. Per tree level,
-// deepest first, it runs two phases:
+// SweepOn is the level-synchronous form of Sweep, run on a caller-owned
+// frame. Per tree level, deepest first, it runs two phases:
 //
-//   - compute: up to n.parallel workers steal nodes off the level and, for
+//   - compute: up to Parallel() workers steal nodes off the level and, for
 //     each, merge the node's reading into its accumulator, apply prune and
-//     encode the resulting view into the node's private scratch slot. No
-//     two workers touch the same node, and accumulators of shallower
-//     levels are only read during commits, so the phase is data-race free.
+//     encode the resulting view into the node's slot. No two workers touch
+//     the same node, and accumulators of shallower levels are only written
+//     during commits, so the phase is data-race free.
 //   - commit: a single goroutine replays the transmissions and parent-
 //     accumulator merges in ascending node id — exactly the position the
 //     sequential post-order walk would run them in, since PostOrder is
@@ -399,150 +395,194 @@ func (n *Network) resetAccumulators(order []model.NodeID) {
 // parents — never a deeper node — so aliveness at each commit matches the
 // sequential run. The result is byte-identical to the sequential sweep for
 // every worker count.
-func (n *Network) sweepParallel(e model.Epoch, kind radio.MsgKind,
+//
+// The compute phases touch nothing of the network but the frame. commit,
+// when non-nil, is held around every other access — the tree's lazily built
+// index and each level's commit phase — which is what lets engine.Live keep
+// several sweeps in flight over one network, each on its own frame. The
+// returned sink view lives in the frame: valid until the frame's next sweep.
+func (n *Network) SweepOn(f *SweepFrame, commit sync.Locker, e model.Epoch, kind radio.MsgKind,
 	readings map[model.NodeID]model.Reading,
 	prune func(node model.NodeID, v *model.View) *model.View) *model.View {
 
-	n.resetAccumulators(n.Tree.PostOrder())
-	levels := n.Tree.Levels()
-	widest := 0
-	for _, lv := range levels {
-		if len(lv) > widest {
-			widest = len(lv)
-		}
+	if commit == nil {
+		commit = noLock{}
 	}
-	if len(n.sweep.slots) < widest {
-		slots := make([]sweepSlot, widest)
-		copy(slots, n.sweep.slots) // keep already-grown encode buffers
-		n.sweep.slots = slots
+	commit.Lock()
+	idx := n.Tree.LevelIndex()
+	commit.Unlock()
+	f.reset(idx)
+	s := &sweep{n: n, f: f, e: e, kind: kind, readings: readings, prune: prune}
+	defer s.stopSpares()
+	for d := len(idx.Levels) - 1; d >= 1; d-- {
+		s.computeLevel(idx.Levels[d], idx.Start[d], n.parallel-1)
+		s.commitLevel(commit)
 	}
-	slots := n.sweep.slots
+	return s.root()
+}
 
-	// One worker pool per Sweep: workers park on the level channel between
-	// levels and exit when it closes. The sweeping goroutine steals work
-	// too, so n.parallel is the total compute concurrency.
-	type level struct {
-		nodes []model.NodeID
-		next  *int64 // shared steal cursor
-	}
-	compute := func(lv level) {
-		for {
-			j := atomic.AddInt64(lv.next, 1) - 1
-			if j >= int64(len(lv.nodes)) {
-				return
-			}
-			node := lv.nodes[j]
-			s := &slots[j]
-			v := n.sweep.acc[node]
-			if r, ok := readings[node]; ok {
-				v.Add(r)
-			}
-			out := v
-			if prune != nil {
-				out = prune(node, v)
-			}
-			s.local, s.out = v, out
-			s.send = out != nil && out.Len() > 0
-			if s.send {
-				s.enc = model.AppendView(s.enc[:0], out)
-			}
-		}
-	}
-	spares := n.parallel - 1
-	var (
-		wg        sync.WaitGroup
-		levelCh   chan level
-		panicMu   sync.Mutex
-		panicked  bool
-		panicVal  any
-		notePanic = func(r any) {
-			panicMu.Lock()
-			if !panicked {
-				panicked, panicVal = true, r
-			}
-			panicMu.Unlock()
-		}
-	)
-	if spares > 0 {
-		levelCh = make(chan level)
-		defer close(levelCh)
-		for w := 0; w < spares; w++ {
-			go func() {
-				for lv := range levelCh {
-					func() {
-						defer func() {
-							if r := recover(); r != nil {
-								notePanic(r)
-							}
-						}()
-						compute(lv)
-					}()
-					wg.Done()
-				}
-			}()
-		}
-	}
+type noLock struct{}
 
-	for d := len(levels) - 1; d >= 1; d-- {
-		nodes := levels[d]
-		// Compute phase. Tiny levels (the funnel near the root) skip the
-		// pool: dispatch costs more than the work.
-		var next int64
-		lv := level{nodes: nodes, next: &next}
-		fan := spares
-		if max := len(nodes) - 1; fan > max {
-			fan = max
-		}
-		if fan > 0 {
-			wg.Add(fan)
-			for w := 0; w < fan; w++ {
-				levelCh <- lv
-			}
-		}
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					notePanic(r)
-				}
-			}()
-			compute(lv)
-		}()
-		wg.Wait()
-		if panicked {
-			panic(panicVal)
-		}
-		// Commit phase: sequential, in ascending id = post-order position.
-		// Consecutive nodes often share a parent, so the parent-accumulator
-		// lookup is batched across the run of siblings.
-		var lastParent model.NodeID
-		var lastAcc *model.View
-		for j, node := range nodes {
-			s := &slots[j]
-			if s.send && n.Alive(node) {
-				if n.SendUp(node, kind, e, s.enc) {
-					parent := n.Tree.Parent[node]
-					if lastAcc == nil || parent != lastParent {
-						lastParent, lastAcc = parent, n.sweep.acc[parent]
-					}
-					lastAcc.MergeView(s.out)
-				}
-			}
-			if s.out != nil && s.out != s.local {
-				model.ReleaseView(s.out)
-			}
-			s.local, s.out, s.send = nil, nil, false
-		}
+func (noLock) Lock()   {}
+func (noLock) Unlock() {}
+
+// sweep is one Sweep call: its arguments, and for the level-synchronous
+// form the level in flight and the worker pool computing it.
+type sweep struct {
+	n        *Network
+	f        *SweepFrame
+	e        model.Epoch
+	kind     radio.MsgKind
+	readings map[model.NodeID]model.Reading
+	prune    func(node model.NodeID, v *model.View) *model.View
+
+	nodes []model.NodeID // the level in flight
+	base  int            // position of nodes[0]
+	next  atomic.Int64   // steal cursor into nodes
+
+	// Spare workers park on work between levels (one token per worker per
+	// level) and exit when it closes. They start with the first level wide
+	// enough to share; the sweeping goroutine steals too, so Parallel() is
+	// the total compute concurrency.
+	work     chan struct{}
+	wg       sync.WaitGroup
+	panicMu  sync.Mutex
+	panicked bool
+	panicVal any
+}
+
+// A node's compute costs well under a microsecond; waking a parked worker
+// costs tens of them on a virtualized host. So workers take nodes off a
+// level stealChunk at a time, and a level wakes one spare per shareNodes
+// nodes it holds beyond the first — narrow levels (the funnel near the root,
+// all of a small deployment) stay on the caller.
+const (
+	stealChunk = 16
+	shareNodes = 256
+)
+
+// compute is the local half of a node's turn: fold its reading into its
+// accumulator, prune, and encode the view to transmit into enc, which is
+// returned (possibly grown).
+func (s *sweep) compute(pos int, node model.NodeID, enc []byte) []byte {
+	fn := &s.f.nodes[pos]
+	if r, ok := s.readings[node]; ok {
+		fn.acc.Add(r)
 	}
-	// Level 0 is the root alone: merge its own reading and hand the merged
-	// view to the caller, as the sequential walk's final iteration does.
-	if len(levels) == 0 || len(levels[0]) != 1 || levels[0][0] != n.Tree.Root {
-		panic("sim: level index does not end at the root")
+	fn.out = fn.acc
+	if s.prune != nil {
+		fn.out = s.prune(node, fn.acc)
 	}
-	v := n.sweep.acc[n.Tree.Root]
-	if r, ok := readings[n.Tree.Root]; ok {
+	fn.send = fn.out != nil && fn.out.Len() > 0
+	if fn.send {
+		enc = model.AppendView(enc[:0], fn.out)
+	}
+	return enc
+}
+
+// commit is the order-sensitive half: the transmission with all its
+// accounting and, when it is delivered, the merge into the parent.
+func (s *sweep) commit(pos int, node model.NodeID, enc []byte) {
+	fn := &s.f.nodes[pos]
+	if fn.send && s.n.Alive(node) && s.n.SendUp(node, s.kind, s.e, enc) {
+		s.f.nodes[s.f.idx.Parent[pos]].acc.MergeView(fn.out)
+	}
+	if fn.out != fn.acc {
+		model.ReleaseView(fn.out)
+	}
+	fn.out = nil
+}
+
+// root finishes the sweep at level 0, the root alone: merge its own reading
+// and hand the merged view to the caller.
+func (s *sweep) root() *model.View {
+	levels := s.f.idx.Levels
+	if len(levels) == 0 || len(levels[0]) != 1 || levels[0][0] != s.n.Tree.Root {
+		panic("sim: level index does not start at the root")
+	}
+	v := s.f.nodes[0].acc
+	if r, ok := s.readings[s.n.Tree.Root]; ok {
 		v.Add(r)
 	}
 	return v
+}
+
+// computeLevel runs a level's compute phase on up to spares workers beside
+// the caller. A panic in any worker (a prune callback's) is re-raised here.
+func (s *sweep) computeLevel(nodes []model.NodeID, base, spares int) {
+	s.nodes, s.base = nodes, base
+	s.next.Store(0)
+	fan := (len(nodes) - 1) / shareNodes
+	if fan > spares {
+		fan = spares
+	}
+	if fan > 0 {
+		if s.work == nil {
+			s.work = make(chan struct{})
+			for w := 0; w < spares; w++ {
+				go s.spare()
+			}
+		}
+		s.wg.Add(fan)
+		for w := 0; w < fan; w++ {
+			s.work <- struct{}{}
+		}
+	}
+	s.steal()
+	s.wg.Wait()
+	if s.panicked {
+		panic(s.panicVal)
+	}
+}
+
+func (s *sweep) spare() {
+	for range s.work {
+		s.steal()
+		s.wg.Done()
+	}
+}
+
+func (s *sweep) stopSpares() {
+	if s.work != nil {
+		close(s.work)
+	}
+}
+
+// steal computes chunks of the level in flight until none are left.
+func (s *sweep) steal() {
+	defer func() {
+		if r := recover(); r != nil {
+			s.panicMu.Lock()
+			if !s.panicked {
+				s.panicked, s.panicVal = true, r
+			}
+			s.panicMu.Unlock()
+		}
+	}()
+	for {
+		hi := int(s.next.Add(stealChunk))
+		lo := hi - stealChunk
+		if lo >= len(s.nodes) {
+			return
+		}
+		if hi > len(s.nodes) {
+			hi = len(s.nodes)
+		}
+		for j := lo; j < hi; j++ {
+			fn := &s.f.nodes[s.base+j]
+			fn.enc = s.compute(s.base+j, s.nodes[j], fn.enc)
+		}
+	}
+}
+
+// commitLevel replays the level's transmissions in ascending id, which is
+// their post-order position.
+func (s *sweep) commitLevel(commit sync.Locker) {
+	commit.Lock()
+	defer commit.Unlock()
+	for j, node := range s.nodes {
+		s.commit(s.base+j, node, s.f.nodes[s.base+j].enc)
+	}
 }
 
 // ChargeSense charges one sensing operation to a node.

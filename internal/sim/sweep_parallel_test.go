@@ -9,21 +9,45 @@ import (
 	"kspot/internal/trace"
 )
 
+// field is a deployment topology for the sweep tests, built once and
+// shared by the networks of every run (sweeps only read it).
+type field struct {
+	p     *topo.Placement
+	links *topo.Links
+	tree  *topo.Tree
+}
+
+func newField(t *testing.T, rooms, perRoom int, radius float64) field {
+	t.Helper()
+	p := topo.Rooms(rooms, perRoom, 12, 77)
+	links := topo.DiskLinks(p, radius)
+	tree, err := topo.BuildTree(p, links)
+	if err != nil {
+		t.Fatalf("build tree: %v", err)
+	}
+	return field{p, links, tree}
+}
+
+// deepField is 120 nodes over 7 narrow levels: the level-synchronous order
+// alone, no level is wide enough to wake a spare worker.
+func deepField(t *testing.T) field { return newField(t, 12, 10, 25) }
+
+// wideField is 1600 nodes in two levels of 874 and 726: every level is
+// shared with up to three spares (shareNodes).
+func wideField(t *testing.T) field { return newField(t, 16, 100, 40) }
+
 // sweepRun drives epochs of lossy, budget-constrained sweeps at a given
 // worker count and returns the concatenated encoded root views plus the
 // final accounting snapshot — the byte-identity fingerprint of the run.
-func sweepRun(t *testing.T, workers, epochs int, prune func(model.NodeID, *model.View) *model.View) ([]byte, Snapshot, float64) {
+func sweepRun(t *testing.T, fd field, workers, epochs int, prune func(model.NodeID, *model.View) *model.View) ([]byte, Snapshot, float64) {
 	t.Helper()
-	p := topo.Rooms(12, 10, 12, 77)
 	opts := DefaultOptions()
 	opts.Radio.LossRate = 0.08 // rng draw order must survive parallelism
 	opts.Radio.Seed = 42
 	opts.BudgetJoules = 0.004 // tight: some nodes die mid-run
 	opts.Parallel = workers
-	n, err := New(p, 25, opts)
-	if err != nil {
-		t.Fatalf("build network: %v", err)
-	}
+	p := fd.p
+	n := FromTree(p, fd.links, fd.tree, opts)
 	src := trace.NewRoomActivity(9, p.Groups, 12)
 	var roots []byte
 	for e := model.Epoch(0); e < model.Epoch(epochs); e++ {
@@ -63,20 +87,28 @@ func TestSweepParallelByteIdentity(t *testing.T) {
 			return v
 		},
 	}
+	fields := map[string]field{"deep": deepField(t), "wide": wideField(t)}
 	for name, prune := range prunes {
 		t.Run(name, func(t *testing.T) {
-			wantRoots, wantSnap, wantUJ := sweepRun(t, 1, 25, prune)
-			for _, workers := range []int{2, 3, 8} {
-				roots, snap, uj := sweepRun(t, workers, 25, prune)
-				if !bytes.Equal(roots, wantRoots) {
-					t.Errorf("workers=%d: root views diverge from sequential", workers)
-				}
-				if snap != wantSnap {
-					t.Errorf("workers=%d: accounting %+v, want %+v", workers, snap, wantSnap)
-				}
-				if uj != wantUJ {
-					t.Errorf("workers=%d: ledger %.6f µJ, want %.6f µJ", workers, uj, wantUJ)
-				}
+			for fname, fd := range fields {
+				t.Run(fname, func(t *testing.T) {
+					wantRoots, wantSnap, wantUJ := sweepRun(t, fd, 1, 25, prune)
+					if wantSnap.Drops == 0 {
+						t.Fatal("no frame was dropped: the run does not exercise the loss draws")
+					}
+					for _, workers := range []int{2, 3, 8} {
+						roots, snap, uj := sweepRun(t, fd, workers, 25, prune)
+						if !bytes.Equal(roots, wantRoots) {
+							t.Errorf("workers=%d: root views diverge from sequential", workers)
+						}
+						if snap != wantSnap {
+							t.Errorf("workers=%d: accounting %+v, want %+v", workers, snap, wantSnap)
+						}
+						if uj != wantUJ {
+							t.Errorf("workers=%d: ledger %.6f µJ, want %.6f µJ", workers, uj, wantUJ)
+						}
+					}
+				})
 			}
 		})
 	}
@@ -84,16 +116,14 @@ func TestSweepParallelByteIdentity(t *testing.T) {
 
 // TestSweepParallelPrunePanicPropagates pins that a panic inside a prune
 // callback surfaces on the sweeping goroutine (not a worker crash) for both
-// the sequential and parallel paths.
+// the sequential and parallel paths — on the wide field, where every
+// worker of the pool panics.
 func TestSweepParallelPrunePanicPropagates(t *testing.T) {
+	fd := wideField(t)
 	for _, workers := range []int{1, 4} {
-		p := topo.Rooms(4, 5, 12, 77)
 		opts := DefaultOptions()
 		opts.Parallel = workers
-		n, err := New(p, 30, opts)
-		if err != nil {
-			t.Fatalf("build network: %v", err)
-		}
+		n := FromTree(fd.p, fd.links, fd.tree, opts)
 		func() {
 			defer func() {
 				if recover() == nil {

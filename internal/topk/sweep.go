@@ -9,8 +9,8 @@ import (
 // Sweep runs one TAG-style leaf-to-root acquisition sweep on the given
 // substrate — see engine.Transport.Sweep for the contract. It exists so
 // operator code reads symmetrically with InstallQuery and SenseEpoch; the
-// actual execution (post-order loop on the simulator, goroutine fan-in on
-// the live deployment) belongs to the transport.
+// actual execution (the post-order walk, or its level-synchronous form on
+// a worker pool) belongs to the transport.
 func Sweep(t engine.Transport, e model.Epoch, kind radio.MsgKind,
 	readings map[model.NodeID]model.Reading,
 	prune func(node model.NodeID, v *model.View) *model.View) *model.View {

@@ -200,6 +200,24 @@ func TestLevelsMatchPostOrder(t *testing.T) {
 				t.Fatalf("levels concat diverges from post-order at %d: %d vs %d", i, cat[i], post[i])
 			}
 		}
+		// The dense numbering runs root-first over the same levels and maps
+		// every position to its tree parent's position.
+		idx := tree.LevelIndex()
+		var byPos []model.NodeID
+		for d, lv := range levels {
+			if idx.Start[d] != len(byPos) {
+				t.Fatalf("level %d starts at position %d, want %d", d, idx.Start[d], len(byPos))
+			}
+			byPos = append(byPos, lv...)
+		}
+		if len(idx.Parent) != len(byPos) || idx.Parent[0] != -1 {
+			t.Fatalf("index numbers %d nodes (root parent %d), want %d (-1)", len(idx.Parent), idx.Parent[0], len(byPos))
+		}
+		for pos, id := range byPos[1:] {
+			if got := byPos[idx.Parent[pos+1]]; got != tree.Parent[id] {
+				t.Fatalf("position %d (node %d): indexed parent %d, tree parent %d", pos+1, id, got, tree.Parent[id])
+			}
+		}
 	}
 	check()
 	// Structural mutation must invalidate the cache, like post/pre.

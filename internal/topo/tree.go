@@ -75,9 +75,21 @@ type Tree struct {
 	post, pre []model.NodeID
 
 	// levels caches the per-depth slices of PostOrder (levels[d] holds the
-	// depth-d nodes in ascending id order) for the level-synchronous sweep.
-	// Invalidated together with post/pre.
+	// depth-d nodes in ascending id order) for the level-synchronous sweep,
+	// and index the dense numbering built over them. Invalidated together
+	// with post/pre.
 	levels [][]model.NodeID
+	index  *LevelIndex
+}
+
+// LevelIndex numbers the tree's nodes densely, root first and level by
+// level: the node Levels[d][j] has position Start[d]+j. A sweep lays its
+// per-node scratch out by position, so the epoch hot path indexes slices
+// where it would otherwise hash node ids. Shared and read-only.
+type LevelIndex struct {
+	Levels [][]model.NodeID // Tree.Levels()
+	Start  []int            // position of each level's first node
+	Parent []int32          // position of each node's tree parent; -1 for the root
 }
 
 // BuildTree runs the first-heard BFS tree construction of TAG: the sink
@@ -195,8 +207,31 @@ func (t *Tree) Levels() [][]model.NodeID {
 	return t.levels
 }
 
+// LevelIndex returns the dense numbering over Levels. Like the traversal
+// orders it is built on first use and cached until the tree is mutated.
+func (t *Tree) LevelIndex() *LevelIndex {
+	if t.index == nil {
+		levels := t.Levels()
+		idx := &LevelIndex{Levels: levels, Start: make([]int, len(levels)), Parent: make([]int32, 0, len(t.Depth))}
+		pos := make(map[model.NodeID]int32, len(t.Depth))
+		for d, lv := range levels {
+			idx.Start[d] = len(idx.Parent)
+			for _, id := range lv {
+				pos[id] = int32(len(idx.Parent))
+				parent := int32(-1)
+				if d > 0 {
+					parent = pos[t.Parent[id]] // one level up: already numbered
+				}
+				idx.Parent = append(idx.Parent, parent)
+			}
+		}
+		t.index = idx
+	}
+	return t.index
+}
+
 // invalidateOrders drops the cached traversals after structural mutation.
-func (t *Tree) invalidateOrders() { t.post, t.pre, t.levels = nil, nil, nil }
+func (t *Tree) invalidateOrders() { t.post, t.pre, t.levels, t.index = nil, nil, nil, nil }
 
 // Subtree returns the set of nodes in the subtree rooted at n (inclusive).
 func (t *Tree) Subtree(n model.NodeID) map[model.NodeID]bool {

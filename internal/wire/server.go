@@ -32,11 +32,12 @@ type ServerConfig struct {
 	Scenario *config.Scenario
 	// Shard is this server's shard index into the scenario's shard list.
 	Shard int
-	// Parallel bounds the deterministic epoch sweep's worker count
-	// (kspot.WithParallel); 0/1 is the exact sequential walk.
+	// Parallel bounds the epoch sweep's worker count on either substrate
+	// (kspot.WithParallel); 0/1 is the exact sequential walk on the
+	// deterministic one.
 	Parallel int
-	// Live runs the shard on the concurrent substrate (one goroutine per
-	// sensor node) instead of the deterministic simulator. Answers and
+	// Live runs the shard on the concurrent substrate (engine.Live)
+	// instead of the deterministic simulator. Answers and
 	// counters are pinned identical across substrates, so the coordinator
 	// cannot tell the difference.
 	Live bool

@@ -121,9 +121,9 @@ const (
 // (internal/topk/fed) whose answers are provably identical to running one
 // flat network. Queries run on one of two substrates of the same engine
 // layer (see DESIGN.md): the deterministic simulator (default) or the
-// concurrent live deployment (PostWith ... WithLive()), which runs one
-// goroutine per sensor node and serves every live cursor from a shared
-// per-shard epoch sweep.
+// concurrent live deployment (PostWith ... WithLive()), which lets any
+// number of queries sweep one network at once and serves every live cursor
+// from a shared per-shard epoch.
 type System struct {
 	scenario   *config.Scenario
 	shardScens []*config.Scenario // per-shard sub-deployments; [0] == scenario when flat
@@ -240,9 +240,11 @@ func WithDataDir(dir string) OpenOption {
 // epoch sweep on the deterministic substrate. 0 and 1 select the exact
 // legacy sequential walk; N > 1 computes each routing-tree level with up
 // to N workers, with answers, messages, frames, bytes and the energy
-// ledger byte-identical for every value (the live substrate is inherently
-// concurrent and is unaffected). Defaults to sequential; cmd/kspot-sim
-// and cmd/kspotd default their -parallel flag to the machine's CPU count.
+// ledger byte-identical for every value. The live substrate runs the same
+// level-synchronous sweep under the same bound (there 0 and 1 mean no
+// spare workers, not a different walk). Defaults to sequential;
+// cmd/kspot-sim and cmd/kspotd default their -parallel flag to the
+// machine's CPU count.
 func WithParallel(workers int) OpenOption {
 	return func(c *openConfig) { c.parallel = workers }
 }
@@ -399,13 +401,14 @@ func WithFaults(cfg FaultConfig) PostOption {
 	return func(c *postConfig) { c.faults = &cfg }
 }
 
-// WithLive deploys the query on the concurrent substrate: one goroutine
-// per sensor node, views passed over channels, the identical operator
-// logic (the engine's equivalence tests pin answers and message counts to
-// the deterministic substrate). All live cursors of a System share one
+// WithLive deploys the query on the concurrent substrate: the same network
+// state machine and the same sweep as the deterministic one, safe for any
+// number of queries at once and with a history window per node (the
+// engine's equivalence tests pin answers and every counter to the
+// deterministic substrate). All live cursors of a System share one
 // deployment and advance in epoch lock-step — the epoch is sensed once no
 // matter how many queries are posted — and Step is safe to call from
-// concurrent goroutines. Call Close when done to stop the node goroutines.
+// concurrent goroutines. Call Close when done to stop the deployment.
 func WithLive() PostOption { return func(c *postConfig) { c.live = true } }
 
 // WithLiveWindow sets the live deployment's per-node history buffer
@@ -642,7 +645,7 @@ func (s *System) liveState() ([]engine.Transport, *engine.Scheduler) {
 
 // beginLiveRun snapshots the live deployment for a one-shot historic
 // execution AND registers the run so a concurrent Close waits it out
-// before stopping the node goroutines. The check and the registration
+// before stopping the live deployment. The check and the registration
 // share one critical section — snapshotting first and registering later
 // would leave a window where Close tears the substrate down under a run
 // that already holds its transports. release must be called when the run
@@ -657,7 +660,7 @@ func (s *System) beginLiveRun() (tps []engine.Transport, sched *engine.Scheduler
 	return s.liveTPs, s.sched, func() { s.liveRuns.Done() }, nil
 }
 
-// Close stops the live deployment's node goroutines, if any were started,
+// Close stops the live deployment, if one was started,
 // and drops every remote shard connection on a remote deployment (frames
 // in flight are interrupted; their cursors' Steps return an error).
 // In-flight Steps complete first on the live substrate; later Steps on
