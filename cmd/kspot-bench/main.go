@@ -8,17 +8,13 @@
 //	kspot-bench -exp all          # run everything (the default)
 //	kspot-bench -exp e7 -scale .2 # quick run at reduced size
 //
-// Benchmark trajectory (machine-readable, see BENCH_PR10.json, which
-// carries the PR 3-9 trajectory forward; PR 7 — the wire transport —
-// recorded no trajectory run, so the file jumps from pr6 to pr8; PR 9
-// added the wire-epoch-* rounds_per_epoch / wire_bytes_per_epoch entries
-// (only wire-epoch-batched is still measured; the per-call protocol the
-// other two timed is deleted, their recorded runs stay as history);
-// PR 10 adds store-recovery (recovery_ms) and reshard-downtime
-// (resharding_downtime_epochs) for the durable tier):
+// Benchmark trajectory (machine-readable: BENCH.json, one file keyed by
+// run name — pre-pr3-baseline, pr3 … pr10, then whatever -json-run names;
+// EXPERIMENTS.md's "Benchmark trajectory" section says what each recorded
+// run added):
 //
-//	kspot-bench -json -scale 0.1            # measure and merge into BENCH_PR10.json
-//	kspot-bench -json -json-run pr11        # record under a new run name
+//	kspot-bench -json -scale 0.1            # measure and merge into BENCH.json as run "local"
+//	kspot-bench -json -json-run pr15        # record under a run name of your choosing
 //	kspot-bench -json -json-out other.json  # write elsewhere
 //	kspot-bench -json -parallel 8           # add the parallel-sweep speedup leg
 //
@@ -26,8 +22,8 @@
 // and messages per epoch), the µs-per-node-per-epoch scale series (the big
 // sizes are gated on -scale; -parallel > 1 adds the parallel-vs-sequential
 // speedup entry) plus one timed pass of every experiment, and merges the
-// result into the trajectory file without disturbing runs recorded by
-// earlier PRs.
+// result into the trajectory file without disturbing the runs already
+// recorded there.
 //
 // Profiling the harness itself:
 //
@@ -54,8 +50,8 @@ func main() {
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile after the run to this file")
 		emitJSON   = flag.Bool("json", false, "measure benchmarks and merge into the JSON trajectory file")
-		jsonOut    = flag.String("json-out", "BENCH_PR10.json", "trajectory file -json writes")
-		jsonRun    = flag.String("json-run", "pr10", "run name -json records the measurement under")
+		jsonOut    = flag.String("json-out", "BENCH.json", "trajectory file -json writes")
+		jsonRun    = flag.String("json-run", "local", "run name -json records the measurement under")
 	)
 	flag.Parse()
 

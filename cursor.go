@@ -28,15 +28,12 @@ type Cursor struct {
 
 	merger *fed.Merger // nil on flat deployments
 
-	// Continuous cursors are seats on a shared lock-step scheduler — the
-	// System's deterministic scheduler, its live scheduler, or the remote
-	// coordinator's scheduled tier. Cursors whose queries share a sensing
+	// A continuous cursor is a seat on its tier's lock-step scheduler,
+	// whatever the tier's shards are. Cursors whose queries share a sensing
 	// signature (groupKey) ride ONE in-network acquisition per epoch; the
 	// cursor's own merge and TOP-K cut run above the shared view.
-	tps   []engine.Transport
-	sched *engine.Scheduler
-	sq    *engine.ScheduledQuery
-	rq    *engine.RemoteQuery
+	tier *tier
+	sq   *engine.ScheduledQuery
 
 	// groupKey is the shared-acquisition key this cursor scheduled under
 	// (resolved algorithm + the plan's SenseKey); tenant/admitted record
@@ -73,25 +70,6 @@ func (c *Cursor) Continuous() bool {
 	return c.plan.Kind != query.PlanHistoricTopK
 }
 
-// transports returns the shard substrates this cursor's traffic runs on
-// (behind the fault injectors when an environment is armed).
-func (c *Cursor) transports() ([]engine.Transport, error) {
-	if !c.live {
-		if c.tps == nil {
-			c.tps = c.sys.detTransports()
-		}
-		return c.tps, nil
-	}
-	if c.tps == nil {
-		tps, sched := c.sys.liveState()
-		if tps == nil {
-			return nil, fmt.Errorf("kspot: system is closed")
-		}
-		c.tps, c.sched = tps, sched
-	}
-	return c.tps, nil
-}
-
 func (c *Cursor) prepare() error {
 	switch c.plan.Kind {
 	case query.PlanHistoricTopK:
@@ -110,21 +88,19 @@ func (c *Cursor) prepare() error {
 		}
 	}
 	algo := c.resolvedAlgo()
-	if c.sys.Remote() {
-		return c.prepareRemote(algo)
+	// Validate the name here so a bad algorithm fails the Post, not the
+	// first Step in some shard process.
+	if _, err := snapshotOperator(algo); err != nil {
+		return err
 	}
-	tps, err := c.transports()
+	// Every continuous cursor of a tier shares its lock-step scheduler:
+	// the epoch is sensed once however many queries are posted, and
+	// same-signature queries share one acquisition.
+	t, err := c.sys.tierOf(c.live)
 	if err != nil {
 		return err
 	}
-	if !c.live {
-		// Deterministic snapshot cursors share the System's lock-step
-		// scheduler, exactly like live cursors share theirs: the epoch is
-		// sensed once however many queries are posted, and same-signature
-		// queries share one acquisition.
-		c.sched = c.sys.detScheduler()
-	}
-	if len(tps) > 1 {
+	if t.sched.Shards() > 1 {
 		m, err := fed.New(c.plan.Snapshot, fed.Config{}, c.sys.fedStats)
 		if err != nil {
 			return err
@@ -133,87 +109,91 @@ func (c *Cursor) prepare() error {
 	}
 
 	// Schedule under the sensing signature. The first query of a signature
-	// attaches the operators; later ones join its in-network acquisition,
-	// widening it first when they need a deeper ranking than it was
-	// attached at. Group bookkeeping (existence, acquired depth) is
-	// serialized across posts and closes by groupMu.
+	// attaches its own plan on every shard — in-process the operator
+	// itself, over the wire the SQL each shard process re-derives the
+	// identical operator from (internal/topk/registry) — and later ones
+	// join that in-network acquisition, re-attaching it at their own K
+	// first when they need a deeper ranking than it was attached at. Group
+	// bookkeeping is serialized across posts and closes by groupMu.
 	key := string(algo) + "|" + c.plan.SenseKey
-	spec := engine.QuerySpec{Key: key, Merge: c.mergeFunc(), CutK: c.cutK()}
-	c.sys.groupMu.Lock()
-	defer c.sys.groupMu.Unlock()
-	capKey := c.capKeyFor(key)
-	if c.sched.GroupSize(key) == 0 || c.plan.Snapshot.K > c.sys.groupCaps[capKey] {
-		ops := make([]engine.EpochRunner, len(tps))
-		for i, tp := range tps {
-			op, err := snapshotOperator(algo)
-			if err != nil {
-				return err
-			}
-			if err := op.Attach(tp, c.plan.Snapshot); err != nil {
-				return err
-			}
-			ops[i] = op
+	gk := c.groupKeyFor(key)
+	s := c.sys
+	s.groupMu.Lock()
+	defer s.groupMu.Unlock()
+	st := s.groups[gk]
+	if st == nil || c.plan.Snapshot.K > st.cap {
+		next := &groupState{id: s.nextQueryID(), cap: c.plan.Snapshot.K, algo: algo, plan: c.plan}
+		err := s.attachGroup(t, s.remotes, next)
+		if err == nil && st != nil {
+			err = t.sched.RepointGroup(key, next.id)
 		}
-		if c.sched.GroupSize(key) == 0 {
-			spec.Ops = ops
-			if c.plan.Kind == query.PlanHistoricGroupTopK {
-				spec.Src = c.source()
-			}
-		} else if err := c.sched.WidenGroup(key, ops); err != nil {
+		if err != nil {
+			s.detachGroup(t, next.id)
 			return err
 		}
-		c.sys.groupCaps[capKey] = c.plan.Snapshot.K
+		s.swapGroup(t, gk, next)
+		st = next
 	}
-	c.sq = c.sched.Schedule(spec)
-	c.groupKey = key
+	c.tier, c.groupKey = t, key
+	c.sq = t.sched.Schedule(engine.QuerySpec{Key: key, Query: st.id, Merge: c.mergeFunc(), CutK: c.cutK()})
 	return nil
 }
 
-// prepareRemote schedules the cursor on the remote coordinator's lock-step
-// tier. Remote shards plan the SQL and instantiate the operator in their
-// own process (internal/topk/registry maps the algorithm name to the
-// identical implementation); the coordinator attaches ONE wire query per
-// sensing signature and every same-signature cursor's epochs acquire it.
-func (c *Cursor) prepareRemote(algo Algorithm) error {
-	// Validate the name here so a bad algorithm fails the Post, not the
-	// first Step.
-	if _, err := snapshotOperator(algo); err != nil {
-		return err
+// attachGroup attaches a group's acquisition on every shard of the tier
+// under the group's id: in-process, an operator bound to each shard's
+// transport; on a remote deployment, the plan's SQL sent to each of
+// clients. GROUP BY ... WITH HISTORY plans filter locally first (§III-B):
+// each node's "reading" is the aggregate of its buffered window ending at
+// the current epoch (trace.WindowAgg — remote shard servers derive the
+// same source from the SQL, so the override readings match across
+// substrates bit for bit).
+func (s *System) attachGroup(t *tier, clients []*wire.Client, g *groupState) error {
+	for _, cl := range clients {
+		if err := cl.Attach(g.id, string(g.algo), g.plan.Query); err != nil {
+			return err
+		}
 	}
-	key := string(algo) + "|" + c.plan.SenseKey
-	c.sys.groupMu.Lock()
-	defer c.sys.groupMu.Unlock()
-	if len(c.sys.remotes) > 1 {
-		m, err := fed.New(c.plan.Snapshot, fed.Config{}, c.sys.fedStats)
+	var src trace.Source
+	if g.plan.Kind == query.PlanHistoricGroupTopK {
+		src = trace.WindowAgg(s.source, g.plan.History, g.plan.Snapshot.Agg)
+	}
+	for _, d := range t.deps {
+		op, err := snapshotOperator(g.algo)
 		if err != nil {
 			return err
 		}
-		c.merger = m
-	}
-	st := c.sys.remoteKeys[key]
-	if st == nil || c.plan.Snapshot.K > st.cap {
-		// First query of the signature, or one needing a deeper ranking
-		// than the group was attached at: attach this cursor's own plan on
-		// every shard (its K is the new widest) and point the group at it.
-		rqid := c.sys.nextQueryID()
-		for _, cl := range c.sys.remotes {
-			if err := cl.Attach(rqid, string(c.wireAlgo()), c.plan.Query); err != nil {
-				return err
-			}
+		if err := op.Attach(d.Transport(), g.plan.Snapshot); err != nil {
+			return err
 		}
-		if st == nil {
-			st = &remoteKeyState{rqid: rqid, cap: c.plan.Snapshot.K, algo: string(c.wireAlgo()), sql: c.plan.Query}
-			c.sys.remoteKeys[key] = st
-		} else {
-			if err := c.sys.rcoord.WidenGroup(key, rqid); err != nil {
-				return err
-			}
-			st.rqid, st.cap, st.algo, st.sql = rqid, c.plan.Snapshot.K, string(c.wireAlgo()), c.plan.Query
-		}
+		d.Attach(g.id, op, src)
 	}
-	c.rq = c.sys.rcoord.Schedule(key, st.rqid, c.mergeFunc(), c.cutK())
-	c.groupKey = key
 	return nil
+}
+
+// detachGroup releases an attachment on every shard of the tier. Best
+// effort on a remote deployment: a shard that cannot be reached to forget
+// a query is one the next Step reports anyway.
+func (s *System) detachGroup(t *tier, id uint32) {
+	for _, d := range t.deps {
+		d.Detach(id)
+	}
+	for _, cl := range s.remotes {
+		cl.Detach(id)
+	}
+}
+
+// swapGroup points a group's bookkeeping at its new attachment — nil when
+// the group dissolved — and releases the one it replaces on every shard:
+// the single place an attachment is let go. Callers hold groupMu.
+func (s *System) swapGroup(t *tier, groupKey string, next *groupState) {
+	if old := s.groups[groupKey]; old != nil {
+		s.detachGroup(t, old.id)
+	}
+	if next == nil {
+		delete(s.groups, groupKey)
+	} else {
+		s.groups[groupKey] = next
+	}
 }
 
 // resolvedAlgo folds the algorithm the query actually runs on: basic
@@ -230,10 +210,6 @@ func (c *Cursor) resolvedAlgo() Algorithm {
 	return c.algo
 }
 
-// wireAlgo is the algorithm name sent on the wire Attach: the resolved
-// name, which every shard's registry maps to the identical operator.
-func (c *Cursor) wireAlgo() Algorithm { return c.resolvedAlgo() }
-
 // cutK is this cursor's own TOP-K depth — the per-tenant cut applied above
 // the (possibly wider) shared acquisition. 0 for plans without a TOP
 // clause: they keep the full ranking.
@@ -246,10 +222,10 @@ func (c *Cursor) cutK() int {
 	}
 }
 
-// capKeyFor prefixes an acquisition key with the cursor's substrate: the
-// det and live schedulers keep separate groups, so their acquired-depth
-// bookkeeping must not collide in the System's shared map.
-func (c *Cursor) capKeyFor(key string) string {
+// groupKeyFor prefixes an acquisition key with the cursor's tier: the det
+// and live schedulers keep separate groups, so their bookkeeping must not
+// collide in the System's shared map.
+func (c *Cursor) groupKeyFor(key string) string {
 	if c.live {
 		return "live|" + key
 	}
@@ -258,26 +234,21 @@ func (c *Cursor) capKeyFor(key string) string {
 
 // Close detaches the cursor from its scheduler seat and releases its
 // admission slot. The last cursor of a shared-acquisition group dissolves
-// the group (a later same-signature post re-attaches fresh operators).
-// Safe to call multiple times; other cursors keep stepping undisturbed.
-// Historic (Run) cursors hold no seat — Close just frees admission.
+// the group — its attachment is released on every shard, and a later
+// same-signature post attaches afresh. Safe to call multiple times; other
+// cursors keep stepping undisturbed. Historic (Run) cursors hold no seat —
+// Close just frees admission.
 func (c *Cursor) Close() {
 	c.closeOnce.Do(func() {
 		s := c.sys
-		s.groupMu.Lock()
-		if c.sq != nil && c.sched != nil {
-			c.sched.Remove(c.sq)
-			if c.groupKey != "" && c.sched.GroupSize(c.groupKey) == 0 {
-				delete(s.groupCaps, c.capKeyFor(c.groupKey))
+		if c.sq != nil {
+			s.groupMu.Lock()
+			c.tier.sched.Remove(c.sq)
+			if c.tier.sched.GroupSize(c.groupKey) == 0 {
+				s.swapGroup(c.tier, c.groupKeyFor(c.groupKey), nil)
 			}
+			s.groupMu.Unlock()
 		}
-		if c.rq != nil {
-			s.rcoord.Remove(c.rq)
-			if c.groupKey != "" && s.rcoord.GroupSize(c.groupKey) == 0 {
-				delete(s.remoteKeys, c.groupKey)
-			}
-		}
-		s.groupMu.Unlock()
 		if c.admitted {
 			s.admission.Release(c.tenant)
 		}
@@ -298,54 +269,18 @@ func (c *Cursor) Step() (StepResult, error) {
 	return c.StepContext(context.Background())
 }
 
-// StepContext is Step with cancellation. On the live substrate a
-// cancelled step returns promptly while the in-flight epoch completes on
-// the deployment's own goroutines — its outcome is re-buffered, so the
-// next Step resumes the epoch stream without a gap and nothing leaks. On
-// the deterministic substrate cancellation is observed between epochs.
+// StepContext is Step with cancellation. A cancelled step returns promptly
+// while the in-flight epoch completes on the deployment's own goroutines —
+// its outcome is re-buffered, so the next Step resumes the epoch stream
+// without a gap and nothing leaks. On the in-process deterministic
+// substrate cancellation is observed between epochs. A shard loss on a
+// remote deployment surfaces here, on this cursor, tagged with the shard's
+// name — other cursors (and the other shards' state machines) continue.
 func (c *Cursor) StepContext(ctx context.Context) (StepResult, error) {
 	if !c.Continuous() {
 		return StepResult{}, fmt.Errorf("kspot: historic query %q executes with Run, not Step", c.plan.Query)
 	}
-	if c.live {
-		if _, err := c.transports(); err != nil {
-			return StepResult{}, err
-		}
-		out, err := c.sched.StepContext(ctx, c.sq)
-		if err != nil {
-			return StepResult{}, err
-		}
-		return c.result(out), nil
-	}
-	if c.sys.Remote() {
-		// Remote cursors advance on the remote coordinator's shared
-		// lock-step clock; every shard process senses once per epoch and
-		// acquires once per signature group over the wire. A shard loss
-		// surfaces here, on this cursor, tagged with the shard's name —
-		// other cursors (and the other shards' state machines) continue.
-		if err := ctx.Err(); err != nil {
-			return StepResult{}, err
-		}
-		out, err := c.sys.rcoord.Step(c.rq)
-		if err != nil {
-			return StepResult{}, err
-		}
-		if out.Err != nil {
-			return StepResult{}, out.Err
-		}
-		return c.result(out), nil
-	}
-	// Deterministic cursors advance on the System's shared scheduler.
-	// Cancellation is observed here, between epochs: once this cursor
-	// demands an epoch the deterministic substrate runs it to completion,
-	// so the stream can never skip an epoch.
-	if err := ctx.Err(); err != nil {
-		return StepResult{}, err
-	}
-	if _, err := c.transports(); err != nil {
-		return StepResult{}, err
-	}
-	out, err := c.sched.Step(c.sq)
+	out, err := c.tier.sched.StepContext(ctx, c.sq)
 	if err != nil {
 		return StepResult{}, err
 	}
@@ -364,18 +299,6 @@ func (c *Cursor) result(out engine.Outcome) StepResult {
 	}
 }
 
-// source returns the per-epoch reading source; GROUP BY ... WITH HISTORY
-// queries filter locally first (§III-B): each node's "reading" is the
-// aggregate of its buffered window ending at the current epoch
-// (trace.WindowAgg — remote shard servers derive the same source, so the
-// override readings match across substrates bit for bit).
-func (c *Cursor) source() trace.Source {
-	if c.plan.Kind == query.PlanHistoricGroupTopK {
-		return trace.WindowAgg(c.sys.source, c.plan.History, c.plan.Snapshot.Agg)
-	}
-	return c.sys.source
-}
-
 // Run executes a historic query over the last Window epochs of buffered
 // history (the simulator materializes each node's window through
 // storage.Window, standing in for the motes' MicroHash-indexed flash
@@ -391,53 +314,43 @@ func (c *Cursor) Run() ([]Answer, error) {
 	if c.sys.Remote() {
 		return c.runRemote()
 	}
-	var tps []engine.Transport
-	if c.live {
-		// One-shot runs bypass the scheduler's epoch lock-step, so they
-		// register with the System: Close waits registered runs out before
-		// stopping any shard's live deployment (a federated run must never
-		// find one shard's Live torn down mid-protocol).
-		liveTPs, sched, release, err := c.sys.beginLiveRun()
-		if err != nil {
-			return nil, err
-		}
-		defer release()
-		c.tps, c.sched = liveTPs, sched
-		tps = liveTPs
-	} else {
-		var err error
-		tps, err = c.transports()
-		if err != nil {
-			return nil, err
-		}
+	// One-shot runs bypass the scheduler's epoch lock-step, so on the live
+	// substrate they register with the System: Close waits registered runs
+	// out before stopping any shard's live deployment (a federated run must
+	// never find one shard's Live torn down mid-protocol).
+	t, release, err := c.sys.beginRun(c.live)
+	if err != nil {
+		return nil, err
 	}
-	if len(tps) == 1 {
+	defer release()
+	if len(t.deps) == 1 {
 		op, err := historicOperator(c.algo)
 		if err != nil {
 			return nil, err
 		}
-		data, err := c.bufferWindows(tps[0])
+		tp := t.deps[0].Transport()
+		data, err := c.bufferWindows(tp)
 		if err != nil {
 			return nil, err
 		}
-		return op.Run(tps[0], c.plan.Historic, data)
+		return op.Run(tp, c.plan.Historic, data)
 	}
 
-	// Federated: one historic shard execution per deployment, fanned out by
-	// the coordinator (concurrently on the live substrate), merged with the
-	// coordinator tier's threshold round.
-	coord := c.historicCoordinator(tps)
-	shards := make([]fed.HistoricShard, coord.Shards())
-	err := coord.RunShards(c.live, func(i int, d *engine.Deployment) error {
+	// Federated: one historic shard execution per deployment, built by the
+	// scheduler's shard fan-out, merged with the coordinator tier's
+	// threshold round.
+	shards := make([]fed.HistoricShard, len(t.deps))
+	err = t.sched.RunShards(func(i int, _ *engine.RemoteDeployment) error {
 		op, err := historicOperator(c.algo)
 		if err != nil {
 			return err
 		}
-		data, err := c.bufferWindows(d.Transport())
+		tp := t.deps[i].Transport()
+		data, err := c.bufferWindows(tp)
 		if err != nil {
 			return err
 		}
-		shards[i] = &fed.OperatorShard{Op: op, Tp: d.Transport(), Q: c.plan.Historic, Data: data}
+		shards[i] = &fed.OperatorShard{Op: op, Tp: tp, Q: c.plan.Historic, Data: data}
 		return nil
 	})
 	if err != nil {
@@ -457,8 +370,7 @@ func (c *Cursor) Run() ([]Answer, error) {
 // in phase 2 (fed.HistoricMerger, identical to the in-process federation,
 // so the merged ranking is byte-identical to the flat run). The whole
 // round runs serialized against epoch rounds: its per-shard calls must
-// not interleave another cursor's sense/acquire pair on the shard state
-// machines.
+// not interleave another cursor's epoch round on the shard state machines.
 func (c *Cursor) runRemote() ([]Answer, error) {
 	if _, err := historicOperator(c.algo); err != nil {
 		return nil, err
@@ -476,7 +388,7 @@ func (c *Cursor) runRemote() ([]Answer, error) {
 	}()
 	if len(execs) == 1 {
 		var answers []Answer
-		err := c.sys.rcoord.Serialized(func() error {
+		err := c.sys.det.sched.Serialized(func() error {
 			var err error
 			answers, err = execs[0].Run()
 			return err
@@ -492,7 +404,7 @@ func (c *Cursor) runRemote() ([]Answer, error) {
 		return nil, err
 	}
 	var answers []Answer
-	err = c.sys.rcoord.Serialized(func() error {
+	err = c.sys.det.sched.Serialized(func() error {
 		var err error
 		answers, err = m.Run(shards, true)
 		return err
@@ -509,19 +421,4 @@ func (c *Cursor) bufferWindows(tp engine.Transport) (topk.HistoricData, error) {
 		return nil, err
 	}
 	return topk.HistoricData(series), nil
-}
-
-// historicCoordinator returns the coordinator driving this cursor's
-// historic shard executions: the scheduler's on the live substrate (it
-// already holds the shard deployments), a private one over the
-// deterministic shard transports otherwise.
-func (c *Cursor) historicCoordinator(tps []engine.Transport) *engine.Coordinator {
-	if c.live {
-		return c.sched.Coordinator()
-	}
-	deps := make([]*engine.Deployment, len(tps))
-	for i, tp := range tps {
-		deps[i] = engine.NewDeployment(c.sys.scenario.ShardName(i), tp, c.sys.source)
-	}
-	return engine.NewCoordinator(deps...)
 }

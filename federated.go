@@ -3,14 +3,14 @@ package kspot
 // Remote federation: a PR 4/5 federated deployment as N+1 real processes.
 // Each shard runs inside its own kspotd -serve-shard process (or any
 // wire.Server host) on its own substrate; OpenFederated dials them and
-// builds a coordinator-only System whose cursors speak the framed TCP
-// protocol instead of calling into in-process shard networks. Everything
-// above the transport is unchanged — the same fed.Merger two-phase
-// snapshot merge and fed.HistoricMerger threshold round run at this
-// coordinator, on shard answers that crossed a socket instead of a struct
-// boundary — so answers and coordinator-tier counters stay byte-identical
-// to the in-process federated run, which is itself pinned byte-identical
-// to the flat run.
+// builds a coordinator-only System whose scheduler's shards are wire
+// clients instead of in-process deployments. Everything above the shard
+// contract is the same code — the one engine.Scheduler, the same
+// fed.Merger two-phase snapshot merge and fed.HistoricMerger threshold
+// round run at this coordinator, on shard answers that crossed a socket
+// instead of a struct boundary — so answers and coordinator-tier counters
+// stay byte-identical to the in-process federated run, which is itself
+// pinned byte-identical to the flat run.
 
 import (
 	"fmt"
@@ -83,8 +83,7 @@ func OpenFederated(s *Scenario, addrs []string, opts ...OpenOption) (*System, er
 		shardScens: shardScens,
 		schema:     query.DefaultSchema(),
 		fedStats:   &fed.Stats{},
-		groupCaps:  make(map[string]int),
-		remoteKeys: make(map[string]*remoteKeyState),
+		groups:     make(map[string]*groupState),
 	}
 	if cfg.admission != nil {
 		sys.admission = engine.NewAdmission(*cfg.admission)
@@ -95,7 +94,7 @@ func OpenFederated(s *Scenario, addrs []string, opts ...OpenOption) (*System, er
 		return nil, err
 	}
 	sys.remotes = clients
-	sys.rcoord = engine.NewRemoteCoordinator(deps...)
+	sys.det = &tier{sched: engine.NewShardScheduler(deps...)}
 	return sys, nil
 }
 
@@ -130,8 +129,9 @@ func dialShards(s *Scenario, shardScens []*Scenario, addrs []string, cfg openCon
 	return clients, deps, nil
 }
 
-// Remote reports whether this System coordinates remote shard processes.
-func (s *System) Remote() bool { return s.rcoord != nil }
+// Remote reports whether this System coordinates remote shard processes
+// (it holds no networks of its own).
+func (s *System) Remote() bool { return len(s.nets) == 0 }
 
 // remoteClients snapshots the shard client slice under groupMu — the slice
 // is swapped wholesale by a live re-sharding, so readers outside the group
@@ -157,8 +157,8 @@ func (s *System) WireMetrics() []wire.ClientMetrics {
 	return out
 }
 
-// nextQueryID allocates a deployment-unique id for a remote query or
-// historic execution.
+// nextQueryID allocates a System-unique id for an acquisition group's
+// attachment or a remote historic execution.
 func (s *System) nextQueryID() uint32 { return s.qidSeq.Add(1) }
 
 // ShardStats returns every shard's traffic/energy counters, in shard

@@ -189,8 +189,8 @@ func MeasureReshardDowntime(migrations int) (nsPerMigration, downtimeEpochs floa
 	if err != nil {
 		return 0, 0, err
 	}
-	coord := engine.NewRemoteCoordinator(cur.deps...)
-	rq := coord.Schedule("g", rqid, merger.Merge, q.K)
+	coord := engine.NewShardScheduler(cur.deps...)
+	rq := coord.Schedule(engine.QuerySpec{Key: "g", Query: rqid, Merge: merger.Merge, CutK: q.K})
 
 	// The background load: one query stepping flat-out — every epoch the
 	// clock runs during a migration ran on the old deployment.
@@ -206,13 +206,8 @@ func MeasureReshardDowntime(migrations int) (nsPerMigration, downtimeEpochs floa
 				return
 			default:
 			}
-			out, err := coord.Step(rq)
-			if err != nil {
+			if _, err := coord.Step(rq); err != nil {
 				stepErr = err
-				return
-			}
-			if out.Err != nil {
-				stepErr = out.Err
 				return
 			}
 		}
@@ -238,7 +233,7 @@ func MeasureReshardDowntime(migrations int) (nsPerMigration, downtimeEpochs floa
 			return 0, 0, err
 		}
 		start := time.Now()
-		before := coord.EpochNow()
+		before := coord.Epoch()
 		for _, cl := range next.clients {
 			if err := cl.Attach(rqid, algo, sql); err != nil {
 				next.close()
@@ -272,7 +267,7 @@ func MeasureReshardDowntime(migrations int) (nsPerMigration, downtimeEpochs floa
 			next.close()
 			return 0, 0, err
 		}
-		totalDown += int64(coord.EpochNow() - before)
+		totalDown += int64(coord.Epoch() - before)
 		totalNs += time.Since(start).Nanoseconds()
 		old := cur
 		cur = next

@@ -64,10 +64,11 @@ func RunFederatedMintEpochBench(b *testing.B) (txBytesPerEpoch, msgsPerEpoch, co
 	if err != nil {
 		b.Fatal(err)
 	}
-	coord := engine.NewCoordinator(deps...)
+	sched := engine.NewScheduler(deps...)
+	sq := sched.Add(ops, merger.Merge, nil)
 
-	if out := coord.Epoch(0, ops, nil, merger.Merge); out.Err != nil {
-		b.Fatal(out.Err)
+	if _, err := sched.Step(sq); err != nil {
+		b.Fatal(err)
 	}
 	for _, net := range nets {
 		net.Reset()
@@ -76,9 +77,8 @@ func RunFederatedMintEpochBench(b *testing.B) (txBytesPerEpoch, msgsPerEpoch, co
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out := coord.Epoch(model.Epoch(i+1), ops, nil, merger.Merge)
-		if out.Err != nil {
-			b.Fatal(out.Err)
+		if _, err := sched.Step(sq); err != nil {
+			b.Fatal(err)
 		}
 	}
 	b.StopTimer()

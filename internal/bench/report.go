@@ -18,8 +18,8 @@ import (
 // This file is the machine-readable side of the harness: kspot-bench -json
 // appends one named run — micro-benchmark numbers (ns/op, allocs/op, plus
 // the domain metrics tx_bytes and messages per epoch) and per-experiment
-// timings — to a JSON trajectory file (BENCH_PR3.json). Runs from earlier
-// PRs are preserved on re-generation, so the committed file accumulates a
+// timings — to the JSON trajectory file (BENCH.json). Runs already recorded
+// are preserved on re-generation, so the committed file accumulates a
 // benchmark history the way EXPERIMENTS.md accumulates tables.
 
 // MicroResult is one micro-benchmark's measurement.
@@ -168,7 +168,7 @@ func WriteJSON(w io.Writer, path, runName string, cfg RunConfig) error {
 func mergeJSON(path, runName string, run Run) error {
 	f := File{
 		GeneratedBy: "kspot-bench -json",
-		Note: "Benchmark trajectory: one run per PR (plus recorded baselines). " +
+		Note: "Benchmark trajectory: one named run per measurement (pre-pr3-baseline, pr3 … pr10, then -json-run names). " +
 			"Regenerate with `kspot-bench -json -json-run <name>`; existing runs are preserved.",
 		Runs: map[string]Run{},
 	}

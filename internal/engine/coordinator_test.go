@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"kspot/internal/config"
 	"kspot/internal/engine"
@@ -75,11 +76,16 @@ func TestCoordinatorFederatedEpochs(t *testing.T) {
 		t.Run(fmt.Sprintf("live=%v", live), func(t *testing.T) {
 			deps, ops, merge, cleanup := fedSetup(t, live)
 			defer cleanup()
-			coord := engine.NewCoordinator(deps...)
+			sched := engine.NewScheduler(deps...)
+			defer sched.Close()
+			sq := sched.Add(ops, merge, nil)
 			for e := model.Epoch(0); e < 10; e++ {
-				out := coord.Epoch(e, ops, nil, merge)
-				if out.Err != nil {
-					t.Fatalf("epoch %d: %v", e, out.Err)
+				out, err := sched.Step(sq)
+				if err != nil {
+					t.Fatalf("epoch %d: %v", e, err)
+				}
+				if out.Epoch != e {
+					t.Fatalf("step %d delivered epoch %d", e, out.Epoch)
 				}
 				exact := topk.ExactSnapshot(out.Readings, q)
 				if !model.EqualAnswers(out.Answers, exact) {
@@ -155,43 +161,80 @@ func (r *slowRunner) Epoch(e model.Epoch, _ map[model.NodeID]model.Reading) ([]m
 
 // TestSchedulerStepContext: a cancelled StepContext returns promptly, the
 // in-flight epoch completes in the background, and its outcome is
-// re-buffered — the next Step sees the epoch stream without a gap.
+// re-buffered — the next Step sees the epoch stream without a gap. Over an
+// in-process deterministic simulator the epoch must NOT be left running
+// behind the caller: there the call blocks until the epoch it demanded is
+// done and delivers it, and the cancellation is observed by the next call.
 func TestSchedulerStepContext(t *testing.T) {
-	scen := config.Figure1Scenario()
-	net, err := scen.Network()
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := scen.Source()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched := engine.NewScheduler(engine.NewDeployment("solo", net, src))
-	r := &slowRunner{enter: make(chan struct{}, 1), gate: make(chan struct{})}
-	sq := sched.Add([]engine.EpochRunner{r}, nil, nil)
+	for _, live := range []bool{true, false} {
+		t.Run(fmt.Sprintf("live=%v", live), func(t *testing.T) {
+			scen := config.Figure1Scenario()
+			net, err := scen.Network()
+			if err != nil {
+				t.Fatal(err)
+			}
+			src, err := scen.Source()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var tp engine.Transport = net
+			if live {
+				l := engine.NewLive(net, engine.LiveOptions{Window: 8})
+				l.Start(context.Background())
+				defer l.Stop()
+				tp = l
+			}
+			sched := engine.NewScheduler(engine.NewDeployment("solo", tp, src))
+			defer sched.Close()
+			r := &slowRunner{enter: make(chan struct{}, 1), gate: make(chan struct{})}
+			sq := sched.Add([]engine.EpochRunner{r}, nil, nil)
 
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := sched.StepContext(ctx, sq)
-		done <- err
-	}()
-	<-r.enter // epoch 0 is in flight
-	cancel()
-	if err := <-done; !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled StepContext returned %v", err)
-	}
-	close(r.gate) // let the abandoned epoch finish in the background
+			ctx, cancel := context.WithCancel(context.Background())
+			type res struct {
+				out engine.Outcome
+				err error
+			}
+			done := make(chan res, 1)
+			go func() {
+				out, err := sched.StepContext(ctx, sq)
+				done <- res{out, err}
+			}()
+			<-r.enter // epoch 0 is in flight
+			cancel()
+			next := model.Epoch(0)
+			if live {
+				if got := <-done; !errors.Is(got.err, context.Canceled) {
+					t.Fatalf("cancelled StepContext returned %v", got.err)
+				}
+				close(r.gate) // let the abandoned epoch finish in the background
+			} else {
+				select {
+				case got := <-done:
+					t.Fatalf("StepContext left a deterministic epoch running behind its caller: %+v", got)
+				case <-time.After(20 * time.Millisecond):
+				}
+				close(r.gate)
+				if got := <-done; got.err != nil || got.out.Epoch != 0 {
+					t.Fatalf("blocking StepContext delivered %+v", got)
+				}
+				if _, err := sched.StepContext(ctx, sq); !errors.Is(err, context.Canceled) {
+					t.Fatalf("next StepContext under the cancelled ctx returned %v", err)
+				}
+				next = 1
+			}
 
-	// The next Step must observe epoch 0 (re-buffered), then epoch 1.
-	for want := model.Epoch(0); want < 2; want++ {
-		out, err := sched.StepContext(context.Background(), sq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out.Epoch != want {
-			t.Fatalf("post-cancel step saw epoch %d, want %d (gapless re-buffering)", out.Epoch, want)
-		}
+			// The next Steps must observe the stream without a gap: epoch 0
+			// re-buffered when it was abandoned, then epoch 1.
+			for want := next; want < 2; want++ {
+				out, err := sched.StepContext(context.Background(), sq)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if out.Epoch != want {
+					t.Fatalf("post-cancel step saw epoch %d, want %d (gapless re-buffering)", out.Epoch, want)
+				}
+			}
+		})
 	}
 }
 
@@ -233,8 +276,8 @@ func TestSchedulerStepContextExpired(t *testing.T) {
 }
 
 // TestRunShards: the one-shot per-shard fan-out visits every deployment
-// index-aligned (sequential and parallel), and the first error by shard
-// order comes back tagged with the shard's name.
+// index-aligned, and the first error by shard order comes back tagged with
+// the shard's name.
 func TestRunShards(t *testing.T) {
 	deps := make([]*engine.Deployment, 3)
 	for i := range deps {
@@ -249,29 +292,27 @@ func TestRunShards(t *testing.T) {
 		}
 		deps[i] = engine.NewDeployment(fmt.Sprintf("shard-%d", i), net, src)
 	}
-	coord := engine.NewCoordinator(deps...)
-	for _, parallel := range []bool{false, true} {
-		var mu sync.Mutex
-		seen := make(map[int]*engine.Deployment)
-		err := coord.RunShards(parallel, func(i int, d *engine.Deployment) error {
-			mu.Lock()
-			seen[i] = d
-			mu.Unlock()
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(seen) != len(deps) {
-			t.Fatalf("parallel=%v: visited %d shards, want %d", parallel, len(seen), len(deps))
-		}
-		for i, d := range deps {
-			if seen[i] != d {
-				t.Fatalf("parallel=%v: shard %d got deployment %q", parallel, i, seen[i].Name())
-			}
+	sched := engine.NewScheduler(deps...)
+	var mu sync.Mutex
+	seen := make(map[int]engine.RemoteShard)
+	err := sched.RunShards(func(i int, d *engine.RemoteDeployment) error {
+		mu.Lock()
+		seen[i] = d.Shard()
+		mu.Unlock()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != len(deps) {
+		t.Fatalf("visited %d shards, want %d", len(seen), len(deps))
+	}
+	for i, d := range deps {
+		if seen[i] != d {
+			t.Fatalf("shard %d got deployment %v", i, seen[i])
 		}
 	}
-	err := coord.RunShards(true, func(i int, d *engine.Deployment) error {
+	err = sched.RunShards(func(i int, d *engine.RemoteDeployment) error {
 		if i >= 1 {
 			return fmt.Errorf("boom %d", i)
 		}

@@ -1,12 +1,21 @@
 package engine
 
-import "kspot/internal/trace"
+import (
+	"fmt"
+	"sync"
 
-// Deployment is the unit the public API and the Scheduler address: one
-// network substrate (deterministic or live, possibly behind fault
-// decorators) paired with the trace source its sensors sample. A flat
-// system is a single Deployment; a federated system is N shard
-// Deployments merged at a Coordinator.
+	"kspot/internal/model"
+	"kspot/internal/trace"
+)
+
+// Deployment is an in-process shard: one network substrate (deterministic
+// or live, possibly behind fault decorators) paired with the trace source
+// its sensors sample and the acquisition runners attached to it. It
+// implements the shard contract (RemoteShard) directly — the Scheduler
+// drives it with the same EpochRound a wire client answers over a socket,
+// and a shard server answers its MsgEpochRound by calling it. A flat
+// system is a single Deployment; a federated system is N shards merged by
+// the Scheduler.
 //
 // Every shard of a federated system shares the trace source built from
 // the *flat* scenario — sampling is a pure function of (node, epoch), and
@@ -17,12 +26,51 @@ type Deployment struct {
 	name string
 	tp   Transport
 	src  trace.Source
+	live bool // tp is the concurrent substrate (behind any decorators)
+
+	mu       sync.Mutex // guards attached, pipeline and pre; never held across a round
+	attached map[uint32]attachment
+	pipeline int        // pipelineAuto / pipelineOn / pipelineOff
+	pre      *presample // in-flight background sampling of the next epoch
+}
+
+// attachment is one acquisition group's runner on this shard, with the
+// query-local source its per-node inputs derive from (nil: the epoch's
+// shared sensing).
+type attachment struct {
+	op  EpochRunner
+	src trace.Source
+}
+
+// Pipelining modes: auto enables cross-epoch pipelining on the live
+// substrate only — the deterministic simulator's transports are not safe
+// against out-of-band mutation (SetNodeDown between steps) racing a
+// background sample, while the live substrate serializes those under its
+// own lock.
+const (
+	pipelineAuto = iota
+	pipelineOn
+	pipelineOff
+)
+
+// presample is an in-flight background sampling of the next epoch: the
+// shard launches it once an epoch's acquisitions (all transport work) have
+// finished, so it overlaps the merge stage and, for a served shard, the
+// reply's way back. The accounting the synchronous path would have done at
+// sampling time is deferred to CommitSenseEpoch when the epoch is actually
+// consumed — keeping ledgers, budgets and histories byte-identical to the
+// unpipelined run.
+type presample struct {
+	epoch    model.Epoch
+	done     chan struct{}
+	readings map[model.NodeID]model.Reading
 }
 
 // NewDeployment binds a transport and its trace source under a display
 // name (the shard name in panels and stats).
 func NewDeployment(name string, tp Transport, src trace.Source) *Deployment {
-	return &Deployment{name: name, tp: tp, src: src}
+	_, live := Baseof(tp).(*Live)
+	return &Deployment{name: name, tp: tp, src: src, live: live, attached: make(map[uint32]attachment)}
 }
 
 // Name returns the deployment's display name.
@@ -34,3 +82,140 @@ func (d *Deployment) Transport() Transport { return d.tp }
 
 // Source returns the deployment's trace source.
 func (d *Deployment) Source() trace.Source { return d.src }
+
+// Attach registers an acquisition runner (an operator already attached to
+// this deployment's transport) under the query id epoch rounds name it by.
+// src, when non-nil, overrides the per-node readings for this query only
+// (node-local window aggregation); sensing is still charged once per
+// epoch, against the deployment's own source.
+func (d *Deployment) Attach(query uint32, op EpochRunner, src trace.Source) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.attached[query] = attachment{op: op, src: src}
+}
+
+// Detach forgets an attached runner; its views are simply abandoned.
+func (d *Deployment) Detach(query uint32) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	delete(d.attached, query)
+}
+
+// Attached reports how many runners are attached.
+func (d *Deployment) Attached() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return len(d.attached)
+}
+
+// setPipelining is Scheduler.SetPipelining for this shard; turning it off
+// also drains the presample in flight.
+func (d *Deployment) setPipelining(on bool) {
+	d.mu.Lock()
+	d.pipeline = pipelineOff
+	if on {
+		d.pipeline = pipelineOn
+	}
+	d.mu.Unlock()
+	if !on {
+		d.Drain()
+	}
+}
+
+// Drain waits out an in-flight background presample and discards it (its
+// charges were never committed), so the transport can be torn down safely
+// afterwards.
+func (d *Deployment) Drain() {
+	d.mu.Lock()
+	pre := d.pre
+	d.pre = nil
+	d.mu.Unlock()
+	if pre != nil {
+		<-pre.done
+	}
+}
+
+// EpochRound implements RemoteShard: one whole epoch of this shard. The
+// epoch is sensed once — a pipelined presample for exactly this epoch is
+// consumed, anything else resampled — and committed (idle charge,
+// dead-node drop, sensing charge, history record); then every listed
+// query's runner acquires over the committed readings, or over readings
+// derived from them without charging when the query has its own source.
+// Derivation is over the sensed node set, not the transport's aliveness at
+// acquire time: an earlier acquisition of this epoch may already have
+// fired churn flips, and a shared epoch's queries must see the node set an
+// independent run would. Rounds of one deployment must not overlap; the
+// Scheduler and the shard server each serialize theirs.
+//
+// On the concurrent substrate the acquisitions run in parallel — Live
+// supports any number of in-flight sweeps and floods. The deterministic
+// simulator is a single-threaded state machine, so there they run in
+// request order. A query's failure is carried in its own result; the
+// sensing and the other queries stand.
+func (d *Deployment) EpochRound(e model.Epoch, queries []uint32) (map[model.NodeID]model.Reading, []RemoteGroupResult, error) {
+	d.mu.Lock()
+	pre := d.pre
+	d.pre = nil
+	pipelined := d.pipeline == pipelineOn || (d.pipeline == pipelineAuto && d.live)
+	atts := make([]attachment, len(queries))
+	for i, q := range queries {
+		atts[i] = d.attached[q]
+	}
+	d.mu.Unlock()
+
+	var readings map[model.NodeID]model.Reading
+	if pre != nil {
+		<-pre.done
+		if pre.epoch == e {
+			readings = pre.readings
+		}
+	}
+	if readings == nil {
+		readings = PresampleEpoch(d.tp, d.src, e)
+	}
+	CommitSenseEpoch(d.tp, e, readings)
+
+	results := make([]RemoteGroupResult, len(queries))
+	acquire := func(i int) {
+		a := atts[i]
+		if a.op == nil {
+			results[i].Err = fmt.Errorf("engine: query %d not attached", queries[i])
+			return
+		}
+		in := readings
+		if a.src != nil {
+			in = DeriveReadings(readings, a.src, e)
+			results[i].Acq.Readings = in
+		}
+		results[i].Acq.Answers, results[i].Err = a.op.Epoch(e, in)
+	}
+	if d.live {
+		var wg sync.WaitGroup
+		for i := range queries {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				acquire(i)
+			}(i)
+		}
+		wg.Wait()
+	} else {
+		for i := range queries {
+			acquire(i)
+		}
+	}
+
+	// All transport work for epoch e is done; overlap the next epoch's
+	// sampling with whatever the caller does with this one.
+	if pipelined {
+		next := &presample{epoch: e + 1, done: make(chan struct{})}
+		d.mu.Lock()
+		d.pre = next
+		d.mu.Unlock()
+		go func() {
+			next.readings = PresampleEpoch(d.tp, d.src, e+1)
+			close(next.done)
+		}()
+	}
+	return readings, results, nil
+}

@@ -17,9 +17,16 @@
 // answers and, query for query, the same counters on the other (engine's
 // equivalence test pins this, under -race).
 //
-// The package also provides the multi-query Scheduler: one deployment
-// serving several posted cursors in epoch lock-step, sensing each epoch
-// once and running every operator's acquisition concurrently.
+// Above the transports sits the one epoch engine. A shard — an in-process
+// Deployment (transport + trace source + attached operators) or a process
+// behind a socket (internal/wire's Client) — answers a single call,
+// RemoteShard.EpochRound(e, groups): sense the epoch once, run every
+// listed acquisition group, return the committed readings and one result
+// per group. The Scheduler is the only driver of that contract: it serves
+// several posted cursors from one deployment of N shards in epoch
+// lock-step — one round per shard per epoch, then one merge and TOP-K cut
+// per member query — and owns buffering, cancellation, removal and close
+// for every kind of shard alike.
 package engine
 
 import (
@@ -112,8 +119,8 @@ type Unwrapper interface {
 
 // Recorded decorates a transport with an extra ReadingsRecorder — how a
 // shard's durable tier (storage.Store) taps the sense commit without the
-// substrate knowing it exists. The inner transport's own recorder (a live
-// deployment's windows) still runs first.
+// substrate knowing it exists (faults.Stack places it). The inner
+// transport's own recorder (a live deployment's windows) still runs first.
 type Recorded struct {
 	Transport
 	Rec ReadingsRecorder

@@ -9,8 +9,9 @@ import (
 	"kspot/internal/model"
 )
 
-// stubShard is a scripted RemoteShard for coordinator-path tests: it serves
-// whole epochs in one call, with per-group scripted results.
+// stubShard is a scripted remote shard for the scheduler's shard-contract
+// tests: it serves whole epochs in one call, with per-group scripted
+// results.
 type stubShard struct {
 	mu         sync.Mutex
 	readings   map[model.NodeID]model.Reading
@@ -46,14 +47,36 @@ func (s *stubShard) EpochRound(e model.Epoch, queries []uint32) (map[model.NodeI
 	return s.readings, results, nil
 }
 
-// stepOne schedules one private query and steps it once.
-func stepOne(t *testing.T, coord *RemoteCoordinator, qid uint32, merge MergeFunc) Outcome {
+// stubScheduler builds the one Scheduler over stub remote shards named
+// shard-0, shard-1, ...
+func stubScheduler(shards ...*stubShard) *Scheduler {
+	deps := make([]*RemoteDeployment, len(shards))
+	for i, sh := range shards {
+		deps[i] = NewRemoteDeployment(fmt.Sprintf("shard-%d", i), sh)
+	}
+	return NewShardScheduler(deps...)
+}
+
+// schedule seats a query on a group the caller "attached" under qid.
+func schedule(s *Scheduler, key string, qid uint32, merge MergeFunc) *ScheduledQuery {
+	return s.Schedule(QuerySpec{Key: key, Query: qid, Merge: merge})
+}
+
+// stepOutcome steps a seat once. The epoch's own error travels in
+// Outcome.Err (Step returns it too); only a refused seat fails the test.
+func stepOutcome(t *testing.T, s *Scheduler, sq *ScheduledQuery) Outcome {
 	t.Helper()
-	out, err := coord.Step(coord.Schedule("", qid, merge, 0))
-	if err != nil {
+	out, err := s.Step(sq)
+	if err != nil && out.Err == nil {
 		t.Fatal(err)
 	}
 	return out
+}
+
+// stepOne schedules one private query and steps it once.
+func stepOne(t *testing.T, s *Scheduler, qid uint32, merge MergeFunc) Outcome {
+	t.Helper()
+	return stepOutcome(t, s, schedule(s, "", qid, merge))
 }
 
 func readingsOf(ids ...model.NodeID) map[model.NodeID]model.Reading {
@@ -67,10 +90,7 @@ func readingsOf(ids ...model.NodeID) map[model.NodeID]model.Reading {
 func TestRemoteCoordinatorEpochUnionAndMerge(t *testing.T) {
 	a := &stubShard{readings: readingsOf(1, 2), answers: []model.Answer{{Group: 1, Score: 10}}}
 	b := &stubShard{readings: readingsOf(3), answers: []model.Answer{{Group: 2, Score: 20}}}
-	coord := NewRemoteCoordinator(
-		NewRemoteDeployment("shard-0", a),
-		NewRemoteDeployment("shard-1", b),
-	)
+	coord := stubScheduler(a, b)
 	if coord.Shards() != 2 {
 		t.Fatalf("Shards() = %d", coord.Shards())
 	}
@@ -101,10 +121,7 @@ func TestRemoteCoordinatorOverrideReadings(t *testing.T) {
 	// outcome's union must be built from those, not the shared sensing.
 	a := &stubShard{readings: readingsOf(1), override: readingsOf(7)}
 	b := &stubShard{readings: readingsOf(2), override: readingsOf(8)}
-	coord := NewRemoteCoordinator(
-		NewRemoteDeployment("shard-0", a),
-		NewRemoteDeployment("shard-1", b),
-	)
+	coord := stubScheduler(a, b)
 	out := stepOne(t, coord, 1, func(per [][]model.Answer) ([]model.Answer, error) { return nil, nil })
 	if out.Err != nil {
 		t.Fatal(out.Err)
@@ -124,10 +141,7 @@ func TestRemoteCoordinatorOverrideReadings(t *testing.T) {
 func TestRemoteCoordinatorShardErrorTagged(t *testing.T) {
 	a := &stubShard{readings: readingsOf(1)}
 	bad := &stubShard{readings: readingsOf(2), groupErrAt: map[uint32]error{1: fmt.Errorf("connection refused")}}
-	coord := NewRemoteCoordinator(
-		NewRemoteDeployment("shard-0", a),
-		NewRemoteDeployment("shard-1", bad),
-	)
+	coord := stubScheduler(a, bad)
 	out := stepOne(t, coord, 1, func(per [][]model.Answer) ([]model.Answer, error) { return nil, nil })
 	if out.Err == nil {
 		t.Fatal("shard error swallowed")
@@ -144,17 +158,11 @@ func TestRemoteCoordinatorShardErrorTagged(t *testing.T) {
 	// every group, buffers the tagged error.
 	a2 := &stubShard{readings: readingsOf(1)}
 	bad2 := &stubShard{roundErr: fmt.Errorf("shard gone")}
-	coord2 := NewRemoteCoordinator(
-		NewRemoteDeployment("shard-0", a2),
-		NewRemoteDeployment("shard-1", bad2),
-	)
-	q1 := coord2.Schedule("g1", 1, nil, 0)
-	q2 := coord2.Schedule("g2", 2, nil, 0)
-	for _, q := range []*RemoteQuery{q1, q2} {
-		out, err := coord2.Step(q)
-		if err != nil {
-			t.Fatal(err)
-		}
+	coord2 := stubScheduler(a2, bad2)
+	q1 := schedule(coord2, "g1", 1, nil)
+	q2 := schedule(coord2, "g2", 2, nil)
+	for _, q := range []*ScheduledQuery{q1, q2} {
+		out := stepOutcome(t, coord2, q)
 		if out.Err == nil || !strings.Contains(out.Err.Error(), "shard-1") || !strings.Contains(out.Err.Error(), "shard gone") {
 			t.Fatalf("round error: %v", out.Err)
 		}
@@ -165,18 +173,15 @@ func TestRemoteCoordinatorShardErrorTagged(t *testing.T) {
 }
 
 func TestRemoteCoordinatorMergeRequired(t *testing.T) {
-	coord := NewRemoteCoordinator(
-		NewRemoteDeployment("shard-0", &stubShard{readings: readingsOf(1)}),
-		NewRemoteDeployment("shard-1", &stubShard{readings: readingsOf(2)}),
-	)
+	coord := stubScheduler(&stubShard{readings: readingsOf(1)}, &stubShard{readings: readingsOf(2)})
 	if out := stepOne(t, coord, 1, nil); out.Err == nil {
 		t.Fatal("multi-shard epoch without a merge function succeeded")
 	}
 	// A single shard needs no merge: answers pass through.
-	solo := NewRemoteCoordinator(NewRemoteDeployment("flat", &stubShard{
+	solo := stubScheduler(&stubShard{
 		readings: readingsOf(1),
 		answers:  []model.Answer{{Group: 1, Score: 5}},
-	}))
+	})
 	out := stepOne(t, solo, 1, nil)
 	if out.Err != nil || len(out.Answers) != 1 {
 		t.Fatalf("flat pass-through: %+v", out)
@@ -184,11 +189,7 @@ func TestRemoteCoordinatorMergeRequired(t *testing.T) {
 }
 
 func TestRemoteCoordinatorRunShards(t *testing.T) {
-	coord := NewRemoteCoordinator(
-		NewRemoteDeployment("shard-0", &stubShard{}),
-		NewRemoteDeployment("shard-1", &stubShard{}),
-		NewRemoteDeployment("shard-2", &stubShard{}),
-	)
+	coord := stubScheduler(&stubShard{}, &stubShard{}, &stubShard{})
 	var mu sync.Mutex
 	seen := map[string]bool{}
 	if err := coord.RunShards(func(i int, d *RemoteDeployment) error {
@@ -218,17 +219,11 @@ func TestRemoteCoordinatorBatchedRound(t *testing.T) {
 	// A shard serves the whole epoch in one call: every group's qid in the
 	// request, in group order, readings in the union.
 	a := &stubShard{readings: readingsOf(1, 2), answers: []model.Answer{{Group: 1, Score: 10}}}
-	coord := NewRemoteCoordinator(NewRemoteDeployment("shard-0", a))
-	q1 := coord.Schedule("g1", 11, nil, 0)
-	q2 := coord.Schedule("g2", 22, nil, 0)
-	out1, err := coord.Step(q1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out2, err := coord.Step(q2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	coord := stubScheduler(a)
+	q1 := schedule(coord, "g1", 11, nil)
+	q2 := schedule(coord, "g2", 22, nil)
+	out1 := stepOutcome(t, coord, q1)
+	out2 := stepOutcome(t, coord, q2)
 	for _, out := range []Outcome{out1, out2} {
 		if out.Err != nil {
 			t.Fatal(out.Err)
@@ -249,12 +244,9 @@ func TestRemoteCoordinatorBatchedGroupCountMismatch(t *testing.T) {
 	// A reply with the wrong group count is a transport-level failure: the
 	// whole epoch is poisoned, tagged with the shard's name.
 	a := &stubShard{readings: readingsOf(1), shortReply: true}
-	coord := NewRemoteCoordinator(NewRemoteDeployment("shard-0", a))
-	q := coord.Schedule("", 5, nil, 0)
-	out, err := coord.Step(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	coord := stubScheduler(a)
+	q := schedule(coord, "", 5, nil)
+	out := stepOutcome(t, coord, q)
 	if out.Err == nil || !strings.Contains(out.Err.Error(), "shard-0") || !strings.Contains(out.Err.Error(), "0 groups, want 1") {
 		t.Fatalf("mismatch error: %v", out.Err)
 	}
@@ -265,17 +257,11 @@ func TestRemoteCoordinatorBatchedGroupErrorIsolated(t *testing.T) {
 	// the other group still gets its answers from the same round trip.
 	a := &stubShard{readings: readingsOf(1), answers: []model.Answer{{Group: 1, Score: 10}},
 		groupErrAt: map[uint32]error{33: fmt.Errorf("query gone")}}
-	coord := NewRemoteCoordinator(NewRemoteDeployment("shard-0", a))
-	ok := coord.Schedule("ok", 11, nil, 0)
-	bad := coord.Schedule("bad", 33, nil, 0)
-	outOK, err := coord.Step(ok)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outBad, err := coord.Step(bad)
-	if err != nil {
-		t.Fatal(err)
-	}
+	coord := stubScheduler(a)
+	ok := schedule(coord, "ok", 11, nil)
+	bad := schedule(coord, "bad", 33, nil)
+	outOK := stepOutcome(t, coord, ok)
+	outBad := stepOutcome(t, coord, bad)
 	if outOK.Err != nil || len(outOK.Answers) != 1 {
 		t.Fatalf("healthy group: %+v", outOK)
 	}
@@ -284,5 +270,34 @@ func TestRemoteCoordinatorBatchedGroupErrorIsolated(t *testing.T) {
 	}
 	if a.rounds != 1 {
 		t.Fatalf("rounds: %d", a.rounds)
+	}
+}
+
+func TestRemoteCoordinatorRemoveDropsBuffered(t *testing.T) {
+	// The lock-step buffers an outcome (and its readings map) for every
+	// seat each epoch; removing a seat over remote shards must drop what it
+	// never consumed, refuse its later steps, and leave the others serving.
+	a := &stubShard{readings: readingsOf(1, 2), answers: []model.Answer{{Group: 1, Score: 10}}}
+	coord := stubScheduler(a)
+	stepped := schedule(coord, "g1", 11, nil)
+	idle := schedule(coord, "g2", 22, nil)
+	for i := 0; i < 3; i++ {
+		stepOutcome(t, coord, stepped)
+	}
+	if len(idle.pending) != 3 {
+		t.Fatalf("idle seat buffered %d outcomes, want 3", len(idle.pending))
+	}
+	coord.Remove(idle)
+	if idle.pending != nil {
+		t.Fatalf("removed seat still holds %d buffered outcomes", len(idle.pending))
+	}
+	if _, err := coord.Step(idle); err != errRemoved {
+		t.Fatalf("step on a removed seat: %v", err)
+	}
+	if out := stepOutcome(t, coord, stepped); out.Err != nil || out.Epoch != 3 {
+		t.Fatalf("surviving seat after the removal: %+v", out)
+	}
+	if len(a.lastQids) != 1 || a.lastQids[0] != 11 {
+		t.Fatalf("dissolved group still acquired: round qids %v", a.lastQids)
 	}
 }

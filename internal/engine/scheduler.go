@@ -4,17 +4,25 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"kspot/internal/model"
 	"kspot/internal/trace"
 )
 
-// EpochRunner is the slice of an attached snapshot operator the scheduler
+// EpochRunner is the slice of an attached snapshot operator a shard
 // drives: one acquisition round per epoch. topk.SnapshotOperator satisfies
 // it after Attach.
 type EpochRunner interface {
 	Epoch(e model.Epoch, readings map[model.NodeID]model.Reading) ([]model.Answer, error)
 }
+
+// MergeFunc combines per-shard answer rankings into the global answer —
+// the coordinator tier's merge step. shardAnswers[i] is shard i's local
+// ranking for the epoch; internal/topk/fed provides the TPUT-style
+// threshold implementation. A nil MergeFunc is legal only on single-shard
+// deployments (the answers pass through).
+type MergeFunc func(shardAnswers [][]model.Answer) ([]model.Answer, error)
 
 // Outcome is one epoch's result for one scheduled query.
 type Outcome struct {
@@ -24,7 +32,8 @@ type Outcome struct {
 	// unioned across every shard (shared across queries unless the query
 	// declared its own source). Treat as read-only.
 	Readings map[model.NodeID]model.Reading
-	// Err is the operator's (or merge's) error for this epoch, if any.
+	// Err is the shard's, operator's or merge's error for this epoch, if
+	// any.
 	Err error
 }
 
@@ -47,35 +56,44 @@ type ScheduledQuery struct {
 	removed bool
 }
 
-// acqGroup is one shared in-network acquisition: the per-shard runners and
-// override source that every member query's answers derive from. Queries
-// scheduled under the same non-empty key join one group — the network runs
-// ONE acquisition per group per epoch and the members' merges fan out from
-// it at the base station. A query scheduled without a key gets a private
-// singleton group (the pre-sharing behavior).
+// acqGroup is one shared in-network acquisition: the query id every shard
+// runs it under, and the member queries whose answers derive from it.
+// Queries scheduled under the same non-empty key join one group — the
+// network runs ONE acquisition per group per epoch and the members' merges
+// fan out from it at the base station. A query scheduled without a key
+// gets a private singleton group.
 type acqGroup struct {
 	key     string
-	ops     []EpochRunner // one per shard deployment
-	src     trace.Source  // nil → the deployment's shared readings
+	query   uint32 // the id attached on every shard for this group
+	owned   bool   // query was attached by the scheduler (QuerySpec.Ops) and is its to detach
+	src     trace.Source
 	members []*ScheduledQuery
 }
 
 // QuerySpec declares one query's seat for Schedule. When Key names an
-// existing group, Ops and Src are ignored — the query joins the group's
-// shared acquisition and only its own Merge/CutK stage runs per epoch.
+// existing group, Query, Ops and Src are ignored — the query joins the
+// group's shared acquisition and only its own Merge/CutK stage runs per
+// epoch.
 type QuerySpec struct {
 	// Key is the shared-acquisition key (kspot derives it from the plan's
 	// SenseKey plus the resolved algorithm). Empty = private acquisition.
 	Key string
-	// Ops is one acquisition runner per shard deployment, index-aligned
-	// with the coordinator's Deployments. Used only when the key's group
-	// does not exist yet (or Key is empty).
+	// Query is the id the caller attached the group's acquisition under on
+	// every shard (Deployment.Attach in-process, an attach message over the
+	// wire) — what each epoch round names the group by. The attachment
+	// stays the caller's to release. Used only when the key's group does
+	// not exist yet (or Key is empty) and Ops is nil.
+	Query uint32
+	// Ops is the in-process shorthand for Query: one acquisition runner per
+	// shard, index-aligned with the scheduler's Deployments, which the
+	// scheduler attaches under an id of its own and detaches when the group
+	// dissolves or widens.
 	Ops []EpochRunner
 	// Merge is this query's own coordinator-tier merge (nil on flat
 	// deployments). Members of one group each run their own merge over the
 	// group's shared per-shard rankings.
 	Merge MergeFunc
-	// Src, when non-nil, overrides the per-node readings for the group
+	// Src, when non-nil, overrides the per-node readings for an Ops group
 	// (node-local window aggregation). Like Ops, it binds at group creation.
 	Src trace.Source
 	// CutK, when > 0, caps this member's merged answers at the top CutK of
@@ -85,15 +103,14 @@ type QuerySpec struct {
 	CutK int
 }
 
-// Scheduler drives several queries over one federated deployment — N
-// shard Deployments behind one Coordinator — in epoch lock-step: each
-// epoch every shard is sensed once (one idle charge, one sensing sweep per
-// shard) and every scheduled query runs its per-shard acquisitions over
-// the same readings, merging at the coordinator tier. On the live
-// substrate all acquisitions proceed concurrently, across queries and
-// across shards, their view sweeps interleaving level by level on each
-// shard's network. This is how one KSpot server serves many posted cursors
-// without multiplying the per-epoch acquisition cost.
+// Scheduler drives several queries over one deployment — N shards, each
+// behind the one shard contract (RemoteShard.EpochRound), in-process
+// Deployments and wire clients alike — in epoch lock-step: each epoch
+// every shard gets ONE round that senses it once (one idle charge, one
+// sensing sweep) and runs every acquisition group over the same readings,
+// and the scheduler merges the shard rankings per member query. This is
+// how one KSpot server serves many posted cursors without multiplying the
+// per-epoch acquisition cost.
 //
 // Stepping is demand-driven: the epoch advances when a query with no
 // buffered outcome is stepped, and the outcomes of the other queries are
@@ -102,54 +119,68 @@ type QuerySpec struct {
 // remaining queries is never wedged. All methods are safe for concurrent
 // use.
 type Scheduler struct {
-	coord *Coordinator
+	mu      sync.Mutex
+	shards  []*RemoteDeployment
+	queries []*ScheduledQuery
+	groups  []*acqGroup          // acquisition order: one entry per distinct acquisition
+	byKey   map[string]*acqGroup // keyed (shared) groups only
+	epoch   model.Epoch
+	closed  bool
+	ownID   uint32 // last id given to an Ops group; counts down from MaxUint32, away from callers' ids
 
-	mu       sync.Mutex
-	queries  []*ScheduledQuery
-	groups   []*acqGroup          // acquisition order: one entry per distinct acquisition
-	byKey    map[string]*acqGroup // keyed (shared) groups only
-	epoch    model.Epoch
-	closed   bool
-	pipeline int        // pipelineAuto / pipelineOn / pipelineOff
-	pre      *presample // in-flight background sampling of the next epoch
+	// background reports whether an epoch may finish behind a cancelled
+	// StepContext: every shard but an in-process deterministic simulator
+	// (a single-threaded state machine its caller may touch next) is safe.
+	background atomic.Bool
 }
 
-// Pipelining modes: auto enables cross-epoch pipelining on the live
-// substrate only — the deterministic simulator's transports are not safe
-// against out-of-band mutation (SetNodeDown between steps) racing a
-// background sample, while the live substrate serializes those under its
-// own lock.
-const (
-	pipelineAuto = iota
-	pipelineOn
-	pipelineOff
-)
-
-// presample is an in-flight background sampling of the next epoch: the
-// scheduler launches it once an epoch's acquisitions (all transport work)
-// have finished, so it overlaps the merge/fed-round stage. The accounting
-// the synchronous path would have done at sampling time is deferred to
-// CommitSenseEpoch when the epoch is actually consumed — keeping ledgers,
-// budgets and histories byte-identical to the unpipelined run.
-type presample struct {
-	epoch model.Epoch
-	done  chan struct{}
-	shard []map[model.NodeID]model.Reading
-}
-
-// NewScheduler returns a scheduler over the shard deployments.
+// NewScheduler returns a scheduler over in-process shard deployments.
 func NewScheduler(deps ...*Deployment) *Scheduler {
-	return &Scheduler{coord: NewCoordinator(deps...), byKey: make(map[string]*acqGroup)}
+	shards := make([]*RemoteDeployment, len(deps))
+	for i, d := range deps {
+		shards[i] = NewRemoteDeployment(d.name, d)
+	}
+	return NewShardScheduler(shards...)
 }
 
-// Coordinator exposes the scheduler's federation tier.
-func (s *Scheduler) Coordinator() *Coordinator { return s.coord }
+// NewShardScheduler returns a scheduler over shards of any kind.
+func NewShardScheduler(shards ...*RemoteDeployment) *Scheduler {
+	if len(shards) == 0 {
+		panic("engine: scheduler needs at least one shard")
+	}
+	s := &Scheduler{byKey: make(map[string]*acqGroup)}
+	s.install(shards)
+	return s
+}
 
-// SetPipelining forces cross-epoch pipelining on or off, overriding the
-// default (enabled on the live substrate, disabled on the deterministic
-// one). With pipelining on, the next epoch's sensing is sampled on a
-// background goroutine while the current epoch's merge stage runs; its
-// charges are committed when the epoch is consumed, so outcomes and
+func (s *Scheduler) install(shards []*RemoteDeployment) {
+	s.shards = shards
+	background := true
+	s.eachLocal(func(_ int, d *Deployment) { background = background && d.live })
+	s.background.Store(background)
+}
+
+// eachLocal calls fn for every in-process shard, with its shard index.
+func (s *Scheduler) eachLocal(fn func(i int, d *Deployment)) {
+	for i, sh := range s.shards {
+		if d, ok := sh.shard.(*Deployment); ok {
+			fn(i, d)
+		}
+	}
+}
+
+// Shards returns the number of shards.
+func (s *Scheduler) Shards() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.shards)
+}
+
+// SetPipelining forces cross-epoch pipelining on every in-process shard on
+// or off, overriding the default (enabled on the live substrate, disabled
+// on the deterministic one): the shard samples the next epoch's sensing on
+// a background goroutine once this epoch's acquisitions finish, and
+// commits its charges when the epoch is consumed, so outcomes and
 // accounting are byte-identical either way. Callers that mutate a
 // deterministic transport out-of-band between steps (SetNodeDown, fault
 // arming) must leave pipelining off there: the background sample reads
@@ -157,24 +188,11 @@ func (s *Scheduler) Coordinator() *Coordinator { return s.coord }
 func (s *Scheduler) SetPipelining(on bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if on {
-		s.pipeline = pipelineOn
-	} else {
-		s.pipeline = pipelineOff
-	}
-	if s.pipeline == pipelineOff && s.pre != nil {
-		<-s.pre.done
-		s.pre = nil
-	}
+	s.eachLocal(func(_ int, d *Deployment) { d.setPipelining(on) })
 }
 
-// Add schedules an attached query with a private acquisition: one runner
-// per shard deployment (index-aligned with the coordinator's Deployments)
-// and the coordinator merge (nil for single-shard). src, when non-nil,
-// overrides the per-node readings for this query only (e.g. node-local
-// window aggregation); sensing is still charged once per shard, against
-// the shared source. A query joins at the current epoch — earlier
-// outcomes are not replayed.
+// Add schedules a query with a private acquisition: Schedule with Ops,
+// Merge and Src only.
 func (s *Scheduler) Add(ops []EpochRunner, merge MergeFunc, src trace.Source) *ScheduledQuery {
 	return s.Schedule(QuerySpec{Ops: ops, Merge: merge, Src: src})
 }
@@ -191,7 +209,10 @@ func (s *Scheduler) Schedule(spec QuerySpec) *ScheduledQuery {
 		g = s.byKey[spec.Key]
 	}
 	if g == nil {
-		g = &acqGroup{key: spec.Key, ops: spec.Ops, src: spec.Src}
+		g = &acqGroup{key: spec.Key, query: spec.Query, src: spec.Src}
+		if spec.Ops != nil {
+			s.attachOps(g, spec.Ops)
+		}
 		s.groups = append(s.groups, g)
 		if spec.Key != "" {
 			s.byKey[spec.Key] = g
@@ -201,6 +222,29 @@ func (s *Scheduler) Schedule(spec QuerySpec) *ScheduledQuery {
 	g.members = append(g.members, sq)
 	s.queries = append(s.queries, sq)
 	return sq
+}
+
+// attachOps attaches one runner per in-process shard under a fresh
+// scheduler-owned id and points the group at it, releasing the owned id it
+// replaces. A shard left without a runner (too few ops, or not in-process)
+// reports the query unattached on the group's outcome each epoch.
+func (s *Scheduler) attachOps(g *acqGroup, ops []EpochRunner) {
+	s.detachOwned(g)
+	s.ownID--
+	s.eachLocal(func(i int, d *Deployment) {
+		if i < len(ops) {
+			d.Attach(s.ownID, ops[i], g.src)
+		}
+	})
+	g.query, g.owned = s.ownID, true
+}
+
+func (s *Scheduler) detachOwned(g *acqGroup) {
+	if !g.owned {
+		return
+	}
+	s.eachLocal(func(_ int, d *Deployment) { d.Detach(g.query) })
+	g.owned = false
 }
 
 // GroupSize reports how many scheduled queries share the key's
@@ -224,12 +268,33 @@ func (s *Scheduler) GroupSize(key string) int {
 func (s *Scheduler) WidenGroup(key string, ops []EpochRunner) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	g := s.byKey[key]
-	if g == nil {
-		return fmt.Errorf("engine: no shared-acquisition group %q to widen", key)
+	g, err := s.keyed(key)
+	if err == nil {
+		s.attachOps(g, ops)
 	}
-	g.ops = ops
-	return nil
+	return err
+}
+
+// RepointGroup is WidenGroup for a caller-attached acquisition: the group
+// is acquired under query from the next epoch on. The attachment it
+// replaces is the caller's to release once this returns — no round naming
+// it can be in flight any more.
+func (s *Scheduler) RepointGroup(key string, query uint32) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	g, err := s.keyed(key)
+	if err == nil {
+		s.detachOwned(g)
+		g.query = query
+	}
+	return err
+}
+
+func (s *Scheduler) keyed(key string) (*acqGroup, error) {
+	if g := s.byKey[key]; g != nil {
+		return g, nil
+	}
+	return nil, fmt.Errorf("engine: no shared-acquisition group %q to widen", key)
 }
 
 // Remove unschedules a query; its buffered outcomes are discarded. The
@@ -238,6 +303,9 @@ func (s *Scheduler) WidenGroup(key string, ops []EpochRunner) error {
 func (s *Scheduler) Remove(sq *ScheduledQuery) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if sq.removed {
+		return
+	}
 	sq.removed = true
 	sq.pending = nil
 	for i, q := range s.queries {
@@ -247,9 +315,6 @@ func (s *Scheduler) Remove(sq *ScheduledQuery) {
 		}
 	}
 	g := sq.group
-	if g == nil {
-		return
-	}
 	for i, m := range g.members {
 		if m == sq {
 			g.members = append(g.members[:i], g.members[i+1:]...)
@@ -266,6 +331,7 @@ func (s *Scheduler) Remove(sq *ScheduledQuery) {
 		if g.key != "" {
 			delete(s.byKey, g.key)
 		}
+		s.detachOwned(g)
 	}
 }
 
@@ -292,6 +358,11 @@ func (s *Scheduler) Step(sq *ScheduledQuery) (Outcome, error) {
 // gap (the per-query stepMu holds later steps out until the hand-back
 // lands). Nothing leaks: the in-flight epoch runs to completion on the
 // scheduler's own goroutine.
+//
+// Over an in-process deterministic simulator cancellation is observed
+// between epochs only: that substrate is a single-threaded state machine,
+// so an epoch this call demands runs to completion before it returns —
+// never behind a caller who may touch the network next.
 func (s *Scheduler) StepContext(ctx context.Context, sq *ScheduledQuery) (Outcome, error) {
 	// An already-expired context never starts work: stepping with a dead
 	// ctx would run (and charge) a full epoch in the background on every
@@ -304,6 +375,9 @@ func (s *Scheduler) StepContext(ctx context.Context, sq *ScheduledQuery) (Outcom
 	// call that must run an epoch (or wait for one) goes asynchronous.
 	if out, ok := s.tryPop(sq); ok {
 		return out, out.Err
+	}
+	if !s.background.Load() {
+		return s.Step(sq)
 	}
 	type stepRes struct {
 		out Outcome
@@ -390,17 +464,15 @@ func (s *Scheduler) pushFront(sq *ScheduledQuery, out Outcome) {
 }
 
 // Close rejects further Steps. It blocks until any in-flight epoch has
-// completed — including a pipelined background presample of the next
-// epoch, which is drained and discarded (its charges were never
-// committed) — so the transports can be torn down safely afterwards.
+// completed — including an in-process shard's pipelined background
+// presample of the next epoch, which is drained and discarded (its charges
+// were never committed) — so the transports can be torn down safely
+// afterwards.
 func (s *Scheduler) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.closed = true
-	if s.pre != nil {
-		<-s.pre.done
-		s.pre = nil
-	}
+	s.eachLocal(func(_ int, d *Deployment) { d.Drain() })
 }
 
 type schedulerError string
@@ -412,107 +484,173 @@ const (
 	errClosed  = schedulerError("engine: scheduler is closed")
 )
 
-// runEpochLocked executes one shared epoch for every scheduled query in
-// three stages: sensing (consuming the pipelined presample when one is in
-// flight, then committing its deferred charges), acquisition (one
-// per-shard transport sweep per acquisition GROUP — however many member
-// queries each group serves), and merge (pure in-memory, one per member).
-// Between acquisition and merge the transports are quiescent for the rest
-// of the epoch, so that is where the next epoch's background presample
-// launches — the cross-epoch pipeline.
+// runEpochLocked executes one shared epoch for every scheduled query: ONE
+// round per shard carries the sense and every group's acquisition (in
+// group order — the order on each shard's state machine), all shards
+// concurrently, then one pure in-memory merge and cut per member. A failed
+// round poisons the whole epoch (every query buffers the error, tagged
+// with the shard's name); a group's failure inside a round poisons only
+// that group's members.
 func (s *Scheduler) runEpochLocked() {
 	e := s.epoch
 	s.epoch++
+	n := len(s.shards)
+	qids := make([]uint32, len(s.groups))
+	for gi, g := range s.groups {
+		qids[gi] = g.query
+	}
 
-	// Sensing: a pipelined presample for exactly this epoch is consumed;
-	// anything else (stale after SetPipelining toggles) is discarded — its
-	// charges were never committed, so resampling is free of skew.
-	var shard []map[model.NodeID]model.Reading
-	if s.pre != nil {
-		<-s.pre.done
-		if s.pre.epoch == e {
-			shard = s.pre.shard
+	senses := make([]map[model.NodeID]model.Reading, n)
+	rounds := make([][]RemoteGroupResult, n)
+	errs := make([]error, n)
+	s.fanOut(func(i int) {
+		senses[i], rounds[i], errs[i] = s.shards[i].shard.EpochRound(e, qids)
+		if errs[i] == nil && len(rounds[i]) != len(qids) {
+			errs[i] = fmt.Errorf("epoch round returned %d groups, want %d", len(rounds[i]), len(qids))
 		}
-		s.pre = nil
-	}
-	if shard == nil {
-		shard = s.coord.PresampleEpoch(e)
-	}
-	s.coord.CommitSenseEpoch(e, shard)
-	// The union for the oracle is identical for every query without an
-	// override source — compute it once, not once per query.
-	union := MergeReadings(shard)
-
-	// Acquisition: one per group. On the concurrent substrate all group
-	// acquisitions run in parallel, across groups and across shards: the
-	// Live transport supports any number of in-flight sweeps and floods.
-	// The deterministic simulator is a single-threaded state machine per
-	// shard, so there the groups run in sequence (each group still fans
-	// out across shards — distinct shards are distinct state machines).
-	// Decorators (fault injection) are stripped first — they forward
-	// concurrency-safely.
-	_, live := Baseof(s.coord.deps[0].tp).(*Live)
-	acqs := make([]*acquisition, len(s.groups))
-	errs := make([]error, len(s.groups))
-	var wg sync.WaitGroup
-	for i, g := range s.groups {
-		if live {
-			wg.Add(1)
-			go func(i int, g *acqGroup) {
-				defer wg.Done()
-				acqs[i], errs[i] = s.coord.acquire(e, g.ops, shard, g.src)
-			}(i, g)
-		} else {
-			acqs[i], errs[i] = s.coord.acquire(e, g.ops, shard, g.src)
+	})
+	if err := s.firstErr(errs); err != nil {
+		for _, q := range s.queries {
+			q.pending = append(q.pending, Outcome{Epoch: e, Err: err})
 		}
+		return
 	}
-	wg.Wait()
+	// The union for the oracle is identical for every group running on the
+	// shared sensing — compute it once, not once per group.
+	union := MergeReadings(senses)
 
-	// All transport work for epoch e is done; overlap the next epoch's
-	// sensing with the merge stage.
-	if s.pipeline == pipelineOn || (s.pipeline == pipelineAuto && live) {
-		pre := &presample{epoch: e + 1, done: make(chan struct{})}
-		s.pre = pre
-		go func() {
-			pre.shard = s.coord.PresampleEpoch(e + 1)
-			close(pre.done)
-		}()
-	}
-
-	// Merge: coordinator-tier fed rounds, no transport access. Every member
-	// of a group runs its own merge/cut over the group's shared per-shard
-	// rankings (fed.Merger never mutates its inputs), so M same-key tenants
-	// cost M in-memory merges and ONE in-network acquisition.
-	for i, g := range s.groups {
-		ga := acqs[i]
-		gUnion := union
-		if errs[i] == nil && ga.override {
-			// Derive the override union once per group, not once per member;
-			// the flag is cleared so mergeAcquisition trusts the passed union.
-			gUnion = MergeReadings(ga.readings)
-			ga.override = false
+	for gi, g := range s.groups {
+		perShard := make([][]model.Answer, n)
+		override := false
+		for i := range rounds {
+			r := rounds[i][gi]
+			errs[i] = r.Err
+			perShard[i] = r.Acq.Answers
+			override = override || r.Acq.Readings != nil
 		}
+		err := s.firstErr(errs)
+		// Union the readings the group actually ran on: the shared sensing,
+		// or the shards' derived readings when the query overrides them.
+		readings := union
+		if err == nil && override {
+			per := make([]map[model.NodeID]model.Reading, n)
+			for i := range rounds {
+				per[i] = rounds[i][gi].Acq.Readings
+			}
+			readings = MergeReadings(per)
+		}
+		// Every member runs its own merge/cut over the group's shared
+		// per-shard rankings (fed.Merger never mutates its inputs), so M
+		// same-key tenants cost M in-memory merges and ONE acquisition.
 		for _, q := range g.members {
-			var out Outcome
-			if errs[i] != nil {
-				out = Outcome{Epoch: e, Err: errs[i]}
-			} else {
-				out = s.coord.mergeAcquisition(e, ga, gUnion, q.merge)
-				out = q.cut(out)
+			out := Outcome{Epoch: e, Readings: readings}
+			switch {
+			case err != nil:
+				out.Err = err
+			case q.merge != nil:
+				out.Answers, out.Err = q.merge(perShard)
+			case n == 1:
+				out.Answers = perShard[0]
+			default:
+				out.Err = fmt.Errorf("engine: %d shards need a merge function", n)
+			}
+			// The group's ranking may be wider than this member asked for
+			// (it acquires at the widest member K). The prefix is copied,
+			// never aliased — members of one group must not share answer
+			// slices across their buffered outcomes.
+			if q.cutK > 0 && out.Err == nil && len(out.Answers) > q.cutK {
+				out.Answers = append([]model.Answer(nil), out.Answers[:q.cutK]...)
 			}
 			q.pending = append(q.pending, out)
 		}
 	}
 }
 
-// cut applies the member's TOP-K prefix cut to a merged outcome. The
-// group's ranking may be wider than this member asked for (the group
-// acquires at the widest member K); the member keeps the top cutK. The
-// prefix is copied, never aliased — members of one group must not share
-// answer slices across their buffered outcomes.
-func (sq *ScheduledQuery) cut(out Outcome) Outcome {
-	if sq.cutK > 0 && out.Err == nil && len(out.Answers) > sq.cutK {
-		out.Answers = append([]model.Answer(nil), out.Answers[:sq.cutK]...)
+// Install replaces the scheduler's shards — the final step of a live
+// re-sharding migration. Taking the epoch lock IS the drain: no epoch
+// round, historic round or shard sweep can be in flight while the swap
+// happens, and the next Step fans out to the new shards. The epoch clock
+// and every scheduled group carry over untouched — the caller re-attaches
+// each group's query id on the new shards before installing, so group
+// state needs no translation.
+func (s *Scheduler) Install(shards []*RemoteDeployment) error {
+	if len(shards) == 0 {
+		return fmt.Errorf("engine: scheduler needs at least one shard")
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.install(shards)
+	return nil
+}
+
+// RunShards invokes fn once per shard concurrently (distinct shards are
+// distinct state machines, or processes whose round trips overlap) and
+// returns the first error in shard order, tagged with the shard's name.
+// It runs serialized against epoch rounds, with the shard-indexing
+// discipline the epoch loop uses, so results land index-aligned.
+func (s *Scheduler) RunShards(fn func(i int, d *RemoteDeployment) error) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	errs := make([]error, len(s.shards))
+	s.fanOut(func(i int) {
+		errs[i] = fn(i, s.shards[i])
+	})
+	return s.firstErr(errs)
+}
+
+// Serialized runs fn while holding the scheduler's epoch lock: one-shot
+// multi-call protocols (the federated historic threshold round, which
+// fans its own per-shard calls out) run atomically with respect to epoch
+// rounds on the shard state machines.
+func (s *Scheduler) Serialized(fn func() error) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return fn()
+}
+
+// fanOut runs fn(i) for every shard index concurrently and joins.
+func (s *Scheduler) fanOut(fn func(i int)) {
+	if len(s.shards) == 1 {
+		fn(0)
+		return
+	}
+	var wg sync.WaitGroup
+	for i := range s.shards {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			fn(i)
+		}(i)
+	}
+	wg.Wait()
+}
+
+// firstErr returns the first shard error in shard order, tagged.
+func (s *Scheduler) firstErr(errs []error) error {
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("engine: shard %s: %w", s.shards[i].name, err)
+		}
+	}
+	return nil
+}
+
+// MergeReadings unions per-shard readings into one map for the oracle;
+// the single-shard case passes its map through without copying (the flat
+// hot path stays allocation-lean).
+func MergeReadings(per []map[model.NodeID]model.Reading) map[model.NodeID]model.Reading {
+	if len(per) == 1 {
+		return per[0]
+	}
+	n := 0
+	for _, m := range per {
+		n += len(m)
+	}
+	out := make(map[model.NodeID]model.Reading, n)
+	for _, m := range per {
+		for id, r := range m {
+			out[id] = r
+		}
 	}
 	return out
 }

@@ -119,3 +119,26 @@ func (in *Injector) Delta(s sim.Snapshot) sim.Snapshot { return in.inner.Delta(s
 
 // Reset implements Transport.
 func (in *Injector) Reset() { in.inner.Reset() }
+
+// Stack assembles one shard's transport the one way every host does —
+// kspot.Open's deterministic and live substrates and a wire shard server
+// alike: the substrate (a *sim.Network, or the *engine.Live over it),
+// behind the churn injector when a fault environment is armed (cfg
+// non-nil; see Wrap), tapped outermost by each recorder in turn. The taps
+// sit above the injector so a sense commit hands them exactly the
+// committed, post-fault readings, and the substrate below stays one Wrap
+// can arm.
+func Stack(substrate engine.Transport, cfg *Config, recs ...engine.ReadingsRecorder) (engine.Transport, error) {
+	tp := substrate
+	if cfg != nil {
+		inj, err := Wrap(substrate, *cfg)
+		if err != nil {
+			return nil, err
+		}
+		tp = inj
+	}
+	for _, rec := range recs {
+		tp = engine.Recorded{Transport: tp, Rec: rec}
+	}
+	return tp, nil
+}

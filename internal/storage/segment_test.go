@@ -414,7 +414,7 @@ func BenchmarkWindowMemoryPush(b *testing.B) {
 }
 
 // BenchmarkStoreRecovery measures reopening a data dir with 16 nodes × 64
-// buffered epochs — the recovery_ms number BENCH_PR10.json tracks.
+// buffered epochs — the recovery_ms number BENCH.json tracks.
 func BenchmarkStoreRecovery(b *testing.B) {
 	dir := b.TempDir()
 	st, err := OpenStore(dir, 64)

@@ -567,6 +567,20 @@ func (c *Client) Attach(queryID uint32, algo, sql string) error {
 	return nil
 }
 
+// Detach releases an attached query on the shard: its operator and views
+// are dropped and a restarted shard no longer re-attaches it. Sent when the
+// query's acquisition group dissolves or is widened onto a new id.
+func (c *Client) Detach(queryID uint32) error {
+	f, err := c.call(MsgDetach, AppendU32(nil, queryID))
+	if err != nil {
+		return err
+	}
+	if f.Type != MsgDetached {
+		return fmt.Errorf("wire: detach reply %v", f.Type)
+	}
+	return nil
+}
+
 // EpochRound implements engine.RemoteShard: sense the epoch and run every
 // group's acquisition in one round trip.
 func (c *Client) EpochRound(e model.Epoch, queries []uint32) (map[model.NodeID]model.Reading, []engine.RemoteGroupResult, error) {

@@ -2,8 +2,9 @@
 // the third substrate next to the deterministic simulator and the
 // concurrent live deployment. A shard process (kspotd -serve-shard) wraps
 // its local substrate in a Server; the coordinator process drives every
-// shard through a Client, which the engine's RemoteCoordinator fans out
-// exactly like the in-process shard fan-out.
+// shard through a Client — to the engine's Scheduler one more shard behind
+// the EpochRound contract an in-process engine.Deployment implements, the
+// very call a Server answers its MsgEpochRound with.
 //
 // The protocol is a length-prefixed framed RPC over one TCP connection:
 //
@@ -52,7 +53,7 @@ const (
 	// Version is the protocol version; peers must match exactly. It is the
 	// only compatibility mechanism: any change a peer of the previous
 	// version would misread bumps it.
-	Version uint16 = 2
+	Version uint16 = 3
 	// MaxPayload bounds a frame's payload. The largest legitimate frame is
 	// an epoch-round reply (a few bytes per sensor node per group), so
 	// 1 MiB is far beyond scale-100k split into shards, while a garbage
@@ -91,6 +92,8 @@ const (
 	MsgSnapshotChunk           // reply: total size, offset, chunk bytes
 	MsgRestore                 // push one bounded chunk of a shard state: total, offset, bytes
 	MsgRestored                // reply: bytes received so far, applied flag
+	MsgDetach                  // release an attached query (its group dissolved or widened): qid
+	MsgDetached                // reply: qid
 )
 
 func (t MsgType) String() string {
@@ -137,6 +140,10 @@ func (t MsgType) String() string {
 		return "restore"
 	case MsgRestored:
 		return "restored"
+	case MsgDetach:
+		return "detach"
+	case MsgDetached:
+		return "detached"
 	default:
 		return fmt.Sprintf("msg(%d)", uint8(t))
 	}

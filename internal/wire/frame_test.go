@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"strings"
@@ -137,8 +138,8 @@ func TestHandshakeRejects(t *testing.T) {
 	v1 = appendString(v1, "demo")
 	bothVersions := func(what string, err error) {
 		t.Helper()
-		if err == nil || !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "speaks 2") {
-			t.Fatalf("%s: %v, want an error naming versions 1 and 2", what, err)
+		if err == nil || !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), fmt.Sprintf("speaks %d", Version)) {
+			t.Fatalf("%s: %v, want an error naming versions 1 and %d", what, err, Version)
 		}
 	}
 	_, err := DecodeHello(v1)

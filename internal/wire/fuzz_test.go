@@ -16,6 +16,7 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(AppendFrame(nil, Frame{Seq: 1, Type: MsgHello, Payload: AppendHello(nil, Hello{Version: Version, Scenario: "demo"})}))
 	f.Add(AppendFrame(nil, Frame{Seq: 2, Type: MsgEpochRound, Payload: AppendEpochRound(nil, EpochRoundReq{Epoch: 7, Queries: []uint32{1, 2}})}))
 	f.Add(AppendFrame(nil, Frame{Seq: 3, Type: MsgSums, Payload: AppendSums(nil, 7, map[model.GroupID]int64{1: 2})}))
+	f.Add(AppendFrame(nil, Frame{Seq: 5, Type: MsgDetach, Payload: AppendU32(nil, 7)}))
 	f.Add(AppendFrame(nil, Frame{Seq: 4, Type: MsgTopK, Payload: AppendTopK(nil, 1, 9, []model.Answer{{Group: 3, Score: -4.5}})}))
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})

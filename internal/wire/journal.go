@@ -3,8 +3,8 @@ package wire
 // journal is the shard server's session meta log: the second file of a
 // -data-dir next to the storage segments. Where segments persist WHAT the
 // shard buffered, the journal persists WHO it was serving — the
-// coordinator session nonce, every attached query (id, algorithm, SQL),
-// and a per-epoch energy checkpoint — so a kill -9'd shard process
+// coordinator session nonce, every attached query (id, algorithm, SQL) and
+// its release, and a per-epoch energy checkpoint — so a kill -9'd shard process
 // restarted on the same data dir resumes the SAME session: the
 // reconnecting coordinator's unchanged nonce matches instead of resetting
 // the session, its queries are already attached (replayed from the
@@ -22,6 +22,7 @@ import (
 	"hash/crc32"
 	"math"
 	"os"
+	"slices"
 
 	"kspot/internal/model"
 )
@@ -31,12 +32,13 @@ const (
 	jNonce  = 1 // u64 nonce — a new coordinator session began
 	jAttach = 2 // u32 qid | str algo | str sql — a query attached
 	jEnergy = 3 // u32 epoch | u32 count | (u16 node, u64 f64bits µJ)* — epoch checkpoint
+	jDetach = 4 // u32 qid — an attached query was released
 )
 
 // journalState is what replaying a journal yields.
 type journalState struct {
 	nonce       uint64
-	attaches    []AttachReq // in attach order
+	attaches    []AttachReq // still attached, in attach order
 	energyEpoch model.Epoch
 	hasEnergy   bool
 	energy      map[model.NodeID]float64
@@ -116,6 +118,12 @@ func openJournal(path string) (*journal, journalState, error) {
 				continue
 			}
 			st.attaches = append(st.attaches, AttachReq{Query: qid, Algo: algo, SQL: sql})
+		case jDetach:
+			if len(p) != 5 {
+				continue
+			}
+			qid := binary.LittleEndian.Uint32(p[1:])
+			st.attaches = slices.DeleteFunc(st.attaches, func(a AttachReq) bool { return a.Query == qid })
 		case jEnergy:
 			if len(p) < 9 {
 				continue
@@ -179,6 +187,12 @@ func (j *journal) Attach(req AttachReq) error {
 	p = appendString(p, req.Algo)
 	p = appendString(p, req.SQL)
 	return j.write(p)
+}
+
+// Detach records one released query: a restart replays only the attaches
+// no later detach names.
+func (j *journal) Detach(qid uint32) error {
+	return j.write(binary.LittleEndian.AppendUint32([]byte{jDetach}, qid))
 }
 
 // Energy records an epoch's per-node ledger checkpoint, nodes ascending.

@@ -62,10 +62,13 @@ type Server struct {
 	cfg    ServerConfig
 	sub    *config.Scenario
 	net    *sim.Network
-	tp     engine.Transport // behind the shard's fault injector when armed
-	src    trace.Source
 	schema query.Schema
 	name   string
+
+	// dep is the shard itself: the transport stack, the flat trace source
+	// and the attached queries' operators. An epoch round is its
+	// EpochRound — the call the in-process scheduler makes on a local shard.
+	dep *engine.Deployment
 
 	live       *engine.Live
 	liveCancel context.CancelFunc
@@ -75,7 +78,6 @@ type Server struct {
 	journal *journal // nil without a data dir
 
 	mu          sync.Mutex
-	queries     map[uint32]*attachedQuery
 	historics   map[uint32]*historicExec
 	nonce       uint64
 	evicted     uint64 // highest sequence evicted from the replay cache
@@ -89,16 +91,6 @@ type Server struct {
 	conns  map[net.Conn]bool
 	closed bool
 	wg     sync.WaitGroup
-}
-
-// attachedQuery is one coordinator-posted query's shard-local execution
-// state: the planned query, its operator instance and, for queries whose
-// per-node inputs are derived rather than shared (GROUP BY ... WITH
-// HISTORY), the derivation source.
-type attachedQuery struct {
-	plan     *query.Plan
-	op       topk.SnapshotOperator
-	override trace.Source
 }
 
 // historicExec caches one historic execution's buffered windows between
@@ -115,9 +107,10 @@ const replayCap = 64
 
 // NewServer builds a shard server: the shard's network (deterministic or
 // live), the flat trace source, and — when the scenario carries a faults
-// block — the shard's derived fault environment, exactly as an in-process
-// federated Open would arm it (same per-shard seeds, same injector), so
-// fault scenarios replay identically in-process and over the wire.
+// block — the shard's derived fault environment, stacked by the function
+// an in-process federated Open stacks it with (faults.Stack: same
+// per-shard seeds, same injector, same tap order), so fault scenarios
+// replay identically in-process and over the wire.
 func NewServer(cfg ServerConfig) (*Server, error) {
 	shardScens, err := cfg.Scenario.ShardScenarios()
 	if err != nil {
@@ -140,16 +133,18 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		cfg:       cfg,
 		sub:       sub,
 		net:       network,
-		src:       src,
 		schema:    query.DefaultSchema(),
 		name:      cfg.Scenario.ShardName(cfg.Shard),
 		roster:    sub.Roster(),
-		queries:   make(map[uint32]*attachedQuery),
 		historics: make(map[uint32]*historicExec),
 		replay:    make(map[uint64][]byte),
 		conns:     make(map[net.Conn]bool),
 	}
-	var tp engine.Transport = network
+	jst, err := s.openDurable()
+	if err != nil {
+		return nil, err
+	}
+	var substrate engine.Transport = network
 	if cfg.Live {
 		window := cfg.LiveWindow
 		if window <= 0 {
@@ -159,62 +154,84 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		s.live = engine.NewLive(network, engine.LiveOptions{Window: window})
 		s.live.Start(ctx)
 		s.liveCancel = cancel
-		tp = s.live
+		substrate = s.live
 	}
+	var fcfg *faults.Config
 	if cfg.Scenario.Faults.Enabled() {
-		fcfg := cfg.Scenario.ShardFaults(*cfg.Scenario.Faults, cfg.Shard)
-		inj, err := faults.Wrap(tp, fcfg)
-		if err != nil {
-			s.stopLive()
-			return nil, err
-		}
-		tp = inj
+		c := cfg.Scenario.ShardFaults(*cfg.Scenario.Faults, cfg.Shard)
+		fcfg = &c
 	}
-	s.tp = tp
-	if err := s.openDurable(); err != nil {
+	// The durable tier taps every committed sense epoch; in durable mode the
+	// journal's energy checkpoint taps it beside the store.
+	recs := []engine.ReadingsRecorder{s.store}
+	if s.journal != nil {
+		recs = append(recs, energyCheckpoint{s})
+	}
+	tp, err := faults.Stack(substrate, fcfg, recs...)
+	if err == nil {
+		s.dep = engine.NewDeployment(s.name, tp, src)
+		err = s.recoverSession(jst)
+	}
+	if err != nil {
 		s.stopLive()
+		s.closeDurable()
 		return nil, err
 	}
 	return s, nil
 }
 
 // openDurable opens the shard's durable tier (the memory backend when no
-// data dir is configured) and, in durable mode, recovers the session
-// journal: the dead process's coordinator nonce (so the reconnecting
-// client does not look like a new session and trigger a reset), its
-// attached queries (replayed through the normal attach path — the shard
-// re-derives each operator from the journaled SQL), and the last flushed
-// energy checkpoint.
-func (s *Server) openDurable() error {
+// data dir is configured) and, in durable mode, the session journal,
+// returning the dead process's recovered session.
+func (s *Server) openDurable() (journalState, error) {
 	store, err := storage.OpenStore(s.cfg.DataDir, storage.DefaultStoreWindow)
 	if err != nil {
-		return err
+		return journalState{}, err
 	}
 	s.store = store
 	if s.cfg.DataDir == "" {
-		return nil
+		return journalState{}, nil
 	}
 	j, jst, err := openJournal(filepath.Join(s.cfg.DataDir, "meta.journal"))
 	if err != nil {
 		store.Close()
-		return err
+		return journalState{}, err
 	}
 	s.journal = j
+	return jst, nil
+}
+
+// recoverSession resumes a journaled session: the coordinator nonce (so
+// the reconnecting client does not look like a new session and trigger a
+// reset), its still-attached queries (replayed through the normal attach
+// path — the shard re-derives each operator from the journaled SQL), and
+// the last flushed energy checkpoint.
+func (s *Server) recoverSession(jst journalState) error {
 	s.nonce = jst.nonce
 	for _, a := range jst.attaches {
 		if err := s.attach(a); err != nil {
-			j.Close()
-			store.Close()
 			return fmt.Errorf("wire: replaying journaled attach %d (%q): %w", a.Query, a.SQL, err)
 		}
 	}
 	for n, uj := range jst.energy {
-		s.net.Ledger.Set(int(n), uj)
-		if b, ok := s.net.Budgets[n]; ok && b != nil {
-			b.Used = uj
-		}
+		s.setEnergy(n, uj)
 	}
 	return nil
+}
+
+func (s *Server) closeDurable() {
+	if s.journal != nil {
+		s.journal.Close()
+	}
+	s.store.Close()
+}
+
+// setEnergy resumes one node's ledger total (and spent budget) bit-exact.
+func (s *Server) setEnergy(n model.NodeID, uj float64) {
+	s.net.Ledger.Set(int(n), uj)
+	if b, ok := s.net.Budgets[n]; ok && b != nil {
+		b.Used = uj
+	}
 }
 
 // Name returns the shard's display name.
@@ -292,12 +309,7 @@ func (s *Server) Close() {
 	s.connMu.Unlock()
 	s.wg.Wait()
 	s.stopLive()
-	if s.journal != nil {
-		s.journal.Close()
-	}
-	if s.store != nil {
-		s.store.Close()
-	}
+	s.closeDurable()
 }
 
 // serveConn runs one connection: handshake, then the request loop.
@@ -332,7 +344,8 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.evicted = 0
 		s.replay = make(map[uint64][]byte)
 		s.replayOrder = s.replayOrder[:0]
-		s.queries = make(map[uint32]*attachedQuery)
+		s.dep.Drain()
+		s.dep = engine.NewDeployment(s.name, s.dep.Transport(), s.dep.Source())
 		s.historics = make(map[uint32]*historicExec)
 		s.snapState = nil
 		s.restoreBuf = nil
@@ -454,31 +467,40 @@ func (s *Server) handle(f Frame) (MsgType, []byte, error) {
 		}
 		return MsgAttached, AppendU32(nil, req.Query), nil
 
+	case MsgDetach:
+		qid, err := DecodeU32(f.Payload)
+		if err != nil {
+			return 0, nil, err
+		}
+		// Detaching an id that is not attached is a no-op, not an error: a
+		// coordinator releasing a group after a partly failed attach names
+		// shards that never held it.
+		s.dep.Detach(qid)
+		if s.journal != nil {
+			if err := s.journal.Detach(qid); err != nil {
+				return 0, nil, err
+			}
+		}
+		return MsgDetached, AppendU32(nil, qid), nil
+
 	case MsgEpochRound:
 		req, err := DecodeEpochRound(f.Payload)
 		if err != nil {
 			return 0, nil, err
 		}
-		// The whole epoch in one frame. Presample + commit is the
-		// coordinator's exact sensing order (idle charge, dead-node drop,
-		// sensing charge, history record); the post-commit readings are
-		// what every group's acquisition sees, in request order — the
-		// in-process scheduler's order, so operator and counter state
-		// evolve identically. A group's failure is carried per group: the
-		// sensing and the other groups stand.
-		readings := engine.PresampleEpoch(s.tp, s.src, req.Epoch)
-		engine.CommitSenseEpoch(s.tp, req.Epoch, readings)
-		s.recordEpoch(req.Epoch, readings)
-		rep := EpochRoundReply{Epoch: req.Epoch, Readings: readings}
-		for _, qid := range req.Queries {
-			var g RoundGroup
-			answers, override, err := s.acquireLocked(qid, req.Epoch, readings)
-			if err != nil {
-				g.Err = err.Error()
+		// The whole epoch in one frame: the shard's own round, the call the
+		// in-process scheduler makes on a local shard.
+		readings, results, err := s.dep.EpochRound(req.Epoch, req.Queries)
+		if err != nil {
+			return 0, nil, err
+		}
+		rep := EpochRoundReply{Epoch: req.Epoch, Readings: readings, Groups: make([]RoundGroup, len(results))}
+		for i, r := range results {
+			if r.Err != nil {
+				rep.Groups[i].Err = r.Err.Error()
 			} else {
-				g.Answers, g.Override = answers, override
+				rep.Groups[i].Answers, rep.Groups[i].Override = r.Acq.Answers, r.Acq.Readings
 			}
-			rep.Groups = append(rep.Groups, g)
 		}
 		payload, err := AppendEpochRoundReply(nil, s.roster, rep)
 		if err != nil {
@@ -503,7 +525,7 @@ func (s *Server) handle(f Frame) (MsgType, []byte, error) {
 		if err != nil {
 			return 0, nil, err
 		}
-		answers, err := op.Run(s.tp, hq, data)
+		answers, err := op.Run(s.dep.Transport(), hq, data)
 		if err != nil {
 			return 0, nil, err
 		}
@@ -519,7 +541,7 @@ func (s *Server) handle(f Frame) (MsgType, []byte, error) {
 		if !ok {
 			return 0, nil, fmt.Errorf("wire: historic execution %d unknown", exec)
 		}
-		sums := topk.FetchHistoricSums(s.tp, h.data, ids)
+		sums := topk.FetchHistoricSums(s.dep.Transport(), h.data, ids)
 		return MsgSums, AppendSums(nil, exec, sums), nil
 
 	case MsgRelease:
@@ -585,10 +607,7 @@ func (s *Server) handle(f Frame) (MsgType, []byte, error) {
 			// the source shard's partial sums, so post-migration totals
 			// equal the never-migrated run's.
 			for _, ns := range st.Nodes {
-				s.net.Ledger.Set(int(ns.Node), ns.EnergyUJ)
-				if b, ok := s.net.Budgets[ns.Node]; ok && b != nil {
-					b.Used = ns.EnergyUJ
-				}
+				s.setEnergy(ns.Node, ns.EnergyUJ)
 			}
 			rep.Applied = true
 		}
@@ -613,23 +632,21 @@ func (s *Server) handle(f Frame) (MsgType, []byte, error) {
 	}
 }
 
-// recordEpoch folds one committed sense epoch into the durable tier and,
-// in durable mode, checkpoints the energy ledger into the journal (the
-// restart floor: a kill -9 loses at most the epoch in flight). Called
-// under s.mu; both are best-effort for answers — the store skips epochs
-// it already persisted, and a storage failure sticks in store.Err()
-// rather than perturbing the sense path.
-func (s *Server) recordEpoch(e model.Epoch, readings map[model.NodeID]model.Reading) {
-	s.store.RecordReadings(e, readings)
-	if s.journal == nil {
-		return
-	}
-	ids := s.net.Ledger.Nodes()
+// energyCheckpoint is the journal's tap on the sense commit: in durable
+// mode every committed epoch checkpoints the energy ledger (the restart
+// floor: a kill -9 loses at most the epoch in flight). Best-effort for
+// answers, like the store's tap beside it — a journal failure must not
+// perturb the sense path.
+type energyCheckpoint struct{ s *Server }
+
+// RecordReadings implements engine.ReadingsRecorder.
+func (c energyCheckpoint) RecordReadings(e model.Epoch, _ map[model.NodeID]model.Reading) {
+	ids := c.s.net.Ledger.Nodes()
 	nodes := make([]model.NodeID, 0, len(ids))
 	for _, id := range ids {
 		nodes = append(nodes, model.NodeID(id))
 	}
-	s.journal.Energy(e, nodes, s.energyOf)
+	c.s.journal.Energy(e, nodes, c.s.energyOf)
 }
 
 // energyOf reads one node's ledger total in µJ.
@@ -640,28 +657,12 @@ func (s *Server) energyOf(n model.NodeID) float64 {
 // Store exposes the shard's durable tier (tests inspect recovery state).
 func (s *Server) Store() *storage.Store { return s.store }
 
-// acquireLocked runs one epoch of an attached query against the epoch's
-// committed sensing (s.mu held). For queries whose per-node inputs are
-// derived rather than shared (window aggregation), the derivation is
-// rebuilt without charging over the node set the sense committed — the
-// in-process coordinator's exact derivation, so shared epochs stay
-// order-independent across acquisitions — and returned as the override.
-func (s *Server) acquireLocked(qid uint32, e model.Epoch, sensed map[model.NodeID]model.Reading) ([]model.Answer, map[model.NodeID]model.Reading, error) {
-	q, ok := s.queries[qid]
-	if !ok {
-		return nil, nil, fmt.Errorf("wire: query %d not attached", qid)
-	}
-	readings := sensed
-	var override map[model.NodeID]model.Reading
-	if q.override != nil {
-		override = engine.DeriveReadings(sensed, q.override, e)
-		readings = override
-	}
-	answers, err := q.op.Epoch(e, readings)
-	if err != nil {
-		return nil, nil, err
-	}
-	return answers, override, nil
+// Attached reports how many queries are attached (tests pin that a
+// dissolved or widened group's operator is released).
+func (s *Server) Attached() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.dep.Attached()
 }
 
 // attach plans the query text locally and instantiates the shard's own
@@ -683,21 +684,23 @@ func (s *Server) attach(req AttachReq) error {
 	if err != nil {
 		return err
 	}
-	if err := op.Attach(s.tp, plan.Snapshot); err != nil {
+	if err := op.Attach(s.dep.Transport(), plan.Snapshot); err != nil {
 		return err
 	}
-	q := &attachedQuery{plan: plan, op: op}
+	// A query whose per-node inputs are derived rather than shared (GROUP
+	// BY ... WITH HISTORY) carries its derivation source.
+	var override trace.Source
 	if plan.Kind == query.PlanHistoricGroupTopK {
-		q.override = trace.WindowAgg(s.src, plan.History, plan.Snapshot.Agg)
+		override = trace.WindowAgg(s.dep.Source(), plan.History, plan.Snapshot.Agg)
 	}
-	s.queries[req.Query] = q
+	s.dep.Attach(req.Query, op, override)
 	return nil
 }
 
 // bufferWindows materializes the shard's per-node windows from the flat
 // trace source, epoch-aligned across shards (global node ids).
 func (s *Server) bufferWindows(window int) (topk.HistoricData, error) {
-	series, err := storage.BufferSeries(s.tp.Topology().SensorNodes(), window, s.src.Sample)
+	series, err := storage.BufferSeries(s.dep.Transport().Topology().SensorNodes(), window, s.dep.Source().Sample)
 	if err != nil {
 		return nil, err
 	}

@@ -122,8 +122,10 @@ const (
 // flat network. Queries run on one of two substrates of the same engine
 // layer (see DESIGN.md): the deterministic simulator (default) or the
 // concurrent live deployment (PostWith ... WithLive()), which lets any
-// number of queries sweep one network at once and serves every live cursor
-// from a shared per-shard epoch.
+// number of queries sweep one network at once. Either way — and when the
+// shards are remote processes (OpenFederated) — every continuous cursor
+// is a seat on one engine.Scheduler per tier, which runs one epoch round
+// per shard per epoch and serves every cursor from it.
 type System struct {
 	scenario   *config.Scenario
 	shardScens []*config.Scenario // per-shard sub-deployments; [0] == scenario when flat
@@ -134,8 +136,6 @@ type System struct {
 
 	mu         sync.Mutex
 	lives      []*engine.Live
-	liveTPs    []engine.Transport // lives behind their fault injectors when armed
-	sched      *engine.Scheduler
 	liveCancel context.CancelFunc
 	// liveRuns counts one-shot historic executions in flight on the live
 	// substrate. They run outside the scheduler's epoch lock-step, so
@@ -144,61 +144,67 @@ type System struct {
 	// shard's Live torn down mid-protocol.
 	liveRuns sync.WaitGroup
 
+	// The lock-step tiers. det is the default one — the deterministic
+	// shard networks of a local System (rebuilt when a fault environment
+	// arms or disarms, which only happens before any cursor attaches), or
+	// the remote shard processes of OpenFederated. live is the concurrent
+	// deployment WithLive starts over the same networks; nil until then and
+	// after Close.
+	det, live *tier
+
 	// faultCfg, when non-nil, is the armed fault environment (faultCfgs
-	// its per-shard specializations); dets are the deterministic shard
-	// substrates behind their churn injectors (s.nets when no faults are
-	// armed). posted records that at least one cursor has attached,
-	// posting counts attachments in flight — arming while either holds
-	// would leave those cursors' operators below the injector, churning
-	// nothing.
+	// its per-shard specializations; see shardStack). posted records that
+	// at least one cursor has attached, posting counts attachments in
+	// flight — arming while either holds would leave those cursors'
+	// operators below the injector, churning nothing.
 	faultCfg  *faults.Config
 	faultCfgs []faults.Config
-	dets      []engine.Transport
 	posted    bool
 	posting   int
 
 	// stores, when WithDataDir armed them, are the per-shard durable
 	// tiers: every committed sense epoch folds into shard i's store (and
-	// its segment files) through an engine.Recorded tap on the substrate.
+	// its segment files) through its tap on the shard's transport stack.
 	stores []*storage.Store
 
 	// Remote deployments (OpenFederated): the shard networks live in other
-	// processes behind these wire clients; rcoord drives them through
-	// lock-step epochs. nets/source stay empty — there is no local
-	// substrate to run on. qidSeq allocates query/execution ids unique
-	// within this coordinator's wire sessions.
+	// processes behind these wire clients, the det tier's shards.
+	// nets/source stay empty — there is no local substrate to run on.
+	// qidSeq allocates the ids acquisition groups and historic executions
+	// are attached under, unique within this System (and so within its wire
+	// sessions).
 	remotes []*wire.Client
-	rcoord  *engine.RemoteCoordinator
 	qidSeq  atomic.Uint32
 	wireCfg openConfig // the Open options, reused when Reshard dials new shards
 
 	// Multi-tenant serving state. admission, when non-nil, gates every
 	// Post (WithAdmission). groupMu serializes shared-acquisition group
-	// bookkeeping across posts and cursor closes: groupCaps records each
-	// group's current acquired ranking depth (keyed by substrate-prefixed
-	// acquisition key, so det and live groups never collide), remoteKeys
-	// the wire query id each remote group's shards are acquired under.
-	// detSched is the deterministic substrate's shared scheduler, created
-	// at the first deterministic snapshot post — every det cursor advances
-	// on its lock-step clock, exactly like live cursors on sched.
-	admission  *engine.Admission
-	groupMu    sync.Mutex
-	groupCaps  map[string]int
-	remoteKeys map[string]*remoteKeyState
-	detSched   *engine.Scheduler
+	// bookkeeping across posts, cursor closes and re-sharding: groups
+	// records each group's current attachment, keyed by tier-prefixed
+	// acquisition key so det and live groups never collide.
+	admission *engine.Admission
+	groupMu   sync.Mutex
+	groups    map[string]*groupState
 }
 
-// remoteKeyState tracks one remote shared-acquisition group's wire
-// attachment: the query id acquired each epoch, the ranking depth it was
-// planned at, and the algorithm/SQL it was attached with — what a live
-// re-sharding migration replays onto the target shards (each shard
-// re-derives the operator from the SQL, exactly like the original
-// attach).
-type remoteKeyState struct {
-	rqid uint32
+// tier is one lock-step clock of a System: the scheduler every continuous
+// cursor of the tier holds a seat on, and its in-process shard deployments
+// (nil on a remote deployment, whose shards are wire clients).
+type tier struct {
+	sched *engine.Scheduler
+	deps  []*engine.Deployment
+}
+
+// groupState tracks one shared-acquisition group's attachment: the query
+// id every shard runs it under, the ranking depth it was planned at, and
+// the algorithm and plan it was attached with — what a live re-sharding
+// migration replays onto the target shards (each shard re-derives the
+// operator from the SQL, exactly like the original attach).
+type groupState struct {
+	id   uint32
 	cap  int
-	algo string
-	sql  string
+	algo Algorithm
+	plan *query.Plan
 }
 
 // OpenOption tunes how a scenario is opened.
@@ -272,8 +278,7 @@ func Open(s *Scenario, opts ...OpenOption) (*System, error) {
 		source:     src,
 		schema:     query.DefaultSchema(),
 		fedStats:   &fed.Stats{},
-		groupCaps:  make(map[string]int),
-		remoteKeys: make(map[string]*remoteKeyState),
+		groups:     make(map[string]*groupState),
 	}
 	if cfg.admission != nil {
 		sys.admission = engine.NewAdmission(*cfg.admission)
@@ -292,7 +297,9 @@ func Open(s *Scenario, opts ...OpenOption) (*System, error) {
 			}
 			sys.stores = append(sys.stores, store)
 		}
-		sys.dets = append(sys.dets, sys.detBase(i))
+	}
+	if err := sys.stackDets(); err != nil {
+		return nil, err
 	}
 	if s.Faults.Enabled() {
 		if err := sys.armFaults(s.Faults); err != nil {
@@ -502,21 +509,49 @@ func (s *System) AdmissionLoad() (total int, perTenant map[string]int) {
 	return s.admission.Load()
 }
 
-// detScheduler lazily creates the deterministic substrate's shared
-// scheduler over the shard transports (behind their fault injectors when
-// armed — arming is refused once any query posted, so the transports are
-// settled by the time the first cursor lands here).
-func (s *System) detScheduler() *engine.Scheduler {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.detSched == nil {
-		deps := make([]*engine.Deployment, len(s.dets))
-		for i, tp := range s.dets {
-			deps[i] = engine.NewDeployment(s.scenario.ShardName(i), tp, s.source)
-		}
-		s.detSched = engine.NewScheduler(deps...)
+// newTier builds a tier over in-process shard transports.
+func (s *System) newTier(tps []engine.Transport) *tier {
+	t := &tier{deps: make([]*engine.Deployment, len(tps))}
+	for i, tp := range tps {
+		t.deps[i] = engine.NewDeployment(s.scenario.ShardName(i), tp, s.source)
 	}
-	return s.detSched
+	t.sched = engine.NewScheduler(t.deps...)
+	return t
+}
+
+// shardStack builds shard i's transport over a substrate (the simulated
+// network, or the Live over it): behind the armed fault environment's
+// injector, tapped by the shard's durable tier when WithDataDir armed one —
+// the one stack a wire shard server builds too.
+func (s *System) shardStack(i int, substrate engine.Transport) (engine.Transport, error) {
+	var cfg *faults.Config
+	if s.faultCfg != nil {
+		cfg = &s.faultCfgs[i]
+	}
+	var recs []engine.ReadingsRecorder
+	if i < len(s.stores) {
+		recs = append(recs, s.stores[i])
+	}
+	return faults.Stack(substrate, cfg, recs...)
+}
+
+// stackDets (re)builds the deterministic tier under the current fault
+// environment. On a failure every link fault model it may have installed
+// is removed again and the tier stands as it was.
+func (s *System) stackDets() error {
+	tps := make([]engine.Transport, len(s.nets))
+	for i, net := range s.nets {
+		tp, err := s.shardStack(i, net)
+		if err != nil {
+			for _, n := range s.nets[:i+1] {
+				n.SetFault(nil)
+			}
+			return err
+		}
+		tps[i] = tp
+	}
+	s.det = s.newTier(tps)
+	return nil
 }
 
 // armFaults installs the fault environment on the deterministic substrate
@@ -542,58 +577,36 @@ func (s *System) armFaultsLocked(cfg *faults.Config) error {
 		return fmt.Errorf("kspot: faults must be armed before the live deployment starts")
 	}
 	// Specialize the environment per shard (derived seeds, churn filtered
-	// to the shard's own nodes) and wrap every deterministic substrate; a
-	// flat deployment's single "shard" keeps the config verbatim.
+	// to the shard's own nodes) and re-stack every deterministic substrate;
+	// a flat deployment's single "shard" keeps the config verbatim.
 	cfgs := make([]faults.Config, len(s.nets))
-	dets := make([]engine.Transport, len(s.nets))
 	for i := range s.nets {
 		cfgs[i] = s.scenario.ShardFaults(*cfg, i)
-		inj, err := faults.Wrap(s.detBase(i), cfgs[i])
-		if err != nil {
-			for j := 0; j < i; j++ {
-				s.nets[j].SetFault(nil)
-			}
-			return err
-		}
-		dets[i] = inj
 	}
-	s.faultCfg, s.faultCfgs, s.dets = cfg, cfgs, dets
+	s.faultCfg, s.faultCfgs = cfg, cfgs
+	if err := s.stackDets(); err != nil {
+		s.faultCfg, s.faultCfgs = nil, nil
+		return err
+	}
 	return nil
 }
 
 // disarmFaultsLocked undoes an arm that no cursor ever attached under:
-// the links' fault models are removed and the deterministic transports
-// drop back to the bare networks.
+// the links' fault models are removed and the deterministic tier drops
+// back to the bare networks.
 func (s *System) disarmFaultsLocked() {
-	for i, net := range s.nets {
+	for _, net := range s.nets {
 		net.SetFault(nil)
-		s.dets[i] = s.detBase(i)
 	}
 	s.faultCfg, s.faultCfgs = nil, nil
-}
-
-// detBase returns shard i's bare deterministic substrate: the simulated
-// network, tapped by the shard's durable tier when WithDataDir armed one.
-func (s *System) detBase(i int) engine.Transport {
-	if i < len(s.stores) && s.stores[i] != nil {
-		return engine.Recorded{Transport: s.nets[i], Rec: s.stores[i]}
-	}
-	return s.nets[i]
-}
-
-// detTransports returns the deterministic shard substrates, behind their
-// fault injectors when armed.
-func (s *System) detTransports() []engine.Transport {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]engine.Transport(nil), s.dets...)
+	s.stackDets() // cannot fail without a fault environment to wrap
 }
 
 // ensureLive lazily starts the shared concurrent deployment — one Live
-// substrate per shard — and its multi-query scheduler. An armed fault
-// environment wraps each live transport with its shard's churn injector
-// (frame faults already live in the shared links), so both substrates
-// degrade identically.
+// substrate per shard — and its tier. An armed fault environment wraps
+// each live transport with its shard's churn injector (frame faults
+// already live in the shared links), so both substrates degrade
+// identically.
 func (s *System) ensureLive(window int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -603,66 +616,62 @@ func (s *System) ensureLive(window int) {
 	ctx, cancel := context.WithCancel(context.Background())
 	lives := make([]*engine.Live, len(s.nets))
 	tps := make([]engine.Transport, len(s.nets))
-	deps := make([]*engine.Deployment, len(s.nets))
 	for i, net := range s.nets {
-		live := engine.NewLive(net, engine.LiveOptions{Window: window})
-		live.Start(ctx)
-		lives[i] = live
-		var tp engine.Transport = live
-		if s.faultCfg != nil {
-			inj, err := faults.Wrap(live, s.faultCfgs[i])
-			if err != nil {
-				// Unreachable: the config validated when the deterministic
-				// substrate armed, and Live hosts every fault kind. A
-				// silent fall-through would leave the live substrate in a
-				// perfect world while det runs degraded — fail loudly.
-				panic("kspot: wrapping live substrate with armed faults: " + err.Error())
-			}
-			tp = inj
-		}
-		if i < len(s.stores) && s.stores[i] != nil {
-			// The durable tier records live epochs too: the tap sits above
-			// the injector so exactly the committed (post-fault) readings
-			// persist, mirroring the deterministic path.
-			tp = engine.Recorded{Transport: tp, Rec: s.stores[i]}
+		lives[i] = engine.NewLive(net, engine.LiveOptions{Window: window})
+		lives[i].Start(ctx)
+		tp, err := s.shardStack(i, lives[i])
+		if err != nil {
+			// Unreachable: the config validated when the deterministic
+			// substrate armed, and Live hosts every fault kind. A
+			// silent fall-through would leave the live substrate in a
+			// perfect world while det runs degraded — fail loudly.
+			panic("kspot: wrapping live substrate with armed faults: " + err.Error())
 		}
 		tps[i] = tp
-		deps[i] = engine.NewDeployment(s.scenario.ShardName(i), tp, s.source)
 	}
-	s.lives, s.liveTPs, s.liveCancel = lives, tps, cancel
-	s.sched = engine.NewScheduler(deps...)
+	s.lives, s.liveCancel = lives, cancel
+	s.live = s.newTier(tps)
 }
 
-// liveState snapshots the live deployment's shard transports (behind the
-// fault injectors when armed — operators must attach to them, or churn
-// would never observe their epochs) and scheduler under the System lock
-// (both can be torn down by Close concurrently with cursor use).
-func (s *System) liveState() ([]engine.Transport, *engine.Scheduler) {
+// tierOf returns the tier a cursor's continuous query schedules on, under
+// the System lock (the live one can be torn down by Close concurrently
+// with cursor use).
+func (s *System) tierOf(live bool) (*tier, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.liveTPs, s.sched
+	if !live {
+		return s.det, nil
+	}
+	if s.live == nil {
+		return nil, fmt.Errorf("kspot: system is closed")
+	}
+	return s.live, nil
 }
 
-// beginLiveRun snapshots the live deployment for a one-shot historic
-// execution AND registers the run so a concurrent Close waits it out
-// before stopping the live deployment. The check and the registration
+// beginRun returns the tier a one-shot historic execution runs on. On the
+// live substrate it also registers the run, so a concurrent Close waits it
+// out before stopping the live deployment; the check and the registration
 // share one critical section — snapshotting first and registering later
 // would leave a window where Close tears the substrate down under a run
 // that already holds its transports. release must be called when the run
 // completes.
-func (s *System) beginLiveRun() (tps []engine.Transport, sched *engine.Scheduler, release func(), err error) {
+func (s *System) beginRun(live bool) (t *tier, release func(), err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.liveTPs == nil {
-		return nil, nil, nil, fmt.Errorf("kspot: system is closed")
+	if !live {
+		return s.det, func() {}, nil
+	}
+	if s.live == nil {
+		return nil, nil, fmt.Errorf("kspot: system is closed")
 	}
 	s.liveRuns.Add(1)
-	return s.liveTPs, s.sched, func() { s.liveRuns.Done() }, nil
+	return s.live, s.liveRuns.Done, nil
 }
 
 // Close stops the live deployment, if one was started,
 // and drops every remote shard connection on a remote deployment (frames
-// in flight are interrupted; their cursors' Steps return an error).
+// in flight are interrupted; their cursors' Steps return an error, and so
+// does every later Step).
 // In-flight Steps complete first on the live substrate; later Steps on
 // live cursors return an error. Safe to call multiple times and
 // concurrently with in-flight Steps; deterministic-only Systems need no
@@ -672,17 +681,18 @@ func (s *System) Close() {
 		for _, cl := range s.remoteClients() {
 			cl.Close()
 		}
+		s.det.sched.Close() // after the in-flight round the closed sockets just failed
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.lives != nil {
-		s.sched.Close()   // waits out any in-flight scheduled epoch
-		s.liveRuns.Wait() // and any in-flight one-shot historic run
+		s.live.sched.Close() // waits out any in-flight scheduled epoch
+		s.liveRuns.Wait()    // and any in-flight one-shot historic run
 		for _, live := range s.lives {
 			live.Stop()
 		}
 		s.liveCancel()
-		s.lives, s.liveTPs, s.sched, s.liveCancel = nil, nil, nil, nil
+		s.lives, s.live, s.liveCancel = nil, nil, nil
 	}
 	for _, store := range s.stores {
 		store.Close()
@@ -697,9 +707,7 @@ func (s *System) Close() {
 // zero block (no durable tier is armed).
 func (s *System) StorageStats() ([]storage.StoreStats, error) {
 	if s.Remote() {
-		s.groupMu.Lock()
-		remotes := append([]*wire.Client(nil), s.remotes...)
-		s.groupMu.Unlock()
+		remotes := s.remoteClients()
 		out := make([]storage.StoreStats, 0, len(remotes))
 		for _, cl := range remotes {
 			st, err := cl.StorageStats()

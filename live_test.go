@@ -10,6 +10,7 @@ import (
 
 	"kspot/internal/model"
 	"kspot/internal/trace"
+	"kspot/internal/wire"
 )
 
 // TestLiveCursorFigure1 posts a query on the concurrent substrate and
@@ -242,38 +243,83 @@ func TestLiveFaultEquivalence(t *testing.T) {
 }
 
 // TestStepContextCancelNoLeak is the cancellation contract of the live
-// substrate: cancelling a StepContext mid-epoch returns promptly, the
-// abandoned epoch finishes on the deployment's own goroutines and is
-// re-buffered (the epoch stream stays gapless), and Close releases every
-// Live goroutine — nothing leaks.
+// substrate and over a remote shard: cancelling a StepContext mid-epoch
+// returns promptly, the abandoned epoch finishes on the deployment's own
+// goroutines and is re-buffered (the epoch stream stays gapless), and Close
+// releases every goroutine — nothing leaks.
 func TestStepContextCancelNoLeak(t *testing.T) {
-	base := runtime.NumGoroutine()
-	sys, err := Open(DemoScenario())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur, err := sys.Post("SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid", WithLive())
-	if err != nil {
-		t.Fatal(err)
-	}
+	const sql = "SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid"
+	t.Run("live", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		sys, err := Open(DemoScenario())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur, err := sys.Post(sql, WithLive())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Cancel concurrently with an in-flight step: the race goes either way.
+		stepCancelled(t, cur, 0, func() context.Context {
+			ctx, cancel := context.WithCancel(context.Background())
+			go cancel()
+			return ctx
+		})
+		sys.Close()
+		waitGoroutines(t, base)
+	})
+	// A remote shard is one more input: the round is held on the socket by
+	// an injected link delay, so every cancel lands mid-round — and must
+	// return at once, not when the round trip completes.
+	t.Run("wire", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		const hold = 40 * time.Millisecond // each way: a round takes 2×hold
+		addrs, servers := startWireShards(t, DemoScenario(), 0)
+		sys, err := OpenFederated(DemoScenario(), addrs, withWireFaults(wire.Faults{LinkDelay: hold}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur, err := sys.Post(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stepCancelled(t, cur, hold, func() context.Context {
+			ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+			t.Cleanup(cancel)
+			return ctx
+		})
+		sys.Close()
+		servers[0].Close()
+		waitGoroutines(t, base)
+	})
+}
+
+// stepCancelled is the cancel-mid-epoch body: one clean step, then a run of
+// StepContexts under contexts that expire while the epoch is (or may be)
+// in flight. Each cancelled epoch must be re-buffered — never lost or
+// duplicated — so the successes, and the plain Step that follows, observe
+// the epoch stream without a gap. promptly > 0 also bounds how long a
+// cancelled call may take to return.
+func stepCancelled(t *testing.T, cur *Cursor, promptly time.Duration, expiring func() context.Context) {
+	t.Helper()
 	if _, err := cur.StepContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	// Cancel concurrently with an in-flight step, many times: each
-	// cancelled epoch must be re-buffered, never lost or duplicated.
 	next := Epoch(1)
 	for i := 0; i < 50; i++ {
-		ctx, cancel := context.WithCancel(context.Background())
-		go cancel()
-		res, err := cur.StepContext(ctx)
+		start := time.Now()
+		res, err := cur.StepContext(expiring())
 		switch {
 		case err == nil:
 			if res.Epoch != next {
 				t.Fatalf("iteration %d: epoch %d, want %d (stream must stay gapless)", i, res.Epoch, next)
 			}
 			next++
-		case errors.Is(err, context.Canceled):
+		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 			// Abandoned; the epoch (if one ran) is re-buffered.
+			if took := time.Since(start); promptly > 0 && took > promptly {
+				t.Fatalf("iteration %d: cancelled step returned after %v, want under %v", i, took, promptly)
+			}
 		default:
 			t.Fatal(err)
 		}
@@ -285,8 +331,12 @@ func TestStepContextCancelNoLeak(t *testing.T) {
 	if res.Epoch != next {
 		t.Fatalf("post-cancel step saw epoch %d, want %d", res.Epoch, next)
 	}
-	sys.Close()
-	// Every Live worker and scheduler goroutine must have exited.
+}
+
+// waitGoroutines waits for every goroutine a closed deployment owned —
+// scheduler hand-backs, wire readers, delayed deliveries — to exit.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > base+2 {
 		if time.Now().After(deadline) {

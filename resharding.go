@@ -16,8 +16,8 @@ package kspot
 //     snapshot (wire.MsgSnapshot), split per target roster
 //     (storage.ShardState.FilterNodes), and restore on the new shards
 //     (wire.MsgRestore) bit-exact — including float energy partial sums;
-//   - engine.RemoteCoordinator.Install is the drain: it takes the epoch
-//     lock, so the swap cannot interleave a sense/acquire pair, and the
+//   - engine.Scheduler.Install is the drain: it takes the epoch
+//     lock, so the swap cannot interleave an epoch round, and the
 //     next Step after it lands on the new shards.
 //
 // The only migration artifact is a gap in the TARGET shards' durable
@@ -84,7 +84,8 @@ func (s *System) Reshard(newScenario *Scenario, addrs []string) (*ReshardReport,
 		return nil, err
 	}
 
-	epochBefore := s.rcoord.EpochNow()
+	sched := s.det.sched
+	epochBefore := sched.Epoch()
 
 	// Dial every new shard before touching anything — a target that is
 	// down or skewed fails the whole move with the old deployment intact.
@@ -109,12 +110,10 @@ func (s *System) Reshard(newScenario *Scenario, addrs []string) (*ReshardReport,
 	// shard under its existing rqid: the shard re-plans the SQL and
 	// instantiates the identical operator, and the coordinator's group
 	// state needs no translation when the swap lands.
-	for _, st := range s.remoteKeys {
-		for _, cl := range clients {
-			if err := cl.Attach(st.rqid, st.algo, st.sql); err != nil {
-				closeNew()
-				return nil, fmt.Errorf("kspot: reshard re-attach query %d: %w", st.rqid, err)
-			}
+	for _, st := range s.groups {
+		if err := s.attachGroup(s.det, clients, st); err != nil {
+			closeNew()
+			return nil, fmt.Errorf("kspot: reshard re-attach query %d: %w", st.id, err)
 		}
 	}
 
@@ -152,7 +151,7 @@ func (s *System) Reshard(newScenario *Scenario, addrs []string) (*ReshardReport,
 
 	// The drain and the swap: Install takes the epoch lock, so no epoch
 	// round or historic round straddles the cutover.
-	if err := s.rcoord.Install(deps); err != nil {
+	if err := sched.Install(deps); err != nil {
 		closeNew()
 		return nil, err
 	}
@@ -160,11 +159,11 @@ func (s *System) Reshard(newScenario *Scenario, addrs []string) (*ReshardReport,
 	s.remotes = clients
 	s.scenario = newScenario
 	s.shardScens = shardScens
-	epochAfter := s.rcoord.EpochNow()
+	epochAfter := sched.Epoch()
 
 	// Close the old connections serialized against the epoch clock: any
 	// round already holding the lock finishes on them first.
-	s.rcoord.Serialized(func() error {
+	sched.Serialized(func() error {
 		for _, cl := range old {
 			cl.Close()
 		}
@@ -176,7 +175,7 @@ func (s *System) Reshard(newScenario *Scenario, addrs []string) (*ReshardReport,
 		ToShards:       len(clients),
 		DowntimeEpochs: int(epochAfter - epochBefore),
 		MovedBytes:     moved,
-		Queries:        len(s.remoteKeys),
+		Queries:        len(s.groups),
 	}, nil
 }
 

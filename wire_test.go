@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"kspot/internal/model"
+	"kspot/internal/storage"
 	"kspot/internal/wire"
 )
 
@@ -427,8 +428,10 @@ func TestWireCloseDuringInFlight(t *testing.T) {
 		}()
 		sys.Close() // racing the stepping goroutine's socket rounds
 		<-done
-		if _, err := cur.Step(); err == nil {
-			t.Fatalf("round %d: Step after Close succeeded", round)
+		// A closed remote deployment refuses like a closed local one: the
+		// scheduler's own error, no socket touched.
+		if _, err := cur.Step(); err == nil || !strings.Contains(err.Error(), "scheduler is closed") {
+			t.Fatalf("round %d: Step after Close returned %v, want the scheduler's closed error", round, err)
 		}
 		for _, srv := range servers {
 			srv.Close()
@@ -482,5 +485,161 @@ func TestWireOpenRejects(t *testing.T) {
 	}
 	if _, err := sys.PostWith("SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid", Algorithm("bogus")); err == nil {
 		t.Fatal("bogus algorithm accepted on a remote deployment")
+	}
+}
+
+// TestWireDetachReleasesAttachments: a shard process forgets a group's
+// operator when the group dissolves or is widened onto a new attachment —
+// after 50 distinct-signature queries came and went and one group widened,
+// each server holds exactly the live groups, and a -data-dir server
+// restarted on its journal re-attaches only those.
+func TestWireDetachReleasesAttachments(t *testing.T) {
+	scen := shardedDemo(t, 2)
+	dirs := []string{t.TempDir(), t.TempDir()}
+	serve := func(i int) *wire.Server {
+		srv, err := wire.NewServer(wire.ServerConfig{Scenario: scen, Shard: i, DataDir: dirs[i]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srv
+	}
+	addrs := make([]string, len(dirs))
+	servers := make([]*wire.Server, len(dirs))
+	for i := range dirs {
+		servers[i] = serve(i)
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go servers[i].Serve(ln)
+		addrs[i] = ln.Addr().String()
+	}
+	sys, err := OpenFederated(shardedDemo(t, 2), addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	attached := func(when string, want int) {
+		t.Helper()
+		for i, srv := range servers {
+			if got := srv.Attached(); got != want {
+				t.Fatalf("%s: shard %d holds %d attached queries, want %d", when, i, got, want)
+			}
+		}
+	}
+
+	kept, err := sys.Post("SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 2; n < 52; n++ { // the history window is part of the sensing signature
+		cur, err := sys.Post(fmt.Sprintf("SELECT TOP 2 roomid, MAX(sound) FROM sensors GROUP BY roomid WITH HISTORY %d", n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cur.Step(); err != nil {
+			t.Fatal(err)
+		}
+		attached(fmt.Sprintf("query %d posted", n), 2)
+		cur.Close()
+	}
+	attached("50 groups dissolved", 1)
+
+	narrow, err := sys.Post("SELECT TOP 1 roomid, MAX(temp) FROM sensors GROUP BY roomid")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide, err := sys.Post("SELECT TOP 3 roomid, MAX(temp) FROM sensors GROUP BY roomid")
+	if err != nil {
+		t.Fatal(err)
+	}
+	attached("one group widened", 2)
+	for _, cur := range []*Cursor{kept, narrow, wide} {
+		if res, err := cur.Step(); err != nil || !res.Correct {
+			t.Fatalf("live group broken by the releases around it: err=%v res=%+v", err, res)
+		}
+	}
+
+	// The processes die with two groups live; their journals replay 53
+	// attaches and 51 detaches.
+	sys.Close()
+	for i, srv := range servers {
+		srv.Close()
+		servers[i] = serve(i)
+		defer servers[i].Close()
+	}
+	attached("restarted on the journal", 2)
+}
+
+// TestShardStackRecordsCommittedReadings: every host of a shard — the
+// deterministic substrate, the live one, a wire shard server — builds its
+// transport with the one stack (faults.Stack), so under an armed fault
+// environment each one's durable tier records exactly the committed,
+// post-fault readings: the same bytes on all three, with a node churned
+// down at epoch 2 sensed for the last time in that epoch (churn fires on
+// the epoch's first transmission, after its sensing).
+func TestShardStackRecordsCommittedReadings(t *testing.T) {
+	const (
+		sql    = "SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid"
+		epochs = 6
+		victim = NodeID(5)
+	)
+	faulty := func() *Scenario {
+		scen := DemoScenario()
+		scen.Faults = &FaultConfig{Seed: 9, Loss: 0.1, Churn: []ChurnEvent{{Node: victim, Epoch: 2, Down: true}}}
+		return scen
+	}
+	noEnergy := func(NodeID) float64 { return 0 }
+	run := func(sys *System, opts ...PostOption) {
+		t.Helper()
+		cur, err := sys.Post(sql, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for e := 0; e < epochs; e++ {
+			if _, err := cur.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	images := make(map[string][]byte)
+	for host, opts := range map[string][]PostOption{"deterministic": nil, "live": {WithLive()}} {
+		sys, err := Open(faulty(), WithDataDir(t.TempDir()))
+		if err != nil {
+			t.Fatalf("%s: %v", host, err)
+		}
+		run(sys, opts...)
+		images[host] = storage.AppendShardState(nil, sys.stores[0].State(noEnergy))
+		sys.Close()
+	}
+	addrs, servers := startWireShards(t, faulty(), 0)
+	remote, err := OpenFederated(faulty(), addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer remote.Close()
+	run(remote)
+	images["served"] = storage.AppendShardState(nil, servers[0].Store().State(noEnergy))
+
+	for host, img := range images {
+		if !bytes.Equal(img, images["deterministic"]) {
+			t.Fatalf("%s shard's store diverged from the deterministic one", host)
+		}
+	}
+	st, err := storage.DecodeShardState(images["deterministic"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ns := range st.Nodes {
+		want := epochs
+		if ns.Node == victim {
+			want = 3 // epochs 0, 1 and 2
+		}
+		if len(ns.Epochs) != want {
+			t.Fatalf("node %d has %d recorded epochs %v, want %d", ns.Node, len(ns.Epochs), ns.Epochs, want)
+		}
+	}
+	if len(st.Nodes) != len(DemoScenario().Nodes) {
+		t.Fatalf("store holds %d nodes, want %d", len(st.Nodes), len(DemoScenario().Nodes))
 	}
 }
