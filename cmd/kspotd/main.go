@@ -330,7 +330,7 @@ func main() {
 		epochs       = flag.Int("epochs", 0, "stop stepping after N epochs (0 = run until shutdown); HTTP keeps serving and streams end cleanly")
 		maxQueries   = flag.Int("max-queries", 0, "admission: cap on concurrently live queries (0 = unlimited)")
 		tenantQuota  = flag.Int("tenant-quota", 0, "admission: per-tenant cap on live queries (0 = unlimited)")
-		dataDir      = flag.String("data-dir", "", "durable historic tier: mirror each shard's windows into append-only segment files under this directory and recover them on restart (empty = in-memory only; answers are identical either way)")
+		dataDir      = flag.String("data-dir", "", "durable historic tier: append each shard's committed epochs to one log file (shard.log) under this directory and recover it on restart (empty = in-memory only; answers are identical either way)")
 	)
 	flag.Var(&queries, "query", "extra SQL to post on the same deployment (repeatable)")
 	flag.Parse()
@@ -496,8 +496,9 @@ func main() {
 		if wm := sys.WireMetrics(); wm != nil {
 			out["wire"] = wm
 		}
-		// Durable-tier storage block, in shard order: segments, bytes on
-		// disk, last checkpointed epoch (all-zero without -data-dir).
+		// Durable-tier storage block, in shard order: log files ("segments"),
+		// bytes on disk, last checkpointed epoch, and "error" once a shard
+		// stopped persisting (all-zero without -data-dir).
 		if ss, err := sys.StorageStats(); err == nil {
 			out["storage"] = ss
 		}
@@ -561,7 +562,7 @@ pre{font-size:13px}</style></head><body>
 func serveShardProcess(scen *config.Scenario, shard int, addr string, parallel int, live bool, window int, dataDir string) {
 	if dataDir != "" {
 		// Every shard process on a host can share one -data-dir: each
-		// shard's segments and journal live under its own shard-named
+		// shard's log and journal live under its own shard-named
 		// subdirectory, and a restarted process finds them by the same
 		// deterministic path.
 		dataDir = filepath.Join(dataDir, scen.ShardName(shard))

@@ -3,11 +3,11 @@ package bench
 // The durable-tier benchmarks (PR 10): what crash recovery and live
 // re-sharding cost.
 //
-//   - store-recovery: wall time to reopen a full disk-backed store —
-//     RecoveryNodes segment files at window depth, each replayed through
-//     the torn-tail-truncating decoder — the startup tax a restarted
-//     `kspotd -serve-shard -data-dir` pays before it can answer its first
-//     retried epoch round. recovery_ms records it host-speed-adjacent but
+//   - store-recovery: wall time to reopen a full disk-backed store — one
+//     shard log of RecoveryEpochs epoch batches over RecoveryNodes nodes,
+//     replayed through the torn-tail-truncating decoder — the startup tax
+//     a restarted `kspotd -serve-shard -data-dir` pays before it can
+//     answer its first retried epoch round. recovery_ms records it host-speed-adjacent but
 //     directly comparable across PRs on the CI trajectory.
 //
 //   - reshard-downtime: a 2-shard scale-320 federation behind real
@@ -36,7 +36,7 @@ import (
 )
 
 // RecoveryNodes and RecoveryEpochs size the store-recovery benchmark: a
-// scale-320 shard's worth of segment files, every window full.
+// scale-320 shard's log, every window full.
 const (
 	RecoveryNodes  = 320
 	RecoveryEpochs = storage.DefaultStoreWindow
@@ -52,8 +52,8 @@ const (
 
 // RunStoreRecoveryBench is the shared measurement body of the recovery
 // benchmark: populate a disk-backed store once (off the timer), then
-// measure b.N full recoveries — OpenStore replaying every segment's clean
-// prefix and resuming the epoch cursor. Closing the recovered store is off
+// measure b.N full recoveries — OpenStore replaying the log's clean prefix
+// and resuming the epoch cursor. Closing the recovered store is off
 // the timer; only the open-and-replay path is measured.
 func RunStoreRecoveryBench(b *testing.B) {
 	dir := b.TempDir()
@@ -72,8 +72,8 @@ func RunStoreRecoveryBench(b *testing.B) {
 		}
 		st.RecordReadings(model.Epoch(e), readings)
 	}
-	if err := st.Err(); err != nil {
-		b.Fatal(err)
+	if msg := st.Stats().Err; msg != "" {
+		b.Fatal(msg)
 	}
 	if err := st.Close(); err != nil {
 		b.Fatal(err)

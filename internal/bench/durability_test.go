@@ -9,7 +9,7 @@ import (
 
 // TestStoreRecoveryBenchBodyRoundTrips pins the recovery benchmark's
 // setup: the populated store it measures actually recovers to the full
-// cursor, so recovery_ms times real segment replay, not an empty open.
+// cursor, so recovery_ms times real log replay, not an empty open.
 func TestStoreRecoveryBenchBodyRoundTrips(t *testing.T) {
 	dir := t.TempDir()
 	st, err := storage.OpenStore(dir, storage.DefaultStoreWindow)
@@ -23,8 +23,8 @@ func TestStoreRecoveryBenchBodyRoundTrips(t *testing.T) {
 		}
 		st.RecordReadings(model.Epoch(e), readings)
 	}
-	if err := st.Err(); err != nil {
-		t.Fatal(err)
+	if msg := st.Stats().Err; msg != "" {
+		t.Fatal(msg)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -59,3 +59,7 @@ func TestMeasureReshardDowntimeSmoke(t *testing.T) {
 		t.Fatalf("downtime %v epochs", down)
 	}
 }
+
+// BenchmarkStoreRecovery is the store-recovery trajectory row's body under
+// `go test -bench`.
+func BenchmarkStoreRecovery(b *testing.B) { RunStoreRecoveryBench(b) }

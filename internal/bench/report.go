@@ -50,7 +50,7 @@ type MicroResult struct {
 	WireBytesPerEpoch float64 `json:"wire_bytes_per_epoch,omitempty"`
 	// RecoveryMs and ReshardingDowntimeEpochs are the durable-tier axes
 	// (see internal/bench/durability.go): wall milliseconds to recover a
-	// full RecoveryNodes-segment store from disk, and mean lock-step epochs
+	// full RecoveryNodes-node store from its shard log, and mean lock-step epochs
 	// one live re-sharding migration leaves running on the old deployment
 	// (a pointer so a measured 0 — a cutover faster than one epoch —
 	// still serializes).

@@ -20,25 +20,11 @@ import (
 // flat trace by global node id — per-epoch indices therefore align across
 // shards at the coordinator with no translation.
 func BufferSeries(nodes []model.NodeID, window int, sample func(model.NodeID, model.Epoch) model.Value) (map[model.NodeID][]model.Value, error) {
-	return BufferSeriesOn(nodes, window, sample, nil)
-}
-
-// BufferSeriesOn is BufferSeries with a durable Backend per node: when
-// backendFor is non-nil, each node's window mirrors its pushes into
-// backendFor(node) — the same segment files the durable historic tier
-// appends, so a buffering pass leaves a recoverable on-disk image. A nil
-// backendFor (or a nil returned Backend) keeps the memory path bit for bit.
-func BufferSeriesOn(nodes []model.NodeID, window int, sample func(model.NodeID, model.Epoch) model.Value, backendFor func(model.NodeID) Backend) (map[model.NodeID][]model.Value, error) {
 	out := make(map[model.NodeID][]model.Value, len(nodes))
 	for _, n := range nodes {
 		win, err := NewWindow(window)
 		if err != nil {
 			return nil, fmt.Errorf("storage: buffering node %d: %w", n, err)
-		}
-		if backendFor != nil {
-			if b := backendFor(n); b != nil {
-				win.Attach(b)
-			}
 		}
 		for e := 0; e < window; e++ {
 			if err := win.Push(model.Epoch(e), sample(n, model.Epoch(e))); err != nil {

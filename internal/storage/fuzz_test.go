@@ -7,16 +7,18 @@ import (
 	"kspot/internal/model"
 )
 
-// FuzzSegmentDecode drives arbitrary bytes through the segment codecs —
-// the framed record decoder, the torn-tail replayer and the shard-state
-// decoder. The invariants are the same ones the wire frames carry: no
-// input panics or over-allocates, anything that decodes re-encodes to the
-// identical bytes (one canonical form per record and per shard state), and
-// the replayed clean prefix is itself a valid segment.
+// FuzzSegmentDecode drives arbitrary bytes through the durable tier's
+// codecs — the log's header and record framing with its torn-tail replay,
+// the epoch-batch payload behind it, and the shard-state decoder. The
+// invariants are the same ones the wire frames carry: no input panics or
+// over-allocates, anything that decodes re-encodes to the identical bytes
+// (one canonical form per log prefix, per batch and per shard state),
+// non-canonical batches (unsorted or duplicate nodes, a count that
+// disagrees with the length) never decode, and the replayed clean prefix
+// is itself a valid log.
 func FuzzSegmentDecode(f *testing.F) {
-	f.Add(AppendRecord(nil, Record{Kind: RecordPush, Epoch: 7, Value: 4225}))
-	f.Add(AppendRecord(AppendRecord(nil, Record{Kind: RecordPush, Epoch: 1, Value: -350}),
-		Record{Kind: RecordPush, Epoch: 2, Value: 0}))
+	f.Add(logImage(batch(7, 1, 4225)))
+	f.Add(logImage(batch(1, 1, -350, 2, 0), batch(2, 2, 17)))
 	f.Add(AppendShardState(nil, ShardState{HasEpoch: true, Epoch: 9, Nodes: []NodeState{
 		{Node: 4, EnergyUJ: 123.5, Epochs: []model.Epoch{1, 3}, Values: []int64{100, -200}},
 		{Node: 7, EnergyUJ: 0, Epochs: []model.Epoch{3}, Values: []int64{5}},
@@ -24,25 +26,40 @@ func FuzzSegmentDecode(f *testing.F) {
 	f.Add(AppendShardState(nil, ShardState{}))
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add(batch(5, 3, 1, 9, 2, 300, 3))
+	f.Add(batch(5, 9, 1, 3, 2))                                                 // unsorted nodes
+	f.Add(append(logImage(batch(0)), 0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0))       // oversize len
+	f.Add(append([]byte("KSLG\x02\x00\x00\x00"), appendLogRecord(nil, nil)...)) // future version
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if r, n, err := DecodeRecord(data); err == nil {
-			if n != RecordWireSize {
-				t.Fatalf("record consumed %d, want %d", n, RecordWireSize)
+		checkBatch := func(p []byte) {
+			e, entries, err := decodeBatch(p)
+			if err != nil {
+				return
 			}
-			if re := AppendRecord(nil, r); !bytes.Equal(re, data[:n]) {
-				t.Fatalf("record re-encode mismatch: %x != %x", re, data[:n])
+			re, prev := beginBatch(nil, e), -1
+			for ; len(entries) > 0; entries = entries[batchEntrySize:] {
+				n, v := batchEntry(entries)
+				if int(n) <= prev {
+					t.Fatalf("batch decoded with node %d after %d", n, prev)
+				}
+				re, prev = appendBatchEntry(re, n, v), int(n)
+			}
+			if !bytes.Equal(endBatch(re), p) {
+				t.Fatalf("batch re-encode mismatch: %x != %x", re, p)
 			}
 		}
-		recs, clean := ReplaySegment(data)
-		if clean > len(data) || len(recs)*RecordWireSize != clean {
-			t.Fatalf("replay: %d records, clean %d of %d", len(recs), clean, len(data))
+		checkBatch(data)
+		re := appendLogHeader(nil)
+		clean, err := replayLog(data, func(p []byte) error {
+			checkBatch(p)
+			re = appendLogRecord(re, p)
+			return nil
+		})
+		if clean > len(data) || (err == nil && clean > 0 && !bytes.Equal(re, data[:clean])) {
+			t.Fatalf("replay: clean %d of %d, re-encode %x != %x (%v)", clean, len(data), re, data[:min(clean, len(data))], err)
 		}
-		var re []byte
-		for _, r := range recs {
-			re = AppendRecord(re, r)
-		}
-		if !bytes.Equal(re, data[:clean]) {
-			t.Fatalf("clean prefix re-encode mismatch")
+		if again, err := replayLog(data[:clean], func([]byte) error { return nil }); err != nil || again != clean {
+			t.Fatalf("clean prefix is not itself a valid log: %d of %d, %v", again, clean, err)
 		}
 		if st, err := DecodeShardState(data); err == nil {
 			if re := AppendShardState(nil, st); !bytes.Equal(re, data) {

@@ -1,0 +1,700 @@
+package storage
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"kspot/internal/model"
+)
+
+// TestWindowErrorPaths table-tests the validation errors of the window
+// layer: every rejected construction or access carries a field-path-style
+// message (like scenario Validate's), so a wrapped error names exactly
+// what was out of range.
+func TestWindowErrorPaths(t *testing.T) {
+	cases := []struct {
+		name string
+		err  func() error
+		want string
+	}{
+		{"capacity zero", func() error { _, err := NewWindow(0); return err },
+			"storage: window.capacity: must be >= 1, got 0"},
+		{"capacity negative", func() error { _, err := NewWindow(-3); return err },
+			"storage: window.capacity: must be >= 1, got -3"},
+		{"at negative", func() error {
+			w, _ := NewWindow(2)
+			w.Push(1, 1)
+			_, _, err := w.At(-1)
+			return err
+		}, "storage: window.at[-1]: out of range [0,1)"},
+		{"at past size", func() error {
+			w, _ := NewWindow(2)
+			w.Push(1, 1)
+			_, _, err := w.At(1)
+			return err
+		}, "storage: window.at[1]: out of range [0,1)"},
+		{"push regression", func() error {
+			w, _ := NewWindow(2)
+			w.Push(5, 1)
+			return w.Push(5, 2)
+		}, "storage: window.push: epoch 5 not after 5"},
+		{"bucket out of range", func() error {
+			w, _ := NewWindow(4)
+			mh, _ := NewMicroHash(w, 0, 100, 4)
+			_, err := mh.Bucket(9)
+			return err
+		}, "storage: microhash.bucket[9]: out of range [0,4)"},
+		{"bucket negative", func() error {
+			w, _ := NewWindow(4)
+			mh, _ := NewMicroHash(w, 0, 100, 4)
+			_, err := mh.Bucket(-1)
+			return err
+		}, "storage: microhash.bucket[-1]: out of range [0,4)"},
+		{"microhash buckets", func() error { _, err := NewMicroHash(nil, 0, 100, 0); return err },
+			"storage: microhash.buckets: must be >= 1, got 0"},
+		{"microhash range", func() error { _, err := NewMicroHash(nil, 100, 0, 4); return err },
+			"storage: microhash.range: [100,0] inverted"},
+		{"store capacity", func() error { _, err := OpenStore("", 0); return err },
+			"storage: store.capacity: must be >= 1, got 0"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.err()
+			if err == nil {
+				t.Fatalf("accepted, want %q", tc.want)
+			}
+			if err.Error() != tc.want {
+				t.Fatalf("error %q, want %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// batch builds one canonical epoch-batch payload.
+func batch(e model.Epoch, entries ...int64) []byte {
+	p := beginBatch(nil, e)
+	for i := 0; i+1 < len(entries); i += 2 {
+		p = appendBatchEntry(p, model.NodeID(entries[i]), entries[i+1])
+	}
+	return endBatch(p)
+}
+
+// logImage frames payloads into a whole log file image.
+func logImage(payloads ...[]byte) []byte {
+	img := appendLogHeader(nil)
+	for _, p := range payloads {
+		img = appendLogRecord(img, p)
+	}
+	return img
+}
+
+// replayAll collects a log image's clean payloads.
+func replayAll(img []byte) (payloads [][]byte, clean int, err error) {
+	clean, err = replayLog(img, func(p []byte) error {
+		payloads = append(payloads, append([]byte(nil), p...))
+		return nil
+	})
+	return payloads, clean, err
+}
+
+// readings builds one epoch's readings for nodes 1..n.
+func readings(e model.Epoch, n int) map[model.NodeID]model.Reading {
+	m := make(map[model.NodeID]model.Reading, n)
+	for id := model.NodeID(1); id <= model.NodeID(n); id++ {
+		m[id] = model.Reading{Node: id, Epoch: e, Value: model.Value(e)*10 + model.Value(id)*0.25}
+	}
+	return m
+}
+
+// stateBytes is the store's canonical snapshot image.
+func stateBytes(s *Store) string { return string(AppendShardState(nil, s.State(nil))) }
+
+// TestRecordRoundTrip pins the canonical epoch-batch form: encode∘decode
+// is the identity and the payload size is the documented arithmetic —
+// 9 bytes per epoch plus 10 per node (17 + 10·n framed).
+func TestRecordRoundTrip(t *testing.T) {
+	cases := []struct {
+		epoch   model.Epoch
+		entries []int64 // node, value pairs
+	}{
+		{0, nil},
+		{7, []int64{1, 4225}},
+		{1<<32 - 1, []int64{1, -350, 2, 0, 65535, 1 << 40}},
+	}
+	for _, tc := range cases {
+		p := batch(tc.epoch, tc.entries...)
+		if want := batchHeaderSize + len(tc.entries)/2*batchEntrySize; len(p) != want {
+			t.Fatalf("batch payload %d bytes, want %d", len(p), want)
+		}
+		if framed := appendLogRecord(nil, p); len(framed) != 17+10*len(tc.entries)/2 {
+			t.Fatalf("framed batch %d bytes, want %d", len(framed), 17+10*len(tc.entries)/2)
+		}
+		e, entries, err := decodeBatch(p)
+		if err != nil || e != tc.epoch || len(entries) != len(tc.entries)/2*batchEntrySize {
+			t.Fatalf("decode %x: epoch %d, %d entry bytes, %v", p, e, len(entries), err)
+		}
+		for i := 0; len(entries) > 0; i, entries = i+2, entries[batchEntrySize:] {
+			if n, v := batchEntry(entries); int64(n) != tc.entries[i] || v != tc.entries[i+1] {
+				t.Fatalf("entry %d decoded (%d,%d), want (%d,%d)", i/2, n, v, tc.entries[i], tc.entries[i+1])
+			}
+		}
+	}
+}
+
+// TestLogAndBatchDecodeRejects table-tests the canonical-form guards of the
+// log header and the epoch-batch payload.
+func TestLogAndBatchDecodeRejects(t *testing.T) {
+	good := batch(3, 1, 10, 2, 20)
+	batches := []struct {
+		name string
+		p    []byte
+	}{
+		{"empty", nil},
+		{"short header", good[:batchHeaderSize-1]},
+		{"unknown kind", append([]byte{9}, good[1:]...)},
+		{"count above length", func() []byte { p := bytes.Clone(good); p[5] = 3; return p }()},
+		{"count below length", func() []byte { p := bytes.Clone(good); p[5] = 1; return p }()},
+		{"trailing byte", append(bytes.Clone(good), 0)},
+		{"duplicate node", batch(3, 2, 10, 2, 20)},
+		{"unsorted nodes", batch(3, 2, 10, 1, 20)},
+	}
+	for _, tc := range batches {
+		if _, _, err := decodeBatch(tc.p); err == nil {
+			t.Errorf("batch %s: accepted %x", tc.name, tc.p)
+		} else if !strings.HasPrefix(err.Error(), "storage: ") {
+			t.Errorf("batch %s: error %q lost its package path", tc.name, err)
+		}
+	}
+	img := logImage(good)
+	logs := []struct {
+		name string
+		img  []byte
+	}{
+		{"bad magic", append([]byte("KSST"), img[4:]...)},
+		{"bad version", func() []byte { b := bytes.Clone(img); b[4] = 2; return b }()},
+		{"foreign short file", []byte("hi")},
+	}
+	for _, tc := range logs {
+		if _, clean, err := replayAll(tc.img); err == nil {
+			t.Errorf("log %s: accepted (clean %d)", tc.name, clean)
+		}
+		// Through the file path a foreign file is refused and left alone,
+		// never truncated to nothing.
+		path := filepath.Join(t.TempDir(), "foreign.log")
+		if err := os.WriteFile(path, tc.img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenLog(path, func([]byte) error { return nil }); err == nil {
+			t.Errorf("log %s: OpenLog accepted", tc.name)
+		}
+		if raw, _ := os.ReadFile(path); !bytes.Equal(raw, tc.img) {
+			t.Errorf("log %s: refused file was modified", tc.name)
+		}
+	}
+	// An oversize length prefix is a torn tail, not a record to allocate.
+	over := append(logImage(good), 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0)
+	if got, clean, err := replayAll(over); err != nil || len(got) != 1 || clean != len(over)-8 {
+		t.Errorf("oversize len: %d records, clean %d of %d, %v", len(got), clean, len(over), err)
+	}
+	// A CRC-clean record the payload decoder rejects fails the open.
+	path := filepath.Join(t.TempDir(), logName)
+	if err := os.WriteFile(path, logImage(good, batch(4, 2, 1, 1, 1)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenStore(filepath.Dir(path), 4); err == nil || !strings.Contains(err.Error(), "not ascending") {
+		t.Errorf("store opened on a non-canonical record: %v", err)
+	}
+}
+
+// tornTailInputs are the three-record logs the torn-tail and corruption
+// tests run over: fixed-size epoch batches as the store writes them, and
+// variable-size opaque payloads shaped like the session journal's (a
+// 9-byte nonce, a long attach, an empty payload). The journal's own state
+// machine is pinned over the same cuts in internal/wire.
+var tornTailInputs = []struct {
+	name     string
+	payloads [3][]byte
+}{
+	{"epoch batches", [3][]byte{batch(1, 1, 100, 2, 110), batch(2, 1, 200, 2, 210), batch(3, 1, 300, 2, 310)}},
+	{"variable-size payloads", [3][]byte{{1, 1, 2, 3, 4, 5, 6, 7, 8}, bytes.Repeat([]byte("SELECT "), 40), {}}},
+	{"long last record", [3][]byte{{4, 1, 0, 0, 0}, {4, 2, 0, 0, 0}, bytes.Repeat([]byte{0xAB}, 300)}},
+}
+
+// TestSegmentTornTailEveryBoundary truncates a three-record log at every
+// byte boundary of its final record and asserts recovery keeps the first
+// two records intact — exactly the torn record is dropped, never more.
+func TestSegmentTornTailEveryBoundary(t *testing.T) {
+	for _, in := range tornTailInputs {
+		t.Run(in.name, func(t *testing.T) {
+			full := logImage(in.payloads[:]...)
+			keep := len(logImage(in.payloads[:2]...))
+			for cut := keep; cut < len(full); cut++ {
+				got, clean, err := replayAll(full[:cut])
+				if err != nil || clean != keep {
+					t.Fatalf("cut %d: clean prefix %d, want %d (%v)", cut, clean, keep, err)
+				}
+				if len(got) != 2 || !bytes.Equal(got[0], in.payloads[0]) || !bytes.Equal(got[1], in.payloads[1]) {
+					t.Fatalf("cut %d: recovered %x", cut, got)
+				}
+			}
+			// And through the real file path: OpenLog must truncate the torn
+			// tail on disk and keep appending after the clean prefix.
+			replacement := []byte("replacement third record")
+			for cut := keep; cut < len(full); cut++ {
+				path := filepath.Join(t.TempDir(), "torn.log")
+				if err := os.WriteFile(path, full[:cut], 0o644); err != nil {
+					t.Fatal(err)
+				}
+				recovered := 0
+				l, err := OpenLog(path, func([]byte) error { recovered++; return nil })
+				if err != nil {
+					t.Fatalf("cut %d: %v", cut, err)
+				}
+				if recovered != 2 || l.Size() != int64(keep) {
+					t.Fatalf("cut %d: recovered %d records, size %d", cut, recovered, l.Size())
+				}
+				l.Append(replacement)
+				if err := l.Close(); err != nil {
+					t.Fatal(err)
+				}
+				raw, _ := os.ReadFile(path)
+				got, clean, err := replayAll(raw)
+				if err != nil || clean != len(raw) || len(got) != 3 || !bytes.Equal(got[2], replacement) {
+					t.Fatalf("cut %d: post-append log %x (clean %d of %d, %v)", cut, got, clean, len(raw), err)
+				}
+			}
+		})
+	}
+	// A header torn while it was being written is an empty log, not a
+	// foreign file.
+	for cut := 0; cut < logHeaderSize; cut++ {
+		if got, clean, err := replayAll(logImage()[:cut]); err != nil || clean != 0 || len(got) != 0 {
+			t.Fatalf("header cut %d: %d records, clean %d, %v", cut, len(got), clean, err)
+		}
+	}
+}
+
+// TestSegmentMidFileCorruption: a flipped byte in the middle of a log
+// ends the clean prefix there — recovery keeps everything before it.
+func TestSegmentMidFileCorruption(t *testing.T) {
+	for _, in := range tornTailInputs {
+		first := len(logImage(in.payloads[0]))
+		img := logImage(append(in.payloads[:], []byte("fourth"))...)
+		img[first+6] ^= 0xFF // inside record 2's payload (or its CRC)
+		got, clean, err := replayAll(img)
+		if err != nil || clean != first || len(got) != 1 || !bytes.Equal(got[0], in.payloads[0]) {
+			t.Fatalf("%s: recovered %x (clean %d, %v)", in.name, got, clean, err)
+		}
+	}
+}
+
+// TestLogRewriteIsAtomic: Rewrite leaves the old contents in place until
+// the replacement is complete, supersedes appends pending from before it,
+// and leaves no temp file behind.
+func TestLogRewriteIsAtomic(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "rw.log")
+	l, err := OpenLog(path, func([]byte) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Append([]byte("old-1"))
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	l.Append([]byte("pending, superseded"))
+	err = l.Rewrite(func() {
+		// Mid-rewrite the file under the log's name is still the old one.
+		raw, _ := os.ReadFile(path)
+		if got, _, _ := replayAll(raw); len(got) != 1 || string(got[0]) != "old-1" {
+			t.Errorf("mid-rewrite contents %q", got)
+		}
+		l.Append([]byte("new-1"))
+		l.Append([]byte("new-2"))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Append([]byte("new-3"))
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := os.ReadFile(path)
+	got, clean, err := replayAll(raw)
+	if err != nil || clean != len(raw) || int64(clean) != l.Size() || len(got) != 3 || string(got[0]) != "new-1" || string(got[2]) != "new-3" {
+		t.Fatalf("rewritten log %q (clean %d of %d, size %d, %v)", got, clean, len(raw), l.Size(), err)
+	}
+	if ents, _ := os.ReadDir(filepath.Dir(path)); len(ents) != 1 {
+		t.Fatalf("rewrite left %d files behind", len(ents))
+	}
+}
+
+// TestWindowDiskRecovery: windows recorded through a disk-backed store
+// recover byte-identically — same series, same epochs, evictions included
+// — from the shard log, and continue accepting epochs.
+func TestWindowDiskRecovery(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStore(dir, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e := model.Epoch(1); e <= 5; e++ {
+		st.RecordReadings(e, readings(e, 2))
+	}
+	want := stateBytes(st)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := OpenStore(dir, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got := stateBytes(re); got != want {
+		t.Fatalf("recovered state %x, want %x", got, want)
+	}
+	w := re.windows[2]
+	if fmt.Sprint(w.Epochs()) != "[3 4 5]" || fmt.Sprint(w.Series()) != fmt.Sprint([]model.Value{30.5, 40.5, 50.5}) {
+		t.Fatalf("recovered node 2 window %v@%v", w.Series(), w.Epochs())
+	}
+	re.RecordReadings(6, readings(6, 2))
+	if e, ok := w.LastEpoch(); !ok || e != 6 || re.err != nil {
+		t.Fatalf("post-recovery push: last epoch %d,%v, err %v", e, ok, re.err)
+	}
+}
+
+// TestStoreRecordRecoverStats drives the store through record → reopen →
+// record and checks idempotent replay, cursor recovery and the stats
+// block.
+func TestStoreRecordRecoverStats(t *testing.T) {
+	dir := t.TempDir()
+	// One epoch of two nodes on disk: 17 bytes of frame + batch header and
+	// 10 per node.
+	const epochBytes = 17 + 2*10
+	st, err := OpenStore(dir, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e := model.Epoch(0); e < 3; e++ {
+		st.RecordReadings(e, readings(e, 2))
+	}
+	if err := st.err; err != nil {
+		t.Fatal(err)
+	}
+	stats := st.Stats()
+	if stats.Nodes != 2 || stats.Segments != 1 || !stats.HasEpoch || stats.LastEpoch != 2 || stats.Bytes != int64(logHeaderSize+3*epochBytes) || stats.Err != "" {
+		t.Fatalf("stats %+v", stats)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if fi, err := os.Stat(filepath.Join(dir, logName)); err != nil || fi.Size() != stats.Bytes {
+		t.Fatalf("log on disk %v bytes (%v), stats said %d", fi.Size(), err, stats.Bytes)
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 1 {
+		t.Fatalf("data dir holds %d files, want the one log", len(ents))
+	}
+
+	re, err := OpenStore(dir, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if e, ok := re.Cursor(); !ok || e != 2 {
+		t.Fatalf("recovered cursor %d,%v", e, ok)
+	}
+	// The coordinator replays epoch 2 at the restarted shard: idempotent.
+	re.RecordReadings(2, readings(2, 2))
+	re.RecordReadings(3, readings(3, 2))
+	if err := re.err; err != nil {
+		t.Fatal(err)
+	}
+	if got := re.Stats().Bytes; got != int64(logHeaderSize+4*epochBytes) {
+		t.Fatalf("bytes after replay %d, want %d (epoch 2 must not re-append)", got, logHeaderSize+4*epochBytes)
+	}
+	// A new session resets the tier: the log is back to its header and a
+	// reopen starts with no cursor.
+	if err := re.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	if s := re.Stats(); s.Bytes != int64(logHeaderSize) || s.HasEpoch {
+		t.Fatalf("stats after reset %+v", s)
+	}
+	re.Close()
+	if again, err := OpenStore(dir, 4); err != nil {
+		t.Fatal(err)
+	} else if _, ok := again.Cursor(); ok || again.Close() != nil {
+		t.Fatal("reset store recovered a cursor")
+	}
+	// Memory mode: same API, no files.
+	mem, err := OpenStore("", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem.RecordReadings(0, readings(0, 2))
+	if s := mem.Stats(); s.Segments != 0 || s.Nodes != 2 || s.Bytes != 0 {
+		t.Fatalf("memory stats %+v", s)
+	}
+}
+
+// TestStoreTornEpochEveryBoundary: an epoch is one CRC'd record, so a
+// crash mid-write leaves it recorded for every node or for none. After N
+// epochs the log is cut at every byte of the final record; the reopened
+// store holds exactly N−1 epochs for every node with the cursor on the
+// last whole one, and the coordinator's retry of epoch N−1 restores the
+// uncrashed store's state byte for byte.
+func TestStoreTornEpochEveryBoundary(t *testing.T) {
+	const n, nodes = 4, 5
+	dir := t.TempDir()
+	st, err := OpenStore(dir, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e := model.Epoch(0); e < n; e++ {
+		st.RecordReadings(e, readings(e, nodes))
+	}
+	want := stateBytes(st)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	full, err := os.ReadFile(filepath.Join(dir, logName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := 17 + 10*nodes
+	for cut := len(full) - last; cut < len(full); cut++ {
+		crashed := t.TempDir()
+		if err := os.WriteFile(filepath.Join(crashed, logName), full[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		re, err := OpenStore(crashed, 8)
+		if err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		if e, ok := re.Cursor(); !ok || e != n-2 {
+			t.Fatalf("cut %d: cursor %d,%v, want %d", cut, e, ok, n-2)
+		}
+		for id, w := range re.windows {
+			if e, _ := w.LastEpoch(); w.Len() != n-1 || e != n-2 {
+				t.Fatalf("cut %d: node %d holds %d epochs up to %d", cut, id, w.Len(), e)
+			}
+		}
+		if len(re.windows) != nodes {
+			t.Fatalf("cut %d: %d nodes recovered", cut, len(re.windows))
+		}
+		re.RecordReadings(n-1, readings(n-1, nodes))
+		if got := stateBytes(re); got != want || re.err != nil {
+			t.Fatalf("cut %d: retried epoch did not restore the uncrashed state (%v)", cut, re.err)
+		}
+		if err := re.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if raw, _ := os.ReadFile(filepath.Join(crashed, logName)); !bytes.Equal(raw, full) {
+			t.Fatalf("cut %d: log after the retry differs from the uncrashed log", cut)
+		}
+	}
+}
+
+// countingWriter counts the writes that reach the log's file.
+type countingWriter struct {
+	w      io.Writer
+	writes int
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	c.writes++
+	return c.w.Write(p)
+}
+
+// TestStoreRecordWritePath pins the per-epoch cost of a disk-backed
+// scale-1000 store in steady state: O(1) allocations (no id slice, no
+// sort — the store walks its own ascending roster) and exactly one file
+// write.
+func TestStoreRecordWritePath(t *testing.T) {
+	const nodes = 1000
+	st, err := OpenStore(t.TempDir(), DefaultStoreWindow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	cw := &countingWriter{w: st.log.f}
+	st.log.w = cw
+	m := readings(0, nodes)
+	e := model.Epoch(0)
+	record := func() {
+		st.RecordReadings(e, m)
+		e++
+	}
+	record() // seats the roster, sizes the scratch buffers
+	record()
+	cw.writes = 0
+	const runs = 50
+	if allocs := testing.AllocsPerRun(runs, record); allocs > 0 {
+		t.Fatalf("RecordReadings allocates %.0f per scale-%d epoch, want O(1)", allocs, nodes)
+	}
+	if cw.writes != runs+1 { // AllocsPerRun warms up with one extra call
+		t.Fatalf("%d file writes for %d epochs, want one each", cw.writes, runs+1)
+	}
+	if err := st.err; err != nil {
+		t.Fatal(err)
+	}
+	if got, want := st.Stats().Bytes, int64(logHeaderSize+int(e)*(17+10*nodes)); got != want {
+		t.Fatalf("log holds %d bytes after %d epochs, want %d", got, e, want)
+	}
+}
+
+// TestStoreFailedLogIsReported: a log that stops taking writes (a full
+// disk) is not silent — the failure shows in the stats block — and
+// never changes what the shard answers: the windows keep recording exactly
+// as a memory-backed store's do.
+func TestStoreFailedLogIsReported(t *testing.T) {
+	disk, err := OpenStore(t.TempDir(), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem, _ := OpenStore("", 8)
+	for e := model.Epoch(0); e < 5; e++ {
+		if e == 2 {
+			disk.log.f.Close() // the file fails under the running store
+		}
+		disk.RecordReadings(e, readings(e, 3))
+		mem.RecordReadings(e, readings(e, 3))
+		if failed := disk.Stats().Err != ""; failed != (e >= 2) {
+			t.Fatalf("epoch %d: stats error %q", e, disk.Stats().Err)
+		}
+	}
+	if err := disk.err; err == nil || !errors.Is(err, os.ErrClosed) || !strings.Contains(err.Error(), logName) {
+		t.Fatalf("sticky error %v, want the failed write naming the log", err)
+	}
+	if stateBytes(disk) != stateBytes(mem) {
+		t.Fatal("a failed log changed the store's in-memory state")
+	}
+	if got, want := disk.Stats().Bytes, int64(logHeaderSize+3*(17+10*3)); got != want {
+		t.Fatalf("failed log reports %d bytes, want %d (no appends after the failure)", got, want)
+	}
+	// The journal beside the log reports into the same place; the first
+	// failure wins.
+	mem.Fail(errors.New("journal: disk full"))
+	mem.Fail(errors.New("later"))
+	if got := mem.Stats().Err; got != "journal: disk full" {
+		t.Fatalf("reported failure %q", got)
+	}
+}
+
+// TestOpenStoreRefusesLegacySegments: a data dir written by a build that
+// kept one segment file per node is refused by name, not silently opened
+// empty beside it.
+func TestOpenStoreRefusesLegacySegments(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "node-7.seg"), []byte{13, 0, 0, 0}, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenStore(dir, 4); err == nil || !strings.Contains(err.Error(), "node-7.seg") {
+		t.Fatalf("opened over legacy segments: %v", err)
+	}
+}
+
+// TestShardStateRoundTripAndRestore: State → encode → decode → Restore
+// into a fresh store reproduces the identical snapshot bytes, split or
+// whole — the invariant migration relies on.
+func TestShardStateRoundTripAndRestore(t *testing.T) {
+	src, err := OpenStore("", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e := model.Epoch(0); e < 5; e++ {
+		src.RecordReadings(e, map[model.NodeID]model.Reading{
+			4: {Node: 4, Epoch: e, Value: model.Value(e) + 0.25},
+			7: {Node: 7, Epoch: e, Value: -model.Value(e)},
+			9: {Node: 9, Epoch: e, Value: 100},
+		})
+	}
+	energy := func(n model.NodeID) float64 { return float64(n) * 1.5 }
+	state := src.State(energy)
+	enc := AppendShardState(nil, state)
+	dec, err := DecodeShardState(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re := AppendShardState(nil, dec); string(re) != string(enc) {
+		t.Fatalf("decode∘re-encode drifted:\n%x\n%x", enc, re)
+	}
+
+	dir := t.TempDir()
+	dst, err := OpenStore(filepath.Join(dir, "restore"), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.Restore(dec); err != nil {
+		t.Fatal(err)
+	}
+	back := dst.State(energy)
+	if string(AppendShardState(nil, back)) != string(enc) {
+		t.Fatalf("restored state drifted:\n%+v\n%+v", back, dec)
+	}
+
+	// The rewritten log IS the restored state: a reopen recovers the same
+	// bytes (the windows transposed into epoch batches and back).
+	if err := dst.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenStore(filepath.Join(dir, "restore"), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if string(AppendShardState(nil, re.State(energy))) != string(enc) {
+		t.Fatalf("restored state did not survive a reopen:\n%+v\n%+v", re.State(energy), dec)
+	}
+
+	// Splitting by node keeps the cursor and exactly the kept nodes.
+	part := state.FilterNodes(map[model.NodeID]bool{7: true})
+	if len(part.Nodes) != 1 || part.Nodes[0].Node != 7 || part.Epoch != state.Epoch || part.HasEpoch != state.HasEpoch {
+		t.Fatalf("filtered %+v", part)
+	}
+}
+
+// TestShardStateDecodeRejects table-tests the canonical-form guards.
+func TestShardStateDecodeRejects(t *testing.T) {
+	good := AppendShardState(nil, ShardState{HasEpoch: true, Epoch: 3, Nodes: []NodeState{
+		{Node: 1, EnergyUJ: 2.5, Epochs: []model.Epoch{1, 2}, Values: []int64{10, 20}},
+	}})
+	cases := []struct {
+		name   string
+		mutate func([]byte) []byte
+	}{
+		{"bad magic", func(b []byte) []byte { b[0] = 'X'; return b }},
+		{"bad flag", func(b []byte) []byte { b[4] = 9; return b }},
+		{"trailing", func(b []byte) []byte { return append(b, 0) }},
+		{"truncated", func(b []byte) []byte { return b[:len(b)-3] }},
+		{"epoch order", func(b []byte) []byte {
+			return AppendShardState(nil, ShardState{HasEpoch: true, Epoch: 3, Nodes: []NodeState{
+				{Node: 1, Epochs: []model.Epoch{2, 2}, Values: []int64{1, 2}},
+			}})
+		}},
+		{"node order", func(b []byte) []byte {
+			return AppendShardState(nil, ShardState{HasEpoch: true, Epoch: 3, Nodes: []NodeState{
+				{Node: 5}, {Node: 5},
+			}})
+		}},
+		{"cursor without flag", func(b []byte) []byte {
+			return AppendShardState(nil, ShardState{HasEpoch: false, Epoch: 3})
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			b := tc.mutate(append([]byte(nil), good...))
+			if _, err := DecodeShardState(b); err == nil {
+				t.Fatal("accepted")
+			} else if !strings.HasPrefix(err.Error(), "storage: ") {
+				t.Fatalf("error %q lost its package path", err)
+			}
+		})
+	}
+}

@@ -3,7 +3,9 @@
 // MicroHash-style value index (Zeinalipour-Yazti et al., USENIX FAST 2005 —
 // the flash index the paper cites for devices that buffer on secondary
 // storage) that answers "which buffered instants scored at least v" without
-// scanning the whole window.
+// scanning the whole window. Store is a shard's worth of windows, durable
+// when given a data directory; Log is the one append-only file format that
+// directory holds.
 package storage
 
 import (
@@ -23,11 +25,9 @@ type Window struct {
 	pushed   uint64 // monotone count of every Push ever (survives Clear)
 	lastE    model.Epoch
 	hasLast  bool
-	backend  Backend // nil = memory (no durable mirror)
 }
 
-// NewWindow returns a window holding up to capacity readings, with no
-// durable backend (the memory default every pre-durability caller keeps).
+// NewWindow returns a window holding up to capacity readings.
 func NewWindow(capacity int) (*Window, error) {
 	if capacity < 1 {
 		return nil, fmt.Errorf("storage: window.capacity: must be >= 1, got %d", capacity)
@@ -38,21 +38,6 @@ func NewWindow(capacity int) (*Window, error) {
 		epochs:   make([]model.Epoch, capacity),
 	}, nil
 }
-
-// NewWindowOn returns a window mirroring every push into the backend.
-func NewWindowOn(capacity int, b Backend) (*Window, error) {
-	w, err := NewWindow(capacity)
-	if err != nil {
-		return nil, err
-	}
-	w.Attach(b)
-	return w, nil
-}
-
-// Attach sets the durable backend for subsequent pushes and clears. The
-// recovery path replays a segment into a plain window first and attaches
-// the segment after, so replayed records are not re-appended.
-func (w *Window) Attach(b Backend) { w.backend = b }
 
 // Capacity returns the maximum number of buffered readings.
 func (w *Window) Capacity() int { return w.capacity }
@@ -68,14 +53,6 @@ func (w *Window) Push(e model.Epoch, v model.Value) error {
 		return fmt.Errorf("storage: window.push: epoch %d not after %d", e, w.lastE)
 	}
 	fp := model.ToFixed(v)
-	if w.backend != nil {
-		// Durable-first: a push the segment did not take is a push that
-		// never happened (the in-memory state must be a prefix of disk,
-		// never ahead of it).
-		if err := w.backend.Append(Record{Kind: RecordPush, Epoch: e, Value: int64(fp)}); err != nil {
-			return err
-		}
-	}
 	idx := (w.start + w.size) % w.capacity
 	if w.size == w.capacity {
 		idx = w.start
@@ -143,16 +120,9 @@ func (w *Window) Epochs() []model.Epoch {
 // accepted since the last Clear.
 func (w *Window) LastEpoch() (model.Epoch, bool) { return w.lastE, w.hasLast }
 
-// Clear empties the window (mote reboot). A durable backend resets with it:
-// a reboot wipes the mote's buffer, so recovery must not resurrect it.
-func (w *Window) Clear() error {
-	if w.backend != nil {
-		if err := w.backend.Clear(); err != nil {
-			return err
-		}
-	}
+// Clear empties the window (mote reboot).
+func (w *Window) Clear() {
 	w.start, w.size, w.hasLast = 0, 0, false
-	return nil
 }
 
 // TopK returns the window offsets of the k highest buffered values, ranked,

@@ -676,8 +676,8 @@ func (c *Client) Restore(img []byte) error {
 	}
 }
 
-// StorageStats fetches the shard's durable-tier storage block (segments,
-// bytes on disk, last checkpointed epoch).
+// StorageStats fetches the shard's durable-tier storage block (log files,
+// bytes on disk, last checkpointed epoch, first persistence failure).
 func (c *Client) StorageStats() (storage.StoreStats, error) {
 	f, err := c.call(MsgStats, nil)
 	if err != nil {

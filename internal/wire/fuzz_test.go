@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"kspot/internal/model"
@@ -133,6 +134,43 @@ func FuzzHandshake(f *testing.F) {
 		}
 		if re := AppendHello(nil, h); !bytes.Equal(re, data) {
 			t.Fatalf("hello re-encode mismatch: %x != %x", re, data)
+		}
+	})
+}
+
+// FuzzJournalDecode drives arbitrary bytes through the session journal's
+// payload decoder (the framing around it is storage.Log's, fuzzed there):
+// nothing panics or allocates past the input, and a nonce, attach or
+// detach that decodes is the one canonical encoding of what it decoded to.
+func FuzzJournalDecode(f *testing.F) {
+	f.Add(binary.LittleEndian.AppendUint64([]byte{jNonce}, 42))
+	f.Add(appendString(appendString(binary.LittleEndian.AppendUint32([]byte{jAttach}, 7), "mint"), "SELECT TOP 1 roomid, MAX(temp) FROM sensors GROUP BY roomid"))
+	f.Add(binary.LittleEndian.AppendUint32([]byte{jDetach}, 7))
+	f.Add(append(binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32([]byte{jEnergy}, 3), 1), 5, 0, 0, 0, 0, 0, 0, 0, 0xF0, 0x3F))
+	f.Add([]byte{})
+	f.Add([]byte{jEnergy, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st := journalState{attaches: []AttachReq{{Query: 7}}}
+		if err := st.apply(data); err != nil {
+			return
+		}
+		var re []byte
+		switch data[0] {
+		case jNonce:
+			re = binary.LittleEndian.AppendUint64([]byte{jNonce}, st.nonce)
+		case jAttach:
+			a := st.attaches[len(st.attaches)-1]
+			re = appendString(appendString(binary.LittleEndian.AppendUint32([]byte{jAttach}, a.Query), a.Algo), a.SQL)
+		case jDetach:
+			re = data[:5]
+		case jEnergy:
+			if !st.hasEnergy || len(st.energy) > (len(data)-9)/10 {
+				t.Fatalf("energy checkpoint of %d nodes from %d bytes", len(st.energy), len(data))
+			}
+			return
+		}
+		if !bytes.Equal(re, data) {
+			t.Fatalf("journal payload re-encode mismatch: %x != %x", re, data)
 		}
 	})
 }

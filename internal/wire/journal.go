@@ -1,33 +1,30 @@
 package wire
 
 // journal is the shard server's session meta log: the second file of a
-// -data-dir next to the storage segments. Where segments persist WHAT the
-// shard buffered, the journal persists WHO it was serving — the
-// coordinator session nonce, every attached query (id, algorithm, SQL) and
-// its release, and a per-epoch energy checkpoint — so a kill -9'd shard process
-// restarted on the same data dir resumes the SAME session: the
-// reconnecting coordinator's unchanged nonce matches instead of resetting
-// the session, its queries are already attached (replayed from the
-// journal through the normal attach path), and the network's energy
-// ledger picks up where the dead process last flushed.
-//
-// The format is the segment discipline applied to variable-size records:
-// u32 len | payload | crc32(payload), replayed front to back with the
-// torn tail truncated. Payloads are kind-tagged.
+// -data-dir next to the durable tier's shard.log, and a storage.Log like
+// it — framing, replay, torn-tail truncation and the flush that is the
+// durability point are the log's; this file is only the payloads. Where
+// shard.log persists WHAT the shard buffered, the journal persists WHO it
+// was serving — the coordinator session nonce, every attached query (id,
+// algorithm, SQL) and its release, and a per-epoch energy checkpoint — so
+// a kill -9'd shard process restarted on the same data dir resumes the
+// SAME session: the reconnecting coordinator's unchanged nonce matches
+// instead of resetting the session, its queries are already attached
+// (replayed from the journal through the normal attach path), and the
+// network's energy ledger picks up where the dead process last flushed.
 
 import (
-	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
-	"os"
 	"slices"
 
 	"kspot/internal/model"
+	"kspot/internal/storage"
 )
 
-// Journal record kinds.
+// Journal record kinds: the first payload byte.
 const (
 	jNonce  = 1 // u64 nonce — a new coordinator session began
 	jAttach = 2 // u32 qid | str algo | str sql — a query attached
@@ -44,149 +41,92 @@ type journalState struct {
 	energy      map[model.NodeID]float64
 }
 
-// journal appends session meta records to one file.
-type journal struct {
-	path string
-	f    *os.File
-	w    *bufio.Writer
-	buf  []byte
-}
+var errJournalRecord = errors.New("wire: journal record malformed")
 
-// appendJournalRecord appends one framed record.
-func appendJournalRecord(dst, payload []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = append(dst, payload...)
-	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
-}
-
-// replayJournal decodes the clean record prefix of b, returning the
-// payloads and the clean byte length (the torn tail starts there).
-func replayJournal(b []byte) ([][]byte, int) {
-	var out [][]byte
-	clean := 0
-	for {
-		rest := b[clean:]
-		if len(rest) < 8 {
-			return out, clean
+// apply folds one journal payload into the state. The log's CRC already
+// vouched for the bytes, so a payload that does not parse was written by
+// something else and fails the replay instead of being skipped.
+func (st *journalState) apply(p []byte) error {
+	if len(p) == 0 {
+		return errJournalRecord
+	}
+	switch p[0] {
+	case jNonce:
+		if len(p) != 9 {
+			return errJournalRecord
 		}
-		n := int(binary.LittleEndian.Uint32(rest))
-		if n > MaxPayload || len(rest) < 8+n {
-			return out, clean
+		// A nonce record begins a session: earlier session state is void.
+		*st = journalState{nonce: binary.LittleEndian.Uint64(p[1:])}
+	case jAttach:
+		if len(p) < 5 {
+			return errJournalRecord
 		}
-		payload := rest[4 : 4+n]
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(rest[4+n:]) {
-			return out, clean
+		algo, rest, err := decodeString(p[5:])
+		if err != nil {
+			return errJournalRecord
 		}
-		out = append(out, payload)
-		clean += 8 + n
-	}
-}
-
-// openJournal opens (or creates) the journal, recovers its clean state
-// and truncates any torn tail.
-func openJournal(path string) (*journal, journalState, error) {
-	st := journalState{}
-	raw, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, st, fmt.Errorf("wire: reading journal %s: %w", path, err)
-	}
-	payloads, clean := replayJournal(raw)
-	for _, p := range payloads {
-		if len(p) == 0 {
-			continue
+		sql, rest, err := decodeString(rest)
+		if err != nil || len(rest) != 0 {
+			return errJournalRecord
 		}
-		switch p[0] {
-		case jNonce:
-			if len(p) == 9 {
-				st.nonce = binary.LittleEndian.Uint64(p[1:])
-				// A nonce record begins a session: earlier session state is void.
-				st.attaches = nil
-				st.hasEnergy = false
-				st.energy = nil
-			}
-		case jAttach:
-			if len(p) < 5 {
-				continue
-			}
-			qid := binary.LittleEndian.Uint32(p[1:])
-			algo, rest, err := decodeString(p[5:])
-			if err != nil {
-				continue
-			}
-			sql, rest, err := decodeString(rest)
-			if err != nil || len(rest) != 0 {
-				continue
-			}
-			st.attaches = append(st.attaches, AttachReq{Query: qid, Algo: algo, SQL: sql})
-		case jDetach:
-			if len(p) != 5 {
-				continue
-			}
-			qid := binary.LittleEndian.Uint32(p[1:])
-			st.attaches = slices.DeleteFunc(st.attaches, func(a AttachReq) bool { return a.Query == qid })
-		case jEnergy:
-			if len(p) < 9 {
-				continue
-			}
-			epoch := model.Epoch(binary.LittleEndian.Uint32(p[1:]))
-			n := int(binary.LittleEndian.Uint32(p[5:]))
-			if len(p) != 9+n*10 {
-				continue
-			}
-			m := make(map[model.NodeID]float64, n)
-			for i := 0; i < n; i++ {
-				off := 9 + i*10
-				m[model.NodeID(binary.LittleEndian.Uint16(p[off:]))] =
-					math.Float64frombits(binary.LittleEndian.Uint64(p[off+2:]))
-			}
-			st.energyEpoch, st.hasEnergy, st.energy = epoch, true, m
+		st.attaches = append(st.attaches, AttachReq{Query: binary.LittleEndian.Uint32(p[1:]), Algo: algo, SQL: sql})
+	case jDetach:
+		if len(p) != 5 {
+			return errJournalRecord
 		}
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, st, fmt.Errorf("wire: opening journal %s: %w", path, err)
-	}
-	if clean < len(raw) {
-		if err := f.Truncate(int64(clean)); err != nil {
-			f.Close()
-			return nil, st, fmt.Errorf("wire: truncating journal %s: %w", path, err)
+		qid := binary.LittleEndian.Uint32(p[1:])
+		st.attaches = slices.DeleteFunc(st.attaches, func(a AttachReq) bool { return a.Query == qid })
+	case jEnergy:
+		if len(p) < 9 || uint64(len(p)-9) != uint64(binary.LittleEndian.Uint32(p[5:]))*10 {
+			return errJournalRecord
 		}
-	}
-	if _, err := f.Seek(int64(clean), 0); err != nil {
-		f.Close()
-		return nil, st, err
-	}
-	return &journal{path: path, f: f, w: bufio.NewWriter(f)}, st, nil
-}
-
-// write frames and appends one payload, flushing to the kernel (the
-// durability point a kill -9 cannot revoke).
-func (j *journal) write(payload []byte) error {
-	j.buf = appendJournalRecord(j.buf[:0], payload)
-	if _, err := j.w.Write(j.buf); err != nil {
-		return fmt.Errorf("wire: appending journal %s: %w", j.path, err)
-	}
-	if err := j.w.Flush(); err != nil {
-		return fmt.Errorf("wire: flushing journal %s: %w", j.path, err)
+		m := make(map[model.NodeID]float64, (len(p)-9)/10)
+		for off := 9; off < len(p); off += 10 {
+			m[model.NodeID(binary.LittleEndian.Uint16(p[off:]))] =
+				math.Float64frombits(binary.LittleEndian.Uint64(p[off+2:]))
+		}
+		st.energyEpoch, st.hasEnergy, st.energy = model.Epoch(binary.LittleEndian.Uint32(p[1:])), true, m
+	default:
+		return fmt.Errorf("wire: journal record kind %d unknown", p[0])
 	}
 	return nil
 }
 
-// Nonce records a new coordinator session.
+// journal appends session meta records to one log.
+type journal struct {
+	log *storage.Log
+}
+
+// openJournal opens (or creates) the journal and recovers the session the
+// dead process left in it.
+func openJournal(path string) (*journal, journalState, error) {
+	var st journalState
+	log, err := storage.OpenLog(path, st.apply)
+	if err != nil {
+		return nil, st, err
+	}
+	return &journal{log: log}, st, nil
+}
+
+// write appends one payload and flushes it to the kernel.
+func (j *journal) write(payload []byte) error {
+	j.log.Append(payload)
+	return j.log.Flush()
+}
+
+// Nonce begins a new coordinator session. A nonce record voids everything
+// before it on replay, so the journal is rewritten to hold only it: the
+// file is one session long however many sessions the shard has served.
 func (j *journal) Nonce(nonce uint64) error {
-	var p [9]byte
-	p[0] = jNonce
-	binary.LittleEndian.PutUint64(p[1:], nonce)
-	return j.write(p[:])
+	p := binary.LittleEndian.AppendUint64([]byte{jNonce}, nonce)
+	return j.log.Rewrite(func() { j.log.Append(p) })
 }
 
 // Attach records one attached query.
 func (j *journal) Attach(req AttachReq) error {
-	p := []byte{jAttach}
-	p = binary.LittleEndian.AppendUint32(p, req.Query)
+	p := binary.LittleEndian.AppendUint32([]byte{jAttach}, req.Query)
 	p = appendString(p, req.Algo)
-	p = appendString(p, req.SQL)
-	return j.write(p)
+	return j.write(appendString(p, req.SQL))
 }
 
 // Detach records one released query: a restart replays only the attaches
@@ -208,11 +148,4 @@ func (j *journal) Energy(e model.Epoch, nodes []model.NodeID, uj func(model.Node
 }
 
 // Close flushes and closes the journal.
-func (j *journal) Close() error {
-	ferr := j.w.Flush()
-	cerr := j.f.Close()
-	if ferr != nil {
-		return ferr
-	}
-	return cerr
-}
+func (j *journal) Close() error { return j.log.Close() }

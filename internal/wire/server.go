@@ -44,7 +44,7 @@ type ServerConfig struct {
 	// LiveWindow sizes the live substrate's per-node history buffer.
 	LiveWindow int
 	// DataDir, when non-empty, persists the shard across process deaths:
-	// the durable tier's segment files plus a session journal (coordinator
+	// the durable tier's shard.log plus a session journal (coordinator
 	// nonce, attached queries, per-epoch energy checkpoints) live there, so
 	// a kill -9'd kspotd -serve-shard restarted on the same directory
 	// resumes the session mid-run. Empty keeps the memory backend — the
@@ -636,7 +636,7 @@ func (s *Server) handle(f Frame) (MsgType, []byte, error) {
 // mode every committed epoch checkpoints the energy ledger (the restart
 // floor: a kill -9 loses at most the epoch in flight). Best-effort for
 // answers, like the store's tap beside it — a journal failure must not
-// perturb the sense path.
+// perturb the sense path; it shows in the storage block instead.
 type energyCheckpoint struct{ s *Server }
 
 // RecordReadings implements engine.ReadingsRecorder.
@@ -646,7 +646,9 @@ func (c energyCheckpoint) RecordReadings(e model.Epoch, _ map[model.NodeID]model
 	for _, id := range ids {
 		nodes = append(nodes, model.NodeID(id))
 	}
-	c.s.journal.Energy(e, nodes, c.s.energyOf)
+	if err := c.s.journal.Energy(e, nodes, c.s.energyOf); err != nil {
+		c.s.store.Fail(err)
+	}
 }
 
 // energyOf reads one node's ledger total in µJ.

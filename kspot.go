@@ -164,7 +164,7 @@ type System struct {
 
 	// stores, when WithDataDir armed them, are the per-shard durable
 	// tiers: every committed sense epoch folds into shard i's store (and
-	// its segment files) through its tap on the shard's transport stack.
+	// its shard.log) through its tap on the shard's transport stack.
 	stores []*storage.Store
 
 	// Remote deployments (OpenFederated): the shard networks live in other
@@ -231,9 +231,9 @@ func WithAdmission(cfg AdmissionConfig) OpenOption {
 }
 
 // WithDataDir arms the durable historic tier on a local System: each
-// shard's committed sense epochs mirror into append-only segment files
-// under <dir>/<shard-name>/, recoverable by a later Open on the same
-// directory. Empty (the default) keeps the memory backend — behavior and
+// shard's committed sense epochs append to one log file,
+// <dir>/<shard-name>/shard.log (one record and one write per epoch),
+// recoverable by a later Open on the same directory. Empty (the default) keeps the memory backend — behavior and
 // answers are byte-identical either way; the data dir only adds
 // durability and the /stats storage block. On a remote deployment the
 // shard processes own their durability (kspotd -serve-shard -data-dir);
@@ -701,7 +701,8 @@ func (s *System) Close() {
 }
 
 // StorageStats snapshots every shard's durable-tier storage block
-// (segments, bytes on disk, last checkpointed epoch), in shard order. On
+// (log files, bytes on disk, last checkpointed epoch, and the failure
+// that stopped a shard persisting, if any), in shard order. On
 // a remote deployment the blocks come over the wire from each shard
 // process; on a local System without WithDataDir every shard reports the
 // zero block (no durable tier is armed).
@@ -790,9 +791,12 @@ func (s *System) storageLines() string {
 		if b.Nodes == 0 && !b.HasEpoch {
 			continue
 		}
-		line := fmt.Sprintf("  storage %s: %d nodes, %d segments, %dB on disk", s.scenario.ShardName(i), b.Nodes, b.Segments, b.Bytes)
+		line := fmt.Sprintf("  storage %s: %d nodes, %d log files, %dB on disk", s.scenario.ShardName(i), b.Nodes, b.Segments, b.Bytes)
 		if b.HasEpoch {
 			line += fmt.Sprintf(", last checkpoint epoch %d", b.LastEpoch)
+		}
+		if b.Err != "" {
+			line += ", NOT PERSISTING: " + b.Err
 		}
 		out += line + "\n"
 	}

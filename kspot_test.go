@@ -1,6 +1,8 @@
 package kspot
 
 import (
+	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 
@@ -177,7 +179,8 @@ func TestPostErrors(t *testing.T) {
 }
 
 func TestSystemPanelAndDisplay(t *testing.T) {
-	sys, _ := Open(DemoScenario())
+	sys, _ := Open(DemoScenario(), WithDataDir(t.TempDir()))
+	defer sys.Close()
 	cur, _ := sys.Post("SELECT TOP 3 roomid, AVG(sound) FROM sensors GROUP BY roomid")
 	var last StepResult
 	for i := 0; i < 5; i++ {
@@ -186,6 +189,23 @@ func TestSystemPanelAndDisplay(t *testing.T) {
 	panel := sys.SystemPanel(nil)
 	if !strings.Contains(panel, "SYSTEM PANEL") {
 		t.Error("panel missing")
+	}
+	// The durable tier's line: one log file, and — once the shard stops
+	// persisting — the failure, here and in the /stats storage block.
+	if !strings.Contains(panel, "1 log files") || !strings.Contains(panel, "last checkpoint epoch 4") || strings.Contains(panel, "NOT PERSISTING") {
+		t.Errorf("storage line:\n%s", panel)
+	}
+	healthy, _ := sys.StorageStats()
+	sys.stores[0].Fail(errors.New("write shard.log: no space left on device"))
+	failed, _ := sys.StorageStats()
+	if !strings.Contains(sys.SystemPanel(nil), "NOT PERSISTING: write shard.log: no space left on device") {
+		t.Errorf("failed storage line:\n%s", sys.SystemPanel(nil))
+	}
+	if h, _ := json.Marshal(healthy[0]); strings.Contains(string(h), "error") {
+		t.Errorf("healthy storage block %s", h)
+	}
+	if f, _ := json.Marshal(failed[0]); !strings.Contains(string(f), `"error":"write shard.log: no space left on device"`) || !strings.Contains(string(f), `"segments":1`) {
+		t.Errorf("failed storage block %s", f)
 	}
 	display := sys.DisplayPanel(last.Answers, 72, 20)
 	if !strings.Contains(display, "SINK") || !strings.Contains(display, "(1)") {

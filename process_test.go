@@ -312,7 +312,7 @@ func TestProcessShardCrashRestartConformance(t *testing.T) {
 	steps = append(steps, res)
 
 	// kill -9 one shard — no shutdown path runs; durability is whatever
-	// the per-epoch segment sync and journal flush already put on disk.
+	// the per-epoch log and journal flushes already put on disk.
 	const victim = 2
 	if err := cmds[victim].Process.Kill(); err != nil {
 		t.Fatal(err)
@@ -367,7 +367,7 @@ func TestProcessShardCrashRestartConformance(t *testing.T) {
 	}
 
 	// Every shard — including the restarted one — checkpointed all three
-	// epochs into real on-disk segments.
+	// epochs into a real on-disk shard log.
 	ss, err := remote.StorageStats()
 	if err != nil {
 		t.Fatal(err)
@@ -380,7 +380,7 @@ func TestProcessShardCrashRestartConformance(t *testing.T) {
 			t.Fatalf("shard %d checkpoint: %+v", i, st)
 		}
 		if st.Segments == 0 || st.Bytes == 0 {
-			t.Fatalf("shard %d has no durable segments: %+v", i, st)
+			t.Fatalf("shard %d has no durable log: %+v", i, st)
 		}
 	}
 }
