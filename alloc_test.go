@@ -2,6 +2,7 @@ package kspot
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"kspot/internal/bench"
@@ -107,5 +108,94 @@ func TestLiveMintEpochAllocationCeiling(t *testing.T) {
 	q := topk.SnapshotQuery{K: 3, Agg: model.AggAvg, Range: &topk.ValueRange{Min: 0, Max: 100}}
 	if allocs := epochAllocs(t, live, src, q, mint.New()); allocs > liveEpochAllocCeiling {
 		t.Errorf("live MINT epoch at scale-1000 allocates %.0f times, ceiling %d (goroutine-per-node: ~5400)", allocs, liveEpochAllocCeiling)
+	}
+}
+
+// senseEpochAllocCeiling bounds the sense half of a scale-1000 epoch
+// (PresampleEpoch + CommitSenseEpoch). It allocates the readings map —
+// its header and its tables, a handful of allocations whatever the roster
+// — and nothing else: before the node table the phase also sorted and
+// re-collected the roster twice (~48 allocations, 126 kB against 55 kB).
+// Any per-node allocation would cost a thousand here.
+const senseEpochAllocCeiling = 12
+
+// TestSenseEpochAllocationCeiling pins the sense phase on both substrates.
+func TestSenseEpochAllocationCeiling(t *testing.T) {
+	for _, live := range []bool{false, true} {
+		scen, err := config.ScaleScenario(1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		net, err := scen.Network()
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, err := scen.Source()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tp engine.Transport = net
+		if live {
+			l := engine.NewLive(net, engine.LiveOptions{})
+			l.Start(context.Background())
+			defer l.Stop()
+			tp = l
+		}
+		e := model.Epoch(0)
+		allocs := testing.AllocsPerRun(20, func() {
+			engine.CommitSenseEpoch(tp, e, engine.PresampleEpoch(tp, src, e))
+			e++
+		})
+		if allocs > senseEpochAllocCeiling {
+			t.Errorf("live=%v: the sense phase at scale-1000 allocates %.0f times, ceiling %d", live, allocs, senseEpochAllocCeiling)
+		}
+	}
+}
+
+// flatStepByteCeiling bounds the bytes one whole flat Cursor.Step may
+// allocate at scale-1000 on the live substrate (sense, MINT acquisition,
+// oracle, cut — kspotd's flat-sweep epoch without the hub). Bytes, not
+// count: the garbage per epoch sets the GC's share of the latency tail.
+// Measured ~74 kB (the readings map is 55 kB of it); it was ~146 kB when
+// the sense phase re-sorted the roster and grew the map from empty.
+const flatStepByteCeiling = 100 << 10
+
+// TestFlatStepAllocationBytesCeiling pins the whole step's garbage.
+func TestFlatStepAllocationBytesCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector: a thousand pooled views do not stay pooled")
+	}
+	scen, err := ScaleScenario(1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := Open(scen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	cur, err := sys.Post("SELECT TOP 3 roomid, AVG(sound) FROM sensors GROUP BY roomid", WithLive())
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := func() {
+		if _, err := cur.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 16; i++ { // creation phase, then every pooled buffer at capacity
+		step()
+	}
+	const epochs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < epochs; i++ {
+		step()
+	}
+	runtime.ReadMemStats(&after)
+	if perEpoch := (after.TotalAlloc - before.TotalAlloc) / epochs; perEpoch > flatStepByteCeiling {
+		t.Errorf("a flat scale-1000 step allocates %d bytes, ceiling %d", perEpoch, flatStepByteCeiling)
+	} else {
+		t.Logf("flat scale-1000 step: %d bytes/epoch", perEpoch)
 	}
 }

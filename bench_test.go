@@ -105,6 +105,21 @@ func BenchmarkLiveMintEpochScale1000(b *testing.B) {
 	benchScaleEpoch(b, bench.LiveScaleSize, runtime.NumCPU(), true)
 }
 
+// BenchmarkSenseEpochScale1000 and BenchmarkLiveSenseEpochScale1000 are the
+// sense half of that epoch alone (PresampleEpoch + CommitSenseEpoch). The
+// live benchmark also times the same loop on the bare network and reports
+// the ratio: the phase enters the live lock a constant number of times per
+// epoch, so it should sit near 1 (plus the history windows' pushes).
+func BenchmarkSenseEpochScale1000(b *testing.B) { bench.RunSenseEpochBench(b, false) }
+
+func BenchmarkLiveSenseEpochScale1000(b *testing.B) {
+	sim := bench.RunSenseEpochBench(b, false)
+	live := bench.RunSenseEpochBench(b, true)
+	if sim > 0 {
+		b.ReportMetric(live/sim, "live/sim")
+	}
+}
+
 func benchScaleEpoch(b *testing.B, n, workers int, live bool) {
 	txBytes, msgs := bench.RunScaleMintEpochBench(b, n, workers, live)
 	if b.N > 0 {

@@ -142,6 +142,9 @@ func WriteJSON(w io.Writer, path, runName string, cfg RunConfig) error {
 	micros = append(micros, microEntry{"live-mint-epoch", func() (MicroResult, error) {
 		return microScaleMintEpoch(LiveScaleSize, cfg.Parallel, true)
 	}})
+	// The sense half of the scale-1000 epoch alone, on the live substrate
+	// kspotd deploys.
+	micros = append(micros, microEntry{fmt.Sprintf("sense-epoch-scale-%d", LiveScaleSize), microSenseEpoch})
 	for _, m := range micros {
 		fmt.Fprintf(w, "bench %-28s ... ", m.name)
 		res, err := m.fn()
@@ -317,6 +320,23 @@ func microScaleMintEpoch(n, workers int, live bool) (MicroResult, error) {
 	us := res.NsPerOp / 1e3 / float64(nodes)
 	res.UsPerNodePerEpoch = &us
 	res.Workers = &workers
+	return res, nil
+}
+
+// microSenseEpoch measures the sense phase of one scale-1000 epoch on an
+// engine.Live, annotated with µs per node.
+func microSenseEpoch() (MicroResult, error) {
+	net, src, _, err := scaleDeployment(LiveScaleSize, 1)
+	if err != nil {
+		return MicroResult{}, err
+	}
+	r := testing.Benchmark(func(b *testing.B) { RunSenseEpochBenchOn(b, net, true, src) })
+	res, err := micro(r, 0, 0)
+	if err != nil {
+		return res, err
+	}
+	us := res.NsPerOp / 1e3 / float64(len(net.Topology().SensorNodes()))
+	res.UsPerNodePerEpoch = &us
 	return res, nil
 }
 

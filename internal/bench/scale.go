@@ -126,3 +126,38 @@ func RunScaleMintEpochBench(b *testing.B, n, workers int, live bool) (txBytesPer
 	}
 	return RunScaleMintEpochBenchOn(b, net, live, src, q)
 }
+
+// RunSenseEpochBench measures the sense half of an epoch alone on the flat
+// scale-1000 deployment — PresampleEpoch then CommitSenseEpoch, exactly as
+// a shard's EpochRound runs them — on the network itself or, with live
+// set, on an engine.Live over it: the pair prices what the concurrent
+// substrate's lock costs a phase that enters it a constant number of times
+// per epoch. It restarts b's timer, so of several calls in one benchmark
+// the last is the one reported; each returns its own ns per epoch.
+func RunSenseEpochBench(b *testing.B, live bool) (nsPerEpoch float64) {
+	net, src, _, err := scaleDeployment(LiveScaleSize, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return RunSenseEpochBenchOn(b, net, live, src)
+}
+
+// RunSenseEpochBenchOn is RunSenseEpochBench on a prebuilt deployment.
+func RunSenseEpochBenchOn(b *testing.B, net *sim.Network, live bool, src trace.Source) (nsPerEpoch float64) {
+	var tp engine.Transport = net
+	if live {
+		l := engine.NewLive(net, engine.LiveOptions{})
+		l.Start(context.Background())
+		defer l.Stop()
+		tp = l
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.StartTimer() // an earlier call in this benchmark left it stopped
+	for i := 0; i < b.N; i++ {
+		e := model.Epoch(i)
+		engine.CommitSenseEpoch(tp, e, engine.PresampleEpoch(tp, src, e))
+	}
+	b.StopTimer()
+	return float64(b.Elapsed().Nanoseconds()) / float64(max(b.N, 1))
+}

@@ -11,7 +11,6 @@ package energy
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Model is a linear radio + fixed per-epoch energy model. All costs are in
@@ -108,37 +107,68 @@ func (b *Budget) Remaining() float64 {
 }
 
 // Ledger aggregates per-node energy consumption for a whole network run.
-// The System Panel reads totals and distributions from here.
+// The System Panel reads totals and distributions from here. Accounts are
+// indexed by node id — node ids are small dense integers, so the charge
+// every transmission pays is a slice write, not a hash.
 type Ledger struct {
-	perNode map[int]float64
+	accounts []account // by node id
+	open     int       // accounts opened
 }
 
-// NewLedger returns an empty ledger.
-func NewLedger() *Ledger { return &Ledger{perNode: make(map[int]float64)} }
+// account is one node's consumption in µJ. It is open once the node has
+// been charged or set, even with zero: Nodes and Mean count open accounts.
+type account struct {
+	uj   float64
+	open bool
+}
+
+// NewLedger returns an empty ledger with room for node ids below nodes; an
+// id beyond that grows the table when first charged.
+func NewLedger(nodes int) *Ledger { return &Ledger{accounts: make([]account, nodes)} }
+
+// account returns a node's account, opened, growing the table to reach it.
+func (l *Ledger) account(node int) *account {
+	if node >= len(l.accounts) {
+		l.accounts = append(l.accounts, make([]account, node+1-len(l.accounts))...)
+	}
+	a := &l.accounts[node]
+	if !a.open {
+		a.open = true
+		l.open++
+	}
+	return a
+}
 
 // Charge adds consumption to a node's account.
 func (l *Ledger) Charge(node int, microjoules float64) {
-	l.perNode[node] += microjoules
+	l.account(node).uj += microjoules
 }
 
 // Node returns one node's total consumption in µJ.
-func (l *Ledger) Node(node int) float64 { return l.perNode[node] }
+func (l *Ledger) Node(node int) float64 {
+	if node < 0 || node >= len(l.accounts) {
+		return 0
+	}
+	return l.accounts[node].uj
+}
 
 // Set overwrites a node's account — restoring a checkpointed or migrated
 // shard resumes the exact partial sum the source accumulated, so later
 // charges extend it with the identical float operations.
 func (l *Ledger) Set(node int, microjoules float64) {
-	l.perNode[node] = microjoules
+	l.account(node).uj = microjoules
 }
 
 // Total returns the network-wide consumption in µJ. Summation runs in
-// node order so the floating-point result is identical across runs (map
-// iteration order would perturb the last ulp, which the fault layer's
-// determinism tests compare).
+// node order so the floating-point result is identical across runs (the
+// fault layer's determinism tests compare the last ulp). Accounts never
+// opened hold +0, and adding +0 changes no partial sum, so walking the
+// whole table adds the same values in the same order as adding the open
+// accounts in ascending id.
 func (l *Ledger) Total() float64 {
 	var t float64
-	for _, id := range l.Nodes() {
-		t += l.perNode[id]
+	for i := range l.accounts {
+		t += l.accounts[i].uj
 	}
 	return t
 }
@@ -147,8 +177,8 @@ func (l *Ledger) Total() float64 {
 // determines network lifetime under a uniform initial budget.
 func (l *Ledger) Max() float64 {
 	var m float64
-	for _, v := range l.perNode {
-		if v > m {
+	for i := range l.accounts {
+		if v := l.accounts[i].uj; v > m {
 			m = v
 		}
 	}
@@ -157,19 +187,20 @@ func (l *Ledger) Max() float64 {
 
 // Mean returns the average per-node consumption (0 for an empty ledger).
 func (l *Ledger) Mean() float64 {
-	if len(l.perNode) == 0 {
+	if l.open == 0 {
 		return 0
 	}
-	return l.Total() / float64(len(l.perNode))
+	return l.Total() / float64(l.open)
 }
 
-// Nodes returns the node ids present, sorted.
+// Nodes returns the node ids present, ascending.
 func (l *Ledger) Nodes() []int {
-	ids := make([]int, 0, len(l.perNode))
-	for id := range l.perNode {
-		ids = append(ids, id)
+	ids := make([]int, 0, l.open)
+	for i := range l.accounts {
+		if l.accounts[i].open {
+			ids = append(ids, i)
+		}
 	}
-	sort.Ints(ids)
 	return ids
 }
 
@@ -191,5 +222,5 @@ func (l *Ledger) LifetimeEpochs(budgetJoules float64, epochsMeasured int) float6
 // String summarizes the ledger for the System Panel.
 func (l *Ledger) String() string {
 	return fmt.Sprintf("energy{total=%.1fmJ max=%.1fmJ mean=%.1fmJ nodes=%d}",
-		l.Total()/1000, l.Max()/1000, l.Mean()/1000, len(l.perNode))
+		l.Total()/1000, l.Max()/1000, l.Mean()/1000, l.open)
 }

@@ -63,7 +63,7 @@ func TestBudgetUnlimited(t *testing.T) {
 }
 
 func TestLedgerAccounting(t *testing.T) {
-	l := NewLedger()
+	l := NewLedger(0)
 	l.Charge(1, 100)
 	l.Charge(2, 300)
 	l.Charge(1, 50)
@@ -85,7 +85,7 @@ func TestLedgerAccounting(t *testing.T) {
 }
 
 func TestLedgerEmpty(t *testing.T) {
-	l := NewLedger()
+	l := NewLedger(0)
 	if l.Mean() != 0 || l.Total() != 0 || l.Max() != 0 {
 		t.Error("empty ledger must report zeros")
 	}
@@ -95,7 +95,7 @@ func TestLedgerEmpty(t *testing.T) {
 }
 
 func TestLifetimeEpochs(t *testing.T) {
-	l := NewLedger()
+	l := NewLedger(0)
 	l.Charge(1, 1000) // 1000 µJ over 10 epochs -> 100 µJ/epoch
 	l.Charge(2, 500)
 	got := l.LifetimeEpochs(1e-3, 10) // 1 mJ budget / 100 µJ per epoch = 10 epochs
@@ -110,7 +110,7 @@ func TestLifetimeEpochs(t *testing.T) {
 // Property: ledger totals are additive regardless of charge interleaving.
 func TestLedgerAdditivityProperty(t *testing.T) {
 	f := func(charges []uint16) bool {
-		l := NewLedger()
+		l := NewLedger(0)
 		var want float64
 		for i, c := range charges {
 			l.Charge(i%5, float64(c))
@@ -124,7 +124,7 @@ func TestLedgerAdditivityProperty(t *testing.T) {
 }
 
 func TestLedgerString(t *testing.T) {
-	l := NewLedger()
+	l := NewLedger(0)
 	l.Charge(0, 1500)
 	if s := l.String(); s == "" {
 		t.Error("empty String()")

@@ -17,6 +17,13 @@
 // answers and, query for query, the same counters on the other (engine's
 // equivalence test pins this, under -race).
 //
+// The sense half of the contract has no per-node method. What an epoch does
+// to every node — read its aliveness, charge its idle baseline, charge its
+// sensing — is asked of the transport for the whole roster at once, so the
+// concurrent substrate's lock is taken a constant number of times per
+// epoch whatever the node count, and the state behind it is indexed by
+// node id rather than hashed (DESIGN.md, node-indexed state).
+//
 // Above the transports sits the one epoch engine. A shard — an in-process
 // Deployment (transport + trace source + attached operators) or a process
 // behind a socket (internal/wire's Client) — answers a single call,
@@ -52,8 +59,10 @@ type PruneFunc = func(node model.NodeID, v *model.View) *model.View
 
 // Transport is the communication contract the operators program against:
 // the primitives they previously used directly on *sim.Network (one-hop
-// sends, the beacon flood, multihop relays, the epoch sweep) plus the
-// per-message accounting every transmission feeds.
+// sends, the beacon flood, multihop relays, the epoch sweep), the
+// per-message accounting every transmission feeds, and the batch-shaped
+// sense half an epoch opens with (AliveSensors, ChargeIdleEpoch,
+// ChargeSense).
 //
 // *sim.Network satisfies Transport natively (the deterministic substrate);
 // *Live serializes it behind a lock and makes its sweeps re-entrant (the
@@ -90,8 +99,12 @@ type Transport interface {
 	// concurrently on the live substrate never touch it.
 	Sweep(e model.Epoch, kind radio.MsgKind, readings map[model.NodeID]model.Reading, prune PruneFunc) *model.View
 
-	// ChargeSense charges one sensing operation to a node.
-	ChargeSense(id model.NodeID)
+	// AliveSensors returns the sensors alive now, in ascending id: the nodes
+	// an epoch samples. The slice is shared and read-only.
+	AliveSensors() []model.NodeID
+	// ChargeSense charges one sensing operation to every node of readings
+	// that is alive and deletes the others from it.
+	ChargeSense(readings map[model.NodeID]model.Reading)
 	// ChargeIdleEpoch charges every live sensor the per-epoch idle baseline.
 	ChargeIdleEpoch()
 	// Snap captures the traffic/energy totals; Delta diffs against an
@@ -154,9 +167,7 @@ func Baseof(t Transport) Transport {
 // read-only state: operators and per-node workers must not mutate it.
 func SenseEpoch(t Transport, src trace.Source, e model.Epoch) map[model.NodeID]model.Reading {
 	readings := sampleReadings(t, src, e)
-	for id := range readings {
-		t.ChargeSense(id)
-	}
+	t.ChargeSense(readings)
 	if r, ok := t.(ReadingsRecorder); ok {
 		r.RecordReadings(e, readings)
 	}
@@ -174,23 +185,17 @@ func PresampleEpoch(t Transport, src trace.Source, e model.Epoch) map[model.Node
 }
 
 // CommitSenseEpoch applies the deferred accounting of a presampled epoch:
-// the per-epoch idle baseline, then the per-node sensing charge and the
-// history recording. Nodes whose idle charge exhausted their budget are
-// dropped from readings first — the synchronous order idle-charges before
-// sampling, so such nodes never appear there; death is monotone between
+// the per-epoch idle baseline, then the sensing charge and the history
+// recording. Nodes whose idle charge exhausted their budget are dropped
+// from readings (by ChargeSense, as it charges the rest) — the synchronous
+// order idle-charges before sampling, so such nodes never appear there;
+// death is monotone between
 // epochs (churn revivals fire on the epoch's first transmission, after
 // sensing), which makes PresampleEpoch + CommitSenseEpoch byte-identical
 // to SenseEpoch with a preceding ChargeIdleEpoch.
 func CommitSenseEpoch(t Transport, e model.Epoch, readings map[model.NodeID]model.Reading) {
 	t.ChargeIdleEpoch()
-	for id := range readings {
-		if !t.Alive(id) {
-			delete(readings, id)
-		}
-	}
-	for id := range readings {
-		t.ChargeSense(id)
-	}
+	t.ChargeSense(readings)
 	if r, ok := t.(ReadingsRecorder); ok {
 		r.RecordReadings(e, readings)
 	}
@@ -222,15 +227,13 @@ func DeriveReadings(sensed map[model.NodeID]model.Reading, src trace.Source, e m
 // an already-sensed attribute (e.g. node-local window aggregation), so the
 // shared acquisition is charged exactly once per epoch.
 func sampleReadings(t Transport, src trace.Source, e model.Epoch) map[model.NodeID]model.Reading {
-	readings := make(map[model.NodeID]model.Reading)
-	p := t.Topology()
-	for _, id := range p.SensorNodes() {
-		if !t.Alive(id) {
-			continue
-		}
+	alive := t.AliveSensors()
+	readings := make(map[model.NodeID]model.Reading, len(alive))
+	groups := t.Topology().Groups
+	for _, id := range alive {
 		readings[id] = model.Reading{
 			Node:  id,
-			Group: p.Groups[id],
+			Group: groups[id],
 			Epoch: e,
 			Value: model.Quantize(src.Sample(id, e)),
 		}

@@ -239,11 +239,19 @@ func (l *Live) SetFault(m radio.FaultModel) {
 	l.base.SetFault(m)
 }
 
-// ChargeSense implements Transport.
-func (l *Live) ChargeSense(id model.NodeID) {
+// AliveSensors implements Transport: the whole roster's aliveness under
+// one acquisition of the lock.
+func (l *Live) AliveSensors() []model.NodeID {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.base.ChargeSense(id)
+	return l.base.AliveSensors()
+}
+
+// ChargeSense implements Transport.
+func (l *Live) ChargeSense(readings map[model.NodeID]model.Reading) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.base.ChargeSense(readings)
 }
 
 // ChargeIdleEpoch implements Transport.

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -299,5 +301,42 @@ func TestRemoteCoordinatorRemoveDropsBuffered(t *testing.T) {
 	}
 	if len(a.lastQids) != 1 || a.lastQids[0] != 11 {
 		t.Fatalf("dissolved group still acquired: round qids %v", a.lastQids)
+	}
+}
+
+// gatedShard holds every round open until released.
+type gatedShard struct {
+	enter, gate chan struct{}
+}
+
+func (s *gatedShard) EpochRound(model.Epoch, []uint32) (map[model.NodeID]model.Reading, []RemoteGroupResult, error) {
+	s.enter <- struct{}{}
+	<-s.gate
+	return nil, []RemoteGroupResult{{}}, nil
+}
+
+// TestStepContextBackgroundRunsInline: under a context that cannot be
+// cancelled nothing can abandon a step, so it runs on its caller — no
+// goroutine is started to hand the outcome back, even over a shard whose
+// epochs may finish in the background.
+func TestStepContextBackgroundRunsInline(t *testing.T) {
+	sh := &gatedShard{enter: make(chan struct{}), gate: make(chan struct{})}
+	s := NewShardScheduler(NewRemoteDeployment("gated", sh))
+	sq := schedule(s, "", 1, nil)
+	before := runtime.NumGoroutine()
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.StepContext(context.Background(), sq)
+		done <- err
+	}()
+	<-sh.enter // the epoch is in flight and its shard blocked
+	// One more goroutine than before: the caller above. (Fewer is fine — an
+	// earlier test's goroutine may have exited meanwhile.)
+	if got := runtime.NumGoroutine(); got > before+1 {
+		t.Errorf("a Background step runs on %d goroutines beside its caller", got-before-1)
+	}
+	close(sh.gate)
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }

@@ -376,7 +376,9 @@ func (s *Scheduler) StepContext(ctx context.Context, sq *ScheduledQuery) (Outcom
 	if out, ok := s.tryPop(sq); ok {
 		return out, out.Err
 	}
-	if !s.background.Load() {
+	// A context that can never be cancelled (Background) can never abandon
+	// the step either: it runs inline, with no goroutine and no hand-off.
+	if ctx.Done() == nil || !s.background.Load() {
 		return s.Step(sq)
 	}
 	type stepRes struct {

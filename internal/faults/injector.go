@@ -105,8 +105,13 @@ func (in *Injector) Sweep(e model.Epoch, kind radio.MsgKind, readings map[model.
 	return in.inner.Sweep(e, kind, readings, prune)
 }
 
+// AliveSensors implements Transport.
+func (in *Injector) AliveSensors() []model.NodeID { return in.inner.AliveSensors() }
+
 // ChargeSense implements Transport.
-func (in *Injector) ChargeSense(id model.NodeID) { in.inner.ChargeSense(id) }
+func (in *Injector) ChargeSense(readings map[model.NodeID]model.Reading) {
+	in.inner.ChargeSense(readings)
+}
 
 // ChargeIdleEpoch implements Transport.
 func (in *Injector) ChargeIdleEpoch() { in.inner.ChargeIdleEpoch() }

@@ -229,78 +229,84 @@ func (l *Link) Transmit(msg Message) Accounting {
 	return acc
 }
 
-// Counter accumulates System Panel traffic statistics, broken down per
-// message kind and per node.
-type Counter struct {
-	Messages  map[MsgKind]int // delivered application messages
-	Frames    map[MsgKind]int
-	TxBytes   map[MsgKind]int
-	RxBytes   map[MsgKind]int
-	Drops     int
-	Undeliver int
-	PerNodeTx map[model.NodeID]int // tx bytes per sender
-	PerNodeRx map[model.NodeID]int // rx bytes per receiver
+// kindSlots sizes the per-kind counters: one slot per MsgKind of the enum
+// plus one, KindOther, that every value outside it folds into (the kinds
+// MsgKind.String renders as "kind(n)"), so an arbitrary uint8 can never
+// index out of range.
+const (
+	KindOther MsgKind = KindCtrl + 1
+	kindSlots         = int(KindOther) + 1
+)
+
+// KindCounts is one counter per message kind, indexed by MsgKind.
+type KindCounts [kindSlots]int
+
+// Total sums the counter across kinds.
+func (k *KindCounts) Total() int {
+	t := 0
+	for _, v := range k {
+		t += v
+	}
+	return t
 }
 
-// NewCounter returns a zeroed counter.
-func NewCounter() *Counter {
-	return &Counter{
-		Messages:  make(map[MsgKind]int),
-		Frames:    make(map[MsgKind]int),
-		TxBytes:   make(map[MsgKind]int),
-		RxBytes:   make(map[MsgKind]int),
-		PerNodeTx: make(map[model.NodeID]int),
-		PerNodeRx: make(map[model.NodeID]int),
+// Counter accumulates System Panel traffic statistics, broken down per
+// message kind and per node. Both breakdowns are indexed, not hashed:
+// every transmission of every sweep records here.
+type Counter struct {
+	Messages  KindCounts // delivered application messages
+	Frames    KindCounts
+	TxBytes   KindCounts
+	RxBytes   KindCounts
+	Drops     int
+	Undeliver int
+	PerNodeTx []int // tx bytes per sender, by node id
+	PerNodeRx []int // rx bytes per receiver, by node id
+}
+
+// NewCounter returns a zeroed counter with per-node room for node ids
+// below nodes; an id beyond that grows the tables when first recorded.
+func NewCounter(nodes int) *Counter {
+	return &Counter{PerNodeTx: make([]int, nodes), PerNodeRx: make([]int, nodes)}
+}
+
+// perNode returns the table grown to hold id.
+func perNode(s []int, id model.NodeID) []int {
+	if int(id) < len(s) {
+		return s
 	}
+	return append(s, make([]int, int(id)+1-len(s))...)
 }
 
 // Record folds one transmission's accounting into the counter.
 func (c *Counter) Record(msg Message, acc Accounting) {
-	c.Frames[msg.Kind] += acc.Frames
-	c.TxBytes[msg.Kind] += acc.TxBytes
-	c.RxBytes[msg.Kind] += acc.RxBytes
+	k := msg.Kind
+	if k > KindOther {
+		k = KindOther
+	}
+	c.Frames[k] += acc.Frames
+	c.TxBytes[k] += acc.TxBytes
+	c.RxBytes[k] += acc.RxBytes
 	c.Drops += acc.Drops
+	c.PerNodeTx = perNode(c.PerNodeTx, msg.From)
 	c.PerNodeTx[msg.From] += acc.TxBytes
+	c.PerNodeRx = perNode(c.PerNodeRx, msg.To)
 	c.PerNodeRx[msg.To] += acc.RxBytes
 	if acc.Delivered {
-		c.Messages[msg.Kind]++
+		c.Messages[k]++
 	} else {
 		c.Undeliver++
 	}
 }
 
 // TotalMessages sums delivered messages across kinds.
-func (c *Counter) TotalMessages() int {
-	t := 0
-	for _, v := range c.Messages {
-		t += v
-	}
-	return t
-}
+func (c *Counter) TotalMessages() int { return c.Messages.Total() }
 
 // TotalFrames sums frames across kinds.
-func (c *Counter) TotalFrames() int {
-	t := 0
-	for _, v := range c.Frames {
-		t += v
-	}
-	return t
-}
+func (c *Counter) TotalFrames() int { return c.Frames.Total() }
 
 // TotalTxBytes sums transmitted bytes across kinds.
-func (c *Counter) TotalTxBytes() int {
-	t := 0
-	for _, v := range c.TxBytes {
-		t += v
-	}
-	return t
-}
+func (c *Counter) TotalTxBytes() int { return c.TxBytes.Total() }
 
 // TotalRxBytes sums received bytes across kinds.
-func (c *Counter) TotalRxBytes() int {
-	t := 0
-	for _, v := range c.RxBytes {
-		t += v
-	}
-	return t
-}
+func (c *Counter) TotalRxBytes() int { return c.RxBytes.Total() }

@@ -101,7 +101,7 @@ func TestTransmitTotalLoss(t *testing.T) {
 
 func TestCounterRecord(t *testing.T) {
 	l := NewLink(DefaultConfig())
-	c := NewCounter()
+	c := NewCounter(0)
 	msg := Message{From: 3, To: 1, Kind: KindData, Payload: make([]byte, 40)}
 	acc := l.Transmit(msg)
 	c.Record(msg, acc)
@@ -137,7 +137,7 @@ func TestCounterUndelivered(t *testing.T) {
 	cfg.MaxRetries = 0
 	cfg.Seed = 5
 	l := NewLink(cfg)
-	c := NewCounter()
+	c := NewCounter(0)
 	msg := Message{From: 1, To: 0, Kind: KindData, Payload: []byte{1}}
 	c.Record(msg, l.Transmit(msg))
 	if c.Undeliver != 1 {
@@ -188,5 +188,26 @@ func TestLosslessDeliveryProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A kind outside the enum — any uint8 the String method renders as
+// "kind(n)" — is counted in the one KindOther slot, never out of range.
+func TestCounterFoldsUnknownKinds(t *testing.T) {
+	l := NewLink(DefaultConfig())
+	c := NewCounter(0)
+	for _, k := range []MsgKind{KindOther, 9, 255} {
+		msg := Message{From: 2, To: 1, Kind: k, Payload: []byte{1, 2, 3}}
+		c.Record(msg, l.Transmit(msg))
+	}
+	wire := 3 + DefaultHeaderSize
+	if c.Messages[KindOther] != 3 || c.TxBytes[KindOther] != 3*wire || c.TotalTxBytes() != 3*wire {
+		t.Errorf("unknown kinds: messages %v tx bytes %v", c.Messages, c.TxBytes)
+	}
+	if got := KindOther.String(); got != "kind(6)" {
+		t.Errorf("KindOther.String() = %q", got)
+	}
+	if c.PerNodeTx[2] != 3*wire || len(c.PerNodeRx) != 2 {
+		t.Errorf("per-node tables grew to tx %v rx %v", c.PerNodeTx, c.PerNodeRx)
 	}
 }

@@ -26,7 +26,14 @@ import (
 	"kspot/internal/topo"
 )
 
-// Network bundles the simulated deployment.
+// Network bundles the simulated deployment. Its per-node state — the
+// downed marks, the budgets, the ledger's accounts and the counter's
+// per-node bytes — lives in tables indexed by node id and sized, when the
+// network is built, by the placement's largest id: node ids are small dense
+// integers, and every transmission of every sweep reads and writes several
+// of them. An id beyond the tables is no node of this deployment: it reads
+// as alive and without a budget, it cannot be downed, and traffic charged
+// to it grows the ledger and the counter rather than writing out of range.
 type Network struct {
 	Placement *topo.Placement
 	Links     *topo.Links
@@ -36,15 +43,16 @@ type Network struct {
 	Ledger    *energy.Ledger
 	Counter   *radio.Counter
 
-	// Budgets, when non-nil, gives each node a finite energy budget; dead
-	// nodes stop transmitting and receiving.
-	Budgets map[model.NodeID]*energy.Budget
+	// Budgets, when non-nil, gives each sensor a finite energy budget,
+	// indexed by node id; dead nodes stop transmitting and receiving. The
+	// sink's slot (and any id no sensor holds) is the zero Budget: unlimited.
+	Budgets []energy.Budget
 
-	// downed marks nodes administratively killed by fault injection
-	// (internal/faults churn). A downed node is dead exactly like a
-	// budget-exhausted one; revival clears the mark but never resurrects a
-	// node whose energy budget ran out.
-	downed map[model.NodeID]bool
+	// downed marks, by node id, the nodes administratively killed by fault
+	// injection (internal/faults churn). A downed node is dead exactly like
+	// a budget-exhausted one; revival clears the mark but never resurrects
+	// a node whose energy budget ran out.
+	downed []bool
 
 	// Delivered is an optional hook invoked for every successfully
 	// delivered message (the concurrent runtime and the GUI subscribe).
@@ -132,23 +140,33 @@ func New(p *topo.Placement, radius float64, opts Options) (*Network, error) {
 
 // FromTree builds a network over an explicit topology (used by the Figure 1
 // fixture, whose tree the paper draws literally).
+//
+// This is where a deployment's topology stops changing, so it is where the
+// node-indexed tables are sized and the placement's roster and the tree's
+// parent table are built — once, not per epoch.
 func FromTree(p *topo.Placement, links *topo.Links, tree *topo.Tree, opts Options) *Network {
+	size := 0
+	if ids := p.Nodes(); len(ids) > 0 {
+		size = int(ids[len(ids)-1]) + 1
+	}
 	n := &Network{
 		Placement: p,
 		Links:     links,
 		Tree:      tree,
 		Link:      radio.NewLink(opts.Radio),
 		Energy:    opts.EnergyModel,
-		Ledger:    energy.NewLedger(),
-		Counter:   radio.NewCounter(),
+		Ledger:    energy.NewLedger(size),
+		Counter:   radio.NewCounter(size),
+		downed:    make([]bool, size),
 		parallel:  opts.Parallel,
 	}
 	if opts.BudgetJoules > 0 {
-		n.Budgets = make(map[model.NodeID]*energy.Budget)
+		n.Budgets = make([]energy.Budget, size)
 		for _, id := range p.SensorNodes() {
-			n.Budgets[id] = energy.NewBudget(opts.BudgetJoules)
+			n.Budgets[id] = *energy.NewBudget(opts.BudgetJoules)
 		}
 	}
+	tree.ParentOf(tree.Root) // builds the tree's parent table
 	return n
 }
 
@@ -161,38 +179,28 @@ func (n *Network) Topology() *topo.Placement { return n.Placement }
 func (n *Network) Routing() *topo.Tree { return n.Tree }
 
 // Alive reports whether a node still has energy and has not been struck
-// down by fault injection (the sink is mains-powered and always alive).
+// down by fault injection. The sink is mains-powered and always alive: its
+// slot is never downed and holds the zero (unlimited) Budget. An id beyond
+// the tables reads the same way.
 func (n *Network) Alive(id model.NodeID) bool {
-	if id == model.Sink {
-		return true
-	}
-	if n.downed[id] {
+	i := int(id)
+	if i < len(n.downed) && n.downed[i] {
 		return false
 	}
-	if n.Budgets == nil {
-		return true
-	}
-	b, ok := n.Budgets[id]
-	return !ok || !b.Dead()
+	return i >= len(n.Budgets) || !n.Budgets[i].Dead()
 }
 
 // SetNodeDown administratively kills or revives a node — the churn
 // primitive of the fault-injection layer. It rides the same Alive pathway
 // as energy death: a downed node neither transmits, receives, nor senses.
-// The sink cannot be downed, and reviving a node whose energy budget is
+// The sink cannot be downed, nor can an id beyond the deployment's largest
+// (no such node exists), and reviving a node whose energy budget is
 // exhausted leaves it dead.
 func (n *Network) SetNodeDown(id model.NodeID, down bool) {
-	if id == model.Sink {
+	if id == model.Sink || int(id) >= len(n.downed) {
 		return
 	}
-	if n.downed == nil {
-		n.downed = make(map[model.NodeID]bool)
-	}
-	if down {
-		n.downed[id] = true
-	} else {
-		delete(n.downed, id)
-	}
+	n.downed[id] = down
 }
 
 // SetFault installs (or clears) a deterministic link-layer fault model —
@@ -214,29 +222,26 @@ func (n *Network) SetParallel(workers int) { n.parallel = workers }
 // sequential).
 func (n *Network) Parallel() int { return n.parallel }
 
-// chargeTx charges a transmission to a node, returning false if the node is
-// dead. The sink draws mains power and is never charged.
-func (n *Network) chargeTx(id model.NodeID, microjoules float64) bool {
-	if !n.Alive(id) {
-		return false
-	}
-	if id != model.Sink {
-		if n.Budgets != nil {
-			n.Budgets[id].Spend(microjoules)
-		}
-		n.Ledger.Charge(int(id), microjoules)
-	}
-	return true
-}
-
-func (n *Network) chargeRx(id model.NodeID, microjoules float64) {
-	if id == model.Sink || !n.Alive(id) {
+// charge draws energy from a live node: off its budget, when it has one,
+// and onto its ledger account. The sink draws mains power and is never
+// charged.
+func (n *Network) charge(id model.NodeID, microjoules float64) {
+	if id == model.Sink {
 		return
 	}
-	if n.Budgets != nil {
+	if int(id) < len(n.Budgets) {
 		n.Budgets[id].Spend(microjoules)
 	}
 	n.Ledger.Charge(int(id), microjoules)
+}
+
+// RestoreEnergy resumes a node's consumption from a checkpoint: its ledger
+// account and, when it has one, its spent budget, bit-exact.
+func (n *Network) RestoreEnergy(id model.NodeID, microjoules float64) {
+	n.Ledger.Set(int(id), microjoules)
+	if int(id) < len(n.Budgets) {
+		n.Budgets[id].Used = microjoules
+	}
 }
 
 // transmit performs one single-hop transmission with full accounting.
@@ -246,15 +251,12 @@ func (n *Network) transmit(msg radio.Message) bool {
 	}
 	acc := n.Link.Transmit(msg)
 	n.Counter.Record(msg, acc)
-	frames := acc.Frames
-	if frames > 0 {
-		txCost := float64(frames)*n.Energy.TxPerPacket + n.Energy.TxPerByte*float64(acc.TxBytes)
-		n.chargeTx(msg.From, txCost)
+	if acc.Frames > 0 {
+		n.charge(msg.From, float64(acc.Frames)*n.Energy.TxPerPacket+n.Energy.TxPerByte*float64(acc.TxBytes))
 	}
 	receiverAlive := n.Alive(msg.To)
 	if acc.RxFrames > 0 && receiverAlive {
-		rxCost := float64(acc.RxFrames)*n.Energy.RxPerPacket + n.Energy.RxPerByte*float64(acc.RxBytes)
-		n.chargeRx(msg.To, rxCost)
+		n.charge(msg.To, float64(acc.RxFrames)*n.Energy.RxPerPacket+n.Energy.RxPerByte*float64(acc.RxBytes))
 	}
 	// A node that dies receiving this very message still received it: the
 	// budget check, like the hardware brown-out, happens afterwards.
@@ -268,7 +270,7 @@ func (n *Network) transmit(msg radio.Message) bool {
 // SendUp transmits a payload from a node to its tree parent. Returns false
 // if the node is the root, is dead, or the link loses the message.
 func (n *Network) SendUp(from model.NodeID, kind radio.MsgKind, e model.Epoch, payload []byte) bool {
-	parent, ok := n.Tree.Parent[from]
+	parent, ok := n.Tree.ParentOf(from)
 	if !ok {
 		return false
 	}
@@ -313,7 +315,7 @@ func (n *Network) BroadcastDown(kind radio.MsgKind, e model.Epoch, payloadFor fu
 func (n *Network) RouteToSink(from model.NodeID, kind radio.MsgKind, e model.Epoch, payload []byte) bool {
 	cur := from
 	for cur != model.Sink {
-		parent, ok := n.Tree.Parent[cur]
+		parent, ok := n.Tree.ParentOf(cur)
 		if !ok {
 			return false
 		}
@@ -585,13 +587,35 @@ func (s *sweep) commitLevel(commit sync.Locker) {
 	}
 }
 
-// ChargeSense charges one sensing operation to a node.
-func (n *Network) ChargeSense(id model.NodeID) {
-	if id != model.Sink && n.Alive(id) {
-		if n.Budgets != nil {
-			n.Budgets[id].Spend(n.Energy.SenseCost)
+// AliveSensors returns the sensors alive now, ascending: the nodes an epoch
+// samples. While every sensor is alive that is the placement's own roster,
+// shared — callers must not modify the slice.
+func (n *Network) AliveSensors() []model.NodeID {
+	roster := n.Placement.SensorNodes()
+	for i, id := range roster {
+		if n.Alive(id) {
+			continue
 		}
-		n.Ledger.Charge(int(id), n.Energy.SenseCost)
+		alive := append(make([]model.NodeID, 0, len(roster)-1), roster[:i]...)
+		for _, id := range roster[i+1:] {
+			if n.Alive(id) {
+				alive = append(alive, id)
+			}
+		}
+		return alive
+	}
+	return roster
+}
+
+// ChargeSense charges one sensing operation to every node of readings that
+// is alive, and deletes the others from it: a dead node sensed nothing.
+func (n *Network) ChargeSense(readings map[model.NodeID]model.Reading) {
+	for id := range readings {
+		if n.Alive(id) {
+			n.charge(id, n.Energy.SenseCost)
+		} else {
+			delete(readings, id)
+		}
 	}
 }
 
@@ -599,10 +623,7 @@ func (n *Network) ChargeSense(id model.NodeID) {
 func (n *Network) ChargeIdleEpoch() {
 	for _, id := range n.Placement.SensorNodes() {
 		if n.Alive(id) {
-			if n.Budgets != nil {
-				n.Budgets[id].Spend(n.Energy.IdlePerEpoch)
-			}
-			n.Ledger.Charge(int(id), n.Energy.IdlePerEpoch)
+			n.charge(id, n.Energy.IdlePerEpoch)
 		}
 	}
 }
@@ -610,8 +631,8 @@ func (n *Network) ChargeIdleEpoch() {
 // Reset clears traffic and energy accounting (budgets are preserved) so a
 // caller can measure a steady-state window separately from a warm-up.
 func (n *Network) Reset() {
-	n.Ledger = energy.NewLedger()
-	n.Counter = radio.NewCounter()
+	n.Ledger = energy.NewLedger(len(n.downed))
+	n.Counter = radio.NewCounter(len(n.downed))
 }
 
 // Snapshot copies the current counters — used to compute per-phase deltas.

@@ -161,7 +161,7 @@ func TestDeadReceiverDropsMessage(t *testing.T) {
 
 func TestChargeSenseAndIdle(t *testing.T) {
 	n := fig1Network(t)
-	n.ChargeSense(5)
+	n.ChargeSense(map[model.NodeID]model.Reading{5: {}})
 	if n.Ledger.Node(5) != n.Energy.SenseCost {
 		t.Errorf("sense charge = %v", n.Ledger.Node(5))
 	}

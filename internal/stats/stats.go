@@ -32,9 +32,11 @@ type RunStats struct {
 
 // Collect reads a network's counters into a RunStats.
 func Collect(name string, net *sim.Network, epochs int) RunStats {
-	perKind := make(map[radio.MsgKind]int, len(net.Counter.TxBytes))
+	perKind := make(map[radio.MsgKind]int)
 	for k, v := range net.Counter.TxBytes {
-		perKind[k] = v
+		if v != 0 { // a kind never transmitted has no entry
+			perKind[radio.MsgKind(k)] = v
+		}
 	}
 	return RunStats{
 		Algorithm: name,

@@ -103,9 +103,11 @@ func (o *Operator) margin() model.Value {
 type Operator struct {
 	cfg Config
 
-	net       engine.Transport
-	q         topk.SnapshotQuery
-	groupSize map[model.GroupID]int
+	net engine.Transport
+	q   topk.SnapshotQuery
+	// groupSize is the declared sensor count of each group, indexed by
+	// group id: every partial of every node's prune reads it.
+	groupSize []int
 	masters   map[model.GroupID]model.NodeID
 	nGroups   int
 
@@ -114,11 +116,6 @@ type Operator struct {
 	// flooded value); floods happen only when it must change.
 	bcast   model.Value
 	topKNow []model.Answer
-
-	// Rounds counts sweeps per epoch for the System Panel (index = epoch).
-	Rounds []int
-	// Floods counts γ beacon floods per epoch (index = epoch).
-	Floods []int
 }
 
 // New returns a MINT operator with default configuration.
@@ -144,20 +141,33 @@ func (o *Operator) Attach(net engine.Transport, q topk.SnapshotQuery) error {
 		return fmt.Errorf("mint: negative slack %v", o.cfg.Slack)
 	}
 	o.net, o.q = net, q
-	o.groupSize = net.Topology().GroupSize()
+	o.groupSize = nil
+	for g, n := range net.Topology().GroupSize() {
+		if int(g) >= len(o.groupSize) {
+			o.groupSize = append(o.groupSize, make([]int, int(g)+1-len(o.groupSize))...)
+		}
+		o.groupSize[g] = n
+	}
 	o.masters = topo.GroupMaster(net.Routing(), net.Topology())
 	o.nGroups = len(net.Topology().GroupIDs())
 	o.created = false
 	o.bcast = topk.MinusInf()
 	o.topKNow = nil
-	o.Rounds = nil
-	o.Floods = nil
 	return nil
+}
+
+// size returns a group's declared sensor count (0 for a group the
+// placement does not know).
+func (o *Operator) size(g model.GroupID) int {
+	if int(g) >= len(o.groupSize) {
+		return 0
+	}
+	return o.groupSize[g]
 }
 
 // complete reports whether a partial covers its whole group.
 func (o *Operator) complete(p model.Partial) bool {
-	return int(p.Count) >= o.groupSize[p.Group]
+	return int(p.Count) >= o.size(p.Group)
 }
 
 // upperBound is the γ-descriptor: the highest score the group could attain
@@ -172,7 +182,7 @@ func (o *Operator) upperBound(p model.Partial) model.Value {
 	if o.q.Range == nil {
 		return model.Value(math.Inf(1))
 	}
-	g := o.groupSize[p.Group]
+	g := o.size(p.Group)
 	missing := int64(g) - int64(p.Count)
 	vmaxFP := int64(model.ToFixed(o.q.Range.Max))
 	switch o.q.Agg {
@@ -200,7 +210,7 @@ func (o *Operator) prune(v *model.View, bound model.Value, resolve map[model.Gro
 	out := model.AcquireView()
 	threshold := bound + o.cfg.Slack
 	v.ForEach(func(p model.Partial) {
-		if resolve[p.Group] || o.upperBound(p) >= threshold {
+		if (len(resolve) > 0 && resolve[p.Group]) || o.upperBound(p) >= threshold {
 			// Resolve targets always flow; the rest only while they could
 			// still be (or tie into) the top-k.
 			out.AddPartial(p)
@@ -218,8 +228,7 @@ func (o *Operator) Epoch(e model.Epoch, readings map[model.NodeID]model.Reading)
 		v0 := topk.Sweep(o.net, e, radio.KindData, readings, nil)
 		o.topKNow = v0.TopK(o.q.Agg, o.q.K)
 		o.created = true
-		o.Rounds = append(o.Rounds, 1)
-		o.Floods = append(o.Floods, 1+o.retune(e, model.KthScore(o.topKNow, o.q.K)))
+		o.retune(e, model.KthScore(o.topKNow, o.q.K))
 		return o.topKNow, nil
 	}
 
@@ -229,7 +238,7 @@ func (o *Operator) Epoch(e model.Epoch, readings map[model.NodeID]model.Reading)
 	defer model.ReleaseView(vSink)
 	var answers []model.Answer
 	var kth model.Value
-	rounds, floods := 0, 0
+	rounds := 0
 	for {
 		rounds++
 		fresh := o.sweep(e, bound, resolve, readings)
@@ -288,30 +297,24 @@ func (o *Operator) Epoch(e model.Epoch, readings map[model.NodeID]model.Reading)
 		// Recovery and resolve rounds need new control state at the nodes:
 		// flood the lowered bound (with resolve ids when fetching).
 		o.flood(e, bound, resolve)
-		floods++
 	}
-	o.Rounds = append(o.Rounds, rounds)
 
 	if len(answers) > 0 {
 		o.topKNow = answers
-		floods += o.retune(e, kth)
+		o.retune(e, kth)
 	}
-	o.Floods = append(o.Floods, floods)
 	return o.topKNow, nil
 }
 
 // retune re-floods the γ bound when the fresh K-th score has drifted so far
 // from the installed value that either correctness (bound above K-th) or
-// efficiency (bound more than 2 margins below K-th) calls for it. Returns
-// the number of floods performed (0 or 1).
-func (o *Operator) retune(e model.Epoch, kth model.Value) int {
+// efficiency (bound more than 2 margins below K-th) calls for it.
+func (o *Operator) retune(e model.Epoch, kth model.Value) {
 	m := o.margin()
 	target := kth - m
 	if target < o.bcast || target > o.bcast+2*m+o.cfg.Slack {
 		o.flood(e, target, nil)
-		return 1
 	}
-	return 0
 }
 
 // flood broadcasts a γ beacon (plus optional resolve ids) and records it as

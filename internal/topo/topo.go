@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync/atomic"
 
 	"kspot/internal/model"
 )
@@ -32,6 +33,18 @@ type Placement struct {
 	Groups    map[model.NodeID]model.GroupID
 	// Names optionally labels groups for display ("Auditorium", "Room A").
 	Names map[model.GroupID]string
+
+	// roster caches the sorted id lists: the epoch hot path asks for them
+	// several times per epoch and must not re-sort the node set each time.
+	roster atomic.Pointer[roster]
+}
+
+// roster is the placement's node ids in ascending order, valid while the
+// placement still holds the number of positions it was built from.
+type roster struct {
+	positions int
+	nodes     []model.NodeID // sink first
+	sensors   []model.NodeID // nodes without the sink
 }
 
 // NewPlacement returns an empty placement.
@@ -43,25 +56,33 @@ func NewPlacement() *Placement {
 	}
 }
 
-// Nodes returns all node ids, sorted, sink first.
-func (p *Placement) Nodes() []model.NodeID {
-	ids := make([]model.NodeID, 0, len(p.Positions))
-	for id := range p.Positions {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
+// Nodes returns all node ids, sorted, sink first. The slice is cached and
+// shared — callers must not modify it. Adding or removing a position is
+// noticed on the next call; replacing one node by another at an unchanged
+// count is not, so a placement is edited before its first use or rebuilt.
+func (p *Placement) Nodes() []model.NodeID { return p.sorted().nodes }
 
-// SensorNodes returns all non-sink node ids, sorted.
-func (p *Placement) SensorNodes() []model.NodeID {
-	var out []model.NodeID
-	for _, id := range p.Nodes() {
-		if id != model.Sink {
-			out = append(out, id)
-		}
+// SensorNodes returns all non-sink node ids, sorted. Cached and shared like
+// Nodes.
+func (p *Placement) SensorNodes() []model.NodeID { return p.sorted().sensors }
+
+// sorted returns the cached roster, rebuilding it when the number of
+// positions changed. Concurrent first calls each build the same lists.
+func (p *Placement) sorted() *roster {
+	if r := p.roster.Load(); r != nil && r.positions == len(p.Positions) {
+		return r
 	}
-	return out
+	r := &roster{positions: len(p.Positions), nodes: make([]model.NodeID, 0, len(p.Positions))}
+	for id := range p.Positions {
+		r.nodes = append(r.nodes, id)
+	}
+	sort.Slice(r.nodes, func(i, j int) bool { return r.nodes[i] < r.nodes[j] })
+	r.sensors = r.nodes
+	if len(r.nodes) > 0 && r.nodes[0] == model.Sink {
+		r.sensors = r.nodes[1:]
+	}
+	p.roster.Store(r)
+	return r
 }
 
 // GroupSize returns the number of sensors assigned to each group. MINT's

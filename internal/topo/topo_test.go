@@ -406,3 +406,54 @@ func TestRemoveNodeReportsSweptSiblings(t *testing.T) {
 		t.Fatalf("tree size = %d, want 1 (sink only)", tree.Size())
 	}
 }
+
+// The sorted rosters are cached, not rebuilt per call — and a node added or
+// removed after the first call is still seen.
+func TestPlacementRosterCacheSeesEdits(t *testing.T) {
+	p := UniformRandom(5, 10, 1)
+	first := p.SensorNodes()
+	if again := p.SensorNodes(); &again[0] != &first[0] {
+		t.Fatal("a repeated SensorNodes call rebuilt the roster")
+	}
+	p.Positions[9] = Point{X: 1}
+	if got := p.Nodes(); len(got) != 7 || got[0] != model.Sink || got[6] != 9 {
+		t.Fatalf("Nodes after adding node 9 = %v", got)
+	}
+	if got := p.SensorNodes(); len(got) != 6 || got[5] != 9 {
+		t.Fatalf("SensorNodes after adding node 9 = %v", got)
+	}
+	delete(p.Positions, 2)
+	if got := p.SensorNodes(); len(got) != 5 || got[1] != 3 {
+		t.Fatalf("SensorNodes after removing node 2 = %v", got)
+	}
+}
+
+// ParentOf reads Parent through the dense table and follows a repair.
+func TestParentOfFollowsRemoveNode(t *testing.T) {
+	p, err := Grid(16, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	links := DiskLinks(p, 15)
+	tree, err := BuildTree(p, links)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func() {
+		t.Helper()
+		for id := model.NodeID(0); id < 20; id++ { // past the largest id too
+			want, ok := tree.Parent[id]
+			if got, gotOK := tree.ParentOf(id); got != want || gotOK != ok {
+				t.Fatalf("ParentOf(%d) = %d,%v, Parent has %d,%v", id, got, gotOK, want, ok)
+			}
+		}
+	}
+	check()
+	for n, cs := range tree.Children {
+		if n != model.Sink && len(cs) > 0 {
+			tree.RemoveNode(n, links)
+			break
+		}
+	}
+	check()
+}

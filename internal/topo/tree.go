@@ -80,6 +80,11 @@ type Tree struct {
 	// with post/pre.
 	levels [][]model.NodeID
 	index  *LevelIndex
+
+	// parentOf caches Parent densely: parentOf[id] is the node's parent, or
+	// -1 when it has none. Every transmission up the tree reads it, so the
+	// hot path indexes a slice where it would otherwise hash the node id.
+	parentOf []int32
 }
 
 // LevelIndex numbers the tree's nodes densely, root first and level by
@@ -230,8 +235,35 @@ func (t *Tree) LevelIndex() *LevelIndex {
 	return t.index
 }
 
+// ParentOf returns a node's tree parent — Parent[id] read through a table
+// indexed by node id, built on first use and cached until the tree is
+// mutated. Ids outside the tree (the root included) have no parent.
+func (t *Tree) ParentOf(id model.NodeID) (model.NodeID, bool) {
+	if t.parentOf == nil {
+		size := 0
+		for n := range t.Parent {
+			if int(n) >= size {
+				size = int(n) + 1
+			}
+		}
+		t.parentOf = make([]int32, size)
+		for i := range t.parentOf {
+			t.parentOf[i] = -1
+		}
+		for n, p := range t.Parent {
+			t.parentOf[n] = int32(p)
+		}
+	}
+	if int(id) >= len(t.parentOf) || t.parentOf[id] < 0 {
+		return 0, false
+	}
+	return model.NodeID(t.parentOf[id]), true
+}
+
 // invalidateOrders drops the cached traversals after structural mutation.
-func (t *Tree) invalidateOrders() { t.post, t.pre, t.levels, t.index = nil, nil, nil, nil }
+func (t *Tree) invalidateOrders() {
+	t.post, t.pre, t.levels, t.index, t.parentOf = nil, nil, nil, nil, nil
+}
 
 // Subtree returns the set of nodes in the subtree rooted at n (inclusive).
 func (t *Tree) Subtree(n model.NodeID) map[model.NodeID]bool {

@@ -214,7 +214,7 @@ func (s *Server) recoverSession(jst journalState) error {
 		}
 	}
 	for n, uj := range jst.energy {
-		s.setEnergy(n, uj)
+		s.net.RestoreEnergy(n, uj)
 	}
 	return nil
 }
@@ -224,14 +224,6 @@ func (s *Server) closeDurable() {
 		s.journal.Close()
 	}
 	s.store.Close()
-}
-
-// setEnergy resumes one node's ledger total (and spent budget) bit-exact.
-func (s *Server) setEnergy(n model.NodeID, uj float64) {
-	s.net.Ledger.Set(int(n), uj)
-	if b, ok := s.net.Budgets[n]; ok && b != nil {
-		b.Used = uj
-	}
 }
 
 // Name returns the shard's display name.
@@ -607,7 +599,7 @@ func (s *Server) handle(f Frame) (MsgType, []byte, error) {
 			// the source shard's partial sums, so post-migration totals
 			// equal the never-migrated run's.
 			for _, ns := range st.Nodes {
-				s.setEnergy(ns.Node, ns.EnergyUJ)
+				s.net.RestoreEnergy(ns.Node, ns.EnergyUJ)
 			}
 			rep.Applied = true
 		}
