@@ -184,10 +184,9 @@ func main() {
 	if sys.Shards() > 1 {
 		fmt.Printf("shards  : %d networks, top-k merged at the coordinator tier (per-shard fault seeds derive from -fault-seed)\n", sys.Shards())
 	}
-	if scen.Faults.Enabled() {
+	if env := scen.FaultEnv(); env != nil {
 		fmt.Printf("faults  : seed=%d loss=%v burst=%v dup=%v delay=%v churn=%d events\n",
-			scen.Faults.Seed, scen.Faults.Loss, scen.Faults.Burst != nil,
-			scen.Faults.Duplicate, scen.Faults.Delay, len(scen.Faults.Churn))
+			env.Seed, env.Loss, env.Burst != nil, env.Duplicate, env.Delay, len(env.Churn))
 	}
 	fmt.Println()
 

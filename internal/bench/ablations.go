@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"kspot/internal/faults"
 	"kspot/internal/model"
 	"kspot/internal/query"
 	"kspot/internal/sim"
@@ -158,10 +159,6 @@ func runE13(w io.Writer, cfg RunConfig) error {
 	epochs := cfg.scaled(80)
 	var series []stats.Series
 	for _, loss := range []float64{0, 0.05, 0.1, 0.2, 0.3} {
-		opts := sim.DefaultOptions()
-		opts.Radio.LossRate = loss
-		opts.Radio.MaxRetries = 3
-		opts.Radio.Seed = 99
 		src := trace.NewRoomActivity(7, nil, 8)
 		q := topk.SnapshotQuery{K: 2, Agg: model.AggAvg, Range: soundRange()}
 		var rows []stats.RunStats
@@ -169,8 +166,13 @@ func runE13(w io.Writer, cfg RunConfig) error {
 			name string
 			op   topk.SnapshotOperator
 		}{{"mint", mint.New()}, {"tag", tag.New()}} {
-			net, err := gridNetwork(36, 8, opts)
+			net, err := gridNetwork(36, 8, sim.DefaultOptions())
 			if err != nil {
+				return err
+			}
+			// The keyed Bernoulli model every lossy deployment arms; at
+			// 0 % it installs nothing and the row is the lossless run.
+			if _, err := faults.Wrap(net, faults.Config{Seed: 99, Loss: loss}); err != nil {
 				return err
 			}
 			src.Groups = net.Placement.Groups

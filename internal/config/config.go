@@ -86,10 +86,10 @@ type Scenario struct {
 	// Faults, when present, declares the deployment's unreliable-world
 	// environment: seeded deterministic link loss (Bernoulli,
 	// distance-weighted or Gilbert-Elliott bursts), frame duplication and
-	// delay, and scheduled node churn. Unlike the legacy loss_rate (an
-	// rng stream whose draws depend on transmission order), a faults block
-	// replays identically on the simulator and the live substrate. The
-	// scenarios/lossy-*.json family exercises it; kspot.Open arms it.
+	// delay, and scheduled node churn. It replays identically on the
+	// simulator and the live substrate. The scenarios/lossy-*.json family
+	// exercises it; kspot.Open arms it. The top-level loss_rate is
+	// shorthand for the simplest such block (see FaultEnv).
 	Faults *faults.Config `json:"faults,omitempty"`
 	// Shards, when present, declares a federated deployment: the cluster
 	// list is partitioned into shard networks that run the per-shard
@@ -144,9 +144,8 @@ func (s *Scenario) Validate() error {
 			}
 		}
 		if s.Faults.Enabled() && s.Loss > 0 {
-			// The legacy rng stream's draws depend on transmission order
-			// and would break the faults block's substrate-equivalence
-			// guarantee (or be silently shadowed by a frame fault model).
+			// One environment per deployment: loss_rate is itself a
+			// Bernoulli faults block (see FaultEnv).
 			return fmt.Errorf("config: loss_rate: cannot be combined with a faults block; use the faults block's loss instead")
 		}
 	}
@@ -199,6 +198,20 @@ func (s *Scenario) validateShards(clusters map[uint16]bool) error {
 	return nil
 }
 
+// FaultEnv returns the fault environment the scenario declares — the
+// faults block, or the Bernoulli block loss_rate is shorthand for, seeded
+// by the workload seed — or nil in a perfect world. Hosts arm it the one
+// way (kspot.Open, a wire shard server); Network builds the bare radio.
+func (s *Scenario) FaultEnv() *faults.Config {
+	switch {
+	case s.Faults.Enabled():
+		return s.Faults
+	case s.Loss > 0:
+		return &faults.Config{Seed: s.Workload.Seed, Loss: s.Loss}
+	}
+	return nil
+}
+
 // Placement converts the scenario to a topo.Placement.
 func (s *Scenario) Placement() *topo.Placement {
 	p := topo.NewPlacement()
@@ -219,8 +232,6 @@ func (s *Scenario) Network() (*sim.Network, error) {
 		return nil, err
 	}
 	opts := sim.DefaultOptions()
-	opts.Radio.LossRate = s.Loss
-	opts.Radio.Seed = s.Workload.Seed
 	if s.Payload > 0 {
 		opts.Radio.Payload = s.Payload
 	}

@@ -2,6 +2,7 @@ package config
 
 import (
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -275,16 +276,30 @@ func TestNetworkBuilds(t *testing.T) {
 	}
 }
 
+// TestNetworkAppliesRadio pins what a scenario's radio fields become: the
+// payload sizes the link, and loss_rate is the Bernoulli fault environment
+// hosts arm (seeded by the workload), never a property of the bare link.
 func TestNetworkAppliesRadio(t *testing.T) {
 	s := validScenario()
+	if s.FaultEnv() != nil {
+		t.Fatalf("a lossless scenario declares fault environment %+v", s.FaultEnv())
+	}
 	s.Payload = 64
 	s.Loss = 0.1
+	s.Workload.Seed = 11
 	net, err := s.Network()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if net.Link.Config().Payload != 64 || net.Link.Config().LossRate != 0.1 {
+	if net.Link.Config().Payload != 64 || net.Link.Config().Fault != nil {
 		t.Fatalf("radio config = %+v", net.Link.Config())
+	}
+	if env := s.FaultEnv(); env == nil || !reflect.DeepEqual(*env, faults.Config{Seed: 11, Loss: 0.1}) {
+		t.Fatalf("loss_rate 0.1 declares fault environment %+v", env)
+	}
+	s.Loss, s.Faults = 0, &faults.Config{Seed: 3, Delay: 0.2}
+	if s.FaultEnv() != s.Faults {
+		t.Fatalf("a faults block is not the scenario's fault environment: %+v", s.FaultEnv())
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"kspot/internal/config"
 	"kspot/internal/engine"
+	"kspot/internal/faults"
 	"kspot/internal/model"
 	"kspot/internal/sim"
 	"kspot/internal/topk"
@@ -45,6 +46,12 @@ func runOn(t *testing.T, scen *config.Scenario, mk func() topk.SnapshotOperator,
 		l.Start(ctx)
 		defer l.Stop()
 		tp = l
+	}
+	// The scenario's fault environment (loss_rate on the lossy legs), armed
+	// the way kspot.Open and a wire shard server arm it.
+	tp, err = faults.Stack(tp, scen.FaultEnv())
+	if err != nil {
+		t.Fatal(err)
 	}
 	q := topk.SnapshotQuery{K: 2, Agg: model.AggAvg, Range: &topk.ValueRange{Min: 0, Max: 100}}
 	r := &topk.Runner{Net: tp, Source: src, Op: mk(), Query: q}

@@ -10,7 +10,6 @@ package radio
 
 import (
 	"fmt"
-	"math/rand"
 
 	"kspot/internal/model"
 )
@@ -85,15 +84,13 @@ type FaultModel interface {
 
 // Config describes the link layer.
 type Config struct {
-	HeaderSize int     // bytes of per-frame header
-	Payload    int     // max payload bytes per frame
-	LossRate   float64 // independent per-frame loss probability [0,1)
-	MaxRetries int     // link-layer retransmissions after a loss
-	Seed       int64   // seed for the loss process
-	// Fault, when non-nil, replaces the LossRate/Seed process with a
-	// deterministic per-frame fault model (see internal/faults). The rng
-	// draw order of LossRate depends on transmission order, which differs
-	// between substrates under concurrency; Fault does not.
+	HeaderSize int // bytes of per-frame header
+	Payload    int // max payload bytes per frame
+	MaxRetries int // link-layer retransmissions after a loss
+	// Fault decides every frame attempt's fate (see internal/faults); nil
+	// is a perfect link. It is the link's only loss mechanism: a function
+	// of the frame's identity, never of transmission order, which differs
+	// between substrates under concurrency.
 	Fault FaultModel
 }
 
@@ -128,7 +125,6 @@ type Accounting struct {
 // Link simulates one directed transmission over a single hop.
 type Link struct {
 	cfg Config
-	rng *rand.Rand
 }
 
 // NewLink returns a link with the given configuration.
@@ -139,7 +135,7 @@ func NewLink(cfg Config) *Link {
 	if cfg.Payload <= 0 {
 		cfg.Payload = DefaultPayload
 	}
-	return &Link{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+	return &Link{cfg: cfg}
 }
 
 // Config returns the link configuration.
@@ -167,10 +163,11 @@ func (l *Link) WireBytes(n int) int {
 }
 
 // Transmit sends one message across the hop, fragmenting and retrying as
-// configured, and returns the accounting record. Each fragment is lost
-// independently with probability LossRate and retried up to MaxRetries
-// times; the message is delivered only if every fragment eventually gets
-// through (the TinyOS AM layer has no partial-delivery semantics).
+// configured, and returns the accounting record. Each fragment attempt's
+// fate comes from the fault model; a lost fragment is retried up to
+// MaxRetries times, and the message is delivered only if every fragment
+// eventually gets through (the TinyOS AM layer has no partial-delivery
+// semantics).
 func (l *Link) Transmit(msg Message) Accounting {
 	var acc Accounting
 	acc.Delivered = true
@@ -192,8 +189,6 @@ func (l *Link) Transmit(msg Message) Accounting {
 			fate := FrameOK
 			if l.cfg.Fault != nil {
 				fate = l.cfg.Fault.Frame(msg, f, attempt)
-			} else if l.cfg.LossRate > 0 && l.rng.Float64() < l.cfg.LossRate {
-				fate = FrameLost
 			}
 			switch fate {
 			case FrameLost:

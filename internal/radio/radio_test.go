@@ -61,16 +61,33 @@ func TestTransmitEmptyBeacon(t *testing.T) {
 	}
 }
 
+// keyedLoss is a Bernoulli FaultModel in the shape internal/faults gives
+// every lossy link (this package cannot import it): a frame attempt is lost
+// when a hash of its identity and the seed falls under the rate.
+type keyedLoss struct {
+	rate float64
+	seed uint64
+}
+
+func (k keyedLoss) Frame(m Message, frag, attempt int) FrameFate {
+	h := k.seed ^ uint64(m.From)<<48 ^ uint64(m.To)<<32 ^ uint64(m.Epoch)<<12 ^ uint64(frag)<<6 ^ uint64(attempt)
+	h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
+	h = (h ^ h>>27) * 0x94d049bb133111eb
+	if float64((h^h>>31)>>11)/(1<<53) < k.rate {
+		return FrameLost
+	}
+	return FrameOK
+}
+
 func TestTransmitLossyRetries(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.LossRate = 0.5
+	cfg.Fault = keyedLoss{rate: 0.5, seed: 42}
 	cfg.MaxRetries = 10
-	cfg.Seed = 42
 	l := NewLink(cfg)
 	delivered := 0
 	totalFrames := 0
 	for i := 0; i < 200; i++ {
-		acc := l.Transmit(Message{From: 1, To: 0, Kind: KindData, Payload: make([]byte, 20)})
+		acc := l.Transmit(Message{From: 1, To: 0, Kind: KindData, Epoch: model.Epoch(i), Payload: make([]byte, 20)})
 		if acc.Delivered {
 			delivered++
 		}
@@ -86,9 +103,8 @@ func TestTransmitLossyRetries(t *testing.T) {
 
 func TestTransmitTotalLoss(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.LossRate = 0.999999
+	cfg.Fault = keyedLoss{rate: 0.999999, seed: 1}
 	cfg.MaxRetries = 2
-	cfg.Seed = 1
 	l := NewLink(cfg)
 	acc := l.Transmit(Message{From: 1, To: 0, Kind: KindData, Payload: make([]byte, 100)})
 	if acc.Delivered {
@@ -133,9 +149,8 @@ func TestCounterRecord(t *testing.T) {
 
 func TestCounterUndelivered(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.LossRate = 0.9999
+	cfg.Fault = keyedLoss{rate: 0.9999, seed: 5}
 	cfg.MaxRetries = 0
-	cfg.Seed = 5
 	l := NewLink(cfg)
 	c := NewCounter(0)
 	msg := Message{From: 1, To: 0, Kind: KindData, Payload: []byte{1}}

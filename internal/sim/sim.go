@@ -391,8 +391,8 @@ func (n *Network) Sweep(e model.Epoch, kind radio.MsgKind,
 //     sequential post-order walk would run them in, since PostOrder is
 //     depth-descending with ids ascending within a level.
 //
-// All order-sensitive state (link loss draws, fault-model evaluation,
-// energy charges, counters, the Delivered hook) is touched only during
+// All order-sensitive state (energy charges, counters, the Delivered hook,
+// a fault model's per-link memo) is touched only during
 // commits, and a level's transmissions can only charge that level and its
 // parents — never a deeper node — so aliveness at each commit matches the
 // sequential run. The result is byte-identical to the sequential sweep for

@@ -209,6 +209,25 @@ func TestDeliveredHook(t *testing.T) {
 	}
 }
 
+// keyedLoss is a Bernoulli radio.FaultModel in the shape internal/faults
+// gives every lossy link (which imports this package, so its tests cannot
+// use it): a frame attempt is lost when a hash of its identity and the seed
+// falls under the rate — whatever order the attempts are made in.
+type keyedLoss struct {
+	rate float64
+	seed uint64
+}
+
+func (k keyedLoss) Frame(m radio.Message, frag, attempt int) radio.FrameFate {
+	h := k.seed ^ uint64(m.From)<<48 ^ uint64(m.To)<<32 ^ uint64(m.Epoch)<<12 ^ uint64(frag)<<6 ^ uint64(attempt)
+	h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
+	h = (h ^ h>>27) * 0x94d049bb133111eb
+	if float64((h^h>>31)>>11)/(1<<53) < k.rate {
+		return radio.FrameLost
+	}
+	return radio.FrameOK
+}
+
 func TestLossyBroadcastDarkSubtree(t *testing.T) {
 	p := trace.Figure1Placement()
 	tree := trace.Figure1Tree()
@@ -217,9 +236,8 @@ func TestLossyBroadcastDarkSubtree(t *testing.T) {
 		links.Connect(child, parent)
 	}
 	opts := DefaultOptions()
-	opts.Radio.LossRate = 0.995
+	opts.Radio.Fault = keyedLoss{rate: 0.995, seed: 3}
 	opts.Radio.MaxRetries = 0
-	opts.Radio.Seed = 3
 	n := FromTree(p, links, tree, opts)
 	reached := n.BroadcastDown(radio.KindBeacon, 0, nil)
 	if len(reached) >= 10 {

@@ -3,6 +3,7 @@ package mint
 import (
 	"testing"
 
+	"kspot/internal/faults"
 	"kspot/internal/model"
 	"kspot/internal/sim"
 	"kspot/internal/stats"
@@ -99,10 +100,11 @@ func TestReparentingAfterFailure(t *testing.T) {
 // TestLossyStillServes: heavy loss must never wedge the operator.
 func TestLossyStillServes(t *testing.T) {
 	opts := sim.DefaultOptions()
-	opts.Radio.LossRate = 0.4
 	opts.Radio.MaxRetries = 1
-	opts.Radio.Seed = 17
 	net := topktest.Fig1NetworkOpts(t, opts)
+	if _, err := faults.Wrap(net, faults.Config{Seed: 17, Loss: 0.4}); err != nil {
+		t.Fatal(err)
+	}
 	r := &topk.Runner{Net: net, Source: trace.Figure1Source(), Op: New(), Query: topk.SnapshotQuery{K: 2, Agg: model.AggAvg, Range: &topk.ValueRange{Min: 0, Max: 100}}}
 	results, err := r.Run(50)
 	if err != nil {

@@ -157,8 +157,8 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		substrate = s.live
 	}
 	var fcfg *faults.Config
-	if cfg.Scenario.Faults.Enabled() {
-		c := cfg.Scenario.ShardFaults(*cfg.Scenario.Faults, cfg.Shard)
+	if env := cfg.Scenario.FaultEnv(); env != nil {
+		c := cfg.Scenario.ShardFaults(*env, cfg.Shard)
 		fcfg = &c
 	}
 	// The durable tier taps every committed sense epoch; in durable mode the

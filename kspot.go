@@ -257,8 +257,9 @@ func WithParallel(workers int) OpenOption {
 
 // Open builds a System from a scenario. A scenario carrying a shards
 // block opens as a federated deployment (one network per shard); one
-// carrying a faults block opens with that environment armed on every
-// shard (per-shard seeds, see config.Scenario.ShardFaults).
+// declaring a fault environment (a faults block, or loss_rate) opens with
+// it armed on every shard (per-shard seeds, see
+// config.Scenario.ShardFaults).
 func Open(s *Scenario, opts ...OpenOption) (*System, error) {
 	var cfg openConfig
 	for _, o := range opts {
@@ -301,8 +302,8 @@ func Open(s *Scenario, opts ...OpenOption) (*System, error) {
 	if err := sys.stackDets(); err != nil {
 		return nil, err
 	}
-	if s.Faults.Enabled() {
-		if err := sys.armFaults(s.Faults); err != nil {
+	if env := s.FaultEnv(); env != nil {
+		if err := sys.armFaults(env); err != nil {
 			return nil, err
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"kspot/internal/model"
+	"kspot/internal/sim"
 	"kspot/internal/trace"
 	"kspot/internal/wire"
 )
@@ -193,52 +194,70 @@ func TestLiveWindowsExposed(t *testing.T) {
 // and on the concurrent live substrate must produce identical answers and
 // identical traffic, and churn must actually strike the live deployment
 // (a regression test for live cursors attaching below the fault injector,
-// where churn silently never fired).
+// where churn silently never fired). The second row is the top-level
+// loss_rate field: it opens with the keyed Bernoulli environment armed, so
+// its drops replay identically too.
 func TestLiveFaultEquivalence(t *testing.T) {
-	const epochs = 16
-	run := func(live bool) ([]StepResult, int, int) {
-		sys, err := OpenFile("scenarios/lossy-churn.json")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sys.Close()
-		var opts []PostOption
-		if live {
-			opts = append(opts, WithLive())
-		}
-		cur, err := sys.Post("SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid", opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := make([]StepResult, 0, epochs)
-		for i := 0; i < epochs; i++ {
-			res, err := cur.Step()
-			if err != nil {
-				t.Fatal(err)
+	lossRate := DemoScenario()
+	lossRate.Loss = 0.1
+	for _, sc := range []struct {
+		name  string
+		open  func() (*System, error)
+		churn bool
+	}{
+		{"lossy-churn", func() (*System, error) { return OpenFile("scenarios/lossy-churn.json") }, true},
+		{"loss_rate", func() (*System, error) { return Open(lossRate) }, false},
+	} {
+		t.Run(sc.name, func(t *testing.T) {
+			const epochs = 16
+			run := func(live bool) ([]StepResult, sim.Snapshot) {
+				sys, err := sc.open()
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sys.Close()
+				var opts []PostOption
+				if live {
+					opts = append(opts, WithLive())
+				}
+				cur, err := sys.Post("SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid", opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out := make([]StepResult, 0, epochs)
+				for i := 0; i < epochs; i++ {
+					res, err := cur.Step()
+					if err != nil {
+						t.Fatal(err)
+					}
+					out = append(out, res)
+				}
+				if sc.churn {
+					// lossy-churn.json: node 5 dies at 6 and revives at 14;
+					// node 11 dies at 10 for good.
+					if sys.Network().Alive(11) {
+						t.Errorf("live=%v: node 11 should be churned down after epoch 10", live)
+					}
+					if !sys.Network().Alive(5) {
+						t.Errorf("live=%v: node 5 should be revived after epoch 14", live)
+					}
+				}
+				return out, sys.Network().Snap()
 			}
-			out = append(out, res)
-		}
-		// lossy-churn.json: node 5 dies at 6 and revives at 14; node 11
-		// dies at 10 for good.
-		if sys.Network().Alive(11) {
-			t.Errorf("live=%v: node 11 should be churned down after epoch 10", live)
-		}
-		if !sys.Network().Alive(5) {
-			t.Errorf("live=%v: node 5 should be revived after epoch 14", live)
-		}
-		snap := sys.Network().Snap()
-		return out, snap.Messages, snap.TxBytes
-	}
-	det, detMsgs, detBytes := run(false)
-	liv, livMsgs, livBytes := run(true)
-	for e := range det {
-		if !model.EqualAnswers(det[e].Answers, liv[e].Answers) {
-			t.Fatalf("epoch %d: det %v, live %v", e, det[e].Answers, liv[e].Answers)
-		}
-	}
-	if detMsgs != livMsgs || detBytes != livBytes {
-		t.Errorf("traffic diverged: det %d msgs/%d bytes, live %d msgs/%d bytes",
-			detMsgs, detBytes, livMsgs, livBytes)
+			det, detSnap := run(false)
+			liv, livSnap := run(true)
+			for e := range det {
+				if !model.EqualAnswers(det[e].Answers, liv[e].Answers) {
+					t.Fatalf("epoch %d: det %v, live %v", e, det[e].Answers, liv[e].Answers)
+				}
+			}
+			if detSnap.Drops == 0 {
+				t.Error("no frame was dropped: the fault environment is not armed")
+			}
+			if detSnap.Messages != livSnap.Messages || detSnap.TxBytes != livSnap.TxBytes || detSnap.Drops != livSnap.Drops {
+				t.Errorf("traffic diverged: det %+v, live %+v", detSnap, livSnap)
+			}
+		})
 	}
 }
 
