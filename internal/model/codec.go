@@ -126,13 +126,8 @@ func AppendView(dst []byte, v *View) []byte {
 	return dst
 }
 
-// EncodeView encodes all partials of a view, sorted by group for determinism.
-func EncodeView(v *View) []byte {
-	return AppendView(make([]byte, 0, v.Len()*PartialWireSize), v)
-}
-
 // DecodeViewInto resets v and decodes a concatenation of partials into it,
-// reusing v's storage. This is the allocation-free counterpart of DecodeView.
+// reusing v's storage.
 func DecodeViewInto(v *View, b []byte) error {
 	if len(b)%PartialWireSize != 0 {
 		return fmt.Errorf("model: view payload length %d not a multiple of %d", len(b), PartialWireSize)
@@ -147,15 +142,6 @@ func DecodeViewInto(v *View, b []byte) error {
 		b = rest
 	}
 	return nil
-}
-
-// DecodeView decodes a concatenation of partials into a fresh view.
-func DecodeView(b []byte) (*View, error) {
-	v := NewView()
-	if err := DecodeViewInto(v, b); err != nil {
-		return nil, err
-	}
-	return v, nil
 }
 
 // ViewWireSize reports the encoded size of a view without encoding it.

@@ -62,13 +62,14 @@ func FuzzDecodeView(f *testing.F) {
 	v.Add(Reading{Node: 1, Group: 2, Epoch: 0, Value: 40})
 	v.Add(Reading{Node: 2, Group: 2, Epoch: 0, Value: 35})
 	v.Add(Reading{Node: 3, Group: 5, Epoch: 0, Value: 80})
-	f.Add(EncodeView(v))
+	f.Add(AppendView(nil, v))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, PartialWireSize))
 	f.Add(bytes.Repeat([]byte{0x01}, PartialWireSize*3))
 	f.Add([]byte{1, 2, 3}) // not a multiple of the record size
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := DecodeView(data)
+		got := NewView()
+		err := DecodeViewInto(got, data)
 		if len(data)%PartialWireSize != 0 {
 			if err == nil {
 				t.Fatalf("accepted ragged payload of %d bytes", len(data))
@@ -82,12 +83,12 @@ func FuzzDecodeView(f *testing.F) {
 		// exceed the wire ranges; encoding saturates them. So the stable
 		// normal form begins after one encode: encode(decode(x)) must be a
 		// byte-level fixpoint of decode∘encode.
-		enc := EncodeView(got)
-		again, err := DecodeView(enc)
-		if err != nil {
+		enc := AppendView(nil, got)
+		again := NewView()
+		if err := DecodeViewInto(again, enc); err != nil {
 			t.Fatalf("re-encoded view failed to decode: %v", err)
 		}
-		if re := EncodeView(again); !bytes.Equal(re, enc) {
+		if re := AppendView(nil, again); !bytes.Equal(re, enc) {
 			t.Fatalf("normal form unstable: %x -> %x", enc, re)
 		}
 		if got.Len() != again.Len() {

@@ -82,12 +82,13 @@ func TestViewCodecRoundTrip(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		v.Add(Reading{Node: NodeID(i), Group: GroupID(i % 3), Value: Value(i) * 1.25})
 	}
-	buf := EncodeView(v)
+	buf := AppendView(nil, v)
 	if len(buf) != ViewWireSize(v) {
 		t.Fatalf("encoded %d bytes, ViewWireSize says %d", len(buf), ViewWireSize(v))
 	}
-	got, err := DecodeView(buf)
-	if err != nil {
+	got := NewView()
+	got.Add(Reading{Node: 99, Group: 99, Value: 1}) // stale content the decode must reset
+	if err := DecodeViewInto(got, buf); err != nil {
 		t.Fatal(err)
 	}
 	if got.Len() != v.Len() {
@@ -103,8 +104,8 @@ func TestViewCodecRoundTrip(t *testing.T) {
 }
 
 func TestDecodeViewBadLength(t *testing.T) {
-	if _, err := DecodeView(make([]byte, PartialWireSize+1)); err == nil {
-		t.Error("DecodeView accepted misaligned payload")
+	if err := DecodeViewInto(NewView(), make([]byte, PartialWireSize+1)); err == nil {
+		t.Error("DecodeViewInto accepted misaligned payload")
 	}
 }
 
@@ -135,8 +136,9 @@ func TestEncodeViewDeterministic(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		v.Add(Reading{Node: NodeID(i), Group: GroupID(rng.Intn(6)), Value: Value(rng.Intn(1000))})
 	}
-	a, b := EncodeView(v), EncodeView(v)
+	a := AppendView(nil, v)
+	b := AppendView(make([]byte, 3, 64), v)[3:] // behind a prefix, in a caller's buffer
 	if string(a) != string(b) {
-		t.Error("EncodeView is not deterministic")
+		t.Error("AppendView is not deterministic")
 	}
 }

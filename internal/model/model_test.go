@@ -362,8 +362,8 @@ func TestViewMapSpillSemantics(t *testing.T) {
 		t.Fatal("TopK disagrees across representations")
 	}
 	// And the wire form round-trips identically.
-	got, err := DecodeView(EncodeView(v))
-	if err != nil {
+	got := NewView()
+	if err := DecodeViewInto(got, AppendView(nil, v)); err != nil {
 		t.Fatal(err)
 	}
 	if !EqualAnswers(v.TopK(AggAvg, groups), got.TopK(AggAvg, groups)) {
