@@ -8,34 +8,31 @@
 //	kspot-bench -exp all          # run everything (the default)
 //	kspot-bench -exp e7 -scale .2 # quick run at reduced size
 //
-// Benchmark trajectory (machine-readable: BENCH.json, one file keyed by
-// run name — pre-pr3-baseline, pr3 … pr10, then whatever -json-run names;
-// EXPERIMENTS.md's "Benchmark trajectory" section says what each recorded
-// run added):
+// Benchmark trajectory (machine-readable: BENCH.json, one file keyed by run
+// name; EXPERIMENTS.md's "Benchmark trajectory" section says what each
+// recorded run added and which rows are frozen history):
 //
 //	kspot-bench -json -scale 0.1            # measure and merge into BENCH.json as run "local"
-//	kspot-bench -json -json-run pr15        # record under a run name of your choosing
+//	kspot-bench -json -json-run pr21        # record under a run name of your choosing
 //	kspot-bench -json -json-out other.json  # write elsewhere
 //	kspot-bench -json -parallel 8           # add the parallel-sweep speedup leg
 //
-// -json measures the hot-path micro-benchmarks (ns/op, allocs/op, tx_bytes
-// and messages per epoch), the µs-per-node-per-epoch scale series (the big
+// -json measures the in-process micro table (internal/bench.Micros: the
+// hot-path micros and the µs-per-node-per-epoch scale series, whose big
 // sizes are gated on -scale; -parallel > 1 adds the parallel-vs-sequential
-// speedup entry) plus one timed pass of every experiment, and merges the
-// result into the trajectory file without disturbing the runs already
-// recorded there.
+// speedup entry), each micro sampled five times and recorded as median +
+// MAD with the domain metrics its body reports, plus one timed pass of
+// every experiment and the host's fingerprint, and merges the run into the
+// trajectory file without touching the runs already recorded there. The
+// same bodies run under `go test -bench`, which is also how to profile one:
 //
-// Profiling the harness itself:
-//
-//	kspot-bench -exp e5 -cpuprofile cpu.out -memprofile mem.out
+//	go test -run '^$' -bench 'Experiment/e5$' -cpuprofile cpu.out -memprofile mem.out .
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"time"
 
 	"kspot/internal/bench"
@@ -43,42 +40,15 @@ import (
 
 func main() {
 	var (
-		exp        = flag.String("exp", "all", "experiment id (e1..e14) or 'all'")
-		list       = flag.Bool("list", false, "list experiments and exit")
-		scale      = flag.Float64("scale", 1.0, "size scale factor in (0,1], for quick runs")
-		parallel   = flag.Int("parallel", 1, "epoch-sweep worker bound of the parallel benchmark leg; 1 = sequential measurements only")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProfile = flag.String("memprofile", "", "write a heap profile after the run to this file")
-		emitJSON   = flag.Bool("json", false, "measure benchmarks and merge into the JSON trajectory file")
-		jsonOut    = flag.String("json-out", "BENCH.json", "trajectory file -json writes")
-		jsonRun    = flag.String("json-run", "local", "run name -json records the measurement under")
+		exp      = flag.String("exp", "all", "experiment id (e1..e14) or 'all'")
+		list     = flag.Bool("list", false, "list experiments and exit")
+		scale    = flag.Float64("scale", 1.0, "size scale factor in (0,1], for quick runs")
+		parallel = flag.Int("parallel", 1, "epoch-sweep worker bound of the parallel benchmark leg; 1 = sequential measurements only")
+		emitJSON = flag.Bool("json", false, "measure benchmarks and merge into the JSON trajectory file")
+		jsonOut  = flag.String("json-out", "BENCH.json", "trajectory file -json writes")
+		jsonRun  = flag.String("json-run", "local", "run name -json records the measurement under")
 	)
 	flag.Parse()
-
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fail(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fail(err)
-		}
-		defer f.Close()
-		defer pprof.StopCPUProfile()
-	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fail(err)
-			}
-			defer f.Close()
-			runtime.GC() // settle the heap so the profile shows live objects
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fail(err)
-			}
-		}()
-	}
 
 	cfg := bench.RunConfig{Scale: *scale, Parallel: *parallel}
 	if *emitJSON {
@@ -123,8 +93,7 @@ func main() {
 	}
 }
 
-// fail prints the error and exits. Deferred profile writers do not run on
-// this path — a failed run's profiles would be misleading anyway.
+// fail prints the error and exits.
 func fail(err error) {
 	fmt.Fprintln(os.Stderr, "kspot-bench:", err)
 	os.Exit(1)

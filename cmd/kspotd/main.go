@@ -73,6 +73,7 @@ import (
 	"kspot/internal/model"
 	"kspot/internal/query"
 	"kspot/internal/serve"
+	"kspot/internal/topo"
 	"kspot/internal/wire"
 )
 
@@ -103,6 +104,12 @@ type workload struct {
 	cursors []*kspot.Cursor
 	hubs    []*serve.Hub
 	stopped bool
+
+	// st is what the epoch loop last committed, placement the map the
+	// panels draw it on. st.mu is held to copy fields in or out and never
+	// across a call that can block: the epoch loop takes it every epoch.
+	st        state
+	placement *topo.Placement
 
 	// failed marks queries whose Step returned an error: their stream has
 	// ended and step skips them. Touched by the epoch loop only.
@@ -285,6 +292,70 @@ func (wl *workload) handleWatch(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// handleRanking is GET /ranking: the primary query's one-line live ranking.
+func (wl *workload) handleRanking(w http.ResponseWriter, r *http.Request) {
+	wl.st.mu.Lock()
+	answers := wl.st.answers
+	epoch := wl.st.epoch
+	wl.st.mu.Unlock()
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	fmt.Fprintf(w, "epoch %d: %s\n", epoch, gui.RankingStrip(wl.placement, answers))
+}
+
+// handleStats is GET /stats: the epoch loop's counters plus the serving,
+// federation, wire and storage blocks. The counters are copied out under
+// the state lock and everything else is gathered after its release — on a
+// -connect coordinator the storage block is one RPC per shard, and a slow
+// or dead shard must stall this request only, not the epoch loop and every
+// other endpoint behind the lock.
+func (wl *workload) handleStats(w http.ResponseWriter, r *http.Request) {
+	sys := wl.sys
+	fed := sys.FederationStats()
+	cursors, hubs := wl.snapshot()
+	subs := 0
+	for _, h := range hubs {
+		subs += h.Subscribers()
+	}
+	admitted, tenants := sys.AdmissionLoad()
+	wl.st.mu.Lock()
+	epoch, messages, txBytes, drops := wl.st.epoch, wl.st.messages, wl.st.txBytes, wl.st.drops
+	wl.st.mu.Unlock()
+	out := map[string]interface{}{
+		"epoch":    epoch,
+		"messages": messages,
+		"tx_bytes": txBytes,
+		"drops":    drops,
+		"queries":  len(cursors),
+		// Streaming/admission tier: live SSE subscribers and the
+		// admission controller's load (zero without -max-queries /
+		// -tenant-quota).
+		"subscribers": subs,
+		"admitted":    admitted,
+		"tenants":     tenants,
+		// Federation tier (all zero on a flat deployment): shard count
+		// and the coordinator's merge/backhaul counters.
+		"shards":            sys.Shards(),
+		"coord_rounds":      fed.Rounds,
+		"coord_phase2_reqs": fed.Phase2Reqs,
+		"coord_bytes":       fed.TxBytes,
+	}
+	// Remote deployments add per-shard wire RTT/traffic accounting:
+	// calls, epoch rounds, retries, p50/p99 latency and bytes both ways.
+	if wm := sys.WireMetrics(); wm != nil {
+		out["wire"] = wm
+	}
+	// Durable-tier storage block, in shard order: log files ("segments"),
+	// bytes on disk, last checkpointed epoch, and "error" once a shard
+	// stopped persisting (all-zero without -data-dir).
+	if ss, err := sys.StorageStats(); err == nil {
+		out["storage"] = ss
+	}
+	w.Header().Set("Content-Type", "application/json")
+	if err := json.NewEncoder(w).Encode(out); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+	}
+}
+
 // loadQueriesFile reads one query per line, skipping blank lines and
 // #-comments, and validates EVERY query against the schema before any is
 // armed — a typo on line 7 fails the boot instead of serving a partial
@@ -402,7 +473,7 @@ func main() {
 		primaryOpts = []kspot.PostOption{kspot.WithLive(), kspot.WithLiveWindow(*window)}
 		extraOpts = []kspot.PostOption{kspot.WithLive()}
 	}
-	wl := &workload{sys: sys, opts: extraOpts}
+	wl := &workload{sys: sys, opts: extraOpts, placement: placement}
 	primary := fmt.Sprintf("SELECT TOP %d roomid, AVG(sound) FROM sensors GROUP BY roomid", *k)
 	cur, err := sys.Post(primary, primaryOpts...)
 	if err != nil {
@@ -416,7 +487,7 @@ func main() {
 		}
 	}
 
-	st := &state{}
+	st := &wl.st
 	stop := make(chan struct{})
 	go func() {
 		defer wl.stop()
@@ -455,59 +526,8 @@ func main() {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprint(w, gui.DisplayPanel(placement, answers, 72, 18))
 	})
-	mux.HandleFunc("/ranking", func(w http.ResponseWriter, r *http.Request) {
-		st.mu.Lock()
-		answers := st.answers
-		epoch := st.epoch
-		st.mu.Unlock()
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintf(w, "epoch %d: %s\n", epoch, gui.RankingStrip(placement, answers))
-	})
-	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
-		fed := sys.FederationStats()
-		cursors, hubs := wl.snapshot()
-		subs := 0
-		for _, h := range hubs {
-			subs += h.Subscribers()
-		}
-		admitted, tenants := sys.AdmissionLoad()
-		st.mu.Lock()
-		out := map[string]interface{}{
-			"epoch":    st.epoch,
-			"messages": st.messages,
-			"tx_bytes": st.txBytes,
-			"drops":    st.drops,
-			"queries":  len(cursors),
-			// Streaming/admission tier: live SSE subscribers and the
-			// admission controller's load (zero without -max-queries /
-			// -tenant-quota).
-			"subscribers": subs,
-			"admitted":    admitted,
-			"tenants":     tenants,
-			// Federation tier (all zero on a flat deployment): shard count
-			// and the coordinator's merge/backhaul counters.
-			"shards":            sys.Shards(),
-			"coord_rounds":      fed.Rounds,
-			"coord_phase2_reqs": fed.Phase2Reqs,
-			"coord_bytes":       fed.TxBytes,
-		}
-		// Remote deployments add per-shard wire RTT/traffic accounting:
-		// calls, epoch rounds, retries, p50/p99 latency and bytes both ways.
-		if wm := sys.WireMetrics(); wm != nil {
-			out["wire"] = wm
-		}
-		// Durable-tier storage block, in shard order: log files ("segments"),
-		// bytes on disk, last checkpointed epoch, and "error" once a shard
-		// stopped persisting (all-zero without -data-dir).
-		if ss, err := sys.StorageStats(); err == nil {
-			out["storage"] = ss
-		}
-		st.mu.Unlock()
-		w.Header().Set("Content-Type", "application/json")
-		if err := json.NewEncoder(w).Encode(out); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
+	mux.HandleFunc("/ranking", wl.handleRanking)
+	mux.HandleFunc("/stats", wl.handleStats)
 	mux.HandleFunc("/query", wl.handleQuery)
 	mux.HandleFunc("/watch", wl.handleWatch)
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {

@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,6 +12,7 @@ import (
 
 	"kspot"
 	"kspot/internal/serve"
+	"kspot/internal/wire"
 )
 
 const primarySQL = "SELECT TOP 3 roomid, AVG(sound) FROM sensors GROUP BY roomid"
@@ -152,5 +154,51 @@ func TestStepFailureEndsOnlyThatStream(t *testing.T) {
 	}
 	if res, ok := doomed.Next(); ok {
 		t.Fatalf("the failed query's stream delivered %+v, want it ended", res)
+	}
+}
+
+// TestStatsNeverHoldsStateLockAcrossShardRPC pins that /stats releases the
+// daemon's state lock before it gathers anything that can block. On a
+// -connect coordinator the storage block is one wire RPC per shard; with
+// the shard gone that call spends its whole retry back-off (≈ 750 ms)
+// before failing, and the epoch loop and every other endpoint take the
+// same lock — so /ranking must keep answering while a /stats is pending.
+func TestStatsNeverHoldsStateLockAcrossShardRPC(t *testing.T) {
+	scen := kspot.DemoScenario()
+	shard, err := wire.NewServer(wire.ServerConfig{Scenario: scen, Shard: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go shard.Serve(ln)
+	sys, err := kspot.OpenFederated(scen, []string{ln.Addr().String()})
+	if err != nil {
+		shard.Close()
+		t.Fatal(err)
+	}
+	t.Cleanup(sys.Close)
+	wl := &workload{sys: sys, placement: scen.Placement()}
+	shard.Close()
+
+	get := func(h http.HandlerFunc, path string) (int, time.Duration) {
+		rec := httptest.NewRecorder()
+		start := time.Now()
+		h(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		return rec.Code, time.Since(start)
+	}
+	statsDone := make(chan time.Duration, 1)
+	go func() {
+		_, took := get(wl.handleStats, "/stats")
+		statsDone <- took
+	}()
+	time.Sleep(100 * time.Millisecond) // /stats is now inside its shard RPC's back-off
+	if code, took := get(wl.handleRanking, "/ranking"); code != http.StatusOK || took > 100*time.Millisecond {
+		t.Errorf("/ranking answered %d in %v with a /stats pending, want 200 within 100ms", code, took)
+	}
+	if took := <-statsDone; took < 300*time.Millisecond {
+		t.Fatalf("/stats returned in %v: its storage RPC never blocked, so the test proved nothing", took)
 	}
 }

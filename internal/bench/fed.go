@@ -12,6 +12,7 @@ import (
 	"kspot/internal/topk/fed"
 	"kspot/internal/topk/mint"
 	"kspot/internal/topk/tja"
+	"kspot/internal/trace"
 )
 
 // FederatedScaleSize and FederatedShardCount fix the federated measurement
@@ -23,13 +24,9 @@ const (
 	FederatedShardCount = 4
 )
 
-// RunFederatedMintEpochBench is the shared measurement body of the
-// federated operator benchmark: MINT attached per shard on the sharded
-// scale deployment, one coordinator-tier merge per epoch. The creation
-// epoch is warm-up; b.N steady-state federated epochs are measured.
-// Returns per-epoch radio tx bytes and messages (summed over the shards)
-// plus per-epoch coordinator backhaul bytes.
-func RunFederatedMintEpochBench(b *testing.B) (txBytesPerEpoch, msgsPerEpoch, coordBytesPerEpoch float64) {
+// fedDeployment builds the federated measurement deployment: the sharded
+// scenario, one network per shard and the flat source every shard samples.
+func fedDeployment(b *testing.B) (*config.Scenario, []*sim.Network, trace.Source) {
 	scen, err := config.ScaleScenarioShards(FederatedScaleSize, FederatedShardCount)
 	if err != nil {
 		b.Fatal(err)
@@ -38,26 +35,46 @@ func RunFederatedMintEpochBench(b *testing.B) (txBytesPerEpoch, msgsPerEpoch, co
 	if err != nil {
 		b.Fatal(err)
 	}
-	src, err := scen.Source() // the flat source, shared by every shard
+	src, err := scen.Source()
 	if err != nil {
 		b.Fatal(err)
 	}
-	q := topk.SnapshotQuery{K: 3, Agg: model.AggAvg, Range: soundRange()}
-	nets := make([]*sim.Network, 0, len(subs))
-	deps := make([]*engine.Deployment, 0, len(subs))
-	ops := make([]engine.EpochRunner, 0, len(subs))
+	nets := make([]*sim.Network, len(subs))
 	for i, sub := range subs {
-		net, err := sub.Network()
-		if err != nil {
+		if nets[i], err = sub.Network(); err != nil {
 			b.Fatal(err)
 		}
+	}
+	return scen, nets, src
+}
+
+// reportShardTraffic reports the radio cost summed over the shard networks.
+func reportShardTraffic(b *testing.B, nets []*sim.Network) {
+	var tx, msgs int
+	for _, net := range nets {
+		tx += net.Counter.TotalTxBytes()
+		msgs += net.Counter.TotalMessages()
+	}
+	perEpoch(b, tx, "tx_bytes/epoch")
+	perEpoch(b, msgs, "msgs/epoch")
+}
+
+// fedMintEpoch measures one steady-state federated MINT epoch: MINT
+// attached per shard on the sharded scale deployment, one coordinator-tier
+// merge per epoch. The creation epoch is warm-up. Reports per-epoch radio
+// tx bytes and messages (summed over the shards) plus per-epoch
+// coordinator backhaul bytes.
+func fedMintEpoch(b *testing.B) {
+	scen, nets, src := fedDeployment(b)
+	q := topk.SnapshotQuery{K: 3, Agg: model.AggAvg, Range: soundRange()}
+	deps := make([]*engine.Deployment, len(nets))
+	ops := make([]engine.EpochRunner, len(nets))
+	for i, net := range nets {
 		op := mint.New()
 		if err := op.Attach(net, q); err != nil {
 			b.Fatal(err)
 		}
-		nets = append(nets, net)
-		deps = append(deps, engine.NewDeployment(scen.ShardName(i), net, src))
-		ops = append(ops, op)
+		deps[i], ops[i] = engine.NewDeployment(scen.ShardName(i), net, src), op
 	}
 	var stats fed.Stats
 	merger, err := fed.New(q, fed.Config{}, &stats)
@@ -82,54 +99,26 @@ func RunFederatedMintEpochBench(b *testing.B) (txBytesPerEpoch, msgsPerEpoch, co
 		}
 	}
 	b.StopTimer()
-	if b.N > 0 {
-		var tx, msgs int
-		for _, net := range nets {
-			tx += net.Counter.TotalTxBytes()
-			msgs += net.Counter.TotalMessages()
-		}
-		txBytesPerEpoch = float64(tx) / float64(b.N)
-		msgsPerEpoch = float64(msgs) / float64(b.N)
-		coordBytesPerEpoch = float64(stats.Snapshot().TxBytes-warmCoord) / float64(b.N)
-	}
-	return txBytesPerEpoch, msgsPerEpoch, coordBytesPerEpoch
+	reportShardTraffic(b, nets)
+	perEpoch(b, stats.Snapshot().TxBytes-warmCoord, "coord_bytes/epoch")
 }
 
-// RunFederatedHistoricBench is the shared measurement body of the
-// federated historic benchmark: one full TOP-K ... WITH HISTORY execution
-// per iteration on the sharded scale deployment — per-shard TJA over the
-// buffered windows, two-phase threshold merge at the coordinator.
-// Returns per-execution radio tx bytes (summed over the shards) and
-// coordinator backhaul bytes.
-func RunFederatedHistoricBench(b *testing.B) (txBytesPerRun, coordBytesPerRun float64) {
-	scen, err := config.ScaleScenarioShards(FederatedScaleSize, FederatedShardCount)
-	if err != nil {
-		b.Fatal(err)
-	}
-	subs, err := scen.ShardScenarios()
-	if err != nil {
-		b.Fatal(err)
-	}
-	src, err := scen.Source() // the flat source, shared by every shard
-	if err != nil {
-		b.Fatal(err)
-	}
+// fedHistoricEpoch measures one full federated historic execution (TOP-4
+// WITH HISTORY 16) per iteration on the sharded scale deployment: per-shard
+// TJA over the buffered windows, two-phase threshold merge at the
+// coordinator. Its "epoch" is one execution: it reports per-execution radio
+// traffic (summed over the shards) and coordinator backhaul bytes under the
+// table's per-epoch units.
+func fedHistoricEpoch(b *testing.B) {
+	_, nets, src := fedDeployment(b)
 	q := topk.HistoricQuery{K: 4, Agg: model.AggAvg, Window: 16}
-	nets := make([]*sim.Network, 0, len(subs))
-	shards := make([]fed.HistoricShard, 0, len(subs))
-	for _, sub := range subs {
-		net, err := sub.Network()
-		if err != nil {
-			b.Fatal(err)
-		}
+	shards := make([]fed.HistoricShard, len(nets))
+	for i, net := range nets {
 		series, err := storage.BufferSeries(net.Topology().SensorNodes(), q.Window, src.Sample)
 		if err != nil {
 			b.Fatal(err)
 		}
-		nets = append(nets, net)
-		shards = append(shards, &fed.OperatorShard{
-			Op: tja.New(), Tp: net, Q: q, Data: topk.HistoricData(series),
-		})
+		shards[i] = &fed.OperatorShard{Op: tja.New(), Tp: net, Q: q, Data: topk.HistoricData(series)}
 	}
 	var stats fed.Stats
 	merger, err := fed.NewHistoric(q, fed.Config{}, &stats)
@@ -144,13 +133,6 @@ func RunFederatedHistoricBench(b *testing.B) (txBytesPerRun, coordBytesPerRun fl
 		}
 	}
 	b.StopTimer()
-	if b.N > 0 {
-		tx := 0
-		for _, net := range nets {
-			tx += net.Counter.TotalTxBytes()
-		}
-		txBytesPerRun = float64(tx) / float64(b.N)
-		coordBytesPerRun = float64(stats.Snapshot().TxBytes) / float64(b.N)
-	}
-	return txBytesPerRun, coordBytesPerRun
+	reportShardTraffic(b, nets)
+	perEpoch(b, stats.Snapshot().TxBytes, "coord_bytes/epoch")
 }

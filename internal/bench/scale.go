@@ -2,6 +2,7 @@ package bench
 
 import (
 	"context"
+	"sync"
 	"testing"
 
 	"kspot/internal/config"
@@ -15,10 +16,9 @@ import (
 
 // This file is the scale series of the benchmark trajectory: µs of epoch
 // compute per sensor node for a steady-state MINT epoch across deployment
-// sizes (the road to scale-100k), plus the parallel-vs-sequential sweep
-// speedup at scale-4000. The series runs every size at one sweep worker so
-// the per-node trajectory stays comparable across hosts and PRs; the
-// speedup entry re-measures scale-4000 at the configured worker bound.
+// sizes (the road to scale-100k), the parallel-vs-sequential sweep speedup
+// at scale-4000, and the substrate and sense pairs at scale-1000 (see
+// Micros for how the entries are assembled).
 
 // SpeedupScaleSize fixes the deployment of the parallel-vs-sequential
 // speedup measurement: scale-4000, the largest committed scenario.
@@ -49,115 +49,102 @@ func ScaleSeriesSizes(cfg RunConfig) []int {
 	return sizes
 }
 
-// scaleDeployment builds the flat scale-<n> deployment with the given sweep
-// worker bound. Callers build it once per series entry and reuse it across
-// benchmark rounds: the scale generator's O(n²) link construction costs
-// minutes at scale-100000, far beyond the epochs being measured.
-func scaleDeployment(n, workers int) (*sim.Network, trace.Source, topk.SnapshotQuery, error) {
-	scen, err := config.ScaleScenario(n)
-	if err != nil {
-		return nil, nil, topk.SnapshotQuery{}, err
-	}
-	net, err := scen.Network()
-	if err != nil {
-		return nil, nil, topk.SnapshotQuery{}, err
-	}
-	net.SetParallel(workers)
-	src, err := scen.Source()
-	if err != nil {
-		return nil, nil, topk.SnapshotQuery{}, err
-	}
-	q := topk.SnapshotQuery{K: 3, Agg: model.AggAvg, Range: soundRange()}
-	return net, src, q, nil
+// scaleDep is one flat scale-<n> deployment: the network at its sweep worker
+// bound, the workload source and the TOP-3 AVG query the series runs.
+type scaleDep struct {
+	net *sim.Network
+	src trace.Source
+	q   topk.SnapshotQuery
 }
 
-// RunScaleMintEpochBenchOn is the measurement body of the scale-series
-// benchmarks: a fresh MINT operator attaches to the prebuilt deployment —
-// the network itself or, with live set, a fresh engine.Live over it (its
-// history windows refuse the epochs a re-invocation would replay) — runs
-// its creation epoch as warm-up, then b.N steady-state epochs are
-// measured: the RunOperatorEpochBench loop with the network construction
-// hoisted out of the benchmark re-invocations. Returns per-epoch tx bytes
-// and messages.
-func RunScaleMintEpochBenchOn(b *testing.B, net *sim.Network, live bool, src trace.Source, q topk.SnapshotQuery) (txBytesPerEpoch, msgsPerEpoch float64) {
-	var tp engine.Transport = net
-	if live {
-		l := engine.NewLive(net, engine.LiveOptions{})
-		l.Start(context.Background())
-		defer l.Stop()
-		tp = l
-	}
-	op := mint.New()
-	if err := op.Attach(tp, q); err != nil {
-		b.Fatal(err)
-	}
-	readings := topk.SenseEpoch(tp, src, 0)
-	if _, err := op.Epoch(0, readings); err != nil {
-		b.Fatal(err)
-	}
-	tp.Reset()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e := model.Epoch(i + 1)
-		rd := topk.SenseEpoch(tp, src, e)
-		if _, err := op.Epoch(e, rd); err != nil {
+// scaleDeployment returns the scale-<n> deployment at the worker bound,
+// built on first use and shared by every invocation of the micro that holds
+// it: the generator's O(n²) link construction costs minutes at
+// scale-100000, far beyond the epochs being measured, and a benchmark body
+// is re-invoked with a growing b.N.
+func scaleDeployment(n, workers int) func(*testing.B) scaleDep {
+	build := sync.OnceValues(func() (scaleDep, error) {
+		scen, err := config.ScaleScenario(n)
+		if err != nil {
+			return scaleDep{}, err
+		}
+		net, err := scen.Network()
+		if err != nil {
+			return scaleDep{}, err
+		}
+		net.SetParallel(workers)
+		src, err := scen.Source()
+		q := topk.SnapshotQuery{K: 3, Agg: model.AggAvg, Range: soundRange()}
+		return scaleDep{net, src, q}, err
+	})
+	return func(b *testing.B) scaleDep {
+		d, err := build()
+		if err != nil {
 			b.Fatal(err)
 		}
+		return d
 	}
-	b.StopTimer()
-	if b.N > 0 {
-		total := tp.Snap()
-		txBytesPerEpoch = float64(total.TxBytes) / float64(b.N)
-		msgsPerEpoch = float64(total.Messages) / float64(b.N)
-	}
-	return txBytesPerEpoch, msgsPerEpoch
 }
 
-// RunScaleMintEpochBench builds scale-<n> at the worker bound and measures
-// one steady-state MINT epoch — the module-root benchmark entry point (the
-// -json path hoists the build out itself, see microScaleMintEpoch). With
-// live set the operator runs on an engine.Live over the same network: the
-// pair is the substrate comparison, same deployment, same epoch.
-func RunScaleMintEpochBench(b *testing.B, n, workers int, live bool) (txBytesPerEpoch, msgsPerEpoch float64) {
-	net, src, q, err := scaleDeployment(n, workers)
-	if err != nil {
-		b.Fatal(err)
+// substrate returns the transport a scale micro measures — the network
+// itself or, with live set, a fresh engine.Live over it (its history
+// windows refuse the epochs a re-invocation would replay) — and its stop.
+func substrate(net *sim.Network, live bool) (engine.Transport, func()) {
+	if !live {
+		return net, func() {}
 	}
-	return RunScaleMintEpochBenchOn(b, net, live, src, q)
+	l := engine.NewLive(net, engine.LiveOptions{})
+	l.Start(context.Background())
+	return l, l.Stop
 }
 
-// RunSenseEpochBench measures the sense half of an epoch alone on the flat
-// scale-1000 deployment — PresampleEpoch then CommitSenseEpoch, exactly as
-// a shard's EpochRound runs them — on the network itself or, with live
-// set, on an engine.Live over it: the pair prices what the concurrent
+// usPerNode reports the measured loop's µs of epoch compute per sensor node.
+func usPerNode(b *testing.B, net *sim.Network) {
+	nodes := len(net.Topology().SensorNodes())
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N)/float64(nodes), "us/node/epoch")
+}
+
+// scaleMintEpoch measures one steady-state MINT epoch on the flat scale-<n>
+// deployment at the given sweep worker bound: runEpochs with the network
+// construction hoisted out of the benchmark's re-invocations.
+func scaleMintEpoch(n, workers int, live bool) func(*testing.B) {
+	dep := scaleDeployment(n, workers)
+	return func(b *testing.B) {
+		d := dep(b)
+		tp, stop := substrate(d.net, live)
+		defer stop()
+		runEpochs(b, tp, mint.New(), d.src, d.q)
+		usPerNode(b, d.net)
+	}
+}
+
+// senseEpoch measures the sense half of a scale-<n> epoch alone —
+// PresampleEpoch then CommitSenseEpoch, exactly as a shard's EpochRound
+// runs them — first on the network itself, then on an engine.Live over it.
+// The live loop is the one timed; live/sim prices what the concurrent
 // substrate's lock costs a phase that enters it a constant number of times
-// per epoch. It restarts b's timer, so of several calls in one benchmark
-// the last is the one reported; each returns its own ns per epoch.
-func RunSenseEpochBench(b *testing.B, live bool) (nsPerEpoch float64) {
-	net, src, _, err := scaleDeployment(LiveScaleSize, 1)
-	if err != nil {
-		b.Fatal(err)
+// per epoch, so it should sit near 1 (plus the history windows' pushes).
+func senseEpoch(n int) func(*testing.B) {
+	dep := scaleDeployment(n, 1)
+	return func(b *testing.B) {
+		d := dep(b)
+		loop := func(live bool) float64 {
+			tp, stop := substrate(d.net, live)
+			defer stop()
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.StartTimer() // the first loop left it stopped
+			for i := 0; i < b.N; i++ {
+				e := model.Epoch(i)
+				engine.CommitSenseEpoch(tp, e, engine.PresampleEpoch(tp, d.src, e))
+			}
+			b.StopTimer()
+			return float64(b.Elapsed().Nanoseconds())
+		}
+		onSim := loop(false)
+		if onLive := loop(true); onSim > 0 {
+			b.ReportMetric(onLive/onSim, "live/sim")
+		}
+		usPerNode(b, d.net)
 	}
-	return RunSenseEpochBenchOn(b, net, live, src)
-}
-
-// RunSenseEpochBenchOn is RunSenseEpochBench on a prebuilt deployment.
-func RunSenseEpochBenchOn(b *testing.B, net *sim.Network, live bool, src trace.Source) (nsPerEpoch float64) {
-	var tp engine.Transport = net
-	if live {
-		l := engine.NewLive(net, engine.LiveOptions{})
-		l.Start(context.Background())
-		defer l.Stop()
-		tp = l
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.StartTimer() // an earlier call in this benchmark left it stopped
-	for i := 0; i < b.N; i++ {
-		e := model.Epoch(i)
-		engine.CommitSenseEpoch(tp, e, engine.PresampleEpoch(tp, src, e))
-	}
-	b.StopTimer()
-	return float64(b.Elapsed().Nanoseconds()) / float64(max(b.N, 1))
 }

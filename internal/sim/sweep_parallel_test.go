@@ -42,7 +42,7 @@ func wideField(t *testing.T) field { return newField(t, 16, 100, 40) }
 func sweepRun(t *testing.T, fd field, workers, epochs int, prune func(model.NodeID, *model.View) *model.View) ([]byte, Snapshot, float64) {
 	t.Helper()
 	opts := DefaultOptions()
-	opts.Radio.Fault = keyedLoss{rate: 0.08, seed: 42} // keyed on the frame, not on draw order
+	opts.Radio.Fault = keyedLoss{rate: 0.08, seed: 42}
 	opts.BudgetJoules = 0.004 // tight: some nodes die mid-run
 	opts.Parallel = workers
 	p := fd.p
