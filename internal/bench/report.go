@@ -86,6 +86,18 @@ func WriteJSON(w io.Writer, path, runName string, cfg RunConfig) error {
 			NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
 		},
 	}
+	// Experiments first: their single-pass timings read MemStats deltas and
+	// should not run against a heap that still holds the scale deployments
+	// the micro bodies build and keep for their re-invocations.
+	for _, e := range All() {
+		fmt.Fprintf(w, "exp   %-28s ... ", e.ID)
+		t, err := timeExperiment(e, cfg)
+		if err != nil {
+			return fmt.Errorf("bench: experiment %s: %w", e.ID, err)
+		}
+		run.Experiments = append(run.Experiments, t)
+		fmt.Fprintf(w, "%12d ns %9d allocs\n", t.NsPerOp, t.AllocsPerOp)
+	}
 	for _, m := range Micros(cfg) {
 		fmt.Fprintf(w, "bench %-28s ... ", m.Name)
 		samples := make([]testing.BenchmarkResult, Samples)
@@ -103,15 +115,6 @@ func WriteJSON(w io.Writer, path, runName string, cfg RunConfig) error {
 			fmt.Fprintf(w, "  %.4g %s", res.Metrics[unit], unit)
 		}
 		fmt.Fprintln(w)
-	}
-	for _, e := range All() {
-		fmt.Fprintf(w, "exp   %-28s ... ", e.ID)
-		t, err := timeExperiment(e, cfg)
-		if err != nil {
-			return fmt.Errorf("bench: experiment %s: %w", e.ID, err)
-		}
-		run.Experiments = append(run.Experiments, t)
-		fmt.Fprintf(w, "%12d ns %9d allocs\n", t.NsPerOp, t.AllocsPerOp)
 	}
 	return mergeJSON(path, runName, run)
 }
