@@ -386,7 +386,6 @@ func main() {
 		scenarioPath = flag.String("scenario", "", "scenario JSON (default: built-in demo)")
 		k            = flag.Int("k", 3, "K of the default Top-K query")
 		interval     = flag.Duration("interval", time.Second, "epoch duration")
-		window       = flag.Int("window", 64, "per-node history window")
 		lossP        = flag.Float64("loss", 0, "deterministic Bernoulli per-frame loss probability [0,1)")
 		dupP         = flag.Float64("dup", 0, "frame duplication probability [0,1)")
 		delayP       = flag.Float64("delay", 0, "frame delay probability [0,1)")
@@ -431,7 +430,7 @@ func main() {
 		}
 	}
 	if *serveShard >= 0 {
-		serveShardProcess(scen, *serveShard, *wireAddr, *parallel, *wireLive, *window, *dataDir)
+		serveShardProcess(scen, *serveShard, *wireAddr, *parallel, *wireLive, *dataDir)
 		return
 	}
 	placement := scen.Placement()
@@ -466,16 +465,15 @@ func main() {
 	}
 	defer sys.Close()
 
-	// On a remote deployment the live substrate (and its windows) belongs
-	// to the shard processes; the coordinator's cursors run deterministic.
-	var primaryOpts, extraOpts []kspot.PostOption
+	// On a remote deployment the live substrate belongs to the shard
+	// processes; the coordinator's cursors run deterministic.
+	var postOpts []kspot.PostOption
 	if !remote {
-		primaryOpts = []kspot.PostOption{kspot.WithLive(), kspot.WithLiveWindow(*window)}
-		extraOpts = []kspot.PostOption{kspot.WithLive()}
+		postOpts = []kspot.PostOption{kspot.WithLive()}
 	}
-	wl := &workload{sys: sys, opts: extraOpts, placement: placement}
+	wl := &workload{sys: sys, opts: postOpts, placement: placement}
 	primary := fmt.Sprintf("SELECT TOP %d roomid, AVG(sound) FROM sensors GROUP BY roomid", *k)
-	cur, err := sys.Post(primary, primaryOpts...)
+	cur, err := sys.Post(primary, postOpts...)
 	if err != nil {
 		log.Fatal("kspotd: ", err)
 	}
@@ -579,7 +577,7 @@ pre{font-size:13px}</style></head><body>
 // drives it. The bound address is printed to stdout as "kspotd-wire
 // <addr>" so spawners can listen on port 0 and parse the outcome; SIGINT
 // or SIGTERM shuts the server down cleanly.
-func serveShardProcess(scen *config.Scenario, shard int, addr string, parallel int, live bool, window int, dataDir string) {
+func serveShardProcess(scen *config.Scenario, shard int, addr string, parallel int, live bool, dataDir string) {
 	if dataDir != "" {
 		// Every shard process on a host can share one -data-dir: each
 		// shard's log and journal live under its own shard-named
@@ -588,12 +586,11 @@ func serveShardProcess(scen *config.Scenario, shard int, addr string, parallel i
 		dataDir = filepath.Join(dataDir, scen.ShardName(shard))
 	}
 	srv, err := wire.NewServer(wire.ServerConfig{
-		Scenario:   scen,
-		Shard:      shard,
-		Parallel:   parallel,
-		Live:       live,
-		LiveWindow: window,
-		DataDir:    dataDir,
+		Scenario: scen,
+		Shard:    shard,
+		Parallel: parallel,
+		Live:     live,
+		DataDir:  dataDir,
 	})
 	if err != nil {
 		log.Fatal("kspotd: ", err)

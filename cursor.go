@@ -8,11 +8,8 @@ import (
 	"kspot/internal/engine"
 	"kspot/internal/model"
 	"kspot/internal/query"
-	"kspot/internal/storage"
 	"kspot/internal/topk"
 	"kspot/internal/topk/fed"
-	"kspot/internal/trace"
-	"kspot/internal/wire"
 )
 
 // Cursor is a prepared query. Snapshot (continuous) queries advance one
@@ -109,12 +106,11 @@ func (c *Cursor) prepare() error {
 	}
 
 	// Schedule under the sensing signature. The first query of a signature
-	// attaches its own plan on every shard — in-process the operator
-	// itself, over the wire the SQL each shard process re-derives the
-	// identical operator from (internal/topk/registry) — and later ones
-	// join that in-network acquisition, re-attaching it at their own K
-	// first when they need a deeper ranking than it was attached at. Group
-	// bookkeeping is serialized across posts and closes by groupMu.
+	// attaches its own plan on every shard — the SQL, which each shard
+	// re-derives the identical operator from (internal/topk/registry) — and
+	// later ones join that in-network acquisition, re-attaching it at their
+	// own K first when they need a deeper ranking than it was attached at.
+	// Group bookkeeping is serialized across posts and closes by groupMu.
 	key := string(algo) + "|" + c.plan.SenseKey
 	gk := c.groupKeyFor(key)
 	s := c.sys
@@ -123,12 +119,12 @@ func (c *Cursor) prepare() error {
 	st := s.groups[gk]
 	if st == nil || c.plan.Snapshot.K > st.cap {
 		next := &groupState{id: s.nextQueryID(), cap: c.plan.Snapshot.K, algo: algo, plan: c.plan}
-		err := s.attachGroup(t, s.remotes, next)
+		err := attachGroup(t.shards, next)
 		if err == nil && st != nil {
 			err = t.sched.RepointGroup(key, next.id)
 		}
 		if err != nil {
-			s.detachGroup(t, next.id)
+			detachGroup(t.shards, next.id)
 			return err
 		}
 		s.swapGroup(t, gk, next)
@@ -139,46 +135,25 @@ func (c *Cursor) prepare() error {
 	return nil
 }
 
-// attachGroup attaches a group's acquisition on every shard of the tier
-// under the group's id: in-process, an operator bound to each shard's
-// transport; on a remote deployment, the plan's SQL sent to each of
-// clients. GROUP BY ... WITH HISTORY plans filter locally first (§III-B):
-// each node's "reading" is the aggregate of its buffered window ending at
-// the current epoch (trace.WindowAgg — remote shard servers derive the
-// same source from the SQL, so the override readings match across
-// substrates bit for bit).
-func (s *System) attachGroup(t *tier, clients []*wire.Client, g *groupState) error {
-	for _, cl := range clients {
-		if err := cl.Attach(g.id, string(g.algo), g.plan.Query); err != nil {
+// attachGroup attaches a group's acquisition on every one of shards under
+// the group's id: each shard plans the SQL and binds its own operator
+// (shardHandle.Attach), so the attachment is the same bits in process and
+// over the wire.
+func attachGroup(shards []shardHandle, g *groupState) error {
+	for _, h := range shards {
+		if err := h.Attach(g.id, string(g.algo), g.plan.Query); err != nil {
 			return err
 		}
-	}
-	var src trace.Source
-	if g.plan.Kind == query.PlanHistoricGroupTopK {
-		src = trace.WindowAgg(s.source, g.plan.History, g.plan.Snapshot.Agg)
-	}
-	for _, d := range t.deps {
-		op, err := snapshotOperator(g.algo)
-		if err != nil {
-			return err
-		}
-		if err := op.Attach(d.Transport(), g.plan.Snapshot); err != nil {
-			return err
-		}
-		d.Attach(g.id, op, src)
 	}
 	return nil
 }
 
-// detachGroup releases an attachment on every shard of the tier. Best
-// effort on a remote deployment: a shard that cannot be reached to forget
-// a query is one the next Step reports anyway.
-func (s *System) detachGroup(t *tier, id uint32) {
-	for _, d := range t.deps {
-		d.Detach(id)
-	}
-	for _, cl := range s.remotes {
-		cl.Detach(id)
+// detachGroup releases an attachment on every one of shards. Best
+// effort: a shard that cannot be reached to forget a query is one the next
+// Step reports anyway. Callers hold groupMu.
+func detachGroup(shards []shardHandle, id uint32) {
+	for _, h := range shards {
+		h.Detach(id)
 	}
 }
 
@@ -187,7 +162,7 @@ func (s *System) detachGroup(t *tier, id uint32) {
 // the single place an attachment is let go. Callers hold groupMu.
 func (s *System) swapGroup(t *tier, groupKey string, next *groupState) {
 	if old := s.groups[groupKey]; old != nil {
-		s.detachGroup(t, old.id)
+		detachGroup(t.shards, old.id)
 	}
 	if next == nil {
 		delete(s.groups, groupKey)
@@ -300,19 +275,17 @@ func (c *Cursor) result(out engine.Outcome) StepResult {
 }
 
 // Run executes a historic query over the last Window epochs of buffered
-// history (the simulator materializes each node's window through
-// storage.Window, standing in for the motes' MicroHash-indexed flash
-// buffers). On a federated deployment every shard runs the historic
-// operator over its own windows and the coordinator merges the shard
-// rankings with a two-phase threshold round (fed.HistoricMerger), exact
-// and byte-identical to the flat run; coordinator backhaul is accounted
-// in FederationStats.
+// history (each shard materializes its nodes' windows through
+// storage.Window, standing in for the motes' flash buffers). Every shard
+// buffers its own windows and runs the historic operator locally; only
+// shard-level results cross the shard contract — on a federated deployment
+// the shard's local TOP-shipK partial sums, then the sums the coordinator's
+// two-phase threshold round targets (fed.HistoricMerger), exact and
+// byte-identical to the flat run; coordinator backhaul is accounted in
+// FederationStats.
 func (c *Cursor) Run() ([]Answer, error) {
 	if c.Continuous() {
 		return nil, fmt.Errorf("kspot: continuous query %q advances with Step, not Run", c.plan.Query)
-	}
-	if c.sys.Remote() {
-		return c.runRemote()
 	}
 	// One-shot runs bypass the scheduler's epoch lock-step, so on the live
 	// substrate they register with the System: Close waits registered runs
@@ -323,102 +296,65 @@ func (c *Cursor) Run() ([]Answer, error) {
 		return nil, err
 	}
 	defer release()
-	if len(t.deps) == 1 {
-		op, err := historicOperator(c.algo)
-		if err != nil {
-			return nil, err
-		}
-		tp := t.deps[0].Transport()
-		data, err := c.bufferWindows(tp)
-		if err != nil {
-			return nil, err
-		}
-		return op.Run(tp, c.plan.Historic, data)
-	}
-
-	// Federated: one historic shard execution per deployment, built by the
-	// scheduler's shard fan-out, merged with the coordinator tier's
-	// threshold round.
-	shards := make([]fed.HistoricShard, len(t.deps))
-	err = t.sched.RunShards(func(i int, _ *engine.RemoteDeployment) error {
-		op, err := historicOperator(c.algo)
-		if err != nil {
-			return err
-		}
-		tp := t.deps[i].Transport()
-		data, err := c.bufferWindows(tp)
-		if err != nil {
-			return err
-		}
-		shards[i] = &fed.OperatorShard{Op: op, Tp: tp, Q: c.plan.Historic, Data: data}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	m, err := fed.NewHistoric(c.plan.Historic, fed.Config{}, c.sys.fedStats)
-	if err != nil {
-		return nil, err
-	}
-	return m.Run(shards, c.live)
-}
-
-// runRemote executes a historic query on a remote deployment. Each shard
-// process buffers its own windows and runs the historic operator locally;
-// only shard-level results cross the wire — the shard's local TOP-shipK
-// partial sums, then the sums the coordinator's threshold round targets
-// in phase 2 (fed.HistoricMerger, identical to the in-process federation,
-// so the merged ranking is byte-identical to the flat run). The whole
-// round runs serialized against epoch rounds: its per-shard calls must
-// not interleave another cursor's epoch round on the shard state machines.
-func (c *Cursor) runRemote() ([]Answer, error) {
-	if _, err := historicOperator(c.algo); err != nil {
-		return nil, err
-	}
+	shards := c.sys.handles(t)
 	exec := c.sys.nextQueryID()
-	remotes := c.sys.remoteClients()
-	execs := make([]*wire.HistoricExec, len(remotes))
-	for i, cl := range remotes {
-		execs[i] = cl.Historic(exec, string(c.algo), c.plan.Historic)
-	}
 	defer func() {
-		for _, h := range execs {
-			h.Release()
+		for _, h := range shards {
+			h.Release(exec) // best effort
 		}
 	}()
-	if len(execs) == 1 {
-		var answers []Answer
-		err := c.sys.det.sched.Serialized(func() error {
-			var err error
-			answers, err = execs[0].Run()
-			return err
-		})
-		return answers, err
-	}
-	shards := make([]fed.HistoricShard, len(execs))
-	for i, h := range execs {
-		shards[i] = h
-	}
-	m, err := fed.NewHistoric(c.plan.Historic, fed.Config{}, c.sys.fedStats)
-	if err != nil {
-		return nil, err
-	}
+	remote := c.sys.Remote()
 	var answers []Answer
-	err = c.sys.det.sched.Serialized(func() error {
-		var err error
-		answers, err = m.Run(shards, true)
+	run := func() (err error) {
+		if len(shards) == 1 {
+			answers, _, err = shards[0].HistoricTopK(exec, string(c.algo), c.plan.Historic)
+			return err
+		}
+		m, err := fed.NewHistoric(c.plan.Historic, fed.Config{}, c.sys.fedStats)
+		if err != nil {
+			return err
+		}
+		execs := make([]fed.HistoricShard, len(shards))
+		for i, h := range shards {
+			execs[i] = historicExec{h, exec, string(c.algo), c.plan.Historic}
+		}
+		// Shards that are processes, or live substrates, run their halves of
+		// the round concurrently; deterministic ones keep shard order.
+		answers, err = m.Run(execs, c.live || remote)
 		return err
-	})
+	}
+	if remote {
+		// The whole round runs serialized against epoch rounds: its
+		// per-shard calls must not interleave another cursor's epoch round
+		// on the shard processes' state machines.
+		err = t.sched.Serialized(run)
+	} else {
+		err = run()
+	}
 	return answers, err
 }
 
-// bufferWindows materializes a transport's per-node windows for this
-// cursor's historic query, epoch-aligned across shards (one flat trace
-// source, global node ids).
-func (c *Cursor) bufferWindows(tp engine.Transport) (topk.HistoricData, error) {
-	series, err := storage.BufferSeries(tp.Topology().SensorNodes(), c.plan.Historic.Window, c.sys.source.Sample)
-	if err != nil {
-		return nil, err
-	}
-	return topk.HistoricData(series), nil
+// historicExec is one historic execution on one shard: the coordinator's
+// merge surface (fed.HistoricShard) over the shard contract's calls.
+type historicExec struct {
+	shard shardHandle
+	exec  uint32
+	algo  string
+	q     topk.HistoricQuery
+}
+
+// LocalTopK implements fed.HistoricShard. The shard operator runs pinned to
+// the SUM aggregate: SUM and AVG rank instants identically within a shard
+// (AVG divides every instant by the same participant count), and the
+// coordinator needs the exact partial sums — a shard-local AVG would bake
+// in the shard's own divisor and lose them.
+func (h historicExec) LocalTopK(shipK int) ([]model.Answer, int, error) {
+	q := h.q
+	q.K, q.Agg = shipK, model.AggSum
+	return h.shard.HistoricTopK(h.exec, h.algo, q)
+}
+
+// FetchSums implements fed.HistoricShard: the phase-2 targeted sweep.
+func (h historicExec) FetchSums(ids []model.GroupID) (map[model.GroupID]int64, error) {
+	return h.shard.FetchSums(h.exec, ids)
 }

@@ -3,9 +3,9 @@ package kspot
 // Remote federation: a PR 4/5 federated deployment as N+1 real processes.
 // Each shard runs inside its own kspotd -serve-shard process (or any
 // wire.Server host) on its own substrate; OpenFederated dials them and
-// builds a coordinator-only System whose scheduler's shards are wire
-// clients instead of in-process deployments. Everything above the shard
-// contract is the same code — the one engine.Scheduler, the same
+// builds a coordinator-only System whose shard handles are wire clients
+// instead of in-process shard bodies. Everything above the shard contract
+// (shardHandle) is the same code — the one engine.Scheduler, the same
 // fed.Merger two-phase snapshot merge and fed.HistoricMerger threshold
 // round run at this coordinator, on shard answers that crossed a socket
 // instead of a struct boundary — so answers and coordinator-tier counters
@@ -62,8 +62,9 @@ func withWireFaults(f wire.Faults) OpenOption {
 // (Network returns nil, traffic panels fetch per-shard counters over the
 // wire) and its queries run on the deterministic epoch clock of each
 // cursor, exactly like the in-process deterministic substrate. WithLive
-// and WithFaults do not apply — substrate and fault environment are the
-// shard processes' own configuration. Close drops every shard connection;
+// does not apply — the substrate is each shard process's own choice, and
+// the fault environment is the scenario's, armed in the shard processes.
+// Close drops every shard connection;
 // an unreachable shard surfaces on the cursor that steps into it, tagged
 // with the shard's name, without wedging other queries.
 func OpenFederated(s *Scenario, addrs []string, opts ...OpenOption) (*System, error) {
@@ -79,11 +80,10 @@ func OpenFederated(s *Scenario, addrs []string, opts ...OpenOption) (*System, er
 		return nil, fmt.Errorf("kspot: %d shard addresses for a %d-shard scenario", len(addrs), len(shardScens))
 	}
 	sys := &System{
-		scenario:   s,
-		shardScens: shardScens,
-		schema:     query.DefaultSchema(),
-		fedStats:   &fed.Stats{},
-		groups:     make(map[string]*groupState),
+		scenario: s,
+		schema:   query.DefaultSchema(),
+		fedStats: &fed.Stats{},
+		groups:   make(map[string]*groupState),
 	}
 	if cfg.admission != nil {
 		sys.admission = engine.NewAdmission(*cfg.admission)
@@ -93,16 +93,16 @@ func OpenFederated(s *Scenario, addrs []string, opts ...OpenOption) (*System, er
 	if err != nil {
 		return nil, err
 	}
-	sys.remotes = clients
-	sys.det = &tier{sched: engine.NewShardScheduler(deps...)}
+	sys.det = &tier{sched: engine.NewShardScheduler(deps...), shards: clients}
 	return sys, nil
 }
 
 // dialShards dials every shard of a sharded scenario, returning the wire
-// clients and their deployments index-aligned with addrs. On any dial
-// failure the already-open clients close and the error returns.
-func dialShards(s *Scenario, shardScens []*Scenario, addrs []string, cfg openConfig) ([]*wire.Client, []*engine.RemoteDeployment, error) {
-	clients := make([]*wire.Client, 0, len(addrs))
+// clients (as shard handles) and their deployments index-aligned with
+// addrs. On any dial failure the already-open clients close and the error
+// returns.
+func dialShards(s *Scenario, shardScens []*Scenario, addrs []string, cfg openConfig) ([]shardHandle, []*engine.RemoteDeployment, error) {
+	clients := make([]shardHandle, 0, len(addrs))
 	deps := make([]*engine.RemoteDeployment, len(addrs))
 	for i, addr := range addrs {
 		cl, err := wire.Dial(wire.ClientConfig{
@@ -130,69 +130,50 @@ func dialShards(s *Scenario, shardScens []*Scenario, addrs []string, cfg openCon
 }
 
 // Remote reports whether this System coordinates remote shard processes
-// (it holds no networks of its own).
-func (s *System) Remote() bool { return len(s.nets) == 0 }
-
-// remoteClients snapshots the shard client slice under groupMu — the slice
-// is swapped wholesale by a live re-sharding, so readers outside the group
-// lock must copy it rather than range s.remotes directly.
-func (s *System) remoteClients() []*wire.Client {
-	s.groupMu.Lock()
-	defer s.groupMu.Unlock()
-	return append([]*wire.Client(nil), s.remotes...)
-}
+// (it holds no shard bodies of its own).
+func (s *System) Remote() bool { return len(s.local) == 0 }
 
 // WireMetrics snapshots every shard connection's RTT/traffic accounting
 // (calls, epoch rounds, retries, p50/p99 latency, bytes both ways), in
-// shard order. Nil on a non-remote System — local shards have no wire.
+// shard order. Nil on a local System — its shards have no wire.
 func (s *System) WireMetrics() []wire.ClientMetrics {
-	if !s.Remote() {
-		return nil
-	}
-	remotes := s.remoteClients()
-	out := make([]wire.ClientMetrics, 0, len(remotes))
-	for _, cl := range remotes {
-		out = append(out, cl.Metrics())
+	var out []wire.ClientMetrics
+	for _, h := range s.handles(s.det) {
+		if cl, ok := h.(*wire.Client); ok {
+			out = append(out, cl.Metrics())
+		}
 	}
 	return out
 }
 
 // nextQueryID allocates a System-unique id for an acquisition group's
-// attachment or a remote historic execution.
+// attachment or a historic execution.
 func (s *System) nextQueryID() uint32 { return s.qidSeq.Add(1) }
 
 // ShardStats returns every shard's traffic/energy counters, in shard
-// order — read from the local networks, or fetched over the wire on a
-// remote deployment (where a dead shard surfaces as the error).
+// order — fetched over the wire on a remote deployment, where a dead shard
+// surfaces as the error.
 func (s *System) ShardStats() ([]RunStats, error) {
-	if s.Remote() {
-		remotes := s.remoteClients()
-		rows := make([]RunStats, 0, len(remotes))
-		for _, cl := range remotes {
-			row, err := cl.Stats()
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, RunStats(row))
-		}
-		return rows, nil
+	rows, err := s.shardStatRows()
+	if err != nil {
+		return nil, err
 	}
-	rows := make([]RunStats, 0, len(s.nets))
-	for i, net := range s.nets {
-		rows = append(rows, RunStats(stats.Collect(s.scenario.ShardName(i), net, 0)))
+	out := make([]RunStats, len(rows))
+	for i, r := range rows {
+		out[i] = RunStats(r)
 	}
-	return rows, nil
+	return out, nil
 }
 
 // shardStatRows is ShardStats in the stats package's own type, for panels.
 func (s *System) shardStatRows() ([]stats.RunStats, error) {
-	rows, err := s.ShardStats()
-	if err != nil {
-		return nil, err
+	shards := s.handles(s.det)
+	rows := make([]stats.RunStats, len(shards))
+	for i, h := range shards {
+		var err error
+		if rows[i], err = h.Stats(); err != nil {
+			return nil, err
+		}
 	}
-	out := make([]stats.RunStats, len(rows))
-	for i, r := range rows {
-		out[i] = stats.RunStats(r)
-	}
-	return out, nil
+	return rows, nil
 }

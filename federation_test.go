@@ -360,7 +360,7 @@ func TestFederatedCloseDuringStep(t *testing.T) {
 // outside the scheduler's lock-step, so Close must wait them out before
 // stopping any shard's Live — otherwise a federated run finds a shard
 // torn down mid-protocol (a panic on the worker path). The run either
-// completes exactly or the post-close posting fails cleanly.
+// completes exactly or the post-close Post fails cleanly.
 func TestFederatedCloseDuringHistoricRun(t *testing.T) {
 	const sql = "SELECT TOP 3 epoch, AVG(sound) FROM sensors WITH HISTORY 16"
 	for round := 0; round < 10; round++ {

@@ -17,7 +17,7 @@ type AdmissionConfig struct {
 	TenantQuota int
 }
 
-// AdmissionError is the typed rejection returned when posting a query
+// AdmissionError is the typed rejection a posted query receives when it
 // would exceed an admission limit. Callers distinguish rejection from
 // parse or transport errors with errors.As.
 type AdmissionError struct {

@@ -112,7 +112,7 @@ func (r okRunner) Epoch(model.Epoch, map[model.NodeID]model.Reading) ([]model.An
 }
 
 // TestSchedulerShardErrorPropagation: a query whose shard fails mid-sweep
-// must surface the error on its own posting cursor, while the lock-step
+// must surface the error on its own cursor, while the lock-step
 // keeps serving the healthy query — no wedge, no cross-contamination.
 func TestSchedulerShardErrorPropagation(t *testing.T) {
 	scen := config.Figure1Scenario()

@@ -11,11 +11,12 @@ import (
 // Deployment is an in-process shard: one network substrate (deterministic
 // or live, possibly behind fault decorators) paired with the trace source
 // its sensors sample and the acquisition runners attached to it. It
-// implements the shard contract (RemoteShard) directly — the Scheduler
-// drives it with the same EpochRound a wire client answers over a socket,
-// and a shard server answers its MsgEpochRound by calling it. A flat
-// system is a single Deployment; a federated system is N shards merged by
-// the Scheduler.
+// implements the shard contract's epoch half (RemoteShard) directly — the
+// Scheduler drives it with the same EpochRound a wire client answers over
+// a socket, and a shard server answers its MsgEpochRound by calling it
+// (internal/shard assembles one and answers the rest of the contract). A
+// flat system is a single Deployment; a federated system is N shards merged
+// by the Scheduler.
 //
 // Every shard of a federated system shares the trace source built from
 // the *flat* scenario — sampling is a pure function of (node, epoch), and
@@ -79,9 +80,6 @@ func (d *Deployment) Name() string { return d.name }
 // Transport returns the deployment's substrate (behind its fault
 // decorators, when armed).
 func (d *Deployment) Transport() Transport { return d.tp }
-
-// Source returns the deployment's trace source.
-func (d *Deployment) Source() trace.Source { return d.src }
 
 // Attach registers an acquisition runner (an operator already attached to
 // this deployment's transport) under the query id epoch rounds name it by.

@@ -114,12 +114,10 @@ type Transport interface {
 	Reset()
 }
 
-// ReadingsRecorder is implemented by substrates that buffer each node's
-// sensed history (the live deployment's per-node windows). SenseEpoch
-// feeds it the raw sensed values, exactly once per epoch — derived
-// readings (sampleReadings) are never buffered. Transport decorators (the
-// fault-injection layer) forward it so a wrapped live deployment keeps
-// buffering.
+// ReadingsRecorder is a tap on the sense commit: a shard's durable tier
+// (storage.Store), stacked outermost on the transport by Recorded. The
+// commit feeds it the raw sensed values, exactly once per epoch — derived
+// readings (DeriveReadings) are never recorded.
 type ReadingsRecorder interface {
 	RecordReadings(e model.Epoch, readings map[model.NodeID]model.Reading)
 }
@@ -132,8 +130,8 @@ type Unwrapper interface {
 
 // Recorded decorates a transport with an extra ReadingsRecorder — how a
 // shard's durable tier (storage.Store) taps the sense commit without the
-// substrate knowing it exists (faults.Stack places it). The inner
-// transport's own recorder (a live deployment's windows) still runs first.
+// substrate knowing it exists (faults.Stack places it). Taps nest: an
+// inner Recorded's recorder runs first.
 type Recorded struct {
 	Transport
 	Rec ReadingsRecorder

@@ -8,22 +8,22 @@ import (
 	"kspot/internal/model"
 	"kspot/internal/radio"
 	"kspot/internal/sim"
-	"kspot/internal/storage"
 	"kspot/internal/topo"
 )
 
 // LiveOptions configures the concurrent substrate.
 type LiveOptions struct {
-	// Window is each node's buffered history capacity (for historic
-	// queries over a live deployment). Default 64; minimum 1.
+	// Window is accepted and ignored: Live keeps no history (historic and
+	// WITH HISTORY queries materialize from the trace source; the durable
+	// tier records through its tap). Named by frozen benchmark/; delete
+	// with the next benchmark PR.
 	Window int
 }
 
 // Live is the concurrent substrate: the shared *sim.Network state machine
 // (link layer, loss, framing, energy ledger, budgets) behind a mutex, with
-// re-entrant sweeps and a history window per node — what cmd/kspotd and the
-// examples deploy, where the deterministic substrate serves one caller at
-// a time. It implements Transport, so every snapshot operator runs on it
+// re-entrant sweeps — what cmd/kspotd and the examples deploy, where the
+// deterministic substrate serves one caller at a time. It implements Transport, so every snapshot operator runs on it
 // unchanged.
 //
 // Nothing of the protocol is reimplemented. Sends, floods and relays are
@@ -49,35 +49,15 @@ type Live struct {
 	// in flight and steady-state sweeps allocate no per-node scratch.
 	frames []*sim.SweepFrame
 
-	winMu sync.Mutex
-	wins  []nodeWindow // every sensor node's history, ascending id
-
 	lifeMu  sync.Mutex // serializes Start and Stop
 	started atomic.Bool
 	unhook  func() bool // detaches Stop from Start's context
 }
 
-// nodeWindow is one sensor node's buffered history.
-type nodeWindow struct {
-	id  model.NodeID
-	win *storage.Window
-}
-
 // NewLive builds the concurrent substrate over an existing network state
-// (topology, link layer, accounting). Call Start before posting traffic.
-func NewLive(net *sim.Network, opts LiveOptions) *Live {
-	if opts.Window < 1 {
-		opts.Window = 64
-	}
-	l := &Live{base: net}
-	for _, id := range net.Placement.SensorNodes() {
-		win, err := storage.NewWindow(opts.Window)
-		if err != nil {
-			panic("engine: " + err.Error()) // opts.Window clamped ≥ 1 above
-		}
-		l.wins = append(l.wins, nodeWindow{id: id, win: win})
-	}
-	return l
+// (topology, link layer, accounting). Call Start before any traffic.
+func NewLive(net *sim.Network, _ LiveOptions) *Live {
+	return &Live{base: net}
 }
 
 // Start opens the deployment for traffic until Stop is called or ctx is
@@ -103,37 +83,6 @@ func (l *Live) Stop() {
 	}
 	l.started.Store(false)
 	l.unhook()
-}
-
-// Windows exposes each node's buffered history (for historic queries at
-// the server side), oldest first.
-func (l *Live) Windows() map[model.NodeID][]model.Value {
-	l.winMu.Lock()
-	defer l.winMu.Unlock()
-	out := make(map[model.NodeID][]model.Value, len(l.wins))
-	for _, w := range l.wins {
-		out[w.id] = w.win.Series()
-	}
-	return out
-}
-
-// RecordReadings buffers the epoch's raw sensed values into the per-node
-// history windows (ReadingsRecorder, called by SenseEpoch once per epoch;
-// sweeps may carry derived readings that must not pollute the windows).
-func (l *Live) RecordReadings(e model.Epoch, readings map[model.NodeID]model.Reading) {
-	l.winMu.Lock()
-	defer l.winMu.Unlock()
-	for _, w := range l.wins {
-		rd, ok := readings[w.id]
-		if !ok {
-			continue
-		}
-		if last, seen := w.win.LastEpoch(); !seen || last != e {
-			// Push can only fail on clock regression, which monotone
-			// epochs rule out; a regressed push is simply dropped.
-			_ = w.win.Push(e, rd.Value)
-		}
-	}
 }
 
 // ready panics when the deployment has not been started.

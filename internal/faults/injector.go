@@ -27,9 +27,8 @@ type Injector struct {
 }
 
 var (
-	_ engine.Transport        = (*Injector)(nil)
-	_ engine.Unwrapper        = (*Injector)(nil)
-	_ engine.ReadingsRecorder = (*Injector)(nil)
+	_ engine.Transport = (*Injector)(nil)
+	_ engine.Unwrapper = (*Injector)(nil)
 )
 
 // Unwrap returns the wrapped transport (engine.Unwrapper).
@@ -46,15 +45,6 @@ func (in *Injector) Advance(e model.Epoch) {
 		ev := in.events[in.next]
 		in.next++
 		in.inner.(vitality).SetNodeDown(ev.Node, ev.Down)
-	}
-}
-
-// RecordReadings forwards history buffering to the wrapped substrate when
-// it records (engine.ReadingsRecorder — the live deployment's windows keep
-// filling through the decorator).
-func (in *Injector) RecordReadings(e model.Epoch, readings map[model.NodeID]model.Reading) {
-	if r, ok := in.inner.(engine.ReadingsRecorder); ok {
-		r.RecordReadings(e, readings)
 	}
 }
 

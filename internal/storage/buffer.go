@@ -8,13 +8,13 @@ import (
 
 // BufferSeries materializes each node's buffered history for a historic
 // query by replaying epochs [0, window) through a Window per node — the
-// simulator's stand-in for the motes' MicroHash-indexed flash buffers —
-// and returning the buffered series oldest-first (window offset = series
-// index), the layout the historic operators consume.
+// simulator's stand-in for the motes' flash buffers — and returning the
+// buffered series oldest-first (window offset = series index), the layout
+// the historic operators consume.
 //
 // Routing the materialization through Window (rather than slicing the
 // trace directly) keeps the historic pipeline on the same buffering code
-// path the live deployment's per-node workers use, so capacity and
+// path a shard's durable tier (Store) records through, so capacity and
 // eviction semantics are exercised identically everywhere. On a federated
 // deployment each shard buffers only its own nodes, but samples the same
 // flat trace by global node id — per-epoch indices therefore align across

@@ -44,22 +44,6 @@ func TestWindowErrorPaths(t *testing.T) {
 			w.Push(5, 1)
 			return w.Push(5, 2)
 		}, "storage: window.push: epoch 5 not after 5"},
-		{"bucket out of range", func() error {
-			w, _ := NewWindow(4)
-			mh, _ := NewMicroHash(w, 0, 100, 4)
-			_, err := mh.Bucket(9)
-			return err
-		}, "storage: microhash.bucket[9]: out of range [0,4)"},
-		{"bucket negative", func() error {
-			w, _ := NewWindow(4)
-			mh, _ := NewMicroHash(w, 0, 100, 4)
-			_, err := mh.Bucket(-1)
-			return err
-		}, "storage: microhash.bucket[-1]: out of range [0,4)"},
-		{"microhash buckets", func() error { _, err := NewMicroHash(nil, 0, 100, 0); return err },
-			"storage: microhash.buckets: must be >= 1, got 0"},
-		{"microhash range", func() error { _, err := NewMicroHash(nil, 100, 0, 4); return err },
-			"storage: microhash.range: [100,0] inverted"},
 		{"store capacity", func() error { _, err := OpenStore("", 0); return err },
 			"storage: store.capacity: must be >= 1, got 0"},
 	}

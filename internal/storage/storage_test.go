@@ -1,10 +1,7 @@
 package storage
 
 import (
-	"math/rand"
-	"sort"
 	"testing"
-	"testing/quick"
 
 	"kspot/internal/model"
 )
@@ -93,257 +90,9 @@ func TestWindowClear(t *testing.T) {
 	}
 }
 
-func TestWindowTopK(t *testing.T) {
-	w, _ := NewWindow(5)
-	vals := []model.Value{30, 50, 10, 50, 40}
-	for i, v := range vals {
-		w.Push(model.Epoch(i+1), v)
-	}
-	got := w.TopK(3)
-	want := []int{1, 3, 4} // 50 (older first), 50, 40
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("TopK = %v, want %v", got, want)
-		}
-	}
-	if n := len(w.TopK(99)); n != 5 {
-		t.Fatalf("TopK(99) len = %d", n)
-	}
-}
-
 func TestNewWindowValidation(t *testing.T) {
 	if _, err := NewWindow(0); err == nil {
 		t.Fatal("capacity 0 accepted")
-	}
-}
-
-func TestMicroHashOffsetsAtLeast(t *testing.T) {
-	w, _ := NewWindow(8)
-	mh, err := NewMicroHash(w, 0, 100, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vals := []model.Value{15, 85, 42, 95, 5, 60, 77, 33}
-	for i, v := range vals {
-		if err := mh.Push(model.Epoch(i+1), v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := mh.OffsetsAtLeast(60)
-	want := []int{1, 3, 5, 6} // 85, 95, 60, 77
-	if len(got) != len(want) {
-		t.Fatalf("OffsetsAtLeast = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("OffsetsAtLeast = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestMicroHashEvictionStaleEntries(t *testing.T) {
-	w, _ := NewWindow(3)
-	mh, _ := NewMicroHash(w, 0, 100, 4)
-	for e := model.Epoch(1); e <= 10; e++ {
-		mh.Push(e, model.Value(e*7%100))
-	}
-	// Window holds epochs 8,9,10 with values 56,63,70.
-	got := mh.OffsetsAtLeast(60)
-	series := w.Series()
-	for _, off := range got {
-		if float64(series[off]) < 60 {
-			t.Fatalf("stale offset %d (value %v) returned", off, series[off])
-		}
-	}
-	if len(got) != 2 {
-		t.Fatalf("OffsetsAtLeast(60) = %v (series %v)", got, series)
-	}
-}
-
-func TestMicroHashBucket(t *testing.T) {
-	w, _ := NewWindow(4)
-	mh, _ := NewMicroHash(w, 0, 100, 4)
-	mh.Push(1, 10) // bucket 0
-	mh.Push(2, 30) // bucket 1
-	mh.Push(3, 99) // bucket 3
-	if offs, err := mh.Bucket(3); err != nil || len(offs) != 1 || offs[0] != 2 {
-		t.Fatalf("Bucket(3) = %v, %v", offs, err)
-	}
-	if _, err := mh.Bucket(9); err == nil {
-		t.Fatal("out-of-range bucket accepted")
-	}
-	if mh.Buckets() != 4 {
-		t.Fatal("Buckets()")
-	}
-}
-
-func TestMicroHashValidation(t *testing.T) {
-	w, _ := NewWindow(4)
-	if _, err := NewMicroHash(w, 0, 100, 0); err == nil {
-		t.Fatal("0 buckets accepted")
-	}
-	if _, err := NewMicroHash(w, 100, 0, 4); err == nil {
-		t.Fatal("inverted range accepted")
-	}
-}
-
-func TestMicroHashClampsOutOfRange(t *testing.T) {
-	w, _ := NewWindow(4)
-	mh, _ := NewMicroHash(w, 0, 100, 4)
-	mh.Push(1, -50)
-	mh.Push(2, 500)
-	if got := mh.OffsetsAtLeast(-100); len(got) != 2 {
-		t.Fatalf("clamped values lost: %v", got)
-	}
-}
-
-// Property: MicroHash OffsetsAtLeast equals a naive window scan, through
-// arbitrary push/evict interleavings.
-func TestMicroHashMatchesScanProperty(t *testing.T) {
-	f := func(seed int64, capRaw, nRaw uint8, thrRaw uint8) bool {
-		capacity := 1 + int(capRaw)%32
-		n := int(nRaw)%100 + 1
-		thr := model.Value(int(thrRaw) % 100)
-		rng := rand.New(rand.NewSource(seed))
-		w, _ := NewWindow(capacity)
-		mh, _ := NewMicroHash(w, 0, 100, 8)
-		for e := 1; e <= n; e++ {
-			if err := mh.Push(model.Epoch(e), model.Value(rng.Intn(10000))/100); err != nil {
-				return false
-			}
-		}
-		var want []int
-		for i, v := range w.Series() {
-			if model.ToFixed(v) >= model.ToFixed(thr) {
-				want = append(want, i)
-			}
-		}
-		got := mh.OffsetsAtLeast(thr)
-		if len(got) != len(want) {
-			return false
-		}
-		sort.Ints(want)
-		for i := range want {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Window.TopK matches sorting the materialized series.
-func TestWindowTopKProperty(t *testing.T) {
-	f := func(seed int64, kRaw uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		w, _ := NewWindow(64)
-		n := 1 + rng.Intn(64)
-		for e := 1; e <= n; e++ {
-			w.Push(model.Epoch(e), model.Value(rng.Intn(1000)))
-		}
-		k := 1 + int(kRaw)%16
-		got := w.TopK(k)
-		series := w.Series()
-		idx := make([]int, len(series))
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.SliceStable(idx, func(a, b int) bool {
-			if series[idx[a]] != series[idx[b]] {
-				return series[idx[a]] > series[idx[b]]
-			}
-			return idx[a] < idx[b]
-		})
-		if k > len(idx) {
-			k = len(idx)
-		}
-		for i := 0; i < k; i++ {
-			if got[i] != idx[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestMicroHashSkewedStreamBoundedMemory pins the stale-chain compaction
-// bound: a heavily skewed stream (almost every push lands in one hot
-// bucket, so the cold buckets only ever go stale) driven past many window
-// turnovers must keep the total chain entry count within 2× the window
-// capacity — the amortized global compaction's invariant. Before the fix,
-// compaction only ran for the bucket being pushed, so stale entries parked
-// in other buckets were never reclaimed.
-func TestMicroHashSkewedStreamBoundedMemory(t *testing.T) {
-	const capacity = 64
-	w, _ := NewWindow(capacity)
-	mh, _ := NewMicroHash(w, 0, 100, 16)
-	// 40 window turnovers; 1 push in 50 is cold (a different bucket each
-	// time), the rest hammer the hot bucket.
-	for e := 1; e <= 40*capacity; e++ {
-		v := model.Value(95) // hot: top bucket
-		if e%50 == 0 {
-			v = model.Value((e / 50 * 7) % 90) // cold: scattered below
-		}
-		if err := mh.Push(model.Epoch(e), v); err != nil {
-			t.Fatal(err)
-		}
-		if got := mh.ChainEntries(); got > 2*capacity {
-			t.Fatalf("epoch %d: %d chain entries, want <= %d", e, got, 2*capacity)
-		}
-	}
-	// The index still answers correctly after all that churn.
-	got := mh.OffsetsAtLeast(90)
-	series := w.Series()
-	want := 0
-	for _, v := range series {
-		if v >= 90 {
-			want++
-		}
-	}
-	if len(got) != want {
-		t.Fatalf("OffsetsAtLeast(90) returned %d offsets, want %d", len(got), want)
-	}
-	for _, off := range got {
-		if series[off] < 90 {
-			t.Fatalf("offset %d has value %v < 90", off, series[off])
-		}
-	}
-}
-
-// TestWindowPushCounterOffsets pins the O(1) base-offset contract:
-// OffsetOfPush maps push counters to current offsets and reports eviction,
-// including across Clear (a mote reboot), after which every earlier push
-// must read as evicted rather than aliasing fresh data.
-func TestWindowPushCounterOffsets(t *testing.T) {
-	w, _ := NewWindow(3)
-	for e := 1; e <= 5; e++ {
-		if err := w.Push(model.Epoch(e), model.Value(e)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if w.Pushes() != 5 {
-		t.Fatalf("Pushes = %d, want 5", w.Pushes())
-	}
-	// Pushes 0,1 (epochs 1,2) evicted; 2,3,4 at offsets 0,1,2.
-	for c, want := range map[uint64]int{0: -1, 1: -1, 2: 0, 3: 1, 4: 2, 5: -1} {
-		if got := w.OffsetOfPush(c); got != want {
-			t.Fatalf("OffsetOfPush(%d) = %d, want %d", c, got, want)
-		}
-	}
-	w.Clear()
-	if w.Pushes() != 5 {
-		t.Fatalf("Pushes after Clear = %d, want 5 (monotone)", w.Pushes())
-	}
-	for c := uint64(0); c < 5; c++ {
-		if got := w.OffsetOfPush(c); got != -1 {
-			t.Fatalf("OffsetOfPush(%d) after Clear = %d, want -1", c, got)
-		}
 	}
 }
 

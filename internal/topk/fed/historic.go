@@ -9,7 +9,7 @@ package fed
 // round per historic execution:
 //
 //	Phase 1: every shard runs its historic operator unchanged over its own
-//	         MicroHash-backed windows, ranked by the shard-local SUM
+//	         buffered windows, ranked by the shard-local SUM
 //	         partial (SUM and AVG rank identically — AVG divides every
 //	         instant by the same participant count). It ships its top
 //	         ShipK instants with their exact local sums, plus its local
@@ -57,7 +57,8 @@ import (
 
 // HistoricShard is the coordinator's surface onto one shard's historic
 // execution. Implementations run the real per-shard protocols over the
-// shard's transport (kspot.Cursor adapts the engine deployments).
+// shard's transport (kspot.Cursor adapts the shard contract's historic
+// calls; OperatorShard a bare transport).
 type HistoricShard interface {
 	// LocalTopK runs the shard-local historic operator for the shard's top
 	// shipK instants ranked by local SUM partial, returning the ranked
@@ -69,11 +70,12 @@ type HistoricShard interface {
 	FetchSums(ids []model.GroupID) (map[model.GroupID]int64, error)
 }
 
-// OperatorShard adapts one shard's transport + buffered windows to the
-// coordinator's merge surface, running a real historic operator for
-// phase 1 and the shared CL-style targeted sweep for phase 2. Both the
-// public cursor and the benchmark harness federate through this one
-// adapter, so the merge always measures exactly the protocol it serves.
+// OperatorShard adapts one shard's transport + windows buffered once to
+// the coordinator's merge surface, running a real historic operator for
+// phase 1 and the shared CL-style targeted sweep for phase 2 — the two
+// calls a shard body (internal/shard) answers per execution. The
+// in-process micro (internal/bench) federates through it so its timed loop
+// excludes the buffering.
 type OperatorShard struct {
 	Op   topk.HistoricOperator
 	Tp   engine.Transport
@@ -144,8 +146,8 @@ type shardReport struct {
 }
 
 // Run executes the two-phase merge over the shards. parallel fans the
-// per-shard protocol executions out concurrently (the live substrate,
-// where each shard is its own goroutine-per-node deployment); the
+// per-shard protocol executions out concurrently (shards on the live
+// substrate, or in other processes, whose halves of a round overlap); the
 // deterministic path keeps shard order. The result is byte-identical to
 // the flat historic run.
 func (m *HistoricMerger) Run(shards []HistoricShard, parallel bool) ([]model.Answer, error) {

@@ -172,8 +172,10 @@ func (cc *clientConn) isDead() bool {
 	}
 }
 
-// Client is the coordinator's handle on one remote shard. It implements
-// engine.RemoteShard; its historic executions implement fed.HistoricShard.
+// Client is the coordinator's handle on one remote shard: the shard
+// contract (the methods of shard.Shard a coordinator calls), one message
+// exchange per call, answered on the far side by the shard body a Server
+// wraps.
 // Calls are synchronous for their caller but pipeline on the connection: a
 // reader goroutine demultiplexes responses by sequence number to per-call
 // waiters, so concurrent calls (epoch rounds, stats polls, historic rounds)
@@ -737,75 +739,50 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// Historic opens a historic execution handle on the shard. The handle
-// implements fed.HistoricShard for the coordinator's threshold round.
-func (c *Client) Historic(exec uint32, algo string, q topk.HistoricQuery) *HistoricExec {
-	return &HistoricExec{c: c, exec: exec, algo: algo, q: q}
-}
-
-// HistoricExec is one historic execution on one remote shard.
-type HistoricExec struct {
-	c    *Client
-	exec uint32
-	algo string
-	q    topk.HistoricQuery
-}
-
-// run executes the shard-local historic operator with an explicit ranking
-// size and aggregate, returning the ranked answers and the shard's
-// buffered-node count.
-func (h *HistoricExec) run(k int, agg model.AggKind) ([]model.Answer, int, error) {
-	payload := AppendHistoric(nil, HistoricReq{Exec: h.exec, K: k, Window: h.q.Window, Agg: agg, Algo: h.algo})
-	f, err := h.c.call(MsgHistoric, payload)
+// HistoricTopK has the shard buffer its windows under exec and run the
+// historic operator over them at the given ranking size and aggregate,
+// returning the ranked answers and its buffered-node count.
+func (c *Client) HistoricTopK(exec uint32, algo string, q topk.HistoricQuery) ([]model.Answer, int, error) {
+	payload := AppendHistoric(nil, HistoricReq{Exec: exec, K: q.K, Window: q.Window, Agg: q.Agg, Algo: algo})
+	f, err := c.call(MsgHistoric, payload)
 	if err != nil {
 		return nil, 0, err
 	}
 	if f.Type != MsgTopK {
 		return nil, 0, fmt.Errorf("wire: historic reply %v", f.Type)
 	}
-	exec, nodes, answers, err := DecodeTopK(f.Payload)
+	got, nodes, answers, err := DecodeTopK(f.Payload)
 	if err != nil {
 		return nil, 0, err
 	}
-	if exec != h.exec {
-		return nil, 0, fmt.Errorf("wire: historic reply for execution %d, want %d", exec, h.exec)
+	if got != exec {
+		return nil, 0, fmt.Errorf("wire: historic reply for execution %d, want %d", got, exec)
 	}
 	return answers, nodes, nil
 }
 
-// Run executes the query as posted — the flat (single-shard) path.
-func (h *HistoricExec) Run() ([]model.Answer, error) {
-	answers, _, err := h.run(h.q.K, h.q.Agg)
-	return answers, err
-}
-
-// LocalTopK implements fed.HistoricShard: the shard's top shipK instants
-// ranked by exact local SUM partial (see fed.OperatorShard — SUM and AVG
-// rank identically within a shard, and the coordinator needs raw sums).
-func (h *HistoricExec) LocalTopK(shipK int) ([]model.Answer, int, error) {
-	return h.run(shipK, model.AggSum)
-}
-
-// FetchSums implements fed.HistoricShard: the phase-2 targeted sweep.
-func (h *HistoricExec) FetchSums(ids []model.GroupID) (map[model.GroupID]int64, error) {
-	f, err := h.c.call(MsgFetch, AppendFetch(nil, h.exec, ids))
+// FetchSums is the phase-2 targeted sweep over an execution's cached
+// windows.
+func (c *Client) FetchSums(exec uint32, ids []model.GroupID) (map[model.GroupID]int64, error) {
+	f, err := c.call(MsgFetch, AppendFetch(nil, exec, ids))
 	if err != nil {
 		return nil, err
 	}
 	if f.Type != MsgSums {
 		return nil, fmt.Errorf("wire: fetch reply %v", f.Type)
 	}
-	exec, sums, err := DecodeSums(f.Payload)
+	got, sums, err := DecodeSums(f.Payload)
 	if err != nil {
 		return nil, err
 	}
-	if exec != h.exec {
-		return nil, fmt.Errorf("wire: fetch reply for execution %d, want %d", exec, h.exec)
+	if got != exec {
+		return nil, fmt.Errorf("wire: fetch reply for execution %d, want %d", got, exec)
 	}
 	return sums, nil
 }
 
-// Release drops the execution's cached windows on the shard (best effort).
-func (h *HistoricExec) Release() {
-	h.c.call(MsgRelease, AppendU32(nil, h.exec))
+// Release drops the execution's cached windows on the shard.
+func (c *Client) Release(exec uint32) error {
+	_, err := c.call(MsgRelease, AppendU32(nil, exec))
+	return err
 }

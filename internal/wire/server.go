@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,15 +11,12 @@ import (
 
 	"kspot/internal/config"
 	"kspot/internal/engine"
-	"kspot/internal/faults"
 	"kspot/internal/model"
-	"kspot/internal/query"
+	"kspot/internal/shard"
 	"kspot/internal/sim"
 	"kspot/internal/stats"
 	"kspot/internal/storage"
 	"kspot/internal/topk"
-	"kspot/internal/topk/registry"
-	"kspot/internal/trace"
 )
 
 // ServerConfig opens one shard of a federated scenario behind a socket.
@@ -41,8 +37,6 @@ type ServerConfig struct {
 	// counters are pinned identical across substrates, so the coordinator
 	// cannot tell the difference.
 	Live bool
-	// LiveWindow sizes the live substrate's per-node history buffer.
-	LiveWindow int
 	// DataDir, when non-empty, persists the shard across process deaths:
 	// the durable tier's shard.log plus a session journal (coordinator
 	// nonce, attached queries, per-epoch energy checkpoints) live there, so
@@ -52,33 +46,23 @@ type ServerConfig struct {
 	DataDir string
 }
 
-// Server wraps one shard's local substrate behind the framed protocol: the
-// kspotd -serve-shard process body. It expects a single logical
+// Server puts one shard body (shard.Shard — the body an in-process System
+// drives directly) behind the framed protocol: the kspotd -serve-shard
+// process. What lives here is what is about the socket: the handshake, the
+// at-most-once replay cache, the session journal and snapshot chunking;
+// every request is decode → body → encode. It expects a single logical
 // coordinator; requests are serialized (the shard substrate is one state
 // machine) and executed at most once per sequence number — a reconnecting
 // coordinator resuming a session replays cached responses instead of
 // re-running sweeps.
 type Server struct {
-	cfg    ServerConfig
-	sub    *config.Scenario
-	net    *sim.Network
-	schema query.Schema
-	name   string
-
-	// dep is the shard itself: the transport stack, the flat trace source
-	// and the attached queries' operators. An epoch round is its
-	// EpochRound — the call the in-process scheduler makes on a local shard.
-	dep *engine.Deployment
-
-	live       *engine.Live
-	liveCancel context.CancelFunc
-	roster     []model.NodeID // shard node ids ascending: the positional frame
+	cfg  ServerConfig
+	body *shard.Shard
 
 	store   *storage.Store
 	journal *journal // nil without a data dir
 
 	mu          sync.Mutex
-	historics   map[uint32]*historicExec
 	nonce       uint64
 	evicted     uint64 // highest sequence evicted from the replay cache
 	replay      map[uint64][]byte
@@ -93,87 +77,47 @@ type Server struct {
 	wg     sync.WaitGroup
 }
 
-// historicExec caches one historic execution's buffered windows between
-// the phase-1 ranking and phase-2 targeted fetches.
-type historicExec struct {
-	data topk.HistoricData
-}
-
 // replayCap bounds the at-most-once response cache. The pipelined client
 // keeps several calls in flight per connection (epoch rounds, stats polls,
 // concurrent historic rounds), so the cache
 // must outlive the deepest plausible in-flight window plus its retries.
 const replayCap = 64
 
-// NewServer builds a shard server: the shard's network (deterministic or
-// live), the flat trace source, and — when the scenario carries a faults
-// block — the shard's derived fault environment, stacked by the function
-// an in-process federated Open stacks it with (faults.Stack: same
-// per-shard seeds, same injector, same tap order), so fault scenarios
+// NewServer builds a shard server: the durable tier (and, with a data dir,
+// the session journal) opened here, the shard itself assembled by the
+// constructor an in-process Open assembles it with (shard.New: same
+// per-shard fault seeds, same injector, same tap order), so fault scenarios
 // replay identically in-process and over the wire.
 func NewServer(cfg ServerConfig) (*Server, error) {
-	shardScens, err := cfg.Scenario.ShardScenarios()
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Shard < 0 || cfg.Shard >= len(shardScens) {
-		return nil, fmt.Errorf("wire: shard %d out of range (scenario %q has %d)", cfg.Shard, cfg.Scenario.Name, len(shardScens))
-	}
-	sub := shardScens[cfg.Shard]
-	network, err := sub.Network()
-	if err != nil {
-		return nil, err
-	}
-	network.SetParallel(cfg.Parallel)
-	src, err := cfg.Scenario.Source()
-	if err != nil {
-		return nil, err
-	}
 	s := &Server{
-		cfg:       cfg,
-		sub:       sub,
-		net:       network,
-		schema:    query.DefaultSchema(),
-		name:      cfg.Scenario.ShardName(cfg.Shard),
-		roster:    sub.Roster(),
-		historics: make(map[uint32]*historicExec),
-		replay:    make(map[uint64][]byte),
-		conns:     make(map[net.Conn]bool),
+		cfg:    cfg,
+		replay: make(map[uint64][]byte),
+		conns:  make(map[net.Conn]bool),
 	}
 	jst, err := s.openDurable()
 	if err != nil {
 		return nil, err
 	}
-	var substrate engine.Transport = network
-	if cfg.Live {
-		window := cfg.LiveWindow
-		if window <= 0 {
-			window = 64
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		s.live = engine.NewLive(network, engine.LiveOptions{Window: window})
-		s.live.Start(ctx)
-		s.liveCancel = cancel
-		substrate = s.live
-	}
-	var fcfg *faults.Config
-	if env := cfg.Scenario.FaultEnv(); env != nil {
-		c := cfg.Scenario.ShardFaults(*env, cfg.Shard)
-		fcfg = &c
-	}
 	// The durable tier taps every committed sense epoch; in durable mode the
 	// journal's energy checkpoint taps it beside the store.
-	recs := []engine.ReadingsRecorder{s.store}
+	var taps []engine.ReadingsRecorder
 	if s.journal != nil {
-		recs = append(recs, energyCheckpoint{s})
+		taps = append(taps, energyCheckpoint{s})
 	}
-	tp, err := faults.Stack(substrate, fcfg, recs...)
-	if err == nil {
-		s.dep = engine.NewDeployment(s.name, tp, src)
-		err = s.recoverSession(jst)
-	}
+	s.body, err = shard.New(shard.Config{
+		Scenario: cfg.Scenario,
+		Shard:    cfg.Shard,
+		Parallel: cfg.Parallel,
+		Live:     cfg.Live,
+		Store:    s.store,
+		Taps:     taps,
+	})
 	if err != nil {
-		s.stopLive()
+		s.closeDurable()
+		return nil, err
+	}
+	if err := s.recoverSession(jst); err != nil {
+		s.body.Close()
 		s.closeDurable()
 		return nil, err
 	}
@@ -209,12 +153,12 @@ func (s *Server) openDurable() (journalState, error) {
 func (s *Server) recoverSession(jst journalState) error {
 	s.nonce = jst.nonce
 	for _, a := range jst.attaches {
-		if err := s.attach(a); err != nil {
+		if err := s.body.Attach(a.Query, a.Algo, a.SQL); err != nil {
 			return fmt.Errorf("wire: replaying journaled attach %d (%q): %w", a.Query, a.SQL, err)
 		}
 	}
 	for n, uj := range jst.energy {
-		s.net.RestoreEnergy(n, uj)
+		s.body.Network().RestoreEnergy(n, uj)
 	}
 	return nil
 }
@@ -227,18 +171,11 @@ func (s *Server) closeDurable() {
 }
 
 // Name returns the shard's display name.
-func (s *Server) Name() string { return s.name }
+func (s *Server) Name() string { return s.body.Name() }
 
 // Network exposes the shard's simulated network (tests reconcile its
 // counters against the coordinator's fetched stats).
-func (s *Server) Network() *sim.Network { return s.net }
-
-func (s *Server) stopLive() {
-	if s.live != nil {
-		s.live.Stop()
-		s.liveCancel()
-	}
-}
+func (s *Server) Network() *sim.Network { return s.body.Network() }
 
 // Serve accepts coordinator connections on ln until Close. Each
 // connection must open with a handshake; requests across all connections
@@ -300,7 +237,7 @@ func (s *Server) Close() {
 	}
 	s.connMu.Unlock()
 	s.wg.Wait()
-	s.stopLive()
+	s.body.Close()
 	s.closeDurable()
 }
 
@@ -327,21 +264,18 @@ func (s *Server) serveConn(conn net.Conn) {
 	s.mu.Lock()
 	if hello.Nonce != s.nonce {
 		// A new coordinator session: reset the at-most-once state and the
-		// session-scoped query registry. Network state (energy spent,
-		// counters) persists — the field does not reset because a new
-		// coordinator dialed in. The durable tier and journal DO reset:
-		// they are session artifacts (a crash-restarted shard keeps them
-		// precisely because its coordinator's nonce is unchanged).
+		// shard's session scope (shard.Reset: attachments, historic
+		// executions, the durable tier — the field's energy and counters
+		// persist). The journal resets with it: both are session artifacts
+		// (a crash-restarted shard keeps them precisely because its
+		// coordinator's nonce is unchanged).
 		s.nonce = hello.Nonce
 		s.evicted = 0
 		s.replay = make(map[uint64][]byte)
 		s.replayOrder = s.replayOrder[:0]
-		s.dep.Drain()
-		s.dep = engine.NewDeployment(s.name, s.dep.Transport(), s.dep.Source())
-		s.historics = make(map[uint32]*historicExec)
 		s.snapState = nil
 		s.restoreBuf = nil
-		if err := s.store.Reset(); err != nil {
+		if err := s.body.Reset(); err != nil {
 			s.mu.Unlock()
 			WriteFrame(conn, &wbuf, Frame{Seq: f.Seq, Type: MsgError, Payload: []byte(err.Error())})
 			return
@@ -358,8 +292,8 @@ func (s *Server) serveConn(conn net.Conn) {
 	welcome := AppendWelcome(nil, Welcome{
 		Version: Version,
 		Shard:   uint16(s.cfg.Shard),
-		Nodes:   uint16(len(s.sub.Nodes)),
-		Name:    s.name,
+		Nodes:   uint16(len(s.body.Roster())),
+		Name:    s.body.Name(),
 	})
 	if err := WriteFrame(conn, &wbuf, Frame{Seq: f.Seq, Type: MsgWelcome, Payload: welcome}); err != nil {
 		return
@@ -393,8 +327,8 @@ func (s *Server) checkHello(h Hello) error {
 	if int(h.Shards) != len(s.cfg.Scenario.Shards) && !(h.Shards == 1 && len(s.cfg.Scenario.Shards) == 0) {
 		return fmt.Errorf("wire: %d shards, server's scenario has %d", h.Shards, len(s.cfg.Scenario.Shards))
 	}
-	if int(h.Nodes) != len(s.sub.Nodes) {
-		return fmt.Errorf("wire: %d nodes, server's shard deploys %d", h.Nodes, len(s.sub.Nodes))
+	if nodes := len(s.body.Roster()); int(h.Nodes) != nodes {
+		return fmt.Errorf("wire: %d nodes, server's shard deploys %d", h.Nodes, nodes)
 	}
 	return nil
 }
@@ -438,7 +372,7 @@ func (s *Server) dispatch(f Frame) (reply Frame, close bool) {
 	return reply, t == MsgClosed
 }
 
-// handle executes one request under s.mu.
+// handle executes one request under s.mu: decode, the body's call, encode.
 func (s *Server) handle(f Frame) (MsgType, []byte, error) {
 	switch f.Type {
 	case MsgAttach:
@@ -446,12 +380,11 @@ func (s *Server) handle(f Frame) (MsgType, []byte, error) {
 		if err != nil {
 			return 0, nil, err
 		}
-		if err := s.attach(req); err != nil {
+		if err := s.body.Attach(req.Query, req.Algo, req.SQL); err != nil {
 			return 0, nil, err
 		}
-		// Journaled AFTER the attach succeeds (and not inside attach, which
-		// recovery replays): a journaled attach is one the shard will accept
-		// again on restart.
+		// Journaled AFTER the attach succeeds: a journaled attach is one the
+		// shard will accept again on restart.
 		if s.journal != nil {
 			if err := s.journal.Attach(req); err != nil {
 				return 0, nil, err
@@ -464,10 +397,7 @@ func (s *Server) handle(f Frame) (MsgType, []byte, error) {
 		if err != nil {
 			return 0, nil, err
 		}
-		// Detaching an id that is not attached is a no-op, not an error: a
-		// coordinator releasing a group after a partly failed attach names
-		// shards that never held it.
-		s.dep.Detach(qid)
+		s.body.Detach(qid)
 		if s.journal != nil {
 			if err := s.journal.Detach(qid); err != nil {
 				return 0, nil, err
@@ -480,9 +410,7 @@ func (s *Server) handle(f Frame) (MsgType, []byte, error) {
 		if err != nil {
 			return 0, nil, err
 		}
-		// The whole epoch in one frame: the shard's own round, the call the
-		// in-process scheduler makes on a local shard.
-		readings, results, err := s.dep.EpochRound(req.Epoch, req.Queries)
+		readings, results, err := s.body.EpochRound(req.Epoch, req.Queries)
 		if err != nil {
 			return 0, nil, err
 		}
@@ -494,7 +422,7 @@ func (s *Server) handle(f Frame) (MsgType, []byte, error) {
 				rep.Groups[i].Answers, rep.Groups[i].Override = r.Acq.Answers, r.Acq.Readings
 			}
 		}
-		payload, err := AppendEpochRoundReply(nil, s.roster, rep)
+		payload, err := AppendEpochRoundReply(nil, s.body.Roster(), rep)
 		if err != nil {
 			return 0, nil, err
 		}
@@ -505,35 +433,21 @@ func (s *Server) handle(f Frame) (MsgType, []byte, error) {
 		if err != nil {
 			return 0, nil, err
 		}
-		op, err := registry.Historic(req.Algo)
+		answers, nodes, err := s.body.HistoricTopK(req.Exec, req.Algo, topk.HistoricQuery{K: req.K, Agg: req.Agg, Window: req.Window})
 		if err != nil {
 			return 0, nil, err
 		}
-		hq := topk.HistoricQuery{K: req.K, Agg: req.Agg, Window: req.Window}
-		if err := hq.Validate(); err != nil {
-			return 0, nil, err
-		}
-		data, err := s.bufferWindows(req.Window)
-		if err != nil {
-			return 0, nil, err
-		}
-		answers, err := op.Run(s.dep.Transport(), hq, data)
-		if err != nil {
-			return 0, nil, err
-		}
-		s.historics[req.Exec] = &historicExec{data: data}
-		return MsgTopK, AppendTopK(nil, req.Exec, len(data), answers), nil
+		return MsgTopK, AppendTopK(nil, req.Exec, nodes, answers), nil
 
 	case MsgFetch:
 		exec, ids, err := DecodeFetch(f.Payload)
 		if err != nil {
 			return 0, nil, err
 		}
-		h, ok := s.historics[exec]
-		if !ok {
-			return 0, nil, fmt.Errorf("wire: historic execution %d unknown", exec)
+		sums, err := s.body.FetchSums(exec, ids)
+		if err != nil {
+			return 0, nil, err
 		}
-		sums := topk.FetchHistoricSums(s.dep.Transport(), h.data, ids)
 		return MsgSums, AppendSums(nil, exec, sums), nil
 
 	case MsgRelease:
@@ -541,7 +455,7 @@ func (s *Server) handle(f Frame) (MsgType, []byte, error) {
 		if err != nil {
 			return 0, nil, err
 		}
-		delete(s.historics, exec)
+		s.body.Release(exec)
 		return MsgReleased, AppendU32(nil, exec), nil
 
 	case MsgSnapshot:
@@ -552,7 +466,9 @@ func (s *Server) handle(f Frame) (MsgType, []byte, error) {
 		if req.Offset == 0 {
 			// Pin a consistent image: later chunks slice this encoding even
 			// if epochs keep committing between requests.
-			s.snapState = storage.AppendShardState(nil, s.store.State(s.energyOf))
+			if s.snapState, err = s.body.Snapshot(); err != nil {
+				return 0, nil, err
+			}
 		}
 		if s.snapState == nil {
 			return 0, nil, fmt.Errorf("wire: snapshot chunk %d without a pinned image", req.Offset)
@@ -587,30 +503,22 @@ func (s *Server) handle(f Frame) (MsgType, []byte, error) {
 		s.restoreBuf = append(s.restoreBuf, req.Data...)
 		rep := RestoredReply{Received: uint32(len(s.restoreBuf))}
 		if uint32(len(s.restoreBuf)) == req.Total {
-			st, err := storage.DecodeShardState(s.restoreBuf)
+			img := s.restoreBuf
 			s.restoreBuf = nil
-			if err != nil {
+			if err := s.body.Restore(img); err != nil {
 				return 0, nil, err
-			}
-			if err := s.store.Restore(st); err != nil {
-				return 0, nil, err
-			}
-			// The moved nodes' energy arrives bit-exact: the ledger resumes
-			// the source shard's partial sums, so post-migration totals
-			// equal the never-migrated run's.
-			for _, ns := range st.Nodes {
-				s.net.RestoreEnergy(ns.Node, ns.EnergyUJ)
 			}
 			rep.Applied = true
 		}
 		return MsgRestored, AppendRestored(nil, rep), nil
 
 	case MsgStats:
-		row := stats.Collect(s.name, s.net, 0)
+		row, _ := s.body.Stats()
+		block, _ := s.body.StorageStats()
 		payload, err := json.Marshal(struct {
 			stats.RunStats
 			Storage storage.StoreStats `json:"storage"`
-		}{row, s.store.Stats()})
+		}{row, block})
 		if err != nil {
 			return 0, nil, err
 		}
@@ -633,19 +541,14 @@ type energyCheckpoint struct{ s *Server }
 
 // RecordReadings implements engine.ReadingsRecorder.
 func (c energyCheckpoint) RecordReadings(e model.Epoch, _ map[model.NodeID]model.Reading) {
-	ids := c.s.net.Ledger.Nodes()
+	ids := c.s.body.Network().Ledger.Nodes()
 	nodes := make([]model.NodeID, 0, len(ids))
 	for _, id := range ids {
 		nodes = append(nodes, model.NodeID(id))
 	}
-	if err := c.s.journal.Energy(e, nodes, c.s.energyOf); err != nil {
+	if err := c.s.journal.Energy(e, nodes, c.s.body.EnergyOf); err != nil {
 		c.s.store.Fail(err)
 	}
-}
-
-// energyOf reads one node's ledger total in µJ.
-func (s *Server) energyOf(n model.NodeID) float64 {
-	return s.net.Ledger.Node(int(n))
 }
 
 // Store exposes the shard's durable tier (tests inspect recovery state).
@@ -656,49 +559,7 @@ func (s *Server) Store() *storage.Store { return s.store }
 func (s *Server) Attached() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.dep.Attached()
-}
-
-// attach plans the query text locally and instantiates the shard's own
-// operator — the shard re-derives everything from the SQL, so coordinator
-// and shard can never disagree about what the query means.
-func (s *Server) attach(req AttachReq) error {
-	plan, err := query.PlanText(req.SQL, s.schema)
-	if err != nil {
-		return err
-	}
-	if plan.Kind == query.PlanHistoricTopK {
-		return fmt.Errorf("wire: historic query %q executes via the historic round, not attach", req.SQL)
-	}
-	algo := req.Algo
-	if plan.Kind == query.PlanBasic {
-		algo = "tag"
-	}
-	op, err := registry.Snapshot(algo)
-	if err != nil {
-		return err
-	}
-	if err := op.Attach(s.dep.Transport(), plan.Snapshot); err != nil {
-		return err
-	}
-	// A query whose per-node inputs are derived rather than shared (GROUP
-	// BY ... WITH HISTORY) carries its derivation source.
-	var override trace.Source
-	if plan.Kind == query.PlanHistoricGroupTopK {
-		override = trace.WindowAgg(s.dep.Source(), plan.History, plan.Snapshot.Agg)
-	}
-	s.dep.Attach(req.Query, op, override)
-	return nil
-}
-
-// bufferWindows materializes the shard's per-node windows from the flat
-// trace source, epoch-aligned across shards (global node ids).
-func (s *Server) bufferWindows(window int) (topk.HistoricData, error) {
-	series, err := storage.BufferSeries(s.dep.Transport().Topology().SensorNodes(), window, s.dep.Source().Sample)
-	if err != nil {
-		return nil, err
-	}
-	return topk.HistoricData(series), nil
+	return s.body.Attached()
 }
 
 // isClosedErr reports whether err is the benign shutdown error.

@@ -32,7 +32,6 @@
 package kspot
 
 import (
-	"context"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -45,13 +44,13 @@ import (
 	"kspot/internal/gui"
 	"kspot/internal/model"
 	"kspot/internal/query"
+	"kspot/internal/shard"
 	"kspot/internal/sim"
 	"kspot/internal/stats"
 	"kspot/internal/storage"
 	"kspot/internal/topk"
 	"kspot/internal/topk/fed"
 	"kspot/internal/topk/registry"
-	"kspot/internal/trace"
 	"kspot/internal/wire"
 )
 
@@ -114,66 +113,48 @@ const (
 	AlgoTPUT Algorithm = "tput"
 )
 
-// System is an opened deployment: the network state, its workload and the
-// query engine, i.e. the KSpot server attached to a sensor field. A
-// deployment is a *set* of shard networks — one for a flat scenario, N
-// for a scenario carrying a shards block — merged at a coordinator tier
+// System is an opened deployment: the KSpot server attached to a sensor
+// field. A deployment is a *set* of shards — one for a flat scenario, N for
+// a scenario carrying a shards block — merged at a coordinator tier
 // (internal/topk/fed) whose answers are provably identical to running one
-// flat network. Queries run on one of two substrates of the same engine
-// layer (see DESIGN.md): the deterministic simulator (default) or the
-// concurrent live deployment (PostWith ... WithLive()), which lets any
-// number of queries sweep one network at once. Either way — and when the
-// shards are remote processes (OpenFederated) — every continuous cursor
-// is a seat on one engine.Scheduler per tier, which runs one epoch round
-// per shard per epoch and serves every cursor from it.
+// flat network. Whatever hosts a shard — this process (Open) or another one
+// behind a socket (OpenFederated) — the System drives it through the one
+// shard contract, shardHandle: attach, detach, epoch rounds, historic
+// executions, stats and state all cross it, and every continuous cursor is
+// a seat on one engine.Scheduler per tier, which runs one epoch round per
+// shard per epoch and serves every cursor from it. A local System can run
+// queries on two substrates of the same engine layer (see DESIGN.md): the
+// deterministic simulator (default) or the concurrent live deployment
+// (PostWith ... WithLive()), which lets any number of queries sweep one
+// network at once. The fault environment is the scenario's: each shard arms
+// it when it is assembled, and its stack never changes afterwards.
 type System struct {
-	scenario   *config.Scenario
-	shardScens []*config.Scenario // per-shard sub-deployments; [0] == scenario when flat
-	nets       []*sim.Network     // one simulated network per shard
-	source     trace.Source       // built from the flat scenario, shared by every shard
-	schema     query.Schema
-	fedStats   *fed.Stats
+	scenario *config.Scenario
+	schema   query.Schema
+	fedStats *fed.Stats
 
-	mu         sync.Mutex
-	lives      []*engine.Live
-	liveCancel context.CancelFunc
+	// local holds a local System's shard bodies (the det tier's shards, and
+	// what WithLive's tier twins); empty on a remote deployment, whose
+	// shards live in other processes.
+	local []*shard.Shard
+
+	mu sync.Mutex
 	// liveRuns counts one-shot historic executions in flight on the live
 	// substrate. They run outside the scheduler's epoch lock-step, so
-	// Close must wait them out separately before stopping the node
-	// goroutines — otherwise a federated historic Run could find one
+	// Close must wait them out separately before stopping the live
+	// substrates — otherwise a federated historic Run could find one
 	// shard's Live torn down mid-protocol.
 	liveRuns sync.WaitGroup
 
 	// The lock-step tiers. det is the default one — the deterministic
-	// shard networks of a local System (rebuilt when a fault environment
-	// arms or disarms, which only happens before any cursor attaches), or
-	// the remote shard processes of OpenFederated. live is the concurrent
-	// deployment WithLive starts over the same networks; nil until then and
-	// after Close.
+	// shards of a local System, or the remote shard processes of
+	// OpenFederated. live is the concurrent deployment WithLive starts over
+	// the same networks; nil until then and after Close.
 	det, live *tier
 
-	// faultCfg, when non-nil, is the armed fault environment (faultCfgs
-	// its per-shard specializations; see shardStack). posted records that
-	// at least one cursor has attached, posting counts attachments in
-	// flight — arming while either holds would leave those cursors'
-	// operators below the injector, churning nothing.
-	faultCfg  *faults.Config
-	faultCfgs []faults.Config
-	posted    bool
-	posting   int
-
-	// stores, when WithDataDir armed them, are the per-shard durable
-	// tiers: every committed sense epoch folds into shard i's store (and
-	// its shard.log) through its tap on the shard's transport stack.
-	stores []*storage.Store
-
-	// Remote deployments (OpenFederated): the shard networks live in other
-	// processes behind these wire clients, the det tier's shards.
-	// nets/source stay empty — there is no local substrate to run on.
 	// qidSeq allocates the ids acquisition groups and historic executions
-	// are attached under, unique within this System (and so within its wire
+	// run under, unique within this System (and so within its wire
 	// sessions).
-	remotes []*wire.Client
 	qidSeq  atomic.Uint32
 	wireCfg openConfig // the Open options, reused when Reshard dials new shards
 
@@ -187,12 +168,67 @@ type System struct {
 	groups    map[string]*groupState
 }
 
+// shardHandle is the shard contract: everything the System asks of one
+// shard, whatever hosts it. *shard.Shard answers it in process and
+// *wire.Client over a socket, one message exchange per call (DESIGN.md
+// tabulates the pairs; TestShardContractConformance drives both).
+type shardHandle interface {
+	// EpochRound senses the epoch once and runs every listed attached query.
+	engine.RemoteShard
+	// Attach plans sql on the shard and attaches its snapshot operator under
+	// id; Detach releases it (an id that is not attached is a no-op).
+	Attach(id uint32, algo, sql string) error
+	Detach(id uint32) error
+	// HistoricTopK buffers the shard's windows under exec and runs the
+	// historic operator over them (ranked instants, buffered-node count);
+	// FetchSums reads exact local sums off the cached windows; Release drops
+	// them.
+	HistoricTopK(exec uint32, algo string, q topk.HistoricQuery) ([]model.Answer, int, error)
+	FetchSums(exec uint32, ids []model.GroupID) (map[model.GroupID]int64, error)
+	Release(exec uint32) error
+	// Stats reads the traffic and energy counters, StorageStats the durable
+	// tier's block (zero without one).
+	Stats() (stats.RunStats, error)
+	StorageStats() (storage.StoreStats, error)
+	// Snapshot serializes the durable tier with the energy ledger
+	// (storage.ShardState bytes); Restore applies such an image.
+	Snapshot() ([]byte, error)
+	Restore(img []byte) error
+	// Close releases what the handle holds: the substrate and the durable
+	// tier in process, the connection over the wire.
+	Close() error
+}
+
+var (
+	_ shardHandle = (*shard.Shard)(nil)
+	_ shardHandle = (*wire.Client)(nil)
+)
+
 // tier is one lock-step clock of a System: the scheduler every continuous
-// cursor of the tier holds a seat on, and its in-process shard deployments
-// (nil on a remote deployment, whose shards are wire clients).
+// cursor of the tier holds a seat on, and the handles of the shards it
+// drives, in shard order. A live re-sharding swaps shards wholesale under
+// groupMu; readers outside it copy the slice (System.handles).
 type tier struct {
-	sched *engine.Scheduler
-	deps  []*engine.Deployment
+	sched  *engine.Scheduler
+	shards []shardHandle
+}
+
+// newTier builds a tier over in-process shard bodies.
+func newTier(bodies []*shard.Shard) *tier {
+	t := &tier{shards: make([]shardHandle, len(bodies))}
+	deps := make([]*engine.Deployment, len(bodies))
+	for i, b := range bodies {
+		t.shards[i], deps[i] = b, b.Deployment()
+	}
+	t.sched = engine.NewScheduler(deps...)
+	return t
+}
+
+// handles snapshots a tier's shard handles.
+func (s *System) handles(t *tier) []shardHandle {
+	s.groupMu.Lock()
+	defer s.groupMu.Unlock()
+	return append([]shardHandle(nil), t.shards...)
 }
 
 // groupState tracks one shared-acquisition group's attachment: the query
@@ -256,7 +292,7 @@ func WithParallel(workers int) OpenOption {
 }
 
 // Open builds a System from a scenario. A scenario carrying a shards
-// block opens as a federated deployment (one network per shard); one
+// block opens as a federated deployment (one shard body per shard); one
 // declaring a fault environment (a faults block, or loss_rate) opens with
 // it armed on every shard (per-shard seeds, see
 // config.Scenario.ShardFaults).
@@ -265,49 +301,47 @@ func Open(s *Scenario, opts ...OpenOption) (*System, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	shardScens, err := s.ShardScenarios()
-	if err != nil {
-		return nil, err
-	}
-	src, err := s.Source()
-	if err != nil {
+	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	sys := &System{
-		scenario:   s,
-		shardScens: shardScens,
-		source:     src,
-		schema:     query.DefaultSchema(),
-		fedStats:   &fed.Stats{},
-		groups:     make(map[string]*groupState),
+		scenario: s,
+		schema:   query.DefaultSchema(),
+		fedStats: &fed.Stats{},
+		groups:   make(map[string]*groupState),
 	}
 	if cfg.admission != nil {
 		sys.admission = engine.NewAdmission(*cfg.admission)
 	}
-	for i, sub := range shardScens {
-		net, err := sub.Network()
+	for i := 0; i < max(len(s.Shards), 1); i++ {
+		b, err := openShard(s, i, cfg)
 		if err != nil {
-			return nil, err
-		}
-		net.SetParallel(cfg.parallel)
-		sys.nets = append(sys.nets, net)
-		if cfg.dataDir != "" {
-			store, err := storage.OpenStore(filepath.Join(cfg.dataDir, s.ShardName(i)), storage.DefaultStoreWindow)
-			if err != nil {
-				return nil, err
+			for _, prev := range sys.local {
+				prev.Close()
 			}
-			sys.stores = append(sys.stores, store)
+			return nil, err
 		}
+		sys.local = append(sys.local, b)
 	}
-	if err := sys.stackDets(); err != nil {
-		return nil, err
-	}
-	if env := s.FaultEnv(); env != nil {
-		if err := sys.armFaults(env); err != nil {
+	sys.det = newTier(sys.local)
+	return sys, nil
+}
+
+// openShard assembles shard i in process, on its durable tier when
+// WithDataDir armed one.
+func openShard(s *Scenario, i int, cfg openConfig) (*shard.Shard, error) {
+	var store *storage.Store
+	if cfg.dataDir != "" {
+		var err error
+		if store, err = storage.OpenStore(filepath.Join(cfg.dataDir, s.ShardName(i)), storage.DefaultStoreWindow); err != nil {
 			return nil, err
 		}
 	}
-	return sys, nil
+	b, err := shard.New(shard.Config{Scenario: s, Shard: i, Parallel: cfg.parallel, Store: store})
+	if err != nil && store != nil {
+		store.Close()
+	}
+	return b, err
 }
 
 // OpenFile loads a scenario JSON file and opens it.
@@ -350,34 +384,35 @@ func (s *System) Scenario() *Scenario { return s.scenario }
 // deployment, whose networks live in the shard processes (use ShardStats
 // for their counters).
 func (s *System) Network() *sim.Network {
-	if len(s.nets) == 0 {
+	if len(s.local) == 0 {
 		return nil
 	}
-	return s.nets[0]
+	return s.local[0].Network()
 }
 
-// Networks returns every shard's simulated network, in shard order (a
-// single entry for a flat deployment).
-func (s *System) Networks() []*sim.Network { return append([]*sim.Network(nil), s.nets...) }
+// Networks returns every local shard's simulated network, in shard order
+// (a single entry for a flat deployment).
+func (s *System) Networks() []*sim.Network {
+	nets := make([]*sim.Network, len(s.local))
+	for i, b := range s.local {
+		nets[i] = b.Network()
+	}
+	return nets
+}
 
 // Shards reports the number of shard deployments (1 for a flat scenario).
-func (s *System) Shards() int {
-	if s.Remote() {
-		return len(s.remotes)
-	}
-	return len(s.nets)
-}
+func (s *System) Shards() int { return len(s.handles(s.det)) }
 
 // FederationStats reports the coordinator tier's accumulated traffic —
 // phase-1 reports, phase-2 targeted fetches and backhaul bytes. All zero
 // on a flat deployment.
 func (s *System) FederationStats() FederationTraffic { return s.fedStats.Snapshot() }
 
-// ResetAccounting clears traffic and energy counters on every shard,
+// ResetAccounting clears traffic and energy counters on every local shard,
 // e.g. between a warm-up and a measured window.
 func (s *System) ResetAccounting() {
-	for _, net := range s.nets {
-		net.Reset()
+	for _, b := range s.local {
+		b.Network().Reset()
 	}
 }
 
@@ -386,8 +421,6 @@ type PostOption func(*postConfig)
 
 type postConfig struct {
 	live   bool
-	window int
-	faults *FaultConfig
 	tenant string
 }
 
@@ -398,30 +431,21 @@ func WithTenant(name string) PostOption {
 	return func(c *postConfig) { c.tenant = name }
 }
 
-// WithFaults arms the deployment's fault environment — deterministic
-// seeded link loss, frame duplication/delay and node churn — before the
-// query attaches. Faults are physical and therefore deployment-wide: they
-// degrade every query on this System, on both substrates. Arm them in the
-// scenario file or at the first posted query; posting WithFaults after a
-// different fault environment is armed, or after the live deployment has
-// started, is an error.
-func WithFaults(cfg FaultConfig) PostOption {
-	return func(c *postConfig) { c.faults = &cfg }
-}
-
 // WithLive deploys the query on the concurrent substrate: the same network
 // state machine and the same sweep as the deterministic one, safe for any
-// number of queries at once and with a history window per node (the
-// engine's equivalence tests pin answers and every counter to the
-// deterministic substrate). All live cursors of a System share one
-// deployment and advance in epoch lock-step — the epoch is sensed once no
-// matter how many queries are posted — and Step is safe to call from
-// concurrent goroutines. Call Close when done to stop the deployment.
+// number of queries at once (the engine's equivalence tests pin answers and
+// every counter to the deterministic substrate). All live cursors of a
+// System share one deployment and advance in epoch lock-step — the epoch is
+// sensed once no matter how many queries are posted — and Step is safe to
+// call from concurrent goroutines. Call Close when done to stop the
+// deployment.
 func WithLive() PostOption { return func(c *postConfig) { c.live = true } }
 
-// WithLiveWindow sets the live deployment's per-node history buffer
-// capacity (default 64). Only the first live post sizes the deployment.
-func WithLiveWindow(n int) PostOption { return func(c *postConfig) { c.window = n } }
+// WithLiveWindow is accepted and ignored: the live substrate keeps no
+// per-node history (historic and WITH HISTORY queries materialize from the
+// trace source). Named by frozen benchmark/; delete with the next benchmark
+// PR.
+func WithLiveWindow(int) PostOption { return func(*postConfig) {} }
 
 // Post parses, plans and prepares a query. Snapshot (continuous) queries
 // return a cursor advanced with Step; historic queries are executed by Run.
@@ -432,7 +456,7 @@ func (s *System) Post(sql string, opts ...PostOption) (*Cursor, error) {
 // PostWith posts a query pinned to a specific algorithm (the System Panel
 // uses this to compare MINT against the baselines on identical workloads).
 func (s *System) PostWith(sql string, algo Algorithm, opts ...PostOption) (*Cursor, error) {
-	cfg := postConfig{window: 64}
+	var cfg postConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -440,13 +464,8 @@ func (s *System) PostWith(sql string, algo Algorithm, opts ...PostOption) (*Curs
 	if err != nil {
 		return nil, err
 	}
-	if s.Remote() {
-		if cfg.live {
-			return nil, fmt.Errorf("kspot: a remote deployment has no local live substrate — each shard process picks its own (kspotd -serve-shard -live)")
-		}
-		if cfg.faults != nil {
-			return nil, fmt.Errorf("kspot: fault environments on a remote deployment are armed in the shard processes' scenarios, not at the coordinator")
-		}
+	if cfg.live && s.Remote() {
+		return nil, fmt.Errorf("kspot: a remote deployment has no local live substrate — each shard process picks its own (kspotd -serve-shard -live)")
 	}
 	// Admission runs after parsing (a malformed query is a syntax error,
 	// never a consumed slot) and before any deployment work: a rejected
@@ -456,39 +475,14 @@ func (s *System) PostWith(sql string, algo Algorithm, opts ...PostOption) (*Curs
 			return nil, err
 		}
 	}
-	// Arm (when requested) and register this post in one critical section:
-	// arming is refused while any other post is attaching or attached, so
-	// no cursor can slip below the churn injector concurrently.
-	s.mu.Lock()
-	armed := false
-	if cfg.faults != nil {
-		if err := s.armFaultsLocked(cfg.faults); err != nil {
-			s.mu.Unlock()
-			return nil, err
-		}
-		armed = true
-	}
-	s.posting++
-	s.mu.Unlock()
-
 	cur := &Cursor{sys: s, plan: plan, algo: algo, live: cfg.live, tenant: cfg.tenant, admitted: s.admission != nil}
 	if cfg.live {
-		s.ensureLive(cfg.window)
+		err = s.ensureLive()
 	}
-	err = cur.prepare()
-
-	s.mu.Lock()
-	s.posting--
+	if err == nil {
+		err = cur.prepare()
+	}
 	if err != nil {
-		if armed && !s.posted && s.posting == 0 {
-			// Nothing attached (or is attaching) under this environment:
-			// disarm so a corrected retry can arm again instead of being
-			// stuck with "already armed" from a post that never existed.
-			// If another post did attach meanwhile, it attached to the
-			// injector — the environment is in use and must stay armed.
-			s.disarmFaultsLocked()
-		}
-		s.mu.Unlock()
 		if cur.admitted {
 			// The slot reserved above frees: a post that never produced a
 			// cursor must not count against the tenant forever.
@@ -496,8 +490,6 @@ func (s *System) PostWith(sql string, algo Algorithm, opts ...PostOption) (*Curs
 		}
 		return nil, err
 	}
-	s.posted = true
-	s.mu.Unlock()
 	return cur, nil
 }
 
@@ -510,128 +502,29 @@ func (s *System) AdmissionLoad() (total int, perTenant map[string]int) {
 	return s.admission.Load()
 }
 
-// newTier builds a tier over in-process shard transports.
-func (s *System) newTier(tps []engine.Transport) *tier {
-	t := &tier{deps: make([]*engine.Deployment, len(tps))}
-	for i, tp := range tps {
-		t.deps[i] = engine.NewDeployment(s.scenario.ShardName(i), tp, s.source)
+// ensureLive lazily starts the shared concurrent deployment: every local
+// shard's twin on the live substrate (same network, same fault environment,
+// same durable tier — so both substrates degrade and record identically)
+// and their tier.
+func (s *System) ensureLive() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.live != nil {
+		return nil
 	}
-	t.sched = engine.NewScheduler(t.deps...)
-	return t
-}
-
-// shardStack builds shard i's transport over a substrate (the simulated
-// network, or the Live over it): behind the armed fault environment's
-// injector, tapped by the shard's durable tier when WithDataDir armed one —
-// the one stack a wire shard server builds too.
-func (s *System) shardStack(i int, substrate engine.Transport) (engine.Transport, error) {
-	var cfg *faults.Config
-	if s.faultCfg != nil {
-		cfg = &s.faultCfgs[i]
-	}
-	var recs []engine.ReadingsRecorder
-	if i < len(s.stores) {
-		recs = append(recs, s.stores[i])
-	}
-	return faults.Stack(substrate, cfg, recs...)
-}
-
-// stackDets (re)builds the deterministic tier under the current fault
-// environment. On a failure every link fault model it may have installed
-// is removed again and the tier stands as it was.
-func (s *System) stackDets() error {
-	tps := make([]engine.Transport, len(s.nets))
-	for i, net := range s.nets {
-		tp, err := s.shardStack(i, net)
+	twins := make([]*shard.Shard, 0, len(s.local))
+	for _, b := range s.local {
+		twin, err := b.OnLive()
 		if err != nil {
-			for _, n := range s.nets[:i+1] {
-				n.SetFault(nil)
+			for _, prev := range twins {
+				prev.Close()
 			}
 			return err
 		}
-		tps[i] = tp
+		twins = append(twins, twin)
 	}
-	s.det = s.newTier(tps)
+	s.live = newTier(twins)
 	return nil
-}
-
-// armFaults installs the fault environment on the deterministic substrate
-// and remembers the config so ensureLive degrades the concurrent one
-// identically. First arm wins; re-arming is an error, and so is arming
-// after (or while) any cursor attached — its operator would sit below the
-// churn injector and degrade inconsistently. The environment is shared
-// physical state, not a per-query knob.
-func (s *System) armFaults(cfg *faults.Config) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.armFaultsLocked(cfg)
-}
-
-func (s *System) armFaultsLocked(cfg *faults.Config) error {
-	if s.faultCfg != nil {
-		return fmt.Errorf("kspot: fault environment already armed")
-	}
-	if s.posted || s.posting > 0 {
-		return fmt.Errorf("kspot: faults must be armed before the first posted query")
-	}
-	if s.lives != nil {
-		return fmt.Errorf("kspot: faults must be armed before the live deployment starts")
-	}
-	// Specialize the environment per shard (derived seeds, churn filtered
-	// to the shard's own nodes) and re-stack every deterministic substrate;
-	// a flat deployment's single "shard" keeps the config verbatim.
-	cfgs := make([]faults.Config, len(s.nets))
-	for i := range s.nets {
-		cfgs[i] = s.scenario.ShardFaults(*cfg, i)
-	}
-	s.faultCfg, s.faultCfgs = cfg, cfgs
-	if err := s.stackDets(); err != nil {
-		s.faultCfg, s.faultCfgs = nil, nil
-		return err
-	}
-	return nil
-}
-
-// disarmFaultsLocked undoes an arm that no cursor ever attached under:
-// the links' fault models are removed and the deterministic tier drops
-// back to the bare networks.
-func (s *System) disarmFaultsLocked() {
-	for _, net := range s.nets {
-		net.SetFault(nil)
-	}
-	s.faultCfg, s.faultCfgs = nil, nil
-	s.stackDets() // cannot fail without a fault environment to wrap
-}
-
-// ensureLive lazily starts the shared concurrent deployment — one Live
-// substrate per shard — and its tier. An armed fault environment wraps
-// each live transport with its shard's churn injector (frame faults
-// already live in the shared links), so both substrates degrade
-// identically.
-func (s *System) ensureLive(window int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.lives != nil {
-		return
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	lives := make([]*engine.Live, len(s.nets))
-	tps := make([]engine.Transport, len(s.nets))
-	for i, net := range s.nets {
-		lives[i] = engine.NewLive(net, engine.LiveOptions{Window: window})
-		lives[i].Start(ctx)
-		tp, err := s.shardStack(i, lives[i])
-		if err != nil {
-			// Unreachable: the config validated when the deterministic
-			// substrate armed, and Live hosts every fault kind. A
-			// silent fall-through would leave the live substrate in a
-			// perfect world while det runs degraded — fail loudly.
-			panic("kspot: wrapping live substrate with armed faults: " + err.Error())
-		}
-		tps[i] = tp
-	}
-	s.lives, s.liveCancel = lives, cancel
-	s.live = s.newTier(tps)
 }
 
 // tierOf returns the tier a cursor's continuous query schedules on, under
@@ -669,83 +562,45 @@ func (s *System) beginRun(live bool) (t *tier, release func(), err error) {
 	return s.live, s.liveRuns.Done, nil
 }
 
-// Close stops the live deployment, if one was started,
-// and drops every remote shard connection on a remote deployment (frames
-// in flight are interrupted; their cursors' Steps return an error, and so
-// does every later Step).
-// In-flight Steps complete first on the live substrate; later Steps on
-// live cursors return an error. Safe to call multiple times and
-// concurrently with in-flight Steps; deterministic-only Systems need no
-// Close.
+// Close shuts the deployment down: the live tier, if one was started,
+// finishes its in-flight epoch and one-shot runs and stops; every shard
+// handle closes — a local shard's durable tier (WithDataDir) flushes and
+// closes, a remote shard's connection drops (a round in flight on it is
+// interrupted and its cursor's Step returns an error) — and later Steps
+// return the scheduler's closed error. Safe to call multiple times and
+// concurrently with in-flight Steps.
 func (s *System) Close() {
-	if s.Remote() {
-		for _, cl := range s.remoteClients() {
-			cl.Close()
-		}
-		s.det.sched.Close() // after the in-flight round the closed sockets just failed
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.lives != nil {
+	if s.live != nil {
 		s.live.sched.Close() // waits out any in-flight scheduled epoch
 		s.liveRuns.Wait()    // and any in-flight one-shot historic run
-		for _, live := range s.lives {
-			live.Stop()
+		for _, h := range s.live.shards {
+			h.Close()
 		}
-		s.liveCancel()
-		s.lives, s.live, s.liveCancel = nil, nil, nil
+		s.live = nil
 	}
-	for _, store := range s.stores {
-		store.Close()
+	for _, h := range s.handles(s.det) {
+		h.Close()
 	}
-	s.stores = nil
+	s.det.sched.Close() // after the in-flight round a closed socket just failed
 }
 
 // StorageStats snapshots every shard's durable-tier storage block
 // (log files, bytes on disk, last checkpointed epoch, and the failure
-// that stopped a shard persisting, if any), in shard order. On
-// a remote deployment the blocks come over the wire from each shard
-// process; on a local System without WithDataDir every shard reports the
-// zero block (no durable tier is armed).
+// that stopped a shard persisting, if any), in shard order — over the wire
+// from each shard process on a remote deployment. A shard without a
+// durable tier (a local System without WithDataDir) reports the zero block.
 func (s *System) StorageStats() ([]storage.StoreStats, error) {
-	if s.Remote() {
-		remotes := s.remoteClients()
-		out := make([]storage.StoreStats, 0, len(remotes))
-		for _, cl := range remotes {
-			st, err := cl.StorageStats()
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, st)
-		}
-		return out, nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]storage.StoreStats, len(s.nets))
-	for i := range s.nets {
-		if i < len(s.stores) && s.stores[i] != nil {
-			out[i] = s.stores[i].Stats()
+	shards := s.handles(s.det)
+	out := make([]storage.StoreStats, len(shards))
+	for i, h := range shards {
+		var err error
+		if out[i], err = h.StorageStats(); err != nil {
+			return nil, err
 		}
 	}
 	return out, nil
-}
-
-// LiveWindows exposes the live deployment's buffered per-node history
-// across every shard (empty when no live query has been posted).
-func (s *System) LiveWindows() map[NodeID][]model.Value {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.lives == nil {
-		return nil
-	}
-	out := make(map[NodeID][]model.Value)
-	for _, live := range s.lives {
-		for id, series := range live.Windows() {
-			out[id] = series
-		}
-	}
-	return out
 }
 
 // SystemPanel renders the current traffic/energy statistics, optionally
@@ -759,8 +614,8 @@ func (s *System) SystemPanel(baseline *RunStats) string {
 		b := stats.RunStats(*baseline)
 		base = &b
 	}
-	if !s.Remote() && len(s.nets) == 1 {
-		return gui.SystemPanel(stats.Collect("current", s.nets[0], 0), base) + s.storageLines()
+	if len(s.local) == 1 {
+		return gui.SystemPanel(stats.RunStats(s.CaptureStats("current", 0)), base) + s.storageLines()
 	}
 	rows, err := s.shardStatRows()
 	if err != nil {
@@ -819,15 +674,14 @@ func RenderSystemPanel(run RunStats, baseline *RunStats) string {
 type RunStats stats.RunStats
 
 // CaptureStats snapshots the deployment's counters under a label, summed
-// across every shard network — fetched over the wire on a remote
-// deployment (an unreachable shard leaves its counters out of the sum).
+// across every shard — fetched over the wire on a remote deployment, where
+// an unreachable shard leaves its counters out of the sum.
 func (s *System) CaptureStats(label string, epochs int) RunStats {
-	if !s.Remote() && len(s.nets) == 1 {
-		return RunStats(stats.Collect(label, s.nets[0], epochs))
-	}
-	rows, err := s.shardStatRows()
-	if err != nil {
-		return RunStats{Algorithm: label, Epochs: epochs}
+	var rows []stats.RunStats
+	for _, h := range s.handles(s.det) {
+		if row, err := h.Stats(); err == nil {
+			rows = append(rows, row)
+		}
 	}
 	merged := stats.Merge(label, rows...)
 	merged.Epochs = epochs

@@ -196,7 +196,7 @@ func TestSystemPanelAndDisplay(t *testing.T) {
 		t.Errorf("storage line:\n%s", panel)
 	}
 	healthy, _ := sys.StorageStats()
-	sys.stores[0].Fail(errors.New("write shard.log: no space left on device"))
+	sys.local[0].Store().Fail(errors.New("write shard.log: no space left on device"))
 	failed, _ := sys.StorageStats()
 	if !strings.Contains(sys.SystemPanel(nil), "NOT PERSISTING: write shard.log: no space left on device") {
 		t.Errorf("failed storage line:\n%s", sys.SystemPanel(nil))

@@ -101,9 +101,10 @@ func (s *System) Reshard(newScenario *Scenario, addrs []string) (*ReshardReport,
 
 	s.groupMu.Lock()
 	defer s.groupMu.Unlock()
-	if len(s.remotes) < 2 {
+	old := s.det.shards
+	if len(old) < 2 {
 		closeNew()
-		return nil, fmt.Errorf("kspot: Reshard needs at least 2 current shards, got %d", len(s.remotes))
+		return nil, fmt.Errorf("kspot: Reshard needs at least 2 current shards, got %d", len(old))
 	}
 
 	// Replay every shared-acquisition group's attachment on every new
@@ -111,19 +112,19 @@ func (s *System) Reshard(newScenario *Scenario, addrs []string) (*ReshardReport,
 	// instantiates the identical operator, and the coordinator's group
 	// state needs no translation when the swap lands.
 	for _, st := range s.groups {
-		if err := s.attachGroup(s.det, clients, st); err != nil {
+		if err := attachGroup(clients, st); err != nil {
 			closeNew()
 			return nil, fmt.Errorf("kspot: reshard re-attach query %d: %w", st.id, err)
 		}
 	}
 
 	// Snapshot every old shard's durable tier. Epochs keep running on the
-	// old deployment while these stream — MsgSnapshot only reads the
+	// old deployment while these stream — a snapshot only reads the
 	// store, it never touches the epoch state machine.
 	moved := 0
-	states := make([]storage.ShardState, len(s.remotes))
-	for i, cl := range s.remotes {
-		img, err := cl.Snapshot()
+	states := make([]storage.ShardState, len(old))
+	for i, h := range old {
+		img, err := h.Snapshot()
 		if err != nil {
 			closeNew()
 			return nil, fmt.Errorf("kspot: snapshot shard %s: %w", s.scenario.ShardName(i), err)
@@ -155,10 +156,8 @@ func (s *System) Reshard(newScenario *Scenario, addrs []string) (*ReshardReport,
 		closeNew()
 		return nil, err
 	}
-	old := s.remotes
-	s.remotes = clients
+	s.det.shards = clients
 	s.scenario = newScenario
-	s.shardScens = shardScens
 	epochAfter := sched.Epoch()
 
 	// Close the old connections serialized against the epoch clock: any

@@ -104,7 +104,7 @@ func runSharedWorkload(t *testing.T, sys *System, live bool, epochs int) sharedR
 		for _, m := range group {
 			cur, err := sys.PostWith(m.sql, m.algo, opts...)
 			if err != nil {
-				t.Fatalf("posting %q: %v", m.sql, err)
+				t.Fatalf("post %q: %v", m.sql, err)
 			}
 			cursors = append(cursors, cur)
 		}

@@ -277,8 +277,8 @@ func TestWireFrameFaultsByteIdentical(t *testing.T) {
 		t.Fatalf("historic diverged under frame faults: %v vs %v", faultyHist, cleanHist)
 	}
 	var retried int64
-	for _, cl := range sys.remotes {
-		retried += cl.Retried()
+	for _, m := range sys.WireMetrics() {
+		retried += m.Retries
 	}
 	if retried == 0 {
 		t.Fatal("frame faults armed but no call ever retried — the fault path did not run")
@@ -385,7 +385,7 @@ func TestWireShardLossMidEpoch(t *testing.T) {
 	}
 	// The surviving shard's server is not wedged: its state machine still
 	// answers (stats RPC on the live connection).
-	if _, err := sys.remotes[0].Stats(); err != nil {
+	if _, err := sys.det.shards[0].Stats(); err != nil {
 		t.Fatalf("surviving shard unreachable after peer death: %v", err)
 	}
 }
@@ -454,8 +454,8 @@ func TestWireCloseDuringInFlight(t *testing.T) {
 }
 
 // TestWireOpenRejects: deployment-skew and misuse are caught at Open/Post
-// time — wrong address count, node-count mismatch, live/fault options on
-// a coordinator-only System.
+// time — wrong address count, node-count mismatch, the live option on a
+// coordinator-only System.
 func TestWireOpenRejects(t *testing.T) {
 	addrs, _ := startWireShards(t, shardedDemo(t, 2), 0)
 
@@ -478,10 +478,6 @@ func TestWireOpenRejects(t *testing.T) {
 	}
 	if _, err := sys.Post("SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid", WithLive()); err == nil {
 		t.Fatal("WithLive accepted on a remote deployment")
-	}
-	if _, err := sys.Post("SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid",
-		WithFaults(FaultConfig{Seed: 1, Loss: 0.1})); err == nil {
-		t.Fatal("WithFaults accepted on a remote deployment")
 	}
 	if _, err := sys.PostWith("SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid", Algorithm("bogus")); err == nil {
 		t.Fatal("bogus algorithm accepted on a remote deployment")
@@ -571,8 +567,8 @@ func TestWireDetachReleasesAttachments(t *testing.T) {
 }
 
 // TestShardStackRecordsCommittedReadings: every host of a shard — the
-// deterministic substrate, the live one, a wire shard server — builds its
-// transport with the one stack (faults.Stack), so under an armed fault
+// deterministic substrate, the live one, a wire shard server — assembles
+// it with the one constructor (shard.New), so under an armed fault
 // environment each one's durable tier records exactly the committed,
 // post-fault readings: the same bytes on all three, with a node churned
 // down at epoch 2 sensed for the last time in that epoch (churn fires on
@@ -595,8 +591,17 @@ func TestShardStackRecordsCommittedReadings(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// A WITH HISTORY group sweeps derived readings (node-local window
+		// aggregates) through the same epochs; the tap must never see them.
+		derived, err := sys.Post("SELECT TOP 2 roomid, MAX(sound) FROM sensors GROUP BY roomid WITH HISTORY 4", opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for e := 0; e < epochs; e++ {
 			if _, err := cur.Step(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := derived.Step(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -609,7 +614,7 @@ func TestShardStackRecordsCommittedReadings(t *testing.T) {
 			t.Fatalf("%s: %v", host, err)
 		}
 		run(sys, opts...)
-		images[host] = storage.AppendShardState(nil, sys.stores[0].State(noEnergy))
+		images[host] = storage.AppendShardState(nil, sys.local[0].Store().State(noEnergy))
 		sys.Close()
 	}
 	addrs, servers := startWireShards(t, faulty(), 0)
@@ -630,6 +635,10 @@ func TestShardStackRecordsCommittedReadings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	src, err := DemoScenario().Source()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, ns := range st.Nodes {
 		want := epochs
 		if ns.Node == victim {
@@ -638,8 +647,53 @@ func TestShardStackRecordsCommittedReadings(t *testing.T) {
 		if len(ns.Epochs) != want {
 			t.Fatalf("node %d has %d recorded epochs %v, want %d", ns.Node, len(ns.Epochs), ns.Epochs, want)
 		}
+		// Raw, not derived: every recorded value is the node's own sensed
+		// sample, whatever window aggregates the WITH HISTORY group swept.
+		for i, e := range ns.Epochs {
+			if raw := int64(model.ToFixed(model.Quantize(src.Sample(ns.Node, e)))); ns.Values[i] != raw {
+				t.Fatalf("node %d epoch %d recorded %d, want the raw sensed %d", ns.Node, e, ns.Values[i], raw)
+			}
+		}
 	}
 	if len(st.Nodes) != len(DemoScenario().Nodes) {
 		t.Fatalf("store holds %d nodes, want %d", len(st.Nodes), len(DemoScenario().Nodes))
+	}
+}
+
+// TestCaptureStatsSkipsUnreachableShard: a shard whose stats call fails
+// leaves its counters out of the deployment's sum — it does not zero the
+// surviving shards' traffic (what kspotd -connect publishes on /stats while
+// a shard is retrying).
+func TestCaptureStatsSkipsUnreachableShard(t *testing.T) {
+	addrs, servers := startWireShards(t, shardedDemo(t, 2), 0)
+	sys, err := OpenFederated(shardedDemo(t, 2), addrs,
+		WithWireTimeout(200*time.Millisecond), WithWireRetry(1, 5*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	runCursor(t, sys, "SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid", AlgoMINT, false, 4)
+	rows, err := sys.ShardStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	both := sys.CaptureStats("both", 4)
+	if both.Messages != rows[0].Messages+rows[1].Messages || rows[0].Messages == 0 || rows[1].Messages == 0 {
+		t.Fatalf("healthy sum %d msgs, rows %d + %d", both.Messages, rows[0].Messages, rows[1].Messages)
+	}
+
+	servers[1].Close() // the shard process dies
+
+	got := sys.CaptureStats("survivor", 4)
+	want := rows[0]
+	if got.Algorithm != "survivor" || got.Epochs != 4 {
+		t.Fatalf("label/epochs not applied: %+v", got)
+	}
+	if got.Messages != want.Messages || got.Frames != want.Frames || got.TxBytes != want.TxBytes ||
+		got.RxBytes != want.RxBytes || got.Drops != want.Drops || got.EnergyUJ != want.EnergyUJ {
+		t.Fatalf("sum with shard-1 unreachable:\ngot  %+v\nwant the surviving shard's row\n     %+v", got, want)
+	}
+	if _, err := sys.ShardStats(); err == nil {
+		t.Fatal("ShardStats hid the dead shard")
 	}
 }
