@@ -233,9 +233,9 @@ func (b *Shard) Detach(id uint32) error {
 // HistoricTopK buffers the shard's windows under exec and runs the historic
 // operator over them, returning the ranked instants and the number of nodes
 // holding a window; the windows stay cached for FetchSums until Release.
-// They are materialized from the
-// flat trace source by global node id, so per-epoch indices align across
-// shards at the coordinator with no translation.
+// They are materialized from the flat trace source by global node id, so
+// per-epoch indices align across shards at the coordinator with no
+// translation.
 func (b *Shard) HistoricTopK(exec uint32, algo string, q topk.HistoricQuery) ([]model.Answer, int, error) {
 	op, err := registry.Historic(algo)
 	if err != nil {
@@ -305,9 +305,9 @@ func (b *Shard) Snapshot() ([]byte, error) {
 	return storage.AppendShardState(nil, b.store.State(b.EnergyOf)), nil
 }
 
-// Restore applies a Snapshot image. The moved nodes' energy arrives bit-exact: the
-// ledger resumes the source shard's partial sums, so post-migration totals
-// equal the never-migrated run's.
+// Restore applies a Snapshot image. The moved nodes' energy arrives
+// bit-exact: the ledger resumes the source shard's partial sums, so
+// post-migration totals equal the never-migrated run's.
 func (b *Shard) Restore(img []byte) error {
 	if b.store == nil {
 		return fmt.Errorf("shard: %s has no durable tier to restore", b.name)
