@@ -68,6 +68,56 @@ func BenchmarkQueryPlan(b *testing.B) {
 	}
 }
 
+// tenantsCursors posts kspotd's flat-tenants shape on the demo scenario: 128
+// live cursors, 2 aggregates × K 1..4, so two acquisition groups over one
+// sensed union. The returned step advances every cursor one epoch, in
+// post order — the daemon's loop without the hub.
+func tenantsCursors(tb testing.TB) (step func()) {
+	tb.Helper()
+	sys, err := Open(DemoScenario())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(sys.Close)
+	var cursors []*Cursor
+	for i := 0; i < 128; i++ {
+		sql := fmt.Sprintf("SELECT TOP %d roomid, %s(sound) FROM sensors GROUP BY roomid", 1+i%4, []string{"AVG", "MAX"}[i/4%2])
+		cur, err := sys.Post(sql, WithLive())
+		if err != nil {
+			tb.Fatal(err)
+		}
+		cursors = append(cursors, cur)
+	}
+	return func() {
+		for _, cur := range cursors {
+			res, err := cur.Step()
+			if err != nil {
+				tb.Fatal(err)
+			}
+			if !res.Correct {
+				tb.Fatalf("epoch %d: %v, exact %v", res.Epoch, res.Answers, res.Exact)
+			}
+		}
+	}
+}
+
+// BenchmarkTenantsEpoch measures one epoch of the multi-tenant loop: every
+// one of 128 cursors stepped once (sense, two acquisitions, 128 cuts, 128
+// scores against the epoch's one exact ranking). CI gates its allocs/op to
+// agree run to run within rounding: the count follows the epochs' data,
+// but for a timing-dependent 0.2 %.
+func BenchmarkTenantsEpoch(b *testing.B) {
+	step := tenantsCursors(b)
+	for i := 0; i < 16; i++ { // creation phase, then every pooled buffer at capacity
+		step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}
+
 // BenchmarkHistoricTJA measures one full TJA execution (W=128, n=36).
 func BenchmarkHistoricTJA(b *testing.B) {
 	benchHistoric(b, "tja")

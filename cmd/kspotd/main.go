@@ -179,6 +179,12 @@ func (w *workload) step() (primary kspot.StepResult, ok bool) {
 			primary, ok = res, true
 		}
 	}
+	// At saturation this goroutine never blocks, so whatever the epoch made
+	// runnable — the SSE writers Publish signalled, a handler woken on a
+	// lock the loop released — waits in this P's run queue until another
+	// thread is woken to steal it, which takes about as long as an epoch
+	// does. Yield once per epoch so they run now.
+	runtime.Gosched()
 	return primary, ok
 }
 

@@ -47,7 +47,10 @@ type StepResult struct {
 	Answers []Answer
 	// Exact is the oracle answer for the same epoch over the union of
 	// every shard's readings (the simulator knows ground truth; a real
-	// deployment would not).
+	// deployment would not). The ranking behind it is computed once per
+	// epoch and shared by every cursor that ran on the union; this slice
+	// is the cursor's own copy of its TOP-K prefix, the caller's to keep
+	// or modify.
 	Exact   []Answer
 	Correct bool
 }
@@ -262,10 +265,12 @@ func (c *Cursor) StepContext(ctx context.Context) (StepResult, error) {
 	return c.result(out), nil
 }
 
-// result scores an epoch outcome against the exact oracle over the union
-// of the shards' readings.
+// result scores an epoch outcome against the epoch's exact oracle over the
+// union of the shards' readings: this cursor's K-prefix of its aggregate's
+// ranking (topk.ExactSnapshot over out.Readings, computed once for every
+// cursor of the epoch).
 func (c *Cursor) result(out engine.Outcome) StepResult {
-	exact := topk.ExactSnapshot(out.Readings, c.plan.Snapshot)
+	exact := out.Oracle.Exact(c.plan.Snapshot.Agg, c.plan.Snapshot.K)
 	return StepResult{
 		Epoch:   out.Epoch,
 		Answers: out.Answers,

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -236,6 +238,136 @@ func TestSchedulerStepContext(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSchedulerRebufferedOutcomeScores: the outcome a cancelled StepContext
+// hands back is re-buffered whole — the Step that finally consumes it
+// scores against the epoch's own oracle, the one a lagging seat's buffered
+// outcome of the same epoch still points at — and a queue that was pushed
+// to and popped from keeps delivering epochs in order.
+func TestSchedulerRebufferedOutcomeScores(t *testing.T) {
+	scen := config.Figure3Scenario()
+	net, err := scen.Network()
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := scen.Source()
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := engine.NewLive(net, engine.LiveOptions{})
+	live.Start(context.Background())
+	defer live.Stop()
+	sched := engine.NewScheduler(engine.NewDeployment("figure3", live, src))
+	defer sched.Close()
+	const epochs = 3
+	r := &slowRunner{enter: make(chan struct{}, epochs), gate: make(chan struct{})}
+	sq := sched.Add([]engine.EpochRunner{r}, nil, nil)
+	lagging := sched.Add([]engine.EpochRunner{okRunner{g: 1}}, nil, nil)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := sched.StepContext(ctx, sq)
+		done <- err
+	}()
+	<-r.enter // epoch 0 is in flight
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled StepContext returned %v", err)
+	}
+	close(r.gate) // epoch 0 finishes behind the caller and is handed back
+
+	q := topk.SnapshotQuery{K: 2, Agg: model.AggAvg}
+	oracles := make([]*engine.Oracle, epochs)
+	for e := range oracles {
+		out, err := sched.Step(sq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Epoch != model.Epoch(e) {
+			t.Fatalf("step %d delivered epoch %d", e, out.Epoch)
+		}
+		want := topk.ExactSnapshot(out.Readings, q)
+		if got := out.Oracle.Exact(q.Agg, q.K); len(want) != q.K || !model.EqualAnswers(got, want) {
+			t.Fatalf("epoch %d: oracle %v, ExactSnapshot %v", e, got, want)
+		}
+		oracles[e] = out.Oracle
+	}
+	for e := range oracles {
+		out, err := sched.Step(lagging)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Epoch != model.Epoch(e) || out.Oracle != oracles[e] {
+			t.Fatalf("lagging step %d: epoch %d, shares the epoch's oracle: %v", e, out.Epoch, out.Oracle == oracles[e])
+		}
+	}
+}
+
+// TestSchedulerControlPlaneHandOff: a Schedule (and the Remove after it)
+// issued while another goroutine steps flat out gets the epoch lock within a
+// few epochs. A saturated stepper re-takes the lock within nanoseconds of
+// releasing it, so without the hand-off a control-plane caller waits out the
+// mutex's 1 ms starvation threshold — or, on one processor, the 10 ms
+// preemption tick — which at this epoch length is hundreds of epochs. The
+// median is pinned, not the maximum: the host may take the waiter's thread
+// away for longer than that at any time.
+func TestSchedulerControlPlaneHandOff(t *testing.T) {
+	scen := config.Figure1Scenario()
+	net, err := scen.Network()
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := scen.Source()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := engine.NewScheduler(engine.NewDeployment("solo", net, src))
+	defer sched.Close()
+	sq := sched.Add([]engine.EpochRunner{okRunner{g: 1}}, nil, nil)
+
+	var epoch atomic.Int64 // the last epoch the stepper consumed
+	stop := make(chan struct{})
+	stepped := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				stepped <- nil
+				return
+			default:
+			}
+			out, err := sched.Step(sq)
+			if err != nil {
+				stepped <- err
+				return
+			}
+			epoch.Store(int64(out.Epoch))
+		}
+	}()
+	const posts, bound = 51, 8
+	waited := make([]int64, posts)
+	for i := range waited {
+		// A post arrives from outside, on a stepper that is at speed: were
+		// this loop to come straight back it would be the saturated one.
+		for at := epoch.Load(); epoch.Load() < at+32; {
+			time.Sleep(50 * time.Microsecond)
+		}
+		before := epoch.Load()
+		seat := sched.Schedule(engine.QuerySpec{Key: "shared", Ops: []engine.EpochRunner{okRunner{g: 2}}})
+		sched.Remove(seat)
+		waited[i] = epoch.Load() - before
+	}
+	close(stop)
+	if err := <-stepped; err != nil {
+		t.Fatal(err)
+	}
+	slices.Sort(waited)
+	if median := waited[posts/2]; median > bound {
+		t.Fatalf("a Schedule+Remove beside a saturated stepper waited %d epochs in the median (max %d), want at most %d", median, waited[posts-1], bound)
+	}
+	t.Logf("Schedule+Remove beside a saturated stepper: median %d epochs, max %d", waited[posts/2], waited[posts-1])
 }
 
 // TestSchedulerStepContextExpired: an already-expired context never runs

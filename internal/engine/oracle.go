@@ -1,0 +1,55 @@
+package engine
+
+import (
+	"sync"
+
+	"kspot/internal/model"
+)
+
+// Oracle is the exact answer over one epoch's readings union — the ground
+// truth every query that ran on that union is scored against. The
+// scheduler creates one per union per epoch and every Outcome of the epoch
+// points at it, so M cursors over the same readings cost one walk of the
+// map and one ranking per aggregate, not M of each.
+//
+// It is built on first use, by whichever cursor asks first and outside the
+// scheduler's epoch lock: an epoch nobody scores costs nothing, and
+// scoring never delays the next round. Cursors of one tier may be stepped
+// from different goroutines, hence the oracle's own mutex.
+type Oracle struct {
+	readings map[model.NodeID]model.Reading // read-only
+
+	mu    sync.Mutex
+	built bool
+	view  model.View
+	// ranked[agg] is the aggregate's full ranking of the view. SortAnswers
+	// is a total order, so the exact TOP-K is its K-prefix for every K.
+	ranked [model.AggCount + 1][]model.Answer
+}
+
+// Exact returns the exact TOP-k of the union under the aggregate: what
+// topk.ExactSnapshot computes over the same readings, element for element.
+// The slice is the caller's own — a fresh copy of the shared ranking's
+// prefix.
+func (o *Oracle) Exact(agg model.AggKind, k int) []model.Answer {
+	if k <= 0 {
+		return nil
+	}
+	o.mu.Lock()
+	if !o.built {
+		for _, r := range o.readings {
+			o.view.Add(r)
+		}
+		o.built = true
+	}
+	full := o.ranked[agg]
+	if full == nil {
+		full = o.view.TopK(agg, o.view.Len())
+		o.ranked[agg] = full
+	}
+	o.mu.Unlock()
+	if len(full) > k {
+		full = full[:k]
+	}
+	return append(make([]model.Answer, 0, len(full)), full...)
+}

@@ -3,6 +3,8 @@ package engine
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -24,7 +26,9 @@ type EpochRunner interface {
 // deployments (the answers pass through).
 type MergeFunc func(shardAnswers [][]model.Answer) ([]model.Answer, error)
 
-// Outcome is one epoch's result for one scheduled query.
+// Outcome is one epoch's result for one scheduled query. Answers are the
+// query's own; Readings and Oracle belong to the epoch and are shared by
+// every outcome that ran on the same union.
 type Outcome struct {
 	Epoch   model.Epoch
 	Answers []model.Answer
@@ -32,6 +36,9 @@ type Outcome struct {
 	// unioned across every shard (shared across queries unless the query
 	// declared its own source). Treat as read-only.
 	Readings map[model.NodeID]model.Reading
+	// Oracle is the exact answer over Readings, one per union per epoch
+	// (nil on an epoch whose rounds failed).
+	Oracle *Oracle
 	// Err is the shard's, operator's or merge's error for this epoch, if
 	// any.
 	Err error
@@ -54,6 +61,19 @@ type ScheduledQuery struct {
 
 	pending []Outcome // guarded by the scheduler's mu
 	removed bool
+}
+
+// pop consumes the query's oldest buffered outcome. The queue shifts down
+// in place and keeps its backing array — in lock-step serving it holds one
+// element, and re-slicing past it would cost the next epoch's append a
+// fresh array per member. The vacated slot is zeroed: an Outcome pins its
+// epoch's readings map and oracle.
+func (sq *ScheduledQuery) pop() Outcome {
+	out := sq.pending[0]
+	n := copy(sq.pending, sq.pending[1:])
+	sq.pending[n] = Outcome{}
+	sq.pending = sq.pending[:n]
+	return out
 }
 
 // acqGroup is one shared in-network acquisition: the query id every shard
@@ -132,6 +152,16 @@ type Scheduler struct {
 	// StepContext: every shard but an in-process deterministic simulator
 	// (a single-threaded state machine its caller may touch next) is safe.
 	background atomic.Bool
+
+	nshards atomic.Int32 // len(shards), readable without mu
+
+	// control counts the control-plane callers (Schedule, Remove,
+	// RepointGroup, GroupSize) queued for mu. A saturated stepping loop
+	// re-takes mu within nanoseconds of releasing it, so a waiter the unlock
+	// woke keeps losing the race until the mutex's 1 ms starvation hand-off;
+	// a step that finds the count non-zero yields its processor once before
+	// locking, which runs the woken waiter while mu is free.
+	control atomic.Int32
 }
 
 // NewScheduler returns a scheduler over in-process shard deployments.
@@ -155,6 +185,7 @@ func NewShardScheduler(shards ...*RemoteDeployment) *Scheduler {
 
 func (s *Scheduler) install(shards []*RemoteDeployment) {
 	s.shards = shards
+	s.nshards.Store(int32(len(shards)))
 	background := true
 	s.eachLocal(func(_ int, d *Deployment) { background = background && d.live })
 	s.background.Store(background)
@@ -169,12 +200,24 @@ func (s *Scheduler) eachLocal(fn func(i int, d *Deployment)) {
 	}
 }
 
-// Shards returns the number of shards.
-func (s *Scheduler) Shards() int {
+// lockControl takes mu for a control-plane call, ahead of the steppers.
+func (s *Scheduler) lockControl() {
+	s.control.Add(1)
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.shards)
+	s.control.Add(-1)
 }
+
+// giveWay is called by a step about to take mu: see Scheduler.control.
+func (s *Scheduler) giveWay() {
+	if s.control.Load() != 0 {
+		runtime.Gosched()
+	}
+}
+
+// Shards returns the number of shards. It does not take the epoch lock: a
+// post reads it on its way to Schedule, and at saturation every contended
+// acquisition of that lock waits out a starvation hand-off.
+func (s *Scheduler) Shards() int { return int(s.nshards.Load()) }
 
 // SetPipelining forces cross-epoch pipelining on every in-process shard on
 // or off, overriding the default (enabled on the live substrate, disabled
@@ -201,7 +244,7 @@ func (s *Scheduler) Add(ops []EpochRunner, merge MergeFunc, src trace.Source) *S
 // group its Key names — see QuerySpec. A query joins at the current epoch;
 // earlier outcomes are not replayed.
 func (s *Scheduler) Schedule(spec QuerySpec) *ScheduledQuery {
-	s.mu.Lock()
+	s.lockControl()
 	defer s.mu.Unlock()
 	sq := &ScheduledQuery{merge: spec.Merge, cutK: spec.CutK}
 	var g *acqGroup
@@ -250,7 +293,7 @@ func (s *Scheduler) detachOwned(g *acqGroup) {
 // GroupSize reports how many scheduled queries share the key's
 // acquisition group (0: no such group).
 func (s *Scheduler) GroupSize(key string) int {
-	s.mu.Lock()
+	s.lockControl()
 	defer s.mu.Unlock()
 	if g := s.byKey[key]; g != nil {
 		return len(g.members)
@@ -280,7 +323,7 @@ func (s *Scheduler) WidenGroup(key string, ops []EpochRunner) error {
 // replaces is the caller's to release once this returns — no round naming
 // it can be in flight any more.
 func (s *Scheduler) RepointGroup(key string, query uint32) error {
-	s.mu.Lock()
+	s.lockControl()
 	defer s.mu.Unlock()
 	g, err := s.keyed(key)
 	if err == nil {
@@ -301,7 +344,7 @@ func (s *Scheduler) keyed(key string) (*acqGroup, error) {
 // last member leaving a shared group dissolves the group — a later
 // Schedule under the same key creates a fresh acquisition.
 func (s *Scheduler) Remove(sq *ScheduledQuery) {
-	s.mu.Lock()
+	s.lockControl()
 	defer s.mu.Unlock()
 	if sq.removed {
 		return
@@ -417,6 +460,7 @@ func (s *Scheduler) tryPop(sq *ScheduledQuery) (out Outcome, ok bool) {
 		return Outcome{}, false
 	}
 	defer sq.stepMu.Unlock()
+	s.giveWay()
 	if !s.mu.TryLock() {
 		return Outcome{}, false
 	}
@@ -424,15 +468,14 @@ func (s *Scheduler) tryPop(sq *ScheduledQuery) (out Outcome, ok bool) {
 	if s.closed || sq.removed || len(sq.pending) == 0 {
 		return Outcome{}, false
 	}
-	out = sq.pending[0]
-	sq.pending = sq.pending[1:]
-	return out, true
+	return sq.pop(), true
 }
 
 // step pops the query's next outcome, running an epoch if none is
 // buffered. popped reports whether an outcome was actually consumed (so a
 // cancelled StepContext can re-buffer it).
 func (s *Scheduler) step(sq *ScheduledQuery) (Outcome, bool, error) {
+	s.giveWay()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -444,8 +487,7 @@ func (s *Scheduler) step(sq *ScheduledQuery) (Outcome, bool, error) {
 	if len(sq.pending) == 0 {
 		s.runEpochLocked()
 	}
-	out := sq.pending[0]
-	sq.pending = sq.pending[1:]
+	out := sq.pop()
 	return out, true, out.Err
 }
 
@@ -453,16 +495,16 @@ func (s *Scheduler) step(sq *ScheduledQuery) (Outcome, bool, error) {
 // the epoch stream stays gapless for the next Step. On a closed or
 // removed scheduler seat the outcome is dropped instead: no Step can ever
 // consume it (step refuses first), so re-buffering would only pin the
-// epoch's readings map alive behind a cursor the caller still holds —
-// the federated teardown path (one shard's cancelled epoch re-buffering
-// while the deployment Closes) must not retain dead state.
+// epoch's readings map and oracle alive behind a cursor the caller still
+// holds — the federated teardown path (one shard's cancelled epoch
+// re-buffering while the deployment Closes) must not retain dead state.
 func (s *Scheduler) pushFront(sq *ScheduledQuery, out Outcome) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if sq.removed || s.closed {
 		return
 	}
-	sq.pending = append([]Outcome{out}, sq.pending...)
+	sq.pending = slices.Insert(sq.pending, 0, out)
 }
 
 // Close rejects further Steps. It blocks until any in-flight epoch has
@@ -517,9 +559,12 @@ func (s *Scheduler) runEpochLocked() {
 		}
 		return
 	}
-	// The union for the oracle is identical for every group running on the
-	// shared sensing — compute it once, not once per group.
+	// The union, and the exact answer over it, are identical for every
+	// group running on the shared sensing — one of each per epoch, not one
+	// per group or per member. The oracle is only named here: the first
+	// cursor to score against it builds it, outside this lock.
 	union := MergeReadings(senses)
+	shared := &Oracle{readings: union}
 
 	for gi, g := range s.groups {
 		perShard := make([][]model.Answer, n)
@@ -533,19 +578,20 @@ func (s *Scheduler) runEpochLocked() {
 		err := s.firstErr(errs)
 		// Union the readings the group actually ran on: the shared sensing,
 		// or the shards' derived readings when the query overrides them.
-		readings := union
+		readings, oracle := union, shared
 		if err == nil && override {
 			per := make([]map[model.NodeID]model.Reading, n)
 			for i := range rounds {
 				per[i] = rounds[i][gi].Acq.Readings
 			}
 			readings = MergeReadings(per)
+			oracle = &Oracle{readings: readings}
 		}
 		// Every member runs its own merge/cut over the group's shared
 		// per-shard rankings (fed.Merger never mutates its inputs), so M
 		// same-key tenants cost M in-memory merges and ONE acquisition.
 		for _, q := range g.members {
-			out := Outcome{Epoch: e, Readings: readings}
+			out := Outcome{Epoch: e, Readings: readings, Oracle: oracle}
 			switch {
 			case err != nil:
 				out.Err = err
