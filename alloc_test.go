@@ -219,9 +219,6 @@ func TestTenantsStepAllocationCeiling(t *testing.T) {
 		t.Skip("sync.Pool drops Puts under the race detector: pooled views do not stay pooled")
 	}
 	step := tenantsCursors(t)
-	for i := 0; i < 16; i++ { // creation phase, then every pooled buffer at capacity
-		step()
-	}
 	const epochs = 200
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -18,9 +18,6 @@ import (
 	"kspot/internal/topk/topktest"
 )
 
-// sameAnswers is element-for-element equality, nil-ness included.
-func sameAnswers(a, b []Answer) bool { return reflect.DeepEqual(a, b) }
-
 // oracleWorld opens one of the conformance kit's randomized deployments —
 // this seed's has six rooms of three sensors, so COUNT ties across every
 // room every epoch and each K-th boundary is decided by the tie-break —
@@ -84,7 +81,7 @@ func TestSharedOracleMatchesExactSnapshot(t *testing.T) {
 					}
 					res := cur.result(out)
 					want := topk.ExactSnapshot(out.Readings, cur.plan.Snapshot)
-					if !sameAnswers(res.Exact, want) {
+					if !reflect.DeepEqual(res.Exact, want) { // element for element, nil-ness included
 						t.Fatalf("epoch %d %q: Exact %v, ExactSnapshot %v", out.Epoch, cur.Query(), res.Exact, want)
 					}
 					if res.Correct != model.EqualAnswers(out.Answers, want) {
@@ -143,10 +140,10 @@ func TestSharedOracleExactIsCallerOwned(t *testing.T) {
 			victim.Exact[i] = Answer{Group: 999, Score: -1}
 		}
 		_ = append(victim.Exact, Answer{Group: 998}, Answer{Group: 997})
-		if !sameAnswers(before.Exact, want) {
+		if !reflect.DeepEqual(before.Exact, want) {
 			t.Fatalf("epoch %d: a copy cut earlier changed to %v, want %v", e, before.Exact, want)
 		}
-		if after := step(curs[2]); !sameAnswers(after.Exact, want) {
+		if after := step(curs[2]); !reflect.DeepEqual(after.Exact, want) {
 			t.Fatalf("epoch %d: a copy cut later reads %v, want %v", e, after.Exact, want)
 		}
 	}
@@ -175,7 +172,7 @@ func TestSharedOracleConcurrentCursors(t *testing.T) {
 					return
 				}
 				res := cur.result(out)
-				if want := topk.ExactSnapshot(out.Readings, cur.plan.Snapshot); !sameAnswers(res.Exact, want) || !res.Correct {
+				if want := topk.ExactSnapshot(out.Readings, cur.plan.Snapshot); !reflect.DeepEqual(res.Exact, want) || !res.Correct {
 					t.Errorf("epoch %d %q: answers %v, Exact %v, ExactSnapshot %v", out.Epoch, sql, res.Answers, res.Exact, want)
 					return
 				}
