@@ -8,7 +8,6 @@ import (
 	"kspot/internal/engine"
 	"kspot/internal/model"
 	"kspot/internal/query"
-	"kspot/internal/topk"
 	"kspot/internal/topk/fed"
 )
 
@@ -281,8 +280,8 @@ func (c *Cursor) result(out engine.Outcome) StepResult {
 
 // Run executes a historic query over the last Window epochs of buffered
 // history (each shard materializes its nodes' windows through
-// storage.Window, standing in for the motes' flash buffers). Every shard
-// buffers its own windows and runs the historic operator locally; only
+// storage.BufferSeries, standing in for the motes' flash buffers). Every
+// shard buffers its own windows and runs the historic operator locally; only
 // shard-level results cross the shard contract — on a federated deployment
 // the shard's local TOP-shipK partial sums, then the sums the coordinator's
 // two-phase threshold round targets (fed.HistoricMerger), exact and
@@ -321,7 +320,7 @@ func (c *Cursor) Run() ([]Answer, error) {
 		}
 		execs := make([]fed.HistoricShard, len(shards))
 		for i, h := range shards {
-			execs[i] = historicExec{h, exec, string(c.algo), c.plan.Historic}
+			execs[i] = fed.HostExec{Host: h, Exec: exec, Algo: string(c.algo), Q: c.plan.Historic}
 		}
 		// Shards that are processes, or live substrates, run their halves of
 		// the round concurrently; deterministic ones keep shard order.
@@ -337,29 +336,4 @@ func (c *Cursor) Run() ([]Answer, error) {
 		err = run()
 	}
 	return answers, err
-}
-
-// historicExec is one historic execution on one shard: the coordinator's
-// merge surface (fed.HistoricShard) over the shard contract's calls.
-type historicExec struct {
-	shard shardHandle
-	exec  uint32
-	algo  string
-	q     topk.HistoricQuery
-}
-
-// LocalTopK implements fed.HistoricShard. The shard operator runs pinned to
-// the SUM aggregate: SUM and AVG rank instants identically within a shard
-// (AVG divides every instant by the same participant count), and the
-// coordinator needs the exact partial sums — a shard-local AVG would bake
-// in the shard's own divisor and lose them.
-func (h historicExec) LocalTopK(shipK int) ([]model.Answer, int, error) {
-	q := h.q
-	q.K, q.Agg = shipK, model.AggSum
-	return h.shard.HistoricTopK(h.exec, h.algo, q)
-}
-
-// FetchSums implements fed.HistoricShard: the phase-2 targeted sweep.
-func (h historicExec) FetchSums(ids []model.GroupID) (map[model.GroupID]int64, error) {
-	return h.shard.FetchSums(h.exec, ids)
 }

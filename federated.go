@@ -23,19 +23,21 @@ import (
 	"kspot/internal/wire"
 )
 
-// WithWireTimeout bounds each remote shard call attempt (default 10s).
-// Applies to OpenFederated only.
-func WithWireTimeout(call time.Duration) OpenOption {
+// withWireTimeout bounds each remote shard call attempt (default 10s) —
+// the tests shorten it to fail a dead shard fast. Applies to OpenFederated
+// only.
+func withWireTimeout(call time.Duration) OpenOption {
 	return func(c *openConfig) { c.wireCall = call }
 }
 
-// WithWireRetry sets the per-call retry budget of a remote deployment:
+// withWireRetry sets the per-call retry budget of a remote deployment:
 // retries re-attempts after the first (default 4), sleeping backoff
-// before the first retry and doubling it per attempt (default 50ms).
-// Retries are safe at any setting — the shard executes each call at most
-// once regardless of how many frames the socket loses. Applies to
+// before the first retry and doubling it per attempt (default 50ms). The
+// tests tune it to a degraded socket or a restarting shard; retries are
+// safe at any setting — the shard executes each call at most once
+// regardless of how many frames the socket loses. Applies to
 // OpenFederated only.
-func WithWireRetry(retries int, backoff time.Duration) OpenOption {
+func withWireRetry(retries int, backoff time.Duration) OpenOption {
 	return func(c *openConfig) {
 		c.wireRetries = retries
 		c.wireBackoff = backoff

@@ -6,12 +6,11 @@ import (
 	"kspot/internal/config"
 	"kspot/internal/engine"
 	"kspot/internal/model"
+	"kspot/internal/shard"
 	"kspot/internal/sim"
-	"kspot/internal/storage"
 	"kspot/internal/topk"
 	"kspot/internal/topk/fed"
 	"kspot/internal/topk/mint"
-	"kspot/internal/topk/tja"
 	"kspot/internal/trace"
 )
 
@@ -104,21 +103,30 @@ func fedMintEpoch(b *testing.B) {
 }
 
 // fedHistoricEpoch measures one full federated historic execution (TOP-4
-// WITH HISTORY 16) per iteration on the sharded scale deployment: per-shard
-// TJA over the buffered windows, two-phase threshold merge at the
-// coordinator. Its "epoch" is one execution: it reports per-execution radio
-// traffic (summed over the shards) and coordinator backhaul bytes under the
-// table's per-epoch units.
+// WITH HISTORY 16) per iteration on the sharded scale deployment, through
+// the calls Cursor.Run makes: each shard body (shard.New) buffers its
+// windows and runs TJA over them, the coordinator runs the two-phase
+// threshold merge, and the execution is released. The timed loop therefore
+// includes the per-execution buffering. Its "epoch" is one execution: it
+// reports per-execution radio traffic (summed over the shards) and
+// coordinator backhaul bytes under the table's per-epoch units.
 func fedHistoricEpoch(b *testing.B) {
-	_, nets, src := fedDeployment(b)
+	scen, err := config.ScaleScenarioShards(FederatedScaleSize, FederatedShardCount)
+	if err != nil {
+		b.Fatal(err)
+	}
 	q := topk.HistoricQuery{K: 4, Agg: model.AggAvg, Window: 16}
-	shards := make([]fed.HistoricShard, len(nets))
-	for i, net := range nets {
-		series, err := storage.BufferSeries(net.Topology().SensorNodes(), q.Window, src.Sample)
-		if err != nil {
+	const exec = 1
+	bodies := make([]*shard.Shard, FederatedShardCount)
+	nets := make([]*sim.Network, len(bodies))
+	shards := make([]fed.HistoricShard, len(bodies))
+	for i := range bodies {
+		if bodies[i], err = shard.New(shard.Config{Scenario: scen, Shard: i}); err != nil {
 			b.Fatal(err)
 		}
-		shards[i] = &fed.OperatorShard{Op: tja.New(), Tp: net, Q: q, Data: topk.HistoricData(series)}
+		defer bodies[i].Close()
+		nets[i] = bodies[i].Network()
+		shards[i] = fed.HostExec{Host: bodies[i], Exec: exec, Algo: "tja", Q: q}
 	}
 	var stats fed.Stats
 	merger, err := fed.NewHistoric(q, fed.Config{}, &stats)
@@ -130,6 +138,9 @@ func fedHistoricEpoch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := merger.Run(shards, false); err != nil {
 			b.Fatal(err)
+		}
+		for _, body := range bodies {
+			body.Release(exec)
 		}
 	}
 	b.StopTimer()

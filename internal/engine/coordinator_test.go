@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -404,53 +402,5 @@ func TestSchedulerStepContextExpired(t *testing.T) {
 	}
 	if out.Epoch != 0 {
 		t.Fatalf("epoch stream began at %d after expired StepContexts, want 0", out.Epoch)
-	}
-}
-
-// TestRunShards: the one-shot per-shard fan-out visits every deployment
-// index-aligned, and the first error by shard order comes back tagged with
-// the shard's name.
-func TestRunShards(t *testing.T) {
-	deps := make([]*engine.Deployment, 3)
-	for i := range deps {
-		scen := config.Figure1Scenario()
-		net, err := scen.Network()
-		if err != nil {
-			t.Fatal(err)
-		}
-		src, err := scen.Source()
-		if err != nil {
-			t.Fatal(err)
-		}
-		deps[i] = engine.NewDeployment(fmt.Sprintf("shard-%d", i), net, src)
-	}
-	sched := engine.NewScheduler(deps...)
-	var mu sync.Mutex
-	seen := make(map[int]engine.RemoteShard)
-	err := sched.RunShards(func(i int, d *engine.RemoteDeployment) error {
-		mu.Lock()
-		seen[i] = d.Shard()
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != len(deps) {
-		t.Fatalf("visited %d shards, want %d", len(seen), len(deps))
-	}
-	for i, d := range deps {
-		if seen[i] != d {
-			t.Fatalf("shard %d got deployment %v", i, seen[i])
-		}
-	}
-	err = sched.RunShards(func(i int, d *engine.RemoteDeployment) error {
-		if i >= 1 {
-			return fmt.Errorf("boom %d", i)
-		}
-		return nil
-	})
-	if err == nil || !strings.Contains(err.Error(), "shard-1") || !strings.Contains(err.Error(), "boom 1") {
-		t.Fatalf("error not first-by-shard-order or untagged: %v", err)
 	}
 }

@@ -190,33 +190,6 @@ func TestRemoteCoordinatorMergeRequired(t *testing.T) {
 	}
 }
 
-func TestRemoteCoordinatorRunShards(t *testing.T) {
-	coord := stubScheduler(&stubShard{}, &stubShard{}, &stubShard{})
-	var mu sync.Mutex
-	seen := map[string]bool{}
-	if err := coord.RunShards(func(i int, d *RemoteDeployment) error {
-		mu.Lock()
-		seen[d.Name()] = true
-		mu.Unlock()
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 3 {
-		t.Fatalf("visited %d shards", len(seen))
-	}
-	// First error in shard order wins, tagged.
-	err := coord.RunShards(func(i int, d *RemoteDeployment) error {
-		if i >= 1 {
-			return fmt.Errorf("boom %d", i)
-		}
-		return nil
-	})
-	if err == nil || !strings.Contains(err.Error(), "shard-1") {
-		t.Fatalf("RunShards error: %v", err)
-	}
-}
-
 func TestRemoteCoordinatorBatchedRound(t *testing.T) {
 	// A shard serves the whole epoch in one call: every group's qid in the
 	// request, in group order, readings in the union.

@@ -631,21 +631,6 @@ func (s *Scheduler) Install(shards []*RemoteDeployment) error {
 	return nil
 }
 
-// RunShards invokes fn once per shard concurrently (distinct shards are
-// distinct state machines, or processes whose round trips overlap) and
-// returns the first error in shard order, tagged with the shard's name.
-// It runs serialized against epoch rounds, with the shard-indexing
-// discipline the epoch loop uses, so results land index-aligned.
-func (s *Scheduler) RunShards(fn func(i int, d *RemoteDeployment) error) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	errs := make([]error, len(s.shards))
-	s.fanOut(func(i int) {
-		errs[i] = fn(i, s.shards[i])
-	})
-	return s.firstErr(errs)
-}
-
 // Serialized runs fn while holding the scheduler's epoch lock: one-shot
 // multi-call protocols (the federated historic threshold round, which
 // fans its own per-shard calls out) run atomically with respect to epoch

@@ -13,8 +13,8 @@ import (
 	"kspot/internal/model"
 )
 
-// TestWindowErrorPaths table-tests the validation errors of the window
-// layer: every rejected construction or access carries a field-path-style
+// TestWindowErrorPaths table-tests the validation errors of the history
+// windows: every rejected construction or record carries a field-path-style
 // message (like scenario Validate's), so a wrapped error names exactly
 // what was out of range.
 func TestWindowErrorPaths(t *testing.T) {
@@ -23,27 +23,20 @@ func TestWindowErrorPaths(t *testing.T) {
 		err  func() error
 		want string
 	}{
-		{"capacity zero", func() error { _, err := NewWindow(0); return err },
-			"storage: window.capacity: must be >= 1, got 0"},
-		{"capacity negative", func() error { _, err := NewWindow(-3); return err },
-			"storage: window.capacity: must be >= 1, got -3"},
-		{"at negative", func() error {
-			w, _ := NewWindow(2)
-			w.Push(1, 1)
-			_, _, err := w.At(-1)
-			return err
-		}, "storage: window.at[-1]: out of range [0,1)"},
-		{"at past size", func() error {
-			w, _ := NewWindow(2)
-			w.Push(1, 1)
-			_, _, err := w.At(1)
-			return err
-		}, "storage: window.at[1]: out of range [0,1)"},
+		{"capacity zero", func() error { _, err := BufferSeries(nil, 0, nil); return err },
+			"storage: history window: must be >= 1, got 0"},
+		{"capacity negative", func() error { _, err := BufferSeries(nil, -3, nil); return err },
+			"storage: history window: must be >= 1, got -3"},
 		{"push regression", func() error {
-			w, _ := NewWindow(2)
-			w.Push(5, 1)
-			return w.Push(5, 2)
-		}, "storage: window.push: epoch 5 not after 5"},
+			st, _ := OpenStore("", 2)
+			st.replay(batch(5, 1, 1))
+			return st.replay(batch(5, 1, 2))
+		}, "storage: epoch 5 record not after epoch 5"},
+		{"restore past cursor", func() error {
+			st, _ := OpenStore("", 2)
+			return st.Restore(ShardState{HasEpoch: true, Epoch: 4, Nodes: []NodeState{
+				{Node: 1, Epochs: []model.Epoch{4, 5}, Values: []int64{1, 2}}}})
+		}, "storage: restoring node 1: epoch 5 is past the image's cursor"},
 		{"store capacity", func() error { _, err := OpenStore("", 0); return err },
 			"storage: store.capacity: must be >= 1, got 0"},
 	}
@@ -318,10 +311,10 @@ func TestLogRewriteIsAtomic(t *testing.T) {
 	}
 }
 
-// TestWindowDiskRecovery: windows recorded through a disk-backed store
+// TestStoreDiskRecovery: epochs recorded through a disk-backed store
 // recover byte-identically — same series, same epochs, evictions included
 // — from the shard log, and continue accepting epochs.
-func TestWindowDiskRecovery(t *testing.T) {
+func TestStoreDiskRecovery(t *testing.T) {
 	dir := t.TempDir()
 	st, err := OpenStore(dir, 3)
 	if err != nil {
@@ -343,13 +336,92 @@ func TestWindowDiskRecovery(t *testing.T) {
 	if got := stateBytes(re); got != want {
 		t.Fatalf("recovered state %x, want %x", got, want)
 	}
-	w := re.windows[2]
-	if fmt.Sprint(w.Epochs()) != "[3 4 5]" || fmt.Sprint(w.Series()) != fmt.Sprint([]model.Value{30.5, 40.5, 50.5}) {
-		t.Fatalf("recovered node 2 window %v@%v", w.Series(), w.Epochs())
+	node2 := func() NodeState { return re.State(nil).Nodes[1] }
+	if w := node2(); fmt.Sprint(w.Epochs) != "[3 4 5]" || fmt.Sprint(w.Values) != "[3050 4050 5050]" {
+		t.Fatalf("recovered node 2 window %v@%v", w.Values, w.Epochs)
 	}
 	re.RecordReadings(6, readings(6, 2))
-	if e, ok := w.LastEpoch(); !ok || e != 6 || re.err != nil {
-		t.Fatalf("post-recovery push: last epoch %d,%v, err %v", e, ok, re.err)
+	if w := node2(); w.Epochs[len(w.Epochs)-1] != 6 || re.err != nil {
+		t.Fatalf("post-recovery push: epochs %v, err %v", w.Epochs, re.err)
+	}
+}
+
+// TestStoreSnapshotCarriesTheLastEpochs: an image holds the shard's last
+// capacity epochs, not each node's last capacity readings — a node silent
+// for longer keeps its roster seat and its energy but carries no readings.
+// The image is the same from a memory store, from a reopened disk store,
+// and from a disk store restored from it. A restored log holds only the
+// image's records, so reopening it seats only the nodes they carry: the
+// silent node's seat is not on disk until it reports again.
+func TestStoreSnapshotCarriesTheLastEpochs(t *testing.T) {
+	const capacity = 4
+	energy := func(n model.NodeID) float64 { return float64(n) * 2.5 }
+	record := func(st *Store) {
+		for e := model.Epoch(0); e < 10; e++ {
+			m := readings(e, 3)
+			if e > 2 {
+				delete(m, 3)
+			}
+			st.RecordReadings(e, m)
+		}
+	}
+	image := func(st *Store) string { return string(AppendShardState(nil, st.State(energy))) }
+
+	mem, err := OpenStore("", capacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	record(mem)
+	want := image(mem)
+	got := mem.State(energy)
+	if !got.HasEpoch || got.Epoch != 9 || len(got.Nodes) != 3 {
+		t.Fatalf("image cursor %d,%v with %d nodes", got.Epoch, got.HasEpoch, len(got.Nodes))
+	}
+	for _, ns := range got.Nodes[:2] {
+		if fmt.Sprint(ns.Epochs) != "[6 7 8 9]" || ns.EnergyUJ != energy(ns.Node) {
+			t.Fatalf("node %d carries epochs %v, energy %v", ns.Node, ns.Epochs, ns.EnergyUJ)
+		}
+	}
+	if silent := got.Nodes[2]; silent.Node != 3 || silent.EnergyUJ != energy(3) || len(silent.Epochs) != 0 {
+		t.Fatalf("silent node in the image: %+v", silent)
+	}
+
+	reopen := func(dir string) *Store {
+		t.Helper()
+		st, err := OpenStore(dir, capacity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	dir := t.TempDir()
+	disk := reopen(dir)
+	record(disk)
+	if err := disk.Close(); err != nil {
+		t.Fatal(err)
+	}
+	disk = reopen(dir)
+	defer disk.Close()
+	if image(disk) != want {
+		t.Fatal("a reopened disk store's image differs from the memory store's")
+	}
+
+	restoredDir := t.TempDir()
+	restored := reopen(restoredDir)
+	if err := restored.Restore(got); err != nil {
+		t.Fatal(err)
+	}
+	if image(restored) != want {
+		t.Fatal("a restored store's image differs from the source's")
+	}
+	if err := restored.Close(); err != nil {
+		t.Fatal(err)
+	}
+	restored = reopen(restoredDir)
+	defer restored.Close()
+	reporting := got.FilterNodes(map[model.NodeID]bool{1: true, 2: true})
+	if image(restored) != string(AppendShardState(nil, reporting)) {
+		t.Fatalf("a restored and reopened store's image %+v, want %+v", restored.State(energy), reporting)
 	}
 }
 
@@ -464,13 +536,14 @@ func TestStoreTornEpochEveryBoundary(t *testing.T) {
 		if e, ok := re.Cursor(); !ok || e != n-2 {
 			t.Fatalf("cut %d: cursor %d,%v, want %d", cut, e, ok, n-2)
 		}
-		for id, w := range re.windows {
-			if e, _ := w.LastEpoch(); w.Len() != n-1 || e != n-2 {
-				t.Fatalf("cut %d: node %d holds %d epochs up to %d", cut, id, w.Len(), e)
+		recovered := re.State(nil).Nodes
+		for _, ns := range recovered {
+			if len(ns.Epochs) != n-1 || ns.Epochs[len(ns.Epochs)-1] != n-2 {
+				t.Fatalf("cut %d: node %d holds epochs %v", cut, ns.Node, ns.Epochs)
 			}
 		}
-		if len(re.windows) != nodes {
-			t.Fatalf("cut %d: %d nodes recovered", cut, len(re.windows))
+		if len(recovered) != nodes {
+			t.Fatalf("cut %d: %d nodes recovered", cut, len(recovered))
 		}
 		re.RecordReadings(n-1, readings(n-1, nodes))
 		if got := stateBytes(re); got != want || re.err != nil {

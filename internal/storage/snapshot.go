@@ -2,13 +2,13 @@ package storage
 
 // ShardState is the serialized form of a shard's durable tier — what
 // wire.MsgSnapshot streams out and wire.MsgRestore streams in: the epoch
-// cursor, and per node the buffered window (epochs strictly ascending,
-// values in the fixed64 quantized form segments use) plus the node's
-// energy-ledger total in bit-exact float64. The encoding is canonical —
-// nodes strictly ascending, epochs strictly ascending within a node, one
-// byte form per state — so a restored shard re-snapshots to the identical
-// bytes, which is how the migration tests pin "the windows actually
-// moved".
+// cursor, and per roster node its readings in the store's last epochs
+// (epochs strictly ascending, values in the fixed64 quantized form epoch
+// records use) plus the node's energy-ledger total in bit-exact float64.
+// The encoding is canonical — nodes strictly ascending, epochs strictly
+// ascending within a node, one byte form per state — so a restored shard
+// re-snapshots to the identical bytes, which is how the migration tests
+// pin "the history actually moved".
 
 import (
 	"encoding/binary"

@@ -1,26 +1,35 @@
+// Package storage is a KSpot shard's durable historic tier, standing in for
+// the flash the paper's motes index with MicroHash. Store keeps a shard's
+// last epochs as epoch records — in memory and, given a data directory, in
+// one append-only Log, the one file format that directory holds.
+// BufferSeries materializes the windows a historic query runs over.
 package storage
 
-// Store is one shard's durable historic tier: a Window per sensor node,
-// fed every committed sense epoch. With a data directory it also owns one
-// append-only Log, shard.log, whose record is one whole epoch — the
-// readings of every node that sensed it:
+// Store is one shard's durable historic tier. Its only form of history is
+// the epoch record — the readings of every node that sensed one epoch:
 //
 //	kind u8 | epoch u32 | count u32 | (node u16, value s64)×count
 //
 // nodes strictly ascending, values in the model codec's fixed64 quantized
 // form (s64 centi-units, what shard snapshots carry). The encoding is
-// canonical and enforced on decode. With an empty directory the store is
-// memory-backed — the default, byte-identical in every answer.
+// canonical and enforced on decode. The store keeps its last capacity
+// records in a ring; with a data directory every record is also appended to
+// shard.log, and the ring's slot is the very bytes appended. With an empty
+// directory the store is memory-backed — the default, byte-identical in
+// every answer.
 //
-// Opening a store on a directory that already holds a log is recovery:
-// the log's clean records replay into fresh windows (the torn tail
-// truncates, see log.go) and the cursor resumes at the last whole epoch.
-// An epoch is one CRC'd record, so a crash leaves it recorded for every
-// node or for none, and the coordinator's retried round re-records it.
+// Opening a store on a directory that already holds a log is recovery: the
+// log's clean records are validated, seat the roster and set the cursor,
+// and the last capacity of them stay in the ring (the torn tail truncates,
+// see log.go). An epoch is one CRC'd record, so a crash leaves it recorded
+// for every node or for none, and the coordinator's retried round
+// re-records it.
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -32,21 +41,22 @@ import (
 // Store is safe for concurrent use; the wire server records epochs and
 // serves snapshots from different calls.
 type Store struct {
-	mu       sync.Mutex
-	dir      string // "" = memory-backed
-	capacity int
-	windows  map[model.NodeID]*Window
-	roster   []model.NodeID // the windows' keys, ascending
-	log      *Log           // nil = memory-backed
-	rec      []byte         // epoch-batch scratch
-	cursor   model.Epoch
-	hasCur   bool
-	err      error // first durable-tier failure, sticky
+	mu     sync.Mutex
+	dir    string // "" = memory-backed
+	log    *Log   // nil = memory-backed
+	seated []bool // by node id: on the roster
+	roster []model.NodeID
+	ring   [][]byte // the last len(ring) epoch records, oldest at ring[head]
+	head   int
+	n      int // records in the ring
+	cursor model.Epoch
+	hasCur bool
+	err    error // first durable-tier failure, sticky
 }
 
-// DefaultStoreWindow is the per-node capacity of the durable tier: deep
-// enough for every historic window the scenarios pose, shallow enough that
-// a mote-sized flash could hold it.
+// DefaultStoreWindow is the durable tier's capacity in epochs: deep enough
+// for every historic window the scenarios pose, shallow enough that a
+// mote-sized flash could hold it.
 const DefaultStoreWindow = 64
 
 const (
@@ -100,18 +110,14 @@ func decodeBatch(p []byte) (model.Epoch, []byte, error) {
 	return e, entries, nil
 }
 
-// OpenStore opens the durable tier. dir == "" selects the memory backend;
-// otherwise the directory is created if needed and an existing log is
-// recovered.
+// OpenStore opens the durable tier, keeping the last capacity epochs.
+// dir == "" selects the memory backend; otherwise the directory is created
+// if needed and an existing log is recovered.
 func OpenStore(dir string, capacity int) (*Store, error) {
 	if capacity < 1 {
 		return nil, fmt.Errorf("storage: store.capacity: must be >= 1, got %d", capacity)
 	}
-	s := &Store{
-		dir:      dir,
-		capacity: capacity,
-		windows:  make(map[model.NodeID]*Window),
-	}
+	s := &Store{dir: dir, ring: make([][]byte, capacity)}
 	if dir == "" {
 		return s, nil
 	}
@@ -130,45 +136,76 @@ func OpenStore(dir string, capacity int) (*Store, error) {
 	return s, nil
 }
 
-// replay folds one recovered epoch batch into the windows.
+// replay validates one recovered epoch record, seats its nodes, advances
+// the cursor and keeps a copy in the ring.
 func (s *Store) replay(p []byte) error {
 	e, entries, err := decodeBatch(p)
 	if err != nil {
 		return err
 	}
+	if s.hasCur && e <= s.cursor {
+		return fmt.Errorf("storage: epoch %d record not after epoch %d", e, s.cursor)
+	}
+	var fresh []model.NodeID
 	for ; len(entries) > 0; entries = entries[batchEntrySize:] {
-		n, v := batchEntry(entries)
-		if err := s.window(n).Push(e, model.FromFixed(model.FixedPoint(v))); err != nil {
-			return fmt.Errorf("storage: replaying node %d: %w", n, err)
+		if n, _ := batchEntry(entries); !s.onRoster(n) {
+			fresh = append(fresh, n)
 		}
 	}
-	if !s.hasCur || e > s.cursor {
-		s.cursor, s.hasCur = e, true
-	}
+	s.seat(fresh)
+	i := s.push()
+	s.ring[i] = append(s.ring[i][:0], p...)
+	s.cursor, s.hasCur = e, true
 	return nil
 }
 
-// window returns node's window, seating it in the roster on first touch.
-// Caller holds s.mu (or is recovery, before the store is shared).
-func (s *Store) window(node model.NodeID) *Window {
-	w, ok := s.windows[node]
-	if !ok {
-		w, _ = NewWindow(s.capacity) // capacity was validated by OpenStore
-		s.windows[node] = w
-		i, _ := slices.BinarySearch(s.roster, node)
-		s.roster = slices.Insert(s.roster, i, node)
+func (s *Store) onRoster(n model.NodeID) bool { return int(n) < len(s.seated) && s.seated[n] }
+
+// seat puts fresh nodes (none on the roster yet) on the roster and re-sizes
+// every ring slot to hold a whole-roster record, so the steady state encodes
+// in place. Caller holds s.mu (or is recovery, before the store is shared).
+func (s *Store) seat(fresh []model.NodeID) {
+	if len(fresh) == 0 {
+		return
 	}
-	return w
+	if need := int(slices.Max(fresh)) + 1; need > len(s.seated) {
+		s.seated = append(s.seated, make([]bool, need-len(s.seated))...)
+	}
+	for _, n := range fresh {
+		s.seated[n] = true
+	}
+	s.roster = append(s.roster, fresh...)
+	slices.Sort(s.roster)
+	size := batchHeaderSize + len(s.roster)*batchEntrySize
+	slots := make([]byte, size*len(s.ring))
+	for i, rec := range s.ring {
+		s.ring[i] = append(slots[i*size:i*size:(i+1)*size], rec...)
+	}
 }
 
-// RecordReadings implements engine.ReadingsRecorder: it folds one
-// committed sense epoch into the windows and, in disk mode, appends it to
-// the log as one record and one write. Replays of an epoch at or below the
-// cursor are skipped — that is what makes a restarted shard's retried
-// epoch round idempotent against what the dead process already persisted.
-// A log failure sticks in Stats rather than poisoning the sense
-// path (a full disk must not change answers): the windows keep recording,
-// the log takes no more appends.
+// push claims the ring slot for the next record, evicting the oldest when
+// the ring is full, and returns its index. Caller holds s.mu.
+func (s *Store) push() int {
+	i := (s.head + s.n) % len(s.ring)
+	if s.n == len(s.ring) {
+		s.head = (s.head + 1) % len(s.ring)
+	} else {
+		s.n++
+	}
+	return i
+}
+
+// record returns the i-th oldest record in the ring. Caller holds s.mu.
+func (s *Store) record(i int) []byte { return s.ring[(s.head+i)%len(s.ring)] }
+
+// RecordReadings implements engine.ReadingsRecorder: it encodes one
+// committed sense epoch as a record into the ring and, in disk mode,
+// appends that record to the log in one write. Replays of an epoch at or
+// below the cursor are skipped — that is what makes a restarted shard's
+// retried epoch round idempotent against what the dead process already
+// persisted. A log failure sticks in Stats rather than poisoning the sense
+// path (a full disk must not change answers): the ring keeps recording, the
+// log takes no more appends.
 func (s *Store) RecordReadings(e model.Epoch, readings map[model.NodeID]model.Reading) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -179,30 +216,22 @@ func (s *Store) RecordReadings(e model.Epoch, readings map[model.NodeID]model.Re
 	// roster in id order so the walk below stays ascending.
 	var fresh []model.NodeID
 	for n := range readings {
-		if _, ok := s.windows[n]; !ok {
+		if !s.onRoster(n) {
 			fresh = append(fresh, n)
 		}
 	}
-	slices.Sort(fresh)
-	for _, n := range fresh {
-		s.window(n)
-	}
-	s.rec = beginBatch(s.rec[:0], e)
+	s.seat(fresh)
+	i := s.push()
+	rec := beginBatch(s.ring[i][:0], e)
 	for _, n := range s.roster {
-		r, ok := readings[n]
-		if !ok {
-			continue
-		}
-		if s.windows[n].Push(e, r.Value) != nil {
-			continue // restored ahead of the cursor by a snapshot
-		}
-		if s.log != nil {
-			s.rec = appendBatchEntry(s.rec, n, int64(model.ToFixed(r.Value)))
+		if r, ok := readings[n]; ok {
+			rec = appendBatchEntry(rec, n, int64(model.ToFixed(r.Value)))
 		}
 	}
+	s.ring[i] = endBatch(rec)
 	s.cursor, s.hasCur = e, true
 	if s.log != nil {
-		s.log.Append(endBatch(s.rec))
+		s.log.Append(s.ring[i])
 		s.fail(s.log.Flush())
 	}
 }
@@ -232,9 +261,10 @@ func (s *Store) Cursor() (model.Epoch, bool) {
 }
 
 // StoreStats is the storage block of the System Panel and /stats.
-// Segments counts the log files (1 in disk mode, 0 in memory mode), Bytes
-// their size including buffered appends; Err is the first durable-tier
-// failure — a shard showing one has stopped persisting.
+// Nodes is the roster size, Segments counts the log files (1 in disk mode,
+// 0 in memory mode), Bytes their size including buffered appends; Err is
+// the first durable-tier failure — a shard showing one has stopped
+// persisting.
 type StoreStats struct {
 	Dir       string      `json:"dir,omitempty"`
 	Nodes     int         `json:"nodes"`
@@ -249,7 +279,7 @@ type StoreStats struct {
 func (s *Store) Stats() StoreStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := StoreStats{Dir: s.dir, Nodes: len(s.windows), LastEpoch: s.cursor, HasEpoch: s.hasCur}
+	st := StoreStats{Dir: s.dir, Nodes: len(s.roster), LastEpoch: s.cursor, HasEpoch: s.hasCur}
 	if s.log != nil {
 		st.Segments, st.Bytes = 1, s.log.Size()
 	}
@@ -259,46 +289,84 @@ func (s *Store) Stats() StoreStats {
 	return st
 }
 
-// State serializes the store for a shard snapshot: every node's buffered
-// window plus the epoch cursor, with each node's energy drawn from
-// energyOf (µJ, bit-exact across the wire). Nodes ascend, so the encoding
-// is canonical.
+// State serializes the store for a shard snapshot: the ring's records
+// decoded per node, plus the epoch cursor, with each node's energy drawn
+// from energyOf (µJ, bit-exact across the wire). Every roster node is in
+// the image; one that reported in none of the ring's epochs carries no
+// readings. Nodes ascend, so the encoding is canonical.
 func (s *Store) State(energyOf func(model.NodeID) float64) ShardState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := ShardState{Epoch: s.cursor, HasEpoch: s.hasCur}
 	for _, n := range s.roster {
-		w := s.windows[n]
 		ns := NodeState{Node: n}
 		if energyOf != nil {
 			ns.EnergyUJ = energyOf(n)
 		}
-		for i := 0; i < w.Len(); i++ {
-			e, v, _ := w.At(i)
-			ns.Epochs = append(ns.Epochs, e)
-			ns.Values = append(ns.Values, int64(model.ToFixed(v)))
-		}
 		st.Nodes = append(st.Nodes, ns)
+	}
+	for i := 0; i < s.n; i++ {
+		e, entries, _ := decodeBatch(s.record(i)) // the store wrote it: canonical
+		j := 0                                    // roster position; record nodes ascend
+		for ; len(entries) > 0; entries = entries[batchEntrySize:] {
+			n, v := batchEntry(entries)
+			for s.roster[j] != n {
+				j++
+			}
+			st.Nodes[j].Epochs = append(st.Nodes[j].Epochs, e)
+			st.Nodes[j].Values = append(st.Nodes[j].Values, v)
+		}
 	}
 	return st
 }
 
-// Restore replaces the store's contents with a snapshot's: each node's
-// window rebuilds from the snapshot records, the cursor advances to the
-// snapshot's, and in disk mode the log is rewritten to match. Restore
-// never regresses the cursor — a shard that already sensed past the
-// snapshot keeps its lead.
+// Restore overlays a snapshot on the store: each image node's readings
+// replace that node's readings in the records, the other nodes' stay, the
+// last capacity epochs are kept, the cursor advances to the snapshot's, and
+// in disk mode the log is rewritten to match. Restore never regresses the
+// cursor — a shard that already sensed past the snapshot keeps its lead.
 func (s *Store) Restore(st ShardState) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	type entry struct {
+		node  model.NodeID
+		value int64
+	}
+	byEpoch := make(map[model.Epoch][]entry)
+	incoming := make(map[model.NodeID]bool, len(st.Nodes))
+	var fresh []model.NodeID
 	for _, ns := range st.Nodes {
-		w := s.window(ns.Node)
-		w.Clear()
-		for i := range ns.Epochs {
-			if err := w.Push(ns.Epochs[i], model.FromFixed(model.FixedPoint(ns.Values[i]))); err != nil {
-				return fmt.Errorf("storage: restoring node %d: %w", ns.Node, err)
+		for j, e := range ns.Epochs {
+			if !st.HasEpoch || e > st.Epoch {
+				return fmt.Errorf("storage: restoring node %d: epoch %d is past the image's cursor", ns.Node, e)
+			}
+			byEpoch[e] = append(byEpoch[e], entry{ns.Node, ns.Values[j]})
+		}
+		incoming[ns.Node] = true
+		if !s.onRoster(ns.Node) {
+			fresh = append(fresh, ns.Node)
+		}
+	}
+	for i := 0; i < s.n; i++ {
+		e, entries, _ := decodeBatch(s.record(i))
+		for ; len(entries) > 0; entries = entries[batchEntrySize:] {
+			if n, v := batchEntry(entries); !incoming[n] {
+				byEpoch[e] = append(byEpoch[e], entry{n, v})
 			}
 		}
+	}
+	s.seat(fresh)
+	epochs := slices.Sorted(maps.Keys(byEpoch))
+	s.head, s.n = 0, 0
+	for _, e := range epochs[max(0, len(epochs)-len(s.ring)):] {
+		entries := byEpoch[e]
+		slices.SortFunc(entries, func(a, b entry) int { return cmp.Compare(a.node, b.node) })
+		i := s.push()
+		rec := beginBatch(s.ring[i][:0], e)
+		for _, x := range entries {
+			rec = appendBatchEntry(rec, x.node, x.value)
+		}
+		s.ring[i] = endBatch(rec)
 	}
 	if st.HasEpoch && (!s.hasCur || st.Epoch > s.cursor) {
 		s.cursor, s.hasCur = st.Epoch, true
@@ -306,47 +374,26 @@ func (s *Store) Restore(st ShardState) error {
 	return s.rewrite()
 }
 
-// Reset empties the durable tier for a new coordinator session: every
-// window clears, the log rewrites to empty and the cursor rewinds, so the
-// new session records from its own epoch 0.
+// Reset empties the durable tier for a new coordinator session: the ring
+// empties, the log rewrites to empty and the cursor rewinds, so the new
+// session records from its own epoch 0. The roster stays.
 func (s *Store) Reset() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, w := range s.windows {
-		w.Clear()
-	}
+	s.head, s.n = 0, 0
 	s.cursor, s.hasCur = 0, false
 	return s.rewrite()
 }
 
-// rewrite makes the log equal the windows: the log is replaced (temp file
-// + rename) by the windows transposed back into epoch batches, oldest
-// epoch first. Caller holds s.mu.
+// rewrite makes the log equal the ring: the log is replaced (temp file +
+// rename) by the ring's records, oldest first. Caller holds s.mu.
 func (s *Store) rewrite() error {
 	if s.log == nil {
 		return nil
 	}
 	err := s.log.Rewrite(func() {
-		next := make([]int, len(s.roster)) // per node: the oldest reading not yet written
-		for {
-			var e model.Epoch
-			found := false
-			for i, n := range s.roster {
-				if we, _, err := s.windows[n].At(next[i]); err == nil && (!found || we < e) {
-					e, found = we, true
-				}
-			}
-			if !found {
-				return
-			}
-			s.rec = beginBatch(s.rec[:0], e)
-			for i, n := range s.roster {
-				if we, v, err := s.windows[n].At(next[i]); err == nil && we == e {
-					s.rec = appendBatchEntry(s.rec, n, int64(model.ToFixed(v)))
-					next[i]++
-				}
-			}
-			s.log.Append(endBatch(s.rec))
+		for i := 0; i < s.n; i++ {
+			s.log.Append(s.record(i))
 		}
 	})
 	s.fail(err)

@@ -50,15 +50,13 @@ import (
 	"math"
 	"sync"
 
-	"kspot/internal/engine"
 	"kspot/internal/model"
 	"kspot/internal/topk"
 )
 
 // HistoricShard is the coordinator's surface onto one shard's historic
-// execution. Implementations run the real per-shard protocols over the
-// shard's transport (kspot.Cursor adapts the shard contract's historic
-// calls; OperatorShard a bare transport).
+// execution. HostExec is the one implementation outside tests: it runs the
+// real per-shard protocols through a shard host's historic calls.
 type HistoricShard interface {
 	// LocalTopK runs the shard-local historic operator for the shard's top
 	// shipK instants ranked by local SUM partial, returning the ranked
@@ -70,38 +68,39 @@ type HistoricShard interface {
 	FetchSums(ids []model.GroupID) (map[model.GroupID]int64, error)
 }
 
-// OperatorShard adapts one shard's transport + windows buffered once to
-// the coordinator's merge surface, running a real historic operator for
-// phase 1 and the shared CL-style targeted sweep for phase 2 — the two
-// calls a shard body (internal/shard) answers per execution. The
-// in-process micro (internal/bench) federates through it so its timed loop
-// excludes the buffering.
-type OperatorShard struct {
-	Op   topk.HistoricOperator
-	Tp   engine.Transport
+// HistoricHost is the historic half of the shard contract: a shard body
+// (internal/shard) answers it in process and a wire client over a socket.
+// HistoricTopK buffers the host's windows under exec and runs the named
+// operator over them; FetchSums reads exact local sums off those windows.
+type HistoricHost interface {
+	HistoricTopK(exec uint32, algo string, q topk.HistoricQuery) ([]model.Answer, int, error)
+	FetchSums(exec uint32, ids []model.GroupID) (map[model.GroupID]int64, error)
+}
+
+// HostExec is one historic execution on one shard host: the coordinator's
+// merge surface over the host's calls. The caller releases Exec on the
+// host when the round is over.
+type HostExec struct {
+	Host HistoricHost
+	Exec uint32
+	Algo string
 	Q    topk.HistoricQuery
-	Data topk.HistoricData
 }
 
-// LocalTopK implements HistoricShard. The shard operator runs unchanged,
-// pinned to the SUM aggregate: SUM and AVG rank instants identically
-// within a shard (AVG divides every instant by the same participant
-// count), and the coordinator needs the exact partial sums — a
-// shard-local AVG would bake in the shard's own divisor and lose them.
-func (h *OperatorShard) LocalTopK(shipK int) ([]model.Answer, int, error) {
-	local := h.Q
-	local.K = shipK
-	local.Agg = model.AggSum
-	ans, err := h.Op.Run(h.Tp, local, h.Data)
-	if err != nil {
-		return nil, 0, err
-	}
-	return ans, len(h.Data), nil
+// LocalTopK implements HistoricShard. The shard operator runs pinned to the
+// SUM aggregate: SUM and AVG rank instants identically within a shard (AVG
+// divides every instant by the same participant count), and the
+// coordinator needs the exact partial sums — a shard-local AVG would bake
+// in the shard's own divisor and lose them.
+func (h HostExec) LocalTopK(shipK int) ([]model.Answer, int, error) {
+	q := h.Q
+	q.K, q.Agg = shipK, model.AggSum
+	return h.Host.HistoricTopK(h.Exec, h.Algo, q)
 }
 
-// FetchSums implements HistoricShard.
-func (h *OperatorShard) FetchSums(ids []model.GroupID) (map[model.GroupID]int64, error) {
-	return topk.FetchHistoricSums(h.Tp, h.Data, ids), nil
+// FetchSums implements HistoricShard: the phase-2 targeted sweep.
+func (h HostExec) FetchSums(ids []model.GroupID) (map[model.GroupID]int64, error) {
+	return h.Host.FetchSums(h.Exec, ids)
 }
 
 // Historic sentinel bounds for τ_i: exhausted shards bound their (empty)

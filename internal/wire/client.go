@@ -616,8 +616,9 @@ func (c *Client) EpochRound(e model.Epoch, queries []uint32) (map[model.NodeID]m
 	return rep.Readings, results, nil
 }
 
-// Snapshot streams the shard's durable state image — windows, epoch
-// cursor, per-node energy (storage.ShardState bytes) — in bounded chunks.
+// Snapshot streams the shard's durable state image — the last epochs'
+// readings per node, epoch cursor, per-node energy (storage.ShardState
+// bytes) — in bounded chunks.
 // The server pins the image on the first chunk, so the result is
 // consistent even while epochs keep committing.
 func (c *Client) Snapshot() ([]byte, error) {

@@ -1,7 +1,8 @@
 package wire
 
 // Snapshot/restore payload codecs. A shard's state — the
-// storage.ShardState bytes: windows, epoch cursor, per-node energy — can
+// storage.ShardState bytes: the last epochs' readings per node, epoch
+// cursor, per-node energy — can
 // exceed a frame, so both directions move it in bounded chunks:
 //
 //	MsgSnapshot      req:  offset u32

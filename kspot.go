@@ -465,7 +465,7 @@ func (s *System) PostWith(sql string, algo Algorithm, opts ...PostOption) (*Curs
 		return nil, err
 	}
 	if cfg.live && s.Remote() {
-		return nil, fmt.Errorf("kspot: a remote deployment has no local live substrate — each shard process picks its own (kspotd -serve-shard -live)")
+		return nil, fmt.Errorf("kspot: a remote deployment has no local live substrate — each shard process picks its own (kspotd -serve-shard -wire-live)")
 	}
 	// Admission runs after parsing (a malformed query is a syntax error,
 	// never a consumed slot) and before any deployment work: a rejected

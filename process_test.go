@@ -294,7 +294,7 @@ func TestProcessShardCrashRestartConformance(t *testing.T) {
 	// A generous retry budget rides out the restart window: attempts
 	// against the dead socket fail fast and back off until the replacement
 	// binds the same port.
-	remote, err := OpenFederated(scen, addrs, WithWireRetry(10, 200*time.Millisecond))
+	remote, err := OpenFederated(scen, addrs, withWireRetry(10, 200*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}

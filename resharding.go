@@ -12,8 +12,9 @@ package kspot
 //     query is re-attached on the new shards under the SAME rqid, so the
 //     lock-step tier fans out to the new deployment with zero translation;
 //   - the durable historic tier moves with the nodes: each old shard's
-//     windows + epoch cursor + energy ledger stream out as a canonical
-//     snapshot (wire.MsgSnapshot), split per target roster
+//     last epochs (its ring of epoch records, decoded per node) + epoch
+//     cursor + energy ledger stream out as a canonical snapshot
+//     (wire.MsgSnapshot), split per target roster
 //     (storage.ShardState.FilterNodes), and restore on the new shards
 //     (wire.MsgRestore) bit-exact — including float energy partial sums;
 //   - engine.Scheduler.Install is the drain: it takes the epoch
@@ -21,7 +22,7 @@ package kspot
 //     next Step after it lands on the new shards.
 //
 // The only migration artifact is a gap in the TARGET shards' durable
-// windows covering the epochs that elapsed between snapshot and install
+// records covering the epochs that elapsed between snapshot and install
 // (reported as DowntimeEpochs) — those epochs ran, and answered, on the
 // old deployment, whose own durable tier retains them.
 
@@ -40,7 +41,7 @@ type ReshardReport struct {
 	ToShards   int
 	// DowntimeEpochs is how many lock-step epochs elapsed while the
 	// migration was in flight. Queries kept answering through all of them
-	// (on the old deployment); the number bounds the durable-window gap on
+	// (on the old deployment); the number bounds the durable-record gap on
 	// the target shards.
 	DowntimeEpochs int
 	// MovedBytes is the total canonical snapshot bytes streamed out of the

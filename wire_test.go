@@ -269,8 +269,8 @@ func TestWireFrameFaultsByteIdentical(t *testing.T) {
 	clean, cleanHist, _ := run()
 	faulty, faultyHist, sys := run(
 		withWireFaults(wire.Faults{Seed: 7, Drop: 0.15, Dup: 0.15, Delay: 0.2, DropResp: 0.1, MaxDelay: time.Millisecond}),
-		WithWireTimeout(250*time.Millisecond),
-		WithWireRetry(10, 2*time.Millisecond),
+		withWireTimeout(250*time.Millisecond),
+		withWireRetry(10, 2*time.Millisecond),
 	)
 	stepEqualByteIdentical(t, "faulty vs clean sockets", faulty, clean)
 	if !bytes.Equal(answerBytes(faultyHist), answerBytes(cleanHist)) {
@@ -343,7 +343,7 @@ func TestWireShardLossMidEpoch(t *testing.T) {
 	const sql = "SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid"
 	addrs, servers := startWireShards(t, shardedDemo(t, 2), 0)
 	sys, err := OpenFederated(shardedDemo(t, 2), addrs,
-		WithWireTimeout(200*time.Millisecond), WithWireRetry(1, 5*time.Millisecond))
+		withWireTimeout(200*time.Millisecond), withWireRetry(1, 5*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,6 +478,8 @@ func TestWireOpenRejects(t *testing.T) {
 	}
 	if _, err := sys.Post("SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid", WithLive()); err == nil {
 		t.Fatal("WithLive accepted on a remote deployment")
+	} else if !strings.Contains(err.Error(), "-wire-live") {
+		t.Fatalf("WithLive rejection %q does not name kspotd's -wire-live flag", err)
 	}
 	if _, err := sys.PostWith("SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid", Algorithm("bogus")); err == nil {
 		t.Fatal("bogus algorithm accepted on a remote deployment")
@@ -667,7 +669,7 @@ func TestShardStackRecordsCommittedReadings(t *testing.T) {
 func TestCaptureStatsSkipsUnreachableShard(t *testing.T) {
 	addrs, servers := startWireShards(t, shardedDemo(t, 2), 0)
 	sys, err := OpenFederated(shardedDemo(t, 2), addrs,
-		WithWireTimeout(200*time.Millisecond), WithWireRetry(1, 5*time.Millisecond))
+		withWireTimeout(200*time.Millisecond), withWireRetry(1, 5*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
