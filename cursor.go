@@ -24,12 +24,14 @@ type Cursor struct {
 
 	merger *fed.Merger // nil on flat deployments
 
-	// A continuous cursor is a seat on its tier's lock-step scheduler,
-	// whatever the tier's shards are. Cursors whose queries share a sensing
+	// A continuous cursor is a seat on the System's lock-step scheduler,
+	// whatever its shards are. Cursors whose queries share a sensing
 	// signature (groupKey) ride ONE in-network acquisition per epoch; the
-	// cursor's own merge and TOP-K cut run above the shared view.
-	tier *tier
-	sq   *engine.ScheduledQuery
+	// cursor's own merge and TOP-K cut run above the shared view. A historic
+	// cursor holds no seat and runs serialized against the scheduler's
+	// epoch rounds.
+	sched *engine.Scheduler
+	sq    *engine.ScheduledQuery
 
 	// groupKey is the shared-acquisition key this cursor scheduled under
 	// (resolved algorithm + the plan's SenseKey); tenant/admitted record
@@ -92,14 +94,10 @@ func (c *Cursor) prepare() error {
 	if _, err := snapshotOperator(algo); err != nil {
 		return err
 	}
-	// Every continuous cursor of a tier shares its lock-step scheduler:
+	// Every continuous cursor of a System shares its lock-step scheduler:
 	// the epoch is sensed once however many queries are posted, and
 	// same-signature queries share one acquisition.
-	t, err := c.sys.tierOf(c.live)
-	if err != nil {
-		return err
-	}
-	if t.sched.Shards() > 1 {
+	if c.sched.Shards() > 1 {
 		m, err := fed.New(c.plan.Snapshot, fed.Config{}, c.sys.fedStats)
 		if err != nil {
 			return err
@@ -114,26 +112,25 @@ func (c *Cursor) prepare() error {
 	// own K first when they need a deeper ranking than it was attached at.
 	// Group bookkeeping is serialized across posts and closes by groupMu.
 	key := string(algo) + "|" + c.plan.SenseKey
-	gk := c.groupKeyFor(key)
 	s := c.sys
 	s.groupMu.Lock()
 	defer s.groupMu.Unlock()
-	st := s.groups[gk]
+	st := s.groups[key]
 	if st == nil || c.plan.Snapshot.K > st.cap {
 		next := &groupState{id: s.nextQueryID(), cap: c.plan.Snapshot.K, algo: algo, plan: c.plan}
-		err := attachGroup(t.shards, next)
+		err := attachGroup(s.shards, next)
 		if err == nil && st != nil {
-			err = t.sched.RepointGroup(key, next.id)
+			err = c.sched.RepointGroup(key, next.id)
 		}
 		if err != nil {
-			detachGroup(t.shards, next.id)
+			detachGroup(s.shards, next.id)
 			return err
 		}
-		s.swapGroup(t, gk, next)
+		s.swapGroup(key, next)
 		st = next
 	}
-	c.tier, c.groupKey = t, key
-	c.sq = t.sched.Schedule(engine.QuerySpec{Key: key, Query: st.id, Merge: c.mergeFunc(), CutK: c.cutK()})
+	c.groupKey = key
+	c.sq = c.sched.Schedule(engine.QuerySpec{Key: key, Query: st.id, Merge: c.mergeFunc(), CutK: c.cutK()})
 	return nil
 }
 
@@ -162,9 +159,9 @@ func detachGroup(shards []shardHandle, id uint32) {
 // swapGroup points a group's bookkeeping at its new attachment — nil when
 // the group dissolved — and releases the one it replaces on every shard:
 // the single place an attachment is let go. Callers hold groupMu.
-func (s *System) swapGroup(t *tier, groupKey string, next *groupState) {
+func (s *System) swapGroup(groupKey string, next *groupState) {
 	if old := s.groups[groupKey]; old != nil {
-		detachGroup(t.shards, old.id)
+		detachGroup(s.shards, old.id)
 	}
 	if next == nil {
 		delete(s.groups, groupKey)
@@ -199,16 +196,6 @@ func (c *Cursor) cutK() int {
 	}
 }
 
-// groupKeyFor prefixes an acquisition key with the cursor's tier: the det
-// and live schedulers keep separate groups, so their bookkeeping must not
-// collide in the System's shared map.
-func (c *Cursor) groupKeyFor(key string) string {
-	if c.live {
-		return "live|" + key
-	}
-	return "det|" + key
-}
-
 // Close detaches the cursor from its scheduler seat and releases its
 // admission slot. The last cursor of a shared-acquisition group dissolves
 // the group — its attachment is released on every shard, and a later
@@ -220,9 +207,9 @@ func (c *Cursor) Close() {
 		s := c.sys
 		if c.sq != nil {
 			s.groupMu.Lock()
-			c.tier.sched.Remove(c.sq)
-			if c.tier.sched.GroupSize(c.groupKey) == 0 {
-				s.swapGroup(c.tier, c.groupKeyFor(c.groupKey), nil)
+			c.sched.Remove(c.sq)
+			if c.sched.GroupSize(c.groupKey) == 0 {
+				s.swapGroup(c.groupKey, nil)
 			}
 			s.groupMu.Unlock()
 		}
@@ -257,7 +244,7 @@ func (c *Cursor) StepContext(ctx context.Context) (StepResult, error) {
 	if !c.Continuous() {
 		return StepResult{}, fmt.Errorf("kspot: historic query %q executes with Run, not Step", c.plan.Query)
 	}
-	out, err := c.tier.sched.StepContext(ctx, c.sq)
+	out, err := c.sched.StepContext(ctx, c.sq)
 	if err != nil {
 		return StepResult{}, err
 	}
@@ -286,28 +273,20 @@ func (c *Cursor) result(out engine.Outcome) StepResult {
 // the shard's local TOP-shipK partial sums, then the sums the coordinator's
 // two-phase threshold round targets (fed.HistoricMerger), exact and
 // byte-identical to the flat run; coordinator backhaul is accounted in
-// FederationStats.
+// FederationStats. The run holds the scheduler's epoch lock throughout
+// (Scheduler.Serialized) on every substrate; after Close it returns the
+// scheduler's closed error.
 func (c *Cursor) Run() ([]Answer, error) {
 	if c.Continuous() {
 		return nil, fmt.Errorf("kspot: continuous query %q advances with Step, not Run", c.plan.Query)
 	}
-	// One-shot runs bypass the scheduler's epoch lock-step, so on the live
-	// substrate they register with the System: Close waits registered runs
-	// out before stopping any shard's live deployment (a federated run must
-	// never find one shard's Live torn down mid-protocol).
-	t, release, err := c.sys.beginRun(c.live)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	shards := c.sys.handles(t)
+	shards := c.sys.handles()
 	exec := c.sys.nextQueryID()
 	defer func() {
 		for _, h := range shards {
 			h.Release(exec) // best effort
 		}
 	}()
-	remote := c.sys.Remote()
 	var answers []Answer
 	run := func() (err error) {
 		if len(shards) == 1 {
@@ -324,16 +303,13 @@ func (c *Cursor) Run() ([]Answer, error) {
 		}
 		// Shards that are processes, or live substrates, run their halves of
 		// the round concurrently; deterministic ones keep shard order.
-		answers, err = m.Run(execs, c.live || remote)
+		answers, err = m.Run(execs, c.live || c.sys.Remote())
 		return err
 	}
-	if remote {
-		// The whole round runs serialized against epoch rounds: its
-		// per-shard calls must not interleave another cursor's epoch round
-		// on the shard processes' state machines.
-		err = t.sched.Serialized(run)
-	} else {
-		err = run()
-	}
+	// The whole round runs serialized against epoch rounds: its per-shard
+	// calls must not interleave another cursor's epoch round on the shards'
+	// state machines, and Close, which takes the same lock, cannot tear a
+	// substrate down under it.
+	err := c.sched.Serialized(run)
 	return answers, err
 }

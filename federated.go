@@ -95,7 +95,7 @@ func OpenFederated(s *Scenario, addrs []string, opts ...OpenOption) (*System, er
 	if err != nil {
 		return nil, err
 	}
-	sys.det = &tier{sched: engine.NewShardScheduler(deps...), shards: clients}
+	sys.sched, sys.shards = engine.NewShardScheduler(deps...), clients
 	return sys, nil
 }
 
@@ -140,7 +140,7 @@ func (s *System) Remote() bool { return len(s.local) == 0 }
 // shard order. Nil on a local System — its shards have no wire.
 func (s *System) WireMetrics() []wire.ClientMetrics {
 	var out []wire.ClientMetrics
-	for _, h := range s.handles(s.det) {
+	for _, h := range s.handles() {
 		if cl, ok := h.(*wire.Client); ok {
 			out = append(out, cl.Metrics())
 		}
@@ -169,7 +169,7 @@ func (s *System) ShardStats() ([]RunStats, error) {
 
 // shardStatRows is ShardStats in the stats package's own type, for panels.
 func (s *System) shardStatRows() ([]stats.RunStats, error) {
-	shards := s.handles(s.det)
+	shards := s.handles()
 	rows := make([]stats.RunStats, len(shards))
 	for i, h := range shards {
 		var err error

@@ -27,12 +27,11 @@ type Deployment struct {
 	name string
 	tp   Transport
 	src  trace.Source
-	live bool // tp is the concurrent substrate (behind any decorators)
+	live bool // tp is the concurrent substrate (behind any decorators): acquire in parallel, pipeline
 
-	mu       sync.Mutex // guards attached, pipeline and pre; never held across a round
+	mu       sync.Mutex // guards attached and pre; never held across a round
 	attached map[uint32]attachment
-	pipeline int        // pipelineAuto / pipelineOn / pipelineOff
-	pre      *presample // in-flight background sampling of the next epoch
+	pre      *presample // in-flight background sampling of the next epoch (live only)
 }
 
 // attachment is one acquisition group's runner on this shard, with the
@@ -42,17 +41,6 @@ type attachment struct {
 	op  EpochRunner
 	src trace.Source
 }
-
-// Pipelining modes: auto enables cross-epoch pipelining on the live
-// substrate only — the deterministic simulator's transports are not safe
-// against out-of-band mutation (SetNodeDown between steps) racing a
-// background sample, while the live substrate serializes those under its
-// own lock.
-const (
-	pipelineAuto = iota
-	pipelineOn
-	pipelineOff
-)
 
 // presample is an in-flight background sampling of the next epoch: the
 // shard launches it once an epoch's acquisitions (all transport work) have
@@ -106,20 +94,6 @@ func (d *Deployment) Attached() int {
 	return len(d.attached)
 }
 
-// setPipelining is Scheduler.SetPipelining for this shard; turning it off
-// also drains the presample in flight.
-func (d *Deployment) setPipelining(on bool) {
-	d.mu.Lock()
-	d.pipeline = pipelineOff
-	if on {
-		d.pipeline = pipelineOn
-	}
-	d.mu.Unlock()
-	if !on {
-		d.Drain()
-	}
-}
-
 // Drain waits out an in-flight background presample and discards it (its
 // charges were never committed), so the transport can be torn down safely
 // afterwards.
@@ -154,7 +128,6 @@ func (d *Deployment) EpochRound(e model.Epoch, queries []uint32) (map[model.Node
 	d.mu.Lock()
 	pre := d.pre
 	d.pre = nil
-	pipelined := d.pipeline == pipelineOn || (d.pipeline == pipelineAuto && d.live)
 	atts := make([]attachment, len(queries))
 	for i, q := range queries {
 		atts[i] = d.attached[q]
@@ -203,9 +176,12 @@ func (d *Deployment) EpochRound(e model.Epoch, queries []uint32) (map[model.Node
 		}
 	}
 
-	// All transport work for epoch e is done; overlap the next epoch's
-	// sampling with whatever the caller does with this one.
-	if pipelined {
+	// All transport work for epoch e is done; on the live substrate,
+	// overlap the next epoch's sampling with whatever the caller does with
+	// this one. The deterministic simulator never pipelines: its transports
+	// are not safe against out-of-band mutation (SetNodeDown between steps)
+	// racing a background sample, while Live serializes those under its lock.
+	if d.live {
 		next := &presample{epoch: e + 1, done: make(chan struct{})}
 		d.mu.Lock()
 		d.pre = next

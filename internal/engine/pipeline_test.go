@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"context"
 	"runtime"
 	"testing"
 	"time"
@@ -17,7 +18,9 @@ import (
 // tight energy budget (nodes die mid-run, so the deferred idle/sense
 // accounting of the pipelined path is exercised against real deaths) and
 // returns the outcome stream plus the network's accounting fingerprint.
-func pipelineRun(t *testing.T, pipelined bool, epochs int) ([]engine.Outcome, sim.Snapshot, int) {
+// A deployment pipelines iff it is live: live runs it on engine.Live over
+// the network (pipelined), otherwise on the network itself (synchronous).
+func pipelineRun(t *testing.T, live bool, epochs int) ([]engine.Outcome, sim.Snapshot, int) {
 	t.Helper()
 	scen := config.Figure3Scenario()
 	scen.Budget = 0.004
@@ -29,12 +32,18 @@ func pipelineRun(t *testing.T, pipelined bool, epochs int) ([]engine.Outcome, si
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := engine.NewScheduler(engine.NewDeployment("figure3", net, src))
+	var tp engine.Transport = net
+	if live {
+		l := engine.NewLive(net, engine.LiveOptions{})
+		l.Start(context.Background())
+		defer l.Stop()
+		tp = l
+	}
+	sched := engine.NewScheduler(engine.NewDeployment("figure3", tp, src))
 	defer sched.Close()
-	sched.SetPipelining(pipelined)
 	op := mint.New()
 	q := topk.SnapshotQuery{K: 2, Agg: model.AggAvg, Range: &topk.ValueRange{Min: 0, Max: 100}}
-	if err := op.Attach(net, q); err != nil {
+	if err := op.Attach(tp, q); err != nil {
 		t.Fatal(err)
 	}
 	sq := sched.Add([]engine.EpochRunner{op}, nil, nil)
@@ -57,8 +66,9 @@ func pipelineRun(t *testing.T, pipelined bool, epochs int) ([]engine.Outcome, si
 
 // TestSchedulerPipeliningByteIdentity pins the cross-epoch pipeline's
 // contract: presampling epoch e+1 on a background goroutine while epoch e
-// merges must not move a single byte of the result — answers, counters and
-// the energy ledger all match the synchronous run, because sampling is
+// merges (the live substrate's rounds) must not move a single byte of the
+// result — answers, counters and the energy ledger all match the
+// deterministic substrate's synchronous run, because sampling is
 // pure and the idle/sense charges are deferred to the epoch's consumption
 // (including dropping readings of nodes the idle charge kills, see
 // engine.CommitSenseEpoch).
@@ -91,9 +101,9 @@ func TestSchedulerPipeliningByteIdentity(t *testing.T) {
 }
 
 // TestSchedulerCloseMidPipelineDrains is the worker-leak pin for the
-// pipelined scheduler: Close lands while a background presample of the
-// next epoch is still in flight (every Step relaunches one) and must drain
-// it — no deadlock, no goroutine left sampling a torn-down transport, and
+// pipelined scheduler on a started engine.Live: Close lands while a
+// background presample of the next epoch is still in flight (every Step
+// relaunches one) and must drain it — no deadlock, no goroutine left sampling a torn-down transport, and
 // no outcome delivered twice. The parallel sweep's per-level worker pool
 // is armed too, so its goroutines are covered by the same drain check.
 func TestSchedulerCloseMidPipelineDrains(t *testing.T) {
@@ -109,11 +119,13 @@ func TestSchedulerCloseMidPipelineDrains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := engine.NewScheduler(engine.NewDeployment("figure3", net, src))
-	sched.SetPipelining(true)
+	live := engine.NewLive(net, engine.LiveOptions{})
+	live.Start(context.Background())
+	defer live.Stop()
+	sched := engine.NewScheduler(engine.NewDeployment("figure3", live, src))
 	op := mint.New()
 	q := topk.SnapshotQuery{K: 2, Agg: model.AggAvg, Range: &topk.ValueRange{Min: 0, Max: 100}}
-	if err := op.Attach(net, q); err != nil {
+	if err := op.Attach(live, q); err != nil {
 		t.Fatal(err)
 	}
 	sq := sched.Add([]engine.EpochRunner{op}, nil, nil)

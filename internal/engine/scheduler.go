@@ -219,21 +219,6 @@ func (s *Scheduler) giveWay() {
 // acquisition of that lock waits out a starvation hand-off.
 func (s *Scheduler) Shards() int { return int(s.nshards.Load()) }
 
-// SetPipelining forces cross-epoch pipelining on every in-process shard on
-// or off, overriding the default (enabled on the live substrate, disabled
-// on the deterministic one): the shard samples the next epoch's sensing on
-// a background goroutine once this epoch's acquisitions finish, and
-// commits its charges when the epoch is consumed, so outcomes and
-// accounting are byte-identical either way. Callers that mutate a
-// deterministic transport out-of-band between steps (SetNodeDown, fault
-// arming) must leave pipelining off there: the background sample reads
-// transport aliveness without a lock.
-func (s *Scheduler) SetPipelining(on bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.eachLocal(func(_ int, d *Deployment) { d.setPipelining(on) })
-}
-
 // Add schedules a query with a private acquisition: Schedule with Ops,
 // Merge and Src only.
 func (s *Scheduler) Add(ops []EpochRunner, merge MergeFunc, src trace.Source) *ScheduledQuery {
@@ -634,10 +619,14 @@ func (s *Scheduler) Install(shards []*RemoteDeployment) error {
 // Serialized runs fn while holding the scheduler's epoch lock: one-shot
 // multi-call protocols (the federated historic threshold round, which
 // fans its own per-shard calls out) run atomically with respect to epoch
-// rounds on the shard state machines.
+// rounds on the shard state machines. A closed scheduler runs nothing and
+// returns its closed error: its shards may already be torn down.
 func (s *Scheduler) Serialized(fn func() error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return errClosed
+	}
 	return fn()
 }
 

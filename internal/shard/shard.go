@@ -50,9 +50,10 @@ type Config struct {
 	Taps []engine.ReadingsRecorder
 }
 
-// Shard is one assembled shard. Its stack is immutable once built: the
-// fault environment is the scenario's (Scenario.FaultEnv, specialized per
-// shard), armed here and nowhere else.
+// Shard is one assembled shard. Its stack is fixed once it serves a query
+// (only OnLive changes it, and only before then): the fault environment is
+// the scenario's (Scenario.FaultEnv, specialized per shard), armed here and
+// nowhere else.
 type Shard struct {
 	name   string
 	roster []model.NodeID
@@ -61,7 +62,6 @@ type Shard struct {
 	faults *faults.Config
 	store  *storage.Store
 	taps   []engine.ReadingsRecorder
-	twin   bool // shares net and store with the shard OnLive was called on
 
 	live *engine.Live // nil on the deterministic substrate
 	dep  *engine.Deployment
@@ -110,17 +110,16 @@ func New(cfg Config) (*Shard, error) {
 	return b, nil
 }
 
-// OnLive returns a second body over the SAME field — network, fault
-// environment, durable tier — on the concurrent substrate, with its own
-// attachments: the tier a local System's WithLive posts run on beside the
-// deterministic one.
-func (b *Shard) OnLive() (*Shard, error) {
-	twin := &Shard{name: b.name, roster: b.roster, net: b.net, src: b.src,
-		faults: b.faults, store: b.store, taps: b.taps, twin: true}
-	if err := twin.assemble(true); err != nil {
-		return nil, err
+// OnLive switches this body's stack onto the concurrent substrate
+// (engine.Live) in place: the same net, fault environment, store and taps,
+// a fresh deployment over them. It is legal only once and before the body
+// serves a query — a local System calls it when its first post binds the
+// live substrate, and Open runs no round.
+func (b *Shard) OnLive() error {
+	if b.live != nil || b.dep.Attached() > 0 {
+		return fmt.Errorf("shard: %s can switch to the live substrate only once, before it serves a query", b.name)
 	}
-	return twin, nil
+	return b.assemble(true)
 }
 
 // assemble stacks the transport over the substrate and binds the
@@ -326,12 +325,11 @@ func (b *Shard) Restore(img []byte) error {
 }
 
 // Close releases the shard: the in-flight presample drains, the live
-// substrate stops, and the shard that opened on the durable tier closes it.
-// Safe to call more than once.
+// substrate stops, and the durable tier closes. Safe to call more than once.
 func (b *Shard) Close() error {
 	b.dep.Drain()
 	b.stopLive()
-	if b.store == nil || b.twin {
+	if b.store == nil {
 		return nil
 	}
 	return b.store.Close()

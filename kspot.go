@@ -121,36 +121,34 @@ const (
 // behind a socket (OpenFederated) — the System drives it through the one
 // shard contract, shardHandle: attach, detach, epoch rounds, historic
 // executions, stats and state all cross it, and every continuous cursor is
-// a seat on one engine.Scheduler per tier, which runs one epoch round per
-// shard per epoch and serves every cursor from it. A local System can run
-// queries on two substrates of the same engine layer (see DESIGN.md): the
-// deterministic simulator (default) or the concurrent live deployment
-// (PostWith ... WithLive()), which lets any number of queries sweep one
-// network at once. The fault environment is the scenario's: each shard arms
-// it when it is assembled, and its stack never changes afterwards.
+// a seat on the System's one engine.Scheduler, which runs one epoch round
+// per shard per epoch and serves every cursor from it. A local System runs
+// on one of two substrates of the same engine layer (see DESIGN.md): the
+// deterministic simulator or the concurrent live deployment, which lets any
+// number of queries sweep one network at once. Its first Post binds the
+// substrate (WithLive picks the live one) and every later post must ask for
+// the same one: one field, one epoch clock. The fault environment is the
+// scenario's: each shard arms it when it is assembled.
 type System struct {
 	scenario *config.Scenario
 	schema   query.Schema
 	fedStats *fed.Stats
 
-	// local holds a local System's shard bodies (the det tier's shards, and
-	// what WithLive's tier twins); empty on a remote deployment, whose
-	// shards live in other processes.
+	// local holds a local System's shard bodies; empty on a remote
+	// deployment, whose shards live in other processes.
 	local []*shard.Shard
 
-	mu sync.Mutex
-	// liveRuns counts one-shot historic executions in flight on the live
-	// substrate. They run outside the scheduler's epoch lock-step, so
-	// Close must wait them out separately before stopping the live
-	// substrates — otherwise a federated historic Run could find one
-	// shard's Live torn down mid-protocol.
-	liveRuns sync.WaitGroup
-
-	// The lock-step tiers. det is the default one — the deterministic
-	// shards of a local System, or the remote shard processes of
-	// OpenFederated. live is the concurrent deployment WithLive starts over
-	// the same networks; nil until then and after Close.
-	det, live *tier
+	// mu guards the substrate binding and Close. sched is the one lock-step
+	// scheduler every continuous cursor holds a seat on: built by a local
+	// System's first post (bind), by OpenFederated on a remote one. live
+	// records the substrate it was bound to. shards are the handles it
+	// drives, in shard order; a live re-sharding swaps them wholesale under
+	// groupMu, and readers outside it copy the slice (System.handles).
+	mu     sync.Mutex
+	closed bool
+	live   bool
+	sched  *engine.Scheduler
+	shards []shardHandle
 
 	// qidSeq allocates the ids acquisition groups and historic executions
 	// run under, unique within this System (and so within its wire
@@ -161,8 +159,7 @@ type System struct {
 	// Multi-tenant serving state. admission, when non-nil, gates every
 	// Post (WithAdmission). groupMu serializes shared-acquisition group
 	// bookkeeping across posts, cursor closes and re-sharding: groups
-	// records each group's current attachment, keyed by tier-prefixed
-	// acquisition key so det and live groups never collide.
+	// records each group's current attachment, keyed by acquisition key.
 	admission *engine.Admission
 	groupMu   sync.Mutex
 	groups    map[string]*groupState
@@ -204,31 +201,11 @@ var (
 	_ shardHandle = (*wire.Client)(nil)
 )
 
-// tier is one lock-step clock of a System: the scheduler every continuous
-// cursor of the tier holds a seat on, and the handles of the shards it
-// drives, in shard order. A live re-sharding swaps shards wholesale under
-// groupMu; readers outside it copy the slice (System.handles).
-type tier struct {
-	sched  *engine.Scheduler
-	shards []shardHandle
-}
-
-// newTier builds a tier over in-process shard bodies.
-func newTier(bodies []*shard.Shard) *tier {
-	t := &tier{shards: make([]shardHandle, len(bodies))}
-	deps := make([]*engine.Deployment, len(bodies))
-	for i, b := range bodies {
-		t.shards[i], deps[i] = b, b.Deployment()
-	}
-	t.sched = engine.NewScheduler(deps...)
-	return t
-}
-
-// handles snapshots a tier's shard handles.
-func (s *System) handles(t *tier) []shardHandle {
+// handles snapshots the System's shard handles.
+func (s *System) handles() []shardHandle {
 	s.groupMu.Lock()
 	defer s.groupMu.Unlock()
-	return append([]shardHandle(nil), t.shards...)
+	return append([]shardHandle(nil), s.shards...)
 }
 
 // groupState tracks one shared-acquisition group's attachment: the query
@@ -322,8 +299,8 @@ func Open(s *Scenario, opts ...OpenOption) (*System, error) {
 			return nil, err
 		}
 		sys.local = append(sys.local, b)
+		sys.shards = append(sys.shards, b)
 	}
-	sys.det = newTier(sys.local)
 	return sys, nil
 }
 
@@ -401,7 +378,7 @@ func (s *System) Networks() []*sim.Network {
 }
 
 // Shards reports the number of shard deployments (1 for a flat scenario).
-func (s *System) Shards() int { return len(s.handles(s.det)) }
+func (s *System) Shards() int { return len(s.handles()) }
 
 // FederationStats reports the coordinator tier's accumulated traffic —
 // phase-1 reports, phase-2 targeted fetches and backhaul bytes. All zero
@@ -434,11 +411,17 @@ func WithTenant(name string) PostOption {
 // WithLive deploys the query on the concurrent substrate: the same network
 // state machine and the same sweep as the deterministic one, safe for any
 // number of queries at once (the engine's equivalence tests pin answers and
-// every counter to the deterministic substrate). All live cursors of a
+// every counter to the deterministic substrate). All cursors of a live
 // System share one deployment and advance in epoch lock-step — the epoch is
 // sensed once no matter how many queries are posted — and Step is safe to
 // call from concurrent goroutines. Call Close when done to stop the
 // deployment.
+//
+// A local System's first post binds its substrate: with WithLive the live
+// one, without it the deterministic one. A later post asking for the other
+// substrate fails before admission; open a second System for it. The choice
+// is a PostOption rather than an OpenOption only because existing callers
+// pass it here; moving it to Open is a rename for the next API break.
 func WithLive() PostOption { return func(c *postConfig) { c.live = true } }
 
 // WithLiveWindow is accepted and ignored: the live substrate keeps no
@@ -467,6 +450,10 @@ func (s *System) PostWith(sql string, algo Algorithm, opts ...PostOption) (*Curs
 	if cfg.live && s.Remote() {
 		return nil, fmt.Errorf("kspot: a remote deployment has no local live substrate — each shard process picks its own (kspotd -serve-shard -wire-live)")
 	}
+	sched, err := s.bind(cfg.live)
+	if err != nil {
+		return nil, err
+	}
 	// Admission runs after parsing (a malformed query is a syntax error,
 	// never a consumed slot) and before any deployment work: a rejected
 	// post touches nothing, so running cursors keep stepping undisturbed.
@@ -475,14 +462,8 @@ func (s *System) PostWith(sql string, algo Algorithm, opts ...PostOption) (*Curs
 			return nil, err
 		}
 	}
-	cur := &Cursor{sys: s, plan: plan, algo: algo, live: cfg.live, tenant: cfg.tenant, admitted: s.admission != nil}
-	if cfg.live {
-		err = s.ensureLive()
-	}
-	if err == nil {
-		err = cur.prepare()
-	}
-	if err != nil {
+	cur := &Cursor{sys: s, plan: plan, algo: algo, live: cfg.live, sched: sched, tenant: cfg.tenant, admitted: s.admission != nil}
+	if err := cur.prepare(); err != nil {
 		if cur.admitted {
 			// The slot reserved above frees: a post that never produced a
 			// cursor must not count against the tenant forever.
@@ -502,88 +483,69 @@ func (s *System) AdmissionLoad() (total int, perTenant map[string]int) {
 	return s.admission.Load()
 }
 
-// ensureLive lazily starts the shared concurrent deployment: every local
-// shard's twin on the live substrate (same network, same fault environment,
-// same durable tier — so both substrates degrade and record identically)
-// and their tier.
-func (s *System) ensureLive() error {
+// bind returns the System's scheduler for a post asking for the live
+// substrate or not. A local System's first post binds it: live switches
+// every shard body onto the concurrent substrate in place, and the
+// scheduler is built over the bodies' deployments. A post asking for the
+// other substrate afterwards is refused.
+func (s *System) bind(live bool) (*engine.Scheduler, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.live != nil {
-		return nil
-	}
-	twins := make([]*shard.Shard, 0, len(s.local))
-	for _, b := range s.local {
-		twin, err := b.OnLive()
-		if err != nil {
-			for _, prev := range twins {
-				prev.Close()
-			}
-			return err
-		}
-		twins = append(twins, twin)
-	}
-	s.live = newTier(twins)
-	return nil
-}
-
-// tierOf returns the tier a cursor's continuous query schedules on, under
-// the System lock (the live one can be torn down by Close concurrently
-// with cursor use).
-func (s *System) tierOf(live bool) (*tier, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !live {
-		return s.det, nil
-	}
-	if s.live == nil {
+	if s.closed {
 		return nil, fmt.Errorf("kspot: system is closed")
 	}
-	return s.live, nil
+	if s.sched == nil {
+		deps := make([]*engine.Deployment, len(s.local))
+		for i, b := range s.local {
+			if live {
+				if err := b.OnLive(); err != nil {
+					return nil, err
+				}
+			}
+			deps[i] = b.Deployment()
+		}
+		s.sched, s.live = engine.NewScheduler(deps...), live
+	}
+	if live != s.live {
+		return nil, fmt.Errorf("kspot: this System is bound to the %s substrate by its first post; open another System for %s queries",
+			substrateName(s.live), substrateName(live))
+	}
+	return s.sched, nil
 }
 
-// beginRun returns the tier a one-shot historic execution runs on. On the
-// live substrate it also registers the run, so a concurrent Close waits it
-// out before stopping the live deployment; the check and the registration
-// share one critical section — snapshotting first and registering later
-// would leave a window where Close tears the substrate down under a run
-// that already holds its transports. release must be called when the run
-// completes.
-func (s *System) beginRun(live bool) (t *tier, release func(), err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !live {
-		return s.det, func() {}, nil
+func substrateName(live bool) string {
+	if live {
+		return "live"
 	}
-	if s.live == nil {
-		return nil, nil, fmt.Errorf("kspot: system is closed")
-	}
-	s.liveRuns.Add(1)
-	return s.live, s.liveRuns.Done, nil
+	return "deterministic"
 }
 
-// Close shuts the deployment down: the live tier, if one was started,
-// finishes its in-flight epoch and one-shot runs and stops; every shard
-// handle closes — a local shard's durable tier (WithDataDir) flushes and
+// Close shuts the deployment down and every shard handle closes — a local
+// shard's substrate stops and its durable tier (WithDataDir) flushes and
 // closes, a remote shard's connection drops (a round in flight on it is
-// interrupted and its cursor's Step returns an error) — and later Steps
-// return the scheduler's closed error. Safe to call multiple times and
-// concurrently with in-flight Steps.
+// interrupted and its cursor's Step returns an error). Later Steps and Runs
+// return the scheduler's closed error and later posts fail. Safe to call
+// multiple times and concurrently with in-flight Steps and Runs.
 func (s *System) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.live != nil {
-		s.live.sched.Close() // waits out any in-flight scheduled epoch
-		s.liveRuns.Wait()    // and any in-flight one-shot historic run
-		for _, h := range s.live.shards {
+	s.closed = true
+	shards := s.handles()
+	if s.Remote() {
+		// Drop the connections first: a round in flight on one fails fast
+		// instead of holding the epoch lock Close takes next.
+		for _, h := range shards {
 			h.Close()
 		}
-		s.live = nil
+		s.sched.Close()
+		return
 	}
-	for _, h := range s.handles(s.det) {
+	if s.sched != nil {
+		s.sched.Close() // waits out an in-flight epoch or historic run
+	}
+	for _, h := range shards {
 		h.Close()
 	}
-	s.det.sched.Close() // after the in-flight round a closed socket just failed
 }
 
 // StorageStats snapshots every shard's durable-tier storage block
@@ -592,7 +554,7 @@ func (s *System) Close() {
 // from each shard process on a remote deployment. A shard without a
 // durable tier (a local System without WithDataDir) reports the zero block.
 func (s *System) StorageStats() ([]storage.StoreStats, error) {
-	shards := s.handles(s.det)
+	shards := s.handles()
 	out := make([]storage.StoreStats, len(shards))
 	for i, h := range shards {
 		var err error
@@ -678,7 +640,7 @@ type RunStats stats.RunStats
 // an unreachable shard leaves its counters out of the sum.
 func (s *System) CaptureStats(label string, epochs int) RunStats {
 	var rows []stats.RunStats
-	for _, h := range s.handles(s.det) {
+	for _, h := range s.handles() {
 		if row, err := h.Stats(); err == nil {
 			rows = append(rows, row)
 		}

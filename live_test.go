@@ -3,6 +3,7 @@ package kspot
 import (
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -359,5 +360,75 @@ func TestCloseConcurrentWithSteps(t *testing.T) {
 	wg.Wait()
 	if _, err := cur.Step(); err == nil {
 		t.Fatal("Step after concurrent Close succeeded")
+	}
+}
+
+// TestSystemOneSubstrate pins one substrate per System: the first post
+// binds it, a post asking for the other one is refused before admission
+// (it consumes no slot), and the bound System lives one epoch clock — its
+// durable tier ends at the last stepped epoch and its counters equal a
+// single-substrate run of the same epochs.
+func TestSystemOneSubstrate(t *testing.T) {
+	const (
+		sql    = "SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid"
+		epochs = 5
+	)
+	step := func(t *testing.T, cur *Cursor) {
+		t.Helper()
+		for i := 0; i < epochs; i++ {
+			if _, err := cur.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ref, err := Open(DemoScenario())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	rcur, err := ref.Post(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	step(t, rcur)
+	want := ref.CaptureStats("run", epochs)
+
+	for _, tc := range []struct {
+		name        string
+		first, then []PostOption
+	}{
+		{"deterministic-first", nil, []PostOption{WithLive()}},
+		{"live-first", []PostOption{WithLive()}, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, err := Open(DemoScenario(), WithDataDir(t.TempDir()), WithAdmission(AdmissionConfig{MaxQueries: 8}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sys.Close()
+			cur, err := sys.Post(sql, tc.first...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			step(t, cur)
+			before, _ := sys.AdmissionLoad()
+			if other, err := sys.Post(sql, tc.then...); err == nil {
+				other.Close()
+				t.Fatal("a post on the other substrate succeeded on a bound System")
+			}
+			if after, _ := sys.AdmissionLoad(); after != before {
+				t.Fatalf("rejected post moved the admission load %d -> %d", before, after)
+			}
+			blocks, err := sys.StorageStats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !blocks[0].HasEpoch || blocks[0].LastEpoch != epochs-1 {
+				t.Fatalf("durable tier ends at epoch %d (has=%v), want %d", blocks[0].LastEpoch, blocks[0].HasEpoch, epochs-1)
+			}
+			if got := sys.CaptureStats("run", epochs); !reflect.DeepEqual(got, want) {
+				t.Fatalf("counters diverged from the single-substrate run:\ngot  %+v\nwant %+v", got, want)
+			}
+		})
 	}
 }

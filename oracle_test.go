@@ -75,7 +75,7 @@ func TestSharedOracleMatchesExactSnapshot(t *testing.T) {
 				// step scores the cursor's next outcome the way Cursor.StepContext
 				// does, against the reference over the readings it ran on.
 				step := func(cur *Cursor) engine.Outcome {
-					out, err := cur.tier.sched.Step(cur.sq)
+					out, err := cur.sched.Step(cur.sq)
 					if err != nil {
 						t.Fatalf("%q: %v", cur.Query(), err)
 					}
@@ -166,7 +166,7 @@ func TestSharedOracleConcurrentCursors(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for e := 0; e < epochs; e++ {
-				out, err := cur.tier.sched.Step(cur.sq)
+				out, err := cur.sched.Step(cur.sq)
 				if err != nil {
 					t.Errorf("%q: %v", sql, err)
 					return

@@ -10,7 +10,7 @@ package kspot
 //   - the coordinator's group state (epoch clock, shared-acquisition
 //     groups, per-cursor buffers) is never rebuilt — each group's wire
 //     query is re-attached on the new shards under the SAME rqid, so the
-//     lock-step tier fans out to the new deployment with zero translation;
+//     lock-step scheduler fans out to the new deployment with zero translation;
 //   - the durable historic tier moves with the nodes: each old shard's
 //     last epochs (its ring of epoch records, decoded per node) + epoch
 //     cursor + energy ledger stream out as a canonical snapshot
@@ -85,7 +85,7 @@ func (s *System) Reshard(newScenario *Scenario, addrs []string) (*ReshardReport,
 		return nil, err
 	}
 
-	sched := s.det.sched
+	sched := s.sched
 	epochBefore := sched.Epoch()
 
 	// Dial every new shard before touching anything — a target that is
@@ -102,7 +102,7 @@ func (s *System) Reshard(newScenario *Scenario, addrs []string) (*ReshardReport,
 
 	s.groupMu.Lock()
 	defer s.groupMu.Unlock()
-	old := s.det.shards
+	old := s.shards
 	if len(old) < 2 {
 		closeNew()
 		return nil, fmt.Errorf("kspot: Reshard needs at least 2 current shards, got %d", len(old))
@@ -157,7 +157,7 @@ func (s *System) Reshard(newScenario *Scenario, addrs []string) (*ReshardReport,
 		closeNew()
 		return nil, err
 	}
-	s.det.shards = clients
+	s.shards = clients
 	s.scenario = newScenario
 	epochAfter := sched.Epoch()
 

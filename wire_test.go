@@ -385,7 +385,7 @@ func TestWireShardLossMidEpoch(t *testing.T) {
 	}
 	// The surviving shard's server is not wedged: its state machine still
 	// answers (stats RPC on the live connection).
-	if _, err := sys.det.shards[0].Stats(); err != nil {
+	if _, err := sys.shards[0].Stats(); err != nil {
 		t.Fatalf("surviving shard unreachable after peer death: %v", err)
 	}
 }
