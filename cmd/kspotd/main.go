@@ -506,7 +506,11 @@ func main() {
 			primaryRes, primaryOK := wl.step()
 			// Between steps no epoch is in flight, so the shared network
 			// counters are quiescent and safe to read (summed across every
-			// shard on a federated deployment).
+			// shard on a federated deployment). On -connect each shard's
+			// row rode the epoch round just completed, so this reads it
+			// without a wire call; a shard that answered no round, or ran
+			// another call since (an attach, a /stats storage poll), is
+			// asked.
 			total := sys.CaptureStats("live", 0)
 			st.mu.Lock()
 			if primaryOK {

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -214,6 +213,52 @@ type Client struct {
 	latMu sync.Mutex
 	lat   []int64 // µs ring, latRingCap entries once warm
 	latN  int64   // total samples recorded
+
+	carried carriedRow
+}
+
+// carriedRow is the counters row the client's last completed epoch round
+// brought back, kept for exactly one Stats. It is current only while the
+// shard has run nothing since that round, so it is dropped as soon as any
+// other call begins or ends, when a round fails, when the connection is
+// lost or the client closes, and once it is read. A
+// round that overlapped any other call keeps nothing: gen counts every
+// begin and end, and the round keeps its row only if gen has not moved
+// since its own began.
+type carriedRow struct {
+	mu  sync.Mutex
+	gen uint64
+	row stats.RunStats
+	ok  bool
+}
+
+// touch marks a call beginning or ending and drops the row, returning the
+// new generation.
+func (r *carriedRow) touch() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.gen++
+	r.ok = false
+	return r.gen
+}
+
+// keep stores a completed round's row if no other call began or ended
+// since the round began at gen.
+func (r *carriedRow) keep(gen uint64, row stats.RunStats) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.gen == gen {
+		r.row, r.ok = row, true
+	}
+}
+
+// take returns the row, once.
+func (r *carriedRow) take() (stats.RunStats, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	ok := r.ok
+	r.ok = false
+	return r.row, ok
 }
 
 // Dial connects and handshakes with a shard server.
@@ -423,13 +468,16 @@ func (c *Client) readLoop(cc *clientConn) {
 	}
 }
 
-// clearConn forgets cc as the current connection (the next call redials).
+// clearConn forgets cc as the current connection (the next call redials),
+// and with it the carried row: the shard behind a lost connection may be
+// gone or restarted.
 func (c *Client) clearConn(cc *clientConn) {
 	c.connMu.Lock()
 	if c.cur == cc {
 		c.cur = nil
 	}
 	c.connMu.Unlock()
+	c.carried.touch()
 }
 
 // sleep waits d out unless the client closes first.
@@ -453,7 +501,10 @@ func (c *Client) sleep(d time.Duration) bool {
 func (c *Client) call(t MsgType, payload []byte) (Frame, error) {
 	c.calls.Add(1)
 	if t == MsgEpochRound {
-		c.rounds.Add(1)
+		c.rounds.Add(1) // EpochRound marks its own begin and end
+	} else {
+		c.carried.touch()
+		defer c.carried.touch()
 	}
 	seq := c.nextSeq()
 	w := &waiter{ch: make(chan Frame, 1)}
@@ -584,26 +635,16 @@ func (c *Client) Detach(queryID uint32) error {
 }
 
 // EpochRound implements engine.RemoteShard: sense the epoch and run every
-// group's acquisition in one round trip.
+// group's acquisition in one round trip. The reply's counters row is kept
+// for the next Stats.
 func (c *Client) EpochRound(e model.Epoch, queries []uint32) (map[model.NodeID]model.Reading, []engine.RemoteGroupResult, error) {
-	payload := AppendEpochRound(nil, EpochRoundReq{Epoch: e, Queries: queries})
-	f, err := c.call(MsgEpochRound, payload)
+	gen := c.carried.touch()
+	rep, err := c.epochRound(e, queries)
 	if err != nil {
+		c.carried.touch()
 		return nil, nil, err
 	}
-	if f.Type != MsgEpochRoundReply {
-		return nil, nil, fmt.Errorf("wire: epoch-round reply %v", f.Type)
-	}
-	rep, err := DecodeEpochRoundReply(f.Payload, c.cfg.Roster)
-	if err != nil {
-		return nil, nil, err
-	}
-	if rep.Epoch != e {
-		return nil, nil, fmt.Errorf("wire: epoch-round reply for epoch %d, want %d", rep.Epoch, e)
-	}
-	if len(rep.Groups) != len(queries) {
-		return nil, nil, fmt.Errorf("wire: epoch-round reply carries %d groups, want %d", len(rep.Groups), len(queries))
-	}
+	c.carried.keep(gen, rep.Stats)
 	results := make([]engine.RemoteGroupResult, len(rep.Groups))
 	for i, g := range rep.Groups {
 		if g.Err != "" {
@@ -614,6 +655,29 @@ func (c *Client) EpochRound(e model.Epoch, queries []uint32) (map[model.NodeID]m
 		results[i].Acq = engine.RemoteAcquisition{Answers: g.Answers, Readings: g.Override}
 	}
 	return rep.Readings, results, nil
+}
+
+// epochRound is the round's exchange and its checks: a decoded reply for
+// this epoch carrying one result per group.
+func (c *Client) epochRound(e model.Epoch, queries []uint32) (EpochRoundReply, error) {
+	f, err := c.call(MsgEpochRound, AppendEpochRound(nil, EpochRoundReq{Epoch: e, Queries: queries}))
+	if err != nil {
+		return EpochRoundReply{}, err
+	}
+	if f.Type != MsgEpochRoundReply {
+		return EpochRoundReply{}, fmt.Errorf("wire: epoch-round reply %v", f.Type)
+	}
+	rep, err := DecodeEpochRoundReply(f.Payload, c.cfg.Roster)
+	if err != nil {
+		return EpochRoundReply{}, err
+	}
+	if rep.Epoch != e {
+		return EpochRoundReply{}, fmt.Errorf("wire: epoch-round reply for epoch %d, want %d", rep.Epoch, e)
+	}
+	if len(rep.Groups) != len(queries) {
+		return EpochRoundReply{}, fmt.Errorf("wire: epoch-round reply carries %d groups, want %d", len(rep.Groups), len(queries))
+	}
+	return rep, nil
 }
 
 // Snapshot streams the shard's durable state image — the last epochs'
@@ -682,36 +746,33 @@ func (c *Client) Restore(img []byte) error {
 // StorageStats fetches the shard's durable-tier storage block (log files,
 // bytes on disk, last checkpointed epoch, first persistence failure).
 func (c *Client) StorageStats() (storage.StoreStats, error) {
-	f, err := c.call(MsgStats, nil)
-	if err != nil {
-		return storage.StoreStats{}, err
-	}
-	if f.Type != MsgStatsReply {
-		return storage.StoreStats{}, fmt.Errorf("wire: stats reply %v", f.Type)
-	}
-	var row struct {
-		Storage storage.StoreStats `json:"storage"`
-	}
-	if err := json.Unmarshal(f.Payload, &row); err != nil {
-		return storage.StoreStats{}, err
-	}
-	return row.Storage, nil
+	_, block, err := c.fetchStats()
+	return block, err
 }
 
-// Stats fetches the shard's traffic/energy counters.
+// Stats reads the shard's traffic/energy counters. The first Stats after a
+// completed epoch round answers from the row that round carried, without a
+// call — exactly what a stats call would have returned, since the shard
+// has run nothing of this client's since (see carriedRow). Every other
+// Stats asks the shard.
 func (c *Client) Stats() (stats.RunStats, error) {
+	if row, ok := c.carried.take(); ok {
+		return row, nil
+	}
+	row, _, err := c.fetchStats()
+	return row, err
+}
+
+// fetchStats is the stats exchange: the counters row and the storage block.
+func (c *Client) fetchStats() (stats.RunStats, storage.StoreStats, error) {
 	f, err := c.call(MsgStats, nil)
 	if err != nil {
-		return stats.RunStats{}, err
+		return stats.RunStats{}, storage.StoreStats{}, err
 	}
 	if f.Type != MsgStatsReply {
-		return stats.RunStats{}, fmt.Errorf("wire: stats reply %v", f.Type)
+		return stats.RunStats{}, storage.StoreStats{}, fmt.Errorf("wire: stats reply %v", f.Type)
 	}
-	var row stats.RunStats
-	if err := json.Unmarshal(f.Payload, &row); err != nil {
-		return stats.RunStats{}, err
-	}
-	return row, nil
+	return DecodeStatsReply(f.Payload)
 }
 
 // Close ends the session: best-effort goodbye, then the connection drops.
@@ -729,6 +790,7 @@ func (c *Client) Close() error {
 	cc := c.cur
 	c.cur = nil
 	c.connMu.Unlock()
+	c.carried.touch()
 	if cc != nil {
 		// Goodbye on the raw connection without touching the write mutex:
 		// Close must not wait behind a sender it is supposed to interrupt.

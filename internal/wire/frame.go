@@ -53,7 +53,7 @@ const (
 	// Version is the protocol version; peers must match exactly. It is the
 	// only compatibility mechanism: any change a peer of the previous
 	// version would misread bumps it.
-	Version uint16 = 3
+	Version uint16 = 4
 	// MaxPayload bounds a frame's payload. The largest legitimate frame is
 	// an epoch-round reply (a few bytes per sensor node per group), so
 	// 1 MiB is far beyond scale-100k split into shards, while a garbage
@@ -83,11 +83,11 @@ const (
 	MsgRelease                 // drop a historic execution's cached state: exec
 	MsgReleased                // reply: exec
 	MsgStats                   // fetch the shard's traffic/energy counters
-	MsgStatsReply              // reply: JSON stats.RunStats
+	MsgStatsReply              // reply: counters row + storage block
 	MsgClose                   // graceful session close
 	MsgClosed                  // reply: acknowledged
 	MsgEpochRound              // one epoch: epoch + every group's query id
-	MsgEpochRoundReply         // reply: sense readings + every group's acquisition
+	MsgEpochRoundReply         // reply: sense readings + every group's acquisition + counters row
 	MsgSnapshot                // fetch one bounded chunk of the shard state: offset
 	MsgSnapshotChunk           // reply: total size, offset, chunk bytes
 	MsgRestore                 // push one bounded chunk of a shard state: total, offset, bytes

@@ -6,11 +6,16 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 
 	"kspot/internal/model"
+	"kspot/internal/radio"
+	"kspot/internal/stats"
+	"kspot/internal/storage"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -147,6 +152,12 @@ func TestHandshakeRejects(t *testing.T) {
 	skewed := AppendWelcome(nil, Welcome{Version: 1, Name: "shard-0"})
 	_, err = DecodeWelcome(skewed)
 	bothVersions("v1 welcome", err)
+	// The previous version too: its epoch-round reply carried no counters
+	// row, so a mixed deployment would misread every round.
+	_, err = DecodeHello(AppendHello(nil, Hello{Version: Version - 1, Scenario: "demo"}))
+	if want := fmt.Sprintf("version %d, server speaks %d", Version-1, Version); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("previous-version hello: %v, want an error naming %q", err, want)
+	}
 
 	addr, _ := startTestServer(t)
 	conn, err := net.Dial("tcp", addr)
@@ -263,5 +274,76 @@ func TestFixed64RoundTrip(t *testing.T) {
 		if got := unfixed64(fixed64(q)); got != q {
 			t.Fatalf("value %v: %v != %v after wire round-trip", v, got, q)
 		}
+	}
+}
+
+// TestStatsRowCodec: the counters row — carried by every epoch-round reply
+// and leading every stats reply — round-trips exactly (energies to the bit,
+// an empty PerKind as the empty map stats.Collect builds) in one canonical
+// form, and the decoder refuses unordered or repeated kinds, truncation,
+// trailing bytes and a non-boolean checkpoint flag.
+func TestStatsRowCodec(t *testing.T) {
+	block := storage.StoreStats{Dir: "/data/shard-1", Nodes: 250, Segments: 1, Bytes: 1 << 33, LastEpoch: 70000, HasEpoch: true, Err: "disk full"}
+	for _, tc := range []struct {
+		name string
+		row  stats.RunStats
+	}{
+		{"empty PerKind", stats.RunStats{Algorithm: "shard-0", Messages: 3}},
+		{"nil PerKind, zero row", stats.RunStats{}},
+		{"KindOther", stats.RunStats{Algorithm: "shard-1", PerKind: map[radio.MsgKind]int{radio.KindData: 10, radio.KindOther: 3}}},
+		{"non-integral energies", stats.RunStats{
+			Algorithm: "shard-2", Epochs: 9, Messages: 2425, Frames: 2611, TxBytes: 1 << 40, RxBytes: 61234, Drops: 17,
+			EnergyUJ: 127852.6, EnergyMax: 0.1 + 0.2,
+			PerKind: map[radio.MsgKind]int{radio.KindCtrl: 1, radio.KindData: 62000, radio.KindBeacon: 300},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := tc.row
+			if want.PerKind == nil {
+				want.PerKind = map[radio.MsgKind]int{}
+			}
+			b := AppendStatsReply(nil, tc.row, block)
+			row, gotBlock, err := DecodeStatsReply(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(row, want) || gotBlock != block {
+				t.Fatalf("round trip:\ngot  %+v %+v\nwant %+v %+v", row, gotBlock, want, block)
+			}
+			if math.Float64bits(row.EnergyUJ) != math.Float64bits(want.EnergyUJ) || math.Float64bits(row.EnergyMax) != math.Float64bits(want.EnergyMax) {
+				t.Fatalf("energies not bit-exact: %v %v", row.EnergyUJ, row.EnergyMax)
+			}
+			if re := AppendStatsReply(nil, row, gotBlock); !bytes.Equal(re, b) {
+				t.Fatalf("re-encode diverged: %x != %x", re, b)
+			}
+			for cut := 0; cut < len(b); cut++ {
+				if _, _, err := DecodeStatsReply(b[:cut]); err == nil {
+					t.Fatalf("truncation at %d of %d accepted", cut, len(b))
+				}
+			}
+			if _, _, err := DecodeStatsReply(append(b, 0)); err == nil {
+				t.Fatal("trailing byte accepted")
+			}
+		})
+	}
+
+	// The row's kinds section is its tail: count, then (kind, bytes) pairs.
+	two := AppendStatsRow(nil, stats.RunStats{PerKind: map[radio.MsgKind]int{1: 5, 2: 7}})
+	head := two[:len(two)-4]
+	if !bytes.Equal(two[len(two)-4:], []byte{1, 5, 2, 7}) {
+		t.Fatalf("kinds section laid out as %x", two[len(two)-4:])
+	}
+	for name, kinds := range map[string][]byte{"unordered": {2, 7, 1, 5}, "repeated": {1, 5, 1, 7}} {
+		if _, _, err := DecodeStatsRow(append(append([]byte(nil), head...), kinds...)); err == nil {
+			t.Fatalf("%s kinds accepted", name)
+		}
+	}
+	if _, _, err := DecodeStatsRow(append(append([]byte(nil), head...), 1, 0x85, 0x00, 2, 7)); err == nil {
+		t.Fatal("non-minimal varint accepted")
+	}
+	flag := AppendStatsReply(nil, stats.RunStats{}, storage.StoreStats{})
+	flag[len(flag)-3] = 2 // checkpointed, then the empty error string's u16 length
+	if _, _, err := DecodeStatsReply(flag); err == nil {
+		t.Fatal("checkpointed flag 2 accepted")
 	}
 }

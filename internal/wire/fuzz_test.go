@@ -6,6 +6,9 @@ import (
 	"testing"
 
 	"kspot/internal/model"
+	"kspot/internal/radio"
+	"kspot/internal/stats"
+	"kspot/internal/storage"
 )
 
 // FuzzFrameDecode drives arbitrary bytes through the framing layer and
@@ -18,6 +21,7 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(AppendFrame(nil, Frame{Seq: 2, Type: MsgEpochRound, Payload: AppendEpochRound(nil, EpochRoundReq{Epoch: 7, Queries: []uint32{1, 2}})}))
 	f.Add(AppendFrame(nil, Frame{Seq: 3, Type: MsgSums, Payload: AppendSums(nil, 7, map[model.GroupID]int64{1: 2})}))
 	f.Add(AppendFrame(nil, Frame{Seq: 5, Type: MsgDetach, Payload: AppendU32(nil, 7)}))
+	f.Add(AppendFrame(nil, Frame{Seq: 6, Type: MsgStatsReply, Payload: AppendStatsReply(nil, fuzzRow, storage.StoreStats{Nodes: 8})}))
 	f.Add(AppendFrame(nil, Frame{Seq: 4, Type: MsgTopK, Payload: AppendTopK(nil, 1, 9, []model.Answer{{Group: 3, Score: -4.5}})}))
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
@@ -52,7 +56,16 @@ func FuzzFrameDecode(f *testing.F) {
 		DecodeEpochRound(fr.Payload)
 		DecodeEpochRoundReply(fr.Payload, fuzzRoster)
 		DecodeRosterReadings(fr.Payload, fuzzRoster, 0)
+		DecodeStatsReply(fr.Payload)
 	})
+}
+
+// fuzzRow is a counters row with three kinds and energies no decimal
+// literal holds exactly: the seeds' row section.
+var fuzzRow = stats.RunStats{
+	Algorithm: "shard-1", Epochs: 7, Messages: 2425, Frames: 2611, TxBytes: 62150, RxBytes: 61032, Drops: 3,
+	EnergyUJ: 127852.6, EnergyMax: 0.1 + 0.2,
+	PerKind: map[radio.MsgKind]int{radio.KindData: 60000, radio.KindBeacon: 2000, radio.KindOther: 150},
 }
 
 // fuzzRoster is the fixed positional frame of reference for the
@@ -61,11 +74,12 @@ func FuzzFrameDecode(f *testing.F) {
 var fuzzRoster = []model.NodeID{1, 2, 3, 5, 8, 13, 21, 300}
 
 // FuzzEpochRoundDecode drives arbitrary bytes through the batched
-// epoch-round codecs against a fixed roster. The invariant is the
+// epoch-round codecs against a fixed roster, and through the stats reply
+// whose counters row the round reply carries. The invariant is the
 // canonical-form one the retry layer depends on (a replayed reply must be
-// byte-identical): any input that decodes — request, reply or bare roster
-// readings block — must re-encode to exactly the bytes consumed, and no
-// input may panic or over-allocate.
+// byte-identical): any input that decodes — request, reply, bare roster
+// readings block or stats reply — must re-encode to exactly the bytes
+// consumed, and no input may panic or over-allocate.
 func FuzzEpochRoundDecode(f *testing.F) {
 	f.Add(AppendEpochRound(nil, EpochRoundReq{Epoch: 7, Queries: []uint32{1, 2, 3}}))
 	readings := map[model.NodeID]model.Reading{
@@ -81,9 +95,11 @@ func FuzzEpochRoundDecode(f *testing.F) {
 			{Err: "query gone"},
 			{Answers: []model.Answer{{Group: 3, Score: 1}}, Override: readings},
 		},
+		Stats: fuzzRow,
 	}); err == nil {
 		f.Add(seed)
 	}
+	f.Add(AppendStatsReply(nil, fuzzRow, storage.StoreStats{Dir: "/data/shard-1", Nodes: 8, Segments: 1, Bytes: 4096, LastEpoch: 7, HasEpoch: true}))
 	if block, err := AppendRosterReadings(nil, fuzzRoster, 3, readings); err == nil {
 		f.Add(block)
 	}
@@ -102,6 +118,11 @@ func FuzzEpochRoundDecode(f *testing.F) {
 			}
 			if !bytes.Equal(re, data) {
 				t.Fatalf("reply re-encode mismatch: %x != %x", re, data)
+			}
+		}
+		if row, block, err := DecodeStatsReply(data); err == nil {
+			if re := AppendStatsReply(nil, row, block); !bytes.Equal(re, data) {
+				t.Fatalf("stats reply re-encode mismatch: %x != %x", re, data)
 			}
 		}
 		if m, rest, err := DecodeRosterReadings(data, fuzzRoster, 9); err == nil {

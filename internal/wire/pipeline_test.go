@@ -20,6 +20,7 @@ import (
 	"kspot/internal/model"
 	"kspot/internal/query"
 	"kspot/internal/stats"
+	"kspot/internal/storage"
 	"kspot/internal/topk"
 	"kspot/internal/topk/registry"
 	"kspot/internal/trace"
@@ -304,17 +305,17 @@ func TestDialRejectsBadRoster(t *testing.T) {
 	}
 }
 
-// TestServerRefusesEvictedSequence: the at-most-once layer replays a
-// sequence it still caches and refuses one old enough to have been
-// evicted — executing it could be a re-execution.
-func TestServerRefusesEvictedSequence(t *testing.T) {
-	addr, _ := startTestServer(t)
+// rawSession handshakes a bare connection to the Figure-3 shard server as
+// sequence 1 of a fresh session and returns a one-frame-at-a-time exchange
+// on it: the at-most-once layer seen without a client's retries.
+func rawSession(t *testing.T, addr string) func(Frame) Frame {
+	t.Helper()
 	cfg := testClientConfig(addr)
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
+	t.Cleanup(func() { conn.Close() })
 	var wbuf []byte
 	exchange := func(f Frame) Frame {
 		t.Helper()
@@ -327,10 +328,19 @@ func TestServerRefusesEvictedSequence(t *testing.T) {
 		}
 		return rep
 	}
-	hello := AppendHello(nil, Hello{Version: Version, Shard: 0, Shards: 1, Nodes: uint16(cfg.Nodes), Nonce: 42, Scenario: cfg.Scenario})
+	hello := AppendHello(nil, Hello{Version: Version, Shard: 0, Shards: 1, Nodes: uint16(cfg.Nodes), Nonce: newNonce(), Scenario: cfg.Scenario})
 	if rep := exchange(Frame{Seq: 1, Type: MsgHello, Payload: hello}); rep.Type != MsgWelcome {
 		t.Fatalf("handshake reply %v: %s", rep.Type, rep.Payload)
 	}
+	return exchange
+}
+
+// TestServerRefusesEvictedSequence: the at-most-once layer replays a
+// sequence it still caches and refuses one old enough to have been
+// evicted — executing it could be a re-execution.
+func TestServerRefusesEvictedSequence(t *testing.T) {
+	addr, _ := startTestServer(t)
+	exchange := rawSession(t, addr)
 	round := Frame{Seq: 2, Type: MsgEpochRound, Payload: AppendEpochRound(nil, EpochRoundReq{Epoch: 0})}
 	first := exchange(round)
 	if first.Type != MsgEpochRoundReply {
@@ -346,6 +356,106 @@ func TestServerRefusesEvictedSequence(t *testing.T) {
 	}
 	if rep := exchange(round); rep.Type != MsgError || !strings.Contains(string(rep.Payload), "stale sequence") {
 		t.Fatalf("evicted sequence answered %v: %s", rep.Type, rep.Payload)
+	}
+}
+
+// TestServerReplayHorizon: the replay cache is a ring of the last replayCap
+// replies. After the ring has wrapped twice, the oldest sequence still in
+// it — replayCap calls back, counting the newest — is replayed byte for
+// byte, not re-executed (a re-run round would have sensed again and moved
+// the counters row the reply carries), and the one call older than that is
+// refused as stale.
+func TestServerReplayHorizon(t *testing.T) {
+	addr, _ := startTestServer(t)
+	exchange := rawSession(t, addr)
+	round := func(seq uint64) Frame {
+		return Frame{Seq: seq, Type: MsgEpochRound, Payload: AppendEpochRound(nil, EpochRoundReq{Epoch: model.Epoch(seq)})}
+	}
+	const last = 2 + 2*replayCap
+	replies := make(map[uint64][]byte)
+	for seq := uint64(2); seq <= last; seq++ {
+		rep := exchange(round(seq))
+		if rep.Type != MsgEpochRoundReply {
+			t.Fatalf("seq %d: reply %v: %s", seq, rep.Type, rep.Payload)
+		}
+		replies[seq] = rep.Payload
+	}
+	oldest := uint64(last - replayCap + 1)
+	for _, seq := range []uint64{oldest, last} {
+		if rep := exchange(round(seq)); rep.Type != MsgEpochRoundReply || !bytes.Equal(rep.Payload, replies[seq]) {
+			t.Fatalf("seq %d inside the horizon was not replayed byte for byte (%v)", seq, rep.Type)
+		}
+	}
+	if rep := exchange(round(oldest - 1)); rep.Type != MsgError || !strings.Contains(string(rep.Payload), "stale sequence") {
+		t.Fatalf("seq %d, one past the horizon, answered %v: %s", oldest-1, rep.Type, rep.Payload)
+	}
+}
+
+// TestCarriedRowDiesWithTheClient: after Close, Stats fails as a call
+// would — it does not answer from the row the last round carried.
+func TestCarriedRowDiesWithTheClient(t *testing.T) {
+	addr, _ := startTestServer(t)
+	cl, err := Dial(testClientConfig(addr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := cl.EpochRound(0, nil); err != nil {
+		t.Fatal(err)
+	}
+	cl.Close()
+	if row, err := cl.Stats(); err == nil {
+		t.Fatalf("Stats after Close answered %+v", row)
+	}
+}
+
+// TestCarriedRowNotKeptAcrossOverlap: a round that another call overlapped
+// keeps no row — the shard may have run that call after the round, so its
+// row is not what a stats call would now return. The stub holds the round's
+// reply until a whole Stats call has come and gone; the Stats after the
+// round must then ask the shard again.
+func TestCarriedRowNotKeptAcrossOverlap(t *testing.T) {
+	roundSeen, release := make(chan struct{}), make(chan struct{})
+	addr := startStubServer(t, func(f Frame) (Frame, bool) {
+		switch f.Type {
+		case MsgEpochRound:
+			close(roundSeen)
+			<-release
+			payload, err := AppendEpochRoundReply(nil, stubRoster, EpochRoundReply{Stats: stats.RunStats{Messages: 1}})
+			if err != nil {
+				t.Error(err)
+			}
+			return Frame{Seq: f.Seq, Type: MsgEpochRoundReply, Payload: payload}, true
+		case MsgStats:
+			return Frame{Seq: f.Seq, Type: MsgStatsReply, Payload: AppendStatsReply(nil, stats.RunStats{Messages: 2}, storage.StoreStats{})}, true
+		}
+		return Frame{}, false
+	})
+	cl, err := Dial(stubClientConfig(addr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	roundDone := make(chan error, 1)
+	go func() {
+		_, _, err := cl.EpochRound(0, nil)
+		roundDone <- err
+	}()
+	<-roundSeen
+	_, err = cl.Stats()
+	close(release)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-roundDone; err != nil {
+		t.Fatal(err)
+	}
+	calls := cl.Metrics().Calls
+	row, err := cl.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if made := cl.Metrics().Calls - calls; made != 1 || row.Messages != 2 {
+		t.Fatalf("Stats after an overlapped round made %d calls and read %d messages, want 1 call reading the shard's 2", made, row.Messages)
 	}
 }
 
@@ -370,7 +480,7 @@ func TestClientBackoffDoesNotBlockConcurrentCalls(t *testing.T) {
 			}
 			return emptyRound(t, f), true
 		case MsgStats:
-			return Frame{Seq: f.Seq, Type: MsgStatsReply, Payload: []byte("{}")}, true
+			return Frame{Seq: f.Seq, Type: MsgStatsReply, Payload: AppendStatsReply(nil, stats.RunStats{}, storage.StoreStats{})}, true
 		case MsgClose:
 			return Frame{}, false
 		}

@@ -19,6 +19,9 @@ import (
 	"slices"
 
 	"kspot/internal/model"
+	"kspot/internal/radio"
+	"kspot/internal/stats"
+	"kspot/internal/storage"
 )
 
 // fixed64 converts a centi-quantized Value to exact s64 centi-units (the
@@ -244,4 +247,145 @@ func DecodeSums(b []byte) (exec uint32, sums map[model.GroupID]int64, err error)
 		b = b[sumRecordSize:]
 	}
 	return exec, sums, nil
+}
+
+// AppendStatsRow appends the one wire form of a shard's counters row (the
+// System Panel's per-shard traffic), carried by every epoch-round reply and
+// leading every stats reply:
+//
+//	label                                          u16-length string
+//	epochs, messages, frames, tx, rx bytes, drops  uvarint each
+//	EnergyUJ, EnergyMax                            float64 bits, u64
+//	per-kind tx bytes                              uvarint count, then
+//	                                               (kind u8, bytes uvarint),
+//	                                               kinds strictly ascending
+//
+// The energies cross as their IEEE bits, so a federated sum is bit-exact.
+// Correct and Recall are a query's columns, not a shard's, and stay behind.
+func AppendStatsRow(dst []byte, r stats.RunStats) []byte {
+	dst = appendString(dst, r.Algorithm)
+	for _, v := range [...]int{r.Epochs, r.Messages, r.Frames, r.TxBytes, r.RxBytes, r.Drops} {
+		dst = appendUvarint(dst, uint64(v))
+	}
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.EnergyUJ))
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.EnergyMax))
+	var buf [8]radio.MsgKind // a shard transmits at most KindOther+1 kinds
+	kinds := buf[:0]
+	for k := range r.PerKind {
+		kinds = append(kinds, k)
+	}
+	slices.Sort(kinds)
+	dst = appendUvarint(dst, uint64(len(kinds)))
+	for _, k := range kinds {
+		dst = appendUvarint(append(dst, byte(k)), uint64(r.PerKind[k]))
+	}
+	return dst
+}
+
+// DecodeStatsRow decodes a counters row from the front of b, returning the
+// rest. Strict: minimal varints, kinds strictly ascending. PerKind is never
+// nil, as stats.Collect builds it.
+func DecodeStatsRow(b []byte) (stats.RunStats, []byte, error) {
+	var r stats.RunStats
+	var err error
+	if r.Algorithm, b, err = decodeString(b); err != nil {
+		return stats.RunStats{}, nil, err
+	}
+	for _, v := range [...]*int{&r.Epochs, &r.Messages, &r.Frames, &r.TxBytes, &r.RxBytes, &r.Drops} {
+		var u uint64
+		if u, b, err = decodeUvarint(b); err != nil {
+			return stats.RunStats{}, nil, err
+		}
+		*v = int(u)
+	}
+	if len(b) < 16 {
+		return stats.RunStats{}, nil, io.ErrUnexpectedEOF
+	}
+	r.EnergyUJ = math.Float64frombits(binary.LittleEndian.Uint64(b[0:]))
+	r.EnergyMax = math.Float64frombits(binary.LittleEndian.Uint64(b[8:]))
+	n, b, err := decodeUvarint(b[16:])
+	if err != nil {
+		return stats.RunStats{}, nil, err
+	}
+	if n > uint64(len(b))/2 { // every kind takes at least two bytes
+		return stats.RunStats{}, nil, io.ErrUnexpectedEOF
+	}
+	r.PerKind = make(map[radio.MsgKind]int, n)
+	last := -1
+	for i := uint64(0); i < n; i++ {
+		if len(b) < 1 {
+			return stats.RunStats{}, nil, io.ErrUnexpectedEOF
+		}
+		k := int(b[0])
+		if k <= last {
+			return stats.RunStats{}, nil, fmt.Errorf("wire: stats row kind %d after kind %d", k, last)
+		}
+		last = k
+		var v uint64
+		if v, b, err = decodeUvarint(b[1:]); err != nil {
+			return stats.RunStats{}, nil, err
+		}
+		r.PerKind[radio.MsgKind(k)] = int(v)
+	}
+	return r, b, nil
+}
+
+// AppendStatsReply appends a stats reply: the counters row, then the
+// durable tier's storage block —
+//
+//	dir                      u16-length string
+//	nodes, segments, bytes   uvarint each
+//	last checkpoint epoch    u32
+//	checkpointed             u8, 0 or 1
+//	error                    u16-length string
+func AppendStatsReply(dst []byte, row stats.RunStats, block storage.StoreStats) []byte {
+	dst = AppendStatsRow(dst, row)
+	dst = appendString(dst, block.Dir)
+	for _, v := range [...]uint64{uint64(block.Nodes), uint64(block.Segments), uint64(block.Bytes)} {
+		dst = appendUvarint(dst, v)
+	}
+	dst = AppendEpoch(dst, block.LastEpoch)
+	checkpointed := byte(0)
+	if block.HasEpoch {
+		checkpointed = 1
+	}
+	return appendString(append(dst, checkpointed), block.Err)
+}
+
+// DecodeStatsReply decodes a stats reply, with DecodeStatsRow's strictness
+// and no trailing bytes.
+func DecodeStatsReply(b []byte) (stats.RunStats, storage.StoreStats, error) {
+	row, b, err := DecodeStatsRow(b)
+	if err != nil {
+		return stats.RunStats{}, storage.StoreStats{}, err
+	}
+	var block storage.StoreStats
+	if block.Dir, b, err = decodeString(b); err != nil {
+		return stats.RunStats{}, storage.StoreStats{}, err
+	}
+	var counts [3]uint64
+	for i := range counts {
+		if counts[i], b, err = decodeUvarint(b); err != nil {
+			return stats.RunStats{}, storage.StoreStats{}, err
+		}
+	}
+	block.Nodes, block.Segments, block.Bytes = int(counts[0]), int(counts[1]), int64(counts[2])
+	if len(b) < 5 {
+		return stats.RunStats{}, storage.StoreStats{}, io.ErrUnexpectedEOF
+	}
+	block.LastEpoch = model.Epoch(binary.LittleEndian.Uint32(b[0:]))
+	switch b[4] {
+	case 0:
+	case 1:
+		block.HasEpoch = true
+	default:
+		return stats.RunStats{}, storage.StoreStats{}, fmt.Errorf("wire: stats reply checkpointed flag %d", b[4])
+	}
+	if block.Err, b, err = decodeString(b[5:]); err != nil {
+		return stats.RunStats{}, storage.StoreStats{}, err
+	}
+	if len(b) != 0 {
+		return stats.RunStats{}, storage.StoreStats{}, fmt.Errorf("wire: %d trailing bytes after stats reply", len(b))
+	}
+	return row, block, nil
 }

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -14,7 +13,6 @@ import (
 	"kspot/internal/model"
 	"kspot/internal/shard"
 	"kspot/internal/sim"
-	"kspot/internal/stats"
 	"kspot/internal/storage"
 	"kspot/internal/topk"
 )
@@ -62,13 +60,14 @@ type Server struct {
 	store   *storage.Store
 	journal *journal // nil without a data dir
 
-	mu          sync.Mutex
-	nonce       uint64
-	evicted     uint64 // highest sequence evicted from the replay cache
-	replay      map[uint64][]byte
-	replayOrder []uint64
-	snapState   []byte // pinned snapshot image being served in chunks
-	restoreBuf  []byte // restore image being assembled from chunks
+	mu         sync.Mutex
+	nonce      uint64
+	evicted    uint64            // highest sequence evicted from the replay cache
+	replay     map[uint64][]byte // reply frames by sequence: the bytes every write of the reply sends
+	replaySeqs [replayCap]uint64 // ring of the cached sequences; slot replayNext%replayCap is the oldest once full
+	replayNext int               // replies cached this session
+	snapState  []byte            // pinned snapshot image being served in chunks
+	restoreBuf []byte            // restore image being assembled from chunks
 
 	connMu sync.Mutex
 	ln     net.Listener
@@ -272,7 +271,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.nonce = hello.Nonce
 		s.evicted = 0
 		s.replay = make(map[uint64][]byte)
-		s.replayOrder = s.replayOrder[:0]
+		s.replayNext = 0
 		s.snapState = nil
 		s.restoreBuf = nil
 		if err := s.body.Reset(); err != nil {
@@ -304,7 +303,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 		reply, close := s.dispatch(f)
-		if err := WriteFrame(conn, &wbuf, reply); err != nil {
+		if _, err := conn.Write(reply); err != nil {
 			return
 		}
 		if close {
@@ -340,35 +339,34 @@ func (s *Server) checkHello(h Hello) error {
 // executes any sequence it has not seen; only a sequence old enough to
 // have been EVICTED from the replay cache is refused — executing it could
 // be a re-execution, which at-most-once forbids.
-func (s *Server) dispatch(f Frame) (reply Frame, close bool) {
+//
+// The reply is returned encoded, and the connection writes exactly those
+// bytes: a reply is framed once, and a replay writes the cached frame as it
+// stands. Cached bytes are never modified once stored — a replay of the
+// same sequence may be mid-write on another connection.
+func (s *Server) dispatch(f Frame) (reply []byte, close bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if cached, ok := s.replay[f.Seq]; ok {
-		frame, _, err := DecodeFrame(cached)
-		if err != nil {
-			// Unreachable: the cache holds frames this server encoded.
-			return Frame{Seq: f.Seq, Type: MsgError, Payload: []byte("wire: corrupt replay cache")}, false
-		}
-		return frame, frame.Type == MsgClosed
+		return cached, MsgType(cached[frameHeaderSize-1]) == MsgClosed
 	}
 	if f.Seq <= s.evicted {
-		return Frame{Seq: f.Seq, Type: MsgError, Payload: []byte("wire: stale sequence")}, false
+		return AppendFrame(nil, Frame{Seq: f.Seq, Type: MsgError, Payload: []byte("wire: stale sequence")}), false
 	}
 	t, payload, err := s.handle(f)
 	if err != nil {
 		t, payload = MsgError, []byte(err.Error())
 	}
-	reply = Frame{Seq: f.Seq, Type: t, Payload: payload}
-	s.replay[f.Seq] = AppendFrame(nil, reply)
-	s.replayOrder = append(s.replayOrder, f.Seq)
-	if len(s.replayOrder) > replayCap {
-		old := s.replayOrder[0]
+	reply = AppendFrame(nil, Frame{Seq: f.Seq, Type: t, Payload: payload})
+	slot := s.replayNext % replayCap
+	if s.replayNext >= replayCap {
+		old := s.replaySeqs[slot]
 		delete(s.replay, old)
-		s.replayOrder = s.replayOrder[1:]
-		if old > s.evicted {
-			s.evicted = old
-		}
+		s.evicted = max(s.evicted, old)
 	}
+	s.replaySeqs[slot] = f.Seq
+	s.replayNext++
+	s.replay[f.Seq] = reply
 	return reply, t == MsgClosed
 }
 
@@ -415,6 +413,9 @@ func (s *Server) handle(f Frame) (MsgType, []byte, error) {
 			return 0, nil, err
 		}
 		rep := EpochRoundReply{Epoch: req.Epoch, Readings: readings, Groups: make([]RoundGroup, len(results))}
+		// Taken under s.mu right after the round: the row a stats call
+		// arriving next would answer.
+		rep.Stats, _ = s.body.Stats()
 		for i, r := range results {
 			if r.Err != nil {
 				rep.Groups[i].Err = r.Err.Error()
@@ -515,14 +516,7 @@ func (s *Server) handle(f Frame) (MsgType, []byte, error) {
 	case MsgStats:
 		row, _ := s.body.Stats()
 		block, _ := s.body.StorageStats()
-		payload, err := json.Marshal(struct {
-			stats.RunStats
-			Storage storage.StoreStats `json:"storage"`
-		}{row, block})
-		if err != nil {
-			return 0, nil, err
-		}
-		return MsgStatsReply, payload, nil
+		return MsgStatsReply, AppendStatsReply(nil, row, block), nil
 
 	case MsgClose:
 		return MsgClosed, nil, nil

@@ -636,8 +636,10 @@ func RenderSystemPanel(run RunStats, baseline *RunStats) string {
 type RunStats stats.RunStats
 
 // CaptureStats snapshots the deployment's counters under a label, summed
-// across every shard — fetched over the wire on a remote deployment, where
-// an unreachable shard leaves its counters out of the sum.
+// across every shard. On a remote deployment a shard's row is the one its
+// last epoch round carried when nothing has run on it since (no wire call),
+// and is fetched over the wire otherwise; an unreachable shard leaves its
+// counters out of the sum.
 func (s *System) CaptureStats(label string, epochs int) RunStats {
 	var rows []stats.RunStats
 	for _, h := range s.handles() {

@@ -10,14 +10,17 @@ package kspot
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"net"
 	"os"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"kspot/internal/model"
+	"kspot/internal/stats"
 	"kspot/internal/storage"
 	"kspot/internal/wire"
 )
@@ -698,4 +701,147 @@ func TestCaptureStatsSkipsUnreachableShard(t *testing.T) {
 	if _, err := sys.ShardStats(); err == nil {
 		t.Fatal("ShardStats hid the dead shard")
 	}
+}
+
+// wireCalls reads every shard connection's call and round counters.
+func wireCalls(sys *System) (calls, rounds []int64) {
+	for _, m := range sys.WireMetrics() {
+		calls = append(calls, m.Calls)
+		rounds = append(rounds, m.Rounds)
+	}
+	return calls, rounds
+}
+
+// sameTraffic fails unless two captured rows agree on every traffic
+// column, the energies to the bit.
+func sameTraffic(t *testing.T, label string, got, want RunStats) {
+	t.Helper()
+	if got.Messages != want.Messages || got.Frames != want.Frames || got.TxBytes != want.TxBytes ||
+		got.RxBytes != want.RxBytes || got.Drops != want.Drops || !reflect.DeepEqual(got.PerKind, want.PerKind) ||
+		math.Float64bits(got.EnergyUJ) != math.Float64bits(want.EnergyUJ) ||
+		math.Float64bits(got.EnergyMax) != math.Float64bits(want.EnergyMax) {
+		t.Fatalf("%s:\ngot  %+v\nwant %+v", label, got, want)
+	}
+}
+
+// TestCaptureStatsRidesTheRound: kspotd's loop — step, then CaptureStats —
+// costs one wire call per shard per epoch, because the counters row rides
+// the epoch-round reply; and what CaptureStats sums from those rows is, at
+// every epoch, exactly the in-process deployment of the same scenario's
+// counters (messages, frames, bytes, drops, per-kind bytes, energies to the
+// bit).
+func TestCaptureStatsRidesTheRound(t *testing.T) {
+	const sql = "SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid"
+	inproc, err := Open(shardedDemo(t, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inproc.Close()
+	addrs, _ := startWireShards(t, shardedDemo(t, 2), 0)
+	remote, err := OpenFederated(shardedDemo(t, 2), addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer remote.Close()
+	var curs []*Cursor
+	for _, sys := range []*System{inproc, remote} {
+		cur, err := sys.Post(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		curs = append(curs, cur)
+	}
+
+	calls0, rounds0 := wireCalls(remote)
+	for e := 0; e < 20; e++ {
+		for _, cur := range curs {
+			if _, err := cur.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sameTraffic(t, fmt.Sprintf("epoch %d: remote CaptureStats vs in-process", e),
+			remote.CaptureStats("live", 0), inproc.CaptureStats("live", 0))
+	}
+	calls1, rounds1 := wireCalls(remote)
+	for i := range calls1 {
+		if dc, dr := calls1[i]-calls0[i], rounds1[i]-rounds0[i]; dc != dr || dr != 20 {
+			t.Fatalf("shard %d: %d calls for %d rounds over 20 epochs of step + CaptureStats, want one call per round", i, dc, dr)
+		}
+	}
+}
+
+// TestStatsRowServedOnce: the carried row answers one Stats per round and
+// only while the shard has run nothing since — a second read after the
+// same round asks the shard, and so does a read after any other call (a
+// post that attaches a new group). Every answer equals the one the shard
+// gives when asked.
+func TestStatsRowServedOnce(t *testing.T) {
+	addrs, _ := startWireShards(t, shardedDemo(t, 2), 0)
+	sys, err := OpenFederated(shardedDemo(t, 2), addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	cur, err := sys.Post("SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// read takes every shard's row and reports how many wire calls it made.
+	read := func() ([]RunStats, int64) {
+		t.Helper()
+		before, _ := wireCalls(sys)
+		rows, err := sys.ShardStats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		after, _ := wireCalls(sys)
+		var made int64
+		for i := range after {
+			made += after[i] - before[i]
+		}
+		return rows, made
+	}
+	step := func() {
+		t.Helper()
+		if _, err := cur.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	step()
+	carried, made := read()
+	if made != 0 {
+		t.Fatalf("first read after a round made %d calls, want 0", made)
+	}
+	asked, made := read()
+	if made != int64(len(addrs)) {
+		t.Fatalf("second read after the same round made %d calls, want one per shard", made)
+	}
+	if !reflect.DeepEqual(carried, asked) {
+		t.Fatalf("carried rows differ from the shards' own:\ncarried %+v\nasked   %+v", carried, asked)
+	}
+
+	step()
+	if _, err := sys.Post("SELECT TOP 1 roomid, MAX(temp) FROM sensors GROUP BY roomid"); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := wireCalls(sys)
+	captured := sys.CaptureStats("after post", 0)
+	after, _ := wireCalls(sys)
+	for i := range after {
+		if after[i]-before[i] != 1 {
+			t.Fatalf("shard %d: CaptureStats after a post made %d calls, want 1", i, after[i]-before[i])
+		}
+	}
+	asked, _ = read()
+	sameTraffic(t, "CaptureStats after a post vs the shards' rows", captured, RunStats(stats.Merge("", statsRows(asked)...)))
+}
+
+// statsRows converts captured rows back to the stats package's type.
+func statsRows(rows []RunStats) []stats.RunStats {
+	out := make([]stats.RunStats, len(rows))
+	for i, r := range rows {
+		out[i] = stats.RunStats(r)
+	}
+	return out
 }
