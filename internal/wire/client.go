@@ -501,8 +501,10 @@ func (c *Client) sleep(d time.Duration) bool {
 func (c *Client) call(t MsgType, payload []byte) (Frame, error) {
 	c.calls.Add(1)
 	if t == MsgEpochRound {
-		c.rounds.Add(1) // EpochRound marks its own begin and end
+		c.rounds.Add(1)
 	} else {
+		// Any other call makes the carried row stale; a round marks its
+		// own begin and end (EpochRound).
 		c.carried.touch()
 		defer c.carried.touch()
 	}

@@ -60,8 +60,8 @@ func FuzzFrameDecode(f *testing.F) {
 	})
 }
 
-// fuzzRow is a counters row with three kinds and energies no decimal
-// literal holds exactly: the seeds' row section.
+// fuzzRow is a counters row with three kinds and non-integral energies
+// (neither has an exact binary form): the seeds' row section.
 var fuzzRow = stats.RunStats{
 	Algorithm: "shard-1", Epochs: 7, Messages: 2425, Frames: 2611, TxBytes: 62150, RxBytes: 61032, Drops: 3,
 	EnergyUJ: 127852.6, EnergyMax: 0.1 + 0.2,
