@@ -64,7 +64,7 @@ func epochAllocs(t *testing.T, tp engine.Transport, src trace.Source, q topk.Sna
 	// buffer (sweep scratch, pooled views, answer slices) reaches capacity.
 	e := model.Epoch(0)
 	step := func() {
-		readings := topk.SenseEpoch(tp, src, e)
+		readings := engine.SenseEpoch(tp, src, e)
 		if _, err := op.Epoch(e, readings); err != nil {
 			t.Fatal(err)
 		}

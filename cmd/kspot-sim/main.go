@@ -16,12 +16,10 @@
 //	kspot-sim -gen-scale 1000 -shards 4        # generate + run the sharded
 //	                                           # scale deployment
 //
-// Fault injection (see scenarios/README.md; flags override a scenario's
-// faults block):
+// A fault environment (loss, bursts, duplication, delay, churn) is the
+// scenario's faults block; see scenarios/README.md and scenarios/lossy-*.json:
 //
-//	kspot-sim -loss 0.1 -fault-seed 7          # 10% deterministic frame loss
-//	kspot-sim -burst 0.05,0.3,0.6              # Gilbert-Elliott fades
-//	kspot-sim -churn 4@10:20 -churn 7@15       # node 4 dies at 10, revives at 20
+//	kspot-sim -scenario scenarios/lossy-burst.json
 package main
 
 import (
@@ -29,69 +27,11 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strconv"
-	"strings"
 
 	"kspot"
 )
 
-// churnFlags collects repeatable -churn values: "node@down" kills the node
-// at epoch down forever, "node@down:up" revives it at epoch up.
-type churnFlags []kspot.ChurnEvent
-
-func (c *churnFlags) String() string { return fmt.Sprint(*c) }
-
-func (c *churnFlags) Set(s string) error {
-	node, spans, ok := strings.Cut(s, "@")
-	if !ok {
-		return fmt.Errorf("churn %q: want node@epoch or node@down:up", s)
-	}
-	id, err := strconv.ParseUint(node, 10, 16)
-	if err != nil {
-		return fmt.Errorf("churn %q: bad node id: %v", s, err)
-	}
-	down, up, revives := strings.Cut(spans, ":")
-	de, err := strconv.ParseUint(down, 10, 32)
-	if err != nil {
-		return fmt.Errorf("churn %q: bad death epoch: %v", s, err)
-	}
-	*c = append(*c, kspot.ChurnEvent{Node: kspot.NodeID(id), Epoch: kspot.Epoch(de), Down: true})
-	if revives {
-		ue, err := strconv.ParseUint(up, 10, 32)
-		if err != nil {
-			return fmt.Errorf("churn %q: bad revival epoch: %v", s, err)
-		}
-		if ue <= de {
-			return fmt.Errorf("churn %q: revival epoch %d must come after death epoch %d", s, ue, de)
-		}
-		*c = append(*c, kspot.ChurnEvent{Node: kspot.NodeID(id), Epoch: kspot.Epoch(ue), Down: false})
-	}
-	return nil
-}
-
-// parseBurst parses "pGoodBad,pBadGood,lossBad[,lossGood]".
-func parseBurst(s string) (*kspot.BurstLossSpec, error) {
-	parts := strings.Split(s, ",")
-	if len(parts) != 3 && len(parts) != 4 {
-		return nil, fmt.Errorf("burst %q: want pGoodBad,pBadGood,lossBad[,lossGood]", s)
-	}
-	vals := make([]float64, len(parts))
-	for i, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return nil, fmt.Errorf("burst %q: %v", s, err)
-		}
-		vals[i] = v
-	}
-	spec := &kspot.BurstLossSpec{PGoodBad: vals[0], PBadGood: vals[1], LossBad: vals[2]}
-	if len(vals) == 4 {
-		spec.LossGood = vals[3]
-	}
-	return spec, nil
-}
-
 func main() {
-	var churn churnFlags
 	var (
 		scenarioPath = flag.String("scenario", "", "scenario JSON (default: built-in Figure-3 demo)")
 		queryText    = flag.String("query", "SELECT TOP 3 roomid, AVG(sound) FROM sensors GROUP BY roomid EPOCH DURATION 1 min", "query to post")
@@ -99,16 +39,10 @@ func main() {
 		algo         = flag.String("algo", "", "pin algorithm: mint|tag|naive|central|tja|tput")
 		emit         = flag.String("emit", "", "write the selected scenario to this file and exit")
 		panelEvery   = flag.Int("panel", 5, "render the display panel every N epochs (0 = final only)")
-		lossP        = flag.Float64("loss", 0, "deterministic Bernoulli per-frame loss probability [0,1)")
-		burstSpec    = flag.String("burst", "", "Gilbert-Elliott loss: pGoodBad,pBadGood,lossBad[,lossGood]")
-		dupP         = flag.Float64("dup", 0, "frame duplication probability [0,1)")
-		delayP       = flag.Float64("delay", 0, "frame delay probability [0,1)")
-		faultSeed    = flag.Int64("fault-seed", 0, "seed for the fault environment")
 		genScale     = flag.Int("gen-scale", 0, "generate the scale-<n> scenario (n sensors, multiple of 20) instead of loading one; use with -emit")
 		shards       = flag.Int("shards", 0, "federate the deployment into N shard networks (splits the cluster list; with -gen-scale, validates every shard deploys)")
 		parallel     = flag.Int("parallel", runtime.NumCPU(), "epoch-sweep worker bound per shard; 1 = exact legacy sequential path (results are byte-identical for every value)")
 	)
-	flag.Var(&churn, "churn", "node churn: node@epoch (die) or node@down:up (die and revive); repeatable")
 	flag.Parse()
 
 	scen := kspot.DemoScenario()
@@ -144,25 +78,6 @@ func main() {
 			fail(err)
 		}
 	}
-	switch {
-	case *lossP > 0 || *burstSpec != "" || *dupP > 0 || *delayP > 0 || len(churn) > 0:
-		cfg := &kspot.FaultConfig{Seed: *faultSeed, Loss: *lossP, Duplicate: *dupP, Delay: *delayP, Churn: churn}
-		if *burstSpec != "" {
-			spec, err := parseBurst(*burstSpec)
-			if err != nil {
-				fail(err)
-			}
-			cfg.Burst = spec
-		}
-		scen.Faults = cfg // flags override the scenario's faults block
-	case *faultSeed != 0:
-		// Re-seed the scenario's own fault environment; a bare -fault-seed
-		// with nothing to seed would be silently ignored, so reject it.
-		if scen.Faults == nil {
-			fail(fmt.Errorf("-fault-seed %d has no effect: no fault flags given and the scenario has no faults block", *faultSeed))
-		}
-		scen.Faults.Seed = *faultSeed
-	}
 	if *emit != "" {
 		if err := scen.Save(*emit); err != nil {
 			fail(err)
@@ -182,7 +97,7 @@ func main() {
 	fmt.Printf("scenario: %s (%d sensors)\nquery   : %s\nplan    : %s\n",
 		scen.Name, len(scen.Nodes), cur.Query(), cur.Plan())
 	if sys.Shards() > 1 {
-		fmt.Printf("shards  : %d networks, top-k merged at the coordinator tier (per-shard fault seeds derive from -fault-seed)\n", sys.Shards())
+		fmt.Printf("shards  : %d networks, top-k merged at the coordinator tier\n", sys.Shards())
 	}
 	if env := scen.FaultEnv(); env != nil {
 		fmt.Printf("faults  : seed=%d loss=%v burst=%v dup=%v delay=%v churn=%d events\n",
@@ -211,8 +126,6 @@ func main() {
 		return
 	}
 
-	var last kspot.Answer
-	_ = last
 	var lastAnswers []kspot.Answer
 	for i := 0; i < *epochs; i++ {
 		res, err := cur.Step()

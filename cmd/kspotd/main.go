@@ -392,10 +392,6 @@ func main() {
 		scenarioPath = flag.String("scenario", "", "scenario JSON (default: built-in demo)")
 		k            = flag.Int("k", 3, "K of the default Top-K query")
 		interval     = flag.Duration("interval", time.Second, "epoch duration")
-		lossP        = flag.Float64("loss", 0, "deterministic Bernoulli per-frame loss probability [0,1)")
-		dupP         = flag.Float64("dup", 0, "frame duplication probability [0,1)")
-		delayP       = flag.Float64("delay", 0, "frame delay probability [0,1)")
-		faultSeed    = flag.Int64("fault-seed", 0, "seed for the fault environment")
 		shards       = flag.Int("shards", 0, "federate the deployment into N shard networks (splits the cluster list)")
 		parallel     = flag.Int("parallel", runtime.NumCPU(), "epoch-sweep worker bound per shard, on both substrates; 1 = no spare workers (results are byte-identical for every value)")
 		serveShard   = flag.Int("serve-shard", -1, "serve shard N of the scenario over the wire protocol instead of the GUI daemon (see -wire-addr)")
@@ -418,17 +414,6 @@ func main() {
 		if err != nil {
 			log.Fatal("kspotd: ", err)
 		}
-	}
-	switch {
-	case *lossP > 0 || *dupP > 0 || *delayP > 0:
-		// Flags override the scenario's faults block; richer environments
-		// (bursts, churn, distance loss) come from the scenario file.
-		scen.Faults = &kspot.FaultConfig{Seed: *faultSeed, Loss: *lossP, Duplicate: *dupP, Delay: *delayP}
-	case *faultSeed != 0:
-		if scen.Faults == nil {
-			log.Fatalf("kspotd: -fault-seed %d has no effect: no fault flags given and the scenario has no faults block", *faultSeed)
-		}
-		scen.Faults.Seed = *faultSeed
 	}
 	if *shards > 0 {
 		if err := scen.AutoShard(*shards); err != nil {

@@ -172,7 +172,7 @@ func runE13(w io.Writer, cfg RunConfig) error {
 			}
 			// The keyed Bernoulli model every lossy deployment arms; at
 			// 0 % it installs nothing and the row is the lossless run.
-			if _, err := faults.Wrap(net, faults.Config{Seed: 99, Loss: loss}); err != nil {
+			if err := faults.Arm(net, faults.Config{Seed: 99, Loss: loss}); err != nil {
 				return err
 			}
 			src.Groups = net.Placement.Groups

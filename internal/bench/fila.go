@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"kspot/internal/engine"
 	"kspot/internal/model"
 	"kspot/internal/sim"
 	"kspot/internal/stats"
@@ -59,14 +60,14 @@ func runE14Churn(w io.Writer, epochs, n, k int) error {
 			if err := o.op.Attach(net, q); err != nil {
 				return err
 			}
-			warm := topk.SenseEpoch(net, src, 0)
+			warm := engine.SenseEpoch(net, src, 0)
 			if _, err := o.op.Epoch(0, warm); err != nil {
 				return err
 			}
 			net.Reset()
 			exactPct, setPct := 0, 0
 			for e := model.Epoch(1); int(e) <= epochs; e++ {
-				readings := topk.SenseEpoch(net, src, e)
+				readings := engine.SenseEpoch(net, src, e)
 				got, err := o.op.Epoch(e, readings)
 				if err != nil {
 					return err
@@ -123,14 +124,14 @@ func runE14Static(w io.Writer, epochs, n, k int) error {
 		if err := o.op.Attach(net, q); err != nil {
 			return err
 		}
-		warm := topk.SenseEpoch(net, src, 0)
+		warm := engine.SenseEpoch(net, src, 0)
 		if _, err := o.op.Epoch(0, warm); err != nil {
 			return err
 		}
 		net.Reset()
 		exactPct, setPct := 0, 0
 		for e := model.Epoch(1); int(e) <= epochs; e++ {
-			readings := topk.SenseEpoch(net, src, e)
+			readings := engine.SenseEpoch(net, src, e)
 			got, err := o.op.Epoch(e, readings)
 			if err != nil {
 				return err

@@ -73,7 +73,7 @@ func runEpochs(b *testing.B, tp engine.Transport, op topk.SnapshotOperator, src 
 	if err := op.Attach(tp, q); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := op.Epoch(0, topk.SenseEpoch(tp, src, 0)); err != nil {
+	if _, err := op.Epoch(0, engine.SenseEpoch(tp, src, 0)); err != nil {
 		b.Fatal(err)
 	}
 	tp.Reset()
@@ -81,7 +81,7 @@ func runEpochs(b *testing.B, tp engine.Transport, op topk.SnapshotOperator, src 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := model.Epoch(i + 1)
-		if _, err := op.Epoch(e, topk.SenseEpoch(tp, src, e)); err != nil {
+		if _, err := op.Epoch(e, engine.SenseEpoch(tp, src, e)); err != nil {
 			b.Fatal(err)
 		}
 	}

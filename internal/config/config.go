@@ -6,6 +6,7 @@
 package config
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -61,10 +62,6 @@ type Shard struct {
 	Name string `json:"name,omitempty"`
 	// Clusters lists the cluster ids deployed in this shard.
 	Clusters []uint16 `json:"clusters"`
-	// FaultSeed, when non-zero, pins this shard's fault-environment seed.
-	// By default shard i derives its seed from the deployment seed (see
-	// ShardFaultSeed) so shards fade independently under one armed config.
-	FaultSeed int64 `json:"fault_seed,omitempty"`
 }
 
 // Scenario is a complete deployment description.
@@ -73,7 +70,6 @@ type Scenario struct {
 	SinkX    float64   `json:"sink_x"`
 	SinkY    float64   `json:"sink_y"`
 	Radius   float64   `json:"radio_radius"`
-	Loss     float64   `json:"loss_rate,omitempty"`
 	Payload  int       `json:"payload_bytes,omitempty"`
 	Budget   float64   `json:"budget_joules,omitempty"`
 	Nodes    []Node    `json:"nodes"`
@@ -88,8 +84,8 @@ type Scenario struct {
 	// distance-weighted or Gilbert-Elliott bursts), frame duplication and
 	// delay, and scheduled node churn. It replays identically on the
 	// simulator and the live substrate. The scenarios/lossy-*.json family
-	// exercises it; kspot.Open arms it. The top-level loss_rate is
-	// shorthand for the simplest such block (see FaultEnv).
+	// exercises it; kspot.Open arms it. It is the scenario's only fault
+	// input.
 	Faults *faults.Config `json:"faults,omitempty"`
 	// Shards, when present, declares a federated deployment: the cluster
 	// list is partitioned into shard networks that run the per-shard
@@ -131,9 +127,6 @@ func (s *Scenario) Validate() error {
 			return fmt.Errorf("config: nodes[%d].cluster: unknown cluster %d", i, n.Cluster)
 		}
 	}
-	if s.Loss < 0 || s.Loss >= 1 {
-		return fmt.Errorf("config: loss_rate: %v outside [0,1)", s.Loss)
-	}
 	if s.Faults != nil {
 		if err := s.Faults.Validate(); err != nil {
 			return fmt.Errorf("config: faults: %w", err)
@@ -142,11 +135,6 @@ func (s *Scenario) Validate() error {
 			if !seen[uint16(ev.Node)] {
 				return fmt.Errorf("config: faults.churn[%d].node: unknown node %d", i, ev.Node)
 			}
-		}
-		if s.Faults.Enabled() && s.Loss > 0 {
-			// One environment per deployment: loss_rate is itself a
-			// Bernoulli faults block (see FaultEnv).
-			return fmt.Errorf("config: loss_rate: cannot be combined with a faults block; use the faults block's loss instead")
 		}
 	}
 	return s.validateShards(clusters)
@@ -198,16 +186,13 @@ func (s *Scenario) validateShards(clusters map[uint16]bool) error {
 	return nil
 }
 
-// FaultEnv returns the fault environment the scenario declares — the
-// faults block, or the Bernoulli block loss_rate is shorthand for, seeded
-// by the workload seed — or nil in a perfect world. Hosts arm it the one
-// way (kspot.Open, a wire shard server); Network builds the bare radio.
+// FaultEnv returns the fault environment the scenario declares — its
+// faults block — or nil in a perfect world. Hosts arm it the one way
+// (shard.New, under kspot.Open and a wire shard server alike); Network
+// builds the bare radio.
 func (s *Scenario) FaultEnv() *faults.Config {
-	switch {
-	case s.Faults.Enabled():
+	if s.Faults.Enabled() {
 		return s.Faults
-	case s.Loss > 0:
-		return &faults.Config{Seed: s.Workload.Seed, Loss: s.Loss}
 	}
 	return nil
 }
@@ -358,10 +343,14 @@ func Load(path string) (*Scenario, error) {
 	return Decode(data)
 }
 
-// Decode parses and validates scenario JSON.
+// Decode parses and validates scenario JSON. A key the schema does not
+// know is an error naming it: a misspelled block must not load as a world
+// without it.
 func Decode(data []byte) (*Scenario, error) {
 	var s Scenario
-	if err := json.Unmarshal(data, &s); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("config: bad scenario JSON: %w", err)
 	}
 	if err := s.Validate(); err != nil {
@@ -480,13 +469,9 @@ func (s *Scenario) ShardName(i int) string {
 // deployment and shard 0 of a sharded one replay identical fault patterns).
 const shardSeedStride = 0x9E3779B9
 
-// ShardFaultSeed derives shard i's fault-environment seed: the shard's
-// pinned fault_seed when declared, otherwise base + i*stride so the shards
-// fade independently under one armed config.
+// ShardFaultSeed derives shard i's fault-environment seed, base + i*stride,
+// so the shards fade independently under one armed config.
 func (s *Scenario) ShardFaultSeed(base int64, i int) int64 {
-	if i < len(s.Shards) && s.Shards[i].FaultSeed != 0 {
-		return s.Shards[i].FaultSeed
-	}
 	return base + int64(i)*shardSeedStride
 }
 
@@ -546,7 +531,6 @@ func (s *Scenario) ShardScenarios() ([]*Scenario, error) {
 		sub := &Scenario{
 			Name:     fmt.Sprintf("%s/%s", s.Name, s.ShardName(i)),
 			Radius:   s.Radius,
-			Loss:     s.Loss,
 			Payload:  s.Payload,
 			Budget:   s.Budget,
 			Workload: s.Workload,

@@ -1,8 +1,8 @@
 package config
 
 import (
+	"fmt"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -43,15 +43,10 @@ func TestValidate(t *testing.T) {
 		{"unknown cluster", func(s *Scenario) { s.Nodes[1].Cluster = 9 }, "config: nodes[1].cluster: unknown cluster 9"},
 		{"dup cluster", func(s *Scenario) { s.Clusters = append(s.Clusters, Cluster{ID: 1, Name: "dup"}) },
 			"config: clusters[1].id: duplicate cluster id 1"},
-		{"loss range", func(s *Scenario) { s.Loss = 1.5 }, "config: loss_rate: 1.5 outside [0,1)"},
 		{"churn unknown node", func(s *Scenario) {
 			s.Faults = &faults.Config{Churn: []faults.ChurnEvent{{Node: 77, Epoch: 1, Down: true}}}
 		}, "config: faults.churn[0].node: unknown node 77"},
 		{"faults inner", func(s *Scenario) { s.Faults = &faults.Config{Loss: 2} }, "config: faults: "},
-		{"loss_rate with faults", func(s *Scenario) {
-			s.Loss = 0.1
-			s.Faults = &faults.Config{Loss: 0.1}
-		}, "config: loss_rate: cannot be combined"},
 		{"shards without clusters", func(s *Scenario) {
 			s.Clusters = nil
 			s.Shards = []Shard{{Clusters: []uint16{1}}}
@@ -105,7 +100,7 @@ func shardedScenario() *Scenario {
 			{ID: 4, X: 24, Y: 0, Cluster: 2},
 		},
 		Clusters: []Cluster{{ID: 1, Name: "West"}, {ID: 2, Name: "East"}},
-		Shards:   []Shard{{Name: "west", Clusters: []uint16{1}}, {Clusters: []uint16{2}, FaultSeed: 99}},
+		Shards:   []Shard{{Name: "west", Clusters: []uint16{1}}, {Clusters: []uint16{2}}},
 	}
 }
 
@@ -156,12 +151,12 @@ func TestShardFaults(t *testing.T) {
 	f0 := s.ShardFaults(base, 0)
 	f1 := s.ShardFaults(base, 1)
 	// Shard 0 keeps the deployment seed (an unsharded system replays the
-	// same fault pattern); shard 1 pinned fault_seed 99.
+	// same fault pattern); shard 1 derives a distinct one.
 	if f0.Seed != 7 {
 		t.Errorf("shard 0 seed = %d, want base 7", f0.Seed)
 	}
-	if f1.Seed != 99 {
-		t.Errorf("shard 1 seed = %d, want pinned 99", f1.Seed)
+	if f1.Seed != 7+shardSeedStride {
+		t.Errorf("shard 1 seed = %d, want base 7 + stride", f1.Seed)
 	}
 	if f0.Loss != 0.1 || f1.Loss != 0.1 {
 		t.Errorf("frame faults must apply to every shard: %v / %v", f0.Loss, f1.Loss)
@@ -172,11 +167,6 @@ func TestShardFaults(t *testing.T) {
 	}
 	if len(f1.Churn) != 1 || f1.Churn[0].Node != 4 {
 		t.Errorf("shard 1 churn = %+v", f1.Churn)
-	}
-	// An unpinned non-zero shard derives a distinct seed.
-	s.Shards[1].FaultSeed = 0
-	if got := s.ShardFaults(base, 1).Seed; got == 7 {
-		t.Error("shard 1 derived seed collides with the base seed")
 	}
 }
 
@@ -252,6 +242,31 @@ func TestDecodeBadJSON(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsUnknownKeys pins that a key the schema does not know —
+// a typo, or a key an earlier schema had — fails the load naming the key,
+// instead of loading silently as a world without it.
+func TestDecodeRejectsUnknownKeys(t *testing.T) {
+	const scenario = `{"name":"x","radio_radius":10,"nodes":[{"id":1,"x":5,"y":0,"cluster":1}],"clusters":[{"id":1,"name":"Lab"}]%s}`
+	if _, err := Decode([]byte(fmt.Sprintf(scenario, ""))); err != nil {
+		t.Fatalf("valid scenario rejected: %v", err)
+	}
+	cases := []struct{ name, extra, key string }{
+		{"typo'd faults block", `,"fautls":{"seed":1,"loss":0.1}`, "fautls"},
+		{"top-level loss_rate", `,"loss_rate":0.1`, "loss_rate"},
+		{"shard fault_seed", `,"shards":[{"clusters":[1],"fault_seed":99}]`, "fault_seed"},
+	}
+	for _, tc := range cases {
+		_, err := Decode([]byte(fmt.Sprintf(scenario, tc.extra)))
+		if err == nil {
+			t.Errorf("%s: loaded", tc.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.key) {
+			t.Errorf("%s: error %q does not name key %q", tc.name, err, tc.key)
+		}
+	}
+}
+
 func TestPlacementConversion(t *testing.T) {
 	s := validScenario()
 	p := s.Placement()
@@ -277,16 +292,15 @@ func TestNetworkBuilds(t *testing.T) {
 }
 
 // TestNetworkAppliesRadio pins what a scenario's radio fields become: the
-// payload sizes the link, and loss_rate is the Bernoulli fault environment
-// hosts arm (seeded by the workload), never a property of the bare link.
+// payload sizes the link, and the faults block is the fault environment
+// hosts arm, never a property of the bare link.
 func TestNetworkAppliesRadio(t *testing.T) {
 	s := validScenario()
 	if s.FaultEnv() != nil {
 		t.Fatalf("a lossless scenario declares fault environment %+v", s.FaultEnv())
 	}
 	s.Payload = 64
-	s.Loss = 0.1
-	s.Workload.Seed = 11
+	s.Faults = &faults.Config{Seed: 3, Delay: 0.2}
 	net, err := s.Network()
 	if err != nil {
 		t.Fatal(err)
@@ -294,10 +308,6 @@ func TestNetworkAppliesRadio(t *testing.T) {
 	if net.Link.Config().Payload != 64 || net.Link.Config().Fault != nil {
 		t.Fatalf("radio config = %+v", net.Link.Config())
 	}
-	if env := s.FaultEnv(); env == nil || !reflect.DeepEqual(*env, faults.Config{Seed: 11, Loss: 0.1}) {
-		t.Fatalf("loss_rate 0.1 declares fault environment %+v", env)
-	}
-	s.Loss, s.Faults = 0, &faults.Config{Seed: 3, Delay: 0.2}
 	if s.FaultEnv() != s.Faults {
 		t.Fatalf("a faults block is not the scenario's fault environment: %+v", s.FaultEnv())
 	}

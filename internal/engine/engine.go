@@ -122,15 +122,15 @@ type ReadingsRecorder interface {
 	RecordReadings(e model.Epoch, readings map[model.NodeID]model.Reading)
 }
 
-// Unwrapper is implemented by Transport decorators (the fault-injection
-// layer); Unwrap returns the wrapped transport. Baseof follows the chain.
+// Unwrapper is implemented by Transport decorators (the recorder taps);
+// Unwrap returns the wrapped transport. Baseof follows the chain.
 type Unwrapper interface {
 	Unwrap() Transport
 }
 
 // Recorded decorates a transport with an extra ReadingsRecorder — how a
 // shard's durable tier (storage.Store) taps the sense commit without the
-// substrate knowing it exists (faults.Stack places it). Taps nest: an
+// substrate knowing it exists (shard.New stacks it). Taps nest: an
 // inner Recorded's recorder runs first.
 type Recorded struct {
 	Transport

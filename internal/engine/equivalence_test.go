@@ -34,6 +34,13 @@ func runOn(t *testing.T, scen *config.Scenario, mk func() topk.SnapshotOperator,
 		t.Fatal(err)
 	}
 	net.SetParallel(workers)
+	// The scenario's fault environment (a Bernoulli faults block on the
+	// lossy legs), armed on the network the way shard.New arms it.
+	if env := scen.FaultEnv(); env != nil {
+		if err := faults.Arm(net, *env); err != nil {
+			t.Fatal(err)
+		}
+	}
 	src, err := scen.Source()
 	if err != nil {
 		t.Fatal(err)
@@ -46,12 +53,6 @@ func runOn(t *testing.T, scen *config.Scenario, mk func() topk.SnapshotOperator,
 		l.Start(ctx)
 		defer l.Stop()
 		tp = l
-	}
-	// The scenario's fault environment (loss_rate on the lossy legs), armed
-	// the way kspot.Open and a wire shard server arm it.
-	tp, err = faults.Stack(tp, scen.FaultEnv())
-	if err != nil {
-		t.Fatal(err)
 	}
 	q := topk.SnapshotQuery{K: 2, Agg: model.AggAvg, Range: &topk.ValueRange{Min: 0, Max: 100}}
 	r := &topk.Runner{Net: tp, Source: src, Op: mk(), Query: q}
@@ -116,7 +117,7 @@ func TestSubstrateEquivalence(t *testing.T) {
 	lossy := func(mk func() *config.Scenario, rate float64) func() *config.Scenario {
 		return func() *config.Scenario {
 			scen := mk()
-			scen.Loss = rate
+			scen.Faults = &faults.Config{Seed: scen.Workload.Seed, Loss: rate}
 			return scen
 		}
 	}

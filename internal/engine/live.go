@@ -42,7 +42,7 @@ type LiveOptions struct {
 // callbacks run under the lock and must not call back into the transport.
 type Live struct {
 	base *sim.Network
-	mu   sync.Mutex // guards base (link rng, counters, ledger, budgets, tree index) and frames
+	mu   sync.Mutex // guards base (link rng, counters, ledger, budgets, churn schedule, tree index) and frames
 
 	// frames is the free list of sweep frames: a sweep takes one (or makes
 	// one) and returns it, so the list grows to the peak number of sweeps
@@ -171,14 +171,6 @@ func (l *Live) Sweep(e model.Epoch, kind radio.MsgKind, readings map[model.NodeI
 	return v
 }
 
-// SetNodeDown administratively kills or revives a node (fault-injection
-// churn), delegating to the shared network state under the lock.
-func (l *Live) SetNodeDown(id model.NodeID, down bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.base.SetNodeDown(id, down)
-}
-
 // SetFault installs a deterministic link-layer fault model on the shared
 // link. Installation must precede traffic (the fault model itself is
 // concurrency-safe; the swap is not synchronized against in-flight sends).
@@ -186,6 +178,16 @@ func (l *Live) SetFault(m radio.FaultModel) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.base.SetFault(m)
+}
+
+// SetChurn arms a churn schedule on the shared network under the lock. The
+// network fires each event on entry to its epoch's first transmitting
+// primitive (see sim.Network.SetChurn); a sweep fires it under the commit
+// lock. Arming must precede traffic.
+func (l *Live) SetChurn(events []sim.ChurnEvent) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.base.SetChurn(events)
 }
 
 // AliveSensors implements Transport: the whole roster's aliveness under

@@ -165,3 +165,72 @@ func TestLiveStopDuringSweep(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestChurnFiresAtFirstCommitNotAtSensing pins where an armed churn event
+// takes effect, on the simulator's sequential and level-synchronous sweeps
+// and on Live: an event at epoch e is not yet in force when e is sensed
+// (AliveSensors still lists the node, so its reading is taken) but is by
+// e's first sweep commit — the node is the sweep's first to commit, and its
+// reading never reaches the sink.
+func TestChurnFiresAtFirstCommitNotAtSensing(t *testing.T) {
+	const downAt = 3
+	for _, sc := range []struct {
+		name     string
+		parallel int
+		live     bool
+	}{{"sim-sequential", 1, false}, {"sim-levels", 2, false}, {"live", 1, true}} {
+		t.Run(sc.name, func(t *testing.T) {
+			scen := config.Figure1Scenario()
+			net, err := scen.Network()
+			if err != nil {
+				t.Fatal(err)
+			}
+			net.SetParallel(sc.parallel)
+			src, err := scen.Source()
+			if err != nil {
+				t.Fatal(err)
+			}
+			idx := net.Tree.LevelIndex()
+			first := idx.Levels[len(idx.Levels)-1][0] // the sweep's first commit
+			group := net.Placement.Groups[first]
+			var tp interface {
+				engine.Transport
+				SetChurn([]sim.ChurnEvent)
+			} = net
+			if sc.live {
+				l := engine.NewLive(net, engine.LiveOptions{})
+				l.Start(context.Background())
+				defer l.Stop()
+				tp = l
+			}
+			tp.SetChurn([]sim.ChurnEvent{{Node: first, Epoch: downAt, Down: true}})
+			for e := model.Epoch(0); e <= downAt; e++ {
+				sensed := false
+				for _, id := range tp.AliveSensors() {
+					sensed = sensed || id == first
+				}
+				if !sensed {
+					t.Fatalf("epoch %d: node %d missing from AliveSensors before its epoch's first transmission", e, first)
+				}
+				readings := engine.SenseEpoch(tp, src, e)
+				members := 0
+				for _, r := range readings {
+					if r.Group == group {
+						members++
+					}
+				}
+				want := members
+				if e == downAt {
+					want-- // struck down before it could transmit
+				}
+				p, _ := tp.Sweep(e, radio.KindData, readings, nil).Get(group)
+				if int(p.Count) != want {
+					t.Fatalf("epoch %d: group %d reached the sink with %d readings, want %d", e, group, p.Count, want)
+				}
+			}
+			if tp.Alive(first) {
+				t.Errorf("node %d alive after its epoch-%d churn event", first, downAt)
+			}
+		})
+	}
+}

@@ -1,17 +1,18 @@
-// Package faults is the unreliable-world layer: it degrades any
-// engine.Transport with seeded link loss, message duplication and delay,
-// and scheduled node churn — the conditions the paper's MICA2 deployments
-// actually ran under, which sim.DefaultOptions' lossless world never
-// exercises.
+// Package faults is the unreliable-world layer: it degrades a network with
+// seeded link loss, message duplication and delay, and scheduled node
+// churn — the conditions the paper's MICA2 deployments actually ran under,
+// which sim.DefaultOptions' lossless world never exercises.
 //
-// The layer has two halves, matching where each fault physically lives:
+// Arm installs a whole Config on the network state machine in one call,
+// each fault where it physically lives:
 //
-//   - Frame faults (loss, delay, duplication) are injected into the shared
-//     radio link (radio.Config.Fault), so retransmission, framing and
-//     energy accounting all apply unchanged. Loss models: Bernoulli
-//     per-frame, distance-weighted, and Gilbert-Elliott bursts.
-//   - Node churn (scheduled death and revival) is a Transport decorator,
-//     the Injector, which watches the epoch stream and flips nodes down/up
+//   - Frame faults (loss, delay, duplication) go into the shared radio link
+//     (radio.Config.Fault), so retransmission, framing and energy
+//     accounting all apply unchanged. Loss models: Bernoulli per-frame,
+//     distance-weighted, and Gilbert-Elliott bursts.
+//   - Node churn (scheduled death and revival) goes into the network's
+//     churn schedule (sim.Network.SetChurn), which fires each event on
+//     entry to its epoch's first transmitting primitive and flips the node
 //     through the same Alive pathway energy exhaustion uses.
 //
 // Determinism contract: every fault decision is a pure function of the
@@ -20,22 +21,16 @@
 // simulator and the concurrent live substrate therefore replay the exact
 // same fault pattern under the same seed, which is what the conformance
 // suite's substrate-equivalence tests pin (see internal/topk/topktest).
-//
-// Decorator ordering: Wrap installs the frame model into the innermost
-// link and returns the churn Injector as the outermost transport. Stack
-// further decorators outside the Injector; nothing may sit between the
-// Injector and the substrate, or churn would miss epoch observations.
 package faults
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
-	"kspot/internal/engine"
 	"kspot/internal/model"
 	"kspot/internal/radio"
+	"kspot/internal/sim"
 	"kspot/internal/topo"
 )
 
@@ -60,16 +55,9 @@ type BurstSpec struct {
 	LossBad  float64 `json:"loss_bad"`            // per-frame loss in the bad state
 }
 
-// ChurnEvent schedules one node's administrative death or revival. The
-// event fires at the first transmission of its epoch: the node's epoch-e
-// reading may still be sensed, but nothing of epoch e (or later) is
-// transmitted or received. Revival rides the same pathway; a node whose
-// energy budget is exhausted stays dead regardless.
-type ChurnEvent struct {
-	Node  model.NodeID `json:"node"`
-	Epoch model.Epoch  `json:"epoch"`
-	Down  bool         `json:"down"`
-}
+// ChurnEvent schedules one node's administrative death or revival (see
+// sim.ChurnEvent: the network that fires it owns the type).
+type ChurnEvent = sim.ChurnEvent
 
 // Config declares a deployment's fault environment. The zero Config is a
 // perfect world. At most one of Loss/Distance/Burst may be set.
@@ -159,44 +147,24 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// faultSetter is satisfied by both substrates (*sim.Network natively,
-// *engine.Live by locked delegation): it reaches the shared radio link.
-type faultSetter interface {
+// network is the state machine a fault environment arms: *sim.Network
+// natively, *engine.Live by locked delegation to the one it serializes.
+type network interface {
+	Topology() *topo.Placement
 	SetFault(radio.FaultModel)
+	SetChurn([]sim.ChurnEvent)
 }
 
-// vitality is satisfied by both substrates: the administrative kill/revive
-// switch churn flips.
-type vitality interface {
-	SetNodeDown(id model.NodeID, down bool)
-}
-
-// Wrap degrades a transport with the configured faults: the frame model is
-// installed into the substrate's link layer and the returned Injector
-// decorates the transport with churn. Wrap an engine substrate directly —
-// *sim.Network or *engine.Live — before any traffic flows. The Injector is
-// always returned (pass-through when the config is empty) so callers hold
-// a single transport either way.
-func Wrap(t engine.Transport, cfg Config) (*Injector, error) {
+// Arm installs the whole configured environment on the network — the frame
+// model into its link layer, the churn schedule into its state machine —
+// replacing whatever was armed before. Arm once, before any traffic flows.
+func Arm(n network, cfg Config) error {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return err
 	}
-	if fm := cfg.frameModel(t.Topology()); fm != nil {
-		fs, ok := t.(faultSetter)
-		if !ok {
-			return nil, fmt.Errorf("faults: transport %T cannot host a link fault model", t)
-		}
-		fs.SetFault(fm)
-	}
-	inj := &Injector{inner: t}
-	if len(cfg.Churn) > 0 {
-		if _, ok := t.(vitality); !ok {
-			return nil, fmt.Errorf("faults: transport %T cannot host node churn", t)
-		}
-		inj.events = append(inj.events, cfg.Churn...)
-		sort.SliceStable(inj.events, func(i, j int) bool { return inj.events[i].Epoch < inj.events[j].Epoch })
-	}
-	return inj, nil
+	n.SetFault(cfg.frameModel(n.Topology()))
+	n.SetChurn(cfg.Churn)
+	return nil
 }
 
 // frameModel assembles the composite radio.FaultModel, or nil when no

@@ -90,16 +90,15 @@ func TestFrameFateAccounting(t *testing.T) {
 func TestBernoulliDeterminism(t *testing.T) {
 	run := func() sim.Snapshot {
 		net := fig1Net(t, sim.DefaultOptions())
-		inj, err := Wrap(net, Config{Seed: 7, Loss: 0.3})
-		if err != nil {
+		if err := Arm(net, Config{Seed: 7, Loss: 0.3}); err != nil {
 			t.Fatal(err)
 		}
 		for e := model.Epoch(0); e < 40; e++ {
 			for _, id := range net.Placement.SensorNodes() {
-				inj.RouteToSink(id, radio.KindData, e, make([]byte, model.ReadingWireSize))
+				net.RouteToSink(id, radio.KindData, e, make([]byte, model.ReadingWireSize))
 			}
 		}
-		return inj.Snap()
+		return net.Snap()
 	}
 	a, b := run(), run()
 	if a != b {
@@ -175,15 +174,14 @@ func TestDistanceLossGrowsWithLinkLength(t *testing.T) {
 
 func TestChurnKillsAndRevives(t *testing.T) {
 	net := fig1Net(t, sim.DefaultOptions())
-	inj, err := Wrap(net, Config{Churn: []ChurnEvent{
-		{Node: 4, Epoch: 2, Down: true},
+	if err := Arm(net, Config{Churn: []ChurnEvent{
 		{Node: 4, Epoch: 5, Down: false},
-	}})
-	if err != nil {
+		{Node: 4, Epoch: 2, Down: true},
+	}}); err != nil {
 		t.Fatal(err)
 	}
 	send := func(e model.Epoch) bool {
-		return inj.SendUp(4, radio.KindData, e, nil)
+		return net.SendUp(4, radio.KindData, e, nil)
 	}
 	if !send(0) || !send(1) {
 		t.Fatal("node 4 should deliver before its death")
@@ -191,7 +189,7 @@ func TestChurnKillsAndRevives(t *testing.T) {
 	if send(2) || send(3) || send(4) {
 		t.Error("node 4 should be dead during epochs [2,5)")
 	}
-	if inj.Alive(4) {
+	if net.Alive(4) {
 		t.Error("Alive must report the churned node dead")
 	}
 	if !send(5) || !send(6) {
@@ -199,9 +197,8 @@ func TestChurnKillsAndRevives(t *testing.T) {
 	}
 
 	// Epoch advance is monotone: replaying an old epoch re-fires nothing.
-	inj.Advance(0)
-	if !inj.Alive(4) {
-		t.Error("advancing to a past epoch must not re-fire events")
+	if !send(0) || !net.Alive(4) {
+		t.Error("a transmission at a past epoch must not re-fire events")
 	}
 }
 
@@ -214,12 +211,11 @@ func TestChurnRespectsExhaustedBudget(t *testing.T) {
 	if net.Alive(3) {
 		t.Fatal("node 3 should be battery-dead")
 	}
-	inj, err := Wrap(net, Config{Churn: []ChurnEvent{{Node: 3, Epoch: 1, Down: false}}})
-	if err != nil {
+	if err := Arm(net, Config{Churn: []ChurnEvent{{Node: 3, Epoch: 1, Down: false}}}); err != nil {
 		t.Fatal(err)
 	}
-	inj.Advance(1)
-	if inj.Alive(3) {
+	net.SendUp(1, radio.KindData, 1, nil) // epoch 1's first transmission fires the revival
+	if net.Alive(3) {
 		t.Error("churn revival must not resurrect a battery-dead node")
 	}
 }

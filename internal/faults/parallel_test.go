@@ -29,7 +29,7 @@ func TestFaultHashOrderIndependentUnderParallelSweep(t *testing.T) {
 			t.Fatalf("build network: %v", err)
 		}
 		sensors := p.SensorNodes()
-		inj, err := Wrap(net, Config{
+		err = Arm(net, Config{
 			Seed:      9,
 			Burst:     &BurstSpec{PGoodBad: 0.15, PBadGood: 0.4, LossBad: 0.6},
 			Duplicate: 0.05,
@@ -41,19 +41,19 @@ func TestFaultHashOrderIndependentUnderParallelSweep(t *testing.T) {
 			},
 		})
 		if err != nil {
-			t.Fatalf("wrap: %v", err)
+			t.Fatalf("arm: %v", err)
 		}
 		src := trace.NewRoomActivity(9, p.Groups, 10)
 		var roots []byte
 		for e := model.Epoch(0); e < 20; e++ {
-			inj.Advance(e)
+			// Sensing precedes the epoch's first transmission, so it sees
+			// the previous epoch's churn; the sweep fires epoch e's events
+			// before its first commit.
 			readings := make(map[model.NodeID]model.Reading)
-			for _, id := range sensors {
-				if inj.Alive(id) {
-					readings[id] = model.Reading{Node: id, Group: p.Groups[id], Epoch: e, Value: src.Sample(id, e)}
-				}
+			for _, id := range net.AliveSensors() {
+				readings[id] = model.Reading{Node: id, Group: p.Groups[id], Epoch: e, Value: src.Sample(id, e)}
 			}
-			roots = model.AppendView(roots, inj.Sweep(e, radio.KindData, readings, nil))
+			roots = model.AppendView(roots, net.Sweep(e, radio.KindData, readings, nil))
 		}
 		return roots, net.Snap()
 	}

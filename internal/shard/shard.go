@@ -51,15 +51,14 @@ type Config struct {
 }
 
 // Shard is one assembled shard. Its stack is fixed once it serves a query
-// (only OnLive changes it, and only before then): the fault environment is
-// the scenario's (Scenario.FaultEnv, specialized per shard), armed here and
-// nowhere else.
+// (only OnLive changes it, and only before then). The fault environment is
+// the scenario's (Scenario.FaultEnv, specialized per shard), armed on the
+// network here and nowhere else; both substrates run over that network.
 type Shard struct {
 	name   string
 	roster []model.NodeID
 	net    *sim.Network
 	src    trace.Source
-	faults *faults.Config
 	store  *storage.Store
 	taps   []engine.ReadingsRecorder
 
@@ -70,8 +69,8 @@ type Shard struct {
 	historics map[uint32]topk.HistoricData // buffered windows per execution
 }
 
-// New assembles shard cfg.Shard of the scenario: network → substrate →
-// fault environment → recorder taps → deployment.
+// New assembles shard cfg.Shard of the scenario: network → fault
+// environment → substrate → recorder taps → deployment.
 func New(cfg Config) (*Shard, error) {
 	subs, err := cfg.Scenario.ShardScenarios()
 	if err != nil {
@@ -97,48 +96,45 @@ func New(cfg Config) (*Shard, error) {
 		store:  cfg.Store,
 	}
 	if env := cfg.Scenario.FaultEnv(); env != nil {
-		f := cfg.Scenario.ShardFaults(*env, cfg.Shard)
-		b.faults = &f
+		if err := faults.Arm(net, cfg.Scenario.ShardFaults(*env, cfg.Shard)); err != nil {
+			return nil, err
+		}
 	}
 	if cfg.Store != nil {
 		b.taps = append(b.taps, cfg.Store)
 	}
 	b.taps = append(b.taps, cfg.Taps...)
-	if err := b.assemble(cfg.Live); err != nil {
-		return nil, err
-	}
+	b.assemble(cfg.Live)
 	return b, nil
 }
 
 // OnLive switches this body's stack onto the concurrent substrate
-// (engine.Live) in place: the same net, fault environment, store and taps,
-// a fresh deployment over them. It is legal only once and before the body
-// serves a query — a local System calls it when its first post binds the
-// live substrate, and Open runs no round.
+// (engine.Live) in place: the same net (with its armed fault environment),
+// store and taps, a fresh deployment over them. It is legal only once and
+// before the body serves a query — a local System calls it when its first
+// post binds the live substrate, and Open runs no round.
 func (b *Shard) OnLive() error {
 	if b.live != nil || b.dep.Attached() > 0 {
 		return fmt.Errorf("shard: %s can switch to the live substrate only once, before it serves a query", b.name)
 	}
-	return b.assemble(true)
+	b.assemble(true)
+	return nil
 }
 
-// assemble stacks the transport over the substrate and binds the
+// assemble stacks the recorder taps over the substrate and binds the
 // deployment — the one place a shard is put together.
-func (b *Shard) assemble(live bool) error {
-	var substrate engine.Transport = b.net
+func (b *Shard) assemble(live bool) {
+	var tp engine.Transport = b.net
 	if live {
 		b.live = engine.NewLive(b.net, engine.LiveOptions{})
 		b.live.Start(context.Background())
-		substrate = b.live
+		tp = b.live
 	}
-	tp, err := faults.Stack(substrate, b.faults, b.taps...)
-	if err != nil {
-		b.stopLive()
-		return err
+	for _, rec := range b.taps {
+		tp = engine.Recorded{Transport: tp, Rec: rec}
 	}
 	b.dep = engine.NewDeployment(b.name, tp, b.src)
 	b.historics = make(map[uint32]topk.HistoricData)
-	return nil
 }
 
 func (b *Shard) stopLive() {

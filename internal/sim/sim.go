@@ -16,7 +16,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -53,6 +55,11 @@ type Network struct {
 	// a budget-exhausted one; revival clears the mark but never resurrects
 	// a node whose energy budget ran out.
 	downed []bool
+
+	// churn is the armed churn schedule, sorted by epoch, and churned the
+	// number of its events already fired (see SetChurn).
+	churn   []ChurnEvent
+	churned int
 
 	// Delivered is an optional hook invoked for every successfully
 	// delivered message (the concurrent runtime and the GUI subscribe).
@@ -208,6 +215,39 @@ func (n *Network) SetNodeDown(id model.NodeID, down bool) {
 // be called before traffic flows.
 func (n *Network) SetFault(m radio.FaultModel) { n.Link.SetFault(m) }
 
+// ChurnEvent schedules one node's administrative death or revival. The
+// event fires at the first transmission of its epoch: the node's epoch-e
+// reading may still be sensed, but nothing of epoch e (or later) is
+// transmitted or received. Revival rides the same pathway; a node whose
+// energy budget is exhausted stays dead regardless.
+type ChurnEvent struct {
+	Node  model.NodeID `json:"node"`
+	Epoch model.Epoch  `json:"epoch"`
+	Down  bool         `json:"down"`
+}
+
+// SetChurn arms (or, with no events, clears) a churn schedule — the
+// scheduled-death primitive of the fault-injection layer. Each event fires
+// through SetNodeDown on entry to the first transmitting primitive of its
+// epoch (SendUp, SendDown, BroadcastDown, RouteToSink, RouteFromSink, or a
+// sweep before its first commit), never on sensing, so both substrates see
+// it at the same point of the epoch. Must be called before traffic flows.
+func (n *Network) SetChurn(events []ChurnEvent) {
+	n.churn = slices.Clone(events)
+	slices.SortStableFunc(n.churn, func(a, b ChurnEvent) int { return cmp.Compare(a.Epoch, b.Epoch) })
+	n.churned = 0
+}
+
+// advance fires every armed churn event scheduled at or before epoch e,
+// each exactly once: replaying an earlier epoch re-fires nothing.
+func (n *Network) advance(e model.Epoch) {
+	for n.churned < len(n.churn) && n.churn[n.churned].Epoch <= e {
+		ev := n.churn[n.churned]
+		n.churned++
+		n.SetNodeDown(ev.Node, ev.Down)
+	}
+}
+
 // SetParallel bounds the worker count of the level-synchronous Sweep.
 // workers <= 1 selects the exact legacy sequential walk; workers > 1 fans
 // the per-level merge/prune/encode work over a bounded pool while the
@@ -270,6 +310,13 @@ func (n *Network) transmit(msg radio.Message) bool {
 // SendUp transmits a payload from a node to its tree parent. Returns false
 // if the node is the root, is dead, or the link loses the message.
 func (n *Network) SendUp(from model.NodeID, kind radio.MsgKind, e model.Epoch, payload []byte) bool {
+	n.advance(e)
+	return n.sendUp(from, kind, e, payload)
+}
+
+// sendUp is SendUp without the churn check, for a sweep's commits: the
+// sweep checks once, before its first.
+func (n *Network) sendUp(from model.NodeID, kind radio.MsgKind, e model.Epoch, payload []byte) bool {
 	parent, ok := n.Tree.ParentOf(from)
 	if !ok {
 		return false
@@ -279,6 +326,7 @@ func (n *Network) SendUp(from model.NodeID, kind radio.MsgKind, e model.Epoch, p
 
 // SendDown transmits a payload from a node to one of its children.
 func (n *Network) SendDown(from, to model.NodeID, kind radio.MsgKind, e model.Epoch, payload []byte) bool {
+	n.advance(e)
 	return n.transmit(radio.Message{From: from, To: to, Kind: kind, Epoch: e, Payload: payload})
 }
 
@@ -289,6 +337,7 @@ func (n *Network) SendDown(from, to model.NodeID, kind radio.MsgKind, e model.Ep
 // payloadFor lets the caller shrink or specialize the payload per child;
 // passing nil sends an empty beacon. Returns the set of nodes reached.
 func (n *Network) BroadcastDown(kind radio.MsgKind, e model.Epoch, payloadFor func(child model.NodeID) []byte) map[model.NodeID]bool {
+	n.advance(e)
 	reached := map[model.NodeID]bool{model.Sink: true}
 	for _, parent := range n.Tree.PreOrder() {
 		if !reached[parent] {
@@ -299,7 +348,7 @@ func (n *Network) BroadcastDown(kind radio.MsgKind, e model.Epoch, payloadFor fu
 			if payloadFor != nil {
 				pl = payloadFor(child)
 			}
-			if n.SendDown(parent, child, kind, e, pl) {
+			if n.transmit(radio.Message{From: parent, To: child, Kind: kind, Epoch: e, Payload: pl}) {
 				reached[child] = true
 			}
 		}
@@ -313,6 +362,7 @@ func (n *Network) BroadcastDown(kind radio.MsgKind, e model.Epoch, payloadFor fu
 // is what in-network aggregation saves over. Returns true if the payload
 // reached the sink.
 func (n *Network) RouteToSink(from model.NodeID, kind radio.MsgKind, e model.Epoch, payload []byte) bool {
+	n.advance(e)
 	cur := from
 	for cur != model.Sink {
 		parent, ok := n.Tree.ParentOf(cur)
@@ -331,6 +381,7 @@ func (n *Network) RouteToSink(from model.NodeID, kind radio.MsgKind, e model.Epo
 // the tree (the unicast pattern of filter updates and probes in
 // FILA-style protocols). Returns true if the payload arrived.
 func (n *Network) RouteFromSink(to model.NodeID, kind radio.MsgKind, e model.Epoch, payload []byte) bool {
+	n.advance(e)
 	path := n.Tree.PathToRoot(to) // to ... sink
 	if len(path) == 0 || path[len(path)-1] != model.Sink {
 		return false
@@ -365,6 +416,7 @@ func (n *Network) Sweep(e model.Epoch, kind radio.MsgKind,
 	}
 	// The sequential walk: each node computes and commits in one step, in
 	// post-order — the reference the level-synchronous form must match.
+	n.advance(e)
 	f := &n.frame
 	f.reset(n.Tree.LevelIndex())
 	s := sweep{n: n, f: f, e: e, kind: kind, readings: readings, prune: prune}
@@ -399,8 +451,8 @@ func (n *Network) Sweep(e model.Epoch, kind radio.MsgKind,
 // every worker count.
 //
 // The compute phases touch nothing of the network but the frame. commit,
-// when non-nil, is held around every other access — the tree's lazily built
-// index and each level's commit phase — which is what lets engine.Live keep
+// when non-nil, is held around every other access — the armed churn
+// schedule, the tree's lazily built index and each level's commit phase — which is what lets engine.Live keep
 // several sweeps in flight over one network, each on its own frame. The
 // returned sink view lives in the frame: valid until the frame's next sweep.
 func (n *Network) SweepOn(f *SweepFrame, commit sync.Locker, e model.Epoch, kind radio.MsgKind,
@@ -411,6 +463,7 @@ func (n *Network) SweepOn(f *SweepFrame, commit sync.Locker, e model.Epoch, kind
 		commit = noLock{}
 	}
 	commit.Lock()
+	n.advance(e)
 	idx := n.Tree.LevelIndex()
 	commit.Unlock()
 	f.reset(idx)
@@ -486,7 +539,7 @@ func (s *sweep) compute(pos int, node model.NodeID, enc []byte) []byte {
 // accounting and, when it is delivered, the merge into the parent.
 func (s *sweep) commit(pos int, node model.NodeID, enc []byte) {
 	fn := &s.f.nodes[pos]
-	if fn.send && s.n.Alive(node) && s.n.SendUp(node, s.kind, s.e, enc) {
+	if fn.send && s.n.Alive(node) && s.n.sendUp(node, s.kind, s.e, enc) {
 		s.f.nodes[s.f.idx.Parent[pos]].acc.MergeView(fn.out)
 	}
 	if fn.out != fn.acc {

@@ -131,7 +131,7 @@ func (o *Operator) Attach(net engine.Transport, q topk.SnapshotQuery) error {
 func (o *Operator) Epoch(e model.Epoch, readings map[model.NodeID]model.Reading) ([]model.Answer, error) {
 	if !o.installed {
 		topk.InstallQuery(o.net, e)
-		v := topk.Sweep(o.net, e, radio.KindData, readings, nil)
+		v := o.net.Sweep(e, radio.KindData, readings, nil)
 		for _, g := range v.Groups() {
 			p, _ := v.Get(g)
 			o.cache[g] = model.Quantize(p.Eval(o.q.Agg))
@@ -154,7 +154,7 @@ func (o *Operator) Epoch(e model.Epoch, readings map[model.NodeID]model.Reading)
 	}
 	fresh := map[model.GroupID]bool{}
 	if len(violations) > 0 {
-		v := topk.Sweep(o.net, e, radio.KindData, violations, nil)
+		v := o.net.Sweep(e, radio.KindData, violations, nil)
 		for _, g := range v.Groups() {
 			p, _ := v.Get(g)
 			o.cache[g] = model.Quantize(p.Eval(o.q.Agg))
@@ -192,7 +192,7 @@ func (o *Operator) Epoch(e model.Epoch, readings map[model.NodeID]model.Reading)
 			for iter := 0; iter < 6; iter++ {
 				probes++
 				b := bound
-				v := topk.Sweep(o.net, e, radio.KindCtrl, readings, func(_ model.NodeID, view *model.View) *model.View {
+				v := o.net.Sweep(e, radio.KindCtrl, readings, func(_ model.NodeID, view *model.View) *model.View {
 					out := model.AcquireView() // transport-owned, recycled after transmit
 					view.ForEach(func(p model.Partial) {
 						if !fresh[p.Group] && model.Quantize(p.Eval(o.q.Agg)) >= b {
@@ -235,7 +235,7 @@ func (o *Operator) Epoch(e model.Epoch, readings map[model.NodeID]model.Reading)
 			}
 			if atOrAbove < o.q.K {
 				probes++
-				v := topk.Sweep(o.net, e, radio.KindCtrl, readings, nil)
+				v := o.net.Sweep(e, radio.KindCtrl, readings, nil)
 				for _, g := range v.Groups() {
 					p, _ := v.Get(g)
 					o.cache[g] = model.Quantize(p.Eval(o.q.Agg))

@@ -3,6 +3,7 @@ package fila
 import (
 	"testing"
 
+	"kspot/internal/engine"
 	"kspot/internal/model"
 	"kspot/internal/sim"
 	"kspot/internal/topk"
@@ -37,7 +38,7 @@ func TestSetCorrectOnSeparatedWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	for e := model.Epoch(0); e < 60; e++ {
-		readings := topk.SenseEpoch(net, src, e)
+		readings := engine.SenseEpoch(net, src, e)
 		got, err := op.Epoch(e, readings)
 		if err != nil {
 			t.Fatal(err)
@@ -61,13 +62,13 @@ func TestCheaperThanTag(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Warm-up, then measure.
-		readings := topk.SenseEpoch(net, src, 0)
+		readings := engine.SenseEpoch(net, src, 0)
 		if _, err := op.Epoch(0, readings); err != nil {
 			t.Fatal(err)
 		}
 		net.Reset()
 		for e := model.Epoch(1); e < 40; e++ {
-			r := topk.SenseEpoch(net, src, e)
+			r := engine.SenseEpoch(net, src, e)
 			if _, err := op.Epoch(e, r); err != nil {
 				t.Fatal(err)
 			}
@@ -93,7 +94,7 @@ func TestProbesFire(t *testing.T) {
 	}
 	total := 0
 	for e := model.Epoch(0); e < 60; e++ {
-		readings := topk.SenseEpoch(net, src, e)
+		readings := engine.SenseEpoch(net, src, e)
 		if _, err := op.Epoch(e, readings); err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +120,7 @@ func TestHighRecallOnTightValues(t *testing.T) {
 	var recall float64
 	const epochs = 40
 	for e := model.Epoch(0); e < epochs; e++ {
-		readings := topk.SenseEpoch(net, src, e)
+		readings := engine.SenseEpoch(net, src, e)
 		got, err := op.Epoch(e, readings)
 		if err != nil {
 			t.Fatal(err)

@@ -3,6 +3,7 @@ package mint
 import (
 	"testing"
 
+	"kspot/internal/engine"
 	"kspot/internal/faults"
 	"kspot/internal/model"
 	"kspot/internal/sim"
@@ -85,7 +86,7 @@ func TestReparentingAfterFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	for e := model.Epoch(100); e < 120; e++ {
-		readings := topk.SenseEpoch(net, src, e)
+		readings := engine.SenseEpoch(net, src, e)
 		got, err := op.Epoch(e, readings)
 		if err != nil {
 			t.Fatal(err)
@@ -102,7 +103,7 @@ func TestLossyStillServes(t *testing.T) {
 	opts := sim.DefaultOptions()
 	opts.Radio.MaxRetries = 1
 	net := topktest.Fig1NetworkOpts(t, opts)
-	if _, err := faults.Wrap(net, faults.Config{Seed: 17, Loss: 0.4}); err != nil {
+	if err := faults.Arm(net, faults.Config{Seed: 17, Loss: 0.4}); err != nil {
 		t.Fatal(err)
 	}
 	r := &topk.Runner{Net: net, Source: trace.Figure1Source(), Op: New(), Query: topk.SnapshotQuery{K: 2, Agg: model.AggAvg, Range: &topk.ValueRange{Min: 0, Max: 100}}}
@@ -178,7 +179,7 @@ func TestOrphanRecallAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	for e := model.Epoch(10); e < 14; e++ {
-		readings := topk.SenseEpoch(net, src, e)
+		readings := engine.SenseEpoch(net, src, e)
 		answers, err := op.Epoch(e, readings)
 		if err != nil {
 			t.Fatal(err)

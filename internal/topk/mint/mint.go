@@ -225,7 +225,7 @@ func (o *Operator) Epoch(e model.Epoch, readings map[model.NodeID]model.Reading)
 	// TAG-style acquisition; the first tightening flood below installs γ.
 	if !o.created {
 		topk.InstallQuery(o.net, e)
-		v0 := topk.Sweep(o.net, e, radio.KindData, readings, nil)
+		v0 := o.net.Sweep(e, radio.KindData, readings, nil)
 		o.topKNow = v0.TopK(o.q.Agg, o.q.K)
 		o.created = true
 		o.retune(e, model.KthScore(o.topKNow, o.q.K))
@@ -332,7 +332,7 @@ func (o *Operator) flood(e model.Epoch, bound model.Value, resolve map[model.Gro
 // sweep runs one pruned up-sweep under the installed bound and returns the
 // sink's fresh view.
 func (o *Operator) sweep(e model.Epoch, bound model.Value, resolve map[model.GroupID]bool, readings map[model.NodeID]model.Reading) *model.View {
-	return topk.Sweep(o.net, e, radio.KindData, readings, func(_ model.NodeID, v *model.View) *model.View {
+	return o.net.Sweep(e, radio.KindData, readings, func(_ model.NodeID, v *model.View) *model.View {
 		return o.prune(v, bound, resolve)
 	})
 }

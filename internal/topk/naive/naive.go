@@ -41,7 +41,7 @@ func (o *Operator) Epoch(e model.Epoch, readings map[model.NodeID]model.Reading)
 		topk.InstallQuery(o.net, e)
 		o.installed = true
 	}
-	sinkView := topk.Sweep(o.net, e, radio.KindData, readings, func(_ model.NodeID, v *model.View) *model.View {
+	sinkView := o.net.Sweep(e, radio.KindData, readings, func(_ model.NodeID, v *model.View) *model.View {
 		top := v.TopK(o.q.Agg, o.q.K)
 		keep := model.AnswerSet(top)
 		out := model.AcquireView() // transport-owned, recycled after transmit

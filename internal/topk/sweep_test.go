@@ -3,6 +3,7 @@ package topk
 import (
 	"testing"
 
+	"kspot/internal/engine"
 	"kspot/internal/model"
 	"kspot/internal/radio"
 	"kspot/internal/sim"
@@ -32,7 +33,7 @@ func fig1Readings(net *sim.Network) map[model.NodeID]model.Reading {
 func TestSweepNoPruneEqualsOracle(t *testing.T) {
 	net := fig1Net(t)
 	readings := fig1Readings(net)
-	v := Sweep(net, 0, radio.KindData, readings, nil)
+	v := net.Sweep(0, radio.KindData, readings, nil)
 	got := v.TopK(model.AggAvg, 4)
 	if !model.EqualAnswers(got, trace.Figure1Answers()) {
 		t.Fatalf("sweep view = %v", got)
@@ -46,7 +47,7 @@ func TestSweepNoPruneEqualsOracle(t *testing.T) {
 func TestSweepPruneEverythingIsSilent(t *testing.T) {
 	net := fig1Net(t)
 	readings := fig1Readings(net)
-	v := Sweep(net, 0, radio.KindData, readings, func(model.NodeID, *model.View) *model.View {
+	v := net.Sweep(0, radio.KindData, readings, func(model.NodeID, *model.View) *model.View {
 		return nil
 	})
 	if v.Len() != 0 {
@@ -61,7 +62,7 @@ func TestSweepPrunePropagates(t *testing.T) {
 	// Prune room D everywhere: the sink must still see A, B, C exactly.
 	net := fig1Net(t)
 	readings := fig1Readings(net)
-	v := Sweep(net, 0, radio.KindData, readings, func(_ model.NodeID, view *model.View) *model.View {
+	v := net.Sweep(0, radio.KindData, readings, func(_ model.NodeID, view *model.View) *model.View {
 		out := view.Clone()
 		out.Remove(trace.Fig1RoomD)
 		return out
@@ -80,7 +81,7 @@ func TestSweepMissingReadings(t *testing.T) {
 	net := fig1Net(t)
 	readings := fig1Readings(net)
 	delete(readings, 6) // s6 slept through the epoch
-	v := Sweep(net, 0, radio.KindData, readings, nil)
+	v := net.Sweep(0, radio.KindData, readings, nil)
 	p, ok := v.Get(trace.Fig1RoomC)
 	if !ok || p.Count != 1 {
 		t.Fatalf("room C partial = %+v, want count 1 (only s5)", p)
@@ -100,7 +101,7 @@ func TestInstallQueryReachesAll(t *testing.T) {
 
 func TestSenseEpochChargesAndQuantizes(t *testing.T) {
 	net := fig1Net(t)
-	readings := SenseEpoch(net, trace.Figure1Source(), 3)
+	readings := engine.SenseEpoch(net, trace.Figure1Source(), 3)
 	if len(readings) != 9 {
 		t.Fatalf("readings = %d", len(readings))
 	}

@@ -42,6 +42,6 @@ func (o *Operator) Epoch(e model.Epoch, readings map[model.NodeID]model.Reading)
 		topk.InstallQuery(o.net, e)
 		o.installed = true
 	}
-	sinkView := topk.Sweep(o.net, e, radio.KindData, readings, nil)
+	sinkView := o.net.Sweep(e, radio.KindData, readings, nil)
 	return sinkView.TopK(o.q.Agg, o.q.K), nil
 }

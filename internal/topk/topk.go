@@ -69,12 +69,6 @@ func ExactSnapshot(readings map[model.NodeID]model.Reading, q SnapshotQuery) []m
 	return v.TopK(q.Agg, q.K)
 }
 
-// SenseEpoch samples every live sensor once and charges the sensing cost,
-// returning the epoch's readings keyed by node.
-func SenseEpoch(t engine.Transport, src trace.Source, e model.Epoch) map[model.NodeID]model.Reading {
-	return engine.SenseEpoch(t, src, e)
-}
-
 // EpochResult records one epoch of a Runner execution.
 type EpochResult struct {
 	Epoch   model.Epoch
@@ -114,7 +108,7 @@ func (r *Runner) RunWarm(warm, n int) ([]EpochResult, error) {
 		return nil, fmt.Errorf("topk: attach %s: %w", r.Op.Name(), err)
 	}
 	for e := model.Epoch(0); int(e) < warm; e++ {
-		readings := SenseEpoch(r.Net, r.Source, e)
+		readings := engine.SenseEpoch(r.Net, r.Source, e)
 		if _, err := r.Op.Epoch(e, readings); err != nil {
 			return nil, fmt.Errorf("topk: %s warm epoch %d: %w", r.Op.Name(), e, err)
 		}
@@ -126,7 +120,7 @@ func (r *Runner) RunWarm(warm, n int) ([]EpochResult, error) {
 	for e := model.Epoch(warm); int(e) < warm+n; e++ {
 		before := r.Net.Snap()
 		r.Net.ChargeIdleEpoch()
-		readings := SenseEpoch(r.Net, r.Source, e)
+		readings := engine.SenseEpoch(r.Net, r.Source, e)
 		answers, err := r.Op.Epoch(e, readings)
 		if err != nil {
 			return results, fmt.Errorf("topk: %s epoch %d: %w", r.Op.Name(), e, err)

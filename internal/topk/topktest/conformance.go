@@ -10,6 +10,7 @@ import (
 	"kspot/internal/engine"
 	"kspot/internal/faults"
 	"kspot/internal/model"
+	"kspot/internal/radio"
 	"kspot/internal/sim"
 	"kspot/internal/topk"
 	"kspot/internal/trace"
@@ -112,7 +113,9 @@ func RunHistoric(t testing.TB, scen *config.Scenario, mk func() topk.HistoricOpe
 	return HistoricRun{Answers: answers, Exact: topk.ExactHistoric(data, q), Traffic: tp.Snap()}
 }
 
-// buildTransport assembles substrate + workload + faults for one run.
+// buildTransport assembles substrate + workload + faults for one run. The
+// environment is armed through the substrate the run uses, so the live legs
+// reach the network by Live's locked delegation.
 func buildTransport(t testing.TB, scen *config.Scenario, live bool, fcfg *faults.Config) (engine.Transport, trace.Source, func()) {
 	t.Helper()
 	net, err := scen.Network()
@@ -123,7 +126,11 @@ func buildTransport(t testing.TB, scen *config.Scenario, live bool, fcfg *faults
 	if err != nil {
 		t.Fatalf("scenario %s: %v", scen.Name, err)
 	}
-	var tp engine.Transport = net
+	var tp interface {
+		engine.Transport
+		SetFault(radio.FaultModel)
+		SetChurn([]sim.ChurnEvent)
+	} = net
 	cleanup := func() {}
 	if live {
 		l := engine.NewLive(net, engine.LiveOptions{Window: 8})
@@ -133,12 +140,10 @@ func buildTransport(t testing.TB, scen *config.Scenario, live bool, fcfg *faults
 		tp = l
 	}
 	if fcfg != nil {
-		inj, err := faults.Wrap(tp, *fcfg)
-		if err != nil {
+		if err := faults.Arm(tp, *fcfg); err != nil {
 			cleanup()
 			t.Fatalf("faults on %s: %v", scen.Name, err)
 		}
-		tp = inj
 	}
 	return tp, src, cleanup
 }

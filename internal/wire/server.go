@@ -1,9 +1,7 @@
 package wire
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"net"
 	"path/filepath"
 	"sync"
@@ -85,7 +83,7 @@ const replayCap = 64
 // NewServer builds a shard server: the durable tier (and, with a data dir,
 // the session journal) opened here, the shard itself assembled by the
 // constructor an in-process Open assembles it with (shard.New: same
-// per-shard fault seeds, same injector, same tap order), so fault scenarios
+// per-shard fault seeds, same arming, same tap order), so fault scenarios
 // replay identically in-process and over the wire.
 func NewServer(cfg ServerConfig) (*Server, error) {
 	s := &Server{
@@ -554,9 +552,4 @@ func (s *Server) Attached() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.body.Attached()
-}
-
-// isClosedErr reports whether err is the benign shutdown error.
-func isClosedErr(err error) bool {
-	return errors.Is(err, net.ErrClosed) || errors.Is(err, io.EOF)
 }

@@ -270,8 +270,8 @@ func WithParallel(workers int) OpenOption {
 
 // Open builds a System from a scenario. A scenario carrying a shards
 // block opens as a federated deployment (one shard body per shard); one
-// declaring a fault environment (a faults block, or loss_rate) opens with
-// it armed on every shard (per-shard seeds, see
+// declaring a fault environment (its faults block, the only fault input)
+// opens with it armed on every shard's network (per-shard seeds, see
 // config.Scenario.ShardFaults).
 func Open(s *Scenario, opts ...OpenOption) (*System, error) {
 	var cfg openConfig

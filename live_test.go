@@ -161,12 +161,13 @@ func TestStepAfterClose(t *testing.T) {
 // and on the concurrent live substrate must produce identical answers and
 // identical traffic, and churn must actually strike the live deployment
 // (a regression test for live cursors attaching below the fault injector,
-// where churn silently never fired). The second row is the top-level
-// loss_rate field: it opens with the keyed Bernoulli environment armed, so
-// its drops replay identically too.
+// where churn silently never fired). The second row (named for the
+// top-level shorthand it replaces) is the plain Bernoulli faults block
+// seeded by the workload seed: it opens with the keyed environment armed,
+// so its drops replay identically too.
 func TestLiveFaultEquivalence(t *testing.T) {
 	lossRate := DemoScenario()
-	lossRate.Loss = 0.1
+	lossRate.Faults = &FaultConfig{Seed: lossRate.Workload.Seed, Loss: 0.1}
 	for _, sc := range []struct {
 		name  string
 		open  func() (*System, error)
