@@ -1,7 +1,6 @@
 package kspot
 
 import (
-	"context"
 	"runtime"
 	"testing"
 
@@ -26,7 +25,7 @@ const mintEpochAllocCeiling = 150
 
 // TestMintEpochAllocationCeiling is the end-to-end allocation regression
 // test: sensing + one full MINT epoch (beacon, pruned sweep, ranking) on
-// the deterministic substrate must stay under the ceiling.
+// the sequential walk must stay under the ceiling.
 func TestMintEpochAllocationCeiling(t *testing.T) {
 	allocs := measureEpochAllocs(t, mint.New())
 	if allocs > mintEpochAllocCeiling {
@@ -76,15 +75,15 @@ func epochAllocs(t *testing.T, tp engine.Transport, src trace.Source, q topk.Sna
 	return testing.AllocsPerRun(50, step)
 }
 
-// liveEpochAllocCeiling bounds one steady-state MINT epoch on engine.Live at
-// scale-1000. The goroutine-per-node substrate allocated ~5400 times here
-// (a channel, a delivery goroutine and a map entry per node per sweep); on
-// re-entrant frames the epoch costs what it costs the simulator (~50: the
-// readings and flood maps plus the sink-view copy), whatever the node count.
+// liveEpochAllocCeiling bounds one steady-state MINT epoch at scale-1000 on
+// a network at Parallel 2, whose sweeps are level-synchronous: ~50
+// allocations (the readings and flood maps plus the sink-view copy),
+// whatever the node count.
 const liveEpochAllocCeiling = 100
 
 // TestLiveMintEpochAllocationCeiling pins that no per-node allocation
-// returns to the live sweep: a ceiling a tenth of the node count.
+// returns to the level-synchronous sweep: a ceiling a tenth of the node
+// count.
 func TestLiveMintEpochAllocationCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector: a thousand pooled views do not stay pooled")
@@ -102,12 +101,9 @@ func TestLiveMintEpochAllocationCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	live := engine.NewLive(net, engine.LiveOptions{})
-	live.Start(context.Background())
-	defer live.Stop()
 	q := topk.SnapshotQuery{K: 3, Agg: model.AggAvg, Range: &topk.ValueRange{Min: 0, Max: 100}}
-	if allocs := epochAllocs(t, live, src, q, mint.New()); allocs > liveEpochAllocCeiling {
-		t.Errorf("live MINT epoch at scale-1000 allocates %.0f times, ceiling %d (goroutine-per-node: ~5400)", allocs, liveEpochAllocCeiling)
+	if allocs := epochAllocs(t, net, src, q, mint.New()); allocs > liveEpochAllocCeiling {
+		t.Errorf("MINT epoch at scale-1000, Parallel 2, allocates %.0f times, ceiling %d", allocs, liveEpochAllocCeiling)
 	}
 }
 
@@ -119,42 +115,34 @@ func TestLiveMintEpochAllocationCeiling(t *testing.T) {
 // Any per-node allocation would cost a thousand here.
 const senseEpochAllocCeiling = 12
 
-// TestSenseEpochAllocationCeiling pins the sense phase on both substrates.
+// TestSenseEpochAllocationCeiling pins the sense phase.
 func TestSenseEpochAllocationCeiling(t *testing.T) {
-	for _, live := range []bool{false, true} {
-		scen, err := config.ScaleScenario(1000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		net, err := scen.Network()
-		if err != nil {
-			t.Fatal(err)
-		}
-		src, err := scen.Source()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var tp engine.Transport = net
-		if live {
-			l := engine.NewLive(net, engine.LiveOptions{})
-			l.Start(context.Background())
-			defer l.Stop()
-			tp = l
-		}
-		e := model.Epoch(0)
-		allocs := testing.AllocsPerRun(20, func() {
-			engine.CommitSenseEpoch(tp, e, engine.PresampleEpoch(tp, src, e))
-			e++
-		})
-		if allocs > senseEpochAllocCeiling {
-			t.Errorf("live=%v: the sense phase at scale-1000 allocates %.0f times, ceiling %d", live, allocs, senseEpochAllocCeiling)
-		}
+	scen, err := config.ScaleScenario(1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := scen.Network()
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := scen.Source()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := model.Epoch(0)
+	allocs := testing.AllocsPerRun(20, func() {
+		engine.CommitSenseEpoch(net, e, engine.PresampleEpoch(net, src, e))
+		e++
+	})
+	if allocs > senseEpochAllocCeiling {
+		t.Errorf("the sense phase at scale-1000 allocates %.0f times, ceiling %d", allocs, senseEpochAllocCeiling)
 	}
 }
 
 // flatStepByteCeiling bounds the bytes one whole flat Cursor.Step may
-// allocate at scale-1000 on the live substrate (sense, MINT acquisition,
-// oracle, cut — kspotd's flat-sweep epoch without the hub). Bytes, not
+// allocate at scale-1000 at kspotd's Parallel bound on two cores (sense,
+// MINT acquisition, oracle, cut — kspotd's flat-sweep epoch without the
+// hub). Bytes, not
 // count: the garbage per epoch sets the GC's share of the latency tail.
 // Measured ~74 kB (the readings map is 55 kB of it); it was ~146 kB when
 // the sense phase re-sorted the roster and grew the map from empty.
@@ -169,12 +157,12 @@ func TestFlatStepAllocationBytesCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := Open(scen)
+	sys, err := Open(scen, WithParallel(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sys.Close()
-	cur, err := sys.Post("SELECT TOP 3 roomid, AVG(sound) FROM sensors GROUP BY roomid", WithLive())
+	cur, err := sys.Post("SELECT TOP 3 roomid, AVG(sound) FROM sensors GROUP BY roomid")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +189,7 @@ func TestFlatStepAllocationBytesCeiling(t *testing.T) {
 }
 
 // tenantsStepAllocCeiling and tenantsStepByteCeiling bound one epoch of the
-// multi-tenant loop: 128 live cursors in two acquisition groups over one
+// multi-tenant loop: 128 cursors in two acquisition groups over one
 // sensed union, each stepped once (BenchmarkTenantsEpoch's body). What is
 // left per cursor is its own two slices — the cut of the group's ranking
 // and its copy of the exact prefix; measured 273 allocations and 11.9 kB.

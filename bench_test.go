@@ -8,7 +8,7 @@
 //	go test -run '^$' -bench 'Experiment/e5$' -cpuprofile cpu.out .
 //
 // The micros report their domain metrics (tx_bytes/epoch, msgs/epoch,
-// coord_bytes/epoch, us/node/epoch, live/sim) alongside ns/op; `kspot-bench
+// coord_bytes/epoch, us/node/epoch) alongside ns/op; `kspot-bench
 // -json` records the same bodies in BENCH.json, and regenerating the full
 // experiment tables is `go run ./cmd/kspot-bench`. What needs real
 // processes — wire round trips, recovery, the serving tier — is measured
@@ -68,14 +68,14 @@ func BenchmarkQueryPlan(b *testing.B) {
 	}
 }
 
-// tenantsCursors posts kspotd's flat-tenants shape on the demo scenario: 128
-// live cursors, 2 aggregates × K 1..4, so two acquisition groups over one
-// sensed union. The returned step advances every cursor one epoch, in
+// tenantsCursors posts kspotd's flat-tenants shape on the demo scenario at
+// kspotd's Parallel bound on two cores: 128 cursors, 2 aggregates × K 1..4,
+// so two acquisition groups over one sensed union. The returned step advances every cursor one epoch, in
 // post order — the daemon's loop without the hub — and has already run the
 // creation phase and brought every pooled buffer to capacity.
 func tenantsCursors(tb testing.TB) (step func()) {
 	tb.Helper()
-	sys, err := Open(DemoScenario())
+	sys, err := Open(DemoScenario(), WithParallel(2))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func tenantsCursors(tb testing.TB) (step func()) {
 	var cursors []*Cursor
 	for i := 0; i < 128; i++ {
 		sql := fmt.Sprintf("SELECT TOP %d roomid, %s(sound) FROM sensors GROUP BY roomid", 1+i%4, []string{"AVG", "MAX"}[i/4%2])
-		cur, err := sys.Post(sql, WithLive())
+		cur, err := sys.Post(sql)
 		if err != nil {
 			tb.Fatal(err)
 		}

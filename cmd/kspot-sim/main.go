@@ -41,7 +41,7 @@ func main() {
 		panelEvery   = flag.Int("panel", 5, "render the display panel every N epochs (0 = final only)")
 		genScale     = flag.Int("gen-scale", 0, "generate the scale-<n> scenario (n sensors, multiple of 20) instead of loading one; use with -emit")
 		shards       = flag.Int("shards", 0, "federate the deployment into N shard networks (splits the cluster list; with -gen-scale, validates every shard deploys)")
-		parallel     = flag.Int("parallel", runtime.NumCPU(), "epoch-sweep worker bound per shard; 1 = exact legacy sequential path (results are byte-identical for every value)")
+		parallel     = flag.Int("parallel", runtime.NumCPU(), "concurrency bound per shard: concurrent query groups, background presampling and sweep workers above 1; 1 = the sequential reference on one goroutine")
 	)
 	flag.Parse()
 

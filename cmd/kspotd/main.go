@@ -1,13 +1,14 @@
 // Command kspotd serves the KSpot GUI over HTTP: the Display Panel with
 // live KSpot bullets, the ranking strip and the System Panel, refreshed as
-// the concurrent live deployment advances epochs — the web-era stand-in
-// for the paper's projector at the conference site.
+// the deployment advances epochs — the web-era stand-in for the paper's
+// projector at the conference site.
 //
-// The daemon posts its queries on the live substrate (see internal/engine):
-// every posted query shares one sensed epoch, so extra -query flags cost
-// beacons and views, not extra sensing, and the queries' sweeps run
-// concurrently — each level-synchronous, with -parallel bounding the
-// workers one sweep may use on a wide tree level.
+// Every posted query shares one sensed epoch (see internal/engine), so
+// extra -query flags cost beacons and views, not extra sensing. -parallel
+// (default: the CPU count) is the one concurrency setting per shard: above
+// 1 the queries' acquisition groups sweep concurrently, the next epoch is
+// presampled in the background, and each sweep computes a wide tree level
+// on up to that many workers.
 //
 // Usage:
 //
@@ -100,7 +101,6 @@ type state struct {
 type workload struct {
 	mu      sync.Mutex
 	sys     *kspot.System
-	opts    []kspot.PostOption
 	cursors []*kspot.Cursor
 	hubs    []*serve.Hub
 	stopped bool
@@ -118,11 +118,7 @@ type workload struct {
 
 // add posts a query and registers its streaming hub, returning its index.
 func (w *workload) add(sql, tenant string) (int, error) {
-	opts := w.opts
-	if tenant != "" {
-		opts = append(append([]kspot.PostOption(nil), opts...), kspot.WithTenant(tenant))
-	}
-	cur, err := w.sys.Post(sql, opts...)
+	cur, err := w.sys.Post(sql, kspot.WithTenant(tenant))
 	if err != nil {
 		return 0, err
 	}
@@ -393,10 +389,9 @@ func main() {
 		k            = flag.Int("k", 3, "K of the default Top-K query")
 		interval     = flag.Duration("interval", time.Second, "epoch duration")
 		shards       = flag.Int("shards", 0, "federate the deployment into N shard networks (splits the cluster list)")
-		parallel     = flag.Int("parallel", runtime.NumCPU(), "epoch-sweep worker bound per shard, on both substrates; 1 = no spare workers (results are byte-identical for every value)")
+		parallel     = flag.Int("parallel", runtime.NumCPU(), "concurrency bound per shard: concurrent query groups, background presampling and sweep workers above 1; 1 = the sequential reference on one goroutine")
 		serveShard   = flag.Int("serve-shard", -1, "serve shard N of the scenario over the wire protocol instead of the GUI daemon (see -wire-addr)")
 		wireAddr     = flag.String("wire-addr", "127.0.0.1:0", "listen address for -serve-shard (port 0 picks one; the bound address is printed as \"kspotd-wire <addr>\")")
-		wireLive     = flag.Bool("wire-live", false, "with -serve-shard: host the shard on the concurrent live substrate")
 		connect      = flag.String("connect", "", "comma-separated shard wire addresses: run as the federated coordinator over already-running -serve-shard processes")
 		queriesFile  = flag.String("queries-file", "", "file with one query per line (# comments); every line is validated before any query is armed")
 		epochs       = flag.Int("epochs", 0, "stop stepping after N epochs (0 = run until shutdown); HTTP keeps serving and streams end cleanly")
@@ -421,7 +416,7 @@ func main() {
 		}
 	}
 	if *serveShard >= 0 {
-		serveShardProcess(scen, *serveShard, *wireAddr, *parallel, *wireLive, *dataDir)
+		serveShardProcess(scen, *serveShard, *wireAddr, *parallel, *dataDir)
 		return
 	}
 	placement := scen.Placement()
@@ -456,15 +451,9 @@ func main() {
 	}
 	defer sys.Close()
 
-	// On a remote deployment the live substrate belongs to the shard
-	// processes; the coordinator's cursors run deterministic.
-	var postOpts []kspot.PostOption
-	if !remote {
-		postOpts = []kspot.PostOption{kspot.WithLive()}
-	}
-	wl := &workload{sys: sys, opts: postOpts, placement: placement}
+	wl := &workload{sys: sys, placement: placement}
 	primary := fmt.Sprintf("SELECT TOP %d roomid, AVG(sound) FROM sensors GROUP BY roomid", *k)
-	cur, err := sys.Post(primary, postOpts...)
+	cur, err := sys.Post(primary)
 	if err != nil {
 		log.Fatal("kspotd: ", err)
 	}
@@ -489,13 +478,12 @@ func main() {
 			case <-ticker.C:
 			}
 			primaryRes, primaryOK := wl.step()
-			// Between steps no epoch is in flight, so the shared network
-			// counters are quiescent and safe to read (summed across every
-			// shard on a federated deployment). On -connect each shard's
-			// row rode the epoch round just completed, so this reads it
-			// without a wire call; a shard that answered no round, or ran
-			// another call since (an attach, a /stats storage poll), is
-			// asked.
+			// The shared network counters, summed across every shard on a
+			// federated deployment, each read under its network's lock. On
+			// -connect each shard's row rode the epoch round just completed,
+			// so this reads it without a wire call; a shard that answered no
+			// round, or ran another call since (an attach, a /stats storage
+			// poll), is asked.
 			total := sys.CaptureStats("live", 0)
 			st.mu.Lock()
 			if primaryOK {
@@ -572,7 +560,7 @@ pre{font-size:13px}</style></head><body>
 // drives it. The bound address is printed to stdout as "kspotd-wire
 // <addr>" so spawners can listen on port 0 and parse the outcome; SIGINT
 // or SIGTERM shuts the server down cleanly.
-func serveShardProcess(scen *config.Scenario, shard int, addr string, parallel int, live bool, dataDir string) {
+func serveShardProcess(scen *config.Scenario, shard int, addr string, parallel int, dataDir string) {
 	if dataDir != "" {
 		// Every shard process on a host can share one -data-dir: each
 		// shard's log and journal live under its own shard-named
@@ -584,7 +572,6 @@ func serveShardProcess(scen *config.Scenario, shard int, addr string, parallel i
 		Scenario: scen,
 		Shard:    shard,
 		Parallel: parallel,
-		Live:     live,
 		DataDir:  dataDir,
 	})
 	if err != nil {

@@ -26,7 +26,7 @@ func newTestWorkload(t *testing.T) *workload {
 		t.Fatal(err)
 	}
 	t.Cleanup(sys.Close)
-	wl := &workload{sys: sys, opts: []kspot.PostOption{kspot.WithLive()}}
+	wl := &workload{sys: sys}
 	if _, err := wl.add(primarySQL, ""); err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,6 @@ type Cursor struct {
 	sys  *System
 	plan *query.Plan
 	algo Algorithm
-	live bool
 
 	merger *fed.Merger // nil on flat deployments
 
@@ -61,9 +60,6 @@ func (c *Cursor) Plan() string { return c.plan.Kind.String() }
 
 // Query returns the canonical query text.
 func (c *Cursor) Query() string { return c.plan.Query }
-
-// Live reports whether the cursor runs on the concurrent substrate.
-func (c *Cursor) Live() bool { return c.live }
 
 // Continuous reports whether the cursor is advanced with Step (snapshot
 // and basic queries) rather than executed once with Run.
@@ -236,10 +232,9 @@ func (c *Cursor) Step() (StepResult, error) {
 // StepContext is Step with cancellation. A cancelled step returns promptly
 // while the in-flight epoch completes on the deployment's own goroutines —
 // its outcome is re-buffered, so the next Step resumes the epoch stream
-// without a gap and nothing leaks. On the in-process deterministic
-// substrate cancellation is observed between epochs. A shard loss on a
-// remote deployment surfaces here, on this cursor, tagged with the shard's
-// name — other cursors (and the other shards' state machines) continue.
+// without a gap and nothing leaks. A shard loss on a remote deployment
+// surfaces here, on this cursor, tagged with the shard's name — other
+// cursors (and the other shards' state machines) continue.
 func (c *Cursor) StepContext(ctx context.Context) (StepResult, error) {
 	if !c.Continuous() {
 		return StepResult{}, fmt.Errorf("kspot: historic query %q executes with Run, not Step", c.plan.Query)
@@ -274,8 +269,8 @@ func (c *Cursor) result(out engine.Outcome) StepResult {
 // two-phase threshold round targets (fed.HistoricMerger), exact and
 // byte-identical to the flat run; coordinator backhaul is accounted in
 // FederationStats. The run holds the scheduler's epoch lock throughout
-// (Scheduler.Serialized) on every substrate; after Close it returns the
-// scheduler's closed error.
+// (Scheduler.Serialized); after Close it returns the scheduler's closed
+// error.
 func (c *Cursor) Run() ([]Answer, error) {
 	if c.Continuous() {
 		return nil, fmt.Errorf("kspot: continuous query %q advances with Step, not Run", c.plan.Query)
@@ -301,15 +296,13 @@ func (c *Cursor) Run() ([]Answer, error) {
 		for i, h := range shards {
 			execs[i] = fed.HostExec{Host: h, Exec: exec, Algo: string(c.algo), Q: c.plan.Historic}
 		}
-		// Shards that are processes, or live substrates, run their halves of
-		// the round concurrently; deterministic ones keep shard order.
-		answers, err = m.Run(execs, c.live || c.sys.Remote())
+		answers, err = m.Run(execs)
 		return err
 	}
 	// The whole round runs serialized against epoch rounds: its per-shard
 	// calls must not interleave another cursor's epoch round on the shards'
 	// state machines, and Close, which takes the same lock, cannot tear a
-	// substrate down under it.
+	// shard down under it.
 	err := c.sched.Serialized(run)
 	return answers, err
 }

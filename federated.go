@@ -62,10 +62,10 @@ func withWireFaults(f wire.Faults) OpenOption {
 //
 // The returned System is coordinator-only: it holds no local networks
 // (Network returns nil, traffic panels fetch per-shard counters over the
-// wire) and its queries run on the deterministic epoch clock of each
-// cursor, exactly like the in-process deterministic substrate. WithLive
-// does not apply — the substrate is each shard process's own choice, and
-// the fault environment is the scenario's, armed in the shard processes.
+// wire) and its queries run on the same lock-step scheduler as an
+// in-process System's. The concurrency of a shard (-parallel) is each shard
+// process's own setting, and the fault environment is the scenario's, armed
+// in the shard processes.
 // Close drops every shard connection;
 // an unreachable shard surfaces on the cursor that steps into it, tagged
 // with the shard's name, without wedging other queries.

@@ -23,14 +23,20 @@ func shardedDemo(t *testing.T, n int) *Scenario {
 	return scen
 }
 
-// runCursor steps a query to completion and returns the per-epoch results.
-func runCursor(t *testing.T, sys *System, sql string, algo Algorithm, live bool, epochs int) []StepResult {
-	t.Helper()
-	var opts []PostOption
+// legParallel opens a test's sequential leg (live=false: Parallel 1) or its
+// concurrent one (live=true: Parallel 4 — query groups acquire at once, the
+// next epoch presamples in the background, sweeps run level-synchronously).
+func legParallel(live bool) OpenOption {
 	if live {
-		opts = append(opts, WithLive())
+		return WithParallel(4)
 	}
-	cur, err := sys.PostWith(sql, algo, opts...)
+	return WithParallel(1)
+}
+
+// runCursor steps a query to completion and returns the per-epoch results.
+func runCursor(t *testing.T, sys *System, sql string, algo Algorithm, epochs int) []StepResult {
+	t.Helper()
+	cur, err := sys.PostWith(sql, algo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +54,7 @@ func runCursor(t *testing.T, sys *System, sql string, algo Algorithm, live bool,
 // TestFederatedDemoEquivalence is the federation layer's identical-answer
 // pin on the paper's demo deployment: the conference site split into 2 and
 // 3 shards must answer every epoch byte-identically to the flat run, for
-// MINT and TAG, on both the deterministic and the live substrate — and
+// MINT and TAG, sequential and concurrent — and
 // every federated epoch must also match the exact oracle over the union
 // of the shards' readings.
 func TestFederatedDemoEquivalence(t *testing.T) {
@@ -59,11 +65,11 @@ func TestFederatedDemoEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		flat := runCursor(t, flatSys, sql, algo, false, epochs)
+		flat := runCursor(t, flatSys, sql, algo, epochs)
 		for _, shards := range []int{2, 3} {
 			for _, live := range []bool{false, true} {
 				t.Run(fmt.Sprintf("%s/shards=%d/live=%v", algo, shards, live), func(t *testing.T) {
-					sys, err := Open(shardedDemo(t, shards))
+					sys, err := Open(shardedDemo(t, shards), legParallel(live))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -71,7 +77,7 @@ func TestFederatedDemoEquivalence(t *testing.T) {
 					if sys.Shards() != shards {
 						t.Fatalf("system has %d shards, want %d", sys.Shards(), shards)
 					}
-					got := runCursor(t, sys, sql, algo, live, epochs)
+					got := runCursor(t, sys, sql, algo, epochs)
 					for e := range got {
 						if !model.EqualAnswers(got[e].Answers, flat[e].Answers) {
 							t.Fatalf("epoch %d: federated %v, flat %v", e, got[e].Answers, flat[e].Answers)
@@ -100,10 +106,10 @@ func TestFederatedDemoEquivalence(t *testing.T) {
 	}
 }
 
-// TestFederatedMultiQueryLive: several live cursors on one sharded
+// TestFederatedMultiQueryLive: several cursors on one concurrent sharded
 // deployment share the per-shard epoch sweeps and all answer exactly.
 func TestFederatedMultiQueryLive(t *testing.T) {
-	sys, err := Open(shardedDemo(t, 2))
+	sys, err := Open(shardedDemo(t, 2), WithParallel(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +123,7 @@ func TestFederatedMultiQueryLive(t *testing.T) {
 	}
 	cursors := make([]*Cursor, len(queries))
 	for i, q := range queries {
-		cur, err := sys.PostWith(q.sql, q.algo, WithLive())
+		cur, err := sys.PostWith(q.sql, q.algo)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +148,7 @@ func TestFederatedMultiQueryLive(t *testing.T) {
 // TestFederatedHistoricDemo: WITH HISTORY federates (PR 5 lifted the PR 4
 // rejection). On the demo deployment split 2 and 3 ways, for TJA, TPUT
 // and the centralized baseline, the federated historic answers must be
-// byte-identical to the flat run on both substrates, with coordinator
+// byte-identical to the flat run, sequential and concurrent, with coordinator
 // backhaul accounted — and GROUP BY ... WITH HISTORY (the horizontally
 // fragmented case, which rides the snapshot pipeline) keeps working.
 func TestFederatedHistoricDemo(t *testing.T) {
@@ -166,16 +172,12 @@ func TestFederatedHistoricDemo(t *testing.T) {
 		for _, shards := range []int{2, 3} {
 			for _, live := range []bool{false, true} {
 				t.Run(fmt.Sprintf("%s/shards=%d/live=%v", algo, shards, live), func(t *testing.T) {
-					sys, err := Open(shardedDemo(t, shards))
+					sys, err := Open(shardedDemo(t, shards), legParallel(live))
 					if err != nil {
 						t.Fatal(err)
 					}
 					defer sys.Close()
-					var opts []PostOption
-					if live {
-						opts = append(opts, WithLive())
-					}
-					cur, err := sys.PostWith(sql, algo, opts...)
+					cur, err := sys.PostWith(sql, algo)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -217,8 +219,8 @@ func TestFederatedHistoricDemo(t *testing.T) {
 
 // TestFederatedFaultEquivalence: a sharded deployment under an armed fault
 // environment (loss + churn, per-shard derived seeds) must degrade
-// identically on the deterministic and the live substrate — answers and
-// traffic — and churn must strike the shard that owns the node.
+// identically at Parallel 1 and Parallel 4 — answers and traffic — and churn
+// must strike the shard that owns the node.
 func TestFederatedFaultEquivalence(t *testing.T) {
 	const epochs = 12
 	cfg := FaultConfig{
@@ -231,16 +233,12 @@ func TestFederatedFaultEquivalence(t *testing.T) {
 	run := func(live bool) ([]StepResult, RunStats) {
 		scen := shardedDemo(t, 2)
 		scen.Faults = &cfg
-		sys, err := Open(scen)
+		sys, err := Open(scen, legParallel(live))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer sys.Close()
-		var opts []PostOption
-		if live {
-			opts = append(opts, WithLive())
-		}
-		cur, err := sys.Post("SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid", opts...)
+		cur, err := sys.Post("SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,7 +288,7 @@ func TestFederatedSystemPanel(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
-	runCursor(t, sys, "SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid", AlgoMINT, false, 4)
+	runCursor(t, sys, "SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid", AlgoMINT, 4)
 	panel := sys.SystemPanel(nil)
 	for _, want := range []string{"per-shard traffic", "shard-0", "shard-1", "total", "coordinator tier"} {
 		if !strings.Contains(panel, want) {
@@ -300,19 +298,19 @@ func TestFederatedSystemPanel(t *testing.T) {
 }
 
 // TestFederatedCloseDuringStep extends the goroutine-leak contract to the
-// federated teardown: a live sharded deployment with StepContext cancels
-// racing System.Close must neither deadlock nor double-deliver — every
-// epoch observed before the close is gapless, a cancelled epoch
-// re-buffered on one shard while another shard's Live tears down is
-// dropped (never resurrected), and no goroutine outlives the deployment.
+// federated teardown: a concurrent sharded deployment with StepContext
+// cancels racing System.Close must neither deadlock nor double-deliver —
+// every epoch observed before the close is gapless, a cancelled epoch
+// re-buffered on one shard while another shard tears down is dropped
+// (never resurrected), and no goroutine outlives the deployment.
 func TestFederatedCloseDuringStep(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for round := 0; round < 8; round++ {
-		sys, err := Open(shardedDemo(t, 3))
+		sys, err := Open(shardedDemo(t, 3), WithParallel(2))
 		if err != nil {
 			t.Fatal(err)
 		}
-		cur, err := sys.Post("SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid", WithLive())
+		cur, err := sys.Post("SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -358,17 +356,17 @@ func TestFederatedCloseDuringStep(t *testing.T) {
 
 // TestFederatedCloseDuringHistoricRun: one-shot historic executions run
 // outside the scheduler's lock-step, so Close must wait them out before
-// stopping any shard's Live — otherwise a federated run finds a shard
-// torn down mid-protocol (a panic on the worker path). The run either
-// completes exactly or the post-close Post fails cleanly.
+// closing any shard — otherwise a federated run finds a shard torn down
+// mid-protocol. The run either completes exactly or the post-close Post
+// fails cleanly.
 func TestFederatedCloseDuringHistoricRun(t *testing.T) {
 	const sql = "SELECT TOP 3 epoch, AVG(sound) FROM sensors WITH HISTORY 16"
 	for round := 0; round < 10; round++ {
-		sys, err := Open(shardedDemo(t, 3))
+		sys, err := Open(shardedDemo(t, 3), WithParallel(2))
 		if err != nil {
 			t.Fatal(err)
 		}
-		cur, err := sys.Post(sql, WithLive())
+		cur, err := sys.Post(sql)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -384,10 +382,8 @@ func TestFederatedCloseDuringHistoricRun(t *testing.T) {
 		if err := <-got; err != nil && !strings.Contains(err.Error(), "closed") {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		if _, err := sys.Post(sql, WithLive()); err == nil {
-			// Posting after Close restarts a fresh live deployment by
-			// design; just close it again so nothing leaks from the test.
-			sys.Close()
+		if _, err := sys.Post(sql); err == nil {
+			t.Fatalf("round %d: Post after Close succeeded", round)
 		}
 	}
 }

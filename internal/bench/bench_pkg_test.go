@@ -91,8 +91,7 @@ var microMetrics = map[string][]string{
 	"mint-epoch-scale-16000":         scaleCost,
 	"mint-epoch-scale-100000":        scaleCost,
 	"mint-epoch-scale-4000-parallel": scaleCost,
-	"live-mint-epoch":                scaleCost,
-	"sense-epoch-scale-1000":         {"live/sim", "us/node/epoch"},
+	"sense-epoch-scale-1000":         {"us/node/epoch"},
 }
 
 // TestMicroTable is the micro table's registry check: names are unique and

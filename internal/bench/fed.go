@@ -136,7 +136,7 @@ func fedHistoricEpoch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := merger.Run(shards, false); err != nil {
+		if _, err := merger.Run(shards); err != nil {
 			b.Fatal(err)
 		}
 		for _, body := range bodies {

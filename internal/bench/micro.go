@@ -16,7 +16,7 @@ import (
 // measures is one entry of Micros: a name and a testing.B body that reports
 // its own domain metrics through b.ReportMetric, in the paper's currency —
 // tx_bytes/epoch, msgs/epoch, coord_bytes/epoch — plus us/node/epoch on the
-// scale series and live/sim on the sense pair. Exactly two loops consume the
+// scale series and the sense phase. Exactly two loops consume the
 // table: BenchmarkMicro in the module-root bench_test.go (`go test -bench
 // 'Micro/<name>$'`) and WriteJSON (the BENCH.json trajectory), so both
 // always measure the identical body, and adding a micro is one entry here.
@@ -33,8 +33,7 @@ type Micro struct {
 // Micros returns the table at the configured run scale and worker bound.
 // The scale series always runs at one sweep worker so the µs-per-node
 // trajectory stays comparable across hosts and PRs; Parallel > 1 adds the
-// speedup leg (scale-4000 again, at that bound) and is the bound of the
-// live substrate's sweeps.
+// speedup leg (scale-4000 again, at that bound).
 func Micros(cfg RunConfig) []Micro {
 	ms := []Micro{
 		{"mint-epoch", operatorEpoch(func() topk.SnapshotOperator { return mint.New() })},
@@ -45,18 +44,15 @@ func Micros(cfg RunConfig) []Micro {
 		{"fed-historic-epoch", fedHistoricEpoch},
 	}
 	for _, n := range ScaleSeriesSizes(cfg) {
-		ms = append(ms, Micro{fmt.Sprintf("mint-epoch-scale-%d", n), scaleMintEpoch(n, 1, false)})
+		ms = append(ms, Micro{fmt.Sprintf("mint-epoch-scale-%d", n), scaleMintEpoch(n, 1)})
 	}
 	if cfg.Parallel > 1 {
 		ms = append(ms, Micro{fmt.Sprintf("mint-epoch-scale-%d-parallel", SpeedupScaleSize),
-			scaleMintEpoch(SpeedupScaleSize, cfg.Parallel, false)})
+			scaleMintEpoch(SpeedupScaleSize, cfg.Parallel)})
 	}
-	// The substrate pair of mint-epoch-scale-1000 — the same epoch on an
-	// engine.Live over the same network — and the sense half of that epoch
-	// alone, on both substrates.
-	return append(ms,
-		Micro{"live-mint-epoch", scaleMintEpoch(LiveScaleSize, cfg.Parallel, true)},
-		Micro{fmt.Sprintf("sense-epoch-scale-%d", LiveScaleSize), senseEpoch(LiveScaleSize)})
+	// The sense half of the scale-1000 epoch alone: the size the end-to-end
+	// benchmark's flat-sweep workload runs.
+	return append(ms, Micro{"sense-epoch-scale-1000", senseEpoch(1000)})
 }
 
 // perEpoch reports a total accumulated over the b.N measured epochs as a

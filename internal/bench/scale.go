@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"context"
 	"sync"
 	"testing"
 
@@ -17,17 +16,12 @@ import (
 // This file is the scale series of the benchmark trajectory: µs of epoch
 // compute per sensor node for a steady-state MINT epoch across deployment
 // sizes (the road to scale-100k), the parallel-vs-sequential sweep speedup
-// at scale-4000, and the substrate and sense pairs at scale-1000 (see
-// Micros for how the entries are assembled).
+// at scale-4000, and the sense phase at scale-1000 (see Micros for how the
+// entries are assembled).
 
 // SpeedupScaleSize fixes the deployment of the parallel-vs-sequential
 // speedup measurement: scale-4000, the largest committed scenario.
 const SpeedupScaleSize = 4000
-
-// LiveScaleSize fixes the deployment of the substrate comparison
-// (live-mint-epoch against mint-epoch-scale-1000): scale-1000, the size the
-// end-to-end benchmark's flat-sweep workload runs.
-const LiveScaleSize = 1000
 
 // ScaleSeriesSizes returns the deployment sizes of the µs-per-node-per-epoch
 // scale series at the configured run scale. The two committed scenario sizes
@@ -86,18 +80,6 @@ func scaleDeployment(n, workers int) func(*testing.B) scaleDep {
 	}
 }
 
-// substrate returns the transport a scale micro measures — the network
-// itself or, with live set, a fresh engine.Live over it (its history
-// windows refuse the epochs a re-invocation would replay) — and its stop.
-func substrate(net *sim.Network, live bool) (engine.Transport, func()) {
-	if !live {
-		return net, func() {}
-	}
-	l := engine.NewLive(net, engine.LiveOptions{})
-	l.Start(context.Background())
-	return l, l.Stop
-}
-
 // usPerNode reports the measured loop's µs of epoch compute per sensor node.
 func usPerNode(b *testing.B, net *sim.Network) {
 	nodes := len(net.Topology().SensorNodes())
@@ -107,44 +89,29 @@ func usPerNode(b *testing.B, net *sim.Network) {
 // scaleMintEpoch measures one steady-state MINT epoch on the flat scale-<n>
 // deployment at the given sweep worker bound: runEpochs with the network
 // construction hoisted out of the benchmark's re-invocations.
-func scaleMintEpoch(n, workers int, live bool) func(*testing.B) {
+func scaleMintEpoch(n, workers int) func(*testing.B) {
 	dep := scaleDeployment(n, workers)
 	return func(b *testing.B) {
 		d := dep(b)
-		tp, stop := substrate(d.net, live)
-		defer stop()
-		runEpochs(b, tp, mint.New(), d.src, d.q)
+		runEpochs(b, d.net, mint.New(), d.src, d.q)
 		usPerNode(b, d.net)
 	}
 }
 
 // senseEpoch measures the sense half of a scale-<n> epoch alone —
 // PresampleEpoch then CommitSenseEpoch, exactly as a shard's EpochRound
-// runs them — first on the network itself, then on an engine.Live over it.
-// The live loop is the one timed; live/sim prices what the concurrent
-// substrate's lock costs a phase that enters it a constant number of times
-// per epoch, so it should sit near 1 (plus the history windows' pushes).
+// runs them.
 func senseEpoch(n int) func(*testing.B) {
 	dep := scaleDeployment(n, 1)
 	return func(b *testing.B) {
 		d := dep(b)
-		loop := func(live bool) float64 {
-			tp, stop := substrate(d.net, live)
-			defer stop()
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.StartTimer() // the first loop left it stopped
-			for i := 0; i < b.N; i++ {
-				e := model.Epoch(i)
-				engine.CommitSenseEpoch(tp, e, engine.PresampleEpoch(tp, d.src, e))
-			}
-			b.StopTimer()
-			return float64(b.Elapsed().Nanoseconds())
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e := model.Epoch(i)
+			engine.CommitSenseEpoch(d.net, e, engine.PresampleEpoch(d.net, d.src, e))
 		}
-		onSim := loop(false)
-		if onLive := loop(true); onSim > 0 {
-			b.ReportMetric(onLive/onSim, "live/sim")
-		}
+		b.StopTimer()
 		usPerNode(b, d.net)
 	}
 }

@@ -82,8 +82,8 @@ type Scenario struct {
 	// Faults, when present, declares the deployment's unreliable-world
 	// environment: seeded deterministic link loss (Bernoulli,
 	// distance-weighted or Gilbert-Elliott bursts), frame duplication and
-	// delay, and scheduled node churn. It replays identically on the
-	// simulator and the live substrate. The scenarios/lossy-*.json family
+	// delay, and scheduled node churn. It replays identically at every
+	// Parallel bound. The scenarios/lossy-*.json family
 	// exercises it; kspot.Open arms it. It is the scenario's only fault
 	// input.
 	Faults *faults.Config `json:"faults,omitempty"`

@@ -115,12 +115,22 @@ type Ledger struct {
 	open     int       // accounts opened
 }
 
-// account is one node's consumption in µJ. It is open once the node has
-// been charged or set, even with zero: Nodes and Mean count open accounts.
+// account is one node's consumption, in picojoules. It is open once the
+// node has been charged or set, even with zero: Nodes and Mean count open
+// accounts.
+//
+// The count is an integer so that a set of charges sums to the same bits in
+// any order: several acquisitions of one epoch charge a node in whatever
+// order their transmissions commit, and float addition is not associative.
+// A charge is rounded to the picojoule, far below any per-frame cost.
 type account struct {
-	uj   float64
+	pj   int64
 	open bool
 }
+
+const pjPerUJ = 1e6
+
+func picojoules(microjoules float64) int64 { return int64(math.Round(microjoules * pjPerUJ)) }
 
 // NewLedger returns an empty ledger with room for node ids below nodes; an
 // id beyond that grows the table when first charged.
@@ -141,7 +151,7 @@ func (l *Ledger) account(node int) *account {
 
 // Charge adds consumption to a node's account.
 func (l *Ledger) Charge(node int, microjoules float64) {
-	l.account(node).uj += microjoules
+	l.account(node).pj += picojoules(microjoules)
 }
 
 // Node returns one node's total consumption in µJ.
@@ -149,40 +159,35 @@ func (l *Ledger) Node(node int) float64 {
 	if node < 0 || node >= len(l.accounts) {
 		return 0
 	}
-	return l.accounts[node].uj
+	return float64(l.accounts[node].pj) / pjPerUJ
 }
 
 // Set overwrites a node's account — restoring a checkpointed or migrated
-// shard resumes the exact partial sum the source accumulated, so later
-// charges extend it with the identical float operations.
+// shard resumes the exact count the source accumulated (a value Node
+// returned converts back to the same picojoules).
 func (l *Ledger) Set(node int, microjoules float64) {
-	l.account(node).uj = microjoules
+	l.account(node).pj = picojoules(microjoules)
 }
 
-// Total returns the network-wide consumption in µJ. Summation runs in
-// node order so the floating-point result is identical across runs (the
-// fault layer's determinism tests compare the last ulp). Accounts never
-// opened hold +0, and adding +0 changes no partial sum, so walking the
-// whole table adds the same values in the same order as adding the open
-// accounts in ascending id.
+// Total returns the network-wide consumption in µJ: an integer sum, so it
+// is identical across runs whatever order the charges came in (the fault
+// layer's determinism tests compare the last ulp).
 func (l *Ledger) Total() float64 {
-	var t float64
+	var t int64
 	for i := range l.accounts {
-		t += l.accounts[i].uj
+		t += l.accounts[i].pj
 	}
-	return t
+	return float64(t) / pjPerUJ
 }
 
 // Max returns the highest per-node consumption — the hot-spot metric that
 // determines network lifetime under a uniform initial budget.
 func (l *Ledger) Max() float64 {
-	var m float64
+	var m int64
 	for i := range l.accounts {
-		if v := l.accounts[i].uj; v > m {
-			m = v
-		}
+		m = max(m, l.accounts[i].pj)
 	}
-	return m
+	return float64(m) / pjPerUJ
 }
 
 // Mean returns the average per-node consumption (0 for an empty ledger).

@@ -17,10 +17,10 @@ import (
 	"kspot/internal/topk/mint"
 )
 
-// fedSetup builds a sharded Figure-3 deployment on the chosen substrate:
-// per-shard networks sharing the flat trace source, MINT attached per
-// shard, and a fed merger — plus the flat oracle pieces to compare with.
-func fedSetup(t *testing.T, live bool) (deps []*engine.Deployment, ops []engine.EpochRunner, merge engine.MergeFunc, cleanup func()) {
+// fedSetup builds a sharded Figure-3 deployment, concurrent (Parallel 4)
+// when live is set: per-shard networks sharing the flat trace source, MINT
+// attached per shard, and a fed merger.
+func fedSetup(t *testing.T, live bool) (deps []*engine.Deployment, ops []engine.EpochRunner, merge engine.MergeFunc) {
 	t.Helper()
 	scen := config.Figure3Scenario()
 	if err := scen.AutoShard(2); err != nil {
@@ -35,47 +35,36 @@ func fedSetup(t *testing.T, live bool) (deps []*engine.Deployment, ops []engine.
 		t.Fatal(err)
 	}
 	q := topk.SnapshotQuery{K: 2, Agg: model.AggAvg, Range: &topk.ValueRange{Min: 0, Max: 100}}
-	var stops []func()
 	for i, sub := range subs {
 		net, err := sub.Network()
 		if err != nil {
 			t.Fatal(err)
 		}
-		var tp engine.Transport = net
 		if live {
-			l := engine.NewLive(net, engine.LiveOptions{Window: 8})
-			ctx, cancel := context.WithCancel(context.Background())
-			l.Start(ctx)
-			stops = append(stops, func() { l.Stop(); cancel() })
-			tp = l
+			net.SetParallel(4)
 		}
 		op := mint.New()
-		if err := op.Attach(tp, q); err != nil {
+		if err := op.Attach(net, q); err != nil {
 			t.Fatal(err)
 		}
-		deps = append(deps, engine.NewDeployment(scen.ShardName(i), tp, src))
+		deps = append(deps, engine.NewDeployment(scen.ShardName(i), net, src))
 		ops = append(ops, op)
 	}
 	m, err := fed.New(q, fed.Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return deps, ops, m.Merge, func() {
-		for _, stop := range stops {
-			stop()
-		}
-	}
+	return deps, ops, m.Merge
 }
 
 // TestCoordinatorFederatedEpochs: a 2-shard Figure-3 deployment must
 // answer every epoch identically to the flat oracle over the union of the
-// shards' readings, on both substrates.
+// shards' readings, sequential and concurrent.
 func TestCoordinatorFederatedEpochs(t *testing.T) {
 	q := topk.SnapshotQuery{K: 2, Agg: model.AggAvg, Range: &topk.ValueRange{Min: 0, Max: 100}}
 	for _, live := range []bool{false, true} {
 		t.Run(fmt.Sprintf("live=%v", live), func(t *testing.T) {
-			deps, ops, merge, cleanup := fedSetup(t, live)
-			defer cleanup()
+			deps, ops, merge := fedSetup(t, live)
 			sched := engine.NewScheduler(deps...)
 			defer sched.Close()
 			sq := sched.Add(ops, merge, nil)
@@ -161,10 +150,8 @@ func (r *slowRunner) Epoch(e model.Epoch, _ map[model.NodeID]model.Reading) ([]m
 
 // TestSchedulerStepContext: a cancelled StepContext returns promptly, the
 // in-flight epoch completes in the background, and its outcome is
-// re-buffered — the next Step sees the epoch stream without a gap. Over an
-// in-process deterministic simulator the epoch must NOT be left running
-// behind the caller: there the call blocks until the epoch it demanded is
-// done and delivers it, and the cancellation is observed by the next call.
+// re-buffered — the next Step sees the epoch stream without a gap — on a
+// sequential deployment and on a concurrent (pipelining) one alike.
 func TestSchedulerStepContext(t *testing.T) {
 	for _, live := range []bool{true, false} {
 		t.Run(fmt.Sprintf("live=%v", live), func(t *testing.T) {
@@ -177,14 +164,10 @@ func TestSchedulerStepContext(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var tp engine.Transport = net
 			if live {
-				l := engine.NewLive(net, engine.LiveOptions{Window: 8})
-				l.Start(context.Background())
-				defer l.Stop()
-				tp = l
+				net.SetParallel(4)
 			}
-			sched := engine.NewScheduler(engine.NewDeployment("solo", tp, src))
+			sched := engine.NewScheduler(engine.NewDeployment("solo", net, src))
 			defer sched.Close()
 			r := &slowRunner{enter: make(chan struct{}, 1), gate: make(chan struct{})}
 			sq := sched.Add([]engine.EpochRunner{r}, nil, nil)
@@ -201,31 +184,14 @@ func TestSchedulerStepContext(t *testing.T) {
 			}()
 			<-r.enter // epoch 0 is in flight
 			cancel()
-			next := model.Epoch(0)
-			if live {
-				if got := <-done; !errors.Is(got.err, context.Canceled) {
-					t.Fatalf("cancelled StepContext returned %v", got.err)
-				}
-				close(r.gate) // let the abandoned epoch finish in the background
-			} else {
-				select {
-				case got := <-done:
-					t.Fatalf("StepContext left a deterministic epoch running behind its caller: %+v", got)
-				case <-time.After(20 * time.Millisecond):
-				}
-				close(r.gate)
-				if got := <-done; got.err != nil || got.out.Epoch != 0 {
-					t.Fatalf("blocking StepContext delivered %+v", got)
-				}
-				if _, err := sched.StepContext(ctx, sq); !errors.Is(err, context.Canceled) {
-					t.Fatalf("next StepContext under the cancelled ctx returned %v", err)
-				}
-				next = 1
+			if got := <-done; !errors.Is(got.err, context.Canceled) {
+				t.Fatalf("cancelled StepContext returned %v", got.err)
 			}
+			close(r.gate) // let the abandoned epoch finish in the background
 
 			// The next Steps must observe the stream without a gap: epoch 0
 			// re-buffered when it was abandoned, then epoch 1.
-			for want := next; want < 2; want++ {
+			for want := model.Epoch(0); want < 2; want++ {
 				out, err := sched.StepContext(context.Background(), sq)
 				if err != nil {
 					t.Fatal(err)
@@ -253,10 +219,7 @@ func TestSchedulerRebufferedOutcomeScores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	live := engine.NewLive(net, engine.LiveOptions{})
-	live.Start(context.Background())
-	defer live.Stop()
-	sched := engine.NewScheduler(engine.NewDeployment("figure3", live, src))
+	sched := engine.NewScheduler(engine.NewDeployment("figure3", net, src))
 	defer sched.Close()
 	const epochs = 3
 	r := &slowRunner{enter: make(chan struct{}, epochs), gate: make(chan struct{})}

@@ -3,14 +3,15 @@ package engine
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"kspot/internal/model"
 	"kspot/internal/trace"
 )
 
-// Deployment is an in-process shard: one network substrate (deterministic
-// or live, possibly behind fault decorators) paired with the trace source
-// its sensors sample and the acquisition runners attached to it. It
+// Deployment is an in-process shard: one network (possibly behind recorder
+// taps) paired with the trace source its sensors sample and the
+// acquisition runners attached to it. It
 // implements the shard contract's epoch half (RemoteShard) directly — the
 // Scheduler drives it with the same EpochRound a wire client answers over
 // a socket, and a shard server answers its MsgEpochRound by calling it
@@ -27,11 +28,16 @@ type Deployment struct {
 	name string
 	tp   Transport
 	src  trace.Source
-	live bool // tp is the concurrent substrate (behind any decorators): acquire in parallel, pipeline
+
+	// parallel is the substrate's Parallel bound, read once: above one a
+	// round acquires its groups concurrently, at most parallel at a time,
+	// and presamples the next epoch in the background; at one or below it
+	// runs everything on the caller's goroutine, in request order.
+	parallel int
 
 	mu       sync.Mutex // guards attached and pre; never held across a round
 	attached map[uint32]attachment
-	pre      *presample // in-flight background sampling of the next epoch (live only)
+	pre      *presample // in-flight background sampling of the next epoch
 }
 
 // attachment is one acquisition group's runner on this shard, with the
@@ -58,8 +64,11 @@ type presample struct {
 // NewDeployment binds a transport and its trace source under a display
 // name (the shard name in panels and stats).
 func NewDeployment(name string, tp Transport, src trace.Source) *Deployment {
-	_, live := Baseof(tp).(*Live)
-	return &Deployment{name: name, tp: tp, src: src, live: live, attached: make(map[uint32]attachment)}
+	d := &Deployment{name: name, tp: tp, src: src, attached: make(map[uint32]attachment)}
+	if p, ok := Baseof(tp).(interface{ Parallel() int }); ok {
+		d.parallel = p.Parallel()
+	}
+	return d
 }
 
 // Name returns the deployment's display name.
@@ -119,11 +128,11 @@ func (d *Deployment) Drain() {
 // independent run would. Rounds of one deployment must not overlap; the
 // Scheduler and the shard server each serialize theirs.
 //
-// On the concurrent substrate the acquisitions run in parallel — Live
-// supports any number of in-flight sweeps and floods. The deterministic
-// simulator is a single-threaded state machine, so there they run in
-// request order. A query's failure is carried in its own result; the
-// sensing and the other queries stand.
+// Above a Parallel bound of one the acquisitions run concurrently, at most
+// that many at a time — the network takes any number of in-flight sweeps
+// and floods. At one or below they run in request order on the caller's
+// goroutine. A query's failure is carried in its own result; the sensing
+// and the other queries stand.
 func (d *Deployment) EpochRound(e model.Epoch, queries []uint32) (map[model.NodeID]model.Reading, []RemoteGroupResult, error) {
 	d.mu.Lock()
 	pre := d.pre
@@ -160,14 +169,17 @@ func (d *Deployment) EpochRound(e model.Epoch, queries []uint32) (map[model.Node
 		}
 		results[i].Acq.Answers, results[i].Err = a.op.Epoch(e, in)
 	}
-	if d.live {
+	if workers := min(d.parallel, len(queries)); workers > 1 {
+		var next atomic.Int64
 		var wg sync.WaitGroup
-		for i := range queries {
+		for w := 0; w < workers; w++ {
 			wg.Add(1)
-			go func(i int) {
+			go func() {
 				defer wg.Done()
-				acquire(i)
-			}(i)
+				for i := int(next.Add(1)) - 1; i < len(queries); i = int(next.Add(1)) - 1 {
+					acquire(i)
+				}
+			}()
 		}
 		wg.Wait()
 	} else {
@@ -176,12 +188,9 @@ func (d *Deployment) EpochRound(e model.Epoch, queries []uint32) (map[model.Node
 		}
 	}
 
-	// All transport work for epoch e is done; on the live substrate,
-	// overlap the next epoch's sampling with whatever the caller does with
-	// this one. The deterministic simulator never pipelines: its transports
-	// are not safe against out-of-band mutation (SetNodeDown between steps)
-	// racing a background sample, while Live serializes those under its lock.
-	if d.live {
+	// All transport work for epoch e is done: above a bound of one, overlap
+	// the next epoch's sampling with whatever the caller does with this one.
+	if d.parallel > 1 {
 		next := &presample{epoch: e + 1, done: make(chan struct{})}
 		d.mu.Lock()
 		d.pre = next

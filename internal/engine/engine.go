@@ -2,27 +2,22 @@
 // top-k operators and the network they run on. The KSpot protocol is
 // defined once — γ-descriptor pruning, bound tightening, recovery rounds
 // all live in the operator packages under internal/topk — and the engine
-// decides *where* it executes:
-//
-//   - the deterministic substrate is internal/sim's discrete-time
-//     simulator, which satisfies Transport natively and is where the
-//     benchmarks and the reproduction experiments run;
-//   - the concurrent substrate (Live, in this package) is that same
-//     network state machine behind a lock, with re-entrant sweeps whose
-//     per-node work runs outside it, so any number of queries can sweep
-//     and flood at once; it is what cmd/kspotd and the examples deploy.
-//
-// Because both substrates implement the identical Transport contract — and
-// run the identical sweep — an operator attached to one returns the same
-// answers and, query for query, the same counters on the other (engine's
-// equivalence test pins this, under -race).
+// decides *where* it executes. There is one substrate, internal/sim's
+// network, which satisfies Transport natively and is safe for concurrent
+// use: it carries its own lock, and its Parallel bound is the only
+// concurrency setting. At a bound of one a deployment runs the sequential
+// reference walk on one goroutine; above one its acquisition groups sweep
+// and flood the network at once, each sweep level-synchronous with its
+// per-node work outside the lock — and a single query's answers and
+// counters are the same at every bound (engine's equivalence test pins
+// this, under -race).
 //
 // The sense half of the contract has no per-node method. What an epoch does
 // to every node — read its aliveness, charge its idle baseline, charge its
 // sensing — is asked of the transport for the whole roster at once, so the
-// concurrent substrate's lock is taken a constant number of times per
-// epoch whatever the node count, and the state behind it is indexed by
-// node id rather than hashed (DESIGN.md, node-indexed state).
+// network's lock is taken a constant number of times per epoch whatever
+// the node count, and the state behind it is indexed by node id rather
+// than hashed (DESIGN.md, node-indexed state).
 //
 // Above the transports sits the one epoch engine. A shard — an in-process
 // Deployment (transport + trace source + attached operators) or a process
@@ -48,8 +43,9 @@ import (
 // transmitting node and its full local view V_i and returns the view to
 // transmit V'_i (the input unchanged, a subset, or nil for "send nothing").
 // A PruneFunc may be invoked concurrently for distinct nodes of a tree
-// level (on the concurrent substrate, and on the deterministic one at a
-// sweep worker bound above one), so it must not mutate operator state.
+// level (at a sweep worker bound above one), so it must not mutate operator
+// state, and it may run under the transport's lock (the sequential walk),
+// so it must not call back into the transport.
 //
 // Ownership: both the received view and the returned one belong to the
 // transport. A PruneFunc must not retain either beyond the call; when it
@@ -64,9 +60,7 @@ type PruneFunc = func(node model.NodeID, v *model.View) *model.View
 // sense half an epoch opens with (AliveSensors, ChargeIdleEpoch,
 // ChargeSense).
 //
-// *sim.Network satisfies Transport natively (the deterministic substrate);
-// *Live serializes it behind a lock and makes its sweeps re-entrant (the
-// concurrent one).
+// *sim.Network satisfies Transport natively, safe for concurrent use.
 type Transport interface {
 	// Topology returns the node placement (positions, groups, names).
 	Topology() *topo.Placement
@@ -81,8 +75,8 @@ type Transport interface {
 	SendDown(from, to model.NodeID, kind radio.MsgKind, e model.Epoch, payload []byte) bool
 	// BroadcastDown floods a per-child payload from the sink through the
 	// tree (beacons, query installation), returning the nodes reached.
-	// payloadFor must not call back into the transport: the live substrate
-	// runs it under its lock.
+	// payloadFor must not call back into the transport: it runs under the
+	// transport's lock.
 	BroadcastDown(kind radio.MsgKind, e model.Epoch, payloadFor func(child model.NodeID) []byte) map[model.NodeID]bool
 	// RouteToSink relays a payload hop by hop to the sink without merging
 	// (the flat pattern of TPUT and the centralized baseline).
@@ -93,10 +87,7 @@ type Transport interface {
 	// Sweep runs one TAG-style leaf-to-root acquisition: every node merges
 	// its own reading with its children's views, applies prune, and ships
 	// the result one hop up; empty views suppress the packet entirely. The
-	// sink's merged view is returned. Callers must extract what they keep
-	// (answers, merged partials) before their own next Sweep on this
-	// transport, which may overwrite it; sweeps other callers run
-	// concurrently on the live substrate never touch it.
+	// sink's merged view is returned; it belongs to the caller.
 	Sweep(e model.Epoch, kind radio.MsgKind, readings map[model.NodeID]model.Reading, prune PruneFunc) *model.View
 
 	// AliveSensors returns the sensors alive now, in ascending id: the nodes
@@ -175,9 +166,10 @@ func SenseEpoch(t Transport, src trace.Source, e model.Epoch) map[model.NodeID]m
 // PresampleEpoch samples an epoch's readings without charging anything:
 // the pure half of SenseEpoch. It only reads transport state (topology,
 // aliveness) and the trace source (a pure function of node and epoch), so
-// the scheduler may run it on a background goroutine while the previous
-// epoch's merge stage is still in flight — as long as nothing mutates the
-// transport out-of-band in that window. Pair with CommitSenseEpoch.
+// a deployment may run it on a background goroutine while the previous
+// epoch's merge stage is still in flight: nothing changes a node's
+// aliveness between epochs but the network's own primitives, and churn
+// fires only on an epoch's first transmission. Pair with CommitSenseEpoch.
 func PresampleEpoch(t Transport, src trace.Source, e model.Epoch) map[model.NodeID]model.Reading {
 	return sampleReadings(t, src, e)
 }

@@ -1,13 +1,11 @@
 package engine_test
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"testing"
 
 	"kspot/internal/config"
-	"kspot/internal/engine"
 	"kspot/internal/faults"
 	"kspot/internal/model"
 	"kspot/internal/sim"
@@ -25,9 +23,9 @@ type substrateRun struct {
 	ledger  map[model.NodeID]float64
 }
 
-// runOn drives an operator over a fresh scenario network on the given
-// substrate at the given sweep worker bound.
-func runOn(t *testing.T, scen *config.Scenario, mk func() topk.SnapshotOperator, live bool, workers, epochs int) substrateRun {
+// runOn drives an operator over a fresh scenario network at the given
+// Parallel bound.
+func runOn(t *testing.T, scen *config.Scenario, mk func() topk.SnapshotOperator, workers, epochs int) substrateRun {
 	t.Helper()
 	net, err := scen.Network()
 	if err != nil {
@@ -45,15 +43,7 @@ func runOn(t *testing.T, scen *config.Scenario, mk func() topk.SnapshotOperator,
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tp engine.Transport = net
-	if live {
-		l := engine.NewLive(net, engine.LiveOptions{Window: 8})
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		l.Start(ctx)
-		defer l.Stop()
-		tp = l
-	}
+	tp := net
 	q := topk.SnapshotQuery{K: 2, Agg: model.AggAvg, Range: &topk.ValueRange{Min: 0, Max: 100}}
 	r := &topk.Runner{Net: tp, Source: src, Op: mk(), Query: q}
 	results, err := r.Run(epochs)
@@ -71,38 +61,38 @@ func runOn(t *testing.T, scen *config.Scenario, mk func() topk.SnapshotOperator,
 	return run
 }
 
-// requireSameRun asserts the live run reproduced the deterministic one in
-// every observable: answers, correctness, every radio counter, and each
+// requireSameRun asserts the concurrent run reproduced the sequential one
+// in every observable: answers, correctness, every radio counter, and each
 // node's energy to the bit.
 func requireSameRun(t *testing.T, det, live substrateRun) {
 	t.Helper()
 	for e := range det.answers {
 		if !model.EqualAnswers(det.answers[e], live.answers[e]) {
-			t.Fatalf("epoch %d: deterministic=%v live=%v", e, det.answers[e], live.answers[e])
+			t.Fatalf("epoch %d: sequential=%v concurrent=%v", e, det.answers[e], live.answers[e])
 		}
 		if det.correct[e] != live.correct[e] {
-			t.Fatalf("epoch %d: correctness disagrees (det %v, live %v)", e, det.correct[e], live.correct[e])
+			t.Fatalf("epoch %d: correctness disagrees (sequential %v, concurrent %v)", e, det.correct[e], live.correct[e])
 		}
 	}
 	if det.snap != live.snap {
-		t.Errorf("counters: deterministic %+v, live %+v", det.snap, live.snap)
+		t.Errorf("counters: sequential %+v, concurrent %+v", det.snap, live.snap)
 	}
 	for id, want := range det.ledger {
 		if got := live.ledger[id]; math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("node %d energy: deterministic %v µJ, live %v µJ", id, want, got)
+			t.Errorf("node %d energy: sequential %v µJ, concurrent %v µJ", id, want, got)
 		}
 	}
 }
 
 // TestSubstrateEquivalence pins the engine contract: the same operator
-// attached to the deterministic simulator and to the concurrent substrate
-// returns identical answers and — for a single query — identical counters
-// of every kind: messages, frames, bytes, drops under a lossy radio, and
-// the per-node energy ledger bit for bit, at every sweep worker bound. The
-// reference is always the simulator's sequential walk. scale-1000 keeps
-// every level on the sweeping goroutine; its dense variant (three times the
-// radio radius: levels of 226, 596 and 178 nodes) shares levels with spare
-// workers, which under GOMAXPROCS=1 only run when the sweeper blocks.
+// attached to the network at Parallel 1 and at a bound above one returns
+// identical answers and — for a single query — identical counters of every
+// kind: messages, frames, bytes, drops under a lossy radio, and the
+// per-node energy ledger bit for bit. The reference is always the
+// sequential walk. scale-1000 keeps every level on the sweeping goroutine;
+// its dense variant (three times the radio radius: levels of 226, 596 and
+// 178 nodes) shares levels with spare workers, which under GOMAXPROCS=1
+// only run when the sweeper blocks.
 func TestSubstrateEquivalence(t *testing.T) {
 	scaled := func(radius float64) func() *config.Scenario {
 		return func() *config.Scenario {
@@ -121,7 +111,7 @@ func TestSubstrateEquivalence(t *testing.T) {
 			return scen
 		}
 	}
-	small, large := []int{0}, []int{1, 2, 8}
+	small, large := []int{2}, []int{2, 8}
 	scenarios := []struct {
 		name    string
 		mk      func() *config.Scenario
@@ -148,19 +138,19 @@ func TestSubstrateEquivalence(t *testing.T) {
 				continue // the scale legs vary the worker bound, not the operator
 			}
 			t.Run(fmt.Sprintf("%s/%s", sc.name, op.name), func(t *testing.T) {
-				det := runOn(t, sc.mk(), op.mk, false, 1, epochs)
+				det := runOn(t, sc.mk(), op.mk, 1, epochs)
 				if sc.lossy && det.snap.Drops == 0 {
 					t.Fatal("the lossy radio dropped nothing: the run does not exercise the loss draws")
 				}
 				if !sc.lossy && op.name == "mint" {
 					for e, ok := range det.correct {
 						if !ok {
-							t.Errorf("epoch %d: MINT answered incorrectly on the deterministic substrate", e)
+							t.Errorf("epoch %d: MINT answered incorrectly on the sequential walk", e)
 						}
 					}
 				}
 				for _, workers := range sc.workers {
-					requireSameRun(t, det, runOn(t, sc.mk(), op.mk, true, workers, epochs))
+					requireSameRun(t, det, runOn(t, sc.mk(), op.mk, workers, epochs))
 				}
 			})
 		}

@@ -2,11 +2,8 @@ package engine_test
 
 import (
 	"bytes"
-	"context"
-	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"kspot/internal/config"
 	"kspot/internal/engine"
@@ -52,11 +49,11 @@ func thinning(i int) engine.PruneFunc {
 }
 
 // TestLiveConcurrentSweepsAndFloods keeps six sweeps and a flood in flight
-// on one Live, round after round. On lossless links sweeps do not interact,
-// so every sweep must return the view the same sweep returns alone on the
-// deterministic substrate, the views handed out earlier must survive the
-// later sweeps that recycle their frames, and the radio counters must add
-// up to the sequential run's.
+// on one network, round after round. On lossless links sweeps do not
+// interact, so every sweep must return the view the same sweep returns
+// alone, the views handed out earlier must survive the later sweeps that
+// recycle their frames, and the radio counters must add up to the
+// one-at-a-time run's.
 func TestLiveConcurrentSweepsAndFloods(t *testing.T) {
 	const sweepers, rounds = 6, 5
 	beacon := []byte{1, 2, 3}
@@ -76,9 +73,6 @@ func TestLiveConcurrentSweepsAndFloods(t *testing.T) {
 	}
 
 	net, _ := denseScale1000(t)
-	live := engine.NewLive(net, engine.LiveOptions{})
-	live.Start(context.Background())
-	defer live.Stop()
 	var views [sweepers][rounds]*model.View
 	var wg sync.WaitGroup
 	for i := 0; i < sweepers; i++ {
@@ -86,7 +80,7 @@ func TestLiveConcurrentSweepsAndFloods(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				views[i][r] = live.Sweep(0, radio.KindData, readings, thinning(i))
+				views[i][r] = net.Sweep(0, radio.KindData, readings, thinning(i))
 			}
 		}(i)
 	}
@@ -94,7 +88,7 @@ func TestLiveConcurrentSweepsAndFloods(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for r := 0; r < rounds; r++ {
-			if reached := live.BroadcastDown(radio.KindBeacon, 0, payload); len(reached) != len(readings)+1 {
+			if reached := net.BroadcastDown(radio.KindBeacon, 0, payload); len(reached) != len(readings)+1 {
 				t.Errorf("flood %d reached %d nodes, want %d", r, len(reached), len(readings)+1)
 			}
 		}
@@ -108,67 +102,16 @@ func TestLiveConcurrentSweepsAndFloods(t *testing.T) {
 			}
 		}
 	}
-	got, seq := live.Snap(), ref.Snap()
+	got, seq := net.Snap(), ref.Snap()
 	got.EnergyUJ, seq.EnergyUJ = 0, 0 // per-node float sums depend on the interleaving
 	if got != seq {
 		t.Errorf("counters: concurrent %+v, sequential %+v", got, seq)
 	}
 }
 
-// TestLiveStopDuringSweep stops the deployment while a sweep is parked
-// inside its prune callbacks: Stop returns without waiting, the sweep in
-// flight runs to completion, later traffic panics as it does before Start,
-// and the sweep's workers are gone.
-func TestLiveStopDuringSweep(t *testing.T) {
-	net, readings := denseScale1000(t)
-	baseline := runtime.NumGoroutine()
-	live := engine.NewLive(net, engine.LiveOptions{})
-	live.Start(context.Background())
-
-	entered := make(chan struct{}, len(readings)) // one slot per prune call: never blocks
-	release := make(chan struct{})
-	done := make(chan *model.View)
-	go func() {
-		done <- live.Sweep(0, radio.KindData, readings, func(_ model.NodeID, v *model.View) *model.View {
-			entered <- struct{}{}
-			<-release
-			return v
-		})
-	}()
-	<-entered
-	live.Stop()
-	close(release)
-	var v *model.View
-	select {
-	case v = <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("the sweep in flight never returned after Stop")
-	}
-	if want := net.Placement.GroupIDs(); v.Len() != len(want) {
-		t.Errorf("the sweep in flight returned %d groups, want all %d", v.Len(), len(want))
-	}
-
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("Sweep after Stop did not panic")
-			}
-		}()
-		live.Sweep(1, radio.KindData, readings, nil)
-	}()
-
-	deadline := time.Now().Add(10 * time.Second)
-	for runtime.NumGoroutine() > baseline {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines after the sweep returned, %d before Start", runtime.NumGoroutine(), baseline)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 // TestChurnFiresAtFirstCommitNotAtSensing pins where an armed churn event
-// takes effect, on the simulator's sequential and level-synchronous sweeps
-// and on Live: an event at epoch e is not yet in force when e is sensed
+// takes effect, on the sequential and the level-synchronous sweep: an
+// event at epoch e is not yet in force when e is sensed
 // (AliveSensors still lists the node, so its reading is taken) but is by
 // e's first sweep commit — the node is the sweep's first to commit, and its
 // reading never reaches the sink.
@@ -177,8 +120,7 @@ func TestChurnFiresAtFirstCommitNotAtSensing(t *testing.T) {
 	for _, sc := range []struct {
 		name     string
 		parallel int
-		live     bool
-	}{{"sim-sequential", 1, false}, {"sim-levels", 2, false}, {"live", 1, true}} {
+	}{{"sim-sequential", 1}, {"sim-levels", 2}} {
 		t.Run(sc.name, func(t *testing.T) {
 			scen := config.Figure1Scenario()
 			net, err := scen.Network()
@@ -193,16 +135,7 @@ func TestChurnFiresAtFirstCommitNotAtSensing(t *testing.T) {
 			idx := net.Tree.LevelIndex()
 			first := idx.Levels[len(idx.Levels)-1][0] // the sweep's first commit
 			group := net.Placement.Groups[first]
-			var tp interface {
-				engine.Transport
-				SetChurn([]sim.ChurnEvent)
-			} = net
-			if sc.live {
-				l := engine.NewLive(net, engine.LiveOptions{})
-				l.Start(context.Background())
-				defer l.Stop()
-				tp = l
-			}
+			tp := net
 			tp.SetChurn([]sim.ChurnEvent{{Node: first, Epoch: downAt, Down: true}})
 			for e := model.Epoch(0); e <= downAt; e++ {
 				sensed := false

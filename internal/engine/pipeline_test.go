@@ -1,7 +1,6 @@
 package engine_test
 
 import (
-	"context"
 	"runtime"
 	"testing"
 	"time"
@@ -18,9 +17,8 @@ import (
 // tight energy budget (nodes die mid-run, so the deferred idle/sense
 // accounting of the pipelined path is exercised against real deaths) and
 // returns the outcome stream plus the network's accounting fingerprint.
-// A deployment pipelines iff it is live: live runs it on engine.Live over
-// the network (pipelined), otherwise on the network itself (synchronous).
-func pipelineRun(t *testing.T, live bool, epochs int) ([]engine.Outcome, sim.Snapshot, int) {
+// A deployment pipelines iff its network's Parallel bound is above one.
+func pipelineRun(t *testing.T, parallel, epochs int) ([]engine.Outcome, sim.Snapshot, int) {
 	t.Helper()
 	scen := config.Figure3Scenario()
 	scen.Budget = 0.004
@@ -32,13 +30,8 @@ func pipelineRun(t *testing.T, live bool, epochs int) ([]engine.Outcome, sim.Sna
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tp engine.Transport = net
-	if live {
-		l := engine.NewLive(net, engine.LiveOptions{})
-		l.Start(context.Background())
-		defer l.Stop()
-		tp = l
-	}
+	net.SetParallel(parallel)
+	tp := net
 	sched := engine.NewScheduler(engine.NewDeployment("figure3", tp, src))
 	defer sched.Close()
 	op := mint.New()
@@ -66,16 +59,16 @@ func pipelineRun(t *testing.T, live bool, epochs int) ([]engine.Outcome, sim.Sna
 
 // TestSchedulerPipeliningByteIdentity pins the cross-epoch pipeline's
 // contract: presampling epoch e+1 on a background goroutine while epoch e
-// merges (the live substrate's rounds) must not move a single byte of the
-// result — answers, counters and the energy ledger all match the
-// deterministic substrate's synchronous run, because sampling is
+// merges (a round at a Parallel bound above one) must not move a single
+// byte of the result — answers, counters and the energy ledger all match
+// the synchronous run at Parallel 1, because sampling is
 // pure and the idle/sense charges are deferred to the epoch's consumption
 // (including dropping readings of nodes the idle charge kills, see
 // engine.CommitSenseEpoch).
 func TestSchedulerPipeliningByteIdentity(t *testing.T) {
 	const epochs = 30
-	outs, snap, dead := pipelineRun(t, false, epochs)
-	pOuts, pSnap, pDead := pipelineRun(t, true, epochs)
+	outs, snap, dead := pipelineRun(t, 1, epochs)
+	pOuts, pSnap, pDead := pipelineRun(t, 4, epochs)
 	for e := range outs {
 		if outs[e].Epoch != pOuts[e].Epoch {
 			t.Fatalf("step %d: epoch %d vs %d", e, outs[e].Epoch, pOuts[e].Epoch)
@@ -101,7 +94,7 @@ func TestSchedulerPipeliningByteIdentity(t *testing.T) {
 }
 
 // TestSchedulerCloseMidPipelineDrains is the worker-leak pin for the
-// pipelined scheduler on a started engine.Live: Close lands while a
+// pipelined scheduler: Close lands while a
 // background presample of the next epoch is still in flight (every Step
 // relaunches one) and must drain it — no deadlock, no goroutine left sampling a torn-down transport, and
 // no outcome delivered twice. The parallel sweep's per-level worker pool
@@ -119,13 +112,10 @@ func TestSchedulerCloseMidPipelineDrains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	live := engine.NewLive(net, engine.LiveOptions{})
-	live.Start(context.Background())
-	defer live.Stop()
-	sched := engine.NewScheduler(engine.NewDeployment("figure3", live, src))
+	sched := engine.NewScheduler(engine.NewDeployment("figure3", net, src))
 	op := mint.New()
 	q := topk.SnapshotQuery{K: 2, Agg: model.AggAvg, Range: &topk.ValueRange{Min: 0, Max: 100}}
-	if err := op.Attach(live, q); err != nil {
+	if err := op.Attach(net, q); err != nil {
 		t.Fatal(err)
 	}
 	sq := sched.Add([]engine.EpochRunner{op}, nil, nil)

@@ -148,11 +148,6 @@ type Scheduler struct {
 	closed  bool
 	ownID   uint32 // last id given to an Ops group; counts down from MaxUint32, away from callers' ids
 
-	// background reports whether an epoch may finish behind a cancelled
-	// StepContext: every shard but an in-process deterministic simulator
-	// (a single-threaded state machine its caller may touch next) is safe.
-	background atomic.Bool
-
 	nshards atomic.Int32 // len(shards), readable without mu
 
 	// control counts the control-plane callers (Schedule, Remove,
@@ -186,9 +181,6 @@ func NewShardScheduler(shards ...*RemoteDeployment) *Scheduler {
 func (s *Scheduler) install(shards []*RemoteDeployment) {
 	s.shards = shards
 	s.nshards.Store(int32(len(shards)))
-	background := true
-	s.eachLocal(func(_ int, d *Deployment) { background = background && d.live })
-	s.background.Store(background)
 }
 
 // eachLocal calls fn for every in-process shard, with its shard index.
@@ -385,12 +377,9 @@ func (s *Scheduler) Step(sq *ScheduledQuery) (Outcome, error) {
 // the query's queue, so the next Step observes the epoch stream without a
 // gap (the per-query stepMu holds later steps out until the hand-back
 // lands). Nothing leaks: the in-flight epoch runs to completion on the
-// scheduler's own goroutine.
-//
-// Over an in-process deterministic simulator cancellation is observed
-// between epochs only: that substrate is a single-threaded state machine,
-// so an epoch this call demands runs to completion before it returns —
-// never behind a caller who may touch the network next.
+// scheduler's own goroutine. Every shard is safe to finish an epoch behind
+// a cancelled caller: an in-process one is a network that carries its own
+// lock.
 func (s *Scheduler) StepContext(ctx context.Context, sq *ScheduledQuery) (Outcome, error) {
 	// An already-expired context never starts work: stepping with a dead
 	// ctx would run (and charge) a full epoch in the background on every
@@ -406,7 +395,7 @@ func (s *Scheduler) StepContext(ctx context.Context, sq *ScheduledQuery) (Outcom
 	}
 	// A context that can never be cancelled (Background) can never abandon
 	// the step either: it runs inline, with no goroutine and no hand-off.
-	if ctx.Done() == nil || !s.background.Load() {
+	if ctx.Done() == nil {
 		return s.Step(sq)
 	}
 	type stepRes struct {

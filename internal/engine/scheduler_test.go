@@ -13,9 +13,9 @@ import (
 	"kspot/internal/topk/tag"
 )
 
-// TestSchedulerSharedEpochs runs two queries on one live deployment: they
-// must advance in epoch lock-step, both answer exactly, and sensing must
-// be charged once per epoch, not once per query.
+// TestSchedulerSharedEpochs runs two queries on one concurrent deployment:
+// they must advance in epoch lock-step, both answer exactly, and sensing
+// must be charged once per epoch, not once per query.
 func TestSchedulerSharedEpochs(t *testing.T) {
 	scen := config.Figure3Scenario()
 	net, err := scen.Network()
@@ -26,21 +26,16 @@ func TestSchedulerSharedEpochs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	live := engine.NewLive(net, engine.LiveOptions{Window: 8})
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	live.Start(ctx)
-	defer live.Stop()
-
-	sched := engine.NewScheduler(engine.NewDeployment("figure3", live, src))
+	net.SetParallel(2)
+	sched := engine.NewScheduler(engine.NewDeployment("figure3", net, src))
 	q1 := topk.SnapshotQuery{K: 2, Agg: model.AggAvg, Range: &topk.ValueRange{Min: 0, Max: 100}}
 	q2 := topk.SnapshotQuery{K: 3, Agg: model.AggMax, Range: &topk.ValueRange{Min: 0, Max: 100}}
 	op1 := mint.New()
-	if err := op1.Attach(live, q1); err != nil {
+	if err := op1.Attach(net, q1); err != nil {
 		t.Fatal(err)
 	}
 	op2 := tag.New()
-	if err := op2.Attach(live, q2); err != nil {
+	if err := op2.Attach(net, q2); err != nil {
 		t.Fatal(err)
 	}
 	sq1 := sched.Add([]engine.EpochRunner{op1}, nil, nil)
@@ -68,7 +63,7 @@ func TestSchedulerSharedEpochs(t *testing.T) {
 		}
 	}
 	// Step both cursors concurrently — the scheduler serializes epochs,
-	// the live substrate runs both acquisitions over the same workers.
+	// the deployment runs both acquisitions at once over the one network.
 	wg.Add(2)
 	go step(sq1, q1, "mint-k2")
 	go step(sq2, q2, "tag-k3-max")

@@ -7,7 +7,7 @@ import (
 
 // The fault layer's randomness is a keyed hash, not an rng stream: a draw
 // depends only on the seed and the message's identity, never on how many
-// draws happened before it. Concurrent substrates transmit in arbitrary
+// draws happened before it. Concurrent acquisitions transmit in arbitrary
 // order, so an rng stream would assign different fates per run; the hash
 // assigns the same fate everywhere. FNV-1a (64-bit) is cheap, allocation
 // free, and plenty uniform for fault probabilities.

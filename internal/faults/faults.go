@@ -17,10 +17,10 @@
 //
 // Determinism contract: every fault decision is a pure function of the
 // fault seed and the message's identity (link, kind, epoch, fragment,
-// attempt, payload) — never of transmission order. The deterministic
-// simulator and the concurrent live substrate therefore replay the exact
-// same fault pattern under the same seed, which is what the conformance
-// suite's substrate-equivalence tests pin (see internal/topk/topktest).
+// attempt, payload) — never of transmission order. The sequential walk and
+// concurrent acquisitions therefore replay the exact same fault pattern
+// under the same seed, which is what the conformance suite's Parallel 1 vs
+// 4 equivalence tests pin (see internal/topk/topktest).
 package faults
 
 import (
@@ -63,7 +63,7 @@ type ChurnEvent = sim.ChurnEvent
 // perfect world. At most one of Loss/Distance/Burst may be set.
 type Config struct {
 	// Seed drives every fault decision. Identical seeds replay identical
-	// fault patterns on both substrates.
+	// fault patterns at every Parallel bound.
 	Seed int64 `json:"seed"`
 	// Loss is a Bernoulli per-frame loss probability in [0,1).
 	Loss float64 `json:"loss,omitempty"`
@@ -147,18 +147,10 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// network is the state machine a fault environment arms: *sim.Network
-// natively, *engine.Live by locked delegation to the one it serializes.
-type network interface {
-	Topology() *topo.Placement
-	SetFault(radio.FaultModel)
-	SetChurn([]sim.ChurnEvent)
-}
-
 // Arm installs the whole configured environment on the network — the frame
 // model into its link layer, the churn schedule into its state machine —
 // replacing whatever was armed before. Arm once, before any traffic flows.
-func Arm(n network, cfg Config) error {
+func Arm(n *sim.Network, cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}

@@ -282,7 +282,7 @@ func TestTopKPrefixProperty(t *testing.T) {
 // TestViewReuseAllocationFree pins the steady-state contract of the pooled
 // view representation: once a view and an answer buffer have capacity,
 // Reset + Add + TopKInto cycles allocate nothing. This is the invariant the
-// epoch hot path (sim.Sweep, engine.Live, the operators) is built on.
+// epoch hot path (sim.Sweep, the operators) is built on.
 func TestViewReuseAllocationFree(t *testing.T) {
 	v := NewView()
 	buf := make([]Answer, 0, 16)

@@ -75,8 +75,8 @@ const (
 // FaultModel decides the fate of individual frame attempts. Implementations
 // MUST be deterministic functions of the message identity (sender, receiver,
 // kind, epoch, payload, fragment, attempt) and their own seed — never of
-// call order — so that concurrent substrates replay the exact fault pattern
-// of the deterministic simulator. They must also be safe for concurrent use.
+// call order — so that concurrent acquisitions replay the exact fault
+// pattern of the sequential walk. They must also be safe for concurrent use.
 // internal/faults provides the standard models.
 type FaultModel interface {
 	Frame(msg Message, frag, attempt int) FrameFate

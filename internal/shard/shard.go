@@ -1,6 +1,6 @@
 // Package shard is the one shard host. A shard is a sensor field with its
-// own base station: a network, the substrate it runs on, the armed fault
-// environment, the durable tier's tap and the attached queries' operators.
+// own base station: a network, the armed fault environment, the durable
+// tier's tap and the attached queries' operators.
 // Shard assembles that once and answers the whole shard contract — attach,
 // detach, epoch rounds, historic executions, stats, state — in process;
 // internal/wire's Server serves the same body over a socket (its handler is
@@ -11,7 +11,6 @@
 package shard
 
 import (
-	"context"
 	"fmt"
 	"sync"
 
@@ -37,11 +36,9 @@ type Config struct {
 	Scenario *config.Scenario
 	// Shard indexes the scenario's shard list (0 on a flat scenario).
 	Shard int
-	// Parallel bounds the epoch sweep's worker count on either substrate.
+	// Parallel bounds the network's sweep workers and the deployment's
+	// concurrent acquisitions (sim.Network.SetParallel).
 	Parallel int
-	// Live hosts the shard on the concurrent substrate (engine.Live) instead
-	// of the deterministic simulator; answers and counters are pinned equal.
-	Live bool
 	// Store, when non-nil, is the shard's durable tier: it taps every
 	// committed sense epoch, and the shard closes it.
 	Store *storage.Store
@@ -50,27 +47,24 @@ type Config struct {
 	Taps []engine.ReadingsRecorder
 }
 
-// Shard is one assembled shard. Its stack is fixed once it serves a query
-// (only OnLive changes it, and only before then). The fault environment is
-// the scenario's (Scenario.FaultEnv, specialized per shard), armed on the
-// network here and nowhere else; both substrates run over that network.
+// Shard is one assembled shard. Its stack is fixed when it is assembled.
+// The fault environment is the scenario's (Scenario.FaultEnv, specialized
+// per shard), armed on the network here and nowhere else.
 type Shard struct {
 	name   string
 	roster []model.NodeID
 	net    *sim.Network
 	src    trace.Source
 	store  *storage.Store
-	taps   []engine.ReadingsRecorder
-
-	live *engine.Live // nil on the deterministic substrate
-	dep  *engine.Deployment
+	dep    *engine.Deployment
 
 	mu        sync.Mutex
 	historics map[uint32]topk.HistoricData // buffered windows per execution
 }
 
 // New assembles shard cfg.Shard of the scenario: network → fault
-// environment → substrate → recorder taps → deployment.
+// environment → recorder taps → deployment — the one place a shard is put
+// together.
 func New(cfg Config) (*Shard, error) {
 	subs, err := cfg.Scenario.ShardScenarios()
 	if err != nil {
@@ -89,58 +83,27 @@ func New(cfg Config) (*Shard, error) {
 		return nil, err
 	}
 	b := &Shard{
-		name:   cfg.Scenario.ShardName(cfg.Shard),
-		roster: subs[cfg.Shard].Roster(),
-		net:    net,
-		src:    src,
-		store:  cfg.Store,
+		name:      cfg.Scenario.ShardName(cfg.Shard),
+		roster:    subs[cfg.Shard].Roster(),
+		net:       net,
+		src:       src,
+		store:     cfg.Store,
+		historics: make(map[uint32]topk.HistoricData),
 	}
 	if env := cfg.Scenario.FaultEnv(); env != nil {
 		if err := faults.Arm(net, cfg.Scenario.ShardFaults(*env, cfg.Shard)); err != nil {
 			return nil, err
 		}
 	}
+	var tp engine.Transport = net
 	if cfg.Store != nil {
-		b.taps = append(b.taps, cfg.Store)
+		tp = engine.Recorded{Transport: tp, Rec: cfg.Store}
 	}
-	b.taps = append(b.taps, cfg.Taps...)
-	b.assemble(cfg.Live)
-	return b, nil
-}
-
-// OnLive switches this body's stack onto the concurrent substrate
-// (engine.Live) in place: the same net (with its armed fault environment),
-// store and taps, a fresh deployment over them. It is legal only once and
-// before the body serves a query — a local System calls it when its first
-// post binds the live substrate, and Open runs no round.
-func (b *Shard) OnLive() error {
-	if b.live != nil || b.dep.Attached() > 0 {
-		return fmt.Errorf("shard: %s can switch to the live substrate only once, before it serves a query", b.name)
-	}
-	b.assemble(true)
-	return nil
-}
-
-// assemble stacks the recorder taps over the substrate and binds the
-// deployment — the one place a shard is put together.
-func (b *Shard) assemble(live bool) {
-	var tp engine.Transport = b.net
-	if live {
-		b.live = engine.NewLive(b.net, engine.LiveOptions{})
-		b.live.Start(context.Background())
-		tp = b.live
-	}
-	for _, rec := range b.taps {
+	for _, rec := range cfg.Taps {
 		tp = engine.Recorded{Transport: tp, Rec: rec}
 	}
-	b.dep = engine.NewDeployment(b.name, tp, b.src)
-	b.historics = make(map[uint32]topk.HistoricData)
-}
-
-func (b *Shard) stopLive() {
-	if b.live != nil {
-		b.live.Stop()
-	}
+	b.dep = engine.NewDeployment(b.name, tp, src)
+	return b, nil
 }
 
 // Name returns the shard's display name.
@@ -289,7 +252,10 @@ func (b *Shard) StorageStats() (storage.StoreStats, error) {
 }
 
 // EnergyOf reads one node's ledger total in µJ.
-func (b *Shard) EnergyOf(n model.NodeID) float64 { return b.net.Ledger.Node(int(n)) }
+func (b *Shard) EnergyOf(n model.NodeID) (uj float64) {
+	b.net.Locked(func() { uj = b.net.Ledger.Node(int(n)) })
+	return uj
+}
 
 // Snapshot serializes the durable tier with the energy ledger
 // (storage.ShardState bytes).
@@ -320,11 +286,10 @@ func (b *Shard) Restore(img []byte) error {
 	return nil
 }
 
-// Close releases the shard: the in-flight presample drains, the live
-// substrate stops, and the durable tier closes. Safe to call more than once.
+// Close releases the shard: the in-flight presample drains and the durable
+// tier closes. Safe to call more than once.
 func (b *Shard) Close() error {
 	b.dep.Drain()
-	b.stopLive()
 	if b.store == nil {
 		return nil
 	}

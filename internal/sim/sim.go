@@ -13,6 +13,11 @@
 // radio counter, so after a run the System Panel simply reads this state.
 // Time is epoch-structured as in TAG: a downstream beacon sweep followed by
 // an upstream data sweep in post-order (children strictly before parents).
+//
+// A Network is safe for concurrent use: every exported method takes its
+// lock, so any number of sweeps, floods and relays may be in flight at once
+// (the engine's scheduler acquires several query groups of one epoch
+// concurrently when the Parallel bound is above one).
 package sim
 
 import (
@@ -36,6 +41,10 @@ import (
 // of them. An id beyond the tables is no node of this deployment: it reads
 // as alive and without a budget, it cannot be downed, and traffic charged
 // to it grows the ledger and the counter rather than writing out of range.
+//
+// The exported state fields are the network's own once traffic flows: read
+// them through Locked (or after every caller has returned), never beside a
+// method call in flight on another goroutine.
 type Network struct {
 	Placement *topo.Placement
 	Links     *topo.Links
@@ -50,6 +59,12 @@ type Network struct {
 	// sink's slot (and any id no sensor holds) is the zero Budget: unlimited.
 	Budgets []energy.Budget
 
+	// mu guards every field of the network — the link's fault model, the
+	// counters, the ledger, the budgets, the downed marks, the churn
+	// schedule, the tree's lazily built index and the frame free list.
+	// Exported methods take it; their unexported forms assume it is held.
+	mu sync.Mutex
+
 	// downed marks, by node id, the nodes administratively killed by fault
 	// injection (internal/faults churn). A downed node is dead exactly like
 	// a budget-exhausted one; revival clears the mark but never resurrects
@@ -61,28 +76,22 @@ type Network struct {
 	churn   []ChurnEvent
 	churned int
 
-	// Delivered is an optional hook invoked for every successfully
-	// delivered message (the concurrent runtime and the GUI subscribe).
-	// Payload buffers may be reused by the sender after the hook returns;
-	// subscribers must copy what they keep.
-	Delivered func(msg radio.Message)
-
 	// parallel bounds the worker count of the level-synchronous Sweep;
 	// values <= 1 select the exact legacy sequential walk. See SetParallel.
 	parallel int
 
-	// frame is the scratch Sweep runs on. Like the rest of *Network, Sweep
-	// is not safe for concurrent use; engine.Live runs concurrent sweeps on
-	// frames of its own through SweepOn.
-	frame SweepFrame
+	// frames is the free list of sweep frames: a sweep takes one (or makes
+	// one) and hands it back, so the list grows to the peak number of sweeps
+	// in flight and steady-state sweeps allocate no per-node scratch.
+	frames []*sweepFrame
 }
 
-// SweepFrame is the scratch one sweep runs on: every node's view
+// sweepFrame is the scratch one sweep runs on: every node's view
 // accumulator, pruned view and encode buffer, laid out by the tree's
 // LevelIndex so the hot path indexes a slice instead of hashing node ids,
 // and kept between sweeps so that steady-state sweeps allocate nothing. A
 // frame serves one sweep at a time; the zero value is ready to use.
-type SweepFrame struct {
+type sweepFrame struct {
 	idx   *topo.LevelIndex
 	nodes []frameNode
 	buf   []byte // the sequential walk's one encode buffer
@@ -100,7 +109,7 @@ type frameNode struct {
 
 // reset lays the frame out for the tree and empties every accumulator:
 // children merge into their parent's accumulator before its turn comes.
-func (f *SweepFrame) reset(idx *topo.LevelIndex) {
+func (f *sweepFrame) reset(idx *topo.LevelIndex) {
 	if f.idx != idx {
 		nodes := make([]frameNode, len(idx.Parent))
 		copy(nodes, f.nodes) // views and buffers are interchangeable: keep the grown ones
@@ -124,8 +133,8 @@ type Options struct {
 	BudgetJoules float64
 	// Parallel bounds the worker count of the level-synchronous Sweep.
 	// 0 or 1 runs the exact legacy sequential walk; N > 1 computes each
-	// tree level with up to N workers. Results are byte-identical for
-	// every value (see SetParallel).
+	// tree level with up to N workers. A single sweep's results are
+	// byte-identical for every value (see SetParallel).
 	Parallel int
 }
 
@@ -178,18 +187,33 @@ func FromTree(p *topo.Placement, links *topo.Links, tree *topo.Tree, opts Option
 }
 
 // Topology returns the node placement. Together with Routing, Sweep and
-// the send primitives it makes *Network satisfy engine.Transport — the
-// deterministic substrate of the engine layer.
+// the send primitives it makes *Network satisfy engine.Transport — the one
+// substrate of the engine layer.
 func (n *Network) Topology() *topo.Placement { return n.Placement }
 
 // Routing returns the sink-rooted routing tree.
 func (n *Network) Routing() *topo.Tree { return n.Tree }
+
+// Locked runs fn holding the network's lock: how a reader takes a
+// consistent look at the exported state (counters, ledger, budgets) while
+// other goroutines use the network. fn must not call the network's methods.
+func (n *Network) Locked(fn func()) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	fn()
+}
 
 // Alive reports whether a node still has energy and has not been struck
 // down by fault injection. The sink is mains-powered and always alive: its
 // slot is never downed and holds the zero (unlimited) Budget. An id beyond
 // the tables reads the same way.
 func (n *Network) Alive(id model.NodeID) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.alive(id)
+}
+
+func (n *Network) alive(id model.NodeID) bool {
 	i := int(id)
 	if i < len(n.downed) && n.downed[i] {
 		return false
@@ -197,13 +221,13 @@ func (n *Network) Alive(id model.NodeID) bool {
 	return i >= len(n.Budgets) || !n.Budgets[i].Dead()
 }
 
-// SetNodeDown administratively kills or revives a node — the churn
-// primitive of the fault-injection layer. It rides the same Alive pathway
-// as energy death: a downed node neither transmits, receives, nor senses.
-// The sink cannot be downed, nor can an id beyond the deployment's largest
-// (no such node exists), and reviving a node whose energy budget is
-// exhausted leaves it dead.
-func (n *Network) SetNodeDown(id model.NodeID, down bool) {
+// setNodeDown administratively kills or revives a node — what a churn
+// event does when it fires. It rides the same Alive pathway as energy
+// death: a downed node neither transmits, receives, nor senses. The sink
+// cannot be downed, nor can an id beyond the deployment's largest (no such
+// node exists), and reviving a node whose energy budget is exhausted leaves
+// it dead.
+func (n *Network) setNodeDown(id model.NodeID, down bool) {
 	if id == model.Sink || int(id) >= len(n.downed) {
 		return
 	}
@@ -213,7 +237,11 @@ func (n *Network) SetNodeDown(id model.NodeID, down bool) {
 // SetFault installs (or clears) a deterministic link-layer fault model —
 // the loss/duplication/delay primitive of the fault-injection layer. Must
 // be called before traffic flows.
-func (n *Network) SetFault(m radio.FaultModel) { n.Link.SetFault(m) }
+func (n *Network) SetFault(m radio.FaultModel) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.Link.SetFault(m)
+}
 
 // ChurnEvent schedules one node's administrative death or revival. The
 // event fires at the first transmission of its epoch: the node's epoch-e
@@ -228,11 +256,14 @@ type ChurnEvent struct {
 
 // SetChurn arms (or, with no events, clears) a churn schedule — the
 // scheduled-death primitive of the fault-injection layer. Each event fires
-// through SetNodeDown on entry to the first transmitting primitive of its
-// epoch (SendUp, SendDown, BroadcastDown, RouteToSink, RouteFromSink, or a
-// sweep before its first commit), never on sensing, so both substrates see
-// it at the same point of the epoch. Must be called before traffic flows.
+// on entry to the first transmitting primitive of its epoch (SendUp,
+// SendDown, BroadcastDown, RouteToSink, RouteFromSink, or a sweep before its
+// first commit), never on sensing, so whichever acquisition of the epoch
+// transmits first, every one sees it at the same point of the epoch. Must
+// be called before traffic flows.
 func (n *Network) SetChurn(events []ChurnEvent) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	n.churn = slices.Clone(events)
 	slices.SortStableFunc(n.churn, func(a, b ChurnEvent) int { return cmp.Compare(a.Epoch, b.Epoch) })
 	n.churned = 0
@@ -244,23 +275,31 @@ func (n *Network) advance(e model.Epoch) {
 	for n.churned < len(n.churn) && n.churn[n.churned].Epoch <= e {
 		ev := n.churn[n.churned]
 		n.churned++
-		n.SetNodeDown(ev.Node, ev.Down)
+		n.setNodeDown(ev.Node, ev.Down)
 	}
 }
 
-// SetParallel bounds the worker count of the level-synchronous Sweep.
-// workers <= 1 selects the exact legacy sequential walk; workers > 1 fans
-// the per-level merge/prune/encode work over a bounded pool while the
-// transmissions and parent merges still commit in the sequential post-order
-// position, so answers, messages, frames, bytes, loss draws and the energy
-// ledger are byte-identical for every value. SweepOn is level-synchronous
-// at every bound (<= 1: no spare workers). Not safe to call while a sweep
-// is in flight.
-func (n *Network) SetParallel(workers int) { n.parallel = workers }
+// SetParallel bounds the worker count of the level-synchronous Sweep, and
+// with it the concurrency of a deployment built over the network (see
+// engine.Deployment). workers <= 1 selects the exact legacy sequential
+// walk; workers > 1 fans the per-level merge/prune/encode work over a
+// bounded pool while the transmissions and parent merges still commit in
+// the sequential post-order position, so a single sweep's answers,
+// messages, frames, bytes, loss draws and energy ledger are byte-identical
+// for every value. Set it before traffic flows.
+func (n *Network) SetParallel(workers int) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.parallel = workers
+}
 
 // Parallel reports the configured sweep worker bound (0 and 1 both mean
 // sequential).
-func (n *Network) Parallel() int { return n.parallel }
+func (n *Network) Parallel() int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.parallel
+}
 
 // charge draws energy from a live node: off its budget, when it has one,
 // and onto its ledger account. The sink draws mains power and is never
@@ -278,6 +317,8 @@ func (n *Network) charge(id model.NodeID, microjoules float64) {
 // RestoreEnergy resumes a node's consumption from a checkpoint: its ledger
 // account and, when it has one, its spent budget, bit-exact.
 func (n *Network) RestoreEnergy(id model.NodeID, microjoules float64) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	n.Ledger.Set(int(id), microjoules)
 	if int(id) < len(n.Budgets) {
 		n.Budgets[id].Used = microjoules
@@ -286,7 +327,7 @@ func (n *Network) RestoreEnergy(id model.NodeID, microjoules float64) {
 
 // transmit performs one single-hop transmission with full accounting.
 func (n *Network) transmit(msg radio.Message) bool {
-	if !n.Alive(msg.From) {
+	if !n.alive(msg.From) {
 		return false
 	}
 	acc := n.Link.Transmit(msg)
@@ -294,28 +335,26 @@ func (n *Network) transmit(msg radio.Message) bool {
 	if acc.Frames > 0 {
 		n.charge(msg.From, float64(acc.Frames)*n.Energy.TxPerPacket+n.Energy.TxPerByte*float64(acc.TxBytes))
 	}
-	receiverAlive := n.Alive(msg.To)
+	receiverAlive := n.alive(msg.To)
 	if acc.RxFrames > 0 && receiverAlive {
 		n.charge(msg.To, float64(acc.RxFrames)*n.Energy.RxPerPacket+n.Energy.RxPerByte*float64(acc.RxBytes))
 	}
 	// A node that dies receiving this very message still received it: the
 	// budget check, like the hardware brown-out, happens afterwards.
-	delivered := acc.Delivered && receiverAlive
-	if delivered && n.Delivered != nil {
-		n.Delivered(msg)
-	}
-	return delivered
+	return acc.Delivered && receiverAlive
 }
 
 // SendUp transmits a payload from a node to its tree parent. Returns false
 // if the node is the root, is dead, or the link loses the message.
 func (n *Network) SendUp(from model.NodeID, kind radio.MsgKind, e model.Epoch, payload []byte) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	n.advance(e)
 	return n.sendUp(from, kind, e, payload)
 }
 
-// sendUp is SendUp without the churn check, for a sweep's commits: the
-// sweep checks once, before its first.
+// sendUp is SendUp without the lock and the churn check, for a sweep's
+// commits: the sweep checks once, before its first.
 func (n *Network) sendUp(from model.NodeID, kind radio.MsgKind, e model.Epoch, payload []byte) bool {
 	parent, ok := n.Tree.ParentOf(from)
 	if !ok {
@@ -326,6 +365,8 @@ func (n *Network) sendUp(from model.NodeID, kind radio.MsgKind, e model.Epoch, p
 
 // SendDown transmits a payload from a node to one of its children.
 func (n *Network) SendDown(from, to model.NodeID, kind radio.MsgKind, e model.Epoch, payload []byte) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	n.advance(e)
 	return n.transmit(radio.Message{From: from, To: to, Kind: kind, Epoch: e, Payload: payload})
 }
@@ -336,7 +377,10 @@ func (n *Network) SendDown(from, to model.NodeID, kind radio.MsgKind, e model.Ep
 // link, the conservative model TinyDB uses for tree maintenance).
 // payloadFor lets the caller shrink or specialize the payload per child;
 // passing nil sends an empty beacon. Returns the set of nodes reached.
+// payloadFor runs under the network's lock and must not call back into it.
 func (n *Network) BroadcastDown(kind radio.MsgKind, e model.Epoch, payloadFor func(child model.NodeID) []byte) map[model.NodeID]bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	n.advance(e)
 	reached := map[model.NodeID]bool{model.Sink: true}
 	for _, parent := range n.Tree.PreOrder() {
@@ -362,6 +406,8 @@ func (n *Network) BroadcastDown(kind radio.MsgKind, e model.Epoch, payloadFor fu
 // is what in-network aggregation saves over. Returns true if the payload
 // reached the sink.
 func (n *Network) RouteToSink(from model.NodeID, kind radio.MsgKind, e model.Epoch, payload []byte) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	n.advance(e)
 	cur := from
 	for cur != model.Sink {
@@ -381,6 +427,8 @@ func (n *Network) RouteToSink(from model.NodeID, kind radio.MsgKind, e model.Epo
 // the tree (the unicast pattern of filter updates and probes in
 // FILA-style protocols). Returns true if the payload arrived.
 func (n *Network) RouteFromSink(to model.NodeID, kind radio.MsgKind, e model.Epoch, payload []byte) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	n.advance(e)
 	path := n.Tree.PathToRoot(to) // to ... sink
 	if len(path) == 0 || path[len(path)-1] != model.Sink {
@@ -404,20 +452,50 @@ func (n *Network) RouteFromSink(to model.NodeID, kind radio.MsgKind, e model.Epo
 // prune receives the transmitting node and its full local view V_i and
 // returns the view to transmit V'_i (it may return the input unchanged, a
 // subset built with model.AcquireView, or nil for "send nothing"); views it
-// returns that differ from the input are recycled by the transport once
-// transmitted. The sink's merged view is returned; it is owned by the
-// transport and valid only until the next Sweep (see engine.Transport).
+// returns that differ from the input are recycled by the network once
+// transmitted. prune must not call back into the network: the sequential
+// walk runs it under the lock.
+//
+// The sweep runs on a frame from the network's free list. At Parallel() <=
+// 1 it is the sequential walk, under the lock from start to end — the
+// reference every other form must match. Above 1 it is the
+// level-synchronous walk (see sweepLevels), which holds the lock only to
+// commit, so other sweeps and primitives interleave with it level by level.
+// Either way the sink's merged view is returned as a copy: it belongs to
+// the caller, whatever sweeps run later.
 func (n *Network) Sweep(e model.Epoch, kind radio.MsgKind,
 	readings map[model.NodeID]model.Reading,
 	prune func(node model.NodeID, v *model.View) *model.View) *model.View {
 
-	if n.parallel > 1 {
-		return n.SweepOn(&n.frame, nil, e, kind, readings, prune)
+	n.mu.Lock()
+	var f *sweepFrame
+	if last := len(n.frames) - 1; last >= 0 {
+		f, n.frames = n.frames[last], n.frames[:last]
+	} else {
+		f = new(sweepFrame)
 	}
-	// The sequential walk: each node computes and commits in one step, in
-	// post-order — the reference the level-synchronous form must match.
+	// A panicking prune unwinds past the hand-back: its frame is dropped.
+	if n.parallel > 1 {
+		n.mu.Unlock()
+		v := n.sweepLevels(f, e, kind, readings, prune).Clone()
+		n.mu.Lock()
+		n.frames = append(n.frames, f)
+		n.mu.Unlock()
+		return v
+	}
+	defer n.mu.Unlock()
+	v := n.sweepSequential(f, e, kind, readings, prune).Clone()
+	n.frames = append(n.frames, f)
+	return v
+}
+
+// sweepSequential is the sequential walk: each node computes and commits
+// in one step, in post-order. The caller holds the lock.
+func (n *Network) sweepSequential(f *sweepFrame, e model.Epoch, kind radio.MsgKind,
+	readings map[model.NodeID]model.Reading,
+	prune func(node model.NodeID, v *model.View) *model.View) *model.View {
+
 	n.advance(e)
-	f := &n.frame
 	f.reset(n.Tree.LevelIndex())
 	s := sweep{n: n, f: f, e: e, kind: kind, readings: readings, prune: prune}
 	for d := len(f.idx.Levels) - 1; d >= 1; d-- {
@@ -430,8 +508,8 @@ func (n *Network) Sweep(e model.Epoch, kind radio.MsgKind,
 	return s.root()
 }
 
-// SweepOn is the level-synchronous form of Sweep, run on a caller-owned
-// frame. Per tree level, deepest first, it runs two phases:
+// sweepLevels is the level-synchronous form of the sweep. Per tree level,
+// deepest first, it runs two phases:
 //
 //   - compute: up to Parallel() workers steal nodes off the level and, for
 //     each, merge the node's reading into its accumulator, apply prune and
@@ -443,49 +521,42 @@ func (n *Network) Sweep(e model.Epoch, kind radio.MsgKind,
 //     sequential post-order walk would run them in, since PostOrder is
 //     depth-descending with ids ascending within a level.
 //
-// All order-sensitive state (energy charges, counters, the Delivered hook,
-// a fault model's per-link memo) is touched only during
-// commits, and a level's transmissions can only charge that level and its
-// parents — never a deeper node — so aliveness at each commit matches the
-// sequential run. The result is byte-identical to the sequential sweep for
-// every worker count.
+// All order-sensitive state (energy charges, counters, a fault model's
+// per-link memo) is touched only during commits, and a level's
+// transmissions can only charge that level and its parents — never a
+// deeper node — so aliveness at each commit matches the sequential run.
+// The result is byte-identical to the sequential sweep for every worker
+// count.
 //
-// The compute phases touch nothing of the network but the frame. commit,
-// when non-nil, is held around every other access — the armed churn
-// schedule, the tree's lazily built index and each level's commit phase — which is what lets engine.Live keep
-// several sweeps in flight over one network, each on its own frame. The
+// The compute phases touch nothing of the network but the frame. The lock
+// is held around every other access — the armed churn schedule, the tree's
+// lazily built index and each level's commit phase — which is what lets
+// several sweeps be in flight over one network, each on its own frame. The
 // returned sink view lives in the frame: valid until the frame's next sweep.
-func (n *Network) SweepOn(f *SweepFrame, commit sync.Locker, e model.Epoch, kind radio.MsgKind,
+func (n *Network) sweepLevels(f *sweepFrame, e model.Epoch, kind radio.MsgKind,
 	readings map[model.NodeID]model.Reading,
 	prune func(node model.NodeID, v *model.View) *model.View) *model.View {
 
-	if commit == nil {
-		commit = noLock{}
-	}
-	commit.Lock()
+	n.mu.Lock()
 	n.advance(e)
 	idx := n.Tree.LevelIndex()
-	commit.Unlock()
+	spares := n.parallel - 1
+	n.mu.Unlock()
 	f.reset(idx)
 	s := &sweep{n: n, f: f, e: e, kind: kind, readings: readings, prune: prune}
 	defer s.stopSpares()
 	for d := len(idx.Levels) - 1; d >= 1; d-- {
-		s.computeLevel(idx.Levels[d], idx.Start[d], n.parallel-1)
-		s.commitLevel(commit)
+		s.computeLevel(idx.Levels[d], idx.Start[d], spares)
+		s.commitLevel()
 	}
 	return s.root()
 }
-
-type noLock struct{}
-
-func (noLock) Lock()   {}
-func (noLock) Unlock() {}
 
 // sweep is one Sweep call: its arguments, and for the level-synchronous
 // form the level in flight and the worker pool computing it.
 type sweep struct {
 	n        *Network
-	f        *SweepFrame
+	f        *sweepFrame
 	e        model.Epoch
 	kind     radio.MsgKind
 	readings map[model.NodeID]model.Reading
@@ -536,10 +607,11 @@ func (s *sweep) compute(pos int, node model.NodeID, enc []byte) []byte {
 }
 
 // commit is the order-sensitive half: the transmission with all its
-// accounting and, when it is delivered, the merge into the parent.
+// accounting and, when it is delivered, the merge into the parent. The
+// caller holds the lock.
 func (s *sweep) commit(pos int, node model.NodeID, enc []byte) {
 	fn := &s.f.nodes[pos]
-	if fn.send && s.n.Alive(node) && s.n.sendUp(node, s.kind, s.e, enc) {
+	if fn.send && s.n.alive(node) && s.n.sendUp(node, s.kind, s.e, enc) {
 		s.f.nodes[s.f.idx.Parent[pos]].acc.MergeView(fn.out)
 	}
 	if fn.out != fn.acc {
@@ -631,10 +703,10 @@ func (s *sweep) steal() {
 }
 
 // commitLevel replays the level's transmissions in ascending id, which is
-// their post-order position.
-func (s *sweep) commitLevel(commit sync.Locker) {
-	commit.Lock()
-	defer commit.Unlock()
+// their post-order position, under the network's lock.
+func (s *sweep) commitLevel() {
+	s.n.mu.Lock()
+	defer s.n.mu.Unlock()
 	for j, node := range s.nodes {
 		s.commit(s.base+j, node, s.f.nodes[s.base+j].enc)
 	}
@@ -644,14 +716,16 @@ func (s *sweep) commitLevel(commit sync.Locker) {
 // samples. While every sensor is alive that is the placement's own roster,
 // shared — callers must not modify the slice.
 func (n *Network) AliveSensors() []model.NodeID {
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	roster := n.Placement.SensorNodes()
 	for i, id := range roster {
-		if n.Alive(id) {
+		if n.alive(id) {
 			continue
 		}
 		alive := append(make([]model.NodeID, 0, len(roster)-1), roster[:i]...)
 		for _, id := range roster[i+1:] {
-			if n.Alive(id) {
+			if n.alive(id) {
 				alive = append(alive, id)
 			}
 		}
@@ -663,8 +737,10 @@ func (n *Network) AliveSensors() []model.NodeID {
 // ChargeSense charges one sensing operation to every node of readings that
 // is alive, and deletes the others from it: a dead node sensed nothing.
 func (n *Network) ChargeSense(readings map[model.NodeID]model.Reading) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	for id := range readings {
-		if n.Alive(id) {
+		if n.alive(id) {
 			n.charge(id, n.Energy.SenseCost)
 		} else {
 			delete(readings, id)
@@ -674,8 +750,10 @@ func (n *Network) ChargeSense(readings map[model.NodeID]model.Reading) {
 
 // ChargeIdleEpoch charges every live sensor the per-epoch idle baseline.
 func (n *Network) ChargeIdleEpoch() {
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	for _, id := range n.Placement.SensorNodes() {
-		if n.Alive(id) {
+		if n.alive(id) {
 			n.charge(id, n.Energy.IdlePerEpoch)
 		}
 	}
@@ -684,6 +762,8 @@ func (n *Network) ChargeIdleEpoch() {
 // Reset clears traffic and energy accounting (budgets are preserved) so a
 // caller can measure a steady-state window separately from a warm-up.
 func (n *Network) Reset() {
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	n.Ledger = energy.NewLedger(len(n.downed))
 	n.Counter = radio.NewCounter(len(n.downed))
 }
@@ -699,6 +779,8 @@ type Snapshot struct {
 
 // Snap captures current totals.
 func (n *Network) Snap() Snapshot {
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	return Snapshot{
 		Messages: n.Counter.TotalMessages(),
 		Frames:   n.Counter.TotalFrames(),

@@ -199,16 +199,6 @@ func TestReset(t *testing.T) {
 	}
 }
 
-func TestDeliveredHook(t *testing.T) {
-	n := fig1Network(t)
-	var got []radio.Message
-	n.Delivered = func(m radio.Message) { got = append(got, m) }
-	n.SendUp(3, radio.KindData, 7, []byte{1})
-	if len(got) != 1 || got[0].From != 3 || got[0].Epoch != 7 {
-		t.Errorf("hook saw %v", got)
-	}
-}
-
 // keyedLoss is a Bernoulli radio.FaultModel in the shape internal/faults
 // gives every lossy link (which imports this package, so its tests cannot
 // use it): a frame attempt is lost when a hash of its identity and the seed

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -15,8 +16,8 @@ import (
 
 // refNetwork is the map-keyed accounting the node-indexed tables replaced,
 // kept as the reference the differential test compares against: every
-// per-node and per-kind fact hashed by its key, the ledger total summed in
-// sorted key order.
+// per-node and per-kind fact hashed by its key, the ledger's picojoule
+// counts summed in sorted key order.
 type refNetwork struct {
 	link    *radio.Link
 	em      energy.Model
@@ -24,7 +25,7 @@ type refNetwork struct {
 	maxID   model.NodeID
 	downed  map[model.NodeID]bool
 	budgets map[model.NodeID]*energy.Budget
-	ledger  map[int]float64
+	ledger  map[int]int64 // picojoules
 
 	messages, frames, txBytes, rxBytes map[radio.MsgKind]int
 	perNodeTx, perNodeRx               map[model.NodeID]int
@@ -32,7 +33,7 @@ type refNetwork struct {
 }
 
 func (r *refNetwork) reset() {
-	r.ledger = map[int]float64{}
+	r.ledger = map[int]int64{}
 	r.messages, r.frames = map[radio.MsgKind]int{}, map[radio.MsgKind]int{}
 	r.txBytes, r.rxBytes = map[radio.MsgKind]int{}, map[radio.MsgKind]int{}
 	r.perNodeTx, r.perNodeRx = map[model.NodeID]int{}, map[model.NodeID]int{}
@@ -57,8 +58,12 @@ func (r *refNetwork) charge(id model.NodeID, uj float64) {
 	if b, ok := r.budgets[id]; ok {
 		b.Spend(uj)
 	}
-	r.ledger[int(id)] += uj
+	r.ledger[int(id)] += pj(uj)
 }
+
+func pj(uj float64) int64 { return int64(math.Round(uj * 1e6)) }
+
+func uj(pj int64) float64 { return float64(pj) / 1e6 }
 
 func (r *refNetwork) transmit(msg radio.Message) bool {
 	if !r.alive(msg.From) {
@@ -83,11 +88,11 @@ func (r *refNetwork) transmit(msg radio.Message) bool {
 }
 
 func (r *refNetwork) total() float64 {
-	var t float64
+	var t int64
 	for _, id := range r.nodes() {
 		t += r.ledger[id]
 	}
-	return t
+	return uj(t)
 }
 
 func (r *refNetwork) nodes() []int {
@@ -176,7 +181,7 @@ func TestNodeTablesMatchMapReference(t *testing.T) {
 						}
 					case op < 16: // churn, on any id of the window
 						id, down := anyID(), rng.Intn(2) == 0
-						n.SetNodeDown(id, down)
+						n.setNodeDown(id, down)
 						if id != model.Sink && id <= ref.maxID { // beyond the largest id there is no node to down
 							if down {
 								ref.downed[id] = true
@@ -190,11 +195,11 @@ func TestNodeTablesMatchMapReference(t *testing.T) {
 							ref.budgets[id].Spend(1e12)
 						}
 					case op < 19: // a checkpoint restore, any id
-						id, uj := anyID(), float64(rng.Intn(3000))/7
-						n.RestoreEnergy(id, uj)
-						ref.ledger[int(id)] = uj
+						id, set := anyID(), float64(rng.Intn(3000))/7
+						n.RestoreEnergy(id, set)
+						ref.ledger[int(id)] = pj(set)
 						if b, ok := ref.budgets[id]; ok {
-							b.Used = uj
+							b.Used = set
 						}
 					default:
 						n.Reset()
@@ -215,8 +220,8 @@ func compareToReference(t *testing.T, step int, n *Network, ref *refNetwork, win
 	}
 	var max float64
 	for _, v := range ref.ledger {
-		if v > max {
-			max = v
+		if uj(v) > max {
+			max = uj(v)
 		}
 	}
 	mean := 0.0
@@ -249,7 +254,7 @@ func compareToReference(t *testing.T, step int, n *Network, ref *refNetwork, win
 		if got, want := n.Alive(nid), ref.alive(nid); got != want {
 			t.Fatalf("step %d: Alive(%d) = %v, reference %v", step, id, got, want)
 		}
-		if got, want := n.Ledger.Node(id), ref.ledger[id]; got != want {
+		if got, want := n.Ledger.Node(id), uj(ref.ledger[id]); got != want {
 			t.Fatalf("step %d: ledger[%d] = %v, reference %v", step, id, got, want)
 		}
 		if perNode(n.Counter.PerNodeTx, id) != ref.perNodeTx[nid] || perNode(n.Counter.PerNodeRx, id) != ref.perNodeRx[nid] {

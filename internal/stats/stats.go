@@ -30,26 +30,25 @@ type RunStats struct {
 	Recall    float64
 }
 
-// Collect reads a network's counters into a RunStats.
+// Collect reads a network's counters into a RunStats, under the network's
+// lock: an epoch a cancelled step abandoned may still be charging them.
 func Collect(name string, net *sim.Network, epochs int) RunStats {
-	perKind := make(map[radio.MsgKind]int)
-	for k, v := range net.Counter.TxBytes {
-		if v != 0 { // a kind never transmitted has no entry
-			perKind[radio.MsgKind(k)] = v
+	r := RunStats{Algorithm: name, Epochs: epochs, PerKind: make(map[radio.MsgKind]int)}
+	net.Locked(func() {
+		for k, v := range net.Counter.TxBytes {
+			if v != 0 { // a kind never transmitted has no entry
+				r.PerKind[radio.MsgKind(k)] = v
+			}
 		}
-	}
-	return RunStats{
-		Algorithm: name,
-		Epochs:    epochs,
-		Messages:  net.Counter.TotalMessages(),
-		Frames:    net.Counter.TotalFrames(),
-		TxBytes:   net.Counter.TotalTxBytes(),
-		RxBytes:   net.Counter.TotalRxBytes(),
-		Drops:     net.Counter.Drops,
-		EnergyUJ:  net.Ledger.Total(),
-		EnergyMax: net.Ledger.Max(),
-		PerKind:   perKind,
-	}
+		r.Messages = net.Counter.TotalMessages()
+		r.Frames = net.Counter.TotalFrames()
+		r.TxBytes = net.Counter.TotalTxBytes()
+		r.RxBytes = net.Counter.TotalRxBytes()
+		r.Drops = net.Counter.Drops
+		r.EnergyUJ = net.Ledger.Total()
+		r.EnergyMax = net.Ledger.Max()
+	})
+	return r
 }
 
 // Merge sums shard rows into one aggregate row under a new label — how a

@@ -144,19 +144,18 @@ type shardReport struct {
 	err   error
 }
 
-// Run executes the two-phase merge over the shards. parallel fans the
-// per-shard protocol executions out concurrently (shards on the live
-// substrate, or in other processes, whose halves of a round overlap); the
-// deterministic path keeps shard order. The result is byte-identical to
-// the flat historic run.
-func (m *HistoricMerger) Run(shards []HistoricShard, parallel bool) ([]model.Answer, error) {
+// Run executes the two-phase merge over the shards, fanning each phase's
+// per-shard protocol executions out concurrently: every shard is its own
+// network (in this process or another one), so their halves of a round
+// overlap. The result is byte-identical to the flat historic run.
+func (m *HistoricMerger) Run(shards []HistoricShard) ([]model.Answer, error) {
 	var d Snapshot
 	d.Rounds = 1
 	w := m.q.Window
 
-	// Phase 1: per-shard local top-ShipK, fanned out on the live substrate.
+	// Phase 1: per-shard local top-ShipK.
 	reports := make([]shardReport, len(shards))
-	m.eachShard(shards, parallel, func(i int, sh HistoricShard) {
+	eachShard(shards, func(i int, sh HistoricShard) {
 		ans, nodes, err := sh.LocalTopK(m.shipK)
 		r := shardReport{sums: make(map[model.GroupID]int64, len(ans)), nodes: nodes, err: err}
 		for _, a := range ans {
@@ -263,7 +262,7 @@ func (m *HistoricMerger) Run(shards []HistoricShard, parallel bool) ([]model.Ans
 	fetched := make([]map[model.GroupID]int64, len(shards))
 	var errMu sync.Mutex
 	var fetchErr error
-	m.eachShard(shards, parallel, func(i int, sh HistoricShard) {
+	eachShard(shards, func(i int, sh HistoricShard) {
 		if len(need[i]) == 0 {
 			return
 		}
@@ -311,14 +310,8 @@ func (m *HistoricMerger) Run(shards []HistoricShard, parallel bool) ([]model.Ans
 	return answers, nil
 }
 
-// eachShard applies fn to every shard, concurrently when parallel.
-func (m *HistoricMerger) eachShard(shards []HistoricShard, parallel bool, fn func(i int, sh HistoricShard)) {
-	if !parallel || len(shards) < 2 {
-		for i, sh := range shards {
-			fn(i, sh)
-		}
-		return
-	}
+// eachShard applies fn to every shard concurrently.
+func eachShard(shards []HistoricShard, fn func(i int, sh HistoricShard)) {
 	var wg sync.WaitGroup
 	for i, sh := range shards {
 		wg.Add(1)

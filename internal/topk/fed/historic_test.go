@@ -96,7 +96,7 @@ func asHistoricShards(fs []*fakeShard) []HistoricShard {
 
 // TestHistoricMergeExactness pins the identical-answer argument over
 // seeded random worlds for both aggregates, full shipments and starved
-// ShipK=1 shipments, sequential and parallel fan-out.
+// ShipK=1 shipments.
 func TestHistoricMergeExactness(t *testing.T) {
 	for _, shipK := range []int{0, 1, 2} {
 		for _, agg := range []model.AggKind{model.AggAvg, model.AggSum} {
@@ -113,7 +113,7 @@ func TestHistoricMergeExactness(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := m.Run(asHistoricShards(fs), trial%2 == 1)
+					got, err := m.Run(asHistoricShards(fs))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -161,7 +161,7 @@ func TestHistoricMergeKthBoundaryTie(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := m.Run(asHistoricShards(fs), false)
+	got, err := m.Run(asHistoricShards(fs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestHistoricMergeAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Run(asHistoricShards(fs), false); err != nil {
+	if _, err := m.Run(asHistoricShards(fs)); err != nil {
 		t.Fatal(err)
 	}
 	s := full.Snapshot()
@@ -198,7 +198,7 @@ func TestHistoricMergeAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Run(asHistoricShards(fs), false); err != nil {
+	if _, err := m.Run(asHistoricShards(fs)); err != nil {
 		t.Fatal(err)
 	}
 	s = starved.Snapshot()
@@ -229,7 +229,7 @@ func TestHistoricMergeDegradedShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := m.Run(asHistoricShards(fs), false)
+	got, err := m.Run(asHistoricShards(fs))
 	if err != nil {
 		t.Fatal(err)
 	}

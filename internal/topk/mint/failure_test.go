@@ -171,7 +171,7 @@ func TestOrphanRecallAccounting(t *testing.T) {
 
 	// Relay 2 churns out; its whole subtree (the loud room) strands.
 	orphans := net.Tree.RemoveNode(2, net.Links)
-	net.SetNodeDown(2, true)
+	net.SetChurn([]sim.ChurnEvent{{Node: 2, Epoch: 10, Down: true}})
 	if len(orphans) != 3 {
 		t.Fatalf("orphans = %v, want the full loud room {3,4,5}", orphans)
 	}

@@ -49,8 +49,8 @@ func (q SnapshotQuery) Validate() error {
 }
 
 // SnapshotOperator is a distributed top-k algorithm for snapshot queries.
-// Attach binds it to a transport (the deterministic simulator or the live
-// concurrent deployment — see internal/engine) and a query; Epoch runs one
+// Attach binds it to a transport (a simulated network — see
+// internal/engine) and a query; Epoch runs one
 // acquisition round over the epoch's readings (one per live sensor) and
 // returns the sink's current top-k answer.
 type SnapshotOperator interface {
@@ -81,8 +81,7 @@ type EpochResult struct {
 
 // Runner drives a snapshot operator over a trace for a number of epochs,
 // scoring every epoch against the exact oracle. Net is any engine
-// substrate; benchmarks pass the deterministic *sim.Network, the
-// equivalence tests also pass the concurrent *engine.Live.
+// transport; benchmarks and tests pass a *sim.Network.
 type Runner struct {
 	Net    engine.Transport
 	Source trace.Source

@@ -1,23 +1,20 @@
 package topktest
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"kspot/internal/config"
-	"kspot/internal/engine"
 	"kspot/internal/faults"
 	"kspot/internal/model"
-	"kspot/internal/radio"
 	"kspot/internal/sim"
 	"kspot/internal/topk"
 	"kspot/internal/trace"
 )
 
 // The conformance kit: randomized, seeded worlds plus one-call runners
-// that drive any operator over them on either substrate, under any fault
+// that drive any operator over them at any Parallel bound, under any fault
 // environment. The cross-operator conformance suite (conformance_test.go)
 // is built from these; operator packages may use them for their own
 // randomized tests.
@@ -74,14 +71,13 @@ type SnapshotRun struct {
 }
 
 // RunSnapshot drives a fresh network built from the scenario with the
-// operator for the given number of epochs — on the concurrent substrate
-// when live is set, under the fault environment when fcfg is non-nil —
-// and returns the per-epoch results plus the run's traffic totals.
+// operator for the given number of epochs — at the given Parallel bound,
+// under the fault environment when fcfg is non-nil — and returns the
+// per-epoch results plus the run's traffic totals.
 func RunSnapshot(t testing.TB, scen *config.Scenario, mk func() topk.SnapshotOperator,
-	live bool, fcfg *faults.Config, q topk.SnapshotQuery, epochs int) SnapshotRun {
+	parallel int, fcfg *faults.Config, q topk.SnapshotQuery, epochs int) SnapshotRun {
 	t.Helper()
-	tp, src, cleanup := buildTransport(t, scen, live, fcfg)
-	defer cleanup()
+	tp, src := buildNetwork(t, scen, parallel, fcfg)
 	r := &topk.Runner{Net: tp, Source: src, Op: mk(), Query: q}
 	results, err := r.Run(epochs)
 	if err != nil {
@@ -100,10 +96,9 @@ type HistoricRun struct {
 // RunHistoric executes a historic operator once over a fresh network's
 // buffered windows, alongside the exact oracle for the same data.
 func RunHistoric(t testing.TB, scen *config.Scenario, mk func() topk.HistoricOperator,
-	live bool, fcfg *faults.Config, q topk.HistoricQuery) HistoricRun {
+	parallel int, fcfg *faults.Config, q topk.HistoricQuery) HistoricRun {
 	t.Helper()
-	tp, src, cleanup := buildTransport(t, scen, live, fcfg)
-	defer cleanup()
+	tp, src := buildNetwork(t, scen, parallel, fcfg)
 	data := topk.HistoricData(trace.Series(src, tp.Topology().SensorNodes(), q.Window))
 	op := mk()
 	answers, err := op.Run(tp, q, data)
@@ -113,37 +108,22 @@ func RunHistoric(t testing.TB, scen *config.Scenario, mk func() topk.HistoricOpe
 	return HistoricRun{Answers: answers, Exact: topk.ExactHistoric(data, q), Traffic: tp.Snap()}
 }
 
-// buildTransport assembles substrate + workload + faults for one run. The
-// environment is armed through the substrate the run uses, so the live legs
-// reach the network by Live's locked delegation.
-func buildTransport(t testing.TB, scen *config.Scenario, live bool, fcfg *faults.Config) (engine.Transport, trace.Source, func()) {
+// buildNetwork assembles network + workload + faults for one run.
+func buildNetwork(t testing.TB, scen *config.Scenario, parallel int, fcfg *faults.Config) (*sim.Network, trace.Source) {
 	t.Helper()
 	net, err := scen.Network()
 	if err != nil {
 		t.Fatalf("scenario %s: %v", scen.Name, err)
 	}
+	net.SetParallel(parallel)
 	src, err := scen.Source()
 	if err != nil {
 		t.Fatalf("scenario %s: %v", scen.Name, err)
 	}
-	var tp interface {
-		engine.Transport
-		SetFault(radio.FaultModel)
-		SetChurn([]sim.ChurnEvent)
-	} = net
-	cleanup := func() {}
-	if live {
-		l := engine.NewLive(net, engine.LiveOptions{Window: 8})
-		ctx, cancel := context.WithCancel(context.Background())
-		l.Start(ctx)
-		cleanup = func() { l.Stop(); cancel() }
-		tp = l
-	}
 	if fcfg != nil {
-		if err := faults.Arm(tp, *fcfg); err != nil {
-			cleanup()
+		if err := faults.Arm(net, *fcfg); err != nil {
 			t.Fatalf("faults on %s: %v", scen.Name, err)
 		}
 	}
-	return tp, src, cleanup
+	return net, src
 }

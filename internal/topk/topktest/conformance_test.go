@@ -19,8 +19,8 @@ import (
 )
 
 // The cross-operator conformance suite: every operator, randomized seeded
-// worlds, three environments (lossless, 10% and 30% Bernoulli loss), both
-// substrates. The properties:
+// worlds, three environments (lossless, 10% and 30% Bernoulli loss), the
+// sequential and the concurrent Parallel bound. The properties:
 //
 //   - zero loss: the exact operators (MINT, TAG, central, TJA, TPUT)
 //     return the true top-k on every world and epoch; FILA's membership is
@@ -28,9 +28,8 @@ import (
 //   - loss: recall and message counts are reported; recall never falls
 //     below conservative floors and traffic stays within a bounded
 //     multiple of the lossless run.
-//   - identical fault seeds: the deterministic simulator and the
-//     concurrent live substrate produce identical answers and identical
-//     traffic counters (run under -race in CI).
+//   - identical fault seeds: Parallel 1 and Parallel 4 produce identical
+//     answers and identical traffic counters (run under -race in CI).
 
 const (
 	conformanceSeed   = 20090329 // ICDE'09 week; arbitrary but pinned
@@ -71,7 +70,7 @@ func TestConformanceZeroLoss(t *testing.T) {
 		t.Run("snapshot/"+op.name, func(t *testing.T) {
 			var acc stats.MetricsAccumulator
 			for _, scen := range worlds {
-				run := RunSnapshot(t, scen, op.mk, false, nil, conformanceQuery, conformanceEpochs)
+				run := RunSnapshot(t, scen, op.mk, 1, nil, conformanceQuery, conformanceEpochs)
 				for _, res := range run.Results {
 					m := stats.Score(res.Answers, res.Exact)
 					acc.Add(m)
@@ -93,7 +92,7 @@ func TestConformanceZeroLoss(t *testing.T) {
 		var acc stats.MetricsAccumulator
 		for _, scen := range worlds {
 			run := RunSnapshot(t, SingletonGroups(scen), func() topk.SnapshotOperator { return fila.New() },
-				false, nil, conformanceQuery, conformanceEpochs)
+				1, nil, conformanceQuery, conformanceEpochs)
 			for _, res := range run.Results {
 				m := stats.Score(res.Answers, res.Exact)
 				acc.Add(m)
@@ -110,7 +109,7 @@ func TestConformanceZeroLoss(t *testing.T) {
 		op := op
 		t.Run("historic/"+op.name, func(t *testing.T) {
 			for _, scen := range worlds {
-				run := RunHistoric(t, scen, op.mk, false, nil, historicQuery)
+				run := RunHistoric(t, scen, op.mk, 1, nil, historicQuery)
 				if !model.EqualAnswers(run.Answers, run.Exact) {
 					t.Errorf("%s/%s: got %v, exact %v", op.name, scen.Name, run.Answers, run.Exact)
 				}
@@ -147,8 +146,8 @@ func TestConformanceUnderLoss(t *testing.T) {
 				msgs, cleanMsgs := 0, 0
 				for _, scen := range worlds {
 					fcfg := &faults.Config{Seed: int64(1000 + int(env.loss*100)), Loss: env.loss}
-					run := RunSnapshot(t, scen, op.mk, false, fcfg, conformanceQuery, conformanceEpochs)
-					clean := RunSnapshot(t, scen, op.mk, false, nil, conformanceQuery, conformanceEpochs)
+					run := RunSnapshot(t, scen, op.mk, 1, fcfg, conformanceQuery, conformanceEpochs)
+					clean := RunSnapshot(t, scen, op.mk, 1, nil, conformanceQuery, conformanceEpochs)
 					msgs += run.Traffic.Messages
 					cleanMsgs += clean.Traffic.Messages
 					for _, res := range run.Results {
@@ -181,12 +180,12 @@ func TestConformanceUnderLoss(t *testing.T) {
 			for _, scen := range worlds {
 				fcfg := &faults.Config{Seed: int64(1000 + int(env.loss*100)), Loss: env.loss}
 				run := RunSnapshot(t, SingletonGroups(scen), func() topk.SnapshotOperator { return fila.New() },
-					false, fcfg, conformanceQuery, conformanceEpochs)
+					1, fcfg, conformanceQuery, conformanceEpochs)
 				for _, res := range run.Results {
 					filaAcc.Add(stats.Score(res.Answers, res.Exact))
 				}
 				for _, op := range historicOps {
-					h := RunHistoric(t, scen, op.mk, false, fcfg, historicQuery)
+					h := RunHistoric(t, scen, op.mk, 1, fcfg, historicQuery)
 					hist[op.name].Add(stats.Score(h.Answers, h.Exact))
 				}
 			}
@@ -206,8 +205,8 @@ func TestConformanceUnderLoss(t *testing.T) {
 
 // TestConformanceSubstrateEquivalence pins the fault layer's determinism
 // contract end to end: with identical fault seeds — loss, duplication,
-// delay and churn all armed — the deterministic simulator and the
-// concurrent goroutine substrate must report identical answers, message
+// delay and churn all armed — the sequential walk (Parallel 1) and the
+// level-synchronous one (Parallel 4) must report identical answers, message
 // counts and byte counts for every operator. Run under -race in CI.
 func TestConformanceSubstrateEquivalence(t *testing.T) {
 	worlds := Scenarios(conformanceSeed, conformanceWorlds)
@@ -243,8 +242,8 @@ func TestConformanceSubstrateEquivalence(t *testing.T) {
 		name := fmt.Sprintf("%s/%s", c.scen.Name, c.mk().Name())
 		t.Run(name, func(t *testing.T) {
 			fcfg := faultEnv(c.scen)
-			det := RunSnapshot(t, c.scen, c.mk, false, fcfg, conformanceQuery, conformanceEpochs)
-			live := RunSnapshot(t, c.scen, c.mk, true, fcfg, conformanceQuery, conformanceEpochs)
+			det := RunSnapshot(t, c.scen, c.mk, 1, fcfg, conformanceQuery, conformanceEpochs)
+			live := RunSnapshot(t, c.scen, c.mk, 4, fcfg, conformanceQuery, conformanceEpochs)
 			for e := range det.Results {
 				if !model.EqualAnswers(det.Results[e].Answers, live.Results[e].Answers) {
 					t.Fatalf("epoch %d: det %v, live %v", e, det.Results[e].Answers, live.Results[e].Answers)
@@ -267,8 +266,8 @@ func TestConformanceSubstrateEquivalence(t *testing.T) {
 			scen, op := scen, op
 			t.Run(fmt.Sprintf("historic/%s/%s", scen.Name, op.name), func(t *testing.T) {
 				fcfg := &faults.Config{Seed: 9, Loss: 0.10, Duplicate: 0.03}
-				det := RunHistoric(t, scen, op.mk, false, fcfg, historicQuery)
-				live := RunHistoric(t, scen, op.mk, true, fcfg, historicQuery)
+				det := RunHistoric(t, scen, op.mk, 1, fcfg, historicQuery)
+				live := RunHistoric(t, scen, op.mk, 4, fcfg, historicQuery)
 				if !model.EqualAnswers(det.Answers, live.Answers) {
 					t.Fatalf("answers: det %v, live %v", det.Answers, live.Answers)
 				}

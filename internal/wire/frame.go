@@ -1,7 +1,6 @@
 // Package wire is the TCP shard transport of a federated KSpot deployment:
-// the third substrate next to the deterministic simulator and the
-// concurrent live deployment. A shard process (kspotd -serve-shard) wraps
-// its local substrate in a Server; the coordinator process drives every
+// a shard in another process. A shard process (kspotd -serve-shard) wraps
+// its local shard in a Server; the coordinator process drives every
 // shard through a Client — to the engine's Scheduler one more shard behind
 // the EpochRound contract an in-process engine.Deployment implements, the
 // very call a Server answers its MsgEpochRound with.

@@ -24,15 +24,10 @@ type ServerConfig struct {
 	Scenario *config.Scenario
 	// Shard is this server's shard index into the scenario's shard list.
 	Shard int
-	// Parallel bounds the epoch sweep's worker count on either substrate
-	// (kspot.WithParallel); 0/1 is the exact sequential walk on the
-	// deterministic one.
+	// Parallel bounds the shard's sweep workers and concurrent acquisitions
+	// (kspot.WithParallel); 0/1 is the exact sequential walk on one
+	// goroutine.
 	Parallel int
-	// Live runs the shard on the concurrent substrate (engine.Live)
-	// instead of the deterministic simulator. Answers and
-	// counters are pinned identical across substrates, so the coordinator
-	// cannot tell the difference.
-	Live bool
 	// DataDir, when non-empty, persists the shard across process deaths:
 	// the durable tier's shard.log plus a session journal (coordinator
 	// nonce, attached queries, per-epoch energy checkpoints) live there, so
@@ -105,7 +100,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		Scenario: cfg.Scenario,
 		Shard:    cfg.Shard,
 		Parallel: cfg.Parallel,
-		Live:     cfg.Live,
 		Store:    s.store,
 		Taps:     taps,
 	})
@@ -533,11 +527,15 @@ type energyCheckpoint struct{ s *Server }
 
 // RecordReadings implements engine.ReadingsRecorder.
 func (c energyCheckpoint) RecordReadings(e model.Epoch, _ map[model.NodeID]model.Reading) {
-	ids := c.s.body.Network().Ledger.Nodes()
-	nodes := make([]model.NodeID, 0, len(ids))
-	for _, id := range ids {
-		nodes = append(nodes, model.NodeID(id))
-	}
+	var nodes []model.NodeID
+	net := c.s.body.Network()
+	net.Locked(func() {
+		ids := net.Ledger.Nodes()
+		nodes = make([]model.NodeID, 0, len(ids))
+		for _, id := range ids {
+			nodes = append(nodes, model.NodeID(id))
+		}
+	})
 	if err := c.s.journal.Energy(e, nodes, c.s.body.EnergyOf); err != nil {
 		c.s.store.Fail(err)
 	}

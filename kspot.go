@@ -122,13 +122,10 @@ const (
 // shard contract, shardHandle: attach, detach, epoch rounds, historic
 // executions, stats and state all cross it, and every continuous cursor is
 // a seat on the System's one engine.Scheduler, which runs one epoch round
-// per shard per epoch and serves every cursor from it. A local System runs
-// on one of two substrates of the same engine layer (see DESIGN.md): the
-// deterministic simulator or the concurrent live deployment, which lets any
-// number of queries sweep one network at once. Its first Post binds the
-// substrate (WithLive picks the live one) and every later post must ask for
-// the same one: one field, one epoch clock. The fault environment is the
-// scenario's: each shard arms it when it is assembled.
+// per shard per epoch and serves every cursor from it. A local shard is one
+// simulated network, safe for any number of queries at once; WithParallel
+// is its only concurrency setting (see DESIGN.md). The fault environment is
+// the scenario's: each shard arms it when it is assembled.
 type System struct {
 	scenario *config.Scenario
 	schema   query.Schema
@@ -138,15 +135,13 @@ type System struct {
 	// deployment, whose shards live in other processes.
 	local []*shard.Shard
 
-	// mu guards the substrate binding and Close. sched is the one lock-step
-	// scheduler every continuous cursor holds a seat on: built by a local
-	// System's first post (bind), by OpenFederated on a remote one. live
-	// records the substrate it was bound to. shards are the handles it
+	// mu guards Close. sched is the one lock-step scheduler every continuous
+	// cursor holds a seat on, over the local shard bodies (Open) or the
+	// remote shard processes (OpenFederated). shards are the handles it
 	// drives, in shard order; a live re-sharding swaps them wholesale under
 	// groupMu, and readers outside it copy the slice (System.handles).
 	mu     sync.Mutex
 	closed bool
-	live   bool
 	sched  *engine.Scheduler
 	shards []shardHandle
 
@@ -255,13 +250,14 @@ func WithDataDir(dir string) OpenOption {
 	return func(c *openConfig) { c.dataDir = dir }
 }
 
-// WithParallel bounds the worker count of every shard's level-synchronous
-// epoch sweep on the deterministic substrate. 0 and 1 select the exact
-// legacy sequential walk; N > 1 computes each routing-tree level with up
-// to N workers, with answers, messages, frames, bytes and the energy
-// ledger byte-identical for every value. The live substrate runs the same
-// level-synchronous sweep under the same bound (there 0 and 1 mean no
-// spare workers, not a different walk). Defaults to sequential;
+// WithParallel is a local System's one concurrency setting, per shard. 0
+// and 1 run the exact sequential reference: one goroutine per epoch round,
+// the sequential sweep walk. N > 1 acquires up to N query groups of an
+// epoch at once, presamples the next epoch in the background, and computes
+// each routing-tree level of a sweep with up to N workers. A single
+// query's answers, messages, frames, bytes and energy ledger are
+// byte-identical for every value; several groups charge a node's ledger in
+// an order that depends on the interleaving. Defaults to sequential;
 // cmd/kspot-sim and cmd/kspotd default their -parallel flag to the
 // machine's CPU count.
 func WithParallel(workers int) OpenOption {
@@ -301,6 +297,11 @@ func Open(s *Scenario, opts ...OpenOption) (*System, error) {
 		sys.local = append(sys.local, b)
 		sys.shards = append(sys.shards, b)
 	}
+	deps := make([]*engine.Deployment, len(sys.local))
+	for i, b := range sys.local {
+		deps[i] = b.Deployment()
+	}
+	sys.sched = engine.NewScheduler(deps...)
 	return sys, nil
 }
 
@@ -397,7 +398,6 @@ func (s *System) ResetAccounting() {
 type PostOption func(*postConfig)
 
 type postConfig struct {
-	live   bool
 	tenant string
 }
 
@@ -408,26 +408,14 @@ func WithTenant(name string) PostOption {
 	return func(c *postConfig) { c.tenant = name }
 }
 
-// WithLive deploys the query on the concurrent substrate: the same network
-// state machine and the same sweep as the deterministic one, safe for any
-// number of queries at once (the engine's equivalence tests pin answers and
-// every counter to the deterministic substrate). All cursors of a live
-// System share one deployment and advance in epoch lock-step — the epoch is
-// sensed once no matter how many queries are posted — and Step is safe to
-// call from concurrent goroutines. Call Close when done to stop the
-// deployment.
-//
-// A local System's first post binds its substrate: with WithLive the live
-// one, without it the deterministic one. A later post asking for the other
-// substrate fails before admission; open a second System for it. The choice
-// is a PostOption rather than an OpenOption only because existing callers
-// pass it here; moving it to Open is a rename for the next API break.
-func WithLive() PostOption { return func(c *postConfig) { c.live = true } }
+// WithLive is accepted and ignored: every System is safe for concurrent
+// posts and steps, and WithParallel is its only concurrency setting. Named
+// by frozen benchmark/; delete with the next benchmark PR.
+func WithLive() PostOption { return func(*postConfig) {} }
 
-// WithLiveWindow is accepted and ignored: the live substrate keeps no
-// per-node history (historic and WITH HISTORY queries materialize from the
-// trace source). Named by frozen benchmark/; delete with the next benchmark
-// PR.
+// WithLiveWindow is accepted and ignored: no shard keeps per-node history
+// (historic and WITH HISTORY queries materialize from the trace source).
+// Named by frozen benchmark/; delete with the next benchmark PR.
 func WithLiveWindow(int) PostOption { return func(*postConfig) {} }
 
 // Post parses, plans and prepares a query. Snapshot (continuous) queries
@@ -447,12 +435,11 @@ func (s *System) PostWith(sql string, algo Algorithm, opts ...PostOption) (*Curs
 	if err != nil {
 		return nil, err
 	}
-	if cfg.live && s.Remote() {
-		return nil, fmt.Errorf("kspot: a remote deployment has no local live substrate — each shard process picks its own (kspotd -serve-shard -wire-live)")
-	}
-	sched, err := s.bind(cfg.live)
-	if err != nil {
-		return nil, err
+	s.mu.Lock()
+	closed := s.closed
+	s.mu.Unlock()
+	if closed {
+		return nil, fmt.Errorf("kspot: system is closed")
 	}
 	// Admission runs after parsing (a malformed query is a syntax error,
 	// never a consumed slot) and before any deployment work: a rejected
@@ -462,7 +449,7 @@ func (s *System) PostWith(sql string, algo Algorithm, opts ...PostOption) (*Curs
 			return nil, err
 		}
 	}
-	cur := &Cursor{sys: s, plan: plan, algo: algo, live: cfg.live, sched: sched, tenant: cfg.tenant, admitted: s.admission != nil}
+	cur := &Cursor{sys: s, plan: plan, algo: algo, sched: s.sched, tenant: cfg.tenant, admitted: s.admission != nil}
 	if err := cur.prepare(); err != nil {
 		if cur.admitted {
 			// The slot reserved above frees: a post that never produced a
@@ -483,46 +470,9 @@ func (s *System) AdmissionLoad() (total int, perTenant map[string]int) {
 	return s.admission.Load()
 }
 
-// bind returns the System's scheduler for a post asking for the live
-// substrate or not. A local System's first post binds it: live switches
-// every shard body onto the concurrent substrate in place, and the
-// scheduler is built over the bodies' deployments. A post asking for the
-// other substrate afterwards is refused.
-func (s *System) bind(live bool) (*engine.Scheduler, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, fmt.Errorf("kspot: system is closed")
-	}
-	if s.sched == nil {
-		deps := make([]*engine.Deployment, len(s.local))
-		for i, b := range s.local {
-			if live {
-				if err := b.OnLive(); err != nil {
-					return nil, err
-				}
-			}
-			deps[i] = b.Deployment()
-		}
-		s.sched, s.live = engine.NewScheduler(deps...), live
-	}
-	if live != s.live {
-		return nil, fmt.Errorf("kspot: this System is bound to the %s substrate by its first post; open another System for %s queries",
-			substrateName(s.live), substrateName(live))
-	}
-	return s.sched, nil
-}
-
-func substrateName(live bool) string {
-	if live {
-		return "live"
-	}
-	return "deterministic"
-}
-
 // Close shuts the deployment down and every shard handle closes — a local
-// shard's substrate stops and its durable tier (WithDataDir) flushes and
-// closes, a remote shard's connection drops (a round in flight on it is
+// shard's in-flight presample drains and its durable tier (WithDataDir)
+// flushes and closes, a remote shard's connection drops (a round in flight on it is
 // interrupted and its cursor's Step returns an error). Later Steps and Runs
 // return the scheduler's closed error and later posts fail. Safe to call
 // multiple times and concurrently with in-flight Steps and Runs.
@@ -540,9 +490,7 @@ func (s *System) Close() {
 		s.sched.Close()
 		return
 	}
-	if s.sched != nil {
-		s.sched.Close() // waits out an in-flight epoch or historic run
-	}
+	s.sched.Close() // waits out an in-flight epoch or historic run
 	for _, h := range shards {
 		h.Close()
 	}

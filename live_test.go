@@ -3,7 +3,6 @@ package kspot
 import (
 	"context"
 	"errors"
-	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -15,20 +14,17 @@ import (
 	"kspot/internal/wire"
 )
 
-// TestLiveCursorFigure1 posts a query on the concurrent substrate and
-// checks it answers exactly, epoch after epoch.
+// TestLiveCursorFigure1 posts a query on a concurrent System and checks it
+// answers exactly, epoch after epoch.
 func TestLiveCursorFigure1(t *testing.T) {
-	sys, err := Open(Figure1Scenario())
+	sys, err := Open(Figure1Scenario(), WithParallel(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sys.Close()
-	cur, err := sys.PostWith("SELECT TOP 1 roomid, AVG(sound) FROM sensors GROUP BY roomid", AlgoMINT, WithLive())
+	cur, err := sys.PostWith("SELECT TOP 1 roomid, AVG(sound) FROM sensors GROUP BY roomid", AlgoMINT)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !cur.Live() {
-		t.Fatal("cursor not live")
 	}
 	for i := 0; i < 5; i++ {
 		res, err := cur.Step()
@@ -41,11 +37,11 @@ func TestLiveCursorFigure1(t *testing.T) {
 	}
 }
 
-// TestLiveMultiQuery is the multi-query acceptance path: one live
+// TestLiveMultiQuery is the multi-query acceptance path: one concurrent
 // deployment serves several concurrently posted snapshot cursors, all
 // sharing the epoch sweep, each stepped from its own goroutine.
 func TestLiveMultiQuery(t *testing.T) {
-	sys, err := Open(DemoScenario())
+	sys, err := Open(DemoScenario(), WithParallel(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +57,7 @@ func TestLiveMultiQuery(t *testing.T) {
 	}
 	cursors := make([]*Cursor, len(queries))
 	for i, q := range queries {
-		cur, err := sys.PostWith(q.sql, q.algo, WithLive())
+		cur, err := sys.PostWith(q.sql, q.algo)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +92,7 @@ func TestLiveMultiQuery(t *testing.T) {
 	// The epoch sweep is shared: three cursors × 6 steps advanced one
 	// deployment exactly 6 epochs, so a cursor posted now joins at epoch
 	// 6 — it does not get a private clock starting at 0.
-	late, err := sys.PostWith("SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid", AlgoTAG, WithLive())
+	late, err := sys.PostWith("SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid", AlgoTAG)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,18 +105,18 @@ func TestLiveMultiQuery(t *testing.T) {
 	}
 }
 
-// TestLiveHistoricGroupQuery runs a node-local window-aggregate query on
-// the live substrate: answers must match the oracle over the derived
+// TestLiveHistoricGroupQuery runs a node-local window-aggregate query on a
+// concurrent System: answers must match the oracle over the derived
 // readings (that the durable tier keeps recording the RAW sensed values,
 // not the window aggregates the query's sweeps carry, is pinned on the
 // store's tap by TestShardStackRecordsCommittedReadings).
 func TestLiveHistoricGroupQuery(t *testing.T) {
-	sys, err := Open(Figure1Scenario())
+	sys, err := Open(Figure1Scenario(), WithParallel(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sys.Close()
-	cur, err := sys.Post("SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid WITH HISTORY 8", WithLive())
+	cur, err := sys.Post("SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid WITH HISTORY 8")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,14 +131,14 @@ func TestLiveHistoricGroupQuery(t *testing.T) {
 	}
 }
 
-// TestStepAfterClose: closing the system must turn later live Steps into
+// TestStepAfterClose: closing the system must turn later Steps into
 // errors, not panics.
 func TestStepAfterClose(t *testing.T) {
-	sys, err := Open(Figure1Scenario())
+	sys, err := Open(Figure1Scenario(), WithParallel(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur, err := sys.Post("SELECT TOP 1 roomid, AVG(sound) FROM sensors GROUP BY roomid", WithLive())
+	cur, err := sys.Post("SELECT TOP 1 roomid, AVG(sound) FROM sensors GROUP BY roomid")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,11 +153,9 @@ func TestStepAfterClose(t *testing.T) {
 }
 
 // TestLiveFaultEquivalence pins the fault layer through the public API:
-// the same lossy+churning scenario stepped on the deterministic substrate
-// and on the concurrent live substrate must produce identical answers and
-// identical traffic, and churn must actually strike the live deployment
-// (a regression test for live cursors attaching below the fault injector,
-// where churn silently never fired). The second row (named for the
+// the same lossy+churning scenario stepped at Parallel 1 and at Parallel 4
+// must produce identical answers and identical traffic, and churn must
+// actually strike the concurrent deployment. The second row (named for the
 // top-level shorthand it replaces) is the plain Bernoulli faults block
 // seeded by the workload seed: it opens with the keyed environment armed,
 // so its drops replay identically too.
@@ -170,25 +164,21 @@ func TestLiveFaultEquivalence(t *testing.T) {
 	lossRate.Faults = &FaultConfig{Seed: lossRate.Workload.Seed, Loss: 0.1}
 	for _, sc := range []struct {
 		name  string
-		open  func() (*System, error)
+		open  func(OpenOption) (*System, error)
 		churn bool
 	}{
-		{"lossy-churn", func() (*System, error) { return OpenFile("scenarios/lossy-churn.json") }, true},
-		{"loss_rate", func() (*System, error) { return Open(lossRate) }, false},
+		{"lossy-churn", func(o OpenOption) (*System, error) { return OpenFile("scenarios/lossy-churn.json", o) }, true},
+		{"loss_rate", func(o OpenOption) (*System, error) { return Open(lossRate, o) }, false},
 	} {
 		t.Run(sc.name, func(t *testing.T) {
 			const epochs = 16
 			run := func(live bool) ([]StepResult, sim.Snapshot) {
-				sys, err := sc.open()
+				sys, err := sc.open(legParallel(live))
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer sys.Close()
-				var opts []PostOption
-				if live {
-					opts = append(opts, WithLive())
-				}
-				cur, err := sys.Post("SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid", opts...)
+				cur, err := sys.Post("SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid")
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -229,8 +219,8 @@ func TestLiveFaultEquivalence(t *testing.T) {
 	}
 }
 
-// TestStepContextCancelNoLeak is the cancellation contract of the live
-// substrate and over a remote shard: cancelling a StepContext mid-epoch
+// TestStepContextCancelNoLeak is the cancellation contract of a concurrent
+// local System and over a remote shard: cancelling a StepContext mid-epoch
 // returns promptly, the abandoned epoch finishes on the deployment's own
 // goroutines and is re-buffered (the epoch stream stays gapless), and Close
 // releases every goroutine — nothing leaks.
@@ -238,11 +228,11 @@ func TestStepContextCancelNoLeak(t *testing.T) {
 	const sql = "SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid"
 	t.Run("live", func(t *testing.T) {
 		base := runtime.NumGoroutine()
-		sys, err := Open(DemoScenario())
+		sys, err := Open(DemoScenario(), WithParallel(2))
 		if err != nil {
 			t.Fatal(err)
 		}
-		cur, err := sys.Post(sql, WithLive())
+		cur, err := sys.Post(sql)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -334,14 +324,14 @@ func waitGoroutines(t *testing.T, base int) {
 }
 
 // TestCloseConcurrentWithSteps: System.Close must be safe to call while
-// live Steps are in flight — in-flight epochs complete, later Steps error,
-// and nothing deadlocks or races.
+// Steps are in flight — in-flight epochs complete, later Steps error, and
+// nothing deadlocks or races.
 func TestCloseConcurrentWithSteps(t *testing.T) {
-	sys, err := Open(DemoScenario())
+	sys, err := Open(DemoScenario(), WithParallel(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur, err := sys.Post("SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid", WithLive())
+	cur, err := sys.Post("SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,72 +354,32 @@ func TestCloseConcurrentWithSteps(t *testing.T) {
 	}
 }
 
-// TestSystemOneSubstrate pins one substrate per System: the first post
-// binds it, a post asking for the other one is refused before admission
-// (it consumes no slot), and the bound System lives one epoch clock — its
-// durable tier ends at the last stepped epoch and its counters equal a
-// single-substrate run of the same epochs.
-func TestSystemOneSubstrate(t *testing.T) {
-	const (
-		sql    = "SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid"
-		epochs = 5
-	)
-	step := func(t *testing.T, cur *Cursor) {
-		t.Helper()
-		for i := 0; i < epochs; i++ {
-			if _, err := cur.Step(); err != nil {
-				t.Fatal(err)
-			}
+// TestCaptureStatsDuringAbandonedEpoch: a cancelled StepContext returns at
+// once while its epoch finishes behind it, charging the shard's ledger and
+// counters; a CaptureStats issued right after must read them under the
+// network's lock, not beside the abandoned epoch (run under -race).
+func TestCaptureStatsDuringAbandonedEpoch(t *testing.T) {
+	scen, err := ScaleScenario(1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := Open(scen, WithParallel(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	cur, err := sys.Post("SELECT TOP 3 roomid, AVG(sound) FROM sensors GROUP BY roomid")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		go cancel()
+		if _, err := cur.StepContext(ctx); err != nil && !errors.Is(err, context.Canceled) {
+			t.Fatal(err)
 		}
-	}
-	ref, err := Open(DemoScenario())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.Close()
-	rcur, err := ref.Post(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	step(t, rcur)
-	want := ref.CaptureStats("run", epochs)
-
-	for _, tc := range []struct {
-		name        string
-		first, then []PostOption
-	}{
-		{"deterministic-first", nil, []PostOption{WithLive()}},
-		{"live-first", []PostOption{WithLive()}, nil},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			sys, err := Open(DemoScenario(), WithDataDir(t.TempDir()), WithAdmission(AdmissionConfig{MaxQueries: 8}))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sys.Close()
-			cur, err := sys.Post(sql, tc.first...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			step(t, cur)
-			before, _ := sys.AdmissionLoad()
-			if other, err := sys.Post(sql, tc.then...); err == nil {
-				other.Close()
-				t.Fatal("a post on the other substrate succeeded on a bound System")
-			}
-			if after, _ := sys.AdmissionLoad(); after != before {
-				t.Fatalf("rejected post moved the admission load %d -> %d", before, after)
-			}
-			blocks, err := sys.StorageStats()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !blocks[0].HasEpoch || blocks[0].LastEpoch != epochs-1 {
-				t.Fatalf("durable tier ends at epoch %d (has=%v), want %d", blocks[0].LastEpoch, blocks[0].HasEpoch, epochs-1)
-			}
-			if got := sys.CaptureStats("run", epochs); !reflect.DeepEqual(got, want) {
-				t.Fatalf("counters diverged from the single-substrate run:\ngot  %+v\nwant %+v", got, want)
-			}
-		})
+		if st := sys.CaptureStats("abandoned", i); st.Epochs != i {
+			t.Fatalf("CaptureStats labelled %d epochs, want %d", st.Epochs, i)
+		}
 	}
 }

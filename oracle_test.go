@@ -22,13 +22,13 @@ import (
 // this seed's has six rooms of three sensors, so COUNT ties across every
 // room every epoch and each K-th boundary is decided by the tie-break —
 // split into the given number of shards.
-func oracleWorld(t *testing.T, shards int) *System {
+func oracleWorld(t *testing.T, shards int, opts ...OpenOption) *System {
 	t.Helper()
 	scen := topktest.Scenarios(23, 1)[0]
 	if err := scen.AutoShard(shards); err != nil {
 		t.Fatal(err)
 	}
-	sys, err := Open(scen)
+	sys, err := Open(scen, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func oracleWorld(t *testing.T, shards int) *System {
 	return sys
 }
 
-// TestSharedOracleMatchesExactSnapshot: on both substrates, flat and
+// TestSharedOracleMatchesExactSnapshot: sequential and concurrent, flat and
 // federated, every aggregate × K (below, at and past the group count), a
 // basic query and a group with its own source score against exactly what
 // the per-cursor rebuild computed — and the shared-sensing cursors of an
@@ -46,13 +46,9 @@ func TestSharedOracleMatchesExactSnapshot(t *testing.T) {
 	for _, live := range []bool{false, true} {
 		for _, shards := range []int{1, 2} {
 			t.Run(fmt.Sprintf("live=%v/shards=%d", live, shards), func(t *testing.T) {
-				sys := oracleWorld(t, shards)
-				var opts []PostOption
-				if live {
-					opts = append(opts, WithLive())
-				}
+				sys := oracleWorld(t, shards, legParallel(live))
 				post := func(sql string) *Cursor {
-					cur, err := sys.Post(sql, opts...)
+					cur, err := sys.Post(sql)
 					if err != nil {
 						t.Fatalf("post %q: %v", sql, err)
 					}
@@ -112,11 +108,11 @@ func TestSharedOracleMatchesExactSnapshot(t *testing.T) {
 // other cursors already hold, not the ones cut after it, not the next
 // epoch's.
 func TestSharedOracleExactIsCallerOwned(t *testing.T) {
-	sys := oracleWorld(t, 1)
+	sys := oracleWorld(t, 1, WithParallel(2))
 	const sql = "SELECT TOP 3 roomid, COUNT(sound) FROM sensors GROUP BY roomid"
 	var curs []*Cursor
 	for i := 0; i < 3; i++ {
-		cur, err := sys.Post(sql, WithLive())
+		cur, err := sys.Post(sql)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,11 +150,11 @@ func TestSharedOracleExactIsCallerOwned(t *testing.T) {
 // others wait on it or copy from it (run under -race).
 func TestSharedOracleConcurrentCursors(t *testing.T) {
 	const cursors, epochs = 16, 200
-	sys := oracleWorld(t, 1)
+	sys := oracleWorld(t, 1, WithParallel(2))
 	var wg sync.WaitGroup
 	for i := 0; i < cursors; i++ {
 		sql := fmt.Sprintf("SELECT TOP %d roomid, %s(sound) FROM sensors GROUP BY roomid", 1+i%4, []string{"AVG", "MAX"}[i/4%2])
-		cur, err := sys.Post(sql, WithLive())
+		cur, err := sys.Post(sql)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,12 +11,11 @@ import (
 // TestParallelSweepEquivalence is the acceptance pin of the parallel
 // execution layer: opening the same scenario with WithParallel(N) must
 // produce answers, traffic, frames, drops and energy identical to the
-// sequential path — on the deterministic substrate, where the
-// level-synchronous sweep actually runs, and on the concurrent live
-// substrate, which ignores the knob. Faults and churn are armed in one
-// variant so loss draws, revival timing and fault hashing are exercised
-// under the parallel commit order, and disarmed in the other so the clean
-// hot path is pinned too.
+// sequential path: one query, so the only concurrency is the
+// level-synchronous sweep and the background presample. Faults and churn
+// are armed in one variant so loss draws, revival timing and fault hashing
+// are exercised under the parallel commit order, and disarmed in the other
+// so the clean hot path is pinned too.
 func TestParallelSweepEquivalence(t *testing.T) {
 	sizes := []int{1000}
 	if !testing.Short() {
@@ -33,7 +32,7 @@ func TestParallelSweepEquivalence(t *testing.T) {
 				if size > 1000 {
 					epochs = 4
 				}
-				run := func(workers int, live bool) ([]StepResult, RunStats) {
+				run := func(workers int) ([]StepResult, RunStats) {
 					scen, err := ScaleScenario(size)
 					if err != nil {
 						t.Fatal(err)
@@ -58,11 +57,7 @@ func TestParallelSweepEquivalence(t *testing.T) {
 						t.Fatal(err)
 					}
 					defer sys.Close()
-					var opts []PostOption
-					if live {
-						opts = append(opts, WithLive())
-					}
-					cur, err := sys.PostWith(sql, AlgoMINT, opts...)
+					cur, err := sys.PostWith(sql, AlgoMINT)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -77,8 +72,8 @@ func TestParallelSweepEquivalence(t *testing.T) {
 					return out, sys.CaptureStats("run", epochs)
 				}
 
-				seq, seqStats := run(1, false)
-				par, parStats := run(8, false)
+				seq, seqStats := run(1)
+				par, parStats := run(8)
 				for e := range seq {
 					if !model.EqualAnswers(seq[e].Answers, par[e].Answers) {
 						t.Fatalf("epoch %d: sequential %v, parallel %v", e, seq[e].Answers, par[e].Answers)
@@ -92,17 +87,6 @@ func TestParallelSweepEquivalence(t *testing.T) {
 				// (an exact float sum in node order) must match.
 				if !reflect.DeepEqual(seqStats, parStats) {
 					t.Fatalf("accounting diverged:\nsequential %+v\nparallel   %+v", seqStats, parStats)
-				}
-
-				liv, livStats := run(8, true)
-				for e := range seq {
-					if !model.EqualAnswers(seq[e].Answers, liv[e].Answers) {
-						t.Fatalf("epoch %d: det %v, live %v", e, seq[e].Answers, liv[e].Answers)
-					}
-				}
-				if seqStats.Messages != livStats.Messages || seqStats.TxBytes != livStats.TxBytes {
-					t.Errorf("live traffic diverged: det %d msgs/%d bytes, live %d msgs/%d bytes",
-						seqStats.Messages, seqStats.TxBytes, livStats.Messages, livStats.TxBytes)
 				}
 			})
 		}

@@ -85,8 +85,8 @@ func TestLossyScenariosLoad(t *testing.T) {
 
 // TestScaleScenarioConformance extends the substrate-conformance harness to
 // the scale family: scenarios/scale-1000.json (1000 sensors, 50 rooms) must
-// run to completion on both the deterministic simulator and the concurrent
-// live substrate with identical answers and identical traffic, and the file
+// run to completion at Parallel 1 and at Parallel 4 with identical answers
+// and identical traffic, and the file
 // must match its deterministic generator (kspot-sim -gen-scale).
 func TestScaleScenarioConformance(t *testing.T) {
 	sys, err := OpenFile("scenarios/scale-1000.json")
@@ -116,16 +116,12 @@ func TestScaleScenarioConformance(t *testing.T) {
 	const sql = "SELECT TOP 3 roomid, AVG(sound) FROM sensors GROUP BY roomid"
 	epochs := 3
 	run := func(live bool) ([]StepResult, RunStats) {
-		s, err := OpenFile("scenarios/scale-1000.json")
+		s, err := OpenFile("scenarios/scale-1000.json", legParallel(live))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		var opts []PostOption
-		if live {
-			opts = append(opts, WithLive())
-		}
-		cur, err := s.PostWith(sql, AlgoMINT, opts...)
+		cur, err := s.PostWith(sql, AlgoMINT)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,8 +153,7 @@ func TestScaleScenarioConformance(t *testing.T) {
 
 // TestFederatedScaleConformance is the federation acceptance pin:
 // scale-1000 split into 4 shards must produce answers identical to the
-// flat run on both the deterministic and the concurrent live substrate
-// (1000 goroutines across 4 shard deployments, under -race), with every
+// flat run at Parallel 1 and at Parallel 4 (under -race), with every
 // radio message accounted to its shard and the coordinator tier's
 // backhaul measured. The sharded scenario is generated, not committed —
 // the `kspot-sim -gen-scale 1000 -shards 4` path.
@@ -188,7 +183,7 @@ func TestFederatedScaleConformance(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(live bool) ([]StepResult, RunStats, FederationTraffic) {
-		sys, err := Open(scen)
+		sys, err := Open(scen, legParallel(live))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,11 +191,7 @@ func TestFederatedScaleConformance(t *testing.T) {
 		if sys.Shards() != 4 {
 			t.Fatalf("system has %d shards, want 4", sys.Shards())
 		}
-		var opts []PostOption
-		if live {
-			opts = append(opts, WithLive())
-		}
-		cur, err := sys.PostWith(sql, AlgoMINT, opts...)
+		cur, err := sys.PostWith(sql, AlgoMINT)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,11 +260,11 @@ func TestScaleScenario4000Loads(t *testing.T) {
 
 // TestFederatedHistoricConformance is the PR 5 acceptance pin: historic
 // TOP-K on scale-1000 split into 4 shards must answer byte-identically to
-// the flat historic run on both the deterministic and the concurrent live
-// substrate (under -race), with every shard-side radio message accounted
+// the flat historic run at Parallel 1 and at Parallel 4 (under -race),
+// with every shard-side radio message accounted
 // to its shard, the per-shard counters summing to the captured total, and
 // the coordinator tier's two-phase backhaul measured identically on both
-// substrates.
+// legs.
 func TestFederatedHistoricConformance(t *testing.T) {
 	const sql = "SELECT TOP 4 epoch, AVG(sound) FROM sensors WITH HISTORY 16"
 
@@ -298,7 +289,7 @@ func TestFederatedHistoricConformance(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(live bool) ([]Answer, RunStats, FederationTraffic) {
-		sys, err := Open(scen)
+		sys, err := Open(scen, legParallel(live))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -306,11 +297,7 @@ func TestFederatedHistoricConformance(t *testing.T) {
 		if sys.Shards() != 4 {
 			t.Fatalf("system has %d shards, want 4", sys.Shards())
 		}
-		var opts []PostOption
-		if live {
-			opts = append(opts, WithLive())
-		}
-		cur, err := sys.PostWith(sql, AlgoTJA, opts...)
+		cur, err := sys.PostWith(sql, AlgoTJA)
 		if err != nil {
 			t.Fatal(err)
 		}

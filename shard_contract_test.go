@@ -113,17 +113,18 @@ func runShardContract(h shardHandle) []contractStep {
 }
 
 // TestShardContractConformance runs the script on both hosts of shard 0 of
-// the 2-shard demo, on each substrate and with a fault environment armed,
-// and requires the transcripts to be equal step for step.
+// the 2-shard demo — sequential, concurrent ("live": Parallel 4) and with a
+// fault environment armed — and requires the transcripts to be equal step
+// for step.
 func TestShardContractConformance(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		live   bool
-		faults *FaultConfig
+		name     string
+		parallel int
+		faults   *FaultConfig
 	}{
-		{"deterministic", false, nil},
-		{"live", true, nil},
-		{"faulty", false, &FaultConfig{Seed: 9, Loss: 0.1, Churn: []ChurnEvent{{Node: 5, Epoch: 2, Down: true}}}},
+		{"deterministic", 1, nil},
+		{"live", 4, nil},
+		{"faulty", 1, &FaultConfig{Seed: 9, Loss: 0.1, Churn: []ChurnEvent{{Node: 5, Epoch: 2, Down: true}}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			scen := func() *Scenario {
@@ -138,7 +139,7 @@ func TestShardContractConformance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			body, err := shard.New(shard.Config{Scenario: scen(), Shard: 0, Live: tc.live, Store: store})
+			body, err := shard.New(shard.Config{Scenario: scen(), Shard: 0, Parallel: tc.parallel, Store: store})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -147,7 +148,7 @@ func TestShardContractConformance(t *testing.T) {
 
 			// Over the wire: the same body behind a server, reached through a
 			// client.
-			srv, err := wire.NewServer(wire.ServerConfig{Scenario: scen(), Shard: 0, Live: tc.live})
+			srv, err := wire.NewServer(wire.ServerConfig{Scenario: scen(), Shard: 0, Parallel: tc.parallel})
 			if err != nil {
 				t.Fatal(err)
 			}

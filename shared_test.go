@@ -3,14 +3,15 @@ package kspot
 // The multi-tenant serving acceptance suite: M queries that share a
 // sensing signature must ride ONE in-network acquisition per epoch while
 // answering byte-identically to M independent deployments — under link
-// loss, frame duplication/delay and node churn, on the deterministic and
-// the concurrent live substrate, in the in-process federation and over
+// loss, frame duplication/delay and node churn, sequential and concurrent,
+// in the in-process federation and over
 // loopback wire shards. The traffic side of the bar is exact: a shared
 // run's radio counters equal the sum of one independent run per DISTINCT
 // signature, not per query.
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 )
@@ -93,16 +94,12 @@ type sharedRun struct {
 
 // runSharedWorkload posts every member of every group on one System and
 // advances them in epoch lock-step.
-func runSharedWorkload(t *testing.T, sys *System, live bool, epochs int) sharedRun {
+func runSharedWorkload(t *testing.T, sys *System, epochs int) sharedRun {
 	t.Helper()
-	var opts []PostOption
-	if live {
-		opts = append(opts, WithLive())
-	}
 	var cursors []*Cursor
 	for _, group := range sharedWorkload() {
 		for _, m := range group {
-			cur, err := sys.PostWith(m.sql, m.algo, opts...)
+			cur, err := sys.PostWith(m.sql, m.algo)
 			if err != nil {
 				t.Fatalf("post %q: %v", m.sql, err)
 			}
@@ -195,40 +192,46 @@ func checkSharedAnswers(t *testing.T, label string, shared sharedRun, indep []sh
 // to an independent deployment running only its signature, the shared
 // deployment's radio traffic equals the sum of the 4 independent runs (one
 // per signature — traffic is per-signature, not per-query), and the
-// concurrent live substrate reproduces the deterministic run exactly.
+// concurrent run (Parallel 4: the four groups acquire at once) reproduces
+// the sequential one exactly, its energy ledger total to the bit.
 func TestSharedAcquisitionByteIdentity(t *testing.T) {
-	openFlat := func() *System {
-		scen, err := ScaleScenario(1000)
-		if err != nil {
-			t.Fatal(err)
+	openFlat := func(workers int) func() *System {
+		return func() *System {
+			scen, err := ScaleScenario(1000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scen.Faults = sharedFaultEnv()
+			sys, err := Open(scen, WithParallel(workers))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sys
 		}
-		scen.Faults = sharedFaultEnv()
-		sys, err := Open(scen, WithParallel(runtime.NumCPU()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sys
 	}
 
-	detSys := openFlat()
-	det := runSharedWorkload(t, detSys, false, sharedEpochs)
+	detSys := openFlat(1)()
+	det := runSharedWorkload(t, detSys, sharedEpochs)
 	detSys.Close()
 
-	indep := runIndependent(t, openFlat, sharedEpochs)
+	indep := runIndependent(t, openFlat(1), sharedEpochs)
 	checkSharedAnswers(t, "det", det, indep)
 	if got, want := radioCounters(det.stats), sumRadioCounters(indep); got != want {
 		t.Fatalf("shared det radio traffic %v != sum of per-signature independents %v\n"+
 			"(msgs, frames, txBytes, rxBytes, drops)", got, want)
 	}
 
-	liveSys := openFlat()
+	liveSys := openFlat(4)()
 	defer liveSys.Close()
-	live := runSharedWorkload(t, liveSys, true, sharedEpochs)
+	live := runSharedWorkload(t, liveSys, sharedEpochs)
 	for mi := range det.steps {
-		stepEqualByteIdentical(t, fmt.Sprintf("live member %d vs det", mi), live.steps[mi], det.steps[mi])
+		stepEqualByteIdentical(t, fmt.Sprintf("concurrent member %d vs sequential", mi), live.steps[mi], det.steps[mi])
 	}
 	if got, want := radioCounters(live.stats), radioCounters(det.stats); got != want {
-		t.Fatalf("live shared radio traffic %v != det %v", got, want)
+		t.Fatalf("concurrent shared radio traffic %v != sequential %v", got, want)
+	}
+	if got, want := math.Float64bits(live.stats.EnergyUJ), math.Float64bits(det.stats.EnergyUJ); got != want {
+		t.Fatalf("concurrent ledger total %v µJ != sequential %v µJ", live.stats.EnergyUJ, det.stats.EnergyUJ)
 	}
 }
 
@@ -257,7 +260,7 @@ func TestSharedAcquisitionFederated(t *testing.T) {
 	}
 
 	sys := openFed()
-	shared := runSharedWorkload(t, sys, false, sharedEpochs)
+	shared := runSharedWorkload(t, sys, sharedEpochs)
 	sys.Close()
 
 	indep := runIndependent(t, openFed, sharedEpochs)
@@ -307,7 +310,7 @@ func TestSharedAcquisitionWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer inprocSys.Close()
-	inproc := runSharedWorkload(t, inprocSys, false, sharedEpochs)
+	inproc := runSharedWorkload(t, inprocSys, sharedEpochs)
 
 	addrs, _ := startWireShards(t, faultyScen(), runtime.NumCPU())
 	remote, err := OpenFederated(faultyScen(), addrs)
@@ -315,7 +318,7 @@ func TestSharedAcquisitionWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer remote.Close()
-	got := runSharedWorkload(t, remote, false, sharedEpochs)
+	got := runSharedWorkload(t, remote, sharedEpochs)
 
 	for mi := range inproc.steps {
 		stepEqualByteIdentical(t, fmt.Sprintf("wire member %d vs in-process", mi), got.steps[mi], inproc.steps[mi])

@@ -89,7 +89,7 @@ func TestWireFederatedConformance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		flat := runCursor(t, flatSys, sql, algo, false, epochs)
+		flat := runCursor(t, flatSys, sql, algo, epochs)
 		for _, shards := range []int{2, 3} {
 			t.Run(fmt.Sprintf("%s/shards=%d", algo, shards), func(t *testing.T) {
 				scen := shardedDemo(t, shards)
@@ -98,7 +98,7 @@ func TestWireFederatedConformance(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer inproc.Close()
-				inprocRes := runCursor(t, inproc, sql, algo, false, epochs)
+				inprocRes := runCursor(t, inproc, sql, algo, epochs)
 
 				addrs, _ := startWireShards(t, shardedDemo(t, shards), 0)
 				remote, err := OpenFederated(shardedDemo(t, shards), addrs)
@@ -109,7 +109,7 @@ func TestWireFederatedConformance(t *testing.T) {
 				if !remote.Remote() || remote.Shards() != shards {
 					t.Fatalf("remote system misconfigured: remote=%v shards=%d", remote.Remote(), remote.Shards())
 				}
-				got := runCursor(t, remote, sql, algo, false, epochs)
+				got := runCursor(t, remote, sql, algo, epochs)
 
 				stepEqualByteIdentical(t, "remote vs flat", got, flat)
 				stepEqualByteIdentical(t, "remote vs in-process", got, inprocRes)
@@ -257,7 +257,7 @@ func TestWireFrameFaultsByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(sys.Close)
-		res := runCursor(t, sys, sql, AlgoMINT, false, epochs)
+		res := runCursor(t, sys, sql, AlgoMINT, epochs)
 		cur, err := sys.Post("SELECT TOP 3 epoch, AVG(sound) FROM sensors WITH HISTORY 8")
 		if err != nil {
 			t.Fatal(err)
@@ -316,7 +316,7 @@ func TestWireRadioFaultCrossCheck(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer inproc.Close()
-			want := runCursor(t, inproc, sql, AlgoMINT, false, epochs)
+			want := runCursor(t, inproc, sql, AlgoMINT, epochs)
 
 			addrs, _ := startWireShards(t, faultyScen(), 0)
 			remote, err := OpenFederated(faultyScen(), addrs)
@@ -324,7 +324,7 @@ func TestWireRadioFaultCrossCheck(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer remote.Close()
-			got := runCursor(t, remote, sql, AlgoMINT, false, epochs)
+			got := runCursor(t, remote, sql, AlgoMINT, epochs)
 
 			stepEqualByteIdentical(t, "remote vs in-process under radio faults", got, want)
 			var recall float64
@@ -457,8 +457,8 @@ func TestWireCloseDuringInFlight(t *testing.T) {
 }
 
 // TestWireOpenRejects: deployment-skew and misuse are caught at Open/Post
-// time — wrong address count, node-count mismatch, the live option on a
-// coordinator-only System.
+// time — wrong address count, node-count mismatch, an unknown algorithm on
+// a coordinator-only System.
 func TestWireOpenRejects(t *testing.T) {
 	addrs, _ := startWireShards(t, shardedDemo(t, 2), 0)
 
@@ -478,11 +478,6 @@ func TestWireOpenRejects(t *testing.T) {
 	defer sys.Close()
 	if sys.Network() != nil {
 		t.Fatal("remote deployment exposed a local network")
-	}
-	if _, err := sys.Post("SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid", WithLive()); err == nil {
-		t.Fatal("WithLive accepted on a remote deployment")
-	} else if !strings.Contains(err.Error(), "-wire-live") {
-		t.Fatalf("WithLive rejection %q does not name kspotd's -wire-live flag", err)
 	}
 	if _, err := sys.PostWith("SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid", Algorithm("bogus")); err == nil {
 		t.Fatal("bogus algorithm accepted on a remote deployment")
@@ -571,8 +566,8 @@ func TestWireDetachReleasesAttachments(t *testing.T) {
 	attached("restarted on the journal", 2)
 }
 
-// TestShardStackRecordsCommittedReadings: every host of a shard — the
-// deterministic substrate, the live one, a wire shard server — assembles
+// TestShardStackRecordsCommittedReadings: every host of a shard — an
+// in-process one at Parallel 1 and at Parallel 4, a wire shard server — assembles
 // it with the one constructor (shard.New), so under an armed fault
 // environment each one's durable tier records exactly the committed,
 // post-fault readings: the same bytes on all three, with a node churned
@@ -590,15 +585,15 @@ func TestShardStackRecordsCommittedReadings(t *testing.T) {
 		return scen
 	}
 	noEnergy := func(NodeID) float64 { return 0 }
-	run := func(sys *System, opts ...PostOption) {
+	run := func(sys *System) {
 		t.Helper()
-		cur, err := sys.Post(sql, opts...)
+		cur, err := sys.Post(sql)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// A WITH HISTORY group sweeps derived readings (node-local window
 		// aggregates) through the same epochs; the tap must never see them.
-		derived, err := sys.Post("SELECT TOP 2 roomid, MAX(sound) FROM sensors GROUP BY roomid WITH HISTORY 4", opts...)
+		derived, err := sys.Post("SELECT TOP 2 roomid, MAX(sound) FROM sensors GROUP BY roomid WITH HISTORY 4")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -613,12 +608,12 @@ func TestShardStackRecordsCommittedReadings(t *testing.T) {
 	}
 
 	images := make(map[string][]byte)
-	for host, opts := range map[string][]PostOption{"deterministic": nil, "live": {WithLive()}} {
-		sys, err := Open(faulty(), WithDataDir(t.TempDir()))
+	for host, parallel := range map[string]int{"deterministic": 1, "live": 4} {
+		sys, err := Open(faulty(), WithDataDir(t.TempDir()), WithParallel(parallel))
 		if err != nil {
 			t.Fatalf("%s: %v", host, err)
 		}
-		run(sys, opts...)
+		run(sys)
 		images[host] = storage.AppendShardState(nil, sys.local[0].Store().State(noEnergy))
 		sys.Close()
 	}
@@ -677,7 +672,7 @@ func TestCaptureStatsSkipsUnreachableShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
-	runCursor(t, sys, "SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid", AlgoMINT, false, 4)
+	runCursor(t, sys, "SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid", AlgoMINT, 4)
 	rows, err := sys.ShardStats()
 	if err != nil {
 		t.Fatal(err)
