@@ -65,18 +65,22 @@ func (m Model) RxCost(bytes int) float64 {
 }
 
 // Budget tracks one node's cumulative consumption against an initial
-// capacity, in µJ. The zero Budget has infinite capacity.
+// capacity. It counts picojoules, rounding each spend as the Ledger rounds
+// each charge, so a node's spent budget and its ledger account are one
+// count: restoring a checkpointed ledger value (SetUsed) resumes exactly the
+// budget of the run that never stopped. The zero Budget has infinite
+// capacity.
 type Budget struct {
-	Capacity float64 // 0 means unlimited
-	Used     float64
+	capacity int64 // pJ; 0 means unlimited
+	used     int64 // pJ
 }
 
 // NewBudget returns a budget with the given capacity in joules. Two AA
 // batteries hold roughly 2x 1.5 V * 2000 mAh ≈ 21.6 kJ; WSN papers usually
-// budget a fraction of that for the radio. Callers pass joules; internal
-// accounting is µJ.
+// budget a fraction of that for the radio. Callers pass joules; spends are
+// in µJ.
 func NewBudget(joules float64) *Budget {
-	return &Budget{Capacity: joules * 1e6}
+	return &Budget{capacity: picojoules(joules * 1e6)}
 }
 
 // Spend consumes energy. It returns false when the budget was already
@@ -85,25 +89,33 @@ func (b *Budget) Spend(microjoules float64) bool {
 	if b.Dead() {
 		return false
 	}
-	b.Used += microjoules
+	b.used += picojoules(microjoules)
 	return true
 }
 
+// Used returns the energy spent so far in µJ.
+func (b *Budget) Used() float64 { return float64(b.used) / pjPerUJ }
+
+// SetUsed overwrites the energy spent — a checkpointed or migrated node
+// resuming its count (a value Used or Ledger.Node returned converts back to
+// the same picojoules).
+func (b *Budget) SetUsed(microjoules float64) { b.used = picojoules(microjoules) }
+
 // Dead reports whether the budget is exhausted.
 func (b *Budget) Dead() bool {
-	return b.Capacity > 0 && b.Used >= b.Capacity
+	return b.capacity > 0 && b.used >= b.capacity
 }
 
 // Remaining returns the remaining energy in µJ (infinite capacity reports
 // +Inf).
 func (b *Budget) Remaining() float64 {
-	if b.Capacity <= 0 {
+	if b.capacity <= 0 {
 		return math.Inf(1)
 	}
-	if b.Used >= b.Capacity {
+	if b.used >= b.capacity {
 		return 0
 	}
-	return b.Capacity - b.Used
+	return float64(b.capacity-b.used) / pjPerUJ
 }
 
 // Ledger aggregates per-node energy consumption for a whole network run.

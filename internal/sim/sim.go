@@ -315,13 +315,15 @@ func (n *Network) charge(id model.NodeID, microjoules float64) {
 }
 
 // RestoreEnergy resumes a node's consumption from a checkpoint: its ledger
-// account and, when it has one, its spent budget, bit-exact.
+// account and, when it has one, its spent budget. Both count the same
+// picojoules, so both resume exactly where the run that never stopped
+// stands, and the node dies at the same epoch.
 func (n *Network) RestoreEnergy(id model.NodeID, microjoules float64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.Ledger.Set(int(id), microjoules)
 	if int(id) < len(n.Budgets) {
-		n.Budgets[id].Used = microjoules
+		n.Budgets[id].SetUsed(microjoules)
 	}
 }
 

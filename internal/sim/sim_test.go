@@ -143,6 +143,63 @@ func TestBudgetsKillNodes(t *testing.T) {
 	}
 }
 
+// TestRestoreEnergyResumesBudget checkpoints every node's energy mid-run,
+// restores it onto a fresh network with the same budgets and drives both
+// through the same epochs: a budget counts the picojoules the ledger counts,
+// so the restored network spends, and kills its nodes, exactly where the
+// run that never stopped does.
+func TestRestoreEnergyResumesBudget(t *testing.T) {
+	build := func() *Network {
+		p := trace.Figure1Placement()
+		tree := trace.Figure1Tree()
+		links := topo.NewLinks()
+		for child, parent := range tree.Parent {
+			links.Connect(child, parent)
+		}
+		opts := DefaultOptions()
+		opts.BudgetJoules = 0.2
+		return FromTree(p, links, tree, opts)
+	}
+	epoch := func(n *Network, e int) {
+		n.ChargeIdleEpoch()
+		for _, id := range n.Placement.SensorNodes() {
+			n.SendUp(id, radio.KindData, model.Epoch(e), make([]byte, 1+(int(id)*7+e)%23))
+		}
+	}
+	const checkpoint, epochs = 50, 600
+	run := build()
+	for e := 0; e < checkpoint; e++ {
+		epoch(run, e)
+	}
+	restored := build()
+	for _, id := range run.Placement.SensorNodes() {
+		restored.RestoreEnergy(id, run.Ledger.Node(int(id)))
+	}
+	for e := checkpoint; e < epochs; e++ {
+		epoch(run, e)
+		epoch(restored, e)
+		for _, id := range run.Placement.SensorNodes() {
+			want, got := run.Budgets[id].Used(), restored.Budgets[id].Used()
+			if got != want || restored.Alive(id) != run.Alive(id) {
+				t.Fatalf("epoch %d: node %d spent %v µJ (alive %v), the unstopped run %v µJ (alive %v)",
+					e, id, got, restored.Alive(id), want, run.Alive(id))
+			}
+			if led := run.Ledger.Node(int(id)); want != led {
+				t.Fatalf("epoch %d: node %d budget spent %v µJ, its ledger account %v µJ", e, id, want, led)
+			}
+		}
+	}
+	deaths := 0
+	for _, id := range run.Placement.SensorNodes() {
+		if !run.Alive(id) {
+			deaths++
+		}
+	}
+	if deaths == 0 {
+		t.Fatal("no node exhausted its budget: the restore was never tested at a death")
+	}
+}
+
 func TestDeadReceiverDropsMessage(t *testing.T) {
 	p := trace.Figure1Placement()
 	tree := trace.Figure1Tree()

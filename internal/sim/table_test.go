@@ -199,7 +199,7 @@ func TestNodeTablesMatchMapReference(t *testing.T) {
 						n.RestoreEnergy(id, set)
 						ref.ledger[int(id)] = pj(set)
 						if b, ok := ref.budgets[id]; ok {
-							b.Used = set
+							b.SetUsed(set)
 						}
 					default:
 						n.Reset()

@@ -361,6 +361,11 @@ func (s *System) Scenario() *Scenario { return s.scenario }
 // shard's network — use Networks for all of them. Nil on a remote
 // deployment, whose networks live in the shard processes (use ShardStats
 // for their counters).
+//
+// A cancelled StepContext may leave its epoch charging the network after
+// it returns, so the exported state fields (Ledger, Counter, Budgets) are
+// read through the network's Locked or Snap, or through CaptureStats —
+// never directly while any step or run may be in flight.
 func (s *System) Network() *sim.Network {
 	if len(s.local) == 0 {
 		return nil
@@ -369,7 +374,8 @@ func (s *System) Network() *sim.Network {
 }
 
 // Networks returns every local shard's simulated network, in shard order
-// (a single entry for a flat deployment).
+// (a single entry for a flat deployment). Their exported state is read as
+// Network's is: through Locked, Snap or CaptureStats.
 func (s *System) Networks() []*sim.Network {
 	nets := make([]*sim.Network, len(s.local))
 	for i, b := range s.local {
