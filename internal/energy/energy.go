@@ -142,7 +142,11 @@ type account struct {
 
 const pjPerUJ = 1e6
 
-func picojoules(microjoules float64) int64 { return int64(math.Round(microjoules * pjPerUJ)) }
+// picojoules rounds a µJ amount to the nearest picojoule, halves up. Every
+// charge, spend and restored value is non-negative, so truncating x+0.5 is
+// the rounding: one conversion on the per-transmission path, where
+// math.Round is a dozen instructions.
+func picojoules(microjoules float64) int64 { return int64(microjoules*pjPerUJ + 0.5) }
 
 // NewLedger returns an empty ledger with room for node ids below nodes; an
 // id beyond that grows the table when first charged.
