@@ -7,6 +7,7 @@ import (
 	"kspot/internal/model"
 	"kspot/internal/sim"
 	"kspot/internal/stats"
+	"kspot/internal/storage"
 	"kspot/internal/topk"
 	"kspot/internal/topk/central"
 	"kspot/internal/topk/tja"
@@ -17,6 +18,13 @@ import (
 func init() {
 	register(Experiment{ID: "e7", Title: "Historic queries: TJA vs TPUT vs centralized", Run: runE7})
 	register(Experiment{ID: "e8", Title: "TJA phase anatomy (LB/HJ/CL bytes)", Run: runE8})
+}
+
+// bufferWindows samples src into every node's historic window, quantized as
+// a shard's buffers store it.
+func bufferWindows(nodes []model.NodeID, window int, src trace.Source) (topk.HistoricData, error) {
+	series, err := storage.BufferSeries(nodes, window, src.Sample)
+	return topk.HistoricData(series), err
 }
 
 // historicRun executes one historic operator on a fresh network and
@@ -58,7 +66,10 @@ func runE7(w io.Writer, cfg RunConfig) error {
 	var winSeries []stats.Series
 	for _, window := range []int{64, 128, 256, 512, 1024} {
 		window = cfg.scaled(window)
-		data := topk.HistoricData(trace.Series(src, nodes, window))
+		data, err := bufferWindows(nodes, window, src)
+		if err != nil {
+			return err
+		}
 		q := topk.HistoricQuery{K: 4, Agg: model.AggAvg, Window: window}
 		var rows []stats.RunStats
 		for _, o := range []struct {
@@ -81,7 +92,10 @@ func runE7(w io.Writer, cfg RunConfig) error {
 
 	var kSeries []stats.Series
 	window := cfg.scaled(256)
-	data := topk.HistoricData(trace.Series(src, nodes, window))
+	data, err := bufferWindows(nodes, window, src)
+	if err != nil {
+		return err
+	}
 	for _, k := range []int{1, 2, 4, 8, 16} {
 		q := topk.HistoricQuery{K: k, Agg: model.AggAvg, Window: window}
 		var rows []stats.RunStats
@@ -118,7 +132,10 @@ func runE8(w io.Writer, cfg RunConfig) error {
 		{"walk", trace.NewRandomWalk(5, 0, 100)},
 	}
 	for _, s := range sources {
-		data := topk.HistoricData(trace.Series(s.src, nodes, window))
+		data, err := bufferWindows(nodes, window, s.src)
+		if err != nil {
+			return err
+		}
 		var rows []stats.RunStats
 		for _, k := range []int{1, 4, 16} {
 			q := topk.HistoricQuery{K: k, Agg: model.AggAvg, Window: window}

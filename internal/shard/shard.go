@@ -251,19 +251,25 @@ func (b *Shard) StorageStats() (storage.StoreStats, error) {
 	return b.store.Stats(), nil
 }
 
-// EnergyOf reads one node's ledger total in µJ.
-func (b *Shard) EnergyOf(n model.NodeID) (uj float64) {
-	b.net.Locked(func() { uj = b.net.Ledger.Node(int(n)) })
+// ledger reads nodes' energy-ledger totals in µJ under one acquisition of
+// the network's lock.
+func (b *Shard) ledger(nodes []model.NodeID) []float64 {
+	uj := make([]float64, len(nodes))
+	b.net.Locked(func() {
+		for i, n := range nodes {
+			uj[i] = b.net.Ledger.Node(int(n))
+		}
+	})
 	return uj
 }
 
-// Snapshot serializes the durable tier with the energy ledger
-// (storage.ShardState bytes).
+// Snapshot serializes the durable tier with the energy ledger: a storage
+// snapshot image, the store's records plus its node record.
 func (b *Shard) Snapshot() ([]byte, error) {
 	if b.store == nil {
 		return nil, fmt.Errorf("shard: %s has no durable tier to snapshot", b.name)
 	}
-	return storage.AppendShardState(nil, b.store.State(b.EnergyOf)), nil
+	return b.store.Image(b.ledger), nil
 }
 
 // Restore applies a Snapshot image. The moved nodes' energy arrives
@@ -273,15 +279,12 @@ func (b *Shard) Restore(img []byte) error {
 	if b.store == nil {
 		return fmt.Errorf("shard: %s has no durable tier to restore", b.name)
 	}
-	st, err := storage.DecodeShardState(img)
+	rows, err := b.store.Restore(img)
 	if err != nil {
 		return err
 	}
-	if err := b.store.Restore(st); err != nil {
-		return err
-	}
-	for _, ns := range st.Nodes {
-		b.net.RestoreEnergy(ns.Node, ns.EnergyUJ)
+	for _, r := range rows {
+		b.net.RestoreEnergy(r.Node, r.UJ)
 	}
 	return nil
 }

@@ -9,21 +9,18 @@ import (
 
 // FuzzSegmentDecode drives arbitrary bytes through the durable tier's
 // codecs — the log's header and record framing with its torn-tail replay,
-// the epoch-batch payload behind it, and the shard-state decoder. The
+// the epoch-batch payload behind it, and the snapshot image decoder. The
 // invariants are the same ones the wire frames carry: no input panics or
 // over-allocates, anything that decodes re-encodes to the identical bytes
-// (one canonical form per log prefix, per batch and per shard state),
-// non-canonical batches (unsorted or duplicate nodes, a count that
-// disagrees with the length) never decode, and the replayed clean prefix
-// is itself a valid log.
+// (one canonical form per log prefix, per batch and per image, and an
+// image restores and re-images to itself), non-canonical batches (unsorted
+// or duplicate nodes, a count that disagrees with the length) never
+// decode, and the replayed clean prefix is itself a valid log.
 func FuzzSegmentDecode(f *testing.F) {
 	f.Add(logImage(batch(7, 1, 4225)))
 	f.Add(logImage(batch(1, 1, -350, 2, 0), batch(2, 2, 17)))
-	f.Add(AppendShardState(nil, ShardState{HasEpoch: true, Epoch: 9, Nodes: []NodeState{
-		{Node: 4, EnergyUJ: 123.5, Epochs: []model.Epoch{1, 3}, Values: []int64{100, -200}},
-		{Node: 7, EnergyUJ: 0, Epochs: []model.Epoch{3}, Values: []int64{5}},
-	}}))
-	f.Add(AppendShardState(nil, ShardState{}))
+	f.Add(imageOf(3, []NodeEnergy{{Node: 4, UJ: 123.5}, {Node: 7}}, batch(1, 4, 100), batch(3, 4, -200, 7, 5)))
+	f.Add(imageOf(0, nil))
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add(batch(5, 3, 1, 9, 2, 300, 3))
@@ -61,9 +58,24 @@ func FuzzSegmentDecode(f *testing.F) {
 		if again, err := replayLog(data[:clean], func([]byte) error { return nil }); err != nil || again != clean {
 			t.Fatalf("clean prefix is not itself a valid log: %d of %d, %v", again, clean, err)
 		}
-		if st, err := DecodeShardState(data); err == nil {
-			if re := AppendShardState(nil, st); !bytes.Equal(re, data) {
-				t.Fatalf("shard state re-encode mismatch: %x != %x", re, data)
+		if im, err := decodeImage(data); err == nil {
+			if re := imageOf(im.cursor, im.nodes, im.records...); !bytes.Equal(re, data) {
+				t.Fatalf("image re-encode mismatch: %x != %x", re, data)
+			}
+			// restore∘image is the identity on whatever decodes as an image.
+			st, _ := OpenStore("", max(1, len(im.records)))
+			if _, err := st.Restore(data); err != nil {
+				t.Fatalf("a decoded image does not restore: %v", err)
+			}
+			ledger := func(nodes []model.NodeID) []float64 {
+				uj := make([]float64, len(nodes))
+				for i := range nodes {
+					uj[i] = im.nodes[i].UJ
+				}
+				return uj
+			}
+			if re := st.Image(ledger); !bytes.Equal(re, data) {
+				t.Fatalf("restored image %x, want %x", re, data)
 			}
 		}
 	})

@@ -34,9 +34,9 @@ func TestWindowErrorPaths(t *testing.T) {
 		}, "storage: epoch 5 record not after epoch 5"},
 		{"restore past cursor", func() error {
 			st, _ := OpenStore("", 2)
-			return st.Restore(ShardState{HasEpoch: true, Epoch: 4, Nodes: []NodeState{
-				{Node: 1, Epochs: []model.Epoch{4, 5}, Values: []int64{1, 2}}}})
-		}, "storage: restoring node 1: epoch 5 is past the image's cursor"},
+			_, err := st.Restore(appendNodeRecord(logImage(batch(4, 1, 1), batch(5, 1, 2)), 4, []NodeEnergy{{Node: 1}}))
+			return err
+		}, "storage: snapshot image cursor 4, newest record epoch 5"},
 		{"store capacity", func() error { _, err := OpenStore("", 0); return err },
 			"storage: store.capacity: must be >= 1, got 0"},
 	}
@@ -89,8 +89,40 @@ func readings(e model.Epoch, n int) map[model.NodeID]model.Reading {
 	return m
 }
 
-// stateBytes is the store's canonical snapshot image.
-func stateBytes(s *Store) string { return string(AppendShardState(nil, s.State(nil))) }
+// zeroLedger reads every node's energy as 0.
+func zeroLedger(nodes []model.NodeID) []float64 { return make([]float64, len(nodes)) }
+
+// imageBytes is the store's snapshot image under a zero ledger.
+func imageBytes(s *Store) string { return string(s.Image(zeroLedger)) }
+
+// recorded is one node's readings in an image, oldest first.
+type recorded struct {
+	Epochs []model.Epoch
+	Values []int64
+}
+
+// transpose decodes an image and reads each node-record node's readings
+// out of its epoch records — the per-node view these tests assert on; the
+// store keeps no such form.
+func transpose(t testing.TB, img []byte) (image, map[model.NodeID]*recorded) {
+	t.Helper()
+	im, err := decodeImage(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	series := make(map[model.NodeID]*recorded, len(im.nodes))
+	for _, r := range im.nodes {
+		series[r.Node] = &recorded{}
+	}
+	for _, rec := range im.records {
+		for entries := rec[batchHeaderSize:]; len(entries) > 0; entries = entries[batchEntrySize:] {
+			n, v := batchEntry(entries)
+			series[n].Epochs = append(series[n].Epochs, epochOf(rec))
+			series[n].Values = append(series[n].Values, v)
+		}
+	}
+	return im, series
+}
 
 // TestRecordRoundTrip pins the canonical epoch-batch form: encode∘decode
 // is the identity and the payload size is the documented arithmetic —
@@ -153,7 +185,7 @@ func TestLogAndBatchDecodeRejects(t *testing.T) {
 		name string
 		img  []byte
 	}{
-		{"bad magic", append([]byte("KSST"), img[4:]...)},
+		{"bad magic", append([]byte("KSXX"), img[4:]...)},
 		{"bad version", func() []byte { b := bytes.Clone(img); b[4] = 2; return b }()},
 		{"foreign short file", []byte("hi")},
 	}
@@ -323,7 +355,7 @@ func TestStoreDiskRecovery(t *testing.T) {
 	for e := model.Epoch(1); e <= 5; e++ {
 		st.RecordReadings(e, readings(e, 2))
 	}
-	want := stateBytes(st)
+	want := imageBytes(st)
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -333,10 +365,10 @@ func TestStoreDiskRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if got := stateBytes(re); got != want {
+	if got := imageBytes(re); got != want {
 		t.Fatalf("recovered state %x, want %x", got, want)
 	}
-	node2 := func() NodeState { return re.State(nil).Nodes[1] }
+	node2 := func() *recorded { _, series := transpose(t, re.Image(zeroLedger)); return series[2] }
 	if w := node2(); fmt.Sprint(w.Epochs) != "[3 4 5]" || fmt.Sprint(w.Values) != "[3050 4050 5050]" {
 		t.Fatalf("recovered node 2 window %v@%v", w.Values, w.Epochs)
 	}
@@ -355,7 +387,13 @@ func TestStoreDiskRecovery(t *testing.T) {
 // silent node's seat is not on disk until it reports again.
 func TestStoreSnapshotCarriesTheLastEpochs(t *testing.T) {
 	const capacity = 4
-	energy := func(n model.NodeID) float64 { return float64(n) * 2.5 }
+	ledger := func(nodes []model.NodeID) []float64 {
+		uj := make([]float64, len(nodes))
+		for i, n := range nodes {
+			uj[i] = float64(n) * 2.5
+		}
+		return uj
+	}
 	record := func(st *Store) {
 		for e := model.Epoch(0); e < 10; e++ {
 			m := readings(e, 3)
@@ -365,7 +403,7 @@ func TestStoreSnapshotCarriesTheLastEpochs(t *testing.T) {
 			st.RecordReadings(e, m)
 		}
 	}
-	image := func(st *Store) string { return string(AppendShardState(nil, st.State(energy))) }
+	image := func(st *Store) string { return string(st.Image(ledger)) }
 
 	mem, err := OpenStore("", capacity)
 	if err != nil {
@@ -373,16 +411,21 @@ func TestStoreSnapshotCarriesTheLastEpochs(t *testing.T) {
 	}
 	record(mem)
 	want := image(mem)
-	got := mem.State(energy)
-	if !got.HasEpoch || got.Epoch != 9 || len(got.Nodes) != 3 {
-		t.Fatalf("image cursor %d,%v with %d nodes", got.Epoch, got.HasEpoch, len(got.Nodes))
+	got, series := transpose(t, []byte(want))
+	if got.cursor != 9 || len(got.records) != capacity || len(got.nodes) != 3 {
+		t.Fatalf("image cursor %d with %d records and %d nodes", got.cursor, len(got.records), len(got.nodes))
 	}
-	for _, ns := range got.Nodes[:2] {
-		if fmt.Sprint(ns.Epochs) != "[6 7 8 9]" || ns.EnergyUJ != energy(ns.Node) {
-			t.Fatalf("node %d carries epochs %v, energy %v", ns.Node, ns.Epochs, ns.EnergyUJ)
+	for _, r := range got.nodes {
+		if r.UJ != float64(r.Node)*2.5 {
+			t.Fatalf("node %d carries energy %v", r.Node, r.UJ)
 		}
 	}
-	if silent := got.Nodes[2]; silent.Node != 3 || silent.EnergyUJ != energy(3) || len(silent.Epochs) != 0 {
+	for _, n := range []model.NodeID{1, 2} {
+		if fmt.Sprint(series[n].Epochs) != "[6 7 8 9]" {
+			t.Fatalf("node %d carries epochs %v", n, series[n].Epochs)
+		}
+	}
+	if silent := series[3]; len(silent.Epochs) != 0 {
 		t.Fatalf("silent node in the image: %+v", silent)
 	}
 
@@ -408,8 +451,12 @@ func TestStoreSnapshotCarriesTheLastEpochs(t *testing.T) {
 
 	restoredDir := t.TempDir()
 	restored := reopen(restoredDir)
-	if err := restored.Restore(got); err != nil {
+	rows, err := restored.Restore([]byte(want))
+	if err != nil {
 		t.Fatal(err)
+	}
+	if fmt.Sprint(rows) != fmt.Sprint(got.nodes) {
+		t.Fatalf("restore returned energies %v, want the node record's %v", rows, got.nodes)
 	}
 	if image(restored) != want {
 		t.Fatal("a restored store's image differs from the source's")
@@ -419,9 +466,12 @@ func TestStoreSnapshotCarriesTheLastEpochs(t *testing.T) {
 	}
 	restored = reopen(restoredDir)
 	defer restored.Close()
-	reporting := got.FilterNodes(map[model.NodeID]bool{1: true, 2: true})
-	if image(restored) != string(AppendShardState(nil, reporting)) {
-		t.Fatalf("a restored and reopened store's image %+v, want %+v", restored.State(energy), reporting)
+	reporting, _, err := FilterImage([]byte(want), map[model.NodeID]bool{1: true, 2: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if image(restored) != string(reporting) {
+		t.Fatalf("a restored and reopened store's image %x, want %x", image(restored), reporting)
 	}
 }
 
@@ -515,7 +565,7 @@ func TestStoreTornEpochEveryBoundary(t *testing.T) {
 	for e := model.Epoch(0); e < n; e++ {
 		st.RecordReadings(e, readings(e, nodes))
 	}
-	want := stateBytes(st)
+	want := imageBytes(st)
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -536,17 +586,17 @@ func TestStoreTornEpochEveryBoundary(t *testing.T) {
 		if e, ok := re.Cursor(); !ok || e != n-2 {
 			t.Fatalf("cut %d: cursor %d,%v, want %d", cut, e, ok, n-2)
 		}
-		recovered := re.State(nil).Nodes
-		for _, ns := range recovered {
+		_, recovered := transpose(t, re.Image(zeroLedger))
+		for node, ns := range recovered {
 			if len(ns.Epochs) != n-1 || ns.Epochs[len(ns.Epochs)-1] != n-2 {
-				t.Fatalf("cut %d: node %d holds epochs %v", cut, ns.Node, ns.Epochs)
+				t.Fatalf("cut %d: node %d holds epochs %v", cut, node, ns.Epochs)
 			}
 		}
 		if len(recovered) != nodes {
 			t.Fatalf("cut %d: %d nodes recovered", cut, len(recovered))
 		}
 		re.RecordReadings(n-1, readings(n-1, nodes))
-		if got := stateBytes(re); got != want || re.err != nil {
+		if got := imageBytes(re); got != want || re.err != nil {
 			t.Fatalf("cut %d: retried epoch did not restore the uncrashed state (%v)", cut, re.err)
 		}
 		if err := re.Close(); err != nil {
@@ -629,7 +679,7 @@ func TestStoreFailedLogIsReported(t *testing.T) {
 	if err := disk.err; err == nil || !errors.Is(err, os.ErrClosed) || !strings.Contains(err.Error(), logName) {
 		t.Fatalf("sticky error %v, want the failed write naming the log", err)
 	}
-	if stateBytes(disk) != stateBytes(mem) {
+	if imageBytes(disk) != imageBytes(mem) {
 		t.Fatal("a failed log changed the store's in-memory state")
 	}
 	if got, want := disk.Stats().Bytes, int64(logHeaderSize+3*(17+10*3)); got != want {
@@ -657,101 +707,3 @@ func TestOpenStoreRefusesLegacySegments(t *testing.T) {
 	}
 }
 
-// TestShardStateRoundTripAndRestore: State → encode → decode → Restore
-// into a fresh store reproduces the identical snapshot bytes, split or
-// whole — the invariant migration relies on.
-func TestShardStateRoundTripAndRestore(t *testing.T) {
-	src, err := OpenStore("", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for e := model.Epoch(0); e < 5; e++ {
-		src.RecordReadings(e, map[model.NodeID]model.Reading{
-			4: {Node: 4, Epoch: e, Value: model.Value(e) + 0.25},
-			7: {Node: 7, Epoch: e, Value: -model.Value(e)},
-			9: {Node: 9, Epoch: e, Value: 100},
-		})
-	}
-	energy := func(n model.NodeID) float64 { return float64(n) * 1.5 }
-	state := src.State(energy)
-	enc := AppendShardState(nil, state)
-	dec, err := DecodeShardState(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if re := AppendShardState(nil, dec); string(re) != string(enc) {
-		t.Fatalf("decode∘re-encode drifted:\n%x\n%x", enc, re)
-	}
-
-	dir := t.TempDir()
-	dst, err := OpenStore(filepath.Join(dir, "restore"), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dst.Restore(dec); err != nil {
-		t.Fatal(err)
-	}
-	back := dst.State(energy)
-	if string(AppendShardState(nil, back)) != string(enc) {
-		t.Fatalf("restored state drifted:\n%+v\n%+v", back, dec)
-	}
-
-	// The rewritten log IS the restored state: a reopen recovers the same
-	// bytes (the windows transposed into epoch batches and back).
-	if err := dst.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re, err := OpenStore(filepath.Join(dir, "restore"), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if string(AppendShardState(nil, re.State(energy))) != string(enc) {
-		t.Fatalf("restored state did not survive a reopen:\n%+v\n%+v", re.State(energy), dec)
-	}
-
-	// Splitting by node keeps the cursor and exactly the kept nodes.
-	part := state.FilterNodes(map[model.NodeID]bool{7: true})
-	if len(part.Nodes) != 1 || part.Nodes[0].Node != 7 || part.Epoch != state.Epoch || part.HasEpoch != state.HasEpoch {
-		t.Fatalf("filtered %+v", part)
-	}
-}
-
-// TestShardStateDecodeRejects table-tests the canonical-form guards.
-func TestShardStateDecodeRejects(t *testing.T) {
-	good := AppendShardState(nil, ShardState{HasEpoch: true, Epoch: 3, Nodes: []NodeState{
-		{Node: 1, EnergyUJ: 2.5, Epochs: []model.Epoch{1, 2}, Values: []int64{10, 20}},
-	}})
-	cases := []struct {
-		name   string
-		mutate func([]byte) []byte
-	}{
-		{"bad magic", func(b []byte) []byte { b[0] = 'X'; return b }},
-		{"bad flag", func(b []byte) []byte { b[4] = 9; return b }},
-		{"trailing", func(b []byte) []byte { return append(b, 0) }},
-		{"truncated", func(b []byte) []byte { return b[:len(b)-3] }},
-		{"epoch order", func(b []byte) []byte {
-			return AppendShardState(nil, ShardState{HasEpoch: true, Epoch: 3, Nodes: []NodeState{
-				{Node: 1, Epochs: []model.Epoch{2, 2}, Values: []int64{1, 2}},
-			}})
-		}},
-		{"node order", func(b []byte) []byte {
-			return AppendShardState(nil, ShardState{HasEpoch: true, Epoch: 3, Nodes: []NodeState{
-				{Node: 5}, {Node: 5},
-			}})
-		}},
-		{"cursor without flag", func(b []byte) []byte {
-			return AppendShardState(nil, ShardState{HasEpoch: false, Epoch: 3})
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			b := tc.mutate(append([]byte(nil), good...))
-			if _, err := DecodeShardState(b); err == nil {
-				t.Fatal("accepted")
-			} else if !strings.HasPrefix(err.Error(), "storage: ") {
-				t.Fatalf("error %q lost its package path", err)
-			}
-		})
-	}
-}

@@ -1,7 +1,8 @@
 // Package storage is a KSpot shard's durable historic tier, standing in for
 // the flash the paper's motes index with MicroHash. Store keeps a shard's
 // last epochs as epoch records — in memory and, given a data directory, in
-// one append-only Log, the one file format that directory holds.
+// one append-only Log, the one file format that directory holds — and a
+// snapshot image is a Log image of those same records (image.go).
 // BufferSeries materializes the windows a historic query runs over.
 package storage
 
@@ -11,8 +12,8 @@ package storage
 //	kind u8 | epoch u32 | count u32 | (node u16, value s64)×count
 //
 // nodes strictly ascending, values in the model codec's fixed64 quantized
-// form (s64 centi-units, what shard snapshots carry). The encoding is
-// canonical and enforced on decode. The store keeps its last capacity
+// form (s64 centi-units). The encoding is canonical and enforced on
+// decode. The store keeps its last capacity
 // records in a ring; with a data directory every record is also appended to
 // shard.log, and the ring's slot is the very bytes appended. With an empty
 // directory the store is memory-backed — the default, byte-identical in
@@ -26,10 +27,8 @@ package storage
 // re-records it.
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
-	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -289,89 +288,101 @@ func (s *Store) Stats() StoreStats {
 	return st
 }
 
-// State serializes the store for a shard snapshot: the ring's records
-// decoded per node, plus the epoch cursor, with each node's energy drawn
-// from energyOf (µJ, bit-exact across the wire). Every roster node is in
-// the image; one that reported in none of the ring's epochs carries no
-// readings. Nodes ascend, so the encoding is canonical.
-func (s *Store) State(energyOf func(model.NodeID) float64) ShardState {
+// Image serializes the store for a shard snapshot (image.go): the ring's
+// records as they are, then the node record — every roster node with the
+// µJ total ledger reads for it (in one call, index-aligned with the
+// ascending roster) — at the cursor. Image decodes nothing.
+func (s *Store) Image(ledger func(nodes []model.NodeID) []float64) []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := ShardState{Epoch: s.cursor, HasEpoch: s.hasCur}
-	for _, n := range s.roster {
-		ns := NodeState{Node: n}
-		if energyOf != nil {
-			ns.EnergyUJ = energyOf(n)
-		}
-		st.Nodes = append(st.Nodes, ns)
-	}
+	img := appendLogHeader(nil)
 	for i := 0; i < s.n; i++ {
-		e, entries, _ := decodeBatch(s.record(i)) // the store wrote it: canonical
-		j := 0                                    // roster position; record nodes ascend
-		for ; len(entries) > 0; entries = entries[batchEntrySize:] {
-			n, v := batchEntry(entries)
-			for s.roster[j] != n {
-				j++
-			}
-			st.Nodes[j].Epochs = append(st.Nodes[j].Epochs, e)
-			st.Nodes[j].Values = append(st.Nodes[j].Values, v)
-		}
+		img = appendLogRecord(img, s.record(i))
 	}
-	return st
+	uj := ledger(s.roster)
+	rows := make([]NodeEnergy, len(s.roster))
+	for i, n := range s.roster {
+		rows[i] = NodeEnergy{Node: n, UJ: uj[i]}
+	}
+	return appendNodeRecord(img, s.cursor, rows)
 }
 
-// Restore overlays a snapshot on the store: each image node's readings
-// replace that node's readings in the records, the other nodes' stay, the
-// last capacity epochs are kept, the cursor advances to the snapshot's, and
-// in disk mode the log is rewritten to match. Restore never regresses the
-// cursor — a shard that already sensed past the snapshot keeps its lead.
-func (s *Store) Restore(st ShardState) error {
+// Restore overlays a snapshot image on the store and returns its node
+// record, the ledger totals the caller resumes. Each image node's entries
+// replace that node's entries, epoch by epoch, and the other nodes' entries
+// stay; every image node takes a roster seat; the last capacity epochs are
+// kept; and in disk mode the log is rewritten to match. The overlay is also
+// re-sharding's merge: restoring several sources' filtered images in turn
+// unions them. The cursor never regresses, since the store's newest record
+// is among the kept ones. The records re-enter the ring through replay, the
+// validation recovery uses; an image that breaks any rule of its form
+// changes nothing.
+func (s *Store) Restore(img []byte) ([]NodeEnergy, error) {
+	im, err := decodeImage(img)
+	if err != nil {
+		return nil, err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	type entry struct {
-		node  model.NodeID
-		value int64
-	}
-	byEpoch := make(map[model.Epoch][]entry)
-	incoming := make(map[model.NodeID]bool, len(st.Nodes))
+	incoming := make(map[model.NodeID]bool, len(im.nodes))
 	var fresh []model.NodeID
-	for _, ns := range st.Nodes {
-		for j, e := range ns.Epochs {
-			if !st.HasEpoch || e > st.Epoch {
-				return fmt.Errorf("storage: restoring node %d: epoch %d is past the image's cursor", ns.Node, e)
-			}
-			byEpoch[e] = append(byEpoch[e], entry{ns.Node, ns.Values[j]})
-		}
-		incoming[ns.Node] = true
-		if !s.onRoster(ns.Node) {
-			fresh = append(fresh, ns.Node)
+	for _, r := range im.nodes {
+		incoming[r.Node] = true
+		if !s.onRoster(r.Node) {
+			fresh = append(fresh, r.Node)
 		}
 	}
-	for i := 0; i < s.n; i++ {
-		e, entries, _ := decodeBatch(s.record(i))
-		for ; len(entries) > 0; entries = entries[batchEntrySize:] {
-			if n, v := batchEntry(entries); !incoming[n] {
-				byEpoch[e] = append(byEpoch[e], entry{n, v})
-			}
+	// Walk the ring's records and the image's, both epoch-ascending.
+	var merged [][]byte
+	for i, j := 0, 0; i < s.n || j < len(im.records); {
+		var mine, theirs []byte
+		switch {
+		case j == len(im.records) || i < s.n && epochOf(s.record(i)) < epochOf(im.records[j]):
+			mine, i = s.record(i), i+1
+		case i == s.n || epochOf(im.records[j]) < epochOf(s.record(i)):
+			theirs, j = im.records[j], j+1
+		default:
+			mine, theirs, i, j = s.record(i), im.records[j], i+1, j+1
 		}
+		merged = append(merged, overlay(mine, theirs, incoming))
 	}
 	s.seat(fresh)
-	epochs := slices.Sorted(maps.Keys(byEpoch))
-	s.head, s.n = 0, 0
-	for _, e := range epochs[max(0, len(epochs)-len(s.ring)):] {
-		entries := byEpoch[e]
-		slices.SortFunc(entries, func(a, b entry) int { return cmp.Compare(a.node, b.node) })
-		i := s.push()
-		rec := beginBatch(s.ring[i][:0], e)
-		for _, x := range entries {
-			rec = appendBatchEntry(rec, x.node, x.value)
+	s.head, s.n, s.cursor, s.hasCur = 0, 0, 0, false
+	for _, rec := range merged[max(0, len(merged)-len(s.ring)):] {
+		if err := s.replay(rec); err != nil {
+			return nil, err
 		}
-		s.ring[i] = endBatch(rec)
 	}
-	if st.HasEpoch && (!s.hasCur || st.Epoch > s.cursor) {
-		s.cursor, s.hasCur = st.Epoch, true
+	return im.nodes, s.rewrite()
+}
+
+// overlay merges one epoch's records, either of which may be nil: the
+// entries of mine (the store's) whose node is not incoming, and every entry
+// of theirs (the image's, whose nodes are all incoming), nodes ascending.
+func overlay(mine, theirs []byte, incoming map[model.NodeID]bool) []byte {
+	var a, b []byte
+	var e model.Epoch
+	if mine != nil {
+		a, e = mine[batchHeaderSize:], epochOf(mine)
 	}
-	return s.rewrite()
+	if theirs != nil {
+		b, e = theirs[batchHeaderSize:], epochOf(theirs)
+	}
+	rec := beginBatch(nil, e)
+	for len(a) > 0 || len(b) > 0 {
+		if len(a) > 0 {
+			if n, _ := batchEntry(a); incoming[n] {
+				a = a[batchEntrySize:]
+				continue
+			}
+		}
+		if len(b) == 0 || len(a) > 0 && binary.LittleEndian.Uint16(a) < binary.LittleEndian.Uint16(b) {
+			rec, a = append(rec, a[:batchEntrySize]...), a[batchEntrySize:]
+		} else {
+			rec, b = append(rec, b[:batchEntrySize]...), b[batchEntrySize:]
+		}
+	}
+	return endBatch(rec)
 }
 
 // Reset empties the durable tier for a new coordinator session: the ring

@@ -46,7 +46,7 @@ func TestHistoricExact(t *testing.T) {
 	net := topktest.Fig1Network(t)
 	q := topk.HistoricQuery{K: 3, Agg: model.AggAvg, Window: 32}
 	src := trace.NewDiurnal(5)
-	data := topk.HistoricData(topktest.WindowData(net, src, q.Window))
+	data := topk.HistoricData(topktest.WindowData(t, net, src, q.Window))
 	got, err := NewHistoric().Run(net, q, data)
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +60,7 @@ func TestHistoricExact(t *testing.T) {
 func TestHistoricShipsWholeWindow(t *testing.T) {
 	net := topktest.Fig1Network(t)
 	q := topk.HistoricQuery{K: 1, Agg: model.AggAvg, Window: 64}
-	data := topk.HistoricData(topktest.WindowData(net, trace.NewDiurnal(5), q.Window))
+	data := topk.HistoricData(topktest.WindowData(t, net, trace.NewDiurnal(5), q.Window))
 	if _, err := NewHistoric().Run(net, q, data); err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 func TestExactOnFigure1Network(t *testing.T) {
 	net := topktest.Fig1Network(t)
 	q := topk.HistoricQuery{K: 3, Agg: model.AggAvg, Window: 64}
-	data := topk.HistoricData(topktest.WindowData(net, trace.NewDiurnal(3), q.Window))
+	data := topk.HistoricData(topktest.WindowData(t, net, trace.NewDiurnal(3), q.Window))
 	got, err := New().Run(net, q, data)
 	if err != nil {
 		t.Fatal(err)
@@ -39,7 +39,7 @@ func TestExactAcrossWorkloads(t *testing.T) {
 			for _, w := range []int{16, 128} {
 				net.Reset()
 				q := topk.HistoricQuery{K: k, Agg: model.AggAvg, Window: w}
-				data := topk.HistoricData(topktest.WindowData(net, src, w))
+				data := topk.HistoricData(topktest.WindowData(t, net, src, w))
 				got, err := New().Run(net, q, data)
 				if err != nil {
 					t.Fatal(err)
@@ -56,7 +56,7 @@ func TestExactAcrossWorkloads(t *testing.T) {
 func TestExactWithSum(t *testing.T) {
 	net := topktest.Fig1Network(t)
 	q := topk.HistoricQuery{K: 2, Agg: model.AggSum, Window: 32}
-	data := topk.HistoricData(topktest.WindowData(net, trace.NewDiurnal(9), q.Window))
+	data := topk.HistoricData(topktest.WindowData(t, net, trace.NewDiurnal(9), q.Window))
 	got, err := New().Run(net, q, data)
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +69,7 @@ func TestExactWithSum(t *testing.T) {
 func TestCheaperThanCentralized(t *testing.T) {
 	q := topk.HistoricQuery{K: 4, Agg: model.AggAvg, Window: 256}
 	netA := topktest.GridNetwork(t, 36, 6)
-	data := topk.HistoricData(topktest.WindowData(netA, trace.NewDiurnal(5), q.Window))
+	data := topk.HistoricData(topktest.WindowData(t, netA, trace.NewDiurnal(5), q.Window))
 	if _, err := New().Run(netA, q, data); err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestCheaperThanCentralized(t *testing.T) {
 func TestPhaseAccounting(t *testing.T) {
 	net := topktest.GridNetwork(t, 25, 5)
 	q := topk.HistoricQuery{K: 3, Agg: model.AggAvg, Window: 64}
-	data := topk.HistoricData(topktest.WindowData(net, &trace.Uniform{Seed: 2, Min: 0, Max: 100}, q.Window))
+	data := topk.HistoricData(topktest.WindowData(t, net, &trace.Uniform{Seed: 2, Min: 0, Max: 100}, q.Window))
 	if _, err := New().Run(net, q, data); err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestPhaseAccounting(t *testing.T) {
 func TestSmallWindowSingleItem(t *testing.T) {
 	net := topktest.Fig1Network(t)
 	q := topk.HistoricQuery{K: 1, Agg: model.AggAvg, Window: 1}
-	data := topk.HistoricData(topktest.WindowData(net, &trace.Uniform{Seed: 4, Min: 10, Max: 20}, 1))
+	data := topk.HistoricData(topktest.WindowData(t, net, &trace.Uniform{Seed: 4, Min: 10, Max: 20}, 1))
 	got, err := New().Run(net, q, data)
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +122,7 @@ func TestSmallWindowSingleItem(t *testing.T) {
 func TestKLargerThanWindow(t *testing.T) {
 	net := topktest.Fig1Network(t)
 	q := topk.HistoricQuery{K: 10, Agg: model.AggAvg, Window: 4}
-	data := topk.HistoricData(topktest.WindowData(net, &trace.Uniform{Seed: 4, Min: 0, Max: 100}, 4))
+	data := topk.HistoricData(topktest.WindowData(t, net, &trace.Uniform{Seed: 4, Min: 0, Max: 100}, 4))
 	got, err := New().Run(net, q, data)
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +155,7 @@ func TestExactProperty(t *testing.T) {
 		w := 4 + int(wRaw)%120
 		net.Reset()
 		q := topk.HistoricQuery{K: k, Agg: model.AggAvg, Window: w}
-		data := topk.HistoricData(topktest.WindowData(net, &trace.Uniform{Seed: seed, Min: 0, Max: 100}, w))
+		data := topk.HistoricData(topktest.WindowData(t, net, &trace.Uniform{Seed: seed, Min: 0, Max: 100}, w))
 		got, err := New().Run(net, q, data)
 		if err != nil {
 			return false

@@ -9,6 +9,7 @@ import (
 	"kspot/internal/faults"
 	"kspot/internal/model"
 	"kspot/internal/sim"
+	"kspot/internal/storage"
 	"kspot/internal/topk"
 	"kspot/internal/trace"
 )
@@ -99,7 +100,11 @@ func RunHistoric(t testing.TB, scen *config.Scenario, mk func() topk.HistoricOpe
 	parallel int, fcfg *faults.Config, q topk.HistoricQuery) HistoricRun {
 	t.Helper()
 	tp, src := buildNetwork(t, scen, parallel, fcfg)
-	data := topk.HistoricData(trace.Series(src, tp.Topology().SensorNodes(), q.Window))
+	series, err := storage.BufferSeries(tp.Topology().SensorNodes(), q.Window, src.Sample)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := topk.HistoricData(series)
 	op := mk()
 	answers, err := op.Run(tp, q, data)
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 
 	"kspot/internal/model"
 	"kspot/internal/sim"
+	"kspot/internal/storage"
 	"kspot/internal/topo"
 	"kspot/internal/trace"
 )
@@ -85,7 +86,15 @@ func GridNetwork(t testing.TB, n, g int) *sim.Network {
 	return net
 }
 
-// WindowData samples a source into a historic window for every sensor.
-func WindowData(net *sim.Network, src trace.Source, window int) map[model.NodeID][]model.Value {
-	return trace.Series(src, net.Placement.SensorNodes(), window)
+// WindowData samples a source into a historic window for every sensor,
+// quantized the way a shard's buffers store it (storage.BufferSeries), so
+// operators are tested on the tie density of the windows they really run
+// over.
+func WindowData(t testing.TB, net *sim.Network, src trace.Source, window int) map[model.NodeID][]model.Value {
+	t.Helper()
+	series, err := storage.BufferSeries(net.Placement.SensorNodes(), window, src.Sample)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return series
 }

@@ -16,7 +16,7 @@ import (
 func TestExactOnFigure1Network(t *testing.T) {
 	net := topktest.Fig1Network(t)
 	q := topk.HistoricQuery{K: 3, Agg: model.AggAvg, Window: 64}
-	data := topk.HistoricData(topktest.WindowData(net, trace.NewDiurnal(3), q.Window))
+	data := topk.HistoricData(topktest.WindowData(t, net, trace.NewDiurnal(3), q.Window))
 	got, err := New().Run(net, q, data)
 	if err != nil {
 		t.Fatal(err)
@@ -33,7 +33,7 @@ func TestExactAcrossWorkloads(t *testing.T) {
 		for _, w := range []int{8, 64, 200} {
 			net.Reset()
 			q := topk.HistoricQuery{K: k, Agg: model.AggAvg, Window: w}
-			data := topk.HistoricData(topktest.WindowData(net, &trace.Uniform{Seed: int64(k*w) + 1, Min: 0, Max: 100}, w))
+			data := topk.HistoricData(topktest.WindowData(t, net, &trace.Uniform{Seed: int64(k*w) + 1, Min: 0, Max: 100}, w))
 			got, err := New().Run(net, q, data)
 			if err != nil {
 				t.Fatal(err)
@@ -53,7 +53,7 @@ func TestTJACheaperThanTPUT(t *testing.T) {
 	src := trace.NewDiurnal(5)
 
 	netA := topktest.GridNetwork(t, 36, 6)
-	data := topk.HistoricData(topktest.WindowData(netA, src, q.Window))
+	data := topk.HistoricData(topktest.WindowData(t, netA, src, q.Window))
 	if _, err := tja.New().Run(netA, q, data); err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestCheaperThanCentralized(t *testing.T) {
 	src := trace.NewDiurnal(8)
 	src.NodeSpread = 0
 	src.Noise = 0 // phase-1 lists must agree for τ₁ to be meaningful
-	data := topk.HistoricData(topktest.WindowData(netA, src, q.Window))
+	data := topk.HistoricData(topktest.WindowData(t, netA, src, q.Window))
 	if _, err := New().Run(netA, q, data); err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestAdversarialUniformStillExact(t *testing.T) {
 	// hold even when phase 2 ships a lot.
 	net := topktest.GridNetwork(t, 16, 4)
 	q := topk.HistoricQuery{K: 8, Agg: model.AggAvg, Window: 64}
-	data := topk.HistoricData(topktest.WindowData(net, &trace.Uniform{Seed: 12, Min: 49, Max: 51}, q.Window))
+	data := topk.HistoricData(topktest.WindowData(t, net, &trace.Uniform{Seed: 12, Min: 49, Max: 51}, q.Window))
 	got, err := New().Run(net, q, data)
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +128,7 @@ func TestExactProperty(t *testing.T) {
 		w := 2 + int(wRaw)%100
 		net.Reset()
 		q := topk.HistoricQuery{K: k, Agg: model.AggAvg, Window: w}
-		data := topk.HistoricData(topktest.WindowData(net, &trace.Uniform{Seed: seed, Min: 0, Max: 100}, w))
+		data := topk.HistoricData(topktest.WindowData(t, net, &trace.Uniform{Seed: seed, Min: 0, Max: 100}, w))
 		got, err := New().Run(net, q, data)
 		if err != nil {
 			return false

@@ -229,20 +229,6 @@ func (u *Uniform) Sample(node model.NodeID, e model.Epoch) model.Value {
 	return model.Value(u.Min + (u.Max-u.Min)*unit(u.Seed, node, e))
 }
 
-// Series materializes a source into per-node slices over [0, epochs) — the
-// sliding-window history that historic operators query.
-func Series(src Source, nodes []model.NodeID, epochs int) map[model.NodeID][]model.Value {
-	out := make(map[model.NodeID][]model.Value, len(nodes))
-	for _, n := range nodes {
-		vs := make([]model.Value, epochs)
-		for e := 0; e < epochs; e++ {
-			vs[e] = src.Sample(n, model.Epoch(e))
-		}
-		out[n] = vs
-	}
-	return out
-}
-
 // Perm returns a deterministic permutation of [0,n) for the given seed —
 // shared helper for workload shuffling.
 func Perm(seed int64, n int) []int {

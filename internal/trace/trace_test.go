@@ -144,17 +144,6 @@ func TestUniformRange(t *testing.T) {
 	}
 }
 
-func TestSeries(t *testing.T) {
-	u := &Uniform{Seed: 2, Min: 0, Max: 1}
-	s := Series(u, []model.NodeID{1, 2}, 10)
-	if len(s) != 2 || len(s[1]) != 10 {
-		t.Fatalf("series shape: %d nodes, %d epochs", len(s), len(s[1]))
-	}
-	if s[1][3] != u.Sample(1, 3) {
-		t.Error("series disagrees with source")
-	}
-}
-
 func TestFigure1Fixture(t *testing.T) {
 	p := Figure1Placement()
 	if got := len(p.SensorNodes()); got != 9 {

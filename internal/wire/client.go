@@ -682,9 +682,9 @@ func (c *Client) epochRound(e model.Epoch, queries []uint32) (EpochRoundReply, e
 	return rep, nil
 }
 
-// Snapshot streams the shard's durable state image — the last epochs'
-// readings per node, epoch cursor, per-node energy (storage.ShardState
-// bytes) — in bounded chunks.
+// Snapshot streams the shard's durable state image — a storage snapshot
+// image: the store's last epoch records plus a node record of per-node
+// energy at the cursor — in bounded chunks.
 // The server pins the image on the first chunk, so the result is
 // consistent even while epochs keep committing.
 func (c *Client) Snapshot() ([]byte, error) {

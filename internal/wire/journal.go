@@ -17,7 +17,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 
 	"kspot/internal/model"
@@ -28,7 +27,7 @@ import (
 const (
 	jNonce  = 1 // u64 nonce — a new coordinator session began
 	jAttach = 2 // u32 qid | str algo | str sql — a query attached
-	jEnergy = 3 // u32 epoch | u32 count | (u16 node, u64 f64bits µJ)* — epoch checkpoint
+	jEnergy = 3 // storage.AppendEnergies — an epoch's ledger checkpoint
 	jDetach = 4 // u32 qid — an attached query was released
 )
 
@@ -38,7 +37,7 @@ type journalState struct {
 	attaches    []AttachReq // still attached, in attach order
 	energyEpoch model.Epoch
 	hasEnergy   bool
-	energy      map[model.NodeID]float64
+	energy      []storage.NodeEnergy
 }
 
 var errJournalRecord = errors.New("wire: journal record malformed")
@@ -77,15 +76,11 @@ func (st *journalState) apply(p []byte) error {
 		qid := binary.LittleEndian.Uint32(p[1:])
 		st.attaches = slices.DeleteFunc(st.attaches, func(a AttachReq) bool { return a.Query == qid })
 	case jEnergy:
-		if len(p) < 9 || uint64(len(p)-9) != uint64(binary.LittleEndian.Uint32(p[5:]))*10 {
-			return errJournalRecord
+		e, rows, err := storage.DecodeEnergies(p[1:])
+		if err != nil {
+			return err
 		}
-		m := make(map[model.NodeID]float64, (len(p)-9)/10)
-		for off := 9; off < len(p); off += 10 {
-			m[model.NodeID(binary.LittleEndian.Uint16(p[off:]))] =
-				math.Float64frombits(binary.LittleEndian.Uint64(p[off+2:]))
-		}
-		st.energyEpoch, st.hasEnergy, st.energy = model.Epoch(binary.LittleEndian.Uint32(p[1:])), true, m
+		st.energyEpoch, st.hasEnergy, st.energy = e, true, rows
 	default:
 		return fmt.Errorf("wire: journal record kind %d unknown", p[0])
 	}
@@ -135,16 +130,9 @@ func (j *journal) Detach(qid uint32) error {
 	return j.write(binary.LittleEndian.AppendUint32([]byte{jDetach}, qid))
 }
 
-// Energy records an epoch's per-node ledger checkpoint, nodes ascending.
-func (j *journal) Energy(e model.Epoch, nodes []model.NodeID, uj func(model.NodeID) float64) error {
-	p := []byte{jEnergy}
-	p = binary.LittleEndian.AppendUint32(p, uint32(e))
-	p = binary.LittleEndian.AppendUint32(p, uint32(len(nodes)))
-	for _, n := range nodes {
-		p = binary.LittleEndian.AppendUint16(p, uint16(n))
-		p = binary.LittleEndian.AppendUint64(p, math.Float64bits(uj(n)))
-	}
-	return j.write(p)
+// Energy records an epoch's ledger checkpoint, rows ascending by node.
+func (j *journal) Energy(e model.Epoch, rows []storage.NodeEnergy) error {
+	return j.write(storage.AppendEnergies([]byte{jEnergy}, e, rows))
 }
 
 // Close flushes and closes the journal.

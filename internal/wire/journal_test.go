@@ -17,6 +17,7 @@ import (
 
 	"kspot/internal/config"
 	"kspot/internal/model"
+	"kspot/internal/storage"
 )
 
 // startDurableServer runs a Figure-3 shard server persisting under dir.
@@ -40,7 +41,13 @@ func startDurableServer(t *testing.T, dir string) (string, *Server) {
 // with an attach, a detach, an energy checkpoint and a session-opening
 // nonce each as the record the crash tore — and keeps journaling after.
 func TestJournalTornTailEveryBoundary(t *testing.T) {
-	uj := func(n model.NodeID) float64 { return float64(n) * 1.25 }
+	uj := func(nodes ...model.NodeID) []storage.NodeEnergy {
+		rows := make([]storage.NodeEnergy, len(nodes))
+		for i, n := range nodes {
+			rows[i] = storage.NodeEnergy{Node: n, UJ: float64(n) * 1.25}
+		}
+		return rows
+	}
 	cases := []struct {
 		name string
 		last func(*journal) error
@@ -55,7 +62,7 @@ func TestJournalTornTailEveryBoundary(t *testing.T) {
 			func(b, a journalState) bool {
 				return len(b.attaches) == 2 && len(a.attaches) == 1 && a.attaches[0].Query == 2
 			}},
-		{"energy checkpoint", func(j *journal) error { return j.Energy(5, []model.NodeID{1, 2, 3}, uj) },
+		{"energy checkpoint", func(j *journal) error { return j.Energy(5, uj(1, 2, 3)) },
 			func(b, a journalState) bool { return b.energyEpoch == 4 && a.energyEpoch == 5 && len(a.energy) == 3 }},
 		{"nonce reset", func(j *journal) error { return j.Nonce(99) },
 			// A nonce rewrites the journal to itself, so the state before
@@ -75,7 +82,7 @@ func TestJournalTornTailEveryBoundary(t *testing.T) {
 				j.Nonce(42),
 				j.Attach(AttachReq{Query: 1, Algo: "mint", SQL: "SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid"}),
 				j.Attach(AttachReq{Query: 2, Algo: "mint", SQL: "SELECT TOP 3 roomid, MAX(sound) FROM sensors GROUP BY roomid"}),
-				j.Energy(4, []model.NodeID{1, 2}, uj),
+				j.Energy(4, uj(1, 2)),
 				tc.last(j),
 				j.Close(),
 			} {

@@ -148,8 +148,8 @@ func (s *Server) recoverSession(jst journalState) error {
 			return fmt.Errorf("wire: replaying journaled attach %d (%q): %w", a.Query, a.SQL, err)
 		}
 	}
-	for n, uj := range jst.energy {
-		s.body.Network().RestoreEnergy(n, uj)
+	for _, r := range jst.energy {
+		s.body.Network().RestoreEnergy(r.Node, r.UJ)
 	}
 	return nil
 }
@@ -527,16 +527,16 @@ type energyCheckpoint struct{ s *Server }
 
 // RecordReadings implements engine.ReadingsRecorder.
 func (c energyCheckpoint) RecordReadings(e model.Epoch, _ map[model.NodeID]model.Reading) {
-	var nodes []model.NodeID
+	var rows []storage.NodeEnergy
 	net := c.s.body.Network()
 	net.Locked(func() {
 		ids := net.Ledger.Nodes()
-		nodes = make([]model.NodeID, 0, len(ids))
-		for _, id := range ids {
-			nodes = append(nodes, model.NodeID(id))
+		rows = make([]storage.NodeEnergy, len(ids))
+		for i, id := range ids {
+			rows[i] = storage.NodeEnergy{Node: model.NodeID(id), UJ: net.Ledger.Node(id)}
 		}
 	})
-	if err := c.s.journal.Energy(e, nodes, c.s.body.EnergyOf); err != nil {
+	if err := c.s.journal.Energy(e, rows); err != nil {
 		c.s.store.Fail(err)
 	}
 }

@@ -1,9 +1,9 @@
 package wire
 
-// Snapshot/restore payload codecs. A shard's state — the
-// storage.ShardState bytes: the last epochs' readings per node, epoch
-// cursor, per-node energy — can
-// exceed a frame, so both directions move it in bounded chunks:
+// Snapshot/restore payload codecs. A shard's state — a storage snapshot
+// image: the store's last epoch records as they are plus a node record of
+// the roster's energy-ledger totals at the cursor — can exceed a frame, so
+// both directions move it in bounded chunks:
 //
 //	MsgSnapshot      req:  offset u32
 //	MsgSnapshotChunk rep:  total u32 | offset u32 | data

@@ -10,6 +10,7 @@ package kspot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"strings"
@@ -260,45 +261,124 @@ func TestReshardValidation(t *testing.T) {
 	}
 }
 
-func TestMergeShardStates(t *testing.T) {
-	states := []storage.ShardState{
-		{Epoch: 4, HasEpoch: true, Nodes: []storage.NodeState{
-			{Node: 3, EnergyUJ: 1.5, Epochs: []model.Epoch{4}, Values: []int64{100}},
-			{Node: 1, EnergyUJ: 0.5, Epochs: []model.Epoch{4}, Values: []int64{200}},
-		}},
-		{Epoch: 5, HasEpoch: true, Nodes: []storage.NodeState{
-			{Node: 2, EnergyUJ: 2.5, Epochs: []model.Epoch{5}, Values: []int64{300}},
-		}},
-	}
-	// Note: FilterNodes preserves source order; the merge re-sorts, so feed
-	// it canonical per-source order like real snapshots have.
-	states[0].Nodes[0], states[0].Nodes[1] = states[0].Nodes[1], states[0].Nodes[0]
+// history is a snapshot image read back per node: its node record and each
+// node's recorded epochs and values. The store keeps no per-node form; the
+// tests read one.
+type history struct {
+	cursor model.Epoch
+	nodes  []storage.NodeEnergy
+	epochs map[model.NodeID][]model.Epoch
+	values map[model.NodeID][]int64
+}
 
-	merged := storage.MergeShardStates(states, map[model.NodeID]bool{1: true, 2: true, 3: true})
-	if !merged.HasEpoch || merged.Epoch != 5 {
-		t.Fatalf("merged cursor %v/%v, want 5/true", merged.Epoch, merged.HasEpoch)
-	}
-	if len(merged.Nodes) != 3 {
-		t.Fatalf("merged %d nodes", len(merged.Nodes))
-	}
-	for i, want := range []model.NodeID{1, 2, 3} {
-		if merged.Nodes[i].Node != want {
-			t.Fatalf("node %d = %d, want %d", i, merged.Nodes[i].Node, want)
+// imageHistory transposes a snapshot image — a storage log image: an
+// 8-byte header, then u32 len | payload | u32 crc frames holding the epoch
+// records (kind 1 | epoch u32 | count u32 | (node u16, value s64)×count)
+// and, last, the node record (kind 2 | storage.AppendEnergies).
+func imageHistory(t *testing.T, img []byte) history {
+	t.Helper()
+	h := history{epochs: make(map[model.NodeID][]model.Epoch), values: make(map[model.NodeID][]int64)}
+	for b := img[8:]; len(b) > 0; b = b[8+binary.LittleEndian.Uint32(b):] {
+		p := b[4 : 4+binary.LittleEndian.Uint32(b)]
+		if p[0] == 2 {
+			var err error
+			if h.cursor, h.nodes, err = storage.DecodeEnergies(p[1:]); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		e := model.Epoch(binary.LittleEndian.Uint32(p[1:]))
+		for entries := p[9:]; len(entries) > 0; entries = entries[10:] {
+			n := model.NodeID(binary.LittleEndian.Uint16(entries))
+			h.epochs[n] = append(h.epochs[n], e)
+			h.values[n] = append(h.values[n], int64(binary.LittleEndian.Uint64(entries[2:])))
 		}
 	}
-	// A partition with no kept nodes contributes nothing — not even its
-	// cursor.
-	empty := storage.MergeShardStates(states, map[model.NodeID]bool{9: true})
-	if empty.HasEpoch || len(empty.Nodes) != 0 {
-		t.Fatalf("empty merge: %+v", empty)
+	return h
+}
+
+// TestReshardRestoresFilteredImagesInTurn: re-sharding's merge is
+// Restore's overlay, each source image's part restored onto the target in
+// turn. The target's cursor is the newest contributing one, a source
+// keeping none of the target's nodes contributes nothing (not even its
+// newer cursor), the node record comes out ascending with every energy
+// bit-exact, and the merged image restores to itself.
+func TestReshardRestoresFilteredImagesInTurn(t *testing.T) {
+	open := func() *storage.Store {
+		st, err := storage.OpenStore("", storage.DefaultStoreWindow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
 	}
-	// Round-trips through the canonical codec.
-	img := storage.AppendShardState(nil, merged)
-	back, err := storage.DecodeShardState(img)
-	if err != nil {
+	source := func(cursor Epoch, nodes ...NodeID) []byte {
+		st := open()
+		for e := Epoch(0); e <= cursor; e++ {
+			m := make(map[NodeID]model.Reading)
+			for _, n := range nodes {
+				m[n] = model.Reading{Node: n, Epoch: e, Value: model.Value(n)*100 + model.Value(e)}
+			}
+			st.RecordReadings(e, m)
+		}
+		return st.Image(func(ns []NodeID) []float64 {
+			uj := make([]float64, len(ns))
+			for i, n := range ns {
+				uj[i] = float64(n) + 0.1
+			}
+			return uj
+		})
+	}
+	images := [][]byte{source(4, 3, 1), source(5, 2), source(7, 9)}
+	target := func(keep ...NodeID) (*storage.Store, []byte) {
+		st, energy := open(), make(map[NodeID]float64)
+		keepSet := make(map[NodeID]bool)
+		for _, n := range keep {
+			keepSet[n] = true
+		}
+		err := restoreParts(images, keepSet, func(part []byte) error {
+			rows, err := st.Restore(part)
+			for _, r := range rows {
+				energy[r.Node] = r.UJ
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st, st.Image(func(ns []NodeID) []float64 {
+			uj := make([]float64, len(ns))
+			for i, n := range ns {
+				uj[i] = energy[n]
+			}
+			return uj
+		})
+	}
+
+	_, img := target(1, 2, 3)
+	h := imageHistory(t, img)
+	if h.cursor != 5 {
+		t.Fatalf("merged cursor %d, want 5 (the newest contributor's; node 9's source keeps nothing)", h.cursor)
+	}
+	if fmt.Sprint(h.nodes) != "[{1 1.1} {2 2.1} {3 3.1}]" {
+		t.Fatalf("merged node record %v", h.nodes)
+	}
+	for n, want := range map[NodeID]string{1: "[0 1 2 3 4]", 2: "[0 1 2 3 4 5]", 3: "[0 1 2 3 4]"} {
+		if fmt.Sprint(h.epochs[n]) != want || h.values[n][1] != int64(n)*10000+100 {
+			t.Fatalf("node %d merged epochs %v values %v", n, h.epochs[n], h.values[n])
+		}
+	}
+	again := open()
+	if _, err := again.Restore(img); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(img, storage.AppendShardState(nil, back)) {
-		t.Fatal("merged state does not re-encode canonically")
+	if re := again.Image(func(ns []NodeID) []float64 { return []float64{1.1, 2.1, 3.1} }); !bytes.Equal(re, img) {
+		t.Fatal("merged image does not restore to itself")
+	}
+
+	// A target no source keeps a node of receives nothing.
+	if st, _ := target(42); st.Stats().Nodes != 0 {
+		t.Fatalf("empty merge seated %d nodes", st.Stats().Nodes)
+	} else if _, ok := st.Cursor(); ok {
+		t.Fatal("empty merge took a cursor")
 	}
 }

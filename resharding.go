@@ -12,11 +12,12 @@ package kspot
 //     query is re-attached on the new shards under the SAME rqid, so the
 //     lock-step scheduler fans out to the new deployment with zero translation;
 //   - the durable historic tier moves with the nodes: each old shard's
-//     last epochs (its ring of epoch records, decoded per node) + epoch
-//     cursor + energy ledger stream out as a canonical snapshot
-//     (wire.MsgSnapshot), split per target roster
-//     (storage.ShardState.FilterNodes), and restore on the new shards
-//     (wire.MsgRestore) bit-exact — including float energy partial sums;
+//     snapshot image — its last epoch records as they are plus a node
+//     record of the roster's energy-ledger totals — streams out
+//     (wire.MsgSnapshot), is cut to each target roster
+//     (storage.FilterImage), and every part restores onto its target in
+//     turn (wire.MsgRestore), the store's overlay doing the merge,
+//     bit-exact — including float energy partial sums;
 //   - engine.Scheduler.Install is the drain: it takes the epoch
 //     lock, so the swap cannot interleave an epoch round, and the
 //     next Step after it lands on the new shards.
@@ -44,7 +45,7 @@ type ReshardReport struct {
 	// (on the old deployment); the number bounds the durable-record gap on
 	// the target shards.
 	DowntimeEpochs int
-	// MovedBytes is the total canonical snapshot bytes streamed out of the
+	// MovedBytes is the total snapshot image bytes streamed out of the
 	// old shards.
 	MovedBytes int
 	// Queries is how many shared-acquisition wire attachments were
@@ -123,29 +124,23 @@ func (s *System) Reshard(newScenario *Scenario, addrs []string) (*ReshardReport,
 	// old deployment while these stream — a snapshot only reads the
 	// store, it never touches the epoch state machine.
 	moved := 0
-	states := make([]storage.ShardState, len(old))
+	images := make([][]byte, len(old))
 	for i, h := range old {
 		img, err := h.Snapshot()
 		if err != nil {
 			closeNew()
 			return nil, fmt.Errorf("kspot: snapshot shard %s: %w", s.scenario.ShardName(i), err)
 		}
-		states[i], err = storage.DecodeShardState(img)
-		if err != nil {
-			closeNew()
-			return nil, fmt.Errorf("kspot: snapshot shard %s: %w", s.scenario.ShardName(i), err)
-		}
-		moved += len(img)
+		images[i], moved = img, moved+len(img)
 	}
 
-	// Split each source snapshot across the target rosters and restore.
+	// Move the history: every target restores its part of every source.
 	for ti, target := range shardScens {
 		keep := make(map[model.NodeID]bool, len(target.Nodes))
 		for _, n := range target.Nodes {
 			keep[model.NodeID(n.ID)] = true
 		}
-		merged := storage.MergeShardStates(states, keep)
-		if err := clients[ti].Restore(storage.AppendShardState(nil, merged)); err != nil {
+		if err := restoreParts(images, keep, clients[ti].Restore); err != nil {
 			closeNew()
 			return nil, fmt.Errorf("kspot: restore shard %s: %w", newScenario.ShardName(ti), err)
 		}
@@ -177,6 +172,28 @@ func (s *System) Reshard(newScenario *Scenario, addrs []string) (*ReshardReport,
 		MovedBytes:     moved,
 		Queries:        len(s.groups),
 	}, nil
+}
+
+// restoreParts restores onto one target, in turn, each source image's part
+// covering the target's nodes: Restore's overlay is the merge. Sources
+// partition the nodes and the cursor never regresses, so the target ends
+// holding every kept node's history at the newest contributing cursor. A
+// source keeping none of the nodes is skipped: it contributes nothing, not
+// even its cursor.
+func restoreParts(images [][]byte, keep map[model.NodeID]bool, restore func(part []byte) error) error {
+	for _, img := range images {
+		part, kept, err := storage.FilterImage(img, keep)
+		if err != nil {
+			return err
+		}
+		if kept == 0 {
+			continue
+		}
+		if err := restore(part); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // sameFlatScenario verifies two scenarios describe the identical flat

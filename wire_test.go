@@ -21,7 +21,6 @@ import (
 
 	"kspot/internal/model"
 	"kspot/internal/stats"
-	"kspot/internal/storage"
 	"kspot/internal/wire"
 )
 
@@ -584,7 +583,7 @@ func TestShardStackRecordsCommittedReadings(t *testing.T) {
 		scen.Faults = &FaultConfig{Seed: 9, Loss: 0.1, Churn: []ChurnEvent{{Node: victim, Epoch: 2, Down: true}}}
 		return scen
 	}
-	noEnergy := func(NodeID) float64 { return 0 }
+	noEnergy := func(nodes []NodeID) []float64 { return make([]float64, len(nodes)) }
 	run := func(sys *System) {
 		t.Helper()
 		cur, err := sys.Post(sql)
@@ -614,7 +613,7 @@ func TestShardStackRecordsCommittedReadings(t *testing.T) {
 			t.Fatalf("%s: %v", host, err)
 		}
 		run(sys)
-		images[host] = storage.AppendShardState(nil, sys.local[0].Store().State(noEnergy))
+		images[host] = sys.local[0].Store().Image(noEnergy)
 		sys.Close()
 	}
 	addrs, servers := startWireShards(t, faulty(), 0)
@@ -624,39 +623,36 @@ func TestShardStackRecordsCommittedReadings(t *testing.T) {
 	}
 	defer remote.Close()
 	run(remote)
-	images["served"] = storage.AppendShardState(nil, servers[0].Store().State(noEnergy))
+	images["served"] = servers[0].Store().Image(noEnergy)
 
 	for host, img := range images {
 		if !bytes.Equal(img, images["deterministic"]) {
 			t.Fatalf("%s shard's store diverged from the deterministic one", host)
 		}
 	}
-	st, err := storage.DecodeShardState(images["deterministic"])
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := imageHistory(t, images["deterministic"])
 	src, err := DemoScenario().Source()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ns := range st.Nodes {
+	for _, r := range h.nodes {
 		want := epochs
-		if ns.Node == victim {
+		if r.Node == victim {
 			want = 3 // epochs 0, 1 and 2
 		}
-		if len(ns.Epochs) != want {
-			t.Fatalf("node %d has %d recorded epochs %v, want %d", ns.Node, len(ns.Epochs), ns.Epochs, want)
+		if len(h.epochs[r.Node]) != want {
+			t.Fatalf("node %d has %d recorded epochs %v, want %d", r.Node, len(h.epochs[r.Node]), h.epochs[r.Node], want)
 		}
 		// Raw, not derived: every recorded value is the node's own sensed
 		// sample, whatever window aggregates the WITH HISTORY group swept.
-		for i, e := range ns.Epochs {
-			if raw := int64(model.ToFixed(model.Quantize(src.Sample(ns.Node, e)))); ns.Values[i] != raw {
-				t.Fatalf("node %d epoch %d recorded %d, want the raw sensed %d", ns.Node, e, ns.Values[i], raw)
+		for i, e := range h.epochs[r.Node] {
+			if raw := int64(model.ToFixed(model.Quantize(src.Sample(r.Node, e)))); h.values[r.Node][i] != raw {
+				t.Fatalf("node %d epoch %d recorded %d, want the raw sensed %d", r.Node, e, h.values[r.Node][i], raw)
 			}
 		}
 	}
-	if len(st.Nodes) != len(DemoScenario().Nodes) {
-		t.Fatalf("store holds %d nodes, want %d", len(st.Nodes), len(DemoScenario().Nodes))
+	if len(h.nodes) != len(DemoScenario().Nodes) {
+		t.Fatalf("store holds %d nodes, want %d", len(h.nodes), len(DemoScenario().Nodes))
 	}
 }
 
