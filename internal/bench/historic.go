@@ -20,13 +20,6 @@ func init() {
 	register(Experiment{ID: "e8", Title: "TJA phase anatomy (LB/HJ/CL bytes)", Run: runE8})
 }
 
-// bufferWindows samples src into every node's historic window, quantized as
-// a shard's buffers store it.
-func bufferWindows(nodes []model.NodeID, window int, src trace.Source) (topk.HistoricData, error) {
-	series, err := storage.BufferSeries(nodes, window, src.Sample)
-	return topk.HistoricData(series), err
-}
-
 // historicRun executes one historic operator on a fresh network and
 // collects stats.
 func historicRun(name string, op topk.HistoricOperator, q topk.HistoricQuery, data topk.HistoricData, n, g int) (stats.RunStats, []model.Answer, error) {
@@ -66,7 +59,7 @@ func runE7(w io.Writer, cfg RunConfig) error {
 	var winSeries []stats.Series
 	for _, window := range []int{64, 128, 256, 512, 1024} {
 		window = cfg.scaled(window)
-		data, err := bufferWindows(nodes, window, src)
+		data, err := storage.BufferSeries(nodes, window, src.Sample)
 		if err != nil {
 			return err
 		}
@@ -92,7 +85,7 @@ func runE7(w io.Writer, cfg RunConfig) error {
 
 	var kSeries []stats.Series
 	window := cfg.scaled(256)
-	data, err := bufferWindows(nodes, window, src)
+	data, err := storage.BufferSeries(nodes, window, src.Sample)
 	if err != nil {
 		return err
 	}
@@ -132,7 +125,7 @@ func runE8(w io.Writer, cfg RunConfig) error {
 		{"walk", trace.NewRandomWalk(5, 0, 100)},
 	}
 	for _, s := range sources {
-		data, err := bufferWindows(nodes, window, s.src)
+		data, err := storage.BufferSeries(nodes, window, s.src.Sample)
 		if err != nil {
 			return err
 		}

@@ -1,22 +1,19 @@
 package storage
 
-// A snapshot image is what wire.MsgSnapshot streams out and wire.MsgRestore
-// streams in: a log image (log.go's header and CRC-framed records) of the
-// store's own records — the ring's epoch records oldest first, byte for
-// byte, then exactly one node record:
+// A snapshot image — what wire.MsgSnapshot streams out and wire.MsgRestore
+// streams in — is a log image (log.go) of the store's own records: the
+// ring's epoch records oldest first, byte for byte, then exactly one node
+// record, every roster node ascending with its energy-ledger total:
 //
 //	kind u8 | epoch u32 | count u32 | (node u16, f64 bits µJ)×count
 //
-// listing every roster node, ascending, with its energy-ledger total, at
-// the store's cursor. Its body after the kind byte is the energy
-// checkpoint form (AppendEnergies) the session journal records too.
-//
-// The image is canonical and decodeImage enforces it: the whole image is
-// the log's clean prefix (a torn tail is a crash for a file on disk, but an
-// error for an image), every epoch record is valid with epochs strictly
-// ascending, the node record comes last and once and lists every node a
-// record carries, and its epoch is the newest record's (0 with no records:
-// no cursor). So restore∘image is the identity on bytes.
+// Its epoch is the cursor, and its body after the kind byte is the energy
+// checkpoint the session journal records too (AppendEnergies). The image is
+// canonical, and decodeImage enforces it: the log's clean prefix is the
+// whole image (a torn tail is a crash for a file on disk, but an error for
+// an image), every epoch record is valid with epochs strictly ascending,
+// the node record comes last and once and names every node a record
+// carries, and its epoch is the newest record's (0 with no records).
 
 import (
 	"encoding/binary"
@@ -27,9 +24,8 @@ import (
 )
 
 const (
-	recNodes       = 2     // the node record, an image's last record
-	energyRowSize  = 2 + 8 // node | f64 bits
-	energyBodySize = 4 + 4 // epoch | count
+	recNodes      = 2     // the node record, an image's last
+	energyRowSize = 2 + 8 // node | f64 bits
 )
 
 // NodeEnergy is one node's energy-ledger total in µJ, carried bit-exact.
@@ -38,12 +34,8 @@ type NodeEnergy struct {
 	UJ   float64
 }
 
-// AppendEnergies appends an energy checkpoint, rows ascending by node:
-//
-//	epoch u32 | count u32 | (node u16, f64 bits)×count
-//
-// the body of an image's node record and of the session journal's energy
-// record.
+// AppendEnergies appends an energy checkpoint — epoch u32 | count u32 |
+// (node u16, f64 bits)×count, rows ascending by node.
 func AppendEnergies(dst []byte, e model.Epoch, rows []NodeEnergy) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(e))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(rows)))
@@ -58,16 +50,12 @@ func AppendEnergies(dst []byte, e model.Epoch, rows []NodeEnergy) []byte {
 // disagrees with the length, nodes not strictly ascending and a total that
 // is not a finite, non-negative µJ count.
 func DecodeEnergies(b []byte) (model.Epoch, []NodeEnergy, error) {
-	if len(b) < energyBodySize || uint64(len(b)-energyBodySize) != uint64(binary.LittleEndian.Uint32(b[4:]))*energyRowSize {
+	if len(b) < 8 || uint64(len(b)-8) != uint64(binary.LittleEndian.Uint32(b[4:]))*energyRowSize {
 		return 0, nil, fmt.Errorf("storage: energy checkpoint of %d bytes does not match its count", len(b))
 	}
-	e := model.Epoch(binary.LittleEndian.Uint32(b))
-	rows := make([]NodeEnergy, 0, (len(b)-energyBodySize)/energyRowSize)
-	for off := energyBodySize; off < len(b); off += energyRowSize {
-		r := NodeEnergy{
-			Node: model.NodeID(binary.LittleEndian.Uint16(b[off:])),
-			UJ:   math.Float64frombits(binary.LittleEndian.Uint64(b[off+2:])),
-		}
+	rows := make([]NodeEnergy, 0, (len(b)-8)/energyRowSize)
+	for off := 8; off < len(b); off += energyRowSize {
+		r := NodeEnergy{model.NodeID(binary.LittleEndian.Uint16(b[off:])), math.Float64frombits(binary.LittleEndian.Uint64(b[off+2:]))}
 		if len(rows) > 0 && r.Node <= rows[len(rows)-1].Node {
 			return 0, nil, fmt.Errorf("storage: energy checkpoint node %d not ascending", r.Node)
 		}
@@ -76,7 +64,7 @@ func DecodeEnergies(b []byte) (model.Epoch, []NodeEnergy, error) {
 		}
 		rows = append(rows, r)
 	}
-	return e, rows, nil
+	return model.Epoch(binary.LittleEndian.Uint32(b)), rows, nil
 }
 
 // epochOf reads a validated epoch record's epoch.
@@ -87,18 +75,17 @@ func appendNodeRecord(img []byte, cursor model.Epoch, rows []NodeEnergy) []byte 
 	return appendLogRecord(img, AppendEnergies([]byte{recNodes}, cursor, rows))
 }
 
-// image is a decoded snapshot image: its epoch records (aliasing the image)
-// and its node record.
+// image is a decoded snapshot image; its records alias the image.
 type image struct {
 	records [][]byte
 	cursor  model.Epoch
 	nodes   []NodeEnergy
 }
 
-// decodeImage validates a snapshot image against every rule of its
-// canonical form.
+// decodeImage validates a snapshot image against every rule of its form.
 func decodeImage(img []byte) (image, error) {
 	var im image
+	var newest model.Epoch
 	sawNodes := false
 	clean, err := replayLog(img, func(p []byte) error {
 		if sawNodes {
@@ -111,14 +98,11 @@ func decodeImage(img []byte) (image, error) {
 			return err
 		}
 		e, _, err := decodeBatch(p)
-		if err != nil {
-			return err
+		if err == nil && len(im.records) > 0 && e <= newest {
+			err = fmt.Errorf("storage: epoch %d record not after epoch %d", e, newest)
 		}
-		if n := len(im.records); n > 0 && e <= epochOf(im.records[n-1]) {
-			return fmt.Errorf("storage: epoch %d record not after epoch %d", e, epochOf(im.records[n-1]))
-		}
-		im.records = append(im.records, p)
-		return nil
+		im.records, newest = append(im.records, p), e
+		return err
 	})
 	switch {
 	case err != nil:
@@ -127,12 +111,7 @@ func decodeImage(img []byte) (image, error) {
 		return image{}, fmt.Errorf("storage: snapshot image torn or corrupt at byte %d of %d", clean, len(img))
 	case !sawNodes:
 		return image{}, fmt.Errorf("storage: snapshot image has no node record")
-	}
-	var newest model.Epoch
-	if n := len(im.records); n > 0 {
-		newest = epochOf(im.records[n-1])
-	}
-	if im.cursor != newest {
+	case im.cursor != newest:
 		return image{}, fmt.Errorf("storage: snapshot image cursor %d, newest record epoch %d", im.cursor, newest)
 	}
 	for _, rec := range im.records {
@@ -150,10 +129,10 @@ func decodeImage(img []byte) (image, error) {
 	return im, nil
 }
 
-// FilterImage returns the part of a snapshot image covering only the kept
-// nodes — how re-sharding splits a source shard's image across the target
-// rosters — and how many nodes it kept. Every epoch record stays, emptied
-// of the other nodes' entries, so the part keeps the source's cursor.
+// FilterImage returns the part of a snapshot image covering the kept nodes
+// — how re-sharding cuts a source shard's image to a target roster — and
+// how many nodes it kept. Every epoch record stays, emptied of the other
+// nodes' entries, so the part keeps the source's cursor.
 func FilterImage(img []byte, keep map[model.NodeID]bool) ([]byte, int, error) {
 	im, err := decodeImage(img)
 	if err != nil {

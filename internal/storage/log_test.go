@@ -706,4 +706,3 @@ func TestOpenStoreRefusesLegacySegments(t *testing.T) {
 		t.Fatalf("opened over legacy segments: %v", err)
 	}
 }
-

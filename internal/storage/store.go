@@ -13,11 +13,10 @@ package storage
 //
 // nodes strictly ascending, values in the model codec's fixed64 quantized
 // form (s64 centi-units). The encoding is canonical and enforced on
-// decode. The store keeps its last capacity
-// records in a ring; with a data directory every record is also appended to
-// shard.log, and the ring's slot is the very bytes appended. With an empty
-// directory the store is memory-backed — the default, byte-identical in
-// every answer.
+// decode. The store keeps its last capacity records in a ring; with a data
+// directory every record is also appended to shard.log, and the ring's slot
+// is the very bytes appended. With an empty directory the store is
+// memory-backed, byte-identical in every answer.
 //
 // Opening a store on a directory that already holds a log is recovery: the
 // log's clean records are validated, seat the roster and set the cursor,
@@ -47,9 +46,7 @@ type Store struct {
 	roster []model.NodeID
 	ring   [][]byte // the last len(ring) epoch records, oldest at ring[head]
 	head   int
-	n      int // records in the ring
-	cursor model.Epoch
-	hasCur bool
+	n      int   // records in the ring; the newest one's epoch is the cursor
 	err    error // first durable-tier failure, sticky
 }
 
@@ -142,8 +139,8 @@ func (s *Store) replay(p []byte) error {
 	if err != nil {
 		return err
 	}
-	if s.hasCur && e <= s.cursor {
-		return fmt.Errorf("storage: epoch %d record not after epoch %d", e, s.cursor)
+	if cur, ok := s.cursor(); ok && e <= cur {
+		return fmt.Errorf("storage: epoch %d record not after epoch %d", e, cur)
 	}
 	var fresh []model.NodeID
 	for ; len(entries) > 0; entries = entries[batchEntrySize:] {
@@ -154,7 +151,6 @@ func (s *Store) replay(p []byte) error {
 	s.seat(fresh)
 	i := s.push()
 	s.ring[i] = append(s.ring[i][:0], p...)
-	s.cursor, s.hasCur = e, true
 	return nil
 }
 
@@ -197,6 +193,15 @@ func (s *Store) push() int {
 // record returns the i-th oldest record in the ring. Caller holds s.mu.
 func (s *Store) record(i int) []byte { return s.ring[(s.head+i)%len(s.ring)] }
 
+// cursor returns the newest record's epoch, the last recorded one; there
+// is none while the ring is empty. Caller holds s.mu.
+func (s *Store) cursor() (model.Epoch, bool) {
+	if s.n == 0 {
+		return 0, false
+	}
+	return epochOf(s.record(s.n - 1)), true
+}
+
 // RecordReadings implements engine.ReadingsRecorder: it encodes one
 // committed sense epoch as a record into the ring and, in disk mode,
 // appends that record to the log in one write. Replays of an epoch at or
@@ -208,7 +213,7 @@ func (s *Store) record(i int) []byte { return s.ring[(s.head+i)%len(s.ring)] }
 func (s *Store) RecordReadings(e model.Epoch, readings map[model.NodeID]model.Reading) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.hasCur && e <= s.cursor {
+	if cur, ok := s.cursor(); ok && e <= cur {
 		return
 	}
 	// Steady state finds every node seated; a first reading joins the
@@ -228,7 +233,6 @@ func (s *Store) RecordReadings(e model.Epoch, readings map[model.NodeID]model.Re
 		}
 	}
 	s.ring[i] = endBatch(rec)
-	s.cursor, s.hasCur = e, true
 	if s.log != nil {
 		s.log.Append(s.ring[i])
 		s.fail(s.log.Flush())
@@ -256,7 +260,7 @@ func (s *Store) Fail(err error) {
 func (s *Store) Cursor() (model.Epoch, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.cursor, s.hasCur
+	return s.cursor()
 }
 
 // StoreStats is the storage block of the System Panel and /stats.
@@ -278,7 +282,8 @@ type StoreStats struct {
 func (s *Store) Stats() StoreStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := StoreStats{Dir: s.dir, Nodes: len(s.roster), LastEpoch: s.cursor, HasEpoch: s.hasCur}
+	st := StoreStats{Dir: s.dir, Nodes: len(s.roster)}
+	st.LastEpoch, st.HasEpoch = s.cursor()
 	if s.log != nil {
 		st.Segments, st.Bytes = 1, s.log.Size()
 	}
@@ -304,18 +309,19 @@ func (s *Store) Image(ledger func(nodes []model.NodeID) []float64) []byte {
 	for i, n := range s.roster {
 		rows[i] = NodeEnergy{Node: n, UJ: uj[i]}
 	}
-	return appendNodeRecord(img, s.cursor, rows)
+	cur, _ := s.cursor()
+	return appendNodeRecord(img, cur, rows)
 }
 
 // Restore overlays a snapshot image on the store and returns its node
 // record, the ledger totals the caller resumes. Each image node's entries
-// replace that node's entries, epoch by epoch, and the other nodes' entries
-// stay; every image node takes a roster seat; the last capacity epochs are
+// replace all of that node's entries and the other nodes' entries stay;
+// every image node takes a roster seat; the last capacity epochs are
 // kept; and in disk mode the log is rewritten to match. The overlay is also
 // re-sharding's merge: restoring several sources' filtered images in turn
-// unions them. The cursor never regresses, since the store's newest record
-// is among the kept ones. The records re-enter the ring through replay, the
-// validation recovery uses; an image that breaks any rule of its form
+// unions them. The cursor never regresses: it becomes the newer of the
+// store's and the image's. The records re-enter the ring through replay,
+// the validation recovery uses; an image that breaks any rule of its form
 // changes nothing.
 func (s *Store) Restore(img []byte) ([]NodeEnergy, error) {
 	im, err := decodeImage(img)
@@ -332,22 +338,20 @@ func (s *Store) Restore(img []byte) ([]NodeEnergy, error) {
 			fresh = append(fresh, r.Node)
 		}
 	}
-	// Walk the ring's records and the image's, both epoch-ascending.
+	s.seat(fresh)
+	// Merge the ring's records with the image's, both epoch-ascending.
 	var merged [][]byte
 	for i, j := 0, 0; i < s.n || j < len(im.records); {
-		var mine, theirs []byte
-		switch {
-		case j == len(im.records) || i < s.n && epochOf(s.record(i)) < epochOf(im.records[j]):
+		var mine, theirs []byte // this epoch's record in the ring and in the image
+		if i < s.n && (j == len(im.records) || epochOf(s.record(i)) <= epochOf(im.records[j])) {
 			mine, i = s.record(i), i+1
-		case i == s.n || epochOf(im.records[j]) < epochOf(s.record(i)):
-			theirs, j = im.records[j], j+1
-		default:
-			mine, theirs, i, j = s.record(i), im.records[j], i+1, j+1
 		}
-		merged = append(merged, overlay(mine, theirs, incoming))
+		if j < len(im.records) && (mine == nil || epochOf(im.records[j]) == epochOf(mine)) {
+			theirs, j = im.records[j], j+1
+		}
+		merged = append(merged, s.overlay(mine, theirs, incoming))
 	}
-	s.seat(fresh)
-	s.head, s.n, s.cursor, s.hasCur = 0, 0, 0, false
+	s.head, s.n = 0, 0
 	for _, rec := range merged[max(0, len(merged)-len(s.ring)):] {
 		if err := s.replay(rec); err != nil {
 			return nil, err
@@ -356,30 +360,27 @@ func (s *Store) Restore(img []byte) ([]NodeEnergy, error) {
 	return im.nodes, s.rewrite()
 }
 
-// overlay merges one epoch's records, either of which may be nil: the
-// entries of mine (the store's) whose node is not incoming, and every entry
-// of theirs (the image's, whose nodes are all incoming), nodes ascending.
-func overlay(mine, theirs []byte, incoming map[model.NodeID]bool) []byte {
-	var a, b []byte
-	var e model.Epoch
-	if mine != nil {
-		a, e = mine[batchHeaderSize:], epochOf(mine)
+// overlay merges one epoch's records, either of which may be nil, in
+// roster order: every entry of theirs (the image's) and those of mine (the
+// store's) whose node the image does not bring. Caller holds s.mu, with
+// every node of both seated.
+func (s *Store) overlay(mine, theirs []byte, incoming map[model.NodeID]bool) []byte {
+	rec := theirs
+	if rec == nil {
+		rec = mine
 	}
-	if theirs != nil {
-		b, e = theirs[batchHeaderSize:], epochOf(theirs)
-	}
-	rec := beginBatch(nil, e)
-	for len(a) > 0 || len(b) > 0 {
-		if len(a) > 0 {
-			if n, _ := batchEntry(a); incoming[n] {
-				a = a[batchEntrySize:]
-				continue
-			}
-		}
-		if len(b) == 0 || len(a) > 0 && binary.LittleEndian.Uint16(a) < binary.LittleEndian.Uint16(b) {
-			rec, a = append(rec, a[:batchEntrySize]...), a[batchEntrySize:]
-		} else {
+	rec = beginBatch(nil, epochOf(rec))
+	// Their entries; a nil record has none.
+	a, b := mine[min(len(mine), batchHeaderSize):], theirs[min(len(theirs), batchHeaderSize):]
+	for _, n := range s.roster {
+		if len(b) > 0 && binary.LittleEndian.Uint16(b) == uint16(n) {
 			rec, b = append(rec, b[:batchEntrySize]...), b[batchEntrySize:]
+		}
+		if len(a) > 0 && binary.LittleEndian.Uint16(a) == uint16(n) {
+			if !incoming[n] {
+				rec = append(rec, a[:batchEntrySize]...)
+			}
+			a = a[batchEntrySize:]
 		}
 	}
 	return endBatch(rec)
@@ -392,7 +393,6 @@ func (s *Store) Reset() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.head, s.n = 0, 0
-	s.cursor, s.hasCur = 0, false
 	return s.rewrite()
 }
 

@@ -86,10 +86,8 @@ func GridNetwork(t testing.TB, n, g int) *sim.Network {
 	return net
 }
 
-// WindowData samples a source into a historic window for every sensor,
-// quantized the way a shard's buffers store it (storage.BufferSeries), so
-// operators are tested on the tie density of the windows they really run
-// over.
+// WindowData buffers a source into a historic window for every sensor,
+// quantized as a shard's buffers store it (storage.BufferSeries).
 func WindowData(t testing.TB, net *sim.Network, src trace.Source, window int) map[model.NodeID][]model.Value {
 	t.Helper()
 	series, err := storage.BufferSeries(net.Placement.SensorNodes(), window, src.Sample)

@@ -690,14 +690,14 @@ func (c *Client) epochRound(e model.Epoch, queries []uint32) (EpochRoundReply, e
 func (c *Client) Snapshot() ([]byte, error) {
 	var img []byte
 	for {
-		f, err := c.call(MsgSnapshot, AppendSnapshotReq(nil, SnapshotReq{Offset: uint32(len(img))}))
+		f, err := c.call(MsgSnapshot, AppendU32(nil, uint32(len(img))))
 		if err != nil {
 			return nil, err
 		}
 		if f.Type != MsgSnapshotChunk {
 			return nil, fmt.Errorf("wire: snapshot reply %v", f.Type)
 		}
-		ch, err := DecodeSnapshotChunk(f.Payload)
+		ch, err := DecodeChunk(f.Payload)
 		if err != nil {
 			return nil, err
 		}
@@ -724,7 +724,7 @@ func (c *Client) Restore(img []byte) error {
 		if end > len(img) {
 			end = len(img)
 		}
-		f, err := c.call(MsgRestore, AppendRestoreChunk(nil, RestoreChunk{Total: total, Offset: uint32(off), Data: img[off:end]}))
+		f, err := c.call(MsgRestore, AppendChunk(nil, Chunk{Total: total, Offset: uint32(off), Data: img[off:end]}))
 		if err != nil {
 			return err
 		}

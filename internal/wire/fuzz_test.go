@@ -49,6 +49,7 @@ func FuzzFrameDecode(f *testing.F) {
 		DecodeWelcome(fr.Payload)
 		DecodeAttach(fr.Payload)
 		DecodeU32(fr.Payload)
+		DecodeChunk(fr.Payload)
 		DecodeHistoric(fr.Payload)
 		DecodeTopK(fr.Payload)
 		DecodeFetch(fr.Payload)

@@ -452,11 +452,11 @@ func (s *Server) handle(f Frame) (MsgType, []byte, error) {
 		return MsgReleased, AppendU32(nil, exec), nil
 
 	case MsgSnapshot:
-		req, err := DecodeSnapshotReq(f.Payload)
+		off, err := DecodeU32(f.Payload)
 		if err != nil {
 			return 0, nil, err
 		}
-		if req.Offset == 0 {
+		if off == 0 {
 			// Pin a consistent image: later chunks slice this encoding even
 			// if epochs keep committing between requests.
 			if s.snapState, err = s.body.Snapshot(); err != nil {
@@ -464,17 +464,17 @@ func (s *Server) handle(f Frame) (MsgType, []byte, error) {
 			}
 		}
 		if s.snapState == nil {
-			return 0, nil, fmt.Errorf("wire: snapshot chunk %d without a pinned image", req.Offset)
+			return 0, nil, fmt.Errorf("wire: snapshot chunk %d without a pinned image", off)
 		}
 		img := s.snapState
-		if int(req.Offset) >= len(img) {
-			return 0, nil, fmt.Errorf("wire: snapshot offset %d beyond image of %d bytes", req.Offset, len(img))
+		if int(off) >= len(img) {
+			return 0, nil, fmt.Errorf("wire: snapshot offset %d beyond image of %d bytes", off, len(img))
 		}
-		end := int(req.Offset) + SnapshotChunkSize
+		end := int(off) + SnapshotChunkSize
 		if end > len(img) {
 			end = len(img)
 		}
-		payload := AppendSnapshotChunk(nil, SnapshotChunk{Total: uint32(len(img)), Offset: req.Offset, Data: img[req.Offset:end]})
+		payload := AppendChunk(nil, Chunk{Total: uint32(len(img)), Offset: off, Data: img[off:end]})
 		if end == len(img) {
 			// Final byte served: drop the pin. A retry of this chunk replays
 			// from the at-most-once cache, never from the image.
@@ -483,7 +483,7 @@ func (s *Server) handle(f Frame) (MsgType, []byte, error) {
 		return MsgSnapshotChunk, payload, nil
 
 	case MsgRestore:
-		req, err := DecodeRestoreChunk(f.Payload)
+		req, err := DecodeChunk(f.Payload)
 		if err != nil {
 			return 0, nil, err
 		}

@@ -5,7 +5,7 @@ package wire
 // the roster's energy-ledger totals at the cursor — can exceed a frame, so
 // both directions move it in bounded chunks:
 //
-//	MsgSnapshot      req:  offset u32
+//	MsgSnapshot      req:  offset u32 (AppendU32)
 //	MsgSnapshotChunk rep:  total u32 | offset u32 | data
 //	MsgRestore       req:  total u32 | offset u32 | data
 //	MsgRestored      rep:  received u32 | applied u8
@@ -28,20 +28,9 @@ import (
 // MaxPayload with the chunk header.
 const SnapshotChunkSize = 1 << 18
 
-// SnapshotReq asks for the chunk starting at Offset.
-type SnapshotReq struct {
-	Offset uint32
-}
-
-// SnapshotChunk is one bounded slice of the pinned state image.
-type SnapshotChunk struct {
-	Total  uint32
-	Offset uint32
-	Data   []byte
-}
-
-// RestoreChunk is one bounded slice of a state image being pushed.
-type RestoreChunk struct {
+// Chunk is one bounded slice of a state image, in either direction: the
+// pinned image a snapshot serves or an image a restore pushes.
+type Chunk struct {
 	Total  uint32
 	Offset uint32
 	Data   []byte
@@ -53,69 +42,26 @@ type RestoredReply struct {
 	Applied  bool
 }
 
-// AppendSnapshotReq appends the wire form of r.
-func AppendSnapshotReq(dst []byte, r SnapshotReq) []byte {
-	return binary.LittleEndian.AppendUint32(dst, r.Offset)
+// AppendChunk appends the wire form of c: total u32 | offset u32 | data.
+func AppendChunk(dst []byte, c Chunk) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, c.Total)
+	dst = binary.LittleEndian.AppendUint32(dst, c.Offset)
+	return append(dst, c.Data...)
 }
 
-// DecodeSnapshotReq decodes a snapshot request.
-func DecodeSnapshotReq(b []byte) (SnapshotReq, error) {
-	if len(b) != 4 {
-		return SnapshotReq{}, fmt.Errorf("wire: snapshot request is %d bytes, want 4", len(b))
-	}
-	return SnapshotReq{Offset: binary.LittleEndian.Uint32(b)}, nil
-}
-
-// appendChunk appends the shared total|offset|data chunk form.
-func appendChunk(dst []byte, total, offset uint32, data []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, total)
-	dst = binary.LittleEndian.AppendUint32(dst, offset)
-	return append(dst, data...)
-}
-
-// decodeChunk decodes the shared chunk form. The data aliases b.
-func decodeChunk(b []byte) (total, offset uint32, data []byte, err error) {
+// DecodeChunk decodes a chunk; Data aliases b.
+func DecodeChunk(b []byte) (Chunk, error) {
 	if len(b) < 8 {
-		return 0, 0, nil, io.ErrUnexpectedEOF
+		return Chunk{}, io.ErrUnexpectedEOF
 	}
-	total = binary.LittleEndian.Uint32(b)
-	offset = binary.LittleEndian.Uint32(b[4:])
-	data = b[8:]
-	if len(data) > SnapshotChunkSize {
-		return 0, 0, nil, fmt.Errorf("wire: chunk data %d exceeds %d", len(data), SnapshotChunkSize)
+	c := Chunk{Total: binary.LittleEndian.Uint32(b), Offset: binary.LittleEndian.Uint32(b[4:]), Data: b[8:]}
+	if len(c.Data) > SnapshotChunkSize {
+		return Chunk{}, fmt.Errorf("wire: chunk data %d exceeds %d", len(c.Data), SnapshotChunkSize)
 	}
-	if uint64(offset)+uint64(len(data)) > uint64(total) {
-		return 0, 0, nil, fmt.Errorf("wire: chunk [%d,%d) overruns total %d", offset, int(offset)+len(data), total)
+	if uint64(c.Offset)+uint64(len(c.Data)) > uint64(c.Total) {
+		return Chunk{}, fmt.Errorf("wire: chunk [%d,%d) overruns total %d", c.Offset, int(c.Offset)+len(c.Data), c.Total)
 	}
-	return total, offset, data, nil
-}
-
-// AppendSnapshotChunk appends the wire form of c.
-func AppendSnapshotChunk(dst []byte, c SnapshotChunk) []byte {
-	return appendChunk(dst, c.Total, c.Offset, c.Data)
-}
-
-// DecodeSnapshotChunk decodes a snapshot chunk; Data aliases b.
-func DecodeSnapshotChunk(b []byte) (SnapshotChunk, error) {
-	total, off, data, err := decodeChunk(b)
-	if err != nil {
-		return SnapshotChunk{}, err
-	}
-	return SnapshotChunk{Total: total, Offset: off, Data: data}, nil
-}
-
-// AppendRestoreChunk appends the wire form of c.
-func AppendRestoreChunk(dst []byte, c RestoreChunk) []byte {
-	return appendChunk(dst, c.Total, c.Offset, c.Data)
-}
-
-// DecodeRestoreChunk decodes a restore chunk; Data aliases b.
-func DecodeRestoreChunk(b []byte) (RestoreChunk, error) {
-	total, off, data, err := decodeChunk(b)
-	if err != nil {
-		return RestoreChunk{}, err
-	}
-	return RestoreChunk{Total: total, Offset: off, Data: data}, nil
+	return c, nil
 }
 
 // AppendRestored appends the wire form of r.

@@ -183,8 +183,7 @@ type shardHandle interface {
 	Stats() (stats.RunStats, error)
 	StorageStats() (storage.StoreStats, error)
 	// Snapshot serializes the durable tier with the energy ledger (a
-	// storage snapshot image: the store's records plus a node record);
-	// Restore applies such an image.
+	// storage snapshot image); Restore applies such an image.
 	Snapshot() ([]byte, error)
 	Restore(img []byte) error
 	// Close releases what the handle holds: the substrate and the durable
@@ -242,13 +241,11 @@ func WithAdmission(cfg AdmissionConfig) OpenOption {
 // WithDataDir arms the durable historic tier on a local System: each
 // shard's committed sense epochs append to one log file,
 // <dir>/<shard-name>/shard.log (one record and one write per epoch),
-// recoverable by a later Open on the same directory. Empty (the default)
-// gives a local shard no durable tier at all: nothing is recorded, the
-// storage block is zero and a shard snapshot fails ("has no durable
-// tier"). Answers are byte-identical either way. On a remote deployment
-// the shard processes own their durability (kspotd -serve-shard, which
-// keeps an in-memory tier without -data-dir); this option applies to Open
-// only.
+// recoverable by a later Open on the same directory. Without it a local
+// shard has no durable tier: the storage block is zero and Snapshot fails.
+// Answers are byte-identical either way. Remote shard processes own their
+// durability (kspotd -serve-shard: in memory without -data-dir); this
+// option applies to Open only.
 func WithDataDir(dir string) OpenOption {
 	return func(c *openConfig) { c.dataDir = dir }
 }
