@@ -51,6 +51,11 @@ func TestShardStateRoundTripAndRestore(t *testing.T) {
 		return uj
 	}
 	enc := src.Image(ledger)
+	// Every record, the node record too, is 17 framed bytes plus 10 per
+	// entry or row: five 3-node epochs and a 3-node roster.
+	if want := logHeaderSize + 6*17 + 10*(5*3+3); len(enc) != want {
+		t.Fatalf("image of %d bytes, want %d", len(enc), want)
+	}
 	im, err := decodeImage(enc)
 	if err != nil {
 		t.Fatal(err)

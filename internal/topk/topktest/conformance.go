@@ -100,11 +100,10 @@ func RunHistoric(t testing.TB, scen *config.Scenario, mk func() topk.HistoricOpe
 	parallel int, fcfg *faults.Config, q topk.HistoricQuery) HistoricRun {
 	t.Helper()
 	tp, src := buildNetwork(t, scen, parallel, fcfg)
-	series, err := storage.BufferSeries(tp.Topology().SensorNodes(), q.Window, src.Sample)
+	data, err := storage.BufferSeries(tp.Topology().SensorNodes(), q.Window, src.Sample)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := topk.HistoricData(series)
 	op := mk()
 	answers, err := op.Run(tp, q, data)
 	if err != nil {
