@@ -17,11 +17,12 @@ import (
 // mintEpochAllocCeiling bounds the allocations one steady-state MINT epoch
 // may perform on the standard 64-node / 16-cluster deployment. The pre-PR3
 // hot path allocated ~1100 times per epoch (a fresh map-backed view per
-// node per sweep, per-call codec buffers); the pooled views, reusable sweep
-// scratch and caller-buffer codec brought it to ~26. The ceiling leaves
-// headroom for recovery-round variance while still catching any return of
-// per-node allocation (which costs O(nodes) ≈ 64+ per epoch at this size).
-const mintEpochAllocCeiling = 150
+// node per sweep, per-call codec buffers); views kept in the sweep's
+// frames and the operator, reusable sweep scratch and the caller-buffer
+// codec brought it to ~11. The ceiling leaves headroom for recovery-round
+// variance while still catching any return of per-node allocation (which
+// costs O(nodes) ≈ 64+ per epoch at this size).
+const mintEpochAllocCeiling = 60
 
 // TestMintEpochAllocationCeiling is the end-to-end allocation regression
 // test: sensing + one full MINT epoch (beacon, pruned sweep, ranking) on
@@ -60,7 +61,7 @@ func epochAllocs(t *testing.T, tp engine.Transport, src trace.Source, q topk.Sna
 		t.Fatal(err)
 	}
 	// Warm-up: creation phase plus a few steady epochs so every reusable
-	// buffer (sweep scratch, pooled views, answer slices) reaches capacity.
+	// buffer (sweep frames and their views, answer slices) reaches capacity.
 	e := model.Epoch(0)
 	step := func() {
 		readings := engine.SenseEpoch(tp, src, e)
@@ -76,18 +77,15 @@ func epochAllocs(t *testing.T, tp engine.Transport, src trace.Source, q topk.Sna
 }
 
 // liveEpochAllocCeiling bounds one steady-state MINT epoch at scale-1000 on
-// a network at Parallel 2, whose sweeps are level-synchronous: ~50
+// a network at Parallel 2, whose sweeps are level-synchronous: ~12
 // allocations (the readings and flood maps plus the sink-view copy),
 // whatever the node count.
-const liveEpochAllocCeiling = 100
+const liveEpochAllocCeiling = 40
 
 // TestLiveMintEpochAllocationCeiling pins that no per-node allocation
-// returns to the level-synchronous sweep: a ceiling a tenth of the node
-// count.
+// returns to the level-synchronous sweep: a ceiling a twenty-fifth of the
+// node count.
 func TestLiveMintEpochAllocationCeiling(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops Puts under the race detector: a thousand pooled views do not stay pooled")
-	}
 	scen, err := config.ScaleScenario(1000)
 	if err != nil {
 		t.Fatal(err)
@@ -144,15 +142,12 @@ func TestSenseEpochAllocationCeiling(t *testing.T) {
 // MINT acquisition, oracle, cut — kspotd's flat-sweep epoch without the
 // hub). Bytes, not
 // count: the garbage per epoch sets the GC's share of the latency tail.
-// Measured ~74 kB (the readings map is 55 kB of it); it was ~146 kB when
+// Measured ~68 kB (the readings map is 55 kB of it); it was ~146 kB when
 // the sense phase re-sorted the roster and grew the map from empty.
-const flatStepByteCeiling = 100 << 10
+const flatStepByteCeiling = 90 << 10
 
 // TestFlatStepAllocationBytesCeiling pins the whole step's garbage.
 func TestFlatStepAllocationBytesCeiling(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops Puts under the race detector: a thousand pooled views do not stay pooled")
-	}
 	scen, err := ScaleScenario(1000)
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +166,7 @@ func TestFlatStepAllocationBytesCeiling(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 16; i++ { // creation phase, then every pooled buffer at capacity
+	for i := 0; i < 16; i++ { // creation phase, then every reused buffer at capacity
 		step()
 	}
 	const epochs = 200
@@ -203,9 +198,6 @@ const (
 // TestTenantsStepAllocationCeiling pins that nothing per cursor but its own
 // answer slices is allocated: no view, no ranking, no queue.
 func TestTenantsStepAllocationCeiling(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops Puts under the race detector: pooled views do not stay pooled")
-	}
 	step := tenantsCursors(t)
 	const epochs = 200
 	var before, after runtime.MemStats

@@ -72,7 +72,7 @@ func BenchmarkQueryPlan(b *testing.B) {
 // kspotd's Parallel bound on two cores: 128 cursors, 2 aggregates × K 1..4,
 // so two acquisition groups over one sensed union. The returned step advances every cursor one epoch, in
 // post order — the daemon's loop without the hub — and has already run the
-// creation phase and brought every pooled buffer to capacity.
+// creation phase and brought every reused buffer to capacity.
 func tenantsCursors(tb testing.TB) (step func()) {
 	tb.Helper()
 	sys, err := Open(DemoScenario(), WithParallel(2))

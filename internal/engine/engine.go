@@ -40,18 +40,18 @@ import (
 )
 
 // PruneFunc is the per-node hook of an acquisition sweep: it receives the
-// transmitting node and its full local view V_i and returns the view to
-// transmit V'_i (the input unchanged, a subset, or nil for "send nothing").
-// A PruneFunc may be invoked concurrently for distinct nodes of a tree
-// level (at a sweep worker bound above one), so it must not mutate operator
-// state, and it may run under the transport's lock (the sequential walk),
-// so it must not call back into the transport.
+// transmitting node, its full local view V_i and an empty view out, and
+// returns the view to transmit V'_i — v unchanged, out filled with the
+// subset to send, or nil for "send nothing". A PruneFunc may be invoked
+// concurrently for distinct nodes of a tree level (at a sweep worker bound
+// above one), so it must not mutate operator state, and it may run under
+// the transport's lock (the sequential walk), so it must not call back into
+// the transport.
 //
-// Ownership: both the received view and the returned one belong to the
-// transport. A PruneFunc must not retain either beyond the call; when it
-// returns a new view (rather than v or nil) it should build it with
-// model.AcquireView — the transport recycles it once transmitted.
-type PruneFunc = func(node model.NodeID, v *model.View) *model.View
+// Ownership: v and out belong to the transport — out is the node's own
+// view in the sweep's frame, emptied before each call — and a PruneFunc
+// must not retain either beyond the call.
+type PruneFunc = func(node model.NodeID, v, out *model.View) *model.View
 
 // Transport is the communication contract the operators program against:
 // the primitives they previously used directly on *sim.Network (one-hop
@@ -85,7 +85,8 @@ type Transport interface {
 	// (FILA-style filter updates and probes).
 	RouteFromSink(to model.NodeID, kind radio.MsgKind, e model.Epoch, payload []byte) bool
 	// Sweep runs one TAG-style leaf-to-root acquisition: every node merges
-	// its own reading with its children's views, applies prune, and ships
+	// its own reading with its children's views, applies prune (handing it
+	// an empty view the node owns in the sweep, see PruneFunc), and ships
 	// the result one hop up; empty views suppress the packet entirely. The
 	// sink's merged view is returned; it belongs to the caller.
 	Sweep(e model.Epoch, kind radio.MsgKind, readings map[model.NodeID]model.Reading, prune PruneFunc) *model.View

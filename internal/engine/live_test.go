@@ -37,8 +37,7 @@ func denseScale1000(t *testing.T) (*sim.Network, map[model.NodeID]model.Reading)
 // thinning is a prune that keeps the groups outside residue class i mod 7:
 // each concurrent sweep ships different views.
 func thinning(i int) engine.PruneFunc {
-	return func(_ model.NodeID, v *model.View) *model.View {
-		out := model.AcquireView()
+	return func(_ model.NodeID, v, out *model.View) *model.View {
 		v.ForEach(func(p model.Partial) {
 			if int(p.Group)%7 != i {
 				out.AddPartial(p)

@@ -9,8 +9,8 @@ import (
 // Oracle is the exact answer over one epoch's readings union — the ground
 // truth every query that ran on that union is scored against. The
 // scheduler creates one per union per epoch and every Outcome of the epoch
-// points at it, so M cursors over the same readings cost one walk of the
-// map and one ranking per aggregate, not M of each.
+// points at it, so M cursors over the same readings cost one fold of the
+// readings and one ranking per aggregate, not M of each.
 //
 // It is built on first use, by whichever cursor asks first and outside the
 // scheduler's epoch lock: an epoch nobody scores costs nothing, and
@@ -37,9 +37,7 @@ func (o *Oracle) Exact(agg model.AggKind, k int) []model.Answer {
 	}
 	o.mu.Lock()
 	if !o.built {
-		for _, r := range o.readings {
-			o.view.Add(r)
-		}
+		o.build()
 		o.built = true
 	}
 	full := o.ranked[agg]
@@ -52,4 +50,20 @@ func (o *Oracle) Exact(agg model.AggKind, k int) []model.Answer {
 		full = full[:k]
 	}
 	return append(make([]model.Answer, 0, len(full)), full...)
+}
+
+// build folds the readings into one partial per group, indexed by group
+// id, and adds those to the view in ascending id: O(readings + groups),
+// each add an append.
+func (o *Oracle) build() {
+	var byGroup []model.Partial
+	for _, r := range o.readings {
+		if n := int(r.Group) + 1; n > len(byGroup) {
+			byGroup = append(byGroup, make([]model.Partial, n-len(byGroup))...)
+		}
+		byGroup[r.Group] = byGroup[r.Group].Merge(model.NewPartial(r.Group, r.Value))
+	}
+	for _, p := range byGroup {
+		o.view.AddPartial(p)
+	}
 }

@@ -182,7 +182,7 @@ func (c *Config) frameModel(p *topo.Placement) radio.FaultModel {
 // draw on the message identity. The payload is hashed on every Frame call:
 // an earlier revision memoized the digest under a (header, length, backing
 // pointer) key, but a multi-query epoch runs several sweeps over the same
-// links with pooled payload buffers, so a recycled buffer can carry
+// links with reused payload buffers, so a recycled buffer can carry
 // different bytes under an identical key — a false hit that silently
 // violates the determinism contract. The payloads are tens of bytes;
 // rehashing per frame attempt is noise next to that hazard.

@@ -120,7 +120,7 @@ func DecodeReading(b []byte) (Reading, []byte, error) {
 // by group for determinism — and returns the result. With enough capacity in
 // dst it allocates nothing; the transports reuse one buffer per epoch sweep.
 func AppendView(dst []byte, v *View) []byte {
-	for _, p := range v.sortedPartials() {
+	for _, p := range v.sorted {
 		dst = AppendPartial(dst, p)
 	}
 	return dst

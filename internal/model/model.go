@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 )
 
 // NodeID identifies a sensor node. The sink (base station) is always node 0,
@@ -213,126 +212,94 @@ type Answer struct {
 
 func (a Answer) String() string { return fmt.Sprintf("(g%d, %.2f)", a.Group, a.Score) }
 
-// viewMapThreshold is the group count above which a View switches from its
-// sorted-slice representation to a map. Hot-path views (one node's subtree)
-// hold at most a handful of groups and stay in the slice; only wide sink
-// views on large deployments spill.
-const viewMapThreshold = 48
-
 // View is an in-network view V_i: the per-group partial aggregates a node
 // knows about its routing subtree. Views merge associatively (the superset
 // property of MINT's hierarchy of views).
 //
-// Small views (the common case on the epoch hot path) are a slice of
-// partials sorted by group id, so that building, merging, encoding and
-// ranking one allocates nothing once capacity exists; views wider than
-// viewMapThreshold groups fall back to a map. Reset clears a view for reuse
-// keeping its capacity, and AcquireView/ReleaseView recycle views through a
-// pool — the transports and operators use them to run steady-state epochs
-// without allocating.
+// A view has one form at every width: a slice of partials sorted by group
+// id. AddPartial appends (or folds into the last entry) when groups arrive
+// in ascending order, MergeView is one linear two-pointer pass into the
+// view's merge buffer, and iteration, encoding and ranking walk the slice
+// as it is — so once a view's capacity exists, building, merging, encoding
+// and ranking it allocate nothing. Reset clears a view for reuse keeping
+// its capacity; the sweep keeps its views in its frames for that reason.
 type View struct {
-	sorted  []Partial           // sorted by Group; authoritative when m == nil
-	m       map[GroupID]Partial // authoritative when non-nil
-	scratch []Partial           // reused by sortedPartials in map mode
+	sorted []Partial // sorted by Group, one entry per group, every Count > 0
+	merged []Partial // MergeView's output buffer, swapped with sorted
 }
 
 // NewView returns an empty view.
 func NewView() *View { return &View{} }
 
-// viewPool recycles views for the epoch hot path.
-var viewPool = sync.Pool{New: func() any { return new(View) }}
-
-// AcquireView returns an empty view from the pool. Pair with ReleaseView
-// when the view's lifetime is over.
-func AcquireView() *View { return viewPool.Get().(*View) }
-
-// ReleaseView resets a view and returns it to the pool. The caller must not
-// use v afterwards. Releasing nil is a no-op.
-func ReleaseView(v *View) {
-	if v == nil {
-		return
-	}
-	v.Reset()
-	viewPool.Put(v)
-}
-
 // Reset empties the view for reuse, keeping the slice capacity.
-func (v *View) Reset() {
-	v.sorted = v.sorted[:0]
-	v.m = nil
-}
+func (v *View) Reset() { v.sorted = v.sorted[:0] }
 
-// find locates a group in the sorted-slice representation.
+// find locates a group in the sorted slice.
 func (v *View) find(g GroupID) (int, bool) {
 	return slices.BinarySearchFunc(v.sorted, g, func(p Partial, g GroupID) int {
 		return cmp.Compare(p.Group, g)
 	})
 }
 
-// spill migrates the slice representation into a map.
-func (v *View) spill() {
-	v.m = make(map[GroupID]Partial, 2*viewMapThreshold)
-	for _, p := range v.sorted {
-		v.m[p.Group] = p
-	}
-	v.sorted = v.sorted[:0]
-}
-
 // Add merges a single reading into the view.
 func (v *View) Add(r Reading) { v.AddPartial(NewPartial(r.Group, r.Value)) }
 
-// AddPartial merges a partial aggregate into the view.
+// AddPartial merges a partial aggregate into the view. A partial of a group
+// at or above the view's last one costs O(1); any other is a binary search
+// and, for a new group, an insertion.
 func (v *View) AddPartial(p Partial) {
 	if p.Count == 0 {
 		return
 	}
-	if v.m != nil {
-		if cur, ok := v.m[p.Group]; ok {
-			v.m[p.Group] = cur.Merge(p)
+	n := len(v.sorted)
+	switch {
+	case n == 0 || v.sorted[n-1].Group < p.Group:
+		v.sorted = append(v.sorted, p)
+	case v.sorted[n-1].Group == p.Group:
+		v.sorted[n-1] = v.sorted[n-1].Merge(p)
+	default:
+		if i, ok := v.find(p.Group); ok {
+			v.sorted[i] = v.sorted[i].Merge(p)
 		} else {
-			v.m[p.Group] = p
+			v.sorted = slices.Insert(v.sorted, i, p)
 		}
-		return
 	}
-	i, ok := v.find(p.Group)
-	if ok {
-		v.sorted[i] = v.sorted[i].Merge(p)
-		return
-	}
-	if len(v.sorted) >= viewMapThreshold {
-		v.spill()
-		v.m[p.Group] = p
-		return
-	}
-	v.sorted = slices.Insert(v.sorted, i, p)
 }
 
-// MergeView folds another view into this one.
+// MergeView folds another view into this one in one pass over both.
 func (v *View) MergeView(o *View) {
-	if o == nil {
+	if o == nil || len(o.sorted) == 0 {
 		return
 	}
-	if o.m != nil {
-		for _, p := range o.m {
-			v.AddPartial(p)
+	a, b := v.sorted, o.sorted
+	if len(a) == 0 || a[len(a)-1].Group < b[0].Group {
+		v.sorted = append(a, b...)
+		return
+	}
+	out := v.merged[:0]
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i].Group < b[j].Group:
+			out = append(out, a[i])
+			i++
+		case a[i].Group > b[j].Group:
+			out = append(out, b[j])
+			j++
+		default:
+			out = append(out, a[i].Merge(b[j]))
+			i++
+			j++
 		}
-		return
 	}
-	for _, p := range o.sorted {
-		v.AddPartial(p)
-	}
+	out = append(out, a[i:]...)
+	out = append(out, b[j:]...)
+	v.sorted, v.merged = out, a
 }
 
-// ForEach calls f for every partial in the view, in unspecified order (the
-// zero-allocation iteration of the epoch hot path; partial merging is
-// commutative, so order never affects results). f must not mutate the view.
+// ForEach calls f for every partial in the view, in ascending group order,
+// without allocating. f must not mutate the view.
 func (v *View) ForEach(f func(p Partial)) {
-	if v.m != nil {
-		for _, p := range v.m {
-			f(p)
-		}
-		return
-	}
 	for _, p := range v.sorted {
 		f(p)
 	}
@@ -340,10 +307,6 @@ func (v *View) ForEach(f func(p Partial)) {
 
 // Get returns the partial for a group, if present.
 func (v *View) Get(g GroupID) (Partial, bool) {
-	if v.m != nil {
-		p, ok := v.m[g]
-		return p, ok
-	}
 	if i, ok := v.find(g); ok {
 		return v.sorted[i], true
 	}
@@ -352,42 +315,18 @@ func (v *View) Get(g GroupID) (Partial, bool) {
 
 // Remove deletes a group's partial from the view (used by pruning phases).
 func (v *View) Remove(g GroupID) {
-	if v.m != nil {
-		delete(v.m, g)
-		return
-	}
 	if i, ok := v.find(g); ok {
 		v.sorted = slices.Delete(v.sorted, i, i+1)
 	}
 }
 
 // Len reports the number of groups present.
-func (v *View) Len() int {
-	if v.m != nil {
-		return len(v.m)
-	}
-	return len(v.sorted)
-}
-
-// sortedPartials returns the partials sorted by group id without copying in
-// slice mode; map mode sorts into the view's reusable scratch slice. The
-// returned slice is valid until the view is next mutated.
-func (v *View) sortedPartials() []Partial {
-	if v.m == nil {
-		return v.sorted
-	}
-	v.scratch = v.scratch[:0]
-	for _, p := range v.m {
-		v.scratch = append(v.scratch, p)
-	}
-	slices.SortFunc(v.scratch, func(a, b Partial) int { return cmp.Compare(a.Group, b.Group) })
-	return v.scratch
-}
+func (v *View) Len() int { return len(v.sorted) }
 
 // Groups returns the group ids present, sorted, for deterministic iteration.
 func (v *View) Groups() []GroupID {
-	gs := make([]GroupID, 0, v.Len())
-	for _, p := range v.sortedPartials() {
+	gs := make([]GroupID, 0, len(v.sorted))
+	for _, p := range v.sorted {
 		gs = append(gs, p.Group)
 	}
 	return gs
@@ -395,17 +334,12 @@ func (v *View) Groups() []GroupID {
 
 // Partials returns the partials sorted by group id (a fresh copy).
 func (v *View) Partials() []Partial {
-	return append([]Partial(nil), v.sortedPartials()...)
+	return append([]Partial(nil), v.sorted...)
 }
 
 // Clone returns a deep copy of the view.
 func (v *View) Clone() *View {
-	c := NewView()
-	c.sorted = append(c.sorted, v.sortedPartials()...)
-	if len(c.sorted) > viewMapThreshold {
-		c.spill()
-	}
-	return c
+	return &View{sorted: append([]Partial(nil), v.sorted...)}
 }
 
 // TopK ranks the view's groups by the aggregate and returns the K best
@@ -429,14 +363,8 @@ func (v *View) TopKInto(kind AggKind, k int, dst []Answer) []Answer {
 	if k <= 0 {
 		return dst
 	}
-	if v.m != nil {
-		for _, p := range v.m {
-			dst = append(dst, Answer{Group: p.Group, Score: Quantize(p.Eval(kind))})
-		}
-	} else {
-		for _, p := range v.sorted {
-			dst = append(dst, Answer{Group: p.Group, Score: Quantize(p.Eval(kind))})
-		}
+	for _, p := range v.sorted {
+		dst = append(dst, Answer{Group: p.Group, Score: Quantize(p.Eval(kind))})
 	}
 	SortAnswers(dst)
 	if len(dst) > k {

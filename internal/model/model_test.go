@@ -279,7 +279,7 @@ func TestTopKPrefixProperty(t *testing.T) {
 	}
 }
 
-// TestViewReuseAllocationFree pins the steady-state contract of the pooled
+// TestViewReuseAllocationFree pins the steady-state contract of the reused
 // view representation: once a view and an answer buffer have capacity,
 // Reset + Add + TopKInto cycles allocate nothing. This is the invariant the
 // epoch hot path (sim.Sweep, the operators) is built on.
@@ -327,39 +327,41 @@ func TestCodecCallerBufferAllocationFree(t *testing.T) {
 	}
 }
 
-// TestViewMapSpillSemantics drives a view across the slice→map threshold
-// and checks the two representations answer identically (Get/Remove/Len,
-// sorted iteration, TopK ranking).
-func TestViewMapSpillSemantics(t *testing.T) {
+// TestWideViewSemantics builds a wide view from readings in shuffled group
+// order — the order a sink or an oracle sees — and checks it answers like
+// any other view: Get/Remove/Len, sorted iteration, TopK against a rebuild,
+// and the wire round trip.
+func TestWideViewSemantics(t *testing.T) {
+	const groups = 144
+	rng := rand.New(rand.NewSource(37))
 	v := NewView()
-	const groups = 3 * viewMapThreshold
-	for i := 0; i < groups; i++ {
-		v.Add(Reading{Node: NodeID(i), Group: GroupID(i), Value: Value(i % 101)})
+	for i, g := range rng.Perm(groups) {
+		v.Add(Reading{Node: NodeID(i), Group: GroupID(g), Value: Value(g % 101)})
 	}
 	if v.Len() != groups {
 		t.Fatalf("Len = %d, want %d", v.Len(), groups)
 	}
-	if v.m == nil {
-		t.Fatalf("view with %d groups did not spill to the map representation", groups)
-	}
 	gs := v.Groups()
 	for i := 1; i < len(gs); i++ {
 		if gs[i-1] >= gs[i] {
-			t.Fatal("Groups not sorted after spill")
+			t.Fatal("Groups not sorted")
 		}
 	}
 	if p, ok := v.Get(GroupID(groups - 1)); !ok || p.Count != 1 {
-		t.Fatalf("Get after spill = %+v, %v", p, ok)
+		t.Fatalf("Get = %+v, %v", p, ok)
 	}
 	v.Remove(GroupID(5))
 	if _, ok := v.Get(GroupID(5)); ok || v.Len() != groups-1 {
-		t.Fatal("Remove after spill failed")
+		t.Fatal("Remove failed")
 	}
-	// Ranking agrees with a small-view rebuild of the same content.
-	small := NewView()
-	v.ForEach(func(p Partial) { small.AddPartial(p) })
-	if !EqualAnswers(v.TopK(AggAvg, 10), small.TopK(AggAvg, 10)) {
-		t.Fatal("TopK disagrees across representations")
+	// Ranking agrees with a rebuild of the same content in reverse order.
+	parts := v.Partials()
+	rebuilt := NewView()
+	for i := len(parts) - 1; i >= 0; i-- {
+		rebuilt.AddPartial(parts[i])
+	}
+	if !EqualAnswers(v.TopK(AggAvg, 10), rebuilt.TopK(AggAvg, 10)) {
+		t.Fatal("TopK disagrees with a rebuild")
 	}
 	// And the wire form round-trips identically.
 	got := NewView()
@@ -367,6 +369,6 @@ func TestViewMapSpillSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !EqualAnswers(v.TopK(AggAvg, groups), got.TopK(AggAvg, groups)) {
-		t.Fatal("encode/decode after spill lost content")
+		t.Fatal("encode/decode lost content")
 	}
 }

@@ -102,7 +102,8 @@ type sweepFrame struct {
 // level's slots in ascending id order.
 type frameNode struct {
 	acc  *model.View // the node's reading plus its children's committed views
-	out  *model.View // pruned view to transmit; may equal acc or be nil
+	cut  *model.View // the node's own view for prune to fill
+	out  *model.View // pruned view to transmit: acc, cut, or nil
 	enc  []byte      // out encoded; reused across sweeps
 	send bool        // out is non-empty, so a transmission is due
 }
@@ -116,10 +117,11 @@ func (f *sweepFrame) reset(idx *topo.LevelIndex) {
 		f.idx, f.nodes = idx, nodes
 	}
 	for i := range f.nodes {
-		if v := f.nodes[i].acc; v != nil {
-			v.Reset()
+		fn := &f.nodes[i]
+		if fn.acc != nil {
+			fn.acc.Reset()
 		} else {
-			f.nodes[i].acc = model.NewView()
+			fn.acc, fn.cut = model.NewView(), model.NewView()
 		}
 	}
 }
@@ -451,12 +453,12 @@ func (n *Network) RouteFromSink(to model.NodeID, kind radio.MsgKind, e model.Epo
 // suppress their packet entirely — that suppression is where in-network
 // top-k saves messages, not just bytes.
 //
-// prune receives the transmitting node and its full local view V_i and
-// returns the view to transmit V'_i (it may return the input unchanged, a
-// subset built with model.AcquireView, or nil for "send nothing"); views it
-// returns that differ from the input are recycled by the network once
-// transmitted. prune must not call back into the network: the sequential
-// walk runs it under the lock.
+// prune receives the transmitting node, its full local view V_i and an empty
+// view the node owns in the sweep's frame, and returns the view to transmit
+// V'_i: the input unchanged, the out view filled with a subset, or nil for
+// "send nothing". Both views are the frame's; prune must not retain either.
+// prune must not call back into the network: the sequential walk runs it
+// under the lock.
 //
 // The sweep runs on a frame from the network's free list. At Parallel() <=
 // 1 it is the sequential walk, under the lock from start to end — the
@@ -467,7 +469,7 @@ func (n *Network) RouteFromSink(to model.NodeID, kind radio.MsgKind, e model.Epo
 // the caller, whatever sweeps run later.
 func (n *Network) Sweep(e model.Epoch, kind radio.MsgKind,
 	readings map[model.NodeID]model.Reading,
-	prune func(node model.NodeID, v *model.View) *model.View) *model.View {
+	prune func(node model.NodeID, v, out *model.View) *model.View) *model.View {
 
 	n.mu.Lock()
 	var f *sweepFrame
@@ -495,7 +497,7 @@ func (n *Network) Sweep(e model.Epoch, kind radio.MsgKind,
 // in one step, in post-order. The caller holds the lock.
 func (n *Network) sweepSequential(f *sweepFrame, e model.Epoch, kind radio.MsgKind,
 	readings map[model.NodeID]model.Reading,
-	prune func(node model.NodeID, v *model.View) *model.View) *model.View {
+	prune func(node model.NodeID, v, out *model.View) *model.View) *model.View {
 
 	n.advance(e)
 	f.reset(n.Tree.LevelIndex())
@@ -537,7 +539,7 @@ func (n *Network) sweepSequential(f *sweepFrame, e model.Epoch, kind radio.MsgKi
 // returned sink view lives in the frame: valid until the frame's next sweep.
 func (n *Network) sweepLevels(f *sweepFrame, e model.Epoch, kind radio.MsgKind,
 	readings map[model.NodeID]model.Reading,
-	prune func(node model.NodeID, v *model.View) *model.View) *model.View {
+	prune func(node model.NodeID, v, out *model.View) *model.View) *model.View {
 
 	n.mu.Lock()
 	n.advance(e)
@@ -562,7 +564,7 @@ type sweep struct {
 	e        model.Epoch
 	kind     radio.MsgKind
 	readings map[model.NodeID]model.Reading
-	prune    func(node model.NodeID, v *model.View) *model.View
+	prune    func(node model.NodeID, v, out *model.View) *model.View
 
 	nodes []model.NodeID // the level in flight
 	base  int            // position of nodes[0]
@@ -599,7 +601,8 @@ func (s *sweep) compute(pos int, node model.NodeID, enc []byte) []byte {
 	}
 	fn.out = fn.acc
 	if s.prune != nil {
-		fn.out = s.prune(node, fn.acc)
+		fn.cut.Reset()
+		fn.out = s.prune(node, fn.acc, fn.cut)
 	}
 	fn.send = fn.out != nil && fn.out.Len() > 0
 	if fn.send {
@@ -615,9 +618,6 @@ func (s *sweep) commit(pos int, node model.NodeID, enc []byte) {
 	fn := &s.f.nodes[pos]
 	if fn.send && s.n.alive(node) && s.n.sendUp(node, s.kind, s.e, enc) {
 		s.f.nodes[s.f.idx.Parent[pos]].acc.MergeView(fn.out)
-	}
-	if fn.out != fn.acc {
-		model.ReleaseView(fn.out)
 	}
 	fn.out = nil
 }

@@ -39,7 +39,7 @@ func wideField(t *testing.T) field { return newField(t, 16, 100, 40) }
 // sweepRun drives epochs of lossy, budget-constrained sweeps at a given
 // worker count and returns the concatenated encoded root views plus the
 // final accounting snapshot — the byte-identity fingerprint of the run.
-func sweepRun(t *testing.T, fd field, workers, epochs int, prune func(model.NodeID, *model.View) *model.View) ([]byte, Snapshot, float64) {
+func sweepRun(t *testing.T, fd field, workers, epochs int, prune func(model.NodeID, *model.View, *model.View) *model.View) ([]byte, Snapshot, float64) {
 	t.Helper()
 	opts := DefaultOptions()
 	opts.Radio.Fault = keyedLoss{rate: 0.08, seed: 42}
@@ -69,10 +69,9 @@ func sweepRun(t *testing.T, fd field, workers, epochs int, prune func(model.Node
 // on the frame and so cannot depend on the order the commit phase makes
 // them in; the budget charges they cause still do.
 func TestSweepParallelByteIdentity(t *testing.T) {
-	prunes := map[string]func(model.NodeID, *model.View) *model.View{
+	prunes := map[string]func(model.NodeID, *model.View, *model.View) *model.View{
 		"tag-full-views": nil,
-		"thinning": func(node model.NodeID, v *model.View) *model.View {
-			out := model.AcquireView()
+		"thinning": func(node model.NodeID, v, out *model.View) *model.View {
 			v.ForEach(func(pt model.Partial) {
 				if pt.Group%3 != 0 {
 					out.AddPartial(pt)
@@ -80,7 +79,7 @@ func TestSweepParallelByteIdentity(t *testing.T) {
 			})
 			return out
 		},
-		"suppress-some": func(node model.NodeID, v *model.View) *model.View {
+		"suppress-some": func(node model.NodeID, v, _ *model.View) *model.View {
 			if node%5 == 0 {
 				return nil // packet suppression path
 			}
@@ -130,7 +129,7 @@ func TestSweepParallelPrunePanicPropagates(t *testing.T) {
 					t.Errorf("workers=%d: prune panic did not propagate", workers)
 				}
 			}()
-			n.Sweep(0, 1, nil, func(model.NodeID, *model.View) *model.View {
+			n.Sweep(0, 1, nil, func(model.NodeID, *model.View, *model.View) *model.View {
 				panic("boom")
 			})
 		}()

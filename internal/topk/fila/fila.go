@@ -192,8 +192,7 @@ func (o *Operator) Epoch(e model.Epoch, readings map[model.NodeID]model.Reading)
 			for iter := 0; iter < 6; iter++ {
 				probes++
 				b := bound
-				v := o.net.Sweep(e, radio.KindCtrl, readings, func(_ model.NodeID, view *model.View) *model.View {
-					out := model.AcquireView() // transport-owned, recycled after transmit
+				v := o.net.Sweep(e, radio.KindCtrl, readings, func(_ model.NodeID, view, out *model.View) *model.View {
 					view.ForEach(func(p model.Partial) {
 						if !fresh[p.Group] && model.Quantize(p.Eval(o.q.Agg)) >= b {
 							out.AddPartial(p)

@@ -26,17 +26,14 @@
 //  3. Update phase: V'_i is encoded and shipped one hop up; empty V'_i
 //     suppresses the packet entirely.
 //
-// The sink ranks only groups whose fresh aggregates are complete. Two
-// conditions force extra same-epoch rounds, both rare:
+// The sink ranks only groups whose fresh aggregates are complete: an
+// incomplete group at the sink means some node proved its bound below γ.
+// One condition forces extra same-epoch rounds, and it is rare: when the
+// fresh K-th score drops below the broadcast γ, groups in [K-th, γ) may
+// have been wrongly suppressed, so the sink re-polls with the lowered
+// bound (*recovery*).
 //
-//   - an incomplete group at the sink whose upper bound still reaches the
-//     fresh K-th score must be *resolved* (its suppressed partials
-//     fetched) before it can be included or excluded;
-//   - when the fresh K-th score drops below the broadcast γ, groups in
-//     [K-th, γ) may have been wrongly suppressed, so the sink re-polls
-//     with the lowered bound (*recovery*).
-//
-// The epoch loop iterates until neither applies; the bound decreases
+// The epoch loop iterates until it does not apply; the bound decreases
 // monotonically, so it terminates (≤ 4 rounds is asserted, ≥ 2 only under
 // answer churn). Disabling the loop (Config.NoRecovery) reproduces the
 // staleness a bound-less design would suffer; experiment E11 measures it.
@@ -55,7 +52,7 @@ import (
 
 // Config tunes the operator.
 type Config struct {
-	// NoRecovery disables the same-epoch recovery/resolve loop (E11
+	// NoRecovery disables the same-epoch recovery loop (E11
 	// ablation): the sink serves the possibly-stale ranking instead of
 	// re-polling when the bound's invariant breaks.
 	NoRecovery bool
@@ -71,13 +68,6 @@ type Config struct {
 	// of the declared value range, or no margin when no range is declared.
 	// Negative forces an exact-K-th bound (used by tests).
 	Margin model.Value
-	// ResolveIncomplete re-fetches groups whose sink-side partial is
-	// incomplete but whose upper bound reaches the K-th score. On a
-	// lossless tree an incomplete group can only mean some node proved its
-	// bound below γ, so the default (off) excludes them outright; turn
-	// this on for lossy deployments, where incompleteness may instead
-	// mean a dropped frame.
-	ResolveIncomplete bool
 }
 
 // DefaultMarginFrac is the auto-margin: the broadcast bound sits this
@@ -116,6 +106,12 @@ type Operator struct {
 	// flooded value); floods happen only when it must change.
 	bcast   model.Value
 	topKNow []model.Answer
+
+	// vSink and completeView are Epoch's sink-side views — the fresh
+	// partials of every round, and those of them that cover their group —
+	// reset on each use. An operator's Epoch never runs concurrently with
+	// itself.
+	vSink, completeView model.View
 }
 
 // New returns a MINT operator with default configuration.
@@ -203,16 +199,14 @@ func (o *Operator) upperBound(p model.Partial) model.Value {
 	}
 }
 
-// prune builds V'_i from V_i under the bound and resolve set. The result is
-// a pooled view owned by the transport (see engine.PruneFunc), filled by a
-// single filtering pass — no clone, no per-group deletions.
-func (o *Operator) prune(v *model.View, bound model.Value, resolve map[model.GroupID]bool) *model.View {
-	out := model.AcquireView()
+// prune builds V'_i from V_i under the bound into out, the transport's view
+// for the node (see engine.PruneFunc), by a single filtering pass in group
+// order: a partial flows only while it could still be (or tie into) the
+// top-k.
+func (o *Operator) prune(v, out *model.View, bound model.Value) *model.View {
 	threshold := bound + o.cfg.Slack
 	v.ForEach(func(p model.Partial) {
-		if (len(resolve) > 0 && resolve[p.Group]) || o.upperBound(p) >= threshold {
-			// Resolve targets always flow; the rest only while they could
-			// still be (or tie into) the top-k.
+		if o.upperBound(p) >= threshold {
 			out.AddPartial(p)
 		}
 	})
@@ -233,15 +227,14 @@ func (o *Operator) Epoch(e model.Epoch, readings map[model.NodeID]model.Reading)
 	}
 
 	bound := o.bcast
-	resolve := map[model.GroupID]bool{}
-	vSink := model.AcquireView()
-	defer model.ReleaseView(vSink)
+	vSink := &o.vSink
+	vSink.Reset()
 	var answers []model.Answer
 	var kth model.Value
 	rounds := 0
 	for {
 		rounds++
-		fresh := o.sweep(e, bound, resolve, readings)
+		fresh := o.sweep(e, bound, readings)
 		// Later rounds re-report whole groups from scratch: replace, don't
 		// double-merge. (fresh is transport-owned: consumed before the next
 		// sweep, never retained.)
@@ -251,16 +244,14 @@ func (o *Operator) Epoch(e model.Epoch, readings map[model.NodeID]model.Reading)
 		})
 		// Rank complete groups. An incomplete group at the sink means some
 		// node proved its γ-descriptor bound below the broadcast γ (or, on
-		// a lossy link, a frame died); it is excluded unless
-		// ResolveIncomplete asks for a fetch round.
-		completeView := model.AcquireView()
+		// a lossy link, a frame died); it is excluded.
+		o.completeView.Reset()
 		vSink.ForEach(func(p model.Partial) {
 			if o.complete(p) {
-				completeView.AddPartial(p)
+				o.completeView.AddPartial(p)
 			}
 		})
-		answers = completeView.TopK(o.q.Agg, o.q.K)
-		model.ReleaseView(completeView)
+		answers = o.completeView.TopK(o.q.Agg, o.q.K)
 		// In approximate (slack) mode the materialized view serves stale
 		// entries for suppressed answer slots instead of re-polling; in
 		// exact mode a short answer collapses the bound (KthScore returns
@@ -272,31 +263,18 @@ func (o *Operator) Epoch(e model.Epoch, readings map[model.NodeID]model.Reading)
 		if o.cfg.NoRecovery {
 			break
 		}
-		next := map[model.GroupID]bool{}
-		if o.cfg.ResolveIncomplete {
-			vSink.ForEach(func(p model.Partial) {
-				if !o.complete(p) && o.upperBound(p) >= kth && !resolve[p.Group] {
-					next[p.Group] = true
-				}
-			})
-		}
-		boundOK := kth >= bound-o.cfg.Slack
-		if boundOK && len(next) == 0 {
+		if kth >= bound-o.cfg.Slack {
 			break
 		}
 		if rounds >= 4 {
-			// The bound decreases monotonically and resolve sets complete
-			// their groups, so this is unreachable; guard anyway rather
-			// than loop a deployment forever.
+			// The bound decreases monotonically, so this is unreachable;
+			// guard anyway rather than loop a deployment forever.
 			break
 		}
-		if kth < bound {
-			bound = kth - o.margin()
-		}
-		resolve = next
-		// Recovery and resolve rounds need new control state at the nodes:
-		// flood the lowered bound (with resolve ids when fetching).
-		o.flood(e, bound, resolve)
+		bound = kth - o.margin()
+		// A recovery round needs new control state at the nodes: flood
+		// the lowered bound.
+		o.flood(e, bound)
 	}
 
 	if len(answers) > 0 {
@@ -313,27 +291,22 @@ func (o *Operator) retune(e model.Epoch, kth model.Value) {
 	m := o.margin()
 	target := kth - m
 	if target < o.bcast || target > o.bcast+2*m+o.cfg.Slack {
-		o.flood(e, target, nil)
+		o.flood(e, target)
 	}
 }
 
-// flood broadcasts a γ beacon (plus optional resolve ids) and records it as
-// the nodes' installed bound.
-func (o *Operator) flood(e model.Epoch, bound model.Value, resolve map[model.GroupID]bool) {
-	var ids []model.GroupID
-	for g := range resolve {
-		ids = append(ids, g)
-	}
-	beacon := topk.EncodeBeacon(topk.Beacon{Epoch: e, Gamma: bound, TopK: ids})
+// flood broadcasts a γ beacon and records it as the nodes' installed bound.
+func (o *Operator) flood(e model.Epoch, bound model.Value) {
+	beacon := topk.EncodeBeacon(topk.Beacon{Epoch: e, Gamma: bound})
 	o.net.BroadcastDown(radio.KindBeacon, e, func(model.NodeID) []byte { return beacon })
 	o.bcast = bound
 }
 
 // sweep runs one pruned up-sweep under the installed bound and returns the
 // sink's fresh view.
-func (o *Operator) sweep(e model.Epoch, bound model.Value, resolve map[model.GroupID]bool, readings map[model.NodeID]model.Reading) *model.View {
-	return o.net.Sweep(e, radio.KindData, readings, func(_ model.NodeID, v *model.View) *model.View {
-		return o.prune(v, bound, resolve)
+func (o *Operator) sweep(e model.Epoch, bound model.Value, readings map[model.NodeID]model.Reading) *model.View {
+	return o.net.Sweep(e, radio.KindData, readings, func(_ model.NodeID, v, out *model.View) *model.View {
+		return o.prune(v, out, bound)
 	})
 }
 

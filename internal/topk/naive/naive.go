@@ -41,10 +41,9 @@ func (o *Operator) Epoch(e model.Epoch, readings map[model.NodeID]model.Reading)
 		topk.InstallQuery(o.net, e)
 		o.installed = true
 	}
-	sinkView := o.net.Sweep(e, radio.KindData, readings, func(_ model.NodeID, v *model.View) *model.View {
+	sinkView := o.net.Sweep(e, radio.KindData, readings, func(_ model.NodeID, v, out *model.View) *model.View {
 		top := v.TopK(o.q.Agg, o.q.K)
 		keep := model.AnswerSet(top)
-		out := model.AcquireView() // transport-owned, recycled after transmit
 		v.ForEach(func(p model.Partial) {
 			if keep[p.Group] {
 				out.AddPartial(p)

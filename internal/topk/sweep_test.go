@@ -47,7 +47,7 @@ func TestSweepNoPruneEqualsOracle(t *testing.T) {
 func TestSweepPruneEverythingIsSilent(t *testing.T) {
 	net := fig1Net(t)
 	readings := fig1Readings(net)
-	v := net.Sweep(0, radio.KindData, readings, func(model.NodeID, *model.View) *model.View {
+	v := net.Sweep(0, radio.KindData, readings, func(model.NodeID, *model.View, *model.View) *model.View {
 		return nil
 	})
 	if v.Len() != 0 {
@@ -62,8 +62,8 @@ func TestSweepPrunePropagates(t *testing.T) {
 	// Prune room D everywhere: the sink must still see A, B, C exactly.
 	net := fig1Net(t)
 	readings := fig1Readings(net)
-	v := net.Sweep(0, radio.KindData, readings, func(_ model.NodeID, view *model.View) *model.View {
-		out := view.Clone()
+	v := net.Sweep(0, radio.KindData, readings, func(_ model.NodeID, view, out *model.View) *model.View {
+		out.MergeView(view)
 		out.Remove(trace.Fig1RoomD)
 		return out
 	})
