@@ -27,15 +27,15 @@
 //     suppresses the packet entirely.
 //
 // The sink ranks only groups whose fresh aggregates are complete: an
-// incomplete group at the sink means some node proved its bound below γ.
-// One condition forces extra same-epoch rounds, and it is rare: when the
-// fresh K-th score drops below the broadcast γ, groups in [K-th, γ) may
-// have been wrongly suppressed, so the sink re-polls with the lowered
-// bound (*recovery*).
+// incomplete group at the sink means some node proved its bound below γ
+// (or, on a lossy link, that a frame died). One condition forces extra
+// same-epoch rounds, and it is rare: when the fresh K-th score drops below
+// the broadcast γ, groups in [K-th, γ) may have been wrongly suppressed,
+// so the sink re-polls with the lowered bound (*recovery*).
 //
-// The epoch loop iterates until it does not apply; the bound decreases
-// monotonically, so it terminates (≤ 4 rounds is asserted, ≥ 2 only under
-// answer churn). Disabling the loop (Config.NoRecovery) reproduces the
+// The epoch loop re-polls until the K-th score holds the bound; the bound
+// decreases monotonically, so it terminates (≤ 4 rounds is asserted, ≥ 2
+// only under answer churn). Disabling the loop (Config.NoRecovery) reproduces the
 // staleness a bound-less design would suffer; experiment E11 measures it.
 package mint
 
