@@ -96,13 +96,14 @@ type state struct {
 }
 
 // workload is the daemon's mutable query set: the boot-time cursors plus
-// anything POST /query admits later, each paired with its streaming hub.
-// The step loop snapshots it per tick, so posts land between epochs.
+// anything POST /query admits later. Query i's results stream from slot i
+// of the one hub's epoch frames. The step loop snapshots the cursors per
+// tick, so posts land between epochs.
 type workload struct {
 	mu      sync.Mutex
 	sys     *kspot.System
 	cursors []*kspot.Cursor
-	hubs    []*serve.Hub
+	hub     *serve.Hub
 	stopped bool
 
 	// st is what the epoch loop last committed, placement the map the
@@ -112,11 +113,19 @@ type workload struct {
 	placement *topo.Placement
 
 	// failed marks queries whose Step returned an error: their stream has
-	// ended and step skips them. Touched by the epoch loop only.
+	// ended and step skips them. frame is the epoch frame step fills and
+	// publishes. Both are touched by the epoch loop only.
 	failed map[int]bool
+	frame  []serve.Result
 }
 
-// add posts a query and registers its streaming hub, returning its index.
+// newWorkload wraps a deployment with an empty query set and its hub.
+func newWorkload(sys *kspot.System, placement *topo.Placement) *workload {
+	return &workload{sys: sys, placement: placement, hub: serve.NewHub(0)}
+}
+
+// add posts a query, returning its index: the slot of its results in the
+// hub's frames.
 func (w *workload) add(sql, tenant string) (int, error) {
 	cur, err := w.sys.Post(sql, kspot.WithTenant(tenant))
 	if err != nil {
@@ -137,25 +146,28 @@ func (w *workload) add(sql, tenant string) (int, error) {
 		return 0, fmt.Errorf("kspotd: epoch loop has stopped")
 	}
 	w.cursors = append(w.cursors, cur)
-	w.hubs = append(w.hubs, serve.NewHub(0))
 	return len(w.cursors) - 1, nil
 }
 
-// snapshot returns the current cursor and hub lists (shared backing
-// arrays: entries are append-only).
-func (w *workload) snapshot() ([]*kspot.Cursor, []*serve.Hub) {
+// snapshot returns the current cursor list (a shared backing array:
+// entries are append-only).
+func (w *workload) snapshot() []*kspot.Cursor {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.cursors, w.hubs
+	return w.cursors
 }
 
-// step advances every query one epoch and publishes the results, returning
-// the primary query's (ok false once the primary has failed). A query whose
-// Step fails loses its own stream — hub closed, cursor closed, skipped from
-// then on — and the other tenants' queries keep stepping.
+// step advances every query one epoch, filling one frame with their
+// results, and publishes it: one Publish per epoch, however many queries.
+// It returns the primary query's result (ok false once the primary has
+// failed). A query whose Step fails loses its own stream — hub.End, cursor
+// closed, a zero entry in its slot and skipped from then on — and the other
+// tenants' queries keep stepping.
 func (w *workload) step() (primary kspot.StepResult, ok bool) {
-	cursors, hubs := w.snapshot()
+	cursors := w.snapshot()
+	w.frame = w.frame[:0]
 	for i, c := range cursors {
+		w.frame = append(w.frame, serve.Result{})
 		if w.failed[i] {
 			continue
 		}
@@ -166,15 +178,16 @@ func (w *workload) step() (primary kspot.StepResult, ok bool) {
 				w.failed = make(map[int]bool)
 			}
 			w.failed[i] = true
-			hubs[i].Close()
+			w.hub.End(i)
 			c.Close()
 			continue
 		}
-		hubs[i].Publish(serve.Result{Epoch: res.Epoch, Answers: res.Answers, Correct: res.Correct})
+		w.frame[i] = serve.Result{Epoch: res.Epoch, Answers: res.Answers, Correct: res.Correct}
 		if i == 0 {
 			primary, ok = res, true
 		}
 	}
+	w.hub.Publish(w.frame...)
 	// At saturation this goroutine never blocks, so whatever the epoch made
 	// runnable — the SSE writers Publish signalled, a handler woken on a
 	// lock the loop released — waits in this P's run queue until another
@@ -184,25 +197,23 @@ func (w *workload) step() (primary kspot.StepResult, ok bool) {
 	return primary, ok
 }
 
-// hub returns query i's streaming hub.
-func (w *workload) hub(i int) (*serve.Hub, bool) {
+// watch subscribes to query i's stream, if query i exists.
+func (w *workload) watch(i int) (*serve.Subscriber, bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if i < 0 || i >= len(w.hubs) {
+	if i < 0 || i >= len(w.cursors) {
 		return nil, false
 	}
-	return w.hubs[i], true
+	return w.hub.Watch(i), true
 }
 
-// stop ends the streams: every hub closes (subscribers drain and finish)
-// and later posts are refused.
+// stop ends the streams: the hub closes (subscribers drain and finish) and
+// later posts are refused.
 func (w *workload) stop() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.stopped = true
-	for _, h := range w.hubs {
-		h.Close()
-	}
+	w.hub.Close()
 }
 
 // handleQuery is POST /query: admit a query at runtime. Bad SQL and
@@ -250,16 +261,11 @@ func (wl *workload) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleWatch is GET /watch?query=N: the query's per-epoch results as
-// Server-Sent Events, replayed from the hub's cache first.
+// Server-Sent Events, replayed from the hub's window first.
 func (wl *workload) handleWatch(w http.ResponseWriter, r *http.Request) {
 	idx, err := strconv.Atoi(r.URL.Query().Get("query"))
 	if err != nil {
 		http.Error(w, "watch needs ?query=N", http.StatusBadRequest)
-		return
-	}
-	hub, ok := wl.hub(idx)
-	if !ok {
-		http.Error(w, fmt.Sprintf("no query %d", idx), http.StatusNotFound)
 		return
 	}
 	flusher, ok := w.(http.Flusher)
@@ -267,7 +273,11 @@ func (wl *workload) handleWatch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
 		return
 	}
-	sub := hub.Subscribe()
+	sub, ok := wl.watch(idx)
+	if !ok {
+		http.Error(w, fmt.Sprintf("no query %d", idx), http.StatusNotFound)
+		return
+	}
 	defer sub.Close()
 	// A dropped client unblocks the Next loop via the subscriber close.
 	go func() {
@@ -313,11 +323,7 @@ func (wl *workload) handleRanking(w http.ResponseWriter, r *http.Request) {
 func (wl *workload) handleStats(w http.ResponseWriter, r *http.Request) {
 	sys := wl.sys
 	fed := sys.FederationStats()
-	cursors, hubs := wl.snapshot()
-	subs := 0
-	for _, h := range hubs {
-		subs += h.Subscribers()
-	}
+	cursors := wl.snapshot()
 	admitted, tenants := sys.AdmissionLoad()
 	wl.st.mu.Lock()
 	epoch, messages, txBytes, drops := wl.st.epoch, wl.st.messages, wl.st.txBytes, wl.st.drops
@@ -331,7 +337,7 @@ func (wl *workload) handleStats(w http.ResponseWriter, r *http.Request) {
 		// Streaming/admission tier: live SSE subscribers and the
 		// admission controller's load (zero without -max-queries /
 		// -tenant-quota).
-		"subscribers": subs,
+		"subscribers": wl.hub.Subscribers(),
 		"admitted":    admitted,
 		"tenants":     tenants,
 		// Federation tier (all zero on a flat deployment): shard count
@@ -451,14 +457,13 @@ func main() {
 	}
 	defer sys.Close()
 
-	wl := &workload{sys: sys, placement: placement}
+	wl := newWorkload(sys, placement)
 	primary := fmt.Sprintf("SELECT TOP %d roomid, AVG(sound) FROM sensors GROUP BY roomid", *k)
 	cur, err := sys.Post(primary)
 	if err != nil {
 		log.Fatal("kspotd: ", err)
 	}
 	wl.cursors = append(wl.cursors, cur)
-	wl.hubs = append(wl.hubs, serve.NewHub(0))
 	for _, sql := range append(append([]string(nil), queries...), fileQueries...) {
 		if _, err := wl.add(sql, ""); err != nil {
 			log.Fatalf("kspotd: %q: %v", sql, err)
@@ -521,7 +526,7 @@ func main() {
 		epoch := st.epoch
 		messages, txBytes := st.messages, st.txBytes
 		st.mu.Unlock()
-		cursors, _ := wl.snapshot()
+		cursors := wl.snapshot()
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")
 		fmt.Fprintf(w, `<!DOCTYPE html><html><head><meta http-equiv="refresh" content="2">
 <title>KSpot — %s</title><style>body{font-family:monospace;background:#111;color:#dfd}
@@ -544,7 +549,7 @@ pre{font-size:13px}</style></head><body>
 	// Printed like -serve-shard's "kspotd-wire" line: spawners listen on
 	// port 0 and parse the bound address.
 	fmt.Printf("kspotd-http %s\n", ln.Addr())
-	cursors, _ := wl.snapshot()
+	cursors := wl.snapshot()
 	log.Printf("kspotd: serving %q on %s (%d queries, primary: TOP %d AVG(sound) per cluster, epoch %v)",
 		scen.Name, ln.Addr(), len(cursors), *k, *interval)
 	srv := &http.Server{Handler: mux}

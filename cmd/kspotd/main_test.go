@@ -26,7 +26,7 @@ func newTestWorkload(t *testing.T) *workload {
 		t.Fatal(err)
 	}
 	t.Cleanup(sys.Close)
-	wl := &workload{sys: sys}
+	wl := newWorkload(sys, nil)
 	if _, err := wl.add(primarySQL, ""); err != nil {
 		t.Fatal(err)
 	}
@@ -140,8 +140,8 @@ func TestStepFailureEndsOnlyThatStream(t *testing.T) {
 	if _, err := wl.add("SELECT TOP 2 roomid, MAX(sound) FROM sensors GROUP BY roomid", ""); err != nil {
 		t.Fatal(err)
 	}
-	cursors, hubs := wl.snapshot()
-	primary, doomed := hubs[0].Subscribe(), hubs[1].Subscribe()
+	cursors := wl.snapshot()
+	primary, doomed := wl.hub.Watch(0), wl.hub.Watch(1)
 
 	cursors[1].Close()
 	for e := 0; e < 3; e++ {
@@ -180,7 +180,7 @@ func TestStatsNeverHoldsStateLockAcrossShardRPC(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(sys.Close)
-	wl := &workload{sys: sys, placement: scen.Placement()}
+	wl := newWorkload(sys, scen.Placement())
 	shard.Close()
 
 	get := func(h http.HandlerFunc, path string) (int, time.Duration) {
