@@ -316,10 +316,9 @@ func (wl *workload) handleRanking(w http.ResponseWriter, r *http.Request) {
 
 // handleStats is GET /stats: the epoch loop's counters plus the serving,
 // federation, wire and storage blocks. The counters are copied out under
-// the state lock and everything else is gathered after its release — on a
-// -connect coordinator the storage block is one RPC per shard, and a slow
-// or dead shard must stall this request only, not the epoch loop and every
-// other endpoint behind the lock.
+// the state lock and everything else is gathered after its release. None
+// of it makes a shard call: on a -connect coordinator the storage block is
+// the one the shard's newest reply carried.
 func (wl *workload) handleStats(w http.ResponseWriter, r *http.Request) {
 	sys := wl.sys
 	fed := sys.FederationStats()

@@ -153,7 +153,8 @@ func (s *System) WireMetrics() []wire.ClientMetrics {
 func (s *System) nextQueryID() uint32 { return s.qidSeq.Add(1) }
 
 // ShardStats returns every shard's traffic/energy counters, in shard
-// order — fetched over the wire on a remote deployment, where a dead shard
+// order — on a remote deployment the rows the shards' newest replies
+// carried (no wire call), where a shard whose last call ended unreachable
 // surfaces as the error.
 func (s *System) ShardStats() ([]RunStats, error) {
 	rows, err := s.shardStatRows()

@@ -23,11 +23,6 @@ const (
 	AnswerWireSize = 6
 	// ReadingWireSize: node(2) + group(2) + epoch(4) + value(4).
 	ReadingWireSize = 12
-	// GroupIDWireSize: bare group id, used by TJA's L_sink id lists.
-	GroupIDWireSize = 2
-	// ScoredItemWireSize: item(2) + sum(4) + coverage(2) + thrsum(4), the
-	// TJA hierarchical-join record.
-	ScoredItemWireSize = 12
 )
 
 var errShortBuffer = errors.New("model: buffer too short")

@@ -28,9 +28,6 @@ const Sink NodeID = 0
 // scenario configuration.
 type GroupID uint16
 
-// NoGroup is the zero GroupID used when a query has no GROUP BY clause.
-const NoGroup GroupID = 0
-
 // Epoch numbers the rounds of a continuous query, starting at 0 (the epoch
 // MINT calls the creation phase).
 type Epoch uint32

@@ -90,6 +90,10 @@ func (h *Hub) Publish(frame ...Result) {
 		}
 	}
 	s := &h.ring[h.next%uint64(len(h.ring))]
+	if len(frame) > cap(s.frame) {
+		// Exactly the frame's width: append's doubling would leave slack.
+		s.frame = make([]Result, 0, len(frame))
+	}
 	s.frame = append(s.frame[:0], frame...)
 	s.readers, h.atHead = h.atHead, 0
 	h.next++

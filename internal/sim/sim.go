@@ -53,6 +53,9 @@ type Network struct {
 	Energy    energy.Model
 	Ledger    *energy.Ledger
 	Counter   *radio.Counter
+	// Epochs counts the epochs charged idle (ChargeIdleEpoch) since the
+	// network was built or Reset: the epochs its counters cover.
+	Epochs int
 
 	// Budgets, when non-nil, gives each sensor a finite energy budget,
 	// indexed by node id; dead nodes stop transmitting and receiving. The
@@ -750,10 +753,12 @@ func (n *Network) ChargeSense(readings map[model.NodeID]model.Reading) {
 	}
 }
 
-// ChargeIdleEpoch charges every live sensor the per-epoch idle baseline.
+// ChargeIdleEpoch charges every live sensor the per-epoch idle baseline
+// and counts the epoch.
 func (n *Network) ChargeIdleEpoch() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	n.Epochs++
 	for _, id := range n.Placement.SensorNodes() {
 		if n.alive(id) {
 			n.charge(id, n.Energy.IdlePerEpoch)
@@ -768,6 +773,7 @@ func (n *Network) Reset() {
 	defer n.mu.Unlock()
 	n.Ledger = energy.NewLedger(len(n.downed))
 	n.Counter = radio.NewCounter(len(n.downed))
+	n.Epochs = 0
 }
 
 // Snapshot copies the current counters — used to compute per-phase deltas.

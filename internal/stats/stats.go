@@ -32,9 +32,13 @@ type RunStats struct {
 
 // Collect reads a network's counters into a RunStats, under the network's
 // lock: an epoch a cancelled step abandoned may still be charging them.
+// Epochs is the network's own count unless epochs overrides it.
 func Collect(name string, net *sim.Network, epochs int) RunStats {
 	r := RunStats{Algorithm: name, Epochs: epochs, PerKind: make(map[radio.MsgKind]int)}
 	net.Locked(func() {
+		if epochs == 0 {
+			r.Epochs = net.Epochs
+		}
 		for k, v := range net.Counter.TxBytes {
 			if v != 0 { // a kind never transmitted has no entry
 				r.PerKind[radio.MsgKind(k)] = v

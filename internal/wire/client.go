@@ -3,6 +3,7 @@ package wire
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"os"
 	"slices"
@@ -177,30 +178,37 @@ func (cc *clientConn) isDead() bool {
 // wraps.
 // Calls are synchronous for their caller but pipeline on the connection: a
 // reader goroutine demultiplexes responses by sequence number to per-call
-// waiters, so concurrent calls (epoch rounds, stats polls, historic rounds)
+// waiters, so concurrent calls (epoch rounds, attaches, historic rounds)
 // share one socket without queueing behind each other. Each call retries
 // with backoff across timeouts and reconnects, reusing its sequence number
 // so the server executes it at most once; the backoff sleeps only the
-// retrying call. Close interrupts in-flight calls promptly.
+// retrying call. At most sendWindow sequences are in flight, so no call
+// outlives the server's replay horizon. Close interrupts in-flight calls
+// promptly. Stats and StorageStats make no call: every reply carries the
+// shard's counters, and the client keeps the newest.
 type Client struct {
 	cfg   ClientConfig
 	nonce uint64
 
-	// name is the shard display name from the welcome. Reconnects re-derive
-	// it, so reads synchronize under connMu.
-	name string
-
-	seqMu sync.Mutex
-	seq   uint64
-
-	connMu   sync.Mutex // guards cur/closed against concurrent Close
+	connMu   sync.Mutex // guards the fields below it up to dialMu
 	cur      *clientConn
-	closed   bool
-	closedCh chan struct{}
-	dialMu   sync.Mutex // serializes reconnect attempts
+	closedCh chan struct{} // closed by Close, under connMu
+	// name is the shard display name from the welcome. Reconnects re-derive
+	// it.
+	name string
+	// row is the newest envelope read on rowConn: the connection's Welcome,
+	// then any reply with a higher stamp.
+	row     Envelope
+	rowConn *clientConn
+	// unreachable is the error of the most recently completed call if it
+	// ended unreachable, nil if it got a reply.
+	unreachable error
+	dialMu      sync.Mutex // serializes reconnect attempts
 
 	pendMu  sync.Mutex
-	pending map[uint64]*waiter
+	seq     uint64             // the next call's sequence
+	pending map[uint64]*waiter // in-flight calls by sequence
+	window  sync.Cond          // on pendMu: a call finished, or the client closed
 
 	// retried counts calls that needed more than one attempt (tests
 	// assert fault injection actually exercised the retry path).
@@ -213,53 +221,15 @@ type Client struct {
 	latMu sync.Mutex
 	lat   []int64 // µs ring, latRingCap entries once warm
 	latN  int64   // total samples recorded
-
-	carried carriedRow
 }
 
-// carriedRow is the counters row the client's last completed epoch round
-// brought back, kept for exactly one Stats. It is current only while the
-// shard has run nothing since that round, so it is dropped as soon as any
-// other call begins or ends, when a round fails, when the connection is
-// lost or the client closes, and once it is read. A
-// round that overlapped any other call keeps nothing: gen counts every
-// begin and end, and the round keeps its row only if gen has not moved
-// since its own began.
-type carriedRow struct {
-	mu  sync.Mutex
-	gen uint64
-	row stats.RunStats
-	ok  bool
-}
+// sendWindow bounds the sequences in flight: a call may not take a
+// sequence at or beyond the oldest in-flight one plus sendWindow. Half the
+// server's replay horizon (replayCap, server.go), so a call in flight
+// never sees its reply evicted or its sequence refused as stale.
+const sendWindow = replayCap / 2
 
-// touch marks a call beginning or ending and drops the row, returning the
-// new generation.
-func (r *carriedRow) touch() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.gen++
-	r.ok = false
-	return r.gen
-}
-
-// keep stores a completed round's row if no other call began or ended
-// since the round began at gen.
-func (r *carriedRow) keep(gen uint64, row stats.RunStats) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.gen == gen {
-		r.row, r.ok = row, true
-	}
-}
-
-// take returns the row, once.
-func (r *carriedRow) take() (stats.RunStats, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	ok := r.ok
-	r.ok = false
-	return r.row, ok
-}
+var errClosed = errors.New("wire: client is closed")
 
 // Dial connects and handshakes with a shard server.
 func Dial(cfg ClientConfig) (*Client, error) {
@@ -273,6 +243,7 @@ func Dial(cfg ClientConfig) (*Client, error) {
 		closedCh: make(chan struct{}),
 		pending:  make(map[uint64]*waiter),
 	}
+	c.window.L = &c.pendMu
 	if _, err := c.getConn(); err != nil {
 		return nil, fmt.Errorf("wire: shard %d at %s: %w", cfg.Shard, cfg.Addr, err)
 	}
@@ -285,9 +256,6 @@ func (c *Client) Name() string {
 	defer c.connMu.Unlock()
 	return c.name
 }
-
-// Retried reports how many calls needed more than one attempt.
-func (c *Client) Retried() int64 { return c.retried.Load() }
 
 // Metrics snapshots the connection's RTT/traffic accounting.
 func (c *Client) Metrics() ClientMetrics {
@@ -322,18 +290,13 @@ func (c *Client) recordLatency(d time.Duration) {
 	c.latMu.Unlock()
 }
 
-func (c *Client) nextSeq() uint64 {
-	c.seqMu.Lock()
-	defer c.seqMu.Unlock()
-	seq := c.seq
-	c.seq++
-	return seq
-}
-
 func (c *Client) isClosed() bool {
-	c.connMu.Lock()
-	defer c.connMu.Unlock()
-	return c.closed
+	select {
+	case <-c.closedCh:
+		return true
+	default:
+		return false
+	}
 }
 
 // getConn returns the live connection, dialing and handshaking a fresh one
@@ -341,9 +304,9 @@ func (c *Client) isClosed() bool {
 // lose the race reuse the winner's connection.
 func (c *Client) getConn() (*clientConn, error) {
 	c.connMu.Lock()
-	if c.closed {
+	if c.isClosed() {
 		c.connMu.Unlock()
-		return nil, errors.New("wire: client is closed")
+		return nil, errClosed
 	}
 	cc := c.cur
 	c.connMu.Unlock()
@@ -353,37 +316,41 @@ func (c *Client) getConn() (*clientConn, error) {
 	c.dialMu.Lock()
 	defer c.dialMu.Unlock()
 	c.connMu.Lock()
-	if c.closed {
+	if c.isClosed() {
 		c.connMu.Unlock()
-		return nil, errors.New("wire: client is closed")
+		return nil, errClosed
 	}
 	cc = c.cur
 	c.connMu.Unlock()
 	if cc != nil && !cc.isDead() {
 		return cc, nil
 	}
-	cc, err := c.handshake()
+	cc, w, err := c.handshake()
 	if err != nil {
 		return nil, err
 	}
 	c.connMu.Lock()
-	if c.closed {
+	if c.isClosed() {
 		c.connMu.Unlock()
 		cc.conn.Close()
-		return nil, errors.New("wire: client is closed")
+		return nil, errClosed
 	}
-	c.cur = cc
+	// A new connection's row replaces the old one's whatever their stamps:
+	// the shard behind it may have restarted, stamps and counters with it.
+	c.cur, c.name, c.row, c.rowConn = cc, w.Name, w.Counters, cc
 	c.connMu.Unlock()
 	go c.readLoop(cc)
 	return cc, nil
 }
 
 // handshake dials and runs the hello/welcome exchange synchronously (the
-// demux reader starts only after the connection is admitted).
-func (c *Client) handshake() (*clientConn, error) {
+// demux reader starts only after the connection is admitted). The hello
+// takes no sequence: it is never executed, so it has no place in the send
+// window.
+func (c *Client) handshake() (*clientConn, Welcome, error) {
 	conn, err := net.DialTimeout("tcp", c.cfg.Addr, c.cfg.dialTimeout())
 	if err != nil {
-		return nil, err
+		return nil, Welcome{}, err
 	}
 	hello := AppendHello(nil, Hello{
 		Version:  Version,
@@ -395,45 +362,43 @@ func (c *Client) handshake() (*clientConn, error) {
 	})
 	var wbuf []byte
 	conn.SetDeadline(time.Now().Add(c.cfg.callTimeout()))
-	if err := WriteFrame(conn, &wbuf, Frame{Seq: c.nextSeq(), Type: MsgHello, Payload: hello}); err != nil {
+	if err := WriteFrame(conn, &wbuf, Frame{Type: MsgHello, Payload: hello}); err != nil {
 		conn.Close()
-		return nil, err
+		return nil, Welcome{}, err
 	}
 	f, err := ReadFrame(conn)
 	if err != nil {
 		conn.Close()
-		return nil, err
+		return nil, Welcome{}, err
 	}
 	if f.Type == MsgError {
 		conn.Close()
-		return nil, fmt.Errorf("%s", f.Payload)
+		return nil, Welcome{}, fmt.Errorf("%s", f.Payload)
 	}
 	if f.Type != MsgWelcome {
 		conn.Close()
-		return nil, fmt.Errorf("handshake reply %v", f.Type)
+		return nil, Welcome{}, fmt.Errorf("handshake reply %v", f.Type)
 	}
 	w, err := DecodeWelcome(f.Payload)
 	if err != nil {
 		conn.Close()
-		return nil, err
+		return nil, Welcome{}, err
 	}
 	if int(w.Shard) != c.cfg.Shard || int(w.Nodes) != c.cfg.Nodes {
 		conn.Close()
-		return nil, fmt.Errorf("welcome identity shard=%d nodes=%d, want shard=%d nodes=%d", w.Shard, w.Nodes, c.cfg.Shard, c.cfg.Nodes)
+		return nil, Welcome{}, fmt.Errorf("welcome identity shard=%d nodes=%d, want shard=%d nodes=%d", w.Shard, w.Nodes, c.cfg.Shard, c.cfg.Nodes)
 	}
 	conn.SetDeadline(time.Time{})
-	c.connMu.Lock()
-	c.name = w.Name
-	c.connMu.Unlock()
-	cc := &clientConn{conn: conn, dead: make(chan struct{})}
-	return cc, nil
+	return &clientConn{conn: conn, dead: make(chan struct{})}, w, nil
 }
 
 // readLoop is the connection's demux reader: every response frame routes
-// to the pending call with its sequence number. Frames with no pending
-// waiter (responses to earlier attempts whose call already completed) are
-// discarded — at-most-once execution on the server makes that safe. A
-// read error marks the connection dead, waking every pending call.
+// to the pending call with its sequence number, its envelope stripped and
+// kept if it is the connection's newest. Frames with no pending waiter
+// (responses to earlier attempts whose call already completed) bring their
+// envelope and are otherwise discarded — at-most-once execution on the
+// server makes that safe. A read error or a malformed envelope marks the
+// connection dead, waking every pending call.
 func (c *Client) readLoop(cc *clientConn) {
 	for {
 		f, err := ReadFrame(cc.conn)
@@ -447,14 +412,23 @@ func (c *Client) readLoop(cc *clientConn) {
 		c.pendMu.Lock()
 		w := c.pending[f.Seq]
 		c.pendMu.Unlock()
+		if w != nil && c.cfg.Faults.dropResp(f.Seq, int(w.attempt.Load())) {
+			// The response "was lost", envelope and all: the call times out
+			// and retries the same sequence; the server replays its cached
+			// reply.
+			continue
+		}
+		env, body, err := DecodeEnvelope(f.Payload)
+		if err != nil {
+			cc.fail(err)
+			c.clearConn(cc)
+			return
+		}
+		c.keep(cc, env)
 		if w == nil {
 			continue
 		}
-		if c.cfg.Faults.dropResp(f.Seq, int(w.attempt.Load())) {
-			// The response "was lost": the call times out and retries the
-			// same sequence; the server replays its cached reply.
-			continue
-		}
+		f.Payload = body
 		if d := c.cfg.Faults.linkDelay(); d > 0 {
 			// Propagation delay is per frame, not per link: deliveries must
 			// overlap the reader draining the next frame.
@@ -468,16 +442,25 @@ func (c *Client) readLoop(cc *clientConn) {
 	}
 }
 
-// clearConn forgets cc as the current connection (the next call redials),
-// and with it the carried row: the shard behind a lost connection may be
-// gone or restarted.
+// keep holds env if it is newer than the row held from the same
+// connection. A replay keeps its original stamp, so a late one never
+// displaces a newer row; an envelope read on a connection a reconnect has
+// already replaced is dropped.
+func (c *Client) keep(cc *clientConn, env Envelope) {
+	c.connMu.Lock()
+	if c.rowConn == cc && env.Stamp > c.row.Stamp {
+		c.row = env
+	}
+	c.connMu.Unlock()
+}
+
+// clearConn forgets cc as the current connection (the next call redials).
 func (c *Client) clearConn(cc *clientConn) {
 	c.connMu.Lock()
 	if c.cur == cc {
 		c.cur = nil
 	}
 	c.connMu.Unlock()
-	c.carried.touch()
 }
 
 // sleep waits d out unless the client closes first.
@@ -492,32 +475,22 @@ func (c *Client) sleep(d time.Duration) bool {
 	}
 }
 
-// call performs one at-most-once RPC: stamp a fresh sequence, register a
-// response waiter, then retry (same sequence) across timeouts, connection
-// drops and injected frame faults until a response lands or attempts run
-// out. Retry backoff sleeps only this call — concurrent calls keep flowing
-// on the shared connection. An application error (MsgError) is a
-// definitive response and is not retried.
+// call performs one at-most-once RPC: take a sequence inside the send
+// window, register a response waiter, then retry (same sequence) across
+// timeouts, connection drops and injected frame faults until a response
+// lands or attempts run out. Retry backoff sleeps only this call —
+// concurrent calls keep flowing on the shared connection. An application
+// error (MsgError) is a definitive response and is not retried.
 func (c *Client) call(t MsgType, payload []byte) (Frame, error) {
 	c.calls.Add(1)
 	if t == MsgEpochRound {
 		c.rounds.Add(1)
-	} else {
-		// Any other call makes the carried row stale; a round marks its
-		// own begin and end (EpochRound).
-		c.carried.touch()
-		defer c.carried.touch()
 	}
-	seq := c.nextSeq()
-	w := &waiter{ch: make(chan Frame, 1)}
-	c.pendMu.Lock()
-	c.pending[seq] = w
-	c.pendMu.Unlock()
-	defer func() {
-		c.pendMu.Lock()
-		delete(c.pending, seq)
-		c.pendMu.Unlock()
-	}()
+	seq, w, err := c.begin()
+	if err != nil {
+		return Frame{}, err
+	}
+	defer c.end(seq)
 	start := time.Now()
 	backoff := c.cfg.backoff()
 	var lastErr error
@@ -525,12 +498,12 @@ func (c *Client) call(t MsgType, payload []byte) (Frame, error) {
 		if attempt > 0 {
 			c.retried.Add(1)
 			if !c.sleep(backoff) {
-				return Frame{}, errors.New("wire: client is closed")
+				return Frame{}, errClosed
 			}
 			backoff *= 2
 		}
 		if c.isClosed() {
-			return Frame{}, errors.New("wire: client is closed")
+			return Frame{}, errClosed
 		}
 		w.attempt.Store(int32(attempt))
 		cc, err := c.getConn()
@@ -550,6 +523,7 @@ func (c *Client) call(t MsgType, payload []byte) (Frame, error) {
 		case f := <-w.ch:
 			timer.Stop()
 			c.recordLatency(time.Since(start))
+			c.settle(nil)
 			if f.Type == MsgError {
 				return Frame{}, fmt.Errorf("wire: shard %s: %s", c.shardLabel(), f.Payload)
 			}
@@ -567,7 +541,51 @@ func (c *Client) call(t MsgType, payload []byte) (Frame, error) {
 			}
 		}
 	}
-	return Frame{}, fmt.Errorf("wire: shard %s unreachable after %d attempts: %w", c.shardLabel(), c.cfg.retries()+1, lastErr)
+	err = fmt.Errorf("wire: shard %s unreachable after %d attempts: %w", c.shardLabel(), c.cfg.retries()+1, lastErr)
+	c.settle(err)
+	return Frame{}, err
+}
+
+// begin takes the call's sequence and registers its waiter, inside the
+// send window: while the next sequence is at or beyond the oldest
+// in-flight one plus sendWindow, the caller waits for a call to finish, or
+// for Close.
+func (c *Client) begin() (uint64, *waiter, error) {
+	c.pendMu.Lock()
+	defer c.pendMu.Unlock()
+	for {
+		oldest := c.seq
+		for seq := range c.pending {
+			oldest = min(oldest, seq)
+		}
+		if c.seq < oldest+sendWindow {
+			break
+		}
+		if c.isClosed() {
+			return 0, nil, errClosed
+		}
+		c.window.Wait()
+	}
+	seq, w := c.seq, &waiter{ch: make(chan Frame, 1)}
+	c.seq++
+	c.pending[seq] = w
+	return seq, w, nil
+}
+
+// end retires a call from the window.
+func (c *Client) end(seq uint64) {
+	c.pendMu.Lock()
+	delete(c.pending, seq)
+	c.window.Broadcast()
+	c.pendMu.Unlock()
+}
+
+// settle records how the most recently completed call ended: nil if it got
+// a reply, its error if it ended unreachable (see Stats).
+func (c *Client) settle(err error) {
+	c.connMu.Lock()
+	c.unreachable = err
+	c.connMu.Unlock()
 }
 
 func (c *Client) shardLabel() string {
@@ -637,16 +655,12 @@ func (c *Client) Detach(queryID uint32) error {
 }
 
 // EpochRound implements engine.RemoteShard: sense the epoch and run every
-// group's acquisition in one round trip. The reply's counters row is kept
-// for the next Stats.
+// group's acquisition in one round trip.
 func (c *Client) EpochRound(e model.Epoch, queries []uint32) (map[model.NodeID]model.Reading, []engine.RemoteGroupResult, error) {
-	gen := c.carried.touch()
 	rep, err := c.epochRound(e, queries)
 	if err != nil {
-		c.carried.touch()
 		return nil, nil, err
 	}
-	c.carried.keep(gen, rep.Stats)
 	results := make([]engine.RemoteGroupResult, len(rep.Groups))
 	for i, g := range rep.Groups {
 		if g.Err != "" {
@@ -745,36 +759,38 @@ func (c *Client) Restore(img []byte) error {
 	}
 }
 
-// StorageStats fetches the shard's durable-tier storage block (log files,
-// bytes on disk, last checkpointed epoch, first persistence failure).
+// StorageStats returns the shard's durable-tier storage block (log files,
+// bytes on disk, last checkpointed epoch, first persistence failure) from
+// the newest reply; it makes no call (see Stats).
 func (c *Client) StorageStats() (storage.StoreStats, error) {
-	_, block, err := c.fetchStats()
-	return block, err
+	env, err := c.held()
+	return env.Storage, err
 }
 
-// Stats reads the shard's traffic/energy counters. The first Stats after a
-// completed epoch round answers from the row that round carried, without a
-// call — exactly what a stats call would have returned, since the shard
-// has run nothing of this client's since (see carriedRow). Every other
-// Stats asks the shard.
+// Stats returns the shard's traffic/energy counters from the newest reply
+// on the current connection — its Welcome, or any later reply with a
+// higher stamp — and makes no call. It fails only once the client is
+// closed, or while the most recently completed call ended unreachable (that
+// call's error): a dead shard's last row is not passed off as current.
 func (c *Client) Stats() (stats.RunStats, error) {
-	if row, ok := c.carried.take(); ok {
-		return row, nil
-	}
-	row, _, err := c.fetchStats()
-	return row, err
+	env, err := c.held()
+	return env.Row, err
 }
 
-// fetchStats is the stats exchange: the counters row and the storage block.
-func (c *Client) fetchStats() (stats.RunStats, storage.StoreStats, error) {
-	f, err := c.call(MsgStats, nil)
-	if err != nil {
-		return stats.RunStats{}, storage.StoreStats{}, err
+// held returns the newest envelope, its row labelled with the shard's name
+// and its per-kind map the caller's own.
+func (c *Client) held() (Envelope, error) {
+	c.connMu.Lock()
+	defer c.connMu.Unlock()
+	if c.isClosed() {
+		return Envelope{}, errClosed
 	}
-	if f.Type != MsgStatsReply {
-		return stats.RunStats{}, storage.StoreStats{}, fmt.Errorf("wire: stats reply %v", f.Type)
+	if c.unreachable != nil {
+		return Envelope{}, c.unreachable
 	}
-	return DecodeStatsReply(f.Payload)
+	env := c.row
+	env.Row.Algorithm, env.Row.PerKind = c.name, maps.Clone(env.Row.PerKind)
+	return env, nil
 }
 
 // Close ends the session: best-effort goodbye, then the connection drops.
@@ -783,23 +799,24 @@ func (c *Client) fetchStats() (stats.RunStats, storage.StoreStats, error) {
 // goroutine exits. Safe to call more than once.
 func (c *Client) Close() error {
 	c.connMu.Lock()
-	if c.closed {
+	if c.isClosed() {
 		c.connMu.Unlock()
 		return nil
 	}
-	c.closed = true
 	close(c.closedCh)
 	cc := c.cur
 	c.cur = nil
 	c.connMu.Unlock()
-	c.carried.touch()
+	c.pendMu.Lock()
+	c.window.Broadcast() // callers waiting for the window see closedCh
+	c.pendMu.Unlock()
 	if cc != nil {
 		// Goodbye on the raw connection without touching the write mutex:
 		// Close must not wait behind a sender it is supposed to interrupt.
 		var wbuf []byte
 		cc.conn.SetDeadline(time.Now().Add(100 * time.Millisecond))
 		WriteFrame(cc.conn, &wbuf, Frame{Seq: ^uint64(0), Type: MsgClose, Payload: nil})
-		cc.fail(errors.New("wire: client is closed"))
+		cc.fail(errClosed)
 	}
 	return nil
 }

@@ -44,8 +44,7 @@ type Faults struct {
 	// sleeps LinkDelay before hitting the socket and every response frame
 	// sleeps LinkDelay before delivery, so one call costs 2×LinkDelay of
 	// round-trip time. Unlike the probabilistic dimensions it is applied
-	// unconditionally — it is the RTT-injection leg of
-	// BenchmarkWireEpochRTT, not a loss model.
+	// unconditionally — an RTT injection, not a loss model.
 	LinkDelay time.Duration
 }
 

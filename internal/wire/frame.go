@@ -21,12 +21,13 @@
 // sequence number on every call and retries the *same* sequence on timeout
 // or reconnect; the server replays the cached response for a sequence it
 // already executed and refuses sequences old enough to have been evicted
-// from the replay cache. That is what makes per-connection
-// retry/timeout/backoff — and the deterministic frame-level fault
-// injection in faults.go — safe: a sense is charged and an acquisition
-// sweep runs exactly once per sequence number no matter how many frames
-// the socket loses, duplicates or delays, so a federated run over lossy
-// sockets stays byte-identical to the in-process run.
+// from the replay cache, and the client keeps at most half that cache's
+// horizon in flight, so no call it still awaits is ever refused. That is
+// what makes per-connection retry/timeout/backoff — and the deterministic
+// frame-level fault injection in faults.go — safe: a sense is charged and
+// an acquisition sweep runs exactly once per sequence number no matter how
+// many frames the socket loses, duplicates or delays, so a federated run
+// over lossy sockets stays byte-identical to the in-process run.
 //
 // The connection is full-duplex: the client pipelines calls, demultiplexing
 // responses back to their callers by sequence number. A whole federated
@@ -52,7 +53,7 @@ const (
 	// Version is the protocol version; peers must match exactly. It is the
 	// only compatibility mechanism: any change a peer of the previous
 	// version would misread bumps it.
-	Version uint16 = 5
+	Version uint16 = 6
 	// MaxPayload bounds a frame's payload. The largest legitimate frame is
 	// an epoch-round reply (a few bytes per sensor node per group), so
 	// 1 MiB is far beyond scale-100k split into shards, while a garbage
@@ -67,9 +68,12 @@ const (
 // MsgType tags a frame.
 type MsgType uint8
 
-// Frame types. Requests are client→server, replies server→client.
+// Frame types. Requests are client→server, replies server→client. Every
+// reply's payload — and the Welcome, after the shard's name — opens with
+// the shard's Envelope (its counters row and storage block, stamped).
+// Type 0 is no message.
 const (
-	MsgInvalid         MsgType = iota
+	_                  MsgType = iota
 	MsgHello                   // handshake request: identity + version
 	MsgWelcome                 // handshake reply: server identity
 	MsgError                   // reply: application error (string payload)
@@ -81,12 +85,10 @@ const (
 	MsgSums                    // reply: exec, (group, s64 sum) records
 	MsgRelease                 // drop a historic execution's cached state: exec
 	MsgReleased                // reply: exec
-	MsgStats                   // fetch the shard's traffic/energy counters
-	MsgStatsReply              // reply: counters row + storage block
 	MsgClose                   // graceful session close
 	MsgClosed                  // reply: acknowledged
 	MsgEpochRound              // one epoch: epoch + every group's query id
-	MsgEpochRoundReply         // reply: sense readings + every group's acquisition + counters row
+	MsgEpochRoundReply         // reply: sense readings + every group's acquisition
 	MsgSnapshot                // fetch one bounded chunk of the shard state: offset
 	MsgSnapshotChunk           // reply: total size, offset, chunk bytes
 	MsgRestore                 // push one bounded chunk of a shard state: total, offset, bytes
@@ -119,10 +121,6 @@ func (t MsgType) String() string {
 		return "release"
 	case MsgReleased:
 		return "released"
-	case MsgStats:
-		return "stats"
-	case MsgStatsReply:
-		return "stats-reply"
 	case MsgClose:
 		return "close"
 	case MsgClosed:
@@ -242,12 +240,15 @@ type Hello struct {
 	Scenario string // flat scenario name
 }
 
-// Welcome is the handshake reply: the server's own identity.
+// Welcome is the handshake reply: the server's own identity, and the
+// shard's counters as the session finds them, so a fresh connection holds
+// a row before its first call.
 type Welcome struct {
-	Version uint16
-	Shard   uint16
-	Nodes   uint16
-	Name    string // shard display name (panels, error tags)
+	Version  uint16
+	Shard    uint16
+	Nodes    uint16
+	Name     string // shard display name (panels, error tags, the row's label)
+	Counters Envelope
 }
 
 // checkHandshakeHead verifies the magic and version that open both
@@ -316,7 +317,7 @@ func AppendWelcome(dst []byte, w Welcome) []byte {
 	binary.LittleEndian.PutUint16(buf[6:], w.Shard)
 	binary.LittleEndian.PutUint16(buf[8:], w.Nodes)
 	dst = append(dst, buf[:]...)
-	return appendString(dst, w.Name)
+	return AppendEnvelope(appendString(dst, w.Name), w.Counters)
 }
 
 // DecodeWelcome decodes a handshake reply, with DecodeHello's strictness.
@@ -332,14 +333,16 @@ func DecodeWelcome(b []byte) (Welcome, error) {
 		Shard:   binary.LittleEndian.Uint16(b[6:]),
 		Nodes:   binary.LittleEndian.Uint16(b[8:]),
 	}
-	s, rest, err := decodeString(b[welcomeFixedSize:])
-	if err != nil {
+	var err error
+	if w.Name, b, err = decodeString(b[welcomeFixedSize:]); err != nil {
 		return Welcome{}, err
 	}
-	if len(rest) != 0 {
-		return Welcome{}, fmt.Errorf("wire: %d trailing bytes after welcome", len(rest))
+	if w.Counters, b, err = DecodeEnvelope(b); err != nil {
+		return Welcome{}, err
 	}
-	w.Name = s
+	if len(b) != 0 {
+		return Welcome{}, fmt.Errorf("wire: %d trailing bytes after welcome", len(b))
+	}
 	return w, nil
 }
 

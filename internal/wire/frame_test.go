@@ -97,12 +97,14 @@ func TestHandshakeRoundTrip(t *testing.T) {
 	if got != h {
 		t.Fatalf("hello %+v != %+v", got, h)
 	}
-	w := Welcome{Version: Version, Shard: 2, Nodes: 250, Name: "shard-2"}
+	w := Welcome{Version: Version, Shard: 2, Nodes: 250, Name: "shard-2", Counters: Envelope{
+		Stamp: 7, Storage: storage.StoreStats{Nodes: 250}, Row: stats.RunStats{Epochs: 3, Messages: 9, PerKind: map[radio.MsgKind]int{radio.KindData: 40}},
+	}}
 	gw, err := DecodeWelcome(AppendWelcome(nil, w))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gw != w {
+	if !reflect.DeepEqual(gw, w) {
 		t.Fatalf("welcome %+v != %+v", gw, w)
 	}
 }
@@ -152,8 +154,8 @@ func TestHandshakeRejects(t *testing.T) {
 	skewed := AppendWelcome(nil, Welcome{Version: 1, Name: "shard-0"})
 	_, err = DecodeWelcome(skewed)
 	bothVersions("v1 welcome", err)
-	// The previous version too: its epoch-round reply carried no counters
-	// row, so a mixed deployment would misread every round.
+	// The previous version too: its replies carried no envelope, so a mixed
+	// deployment would misread every reply.
 	_, err = DecodeHello(AppendHello(nil, Hello{Version: Version - 1, Scenario: "demo"}))
 	if want := fmt.Sprintf("version %d, server speaks %d", Version-1, Version); err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("previous-version hello: %v, want an error naming %q", err, want)
@@ -277,11 +279,12 @@ func TestFixed64RoundTrip(t *testing.T) {
 	}
 }
 
-// TestStatsRowCodec: the counters row — carried by every epoch-round reply
-// and leading every stats reply — round-trips exactly (energies to the bit,
-// an empty PerKind as the empty map stats.Collect builds) in one canonical
-// form, and the decoder refuses unordered or repeated kinds, truncation,
-// trailing bytes and a non-boolean checkpoint flag.
+// TestStatsRowCodec: the envelope — the stamped storage block and counters
+// row leading every reply — round-trips exactly (energies to the bit, an
+// empty PerKind as the empty map stats.Collect builds) in one canonical
+// form, hands back the reply's own payload behind it, and the decoder
+// refuses unordered or repeated kinds, truncation and a non-boolean
+// checkpoint flag. The row's label does not cross.
 func TestStatsRowCodec(t *testing.T) {
 	block := storage.StoreStats{Dir: "/data/shard-1", Nodes: 250, Segments: 1, Bytes: 1 << 33, LastEpoch: 70000, HasEpoch: true, Err: "disk full"}
 	for _, tc := range []struct {
@@ -299,51 +302,54 @@ func TestStatsRowCodec(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want := tc.row
+			want.Algorithm = ""
 			if want.PerKind == nil {
 				want.PerKind = map[radio.MsgKind]int{}
 			}
-			b := AppendStatsReply(nil, tc.row, block)
-			row, gotBlock, err := DecodeStatsReply(b)
+			env := Envelope{Stamp: 1 << 40, Storage: block, Row: tc.row}
+			b := AppendEnvelope(nil, env)
+			got, rest, err := DecodeEnvelope(append(b, "payload"...))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(row, want) || gotBlock != block {
-				t.Fatalf("round trip:\ngot  %+v %+v\nwant %+v %+v", row, gotBlock, want, block)
+			if string(rest) != "payload" {
+				t.Fatalf("payload behind the envelope read as %q", rest)
 			}
-			if math.Float64bits(row.EnergyUJ) != math.Float64bits(want.EnergyUJ) || math.Float64bits(row.EnergyMax) != math.Float64bits(want.EnergyMax) {
-				t.Fatalf("energies not bit-exact: %v %v", row.EnergyUJ, row.EnergyMax)
+			if !reflect.DeepEqual(got.Row, want) || got.Storage != block || got.Stamp != env.Stamp {
+				t.Fatalf("round trip:\ngot  %+v\nwant %+v %+v", got, want, block)
 			}
-			if re := AppendStatsReply(nil, row, gotBlock); !bytes.Equal(re, b) {
+			if math.Float64bits(got.Row.EnergyUJ) != math.Float64bits(want.EnergyUJ) || math.Float64bits(got.Row.EnergyMax) != math.Float64bits(want.EnergyMax) {
+				t.Fatalf("energies not bit-exact: %v %v", got.Row.EnergyUJ, got.Row.EnergyMax)
+			}
+			if re := AppendEnvelope(nil, got); !bytes.Equal(re, b) {
 				t.Fatalf("re-encode diverged: %x != %x", re, b)
 			}
 			for cut := 0; cut < len(b); cut++ {
-				if _, _, err := DecodeStatsReply(b[:cut]); err == nil {
+				if _, _, err := DecodeEnvelope(b[:cut]); err == nil {
 					t.Fatalf("truncation at %d of %d accepted", cut, len(b))
 				}
-			}
-			if _, _, err := DecodeStatsReply(append(b, 0)); err == nil {
-				t.Fatal("trailing byte accepted")
 			}
 		})
 	}
 
-	// The row's kinds section is its tail: count, then (kind, bytes) pairs.
-	two := AppendStatsRow(nil, stats.RunStats{PerKind: map[radio.MsgKind]int{1: 5, 2: 7}})
+	// The row's kinds section is the envelope's tail: count, then (kind,
+	// bytes) pairs.
+	two := AppendEnvelope(nil, Envelope{Row: stats.RunStats{PerKind: map[radio.MsgKind]int{1: 5, 2: 7}}})
 	head := two[:len(two)-4]
 	if !bytes.Equal(two[len(two)-4:], []byte{1, 5, 2, 7}) {
 		t.Fatalf("kinds section laid out as %x", two[len(two)-4:])
 	}
 	for name, kinds := range map[string][]byte{"unordered": {2, 7, 1, 5}, "repeated": {1, 5, 1, 7}} {
-		if _, _, err := DecodeStatsRow(append(append([]byte(nil), head...), kinds...)); err == nil {
+		if _, _, err := DecodeEnvelope(append(append([]byte(nil), head...), kinds...)); err == nil {
 			t.Fatalf("%s kinds accepted", name)
 		}
 	}
-	if _, _, err := DecodeStatsRow(append(append([]byte(nil), head...), 1, 0x85, 0x00, 2, 7)); err == nil {
+	if _, _, err := DecodeEnvelope(append(append([]byte(nil), head...), 1, 0x85, 0x00, 2, 7)); err == nil {
 		t.Fatal("non-minimal varint accepted")
 	}
-	flag := AppendStatsReply(nil, stats.RunStats{}, storage.StoreStats{})
-	flag[len(flag)-3] = 2 // checkpointed, then the empty error string's u16 length
-	if _, _, err := DecodeStatsReply(flag); err == nil {
+	flag := AppendEnvelope(nil, Envelope{})
+	flag[2+2+5] = 2 // dir, error, stamp, three counts, last epoch: then checkpointed
+	if _, _, err := DecodeEnvelope(flag); err == nil {
 		t.Fatal("checkpointed flag 2 accepted")
 	}
 }

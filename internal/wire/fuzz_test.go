@@ -21,10 +21,12 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(AppendFrame(nil, Frame{Seq: 2, Type: MsgEpochRound, Payload: AppendEpochRound(nil, EpochRoundReq{Epoch: 7, Queries: []uint32{1, 2}})}))
 	f.Add(AppendFrame(nil, Frame{Seq: 3, Type: MsgSums, Payload: AppendSums(nil, 7, map[model.GroupID]int64{1: 2})}))
 	f.Add(AppendFrame(nil, Frame{Seq: 5, Type: MsgDetach, Payload: AppendU32(nil, 7)}))
-	f.Add(AppendFrame(nil, Frame{Seq: 6, Type: MsgStatsReply, Payload: AppendStatsReply(nil, fuzzRow, storage.StoreStats{Nodes: 8})}))
+	f.Add(AppendFrame(nil, Frame{Seq: 6, Type: MsgDetached, Payload: AppendU32(AppendEnvelope(nil, fuzzEnvelope), 7)}))
 	f.Add(AppendFrame(nil, Frame{Seq: 4, Type: MsgTopK, Payload: AppendTopK(nil, 1, 9, []model.Answer{{Group: 3, Score: -4.5}})}))
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add(AppendFrame(nil, Frame{Seq: 8, Type: MsgError, Payload: append(AppendEnvelope(nil, Envelope{Stamp: 300}), "wire: stale sequence"...)}))
+	f.Add(AppendFrame(nil, Frame{Seq: 9, Type: MsgWelcome, Payload: AppendWelcome(nil, Welcome{Version: Version, Shard: 1, Nodes: 8, Name: "shard-1", Counters: fuzzEnvelope})}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, n, err := DecodeFrame(data)
 		if err != nil {
@@ -57,16 +59,27 @@ func FuzzFrameDecode(f *testing.F) {
 		DecodeEpochRound(fr.Payload)
 		DecodeEpochRoundReply(fr.Payload, fuzzRoster)
 		DecodeRosterReadings(fr.Payload, fuzzRoster, 0)
-		DecodeStatsReply(fr.Payload)
+		// Every reply opens with an envelope: what decodes re-encodes to
+		// the bytes it consumed.
+		if env, rest, err := DecodeEnvelope(fr.Payload); err == nil {
+			if re := AppendEnvelope(nil, env); !bytes.Equal(re, fr.Payload[:len(fr.Payload)-len(rest)]) {
+				t.Fatalf("envelope re-encode mismatch: %x != %x", re, fr.Payload[:len(fr.Payload)-len(rest)])
+			}
+		}
 	})
 }
 
-// fuzzRow is a counters row with three kinds and non-integral energies
-// (neither has an exact binary form): the seeds' row section.
-var fuzzRow = stats.RunStats{
-	Algorithm: "shard-1", Epochs: 7, Messages: 2425, Frames: 2611, TxBytes: 62150, RxBytes: 61032, Drops: 3,
-	EnergyUJ: 127852.6, EnergyMax: 0.1 + 0.2,
-	PerKind: map[radio.MsgKind]int{radio.KindData: 60000, radio.KindBeacon: 2000, radio.KindOther: 150},
+// fuzzEnvelope is a stamped envelope whose counters row has three kinds
+// and non-integral energies (neither has an exact binary form): the seeds'
+// envelope section.
+var fuzzEnvelope = Envelope{
+	Stamp:   70000,
+	Storage: storage.StoreStats{Dir: "/data/shard-1", Nodes: 8, Segments: 1, Bytes: 4096, LastEpoch: 7, HasEpoch: true},
+	Row: stats.RunStats{
+		Epochs: 7, Messages: 2425, Frames: 2611, TxBytes: 62150, RxBytes: 61032, Drops: 3,
+		EnergyUJ: 127852.6, EnergyMax: 0.1 + 0.2,
+		PerKind: map[radio.MsgKind]int{radio.KindData: 60000, radio.KindBeacon: 2000, radio.KindOther: 150},
+	},
 }
 
 // fuzzRoster is the fixed positional frame of reference for the
@@ -75,11 +88,11 @@ var fuzzRow = stats.RunStats{
 var fuzzRoster = []model.NodeID{1, 2, 3, 5, 8, 13, 21, 300}
 
 // FuzzEpochRoundDecode drives arbitrary bytes through the batched
-// epoch-round codecs against a fixed roster, and through the stats reply
-// whose counters row the round reply carries. The invariant is the
+// epoch-round codecs against a fixed roster, and through the envelope that
+// leads the round reply's frame payload. The invariant is the
 // canonical-form one the retry layer depends on (a replayed reply must be
 // byte-identical): any input that decodes — request, reply, bare roster
-// readings block or stats reply — must re-encode to exactly the bytes
+// readings block or envelope — must re-encode to exactly the bytes
 // consumed, and no input may panic or over-allocate.
 func FuzzEpochRoundDecode(f *testing.F) {
 	f.Add(AppendEpochRound(nil, EpochRoundReq{Epoch: 7, Queries: []uint32{1, 2, 3}}))
@@ -96,11 +109,10 @@ func FuzzEpochRoundDecode(f *testing.F) {
 			{Err: "query gone"},
 			{Answers: []model.Answer{{Group: 3, Score: 1}}, Override: readings},
 		},
-		Stats: fuzzRow,
 	}); err == nil {
 		f.Add(seed)
 	}
-	f.Add(AppendStatsReply(nil, fuzzRow, storage.StoreStats{Dir: "/data/shard-1", Nodes: 8, Segments: 1, Bytes: 4096, LastEpoch: 7, HasEpoch: true}))
+	f.Add(AppendEnvelope(nil, fuzzEnvelope))
 	if block, err := AppendRosterReadings(nil, fuzzRoster, 3, readings); err == nil {
 		f.Add(block)
 	}
@@ -121,9 +133,9 @@ func FuzzEpochRoundDecode(f *testing.F) {
 				t.Fatalf("reply re-encode mismatch: %x != %x", re, data)
 			}
 		}
-		if row, block, err := DecodeStatsReply(data); err == nil {
-			if re := AppendStatsReply(nil, row, block); !bytes.Equal(re, data) {
-				t.Fatalf("stats reply re-encode mismatch: %x != %x", re, data)
+		if env, rest, err := DecodeEnvelope(data); err == nil {
+			if re := AppendEnvelope(nil, env); !bytes.Equal(re, data[:len(data)-len(rest)]) {
+				t.Fatalf("envelope re-encode mismatch: %x != %x", re, data[:len(data)-len(rest)])
 			}
 		}
 		if m, rest, err := DecodeRosterReadings(data, fuzzRoster, 9); err == nil {
@@ -138,24 +150,32 @@ func FuzzEpochRoundDecode(f *testing.F) {
 	})
 }
 
-// FuzzHandshake round-trips arbitrary bytes through the hello codec: any
-// input that decodes must re-encode canonically (so it carries this
-// protocol version), and version-skewed or truncated hellos must be
-// rejected rather than crash the decoder.
+// FuzzHandshake round-trips arbitrary bytes through the hello and welcome
+// codecs: any input that decodes must re-encode canonically (so it carries
+// this protocol version), and version-skewed or truncated handshakes must
+// be rejected rather than crash the decoder.
 func FuzzHandshake(f *testing.F) {
 	f.Add(AppendHello(nil, Hello{Version: Version, Shard: 1, Shards: 4, Nodes: 250, Nonce: 99, Scenario: "scale-1000"}))
 	f.Add(AppendHello(nil, Hello{Version: Version - 1, Scenario: ""}))
 	f.Add([]byte("KSPW"))
+	f.Add(AppendWelcome(nil, Welcome{Version: Version, Shard: 1, Nodes: 8, Name: "shard-1", Counters: fuzzEnvelope}))
+	f.Add(AppendWelcome(nil, Welcome{Version: Version}))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		h, err := DecodeHello(data)
-		if err != nil {
-			return
+		if h, err := DecodeHello(data); err == nil {
+			if h.Version != Version {
+				t.Fatalf("hello of protocol version %d decoded", h.Version)
+			}
+			if re := AppendHello(nil, h); !bytes.Equal(re, data) {
+				t.Fatalf("hello re-encode mismatch: %x != %x", re, data)
+			}
 		}
-		if h.Version != Version {
-			t.Fatalf("hello of protocol version %d decoded", h.Version)
-		}
-		if re := AppendHello(nil, h); !bytes.Equal(re, data) {
-			t.Fatalf("hello re-encode mismatch: %x != %x", re, data)
+		if w, err := DecodeWelcome(data); err == nil {
+			if w.Version != Version {
+				t.Fatalf("welcome of protocol version %d decoded", w.Version)
+			}
+			if re := AppendWelcome(nil, w); !bytes.Equal(re, data) {
+				t.Fatalf("welcome re-encode mismatch: %x != %x", re, data)
+			}
 		}
 	})
 }

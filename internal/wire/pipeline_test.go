@@ -20,7 +20,6 @@ import (
 	"kspot/internal/model"
 	"kspot/internal/query"
 	"kspot/internal/stats"
-	"kspot/internal/storage"
 	"kspot/internal/topk"
 	"kspot/internal/topk/registry"
 	"kspot/internal/trace"
@@ -56,11 +55,14 @@ func testClientConfig(addr string) ClientConfig {
 	}
 }
 
-// startStubServer speaks the handshake (echoing the hello's identity),
-// then hands every subsequent frame to fn on its own goroutine; fn returns
-// the reply frame, or ok=false to swallow the request. Concurrent replies interleave under a write mutex — a scripted
-// far end for timeout, backoff and shutdown scenarios a real server
-// answers too quickly to produce.
+// startStubServer speaks the handshake (echoing the hello's identity, its
+// envelope stamped 0), then hands every subsequent frame to fn on its own
+// goroutine; fn returns the reply frame, or ok=false to swallow the
+// request. The stub puts an envelope ahead of the reply's payload, stamped
+// with the request's sequence and counting as many messages. Concurrent
+// replies interleave under a write mutex — a scripted far end for timeout,
+// backoff and shutdown scenarios a real server answers too quickly to
+// produce.
 func startStubServer(t *testing.T, fn func(f Frame) (Frame, bool)) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -97,6 +99,8 @@ func startStubServer(t *testing.T, fn func(f Frame) (Frame, bool)) string {
 					}
 					go func(f Frame) {
 						if rep, ok := fn(f); ok {
+							env := Envelope{Stamp: f.Seq, Row: stats.RunStats{Messages: int(f.Seq)}}
+							rep.Payload = append(AppendEnvelope(nil, env), rep.Payload...)
 							wmu.Lock()
 							defer wmu.Unlock()
 							var buf []byte
@@ -350,8 +354,8 @@ func TestServerRefusesEvictedSequence(t *testing.T) {
 		t.Fatal("a cached sequence was not replayed byte-identically")
 	}
 	for seq := uint64(3); seq < 3+replayCap; seq++ {
-		if rep := exchange(Frame{Seq: seq, Type: MsgStats}); rep.Type != MsgStatsReply {
-			t.Fatalf("stats reply %v", rep.Type)
+		if rep := exchange(Frame{Seq: seq, Type: MsgDetach, Payload: AppendU32(nil, 1)}); rep.Type != MsgDetached {
+			t.Fatalf("detach reply %v", rep.Type)
 		}
 	}
 	if rep := exchange(round); rep.Type != MsgError || !strings.Contains(string(rep.Payload), "stale sequence") {
@@ -391,9 +395,9 @@ func TestServerReplayHorizon(t *testing.T) {
 	}
 }
 
-// TestCarriedRowDiesWithTheClient: after Close, Stats fails as a call
-// would — it does not answer from the row the last round carried.
-func TestCarriedRowDiesWithTheClient(t *testing.T) {
+// TestStatsFailsAfterClose: after Close, Stats fails — it does not answer
+// from the row the last round brought back.
+func TestStatsFailsAfterClose(t *testing.T) {
 	addr, _ := startTestServer(t)
 	cl, err := Dial(testClientConfig(addr))
 	if err != nil {
@@ -408,45 +412,37 @@ func TestCarriedRowDiesWithTheClient(t *testing.T) {
 	}
 }
 
-// TestCarriedRowNotKeptAcrossOverlap: a round that another call overlapped
-// keeps no row — the shard may have run that call after the round, so its
-// row is not what a stats call would now return. The stub holds the round's
-// reply until a whole Stats call has come and gone; the Stats after the
-// round must then ask the shard again.
-func TestCarriedRowNotKeptAcrossOverlap(t *testing.T) {
-	roundSeen, release := make(chan struct{}), make(chan struct{})
+// TestStatsKeepsTheNewestStamp: a reply stamped older than the row the
+// client holds — here the held-back reply to an earlier call, landing after
+// a later call's — does not displace it, and Stats makes no call.
+func TestStatsKeepsTheNewestStamp(t *testing.T) {
+	held, release := make(chan struct{}), make(chan struct{})
 	addr := startStubServer(t, func(f Frame) (Frame, bool) {
-		switch f.Type {
-		case MsgEpochRound:
-			close(roundSeen)
-			<-release
-			payload, err := AppendEpochRoundReply(nil, stubRoster, EpochRoundReply{Stats: stats.RunStats{Messages: 1}})
-			if err != nil {
-				t.Error(err)
-			}
-			return Frame{Seq: f.Seq, Type: MsgEpochRoundReply, Payload: payload}, true
-		case MsgStats:
-			return Frame{Seq: f.Seq, Type: MsgStatsReply, Payload: AppendStatsReply(nil, stats.RunStats{Messages: 2}, storage.StoreStats{})}, true
+		if f.Type != MsgDetach {
+			return Frame{}, false
 		}
-		return Frame{}, false
+		if q, _ := DecodeU32(f.Payload); q == 1 {
+			close(held)
+			<-release
+		}
+		return Frame{Seq: f.Seq, Type: MsgDetached, Payload: f.Payload}, true
 	})
 	cl, err := Dial(stubClientConfig(addr))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	roundDone := make(chan error, 1)
-	go func() {
-		_, _, err := cl.EpochRound(0, nil)
-		roundDone <- err
-	}()
-	<-roundSeen
-	_, err = cl.Stats()
-	close(release)
-	if err != nil {
+	if row, err := cl.Stats(); err != nil || row.Messages != 0 || row.Algorithm != "stub" {
+		t.Fatalf("before any call Stats read %+v, %v; want the welcome's row", row, err)
+	}
+	first := make(chan error, 1)
+	go func() { first <- cl.Detach(1) }() // sequence 1, held back
+	<-held
+	if err := cl.Detach(2); err != nil { // sequence 2, stamped 2
 		t.Fatal(err)
 	}
-	if err := <-roundDone; err != nil {
+	close(release)
+	if err := <-first; err != nil { // stamped 1, read after stamp 2
 		t.Fatal(err)
 	}
 	calls := cl.Metrics().Calls
@@ -454,8 +450,77 @@ func TestCarriedRowNotKeptAcrossOverlap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if made := cl.Metrics().Calls - calls; made != 1 || row.Messages != 2 {
-		t.Fatalf("Stats after an overlapped round made %d calls and read %d messages, want 1 call reading the shard's 2", made, row.Messages)
+	if row.Messages != 2 {
+		t.Fatalf("Stats read the row stamped %d, want the newest (2)", row.Messages)
+	}
+	if made := cl.Metrics().Calls - calls; made != 0 {
+		t.Fatalf("Stats made %d calls", made)
+	}
+}
+
+// TestStatsWelcomeRowReplacesOldConnection: a restarted shard restarts its
+// stamps, so a new connection's Welcome row replaces the held row however
+// high the old connection's stamp was, and the new connection's replies
+// are compared with it alone.
+func TestStatsWelcomeRowReplacesOldConnection(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	// Each connection: welcome, then one reply, then (first connection
+	// only) the process "dies".
+	script := []struct{ welcome, reply Envelope }{
+		{Envelope{Stamp: 0}, Envelope{Stamp: 10, Row: stats.RunStats{Messages: 10}}},
+		{Envelope{Stamp: 1, Row: stats.RunStats{Messages: 1}}, Envelope{Stamp: 1, Row: stats.RunStats{Messages: 1}}},
+	}
+	go func() {
+		for i, step := range script {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			var wbuf []byte
+			f, err := ReadFrame(conn)
+			if err != nil {
+				return
+			}
+			h, _ := DecodeHello(f.Payload)
+			WriteFrame(conn, &wbuf, Frame{Type: MsgWelcome, Payload: AppendWelcome(nil, Welcome{Version: Version, Shard: h.Shard, Nodes: h.Nodes, Name: "stub", Counters: step.welcome})})
+			if f, err = ReadFrame(conn); err != nil {
+				return
+			}
+			WriteFrame(conn, &wbuf, Frame{Seq: f.Seq, Type: MsgDetached, Payload: append(AppendEnvelope(nil, step.reply), f.Payload...)})
+			if i == 0 {
+				conn.Close()
+				continue
+			}
+			defer conn.Close()
+			for {
+				if _, err := ReadFrame(conn); err != nil {
+					return
+				}
+			}
+		}
+	}()
+	cfg := stubClientConfig(ln.Addr().String())
+	cfg.Backoff = time.Millisecond
+	cl, err := Dial(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if err := cl.Detach(1); err != nil {
+		t.Fatal(err)
+	}
+	if row, _ := cl.Stats(); row.Messages != 10 {
+		t.Fatalf("first connection: Stats read %d messages, want 10", row.Messages)
+	}
+	if err := cl.Detach(2); err != nil { // redials: the first connection is gone
+		t.Fatal(err)
+	}
+	if row, _ := cl.Stats(); row.Messages != 1 {
+		t.Fatalf("after reconnecting Stats read %d messages, want the new connection's 1", row.Messages)
 	}
 }
 
@@ -463,7 +528,7 @@ func TestCarriedRowNotKeptAcrossOverlap(t *testing.T) {
 // retry backoff must not delay other calls on the shared connection — the
 // regression this pins is the serialized client sleeping its backoff
 // under the call mutex. The stub swallows the first epoch-round attempt
-// (the call times out and backs off); a Stats issued mid-backoff must
+// (the call times out and backs off); a detach issued mid-backoff must
 // complete immediately.
 func TestClientBackoffDoesNotBlockConcurrentCalls(t *testing.T) {
 	var mu sync.Mutex
@@ -479,8 +544,8 @@ func TestClientBackoffDoesNotBlockConcurrentCalls(t *testing.T) {
 				return Frame{}, false // swallowed: the attempt times out
 			}
 			return emptyRound(t, f), true
-		case MsgStats:
-			return Frame{Seq: f.Seq, Type: MsgStatsReply, Payload: AppendStatsReply(nil, stats.RunStats{}, storage.StoreStats{})}, true
+		case MsgDetach:
+			return Frame{Seq: f.Seq, Type: MsgDetached, Payload: f.Payload}, true
 		case MsgClose:
 			return Frame{}, false
 		}
@@ -505,16 +570,16 @@ func TestClientBackoffDoesNotBlockConcurrentCalls(t *testing.T) {
 	// swallowed at t=0, times out at 250ms, sleeps 500ms, retries at 750ms).
 	time.Sleep(100 * time.Millisecond)
 	start := time.Now()
-	if _, err := cl.Stats(); err != nil {
+	if err := cl.Detach(1); err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed > 200*time.Millisecond {
-		t.Fatalf("concurrent Stats took %v while another call was retrying — backoff is blocking the connection", elapsed)
+		t.Fatalf("concurrent detach took %v while another call was retrying — backoff is blocking the connection", elapsed)
 	}
 	if err := <-roundDone; err != nil {
 		t.Fatalf("the backed-off round never recovered: %v", err)
 	}
-	if cl.Retried() == 0 {
+	if cl.Metrics().Retries == 0 {
 		t.Fatal("the swallowed round never retried — the scenario did not run")
 	}
 }
@@ -540,8 +605,16 @@ func TestClientPipelinedFaultsOutOfOrder(t *testing.T) {
 		}
 		defer cl.Close()
 
+		// Two pollers make calls that reach the server (a detach of an id
+		// never attached), stopped before anything closes the client — a
+		// failing round included — and before the metrics are read.
 		stop := make(chan struct{})
 		var pollers sync.WaitGroup
+		stopPollers := sync.OnceFunc(func() {
+			close(stop)
+			pollers.Wait()
+		})
+		defer stopPollers()
 		for i := 0; i < 2; i++ {
 			pollers.Add(1)
 			go func() {
@@ -552,7 +625,7 @@ func TestClientPipelinedFaultsOutOfOrder(t *testing.T) {
 						return
 					default:
 					}
-					if _, err := cl.Stats(); err != nil {
+					if err := cl.Detach(1 << 31); err != nil {
 						t.Error(err)
 						return
 					}
@@ -567,8 +640,7 @@ func TestClientPipelinedFaultsOutOfOrder(t *testing.T) {
 			}
 			senses = append(senses, readingsBytes(t, cfg.Roster, e, readings))
 		}
-		close(stop)
-		pollers.Wait()
+		stopPollers()
 		// The server-side counters witness at-most-once execution: a
 		// replayed (rather than re-executed) retry leaves them untouched.
 		msgs := stats.Collect("", srv.Network(), 0).Messages
@@ -594,6 +666,142 @@ func TestClientPipelinedFaultsOutOfOrder(t *testing.T) {
 	}
 	if m.BytesOut == 0 || m.BytesIn == 0 || m.P50Micros == 0 {
 		t.Fatalf("metrics incomplete: %+v", m)
+	}
+}
+
+// TestClientSendWindow: with sendWindow calls in flight, the next call
+// waits before taking a sequence — it sends nothing — until the oldest
+// completes, and Close releases a caller still waiting.
+func TestClientSendWindow(t *testing.T) {
+	var mu sync.Mutex
+	held := map[uint64]chan struct{}{}
+	t.Cleanup(func() { // let every held reply go
+		mu.Lock()
+		defer mu.Unlock()
+		for _, ch := range held {
+			select {
+			case <-ch:
+			default:
+				close(ch)
+			}
+		}
+	})
+	seen := make(chan uint64, 2*sendWindow) // every sequence the test can send
+	addr := startStubServer(t, func(f Frame) (Frame, bool) {
+		if f.Type != MsgDetach {
+			return Frame{}, false
+		}
+		mu.Lock()
+		ch := make(chan struct{})
+		held[f.Seq] = ch
+		mu.Unlock()
+		seen <- f.Seq
+		<-ch
+		return Frame{Seq: f.Seq, Type: MsgDetached, Payload: f.Payload}, true
+	})
+	cfg := stubClientConfig(addr)
+	cfg.CallTimeout = time.Minute // no call retries while the test holds it
+	cl, err := Dial(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	errs := make(chan error, sendWindow+2)
+	for i := 0; i < sendWindow+2; i++ {
+		go func() { errs <- cl.Detach(1) }()
+	}
+	for i := 0; i < sendWindow; i++ {
+		<-seen
+	}
+	select {
+	case seq := <-seen:
+		t.Fatalf("sequence %d sent with %d calls in flight", seq, sendWindow)
+	case err := <-errs:
+		t.Fatalf("a call returned with the window full: %v", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	// The oldest completes: exactly one waiting call enters the window.
+	mu.Lock()
+	close(held[1])
+	mu.Unlock()
+	if err := <-errs; err != nil {
+		t.Fatal(err)
+	}
+	if seq := <-seen; seq != sendWindow+1 {
+		t.Fatalf("the call admitted after the oldest took sequence %d, want %d", seq, sendWindow+1)
+	}
+	select {
+	case seq := <-seen:
+		t.Fatalf("sequence %d sent beyond the window", seq)
+	case <-time.After(100 * time.Millisecond):
+	}
+	// Close releases the caller still waiting for the window, and the
+	// calls in flight.
+	cl.Close()
+	for i := 0; i < sendWindow+1; i++ {
+		select {
+		case err := <-errs:
+			if err == nil {
+				t.Fatal("a call succeeded after Close")
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("a call is still blocked after Close")
+		}
+	}
+}
+
+// TestClientControlCallsBesideLossyRounds: epoch rounds whose replies the
+// link drops retry their sequence while many goroutines' control calls
+// execute on the same server. The send window keeps every retried round
+// inside the server's replay horizon: no call is refused as a stale
+// sequence, and no round runs twice.
+func TestClientControlCallsBesideLossyRounds(t *testing.T) {
+	const rounds, callers = 16, 16
+	addr, srv := startTestServer(t)
+	cfg := testClientConfig(addr)
+	cfg.Faults = &Faults{Seed: 5, DropResp: 0.15}
+	cfg.CallTimeout = 150 * time.Millisecond
+	cfg.Retries = 12
+	cfg.Backoff = 2 * time.Millisecond
+	cl, err := Dial(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := cl.Detach(1 << 31); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for e := model.Epoch(0); e < rounds; e++ {
+		if _, _, err := cl.EpochRound(e, nil); err != nil {
+			t.Fatalf("round %d: %v", e, err)
+		}
+	}
+	if cl.Metrics().Retries == 0 {
+		t.Fatal("no call retried — the lossy link did not run")
+	}
+	if got := stats.Collect("", srv.Network(), 0).Epochs; got != rounds {
+		t.Fatalf("the shard counted %d epochs for %d rounds", got, rounds)
 	}
 }
 

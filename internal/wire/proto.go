@@ -249,23 +249,45 @@ func DecodeSums(b []byte) (exec uint32, sums map[model.GroupID]int64, err error)
 	return exec, sums, nil
 }
 
-// AppendStatsRow appends the one wire form of a shard's counters row (the
-// System Panel's per-shard traffic), carried by every epoch-round reply and
-// leading every stats reply:
+// Envelope is what every reply frame and every Welcome carries ahead of
+// its own payload: the shard's durable-tier block and counters row as they
+// stood when the reply was framed, stamped with the number of calls the
+// server had executed by then. A replayed reply keeps its stamp, so within
+// one connection the higher stamp is the newer row; a restarted shard
+// restarts both its stamps and its radio counters, so rows from different
+// connections are not compared (see Client.Stats).
+type Envelope struct {
+	Stamp   uint64
+	Storage storage.StoreStats
+	// Row is the counters row. Its Algorithm label stays behind: the
+	// Welcome's Name names the shard, and the client fills it in.
+	Row stats.RunStats
+}
+
+// AppendEnvelope appends the wire form of e:
 //
-//	label                                          u16-length string
-//	epochs, messages, frames, tx, rx bytes, drops  uvarint each
-//	EnergyUJ, EnergyMax                            float64 bits, u64
-//	per-kind tx bytes                              uvarint count, then
+//	storage dir, storage error                     u16-length string each
+//	stamp, storage nodes, segments, bytes,         uvarint each
+//	last checkpoint epoch, checkpointed (0 or 1),
+//	row epochs, messages, frames, tx, rx bytes,
+//	drops
+//	row EnergyUJ, EnergyMax                        float64 bits, u64
+//	row per-kind tx bytes                          uvarint count, then
 //	                                               (kind u8, bytes uvarint),
 //	                                               kinds strictly ascending
 //
 // The energies cross as their IEEE bits, so a federated sum is bit-exact.
 // Correct and Recall are a query's columns, not a shard's, and stay behind.
-func AppendStatsRow(dst []byte, r stats.RunStats) []byte {
-	dst = appendString(dst, r.Algorithm)
-	for _, v := range [...]int{r.Epochs, r.Messages, r.Frames, r.TxBytes, r.RxBytes, r.Drops} {
-		dst = appendUvarint(dst, uint64(v))
+func AppendEnvelope(dst []byte, e Envelope) []byte {
+	st, r := e.Storage, e.Row
+	dst = appendString(appendString(dst, st.Dir), st.Err)
+	checkpointed := uint64(0)
+	if st.HasEpoch {
+		checkpointed = 1
+	}
+	for _, v := range [...]uint64{e.Stamp, uint64(st.Nodes), uint64(st.Segments), uint64(st.Bytes), uint64(st.LastEpoch), checkpointed,
+		uint64(r.Epochs), uint64(r.Messages), uint64(r.Frames), uint64(r.TxBytes), uint64(r.RxBytes), uint64(r.Drops)} {
+		dst = appendUvarint(dst, v)
 	}
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.EnergyUJ))
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.EnergyMax))
@@ -282,110 +304,59 @@ func AppendStatsRow(dst []byte, r stats.RunStats) []byte {
 	return dst
 }
 
-// DecodeStatsRow decodes a counters row from the front of b, returning the
-// rest. Strict: minimal varints, kinds strictly ascending. PerKind is never
-// nil, as stats.Collect builds it.
-func DecodeStatsRow(b []byte) (stats.RunStats, []byte, error) {
-	var r stats.RunStats
+// DecodeEnvelope decodes an envelope from the front of b, returning the
+// rest (the reply's own payload). Strict: minimal varints, an epoch that
+// fits its type, a boolean checkpoint flag, kinds strictly ascending.
+// PerKind is never nil, as stats.Collect builds it.
+func DecodeEnvelope(b []byte) (Envelope, []byte, error) {
+	var e Envelope
+	st, r := &e.Storage, &e.Row
 	var err error
-	if r.Algorithm, b, err = decodeString(b); err != nil {
-		return stats.RunStats{}, nil, err
+	if st.Dir, b, err = decodeString(b); err != nil {
+		return Envelope{}, nil, err
 	}
-	for _, v := range [...]*int{&r.Epochs, &r.Messages, &r.Frames, &r.TxBytes, &r.RxBytes, &r.Drops} {
-		var u uint64
-		if u, b, err = decodeUvarint(b); err != nil {
-			return stats.RunStats{}, nil, err
+	if st.Err, b, err = decodeString(b); err != nil {
+		return Envelope{}, nil, err
+	}
+	var u [12]uint64
+	for i := range u {
+		if u[i], b, err = decodeUvarint(b); err != nil {
+			return Envelope{}, nil, err
 		}
-		*v = int(u)
 	}
+	if u[4] > math.MaxUint32 || u[5] > 1 {
+		return Envelope{}, nil, fmt.Errorf("wire: envelope checkpoint epoch %d, flag %d", u[4], u[5])
+	}
+	e.Stamp, st.Nodes, st.Segments, st.Bytes, st.LastEpoch, st.HasEpoch = u[0], int(u[1]), int(u[2]), int64(u[3]), model.Epoch(u[4]), u[5] == 1
+	r.Epochs, r.Messages, r.Frames, r.TxBytes, r.RxBytes, r.Drops = int(u[6]), int(u[7]), int(u[8]), int(u[9]), int(u[10]), int(u[11])
 	if len(b) < 16 {
-		return stats.RunStats{}, nil, io.ErrUnexpectedEOF
+		return Envelope{}, nil, io.ErrUnexpectedEOF
 	}
 	r.EnergyUJ = math.Float64frombits(binary.LittleEndian.Uint64(b[0:]))
 	r.EnergyMax = math.Float64frombits(binary.LittleEndian.Uint64(b[8:]))
 	n, b, err := decodeUvarint(b[16:])
 	if err != nil {
-		return stats.RunStats{}, nil, err
+		return Envelope{}, nil, err
 	}
 	if n > uint64(len(b))/2 { // every kind takes at least two bytes
-		return stats.RunStats{}, nil, io.ErrUnexpectedEOF
+		return Envelope{}, nil, io.ErrUnexpectedEOF
 	}
 	r.PerKind = make(map[radio.MsgKind]int, n)
 	last := -1
 	for i := uint64(0); i < n; i++ {
 		if len(b) < 1 {
-			return stats.RunStats{}, nil, io.ErrUnexpectedEOF
+			return Envelope{}, nil, io.ErrUnexpectedEOF
 		}
 		k := int(b[0])
 		if k <= last {
-			return stats.RunStats{}, nil, fmt.Errorf("wire: stats row kind %d after kind %d", k, last)
+			return Envelope{}, nil, fmt.Errorf("wire: envelope kind %d after kind %d", k, last)
 		}
 		last = k
 		var v uint64
 		if v, b, err = decodeUvarint(b[1:]); err != nil {
-			return stats.RunStats{}, nil, err
+			return Envelope{}, nil, err
 		}
 		r.PerKind[radio.MsgKind(k)] = int(v)
 	}
-	return r, b, nil
-}
-
-// AppendStatsReply appends a stats reply: the counters row, then the
-// durable tier's storage block —
-//
-//	dir                      u16-length string
-//	nodes, segments, bytes   uvarint each
-//	last checkpoint epoch    u32
-//	checkpointed             u8, 0 or 1
-//	error                    u16-length string
-func AppendStatsReply(dst []byte, row stats.RunStats, block storage.StoreStats) []byte {
-	dst = AppendStatsRow(dst, row)
-	dst = appendString(dst, block.Dir)
-	for _, v := range [...]uint64{uint64(block.Nodes), uint64(block.Segments), uint64(block.Bytes)} {
-		dst = appendUvarint(dst, v)
-	}
-	dst = AppendEpoch(dst, block.LastEpoch)
-	checkpointed := byte(0)
-	if block.HasEpoch {
-		checkpointed = 1
-	}
-	return appendString(append(dst, checkpointed), block.Err)
-}
-
-// DecodeStatsReply decodes a stats reply, with DecodeStatsRow's strictness
-// and no trailing bytes.
-func DecodeStatsReply(b []byte) (stats.RunStats, storage.StoreStats, error) {
-	row, b, err := DecodeStatsRow(b)
-	if err != nil {
-		return stats.RunStats{}, storage.StoreStats{}, err
-	}
-	var block storage.StoreStats
-	if block.Dir, b, err = decodeString(b); err != nil {
-		return stats.RunStats{}, storage.StoreStats{}, err
-	}
-	var counts [3]uint64
-	for i := range counts {
-		if counts[i], b, err = decodeUvarint(b); err != nil {
-			return stats.RunStats{}, storage.StoreStats{}, err
-		}
-	}
-	block.Nodes, block.Segments, block.Bytes = int(counts[0]), int(counts[1]), int64(counts[2])
-	if len(b) < 5 {
-		return stats.RunStats{}, storage.StoreStats{}, io.ErrUnexpectedEOF
-	}
-	block.LastEpoch = model.Epoch(binary.LittleEndian.Uint32(b[0:]))
-	switch b[4] {
-	case 0:
-	case 1:
-		block.HasEpoch = true
-	default:
-		return stats.RunStats{}, storage.StoreStats{}, fmt.Errorf("wire: stats reply checkpointed flag %d", b[4])
-	}
-	if block.Err, b, err = decodeString(b[5:]); err != nil {
-		return stats.RunStats{}, storage.StoreStats{}, err
-	}
-	if len(b) != 0 {
-		return stats.RunStats{}, storage.StoreStats{}, fmt.Errorf("wire: %d trailing bytes after stats reply", len(b))
-	}
-	return row, block, nil
+	return e, b, nil
 }

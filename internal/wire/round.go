@@ -4,8 +4,7 @@ package wire
 // carries the epoch and every shared-acquisition group's query id; the
 // MsgEpochRoundReply carries the epoch's sense readings plus every group's
 // acquisition — the whole federated epoch in one round trip instead of
-// 1 + G — and the shard's counters row, so the System Panel's refresh
-// after the epoch needs no second call. Readings cross in a roster-positional encoding: both ends know
+// 1 + G. Readings cross in a roster-positional encoding: both ends know
 // the shard's sensor roster (fixed at handshake — the node set is static
 // configuration), so a reading map is a presence bitmap over the roster
 // plus per-node varint deltas, not self-describing 12-byte keyed records.
@@ -25,7 +24,6 @@ import (
 	"math"
 
 	"kspot/internal/model"
-	"kspot/internal/stats"
 )
 
 // EpochRoundReq asks the shard to sense the epoch and run one epoch of
@@ -46,14 +44,11 @@ type RoundGroup struct {
 }
 
 // EpochRoundReply is the shard's whole epoch: the post-commit sense
-// readings plus every group's acquisition, in request order, and the
-// shard's counters row as it stood when the round finished — what a stats
-// call would have answered then (see Client.Stats).
+// readings plus every group's acquisition, in request order.
 type EpochRoundReply struct {
 	Epoch    model.Epoch
 	Readings map[model.NodeID]model.Reading
 	Groups   []RoundGroup
-	Stats    stats.RunStats
 }
 
 // Group status bytes (derived from content, making the encoding canonical).
@@ -98,8 +93,7 @@ func DecodeEpochRound(b []byte) (EpochRoundReq, error) {
 
 // AppendEpochRoundReply appends the wire form of r: epoch, the sense
 // readings as a roster block, each group as a status byte followed by
-// either an error string or answers (+ an override roster block), then the
-// counters row (AppendStatsRow).
+// either an error string or answers (+ an override roster block).
 func AppendEpochRoundReply(dst []byte, roster []model.NodeID, r EpochRoundReply) ([]byte, error) {
 	dst = AppendEpoch(dst, r.Epoch)
 	var err error
@@ -132,7 +126,7 @@ func AppendEpochRoundReply(dst []byte, roster []model.NodeID, r EpochRoundReply)
 			}
 		}
 	}
-	return AppendStatsRow(dst, r.Stats), nil
+	return dst, nil
 }
 
 // DecodeEpochRoundReply decodes an epoch-round reply against the session's
@@ -193,9 +187,6 @@ func DecodeEpochRoundReply(b []byte, roster []model.NodeID) (EpochRoundReply, er
 			return EpochRoundReply{}, fmt.Errorf("wire: epoch-round group %d: status %d", i, status)
 		}
 		r.Groups = append(r.Groups, g)
-	}
-	if r.Stats, b, err = DecodeStatsRow(b); err != nil {
-		return EpochRoundReply{}, err
 	}
 	if len(b) != 0 {
 		return EpochRoundReply{}, fmt.Errorf("wire: %d trailing bytes after epoch-round reply", len(b))

@@ -55,6 +55,7 @@ type Server struct {
 
 	mu         sync.Mutex
 	nonce      uint64
+	stamp      uint64            // calls executed: the stamp on every reply's envelope
 	evicted    uint64            // highest sequence evicted from the replay cache
 	replay     map[uint64][]byte // reply frames by sequence: the bytes every write of the reply sends
 	replaySeqs [replayCap]uint64 // ring of the cached sequences; slot replayNext%replayCap is the oldest once full
@@ -69,10 +70,11 @@ type Server struct {
 	wg     sync.WaitGroup
 }
 
-// replayCap bounds the at-most-once response cache. The pipelined client
-// keeps several calls in flight per connection (epoch rounds, stats polls,
-// concurrent historic rounds), so the cache
-// must outlive the deepest plausible in-flight window plus its retries.
+// replayCap bounds the at-most-once response cache. The client's send
+// window is replayCap/2 (sendWindow, client.go): while a call is in
+// flight, at most replayCap-2 other sequences can execute, so neither its
+// reply is evicted before it is read nor its sequence falls under the
+// eviction watermark before it runs (DESIGN.md, "The send window").
 const replayCap = 64
 
 // NewServer builds a shard server: the durable tier (and, with a data dir,
@@ -279,13 +281,14 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 		}
 	}
-	s.mu.Unlock()
 	welcome := AppendWelcome(nil, Welcome{
-		Version: Version,
-		Shard:   uint16(s.cfg.Shard),
-		Nodes:   uint16(len(s.body.Roster())),
-		Name:    s.body.Name(),
+		Version:  Version,
+		Shard:    uint16(s.cfg.Shard),
+		Nodes:    uint16(len(s.body.Roster())),
+		Name:     s.body.Name(),
+		Counters: s.envelope(),
 	})
+	s.mu.Unlock()
 	if err := WriteFrame(conn, &wbuf, Frame{Seq: f.Seq, Type: MsgWelcome, Payload: welcome}); err != nil {
 		return
 	}
@@ -334,8 +337,9 @@ func (s *Server) checkHello(h Hello) error {
 //
 // The reply is returned encoded, and the connection writes exactly those
 // bytes: a reply is framed once, and a replay writes the cached frame as it
-// stands. Cached bytes are never modified once stored — a replay of the
-// same sequence may be mid-write on another connection.
+// stands — with the envelope, and so the stamp, it was framed with. Cached
+// bytes are never modified once stored — a replay of the same sequence may
+// be mid-write on another connection.
 func (s *Server) dispatch(f Frame) (reply []byte, close bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -343,13 +347,14 @@ func (s *Server) dispatch(f Frame) (reply []byte, close bool) {
 		return cached, MsgType(cached[frameHeaderSize-1]) == MsgClosed
 	}
 	if f.Seq <= s.evicted {
-		return AppendFrame(nil, Frame{Seq: f.Seq, Type: MsgError, Payload: []byte("wire: stale sequence")}), false
+		return s.reply(f.Seq, MsgError, []byte("wire: stale sequence")), false
 	}
 	t, payload, err := s.handle(f)
 	if err != nil {
 		t, payload = MsgError, []byte(err.Error())
 	}
-	reply = AppendFrame(nil, Frame{Seq: f.Seq, Type: t, Payload: payload})
+	s.stamp++
+	reply = s.reply(f.Seq, t, payload)
 	slot := s.replayNext % replayCap
 	if s.replayNext >= replayCap {
 		old := s.replaySeqs[slot]
@@ -360,6 +365,19 @@ func (s *Server) dispatch(f Frame) (reply []byte, close bool) {
 	s.replayNext++
 	s.replay[f.Seq] = reply
 	return reply, t == MsgClosed
+}
+
+// envelope reads the shard's counters under s.mu, stamped with the calls
+// executed so far. The body's Stats and StorageStats cannot fail.
+func (s *Server) envelope() Envelope {
+	row, _ := s.body.Stats()
+	block, _ := s.body.StorageStats()
+	return Envelope{Stamp: s.stamp, Storage: block, Row: row}
+}
+
+// reply frames one reply under s.mu: the envelope, then the payload.
+func (s *Server) reply(seq uint64, t MsgType, payload []byte) []byte {
+	return AppendFrame(nil, Frame{Seq: seq, Type: t, Payload: append(AppendEnvelope(nil, s.envelope()), payload...)})
 }
 
 // handle executes one request under s.mu: decode, the body's call, encode.
@@ -405,9 +423,6 @@ func (s *Server) handle(f Frame) (MsgType, []byte, error) {
 			return 0, nil, err
 		}
 		rep := EpochRoundReply{Epoch: req.Epoch, Readings: readings, Groups: make([]RoundGroup, len(results))}
-		// Taken under s.mu right after the round: the row a stats call
-		// arriving next would answer.
-		rep.Stats, _ = s.body.Stats()
 		for i, r := range results {
 			if r.Err != nil {
 				rep.Groups[i].Err = r.Err.Error()
@@ -504,11 +519,6 @@ func (s *Server) handle(f Frame) (MsgType, []byte, error) {
 			rep.Applied = true
 		}
 		return MsgRestored, AppendRestored(nil, rep), nil
-
-	case MsgStats:
-		row, _ := s.body.Stats()
-		block, _ := s.body.StorageStats()
-		return MsgStatsReply, AppendStatsReply(nil, row, block), nil
 
 	case MsgClose:
 		return MsgClosed, nil, nil

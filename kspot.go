@@ -87,10 +87,6 @@ type (
 	AdmissionError = engine.AdmissionError
 	// ChurnEvent schedules one node's death or revival.
 	ChurnEvent = faults.ChurnEvent
-	// DistanceLossSpec weights link loss by hop length.
-	DistanceLossSpec = faults.DistanceSpec
-	// BurstLossSpec is a per-link Gilbert-Elliott loss channel.
-	BurstLossSpec = faults.BurstSpec
 )
 
 // Algorithm selects the snapshot operator for a query. The default,
@@ -179,7 +175,9 @@ type shardHandle interface {
 	FetchSums(exec uint32, ids []model.GroupID) (map[model.GroupID]int64, error)
 	Release(exec uint32) error
 	// Stats reads the traffic and energy counters, StorageStats the durable
-	// tier's block (zero without one).
+	// tier's block (zero without one). Over the wire neither makes a call:
+	// both read what the shard's newest reply carried, and both fail while
+	// the handle's last call ended unreachable.
 	Stats() (stats.RunStats, error)
 	StorageStats() (storage.StoreStats, error)
 	// Snapshot serializes the durable tier with the energy ledger (a
@@ -520,7 +518,8 @@ func (s *System) StorageStats() ([]storage.StoreStats, error) {
 }
 
 // SystemPanel renders the current traffic/energy statistics, optionally
-// against a baseline captured earlier with CaptureStats. A federated
+// against a baseline captured earlier with CaptureStats: the shards' rows
+// merged, so the epoch count is the one the shards counted. A federated
 // deployment's panel leads with the per-shard traffic table and the
 // coordinator tier's backhaul, then the aggregate panel — every radio
 // message is accounted to the shard that transmitted it.
@@ -530,14 +529,14 @@ func (s *System) SystemPanel(baseline *RunStats) string {
 		b := stats.RunStats(*baseline)
 		base = &b
 	}
-	if len(s.local) == 1 {
-		return gui.SystemPanel(stats.RunStats(s.CaptureStats("current", 0)), base) + s.storageLines()
-	}
 	rows, err := s.shardStatRows()
 	if err != nil {
 		return fmt.Sprintf("system panel unavailable: %v\n", err)
 	}
 	total := stats.Merge("total", rows...)
+	if len(s.local) == 1 {
+		return gui.SystemPanel(total, base) + s.storageLines()
+	}
 	rows = append(rows, total)
 	f := s.fedStats.Snapshot()
 	panel := stats.Table("per-shard traffic", rows) +
@@ -590,10 +589,10 @@ func RenderSystemPanel(run RunStats, baseline *RunStats) string {
 type RunStats stats.RunStats
 
 // CaptureStats snapshots the deployment's counters under a label, summed
-// across every shard. On a remote deployment a shard's row is the one its
-// last epoch round carried when nothing has run on it since (no wire call),
-// and is fetched over the wire otherwise; an unreachable shard leaves its
-// counters out of the sum.
+// across every shard, with epochs as the row's epoch count. On a remote
+// deployment a shard's row is the one its newest reply carried (no wire
+// call), and a shard whose last call ended unreachable leaves its counters
+// out of the sum.
 func (s *System) CaptureStats(label string, epochs int) RunStats {
 	var rows []stats.RunStats
 	for _, h := range s.handles() {

@@ -236,6 +236,38 @@ func TestCaptureStatsComparison(t *testing.T) {
 	}
 }
 
+// TestSystemPanelCountsEpochs: the panel's epoch count is the one the
+// shards counted — the quickstart's ten steps read "epochs : 10", flat and
+// over the wire, where the count rides the shards' rows.
+func TestSystemPanelCountsEpochs(t *testing.T) {
+	const sql = "SELECT TOP 1 roomid, AVERAGE(sound) FROM sensors GROUP BY roomid EPOCH DURATION 1 min"
+	flat, err := Open(DemoScenario())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer flat.Close()
+	addrs, _ := startWireShards(t, shardedDemo(t, 2), 0)
+	remote, err := OpenFederated(shardedDemo(t, 2), addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer remote.Close()
+	for name, sys := range map[string]*System{"flat": flat, "federated": remote} {
+		cur, err := sys.Post(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 10; i++ {
+			if _, err := cur.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if panel := sys.SystemPanel(nil); !strings.Contains(panel, "| epochs    : 10 ") {
+			t.Errorf("%s panel after ten steps:\n%s", name, panel)
+		}
+	}
+}
+
 func TestOpenFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := dir + "/demo.json"

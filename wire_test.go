@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"kspot/internal/model"
-	"kspot/internal/stats"
 	"kspot/internal/wire"
 )
 
@@ -386,8 +385,9 @@ func TestWireShardLossMidEpoch(t *testing.T) {
 		t.Fatal("second cursor's step into a dead shard succeeded")
 	}
 	// The surviving shard's server is not wedged: its state machine still
-	// answers (stats RPC on the live connection).
-	if _, err := sys.shards[0].Stats(); err != nil {
+	// answers a call on the live connection (a detach of an id never
+	// attached).
+	if err := sys.shards[0].Detach(1 << 31); err != nil {
 		t.Fatalf("surviving shard unreachable after peer death: %v", err)
 	}
 }
@@ -656,10 +656,11 @@ func TestShardStackRecordsCommittedReadings(t *testing.T) {
 	}
 }
 
-// TestCaptureStatsSkipsUnreachableShard: a shard whose stats call fails
-// leaves its counters out of the deployment's sum — it does not zero the
-// surviving shards' traffic (what kspotd -connect publishes on /stats while
-// a shard is retrying).
+// TestCaptureStatsSkipsUnreachableShard: a shard whose last call ended
+// unreachable leaves its counters out of the deployment's sum — it does not
+// zero the surviving shards' traffic (what kspotd -connect publishes on
+// /stats while a shard is retrying), and its last row is not passed off as
+// current.
 func TestCaptureStatsSkipsUnreachableShard(t *testing.T) {
 	addrs, servers := startWireShards(t, shardedDemo(t, 2), 0)
 	sys, err := OpenFederated(shardedDemo(t, 2), addrs,
@@ -668,7 +669,15 @@ func TestCaptureStatsSkipsUnreachableShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
-	runCursor(t, sys, "SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid", AlgoMINT, 4)
+	cur, err := sys.PostWith("SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid", AlgoMINT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e := 0; e < 4; e++ {
+		if _, err := cur.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
 	rows, err := sys.ShardStats()
 	if err != nil {
 		t.Fatal(err)
@@ -679,9 +688,16 @@ func TestCaptureStatsSkipsUnreachableShard(t *testing.T) {
 	}
 
 	servers[1].Close() // the shard process dies
+	// The next epoch finds it gone; the survivor runs its round.
+	if _, err := cur.Step(); err == nil || !strings.Contains(err.Error(), "shard-1") {
+		t.Fatalf("step with shard-1 dead: %v, want an error naming it", err)
+	}
 
 	got := sys.CaptureStats("survivor", 4)
-	want := rows[0]
+	want, err := sys.shards[0].Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got.Algorithm != "survivor" || got.Epochs != 4 {
 		t.Fatalf("label/epochs not applied: %+v", got)
 	}
@@ -716,11 +732,11 @@ func sameTraffic(t *testing.T, label string, got, want RunStats) {
 }
 
 // TestCaptureStatsRidesTheRound: kspotd's loop — step, then CaptureStats —
-// costs one wire call per shard per epoch, because the counters row rides
-// the epoch-round reply; and what CaptureStats sums from those rows is, at
-// every epoch, exactly the in-process deployment of the same scenario's
-// counters (messages, frames, bytes, drops, per-kind bytes, energies to the
-// bit).
+// plus a /stats read of every shard's row and storage block costs one wire
+// call per shard per epoch, because every reply carries the shard's
+// counters; and what CaptureStats sums from those rows is, at every epoch,
+// exactly the in-process deployment of the same scenario's counters
+// (messages, frames, bytes, drops, per-kind bytes, energies to the bit).
 func TestCaptureStatsRidesTheRound(t *testing.T) {
 	const sql = "SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid"
 	inproc, err := Open(shardedDemo(t, 2))
@@ -752,87 +768,17 @@ func TestCaptureStatsRidesTheRound(t *testing.T) {
 		}
 		sameTraffic(t, fmt.Sprintf("epoch %d: remote CaptureStats vs in-process", e),
 			remote.CaptureStats("live", 0), inproc.CaptureStats("live", 0))
+		if _, err := remote.ShardStats(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := remote.StorageStats(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	calls1, rounds1 := wireCalls(remote)
 	for i := range calls1 {
 		if dc, dr := calls1[i]-calls0[i], rounds1[i]-rounds0[i]; dc != dr || dr != 20 {
-			t.Fatalf("shard %d: %d calls for %d rounds over 20 epochs of step + CaptureStats, want one call per round", i, dc, dr)
+			t.Fatalf("shard %d: %d calls for %d rounds over 20 epochs of step + CaptureStats + ShardStats + StorageStats, want one call per round", i, dc, dr)
 		}
 	}
-}
-
-// TestStatsRowServedOnce: the carried row answers one Stats per round and
-// only while the shard has run nothing since — a second read after the
-// same round asks the shard, and so does a read after any other call (a
-// post that attaches a new group). Every answer equals the one the shard
-// gives when asked.
-func TestStatsRowServedOnce(t *testing.T) {
-	addrs, _ := startWireShards(t, shardedDemo(t, 2), 0)
-	sys, err := OpenFederated(shardedDemo(t, 2), addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	cur, err := sys.Post("SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// read takes every shard's row and reports how many wire calls it made.
-	read := func() ([]RunStats, int64) {
-		t.Helper()
-		before, _ := wireCalls(sys)
-		rows, err := sys.ShardStats()
-		if err != nil {
-			t.Fatal(err)
-		}
-		after, _ := wireCalls(sys)
-		var made int64
-		for i := range after {
-			made += after[i] - before[i]
-		}
-		return rows, made
-	}
-	step := func() {
-		t.Helper()
-		if _, err := cur.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	step()
-	carried, made := read()
-	if made != 0 {
-		t.Fatalf("first read after a round made %d calls, want 0", made)
-	}
-	asked, made := read()
-	if made != int64(len(addrs)) {
-		t.Fatalf("second read after the same round made %d calls, want one per shard", made)
-	}
-	if !reflect.DeepEqual(carried, asked) {
-		t.Fatalf("carried rows differ from the shards' own:\ncarried %+v\nasked   %+v", carried, asked)
-	}
-
-	step()
-	if _, err := sys.Post("SELECT TOP 1 roomid, MAX(temp) FROM sensors GROUP BY roomid"); err != nil {
-		t.Fatal(err)
-	}
-	before, _ := wireCalls(sys)
-	captured := sys.CaptureStats("after post", 0)
-	after, _ := wireCalls(sys)
-	for i := range after {
-		if after[i]-before[i] != 1 {
-			t.Fatalf("shard %d: CaptureStats after a post made %d calls, want 1", i, after[i]-before[i])
-		}
-	}
-	asked, _ = read()
-	sameTraffic(t, "CaptureStats after a post vs the shards' rows", captured, RunStats(stats.Merge("", statsRows(asked)...)))
-}
-
-// statsRows converts captured rows back to the stats package's type.
-func statsRows(rows []RunStats) []stats.RunStats {
-	out := make([]stats.RunStats, len(rows))
-	for i, r := range rows {
-		out[i] = stats.RunStats(r)
-	}
-	return out
 }
