@@ -185,18 +185,19 @@ func TestFlatStepAllocationBytesCeiling(t *testing.T) {
 
 // tenantsStepAllocCeiling and tenantsStepByteCeiling bound one epoch of the
 // multi-tenant loop: 128 cursors in two acquisition groups over one
-// sensed union, each stepped once (BenchmarkTenantsEpoch's body). What is
-// left per cursor is its own two slices — the cut of the group's ranking
-// and its copy of the exact prefix; measured 273 allocations and 11.9 kB.
-// When every cursor rebuilt the exact ranking from the readings map and
-// every pop dropped its queue's array it was 906 and 87.8 kB.
+// sensed union, each stepped once with Cursor.Step (BenchmarkTenantsEpoch's
+// body). What is left per cursor is its copy of the exact prefix, the
+// caller-owned StepResult.Exact; a member's cut aliases its group's ranking.
+// Measured 174 allocations and 8.9 kB. With a copied cut it was 273 and
+// 11.9 kB; when every cursor also rebuilt the exact ranking from the
+// readings map and every pop dropped its queue's array, 906 and 87.8 kB.
 const (
-	tenantsStepAllocCeiling = 330
-	tenantsStepByteCeiling  = 14 << 10
+	tenantsStepAllocCeiling = 210
+	tenantsStepByteCeiling  = 11 << 10
 )
 
-// TestTenantsStepAllocationCeiling pins that nothing per cursor but its own
-// answer slices is allocated: no view, no ranking, no queue.
+// TestTenantsStepAllocationCeiling pins that nothing per cursor but its
+// Exact copy is allocated: no view, no ranking, no cut, no queue.
 func TestTenantsStepAllocationCeiling(t *testing.T) {
 	step := tenantsCursors(t)
 	const epochs = 200

@@ -62,6 +62,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -157,21 +158,20 @@ func (w *workload) snapshot() []*kspot.Cursor {
 	return w.cursors
 }
 
-// step advances every query one epoch, filling one frame with their
-// results, and publishes it: one Publish per epoch, however many queries.
-// It returns the primary query's result (ok false once the primary has
-// failed). A query whose Step fails loses its own stream — hub.End, cursor
-// closed, a zero entry in its slot and skipped from then on — and the other
-// tenants' queries keep stepping.
+// step advances every query one epoch in one System.StepFrame call,
+// filling one frame with their results, and publishes it: one Publish per
+// epoch, however many queries. It returns the primary query's result (ok
+// false once the primary has failed). A query whose step fails loses its
+// own stream — hub.End, cursor closed, a zero entry in its slot and
+// skipped from then on — and the other tenants' queries keep stepping.
 func (w *workload) step() (primary kspot.StepResult, ok bool) {
 	cursors := w.snapshot()
-	w.frame = w.frame[:0]
-	for i, c := range cursors {
-		w.frame = append(w.frame, serve.Result{})
+	w.frame = slices.Grow(w.frame[:0], len(cursors))[:len(cursors)]
+	clear(w.frame)
+	w.sys.StepFrame(cursors, func(i int, res kspot.StepResult, err error) {
 		if w.failed[i] {
-			continue
+			return
 		}
-		res, err := c.Step()
 		if err != nil {
 			log.Printf("kspotd: query %d: step: %v; its stream ends", i, err)
 			if w.failed == nil {
@@ -179,14 +179,14 @@ func (w *workload) step() (primary kspot.StepResult, ok bool) {
 			}
 			w.failed[i] = true
 			w.hub.End(i)
-			c.Close()
-			continue
+			cursors[i].Close()
+			return
 		}
 		w.frame[i] = serve.Result{Epoch: res.Epoch, Answers: res.Answers, Correct: res.Correct}
 		if i == 0 {
 			primary, ok = res, true
 		}
-	}
+	})
 	w.hub.Publish(w.frame...)
 	// At saturation this goroutine never blocks, so whatever the epoch made
 	// runnable — the SSE writers Publish signalled, a handler woken on a

@@ -43,15 +43,19 @@ type Cursor struct {
 
 // StepResult is one epoch of a continuous query.
 type StepResult struct {
-	Epoch   Epoch
+	Epoch Epoch
+	// Answers are read-only: they may be a prefix of the ranking the
+	// cursor's acquisition group shares with its other cursors. Copy them
+	// before modifying.
 	Answers []Answer
 	// Exact is the oracle answer for the same epoch over the union of
 	// every shard's readings (the simulator knows ground truth; a real
 	// deployment would not). The ranking behind it is computed once per
 	// epoch and shared by every cursor that ran on the union; this slice
 	// is the cursor's own copy of its TOP-K prefix, the caller's to keep
-	// or modify.
-	Exact   []Answer
+	// or modify. StepFrame leaves it nil.
+	Exact []Answer
+	// Correct reports whether Answers equal the exact answer.
 	Correct bool
 }
 
@@ -244,6 +248,56 @@ func (c *Cursor) StepContext(ctx context.Context) (StepResult, error) {
 		return StepResult{}, err
 	}
 	return c.result(out), nil
+}
+
+// StepFrame steps every cursor of cursors one epoch in one scheduler call
+// and hands fn each result in cursor order: fn(i, res, err) for
+// cursors[i]. It is Step on each cursor in turn without the per-cursor
+// overhead — the epoch frame a server publishes — and it scores Correct
+// in place against the epoch's shared oracle, so res.Exact is nil. A
+// cursor that cannot step (closed, historic, or another System's) gets its
+// own error and the others still step. The System's seat and outcome
+// buffers are reused across calls, so a steady-state frame allocates
+// nothing of its own. A cursor stepped here must not be stepped
+// concurrently through Step or StepContext as well.
+func (s *System) StepFrame(cursors []*Cursor, fn func(i int, res StepResult, err error)) {
+	// The buffers are taken, not locked, for the frame: fn runs with no
+	// lock held, and a concurrent frame starts from empty buffers.
+	s.frameMu.Lock()
+	seats, outs := s.frameSeats[:0], s.frameOuts
+	s.frameSeats, s.frameOuts = nil, nil
+	s.frameMu.Unlock()
+	for _, c := range cursors {
+		var sq *engine.ScheduledQuery
+		if c.sys == s && c.Continuous() {
+			sq = c.sq
+		}
+		seats = append(seats, sq)
+	}
+	outs = s.sched.StepFrame(seats, outs)
+	for i, c := range cursors {
+		switch out := outs[i]; {
+		case seats[i] == nil && c.sys != s:
+			fn(i, StepResult{}, fmt.Errorf("kspot: query %q belongs to another System", c.plan.Query))
+		case seats[i] == nil:
+			fn(i, StepResult{}, fmt.Errorf("kspot: historic query %q executes with Run, not Step", c.plan.Query))
+		case out.Err != nil:
+			fn(i, StepResult{}, out.Err)
+		default:
+			fn(i, StepResult{
+				Epoch:   out.Epoch,
+				Answers: out.Answers,
+				Correct: out.Oracle.Matches(c.plan.Snapshot.Agg, c.plan.Snapshot.K, out.Answers),
+			}, nil)
+		}
+	}
+	// Keep the arrays, not what they point at: an outcome pins its epoch's
+	// readings and oracle.
+	clear(seats)
+	clear(outs)
+	s.frameMu.Lock()
+	s.frameSeats, s.frameOuts = seats, outs
+	s.frameMu.Unlock()
 }
 
 // result scores an epoch outcome against the epoch's exact oracle over the

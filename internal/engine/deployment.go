@@ -129,10 +129,10 @@ func (d *Deployment) Drain() {
 // Scheduler and the shard server each serialize theirs.
 //
 // Above a Parallel bound of one the acquisitions run concurrently, at most
-// that many at a time — the network takes any number of in-flight sweeps
-// and floods. At one or below they run in request order on the caller's
-// goroutine. A query's failure is carried in its own result; the sensing
-// and the other queries stand.
+// that many at a time, the caller's goroutine among them — the network
+// takes any number of in-flight sweeps and floods. At one or below they run
+// in request order on the caller's goroutine. A query's failure is carried
+// in its own result; the sensing and the other queries stand.
 func (d *Deployment) EpochRound(e model.Epoch, queries []uint32) (map[model.NodeID]model.Reading, []RemoteGroupResult, error) {
 	d.mu.Lock()
 	pre := d.pre
@@ -169,24 +169,25 @@ func (d *Deployment) EpochRound(e model.Epoch, queries []uint32) (map[model.Node
 		}
 		results[i].Acq.Answers, results[i].Err = a.op.Epoch(e, in)
 	}
-	if workers := min(d.parallel, len(queries)); workers > 1 {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := int(next.Add(1)) - 1; i < len(queries); i = int(next.Add(1)) - 1 {
-					acquire(i)
-				}
-			}()
-		}
-		wg.Wait()
-	} else {
-		for i := range queries {
+	// The caller is one of the workers: it takes queries off the same
+	// counter as the helpers it starts, so a round with one worker runs in
+	// request order on this goroutine and starts none.
+	var next atomic.Int64
+	drain := func() {
+		for i := int(next.Add(1)) - 1; i < len(queries); i = int(next.Add(1)) - 1 {
 			acquire(i)
 		}
 	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(d.parallel, len(queries)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			drain()
+		}()
+	}
+	drain()
+	wg.Wait()
 
 	// All transport work for epoch e is done: above a bound of one, overlap
 	// the next epoch's sampling with whatever the caller does with this one.

@@ -35,6 +35,23 @@ func (o *Oracle) Exact(agg model.AggKind, k int) []model.Answer {
 	if k <= 0 {
 		return nil
 	}
+	prefix := o.prefix(agg, k)
+	return append(make([]model.Answer, 0, len(prefix)), prefix...)
+}
+
+// Matches reports whether answers are the exact TOP-k of the union under
+// the aggregate — model.EqualAnswers(answers, o.Exact(agg, k)) — comparing
+// in place against the shared ranking, with no copy.
+func (o *Oracle) Matches(agg model.AggKind, k int, answers []model.Answer) bool {
+	if k <= 0 {
+		return len(answers) == 0
+	}
+	return model.EqualAnswers(answers, o.prefix(agg, k))
+}
+
+// prefix returns the shared ranking's K-prefix, building the oracle and the
+// aggregate's ranking on first use. The slice is the oracle's: read-only.
+func (o *Oracle) prefix(agg model.AggKind, k int) []model.Answer {
 	o.mu.Lock()
 	if !o.built {
 		o.build()
@@ -46,20 +63,22 @@ func (o *Oracle) Exact(agg model.AggKind, k int) []model.Answer {
 		o.ranked[agg] = full
 	}
 	o.mu.Unlock()
-	if len(full) > k {
-		full = full[:k]
-	}
-	return append(make([]model.Answer, 0, len(full)), full...)
+	return full[:min(k, len(full))]
 }
 
 // build folds the readings into one partial per group, indexed by group
 // id, and adds those to the view in ascending id: O(readings + groups),
-// each add an append.
+// each add an append. The index at least doubles when it grows, in one
+// allocation; slots past its length were zeroed by that allocation and
+// never written.
 func (o *Oracle) build() {
 	var byGroup []model.Partial
 	for _, r := range o.readings {
 		if n := int(r.Group) + 1; n > len(byGroup) {
-			byGroup = append(byGroup, make([]model.Partial, n-len(byGroup))...)
+			if n > cap(byGroup) {
+				byGroup = append(make([]model.Partial, 0, max(n, 2*cap(byGroup))), byGroup...)
+			}
+			byGroup = byGroup[:n]
 		}
 		byGroup[r.Group] = byGroup[r.Group].Merge(model.NewPartial(r.Group, r.Value))
 	}

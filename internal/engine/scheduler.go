@@ -26,11 +26,14 @@ type EpochRunner interface {
 // deployments (the answers pass through).
 type MergeFunc func(shardAnswers [][]model.Answer) ([]model.Answer, error)
 
-// Outcome is one epoch's result for one scheduled query. Answers are the
-// query's own; Readings and Oracle belong to the epoch and are shared by
-// every outcome that ran on the same union.
+// Outcome is one epoch's result for one scheduled query. Readings and
+// Oracle belong to the epoch and are shared by every outcome that ran on
+// the same union.
 type Outcome struct {
-	Epoch   model.Epoch
+	Epoch model.Epoch
+	// Answers are the query's ranking for the epoch: its merge's fresh
+	// slice, or a capacity-capped prefix of its group's ranking, which
+	// other members of the group may share. Treat as read-only.
 	Answers []model.Answer
 	// Readings are the epoch's per-node inputs as this query saw them,
 	// unioned across every shard (shared across queries unless the query
@@ -119,7 +122,8 @@ type QuerySpec struct {
 	// CutK, when > 0, caps this member's merged answers at the top CutK of
 	// the group ranking — the per-tenant TOP-K cut above the shared view. A
 	// group acquiring at a wider K than a member asked for hands the member
-	// a fresh prefix copy, never an alias of another member's slice.
+	// a capacity-capped prefix of the group's ranking: an append to it
+	// reallocates, never writing into another member's answers.
 	CutK int
 }
 
@@ -134,7 +138,8 @@ type QuerySpec struct {
 //
 // Stepping is demand-driven: the epoch advances when a query with no
 // buffered outcome is stepped, and the outcomes of the other queries are
-// buffered until their cursors catch up. A query whose shard fails
+// buffered until their cursors catch up; StepFrame steps a whole set of
+// seats in one call. A query whose shard fails
 // mid-sweep receives the error on its own outcome; the lock-step of the
 // remaining queries is never wedged. All methods are safe for concurrent
 // use.
@@ -425,6 +430,30 @@ func (s *Scheduler) StepContext(ctx context.Context, sq *ScheduledQuery) (Outcom
 	}
 }
 
+// StepFrame steps every seat of sqs once, in order, under one acquisition
+// of the epoch lock — the epoch frame a server publishes: it is Step on
+// each seat in turn, so the first seat with nothing buffered runs the
+// epoch and the rest pop what it buffered. outs[i] is sqs[i]'s outcome,
+// its own error included: a removed seat or a closed scheduler fails that
+// entry and the other seats still step. A nil seat's entry is the zero
+// Outcome. The result reuses outs' array, so a caller that passes back
+// what it got allocates nothing per frame. A seat stepped here must not be
+// stepped concurrently through Step or StepContext as well, or the two
+// callers split its epoch stream between them.
+func (s *Scheduler) StepFrame(sqs []*ScheduledQuery, outs []Outcome) []Outcome {
+	outs = slices.Grow(outs[:0], len(sqs))[:len(sqs)]
+	s.giveWay()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, sq := range sqs {
+		outs[i] = Outcome{}
+		if sq != nil {
+			outs[i], _ = s.stepLocked(sq)
+		}
+	}
+	return outs
+}
+
 // tryPop consumes the query's next buffered outcome without blocking. ok is
 // false when nothing is buffered, when a lock is contended (a step or an
 // epoch is in flight) or when the seat is closed or removed — all left to
@@ -452,17 +481,23 @@ func (s *Scheduler) step(sq *ScheduledQuery) (Outcome, bool, error) {
 	s.giveWay()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return Outcome{}, false, errClosed
-	}
-	if sq.removed {
-		return Outcome{}, false, errRemoved
+	out, popped := s.stepLocked(sq)
+	return out, popped, out.Err
+}
+
+// stepLocked is step's body under mu; a closed scheduler or a removed seat
+// yields an outcome carrying only the error.
+func (s *Scheduler) stepLocked(sq *ScheduledQuery) (out Outcome, popped bool) {
+	switch {
+	case s.closed:
+		return Outcome{Err: errClosed}, false
+	case sq.removed:
+		return Outcome{Err: errRemoved}, false
 	}
 	if len(sq.pending) == 0 {
 		s.runEpochLocked()
 	}
-	out := sq.pop()
-	return out, true, out.Err
+	return sq.pop(), true
 }
 
 // pushFront re-buffers an outcome a cancelled StepContext abandoned, so
@@ -577,11 +612,11 @@ func (s *Scheduler) runEpochLocked() {
 				out.Err = fmt.Errorf("engine: %d shards need a merge function", n)
 			}
 			// The group's ranking may be wider than this member asked for
-			// (it acquires at the widest member K). The prefix is copied,
-			// never aliased — members of one group must not share answer
-			// slices across their buffered outcomes.
+			// (it acquires at the widest member K). The cut aliases it: no
+			// operator or merge writes to a ranking it has returned, and
+			// the capped capacity keeps an append off the rest of it.
 			if q.cutK > 0 && out.Err == nil && len(out.Answers) > q.cutK {
-				out.Answers = append([]model.Answer(nil), out.Answers[:q.cutK]...)
+				out.Answers = out.Answers[:q.cutK:q.cutK]
 			}
 			q.pending = append(q.pending, out)
 		}

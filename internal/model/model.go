@@ -329,11 +329,6 @@ func (v *View) Groups() []GroupID {
 	return gs
 }
 
-// Partials returns the partials sorted by group id (a fresh copy).
-func (v *View) Partials() []Partial {
-	return append([]Partial(nil), v.sorted...)
-}
-
 // Clone returns a deep copy of the view.
 func (v *View) Clone() *View {
 	return &View{sorted: append([]Partial(nil), v.sorted...)}

@@ -372,3 +372,8 @@ func TestWideViewSemantics(t *testing.T) {
 		t.Fatal("encode/decode lost content")
 	}
 }
+
+// Partials returns the partials sorted by group id (a fresh copy).
+func (v *View) Partials() []Partial {
+	return append([]Partial(nil), v.sorted...)
+}

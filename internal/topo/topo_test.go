@@ -457,3 +457,6 @@ func TestParentOfFollowsRemoveNode(t *testing.T) {
 	}
 	check()
 }
+
+// Connected reports whether a and b share a link.
+func (l *Links) Connected(a, b model.NodeID) bool { return l.adj[a][b] }

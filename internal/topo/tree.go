@@ -32,9 +32,6 @@ func (l *Links) Connect(a, b model.NodeID) {
 	l.adj[b][a] = true
 }
 
-// Connected reports whether a and b share a link.
-func (l *Links) Connected(a, b model.NodeID) bool { return l.adj[a][b] }
-
 // Neighbors returns a node's neighbors, sorted for determinism.
 func (l *Links) Neighbors(a model.NodeID) []model.NodeID {
 	ns := make([]model.NodeID, 0, len(l.adj[a]))

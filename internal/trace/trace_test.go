@@ -226,3 +226,12 @@ func TestPerm(t *testing.T) {
 		t.Fatal("Perm not a permutation")
 	}
 }
+
+// Figure3Source returns a room-activity source over the Figure-3 clusters.
+// Half the venue is active at a time, so a Top-3 answer is substantive.
+func Figure3Source(seed int64) *RoomActivity {
+	p := Figure3Placement()
+	src := NewRoomActivity(seed, p.Groups, 6)
+	src.ActiveFrac = 0.5
+	return src
+}

@@ -154,6 +154,12 @@ type System struct {
 	admission *engine.Admission
 	groupMu   sync.Mutex
 	groups    map[string]*groupState
+
+	// frameMu guards StepFrame's seat and outcome buffers, reused across
+	// frames; a frame holds them only between two short critical sections.
+	frameMu    sync.Mutex
+	frameSeats []*engine.ScheduledQuery
+	frameOuts  []engine.Outcome
 }
 
 // shardHandle is the shard contract: everything the System asks of one
