@@ -402,7 +402,7 @@ func main() {
 		epochs       = flag.Int("epochs", 0, "stop stepping after N epochs (0 = run until shutdown); HTTP keeps serving and streams end cleanly")
 		maxQueries   = flag.Int("max-queries", 0, "admission: cap on concurrently live queries (0 = unlimited)")
 		tenantQuota  = flag.Int("tenant-quota", 0, "admission: per-tenant cap on live queries (0 = unlimited)")
-		dataDir      = flag.String("data-dir", "", "durable historic tier: append each shard's committed epochs to one log file (shard.log) under this directory and recover it on restart (empty = no durable tier on a flat daemon, so no storage block; a -serve-shard process keeps an in-memory one; answers are identical either way)")
+		dataDir      = flag.String("data-dir", "", "durable historic tier: append each shard's committed epochs to one log file (shard.log) under this directory and recover it at start-up; a restarted flat daemon's clock restarts at 0, so its store records no epoch until the clock passes the recovered one, and the storage block reports it (empty = no durable tier on a flat daemon, so /stats carries zero storage blocks; a -serve-shard process keeps an in-memory one; answers are identical either way)")
 	)
 	flag.Var(&queries, "query", "extra SQL to post on the same deployment (repeatable)")
 	flag.Parse()

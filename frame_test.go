@@ -105,28 +105,15 @@ func TestStepFrameAnswersOutliveTheirEpoch(t *testing.T) {
 }
 
 // TestStepFrameMatchesStep: a frame is Step on each cursor in turn — the
-// same epochs, answers and scores as a twin deployment stepped cursor by
-// cursor.
+// same epochs, answers and scores as the reference deployment stepped
+// cursor by cursor.
 func TestStepFrameMatchesStep(t *testing.T) {
-	sqls := []string{
-		"SELECT TOP 3 roomid, AVG(sound) FROM sensors GROUP BY roomid",
-		"SELECT TOP 1 roomid, AVG(sound) FROM sensors GROUP BY roomid",
-		"SELECT TOP 2 roomid, MAX(sound) FROM sensors GROUP BY roomid",
-		"SELECT TOP 2 roomid, MIN(temp) FROM sensors GROUP BY roomid",
-	}
-	sys, cursors := frameWorld(t, sqls...)
-	_, twins := frameWorld(t, sqls...)
-	for e := 0; e < 24; e++ {
-		for i, got := range stepFrame(t, sys, cursors) {
-			want, err := twins[i].Step()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Epoch != want.Epoch || !reflect.DeepEqual(got.Answers, want.Answers) || got.Correct != want.Correct {
-				t.Fatalf("query %d: frame %d %v %v, Step %d %v %v", i, got.Epoch, got.Answers, got.Correct, want.Epoch, want.Answers, want.Correct)
-			}
-		}
-	}
+	runRows(t, []row{{name: "demo", world: "demo", parallel: 2, epochs: 24, frame: true, queries: []rowQuery{
+		{"SELECT TOP 3 roomid, AVG(sound) FROM sensors GROUP BY roomid", AlgoAuto},
+		{"SELECT TOP 1 roomid, AVG(sound) FROM sensors GROUP BY roomid", AlgoAuto},
+		{"SELECT TOP 2 roomid, MAX(sound) FROM sensors GROUP BY roomid", AlgoAuto},
+		{"SELECT TOP 2 roomid, MIN(temp) FROM sensors GROUP BY roomid", AlgoAuto},
+	}}})
 }
 
 // TestStepFrameSkipsAClosedCursor: a closed cursor, a historic one and

@@ -48,8 +48,8 @@ type Outcome struct {
 }
 
 // ScheduledQuery is one query's seat in the scheduler. Epoch outcomes are
-// produced in lock-step for every scheduled query and buffered here until
-// the query's cursor consumes them.
+// produced in lock-step for every scheduled query and buffered here, at
+// most maxPending of them, until the query's cursor consumes them.
 type ScheduledQuery struct {
 	group *acqGroup // the shared acquisition this query rides
 	merge MergeFunc // nil on single-shard deployments
@@ -64,6 +64,39 @@ type ScheduledQuery struct {
 
 	pending []Outcome // guarded by the scheduler's mu
 	removed bool
+	lagged  *LagError // set once the seat fell maxPending behind; guarded by mu
+}
+
+// maxPending bounds the outcomes one seat buffers ahead of its cursor: a
+// seat that falls this far behind stops buffering (an Outcome pins its
+// epoch's readings map and oracle), keeps what it holds and, once drained,
+// fails every Step with a *LagError, while every other seat steps on. 200
+// is the deepest lag a cursor stepped from its own goroutine can reach in
+// this module's tests (16 cursors of 200 epochs each), so none of them
+// ever meets it.
+const maxPending = 200
+
+// LagError is the Step error of a seat that fell maxPending epochs behind
+// the scheduler: Epoch and every epoch after it were never buffered for it.
+type LagError struct {
+	Epoch model.Epoch
+}
+
+func (e *LagError) Error() string {
+	return fmt.Sprintf("engine: query fell %d epochs behind; epoch %d and later were not kept for it", maxPending, e.Epoch)
+}
+
+// buffer queues an epoch's outcome for the seat — unless the seat has
+// fallen maxPending behind, which ends its buffering for good. Caller holds
+// the scheduler's mu.
+func (sq *ScheduledQuery) buffer(out Outcome) {
+	switch {
+	case sq.lagged != nil:
+	case len(sq.pending) >= maxPending:
+		sq.lagged = &LagError{Epoch: out.Epoch}
+	default:
+		sq.pending = append(sq.pending, out)
+	}
 }
 
 // pop consumes the query's oldest buffered outcome. The queue shifts down
@@ -485,8 +518,8 @@ func (s *Scheduler) step(sq *ScheduledQuery) (Outcome, bool, error) {
 	return out, popped, out.Err
 }
 
-// stepLocked is step's body under mu; a closed scheduler or a removed seat
-// yields an outcome carrying only the error.
+// stepLocked is step's body under mu; a closed scheduler, a removed seat or
+// a drained lagging one yields an outcome carrying only the error.
 func (s *Scheduler) stepLocked(sq *ScheduledQuery) (out Outcome, popped bool) {
 	switch {
 	case s.closed:
@@ -495,6 +528,9 @@ func (s *Scheduler) stepLocked(sq *ScheduledQuery) (out Outcome, popped bool) {
 		return Outcome{Err: errRemoved}, false
 	}
 	if len(sq.pending) == 0 {
+		if sq.lagged != nil {
+			return Outcome{Err: sq.lagged}, false
+		}
 		s.runEpochLocked()
 	}
 	return sq.pop(), true
@@ -564,7 +600,7 @@ func (s *Scheduler) runEpochLocked() {
 	})
 	if err := s.firstErr(errs); err != nil {
 		for _, q := range s.queries {
-			q.pending = append(q.pending, Outcome{Epoch: e, Err: err})
+			q.buffer(Outcome{Epoch: e, Err: err})
 		}
 		return
 	}
@@ -618,7 +654,7 @@ func (s *Scheduler) runEpochLocked() {
 			if q.cutK > 0 && out.Err == nil && len(out.Answers) > q.cutK {
 				out.Answers = out.Answers[:q.cutK:q.cutK]
 			}
-			q.pending = append(q.pending, out)
+			q.buffer(out)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 
@@ -126,5 +127,64 @@ func TestStepContextPopsBufferedInline(t *testing.T) {
 	}
 	if got := sched.Epoch(); got != epochs {
 		t.Fatalf("scheduler ran %d epochs, want %d: a buffered pop must not run one", got, epochs)
+	}
+}
+
+// TestSchedulerLaggingSeatStopsBuffering: a seat nobody steps buffers at
+// most MaxPending outcomes. Past that it stops buffering, still yields what
+// it holds in order, then fails every Step with a LagError naming the first
+// epoch it missed — without running an epoch. The seat stepping beside it
+// and a seat scheduled later step on, exact; Close still refuses it.
+func TestSchedulerLaggingSeatStopsBuffering(t *testing.T) {
+	scen := config.Figure3Scenario()
+	net, err := scen.Network()
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := scen.Source()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := engine.NewScheduler(engine.NewDeployment("figure3", net, src))
+	q := topk.SnapshotQuery{K: 2, Agg: model.AggAvg, Range: &topk.ValueRange{Min: 0, Max: 100}}
+	seat := func() *engine.ScheduledQuery {
+		op := tag.New()
+		if err := op.Attach(net, q); err != nil {
+			t.Fatal(err)
+		}
+		return sched.Add([]engine.EpochRunner{op}, nil, nil)
+	}
+	step := func(sq *engine.ScheduledQuery, want model.Epoch) {
+		t.Helper()
+		out, err := sched.Step(sq)
+		if err != nil || out.Epoch != want || !out.Oracle.Matches(q.Agg, q.K, out.Answers) {
+			t.Fatalf("step: epoch %d (err %v), want epoch %d answered exactly", out.Epoch, err, want)
+		}
+	}
+	busy, idle := seat(), seat()
+	const ahead = engine.MaxPending + 10
+	for e := model.Epoch(0); e < ahead; e++ {
+		step(busy, e)
+	}
+	for e := model.Epoch(0); e < engine.MaxPending; e++ {
+		step(idle, e)
+	}
+	for i := 0; i < 2; i++ {
+		var lag *engine.LagError
+		if _, err := sched.Step(idle); !errors.As(err, &lag) || lag.Epoch != engine.MaxPending {
+			t.Fatalf("drained lagging seat: %v, want a LagError at epoch %d", err, engine.MaxPending)
+		}
+	}
+	if got := sched.Epoch(); got != ahead {
+		t.Fatalf("scheduler at epoch %d, want %d: a lagging seat must not run epochs", got, ahead)
+	}
+	late := seat()
+	for e := model.Epoch(ahead); e < ahead+3; e++ {
+		step(busy, e)
+		step(late, e)
+	}
+	sched.Close()
+	if _, err := sched.Step(idle); err == nil || errors.As(err, new(*engine.LagError)) {
+		t.Fatalf("lagging seat after Close: %v, want the closed error", err)
 	}
 }

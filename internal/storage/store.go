@@ -204,16 +204,22 @@ func (s *Store) cursor() (model.Epoch, bool) {
 
 // RecordReadings implements engine.ReadingsRecorder: it encodes one
 // committed sense epoch as a record into the ring and, in disk mode,
-// appends that record to the log in one write. Replays of an epoch at or
-// below the cursor are skipped — that is what makes a restarted shard's
-// retried epoch round idempotent against what the dead process already
-// persisted. A log failure sticks in Stats rather than poisoning the sense
-// path (a full disk must not change answers): the ring keeps recording, the
-// log takes no more appends.
+// appends that record to the log in one write. A replay of the cursor's
+// own epoch is skipped — that is what makes a restarted shard's retried
+// epoch round idempotent against what the dead process already persisted.
+// An epoch below the cursor is no replay but a clock that went back (a
+// local System reopened on its data dir starts at 0): it is not recorded
+// either, and the first one sticks in Stats as the store's failure. A log
+// failure sticks the same way rather than poisoning the sense path (a full
+// disk must not change answers): the ring keeps recording, the log takes
+// no more appends.
 func (s *Store) RecordReadings(e model.Epoch, readings map[model.NodeID]model.Reading) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if cur, ok := s.cursor(); ok && e <= cur {
+		if e < cur {
+			s.fail(fmt.Errorf("storage: epoch %d is behind the recorded epoch %d, not recorded", e, cur))
+		}
 		return
 	}
 	// Steady state finds every node seated; a first reading joins the

@@ -20,29 +20,8 @@ func TestOpenDemoScenario(t *testing.T) {
 }
 
 func TestFigure1EndToEnd(t *testing.T) {
-	sys, err := Open(Figure1Scenario())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur, err := sys.Post("SELECT TOP 1 roomid, AVG(sound) FROM sensors GROUP BY roomid EPOCH DURATION 1 min")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cur.Continuous() {
-		t.Fatal("snapshot query must be continuous")
-	}
-	for i := 0; i < 3; i++ {
-		res, err := cur.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Correct {
-			t.Fatalf("epoch %d incorrect: %v vs %v", res.Epoch, res.Answers, res.Exact)
-		}
-		if res.Answers[0].Group != trace.Fig1RoomC || res.Answers[0].Score != 75 {
-			t.Fatalf("answers = %v, want (C,75)", res.Answers)
-		}
-	}
+	runRows(t, []row{{name: "figure1", world: "figure1", epochs: 3, checks: []check{figure1Answer},
+		queries: []rowQuery{{"SELECT TOP 1 roomid, AVG(sound) FROM sensors GROUP BY roomid EPOCH DURATION 1 min", AlgoAuto}}}})
 }
 
 func TestNaiveReproducesPaperBug(t *testing.T) {
@@ -106,45 +85,27 @@ func TestHistoricQueryEndToEnd(t *testing.T) {
 }
 
 func TestHistoricGroupQuery(t *testing.T) {
-	sys, err := Open(DemoScenario())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur, err := sys.Post("SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid WITH HISTORY 8")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cur.Plan() != "historic-group/mint" {
-		t.Fatalf("plan = %s", cur.Plan())
-	}
-	for i := 0; i < 5; i++ {
-		res, err := cur.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Correct {
-			t.Fatalf("epoch %d: %v vs %v", res.Epoch, res.Answers, res.Exact)
+	runRows(t, []row{{name: "demo", world: "demo", epochs: 5, queries: []rowQuery{{"SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid WITH HISTORY 8", AlgoAuto}},
+		checks: []check{planIs("historic-group/mint")}}})
+}
+
+// planIs: the row's first query plans as plan.
+func planIs(plan string) check {
+	return func(t *testing.T, r row, sys *System, _ outcome) {
+		if cur, err := sys.PostWith(r.queries[0].sql, r.queries[0].algo); err != nil || cur.Plan() != plan {
+			t.Fatalf("plan = %v (%v), want %s", cur, err, plan)
 		}
 	}
 }
 
+// TestBasicQuery: a basic GROUP BY returns every cluster, ranked.
 func TestBasicQuery(t *testing.T) {
-	sys, err := Open(DemoScenario())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur, err := sys.Post("SELECT roomid, AVG(sound) FROM sensors GROUP BY roomid")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := cur.Step()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A basic GROUP BY returns every cluster, ranked.
-	if len(res.Answers) != 6 {
-		t.Fatalf("basic answers = %v", res.Answers)
-	}
+	runRows(t, []row{{name: "demo", world: "demo", epochs: 1, queries: []rowQuery{{"SELECT roomid, AVG(sound) FROM sensors GROUP BY roomid", AlgoAuto}},
+		checks: []check{func(t *testing.T, _ row, _ *System, got outcome) {
+			if len(got.steps[0][0].Answers) != 6 {
+				t.Fatalf("basic answers = %v", got.steps[0][0].Answers)
+			}
+		}}}})
 }
 
 func TestStepRunMisuse(t *testing.T) {
@@ -217,6 +178,38 @@ func TestSystemPanelAndDisplay(t *testing.T) {
 	}
 }
 
+// TestReopenedStoreReportsTheRestartedClock: a local System reopened on
+// its data dir restarts its clock at 0, behind the recovered epoch; the
+// store records nothing for it and says so in the storage block and the
+// panel.
+func TestReopenedStoreReportsTheRestartedClock(t *testing.T) {
+	dir := t.TempDir()
+	for _, steps := range []int{20, 1} {
+		sys, err := Open(DemoScenario(), WithDataDir(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur, err := sys.Post(demoSQL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < steps; i++ {
+			if _, err := cur.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st, err := sys.StorageStats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		regressed := strings.Contains(st[0].Err, "epoch 0 is behind the recorded epoch 19")
+		if regressed != (steps == 1) || st[0].LastEpoch != 19 || regressed != strings.Contains(sys.SystemPanel(nil), "NOT PERSISTING") {
+			t.Fatalf("after %d steps: storage block %+v, panel:\n%s", steps, st[0], sys.SystemPanel(nil))
+		}
+		sys.Close()
+	}
+}
+
 func TestCaptureStatsComparison(t *testing.T) {
 	sys, _ := Open(DemoScenario())
 	tagCur, _ := sys.PostWith("SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid", AlgoTAG)
@@ -240,32 +233,12 @@ func TestCaptureStatsComparison(t *testing.T) {
 // shards counted — the quickstart's ten steps read "epochs : 10", flat and
 // over the wire, where the count rides the shards' rows.
 func TestSystemPanelCountsEpochs(t *testing.T) {
-	const sql = "SELECT TOP 1 roomid, AVERAGE(sound) FROM sensors GROUP BY roomid EPOCH DURATION 1 min"
-	flat, err := Open(DemoScenario())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer flat.Close()
-	addrs, _ := startWireShards(t, shardedDemo(t, 2), 0)
-	remote, err := OpenFederated(shardedDemo(t, 2), addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer remote.Close()
-	for name, sys := range map[string]*System{"flat": flat, "federated": remote} {
-		cur, err := sys.Post(sql)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 10; i++ {
-			if _, err := cur.Step(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if panel := sys.SystemPanel(nil); !strings.Contains(panel, "| epochs    : 10 ") {
-			t.Errorf("%s panel after ten steps:\n%s", name, panel)
-		}
-	}
+	base := row{world: "demo", epochs: 10, checks: []check{panelNames("| epochs    : 10 ")},
+		queries: []rowQuery{{"SELECT TOP 1 roomid, AVERAGE(sound) FROM sensors GROUP BY roomid EPOCH DURATION 1 min", AlgoAuto}}}
+	federated := base
+	federated.name, federated.shards, federated.wire = "federated", 2, true
+	base.name = "flat"
+	runRows(t, []row{base, federated})
 }
 
 func TestOpenFileRoundTrip(t *testing.T) {

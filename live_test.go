@@ -8,91 +8,46 @@ import (
 	"testing"
 	"time"
 
-	"kspot/internal/model"
-	"kspot/internal/sim"
 	"kspot/internal/trace"
 	"kspot/internal/wire"
 )
 
 // TestLiveCursorFigure1 posts a query on a concurrent System and checks it
-// answers exactly, epoch after epoch.
+// answers the paper's worked example exactly, epoch after epoch.
 func TestLiveCursorFigure1(t *testing.T) {
-	sys, err := Open(Figure1Scenario(), WithParallel(2))
-	if err != nil {
-		t.Fatal(err)
+	runRows(t, []row{{name: "figure1", world: "figure1", parallel: 2, epochs: 5,
+		queries: []rowQuery{{"SELECT TOP 1 roomid, AVG(sound) FROM sensors GROUP BY roomid", AlgoMINT}},
+		checks:  []check{figure1Answer}}})
+}
+
+// figure1Answer: the query is continuous and every epoch ranks room C
+// first at 75.
+func figure1Answer(t *testing.T, _ row, _ *System, got outcome) {
+	if len(got.steps) != 1 {
+		t.Fatalf("%d continuous queries, want the one snapshot query", len(got.steps))
 	}
-	defer sys.Close()
-	cur, err := sys.PostWith("SELECT TOP 1 roomid, AVG(sound) FROM sensors GROUP BY roomid", AlgoMINT)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		res, err := cur.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Correct || res.Answers[0].Group != trace.Fig1RoomC || res.Answers[0].Score != 75 {
+	for _, res := range got.steps[0] {
+		if res.Answers[0].Group != trace.Fig1RoomC || res.Answers[0].Score != 75 {
 			t.Fatalf("epoch %d: %v, want (C,75)", res.Epoch, res.Answers)
 		}
 	}
 }
 
 // TestLiveMultiQuery is the multi-query acceptance path: one concurrent
-// deployment serves several concurrently posted snapshot cursors, all
-// sharing the epoch sweep, each stepped from its own goroutine.
+// deployment serves several snapshot cursors, all sharing the epoch sweep,
+// each stepped from its own goroutine.
 func TestLiveMultiQuery(t *testing.T) {
-	sys, err := Open(DemoScenario(), WithParallel(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
+	runRows(t, []row{{name: "three-cursors", world: "demo", parallel: 4, epochs: 6, concurrent: true,
+		queries: []rowQuery{{demoSQL, AlgoMINT}, {"SELECT TOP 3 roomid, MAX(sound) FROM sensors GROUP BY roomid", AlgoTAG},
+			{"SELECT TOP 1 roomid, AVG(sound) FROM sensors GROUP BY roomid", AlgoAuto}},
+		checks: []check{lateCursorJoins}}})
+}
 
-	queries := []struct {
-		sql  string
-		algo Algorithm
-	}{
-		{"SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid", AlgoMINT},
-		{"SELECT TOP 3 roomid, MAX(sound) FROM sensors GROUP BY roomid", AlgoTAG},
-		{"SELECT TOP 1 roomid, AVG(sound) FROM sensors GROUP BY roomid", AlgoAuto},
-	}
-	cursors := make([]*Cursor, len(queries))
-	for i, q := range queries {
-		cur, err := sys.PostWith(q.sql, q.algo)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cursors[i] = cur
-	}
-
-	const epochs = 6
-	var wg sync.WaitGroup
-	for i, cur := range cursors {
-		wg.Add(1)
-		go func(i int, cur *Cursor) {
-			defer wg.Done()
-			for e := 0; e < epochs; e++ {
-				res, err := cur.Step()
-				if err != nil {
-					t.Errorf("query %d: %v", i, err)
-					return
-				}
-				if res.Epoch != Epoch(e) {
-					t.Errorf("query %d: epoch %d at step %d (lock-step broken)", i, res.Epoch, e)
-					return
-				}
-				if !res.Correct {
-					t.Errorf("query %d epoch %d: %v vs exact %v", i, e, res.Answers, res.Exact)
-					return
-				}
-			}
-		}(i, cur)
-	}
-	wg.Wait()
-
-	// The epoch sweep is shared: three cursors × 6 steps advanced one
-	// deployment exactly 6 epochs, so a cursor posted now joins at epoch
-	// 6 — it does not get a private clock starting at 0.
-	late, err := sys.PostWith("SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid", AlgoTAG)
+// lateCursorJoins: the epoch sweep is shared, so a cursor posted after
+// the run joins at the deployment's epoch — it does not get a private
+// clock starting at 0.
+func lateCursorJoins(t *testing.T, r row, sys *System, _ outcome) {
+	late, err := sys.PostWith(demoSQL, AlgoTAG)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,8 +55,8 @@ func TestLiveMultiQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Epoch != Epoch(epochs) {
-		t.Fatalf("late cursor started at epoch %d, want %d (shared epoch clock)", res.Epoch, epochs)
+	if res.Epoch != Epoch(r.epochs) {
+		t.Fatalf("late cursor started at epoch %d, want %d (shared epoch clock)", res.Epoch, r.epochs)
 	}
 }
 
@@ -111,24 +66,8 @@ func TestLiveMultiQuery(t *testing.T) {
 // not the window aggregates the query's sweeps carry, is pinned on the
 // store's tap by TestShardStackRecordsCommittedReadings).
 func TestLiveHistoricGroupQuery(t *testing.T) {
-	sys, err := Open(Figure1Scenario(), WithParallel(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	cur, err := sys.Post("SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid WITH HISTORY 8")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		res, err := cur.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Correct {
-			t.Fatalf("epoch %d: %v vs %v", res.Epoch, res.Answers, res.Exact)
-		}
-	}
+	runRows(t, []row{{name: "figure1", world: "figure1", parallel: 2, epochs: 4,
+		queries: []rowQuery{{"SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid WITH HISTORY 8", AlgoAuto}}}})
 }
 
 // TestStepAfterClose: closing the system must turn later Steps into
@@ -153,70 +92,19 @@ func TestStepAfterClose(t *testing.T) {
 }
 
 // TestLiveFaultEquivalence pins the fault layer through the public API:
-// the same lossy+churning scenario stepped at Parallel 1 and at Parallel 4
-// must produce identical answers and identical traffic, and churn must
-// actually strike the concurrent deployment. The second row (named for the
-// top-level shorthand it replaces) is the plain Bernoulli faults block
-// seeded by the workload seed: it opens with the keyed environment armed,
-// so its drops replay identically too.
+// the same lossy+churning scenario stepped at Parallel 4 produces the
+// Parallel 1 answers and traffic, and churn strikes the concurrent
+// deployment. The second row (named for the top-level shorthand it
+// replaces) is the plain Bernoulli faults block seeded by the workload
+// seed: it opens with the keyed environment armed, so its drops replay
+// identically too.
 func TestLiveFaultEquivalence(t *testing.T) {
-	lossRate := DemoScenario()
-	lossRate.Faults = &FaultConfig{Seed: lossRate.Workload.Seed, Loss: 0.1}
-	for _, sc := range []struct {
-		name  string
-		open  func(OpenOption) (*System, error)
-		churn bool
-	}{
-		{"lossy-churn", func(o OpenOption) (*System, error) { return OpenFile("scenarios/lossy-churn.json", o) }, true},
-		{"loss_rate", func(o OpenOption) (*System, error) { return Open(lossRate, o) }, false},
-	} {
-		t.Run(sc.name, func(t *testing.T) {
-			const epochs = 16
-			run := func(live bool) ([]StepResult, sim.Snapshot) {
-				sys, err := sc.open(legParallel(live))
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer sys.Close()
-				cur, err := sys.Post("SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid")
-				if err != nil {
-					t.Fatal(err)
-				}
-				out := make([]StepResult, 0, epochs)
-				for i := 0; i < epochs; i++ {
-					res, err := cur.Step()
-					if err != nil {
-						t.Fatal(err)
-					}
-					out = append(out, res)
-				}
-				if sc.churn {
-					// lossy-churn.json: node 5 dies at 6 and revives at 14;
-					// node 11 dies at 10 for good.
-					if sys.Network().Alive(11) {
-						t.Errorf("live=%v: node 11 should be churned down after epoch 10", live)
-					}
-					if !sys.Network().Alive(5) {
-						t.Errorf("live=%v: node 5 should be revived after epoch 14", live)
-					}
-				}
-				return out, sys.Network().Snap()
-			}
-			det, detSnap := run(false)
-			liv, livSnap := run(true)
-			for e := range det {
-				if !model.EqualAnswers(det[e].Answers, liv[e].Answers) {
-					t.Fatalf("epoch %d: det %v, live %v", e, det[e].Answers, liv[e].Answers)
-				}
-			}
-			if detSnap.Drops == 0 {
-				t.Error("no frame was dropped: the fault environment is not armed")
-			}
-			if detSnap.Messages != livSnap.Messages || detSnap.TxBytes != livSnap.TxBytes || detSnap.Drops != livSnap.Drops {
-				t.Errorf("traffic diverged: det %+v, live %+v", detSnap, livSnap)
-			}
-		})
-	}
+	q := []rowQuery{{sql: demoSQL}}
+	runRows(t, []row{
+		{name: "lossy-churn", world: "scenarios/lossy-churn.json", parallel: 4, epochs: 16, queries: q, checks: []check{churnStrikesItsOwner}},
+		{name: "loss_rate", world: "demo", parallel: 4, epochs: 16, queries: q,
+			faults: &FaultConfig{Seed: DemoScenario().Workload.Seed, Loss: 0.1}},
+	})
 }
 
 // TestStepContextCancelNoLeak is the cancellation contract of a concurrent

@@ -43,10 +43,10 @@ func oracleWorld(t *testing.T, shards int, opts ...OpenOption) *System {
 // epoch all against ONE oracle.
 func TestSharedOracleMatchesExactSnapshot(t *testing.T) {
 	const epochs = 32
-	for _, live := range []bool{false, true} {
+	for _, parallel := range []int{1, 4} {
 		for _, shards := range []int{1, 2} {
-			t.Run(fmt.Sprintf("live=%v/shards=%d", live, shards), func(t *testing.T) {
-				sys := oracleWorld(t, shards, legParallel(live))
+			t.Run(fmt.Sprintf("live=%v/shards=%d", parallel > 1, shards), func(t *testing.T) {
+				sys := oracleWorld(t, shards, WithParallel(parallel))
 				post := func(sql string) *Cursor {
 					cur, err := sys.Post(sql)
 					if err != nil {

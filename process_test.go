@@ -23,132 +23,22 @@ import (
 	"time"
 )
 
-const (
-	scaleSnapshotSQL = "SELECT TOP 3 roomid, AVG(sound) FROM sensors GROUP BY roomid"
-	scaleHistoricSQL = "SELECT TOP 4 epoch, AVG(sound) FROM sensors WITH HISTORY 16"
-	scaleEpochs      = 3
-)
+const scaleHistoricSQL = "SELECT TOP 4 epoch, AVG(sound) FROM sensors WITH HISTORY 16"
 
-// scaleRun is one deployment's answers and counters for the conformance
-// workload: snapshot epochs, then a historic execution.
-type scaleRun struct {
-	steps    []StepResult
-	historic []Answer
-	fed      FederationTraffic
-	shards   []RunStats
-}
-
-// runScaleWorkload drives the conformance workload on an opened system
-// and snapshots its counters.
-func runScaleWorkload(t *testing.T, sys *System) scaleRun {
-	t.Helper()
-	var run scaleRun
-	cur, err := sys.Post(scaleSnapshotSQL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < scaleEpochs; i++ {
-		res, err := cur.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		run.steps = append(run.steps, res)
-	}
-	hcur, err := sys.Post(scaleHistoricSQL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if run.historic, err = hcur.Run(); err != nil {
-		t.Fatal(err)
-	}
-	run.fed = sys.FederationStats()
-	if run.shards, err = sys.ShardStats(); err != nil {
-		t.Fatal(err)
-	}
-	return run
-}
-
-// checkScaleConformance pins a federated run — in-process or remote —
-// against the flat run and, when a peer federated run is given, against
-// its coordinator-tier and per-shard counters.
-func checkScaleConformance(t *testing.T, label string, got scaleRun, flat scaleRun, peer *scaleRun) {
-	t.Helper()
-	stepEqualByteIdentical(t, label+" snapshot vs flat", got.steps, flat.steps)
-	for e := range got.steps {
-		if !got.steps[e].Correct {
-			t.Fatalf("%s epoch %d: answers %v diverged from oracle %v", label, e, got.steps[e].Answers, got.steps[e].Exact)
-		}
-	}
-	if !bytes.Equal(answerBytes(got.historic), answerBytes(flat.historic)) {
-		t.Fatalf("%s historic %v, flat %v", label, got.historic, flat.historic)
-	}
-	if peer == nil {
-		return
-	}
-	if got.fed != peer.fed {
-		t.Fatalf("%s coordinator tier diverged: %+v vs %+v", label, got.fed, peer.fed)
-	}
-	if len(got.shards) != len(peer.shards) {
-		t.Fatalf("%s: %d shard rows vs %d", label, len(got.shards), len(peer.shards))
-	}
-	for i := range got.shards {
-		g, p := got.shards[i], peer.shards[i]
-		if g.Algorithm != p.Algorithm || g.Messages != p.Messages || g.Frames != p.Frames ||
-			g.TxBytes != p.TxBytes || g.RxBytes != p.RxBytes || g.EnergyUJ != p.EnergyUJ {
-			t.Fatalf("%s shard %d counters diverged:\ngot  %+v\npeer %+v", label, i, g, p)
-		}
-	}
-}
-
-func scale1000Flat(t *testing.T) scaleRun {
-	t.Helper()
-	scen, err := ScaleScenario(1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := Open(scen, WithParallel(runtime.NumCPU()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return runScaleWorkload(t, sys)
-}
-
-func scale1000Sharded(t *testing.T) *Scenario {
-	t.Helper()
-	scen, err := ScaleScenarioShards(1000, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return scen
+// scaleRow is the conformance workload on scale-1000 split 4 ways:
+// snapshot epochs, then a historic execution.
+func scaleRow(name string, wire bool) row {
+	return row{name: name, world: "scale-1000", shards: 4, parallel: runtime.NumCPU(), wire: wire, long: true, epochs: 3,
+		queries: []rowQuery{{scaleSQL, AlgoAuto}, {scaleHistoricSQL, AlgoAuto}}}
 }
 
 // TestWireScale1000LoopbackConformance: scale-1000 split 4 ways over
 // loopback sockets — in-process servers, so client, server and the merge
-// all run under -race in CI — byte-identical to the flat run for both the
+// all run under -race in CI — answers like the flat run for both the
 // snapshot stream and historic TOP-K, with coordinator-tier and per-shard
-// counters equal to the in-process federation.
+// counters equal to the in-process federation's.
 func TestWireScale1000LoopbackConformance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("scale-1000 conformance in -short mode")
-	}
-	flat := scale1000Flat(t)
-
-	inprocSys, err := Open(scale1000Sharded(t), WithParallel(runtime.NumCPU()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer inprocSys.Close()
-	inproc := runScaleWorkload(t, inprocSys)
-	checkScaleConformance(t, "in-process federation", inproc, flat, nil)
-
-	addrs, _ := startWireShards(t, scale1000Sharded(t), runtime.NumCPU())
-	remote, err := OpenFederated(scale1000Sharded(t), addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer remote.Close()
-	got := runScaleWorkload(t, remote)
-	checkScaleConformance(t, "loopback federation", got, flat, &inproc)
+	runRows(t, []row{scaleRow("in-process", false), scaleRow("loopback", true)})
 }
 
 // buildKspotd builds the kspotd binary into dir and returns its path.
@@ -229,7 +119,7 @@ func TestProcessFederatedScale1000(t *testing.T) {
 	dir := t.TempDir()
 	bin := buildKspotd(t, dir)
 
-	scen := scale1000Sharded(t)
+	scen := scaleRow("", true).scenario(t)
 	scenPath := filepath.Join(dir, "scale-1000x4.json")
 	if err := scen.Save(scenPath); err != nil {
 		t.Fatal(err)
@@ -241,14 +131,7 @@ func TestProcessFederatedScale1000(t *testing.T) {
 		addrs[i], _ = spawnShardProc(t, bin, scenPath, i, "127.0.0.1:0")
 	}
 
-	flat := scale1000Flat(t)
-	inprocSys, err := Open(scale1000Sharded(t), WithParallel(runtime.NumCPU()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer inprocSys.Close()
-	inproc := runScaleWorkload(t, inprocSys)
-
+	r := scaleRow("processes", true)
 	remote, err := OpenFederated(scen, addrs)
 	if err != nil {
 		t.Fatal(err)
@@ -257,8 +140,10 @@ func TestProcessFederatedScale1000(t *testing.T) {
 	if remote.Shards() != shards {
 		t.Fatalf("remote system has %d shards, want %d", remote.Shards(), shards)
 	}
-	got := runScaleWorkload(t, remote)
-	checkScaleConformance(t, fmt.Sprintf("%d-process federation", shards+1), got, flat, &inproc)
+	got := drive(t, remote, nil, r)
+	label := fmt.Sprintf("%d-process federation", shards+1)
+	compare(t, label+" vs flat", got, memo(t, r.reference(t)), false)
+	compare(t, label+" vs in-process", got, memo(t, r.twin()), true)
 }
 
 // TestProcessShardCrashRestartConformance is the durability pin: four
@@ -275,7 +160,7 @@ func TestProcessShardCrashRestartConformance(t *testing.T) {
 	dir := t.TempDir()
 	bin := buildKspotd(t, dir)
 
-	scen := scale1000Sharded(t)
+	scen := scaleRow("", true).scenario(t)
 	scenPath := filepath.Join(dir, "scale-1000x4.json")
 	if err := scen.Save(scenPath); err != nil {
 		t.Fatal(err)
@@ -289,7 +174,8 @@ func TestProcessShardCrashRestartConformance(t *testing.T) {
 		addrs[i], cmds[i] = spawnShardProc(t, bin, scenPath, i, "127.0.0.1:0", "-data-dir", dataDir)
 	}
 
-	flat := scale1000Flat(t)
+	r := scaleRow("crash-restart", true)
+	flat := memo(t, r.reference(t))
 
 	// A generous retry budget rides out the restart window: attempts
 	// against the dead socket fail fast and back off until the replacement
@@ -300,7 +186,7 @@ func TestProcessShardCrashRestartConformance(t *testing.T) {
 	}
 	defer remote.Close()
 
-	cur, err := remote.Post(scaleSnapshotSQL)
+	cur, err := remote.Post(scaleSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,12 +231,7 @@ func TestProcessShardCrashRestartConformance(t *testing.T) {
 	}
 	steps = append(steps, res)
 
-	stepEqualByteIdentical(t, "crash-restart snapshot vs flat", steps, flat.steps)
-	for e := range steps {
-		if !steps[e].Correct {
-			t.Fatalf("epoch %d: answers %v diverged from oracle %v", e, steps[e].Answers, steps[e].Exact)
-		}
-	}
+	stepEqualByteIdentical(t, "crash-restart snapshot vs flat", steps, flat.steps[0])
 
 	// The federated historic run on the recovered deployment equals the
 	// flat one.
@@ -362,8 +243,8 @@ func TestProcessShardCrashRestartConformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(answerBytes(historic), answerBytes(flat.historic)) {
-		t.Fatalf("crash-restart historic %v, flat %v", historic, flat.historic)
+	if !bytes.Equal(answerBytes(historic), answerBytes(flat.historic[0])) {
+		t.Fatalf("crash-restart historic %v, flat %v", historic, flat.historic[0])
 	}
 
 	// Every shard — including the restarted one — checkpointed all three
@@ -376,7 +257,7 @@ func TestProcessShardCrashRestartConformance(t *testing.T) {
 		t.Fatalf("storage rows: %d", len(ss))
 	}
 	for i, st := range ss {
-		if !st.HasEpoch || st.LastEpoch != scaleEpochs-1 {
+		if !st.HasEpoch || st.LastEpoch != Epoch(r.epochs-1) {
 			t.Fatalf("shard %d checkpoint: %+v", i, st)
 		}
 		if st.Segments == 0 || st.Bytes == 0 {

@@ -60,37 +60,10 @@ func TestLiveReshardGrowShrinkConformance(t *testing.T) {
 	const legEpochs = 3
 	const totalEpochs = 3 * legEpochs
 
-	// Flat reference: both cursors posted upfront, stepped interleaved.
-	flatScen, err := ScaleScenario(reshardNodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flatSys, err := Open(flatScen, WithParallel(runtime.NumCPU()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer flatSys.Close()
-	flatCurA, err := flatSys.Post(reshardSQLA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flatCurB, err := flatSys.Post(reshardSQLB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var flatA, flatB []StepResult
-	for i := 0; i < totalEpochs; i++ {
-		stepScored(t, "flat A", flatCurA, 1, &flatA)
-		stepScored(t, "flat B", flatCurB, 1, &flatB)
-	}
-	flatHist, err := flatSys.Post(scaleHistoricSQL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flatHistoric, err := flatHist.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Flat reference: both cursors posted upfront, stepped interleaved, then
+	// the historic run.
+	flat := memo(t, row{world: fmt.Sprintf("scale-%d", reshardNodes), shards: 1, parallel: 1, epochs: totalEpochs,
+		queries: []rowQuery{{reshardSQLA, AlgoAuto}, {reshardSQLB, AlgoAuto}, {scaleHistoricSQL, AlgoAuto}}})
 
 	// The migrating federation starts 2-sharded.
 	scen2 := reshardScen(t, 2)
@@ -207,8 +180,8 @@ func TestLiveReshardGrowShrinkConformance(t *testing.T) {
 		stepScored(t, "post-shrink B", curB, 1, &gotB)
 	}
 
-	stepEqualByteIdentical(t, "resharded A vs flat", gotA, flatA)
-	stepEqualByteIdentical(t, "resharded B vs flat", gotB, flatB)
+	stepEqualByteIdentical(t, "resharded A vs flat", gotA, flat.steps[0])
+	stepEqualByteIdentical(t, "resharded B vs flat", gotB, flat.steps[1])
 
 	// Historic after two migrations still equals the flat run.
 	hcur, err := sys.Post(scaleHistoricSQL)
@@ -219,8 +192,8 @@ func TestLiveReshardGrowShrinkConformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(answerBytes(historic), answerBytes(flatHistoric)) {
-		t.Fatalf("post-migration historic %v, flat %v", historic, flatHistoric)
+	if !bytes.Equal(answerBytes(historic), answerBytes(flat.historic[0])) {
+		t.Fatalf("post-migration historic %v, flat %v", historic, flat.historic[0])
 	}
 }
 

@@ -8,7 +8,6 @@ package kspot
 // the in-process body, behind a codec.
 
 import (
-	"net"
 	"reflect"
 	"testing"
 
@@ -115,107 +114,93 @@ func runShardContract(h shardHandle) []contractStep {
 // TestShardContractConformance runs the script on both hosts of shard 0 of
 // the 2-shard demo — sequential, concurrent ("live": Parallel 4) and with a
 // fault environment armed — and requires the transcripts to be equal step
-// for step.
+// for step; each row's System-level run holds the served federation to
+// the in-process one besides.
 func TestShardContractConformance(t *testing.T) {
-	for _, tc := range []struct {
-		name     string
-		parallel int
-		faults   *FaultConfig
-	}{
-		{"deterministic", 1, nil},
-		{"live", 4, nil},
-		{"faulty", 1, &FaultConfig{Seed: 9, Loss: 0.1, Churn: []ChurnEvent{{Node: 5, Epoch: 2, Down: true}}}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			scen := func() *Scenario {
-				s := shardedDemo(t, 2)
-				s.Faults = tc.faults
-				return s
-			}
+	det := row{name: "deterministic", world: "demo", shards: 2, parallel: 1, wire: true, epochs: 4,
+		queries: []rowQuery{{sql: demoSQL}}, checks: []check{contractTranscript}}
+	live, faulty := det, det
+	live.name, live.parallel = "live", 4
+	faulty.name, faulty.faults = "faulty", &FaultConfig{Seed: 9, Loss: 0.1, Churn: []ChurnEvent{{Node: 5, Epoch: 2, Down: true}}}
+	runRows(t, []row{det, live, faulty})
+}
 
-			// In process: the body itself, on the memory-backed durable tier a
-			// shard server gives its own.
-			store, err := storage.OpenStore("", storage.DefaultStoreWindow)
-			if err != nil {
-				t.Fatal(err)
-			}
-			body, err := shard.New(shard.Config{Scenario: scen(), Shard: 0, Parallel: tc.parallel, Store: store})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer body.Close()
-			want := runShardContract(body)
+// contractTranscript drives the contract script against the in-process
+// body of the row's shard 0 and against a wire client of a server hosting
+// it, and requires equal transcripts that exercised what they claim to.
+func contractTranscript(t *testing.T, r row, _ *System, _ outcome) {
+	// In process: the body itself, on the memory-backed durable tier a
+	// shard server gives its own.
+	store, err := storage.OpenStore("", storage.DefaultStoreWindow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := shard.New(shard.Config{Scenario: r.scenario(t), Shard: 0, Parallel: r.parallel, Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer body.Close()
+	want := runShardContract(body)
 
-			// Over the wire: the same body behind a server, reached through a
-			// client.
-			srv, err := wire.NewServer(wire.ServerConfig{Scenario: scen(), Shard: 0, Parallel: tc.parallel})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer srv.Close()
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			go srv.Serve(ln)
-			cl, err := wire.Dial(wire.ClientConfig{Addr: ln.Addr().String(), Scenario: scen().Name,
-				Shard: 0, Shards: 2, Nodes: len(body.Roster()), Roster: body.Roster()})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer cl.Close()
-			got := runShardContract(cl)
+	// Over the wire: the same body behind a server, reached through a
+	// client.
+	addrs, _ := startWireShards(t, r.scenario(t), r.parallel)
+	cl, err := wire.Dial(wire.ClientConfig{Addr: addrs[0], Scenario: r.scenario(t).Name,
+		Shard: 0, Shards: 2, Nodes: len(body.Roster()), Roster: body.Roster()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	got := runShardContract(cl)
 
-			if len(got) != len(want) {
-				t.Fatalf("%d steps over the wire, %d in process", len(got), len(want))
-			}
-			for i := range want {
-				if !reflect.DeepEqual(got[i], want[i]) {
-					t.Fatalf("step %d (%s) diverged:\nwire       %+v\nin-process %+v", i, want[i].Call, got[i], want[i])
-				}
-			}
+	if len(got) != len(want) {
+		t.Fatalf("%d steps over the wire, %d in process", len(got), len(want))
+	}
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("step %d (%s) diverged:\nwire       %+v\nin-process %+v", i, want[i].Call, got[i], want[i])
+		}
+	}
 
-			// The script exercised what it claims to: rounds answered, the
-			// derived-readings query overrode its inputs, the isolated
-			// failures were failures and everything else was not.
-			failed := map[string]bool{"attach unknown algorithm": true, "attach bad sql": true, "attach historic query": true,
-				"historic unknown algorithm": true, "historic invalid query": true, "fetch on a released execution": true,
-				"restore garbage": true}
-			for _, st := range want {
-				if st.Failed != failed[st.Call] {
-					t.Errorf("%s: failed=%v", st.Call, st.Failed)
-				}
-				switch st.Call {
-				case "round":
-					if len(st.Readings) == 0 || len(st.Groups) != 2 || len(st.Groups[0].Answers) != 2 || st.Groups[0].Override != nil || st.Groups[1].Override == nil {
-						t.Errorf("round: %+v", st)
-					}
-				case "round naming an unattached id", "round naming the detached id":
-					if last := st.Groups[len(st.Groups)-1]; !last.Failed {
-						t.Errorf("%s: the unattached group did not fail: %+v", st.Call, st)
-					}
-				case "round on the wider attachment":
-					if len(st.Groups[0].Answers) != 3 { // shard 0 of the split demo holds 3 clusters
-						t.Errorf("wider attachment ranked %d groups, want 3", len(st.Groups[0].Answers))
-					}
-				case "historic top-k":
-					if len(st.Answers) != 3 || st.Nodes != len(body.Roster()) {
-						t.Errorf("historic top-k: %+v", st)
-					}
-				case "fetch sums":
-					if len(st.Sums) != 3 {
-						t.Errorf("fetch sums: %+v", st.Sums)
-					}
-				case "stats":
-					if st.Stats.Messages == 0 || st.Stats.Algorithm != "shard-0" {
-						t.Errorf("stats: %+v", st.Stats)
-					}
-				case "storage stats":
-					if st.Storage.Nodes != len(body.Roster()) || !st.Storage.HasEpoch || st.Storage.LastEpoch != 7 {
-						t.Errorf("storage stats: %+v", st.Storage)
-					}
-				}
+	// The script exercised what it claims to: rounds answered, the
+	// derived-readings query overrode its inputs, the isolated failures
+	// were failures and everything else was not.
+	failed := map[string]bool{"attach unknown algorithm": true, "attach bad sql": true, "attach historic query": true,
+		"historic unknown algorithm": true, "historic invalid query": true, "fetch on a released execution": true,
+		"restore garbage": true}
+	for _, st := range want {
+		if st.Failed != failed[st.Call] {
+			t.Errorf("%s: failed=%v", st.Call, st.Failed)
+		}
+		switch st.Call {
+		case "round":
+			if len(st.Readings) == 0 || len(st.Groups) != 2 || len(st.Groups[0].Answers) != 2 || st.Groups[0].Override != nil || st.Groups[1].Override == nil {
+				t.Errorf("round: %+v", st)
 			}
-		})
+		case "round naming an unattached id", "round naming the detached id":
+			if last := st.Groups[len(st.Groups)-1]; !last.Failed {
+				t.Errorf("%s: the unattached group did not fail: %+v", st.Call, st)
+			}
+		case "round on the wider attachment":
+			if len(st.Groups[0].Answers) != 3 { // shard 0 of the split demo holds 3 clusters
+				t.Errorf("wider attachment ranked %d groups, want 3", len(st.Groups[0].Answers))
+			}
+		case "historic top-k":
+			if len(st.Answers) != 3 || st.Nodes != len(body.Roster()) {
+				t.Errorf("historic top-k: %+v", st)
+			}
+		case "fetch sums":
+			if len(st.Sums) != 3 {
+				t.Errorf("fetch sums: %+v", st.Sums)
+			}
+		case "stats":
+			if st.Stats.Messages == 0 || st.Stats.Algorithm != "shard-0" {
+				t.Errorf("stats: %+v", st.Stats)
+			}
+		case "storage stats":
+			if st.Storage.Nodes != len(body.Roster()) || !st.Storage.HasEpoch || st.Storage.LastEpoch != 7 {
+				t.Errorf("storage stats: %+v", st.Storage)
+			}
+		}
 	}
 }

@@ -11,7 +11,6 @@ package kspot
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"testing"
 )
@@ -35,20 +34,13 @@ func sharedFaultEnv() *FaultConfig {
 	}
 }
 
-// sharedMember is one posted query of the workload: its SQL spelling and
-// the algorithm it is posted under.
-type sharedMember struct {
-	sql  string
-	algo Algorithm
-}
-
 // sharedWorkload returns the 16-query workload: 4 distinct sensing
 // signatures × 4 equivalent spellings each (case, whitespace, projection
 // shape, duration units, AlgoAuto vs explicit MINT). Every member of a
 // group carries the same K, so each group's answers must be byte-identical
 // to one independent deployment of that group's first member.
-func sharedWorkload() [][]sharedMember {
-	return [][]sharedMember{
+func sharedWorkload() [][]rowQuery {
+	return [][]rowQuery{
 		// Snapshot TOP-K on MINT; AlgoAuto resolves to MINT, so mixing the
 		// two must still share one acquisition.
 		{
@@ -84,266 +76,79 @@ func sharedWorkload() [][]sharedMember {
 	}
 }
 
-// sharedRun is one deployment's view of the full workload: per-member
-// per-epoch results plus the deployment's counters.
-type sharedRun struct {
-	steps [][]StepResult // [member][epoch], members flattened group-major
-	stats RunStats
-	fed   FederationTraffic
-}
-
-// runSharedWorkload posts every member of every group on one System and
-// advances them in epoch lock-step.
-func runSharedWorkload(t *testing.T, sys *System, epochs int) sharedRun {
-	t.Helper()
-	var cursors []*Cursor
+// sharedRow is the workload on scale-1000 split the given number of ways,
+// the fault environment armed.
+func sharedRow(name string, shards, parallel int) row {
+	r := row{name: name, world: "scale-1000", shards: shards, parallel: parallel, faults: sharedFaultEnv(),
+		epochs: sharedEpochs, checks: []check{sharedLikeIndependents}}
 	for _, group := range sharedWorkload() {
-		for _, m := range group {
-			cur, err := sys.PostWith(m.sql, m.algo)
-			if err != nil {
-				t.Fatalf("post %q: %v", m.sql, err)
-			}
-			cursors = append(cursors, cur)
-		}
+		r.queries = append(r.queries, group...)
 	}
-	run := sharedRun{steps: make([][]StepResult, len(cursors))}
-	for e := 0; e < epochs; e++ {
-		for i, cur := range cursors {
-			res, err := cur.Step()
-			if err != nil {
-				t.Fatalf("member %d epoch %d: %v", i, e, err)
-			}
-			run.steps[i] = append(run.steps[i], res)
-		}
-	}
-	run.stats = sys.CaptureStats("shared", epochs)
-	run.fed = sys.FederationStats()
-	return run
+	return r
 }
 
-// runIndependent opens a fresh deployment per signature group and runs ONE
-// member of it — the baseline the shared run must match answer-for-answer
-// (every member) and counter-for-counter (summed across groups).
-func runIndependent(t *testing.T, openSys func() *System, epochs int) []sharedRun {
-	t.Helper()
-	var out []sharedRun
+// sharedLikeIndependents: every member answers byte-identically to an
+// independent deployment running only its group's first member; the
+// shared run's radio traffic is the sum of those independents' (traffic
+// is per signature, not per query); and the coordinator tier, per-query
+// work (each member runs its own merge above the shared acquisition),
+// is 4× their sum.
+func sharedLikeIndependents(t *testing.T, r row, _ *System, got outcome) {
+	var radio [5]int
+	var fed FederationTraffic
 	for gi, group := range sharedWorkload() {
-		sys := openSys()
-		cur, err := sys.PostWith(group[0].sql, group[0].algo)
-		if err != nil {
-			t.Fatalf("group %d: %v", gi, err)
+		solo := r.twin()
+		solo.queries = group[:1]
+		ind := memo(t, solo)
+		for mi, m := range group {
+			stepEqualByteIdentical(t, fmt.Sprintf("member %q vs independent group %d", m.sql, gi),
+				got.steps[gi*len(group)+mi], ind.steps[0])
 		}
-		var steps []StepResult
-		for e := 0; e < epochs; e++ {
-			res, err := cur.Step()
-			if err != nil {
-				t.Fatalf("group %d epoch %d: %v", gi, e, err)
-			}
-			steps = append(steps, res)
+		for i, v := range radioCounters(ind.capture) {
+			radio[i] += v
 		}
-		run := sharedRun{
-			steps: [][]StepResult{steps},
-			stats: sys.CaptureStats("independent", epochs),
-			fed:   sys.FederationStats(),
-		}
-		sys.Close()
-		out = append(out, run)
+		const members = 4
+		fed.Rounds += members * ind.fed.Rounds
+		fed.Phase1Msgs += members * ind.fed.Phase1Msgs
+		fed.Phase2Reqs += members * ind.fed.Phase2Reqs
+		fed.Phase2Msgs += members * ind.fed.Phase2Msgs
+		fed.Fetched += members * ind.fed.Fetched
+		fed.TxBytes += members * ind.fed.TxBytes
 	}
-	return out
-}
-
-// radioCounters projects the counters the byte-identity bar compares:
-// in-network radio traffic. Energy is deliberately excluded — a shared
-// deployment idles and senses its epochs once, independents once each.
-func radioCounters(s RunStats) [5]int {
-	return [5]int{s.Messages, s.Frames, s.TxBytes, s.RxBytes, s.Drops}
-}
-
-func sumRadioCounters(runs []sharedRun) [5]int {
-	var sum [5]int
-	for _, r := range runs {
-		c := radioCounters(r.stats)
-		for i := range sum {
-			sum[i] += c[i]
-		}
+	if radioCounters(got.capture) != radio {
+		t.Fatalf("shared radio traffic %v != sum of per-signature independents %v\n"+
+			"(msgs, frames, txBytes, rxBytes, drops)", radioCounters(got.capture), radio)
 	}
-	return sum
-}
-
-// checkSharedAnswers pins every member's per-epoch answers byte-identical
-// to its group's independent run.
-func checkSharedAnswers(t *testing.T, label string, shared sharedRun, indep []sharedRun) {
-	t.Helper()
-	groups := sharedWorkload()
-	mi := 0
-	for gi, group := range groups {
-		for _, m := range group {
-			stepEqualByteIdentical(t,
-				fmt.Sprintf("%s: member %q vs independent group %d", label, m.sql, gi),
-				shared.steps[mi], indep[gi].steps[0])
-			mi++
-		}
+	if got.fed != fed {
+		t.Fatalf("coordinator tier diverged: shared %+v, want 4x independents %+v", got.fed, fed)
 	}
 }
 
-// TestSharedAcquisitionByteIdentity is the PR acceptance pin: 16 queries
-// over 4 distinct sensing signatures on flat scale-1000 with loss,
-// duplication, delay and churn armed. Every member answers byte-identically
-// to an independent deployment running only its signature, the shared
-// deployment's radio traffic equals the sum of the 4 independent runs (one
-// per signature — traffic is per-signature, not per-query), and the
-// concurrent run (Parallel 4: the four groups acquire at once) reproduces
-// the sequential one exactly, its energy ledger total to the bit.
+// TestSharedAcquisitionByteIdentity is the shared-acquisition acceptance
+// pin: 16 queries over 4 distinct sensing signatures on flat scale-1000
+// with loss, duplication, delay and churn armed answer like independent
+// deployments of their signatures, and the concurrent run (Parallel 4:
+// the four groups acquire at once) reproduces the sequential one exactly,
+// its energy ledger to the bit.
 func TestSharedAcquisitionByteIdentity(t *testing.T) {
-	openFlat := func(workers int) func() *System {
-		return func() *System {
-			scen, err := ScaleScenario(1000)
-			if err != nil {
-				t.Fatal(err)
-			}
-			scen.Faults = sharedFaultEnv()
-			sys, err := Open(scen, WithParallel(workers))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return sys
-		}
-	}
-
-	detSys := openFlat(1)()
-	det := runSharedWorkload(t, detSys, sharedEpochs)
-	detSys.Close()
-
-	indep := runIndependent(t, openFlat(1), sharedEpochs)
-	checkSharedAnswers(t, "det", det, indep)
-	if got, want := radioCounters(det.stats), sumRadioCounters(indep); got != want {
-		t.Fatalf("shared det radio traffic %v != sum of per-signature independents %v\n"+
-			"(msgs, frames, txBytes, rxBytes, drops)", got, want)
-	}
-
-	liveSys := openFlat(4)()
-	defer liveSys.Close()
-	live := runSharedWorkload(t, liveSys, sharedEpochs)
-	for mi := range det.steps {
-		stepEqualByteIdentical(t, fmt.Sprintf("concurrent member %d vs sequential", mi), live.steps[mi], det.steps[mi])
-	}
-	if got, want := radioCounters(live.stats), radioCounters(det.stats); got != want {
-		t.Fatalf("concurrent shared radio traffic %v != sequential %v", got, want)
-	}
-	if got, want := math.Float64bits(live.stats.EnergyUJ), math.Float64bits(det.stats.EnergyUJ); got != want {
-		t.Fatalf("concurrent ledger total %v µJ != sequential %v µJ", live.stats.EnergyUJ, det.stats.EnergyUJ)
-	}
+	runRows(t, []row{sharedRow("flat", 1, 4)})
 }
 
-// TestSharedAcquisitionFederated extends the byte-identity bar to the
-// federated deployment: scale-1000 split 4 ways, same faults (specialized
-// per shard by the scenario's derived seeds), 16 shared queries vs 4
-// independent federations. The coordinator tier is per-QUERY work — each
-// member runs its own merge above the shared acquisition — so its counters
-// must equal exactly 4× the per-signature independents' sum, while the
-// shard-side radio counters equal the plain sum.
+// TestSharedAcquisitionFederated extends the bar to the federated
+// deployment: scale-1000 split 4 ways, the same faults (specialized per
+// shard by the scenario's derived seeds).
 func TestSharedAcquisitionFederated(t *testing.T) {
-	openFed := func() *System {
-		scen, err := ScaleScenarioShards(1000, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scen.Faults = sharedFaultEnv()
-		sys, err := Open(scen, WithParallel(runtime.NumCPU()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sys.Shards() != 4 {
-			t.Fatalf("system has %d shards, want 4", sys.Shards())
-		}
-		return sys
-	}
-
-	sys := openFed()
-	shared := runSharedWorkload(t, sys, sharedEpochs)
-	sys.Close()
-
-	indep := runIndependent(t, openFed, sharedEpochs)
-	checkSharedAnswers(t, "federated", shared, indep)
-	if got, want := radioCounters(shared.stats), sumRadioCounters(indep); got != want {
-		t.Fatalf("shared federated radio traffic %v != sum of independents %v", got, want)
-	}
-
-	var want FederationTraffic
-	for _, r := range indep {
-		const membersPerGroup = 4
-		want.Rounds += membersPerGroup * r.fed.Rounds
-		want.Phase1Msgs += membersPerGroup * r.fed.Phase1Msgs
-		want.Phase2Reqs += membersPerGroup * r.fed.Phase2Reqs
-		want.Phase2Msgs += membersPerGroup * r.fed.Phase2Msgs
-		want.Fetched += membersPerGroup * r.fed.Fetched
-		want.TxBytes += membersPerGroup * r.fed.TxBytes
-	}
-	if shared.fed != want {
-		t.Fatalf("coordinator tier diverged: shared %+v, want 4x independents %+v", shared.fed, want)
-	}
-	if shared.fed.Rounds == 0 || shared.fed.Phase1Msgs == 0 {
-		t.Fatalf("coordinator tier unaccounted: %+v", shared.fed)
-	}
+	runRows(t, []row{sharedRow("shards=4", 4, runtime.NumCPU())})
 }
 
-// TestSharedAcquisitionWire runs the same 16-query workload against 4
-// loopback wire shards (real sockets, the whole protocol under -race):
-// answers and the coordinator tier must be byte-identical to the
-// in-process federation with the identical faults armed, and the shard
-// counters fetched over the wire must reconcile message for message.
+// TestSharedAcquisitionWire runs the same workload against 4 loopback wire
+// shards (real sockets, the whole protocol under -race): answers, the
+// coordinator tier and the shard counters the replies carried equal the
+// in-process federation's with the identical faults armed.
 func TestSharedAcquisitionWire(t *testing.T) {
-	if testing.Short() {
-		t.Skip("scale-1000 wire conformance in -short mode")
-	}
-	faultyScen := func() *Scenario {
-		scen, err := ScaleScenarioShards(1000, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scen.Faults = sharedFaultEnv()
-		return scen
-	}
-
-	inprocSys, err := Open(faultyScen(), WithParallel(runtime.NumCPU()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer inprocSys.Close()
-	inproc := runSharedWorkload(t, inprocSys, sharedEpochs)
-
-	addrs, _ := startWireShards(t, faultyScen(), runtime.NumCPU())
-	remote, err := OpenFederated(faultyScen(), addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer remote.Close()
-	got := runSharedWorkload(t, remote, sharedEpochs)
-
-	for mi := range inproc.steps {
-		stepEqualByteIdentical(t, fmt.Sprintf("wire member %d vs in-process", mi), got.steps[mi], inproc.steps[mi])
-	}
-	if got.fed != inproc.fed {
-		t.Fatalf("coordinator tier diverged: wire %+v, in-process %+v", got.fed, inproc.fed)
-	}
-	remoteRows, err := remote.ShardStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	inprocRows, err := inprocSys.ShardStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(remoteRows) != len(inprocRows) {
-		t.Fatalf("%d remote stat rows vs %d", len(remoteRows), len(inprocRows))
-	}
-	for i := range remoteRows {
-		r, p := remoteRows[i], inprocRows[i]
-		if r.Messages != p.Messages || r.Frames != p.Frames ||
-			r.TxBytes != p.TxBytes || r.RxBytes != p.RxBytes || r.Drops != p.Drops {
-			t.Fatalf("shard %d counters diverged:\nwire       %+v\nin-process %+v", i, r, p)
-		}
-	}
+	r := sharedRow("wire", 4, runtime.NumCPU())
+	r.wire, r.long = true, true
+	runRows(t, []row{r})
 }
 
 // TestSharedAcquisitionWidening: a later same-signature post with a deeper

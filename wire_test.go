@@ -8,12 +8,9 @@ package kspot
 // leaks) when shards die or the coordinator closes mid-round.
 
 import (
-	"bytes"
 	"fmt"
-	"math"
 	"net"
 	"os"
-	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -23,136 +20,23 @@ import (
 	"kspot/internal/wire"
 )
 
-// startWireShards runs one wire.Server per shard of the scenario on
-// loopback listeners (in-process, so the whole protocol runs under the
-// race detector) and returns their addresses in shard order.
-func startWireShards(t *testing.T, scen *Scenario, parallel int) ([]string, []*wire.Server) {
-	t.Helper()
-	shardScens, err := scen.ShardScenarios()
-	if err != nil {
-		t.Fatal(err)
-	}
-	addrs := make([]string, len(shardScens))
-	servers := make([]*wire.Server, len(shardScens))
-	for i := range shardScens {
-		srv, err := wire.NewServer(wire.ServerConfig{Scenario: scen, Shard: i, Parallel: parallel})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		go srv.Serve(ln)
-		t.Cleanup(srv.Close)
-		addrs[i] = ln.Addr().String()
-		servers[i] = srv
-	}
-	return addrs, servers
-}
-
-// answerBytes pins byte-identity: two answer sets are byte-identical iff
-// their model-codec encodings are equal bytes.
-func answerBytes(answers []Answer) []byte {
-	var b []byte
-	for _, a := range answers {
-		b = model.AppendAnswer(b, a)
-	}
-	return b
-}
-
-func stepEqualByteIdentical(t *testing.T, label string, got, want []StepResult) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d epochs vs %d", label, len(got), len(want))
-	}
-	for e := range got {
-		if !bytes.Equal(answerBytes(got[e].Answers), answerBytes(want[e].Answers)) {
-			t.Fatalf("%s epoch %d: %v != %v", label, e, got[e].Answers, want[e].Answers)
-		}
-	}
-}
-
 // TestWireFederatedConformance: the demo deployment split 2 and 3 ways
-// behind loopback sockets answers every snapshot epoch byte-identically
-// to the flat run and to the in-process federation, for MINT and TAG; the
-// coordinator-tier counters match the in-process federation exactly, and
-// the per-shard counters fetched over the wire reconcile message for
-// message with the in-process shard networks.
+// behind loopback sockets answers every snapshot epoch like the flat run,
+// for MINT and TAG, with the coordinator tier and the per-shard counters
+// the shards' replies carried equal to the in-process federation's — at
+// one wire call per shard per epoch on top of the post's single attach.
 func TestWireFederatedConformance(t *testing.T) {
-	const sql = "SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid"
-	const epochs = 8
-	for _, algo := range []Algorithm{AlgoMINT, AlgoTAG} {
-		flatSys, err := Open(DemoScenario())
-		if err != nil {
-			t.Fatal(err)
-		}
-		flat := runCursor(t, flatSys, sql, algo, epochs)
-		for _, shards := range []int{2, 3} {
-			t.Run(fmt.Sprintf("%s/shards=%d", algo, shards), func(t *testing.T) {
-				scen := shardedDemo(t, shards)
-				inproc, err := Open(scen)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer inproc.Close()
-				inprocRes := runCursor(t, inproc, sql, algo, epochs)
+	rows := grid(row{name: "%[1]s/shards=%[2]d", world: "demo", wire: true, epochs: 8, queries: []rowQuery{{sql: demoSQL}}, checks: []check{oneCallPerRound}},
+		[]Algorithm{AlgoMINT, AlgoTAG}, []int{2, 3}, []int{0})
+	runRows(t, rows)
+}
 
-				addrs, _ := startWireShards(t, shardedDemo(t, shards), 0)
-				remote, err := OpenFederated(shardedDemo(t, shards), addrs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer remote.Close()
-				if !remote.Remote() || remote.Shards() != shards {
-					t.Fatalf("remote system misconfigured: remote=%v shards=%d", remote.Remote(), remote.Shards())
-				}
-				got := runCursor(t, remote, sql, algo, epochs)
-
-				stepEqualByteIdentical(t, "remote vs flat", got, flat)
-				stepEqualByteIdentical(t, "remote vs in-process", got, inprocRes)
-				for e := range got {
-					if !got[e].Correct {
-						t.Fatalf("epoch %d: remote answers %v diverged from oracle %v", e, got[e].Answers, got[e].Exact)
-					}
-				}
-
-				// One round trip per epoch: every shard session made exactly
-				// one call per stepped epoch — an epoch round — on top of
-				// the single attach the post cost.
-				for _, m := range remote.WireMetrics() {
-					if m.Rounds != epochs || m.Calls != m.Rounds+1 {
-						t.Fatalf("shard %s: %d rounds, %d calls over %d epochs (want %d rounds + 1 attach)", m.Shard, m.Rounds, m.Calls, epochs, epochs)
-					}
-				}
-
-				// Coordinator tier: the same two-phase merge ran on the same
-				// shard answers, so the counters must be equal, not just close.
-				if rf, pf := remote.FederationStats(), inproc.FederationStats(); rf != pf {
-					t.Fatalf("coordinator tier diverged: remote %+v, in-process %+v", rf, pf)
-				}
-
-				// Per-shard counters, fetched over the wire, reconcile with
-				// the in-process shard networks message for message.
-				remoteRows, err := remote.ShardStats()
-				if err != nil {
-					t.Fatal(err)
-				}
-				inprocRows, err := inproc.ShardStats()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(remoteRows) != len(inprocRows) {
-					t.Fatalf("%d remote stat rows vs %d", len(remoteRows), len(inprocRows))
-				}
-				for i := range remoteRows {
-					r, p := remoteRows[i], inprocRows[i]
-					if r.Algorithm != p.Algorithm || r.Messages != p.Messages || r.Frames != p.Frames ||
-						r.TxBytes != p.TxBytes || r.RxBytes != p.RxBytes || r.EnergyUJ != p.EnergyUJ {
-						t.Fatalf("shard %d counters diverged:\nremote     %+v\nin-process %+v", i, r, p)
-					}
-				}
-			})
+// oneCallPerRound: every shard session made exactly one call per stepped
+// epoch — an epoch round — on top of the single attach the post cost.
+func oneCallPerRound(t *testing.T, r row, sys *System, _ outcome) {
+	for _, m := range sys.WireMetrics() {
+		if m.Rounds != int64(r.epochs) || m.Calls != m.Rounds+1 {
+			t.Fatalf("shard %s: %d rounds, %d calls over %d epochs (want %d rounds + 1 attach)", m.Shard, m.Rounds, m.Calls, r.epochs, r.epochs)
 		}
 	}
 }
@@ -160,179 +44,65 @@ func TestWireFederatedConformance(t *testing.T) {
 // TestWireFederatedHistoric: historic TOP-K (WITH HISTORY) over loopback
 // sockets — each shard ranks its own windows in its own server and the
 // coordinator's threshold round fetches targeted sums over the wire —
-// stays byte-identical to the flat run for TJA, TPUT and the centralized
-// baseline, with the coordinator tier equal to the in-process federation.
+// answers like the flat run for TJA, TPUT and the centralized baseline,
+// with the coordinator tier equal to the in-process federation's; and
+// GROUP BY ... WITH HISTORY, whose derived readings the servers compute
+// and ship back, stays oracle-exact over the wire.
 func TestWireFederatedHistoric(t *testing.T) {
-	const sql = "SELECT TOP 4 epoch, AVG(sound) FROM sensors WITH HISTORY 16"
-	for _, algo := range []Algorithm{AlgoTJA, AlgoTPUT, AlgoCentral} {
-		t.Run(string(algo), func(t *testing.T) {
-			flatSys, err := Open(DemoScenario())
-			if err != nil {
-				t.Fatal(err)
-			}
-			flatCur, err := flatSys.PostWith(sql, algo)
-			if err != nil {
-				t.Fatal(err)
-			}
-			flat, err := flatCur.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			inproc, err := Open(shardedDemo(t, 2))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer inproc.Close()
-			inprocCur, err := inproc.PostWith(sql, algo)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := inprocCur.Run(); err != nil {
-				t.Fatal(err)
-			}
-
-			addrs, _ := startWireShards(t, shardedDemo(t, 2), 0)
-			remote, err := OpenFederated(shardedDemo(t, 2), addrs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer remote.Close()
-			cur, err := remote.PostWith(sql, algo)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := cur.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(answerBytes(got), answerBytes(flat)) {
-				t.Fatalf("remote historic %v, flat %v", got, flat)
-			}
-			if rf, pf := remote.FederationStats(), inproc.FederationStats(); rf != pf {
-				t.Fatalf("coordinator tier diverged: remote %+v, in-process %+v", rf, pf)
-			}
-		})
-	}
-
-	// GROUP BY ... WITH HISTORY rides the snapshot pipeline on derived
-	// readings; the shard servers derive them locally and ship them back,
-	// so the oracle check must hold over the wire too.
-	addrs, _ := startWireShards(t, shardedDemo(t, 2), 0)
-	remote, err := OpenFederated(shardedDemo(t, 2), addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer remote.Close()
-	cur, err := remote.Post("SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid WITH HISTORY 4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		res, err := cur.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Correct {
-			t.Fatalf("epoch %d: %v vs %v", res.Epoch, res.Answers, res.Exact)
-		}
-	}
+	rows := grid(row{name: "%[1]s", world: "demo", wire: true, queries: []rowQuery{{sql: demoHistSQL}}},
+		[]Algorithm{AlgoTJA, AlgoTPUT, AlgoCentral}, []int{2}, []int{0})
+	runRows(t, append(rows, row{name: "group-by", world: "demo", shards: 2, wire: true, epochs: 4, queries: []rowQuery{{sql: windowedSQL}}}))
 }
 
 // TestWireFrameFaultsByteIdentical: deterministic frame faults on the
 // socket path — dropped, duplicated and delayed requests, dropped
-// responses — must be absorbed entirely by the at-most-once retry layer:
-// the answers stay byte-identical to the clean-socket run even while the
-// clients demonstrably retried.
+// responses — are absorbed entirely by the at-most-once retry layer: the
+// snapshot and historic answers and every counter stay those of the
+// in-process federation even while the clients demonstrably retried.
 func TestWireFrameFaultsByteIdentical(t *testing.T) {
-	const sql = "SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid"
-	const epochs = 6
+	runRows(t, []row{{name: "frame-faults", world: "demo", shards: 2, wire: true, epochs: 6,
+		frames:  wire.Faults{Seed: 7, Drop: 0.15, Dup: 0.15, Delay: 0.2, DropResp: 0.1, MaxDelay: time.Millisecond},
+		queries: []rowQuery{{demoSQL, AlgoMINT}, {"SELECT TOP 3 epoch, AVG(sound) FROM sensors WITH HISTORY 8", AlgoAuto}},
+		checks:  []check{retried}}})
+}
 
-	run := func(opts ...OpenOption) ([]StepResult, []Answer, *System) {
-		addrs, _ := startWireShards(t, shardedDemo(t, 2), 0)
-		sys, err := OpenFederated(shardedDemo(t, 2), addrs, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(sys.Close)
-		res := runCursor(t, sys, sql, AlgoMINT, epochs)
-		cur, err := sys.Post("SELECT TOP 3 epoch, AVG(sound) FROM sensors WITH HISTORY 8")
-		if err != nil {
-			t.Fatal(err)
-		}
-		hist, err := cur.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, hist, sys
-	}
-
-	clean, cleanHist, _ := run()
-	faulty, faultyHist, sys := run(
-		withWireFaults(wire.Faults{Seed: 7, Drop: 0.15, Dup: 0.15, Delay: 0.2, DropResp: 0.1, MaxDelay: time.Millisecond}),
-		withWireTimeout(250*time.Millisecond),
-		withWireRetry(10, 2*time.Millisecond),
-	)
-	stepEqualByteIdentical(t, "faulty vs clean sockets", faulty, clean)
-	if !bytes.Equal(answerBytes(faultyHist), answerBytes(cleanHist)) {
-		t.Fatalf("historic diverged under frame faults: %v vs %v", faultyHist, cleanHist)
-	}
-	var retried int64
+// retried: the fault path ran — some call was retried.
+func retried(t *testing.T, _ row, sys *System, _ outcome) {
+	var n int64
 	for _, m := range sys.WireMetrics() {
-		retried += m.Retries
+		n += m.Retries
 	}
-	if retried == 0 {
+	if n == 0 {
 		t.Fatal("frame faults armed but no call ever retried — the fault path did not run")
 	}
 }
 
-// TestWireRadioFaultCrossCheck: a radio fault environment (link loss,
-// dup, delay) armed in the shard servers from the scenario's faults block
-// must degrade the remote deployment identically to the in-process
-// federation under the same seed — same answers epoch for epoch at 10%
-// and 30% loss — and keep the PR 2 suite's recall floors.
+// TestWireRadioFaultCrossCheck: a radio fault environment (link loss, dup,
+// delay) armed in the shard servers from the scenario's faults block
+// degrades the remote deployment exactly like the in-process federation
+// under the same seed at 10% and 30% loss, and keeps the fault suite's
+// recall floors.
 func TestWireRadioFaultCrossCheck(t *testing.T) {
-	const sql = "SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid"
-	const epochs = 12
-	for _, tc := range []struct {
-		loss  float64
-		floor float64
-	}{
-		{0.10, 0.80},
-		{0.30, 0.75},
-	} {
-		t.Run(fmt.Sprintf("loss=%.0f%%", tc.loss*100), func(t *testing.T) {
-			cfg := &FaultConfig{Seed: 42, Loss: tc.loss, Duplicate: 0.05, Delay: 0.05}
+	var rows []row
+	for _, tc := range []struct{ loss, floor float64 }{{0.10, 0.80}, {0.30, 0.75}} {
+		rows = append(rows, row{name: fmt.Sprintf("loss=%.0f%%", tc.loss*100), world: "demo", shards: 2, wire: true, epochs: 12,
+			faults:  &FaultConfig{Seed: 42, Loss: tc.loss, Duplicate: 0.05, Delay: 0.05},
+			queries: []rowQuery{{demoSQL, AlgoMINT}}, checks: []check{recallFloor(tc.floor)}})
+	}
+	runRows(t, rows)
+}
 
-			faultyScen := func() *Scenario {
-				scen := shardedDemo(t, 2)
-				scen.Faults = cfg
-				return scen
-			}
-			inproc, err := Open(faultyScen())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer inproc.Close()
-			want := runCursor(t, inproc, sql, AlgoMINT, epochs)
-
-			addrs, _ := startWireShards(t, faultyScen(), 0)
-			remote, err := OpenFederated(faultyScen(), addrs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer remote.Close()
-			got := runCursor(t, remote, sql, AlgoMINT, epochs)
-
-			stepEqualByteIdentical(t, "remote vs in-process under radio faults", got, want)
-			var recall float64
-			for e := range got {
-				recall += model.Recall(got[e].Answers, got[e].Exact)
-			}
-			if recall /= float64(epochs); recall < tc.floor {
-				t.Errorf("mean recall %.3f below floor %.2f", recall, tc.floor)
-			}
-		})
+// recallFloor: the first query's mean recall against the oracle stays at
+// or above floor.
+func recallFloor(floor float64) check {
+	return func(t *testing.T, _ row, _ *System, got outcome) {
+		var recall float64
+		for _, res := range got.steps[0] {
+			recall += model.Recall(res.Answers, res.Exact)
+		}
+		if recall /= float64(len(got.steps[0])); recall < floor {
+			t.Errorf("mean recall %.3f below floor %.2f", recall, floor)
+		}
 	}
 }
 
@@ -566,93 +336,47 @@ func TestWireDetachReleasesAttachments(t *testing.T) {
 }
 
 // TestShardStackRecordsCommittedReadings: every host of a shard — an
-// in-process one at Parallel 1 and at Parallel 4, a wire shard server — assembles
-// it with the one constructor (shard.New), so under an armed fault
-// environment each one's durable tier records exactly the committed,
-// post-fault readings: the same bytes on all three, with a node churned
-// down at epoch 2 sensed for the last time in that epoch (churn fires on
-// the epoch's first transmission, after its sensing).
+// in-process one at Parallel 1 and at Parallel 4, a wire shard server —
+// assembles it with the one constructor (shard.New), so under an armed
+// fault environment each one's durable tier records exactly the
+// committed, post-fault readings: the same bytes on all three, with a node
+// churned down at epoch 2 sensed for the last time in that epoch (churn
+// fires on the epoch's first transmission, after its sensing). A WITH
+// HISTORY group sweeps derived readings (node-local window aggregates)
+// through the same epochs; the tap must never see them.
 func TestShardStackRecordsCommittedReadings(t *testing.T) {
-	const (
-		sql    = "SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid"
-		epochs = 6
-		victim = NodeID(5)
-	)
-	faulty := func() *Scenario {
-		scen := DemoScenario()
-		scen.Faults = &FaultConfig{Seed: 9, Loss: 0.1, Churn: []ChurnEvent{{Node: victim, Epoch: 2, Down: true}}}
-		return scen
-	}
-	noEnergy := func(nodes []NodeID) []float64 { return make([]float64, len(nodes)) }
-	run := func(sys *System) {
-		t.Helper()
-		cur, err := sys.Post(sql)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// A WITH HISTORY group sweeps derived readings (node-local window
-		// aggregates) through the same epochs; the tap must never see them.
-		derived, err := sys.Post("SELECT TOP 2 roomid, MAX(sound) FROM sensors GROUP BY roomid WITH HISTORY 4")
-		if err != nil {
-			t.Fatal(err)
-		}
-		for e := 0; e < epochs; e++ {
-			if _, err := cur.Step(); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := derived.Step(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
+	base := row{name: "live=%[4]v", world: "demo", durable: true, epochs: 6, checks: []check{recordsRawReadings},
+		faults:  &FaultConfig{Seed: 9, Loss: 0.1, Churn: []ChurnEvent{{Node: 5, Epoch: 2, Down: true}}},
+		queries: []rowQuery{{demoSQL, AlgoAuto}, {"SELECT TOP 2 roomid, MAX(sound) FROM sensors GROUP BY roomid WITH HISTORY 4", AlgoAuto}}}
+	served := base
+	served.name, served.wire = "served", true
+	runRows(t, append(grid(base, []Algorithm{AlgoAuto}, []int{1}, []int{1, 4}), served))
+}
 
-	images := make(map[string][]byte)
-	for host, parallel := range map[string]int{"deterministic": 1, "live": 4} {
-		sys, err := Open(faulty(), WithDataDir(t.TempDir()), WithParallel(parallel))
-		if err != nil {
-			t.Fatalf("%s: %v", host, err)
-		}
-		run(sys)
-		images[host] = sys.local[0].Store().Image(noEnergy)
-		sys.Close()
-	}
-	addrs, servers := startWireShards(t, faulty(), 0)
-	remote, err := OpenFederated(faulty(), addrs)
+// recordsRawReadings: the store holds every node, each recorded at every
+// epoch it sensed — node 5 at epochs 0, 1 and 2 — with its own raw sample.
+func recordsRawReadings(t *testing.T, r row, sys *System, got outcome) {
+	h := imageHistory(t, got.images[0])
+	src, err := sys.Scenario().Source()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer remote.Close()
-	run(remote)
-	images["served"] = servers[0].Store().Image(noEnergy)
-
-	for host, img := range images {
-		if !bytes.Equal(img, images["deterministic"]) {
-			t.Fatalf("%s shard's store diverged from the deterministic one", host)
+	for _, n := range h.nodes {
+		want := r.epochs
+		if n.Node == 5 {
+			want = 3
 		}
-	}
-	h := imageHistory(t, images["deterministic"])
-	src, err := DemoScenario().Source()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range h.nodes {
-		want := epochs
-		if r.Node == victim {
-			want = 3 // epochs 0, 1 and 2
+		if len(h.epochs[n.Node]) != want {
+			t.Fatalf("node %d has %d recorded epochs %v, want %d", n.Node, len(h.epochs[n.Node]), h.epochs[n.Node], want)
 		}
-		if len(h.epochs[r.Node]) != want {
-			t.Fatalf("node %d has %d recorded epochs %v, want %d", r.Node, len(h.epochs[r.Node]), h.epochs[r.Node], want)
-		}
-		// Raw, not derived: every recorded value is the node's own sensed
-		// sample, whatever window aggregates the WITH HISTORY group swept.
-		for i, e := range h.epochs[r.Node] {
-			if raw := int64(model.ToFixed(model.Quantize(src.Sample(r.Node, e)))); h.values[r.Node][i] != raw {
-				t.Fatalf("node %d epoch %d recorded %d, want the raw sensed %d", r.Node, e, h.values[r.Node][i], raw)
+		for i, e := range h.epochs[n.Node] {
+			if raw := int64(model.ToFixed(model.Quantize(src.Sample(n.Node, e)))); h.values[n.Node][i] != raw {
+				t.Fatalf("node %d epoch %d recorded %d, want the raw sensed %d", n.Node, e, h.values[n.Node][i], raw)
 			}
 		}
 	}
-	if len(h.nodes) != len(DemoScenario().Nodes) {
-		t.Fatalf("store holds %d nodes, want %d", len(h.nodes), len(DemoScenario().Nodes))
+	if len(h.nodes) != len(sys.Scenario().Nodes) {
+		t.Fatalf("store holds %d nodes, want %d", len(h.nodes), len(sys.Scenario().Nodes))
 	}
 }
 
@@ -710,75 +434,25 @@ func TestCaptureStatsSkipsUnreachableShard(t *testing.T) {
 	}
 }
 
-// wireCalls reads every shard connection's call and round counters.
-func wireCalls(sys *System) (calls, rounds []int64) {
-	for _, m := range sys.WireMetrics() {
-		calls = append(calls, m.Calls)
-		rounds = append(rounds, m.Rounds)
-	}
-	return calls, rounds
-}
-
-// sameTraffic fails unless two captured rows agree on every traffic
-// column, the energies to the bit.
-func sameTraffic(t *testing.T, label string, got, want RunStats) {
-	t.Helper()
-	if got.Messages != want.Messages || got.Frames != want.Frames || got.TxBytes != want.TxBytes ||
-		got.RxBytes != want.RxBytes || got.Drops != want.Drops || !reflect.DeepEqual(got.PerKind, want.PerKind) ||
-		math.Float64bits(got.EnergyUJ) != math.Float64bits(want.EnergyUJ) ||
-		math.Float64bits(got.EnergyMax) != math.Float64bits(want.EnergyMax) {
-		t.Fatalf("%s:\ngot  %+v\nwant %+v", label, got, want)
-	}
-}
-
 // TestCaptureStatsRidesTheRound: kspotd's loop — step, then CaptureStats —
 // plus a /stats read of every shard's row and storage block costs one wire
 // call per shard per epoch, because every reply carries the shard's
-// counters; and what CaptureStats sums from those rows is, at every epoch,
-// exactly the in-process deployment of the same scenario's counters
-// (messages, frames, bytes, drops, per-kind bytes, energies to the bit).
+// counters; and what CaptureStats sums from those rows is, after every
+// epoch, exactly the in-process deployment's counters (messages, frames,
+// bytes, drops, per-kind bytes, energies to the bit).
 func TestCaptureStatsRidesTheRound(t *testing.T) {
-	const sql = "SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid"
-	inproc, err := Open(shardedDemo(t, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer inproc.Close()
-	addrs, _ := startWireShards(t, shardedDemo(t, 2), 0)
-	remote, err := OpenFederated(shardedDemo(t, 2), addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer remote.Close()
-	var curs []*Cursor
-	for _, sys := range []*System{inproc, remote} {
-		cur, err := sys.Post(sql)
-		if err != nil {
-			t.Fatal(err)
-		}
-		curs = append(curs, cur)
-	}
+	runRows(t, []row{{name: "shards=2", world: "demo", shards: 2, wire: true, epochs: 20, queries: []rowQuery{{sql: demoSQL}},
+		checks: []check{statsReadsCostNoCall, oneCallPerRound}}})
+}
 
-	calls0, rounds0 := wireCalls(remote)
-	for e := 0; e < 20; e++ {
-		for _, cur := range curs {
-			if _, err := cur.Step(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		sameTraffic(t, fmt.Sprintf("epoch %d: remote CaptureStats vs in-process", e),
-			remote.CaptureStats("live", 0), inproc.CaptureStats("live", 0))
-		if _, err := remote.ShardStats(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := remote.StorageStats(); err != nil {
-			t.Fatal(err)
-		}
+// statsReadsCostNoCall reads every counter a /stats poll reads, so that
+// oneCallPerRound, run after it, proves they made no wire call.
+func statsReadsCostNoCall(t *testing.T, _ row, sys *System, _ outcome) {
+	sys.CaptureStats("poll", 0)
+	if _, err := sys.ShardStats(); err != nil {
+		t.Fatal(err)
 	}
-	calls1, rounds1 := wireCalls(remote)
-	for i := range calls1 {
-		if dc, dr := calls1[i]-calls0[i], rounds1[i]-rounds0[i]; dc != dr || dr != 20 {
-			t.Fatalf("shard %d: %d calls for %d rounds over 20 epochs of step + CaptureStats + ShardStats + StorageStats, want one call per round", i, dc, dr)
-		}
+	if _, err := sys.StorageStats(); err != nil {
+		t.Fatal(err)
 	}
 }
