@@ -85,38 +85,26 @@ func TestAdmissionTenantQuota(t *testing.T) {
 // nothing: a cursor stepping before the rejection keeps producing the same
 // stream afterwards as an identical run that never saw the rejected post.
 func TestAdmissionRunningCursorsUndisturbed(t *testing.T) {
-	control, err := Open(DemoScenario())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer control.Close()
-	want, err := control.Post(admissionSQL)
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	want := memo(t, row{world: "demo", parallel: 1, epochs: 3, queries: []rowQuery{{admissionSQL, AlgoAuto}}})
 	sys := openAdmitted(t, AdmissionConfig{MaxQueries: 1})
 	defer sys.Close()
-	got, err := sys.Post(admissionSQL)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	step := func(c *Cursor) StepResult {
-		res, err := c.Step()
-		if err != nil {
-			t.Fatal(err)
+	cur := post(t, sys, admissionSQL, AlgoAuto)
+	var got []StepResult
+	step := func(n int) {
+		for ; n > 0; n-- {
+			res, err := cur.Step()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, res)
 		}
-		return res
 	}
-	stepEqualByteIdentical(t, "pre-rejection", []StepResult{step(got)}, []StepResult{step(want)})
-
+	step(1)
 	if _, err := sys.Post(admissionSQL, WithTenant("late")); err == nil {
 		t.Fatal("second post must be rejected at MaxQueries 1")
 	}
-	for i := 0; i < 2; i++ {
-		stepEqualByteIdentical(t, "post-rejection", []StepResult{step(got)}, []StepResult{step(want)})
-	}
+	step(2)
+	stepEqualByteIdentical(t, "around a rejected post", got, want.steps[0])
 }
 
 // TestAdmissionCloseAfterRejectedPost pins the teardown path: rejecting a

@@ -228,7 +228,10 @@ func (c *Cursor) mergeFunc() engine.MergeFunc {
 	return c.merger.Merge
 }
 
-// Step runs one epoch of a continuous query.
+// Step runs one epoch of a continuous query. The deployment keeps at most
+// 200 epochs for a cursor that other cursors' steps have run ahead of: one
+// left further behind steps through the epochs kept for it and then fails
+// every Step with a *LagError.
 func (c *Cursor) Step() (StepResult, error) {
 	return c.StepContext(context.Background())
 }

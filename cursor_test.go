@@ -1,6 +1,7 @@
 package kspot
 
 import (
+	"errors"
 	"testing"
 
 	"kspot/internal/model"
@@ -49,6 +50,43 @@ func TestCursorPlanAndQueryAccessors(t *testing.T) {
 	if cur.Query() == "" {
 		t.Error("empty canonical query")
 	}
+}
+
+// TestCursorLeftBehindFailsWithLagError: a cursor that another cursor's
+// steps ran 250 epochs ahead of steps through the 200 epochs kept for it,
+// then fails every Step with a *LagError naming the first epoch not kept,
+// while the cursor ahead steps on.
+func TestCursorLeftBehindFailsWithLagError(t *testing.T) {
+	sys, err := Open(DemoScenario())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	var curs []*Cursor
+	for _, sql := range []string{demoSQL, "SELECT TOP 3 roomid, MAX(sound) FROM sensors GROUP BY roomid"} {
+		cur, err := sys.Post(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		curs = append(curs, cur)
+	}
+	ahead, behind := curs[0], curs[1]
+	step := func(cur *Cursor, n, from int) {
+		for e := from; e < from+n; e++ {
+			if res, err := cur.Step(); err != nil || res.Epoch != Epoch(e) || !res.Correct {
+				t.Fatalf("epoch %d: %+v (err %v), want it answered exactly", e, res, err)
+			}
+		}
+	}
+	step(ahead, 250, 0)
+	step(behind, 200, 0)
+	for i := 0; i < 2; i++ {
+		var lag *LagError
+		if _, err := behind.Step(); !errors.As(err, &lag) || lag.Epoch != 200 {
+			t.Fatalf("cursor left behind: %v, want a *LagError at epoch 200", err)
+		}
+	}
+	step(ahead, 1, 250)
 }
 
 func TestFILAThroughFacade(t *testing.T) {

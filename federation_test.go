@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 )
 
 const (
@@ -135,13 +134,7 @@ func TestFederatedCloseDuringStep(t *testing.T) {
 			t.Fatalf("round %d: Step after Close succeeded", round)
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base+2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: %d now vs %d at start", runtime.NumGoroutine(), base)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitGoroutines(t, base)
 }
 
 // TestFederatedCloseDuringHistoricRun: one-shot historic executions run

@@ -10,18 +10,11 @@ import (
 // frameWorld opens the demo deployment with sqls posted, in order.
 func frameWorld(t *testing.T, sqls ...string) (*System, []*Cursor) {
 	t.Helper()
-	sys, err := Open(DemoScenario(), WithParallel(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys, _ := row{world: "demo", parallel: 2}.open(t)
 	t.Cleanup(sys.Close)
 	var cursors []*Cursor
 	for _, sql := range sqls {
-		cur, err := sys.Post(sql)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cursors = append(cursors, cur)
+		cursors = append(cursors, post(t, sys, sql, AlgoAuto))
 	}
 	return sys, cursors
 }

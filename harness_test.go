@@ -32,7 +32,8 @@ import (
 // row is one differential run, plain data so a generator can emit it.
 type row struct {
 	name string
-	// world is "demo", "figure1", "scale-<n>" or a scenarios/*.json path.
+	// world is "demo", "demo-diurnal" (the demo under the diurnal
+	// workload), "figure1", "scale-<n>" or a scenarios/*.json path.
 	world string
 	// shards: 0 keeps the world's own split, 1 runs it flat, n > 1 splits
 	// it n ways (AutoShard).
@@ -50,9 +51,10 @@ type row struct {
 	frames  wire.Faults // socket frame faults on a wire row, with a retry budget to absorb them
 	// concurrent steps each cursor from its own goroutine instead of in
 	// epoch lock-step from one; frame steps each epoch's cursors in one
-	// System.StepFrame.
-	concurrent, frame bool
-	long              bool // skipped in -short mode
+	// System.StepFrame; poll reads every shard's counters row and storage
+	// block after each lock-step epoch, as a /stats poll does.
+	concurrent, frame, poll bool
+	long                    bool // skipped in -short mode
 	// checks are the row's own assertions, run on the still-open System.
 	checks []check
 }
@@ -100,9 +102,9 @@ func (r row) run(t *testing.T) {
 	sys, stores := r.open(t)
 	defer sys.Close()
 	got := drive(t, sys, stores, r)
-	remember(r, got)
-	compare(t, "vs reference", got, want, ref.key() == twin.key())
-	if ref.key() != twin.key() && twin.key() != r.key() {
+	remember(t, r, got)
+	compare(t, "vs reference", got, want, ref.key(t) == twin.key(t))
+	if ref.key(t) != twin.key(t) && twin.key(t) != r.key(t) {
 		compare(t, "vs in-process Parallel 1", got, memo(t, twin), true)
 	}
 	r.invariants(t, sys, got)
@@ -149,10 +151,16 @@ func (r row) twin() row {
 	return row{world: r.world, shards: r.shards, parallel: 1, faults: r.faults, queries: r.queries, epochs: r.epochs, durable: r.durable}
 }
 
-// key names a row's configuration for the memo.
-func (r row) key() string {
+// key names a row's configuration for the memo: every field that can
+// change what a run observes, the shard count as deployed (an unsplit
+// world's 0 is its 1, so a flat twin is its own reference).
+func (r row) key(t *testing.T) string {
+	if r.shards == 0 && len(r.scenario(t).Shards) == 0 {
+		r.shards = 1
+	}
 	f, _ := json.Marshal(r.faults)
-	return fmt.Sprintf("%s|%d|%d|%s|%v|%d|%v|%+v|%v", r.world, r.shards, r.parallel, f, r.queries, r.epochs, r.wire, r.frames, r.durable)
+	return fmt.Sprintf("%s|%d|%d|%s|%v|%d|%v|%+v|%v|%v|%v|%v", r.world, r.shards, r.parallel, f, r.queries, r.epochs,
+		r.wire, r.frames, r.durable, r.concurrent, r.frame, r.poll)
 }
 
 var (
@@ -165,25 +173,27 @@ var (
 // (held to the invariants like any row).
 func memo(t *testing.T, r row) outcome {
 	t.Helper()
+	k := r.key(t)
 	memoMu.Lock()
-	out, ok := runs[r.key()]
+	out, ok := runs[k]
 	memoMu.Unlock()
 	if !ok {
 		sys, stores := r.open(t)
 		defer sys.Close()
 		out = drive(t, sys, stores, r)
 		r.invariants(t, sys, out)
-		remember(r, out)
+		remember(t, r, out)
 	}
 	return out
 }
 
 // remember keeps a run as its configuration's outcome unless one is kept.
-func remember(r row, out outcome) {
+func remember(t *testing.T, r row, out outcome) {
+	k := r.key(t)
 	memoMu.Lock()
 	defer memoMu.Unlock()
-	if _, ok := runs[r.key()]; !ok {
-		runs[r.key()] = out
+	if _, ok := runs[k]; !ok {
+		runs[k] = out
 	}
 }
 
@@ -199,6 +209,9 @@ func (r row) scenario(t *testing.T) *Scenario {
 		switch {
 		case r.world == "demo":
 			base = DemoScenario()
+		case r.world == "demo-diurnal":
+			base = DemoScenario()
+			base.Workload.Kind = "diurnal"
 		case r.world == "figure1":
 			base = Figure1Scenario()
 		case strings.HasPrefix(r.world, "scale-"):
@@ -268,11 +281,7 @@ func drive(t *testing.T, sys *System, stores []*storage.Store, r row) outcome {
 	t.Helper()
 	var cont, once []*Cursor
 	for _, q := range r.queries {
-		cur, err := sys.PostWith(q.sql, q.algo)
-		if err != nil {
-			t.Fatalf("post %q: %v", q.sql, err)
-		}
-		if cur.Continuous() {
+		if cur := post(t, sys, q.sql, q.algo); cur.Continuous() {
 			cont = append(cont, cur)
 		} else {
 			once = append(once, cur)
@@ -316,6 +325,14 @@ func drive(t *testing.T, sys *System, stores []*storage.Store, r row) outcome {
 			}
 		}
 		out.perEpoch = append(out.perEpoch, sys.CaptureStats("run", e+1))
+		if r.poll {
+			if _, err := sys.ShardStats(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sys.StorageStats(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	if t.Failed() {
 		t.FailNow()
@@ -342,6 +359,16 @@ func drive(t *testing.T, sys *System, stores []*storage.Store, r row) outcome {
 	return out
 }
 
+// post posts sql under algo, failing the test on an error.
+func post(t *testing.T, sys *System, sql string, algo Algorithm) *Cursor {
+	t.Helper()
+	cur, err := sys.PostWith(sql, algo)
+	if err != nil {
+		t.Fatalf("post %q: %v", sql, err)
+	}
+	return cur
+}
+
 // compare requires got to answer like want — every epoch's answers byte
 // for byte with the same oracle verdict, every one-shot answer byte for
 // byte — and, with traffic, to have counted and recorded like it.
@@ -362,10 +389,11 @@ func compare(t *testing.T, label string, got, want outcome, traffic bool) {
 	if !traffic {
 		return
 	}
-	for e := range got.perEpoch {
-		if e < len(want.perEpoch) {
-			sameTraffic(t, fmt.Sprintf("%s: traffic after epoch %d", label, e), got.perEpoch[e], want.perEpoch[e])
-		}
+	if len(got.perEpoch) > 0 && len(want.perEpoch) > 0 && len(got.perEpoch) != len(want.perEpoch) {
+		t.Fatalf("%s: counters read after %d epochs, want %d", label, len(got.perEpoch), len(want.perEpoch))
+	}
+	for e := range min(len(got.perEpoch), len(want.perEpoch)) {
+		sameTraffic(t, fmt.Sprintf("%s: traffic after epoch %d", label, e), got.perEpoch[e], want.perEpoch[e])
 	}
 	sameTraffic(t, label+": captured traffic", got.capture, want.capture)
 	if got.fed != want.fed {

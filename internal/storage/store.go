@@ -31,6 +31,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 
 	"kspot/internal/model"
@@ -48,6 +49,7 @@ type Store struct {
 	head   int
 	n      int   // records in the ring; the newest one's epoch is the cursor
 	err    error // first durable-tier failure, sticky
+	behind error // the last epoch refused for being below the cursor; cleared when a record lands
 }
 
 // DefaultStoreWindow is the durable tier's capacity in epochs: deep enough
@@ -209,19 +211,20 @@ func (s *Store) cursor() (model.Epoch, bool) {
 // epoch round idempotent against what the dead process already persisted.
 // An epoch below the cursor is no replay but a clock that went back (a
 // local System reopened on its data dir starts at 0): it is not recorded
-// either, and the first one sticks in Stats as the store's failure. A log
-// failure sticks the same way rather than poisoning the sense path (a full
-// disk must not change answers): the ring keeps recording, the log takes
-// no more appends.
+// either, and Stats reports it until the clock passes the cursor and a
+// record lands again. A log failure sticks in Stats rather than poisoning
+// the sense path (a full disk must not change answers): the ring keeps
+// recording, the log takes no more appends.
 func (s *Store) RecordReadings(e model.Epoch, readings map[model.NodeID]model.Reading) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if cur, ok := s.cursor(); ok && e <= cur {
 		if e < cur {
-			s.fail(fmt.Errorf("storage: epoch %d is behind the recorded epoch %d, not recorded", e, cur))
+			s.behind = fmt.Errorf("storage: epoch %d is behind the recorded epoch %d, not recorded", e, cur)
 		}
 		return
 	}
+	s.behind = nil
 	// Steady state finds every node seated; a first reading joins the
 	// roster in id order so the walk below stays ascending.
 	var fresh []model.NodeID
@@ -272,8 +275,8 @@ func (s *Store) Cursor() (model.Epoch, bool) {
 // StoreStats is the storage block of the System Panel and /stats.
 // Nodes is the roster size, Segments counts the log files (1 in disk mode,
 // 0 in memory mode), Bytes their size including buffered appends; Err is
-// the first durable-tier failure — a shard showing one has stopped
-// persisting.
+// the first durable-tier failure and, beside it, an epoch refused for
+// being behind the cursor — a shard showing either is not persisting.
 type StoreStats struct {
 	Dir       string      `json:"dir,omitempty"`
 	Nodes     int         `json:"nodes"`
@@ -293,9 +296,13 @@ func (s *Store) Stats() StoreStats {
 	if s.log != nil {
 		st.Segments, st.Bytes = 1, s.log.Size()
 	}
-	if s.err != nil {
-		st.Err = s.err.Error()
+	var errs []string
+	for _, err := range []error{s.err, s.behind} {
+		if err != nil {
+			errs = append(errs, err.Error())
+		}
 	}
+	st.Err = strings.Join(errs, "; ")
 	return st
 }
 

@@ -85,6 +85,9 @@ type (
 	// AdmissionError is the typed rejection a Post receives when an
 	// admission limit is hit; test with errors.As.
 	AdmissionError = engine.AdmissionError
+	// LagError is the Step error of a cursor left more than 200 epochs
+	// behind the deployment's clock; test with errors.As.
+	LagError = engine.LagError
 	// ChurnEvent schedules one node's death or revival.
 	ChurnEvent = faults.ChurnEvent
 )

@@ -45,43 +45,19 @@ func TestNaiveReproducesPaperBug(t *testing.T) {
 	}
 }
 
+// TestHistoricQueryEndToEnd: a WITH HISTORY query on the diurnal demo is
+// one-shot — it Runs, it does not Step — and answers its five instants
+// alike under the default TJA, TPUT and the centralized baseline.
 func TestHistoricQueryEndToEnd(t *testing.T) {
-	s := DemoScenario()
-	s.Workload.Kind = "diurnal"
-	sys, err := Open(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur, err := sys.Post("SELECT TOP 5 timeinstant, AVG(temp) FROM sensors WITH HISTORY 64")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cur.Continuous() {
-		t.Fatal("historic query must not be continuous")
-	}
-	tjaAns, err := cur.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tjaAns) != 5 {
-		t.Fatalf("answers = %v", tjaAns)
-	}
-	// TPUT and centralized must agree on the same scenario.
-	for _, algo := range []Algorithm{AlgoTPUT, AlgoCentral} {
-		cur2, err := sys.PostWith("SELECT TOP 5 timeinstant, AVG(temp) FROM sensors WITH HISTORY 64", algo)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := cur2.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range tjaAns {
-			if got[i] != tjaAns[i] {
-				t.Fatalf("%s disagrees with tja: %v vs %v", algo, got, tjaAns)
+	const sql = "SELECT TOP 5 timeinstant, AVG(temp) FROM sensors WITH HISTORY 64"
+	tja := memo(t, row{world: "demo-diurnal", parallel: 1, queries: []rowQuery{{sql, AlgoAuto}}})
+	runRows(t, grid(row{name: "%[1]s", world: "demo-diurnal", queries: []rowQuery{{sql: sql}}, checks: []check{
+		func(t *testing.T, _ row, _ *System, got outcome) {
+			if len(got.historic) != 1 {
+				t.Fatal("the historic query was posted as a continuous one")
 			}
-		}
-	}
+			compare(t, "vs TJA", got, tja, false)
+		}}}, []Algorithm{AlgoTPUT, AlgoCentral}, []int{0}, []int{1}))
 }
 
 func TestHistoricGroupQuery(t *testing.T) {
@@ -181,19 +157,27 @@ func TestSystemPanelAndDisplay(t *testing.T) {
 // TestReopenedStoreReportsTheRestartedClock: a local System reopened on
 // its data dir restarts its clock at 0, behind the recovered epoch; the
 // store records nothing for it and says so in the storage block and the
-// panel.
+// panel, beside a real failure, until its clock passes the recovered epoch
+// and a record lands again. The real failure stays.
 func TestReopenedStoreReportsTheRestartedClock(t *testing.T) {
 	dir := t.TempDir()
-	for _, steps := range []int{20, 1} {
-		sys, err := Open(DemoScenario(), WithDataDir(dir))
-		if err != nil {
+	var sys *System
+	var cur *Cursor
+	open := func() {
+		var err error
+		if sys, err = Open(DemoScenario(), WithDataDir(dir)); err != nil {
 			t.Fatal(err)
 		}
-		cur, err := sys.Post(demoSQL)
-		if err != nil {
+		if cur, err = sys.Post(demoSQL); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < steps; i++ {
+	}
+	// expect steps n more epochs, then requires the storage block to hold
+	// the last recorded epoch and report exactly errs, and the panel to say
+	// NOT PERSISTING iff it does.
+	expect := func(n int, last Epoch, errs ...string) {
+		t.Helper()
+		for i := 0; i < n; i++ {
 			if _, err := cur.Step(); err != nil {
 				t.Fatal(err)
 			}
@@ -202,12 +186,20 @@ func TestReopenedStoreReportsTheRestartedClock(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		regressed := strings.Contains(st[0].Err, "epoch 0 is behind the recorded epoch 19")
-		if regressed != (steps == 1) || st[0].LastEpoch != 19 || regressed != strings.Contains(sys.SystemPanel(nil), "NOT PERSISTING") {
-			t.Fatalf("after %d steps: storage block %+v, panel:\n%s", steps, st[0], sys.SystemPanel(nil))
+		if panel := sys.SystemPanel(nil); st[0].Err != strings.Join(errs, "; ") || st[0].LastEpoch != last || strings.Contains(panel, "NOT PERSISTING") != (len(errs) > 0) {
+			t.Fatalf("after %d more steps: storage block %+v, panel:\n%s", n, st[0], panel)
 		}
-		sys.Close()
 	}
+	const behind, full = "storage: epoch 0 is behind the recorded epoch 19, not recorded", "write shard.log: no space left on device"
+	open()
+	expect(20, 19)
+	sys.Close()
+	open()
+	defer sys.Close()
+	expect(1, 19, behind)
+	sys.local[0].Store().Fail(errors.New(full))
+	expect(0, 19, full, behind)
+	expect(20, 20, full)
 }
 
 func TestCaptureStatsComparison(t *testing.T) {

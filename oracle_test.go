@@ -47,26 +47,19 @@ func TestSharedOracleMatchesExactSnapshot(t *testing.T) {
 		for _, shards := range []int{1, 2} {
 			t.Run(fmt.Sprintf("live=%v/shards=%d", parallel > 1, shards), func(t *testing.T) {
 				sys := oracleWorld(t, shards, WithParallel(parallel))
-				post := func(sql string) *Cursor {
-					cur, err := sys.Post(sql)
-					if err != nil {
-						t.Fatalf("post %q: %v", sql, err)
-					}
-					return cur
-				}
 				// Every cursor below rides the shared sensing; K 9 is past the
 				// deployment's six rooms.
 				var shared []*Cursor
 				for _, agg := range []string{"AVG", "MAX", "MIN", "SUM", "COUNT"} {
 					for _, k := range []int{1, 3, 4, 9} {
-						shared = append(shared, post(fmt.Sprintf("SELECT TOP %d roomid, %s(sound) FROM sensors GROUP BY roomid", k, agg)))
+						shared = append(shared, post(t, sys, fmt.Sprintf("SELECT TOP %d roomid, %s(sound) FROM sensors GROUP BY roomid", k, agg), AlgoAuto))
 					}
 				}
 				// A basic query runs TAG and keeps the full ranking.
-				shared = append(shared, post("SELECT roomid, AVG(sound) FROM sensors GROUP BY roomid"))
+				shared = append(shared, post(t, sys, "SELECT roomid, AVG(sound) FROM sensors GROUP BY roomid", AlgoAuto))
 				// A window aggregate runs on readings its shards derive: its own
 				// union, hence its own oracle.
-				own := post("SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid WITH HISTORY 4")
+				own := post(t, sys, "SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid WITH HISTORY 4", AlgoAuto)
 
 				// step scores the cursor's next outcome the way Cursor.StepContext
 				// does, against the reference over the readings it ran on.

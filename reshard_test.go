@@ -37,20 +37,14 @@ func reshardScen(t *testing.T, shards int) *Scenario {
 	return scen
 }
 
-// stepScored steps a cursor n times, requiring recall 1.0 against the
-// oracle at every epoch (the migration must not cost a single answer).
-func stepScored(t *testing.T, label string, cur *Cursor, n int, got *[]StepResult) {
-	t.Helper()
-	for i := 0; i < n; i++ {
-		res, err := cur.Step()
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		if m := stats.Score(res.Answers, res.Exact); m.Recall != 1 {
-			t.Fatalf("%s epoch %d: recall %v (answers %v, oracle %v)", label, res.Epoch, m.Recall, res.Answers, res.Exact)
-		}
-		*got = append(*got, res)
+// stepScored steps a cursor once, requiring recall 1.0 against the
+// oracle (the migration must not cost a single answer).
+func stepScored(cur *Cursor) (StepResult, error) {
+	res, err := cur.Step()
+	if m := stats.Score(res.Answers, res.Exact); err == nil && m.Recall != 1 {
+		err = fmt.Errorf("epoch %d: recall %v (answers %v, oracle %v)", res.Epoch, m.Recall, res.Answers, res.Exact)
 	}
+	return res, err
 }
 
 func TestLiveReshardGrowShrinkConformance(t *testing.T) {
@@ -73,20 +67,21 @@ func TestLiveReshardGrowShrinkConformance(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
-	curA, err := sys.Post(reshardSQLA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	curB, err := sys.Post(reshardSQLB)
-	if err != nil {
-		t.Fatal(err)
+	curA, curB := post(t, sys, reshardSQLA, AlgoAuto), post(t, sys, reshardSQLB, AlgoAuto)
+	var gotA, gotB []StepResult
+	step := func(label string, cur *Cursor, got *[]StepResult) {
+		t.Helper()
+		res, err := stepScored(cur)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		*got = append(*got, res)
 	}
 
 	// Leg 1 on 2 shards.
-	var gotA, gotB []StepResult
 	for i := 0; i < legEpochs; i++ {
-		stepScored(t, "2-shard A", curA, 1, &gotA)
-		stepScored(t, "2-shard B", curB, 1, &gotB)
+		step("2-shard A", curA, &gotA)
+		step("2-shard B", curB, &gotB)
 	}
 
 	// Grow 2→4 while the deployment is quiescent between steps.
@@ -134,8 +129,8 @@ func TestLiveReshardGrowShrinkConformance(t *testing.T) {
 
 	// Leg 2 on 4 shards — same cursors, same epoch clock.
 	for i := 0; i < legEpochs; i++ {
-		stepScored(t, "4-shard A", curA, 1, &gotA)
-		stepScored(t, "4-shard B", curB, 1, &gotB)
+		step("4-shard A", curA, &gotA)
+		step("4-shard B", curB, &gotB)
 	}
 
 	// Shrink 4→2 WHILE cursor A steps concurrently: the migration must not
@@ -149,16 +144,9 @@ func TestLiveReshardGrowShrinkConformance(t *testing.T) {
 	var concErr error
 	go func() {
 		defer wg.Done()
-		for i := 0; i < legEpochs; i++ {
-			res, err := curA.Step()
-			if err != nil {
-				concErr = err
-				return
-			}
-			if m := stats.Score(res.Answers, res.Exact); m.Recall != 1 {
-				concErr = fmt.Errorf("epoch %d: recall %v during migration", res.Epoch, m.Recall)
-				return
-			}
+		for i := 0; i < legEpochs && concErr == nil; i++ {
+			var res StepResult
+			res, concErr = stepScored(curA)
 			concA = append(concA, res)
 		}
 	}()
@@ -177,24 +165,16 @@ func TestLiveReshardGrowShrinkConformance(t *testing.T) {
 	// Cursor B catches up on its buffered epochs (the shared clock ran them
 	// whenever A stepped).
 	for i := 0; i < legEpochs; i++ {
-		stepScored(t, "post-shrink B", curB, 1, &gotB)
+		step("post-shrink B", curB, &gotB)
 	}
 
-	stepEqualByteIdentical(t, "resharded A vs flat", gotA, flat.steps[0])
-	stepEqualByteIdentical(t, "resharded B vs flat", gotB, flat.steps[1])
-
-	// Historic after two migrations still equals the flat run.
-	hcur, err := sys.Post(scaleHistoricSQL)
+	// Both streams, and a historic run after two migrations, equal the
+	// flat run.
+	historic, err := post(t, sys, scaleHistoricSQL, AlgoAuto).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	historic, err := hcur.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(answerBytes(historic), answerBytes(flat.historic[0])) {
-		t.Fatalf("post-migration historic %v, flat %v", historic, flat.historic[0])
-	}
+	compare(t, "resharded vs flat", outcome{steps: [][]StepResult{gotA, gotB}, historic: [][]Answer{historic}}, flat, false)
 }
 
 func TestReshardValidation(t *testing.T) {

@@ -18,7 +18,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"syscall"
 	"testing"
 	"time"
 )
@@ -77,55 +76,13 @@ type sseRadioStats struct {
 // sequence plus the final radio counters.
 func runKspotdSSE(t *testing.T, bin, queriesPath string, watched, subscribers int) ([][]string, sseRadioStats) {
 	t.Helper()
-	cmd := exec.Command(bin,
+	addr, _ := startKspotd(t, bin, "kspotd-http ",
 		"-addr", "127.0.0.1:0",
 		"-queries-file", queriesPath,
 		"-interval", "25ms",
 		"-epochs", fmt.Sprint(sseEpochs),
 		"-max-queries", "32",
 	)
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		cmd.Process.Signal(syscall.SIGTERM)
-		done := make(chan struct{})
-		go func() { cmd.Wait(); close(done) }()
-		select {
-		case <-done:
-		case <-time.After(5 * time.Second):
-			cmd.Process.Kill()
-			<-done
-		}
-	})
-
-	// The daemon prints "kspotd-http <addr>" once it listens.
-	sc := bufio.NewScanner(stdout)
-	lineCh := make(chan string, 1)
-	go func() {
-		for sc.Scan() {
-			if strings.HasPrefix(sc.Text(), "kspotd-http ") {
-				lineCh <- strings.TrimPrefix(sc.Text(), "kspotd-http ")
-				break
-			}
-		}
-		close(lineCh)
-	}()
-	var addr string
-	select {
-	case a, ok := <-lineCh:
-		if !ok || a == "" {
-			t.Fatal("kspotd exited before announcing its address")
-		}
-		addr = a
-	case <-time.After(30 * time.Second):
-		t.Fatal("kspotd did not announce its address")
-	}
-
 	streams := make([][]string, subscribers)
 	errs := make([]error, subscribers)
 	var wg sync.WaitGroup

@@ -210,13 +210,8 @@ func TestWireCloseDuringInFlight(t *testing.T) {
 		}
 	}
 
+	waitGoroutines(t, baseGoroutines)
 	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > baseGoroutines+2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: %d now vs %d at start", runtime.NumGoroutine(), baseGoroutines)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
 	for countFDs() > baseFDs+2 {
 		if time.Now().After(deadline) {
 			t.Fatalf("fds leaked: %d now vs %d at start", countFDs(), baseFDs)
@@ -422,37 +417,20 @@ func TestCaptureStatsSkipsUnreachableShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Algorithm != "survivor" || got.Epochs != 4 {
-		t.Fatalf("label/epochs not applied: %+v", got)
-	}
-	if got.Messages != want.Messages || got.Frames != want.Frames || got.TxBytes != want.TxBytes ||
-		got.RxBytes != want.RxBytes || got.Drops != want.Drops || got.EnergyUJ != want.EnergyUJ {
-		t.Fatalf("sum with shard-1 unreachable:\ngot  %+v\nwant the surviving shard's row\n     %+v", got, want)
-	}
+	want.Algorithm, want.Epochs = "survivor", 4
+	sameTraffic(t, "sum with shard-1 unreachable vs the surviving shard's row", got, RunStats(want))
 	if _, err := sys.ShardStats(); err == nil {
 		t.Fatal("ShardStats hid the dead shard")
 	}
 }
 
-// TestCaptureStatsRidesTheRound: kspotd's loop — step, then CaptureStats —
-// plus a /stats read of every shard's row and storage block costs one wire
-// call per shard per epoch, because every reply carries the shard's
+// TestCaptureStatsRidesTheRound: kspotd's loop — step, then CaptureStats
+// and a /stats read of every shard's row and storage block — costs one
+// wire call per shard per epoch, because every reply carries the shard's
 // counters; and what CaptureStats sums from those rows is, after every
 // epoch, exactly the in-process deployment's counters (messages, frames,
 // bytes, drops, per-kind bytes, energies to the bit).
 func TestCaptureStatsRidesTheRound(t *testing.T) {
-	runRows(t, []row{{name: "shards=2", world: "demo", shards: 2, wire: true, epochs: 20, queries: []rowQuery{{sql: demoSQL}},
-		checks: []check{statsReadsCostNoCall, oneCallPerRound}}})
-}
-
-// statsReadsCostNoCall reads every counter a /stats poll reads, so that
-// oneCallPerRound, run after it, proves they made no wire call.
-func statsReadsCostNoCall(t *testing.T, _ row, sys *System, _ outcome) {
-	sys.CaptureStats("poll", 0)
-	if _, err := sys.ShardStats(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.StorageStats(); err != nil {
-		t.Fatal(err)
-	}
+	runRows(t, []row{{name: "shards=2", world: "demo", shards: 2, wire: true, poll: true, epochs: 20,
+		queries: []rowQuery{{sql: demoSQL}}, checks: []check{oneCallPerRound}}})
 }
