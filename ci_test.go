@@ -14,7 +14,7 @@ import (
 
 // TestCISelectorsMatch: every `go test … -run '<re>' <pkgs>` in the CI
 // workflow selects something — each |-alternative of its pattern matches a
-// top-level Test, Fuzz or Benchmark func of the packages it names (a
+// top-level Test, Fuzz, Benchmark or Example func of the packages it names (a
 // package pattern such as ./... names no directory, so it fails loudly
 // here too). go test passes a selector that matches nothing as "no tests
 // to run", so a test renamed or folded away would otherwise leave its CI
@@ -68,11 +68,11 @@ func alternatives(pattern string) []string {
 	return strings.Split(pattern, "|")
 }
 
-// testFuncs lists the top-level Test, Fuzz and Benchmark funcs declared in
-// the packages' test files.
+// testFuncs lists the top-level Test, Fuzz, Benchmark and Example funcs
+// declared in the packages' test files.
 func testFuncs(t *testing.T, pkgs []string) []string {
 	t.Helper()
-	name := regexp.MustCompile(`^(Test|Fuzz|Benchmark)`)
+	name := regexp.MustCompile(`^(Test|Fuzz|Benchmark|Example)`)
 	var funcs []string
 	for _, dir := range pkgs {
 		files, _ := filepath.Glob(filepath.Join(dir, "*_test.go"))

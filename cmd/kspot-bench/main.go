@@ -3,7 +3,6 @@
 //
 // Usage:
 //
-//	kspot-bench -list             # list experiments
 //	kspot-bench -exp e3           # run one experiment
 //	kspot-bench -exp all          # run everything (the default)
 //	kspot-bench -exp e7 -scale .2 # quick run at reduced size
@@ -41,7 +40,6 @@ import (
 func main() {
 	var (
 		exp      = flag.String("exp", "all", "experiment id (e1..e14) or 'all'")
-		list     = flag.Bool("list", false, "list experiments and exit")
 		scale    = flag.Float64("scale", 1.0, "size scale factor in (0,1], for quick runs")
 		parallel = flag.Int("parallel", 1, "epoch-sweep worker bound of the parallel benchmark leg; 1 = sequential measurements only")
 		emitJSON = flag.Bool("json", false, "measure benchmarks and merge into the JSON trajectory file")
@@ -58,13 +56,6 @@ func main() {
 		fmt.Printf("wrote run %q (scale %v, parallel %d) to %s\n", *jsonRun, *scale, *parallel, *jsonOut)
 		return
 	}
-	if *list {
-		for _, e := range bench.All() {
-			fmt.Printf("%-5s %s\n", e.ID, e.Title)
-		}
-		return
-	}
-
 	run := func(e bench.Experiment) error {
 		start := time.Now()
 		fmt.Printf("## %s — %s\n", e.ID, e.Title)
@@ -85,7 +76,7 @@ func main() {
 	}
 	e, ok := bench.Get(*exp)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "kspot-bench: unknown experiment %q (try -list)\n", *exp)
+		fmt.Fprintf(os.Stderr, "kspot-bench: unknown experiment %q (ids: e1..e14)\n", *exp)
 		os.Exit(2)
 	}
 	if err := run(e); err != nil {

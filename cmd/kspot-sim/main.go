@@ -1,13 +1,13 @@
 // Command kspot-sim runs a KSpot query against a scenario and prints the
-// live ranking, the Display Panel and the System Panel — the demo of the
+// live ranking of 20 epochs (one historic run for a WITH HISTORY query),
+// the Display Panel every 5 epochs and the System Panel — the demo of the
 // paper's §IV, in a terminal.
 //
 // Usage:
 //
 //	kspot-sim                                  # built-in Figure-3 demo
-//	kspot-sim -scenario demo.json -epochs 30
+//	kspot-sim -scenario demo.json
 //	kspot-sim -query "SELECT TOP 1 roomid, AVG(sound) FROM sensors GROUP BY roomid"
-//	kspot-sim -algo tag                        # pin a baseline
 //	kspot-sim -emit demo.json                  # write the built-in scenario out
 //	kspot-sim -gen-scale 1000 -emit scenarios/scale-1000.json
 //	                                           # regenerate a scale-* scenario
@@ -35,10 +35,7 @@ func main() {
 	var (
 		scenarioPath = flag.String("scenario", "", "scenario JSON (default: built-in Figure-3 demo)")
 		queryText    = flag.String("query", "SELECT TOP 3 roomid, AVG(sound) FROM sensors GROUP BY roomid EPOCH DURATION 1 min", "query to post")
-		epochs       = flag.Int("epochs", 20, "epochs to run (continuous queries)")
-		algo         = flag.String("algo", "", "pin algorithm: mint|tag|naive|central|tja|tput")
 		emit         = flag.String("emit", "", "write the selected scenario to this file and exit")
-		panelEvery   = flag.Int("panel", 5, "render the display panel every N epochs (0 = final only)")
 		genScale     = flag.Int("gen-scale", 0, "generate the scale-<n> scenario (n sensors, multiple of 20) instead of loading one; use with -emit")
 		shards       = flag.Int("shards", 0, "federate the deployment into N shard networks (splits the cluster list; with -gen-scale, validates every shard deploys)")
 		parallel     = flag.Int("parallel", runtime.NumCPU(), "concurrency bound per shard: concurrent query groups, background presampling and sweep workers above 1; 1 = the sequential reference on one goroutine")
@@ -90,7 +87,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	cur, err := sys.PostWith(*queryText, kspot.Algorithm(*algo))
+	cur, err := sys.Post(*queryText)
 	if err != nil {
 		fail(err)
 	}
@@ -126,24 +123,19 @@ func main() {
 		return
 	}
 
-	var lastAnswers []kspot.Answer
-	for i := 0; i < *epochs; i++ {
+	for i := 0; i < 20; i++ {
 		res, err := cur.Step()
 		if err != nil {
 			fail(err)
 		}
-		lastAnswers = res.Answers
 		miss := ""
 		if !res.Correct {
 			miss = "   [diverged from oracle]"
 		}
 		fmt.Printf("epoch %3d: %s%s\n", res.Epoch, sys.RankingStrip(res.Answers), miss)
-		if *panelEvery > 0 && (i+1)%*panelEvery == 0 {
+		if (i+1)%5 == 0 {
 			fmt.Print(sys.DisplayPanel(res.Answers, 72, 18))
 		}
-	}
-	if *panelEvery == 0 {
-		fmt.Print(sys.DisplayPanel(lastAnswers, 72, 18))
 	}
 	fmt.Println()
 	fmt.Print(sys.SystemPanel(nil))

@@ -21,7 +21,7 @@ func step128(tb testing.TB) (step func()) {
 	}
 	tb.Cleanup(sys.Close)
 	wl := newWorkload(sys, nil)
-	if _, err := wl.add("SELECT TOP 3 roomid, AVG(sound) FROM sensors GROUP BY roomid", ""); err != nil {
+	if _, err := wl.add(primarySQL, ""); err != nil {
 		tb.Fatal(err)
 	}
 	for i := 1; i < 128; i++ {

@@ -4,7 +4,7 @@
 // projector at the conference site.
 //
 // Every posted query shares one sensed epoch (see internal/engine), so
-// extra -query flags cost beacons and views, not extra sensing. -parallel
+// extra queries cost beacons and views, not extra sensing. -parallel
 // (default: the CPU count) is the one concurrency setting per shard: above
 // 1 the queries' acquisition groups sweep concurrently, the next epoch is
 // presampled in the background, and each sweep computes a wide tree level
@@ -12,8 +12,11 @@
 //
 // Usage:
 //
-//	kspotd -addr :8080 -k 3 -interval 1s
-//	kspotd -scenario demo.json -query "SELECT TOP 2 roomid, MAX(sound) FROM sensors GROUP BY roomid"
+//	kspotd -addr :8080 -interval 1s
+//	kspotd -scenario demo.json -queries-file workload.sql
+//
+// The primary query (primarySQL, a Top-3 of AVG(sound) per room) is always
+// posted first; its answers drive the panels.
 //
 // A federated deployment can run as separate OS processes: each shard
 // hosts its network in its own kspotd behind the framed TCP protocol of
@@ -78,14 +81,6 @@ import (
 	"kspot/internal/topo"
 	"kspot/internal/wire"
 )
-
-type queryList []string
-
-func (q *queryList) String() string { return fmt.Sprint(*q) }
-func (q *queryList) Set(s string) error {
-	*q = append(*q, s)
-	return nil
-}
 
 type state struct {
 	mu       sync.Mutex
@@ -386,12 +381,14 @@ func loadQueriesFile(path string) ([]string, error) {
 	return queries, nil
 }
 
+// primarySQL is the query every daemon posts first; its answers drive the
+// panels and the ranking strip.
+const primarySQL = "SELECT TOP 3 roomid, AVG(sound) FROM sensors GROUP BY roomid"
+
 func main() {
-	var queries queryList
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
 		scenarioPath = flag.String("scenario", "", "scenario JSON (default: built-in demo)")
-		k            = flag.Int("k", 3, "K of the default Top-K query")
 		interval     = flag.Duration("interval", time.Second, "epoch duration")
 		shards       = flag.Int("shards", 0, "federate the deployment into N shard networks (splits the cluster list)")
 		parallel     = flag.Int("parallel", runtime.NumCPU(), "concurrency bound per shard: concurrent query groups, background presampling and sweep workers above 1; 1 = the sequential reference on one goroutine")
@@ -404,7 +401,6 @@ func main() {
 		tenantQuota  = flag.Int("tenant-quota", 0, "admission: per-tenant cap on live queries (0 = unlimited)")
 		dataDir      = flag.String("data-dir", "", "durable historic tier: append each shard's committed epochs to one log file (shard.log) under this directory and recover it at start-up; a restarted flat daemon's clock restarts at 0, so its store records no epoch until the clock passes the recovered one, and the storage block reports it (empty = no durable tier on a flat daemon, so /stats carries zero storage blocks; a -serve-shard process keeps an in-memory one; answers are identical either way)")
 	)
-	flag.Var(&queries, "query", "extra SQL to post on the same deployment (repeatable)")
 	flag.Parse()
 
 	scen := kspot.DemoScenario()
@@ -457,13 +453,12 @@ func main() {
 	defer sys.Close()
 
 	wl := newWorkload(sys, placement)
-	primary := fmt.Sprintf("SELECT TOP %d roomid, AVG(sound) FROM sensors GROUP BY roomid", *k)
-	cur, err := sys.Post(primary)
+	cur, err := sys.Post(primarySQL)
 	if err != nil {
 		log.Fatal("kspotd: ", err)
 	}
 	wl.cursors = append(wl.cursors, cur)
-	for _, sql := range append(append([]string(nil), queries...), fileQueries...) {
+	for _, sql := range fileQueries {
 		if _, err := wl.add(sql, ""); err != nil {
 			log.Fatalf("kspotd: %q: %v", sql, err)
 		}
@@ -549,8 +544,8 @@ pre{font-size:13px}</style></head><body>
 	// port 0 and parse the bound address.
 	fmt.Printf("kspotd-http %s\n", ln.Addr())
 	cursors := wl.snapshot()
-	log.Printf("kspotd: serving %q on %s (%d queries, primary: TOP %d AVG(sound) per cluster, epoch %v)",
-		scen.Name, ln.Addr(), len(cursors), *k, *interval)
+	log.Printf("kspotd: serving %q on %s (%d queries, primary: TOP 3 AVG(sound) per cluster, epoch %v)",
+		scen.Name, ln.Addr(), len(cursors), *interval)
 	srv := &http.Server{Handler: mux}
 	if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
 		fmt.Fprintln(os.Stderr, "kspotd:", err)

@@ -15,8 +15,6 @@ import (
 	"kspot/internal/wire"
 )
 
-const primarySQL = "SELECT TOP 3 roomid, AVG(sound) FROM sensors GROUP BY roomid"
-
 // newTestWorkload opens the demo deployment with the primary query posted,
 // as main does, under a two-query admission cap.
 func newTestWorkload(t *testing.T) *workload {

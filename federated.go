@@ -44,14 +44,6 @@ func withWireRetry(retries int, backoff time.Duration) OpenOption {
 	}
 }
 
-// withWireFaults arms deterministic frame faults on every shard
-// connection — the conformance tests degrade the socket path and assert
-// answers do not change. Unexported: real deployments get their faults
-// from real networks.
-func withWireFaults(f wire.Faults) OpenOption {
-	return func(c *openConfig) { c.wireFaults = &f }
-}
-
 // OpenFederated opens a scenario whose shards are already running as
 // remote processes: addrs[i] is shard i's wire address, index-aligned
 // with the scenario's shard list (a flat scenario takes one address). The
@@ -117,7 +109,6 @@ func dialShards(s *Scenario, shardScens []*Scenario, addrs []string, cfg openCon
 			CallTimeout: cfg.wireCall,
 			Retries:     cfg.wireRetries,
 			Backoff:     cfg.wireBackoff,
-			Faults:      cfg.wireFaults,
 		})
 		if err != nil {
 			for _, prev := range clients {

@@ -24,6 +24,39 @@ func TestFederatedDemoEquivalence(t *testing.T) {
 		[]Algorithm{AlgoMINT, AlgoTAG}, []int{2, 3}, []int{1, 4}))
 }
 
+// TestFederatedKthTies: groups tied at the merged K-th score across 2 and 4
+// shards, in process and over loopback wire, answer like the flat run, and
+// phase 2 fetches exactly the tied answers the shards left unshipped — the
+// K-th-boundary tie rule of fed.Merger under the root suite. The TOP 1
+// cursor rides the TOP 2's acquisition, so each shard ranks two rooms and
+// ships one; a tie changes which answers cross the coordinator tier, not
+// the answer, so the traffic is what pins the rule.
+func TestFederatedKthTies(t *testing.T) {
+	var rows []row
+	for _, shards := range []int{2, 4} {
+		for _, wire := range []bool{false, true} {
+			rows = append(rows, row{name: fmt.Sprintf("shards=%d/wire=%v", shards, wire), world: "demo-ties", shards: shards, wire: wire, epochs: 4,
+				queries: []rowQuery{{demoSQL, AlgoMINT}, {"SELECT TOP 1 roomid, AVG(sound) FROM sensors GROUP BY roomid", AlgoMINT}},
+				checks:  []check{fetchesTies}})
+		}
+	}
+	runRows(t, rows)
+}
+
+// fetchesTies: every epoch the TOP 1 merge sent two phase-2 requests, each
+// fetching the one tied room its shard left unshipped, and answered room 2,
+// the lowest id of the rooms tied at the top.
+func fetchesTies(t *testing.T, r row, sys *System, got outcome) {
+	if f := sys.FederationStats(); f.Phase2Reqs != 2*r.epochs || f.Fetched != 2*r.epochs {
+		t.Errorf("phase 2 sent %d requests and fetched %d answers over %d epochs, want 2 and 2 per epoch", f.Phase2Reqs, f.Fetched, r.epochs)
+	}
+	for _, res := range got.steps[1] {
+		if len(res.Answers) != 1 || res.Answers[0].Group != 2 || float64(res.Answers[0].Score) != tiedRooms[2] {
+			t.Fatalf("epoch %d: %v, want room 2 first of the rooms tied at %v", res.Epoch, res.Answers, tiedRooms[2])
+		}
+	}
+}
+
 // TestFederatedMultiQueryLive: several cursors on one concurrent sharded
 // deployment share the per-shard epoch sweeps and all answer exactly.
 func TestFederatedMultiQueryLive(t *testing.T) {

@@ -27,13 +27,15 @@ import (
 	"kspot/internal/model"
 	"kspot/internal/storage"
 	"kspot/internal/wire"
+	"kspot/internal/wire/wiretest"
 )
 
 // row is one differential run, plain data so a generator can emit it.
 type row struct {
 	name string
 	// world is "demo", "demo-diurnal" (the demo under the diurnal
-	// workload), "figure1", "scale-<n>" or a scenarios/*.json path.
+	// workload), "demo-ties" (see tiedRooms), "figure1", "scale-<n>" or a
+	// scenarios/*.json path.
 	world string
 	// shards: 0 keeps the world's own split, 1 runs it flat, n > 1 splits
 	// it n ways (AutoShard).
@@ -48,7 +50,7 @@ type row struct {
 	// durable gives in-process shards a store in a fresh data dir (a wire
 	// server always keeps one); the runner then compares store images.
 	durable bool
-	frames  wire.Faults // socket frame faults on a wire row, with a retry budget to absorb them
+	frames  wiretest.Faults // socket frame faults on a wire row, with a retry budget to absorb them
 	// concurrent steps each cursor from its own goroutine instead of in
 	// epoch lock-step from one; frame steps each epoch's cursors in one
 	// System.StepFrame; poll reads every shard's counters row and storage
@@ -212,6 +214,13 @@ func (r row) scenario(t *testing.T) *Scenario {
 		case r.world == "demo-diurnal":
 			base = DemoScenario()
 			base.Workload.Kind = "diurnal"
+		case r.world == "demo-ties":
+			base = DemoScenario()
+			fix := map[string][]float64{}
+			for _, n := range base.Nodes {
+				fix[strconv.Itoa(int(n.ID))] = []float64{tiedRooms[n.Cluster]}
+			}
+			base.Workload = config.Workload{Kind: "fixture", Fixture: fix}
 		case r.world == "figure1":
 			base = Figure1Scenario()
 		case strings.HasPrefix(r.world, "scale-"):
@@ -239,6 +248,12 @@ func (r row) scenario(t *testing.T) *Scenario {
 	return &scen
 }
 
+// tiedRooms is each demo room's score in the demo-ties world: every sensor
+// of a room reads it. Rooms 2, 3, 5 and 6 tie at the top, and split 2 or 4
+// ways ({1,2,3}/{4,5,6} or {1}/{2,3}/{4}/{5,6}) two shards each rank two of
+// them first.
+var tiedRooms = map[uint16]float64{1: 40, 2: 70, 3: 70, 4: 40, 5: 70, 6: 70}
+
 // open deploys the row — in process, or behind one loopback wire server per
 // shard — and returns it with its shards' stores, if they keep any.
 func (r row) open(t *testing.T) (*System, []*storage.Store) {
@@ -260,13 +275,13 @@ func (r row) open(t *testing.T) (*System, []*storage.Store) {
 		}
 		return sys, stores
 	}
-	addrs, servers := startWireShards(t, r.scenario(t), r.parallel)
+	addrs, servers := startFaultyWireShards(t, r.scenario(t), r.parallel, r.frames)
 	for _, srv := range servers {
 		stores = append(stores, srv.Store())
 	}
 	var opts []OpenOption
-	if r.frames != (wire.Faults{}) {
-		opts = []OpenOption{withWireFaults(r.frames), withWireTimeout(250 * time.Millisecond), withWireRetry(10, 2*time.Millisecond)}
+	if r.frames != (wiretest.Faults{}) {
+		opts = []OpenOption{withWireTimeout(250 * time.Millisecond), withWireRetry(10, 2*time.Millisecond)}
 	}
 	sys, err := OpenFederated(r.scenario(t), addrs, opts...)
 	if err != nil {
@@ -509,6 +524,13 @@ func shardedDemo(t *testing.T, n int) *Scenario {
 // race detector) and returns their addresses in shard order.
 func startWireShards(t *testing.T, scen *Scenario, parallel int) ([]string, []*wire.Server) {
 	t.Helper()
+	return startFaultyWireShards(t, scen, parallel, wiretest.Faults{})
+}
+
+// startFaultyWireShards is startWireShards with frame faults injected on
+// the servers' side of every connection.
+func startFaultyWireShards(t *testing.T, scen *Scenario, parallel int, frames wiretest.Faults) ([]string, []*wire.Server) {
+	t.Helper()
 	shardScens, err := scen.ShardScenarios()
 	if err != nil {
 		t.Fatal(err)
@@ -524,7 +546,7 @@ func startWireShards(t *testing.T, scen *Scenario, parallel int) ([]string, []*w
 		if err != nil {
 			t.Fatal(err)
 		}
-		go srv.Serve(ln)
+		go srv.Serve(wiretest.Listen(ln, frames))
 		t.Cleanup(srv.Close)
 		addrs[i] = ln.Addr().String()
 		servers[i] = srv

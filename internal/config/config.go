@@ -440,9 +440,6 @@ func ScaleScenario(n int) (*Scenario, error) {
 	return s, nil
 }
 
-// Sharded reports whether the scenario declares a federated deployment.
-func (s *Scenario) Sharded() bool { return len(s.Shards) > 1 }
-
 // Roster returns the scenario's sensor node ids in ascending order — the
 // positional frame of reference of the wire protocol's epoch-round
 // encoding. Shard server and coordinator both derive it here, from the

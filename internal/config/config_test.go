@@ -191,7 +191,7 @@ func TestScaleScenarioShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.Sharded() || len(s.Shards) != 4 {
+	if len(s.Shards) != 4 {
 		t.Fatalf("shards = %+v", s.Shards)
 	}
 	subs, err := s.ShardScenarios()

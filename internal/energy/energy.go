@@ -53,17 +53,6 @@ func MICA2() Model {
 	}
 }
 
-// TxCost returns the energy to transmit one packet with the given number of
-// on-air bytes (header + payload).
-func (m Model) TxCost(bytes int) float64 {
-	return m.TxPerPacket + m.TxPerByte*float64(bytes)
-}
-
-// RxCost returns the energy to receive one packet of the given size.
-func (m Model) RxCost(bytes int) float64 {
-	return m.RxPerPacket + m.RxPerByte*float64(bytes)
-}
-
 // Budget tracks one node's cumulative consumption against an initial
 // capacity. It counts picojoules, rounding each spend as the Ledger rounds
 // each charge, so a node's spent budget and its ledger account are one
@@ -104,18 +93,6 @@ func (b *Budget) SetUsed(microjoules float64) { b.used = picojoules(microjoules)
 // Dead reports whether the budget is exhausted.
 func (b *Budget) Dead() bool {
 	return b.capacity > 0 && b.used >= b.capacity
-}
-
-// Remaining returns the remaining energy in µJ (infinite capacity reports
-// +Inf).
-func (b *Budget) Remaining() float64 {
-	if b.capacity <= 0 {
-		return math.Inf(1)
-	}
-	if b.used >= b.capacity {
-		return 0
-	}
-	return float64(b.capacity-b.used) / pjPerUJ
 }
 
 // Ledger aggregates per-node energy consumption for a whole network run.

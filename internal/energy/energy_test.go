@@ -16,17 +16,6 @@ func TestMICA2Sanity(t *testing.T) {
 	}
 }
 
-func TestTxRxCostLinear(t *testing.T) {
-	m := MICA2()
-	base := m.TxCost(0)
-	if got := m.TxCost(10) - base; math.Abs(got-10*m.TxPerByte) > 1e-9 {
-		t.Errorf("TxCost slope = %v, want %v", got/10, m.TxPerByte)
-	}
-	if m.RxCost(36) <= m.RxCost(0) {
-		t.Error("RxCost not increasing with size")
-	}
-}
-
 func TestBudgetSpendAndDeath(t *testing.T) {
 	b := NewBudget(1e-6) // 1 µJ capacity
 	if b.Dead() {
@@ -47,8 +36,8 @@ func TestBudgetSpendAndDeath(t *testing.T) {
 	if b.Spend(0.1) {
 		t.Fatal("dead node accepted a spend")
 	}
-	if got := b.Remaining(); got != 0 {
-		t.Errorf("Remaining = %v, want 0", got)
+	if got := b.Used(); got != 1.5 {
+		t.Errorf("Used = %v, want 1.5 (a refused spend costs nothing)", got)
 	}
 }
 
@@ -57,8 +46,8 @@ func TestBudgetUnlimited(t *testing.T) {
 	if !b.Spend(1e12) || b.Dead() {
 		t.Error("zero-capacity budget must be unlimited")
 	}
-	if !math.IsInf(b.Remaining(), 1) {
-		t.Errorf("Remaining = %v, want +Inf", b.Remaining())
+	if got := b.Used(); got != 1e12 {
+		t.Errorf("Used = %v, want 1e12", got)
 	}
 }
 

@@ -69,19 +69,14 @@ func unit(h, salt uint64) float64 {
 	return toUnit(fnv64(h, salt))
 }
 
-// draw composes msgDigest+frameDigest+unit in one call — the convenience
-// form for tests and one-off decisions.
-func draw(seed int64, msg radio.Message, frag, attempt int, salt uint64) float64 {
-	return unit(frameDigest(msgDigest(seed, msg), frag, attempt), salt)
-}
-
 // KeyedUnit derives a deterministic uniform [0,1) variate from a seed, a
 // fault-dimension salt and an identity key — the same keyed-hash discipline
 // as the radio tier's frame faults (a draw depends only on the seed and the
 // event's identity, never on draw order), exported for layers that inject
-// faults on other substrates. internal/wire keys its per-frame loss/dup/
-// delay decisions on (seed, salt, rpc sequence, attempt) with it, so a
-// socket fault scenario replays identically run over run.
+// faults on other substrates. The wire tests' listener decorator
+// (internal/wire/wiretest) keys its per-frame loss/dup/delay decisions on
+// (seed, salt, rpc sequence, attempt) with it, so a socket fault scenario
+// replays identically run over run.
 func KeyedUnit(seed int64, salt uint64, key ...uint64) float64 {
 	h := uint64(fnvOffset)
 	h = fnv64(h, uint64(seed))

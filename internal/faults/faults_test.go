@@ -253,3 +253,8 @@ func TestConfigValidate(t *testing.T) {
 		t.Error("delay-only config must report enabled")
 	}
 }
+
+// draw composes msgDigest+frameDigest+unit in one call.
+func draw(seed int64, msg radio.Message, frag, attempt int, salt uint64) float64 {
+	return unit(frameDigest(msgDigest(seed, msg), frag, attempt), salt)
+}

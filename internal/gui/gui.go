@@ -198,7 +198,7 @@ func SystemPanel(run stats.RunStats, baseline *stats.RunStats) string {
 	fmt.Fprintf(&b, "| energy    : %-27.2f mJ |\n", run.EnergyUJ/1000)
 	if baseline != nil {
 		s := stats.Compare(run, *baseline)
-		fmt.Fprintf(&b, "| vs %-41s |\n", baseline.Algorithm+":")
+		fmt.Fprintf(&b, "| vs %-39s |\n", baseline.Algorithm+":")
 		fmt.Fprintf(&b, "|   message savings : %-21.1f%% |\n", s.Messages)
 		fmt.Fprintf(&b, "|   frame savings   : %-21.1f%% |\n", s.Frames)
 		fmt.Fprintf(&b, "|   byte savings    : %-21.1f%% |\n", s.Bytes)

@@ -155,13 +155,6 @@ func (l *Link) FramesFor(n int) int {
 	return (n + l.cfg.Payload - 1) / l.cfg.Payload
 }
 
-// WireBytes reports the on-air size of a message of n payload bytes,
-// including one header per fragment, assuming no retransmissions.
-func (l *Link) WireBytes(n int) int {
-	frames := l.FramesFor(n)
-	return n + frames*l.cfg.HeaderSize
-}
-
 // Transmit sends one message across the hop, fragmenting and retrying as
 // configured, and returns the accounting record. Each fragment attempt's
 // fate comes from the fault model; a lost fragment is retried up to

@@ -19,17 +19,20 @@ func TestFramesFor(t *testing.T) {
 	}
 }
 
+// TestWireBytes: a lossless transmit puts the payload plus one header per
+// fragment on air.
 func TestWireBytes(t *testing.T) {
 	l := NewLink(DefaultConfig())
-	if got := l.WireBytes(29); got != 29+7 {
-		t.Errorf("WireBytes(29) = %d", got)
+	for _, c := range []struct{ n, want int }{{29, 29 + 7}, {30, 30 + 2*7}, {0, 7}} {
+		if got := onAir(l, c.n); got != c.want {
+			t.Errorf("a %d-byte payload puts %d bytes on air, want %d", c.n, got, c.want)
+		}
 	}
-	if got := l.WireBytes(30); got != 30+2*7 {
-		t.Errorf("WireBytes(30) = %d", got)
-	}
-	if got := l.WireBytes(0); got != 7 {
-		t.Errorf("WireBytes(0) = %d", got)
-	}
+}
+
+// onAir is the bytes one lossless transmit of an n-byte payload sends.
+func onAir(l *Link, n int) int {
+	return l.Transmit(Message{From: 1, To: 0, Kind: KindData, Payload: make([]byte, n)}).TxBytes
 }
 
 func TestTransmitLossless(t *testing.T) {
@@ -171,8 +174,8 @@ func TestMsgKindString(t *testing.T) {
 	}
 }
 
-// Property: wire bytes always equals payload + frames*header and frames is
-// minimal for the payload size.
+// Property: a lossless transmit's on-air bytes always equal payload +
+// frames*header, and frames is minimal for the payload size.
 func TestWireBytesProperty(t *testing.T) {
 	f := func(nRaw uint16, payloadRaw uint8) bool {
 		cfg := DefaultConfig()
@@ -186,7 +189,7 @@ func TestWireBytesProperty(t *testing.T) {
 		if frames*cfg.Payload < n {
 			return false // not enough frames
 		}
-		return l.WireBytes(n) == n+frames*cfg.HeaderSize
+		return onAir(l, n) == n+frames*cfg.HeaderSize
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -83,22 +83,6 @@ func Merge(name string, rows ...RunStats) RunStats {
 	return out
 }
 
-// PerEpochBytes returns average transmitted bytes per epoch.
-func (r RunStats) PerEpochBytes() float64 {
-	if r.Epochs == 0 {
-		return 0
-	}
-	return float64(r.TxBytes) / float64(r.Epochs)
-}
-
-// PerEpochEnergy returns average consumed energy per epoch in µJ.
-func (r RunStats) PerEpochEnergy() float64 {
-	if r.Epochs == 0 {
-		return 0
-	}
-	return r.EnergyUJ / float64(r.Epochs)
-}
-
 // Savings quantifies a run against a baseline, as the System Panel shows:
 // positive percentages mean the run consumed less.
 type Savings struct {
@@ -143,17 +127,6 @@ func Table(title string, rows []RunStats) string {
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%-16s %8d %10d %10d %12d %12.2f %9.1f %8.3f\n",
 			r.Algorithm, r.Epochs, r.Messages, r.Frames, r.TxBytes, r.EnergyUJ/1000, r.Correct, r.Recall)
-	}
-	return b.String()
-}
-
-// CSV renders rows as comma-separated values with a header, for plotting.
-func CSV(rows []RunStats) string {
-	var b strings.Builder
-	b.WriteString("algorithm,epochs,messages,frames,tx_bytes,energy_uj,correct_pct,recall\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%s,%d,%d,%d,%d,%.1f,%.2f,%.4f\n",
-			r.Algorithm, r.Epochs, r.Messages, r.Frames, r.TxBytes, r.EnergyUJ, r.Correct, r.Recall)
 	}
 	return b.String()
 }

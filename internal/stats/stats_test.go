@@ -35,19 +35,6 @@ func TestCollect(t *testing.T) {
 	if r.EnergyUJ <= 0 || r.EnergyMax <= 0 {
 		t.Error("energy not collected")
 	}
-	if r.PerEpochBytes() != float64(r.TxBytes)/2 {
-		t.Error("PerEpochBytes")
-	}
-	if r.PerEpochEnergy() != r.EnergyUJ/2 {
-		t.Error("PerEpochEnergy")
-	}
-}
-
-func TestPerEpochZeroEpochs(t *testing.T) {
-	var r RunStats
-	if r.PerEpochBytes() != 0 || r.PerEpochEnergy() != 0 {
-		t.Error("zero-epoch stats must not divide by zero")
-	}
 }
 
 func TestCompare(t *testing.T) {
@@ -81,16 +68,6 @@ func TestTableRendering(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != 4 {
 		t.Errorf("table has %d lines, want 4", len(lines))
-	}
-}
-
-func TestCSV(t *testing.T) {
-	out := CSV([]RunStats{{Algorithm: "tja", Epochs: 1, TxBytes: 42}})
-	if !strings.HasPrefix(out, "algorithm,") {
-		t.Error("missing header")
-	}
-	if !strings.Contains(out, "tja,1,0,0,42") {
-		t.Errorf("csv = %q", out)
 	}
 }
 

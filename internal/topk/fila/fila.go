@@ -52,13 +52,8 @@ func (w window) contains(v model.Value) bool { return v >= w.Lo && v < w.Hi }
 // probe condition: only then is a silent node's side of v unknown.
 func (w window) strictlyInside(v model.Value) bool { return v > w.Lo && v < w.Hi }
 
-// Wire sizes: a window update carries two fixed-point bounds; probes carry
-// a request id; replies a (group, value) answer.
-const (
-	windowWireSize = 8
-	probeWireSize  = 4
-	replyWireSize  = model.AnswerWireSize
-)
+// windowWireSize is a window update's payload: two fixed-point bounds.
+const windowWireSize = 8
 
 // Config tunes the operator.
 type Config struct {

@@ -43,61 +43,6 @@ func TestNodeDeathDegradesGracefully(t *testing.T) {
 	}
 }
 
-// TestReparentingAfterFailure: removing a failed relay and re-attaching the
-// operator on the repaired tree must restore exactness for the surviving
-// nodes.
-func TestReparentingAfterFailure(t *testing.T) {
-	net := topktest.GridNetwork(t, 36, 6)
-	src := trace.NewRoomActivity(3, net.Placement.Groups, 6)
-	q := topk.SnapshotQuery{K: 2, Agg: model.AggAvg, Range: &topk.ValueRange{Min: 0, Max: 100}}
-	op := New()
-	r := &topk.Runner{Net: net, Source: src, Op: op, Query: q}
-	if _, err := r.Run(5); err != nil {
-		t.Fatal(err)
-	}
-
-	// Kill an interior relay and repair the tree.
-	var victim model.NodeID
-	for n, cs := range net.Tree.Children {
-		if n != model.Sink && len(cs) > 0 {
-			victim = n
-			break
-		}
-	}
-	if victim == 0 {
-		t.Skip("no interior node to kill")
-	}
-	orphans := net.Tree.RemoveNode(victim, net.Links)
-	if err := net.Tree.Validate(); err != nil {
-		t.Fatalf("repaired tree invalid: %v", err)
-	}
-	// Remove the victim (and any unreachable orphans) from the placement
-	// so group sizes reflect the survivors — the Configuration Panel's
-	// view after the failure report.
-	delete(net.Placement.Positions, victim)
-	delete(net.Placement.Groups, victim)
-	for _, o := range orphans {
-		delete(net.Placement.Positions, o)
-		delete(net.Placement.Groups, o)
-	}
-
-	// Re-attach (MINT recomputes group sizes and masters) and run on.
-	if err := op.Attach(net, q); err != nil {
-		t.Fatal(err)
-	}
-	for e := model.Epoch(100); e < 120; e++ {
-		readings := engine.SenseEpoch(net, src, e)
-		got, err := op.Epoch(e, readings)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := topk.ExactSnapshot(readings, q)
-		if !model.EqualAnswers(got, want) {
-			t.Fatalf("epoch %d after repair: got %v want %v", e, got, want)
-		}
-	}
-}
-
 // TestLossyStillServes: heavy loss must never wedge the operator.
 func TestLossyStillServes(t *testing.T) {
 	opts := sim.DefaultOptions()
@@ -122,10 +67,10 @@ func TestLossyStillServes(t *testing.T) {
 	}
 }
 
-// TestOrphanRecallAccounting is the churn-scenario pin of the orphan
-// report's contract: when a relay dies and its subtree cannot re-attach,
-// the orphaned nodes keep sensing (they are alive, the oracle sees them)
-// but their readings can no longer reach the sink — so the loss must
+// TestOrphanRecallAccounting is the churn-scenario pin of recall
+// accounting: when a relay dies its subtree is stranded — the orphaned
+// nodes keep sensing (they are alive, the oracle sees them) but their
+// readings can no longer reach the sink — so the loss must
 // surface through recall accounting (stats.Score), not as a silently
 // shrunken answer set that still claims exactness.
 func TestOrphanRecallAccounting(t *testing.T) {
@@ -169,12 +114,10 @@ func TestOrphanRecallAccounting(t *testing.T) {
 		}
 	}
 
-	// Relay 2 churns out; its whole subtree (the loud room) strands.
-	orphans := net.Tree.RemoveNode(2, net.Links)
+	// Relay 2 churns out; its whole subtree (the loud room) strands: the
+	// tree keeps routing through the downed relay, which relays nothing.
+	// Re-attaching drops the views the sink cached before the churn.
 	net.SetChurn([]sim.ChurnEvent{{Node: 2, Epoch: 10, Down: true}})
-	if len(orphans) != 3 {
-		t.Fatalf("orphans = %v, want the full loud room {3,4,5}", orphans)
-	}
 	if err := op.Attach(net, q); err != nil {
 		t.Fatal(err)
 	}

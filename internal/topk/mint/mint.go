@@ -313,13 +313,6 @@ func (o *Operator) sweep(e model.Epoch, bound model.Value, readings map[model.No
 // Gamma exposes the installed γ bound for the System Panel and tests.
 func (o *Operator) Gamma() model.Value { return o.bcast }
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // padAnswers fills missing answer slots with stale entries from the
 // previous materialized ranking, preserving rank order.
 func padAnswers(fresh, prev []model.Answer, k int) []model.Answer {

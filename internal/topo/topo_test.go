@@ -170,66 +170,53 @@ func TestPostPreOrder(t *testing.T) {
 }
 
 func TestLevelsMatchPostOrder(t *testing.T) {
-	_, l, tree := buildConnected(t, 40, 11)
-	check := func() {
-		levels := tree.Levels()
-		if len(levels) != tree.MaxDepth()+1 {
-			t.Fatalf("levels = %d, want %d", len(levels), tree.MaxDepth()+1)
-		}
-		// Concatenating deepest→shallowest must reproduce PostOrder exactly:
-		// that identity is what lets the parallel sweep commit level by level
-		// in id order and still match the sequential run byte for byte.
-		var cat []model.NodeID
-		for d := len(levels) - 1; d >= 0; d-- {
-			for i, id := range levels[d] {
-				if tree.Depth[id] != d {
-					t.Fatalf("node %d in level %d has depth %d", id, d, tree.Depth[id])
-				}
-				if i > 0 && levels[d][i-1] >= id {
-					t.Fatalf("level %d not id-sorted at %d", d, i)
-				}
+	_, _, tree := buildConnected(t, 40, 11)
+	levels := tree.Levels()
+	if len(levels) != tree.MaxDepth()+1 {
+		t.Fatalf("levels = %d, want %d", len(levels), tree.MaxDepth()+1)
+	}
+	// Concatenating deepest→shallowest must reproduce PostOrder exactly:
+	// that identity is what lets the parallel sweep commit level by level
+	// in id order and still match the sequential run byte for byte.
+	var cat []model.NodeID
+	for d := len(levels) - 1; d >= 0; d-- {
+		for i, id := range levels[d] {
+			if tree.Depth[id] != d {
+				t.Fatalf("node %d in level %d has depth %d", id, d, tree.Depth[id])
 			}
-			cat = append(cat, levels[d]...)
-		}
-		post := tree.PostOrder()
-		if len(cat) != len(post) {
-			t.Fatalf("levels hold %d nodes, post-order %d", len(cat), len(post))
-		}
-		for i := range cat {
-			if cat[i] != post[i] {
-				t.Fatalf("levels concat diverges from post-order at %d: %d vs %d", i, cat[i], post[i])
+			if i > 0 && levels[d][i-1] >= id {
+				t.Fatalf("level %d not id-sorted at %d", d, i)
 			}
 		}
-		// The dense numbering runs root-first over the same levels and maps
-		// every position to its tree parent's position.
-		idx := tree.LevelIndex()
-		var byPos []model.NodeID
-		for d, lv := range levels {
-			if idx.Start[d] != len(byPos) {
-				t.Fatalf("level %d starts at position %d, want %d", d, idx.Start[d], len(byPos))
-			}
-			byPos = append(byPos, lv...)
-		}
-		if len(idx.Parent) != len(byPos) || idx.Parent[0] != -1 {
-			t.Fatalf("index numbers %d nodes (root parent %d), want %d (-1)", len(idx.Parent), idx.Parent[0], len(byPos))
-		}
-		for pos, id := range byPos[1:] {
-			if got := byPos[idx.Parent[pos+1]]; got != tree.Parent[id] {
-				t.Fatalf("position %d (node %d): indexed parent %d, tree parent %d", pos+1, id, got, tree.Parent[id])
-			}
+		cat = append(cat, levels[d]...)
+	}
+	post := tree.PostOrder()
+	if len(cat) != len(post) {
+		t.Fatalf("levels hold %d nodes, post-order %d", len(cat), len(post))
+	}
+	for i := range cat {
+		if cat[i] != post[i] {
+			t.Fatalf("levels concat diverges from post-order at %d: %d vs %d", i, cat[i], post[i])
 		}
 	}
-	check()
-	// Structural mutation must invalidate the cache, like post/pre.
-	var victim model.NodeID
-	for n := range tree.Parent {
-		if len(tree.Children[n]) == 0 {
-			victim = n
-			break
+	// The dense numbering runs root-first over the same levels and maps
+	// every position to its tree parent's position.
+	idx := tree.LevelIndex()
+	var byPos []model.NodeID
+	for d, lv := range levels {
+		if idx.Start[d] != len(byPos) {
+			t.Fatalf("level %d starts at position %d, want %d", d, idx.Start[d], len(byPos))
+		}
+		byPos = append(byPos, lv...)
+	}
+	if len(idx.Parent) != len(byPos) || idx.Parent[0] != -1 {
+		t.Fatalf("index numbers %d nodes (root parent %d), want %d (-1)", len(idx.Parent), idx.Parent[0], len(byPos))
+	}
+	for pos, id := range byPos[1:] {
+		if got := byPos[idx.Parent[pos+1]]; got != tree.Parent[id] {
+			t.Fatalf("position %d (node %d): indexed parent %d, tree parent %d", pos+1, id, got, tree.Parent[id])
 		}
 	}
-	tree.RemoveNode(victim, l)
-	check()
 }
 
 func TestSubtreeAndPath(t *testing.T) {
@@ -247,46 +234,6 @@ func TestSubtreeAndPath(t *testing.T) {
 			t.Fatalf("path length %d, depth %d", len(path), tree.Depth[n])
 		}
 	}
-}
-
-func TestRemoveNodeReparents(t *testing.T) {
-	p, l, tree := buildConnected(t, 40, 11)
-	// Pick an internal node with children.
-	var victim model.NodeID
-	for n, cs := range tree.Children {
-		if n != model.Sink && len(cs) > 0 {
-			victim = n
-			break
-		}
-	}
-	if victim == 0 {
-		t.Skip("no internal node to remove")
-	}
-	before := tree.Size()
-	orphans := tree.RemoveNode(victim, l)
-	if err := tree.Validate(); err != nil {
-		t.Fatalf("after removal: %v", err)
-	}
-	// Exact accounting: every node that left the tree is either the victim
-	// or a reported orphan — nothing vanishes silently.
-	if tree.Size()+1+len(orphans) != before {
-		t.Fatalf("size %d + victim + %d orphans != %d before (unreported detachment)",
-			tree.Size(), len(orphans), before)
-	}
-	if _, ok := tree.Depth[victim]; ok {
-		t.Fatal("victim still in tree")
-	}
-	_ = p
-}
-
-func TestRemoveSinkPanics(t *testing.T) {
-	_, l, tree := buildConnected(t, 20, 5)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("removing the sink must panic")
-		}
-	}()
-	tree.RemoveNode(model.Sink, l)
 }
 
 func TestGroupMasterFigure1(t *testing.T) {
@@ -366,47 +313,6 @@ func TestLifetimeHelperNaN(t *testing.T) {
 	}
 }
 
-// TestRemoveNodeReportsSweptSiblings pins the orphan-accounting fix: a
-// sibling that re-parents INTO a subtree that later strands is swept away
-// with it and must be reported, not silently vanish. Node 2 dies; child 3
-// re-parents under 5 (its only surviving neighbor, inside 4's subtree);
-// child 4 then finds no parent and strands — taking 5 AND the re-parented
-// 3 with it. The report must name all three.
-func TestRemoveNodeReportsSweptSiblings(t *testing.T) {
-	tree := &Tree{
-		Parent:   map[model.NodeID]model.NodeID{2: 0, 3: 2, 4: 2, 5: 4},
-		Children: map[model.NodeID][]model.NodeID{0: {2}, 2: {3, 4}, 4: {5}},
-		Depth:    map[model.NodeID]int{0: 0, 2: 1, 3: 2, 4: 2, 5: 3},
-		Root:     model.Sink,
-	}
-	if err := tree.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	links := NewLinks()
-	links.Connect(0, 2)
-	links.Connect(2, 3)
-	links.Connect(2, 4)
-	links.Connect(4, 5)
-	links.Connect(3, 5)
-
-	orphans := tree.RemoveNode(2, links)
-	want := []model.NodeID{3, 4, 5}
-	if len(orphans) != len(want) {
-		t.Fatalf("orphans = %v, want %v (swept sibling must be reported)", orphans, want)
-	}
-	for i := range want {
-		if orphans[i] != want[i] {
-			t.Fatalf("orphans = %v, want %v", orphans, want)
-		}
-	}
-	if err := tree.Validate(); err != nil {
-		t.Fatalf("tree invalid after removal: %v", err)
-	}
-	if tree.Size() != 1 {
-		t.Fatalf("tree size = %d, want 1 (sink only)", tree.Size())
-	}
-}
-
 // The sorted rosters are cached, not rebuilt per call — and a node added or
 // removed after the first call is still seen.
 func TestPlacementRosterCacheSeesEdits(t *testing.T) {
@@ -428,8 +334,8 @@ func TestPlacementRosterCacheSeesEdits(t *testing.T) {
 	}
 }
 
-// ParentOf reads Parent through the dense table and follows a repair.
-func TestParentOfFollowsRemoveNode(t *testing.T) {
+// ParentOf reads Parent through the dense table.
+func TestParentOfMatchesParent(t *testing.T) {
 	p, err := Grid(16, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -439,24 +345,28 @@ func TestParentOfFollowsRemoveNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check := func() {
-		t.Helper()
-		for id := model.NodeID(0); id < 20; id++ { // past the largest id too
-			want, ok := tree.Parent[id]
-			if got, gotOK := tree.ParentOf(id); got != want || gotOK != ok {
-				t.Fatalf("ParentOf(%d) = %d,%v, Parent has %d,%v", id, got, gotOK, want, ok)
-			}
+	for id := model.NodeID(0); id < 20; id++ { // past the largest id too
+		want, ok := tree.Parent[id]
+		if got, gotOK := tree.ParentOf(id); got != want || gotOK != ok {
+			t.Fatalf("ParentOf(%d) = %d,%v, Parent has %d,%v", id, got, gotOK, want, ok)
 		}
 	}
-	check()
-	for n, cs := range tree.Children {
-		if n != model.Sink && len(cs) > 0 {
-			tree.RemoveNode(n, links)
-			break
-		}
-	}
-	check()
 }
 
 // Connected reports whether a and b share a link.
 func (l *Links) Connected(a, b model.NodeID) bool { return l.adj[a][b] }
+
+// Subtree returns the set of nodes in the subtree rooted at n (inclusive).
+func (t *Tree) Subtree(n model.NodeID) map[model.NodeID]bool {
+	out := map[model.NodeID]bool{n: true}
+	stack := []model.NodeID{n}
+	for len(stack) > 0 {
+		u := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, c := range t.Children[u] {
+			out[c] = true
+			stack = append(stack, c)
+		}
+	}
+	return out
+}

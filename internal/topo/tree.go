@@ -2,7 +2,6 @@ package topo
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"kspot/internal/model"
@@ -44,14 +43,27 @@ func (l *Links) Neighbors(a model.NodeID) []model.NodeID {
 
 // DiskLinks builds unit-disk connectivity: two nodes are linked iff their
 // distance is at most radius (the MICA2's usable indoor range for a given
-// power setting).
+// power setting). It sorts the nodes by X and tests only the pairs inside
+// one band of width radius: a pair further apart in X is further apart
+// than radius, so the links are those of the all-pairs test.
 func DiskLinks(p *Placement, radius float64) *Links {
+	type node struct {
+		id model.NodeID
+		at Point
+	}
+	nodes := make([]node, 0, len(p.Positions))
+	for _, id := range p.Nodes() {
+		nodes = append(nodes, node{id, p.Positions[id]})
+	}
+	sort.SliceStable(nodes, func(i, j int) bool { return nodes[i].at.X < nodes[j].at.X })
 	l := NewLinks()
-	ids := p.Nodes()
-	for i, a := range ids {
-		for _, b := range ids[i+1:] {
-			if p.Positions[a].Dist(p.Positions[b]) <= radius {
-				l.Connect(a, b)
+	for i, a := range nodes {
+		for _, b := range nodes[i+1:] {
+			if b.at.X-a.at.X > radius {
+				break
+			}
+			if a.at.Dist(b.at) <= radius {
+				l.Connect(a.id, b.id)
 			}
 		}
 	}
@@ -68,13 +80,11 @@ type Tree struct {
 
 	// post/pre cache the traversal orders: the epoch hot path walks the
 	// tree once per sweep and must not re-sort the node set every time.
-	// Structural mutation (RemoveNode) invalidates them.
 	post, pre []model.NodeID
 
 	// levels caches the per-depth slices of PostOrder (levels[d] holds the
 	// depth-d nodes in ascending id order) for the level-synchronous sweep,
-	// and index the dense numbering built over them. Invalidated together
-	// with post/pre.
+	// and index the dense numbering built over them.
 	levels [][]model.NodeID
 	index  *LevelIndex
 
@@ -210,7 +220,7 @@ func (t *Tree) Levels() [][]model.NodeID {
 }
 
 // LevelIndex returns the dense numbering over Levels. Like the traversal
-// orders it is built on first use and cached until the tree is mutated.
+// orders it is built on first use and cached.
 func (t *Tree) LevelIndex() *LevelIndex {
 	if t.index == nil {
 		levels := t.Levels()
@@ -233,8 +243,8 @@ func (t *Tree) LevelIndex() *LevelIndex {
 }
 
 // ParentOf returns a node's tree parent — Parent[id] read through a table
-// indexed by node id, built on first use and cached until the tree is
-// mutated. Ids outside the tree (the root included) have no parent.
+// indexed by node id, built on first use and cached. Ids outside the tree
+// (the root included) have no parent.
 func (t *Tree) ParentOf(id model.NodeID) (model.NodeID, bool) {
 	if t.parentOf == nil {
 		size := 0
@@ -255,26 +265,6 @@ func (t *Tree) ParentOf(id model.NodeID) (model.NodeID, bool) {
 		return 0, false
 	}
 	return model.NodeID(t.parentOf[id]), true
-}
-
-// invalidateOrders drops the cached traversals after structural mutation.
-func (t *Tree) invalidateOrders() {
-	t.post, t.pre, t.levels, t.index, t.parentOf = nil, nil, nil, nil, nil
-}
-
-// Subtree returns the set of nodes in the subtree rooted at n (inclusive).
-func (t *Tree) Subtree(n model.NodeID) map[model.NodeID]bool {
-	out := map[model.NodeID]bool{n: true}
-	stack := []model.NodeID{n}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, c := range t.Children[u] {
-			out[c] = true
-			stack = append(stack, c)
-		}
-	}
-	return out
 }
 
 // PathToRoot returns the nodes from n up to the root, inclusive of both.
@@ -324,106 +314,6 @@ func (t *Tree) Validate() error {
 		}
 	}
 	return nil
-}
-
-// RemoveNode detaches a failed node, re-parenting its children to the best
-// surviving linked neighbor (smallest depth, then smallest id). Every node
-// that ends up outside the tree — a child with no surviving neighbor, its
-// entire subtree, and any sibling that re-parented INTO a subtree that
-// later stranded — is reported as an orphan, sorted by id. This is the
-// failure-injection hook for experiment E13-style runs.
-//
-// Callers must feed the report into recall accounting rather than just
-// shrinking the deployment: an orphaned subtree keeps sensing (its nodes
-// are alive) but its readings can no longer reach the sink, so from the
-// next epoch on the answer set silently loses those readings while the
-// oracle keeps seeing them — the gap is exactly what stats.Score's recall
-// column measures (pinned by mint's TestOrphanRecallAccounting).
-func (t *Tree) RemoveNode(dead model.NodeID, links *Links) (orphans []model.NodeID) {
-	if dead == t.Root {
-		panic("topo: cannot remove the sink")
-	}
-	t.invalidateOrders()
-	children := append([]model.NodeID(nil), t.Children[dead]...)
-	parent := t.Parent[dead]
-	// Detach dead from its parent.
-	t.Children[parent] = removeID(t.Children[parent], dead)
-	delete(t.Parent, dead)
-	delete(t.Depth, dead)
-	delete(t.Children, dead)
-	detached := map[model.NodeID]bool{}
-	for _, c := range children {
-		if detached[c] {
-			// Defensive: a child swept away by an earlier sibling's detach
-			// must not be re-attached — that would resurrect half-deleted
-			// state. (Unreachable today: an unprocessed child still hangs
-			// off dead, never inside a sibling's subtree.)
-			continue
-		}
-		best := model.NodeID(0)
-		bestDepth := math.MaxInt
-		found := false
-		for _, nb := range links.Neighbors(c) {
-			if nb == dead {
-				continue
-			}
-			d, alive := t.Depth[nb]
-			if !alive || inSubtreeOf(t, nb, c) {
-				continue
-			}
-			if d < bestDepth || (d == bestDepth && nb < best) {
-				best, bestDepth, found = nb, d, true
-			}
-		}
-		if !found {
-			// The whole subtree strands — including any earlier sibling
-			// that re-parented into it. Before this reported only c, and a
-			// sibling swept away here vanished from the tree unreported,
-			// silently shrinking every later answer set.
-			detachSubtree(t, c, detached)
-			continue
-		}
-		t.Parent[c] = best
-		t.Children[best] = append(t.Children[best], c)
-		sort.Slice(t.Children[best], func(i, j int) bool { return t.Children[best][i] < t.Children[best][j] })
-		refreshDepths(t, c, bestDepth+1)
-	}
-	orphans = make([]model.NodeID, 0, len(detached))
-	for id := range detached {
-		orphans = append(orphans, id)
-	}
-	sort.Slice(orphans, func(i, j int) bool { return orphans[i] < orphans[j] })
-	return orphans
-}
-
-func inSubtreeOf(t *Tree, candidate, root model.NodeID) bool {
-	return t.Subtree(root)[candidate]
-}
-
-func detachSubtree(t *Tree, n model.NodeID, detached map[model.NodeID]bool) {
-	for id := range t.Subtree(n) {
-		delete(t.Parent, id)
-		delete(t.Depth, id)
-		delete(t.Children, id)
-		detached[id] = true
-	}
-}
-
-func refreshDepths(t *Tree, n model.NodeID, depth int) {
-	t.Depth[n] = depth
-	for _, c := range t.Children[n] {
-		refreshDepths(t, c, depth+1)
-	}
-}
-
-func removeID(s []model.NodeID, id model.NodeID) []model.NodeID {
-	out := s[:0]
-	for _, v := range s {
-		if v != id {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // GroupMaster returns, for each group, the lowest node in the tree that has

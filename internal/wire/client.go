@@ -43,10 +43,6 @@ type ClientConfig struct {
 	CallTimeout time.Duration
 	Retries     int
 	Backoff     time.Duration
-
-	// Faults, when armed, injects deterministic frame faults on this
-	// client's socket path (tests; see Faults).
-	Faults *Faults
 }
 
 func (c *ClientConfig) dialTimeout() time.Duration {
@@ -122,11 +118,8 @@ type ClientMetrics struct {
 
 // waiter is one in-flight call's slot in the demux table: the reader
 // goroutine delivers the response frame matching its sequence here.
-// attempt tracks the call's current attempt so the reader can key the
-// drop-response fault the way the serialized client did.
 type waiter struct {
-	ch      chan Frame
-	attempt atomic.Int32
+	ch chan Frame
 }
 
 func (w *waiter) deliver(f Frame) {
@@ -412,12 +405,6 @@ func (c *Client) readLoop(cc *clientConn) {
 		c.pendMu.Lock()
 		w := c.pending[f.Seq]
 		c.pendMu.Unlock()
-		if w != nil && c.cfg.Faults.dropResp(f.Seq, int(w.attempt.Load())) {
-			// The response "was lost", envelope and all: the call times out
-			// and retries the same sequence; the server replays its cached
-			// reply.
-			continue
-		}
 		env, body, err := DecodeEnvelope(f.Payload)
 		if err != nil {
 			cc.fail(err)
@@ -429,15 +416,6 @@ func (c *Client) readLoop(cc *clientConn) {
 			continue
 		}
 		f.Payload = body
-		if d := c.cfg.Faults.linkDelay(); d > 0 {
-			// Propagation delay is per frame, not per link: deliveries must
-			// overlap the reader draining the next frame.
-			go func(f Frame) {
-				time.Sleep(d)
-				w.deliver(f)
-			}(f)
-			continue
-		}
 		w.deliver(f)
 	}
 }
@@ -477,8 +455,8 @@ func (c *Client) sleep(d time.Duration) bool {
 
 // call performs one at-most-once RPC: take a sequence inside the send
 // window, register a response waiter, then retry (same sequence) across
-// timeouts, connection drops and injected frame faults until a response
-// lands or attempts run out. Retry backoff sleeps only this call —
+// timeouts and connection drops until a response lands or attempts run
+// out. Retry backoff sleeps only this call —
 // concurrent calls keep flowing on the shared connection. An application
 // error (MsgError) is a definitive response and is not retried.
 func (c *Client) call(t MsgType, payload []byte) (Frame, error) {
@@ -505,14 +483,13 @@ func (c *Client) call(t MsgType, payload []byte) (Frame, error) {
 		if c.isClosed() {
 			return Frame{}, errClosed
 		}
-		w.attempt.Store(int32(attempt))
 		cc, err := c.getConn()
 		if err != nil {
 			lastErr = err
 			continue
 		}
 		sentAt := time.Now()
-		if err := c.send(cc, Frame{Seq: seq, Type: t, Payload: payload}, attempt); err != nil {
+		if err := c.send(cc, Frame{Seq: seq, Type: t, Payload: payload}); err != nil {
 			lastErr = err
 			cc.fail(err)
 			c.clearConn(cc)
@@ -595,22 +572,8 @@ func (c *Client) shardLabel() string {
 	return fmt.Sprintf("%d at %s", c.cfg.Shard, c.cfg.Addr)
 }
 
-// send writes the request frame, applying injected frame faults: a
-// dropped request is simply never written (the attempt times out), a
-// duplicated one is written twice (the server replays the cached reply
-// for the duplicate), a delayed one sleeps first. Faults sleep outside
-// writeMu so a delayed call never blocks a concurrent sender.
-func (c *Client) send(cc *clientConn, f Frame, attempt int) error {
-	flt := c.cfg.Faults
-	if d := flt.delayReq(f.Seq, attempt); d > 0 {
-		time.Sleep(d)
-	}
-	if d := flt.linkDelay(); d > 0 {
-		time.Sleep(d)
-	}
-	if flt.dropReq(f.Seq, attempt) {
-		return nil // "lost on the wire": the call will time out and retry
-	}
+// send writes the request frame.
+func (c *Client) send(cc *clientConn, f Frame) error {
 	cc.writeMu.Lock()
 	defer cc.writeMu.Unlock()
 	cc.conn.SetWriteDeadline(time.Now().Add(c.cfg.callTimeout()))
@@ -618,12 +581,6 @@ func (c *Client) send(cc *clientConn, f Frame, attempt int) error {
 		return err
 	}
 	c.bytesOut.Add(int64(frameHeaderSize + len(f.Payload)))
-	if flt.dupReq(f.Seq, attempt) {
-		if err := WriteFrame(cc.conn, &cc.wbuf, f); err != nil {
-			return err
-		}
-		c.bytesOut.Add(int64(frameHeaderSize + len(f.Payload)))
-	}
 	return nil
 }
 

@@ -23,11 +23,19 @@ import (
 	"kspot/internal/topk"
 	"kspot/internal/topk/registry"
 	"kspot/internal/trace"
+	"kspot/internal/wire/wiretest"
 )
 
 // startTestServer runs a real shard server for the Figure-3 scenario on a
 // loopback listener.
 func startTestServer(t *testing.T) (string, *Server) {
+	t.Helper()
+	return startFaultyServer(t, wiretest.Faults{})
+}
+
+// startFaultyServer is startTestServer with frame faults injected on the
+// server's side of every connection.
+func startFaultyServer(t *testing.T, frames wiretest.Faults) (string, *Server) {
 	t.Helper()
 	srv, err := NewServer(ServerConfig{Scenario: config.Figure3Scenario(), Shard: 0})
 	if err != nil {
@@ -37,7 +45,7 @@ func startTestServer(t *testing.T) (string, *Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go srv.Serve(ln)
+	go srv.Serve(wiretest.Listen(ln, frames))
 	t.Cleanup(srv.Close)
 	return ln.Addr().String(), srv
 }
@@ -592,10 +600,9 @@ func TestClientBackoffDoesNotBlockConcurrentCalls(t *testing.T) {
 // once, every response routed to its caller.
 func TestClientPipelinedFaultsOutOfOrder(t *testing.T) {
 	const epochs = 8
-	run := func(faults *Faults) ([][]byte, int64, ClientMetrics) {
-		addr, srv := startTestServer(t)
+	run := func(frames wiretest.Faults) ([][]byte, int64, ClientMetrics) {
+		addr, srv := startFaultyServer(t, frames)
 		cfg := testClientConfig(addr)
-		cfg.Faults = faults
 		cfg.CallTimeout = 150 * time.Millisecond
 		cfg.Retries = 12
 		cfg.Backoff = 2 * time.Millisecond
@@ -647,8 +654,8 @@ func TestClientPipelinedFaultsOutOfOrder(t *testing.T) {
 		return senses, int64(msgs), cl.Metrics()
 	}
 
-	clean, cleanMsgs, _ := run(nil)
-	faulty, faultyMsgs, m := run(&Faults{Seed: 11, Dup: 0.2, Delay: 0.3, DropResp: 0.15, MaxDelay: 2 * time.Millisecond})
+	clean, cleanMsgs, _ := run(wiretest.Faults{})
+	faulty, faultyMsgs, m := run(wiretest.Faults{Seed: 11, Dup: 0.2, Delay: 0.3, DropResp: 0.15, MaxDelay: 2 * time.Millisecond})
 
 	for e := range clean {
 		if !bytes.Equal(clean[e], faulty[e]) {
@@ -757,9 +764,8 @@ func TestClientSendWindow(t *testing.T) {
 // sequence, and no round runs twice.
 func TestClientControlCallsBesideLossyRounds(t *testing.T) {
 	const rounds, callers = 16, 16
-	addr, srv := startTestServer(t)
+	addr, srv := startFaultyServer(t, wiretest.Faults{Seed: 5, DropResp: 0.15})
 	cfg := testClientConfig(addr)
-	cfg.Faults = &Faults{Seed: 5, DropResp: 0.15}
 	cfg.CallTimeout = 150 * time.Millisecond
 	cfg.Retries = 12
 	cfg.Backoff = 2 * time.Millisecond

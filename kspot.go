@@ -234,7 +234,6 @@ type openConfig struct {
 	wireCall    time.Duration
 	wireRetries int
 	wireBackoff time.Duration
-	wireFaults  *wire.Faults
 }
 
 // WithAdmission arms admission control: every Post first reserves a slot
@@ -581,17 +580,6 @@ func (s *System) storageLines() string {
 		out += line + "\n"
 	}
 	return out
-}
-
-// RenderSystemPanel renders a previously captured run against an optional
-// baseline (both from CaptureStats).
-func RenderSystemPanel(run RunStats, baseline *RunStats) string {
-	var base *stats.RunStats
-	if baseline != nil {
-		b := stats.RunStats(*baseline)
-		base = &b
-	}
-	return gui.SystemPanel(stats.RunStats(run), base)
 }
 
 // RunStats is a captured statistics snapshot (see CaptureStats).

@@ -3,9 +3,14 @@ package kspot
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
+	"kspot/internal/model"
+	"kspot/internal/radio"
 	"kspot/internal/trace"
 )
 
@@ -251,5 +256,68 @@ func TestOpenFileRoundTrip(t *testing.T) {
 func TestOpenFileMissing(t *testing.T) {
 	if _, err := OpenFile("/does/not/exist.json"); err == nil {
 		t.Fatal("missing file accepted")
+	}
+}
+
+// viewRecorder is a perfect link that keeps a copy of every view frame
+// addressed to the root, by epoch.
+type viewRecorder struct {
+	root  NodeID
+	mu    sync.Mutex
+	views map[Epoch][][]byte
+}
+
+func (r *viewRecorder) Frame(msg radio.Message, frag, attempt int) radio.FrameFate {
+	if msg.To == r.root && msg.Kind == radio.KindData && frag == 0 && attempt == 0 {
+		r.mu.Lock()
+		r.views[msg.Epoch] = append(r.views[msg.Epoch], slices.Clone(msg.Payload))
+		r.mu.Unlock()
+	}
+	return radio.FrameOK
+}
+
+// TestSweepBytesOnAirCarryTheAnswer: the bytes a sweep puts on air are the
+// views it merges. Under TAG, which forwards every group, the sink's view
+// rebuilt from the encoded views addressed to it (model.DecodeViewInto) —
+// the sink senses nothing of its own — ranks to the answer, every epoch.
+// The queries rank all six rooms by AVG, MIN and MAX, so every field of
+// every partial on air counts. The sweep merges its in-memory views, so
+// without this an encoder that disagrees with them would show in
+// internal/model's codec tests alone.
+func TestSweepBytesOnAirCarryTheAnswer(t *testing.T) {
+	for _, agg := range []model.AggKind{model.AggAvg, model.AggMin, model.AggMax} {
+		t.Run(agg.String(), func(t *testing.T) {
+			sys, err := Open(DemoScenario())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sys.Close()
+			net := sys.Network()
+			rec := &viewRecorder{root: net.Tree.Root, views: map[Epoch][][]byte{}}
+			net.SetFault(rec)
+			if slices.Contains(net.Placement.SensorNodes(), rec.root) {
+				t.Fatal("the root senses: its own reading belongs in the rebuilt view")
+			}
+			cur, err := sys.PostWith(fmt.Sprintf("SELECT TOP 6 roomid, %s(sound) FROM sensors GROUP BY roomid", agg), AlgoTAG)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 20; i++ {
+				res, err := cur.Step()
+				if err != nil {
+					t.Fatal(err)
+				}
+				sink, view := model.NewView(), model.NewView()
+				for _, b := range rec.views[res.Epoch] {
+					if err := model.DecodeViewInto(view, b); err != nil {
+						t.Fatalf("epoch %d: %v", res.Epoch, err)
+					}
+					sink.MergeView(view)
+				}
+				if got := sink.TopK(agg, 6); len(res.Answers) != 6 || !model.EqualAnswers(got, res.Answers) {
+					t.Fatalf("epoch %d: the views on air rank to %v, the answer is %v", res.Epoch, got, res.Answers)
+				}
+			}
+		})
 	}
 }

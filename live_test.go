@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"kspot/internal/trace"
-	"kspot/internal/wire"
+	"kspot/internal/wire/wiretest"
 )
 
 // TestLiveCursorFigure1 posts a query on a concurrent System and checks it
@@ -139,8 +139,8 @@ func TestStepContextCancelNoLeak(t *testing.T) {
 	t.Run("wire", func(t *testing.T) {
 		base := runtime.NumGoroutine()
 		const hold = 40 * time.Millisecond // each way: a round takes 2×hold
-		addrs, servers := startWireShards(t, DemoScenario(), 0)
-		sys, err := OpenFederated(DemoScenario(), addrs, withWireFaults(wire.Faults{LinkDelay: hold}))
+		addrs, servers := startFaultyWireShards(t, DemoScenario(), 0, wiretest.Faults{LinkDelay: hold})
+		sys, err := OpenFederated(DemoScenario(), addrs)
 		if err != nil {
 			t.Fatal(err)
 		}

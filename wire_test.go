@@ -18,6 +18,7 @@ import (
 
 	"kspot/internal/model"
 	"kspot/internal/wire"
+	"kspot/internal/wire/wiretest"
 )
 
 // TestWireFederatedConformance: the demo deployment split 2 and 3 ways
@@ -61,7 +62,7 @@ func TestWireFederatedHistoric(t *testing.T) {
 // in-process federation even while the clients demonstrably retried.
 func TestWireFrameFaultsByteIdentical(t *testing.T) {
 	runRows(t, []row{{name: "frame-faults", world: "demo", shards: 2, wire: true, epochs: 6,
-		frames:  wire.Faults{Seed: 7, Drop: 0.15, Dup: 0.15, Delay: 0.2, DropResp: 0.1, MaxDelay: time.Millisecond},
+		frames:  wiretest.Faults{Seed: 7, Drop: 0.15, Dup: 0.15, Delay: 0.2, DropResp: 0.1, MaxDelay: time.Millisecond},
 		queries: []rowQuery{{demoSQL, AlgoMINT}, {"SELECT TOP 3 epoch, AVG(sound) FROM sensors WITH HISTORY 8", AlgoAuto}},
 		checks:  []check{retried}}})
 }
