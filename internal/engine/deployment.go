@@ -96,6 +96,14 @@ func (d *Deployment) Detach(query uint32) {
 	delete(d.attached, query)
 }
 
+// Holds reports whether a runner is attached under query.
+func (d *Deployment) Holds(query uint32) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	_, ok := d.attached[query]
+	return ok
+}
+
 // Attached reports how many runners are attached.
 func (d *Deployment) Attached() int {
 	d.mu.Lock()

@@ -40,11 +40,9 @@ type Config struct {
 	// concurrent acquisitions (sim.Network.SetParallel).
 	Parallel int
 	// Store, when non-nil, is the shard's durable tier: it taps every
-	// committed sense epoch, and the shard closes it.
+	// committed sense epoch, the ledger resumes from the node record it
+	// recovered, and the shard closes it.
 	Store *storage.Store
-	// Taps are further recorders stacked above the store's (a shard server's
-	// journal checkpoint).
-	Taps []engine.ReadingsRecorder
 }
 
 // Shard is one assembled shard. Its stack is fixed when it is assembled.
@@ -63,7 +61,7 @@ type Shard struct {
 }
 
 // New assembles shard cfg.Shard of the scenario: network → fault
-// environment → recorder taps → deployment — the one place a shard is put
+// environment → the store's tap → deployment — the one place a shard is put
 // together.
 func New(cfg Config) (*Shard, error) {
 	subs, err := cfg.Scenario.ShardScenarios()
@@ -98,9 +96,7 @@ func New(cfg Config) (*Shard, error) {
 	var tp engine.Transport = net
 	if cfg.Store != nil {
 		tp = engine.Recorded{Transport: tp, Rec: cfg.Store}
-	}
-	for _, rec := range cfg.Taps {
-		tp = engine.Recorded{Transport: tp, Rec: rec}
+		b.restoreEnergy(cfg.Store.Energies())
 	}
 	b.dep = engine.NewDeployment(b.name, tp, src)
 	return b, nil
@@ -126,20 +122,17 @@ func (b *Shard) Deployment() *engine.Deployment { return b.dep }
 // Attached reports how many queries are attached.
 func (b *Shard) Attached() int { return b.dep.Attached() }
 
-// Reset forgets everything session-scoped — attachments, cached historic
-// executions, the durable tier's contents — for a new coordinator session.
-// Network state (energy spent, counters) persists: the field does not reset
-// because a new coordinator dialed in. Nothing else may be in flight.
-func (b *Shard) Reset() error {
+// Reset forgets everything session-scoped — attachments and cached
+// historic executions — for a new coordinator session. The durable tier
+// and the network's state (energy spent, counters) persist: the field and
+// its history do not reset because a new coordinator dialed in. Nothing
+// else may be in flight.
+func (b *Shard) Reset() {
 	b.dep.Drain()
 	b.dep = engine.NewDeployment(b.name, b.dep.Transport(), b.src)
 	b.mu.Lock()
 	b.historics = make(map[uint32]topk.HistoricData)
 	b.mu.Unlock()
-	if b.store == nil {
-		return nil
-	}
-	return b.store.Reset()
 }
 
 // EpochRound runs one whole epoch of the shard (engine.RemoteShard): the
@@ -150,8 +143,12 @@ func (b *Shard) EpochRound(e model.Epoch, queries []uint32) (map[model.NodeID]mo
 
 // Attach plans sql on the shard and attaches its snapshot operator under id
 // — the shard derives everything from the text, so coordinator and shard
-// cannot disagree about what the query means.
+// cannot disagree about what the query means. An id already attached keeps
+// its operator: attaching it again would reset state such as MINT's views.
 func (b *Shard) Attach(id uint32, algo, sql string) error {
+	if b.dep.Holds(id) {
+		return nil
+	}
 	plan, err := query.PlanText(sql, query.DefaultSchema())
 	if err != nil {
 		return err
@@ -263,6 +260,17 @@ func (b *Shard) ledger(nodes []model.NodeID) []float64 {
 	return uj
 }
 
+// Ledger reads the roster's energy-ledger totals, ascending by node: the
+// node record a served shard appends to its log.
+func (b *Shard) Ledger() []storage.NodeEnergy {
+	uj := b.ledger(b.roster)
+	rows := make([]storage.NodeEnergy, len(b.roster))
+	for i, n := range b.roster {
+		rows[i] = storage.NodeEnergy{Node: n, UJ: uj[i]}
+	}
+	return rows
+}
+
 // Snapshot serializes the durable tier with the energy ledger: a storage
 // snapshot image, the store's records plus its node record.
 func (b *Shard) Snapshot() ([]byte, error) {
@@ -283,10 +291,15 @@ func (b *Shard) Restore(img []byte) error {
 	if err != nil {
 		return err
 	}
+	b.restoreEnergy(rows)
+	return nil
+}
+
+// restoreEnergy resumes nodes' ledger totals (and spent budgets).
+func (b *Shard) restoreEnergy(rows []storage.NodeEnergy) {
 	for _, r := range rows {
 		b.net.RestoreEnergy(r.Node, r.UJ)
 	}
-	return nil
 }
 
 // Close releases the shard: the in-flight presample drains and the durable

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"kspot/internal/model"
@@ -9,7 +10,8 @@ import (
 
 // FuzzSegmentDecode drives arbitrary bytes through the durable tier's
 // codecs — the log's header and record framing with its torn-tail replay,
-// the epoch-batch payload behind it, and the snapshot image decoder. The
+// the epoch-batch and node-record payloads behind it, the store's recovery
+// over them, and the snapshot image decoder. The
 // invariants are the same ones the wire frames carry: no input panics or
 // over-allocates, anything that decodes re-encodes to the identical bytes
 // (one canonical form per log prefix, per batch and per image, and an
@@ -19,6 +21,7 @@ import (
 func FuzzSegmentDecode(f *testing.F) {
 	f.Add(logImage(batch(7, 1, 4225)))
 	f.Add(logImage(batch(1, 1, -350, 2, 0), batch(2, 2, 17)))
+	f.Add(logImage(batch(1, 1, -350, 2, 0), nodeRecord(1, []NodeEnergy{{Node: 1, UJ: 40.5}, {Node: 3}})))
 	f.Add(imageOf(3, []NodeEnergy{{Node: 4, UJ: 123.5}, {Node: 7}}, batch(1, 4, 100), batch(3, 4, -200, 7, 5)))
 	f.Add(imageOf(0, nil))
 	f.Add([]byte{})
@@ -57,6 +60,20 @@ func FuzzSegmentDecode(f *testing.F) {
 		}
 		if again, err := replayLog(data[:clean], func([]byte) error { return nil }); err != nil || again != clean {
 			t.Fatalf("clean prefix is not itself a valid log: %d of %d, %v", again, clean, err)
+		}
+		// Recovery keeps the last node record it accepted, re-encoded as it
+		// was read.
+		rec, _ := OpenStore("", 4)
+		var lastNodes []byte
+		replayLog(data, func(p []byte) error {
+			err := rec.replay(p)
+			if err == nil && p[0] == recNodes {
+				lastNodes = p
+			}
+			return err
+		})
+		if lastNodes != nil && !bytes.Equal(nodeRecord(model.Epoch(binary.LittleEndian.Uint32(lastNodes[1:])), rec.Energies()), lastNodes) {
+			t.Fatalf("kept ledger %v, last node record %x", rec.Energies(), lastNodes)
 		}
 		if im, err := decodeImage(data); err == nil {
 			if re := imageOf(im.cursor, im.nodes, im.records...); !bytes.Equal(re, data) {

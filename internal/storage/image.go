@@ -7,9 +7,9 @@ package storage
 //
 //	kind u8 | epoch u32 | count u32 | (node u16, f64 bits µJ)×count
 //
-// Its epoch is the cursor, and its body after the kind byte is the energy
-// checkpoint the session journal records too (AppendEnergies). The image is
-// canonical, and decodeImage enforces it: the log's clean prefix is the
+// Its epoch is the cursor, and it is the record a served shard appends to
+// its shard.log after each epoch round (Store.RecordEnergies). The image
+// is canonical, and decodeImage enforces it: the log's clean prefix is the
 // whole image (a torn tail is a crash for a file on disk, but an error for
 // an image), every epoch record is valid with epochs strictly ascending,
 // the node record comes last and once and names every node a record
@@ -24,7 +24,7 @@ import (
 )
 
 const (
-	recNodes      = 2     // the node record, an image's last
+	recNodes      = 2     // the node record: an image's last, a served shard's ledger
 	energyRowSize = 2 + 8 // node | f64 bits
 )
 
@@ -34,10 +34,10 @@ type NodeEnergy struct {
 	UJ   float64
 }
 
-// AppendEnergies appends an energy checkpoint — epoch u32 | count u32 |
-// (node u16, f64 bits)×count, rows ascending by node.
-func AppendEnergies(dst []byte, e model.Epoch, rows []NodeEnergy) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(e))
+// nodeRecord encodes a node record's payload — kind | epoch u32 | count
+// u32 | (node u16, f64 bits)×count, rows ascending by node.
+func nodeRecord(e model.Epoch, rows []NodeEnergy) []byte {
+	dst := binary.LittleEndian.AppendUint32([]byte{recNodes}, uint32(e))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(rows)))
 	for _, r := range rows {
 		dst = binary.LittleEndian.AppendUint16(dst, uint16(r.Node))
@@ -46,21 +46,21 @@ func AppendEnergies(dst []byte, e model.Epoch, rows []NodeEnergy) []byte {
 	return dst
 }
 
-// DecodeEnergies decodes AppendEnergies' form, rejecting a count that
-// disagrees with the length, nodes not strictly ascending and a total that
-// is not a finite, non-negative µJ count.
+// DecodeEnergies decodes a node record's payload after its kind byte,
+// rejecting a count that disagrees with the length, nodes not strictly
+// ascending and a total that is not a finite, non-negative µJ count.
 func DecodeEnergies(b []byte) (model.Epoch, []NodeEnergy, error) {
 	if len(b) < 8 || uint64(len(b)-8) != uint64(binary.LittleEndian.Uint32(b[4:]))*energyRowSize {
-		return 0, nil, fmt.Errorf("storage: energy checkpoint of %d bytes does not match its count", len(b))
+		return 0, nil, fmt.Errorf("storage: node record of %d bytes does not match its count", len(b))
 	}
 	rows := make([]NodeEnergy, 0, (len(b)-8)/energyRowSize)
 	for off := 8; off < len(b); off += energyRowSize {
 		r := NodeEnergy{model.NodeID(binary.LittleEndian.Uint16(b[off:])), math.Float64frombits(binary.LittleEndian.Uint64(b[off+2:]))}
 		if len(rows) > 0 && r.Node <= rows[len(rows)-1].Node {
-			return 0, nil, fmt.Errorf("storage: energy checkpoint node %d not ascending", r.Node)
+			return 0, nil, fmt.Errorf("storage: node record node %d not ascending", r.Node)
 		}
 		if !(r.UJ >= 0) || math.IsInf(r.UJ, 1) {
-			return 0, nil, fmt.Errorf("storage: energy checkpoint node %d total %v is not a µJ count", r.Node, r.UJ)
+			return 0, nil, fmt.Errorf("storage: node record node %d total %v is not a µJ count", r.Node, r.UJ)
 		}
 		rows = append(rows, r)
 	}
@@ -72,7 +72,7 @@ func epochOf(rec []byte) model.Epoch { return model.Epoch(binary.LittleEndian.Ui
 
 // appendNodeRecord frames the node record that closes an image.
 func appendNodeRecord(img []byte, cursor model.Epoch, rows []NodeEnergy) []byte {
-	return appendLogRecord(img, AppendEnergies([]byte{recNodes}, cursor, rows))
+	return appendLogRecord(img, nodeRecord(cursor, rows))
 }
 
 // image is a decoded snapshot image; its records alias the image.

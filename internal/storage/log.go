@@ -1,9 +1,9 @@
 package storage
 
 // Log is the one append-only file format under a -data-dir: the shard's
-// durable tier (shard.log, epoch-batch records) and the shard server's
-// session journal (meta.journal, kind-tagged session records) are both
-// Logs and differ only in their payloads.
+// durable tier, shard.log, whose payloads are epoch records and, on a
+// served shard, node records (store.go). A snapshot image is a Log image
+// too (image.go).
 //
 // A log is an 8-byte header (magic "KSLG", u32 version) followed by
 // records framed u32 len | payload | crc32(payload). Opening replays the

@@ -222,15 +222,15 @@ func TestLogAndBatchDecodeRejects(t *testing.T) {
 }
 
 // tornTailInputs are the three-record logs the torn-tail and corruption
-// tests run over: fixed-size epoch batches as the store writes them, and
-// variable-size opaque payloads shaped like the session journal's (a
-// 9-byte nonce, a long attach, an empty payload). The journal's own state
-// machine is pinned over the same cuts in internal/wire.
+// tests run over: fixed-size epoch batches as the store writes them, a
+// served shard's epoch and node records with a node record torn last, and
+// variable-size opaque payloads (a 9-byte one, a long one, an empty one).
 var tornTailInputs = []struct {
 	name     string
 	payloads [3][]byte
 }{
 	{"epoch batches", [3][]byte{batch(1, 1, 100, 2, 110), batch(2, 1, 200, 2, 210), batch(3, 1, 300, 2, 310)}},
+	{"node record last", [3][]byte{batch(1, 1, 100, 2, 110), nodeRecord(1, []NodeEnergy{{1, 12.5}, {2, 3}}), nodeRecord(2, []NodeEnergy{{1, 14}, {2, 4.25}, {3, 0}})}},
 	{"variable-size payloads", [3][]byte{{1, 1, 2, 3, 4, 5, 6, 7, 8}, bytes.Repeat([]byte("SELECT "), 40), {}}},
 	{"long last record", [3][]byte{{4, 1, 0, 0, 0}, {4, 2, 0, 0, 0}, bytes.Repeat([]byte{0xAB}, 300)}},
 }
@@ -524,20 +524,6 @@ func TestStoreRecordRecoverStats(t *testing.T) {
 	if got := re.Stats().Bytes; got != int64(logHeaderSize+4*epochBytes) {
 		t.Fatalf("bytes after replay %d, want %d (epoch 2 must not re-append)", got, logHeaderSize+4*epochBytes)
 	}
-	// A new session resets the tier: the log is back to its header and a
-	// reopen starts with no cursor.
-	if err := re.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	if s := re.Stats(); s.Bytes != int64(logHeaderSize) || s.HasEpoch {
-		t.Fatalf("stats after reset %+v", s)
-	}
-	re.Close()
-	if again, err := OpenStore(dir, 4); err != nil {
-		t.Fatal(err)
-	} else if _, ok := again.Cursor(); ok || again.Close() != nil {
-		t.Fatal("reset store recovered a cursor")
-	}
 	// Memory mode: same API, no files.
 	mem, err := OpenStore("", 4)
 	if err != nil {
@@ -685,13 +671,6 @@ func TestStoreFailedLogIsReported(t *testing.T) {
 	if got, want := disk.Stats().Bytes, int64(logHeaderSize+3*(17+10*3)); got != want {
 		t.Fatalf("failed log reports %d bytes, want %d (no appends after the failure)", got, want)
 	}
-	// The journal beside the log reports into the same place; the first
-	// failure wins.
-	mem.Fail(errors.New("journal: disk full"))
-	mem.Fail(errors.New("later"))
-	if got := mem.Stats().Err; got != "journal: disk full" {
-		t.Fatalf("reported failure %q", got)
-	}
 }
 
 // TestOpenStoreRefusesLegacySegments: a data dir written by a build that
@@ -704,5 +683,97 @@ func TestOpenStoreRefusesLegacySegments(t *testing.T) {
 	}
 	if _, err := OpenStore(dir, 4); err == nil || !strings.Contains(err.Error(), "node-7.seg") {
 		t.Fatalf("opened over legacy segments: %v", err)
+	}
+}
+
+// TestStoreKeepsTheLastNodeRecord: a store that keeps the ledger appends a
+// node record per call, and recovery keeps the last whole one — cut at any
+// byte of the last, the one before — and seats every node it names, here
+// node 3, which never sensed. A restore's rewrite ends with the ledger
+// overlaid by the image's totals, so a crash right after it loses nothing.
+// A local store writes no node record, and recovers none.
+func TestStoreKeepsTheLastNodeRecord(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStore(dir, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ledger := func(e model.Epoch) []NodeEnergy {
+		return []NodeEnergy{{1, float64(e) * 1.5}, {2, float64(e) * 2.25}, {3, float64(e) / 3}}
+	}
+	for e := model.Epoch(0); e < 3; e++ {
+		st.RecordReadings(e, readings(e, 2))
+		st.RecordEnergies(ledger(e))
+	}
+	if s := st.Stats(); s.Nodes != 3 || s.Err != "" || s.Bytes != int64(logHeaderSize+3*(17+2*10)+3*(17+3*10)) {
+		t.Fatalf("stats %+v", s)
+	}
+	st.Close()
+	full, err := os.ReadFile(filepath.Join(dir, logName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reopen := func(img []byte) *Store {
+		t.Helper()
+		d := t.TempDir()
+		if err := os.WriteFile(filepath.Join(d, logName), img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		re, err := OpenStore(d, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { re.Close() })
+		return re
+	}
+	last := len(full) - (logFrameSize + len(nodeRecord(2, ledger(2))))
+	for cut := last; cut <= len(full); cut++ {
+		want := ledger(1)
+		if cut == len(full) {
+			want = ledger(2)
+		}
+		re := reopen(full[:cut])
+		if got := re.Energies(); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("cut %d of %d: kept ledger %v, want %v", cut, len(full), got, want)
+		}
+		if s := re.Stats(); s.Nodes != 3 || !s.HasEpoch || s.LastEpoch != 2 {
+			t.Fatalf("cut %d of %d: stats %+v", cut, len(full), s)
+		}
+	}
+
+	// Restore brings node 4 and a new total for node 2; the rewritten log
+	// recovers the overlay.
+	re := reopen(full)
+	img := imageOf(2, []NodeEnergy{{2, 99}, {4, 7.5}}, batch(2, 2, 5, 4, 6))
+	if _, err := re.Restore(img); err != nil {
+		t.Fatal(err)
+	}
+	re.Close()
+	raw, _ := os.ReadFile(filepath.Join(re.dir, logName))
+	again := reopen(raw)
+	want := []NodeEnergy{{1, 3}, {2, 99}, {3, 2.0 / 3}, {4, 7.5}}
+	if got := again.Energies(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("ledger after restore and reopen %v, want %v", got, want)
+	}
+	if s := again.Stats(); s.Nodes != 4 {
+		t.Fatalf("stats after restore and reopen %+v", s)
+	}
+
+	// A local store restores the same image and writes no node record.
+	local, err := OpenStore(t.TempDir(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local.RecordReadings(1, readings(1, 2))
+	if _, err := local.Restore(img); err != nil {
+		t.Fatal(err)
+	}
+	local.Close()
+	raw, _ = os.ReadFile(filepath.Join(local.dir, logName))
+	if payloads, _, _ := replayAll(raw); len(payloads) != 2 || payloads[1][0] != recEpoch {
+		t.Fatalf("local store's rewritten log holds %d records", len(payloads))
+	}
+	if got := reopen(raw).Energies(); got != nil {
+		t.Fatalf("local store recovered a ledger %v", got)
 	}
 }

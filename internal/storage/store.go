@@ -6,8 +6,8 @@
 // BufferSeries materializes the windows a historic query runs over.
 package storage
 
-// Store is one shard's durable historic tier. Its only form of history is
-// the epoch record — the readings of every node that sensed one epoch:
+// Store is one shard's durable historic tier. Its history is the epoch
+// record — the readings of every node that sensed one epoch:
 //
 //	kind u8 | epoch u32 | count u32 | (node u16, value s64)×count
 //
@@ -18,12 +18,17 @@ package storage
 // is the very bytes appended. With an empty directory the store is
 // memory-backed, byte-identical in every answer.
 //
+// A served shard also keeps its energy ledger in the store: after each
+// epoch round it appends a node record (image.go's form: every roster node
+// with its µJ total), and the last one is the ledger a restarted process
+// resumes. A local store never writes one.
+//
 // Opening a store on a directory that already holds a log is recovery: the
 // log's clean records are validated, seat the roster and set the cursor,
-// and the last capacity of them stay in the ring (the torn tail truncates,
-// see log.go). An epoch is one CRC'd record, so a crash leaves it recorded
-// for every node or for none, and the coordinator's retried round
-// re-records it.
+// the last capacity epoch records stay in the ring and the last node record
+// is kept (the torn tail truncates, see log.go). An epoch is one CRC'd
+// record, so a crash leaves it recorded for every node or for none, and the
+// coordinator's retried round re-records it.
 
 import (
 	"encoding/binary"
@@ -50,6 +55,10 @@ type Store struct {
 	n      int   // records in the ring; the newest one's epoch is the cursor
 	err    error // first durable-tier failure, sticky
 	behind error // the last epoch refused for being below the cursor; cleared when a record lands
+	// energy is the last node record's rows, ascending by node: the ledger
+	// a restarted served shard resumes. nil until the store keeps the
+	// ledger (RecordEnergies, or a node record recovered from the log).
+	energy []NodeEnergy
 }
 
 // DefaultStoreWindow is the durable tier's capacity in epochs: deep enough
@@ -60,7 +69,7 @@ const DefaultStoreWindow = 64
 const (
 	logName = "shard.log"
 
-	recEpoch        = 1         // the only record kind: one epoch batch
+	recEpoch        = 1         // one epoch batch; recNodes (image.go) is the other kind
 	batchHeaderSize = 1 + 4 + 4 // kind | epoch | count
 	batchEntrySize  = 2 + 8     // node | value
 )
@@ -134,9 +143,18 @@ func OpenStore(dir string, capacity int) (*Store, error) {
 	return s, nil
 }
 
-// replay validates one recovered epoch record, seats its nodes, advances
-// the cursor and keeps a copy in the ring.
+// replay validates one recovered record. An epoch record seats its nodes,
+// advances the cursor and keeps a copy in the ring; a node record seats
+// every node it names and becomes the kept ledger.
 func (s *Store) replay(p []byte) error {
+	if len(p) > 0 && p[0] == recNodes {
+		_, rows, err := DecodeEnergies(p[1:])
+		if err != nil {
+			return err
+		}
+		s.keepEnergy(rows)
+		return nil
+	}
 	e, entries, err := decodeBatch(p)
 	if err != nil {
 		return err
@@ -154,6 +172,19 @@ func (s *Store) replay(p []byte) error {
 	i := s.push()
 	s.ring[i] = append(s.ring[i][:0], p...)
 	return nil
+}
+
+// keepEnergy makes rows the kept ledger and seats every node they name.
+// Caller holds s.mu (or is recovery).
+func (s *Store) keepEnergy(rows []NodeEnergy) {
+	var fresh []model.NodeID
+	for _, r := range rows {
+		if !s.onRoster(r.Node) {
+			fresh = append(fresh, r.Node)
+		}
+	}
+	s.seat(fresh)
+	s.energy = append(make([]NodeEnergy, 0, len(rows)), rows...)
 }
 
 func (s *Store) onRoster(n model.NodeID) bool { return int(n) < len(s.seated) && s.seated[n] }
@@ -248,20 +279,36 @@ func (s *Store) RecordReadings(e model.Epoch, readings map[model.NodeID]model.Re
 	}
 }
 
+// RecordEnergies appends a node record — rows, every roster node ascending
+// with its µJ total, at the cursor — and keeps it as the ledger a restart
+// resumes. A served shard calls it after every call that spends energy, so
+// a kill -9 loses at most the call in flight. It is written whatever the
+// clock says: a clock behind the cursor still spends energy. A failure
+// sticks in Stats, like a failed epoch record.
+func (s *Store) RecordEnergies(rows []NodeEnergy) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.keepEnergy(rows)
+	if s.log != nil {
+		cur, _ := s.cursor()
+		s.log.Append(nodeRecord(cur, rows))
+		s.fail(s.log.Flush())
+	}
+}
+
+// Energies returns the kept ledger: the last node record's rows, nil when
+// the store keeps none (a local store).
+func (s *Store) Energies() []NodeEnergy {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return slices.Clone(s.energy)
+}
+
 // fail records the first durable-tier failure. Caller holds s.mu.
 func (s *Store) fail(err error) {
 	if s.err == nil {
 		s.err = err
 	}
-}
-
-// Fail reports a failure of the data dir's other file — the shard
-// server's session journal — so one place says the shard stopped
-// persisting.
-func (s *Store) Fail(err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.fail(err)
 }
 
 // Cursor returns the last recorded epoch — the checkpoint the /stats
@@ -330,7 +377,9 @@ func (s *Store) Image(ledger func(nodes []model.NodeID) []float64) []byte {
 // record, the ledger totals the caller resumes. Each image node's entries
 // replace all of that node's entries and the other nodes' entries stay;
 // every image node takes a roster seat; the last capacity epochs are
-// kept; and in disk mode the log is rewritten to match. The overlay is also
+// kept; a store that keeps the ledger takes the image's totals into it;
+// and in disk mode the log is rewritten to match, ending with the node
+// record when the store keeps one. The overlay is also
 // re-sharding's merge: restoring several sources' filtered images in turn
 // unions them. The cursor never regresses: it becomes the newer of the
 // store's and the image's. The records re-enter the ring through replay,
@@ -370,7 +419,28 @@ func (s *Store) Restore(img []byte) ([]NodeEnergy, error) {
 			return nil, err
 		}
 	}
+	if s.energy != nil {
+		s.energy = overlayEnergies(s.energy, im.nodes)
+	}
 	return im.nodes, s.rewrite()
+}
+
+// overlayEnergies merges two ascending ledgers; theirs wins a node both
+// name.
+func overlayEnergies(mine, theirs []NodeEnergy) []NodeEnergy {
+	out := make([]NodeEnergy, 0, len(mine)+len(theirs))
+	for len(mine) > 0 || len(theirs) > 0 {
+		switch {
+		case len(theirs) == 0 || (len(mine) > 0 && mine[0].Node < theirs[0].Node):
+			out, mine = append(out, mine[0]), mine[1:]
+		default:
+			if len(mine) > 0 && mine[0].Node == theirs[0].Node {
+				mine = mine[1:]
+			}
+			out, theirs = append(out, theirs[0]), theirs[1:]
+		}
+	}
+	return out
 }
 
 // overlay merges one epoch's records, either of which may be nil, in
@@ -399,18 +469,9 @@ func (s *Store) overlay(mine, theirs []byte, incoming map[model.NodeID]bool) []b
 	return endBatch(rec)
 }
 
-// Reset empties the durable tier for a new coordinator session: the ring
-// empties, the log rewrites to empty and the cursor rewinds, so the new
-// session records from its own epoch 0. The roster stays.
-func (s *Store) Reset() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.head, s.n = 0, 0
-	return s.rewrite()
-}
-
-// rewrite makes the log equal the ring: the log is replaced (temp file +
-// rename) by the ring's records, oldest first. Caller holds s.mu.
+// rewrite makes the log equal the store: the log is replaced (temp file +
+// rename) by the ring's records, oldest first, then the kept ledger's node
+// record if there is one. Caller holds s.mu.
 func (s *Store) rewrite() error {
 	if s.log == nil {
 		return nil
@@ -418,6 +479,10 @@ func (s *Store) rewrite() error {
 	err := s.log.Rewrite(func() {
 		for i := 0; i < s.n; i++ {
 			s.log.Append(s.record(i))
+		}
+		if s.energy != nil {
+			cur, _ := s.cursor()
+			s.log.Append(nodeRecord(cur, s.energy))
 		}
 	})
 	s.fail(err)

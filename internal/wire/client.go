@@ -178,10 +178,15 @@ func (cc *clientConn) isDead() bool {
 // retrying call. At most sendWindow sequences are in flight, so no call
 // outlives the server's replay horizon. Close interrupts in-flight calls
 // promptly. Stats and StorageStats make no call: every reply carries the
-// shard's counters, and the client keeps the newest.
+// shard's counters, and the client keeps the newest. The session's live
+// attachments ride every handshake, so a reconnect to a restarted shard
+// process re-attaches them.
 type Client struct {
 	cfg   ClientConfig
 	nonce uint64
+
+	attachMu sync.Mutex
+	attached []AttachReq // live attachments in attach order: the Hello's list
 
 	connMu   sync.Mutex // guards the fields below it up to dialMu
 	cur      *clientConn
@@ -345,14 +350,17 @@ func (c *Client) handshake() (*clientConn, Welcome, error) {
 	if err != nil {
 		return nil, Welcome{}, err
 	}
+	c.attachMu.Lock()
 	hello := AppendHello(nil, Hello{
-		Version:  Version,
-		Shard:    uint16(c.cfg.Shard),
-		Shards:   uint16(c.cfg.Shards),
-		Nodes:    uint16(c.cfg.Nodes),
-		Nonce:    c.nonce,
-		Scenario: c.cfg.Scenario,
+		Version:     Version,
+		Shard:       uint16(c.cfg.Shard),
+		Shards:      uint16(c.cfg.Shards),
+		Nodes:       uint16(c.cfg.Nodes),
+		Nonce:       c.nonce,
+		Scenario:    c.cfg.Scenario,
+		Attachments: c.attached,
 	})
+	c.attachMu.Unlock()
 	var wbuf []byte
 	conn.SetDeadline(time.Now().Add(c.cfg.callTimeout()))
 	if err := WriteFrame(conn, &wbuf, Frame{Type: MsgHello, Payload: hello}); err != nil {
@@ -584,23 +592,38 @@ func (c *Client) send(cc *clientConn, f Frame) error {
 	return nil
 }
 
-// Attach plans and attaches a query on the shard under an id.
+// Attach plans and attaches a query on the shard under an id. The query
+// joins the session's attachments before the request is sent, so a
+// reconnect while it is in flight re-attaches it on a restarted shard; a
+// failed attach leaves them again.
 func (c *Client) Attach(queryID uint32, algo, sql string) error {
-	payload := AppendAttach(nil, AttachReq{Query: queryID, Algo: algo, SQL: sql})
-	f, err := c.call(MsgAttach, payload)
+	req := AttachReq{Query: queryID, Algo: algo, SQL: sql}
+	c.attachMu.Lock()
+	c.attached = append(c.attached, req)
+	c.attachMu.Unlock()
+	f, err := c.call(MsgAttach, AppendAttach(nil, req))
+	if err == nil && f.Type != MsgAttached {
+		err = fmt.Errorf("wire: attach reply %v", f.Type)
+	}
 	if err != nil {
-		return err
+		c.forget(queryID)
 	}
-	if f.Type != MsgAttached {
-		return fmt.Errorf("wire: attach reply %v", f.Type)
-	}
-	return nil
+	return err
+}
+
+// forget drops a query from the session's attachments.
+func (c *Client) forget(queryID uint32) {
+	c.attachMu.Lock()
+	defer c.attachMu.Unlock()
+	c.attached = slices.DeleteFunc(c.attached, func(a AttachReq) bool { return a.Query == queryID })
 }
 
 // Detach releases an attached query on the shard: its operator and views
-// are dropped and a restarted shard no longer re-attaches it. Sent when the
-// query's acquisition group dissolves or is widened onto a new id.
+// are dropped, and it leaves the session's attachments before the request
+// is sent, so no later handshake re-attaches it. Sent when the query's
+// acquisition group dissolves or is widened onto a new id.
 func (c *Client) Detach(queryID uint32) error {
+	c.forget(queryID)
 	f, err := c.call(MsgDetach, AppendU32(nil, queryID))
 	if err != nil {
 		return err

@@ -11,9 +11,10 @@
 //	len     counts seq+type+payload (9 ≤ len ≤ 9+MaxPayload)
 //
 // all integers little-endian, matching the model codec. The first frame on
-// a connection must be a Hello carrying a magic, the protocol version and
-// the shard identity (scenario name, shard index/count, node count); the
-// server verifies it against its own deployment and answers Welcome, so a
+// a connection must be a Hello carrying a magic, the protocol version, the
+// shard identity (scenario name, shard index/count, node count) and the
+// session's live attachments; the server verifies the identity against its
+// own deployment, attaches what it does not hold and answers Welcome, so a
 // version-skewed or misdeployed peer fails the handshake instead of
 // corrupting an epoch stream.
 //
@@ -53,7 +54,7 @@ const (
 	// Version is the protocol version; peers must match exactly. It is the
 	// only compatibility mechanism: any change a peer of the previous
 	// version would misread bumps it.
-	Version uint16 = 6
+	Version uint16 = 7
 	// MaxPayload bounds a frame's payload. The largest legitimate frame is
 	// an epoch-round reply (a few bytes per sensor node per group), so
 	// 1 MiB is far beyond scale-100k split into shards, while a garbage
@@ -62,6 +63,7 @@ const (
 
 	frameHeaderSize  = 4 + 8 + 1             // len + seq + type
 	helloFixedSize   = 4 + 2 + 2 + 2 + 2 + 8 // magic, version, shard, shards, nodes, nonce
+	attachMinSize    = 4 + 2 + 2             // query id, empty algorithm and SQL
 	welcomeFixedSize = 4 + 2 + 2 + 2         // magic, version, shard, nodes
 )
 
@@ -231,13 +233,17 @@ func WriteFrame(w io.Writer, buf *[]byte, f Frame) error {
 // version and the deployment identity it expects on the far end. Nonce
 // identifies the client session — a reconnect of the same session keeps
 // its at-most-once replay state on the server, a new session resets it.
+// Attachments are the session's live attachments in attach order: the
+// server attaches each one it does not already hold, so a reconnect to a
+// restarted shard process re-attaches what the dead one served.
 type Hello struct {
-	Version  uint16
-	Shard    uint16 // shard index the client believes it is dialing
-	Shards   uint16 // total shard count of the deployment
-	Nodes    uint16 // sensor node count of this shard's sub-scenario
-	Nonce    uint64
-	Scenario string // flat scenario name
+	Version     uint16
+	Shard       uint16 // shard index the client believes it is dialing
+	Shards      uint16 // total shard count of the deployment
+	Nodes       uint16 // sensor node count of this shard's sub-scenario
+	Nonce       uint64
+	Scenario    string // flat scenario name
+	Attachments []AttachReq
 }
 
 // Welcome is the handshake reply: the server's own identity, and the
@@ -269,7 +275,8 @@ func checkHandshakeHead(b []byte, msg, self string) error {
 	return nil
 }
 
-// AppendHello appends the wire form of h.
+// AppendHello appends the wire form of h: the fixed head, the scenario
+// name, then a uvarint count of attachments, each in AppendAttach's form.
 func AppendHello(dst []byte, h Hello) []byte {
 	var buf [helloFixedSize]byte
 	binary.LittleEndian.PutUint32(buf[0:], Magic)
@@ -278,8 +285,11 @@ func AppendHello(dst []byte, h Hello) []byte {
 	binary.LittleEndian.PutUint16(buf[8:], h.Shards)
 	binary.LittleEndian.PutUint16(buf[10:], h.Nodes)
 	binary.LittleEndian.PutUint64(buf[12:], h.Nonce)
-	dst = append(dst, buf[:]...)
-	return appendString(dst, h.Scenario)
+	dst = appendUvarint(appendString(append(dst, buf[:]...), h.Scenario), uint64(len(h.Attachments)))
+	for _, a := range h.Attachments {
+		dst = AppendAttach(dst, a)
+	}
+	return dst
 }
 
 // DecodeHello decodes a handshake request, rejecting bad magic, a skewed
@@ -298,14 +308,28 @@ func DecodeHello(b []byte) (Hello, error) {
 		Nodes:   binary.LittleEndian.Uint16(b[10:]),
 		Nonce:   binary.LittleEndian.Uint64(b[12:]),
 	}
-	s, rest, err := decodeString(b[helloFixedSize:])
+	var err error
+	if h.Scenario, b, err = decodeString(b[helloFixedSize:]); err != nil {
+		return Hello{}, err
+	}
+	n, b, err := decodeUvarint(b)
 	if err != nil {
 		return Hello{}, err
 	}
-	if len(rest) != 0 {
-		return Hello{}, fmt.Errorf("wire: %d trailing bytes after hello", len(rest))
+	if n > uint64(len(b))/attachMinSize {
+		return Hello{}, io.ErrUnexpectedEOF
 	}
-	h.Scenario = s
+	if n > 0 {
+		h.Attachments = make([]AttachReq, n)
+	}
+	for i := range h.Attachments {
+		if h.Attachments[i], b, err = decodeAttach(b); err != nil {
+			return Hello{}, err
+		}
+	}
+	if len(b) != 0 {
+		return Hello{}, fmt.Errorf("wire: %d trailing bytes after hello", len(b))
+	}
 	return h, nil
 }
 

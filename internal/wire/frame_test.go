@@ -89,13 +89,16 @@ func TestFrameRejects(t *testing.T) {
 }
 
 func TestHandshakeRoundTrip(t *testing.T) {
-	h := Hello{Version: Version, Shard: 2, Shards: 4, Nodes: 250, Nonce: 0xDEADBEEF00000001, Scenario: "scale-1000"}
-	got, err := DecodeHello(AppendHello(nil, h))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != h {
-		t.Fatalf("hello %+v != %+v", got, h)
+	h := Hello{Version: Version, Shard: 2, Shards: 4, Nodes: 250, Nonce: 0xDEADBEEF00000001, Scenario: "scale-1000",
+		Attachments: []AttachReq{{Query: 9, Algo: "mint", SQL: "SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid"}, {Query: 4}}}
+	for _, h := range []Hello{h, {Version: Version, Scenario: "demo"}} {
+		got, err := DecodeHello(AppendHello(nil, h))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, h) {
+			t.Fatalf("hello %+v != %+v", got, h)
+		}
 	}
 	w := Welcome{Version: Version, Shard: 2, Nodes: 250, Name: "shard-2", Counters: Envelope{
 		Stamp: 7, Storage: storage.StoreStats{Nodes: 250}, Row: stats.RunStats{Epochs: 3, Messages: 9, PerKind: map[radio.MsgKind]int{radio.KindData: 40}},
@@ -111,9 +114,12 @@ func TestHandshakeRoundTrip(t *testing.T) {
 
 func TestHandshakeRejects(t *testing.T) {
 	valid := AppendHello(nil, Hello{Version: Version, Scenario: "demo"})
-	for cut := 0; cut < len(valid); cut++ {
-		if _, err := DecodeHello(valid[:cut]); err == nil {
-			t.Fatalf("truncated hello at %d accepted", cut)
+	attaching := AppendHello(nil, Hello{Version: Version, Scenario: "demo", Attachments: []AttachReq{{Query: 1, Algo: "tag", SQL: "SELECT"}, {Query: 2}}})
+	for _, full := range [][]byte{valid, attaching} {
+		for cut := 0; cut < len(full); cut++ {
+			if _, err := DecodeHello(full[:cut]); err == nil {
+				t.Fatalf("truncated hello at %d of %d accepted", cut, len(full))
+			}
 		}
 	}
 	// Wrong magic.
@@ -154,8 +160,8 @@ func TestHandshakeRejects(t *testing.T) {
 	skewed := AppendWelcome(nil, Welcome{Version: 1, Name: "shard-0"})
 	_, err = DecodeWelcome(skewed)
 	bothVersions("v1 welcome", err)
-	// The previous version too: its replies carried no envelope, so a mixed
-	// deployment would misread every reply.
+	// The previous version too: its hello carried no attachments, so a
+	// restarted shard of a mixed deployment would serve no queries.
 	_, err = DecodeHello(AppendHello(nil, Hello{Version: Version - 1, Scenario: "demo"}))
 	if want := fmt.Sprintf("version %d, server speaks %d", Version-1, Version); err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("previous-version hello: %v, want an error naming %q", err, want)

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"encoding/binary"
 	"testing"
 
 	"kspot/internal/model"
@@ -156,6 +155,8 @@ func FuzzEpochRoundDecode(f *testing.F) {
 // be rejected rather than crash the decoder.
 func FuzzHandshake(f *testing.F) {
 	f.Add(AppendHello(nil, Hello{Version: Version, Shard: 1, Shards: 4, Nodes: 250, Nonce: 99, Scenario: "scale-1000"}))
+	f.Add(AppendHello(nil, Hello{Version: Version, Nonce: 7, Scenario: "demo", Attachments: []AttachReq{
+		{Query: 3, Algo: "mint", SQL: "SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid"}, {Query: 5, SQL: "SELECT"}}}))
 	f.Add(AppendHello(nil, Hello{Version: Version - 1, Scenario: ""}))
 	f.Add([]byte("KSPW"))
 	f.Add(AppendWelcome(nil, Welcome{Version: Version, Shard: 1, Nodes: 8, Name: "shard-1", Counters: fuzzEnvelope}))
@@ -176,44 +177,6 @@ func FuzzHandshake(f *testing.F) {
 			if re := AppendWelcome(nil, w); !bytes.Equal(re, data) {
 				t.Fatalf("welcome re-encode mismatch: %x != %x", re, data)
 			}
-		}
-	})
-}
-
-// FuzzJournalDecode drives arbitrary bytes through the session journal's
-// payload decoder (the framing around it is storage.Log's, fuzzed there),
-// the energy checkpoint through storage's shared energy codec: nothing
-// panics or allocates past the input, and any record that decodes is the
-// one canonical encoding of what it decoded to.
-func FuzzJournalDecode(f *testing.F) {
-	f.Add(binary.LittleEndian.AppendUint64([]byte{jNonce}, 42))
-	f.Add(appendString(appendString(binary.LittleEndian.AppendUint32([]byte{jAttach}, 7), "mint"), "SELECT TOP 1 roomid, MAX(temp) FROM sensors GROUP BY roomid"))
-	f.Add(binary.LittleEndian.AppendUint32([]byte{jDetach}, 7))
-	f.Add(append(binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32([]byte{jEnergy}, 3), 1), 5, 0, 0, 0, 0, 0, 0, 0, 0xF0, 0x3F))
-	f.Add([]byte{})
-	f.Add([]byte{jEnergy, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		st := journalState{attaches: []AttachReq{{Query: 7}}}
-		if err := st.apply(data); err != nil {
-			return
-		}
-		var re []byte
-		switch data[0] {
-		case jNonce:
-			re = binary.LittleEndian.AppendUint64([]byte{jNonce}, st.nonce)
-		case jAttach:
-			a := st.attaches[len(st.attaches)-1]
-			re = appendString(appendString(binary.LittleEndian.AppendUint32([]byte{jAttach}, a.Query), a.Algo), a.SQL)
-		case jDetach:
-			re = data[:5]
-		case jEnergy:
-			if !st.hasEnergy {
-				t.Fatal("energy checkpoint decoded without setting it")
-			}
-			re = storage.AppendEnergies([]byte{jEnergy}, st.energyEpoch, st.energy)
-		}
-		if !bytes.Equal(re, data) {
-			t.Fatalf("journal payload re-encode mismatch: %x != %x", re, data)
 		}
 	})
 }

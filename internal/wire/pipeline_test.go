@@ -37,17 +37,7 @@ func startTestServer(t *testing.T) (string, *Server) {
 // server's side of every connection.
 func startFaultyServer(t *testing.T, frames wiretest.Faults) (string, *Server) {
 	t.Helper()
-	srv, err := NewServer(ServerConfig{Scenario: config.Figure3Scenario(), Shard: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(wiretest.Listen(ln, frames))
-	t.Cleanup(srv.Close)
-	return ln.Addr().String(), srv
+	return serveOn(t, config.Figure3Scenario(), "", "127.0.0.1:0", frames)
 }
 
 // testClientConfig dials the Figure-3 shard.

@@ -51,22 +51,31 @@ func AppendAttach(dst []byte, r AttachReq) []byte {
 
 // DecodeAttach decodes an attach request.
 func DecodeAttach(b []byte) (AttachReq, error) {
-	if len(b) < 4 {
-		return AttachReq{}, io.ErrUnexpectedEOF
-	}
-	r := AttachReq{Query: binary.LittleEndian.Uint32(b[0:])}
-	var err error
-	b = b[4:]
-	if r.Algo, b, err = decodeString(b); err != nil {
-		return AttachReq{}, err
-	}
-	if r.SQL, b, err = decodeString(b); err != nil {
+	r, b, err := decodeAttach(b)
+	if err != nil {
 		return AttachReq{}, err
 	}
 	if len(b) != 0 {
 		return AttachReq{}, fmt.Errorf("wire: %d trailing bytes after attach", len(b))
 	}
 	return r, nil
+}
+
+// decodeAttach decodes an attach request from the front of b, returning
+// the rest.
+func decodeAttach(b []byte) (AttachReq, []byte, error) {
+	if len(b) < 4 {
+		return AttachReq{}, nil, io.ErrUnexpectedEOF
+	}
+	r := AttachReq{Query: binary.LittleEndian.Uint32(b[0:])}
+	var err error
+	if r.Algo, b, err = decodeString(b[4:]); err != nil {
+		return AttachReq{}, nil, err
+	}
+	if r.SQL, b, err = decodeString(b); err != nil {
+		return AttachReq{}, nil, err
+	}
+	return r, b, nil
 }
 
 // AppendEpoch appends a bare epoch (the head of an epoch-round payload).

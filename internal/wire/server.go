@@ -3,12 +3,9 @@ package wire
 import (
 	"fmt"
 	"net"
-	"path/filepath"
 	"sync"
 
 	"kspot/internal/config"
-	"kspot/internal/engine"
-	"kspot/internal/model"
 	"kspot/internal/shard"
 	"kspot/internal/sim"
 	"kspot/internal/storage"
@@ -29,10 +26,11 @@ type ServerConfig struct {
 	// goroutine.
 	Parallel int
 	// DataDir, when non-empty, persists the shard across process deaths:
-	// the durable tier's shard.log plus a session journal (coordinator
-	// nonce, attached queries, per-epoch energy checkpoints) live there, so
-	// a kill -9'd kspotd -serve-shard restarted on the same directory
-	// resumes the session mid-run. Empty keeps the memory backend — the
+	// its one file, shard.log, holds the last epochs' records and, after
+	// each call that spends energy, a node record of the ledger, so a kill
+	// -9'd kspotd -serve-shard restarted on the same directory resumes its
+	// history, cursor and ledger (the reconnecting coordinator's hello
+	// re-attaches its queries). Empty keeps the memory backend — the
 	// default, byte-identical to the pre-durability server.
 	DataDir string
 }
@@ -40,8 +38,9 @@ type ServerConfig struct {
 // Server puts one shard body (shard.Shard — the body an in-process System
 // drives directly) behind the framed protocol: the kspotd -serve-shard
 // process. What lives here is what is about the socket: the handshake, the
-// at-most-once replay cache, the session journal and snapshot chunking;
-// every request is decode → body → encode. It expects a single logical
+// at-most-once replay cache, snapshot chunking and, with a data dir, the
+// ledger's node record after each call that spends energy; every request
+// is decode → body → encode. It expects a single logical
 // coordinator; requests are serialized (the shard substrate is one state
 // machine) and executed at most once per sequence number — a reconnecting
 // coordinator resuming a session replays cached responses instead of
@@ -50,8 +49,7 @@ type Server struct {
 	cfg  ServerConfig
 	body *shard.Shard
 
-	store   *storage.Store
-	journal *journal // nil without a data dir
+	store *storage.Store
 
 	mu         sync.Mutex
 	nonce      uint64
@@ -77,90 +75,36 @@ type Server struct {
 // eviction watermark before it runs (DESIGN.md, "The send window").
 const replayCap = 64
 
-// NewServer builds a shard server: the durable tier (and, with a data dir,
-// the session journal) opened here, the shard itself assembled by the
-// constructor an in-process Open assembles it with (shard.New: same
-// per-shard fault seeds, same arming, same tap order), so fault scenarios
-// replay identically in-process and over the wire.
+// NewServer builds a shard server: the durable tier opened (and recovered)
+// here, the shard itself assembled by the constructor an in-process Open
+// assembles it with (shard.New: same per-shard fault seeds, same arming,
+// same tap), so fault scenarios replay identically in-process and over the
+// wire.
 func NewServer(cfg ServerConfig) (*Server, error) {
-	s := &Server{
-		cfg:    cfg,
-		replay: make(map[uint64][]byte),
-		conns:  make(map[net.Conn]bool),
-	}
-	jst, err := s.openDurable()
+	store, err := storage.OpenStore(cfg.DataDir, storage.DefaultStoreWindow)
 	if err != nil {
 		return nil, err
 	}
-	// The durable tier taps every committed sense epoch; in durable mode the
-	// journal's energy checkpoint taps it beside the store.
-	var taps []engine.ReadingsRecorder
-	if s.journal != nil {
-		taps = append(taps, energyCheckpoint{s})
+	s := &Server{
+		cfg:    cfg,
+		store:  store,
+		replay: make(map[uint64][]byte),
+		conns:  make(map[net.Conn]bool),
 	}
 	s.body, err = shard.New(shard.Config{
 		Scenario: cfg.Scenario,
 		Shard:    cfg.Shard,
 		Parallel: cfg.Parallel,
-		Store:    s.store,
-		Taps:     taps,
+		Store:    store,
 	})
 	if err != nil {
-		s.closeDurable()
-		return nil, err
-	}
-	if err := s.recoverSession(jst); err != nil {
-		s.body.Close()
-		s.closeDurable()
-		return nil, err
-	}
-	return s, nil
-}
-
-// openDurable opens the shard's durable tier (the memory backend when no
-// data dir is configured) and, in durable mode, the session journal,
-// returning the dead process's recovered session.
-func (s *Server) openDurable() (journalState, error) {
-	store, err := storage.OpenStore(s.cfg.DataDir, storage.DefaultStoreWindow)
-	if err != nil {
-		return journalState{}, err
-	}
-	s.store = store
-	if s.cfg.DataDir == "" {
-		return journalState{}, nil
-	}
-	j, jst, err := openJournal(filepath.Join(s.cfg.DataDir, "meta.journal"))
-	if err != nil {
 		store.Close()
-		return journalState{}, err
+		return nil, err
 	}
-	s.journal = j
-	return jst, nil
-}
-
-// recoverSession resumes a journaled session: the coordinator nonce (so
-// the reconnecting client does not look like a new session and trigger a
-// reset), its still-attached queries (replayed through the normal attach
-// path — the shard re-derives each operator from the journaled SQL), and
-// the last flushed energy checkpoint.
-func (s *Server) recoverSession(jst journalState) error {
-	s.nonce = jst.nonce
-	for _, a := range jst.attaches {
-		if err := s.body.Attach(a.Query, a.Algo, a.SQL); err != nil {
-			return fmt.Errorf("wire: replaying journaled attach %d (%q): %w", a.Query, a.SQL, err)
-		}
-	}
-	for _, r := range jst.energy {
-		s.body.Network().RestoreEnergy(r.Node, r.UJ)
-	}
-	return nil
-}
-
-func (s *Server) closeDurable() {
-	if s.journal != nil {
-		s.journal.Close()
-	}
-	s.store.Close()
+	// The store keeps the ledger from the start, so a restore before the
+	// first epoch is rewritten with it too.
+	s.recordLedger()
+	return s, nil
 }
 
 // Name returns the shard's display name.
@@ -231,7 +175,6 @@ func (s *Server) Close() {
 	s.connMu.Unlock()
 	s.wg.Wait()
 	s.body.Close()
-	s.closeDurable()
 }
 
 // serveConn runs one connection: handshake, then the request loop.
@@ -256,30 +199,25 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 	s.mu.Lock()
 	if hello.Nonce != s.nonce {
-		// A new coordinator session: reset the at-most-once state and the
-		// shard's session scope (shard.Reset: attachments, historic
-		// executions, the durable tier — the field's energy and counters
-		// persist). The journal resets with it: both are session artifacts
-		// (a crash-restarted shard keeps them precisely because its
-		// coordinator's nonce is unchanged).
+		// A new coordinator session — or a restarted process, whose nonce
+		// is 0: reset the at-most-once state and the shard's session scope
+		// (shard.Reset: attachments, historic executions). The durable tier,
+		// the field's energy and its counters persist.
 		s.nonce = hello.Nonce
 		s.evicted = 0
 		s.replay = make(map[uint64][]byte)
 		s.replayNext = 0
 		s.snapState = nil
 		s.restoreBuf = nil
-		if err := s.body.Reset(); err != nil {
-			s.mu.Unlock()
-			WriteFrame(conn, &wbuf, Frame{Seq: f.Seq, Type: MsgError, Payload: []byte(err.Error())})
-			return
-		}
-		if s.journal != nil {
-			if err := s.journal.Nonce(hello.Nonce); err != nil {
-				s.mu.Unlock()
-				WriteFrame(conn, &wbuf, Frame{Seq: f.Seq, Type: MsgError, Payload: []byte(err.Error())})
-				return
-			}
-		}
+		s.body.Reset()
+	}
+	// The session's live attachments: shard.Attach attaches each id the
+	// shard does not hold and keeps a held one's operator. One the shard
+	// refuses stays out without failing the handshake: the attach call it
+	// came from, still in flight, gets the refusal as its reply, and an
+	// epoch round naming it reports it not attached.
+	for _, a := range hello.Attachments {
+		s.body.Attach(a.Query, a.Algo, a.SQL)
 	}
 	welcome := AppendWelcome(nil, Welcome{
 		Version:  Version,
@@ -391,13 +329,6 @@ func (s *Server) handle(f Frame) (MsgType, []byte, error) {
 		if err := s.body.Attach(req.Query, req.Algo, req.SQL); err != nil {
 			return 0, nil, err
 		}
-		// Journaled AFTER the attach succeeds: a journaled attach is one the
-		// shard will accept again on restart.
-		if s.journal != nil {
-			if err := s.journal.Attach(req); err != nil {
-				return 0, nil, err
-			}
-		}
 		return MsgAttached, AppendU32(nil, req.Query), nil
 
 	case MsgDetach:
@@ -406,11 +337,6 @@ func (s *Server) handle(f Frame) (MsgType, []byte, error) {
 			return 0, nil, err
 		}
 		s.body.Detach(qid)
-		if s.journal != nil {
-			if err := s.journal.Detach(qid); err != nil {
-				return 0, nil, err
-			}
-		}
 		return MsgDetached, AppendU32(nil, qid), nil
 
 	case MsgEpochRound:
@@ -419,6 +345,7 @@ func (s *Server) handle(f Frame) (MsgType, []byte, error) {
 			return 0, nil, err
 		}
 		readings, results, err := s.body.EpochRound(req.Epoch, req.Queries)
+		s.recordLedger()
 		if err != nil {
 			return 0, nil, err
 		}
@@ -442,6 +369,7 @@ func (s *Server) handle(f Frame) (MsgType, []byte, error) {
 			return 0, nil, err
 		}
 		answers, nodes, err := s.body.HistoricTopK(req.Exec, req.Algo, topk.HistoricQuery{K: req.K, Agg: req.Agg, Window: req.Window})
+		s.recordLedger()
 		if err != nil {
 			return 0, nil, err
 		}
@@ -453,6 +381,7 @@ func (s *Server) handle(f Frame) (MsgType, []byte, error) {
 			return 0, nil, err
 		}
 		sums, err := s.body.FetchSums(exec, ids)
+		s.recordLedger()
 		if err != nil {
 			return 0, nil, err
 		}
@@ -528,26 +457,14 @@ func (s *Server) handle(f Frame) (MsgType, []byte, error) {
 	}
 }
 
-// energyCheckpoint is the journal's tap on the sense commit: in durable
-// mode every committed epoch checkpoints the energy ledger (the restart
-// floor: a kill -9 loses at most the epoch in flight). Best-effort for
-// answers, like the store's tap beside it — a journal failure must not
-// perturb the sense path; it shows in the storage block instead.
-type energyCheckpoint struct{ s *Server }
-
-// RecordReadings implements engine.ReadingsRecorder.
-func (c energyCheckpoint) RecordReadings(e model.Epoch, _ map[model.NodeID]model.Reading) {
-	var rows []storage.NodeEnergy
-	net := c.s.body.Network()
-	net.Locked(func() {
-		ids := net.Ledger.Nodes()
-		rows = make([]storage.NodeEnergy, len(ids))
-		for i, id := range ids {
-			rows[i] = storage.NodeEnergy{Node: model.NodeID(id), UJ: net.Ledger.Node(id)}
-		}
-	})
-	if err := c.s.journal.Energy(e, rows); err != nil {
-		c.s.store.Fail(err)
+// recordLedger appends the roster's energy-ledger totals to a durable
+// shard's log as a node record — after every call that spends energy, so
+// a kill -9'd process resumes the ledger its last reply left, losing at
+// most the call in flight. Like the store's own tap it never perturbs the
+// call: a failed write shows in the storage block. Caller holds s.mu.
+func (s *Server) recordLedger() {
+	if s.cfg.DataDir != "" {
+		s.store.RecordEnergies(s.body.Ledger())
 	}
 }
 

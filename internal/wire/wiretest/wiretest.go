@@ -65,6 +65,13 @@ func (f Faults) hit(salt uint64, p float64, seq, attempt uint64) bool {
 	return p > 0 && faults.KeyedUnit(f.Seed, salt, seq, attempt) < p
 }
 
+// Lost reports whether the given arrival (attempt, counted from 0) of a
+// request frame is dropped or has its reply swallowed, so a test can pick
+// a seed that loses exactly the calls it means to.
+func (f Faults) Lost(seq, attempt uint64) bool {
+	return f.hit(saltDrop, f.Drop, seq, attempt) || f.hit(saltDropResp, f.DropResp, seq, attempt)
+}
+
 // delay is how late a request frame reaches the server.
 func (f Faults) delay(seq, attempt uint64) time.Duration {
 	if f.Delay <= 0 {

@@ -2,8 +2,9 @@ package kspot
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
@@ -138,15 +139,15 @@ func TestSystemPanelAndDisplay(t *testing.T) {
 		t.Errorf("storage line:\n%s", panel)
 	}
 	healthy, _ := sys.StorageStats()
-	sys.local[0].Store().Fail(errors.New("write shard.log: no space left on device"))
+	full := failStore(t, sys)
 	failed, _ := sys.StorageStats()
-	if !strings.Contains(sys.SystemPanel(nil), "NOT PERSISTING: write shard.log: no space left on device") {
+	if !strings.Contains(sys.SystemPanel(nil), "NOT PERSISTING: "+full) {
 		t.Errorf("failed storage line:\n%s", sys.SystemPanel(nil))
 	}
 	if h, _ := json.Marshal(healthy[0]); strings.Contains(string(h), "error") {
 		t.Errorf("healthy storage block %s", h)
 	}
-	if f, _ := json.Marshal(failed[0]); !strings.Contains(string(f), `"error":"write shard.log: no space left on device"`) || !strings.Contains(string(f), `"segments":1`) {
+	if f, _ := json.Marshal(failed[0]); !strings.Contains(string(f), `"error":"`+full+`"`) || !strings.Contains(string(f), `"segments":1`) {
 		t.Errorf("failed storage block %s", f)
 	}
 	display := sys.DisplayPanel(last.Answers, 72, 20)
@@ -195,16 +196,36 @@ func TestReopenedStoreReportsTheRestartedClock(t *testing.T) {
 			t.Fatalf("after %d more steps: storage block %+v, panel:\n%s", n, st[0], panel)
 		}
 	}
-	const behind, full = "storage: epoch 0 is behind the recorded epoch 19, not recorded", "write shard.log: no space left on device"
+	const behind = "storage: epoch 0 is behind the recorded epoch 19, not recorded"
 	open()
 	expect(20, 19)
 	sys.Close()
 	open()
 	defer sys.Close()
 	expect(1, 19, behind)
-	sys.local[0].Store().Fail(errors.New(full))
+	full := failStore(t, sys)
 	expect(0, 19, full, behind)
 	expect(20, 20, full)
+}
+
+// failStore makes a durable local System's log fail for real: a directory
+// stands where a rewrite puts its temp file, and the shard restores its own
+// image, whose rewrite then fails. It returns the failure, the one the
+// storage block reports from then on.
+func failStore(t *testing.T, sys *System) string {
+	t.Helper()
+	b := sys.local[0]
+	if err := os.Mkdir(filepath.Join(b.Store().Stats().Dir, "shard.log.tmp"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	img, err := b.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err = b.Restore(img); err == nil {
+		t.Fatal("a rewrite over a blocked temp file succeeded")
+	}
+	return err.Error()
 }
 
 func TestCaptureStatsComparison(t *testing.T) {

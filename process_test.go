@@ -159,9 +159,10 @@ func TestProcessFederatedScale1000(t *testing.T) {
 // real -serve-shard processes run with -data-dir, one is SIGKILLed between
 // epochs with the next Step already issued against it, and a replacement
 // process restarted from the same data directory at the same address picks
-// the session up — journaled nonce (no session reset), replayed attaches,
-// recovered windows and energy checkpoint — so the full answer stream AND
-// the federated historic run stay byte-identical to the flat simulation.
+// the session up — the reconnecting client's hello re-attaches its
+// queries, and shard.log gives back the windows and the energy ledger — so
+// the full answer stream AND the federated historic run stay
+// byte-identical to the flat simulation.
 func TestProcessShardCrashRestartConformance(t *testing.T) {
 	dataDir := filepath.Join(t.TempDir(), "data")
 	scen, scenPath, bin, addrs, cmds := spawnScale1000(t, "-data-dir", dataDir)
@@ -190,7 +191,7 @@ func TestProcessShardCrashRestartConformance(t *testing.T) {
 	steps = append(steps, res)
 
 	// kill -9 one shard — no shutdown path runs; durability is whatever
-	// the per-epoch log and journal flushes already put on disk.
+	// the per-epoch log flushes already put on disk.
 	const victim = 2
 	if err := cmds[victim].Process.Kill(); err != nil {
 		t.Fatal(err)

@@ -227,7 +227,7 @@ type history struct {
 // imageHistory transposes a snapshot image — a storage log image: an
 // 8-byte header, then u32 len | payload | u32 crc frames holding the epoch
 // records (kind 1 | epoch u32 | count u32 | (node u16, value s64)×count)
-// and, last, the node record (kind 2 | storage.AppendEnergies).
+// and, last, the node record (kind 2, every node with its µJ total).
 func imageHistory(t *testing.T, img []byte) history {
 	t.Helper()
 	h := history{epochs: make(map[model.NodeID][]model.Epoch), values: make(map[model.NodeID][]int64)}

@@ -252,8 +252,9 @@ func TestWireOpenRejects(t *testing.T) {
 // TestWireDetachReleasesAttachments: a shard process forgets a group's
 // operator when the group dissolves or is widened onto a new attachment —
 // after 50 distinct-signature queries came and went and one group widened,
-// each server holds exactly the live groups, and a -data-dir server
-// restarted on its journal re-attaches only those.
+// each server holds exactly the live groups. A -data-dir server restarted
+// under a surviving coordinator holds none until the coordinator's client
+// reconnects; its hello then re-attaches exactly the live ones.
 func TestWireDetachReleasesAttachments(t *testing.T) {
 	scen := shardedDemo(t, 2)
 	dirs := []string{t.TempDir(), t.TempDir()}
@@ -320,15 +321,26 @@ func TestWireDetachReleasesAttachments(t *testing.T) {
 		}
 	}
 
-	// The processes die with two groups live; their journals replay 53
-	// attaches and 51 detaches.
-	sys.Close()
+	// The processes die with two groups live and restart at the same
+	// addresses; the coordinator lives on.
+	defer sys.Close()
 	for i, srv := range servers {
 		srv.Close()
 		servers[i] = serve(i)
 		defer servers[i].Close()
+		ln, err := net.Listen("tcp", addrs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		go servers[i].Serve(ln)
 	}
-	attached("restarted on the journal", 2)
+	attached("restarted", 0)
+	for _, cur := range []*Cursor{kept, narrow, wide} {
+		if res, err := cur.Step(); err != nil || !res.Correct {
+			t.Fatalf("live group after the restart: err=%v res=%+v", err, res)
+		}
+	}
+	attached("the coordinator reconnected", 2)
 }
 
 // TestShardStackRecordsCommittedReadings: every host of a shard — an
