@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"testing"
 
 	"kspot/internal/model"
@@ -10,14 +11,17 @@ import (
 
 // FuzzSegmentDecode drives arbitrary bytes through the durable tier's
 // codecs — the log's header and record framing with its torn-tail replay,
-// the epoch-batch and node-record payloads behind it, the store's recovery
-// over them, and the snapshot image decoder. The
+// the epoch-record and node-record payloads behind it, the store's
+// recovery over them, and the snapshot image decoder. The
 // invariants are the same ones the wire frames carry: no input panics or
 // over-allocates, anything that decodes re-encodes to the identical bytes
-// (one canonical form per log prefix, per batch and per image, and an
-// image restores and re-images to itself), non-canonical batches (unsorted
-// or duplicate nodes, a count that disagrees with the length) never
-// decode, and the replayed clean prefix is itself a valid log.
+// (one canonical form per log prefix, per record and per image, and an
+// image restores and re-images to itself), non-canonical records (a
+// non-minimal varint, a node beyond 65 535, a width above 8 or wider than
+// the span needs, a least offset other than 0, trailing bytes) never
+// decode, and the replayed clean prefix is itself a valid log. The
+// committed corpus holds logs of the earlier fixed-entry form (format
+// version 1), which must be refused whole.
 func FuzzSegmentDecode(f *testing.F) {
 	f.Add(logImage(batch(7, 1, 4225)))
 	f.Add(logImage(batch(1, 1, -350, 2, 0), batch(2, 2, 17)))
@@ -29,29 +33,38 @@ func FuzzSegmentDecode(f *testing.F) {
 	f.Add(batch(5, 3, 1, 9, 2, 300, 3))
 	f.Add(batch(5, 9, 1, 3, 2))                                                 // unsorted nodes
 	f.Add(append(logImage(batch(0)), 0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0))       // oversize len
-	f.Add(append([]byte("KSLG\x02\x00\x00\x00"), appendLogRecord(nil, nil)...)) // future version
+	f.Add(append([]byte("KSLG\x03\x00\x00\x00"), appendLogRecord(nil, nil)...)) // future version
+	f.Add(logImage(batch(2, 1, 100, 2, 101, 3, 102, 6, 110, 7, 111, 10, 120)))  // holes left by churn
+	f.Add(logImage(batch(3, 65534, math.MinInt64, 65535, math.MaxInt64)))       // width 8
+	for _, reject := range recordRejects {
+		f.Add(logImage(batch(1, 1, 5), reject.p))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		checkBatch := func(p []byte) {
-			e, entries, err := decodeBatch(p)
+		checkRecord := func(p []byte) {
+			if len(p) > 0 && p[0] == recNodes {
+				if e, rows, err := DecodeEnergies(p[1:]); err == nil && !bytes.Equal(nodeRecord(e, rows), p) {
+					t.Fatalf("node record re-encode mismatch: %x != %x", nodeRecord(e, rows), p)
+				}
+				return
+			}
+			r, err := decodeEpochRecord(p)
 			if err != nil {
 				return
 			}
-			re, prev := beginBatch(nil, e), -1
-			for ; len(entries) > 0; entries = entries[batchEntrySize:] {
-				n, v := batchEntry(entries)
-				if int(n) <= prev {
-					t.Fatalf("batch decoded with node %d after %d", n, prev)
+			nodes, vals := r.readings()
+			for i := 1; i < len(nodes); i++ {
+				if nodes[i] <= nodes[i-1] {
+					t.Fatalf("record decoded with node %d after %d", nodes[i], nodes[i-1])
 				}
-				re, prev = appendBatchEntry(re, n, v), int(n)
 			}
-			if !bytes.Equal(endBatch(re), p) {
-				t.Fatalf("batch re-encode mismatch: %x != %x", re, p)
+			if re := appendEpochRecord(nil, r.epoch, nodes, vals); !bytes.Equal(re, p) {
+				t.Fatalf("record re-encode mismatch: %x != %x", re, p)
 			}
 		}
-		checkBatch(data)
+		checkRecord(data)
 		re := appendLogHeader(nil)
 		clean, err := replayLog(data, func(p []byte) error {
-			checkBatch(p)
+			checkRecord(p)
 			re = appendLogRecord(re, p)
 			return nil
 		})

@@ -51,9 +51,14 @@ func TestShardStateRoundTripAndRestore(t *testing.T) {
 		return uj
 	}
 	enc := src.Image(ledger)
-	// Every record, the node record too, is 17 framed bytes plus 10 per
-	// entry or row: five 3-node epochs and a 3-node roster.
-	if want := logHeaderSize + 6*17 + 10*(5*3+3); len(enc) != want {
+	// Nodes 4, 7 and 9 are three runs, a node set of 7 bytes (the run
+	// count, then gaps 4, 1 and 0, each with len−1 0). An epoch record is
+	// its frame (8), kind and epoch (5), the node set, its base — the least
+	// value, −100·e centi-units, zig-zag in 1 byte at epoch 0 and 2 after —
+	// a width byte and 3 offsets of 2 bytes (the span, 10 000 + 100·e,
+	// needs 2). The node record is its frame, kind, epoch, node set and 3
+	// f64 totals.
+	if want := logHeaderSize + 5*(8+5+7+1+3*2) + (1 + 4*2) + (8 + 5 + 7 + 3*8); len(enc) != want {
 		t.Fatalf("image of %d bytes, want %d", len(enc), want)
 	}
 	im, err := decodeImage(enc)

@@ -2,16 +2,19 @@ package storage
 
 // Log is the one append-only file format under a -data-dir: the shard's
 // durable tier, shard.log, whose payloads are epoch records and, on a
-// served shard, node records (store.go). A snapshot image is a Log image
+// served shard, node records (record.go). A snapshot image is a Log image
 // too (image.go).
 //
 // A log is an 8-byte header (magic "KSLG", u32 version) followed by
-// records framed u32 len | payload | crc32(payload). Opening replays the
-// records front to back and truncates the torn tail: the first record
-// that is short, longer than maxLogRecord, or fails its CRC ends the
-// clean prefix and everything from there on is discarded — a mid-write
-// crash costs exactly the record being written. A file that does not
-// start with the header is refused, not truncated to nothing.
+// records framed u32 len | payload | crc32(payload). The version names the
+// payloads' form: version 2 is the run-coded, frame-of-reference records
+// of record.go, and a log or image of any other version — version 1's
+// fixed 10-byte entries among them — is refused, never misread. Opening
+// replays the records front to back and truncates the torn tail: the
+// first record that is short, longer than maxLogRecord, or fails its CRC
+// ends the clean prefix and everything from there on is discarded — a
+// mid-write crash costs exactly the record being written. A file that
+// does not start with the header is refused, not truncated to nothing.
 //
 // Appends collect in memory; Flush hands them to the kernel in one write,
 // which is the durability point: it survives kill -9, not power loss (no
@@ -29,12 +32,12 @@ import (
 
 const (
 	logMagic      = "KSLG"
-	logVersion    = 1
+	logVersion    = 2
 	logHeaderSize = len(logMagic) + 4
 	// logFrameSize is the framing around each payload: len u32 + crc u32.
 	logFrameSize = 8
 	// maxLogRecord caps a record's payload; a longer length prefix can
-	// only be garbage (a whole 65 535-node batch is under 1 MiB).
+	// only be garbage (a 65 536-node record of either kind is under 1 MiB).
 	maxLogRecord = 1 << 24
 )
 

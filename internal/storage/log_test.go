@@ -2,9 +2,11 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"strings"
@@ -53,13 +55,39 @@ func TestWindowErrorPaths(t *testing.T) {
 	}
 }
 
-// batch builds one canonical epoch-batch payload.
+// batch builds one epoch-record payload from node, value pairs.
 func batch(e model.Epoch, entries ...int64) []byte {
-	p := beginBatch(nil, e)
+	var nodes []model.NodeID
+	var vals []int64
 	for i := 0; i+1 < len(entries); i += 2 {
-		p = appendBatchEntry(p, model.NodeID(entries[i]), entries[i+1])
+		nodes, vals = append(nodes, model.NodeID(entries[i])), append(vals, entries[i+1])
 	}
-	return endBatch(p)
+	return appendEpochRecord(nil, e, nodes, vals)
+}
+
+// readingsSize is the framed size of the epoch record of readings(e, n),
+// by the form's arithmetic: the frame, kind and epoch, one run (the run
+// count, gap 1 and len−1), the base (e·1000 + 25 centi-units, zig-zag),
+// the width byte and n offsets of the fewest bytes that hold 25·(n−1).
+func readingsSize(e model.Epoch, n int) int {
+	width := (bits.Len64(uint64(25*(n-1))) + 7) / 8
+	return logFrameSize + 5 + 1 + 1 + len(binary.AppendUvarint(nil, uint64(n-1))) +
+		len(binary.AppendVarint(nil, int64(e)*1000+25)) + 1 + n*width
+}
+
+// readingsBytes sums readingsSize over epochs [from, to).
+func readingsBytes(from, to model.Epoch, n int) int {
+	total := 0
+	for e := from; e < to; e++ {
+		total += readingsSize(e, n)
+	}
+	return total
+}
+
+// nodeRecordSize is the framed size of a node record of nodes 1..n: the
+// frame, kind and epoch, one run and 8 bytes a total.
+func nodeRecordSize(n int) int {
+	return logFrameSize + 5 + 1 + 1 + len(binary.AppendUvarint(nil, uint64(n-1))) + 8*n
 }
 
 // logImage frames payloads into a whole log file image.
@@ -115,49 +143,17 @@ func transpose(t testing.TB, img []byte) (image, map[model.NodeID]*recorded) {
 		series[r.Node] = &recorded{}
 	}
 	for _, rec := range im.records {
-		for entries := rec[batchHeaderSize:]; len(entries) > 0; entries = entries[batchEntrySize:] {
-			n, v := batchEntry(entries)
+		nodes, vals := readingsOf(rec)
+		for i, n := range nodes {
 			series[n].Epochs = append(series[n].Epochs, epochOf(rec))
-			series[n].Values = append(series[n].Values, v)
+			series[n].Values = append(series[n].Values, vals[i])
 		}
 	}
 	return im, series
 }
 
-// TestRecordRoundTrip pins the canonical epoch-batch form: encode∘decode
-// is the identity and the payload size is the documented arithmetic —
-// 9 bytes per epoch plus 10 per node (17 + 10·n framed).
-func TestRecordRoundTrip(t *testing.T) {
-	cases := []struct {
-		epoch   model.Epoch
-		entries []int64 // node, value pairs
-	}{
-		{0, nil},
-		{7, []int64{1, 4225}},
-		{1<<32 - 1, []int64{1, -350, 2, 0, 65535, 1 << 40}},
-	}
-	for _, tc := range cases {
-		p := batch(tc.epoch, tc.entries...)
-		if want := batchHeaderSize + len(tc.entries)/2*batchEntrySize; len(p) != want {
-			t.Fatalf("batch payload %d bytes, want %d", len(p), want)
-		}
-		if framed := appendLogRecord(nil, p); len(framed) != 17+10*len(tc.entries)/2 {
-			t.Fatalf("framed batch %d bytes, want %d", len(framed), 17+10*len(tc.entries)/2)
-		}
-		e, entries, err := decodeBatch(p)
-		if err != nil || e != tc.epoch || len(entries) != len(tc.entries)/2*batchEntrySize {
-			t.Fatalf("decode %x: epoch %d, %d entry bytes, %v", p, e, len(entries), err)
-		}
-		for i := 0; len(entries) > 0; i, entries = i+2, entries[batchEntrySize:] {
-			if n, v := batchEntry(entries); int64(n) != tc.entries[i] || v != tc.entries[i+1] {
-				t.Fatalf("entry %d decoded (%d,%d), want (%d,%d)", i/2, n, v, tc.entries[i], tc.entries[i+1])
-			}
-		}
-	}
-}
-
 // TestLogAndBatchDecodeRejects table-tests the canonical-form guards of the
-// log header and the epoch-batch payload.
+// log header and the epoch-record payload.
 func TestLogAndBatchDecodeRejects(t *testing.T) {
 	good := batch(3, 1, 10, 2, 20)
 	batches := []struct {
@@ -165,16 +161,16 @@ func TestLogAndBatchDecodeRejects(t *testing.T) {
 		p    []byte
 	}{
 		{"empty", nil},
-		{"short header", good[:batchHeaderSize-1]},
+		{"short header", good[:recHeaderSize-1]},
 		{"unknown kind", append([]byte{9}, good[1:]...)},
-		{"count above length", func() []byte { p := bytes.Clone(good); p[5] = 3; return p }()},
-		{"count below length", func() []byte { p := bytes.Clone(good); p[5] = 1; return p }()},
+		{"truncated", good[:len(good)-1]},
 		{"trailing byte", append(bytes.Clone(good), 0)},
 		{"duplicate node", batch(3, 2, 10, 2, 20)},
 		{"unsorted nodes", batch(3, 2, 10, 1, 20)},
 	}
+	batches = append(batches, recordRejects...)
 	for _, tc := range batches {
-		if _, _, err := decodeBatch(tc.p); err == nil {
+		if _, err := decodeEpochRecord(tc.p); err == nil {
 			t.Errorf("batch %s: accepted %x", tc.name, tc.p)
 		} else if !strings.HasPrefix(err.Error(), "storage: ") {
 			t.Errorf("batch %s: error %q lost its package path", tc.name, err)
@@ -186,7 +182,7 @@ func TestLogAndBatchDecodeRejects(t *testing.T) {
 		img  []byte
 	}{
 		{"bad magic", append([]byte("KSXX"), img[4:]...)},
-		{"bad version", func() []byte { b := bytes.Clone(img); b[4] = 2; return b }()},
+		{"bad version", func() []byte { b := bytes.Clone(img); b[4] = 3; return b }()},
 		{"foreign short file", []byte("hi")},
 	}
 	for _, tc := range logs {
@@ -216,13 +212,13 @@ func TestLogAndBatchDecodeRejects(t *testing.T) {
 	if err := os.WriteFile(path, logImage(good, batch(4, 2, 1, 1, 1)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenStore(filepath.Dir(path), 4); err == nil || !strings.Contains(err.Error(), "not ascending") {
+	if _, err := OpenStore(filepath.Dir(path), 4); err == nil || !strings.Contains(err.Error(), "beyond 65535") {
 		t.Errorf("store opened on a non-canonical record: %v", err)
 	}
 }
 
 // tornTailInputs are the three-record logs the torn-tail and corruption
-// tests run over: fixed-size epoch batches as the store writes them, a
+// tests run over: epoch records as the store writes them, a
 // served shard's epoch and node records with a node record torn last, and
 // variable-size opaque payloads (a 9-byte one, a long one, an empty one).
 var tornTailInputs = []struct {
@@ -480,9 +476,6 @@ func TestStoreSnapshotCarriesTheLastEpochs(t *testing.T) {
 // block.
 func TestStoreRecordRecoverStats(t *testing.T) {
 	dir := t.TempDir()
-	// One epoch of two nodes on disk: 17 bytes of frame + batch header and
-	// 10 per node.
-	const epochBytes = 17 + 2*10
 	st, err := OpenStore(dir, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -494,7 +487,7 @@ func TestStoreRecordRecoverStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	stats := st.Stats()
-	if stats.Nodes != 2 || stats.Segments != 1 || !stats.HasEpoch || stats.LastEpoch != 2 || stats.Bytes != int64(logHeaderSize+3*epochBytes) || stats.Err != "" {
+	if stats.Nodes != 2 || stats.Segments != 1 || !stats.HasEpoch || stats.LastEpoch != 2 || stats.Bytes != int64(logHeaderSize+readingsBytes(0, 3, 2)) || stats.Err != "" {
 		t.Fatalf("stats %+v", stats)
 	}
 	if err := st.Close(); err != nil {
@@ -521,8 +514,8 @@ func TestStoreRecordRecoverStats(t *testing.T) {
 	if err := re.err; err != nil {
 		t.Fatal(err)
 	}
-	if got := re.Stats().Bytes; got != int64(logHeaderSize+4*epochBytes) {
-		t.Fatalf("bytes after replay %d, want %d (epoch 2 must not re-append)", got, logHeaderSize+4*epochBytes)
+	if got, want := re.Stats().Bytes, int64(logHeaderSize+readingsBytes(0, 4, 2)); got != want {
+		t.Fatalf("bytes after replay %d, want %d (epoch 2 must not re-append)", got, want)
 	}
 	// Memory mode: same API, no files.
 	mem, err := OpenStore("", 4)
@@ -559,7 +552,7 @@ func TestStoreTornEpochEveryBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	last := 17 + 10*nodes
+	last := readingsSize(n-1, nodes)
 	for cut := len(full) - last; cut < len(full); cut++ {
 		crashed := t.TempDir()
 		if err := os.WriteFile(filepath.Join(crashed, logName), full[:cut], 0o644); err != nil {
@@ -637,7 +630,9 @@ func TestStoreRecordWritePath(t *testing.T) {
 	if err := st.err; err != nil {
 		t.Fatal(err)
 	}
-	if got, want := st.Stats().Bytes, int64(logHeaderSize+int(e)*(17+10*nodes)); got != want {
+	// Every epoch records readings(0, nodes), so every record is epoch 0's
+	// size.
+	if got, want := st.Stats().Bytes, int64(logHeaderSize+int(e)*readingsSize(0, nodes)); got != want {
 		t.Fatalf("log holds %d bytes after %d epochs, want %d", got, e, want)
 	}
 }
@@ -668,7 +663,7 @@ func TestStoreFailedLogIsReported(t *testing.T) {
 	if imageBytes(disk) != imageBytes(mem) {
 		t.Fatal("a failed log changed the store's in-memory state")
 	}
-	if got, want := disk.Stats().Bytes, int64(logHeaderSize+3*(17+10*3)); got != want {
+	if got, want := disk.Stats().Bytes, int64(logHeaderSize+readingsBytes(0, 3, 3)); got != want {
 		t.Fatalf("failed log reports %d bytes, want %d (no appends after the failure)", got, want)
 	}
 }
@@ -705,7 +700,7 @@ func TestStoreKeepsTheLastNodeRecord(t *testing.T) {
 		st.RecordReadings(e, readings(e, 2))
 		st.RecordEnergies(ledger(e))
 	}
-	if s := st.Stats(); s.Nodes != 3 || s.Err != "" || s.Bytes != int64(logHeaderSize+3*(17+2*10)+3*(17+3*10)) {
+	if s := st.Stats(); s.Nodes != 3 || s.Err != "" || s.Bytes != int64(logHeaderSize+readingsBytes(0, 3, 2)+3*nodeRecordSize(3)) {
 		t.Fatalf("stats %+v", s)
 	}
 	st.Close()

@@ -7,20 +7,18 @@
 package storage
 
 // Store is one shard's durable historic tier. Its history is the epoch
-// record — the readings of every node that sensed one epoch:
-//
-//	kind u8 | epoch u32 | count u32 | (node u16, value s64)×count
-//
-// nodes strictly ascending, values in the model codec's fixed64 quantized
-// form (s64 centi-units). The encoding is canonical and enforced on
-// decode. The store keeps its last capacity records in a ring; with a data
-// directory every record is also appended to shard.log, and the ring's slot
-// is the very bytes appended. With an empty directory the store is
-// memory-backed, byte-identical in every answer.
+// record (record.go): the readings of every node that sensed one epoch,
+// its node set run-coded and its values fixed-width offsets from the
+// record's minimum — about 2 bytes a node on a scale-1000 shard whose
+// readings span a few thousand centi-units. The store keeps its last
+// capacity records in a ring; with a data directory every record is also
+// appended to shard.log, and the ring's slot is the very bytes appended.
+// With an empty directory the store is memory-backed, byte-identical in
+// every answer.
 //
 // A served shard also keeps its energy ledger in the store: after each
-// epoch round it appends a node record (image.go's form: every roster node
-// with its µJ total), and the last one is the ledger a restarted process
+// epoch round it appends a node record (record.go: every roster node with
+// its µJ total), and the last one is the ledger a restarted process
 // resumes. A local store never writes one.
 //
 // Opening a store on a directory that already holds a log is recovery: the
@@ -31,7 +29,6 @@ package storage
 // coordinator's retried round re-records it.
 
 import (
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -59,6 +56,10 @@ type Store struct {
 	// a restarted served shard resumes. nil until the store keeps the
 	// ledger (RecordEnergies, or a node record recovered from the log).
 	energy []NodeEnergy
+	// nodes and vals gather one epoch's readings in roster order for the
+	// encoder; sized to the roster, so recording allocates nothing.
+	nodes []model.NodeID
+	vals  []int64
 }
 
 // DefaultStoreWindow is the durable tier's capacity in epochs: deep enough
@@ -66,56 +67,7 @@ type Store struct {
 // mote-sized flash could hold it.
 const DefaultStoreWindow = 64
 
-const (
-	logName = "shard.log"
-
-	recEpoch        = 1         // one epoch batch; recNodes (image.go) is the other kind
-	batchHeaderSize = 1 + 4 + 4 // kind | epoch | count
-	batchEntrySize  = 2 + 8     // node | value
-)
-
-// beginBatch starts an epoch-batch payload; appendBatchEntry adds nodes in
-// ascending order and endBatch patches the count in.
-func beginBatch(dst []byte, e model.Epoch) []byte {
-	dst = append(dst, recEpoch)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(e))
-	return binary.LittleEndian.AppendUint32(dst, 0)
-}
-
-func appendBatchEntry(dst []byte, n model.NodeID, v int64) []byte {
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(n))
-	return binary.LittleEndian.AppendUint64(dst, uint64(v))
-}
-
-func endBatch(rec []byte) []byte {
-	binary.LittleEndian.PutUint32(rec[5:], uint32((len(rec)-batchHeaderSize)/batchEntrySize))
-	return rec
-}
-
-// batchEntry reads the entry at the front of a batch's entries.
-func batchEntry(entries []byte) (model.NodeID, int64) {
-	return model.NodeID(binary.LittleEndian.Uint16(entries)), int64(binary.LittleEndian.Uint64(entries[2:]))
-}
-
-// decodeBatch validates one epoch-batch payload — known kind, length
-// matching its count, nodes strictly ascending — and returns its epoch and
-// its entries (batchEntrySize bytes each).
-func decodeBatch(p []byte) (model.Epoch, []byte, error) {
-	if len(p) < batchHeaderSize || p[0] != recEpoch {
-		return 0, nil, fmt.Errorf("storage: epoch batch header invalid")
-	}
-	e := model.Epoch(binary.LittleEndian.Uint32(p[1:]))
-	entries := p[batchHeaderSize:]
-	if count := binary.LittleEndian.Uint32(p[5:]); uint64(count)*batchEntrySize != uint64(len(entries)) {
-		return 0, nil, fmt.Errorf("storage: epoch %d batch counts %d nodes in %d bytes", e, count, len(entries))
-	}
-	for off := batchEntrySize; off < len(entries); off += batchEntrySize {
-		if prev, n := binary.LittleEndian.Uint16(entries[off-batchEntrySize:]), binary.LittleEndian.Uint16(entries[off:]); n <= prev {
-			return 0, nil, fmt.Errorf("storage: epoch %d batch node %d not ascending", e, n)
-		}
-	}
-	return e, entries, nil
-}
+const logName = "shard.log"
 
 // OpenStore opens the durable tier, keeping the last capacity epochs.
 // dir == "" selects the memory backend; otherwise the directory is created
@@ -143,9 +95,9 @@ func OpenStore(dir string, capacity int) (*Store, error) {
 	return s, nil
 }
 
-// replay validates one recovered record. An epoch record seats its nodes,
-// advances the cursor and keeps a copy in the ring; a node record seats
-// every node it names and becomes the kept ledger.
+// replay validates one recovered record. An epoch record seats its nodes
+// run by run, advances the cursor and keeps a copy in the ring; a node
+// record seats every node it names and becomes the kept ledger.
 func (s *Store) replay(p []byte) error {
 	if len(p) > 0 && p[0] == recNodes {
 		_, rows, err := DecodeEnergies(p[1:])
@@ -155,17 +107,23 @@ func (s *Store) replay(p []byte) error {
 		s.keepEnergy(rows)
 		return nil
 	}
-	e, entries, err := decodeBatch(p)
+	r, err := decodeEpochRecord(p)
 	if err != nil {
 		return err
 	}
-	if cur, ok := s.cursor(); ok && e <= cur {
-		return fmt.Errorf("storage: epoch %d record not after epoch %d", e, cur)
+	if cur, ok := s.cursor(); ok && r.epoch <= cur {
+		return fmt.Errorf("storage: epoch %d record not after epoch %d", r.epoch, cur)
 	}
 	var fresh []model.NodeID
-	for ; len(entries) > 0; entries = entries[batchEntrySize:] {
-		if n, _ := batchEntry(entries); !s.onRoster(n) {
-			fresh = append(fresh, n)
+	for first, n := range r.set.runs {
+		lo, hi := min(int(first), len(s.seated)), min(int(first)+n, len(s.seated))
+		if hi-lo == n && !slices.Contains(s.seated[lo:hi], false) {
+			continue // the steady state: the whole run is seated
+		}
+		for i := range n {
+			if id := first + model.NodeID(i); !s.onRoster(id) {
+				fresh = append(fresh, id)
+			}
 		}
 	}
 	s.seat(fresh)
@@ -190,8 +148,8 @@ func (s *Store) keepEnergy(rows []NodeEnergy) {
 func (s *Store) onRoster(n model.NodeID) bool { return int(n) < len(s.seated) && s.seated[n] }
 
 // seat puts fresh nodes (none on the roster yet) on the roster and re-sizes
-// every ring slot to hold a whole-roster record, so the steady state encodes
-// in place. Caller holds s.mu (or is recovery, before the store is shared).
+// the gather scratch and every ring slot to hold the largest record the
+// roster can make, so the steady state encodes in place. Caller holds s.mu (or is recovery, before the store is shared).
 func (s *Store) seat(fresh []model.NodeID) {
 	if len(fresh) == 0 {
 		return
@@ -204,7 +162,8 @@ func (s *Store) seat(fresh []model.NodeID) {
 	}
 	s.roster = append(s.roster, fresh...)
 	slices.Sort(s.roster)
-	size := batchHeaderSize + len(s.roster)*batchEntrySize
+	s.nodes, s.vals = make([]model.NodeID, 0, len(s.roster)), make([]int64, 0, len(s.roster))
+	size := maxEpochRecord(len(s.roster))
 	slots := make([]byte, size*len(s.ring))
 	for i, rec := range s.ring {
 		s.ring[i] = append(slots[i*size:i*size:(i+1)*size], rec...)
@@ -265,14 +224,14 @@ func (s *Store) RecordReadings(e model.Epoch, readings map[model.NodeID]model.Re
 		}
 	}
 	s.seat(fresh)
-	i := s.push()
-	rec := beginBatch(s.ring[i][:0], e)
+	s.nodes, s.vals = s.nodes[:0], s.vals[:0]
 	for _, n := range s.roster {
 		if r, ok := readings[n]; ok {
-			rec = appendBatchEntry(rec, n, int64(model.ToFixed(r.Value)))
+			s.nodes, s.vals = append(s.nodes, n), append(s.vals, int64(model.ToFixed(r.Value)))
 		}
 	}
-	s.ring[i] = endBatch(rec)
+	i := s.push()
+	s.ring[i] = appendEpochRecord(s.ring[i][:0], e, s.nodes, s.vals)
 	if s.log != nil {
 		s.log.Append(s.ring[i])
 		s.fail(s.log.Flush())
@@ -411,7 +370,7 @@ func (s *Store) Restore(img []byte) ([]NodeEnergy, error) {
 		if j < len(im.records) && (mine == nil || epochOf(im.records[j]) == epochOf(mine)) {
 			theirs, j = im.records[j], j+1
 		}
-		merged = append(merged, s.overlay(mine, theirs, incoming))
+		merged = append(merged, overlay(mine, theirs, incoming))
 	}
 	s.head, s.n = 0, 0
 	for _, rec := range merged[max(0, len(merged)-len(s.ring)):] {
@@ -443,30 +402,29 @@ func overlayEnergies(mine, theirs []NodeEnergy) []NodeEnergy {
 	return out
 }
 
-// overlay merges one epoch's records, either of which may be nil, in
-// roster order: every entry of theirs (the image's) and those of mine (the
-// store's) whose node the image does not bring. Caller holds s.mu, with
-// every node of both seated.
-func (s *Store) overlay(mine, theirs []byte, incoming map[model.NodeID]bool) []byte {
+// overlay merges one epoch's records, either of which may be nil: every
+// reading of theirs (the image's) and those of mine (the store's) whose
+// node the image does not bring, ascending by node.
+func overlay(mine, theirs []byte, incoming map[model.NodeID]bool) []byte {
 	rec := theirs
 	if rec == nil {
 		rec = mine
 	}
-	rec = beginBatch(nil, epochOf(rec))
-	// Their entries; a nil record has none.
-	a, b := mine[min(len(mine), batchHeaderSize):], theirs[min(len(theirs), batchHeaderSize):]
-	for _, n := range s.roster {
-		if len(b) > 0 && binary.LittleEndian.Uint16(b) == uint16(n) {
-			rec, b = append(rec, b[:batchEntrySize]...), b[batchEntrySize:]
+	an, av := readingsOf(mine)
+	bn, bv := readingsOf(theirs)
+	var nodes []model.NodeID
+	var vals []int64
+	for len(an) > 0 || len(bn) > 0 {
+		if len(bn) > 0 && (len(an) == 0 || bn[0] <= an[0]) {
+			nodes, vals, bn, bv = append(nodes, bn[0]), append(vals, bv[0]), bn[1:], bv[1:]
+			continue
 		}
-		if len(a) > 0 && binary.LittleEndian.Uint16(a) == uint16(n) {
-			if !incoming[n] {
-				rec = append(rec, a[:batchEntrySize]...)
-			}
-			a = a[batchEntrySize:]
+		if !incoming[an[0]] {
+			nodes, vals = append(nodes, an[0]), append(vals, av[0])
 		}
+		an, av = an[1:], av[1:]
 	}
-	return endBatch(rec)
+	return appendEpochRecord(nil, epochOf(rec), nodes, vals)
 }
 
 // rewrite makes the log equal the store: the log is replaced (temp file +

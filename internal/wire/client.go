@@ -482,6 +482,15 @@ func (c *Client) call(t MsgType, payload []byte) (Frame, error) {
 	var lastErr error
 	for attempt := 0; attempt <= c.cfg.retries(); attempt++ {
 		if attempt > 0 {
+			// The reader delivers a reply before it marks its connection
+			// dead, so an attempt can fail with its reply waiting: a shard
+			// that replied and then died has answered. Take it rather
+			// than retry on another connection.
+			select {
+			case f := <-w.ch:
+				return c.answer(f, start)
+			default:
+			}
 			c.retried.Add(1)
 			if !c.sleep(backoff) {
 				return Frame{}, errClosed
@@ -507,12 +516,7 @@ func (c *Client) call(t MsgType, payload []byte) (Frame, error) {
 		select {
 		case f := <-w.ch:
 			timer.Stop()
-			c.recordLatency(time.Since(start))
-			c.settle(nil)
-			if f.Type == MsgError {
-				return Frame{}, fmt.Errorf("wire: shard %s: %s", c.shardLabel(), f.Payload)
-			}
-			return f, nil
+			return c.answer(f, start)
 		case <-cc.dead:
 			timer.Stop()
 			lastErr = cc.err
@@ -529,6 +533,17 @@ func (c *Client) call(t MsgType, payload []byte) (Frame, error) {
 	err = fmt.Errorf("wire: shard %s unreachable after %d attempts: %w", c.shardLabel(), c.cfg.retries()+1, lastErr)
 	c.settle(err)
 	return Frame{}, err
+}
+
+// answer settles a call on its reply: an application error (MsgError)
+// becomes the call's error.
+func (c *Client) answer(f Frame, start time.Time) (Frame, error) {
+	c.recordLatency(time.Since(start))
+	c.settle(nil)
+	if f.Type == MsgError {
+		return Frame{}, fmt.Errorf("wire: shard %s: %s", c.shardLabel(), f.Payload)
+	}
+	return f, nil
 }
 
 // begin takes the call's sequence and registers its waiter, inside the

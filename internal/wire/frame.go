@@ -25,10 +25,11 @@
 // from the replay cache, and the client keeps at most half that cache's
 // horizon in flight, so no call it still awaits is ever refused. That is
 // what makes per-connection retry/timeout/backoff — and the deterministic
-// frame-level fault injection in faults.go — safe: a sense is charged and
-// an acquisition sweep runs exactly once per sequence number no matter how
-// many frames the socket loses, duplicates or delays, so a federated run
-// over lossy sockets stays byte-identical to the in-process run.
+// frame-level faults package wiretest injects on the server's side of the
+// socket — safe: a sense is charged and an acquisition sweep runs exactly
+// once per sequence number no matter how many frames the socket loses,
+// duplicates or delays, so a federated run over lossy sockets stays
+// byte-identical to the in-process run.
 //
 // The connection is full-duplex: the client pipelines calls, demultiplexing
 // responses back to their callers by sequence number. A whole federated

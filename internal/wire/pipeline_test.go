@@ -522,6 +522,90 @@ func TestStatsWelcomeRowReplacesOldConnection(t *testing.T) {
 	}
 }
 
+// TestReplyThenCloseIsNotRetried: a shard that writes a call's reply and
+// then closes its socket has answered that call. The client's reader
+// delivers the reply before it marks the connection dead, so the call
+// returns that reply rather than retrying on a new connection. To make
+// the reply and the death reach the call together on every call, the test
+// holds the connection's write lock, so the call's request is still
+// unsent while the stub writes the reply for its sequence and closes; the
+// call then finds its connection dead with the reply waiting.
+func TestReplyThenCloseIsNotRetried(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	replies, done := make(chan uint64), make(chan struct{})
+	defer close(done)
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			var wbuf []byte
+			f, err := ReadFrame(conn)
+			if err != nil {
+				conn.Close()
+				continue
+			}
+			h, _ := DecodeHello(f.Payload)
+			WriteFrame(conn, &wbuf, Frame{Type: MsgWelcome, Payload: AppendWelcome(nil, Welcome{Version: Version, Shard: h.Shard, Nodes: h.Nodes, Name: "stub"})})
+			select {
+			case seq := <-replies:
+				body, err := AppendEpochRoundReply(nil, stubRoster, EpochRoundReply{Epoch: model.Epoch(seq - 1)})
+				if err != nil {
+					t.Error(err)
+				}
+				WriteFrame(conn, &wbuf, Frame{Seq: seq, Type: MsgEpochRoundReply, Payload: append(AppendEnvelope(nil, Envelope{}), body...)})
+			case <-done:
+			}
+			conn.Close()
+		}
+	}()
+	cfg := stubClientConfig(ln.Addr().String())
+	cfg.Backoff = time.Millisecond
+	cl, err := Dial(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	awaiting := func(seq uint64) bool {
+		cl.pendMu.Lock()
+		defer cl.pendMu.Unlock()
+		return cl.pending[seq] != nil
+	}
+	const calls = 100
+	for e := model.Epoch(0); e < calls; e++ {
+		cc, err := cl.getConn() // Dial's connection, then each one the last close left to redial
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq := uint64(e) + 1 // calls take sequences from 1
+		cc.writeMu.Lock()
+		result := make(chan error, 1)
+		go func() {
+			// EpochRound refuses a reply for another epoch: each call
+			// returns its own.
+			_, _, err := cl.EpochRound(e, nil)
+			result <- err
+		}()
+		for !awaiting(seq) {
+			runtime.Gosched()
+		}
+		replies <- seq
+		<-cc.dead // the reply delivered, then the close read
+		cc.writeMu.Unlock()
+		if err := <-result; err != nil {
+			t.Fatalf("call %d: %v", e, err)
+		}
+		if m := cl.Metrics(); m.Retries != 0 {
+			t.Fatalf("call %d retried (%d retries): the reply delivered before its connection closed was dropped", e, m.Retries)
+		}
+	}
+}
+
 // TestClientBackoffDoesNotBlockConcurrentCalls: a call waiting out its
 // retry backoff must not delay other calls on the shared connection — the
 // regression this pins is the serialized client sleeping its backoff

@@ -226,8 +226,8 @@ type history struct {
 
 // imageHistory transposes a snapshot image — a storage log image: an
 // 8-byte header, then u32 len | payload | u32 crc frames holding the epoch
-// records (kind 1 | epoch u32 | count u32 | (node u16, value s64)×count)
-// and, last, the node record (kind 2, every node with its µJ total).
+// records (kind 1, storage.DecodeReadings) and, last, the node record
+// (kind 2, every node with its µJ total, storage.DecodeEnergies).
 func imageHistory(t *testing.T, img []byte) history {
 	t.Helper()
 	h := history{epochs: make(map[model.NodeID][]model.Epoch), values: make(map[model.NodeID][]int64)}
@@ -240,11 +240,13 @@ func imageHistory(t *testing.T, img []byte) history {
 			}
 			continue
 		}
-		e := model.Epoch(binary.LittleEndian.Uint32(p[1:]))
-		for entries := p[9:]; len(entries) > 0; entries = entries[10:] {
-			n := model.NodeID(binary.LittleEndian.Uint16(entries))
+		e, nodes, values, err := storage.DecodeReadings(p[1:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, n := range nodes {
 			h.epochs[n] = append(h.epochs[n], e)
-			h.values[n] = append(h.values[n], int64(binary.LittleEndian.Uint64(entries[2:])))
+			h.values[n] = append(h.values[n], values[i])
 		}
 	}
 	return h
