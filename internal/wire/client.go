@@ -480,16 +480,19 @@ func (c *Client) call(t MsgType, payload []byte) (Frame, error) {
 	start := time.Now()
 	backoff := c.cfg.backoff()
 	var lastErr error
-	for attempt := 0; attempt <= c.cfg.retries(); attempt++ {
+	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			// The reader delivers a reply before it marks its connection
-			// dead, so an attempt can fail with its reply waiting: a shard
-			// that replied and then died has answered. Take it rather
-			// than retry on another connection.
+			// dead, so an attempt, the last one too, can fail with its
+			// reply waiting: a shard that replied and then died has
+			// answered. Take it rather than retry or give up.
 			select {
 			case f := <-w.ch:
 				return c.answer(f, start)
 			default:
+			}
+			if attempt > c.cfg.retries() {
+				break
 			}
 			c.retried.Add(1)
 			if !c.sleep(backoff) {

@@ -522,22 +522,17 @@ func TestStatsWelcomeRowReplacesOldConnection(t *testing.T) {
 	}
 }
 
-// TestReplyThenCloseIsNotRetried: a shard that writes a call's reply and
-// then closes its socket has answered that call. The client's reader
-// delivers the reply before it marks the connection dead, so the call
-// returns that reply rather than retrying on a new connection. To make
-// the reply and the death reach the call together on every call, the test
-// holds the connection's write lock, so the call's request is still
-// unsent while the stub writes the reply for its sequence and closes; the
-// call then finds its connection dead with the reply waiting.
-func TestReplyThenCloseIsNotRetried(t *testing.T) {
+// replyThenCloseStub serves a stub shard that, on each connection, sends
+// its welcome, then waits for one sequence on the returned channel: it
+// writes the epoch-round reply for that sequence (none for 0) and closes
+// the socket.
+func replyThenCloseStub(t *testing.T) (string, chan<- uint64) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
 	replies, done := make(chan uint64), make(chan struct{})
-	defer close(done)
+	t.Cleanup(func() { close(done); ln.Close() })
 	go func() {
 		for {
 			conn, err := ln.Accept()
@@ -554,6 +549,9 @@ func TestReplyThenCloseIsNotRetried(t *testing.T) {
 			WriteFrame(conn, &wbuf, Frame{Type: MsgWelcome, Payload: AppendWelcome(nil, Welcome{Version: Version, Shard: h.Shard, Nodes: h.Nodes, Name: "stub"})})
 			select {
 			case seq := <-replies:
+				if seq == 0 {
+					break
+				}
 				body, err := AppendEpochRoundReply(nil, stubRoster, EpochRoundReply{Epoch: model.Epoch(seq - 1)})
 				if err != nil {
 					t.Error(err)
@@ -564,37 +562,60 @@ func TestReplyThenCloseIsNotRetried(t *testing.T) {
 			conn.Close()
 		}
 	}()
-	cfg := stubClientConfig(ln.Addr().String())
+	return ln.Addr().String(), replies
+}
+
+// waitSending waits until a call is inside Client.send, where a test
+// holding the connection's write lock keeps it.
+func waitSending(t *testing.T) {
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(10 * time.Second); !bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("wire.(*Client).send(")); {
+		if time.Now().After(deadline) {
+			t.Fatal("no call reached Client.send")
+		}
+		runtime.Gosched()
+	}
+}
+
+// roundAsync runs the epoch round for e in the background. EpochRound
+// refuses a reply for another epoch, so a nil error means the call
+// returned its own reply.
+func roundAsync(cl *Client, e model.Epoch) <-chan error {
+	result := make(chan error, 1)
+	go func() {
+		_, _, err := cl.EpochRound(e, nil)
+		result <- err
+	}()
+	return result
+}
+
+// TestReplyThenCloseIsNotRetried: a shard that writes a call's reply and
+// then closes its socket has answered that call. The client's reader
+// delivers the reply before it marks the connection dead, so the call
+// returns that reply rather than retrying on a new connection. To make
+// the reply and the death reach the call together on every call, the test
+// holds the connection's write lock, so the call's request is still
+// unsent while the stub writes the reply for its sequence and closes; the
+// call then finds its connection dead with the reply waiting.
+func TestReplyThenCloseIsNotRetried(t *testing.T) {
+	addr, replies := replyThenCloseStub(t)
+	cfg := stubClientConfig(addr)
 	cfg.Backoff = time.Millisecond
 	cl, err := Dial(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	awaiting := func(seq uint64) bool {
-		cl.pendMu.Lock()
-		defer cl.pendMu.Unlock()
-		return cl.pending[seq] != nil
-	}
 	const calls = 100
 	for e := model.Epoch(0); e < calls; e++ {
 		cc, err := cl.getConn() // Dial's connection, then each one the last close left to redial
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq := uint64(e) + 1 // calls take sequences from 1
 		cc.writeMu.Lock()
-		result := make(chan error, 1)
-		go func() {
-			// EpochRound refuses a reply for another epoch: each call
-			// returns its own.
-			_, _, err := cl.EpochRound(e, nil)
-			result <- err
-		}()
-		for !awaiting(seq) {
-			runtime.Gosched()
-		}
-		replies <- seq
+		result := roundAsync(cl, e)
+		waitSending(t)
+		replies <- uint64(e) + 1 // calls take sequences from 1
 		<-cc.dead // the reply delivered, then the close read
 		cc.writeMu.Unlock()
 		if err := <-result; err != nil {
@@ -602,6 +623,51 @@ func TestReplyThenCloseIsNotRetried(t *testing.T) {
 		}
 		if m := cl.Metrics(); m.Retries != 0 {
 			t.Fatalf("call %d retried (%d retries): the reply delivered before its connection closed was dropped", e, m.Retries)
+		}
+	}
+}
+
+// TestReplyThenCloseOnTheLastAttempt: the same reply-then-close, landing
+// on a call's last allowed attempt, still answers the call. With one
+// retry, the first attempt's connection closes unanswered; the test dials
+// the connection the retry will take and holds its write lock, so the
+// retry blocks in its send while the stub replies on it and closes. The
+// send then fails on the closed connection with the reply waiting.
+func TestReplyThenCloseOnTheLastAttempt(t *testing.T) {
+	addr, replies := replyThenCloseStub(t)
+	cfg := stubClientConfig(addr)
+	cfg.Backoff, cfg.Retries = time.Millisecond, 1
+	cl, err := Dial(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	const calls = 20
+	for e := model.Epoch(0); e < calls; e++ {
+		first, err := cl.getConn()
+		if err != nil {
+			t.Fatal(err)
+		}
+		first.writeMu.Lock()
+		result := roundAsync(cl, e)
+		waitSending(t)
+		replies <- 0 // the first attempt's connection closes unanswered
+		<-first.dead
+		last, err := cl.getConn()
+		if err != nil {
+			t.Fatal(err)
+		}
+		last.writeMu.Lock()
+		first.writeMu.Unlock() // the first attempt's send fails
+		for cl.Metrics().Retries != int64(e)+1 {
+			runtime.Gosched()
+		}
+		waitSending(t) // the retry, on last
+		replies <- uint64(e) + 1
+		<-last.dead
+		last.writeMu.Unlock()
+		if err := <-result; err != nil {
+			t.Fatalf("call %d: %v", e, err)
 		}
 	}
 }
