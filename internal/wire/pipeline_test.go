@@ -616,7 +616,7 @@ func TestReplyThenCloseIsNotRetried(t *testing.T) {
 		result := roundAsync(cl, e)
 		waitSending(t)
 		replies <- uint64(e) + 1 // calls take sequences from 1
-		<-cc.dead // the reply delivered, then the close read
+		<-cc.dead                // the reply delivered, then the close read
 		cc.writeMu.Unlock()
 		if err := <-result; err != nil {
 			t.Fatalf("call %d: %v", e, err)
