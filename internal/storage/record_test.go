@@ -148,3 +148,20 @@ func BenchmarkStoreRecover(b *testing.B) {
 	}
 	b.ReportMetric(float64(size), "log-B")
 }
+
+// BenchmarkStoreRecordReadings times the steady state of an in-memory
+// store's per-epoch tap: a scale-1000 epoch, every node already seated.
+// TestStoreRecordWritePath pins that it allocates nothing.
+func BenchmarkStoreRecordReadings(b *testing.B) {
+	st, err := OpenStore("", DefaultStoreWindow)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := readings(0, 1000)
+	st.RecordReadings(0, m)
+	e := model.Epoch(1)
+	for b.Loop() {
+		st.RecordReadings(e, m)
+		e++
+	}
+}

@@ -215,26 +215,35 @@ func (s *Store) RecordReadings(e model.Epoch, readings map[model.NodeID]model.Re
 		return
 	}
 	s.behind = nil
-	// Steady state finds every node seated; a first reading joins the
-	// roster in id order so the walk below stays ascending.
-	var fresh []model.NodeID
-	for n := range readings {
-		if !s.onRoster(n) {
-			fresh = append(fresh, n)
+	s.gather(readings)
+	if len(s.nodes) < len(readings) {
+		// A reading of an unseated node joins the roster in id order, so
+		// the gather stays ascending. The steady state never gets here.
+		var fresh []model.NodeID
+		for n := range readings {
+			if !s.onRoster(n) {
+				fresh = append(fresh, n)
+			}
 		}
-	}
-	s.seat(fresh)
-	s.nodes, s.vals = s.nodes[:0], s.vals[:0]
-	for _, n := range s.roster {
-		if r, ok := readings[n]; ok {
-			s.nodes, s.vals = append(s.nodes, n), append(s.vals, int64(model.ToFixed(r.Value)))
-		}
+		s.seat(fresh)
+		s.gather(readings)
 	}
 	i := s.push()
 	s.ring[i] = appendEpochRecord(s.ring[i][:0], e, s.nodes, s.vals)
 	if s.log != nil {
 		s.log.Append(s.ring[i])
 		s.fail(s.log.Flush())
+	}
+}
+
+// gather fills the scratch with the readings of roster nodes, in roster
+// order. Caller holds s.mu.
+func (s *Store) gather(readings map[model.NodeID]model.Reading) {
+	s.nodes, s.vals = s.nodes[:0], s.vals[:0]
+	for _, n := range s.roster {
+		if r, ok := readings[n]; ok {
+			s.nodes, s.vals = append(s.nodes, n), append(s.vals, int64(model.ToFixed(r.Value)))
+		}
 	}
 }
 

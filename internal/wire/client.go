@@ -116,71 +116,21 @@ type ClientMetrics struct {
 	P99Micros int64  `json:"p99_us"`   // tail call latency
 }
 
-// waiter is one in-flight call's slot in the demux table: the reader
-// goroutine delivers the response frame matching its sequence here.
-type waiter struct {
-	ch chan Frame
-}
-
-func (w *waiter) deliver(f Frame) {
-	select {
-	case w.ch <- f:
-	default: // a duplicate response; the buffered one wins
-	}
-}
-
-// clientConn is one live connection: the socket, its write half (frames
-// from concurrent calls interleave under writeMu) and a death signal the
-// reader closes so every pending call learns of a broken socket at once.
-type clientConn struct {
-	conn net.Conn
-
-	writeMu sync.Mutex
-	wbuf    []byte
-
-	once sync.Once
-	dead chan struct{}
-	err  error
-
-	// lastRecv is the wall-clock nanos of the last frame read off this
-	// conn — a liveness hint: a call that times out with nothing received
-	// since its send treats the conn as gone and forces a redial.
-	lastRecv atomic.Int64
-}
-
-func (cc *clientConn) fail(err error) {
-	cc.once.Do(func() {
-		cc.err = err
-		close(cc.dead)
-		cc.conn.Close()
-	})
-}
-
-func (cc *clientConn) isDead() bool {
-	select {
-	case <-cc.dead:
-		return true
-	default:
-		return false
-	}
-}
-
 // Client is the coordinator's handle on one remote shard: the shard
 // contract (the methods of shard.Shard a coordinator calls), one message
 // exchange per call, answered on the far side by the shard body a Server
 // wraps.
-// Calls are synchronous for their caller but pipeline on the connection: a
-// reader goroutine demultiplexes responses by sequence number to per-call
-// waiters, so concurrent calls (epoch rounds, attaches, historic rounds)
-// share one socket without queueing behind each other. Each call retries
-// with backoff across timeouts and reconnects, reusing its sequence number
-// so the server executes it at most once; the backoff sleeps only the
-// retrying call. At most sendWindow sequences are in flight, so no call
-// outlives the server's replay horizon. Close interrupts in-flight calls
-// promptly. Stats and StorageStats make no call: every reply carries the
-// shard's counters, and the client keeps the newest. The session's live
-// attachments ride every handshake, so a reconnect to a restarted shard
-// process re-attaches them.
+// One call is in flight at a time: a call holds the client's turn from its
+// first send to its answer, retries and backoff included, writes its frame
+// and reads the replies itself. So the server never receives a sequence
+// below one it has already executed for a live call, and its one-slot
+// replay cache answers every retry. Each call retries with backoff across
+// timeouts and reconnects, reusing its sequence number so the server
+// executes it at most once. Close interrupts the call in flight and
+// releases queued callers promptly. Stats and StorageStats make no call:
+// every reply carries the shard's counters, and the client keeps the
+// newest. The session's live attachments ride every handshake, so a
+// reconnect to a restarted shard process re-attaches them.
 type Client struct {
 	cfg   ClientConfig
 	nonce uint64
@@ -188,25 +138,24 @@ type Client struct {
 	attachMu sync.Mutex
 	attached []AttachReq // live attachments in attach order: the Hello's list
 
-	connMu   sync.Mutex // guards the fields below it up to dialMu
-	cur      *clientConn
+	// turn is the call lock, a channel so a queued caller also wakes on
+	// Close. It guards seq and wbuf, and only its holder dials.
+	turn chan struct{}
+	seq  uint64 // the next call's sequence
+	wbuf []byte
+
+	connMu   sync.Mutex    // guards the fields below; never held across I/O
+	cur      net.Conn      // the live connection; nil until the next call dials
 	closedCh chan struct{} // closed by Close, under connMu
 	// name is the shard display name from the welcome. Reconnects re-derive
 	// it.
 	name string
-	// row is the newest envelope read on rowConn: the connection's Welcome,
+	// row is the newest envelope read on cur: the connection's Welcome,
 	// then any reply with a higher stamp.
-	row     Envelope
-	rowConn *clientConn
+	row Envelope
 	// unreachable is the error of the most recently completed call if it
 	// ended unreachable, nil if it got a reply.
 	unreachable error
-	dialMu      sync.Mutex // serializes reconnect attempts
-
-	pendMu  sync.Mutex
-	seq     uint64             // the next call's sequence
-	pending map[uint64]*waiter // in-flight calls by sequence
-	window  sync.Cond          // on pendMu: a call finished, or the client closed
 
 	// retried counts calls that needed more than one attempt (tests
 	// assert fault injection actually exercised the retry path).
@@ -221,12 +170,6 @@ type Client struct {
 	latN  int64   // total samples recorded
 }
 
-// sendWindow bounds the sequences in flight: a call may not take a
-// sequence at or beyond the oldest in-flight one plus sendWindow. Half the
-// server's replay horizon (replayCap, server.go), so a call in flight
-// never sees its reply evicted or its sequence refused as stale.
-const sendWindow = replayCap / 2
-
 var errClosed = errors.New("wire: client is closed")
 
 // Dial connects and handshakes with a shard server.
@@ -237,12 +180,11 @@ func Dial(cfg ClientConfig) (*Client, error) {
 	c := &Client{
 		cfg:      cfg,
 		nonce:    newNonce(),
+		turn:     make(chan struct{}, 1),
 		seq:      1,
 		closedCh: make(chan struct{}),
-		pending:  make(map[uint64]*waiter),
 	}
-	c.window.L = &c.pendMu
-	if _, err := c.getConn(); err != nil {
+	if _, _, err := c.getConn(); err != nil {
 		return nil, fmt.Errorf("wire: shard %d at %s: %w", cfg.Shard, cfg.Addr, err)
 	}
 	return c, nil
@@ -298,54 +240,37 @@ func (c *Client) isClosed() bool {
 }
 
 // getConn returns the live connection, dialing and handshaking a fresh one
-// if the current one is gone. Reconnects serialize on dialMu; calls that
-// lose the race reuse the winner's connection.
-func (c *Client) getConn() (*clientConn, error) {
+// if the last attempt dropped it, and whether it was kept from an earlier
+// call. Its caller holds the turn (or is Dial).
+func (c *Client) getConn() (conn net.Conn, kept bool, err error) {
 	c.connMu.Lock()
-	if c.isClosed() {
-		c.connMu.Unlock()
-		return nil, errClosed
-	}
-	cc := c.cur
+	conn, closed := c.cur, c.isClosed()
 	c.connMu.Unlock()
-	if cc != nil && !cc.isDead() {
-		return cc, nil
+	if closed {
+		return nil, false, errClosed
 	}
-	c.dialMu.Lock()
-	defer c.dialMu.Unlock()
-	c.connMu.Lock()
-	if c.isClosed() {
-		c.connMu.Unlock()
-		return nil, errClosed
+	if conn != nil {
+		return conn, true, nil
 	}
-	cc = c.cur
-	c.connMu.Unlock()
-	if cc != nil && !cc.isDead() {
-		return cc, nil
-	}
-	cc, w, err := c.handshake()
+	conn, w, err := c.handshake()
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	c.connMu.Lock()
+	defer c.connMu.Unlock()
 	if c.isClosed() {
-		c.connMu.Unlock()
-		cc.conn.Close()
-		return nil, errClosed
+		conn.Close()
+		return nil, false, errClosed
 	}
 	// A new connection's row replaces the old one's whatever their stamps:
 	// the shard behind it may have restarted, stamps and counters with it.
-	c.cur, c.name, c.row, c.rowConn = cc, w.Name, w.Counters, cc
-	c.connMu.Unlock()
-	go c.readLoop(cc)
-	return cc, nil
+	c.cur, c.name, c.row = conn, w.Name, w.Counters
+	return conn, false, nil
 }
 
-// handshake dials and runs the hello/welcome exchange synchronously (the
-// demux reader starts only after the connection is admitted). The hello
-// takes no sequence: it is never executed, so it has no place in the send
-// window.
-func (c *Client) handshake() (*clientConn, Welcome, error) {
+// handshake dials and runs the hello/welcome exchange. The hello takes no
+// sequence: it is never executed.
+func (c *Client) handshake() (net.Conn, Welcome, error) {
 	conn, err := net.DialTimeout("tcp", c.cfg.Addr, c.cfg.dialTimeout())
 	if err != nil {
 		return nil, Welcome{}, err
@@ -389,61 +314,15 @@ func (c *Client) handshake() (*clientConn, Welcome, error) {
 		conn.Close()
 		return nil, Welcome{}, fmt.Errorf("welcome identity shard=%d nodes=%d, want shard=%d nodes=%d", w.Shard, w.Nodes, c.cfg.Shard, c.cfg.Nodes)
 	}
-	conn.SetDeadline(time.Time{})
-	return &clientConn{conn: conn, dead: make(chan struct{})}, w, nil
+	return conn, w, nil
 }
 
-// readLoop is the connection's demux reader: every response frame routes
-// to the pending call with its sequence number, its envelope stripped and
-// kept if it is the connection's newest. Frames with no pending waiter
-// (responses to earlier attempts whose call already completed) bring their
-// envelope and are otherwise discarded — at-most-once execution on the
-// server makes that safe. A read error or a malformed envelope marks the
-// connection dead, waking every pending call.
-func (c *Client) readLoop(cc *clientConn) {
-	for {
-		f, err := ReadFrame(cc.conn)
-		if err != nil {
-			cc.fail(err)
-			c.clearConn(cc)
-			return
-		}
-		cc.lastRecv.Store(time.Now().UnixNano())
-		c.bytesIn.Add(int64(frameHeaderSize + len(f.Payload)))
-		c.pendMu.Lock()
-		w := c.pending[f.Seq]
-		c.pendMu.Unlock()
-		env, body, err := DecodeEnvelope(f.Payload)
-		if err != nil {
-			cc.fail(err)
-			c.clearConn(cc)
-			return
-		}
-		c.keep(cc, env)
-		if w == nil {
-			continue
-		}
-		f.Payload = body
-		w.deliver(f)
-	}
-}
-
-// keep holds env if it is newer than the row held from the same
-// connection. A replay keeps its original stamp, so a late one never
-// displaces a newer row; an envelope read on a connection a reconnect has
-// already replaced is dropped.
-func (c *Client) keep(cc *clientConn, env Envelope) {
+// drop closes conn after a failed attempt and forgets it as the live
+// connection, so the next attempt redials.
+func (c *Client) drop(conn net.Conn) {
+	conn.Close()
 	c.connMu.Lock()
-	if c.rowConn == cc && env.Stamp > c.row.Stamp {
-		c.row = env
-	}
-	c.connMu.Unlock()
-}
-
-// clearConn forgets cc as the current connection (the next call redials).
-func (c *Client) clearConn(cc *clientConn) {
-	c.connMu.Lock()
-	if c.cur == cc {
+	if c.cur == conn {
 		c.cur = nil
 	}
 	c.connMu.Unlock()
@@ -461,126 +340,109 @@ func (c *Client) sleep(d time.Duration) bool {
 	}
 }
 
-// call performs one at-most-once RPC: take a sequence inside the send
-// window, register a response waiter, then retry (same sequence) across
-// timeouts and connection drops until a response lands or attempts run
-// out. Retry backoff sleeps only this call —
-// concurrent calls keep flowing on the shared connection. An application
-// error (MsgError) is a definitive response and is not retried.
+// call performs one at-most-once RPC: wait for the turn, take the next
+// sequence, then retry it with backoff across timeouts and connection drops
+// until its reply lands or attempts run out. An application error
+// (MsgError) is a definitive reply and is not retried.
 func (c *Client) call(t MsgType, payload []byte) (Frame, error) {
 	c.calls.Add(1)
 	if t == MsgEpochRound {
 		c.rounds.Add(1)
 	}
-	seq, w, err := c.begin()
-	if err != nil {
-		return Frame{}, err
+	select {
+	case c.turn <- struct{}{}:
+	case <-c.closedCh:
+		return Frame{}, errClosed
 	}
-	defer c.end(seq)
+	defer func() { <-c.turn }()
+	req := Frame{Seq: c.seq, Type: t, Payload: payload}
+	c.seq++
 	start := time.Now()
 	backoff := c.cfg.backoff()
-	var lastErr error
-	for attempt := 0; ; attempt++ {
+	var err error
+	for attempt := 0; attempt <= c.cfg.retries(); attempt++ {
 		if attempt > 0 {
-			// The reader delivers a reply before it marks its connection
-			// dead, so an attempt, the last one too, can fail with its
-			// reply waiting: a shard that replied and then died has
-			// answered. Take it rather than retry or give up.
-			select {
-			case f := <-w.ch:
-				return c.answer(f, start)
-			default:
-			}
-			if attempt > c.cfg.retries() {
-				break
-			}
 			c.retried.Add(1)
 			if !c.sleep(backoff) {
 				return Frame{}, errClosed
 			}
 			backoff *= 2
 		}
+		var f Frame
+		if f, err = c.attempt(req); err == nil {
+			c.recordLatency(time.Since(start))
+			c.settle(nil)
+			if f.Type == MsgError {
+				return Frame{}, fmt.Errorf("wire: shard %s: %s", c.shardLabel(), f.Payload)
+			}
+			return f, nil
+		}
 		if c.isClosed() {
 			return Frame{}, errClosed
 		}
-		cc, err := c.getConn()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		sentAt := time.Now()
-		if err := c.send(cc, Frame{Seq: seq, Type: t, Payload: payload}); err != nil {
-			lastErr = err
-			cc.fail(err)
-			c.clearConn(cc)
-			continue
-		}
-		timer := time.NewTimer(c.cfg.callTimeout())
-		select {
-		case f := <-w.ch:
-			timer.Stop()
-			return c.answer(f, start)
-		case <-cc.dead:
-			timer.Stop()
-			lastErr = cc.err
-		case <-timer.C:
-			lastErr = fmt.Errorf("wire: %v call timed out after %v", t, c.cfg.callTimeout())
-			if cc.lastRecv.Load() < sentAt.UnixNano() {
-				// Nothing has arrived since we sent: the socket itself is
-				// suspect, not just this response. Redial on retry.
-				cc.fail(errors.New("wire: connection silent past call timeout"))
-				c.clearConn(cc)
-			}
-		}
 	}
-	err = fmt.Errorf("wire: shard %s unreachable after %d attempts: %w", c.shardLabel(), c.cfg.retries()+1, lastErr)
+	err = fmt.Errorf("wire: shard %s unreachable after %d attempts: %w", c.shardLabel(), c.cfg.retries()+1, err)
 	c.settle(err)
 	return Frame{}, err
 }
 
-// answer settles a call on its reply: an application error (MsgError)
-// becomes the call's error.
-func (c *Client) answer(f Frame, start time.Time) (Frame, error) {
-	c.recordLatency(time.Since(start))
-	c.settle(nil)
-	if f.Type == MsgError {
-		return Frame{}, fmt.Errorf("wire: shard %s: %s", c.shardLabel(), f.Payload)
+// attempt sends req on the live connection and reads its reply. A failed
+// attempt drops the connection. Only a call reads the socket, so a shard
+// that closed a connection between calls is found by the next call on it:
+// if a kept connection fails other than by timing out, the attempt redials
+// once, at once, rather than spend a retry and a backoff on it.
+func (c *Client) attempt(req Frame) (Frame, error) {
+	conn, kept, err := c.getConn()
+	if err != nil {
+		return Frame{}, err
 	}
-	return f, nil
+	f, err := c.exchange(conn, req)
+	if err != nil {
+		c.drop(conn)
+		if kept && !errors.Is(err, os.ErrDeadlineExceeded) && !c.isClosed() {
+			return c.attempt(req) // a fresh connection: no second redial
+		}
+	}
+	return f, err
 }
 
-// begin takes the call's sequence and registers its waiter, inside the
-// send window: while the next sequence is at or beyond the oldest
-// in-flight one plus sendWindow, the caller waits for a call to finish, or
-// for Close.
-func (c *Client) begin() (uint64, *waiter, error) {
-	c.pendMu.Lock()
-	defer c.pendMu.Unlock()
+// exchange writes req on conn and reads frames until the one for its
+// sequence, all within one call timeout. A frame for an older sequence —
+// the late reply to a call that already ended — is skipped, but its
+// envelope is kept like any other.
+func (c *Client) exchange(conn net.Conn, req Frame) (Frame, error) {
+	conn.SetDeadline(time.Now().Add(c.cfg.callTimeout()))
+	if err := WriteFrame(conn, &c.wbuf, req); err != nil {
+		return Frame{}, err
+	}
+	c.bytesOut.Add(int64(frameHeaderSize + len(req.Payload)))
 	for {
-		oldest := c.seq
-		for seq := range c.pending {
-			oldest = min(oldest, seq)
+		f, err := ReadFrame(conn)
+		if err != nil {
+			return Frame{}, err
 		}
-		if c.seq < oldest+sendWindow {
-			break
+		c.bytesIn.Add(int64(frameHeaderSize + len(f.Payload)))
+		env, body, err := DecodeEnvelope(f.Payload)
+		if err != nil {
+			return Frame{}, err
 		}
-		if c.isClosed() {
-			return 0, nil, errClosed
+		c.keep(env)
+		if f.Seq == req.Seq {
+			f.Payload = body
+			return f, nil
 		}
-		c.window.Wait()
 	}
-	seq, w := c.seq, &waiter{ch: make(chan Frame, 1)}
-	c.seq++
-	c.pending[seq] = w
-	return seq, w, nil
 }
 
-// end retires a call from the window.
-func (c *Client) end(seq uint64) {
-	c.pendMu.Lock()
-	delete(c.pending, seq)
-	c.window.Broadcast()
-	c.pendMu.Unlock()
+// keep holds env if it is newer than the row held from the live
+// connection. A replay keeps its original stamp, so a late one never
+// displaces a newer row.
+func (c *Client) keep(env Envelope) {
+	c.connMu.Lock()
+	if env.Stamp > c.row.Stamp {
+		c.row = env
+	}
+	c.connMu.Unlock()
 }
 
 // settle records how the most recently completed call ended: nil if it got
@@ -596,18 +458,6 @@ func (c *Client) shardLabel() string {
 		return name
 	}
 	return fmt.Sprintf("%d at %s", c.cfg.Shard, c.cfg.Addr)
-}
-
-// send writes the request frame.
-func (c *Client) send(cc *clientConn, f Frame) error {
-	cc.writeMu.Lock()
-	defer cc.writeMu.Unlock()
-	cc.conn.SetWriteDeadline(time.Now().Add(c.cfg.callTimeout()))
-	if err := WriteFrame(cc.conn, &cc.wbuf, f); err != nil {
-		return err
-	}
-	c.bytesOut.Add(int64(frameHeaderSize + len(f.Payload)))
-	return nil
 }
 
 // Attach plans and attaches a query on the shard under an id. The query
@@ -792,9 +642,9 @@ func (c *Client) held() (Envelope, error) {
 }
 
 // Close ends the session: best-effort goodbye, then the connection drops.
-// In-flight calls are interrupted promptly (the socket is closed under
-// them, the reader broadcasts the death) and return errors; the reader
-// goroutine exits. Safe to call more than once.
+// The call in flight is interrupted promptly (the socket is closed under
+// it) and callers queued for the turn are released; both return errors.
+// Safe to call more than once.
 func (c *Client) Close() error {
 	c.connMu.Lock()
 	if c.isClosed() {
@@ -802,19 +652,16 @@ func (c *Client) Close() error {
 		return nil
 	}
 	close(c.closedCh)
-	cc := c.cur
+	conn := c.cur
 	c.cur = nil
 	c.connMu.Unlock()
-	c.pendMu.Lock()
-	c.window.Broadcast() // callers waiting for the window see closedCh
-	c.pendMu.Unlock()
-	if cc != nil {
-		// Goodbye on the raw connection without touching the write mutex:
-		// Close must not wait behind a sender it is supposed to interrupt.
+	if conn != nil {
+		// Goodbye without the turn: Close must not wait behind the call it
+		// is supposed to interrupt.
 		var wbuf []byte
-		cc.conn.SetDeadline(time.Now().Add(100 * time.Millisecond))
-		WriteFrame(cc.conn, &wbuf, Frame{Seq: ^uint64(0), Type: MsgClose, Payload: nil})
-		cc.fail(errClosed)
+		conn.SetDeadline(time.Now().Add(100 * time.Millisecond))
+		WriteFrame(conn, &wbuf, Frame{Seq: ^uint64(0), Type: MsgClose, Payload: nil})
+		conn.Close()
 	}
 	return nil
 }

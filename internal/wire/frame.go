@@ -19,23 +19,20 @@
 // corrupting an epoch stream.
 //
 // Requests are at-most-once: the client stamps a monotone per-session
-// sequence number on every call and retries the *same* sequence on timeout
-// or reconnect; the server replays the cached response for a sequence it
-// already executed and refuses sequences old enough to have been evicted
-// from the replay cache, and the client keeps at most half that cache's
-// horizon in flight, so no call it still awaits is ever refused. That is
-// what makes per-connection retry/timeout/backoff — and the deterministic
-// frame-level faults package wiretest injects on the server's side of the
-// socket — safe: a sense is charged and an acquisition sweep runs exactly
-// once per sequence number no matter how many frames the socket loses,
-// duplicates or delays, so a federated run over lossy sockets stays
-// byte-identical to the in-process run.
+// sequence number on every call, has one call in flight at a time and
+// retries the *same* sequence on timeout or reconnect; the server replays
+// the cached reply when the session's last executed sequence arrives
+// again and refuses any lower one. That is what makes per-connection
+// retry/timeout/backoff — and the deterministic frame-level faults package
+// wiretest injects on the server's side of the socket — safe: a sense is
+// charged and an acquisition sweep runs exactly once per sequence number
+// no matter how many frames the socket loses, duplicates or delays, so a
+// federated run over lossy sockets stays byte-identical to the in-process
+// run.
 //
-// The connection is full-duplex: the client pipelines calls, demultiplexing
-// responses back to their callers by sequence number. A whole federated
-// epoch (sense + every shared-acquisition group) is ONE MsgEpochRound round
-// trip whose readings cross in a roster-positional delta encoding instead
-// of keyed reading records. See round.go.
+// A whole federated epoch (sense + every shared-acquisition group) is ONE
+// MsgEpochRound round trip whose readings cross in a roster-positional
+// delta encoding instead of keyed reading records. See round.go.
 //
 // There is one protocol and no feature negotiation: both ends ship from
 // this repository, so an incompatible change bumps Version and a skewed
@@ -55,7 +52,7 @@ const (
 	// Version is the protocol version; peers must match exactly. It is the
 	// only compatibility mechanism: any change a peer of the previous
 	// version would misread bumps it.
-	Version uint16 = 7
+	Version uint16 = 8
 	// MaxPayload bounds a frame's payload. The largest legitimate frame is
 	// an epoch-round reply (a few bytes per sensor node per group), so
 	// 1 MiB is far beyond scale-100k split into shards, while a garbage

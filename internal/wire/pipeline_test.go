@@ -1,10 +1,10 @@
 package wire
 
-// The pipelined-client suite: concurrent calls multiplexing one socket
-// must not queue behind each other's timeouts or backoffs, responses may
-// land out of order, injected frame faults must stay invisible at the
-// at-most-once layer, and the epoch round must be byte-identical to the
-// same shard driven in-process.
+// The client suite: calls from many goroutines take turns on one socket,
+// each holding it from its first send to its reply; late and duplicated
+// frames and swallowed replies must stay invisible at the at-most-once
+// layer; and the epoch round must be byte-identical to the same shard
+// driven in-process.
 
 import (
 	"bytes"
@@ -337,9 +337,10 @@ func rawSession(t *testing.T, addr string) func(Frame) Frame {
 	return exchange
 }
 
-// TestServerRefusesEvictedSequence: the at-most-once layer replays a
-// sequence it still caches and refuses one old enough to have been
-// evicted — executing it could be a re-execution.
+// TestServerRefusesEvictedSequence: the server's replay cache is the
+// session's last sequence alone. That sequence again is replayed byte for
+// byte; once a higher one has executed, it has left the cache and is
+// refused — executing it could be a re-execution.
 func TestServerRefusesEvictedSequence(t *testing.T) {
 	addr, _ := startTestServer(t)
 	exchange := rawSession(t, addr)
@@ -349,47 +350,58 @@ func TestServerRefusesEvictedSequence(t *testing.T) {
 		t.Fatalf("round reply %v: %s", first.Type, first.Payload)
 	}
 	if again := exchange(round); again.Type != first.Type || !bytes.Equal(again.Payload, first.Payload) {
-		t.Fatal("a cached sequence was not replayed byte-identically")
+		t.Fatal("the last sequence was not replayed byte-identically")
 	}
-	for seq := uint64(3); seq < 3+replayCap; seq++ {
-		if rep := exchange(Frame{Seq: seq, Type: MsgDetach, Payload: AppendU32(nil, 1)}); rep.Type != MsgDetached {
-			t.Fatalf("detach reply %v", rep.Type)
-		}
+	if rep := exchange(Frame{Seq: 3, Type: MsgDetach, Payload: AppendU32(nil, 1)}); rep.Type != MsgDetached {
+		t.Fatalf("detach reply %v", rep.Type)
 	}
 	if rep := exchange(round); rep.Type != MsgError || !strings.Contains(string(rep.Payload), "stale sequence") {
 		t.Fatalf("evicted sequence answered %v: %s", rep.Type, rep.Payload)
 	}
 }
 
-// TestServerReplayHorizon: the replay cache is a ring of the last replayCap
-// replies. After the ring has wrapped twice, the oldest sequence still in
-// it — replayCap calls back, counting the newest — is replayed byte for
-// byte, not re-executed (a re-run round would have sensed again and moved
-// the counters row the reply carries), and the one call older than that is
-// refused as stale.
+// TestServerReplayHorizon: the replay horizon is one sequence. Along a run
+// of rounds, each round's sequence sent again is replayed byte for byte
+// with its original stamp, not re-executed (a re-run round would have
+// sensed again and moved the counters row and stamp the reply carries),
+// even after a refusal; the sequence before it is refused as stale without
+// executing; and the next one executes.
 func TestServerReplayHorizon(t *testing.T) {
 	addr, _ := startTestServer(t)
 	exchange := rawSession(t, addr)
 	round := func(seq uint64) Frame {
 		return Frame{Seq: seq, Type: MsgEpochRound, Payload: AppendEpochRound(nil, EpochRoundReq{Epoch: model.Epoch(seq)})}
 	}
-	const last = 2 + 2*replayCap
-	replies := make(map[uint64][]byte)
-	for seq := uint64(2); seq <= last; seq++ {
+	for seq := uint64(2); seq <= 12; seq++ {
 		rep := exchange(round(seq))
 		if rep.Type != MsgEpochRoundReply {
 			t.Fatalf("seq %d: reply %v: %s", seq, rep.Type, rep.Payload)
 		}
-		replies[seq] = rep.Payload
-	}
-	oldest := uint64(last - replayCap + 1)
-	for _, seq := range []uint64{oldest, last} {
-		if rep := exchange(round(seq)); rep.Type != MsgEpochRoundReply || !bytes.Equal(rep.Payload, replies[seq]) {
-			t.Fatalf("seq %d inside the horizon was not replayed byte for byte (%v)", seq, rep.Type)
+		if env, _, err := DecodeEnvelope(rep.Payload); err != nil || env.Stamp != seq-1 {
+			t.Fatalf("seq %d: stamped %d (%v), want %d: one execution per sequence", seq, env.Stamp, err, seq-1)
+		}
+		if stale := exchange(round(seq - 1)); stale.Type != MsgError || !strings.Contains(string(stale.Payload), "stale sequence") {
+			t.Fatalf("seq %d, below the last, answered %v: %s", seq-1, stale.Type, stale.Payload)
+		}
+		if again := exchange(round(seq)); again.Type != MsgEpochRoundReply || !bytes.Equal(again.Payload, rep.Payload) {
+			t.Fatalf("seq %d, the last, was not replayed byte for byte (%v)", seq, again.Type)
 		}
 	}
-	if rep := exchange(round(oldest - 1)); rep.Type != MsgError || !strings.Contains(string(rep.Payload), "stale sequence") {
-		t.Fatalf("seq %d, one past the horizon, answered %v: %s", oldest-1, rep.Type, rep.Payload)
+}
+
+// TestServerRefusesASupersededSession: once a new session's hello has
+// arrived, a frame on the old session's connection — a closing client's
+// goodbye, say — is refused without executing, and does not take the new
+// session's slot: the new session's sequence 1 still executes.
+func TestServerRefusesASupersededSession(t *testing.T) {
+	addr, _ := startTestServer(t)
+	old := rawSession(t, addr)
+	current := rawSession(t, addr)
+	if rep := old(Frame{Seq: ^uint64(0), Type: MsgClose}); rep.Type != MsgError || !strings.Contains(string(rep.Payload), "session ended") {
+		t.Fatalf("the superseded session's goodbye answered %v: %s", rep.Type, rep.Payload)
+	}
+	if rep := current(Frame{Seq: 1, Type: MsgEpochRound, Payload: AppendEpochRound(nil, EpochRoundReq{Epoch: 0})}); rep.Type != MsgEpochRoundReply {
+		t.Fatalf("the current session's first call answered %v: %s", rep.Type, rep.Payload)
 	}
 }
 
@@ -411,21 +423,50 @@ func TestStatsFailsAfterClose(t *testing.T) {
 }
 
 // TestStatsKeepsTheNewestStamp: a reply stamped older than the row the
-// client holds — here the held-back reply to an earlier call, landing after
-// a later call's — does not displace it, and Stats makes no call.
+// client holds — here a late duplicate of the first call's reply, which
+// the third call reads ahead of its own — does not displace it, and Stats
+// makes no call and does not wait for the call in flight.
 func TestStatsKeepsTheNewestStamp(t *testing.T) {
-	held, release := make(chan struct{}), make(chan struct{})
-	addr := startStubServer(t, func(f Frame) (Frame, bool) {
-		if f.Type != MsgDetach {
-			return Frame{}, false
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	// Each reply is stamped with its sequence and counts as many messages.
+	reply := func(seq uint64) Frame {
+		env := Envelope{Stamp: seq, Row: stats.RunStats{Messages: int(seq)}}
+		return Frame{Seq: seq, Type: MsgDetached, Payload: append(AppendEnvelope(nil, env), AppendU32(nil, uint32(seq))...)}
+	}
+	late, hold := make(chan struct{}), make(chan struct{})
+	release := sync.OnceFunc(func() { close(hold) })
+	defer release()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
 		}
-		if q, _ := DecodeU32(f.Payload); q == 1 {
-			close(held)
-			<-release
+		defer conn.Close()
+		var wbuf []byte
+		f, err := ReadFrame(conn)
+		if err != nil {
+			return
 		}
-		return Frame{Seq: f.Seq, Type: MsgDetached, Payload: f.Payload}, true
-	})
-	cl, err := Dial(stubClientConfig(addr))
+		h, _ := DecodeHello(f.Payload)
+		WriteFrame(conn, &wbuf, Frame{Type: MsgWelcome, Payload: AppendWelcome(nil, Welcome{Version: Version, Shard: h.Shard, Nodes: h.Nodes, Name: "stub"})})
+		for {
+			f, err := ReadFrame(conn)
+			if err != nil {
+				return
+			}
+			if f.Seq == 3 {
+				WriteFrame(conn, &wbuf, reply(1)) // the first call's reply, late
+				close(late)
+				<-hold
+			}
+			WriteFrame(conn, &wbuf, reply(f.Seq))
+		}
+	}()
+	cl, err := Dial(stubClientConfig(ln.Addr().String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,15 +474,17 @@ func TestStatsKeepsTheNewestStamp(t *testing.T) {
 	if row, err := cl.Stats(); err != nil || row.Messages != 0 || row.Algorithm != "stub" {
 		t.Fatalf("before any call Stats read %+v, %v; want the welcome's row", row, err)
 	}
-	first := make(chan error, 1)
-	go func() { first <- cl.Detach(1) }() // sequence 1, held back
-	<-held
-	if err := cl.Detach(2); err != nil { // sequence 2, stamped 2
-		t.Fatal(err)
+	for q := uint32(1); q <= 2; q++ { // sequences 1 and 2, stamped 1 and 2
+		if err := cl.Detach(q); err != nil {
+			t.Fatal(err)
+		}
 	}
-	close(release)
-	if err := <-first; err != nil { // stamped 1, read after stamp 2
-		t.Fatal(err)
+	read := cl.Metrics().BytesIn
+	third := make(chan error, 1)
+	go func() { third <- cl.Detach(3) }() // sequence 3, held back
+	<-late
+	for lateSize := int64(len(AppendFrame(nil, reply(1)))); cl.Metrics().BytesIn < read+lateSize; {
+		time.Sleep(time.Millisecond) // until the third call has read the late reply
 	}
 	calls := cl.Metrics().Calls
 	row, err := cl.Stats()
@@ -453,6 +496,13 @@ func TestStatsKeepsTheNewestStamp(t *testing.T) {
 	}
 	if made := cl.Metrics().Calls - calls; made != 0 {
 		t.Fatalf("Stats made %d calls", made)
+	}
+	release()
+	if err := <-third; err != nil {
+		t.Fatal(err)
+	}
+	if row, _ := cl.Stats(); row.Messages != 3 {
+		t.Fatalf("after the third reply Stats read %d messages, want 3", row.Messages)
 	}
 }
 
@@ -523,15 +573,15 @@ func TestStatsWelcomeRowReplacesOldConnection(t *testing.T) {
 }
 
 // replyThenCloseStub serves a stub shard that, on each connection, sends
-// its welcome, then waits for one sequence on the returned channel: it
-// writes the epoch-round reply for that sequence (none for 0) and closes
-// the socket.
-func replyThenCloseStub(t *testing.T) (string, chan<- uint64) {
+// its welcome, reads one request and waits for a word on the returned
+// channel: true writes the epoch-round reply for that request, false
+// none. Either way it then closes the socket.
+func replyThenCloseStub(t *testing.T) (string, chan<- bool) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	replies, done := make(chan uint64), make(chan struct{})
+	replies, done := make(chan bool), make(chan struct{})
 	t.Cleanup(func() { close(done); ln.Close() })
 	go func() {
 		for {
@@ -547,34 +597,31 @@ func replyThenCloseStub(t *testing.T) (string, chan<- uint64) {
 			}
 			h, _ := DecodeHello(f.Payload)
 			WriteFrame(conn, &wbuf, Frame{Type: MsgWelcome, Payload: AppendWelcome(nil, Welcome{Version: Version, Shard: h.Shard, Nodes: h.Nodes, Name: "stub"})})
+			req, err := ReadFrame(conn)
+			if err != nil {
+				conn.Close()
+				continue
+			}
 			select {
-			case seq := <-replies:
-				if seq == 0 {
+			case reply := <-replies:
+				if !reply {
 					break
 				}
-				body, err := AppendEpochRoundReply(nil, stubRoster, EpochRoundReply{Epoch: model.Epoch(seq - 1)})
+				round, err := DecodeEpochRound(req.Payload)
 				if err != nil {
 					t.Error(err)
 				}
-				WriteFrame(conn, &wbuf, Frame{Seq: seq, Type: MsgEpochRoundReply, Payload: append(AppendEnvelope(nil, Envelope{}), body...)})
+				body, err := AppendEpochRoundReply(nil, stubRoster, EpochRoundReply{Epoch: round.Epoch})
+				if err != nil {
+					t.Error(err)
+				}
+				WriteFrame(conn, &wbuf, Frame{Seq: req.Seq, Type: MsgEpochRoundReply, Payload: append(AppendEnvelope(nil, Envelope{}), body...)})
 			case <-done:
 			}
 			conn.Close()
 		}
 	}()
 	return ln.Addr().String(), replies
-}
-
-// waitSending waits until a call is inside Client.send, where a test
-// holding the connection's write lock keeps it.
-func waitSending(t *testing.T) {
-	buf := make([]byte, 1<<20)
-	for deadline := time.Now().Add(10 * time.Second); !bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("wire.(*Client).send(")); {
-		if time.Now().After(deadline) {
-			t.Fatal("no call reached Client.send")
-		}
-		runtime.Gosched()
-	}
 }
 
 // roundAsync runs the epoch round for e in the background. EpochRound
@@ -590,13 +637,11 @@ func roundAsync(cl *Client, e model.Epoch) <-chan error {
 }
 
 // TestReplyThenCloseIsNotRetried: a shard that writes a call's reply and
-// then closes its socket has answered that call. The client's reader
-// delivers the reply before it marks the connection dead, so the call
-// returns that reply rather than retrying on a new connection. To make
-// the reply and the death reach the call together on every call, the test
-// holds the connection's write lock, so the call's request is still
-// unsent while the stub writes the reply for its sequence and closes; the
-// call then finds its connection dead with the reply waiting.
+// then closes its socket has answered that call. The call reads its own
+// socket, where the reply comes ahead of the close, so it returns that
+// reply rather than retrying on a new connection. The stub writes the
+// reply and closes at once, so the reply and the death reach the call
+// together on every call.
 func TestReplyThenCloseIsNotRetried(t *testing.T) {
 	addr, replies := replyThenCloseStub(t)
 	cfg := stubClientConfig(addr)
@@ -608,31 +653,23 @@ func TestReplyThenCloseIsNotRetried(t *testing.T) {
 	defer cl.Close()
 	const calls = 100
 	for e := model.Epoch(0); e < calls; e++ {
-		cc, err := cl.getConn() // Dial's connection, then each one the last close left to redial
-		if err != nil {
-			t.Fatal(err)
-		}
-		cc.writeMu.Lock()
-		result := roundAsync(cl, e)
-		waitSending(t)
-		replies <- uint64(e) + 1 // calls take sequences from 1
-		<-cc.dead                // the reply delivered, then the close read
-		cc.writeMu.Unlock()
+		result := roundAsync(cl, e) // on Dial's connection, then each one the last close left to redial
+		replies <- true
 		if err := <-result; err != nil {
 			t.Fatalf("call %d: %v", e, err)
 		}
 		if m := cl.Metrics(); m.Retries != 0 {
-			t.Fatalf("call %d retried (%d retries): the reply delivered before its connection closed was dropped", e, m.Retries)
+			t.Fatalf("call %d retried (%d retries): the reply that came before its connection closed was dropped", e, m.Retries)
 		}
 	}
 }
 
 // TestReplyThenCloseOnTheLastAttempt: the same reply-then-close, landing
-// on a call's last allowed attempt, still answers the call. With one
-// retry, the first attempt's connection closes unanswered; the test dials
-// the connection the retry will take and holds its write lock, so the
-// retry blocks in its send while the stub replies on it and closes. The
-// send then fails on the closed connection with the reply waiting.
+// on a call's last allowed attempt, still answers the call. Each call
+// finds the connection the last reply's close left dead and redials it at
+// once; with one retry, the first attempt's new connection closes
+// unanswered, and the retry, on another, gets its reply and the close
+// together.
 func TestReplyThenCloseOnTheLastAttempt(t *testing.T) {
 	addr, replies := replyThenCloseStub(t)
 	cfg := stubClientConfig(addr)
@@ -643,101 +680,30 @@ func TestReplyThenCloseOnTheLastAttempt(t *testing.T) {
 	}
 	defer cl.Close()
 	const calls = 20
+	result := roundAsync(cl, calls) // Dial's connection answers, then closes
+	replies <- true
+	if err := <-result; err != nil {
+		t.Fatal(err)
+	}
 	for e := model.Epoch(0); e < calls; e++ {
-		first, err := cl.getConn()
-		if err != nil {
-			t.Fatal(err)
-		}
-		first.writeMu.Lock()
 		result := roundAsync(cl, e)
-		waitSending(t)
-		replies <- 0 // the first attempt's connection closes unanswered
-		<-first.dead
-		last, err := cl.getConn()
-		if err != nil {
-			t.Fatal(err)
-		}
-		last.writeMu.Lock()
-		first.writeMu.Unlock() // the first attempt's send fails
-		for cl.Metrics().Retries != int64(e)+1 {
-			runtime.Gosched()
-		}
-		waitSending(t) // the retry, on last
-		replies <- uint64(e) + 1
-		<-last.dead
-		last.writeMu.Unlock()
+		replies <- false // the first attempt's connection closes unanswered
+		replies <- true  // the retry's is answered, then closes
 		if err := <-result; err != nil {
 			t.Fatalf("call %d: %v", e, err)
 		}
-	}
-}
-
-// TestClientBackoffDoesNotBlockConcurrentCalls: a call waiting out its
-// retry backoff must not delay other calls on the shared connection — the
-// regression this pins is the serialized client sleeping its backoff
-// under the call mutex. The stub swallows the first epoch-round attempt
-// (the call times out and backs off); a detach issued mid-backoff must
-// complete immediately.
-func TestClientBackoffDoesNotBlockConcurrentCalls(t *testing.T) {
-	var mu sync.Mutex
-	roundDropped := false
-	addr := startStubServer(t, func(f Frame) (Frame, bool) {
-		switch f.Type {
-		case MsgEpochRound:
-			mu.Lock()
-			first := !roundDropped
-			roundDropped = true
-			mu.Unlock()
-			if first {
-				return Frame{}, false // swallowed: the attempt times out
-			}
-			return emptyRound(t, f), true
-		case MsgDetach:
-			return Frame{Seq: f.Seq, Type: MsgDetached, Payload: f.Payload}, true
-		case MsgClose:
-			return Frame{}, false
+		if m := cl.Metrics(); m.Retries != int64(e)+1 {
+			t.Fatalf("call %d: %d retries in all, want %d", e, m.Retries, e+1)
 		}
-		return Frame{Seq: f.Seq, Type: MsgError, Payload: []byte("unexpected " + f.Type.String())}, true
-	})
-	cfg := stubClientConfig(addr)
-	cfg.CallTimeout = 250 * time.Millisecond
-	cfg.Retries = 3
-	cfg.Backoff = 500 * time.Millisecond
-	cl, err := Dial(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	roundDone := make(chan error, 1)
-	go func() {
-		_, _, err := cl.EpochRound(0, nil)
-		roundDone <- err
-	}()
-	// Land inside the round's timeout+backoff window (first attempt is
-	// swallowed at t=0, times out at 250ms, sleeps 500ms, retries at 750ms).
-	time.Sleep(100 * time.Millisecond)
-	start := time.Now()
-	if err := cl.Detach(1); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed > 200*time.Millisecond {
-		t.Fatalf("concurrent detach took %v while another call was retrying — backoff is blocking the connection", elapsed)
-	}
-	if err := <-roundDone; err != nil {
-		t.Fatalf("the backed-off round never recovered: %v", err)
-	}
-	if cl.Metrics().Retries == 0 {
-		t.Fatal("the swallowed round never retried — the scenario did not run")
 	}
 }
 
-// TestClientPipelinedFaultsOutOfOrder: three concurrent callers multiplex
-// one faulty socket — duplicated, delayed and response-dropped frames, so
-// responses land out of order and retried sequences replay — and the
-// sensed epoch stream plus the server's execution counters must stay
-// byte-identical to a clean serial run: every request executed at most
-// once, every response routed to its caller.
+// TestClientPipelinedFaultsOutOfOrder: three concurrent callers take turns
+// on one faulty socket — duplicated, delayed and response-dropped frames,
+// so late replies to ended calls arrive out of order and retried sequences
+// replay — and the sensed epoch stream plus the server's execution
+// counters must stay byte-identical to a clean serial run: every request
+// executed at most once, every reply returned to its own caller.
 func TestClientPipelinedFaultsOutOfOrder(t *testing.T) {
 	const epochs = 8
 	run := func(frames wiretest.Faults) ([][]byte, int64, ClientMetrics) {
@@ -816,76 +782,82 @@ func TestClientPipelinedFaultsOutOfOrder(t *testing.T) {
 	}
 }
 
-// TestClientSendWindow: with sendWindow calls in flight, the next call
-// waits before taking a sequence — it sends nothing — until the oldest
-// completes, and Close releases a caller still waiting.
-func TestClientSendWindow(t *testing.T) {
+// TestClientOneCallInFlight: calls from 16 goroutines reach the shard one
+// at a time, in strictly ascending sequence from 1 with none skipped, and
+// none is refused. Then, with one call parked on a reply that never comes
+// and 16 more queued for their turn, Close releases them all promptly with
+// errors and leaves no goroutine behind.
+func TestClientOneCallInFlight(t *testing.T) {
+	const callers, each = 16, 20
+	const park = 1 << 31 // the detach the stub never answers
+	baseGoroutines := runtime.NumGoroutine()
 	var mu sync.Mutex
-	held := map[uint64]chan struct{}{}
-	t.Cleanup(func() { // let every held reply go
-		mu.Lock()
-		defer mu.Unlock()
-		for _, ch := range held {
-			select {
-			case <-ch:
-			default:
-				close(ch)
-			}
-		}
-	})
-	seen := make(chan uint64, 2*sendWindow) // every sequence the test can send
+	var seqs []uint64
+	inFlight := 0
+	parked := make(chan struct{})
 	addr := startStubServer(t, func(f Frame) (Frame, bool) {
 		if f.Type != MsgDetach {
 			return Frame{}, false
 		}
 		mu.Lock()
-		ch := make(chan struct{})
-		held[f.Seq] = ch
+		seqs = append(seqs, f.Seq)
+		inFlight++
+		if inFlight > 1 {
+			t.Errorf("sequence %d reached the shard with %d calls in flight", f.Seq, inFlight)
+		}
 		mu.Unlock()
-		seen <- f.Seq
-		<-ch
+		if q, _ := DecodeU32(f.Payload); q == park {
+			close(parked)
+			return Frame{}, false
+		}
+		time.Sleep(50 * time.Microsecond) // room for an overlapping call to arrive
+		mu.Lock()
+		inFlight--
+		mu.Unlock()
 		return Frame{Seq: f.Seq, Type: MsgDetached, Payload: f.Payload}, true
 	})
 	cfg := stubClientConfig(addr)
-	cfg.CallTimeout = time.Minute // no call retries while the test holds it
+	cfg.CallTimeout = time.Minute // the parked call is still on its first attempt at Close
 	cl, err := Dial(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cl.Close()
-	errs := make(chan error, sendWindow+2)
-	for i := 0; i < sendWindow+2; i++ {
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < each; j++ {
+				if err := cl.Detach(1); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	mu.Lock()
+	for i, seq := range seqs {
+		if seq != uint64(i)+1 {
+			t.Fatalf("call %d reached the shard as sequence %d, want %d", i, seq, i+1)
+		}
+	}
+	if len(seqs) != callers*each {
+		t.Fatalf("%d calls reached the shard, want %d", len(seqs), callers*each)
+	}
+	mu.Unlock()
+
+	errs := make(chan error, callers+1)
+	go func() { errs <- cl.Detach(park) }()
+	<-parked
+	for i := 0; i < callers; i++ {
 		go func() { errs <- cl.Detach(1) }()
 	}
-	for i := 0; i < sendWindow; i++ {
-		<-seen
+	for cl.Metrics().Calls != callers*each+1+callers {
+		time.Sleep(time.Millisecond) // until every caller is queued for its turn
 	}
-	select {
-	case seq := <-seen:
-		t.Fatalf("sequence %d sent with %d calls in flight", seq, sendWindow)
-	case err := <-errs:
-		t.Fatalf("a call returned with the window full: %v", err)
-	case <-time.After(100 * time.Millisecond):
-	}
-	// The oldest completes: exactly one waiting call enters the window.
-	mu.Lock()
-	close(held[1])
-	mu.Unlock()
-	if err := <-errs; err != nil {
-		t.Fatal(err)
-	}
-	if seq := <-seen; seq != sendWindow+1 {
-		t.Fatalf("the call admitted after the oldest took sequence %d, want %d", seq, sendWindow+1)
-	}
-	select {
-	case seq := <-seen:
-		t.Fatalf("sequence %d sent beyond the window", seq)
-	case <-time.After(100 * time.Millisecond):
-	}
-	// Close releases the caller still waiting for the window, and the
-	// calls in flight.
 	cl.Close()
-	for i := 0; i < sendWindow+1; i++ {
+	for i := 0; i < callers+1; i++ {
 		select {
 		case err := <-errs:
 			if err == nil {
@@ -895,13 +867,21 @@ func TestClientSendWindow(t *testing.T) {
 			t.Fatal("a call is still blocked after Close")
 		}
 	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseGoroutines+2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked: %d now vs %d at start", runtime.NumGoroutine(), baseGoroutines)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }
 
 // TestClientControlCallsBesideLossyRounds: epoch rounds whose replies the
 // link drops retry their sequence while many goroutines' control calls
-// execute on the same server. The send window keeps every retried round
-// inside the server's replay horizon: no call is refused as a stale
-// sequence, and no round runs twice.
+// queue behind them on the same client. A round keeps its turn until it is
+// answered, so its retry always finds its sequence in the server's one-slot
+// replay cache: no call is refused as a stale sequence, and no round runs
+// twice.
 func TestClientControlCallsBesideLossyRounds(t *testing.T) {
 	const rounds, callers = 16, 16
 	addr, srv := startFaultyServer(t, wiretest.Faults{Seed: 5, DropResp: 0.15})
@@ -953,8 +933,8 @@ func TestClientControlCallsBesideLossyRounds(t *testing.T) {
 
 // TestClientCloseInterruptsInFlight: Close racing calls parked on a
 // black-hole server unblocks them promptly with errors and leaves no
-// goroutine behind — the reader, the callers and their retry timers all
-// wind down.
+// goroutine behind — the caller in flight, the callers queued for their
+// turn and their retry timers all wind down.
 func TestClientCloseInterruptsInFlight(t *testing.T) {
 	baseGoroutines := runtime.NumGoroutine()
 	addr := startStubServer(t, func(f Frame) (Frame, bool) { return Frame{}, false })

@@ -53,13 +53,11 @@ type Server struct {
 
 	mu         sync.Mutex
 	nonce      uint64
-	stamp      uint64            // calls executed: the stamp on every reply's envelope
-	evicted    uint64            // highest sequence evicted from the replay cache
-	replay     map[uint64][]byte // reply frames by sequence: the bytes every write of the reply sends
-	replaySeqs [replayCap]uint64 // ring of the cached sequences; slot replayNext%replayCap is the oldest once full
-	replayNext int               // replies cached this session
-	snapState  []byte            // pinned snapshot image being served in chunks
-	restoreBuf []byte            // restore image being assembled from chunks
+	stamp      uint64 // calls executed: the stamp on every reply's envelope
+	lastSeq    uint64 // the session's newest executed sequence
+	lastReply  []byte // its reply frame: the bytes every write of the reply sends
+	snapState  []byte // pinned snapshot image being served in chunks
+	restoreBuf []byte // restore image being assembled from chunks
 
 	connMu sync.Mutex
 	ln     net.Listener
@@ -67,13 +65,6 @@ type Server struct {
 	closed bool
 	wg     sync.WaitGroup
 }
-
-// replayCap bounds the at-most-once response cache. The client's send
-// window is replayCap/2 (sendWindow, client.go): while a call is in
-// flight, at most replayCap-2 other sequences can execute, so neither its
-// reply is evicted before it is read nor its sequence falls under the
-// eviction watermark before it runs (DESIGN.md, "The send window").
-const replayCap = 64
 
 // NewServer builds a shard server: the durable tier opened (and recovered)
 // here, the shard itself assembled by the constructor an in-process Open
@@ -86,10 +77,9 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:    cfg,
-		store:  store,
-		replay: make(map[uint64][]byte),
-		conns:  make(map[net.Conn]bool),
+		cfg:   cfg,
+		store: store,
+		conns: make(map[net.Conn]bool),
 	}
 	s.body, err = shard.New(shard.Config{
 		Scenario: cfg.Scenario,
@@ -204,9 +194,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		// (shard.Reset: attachments, historic executions). The durable tier,
 		// the field's energy and its counters persist.
 		s.nonce = hello.Nonce
-		s.evicted = 0
-		s.replay = make(map[uint64][]byte)
-		s.replayNext = 0
+		s.lastSeq, s.lastReply = 0, nil
 		s.snapState = nil
 		s.restoreBuf = nil
 		s.body.Reset()
@@ -235,7 +223,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		reply, close := s.dispatch(f)
+		reply, close := s.dispatch(hello.Nonce, f)
 		if _, err := conn.Write(reply); err != nil {
 			return
 		}
@@ -265,26 +253,35 @@ func (s *Server) checkHello(h Hello) error {
 	return nil
 }
 
-// dispatch executes one request frame at most once: a sequence number
-// already executed replays its cached reply (a retried or duplicated
-// frame must not re-run a sweep or re-charge sensing). The pipelined
-// client's in-flight calls reach the socket in any order, so the server
-// executes any sequence it has not seen; only a sequence old enough to
-// have been EVICTED from the replay cache is refused — executing it could
-// be a re-execution, which at-most-once forbids.
+// dispatch executes one request frame at most once. The client has one
+// call in flight and sends its sequences in ascending order, so the
+// session's last sequence and its reply are the whole replay cache: that
+// sequence again (a retried or duplicated frame, which must not re-run a
+// sweep or re-charge sensing) replays the cached reply; a lower one — a
+// late frame of a call that already ended — is refused, since running it
+// could be a re-execution or run it after a later call; a higher one
+// executes and takes the slot.
 //
 // The reply is returned encoded, and the connection writes exactly those
 // bytes: a reply is framed once, and a replay writes the cached frame as it
 // stands — with the envelope, and so the stamp, it was framed with. Cached
 // bytes are never modified once stored — a replay of the same sequence may
 // be mid-write on another connection.
-func (s *Server) dispatch(f Frame) (reply []byte, close bool) {
+//
+// A frame on a connection whose hello carried an older session's nonce —
+// say a closing client's goodbye, read after its successor's hello — is
+// refused and its connection closed: it must neither run against the new
+// session's state nor take its slot.
+func (s *Server) dispatch(nonce uint64, f Frame) (reply []byte, close bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if cached, ok := s.replay[f.Seq]; ok {
-		return cached, MsgType(cached[frameHeaderSize-1]) == MsgClosed
+	if nonce != s.nonce {
+		return s.reply(f.Seq, MsgError, []byte("wire: session ended")), true
 	}
-	if f.Seq <= s.evicted {
+	if f.Seq == s.lastSeq && s.lastReply != nil {
+		return s.lastReply, MsgType(s.lastReply[frameHeaderSize-1]) == MsgClosed
+	}
+	if f.Seq <= s.lastSeq {
 		return s.reply(f.Seq, MsgError, []byte("wire: stale sequence")), false
 	}
 	t, payload, err := s.handle(f)
@@ -292,17 +289,8 @@ func (s *Server) dispatch(f Frame) (reply []byte, close bool) {
 		t, payload = MsgError, []byte(err.Error())
 	}
 	s.stamp++
-	reply = s.reply(f.Seq, t, payload)
-	slot := s.replayNext % replayCap
-	if s.replayNext >= replayCap {
-		old := s.replaySeqs[slot]
-		delete(s.replay, old)
-		s.evicted = max(s.evicted, old)
-	}
-	s.replaySeqs[slot] = f.Seq
-	s.replayNext++
-	s.replay[f.Seq] = reply
-	return reply, t == MsgClosed
+	s.lastSeq, s.lastReply = f.Seq, s.reply(f.Seq, t, payload)
+	return s.lastReply, t == MsgClosed
 }
 
 // envelope reads the shard's counters under s.mu, stamped with the calls
