@@ -32,7 +32,8 @@
 //
 // A whole federated epoch (sense + every shared-acquisition group) is ONE
 // MsgEpochRound round trip whose readings cross in a roster-positional
-// delta encoding instead of keyed reading records. See round.go.
+// encoding (groups and epochs as runs, values as deltas) instead of keyed
+// reading records. See round.go.
 //
 // There is one protocol and no feature negotiation: both ends ship from
 // this repository, so an incompatible change bumps Version and a skewed
@@ -51,8 +52,10 @@ const (
 	Magic uint32 = 0x5750534B
 	// Version is the protocol version; peers must match exactly. It is the
 	// only compatibility mechanism: any change a peer of the previous
-	// version would misread bumps it.
-	Version uint16 = 8
+	// version would misread bumps it. Version 9 run-codes the roster
+	// readings block's groups and epochs (round.go); a version-8 peer
+	// carried them per node and would misread every round reply.
+	Version uint16 = 9
 	// MaxPayload bounds a frame's payload. The largest legitimate frame is
 	// an epoch-round reply (a few bytes per sensor node per group), so
 	// 1 MiB is far beyond scale-100k split into shards, while a garbage

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
 	"testing"
 
 	"kspot/internal/model"
@@ -117,6 +118,35 @@ func FuzzEpochRoundDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF})
+	// Run-coded blocks at the body's reference epoch 9: the full roster in
+	// two groups under one epoch run, then one block for each way a block
+	// can fail to be canonical, bare and as the sense block of a reply
+	// with no groups.
+	full := make(map[model.NodeID]model.Reading, len(fuzzRoster))
+	for i, id := range fuzzRoster {
+		full[id] = model.Reading{Node: id, Group: model.GroupID(1 + i/4), Epoch: 9, Value: model.Value(i) - 2.5}
+	}
+	if block, err := AppendRosterReadings(nil, fuzzRoster, 9, full); err == nil {
+		f.Add(block)
+	}
+	for _, h := range []string{
+		"03" + "02" + "0100" + "0100" + "01" + "0001" + "0000", // adjacent equal group runs
+		"03" + "01" + "0101" + "02" + "0000" + "0000" + "0000", // adjacent equal epoch runs
+		"03" + "01" + "0102" + "01" + "0001" + "0000",          // group runs past the popcount
+		"03" + "01" + "0100" + "01" + "0001" + "0000",          // group runs short of it
+		"03" + "01" + "0101" + "01" + "0000" + "0000",          // epoch runs short of it
+		"01" + "01" + "8100" + "01" + "0000" + "00",            // non-minimal uvarint
+		"01" + "01" + "80800400" + "01" + "0000" + "00",        // group 65 536
+		"01" + "01" + "0100" + "01" + "1300" + "00",            // epoch −1
+		"01" + "01" + "0100" + "01" + "eeffffff1f00" + "00",    // epoch MaxUint32 + 1
+	} {
+		block, err := hex.DecodeString(h)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(block)
+		f.Add(append(AppendEpoch(nil, 9), append(block, 0, 0)...))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if req, err := DecodeEpochRound(data); err == nil {
 			if re := AppendEpochRound(nil, req); !bytes.Equal(re, data) {

@@ -313,6 +313,13 @@ func AppendEnvelope(dst []byte, e Envelope) []byte {
 	return dst
 }
 
+// envelopeMaxSize bounds the bytes AppendEnvelope appends for e.
+func envelopeMaxSize(e Envelope) int {
+	const varints = 12 + 1 // the twelve counters and the kind count
+	return 2 + len(e.Storage.Dir) + 2 + len(e.Storage.Err) + varints*binary.MaxVarintLen64 + 16 +
+		len(e.Row.PerKind)*(1+binary.MaxVarintLen64)
+}
+
 // DecodeEnvelope decodes an envelope from the front of b, returning the
 // rest (the reply's own payload). Strict: minimal varints, an epoch that
 // fits its type, a boolean checkpoint flag, kinds strictly ascending.

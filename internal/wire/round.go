@@ -6,22 +6,29 @@ package wire
 // acquisition — the whole federated epoch in one round trip instead of
 // 1 + G. Readings cross in a roster-positional encoding: both ends know
 // the shard's sensor roster (fixed at handshake — the node set is static
-// configuration), so a reading map is a presence bitmap over the roster
-// plus per-node varint deltas, not self-describing 12-byte keyed records.
-// For a 250-node shard that is ~4 bytes of bitmap plus a few bytes per
-// node instead of 12, and the decoder allocates one map, not one per
+// configuration), so a reading map is a presence bitmap over the roster,
+// its groups and epochs as runs, and a value delta per node — not
+// self-describing 12-byte keyed records. A group is a room of consecutive
+// node ids and every sensed reading carries the reply's own epoch, so a
+// 500-node shard of the scale-1000 deployment sends 63 bytes of bitmap,
+// 51 of group runs (25 rooms), 4 of epoch runs (one run) and ≈ 916 of
+// value deltas: ≈ 1 034 bytes an epoch, where a group and an epoch delta
+// per node took ≈ 1 979. The decoder allocates one map, not one per
 // record pass.
 //
 // Every encoding here is canonical — one byte string per value, enforced
-// by strict (minimal-length) varint decoding, zeroed bitmap padding and
-// status bytes derived from content — so retried frames are byte-identical
-// and FuzzEpochRoundDecode can require decode∘encode to be the identity.
+// by strict (minimal-length) varint decoding, zeroed bitmap padding,
+// maximal runs and status bytes derived from content — so retried frames
+// are byte-identical and FuzzEpochRoundDecode can require decode∘encode to
+// be the identity.
 
 import (
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
+	"slices"
 
 	"kspot/internal/model"
 )
@@ -194,81 +201,173 @@ func DecodeEpochRoundReply(b []byte, roster []model.NodeID) (EpochRoundReply, er
 	return r, nil
 }
 
-// AppendRosterReadings appends readings positionally over the roster: a
-// presence bitmap (one bit per roster slot, ascending node id), then per
-// present node its group (uvarint), epoch (zigzag delta from the block's
-// reference epoch e) and centi-quantized value (zigzag delta from the
-// previous present node's value). Quantization matches the keyed reading
-// record exactly — group and epoch truncate to their wire widths, the
-// value rides model.ToFixed — so the two encodings decode identically.
-// A reading keyed outside the roster (or keyed inconsistently with its
-// Node field) cannot be represented and errors.
+// AppendRosterReadings appends readings positionally over the roster:
+//
+//	bitmap      one bit per roster slot, ascending node id, zero padding
+//	group runs  runs uvarint, then (group uvarint, len−1 uvarint) per run
+//	epoch runs  runs uvarint, then (epoch − e zigzag, len−1 uvarint) per run
+//	values      per present node, its centi-quantized value as a zigzag
+//	            delta from the previous present node's (the first from 0)
+//
+// A run is a maximal stretch of present nodes, in roster order, that
+// share the column's value, so adjacent runs differ and a column's run
+// lengths sum to the bitmap's popcount. Quantization matches the keyed
+// reading record exactly — group and epoch truncate to their wire widths,
+// the value rides model.ToFixed. A reading keyed outside the roster (or
+// keyed inconsistently with its Node field) cannot be represented and
+// errors. The block is built in dst: appending into a dst with the
+// capacity allocates nothing.
 func AppendRosterReadings(dst []byte, roster []model.NodeID, e model.Epoch, readings map[model.NodeID]model.Reading) ([]byte, error) {
-	bitmap := make([]byte, (len(roster)+7)/8)
+	// Pass 1: the bitmap, and each column's run count and pair bytes.
+	at := len(dst)
+	dst = appendZeros(dst, (len(roster)+7)/8)
+	var groups, epochs runColumn
 	present := 0
 	for i, id := range roster {
-		if r, ok := readings[id]; ok {
-			if r.Node != id {
-				return nil, fmt.Errorf("wire: reading keyed %d carries node %d", id, r.Node)
-			}
-			bitmap[i/8] |= 1 << (i % 8)
-			present++
+		r, ok := readings[id]
+		if !ok {
+			continue
 		}
+		if r.Node != id {
+			return nil, fmt.Errorf("wire: reading keyed %d carries node %d", id, r.Node)
+		}
+		dst[at+i/8] |= 1 << (i % 8)
+		present++
+		groups.add(nil, groupKey(r))
+		epochs.add(nil, epochKey(r, e))
 	}
 	if present != len(readings) {
 		return nil, fmt.Errorf("wire: %d of %d readings outside the %d-node roster", len(readings)-present, len(readings), len(roster))
 	}
-	dst = append(dst, bitmap...)
+	groups.close(nil)
+	epochs.close(nil)
+	// Pass 2: both columns written into their reserved bytes, the value
+	// chain appended behind them.
+	dst = groups.reserve(dst)
+	dst = epochs.reserve(dst)
 	prev := int64(0)
 	for i, id := range roster {
-		if bitmap[i/8]&(1<<(i%8)) == 0 {
+		if dst[at+i/8]&(1<<(i%8)) == 0 {
 			continue
 		}
 		r := readings[id]
-		dst = appendUvarint(dst, uint64(uint16(r.Group)))
-		dst = appendZigzag(dst, int64(uint32(r.Epoch))-int64(uint32(e)))
+		groups.add(dst, groupKey(r))
+		epochs.add(dst, epochKey(r, e))
 		fixed := int64(model.ToFixed(r.Value))
 		dst = appendZigzag(dst, fixed-prev)
 		prev = fixed
 	}
+	groups.close(dst)
+	epochs.close(dst)
 	return dst, nil
 }
 
+// groupKey and epochKey are a reading's run-column values: its group, and
+// its epoch as a zigzag delta from the block's reference epoch e, each
+// truncated to its wire width.
+func groupKey(r model.Reading) uint64 { return uint64(uint16(r.Group)) }
+
+func epochKey(r model.Reading, e model.Epoch) uint64 {
+	return zigzag(int64(uint32(r.Epoch)) - int64(uint32(e)))
+}
+
+// runColumn lays out one run-coded column in two passes over the present
+// nodes. With a nil buffer add and close only count the runs and their
+// pair bytes; reserve then appends the run count and room for the pairs,
+// and the second pass writes each closed run's pair into that room.
+type runColumn struct {
+	v, n uint64 // the open run's value and length (n == 0: none open)
+	runs int    // runs closed in the counting pass
+	size int    // bytes of their (value, len−1) pairs
+	at   int    // where the next pair goes in the writing pass
+}
+
+// add extends the column by one node's value, closing the open run when
+// the value differs.
+func (c *runColumn) add(dst []byte, v uint64) {
+	if c.n > 0 && v == c.v {
+		c.n++
+		return
+	}
+	c.close(dst)
+	c.v, c.n = v, 1
+}
+
+// close ends the open run: counted when dst is nil, written at c.at
+// otherwise.
+func (c *runColumn) close(dst []byte) {
+	if c.n == 0 {
+		return
+	}
+	if dst == nil {
+		c.runs++
+		c.size += uvarintLen(c.v) + uvarintLen(c.n-1)
+	} else {
+		c.at += binary.PutUvarint(dst[c.at:], c.v)
+		c.at += binary.PutUvarint(dst[c.at:], c.n-1)
+	}
+	c.n = 0
+}
+
+// reserve appends the column's run count and room for its pairs.
+func (c *runColumn) reserve(dst []byte) []byte {
+	dst = appendUvarint(dst, uint64(c.runs))
+	c.at = len(dst)
+	return appendZeros(dst, c.size)
+}
+
+// appendZeros appends n zero bytes, allocating only when dst lacks room.
+func appendZeros(dst []byte, n int) []byte {
+	dst = slices.Grow(dst, n)
+	dst = dst[:len(dst)+n]
+	clear(dst[len(dst)-n:])
+	return dst
+}
+
 // DecodeRosterReadings decodes a positional readings block from the front
-// of b, returning the rest. Strict: padding bits beyond the roster must be
-// zero, varints minimal, and every decoded field must fit its wire width.
+// of b, returning the rest. Strict, so that only AppendRosterReadings'
+// own output decodes: padding bits beyond the roster must be zero,
+// varints minimal, adjacent runs distinct, each column's run lengths must
+// sum to the bitmap's popcount, and every decoded field must fit its wire
+// width.
 func DecodeRosterReadings(b []byte, roster []model.NodeID, e model.Epoch) (map[model.NodeID]model.Reading, []byte, error) {
 	nb := (len(roster) + 7) / 8
 	if len(b) < nb {
 		return nil, nil, io.ErrUnexpectedEOF
 	}
 	bitmap := b[:nb]
-	b = b[nb:]
 	if pad := nb*8 - len(roster); pad > 0 && bitmap[nb-1]>>(8-pad) != 0 {
 		return nil, nil, fmt.Errorf("wire: roster bitmap padding bits set")
 	}
-	out := make(map[model.NodeID]model.Reading, len(roster))
+	present := 0
+	for _, m := range bitmap {
+		present += bits.OnesCount8(m)
+	}
+	groups, b, err := decodeRunColumn(b[nb:], present, func(v uint64) error {
+		if v > math.MaxUint16 {
+			return fmt.Errorf("wire: roster reading group %d overflows", v)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	epochs, b, err := decodeRunColumn(b, present, func(v uint64) error {
+		if epoch := int64(uint32(e)) + unzigzag(v); epoch < 0 || epoch > math.MaxUint32 {
+			return fmt.Errorf("wire: roster reading epoch delta %d overflows", unzigzag(v))
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	out := make(map[model.NodeID]model.Reading, present)
 	prev := int64(0)
 	for i, id := range roster {
 		if bitmap[i/8]&(1<<(i%8)) == 0 {
 			continue
 		}
-		var group uint64
-		var epochD, valueD int64
-		var err error
-		if group, b, err = decodeUvarint(b); err != nil {
-			return nil, nil, err
-		}
-		if group > math.MaxUint16 {
-			return nil, nil, fmt.Errorf("wire: roster reading group %d overflows", group)
-		}
-		if epochD, b, err = decodeZigzag(b); err != nil {
-			return nil, nil, err
-		}
-		epoch := int64(uint32(e)) + epochD
-		if epoch < 0 || epoch > math.MaxUint32 {
-			return nil, nil, fmt.Errorf("wire: roster reading epoch delta %d overflows", epochD)
-		}
+		var valueD int64
 		if valueD, b, err = decodeZigzag(b); err != nil {
 			return nil, nil, err
 		}
@@ -279,12 +378,68 @@ func DecodeRosterReadings(b []byte, roster []model.NodeID, e model.Epoch) (map[m
 		prev = fixed
 		out[id] = model.Reading{
 			Node:  id,
-			Group: model.GroupID(group),
-			Epoch: model.Epoch(epoch),
+			Group: model.GroupID(groups.next()),
+			Epoch: model.Epoch(int64(uint32(e)) + unzigzag(epochs.next())),
 			Value: model.FromFixed(model.FixedPoint(fixed)),
 		}
 	}
 	return out, b, nil
+}
+
+// decodeRunColumn validates one run-coded column at the front of b
+// against total present nodes — a run count the bytes left can hold,
+// minimal varints, each run's value accepted by check and different from
+// the run before it, run lengths summing to total — and returns a cursor
+// over its runs and the rest of b.
+func decodeRunColumn(b []byte, total int, check func(uint64) error) (runCursor, []byte, error) {
+	runs, b, err := decodeUvarint(b)
+	if err != nil {
+		return runCursor{}, nil, err
+	}
+	if runs > uint64(len(b))/2 { // every run takes at least two bytes
+		return runCursor{}, nil, io.ErrUnexpectedEOF
+	}
+	pairs, covered, last := b, 0, uint64(0)
+	for r := uint64(0); r < runs; r++ {
+		var v, n uint64
+		if v, b, err = decodeUvarint(b); err != nil {
+			return runCursor{}, nil, err
+		}
+		if r > 0 && v == last {
+			return runCursor{}, nil, fmt.Errorf("wire: roster run %d repeats the run before it", r)
+		}
+		if err = check(v); err != nil {
+			return runCursor{}, nil, err
+		}
+		if n, b, err = decodeUvarint(b); err != nil {
+			return runCursor{}, nil, err
+		}
+		if n >= uint64(total-covered) {
+			return runCursor{}, nil, fmt.Errorf("wire: roster runs cover more than %d nodes", total)
+		}
+		covered += int(n) + 1
+		last = v
+	}
+	if covered != total {
+		return runCursor{}, nil, fmt.Errorf("wire: roster runs cover %d of %d nodes", covered, total)
+	}
+	return runCursor{b: pairs[:len(pairs)-len(b)]}, b, nil
+}
+
+// runCursor reads a validated column one present node at a time.
+type runCursor struct {
+	b    []byte // the pairs of the runs not yet opened
+	v, n uint64 // the open run's value and the nodes left in it
+}
+
+func (c *runCursor) next() uint64 {
+	if c.n == 0 {
+		v, k := binary.Uvarint(c.b)
+		n, m := binary.Uvarint(c.b[k:])
+		c.b, c.v, c.n = c.b[k+m:], v, n+1
+	}
+	c.n--
+	return c.v
 }
 
 // appendUvarint appends v as a standard LEB128 uvarint.
@@ -314,9 +469,15 @@ func decodeUvarint(b []byte) (uint64, []byte, error) {
 	return v, b[n:], nil
 }
 
+// zigzag maps v to a uvarint-friendly unsigned: 0, −1, 1, −2 … → 0, 1, 2, 3 …
+func zigzag(v int64) uint64 { return uint64(v)<<1 ^ uint64(v>>63) }
+
+// unzigzag is the inverse of zigzag.
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+
 // appendZigzag appends v zigzag-mapped as a uvarint.
 func appendZigzag(dst []byte, v int64) []byte {
-	return appendUvarint(dst, uint64(v)<<1^uint64(v>>63))
+	return appendUvarint(dst, zigzag(v))
 }
 
 // decodeZigzag decodes a zigzag-mapped varint from the front of b.
@@ -325,5 +486,5 @@ func decodeZigzag(b []byte) (int64, []byte, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	return int64(u>>1) ^ -int64(u&1), rest, nil
+	return unzigzag(u), rest, nil
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
@@ -56,6 +57,7 @@ type Server struct {
 	stamp      uint64 // calls executed: the stamp on every reply's envelope
 	lastSeq    uint64 // the session's newest executed sequence
 	lastReply  []byte // its reply frame: the bytes every write of the reply sends
+	payload    []byte // scratch the executing call encodes its reply payload into
 	snapState  []byte // pinned snapshot image being served in chunks
 	restoreBuf []byte // restore image being assembled from chunks
 
@@ -284,10 +286,11 @@ func (s *Server) dispatch(nonce uint64, f Frame) (reply []byte, close bool) {
 	if f.Seq <= s.lastSeq {
 		return s.reply(f.Seq, MsgError, []byte("wire: stale sequence")), false
 	}
-	t, payload, err := s.handle(f)
+	t, payload, err := s.handle(f, s.payload[:0])
 	if err != nil {
-		t, payload = MsgError, []byte(err.Error())
+		t, payload = MsgError, append(s.payload[:0], err.Error()...)
 	}
+	s.payload = payload
 	s.stamp++
 	s.lastSeq, s.lastReply = f.Seq, s.reply(f.Seq, t, payload)
 	return s.lastReply, t == MsgClosed
@@ -303,11 +306,23 @@ func (s *Server) envelope() Envelope {
 
 // reply frames one reply under s.mu: the envelope, then the payload.
 func (s *Server) reply(seq uint64, t MsgType, payload []byte) []byte {
-	return AppendFrame(nil, Frame{Seq: seq, Type: t, Payload: append(AppendEnvelope(nil, s.envelope()), payload...)})
+	return appendReply(seq, t, s.envelope(), payload)
 }
 
-// handle executes one request under s.mu: decode, the body's call, encode.
-func (s *Server) handle(f Frame) (MsgType, []byte, error) {
+// appendReply frames a reply in one new buffer — the frame header, the
+// envelope, the payload — and patches the length prefix at the end.
+func appendReply(seq uint64, t MsgType, env Envelope, payload []byte) []byte {
+	b := make([]byte, frameHeaderSize, frameHeaderSize+envelopeMaxSize(env)+len(payload))
+	b = append(AppendEnvelope(b, env), payload...)
+	binary.LittleEndian.PutUint32(b[0:], uint32(len(b)-4))
+	binary.LittleEndian.PutUint64(b[4:], seq)
+	b[frameHeaderSize-1] = byte(t)
+	return b
+}
+
+// handle executes one request under s.mu: decode, the body's call, encode
+// — the reply's payload appended to dst.
+func (s *Server) handle(f Frame, dst []byte) (MsgType, []byte, error) {
 	switch f.Type {
 	case MsgAttach:
 		req, err := DecodeAttach(f.Payload)
@@ -317,7 +332,7 @@ func (s *Server) handle(f Frame) (MsgType, []byte, error) {
 		if err := s.body.Attach(req.Query, req.Algo, req.SQL); err != nil {
 			return 0, nil, err
 		}
-		return MsgAttached, AppendU32(nil, req.Query), nil
+		return MsgAttached, AppendU32(dst, req.Query), nil
 
 	case MsgDetach:
 		qid, err := DecodeU32(f.Payload)
@@ -325,7 +340,7 @@ func (s *Server) handle(f Frame) (MsgType, []byte, error) {
 			return 0, nil, err
 		}
 		s.body.Detach(qid)
-		return MsgDetached, AppendU32(nil, qid), nil
+		return MsgDetached, AppendU32(dst, qid), nil
 
 	case MsgEpochRound:
 		req, err := DecodeEpochRound(f.Payload)
@@ -345,7 +360,7 @@ func (s *Server) handle(f Frame) (MsgType, []byte, error) {
 				rep.Groups[i].Answers, rep.Groups[i].Override = r.Acq.Answers, r.Acq.Readings
 			}
 		}
-		payload, err := AppendEpochRoundReply(nil, s.body.Roster(), rep)
+		payload, err := AppendEpochRoundReply(dst, s.body.Roster(), rep)
 		if err != nil {
 			return 0, nil, err
 		}
@@ -361,7 +376,7 @@ func (s *Server) handle(f Frame) (MsgType, []byte, error) {
 		if err != nil {
 			return 0, nil, err
 		}
-		return MsgTopK, AppendTopK(nil, req.Exec, nodes, answers), nil
+		return MsgTopK, AppendTopK(dst, req.Exec, nodes, answers), nil
 
 	case MsgFetch:
 		exec, ids, err := DecodeFetch(f.Payload)
@@ -373,7 +388,7 @@ func (s *Server) handle(f Frame) (MsgType, []byte, error) {
 		if err != nil {
 			return 0, nil, err
 		}
-		return MsgSums, AppendSums(nil, exec, sums), nil
+		return MsgSums, AppendSums(dst, exec, sums), nil
 
 	case MsgRelease:
 		exec, err := DecodeU32(f.Payload)
@@ -381,7 +396,7 @@ func (s *Server) handle(f Frame) (MsgType, []byte, error) {
 			return 0, nil, err
 		}
 		s.body.Release(exec)
-		return MsgReleased, AppendU32(nil, exec), nil
+		return MsgReleased, AppendU32(dst, exec), nil
 
 	case MsgSnapshot:
 		off, err := DecodeU32(f.Payload)
@@ -406,7 +421,7 @@ func (s *Server) handle(f Frame) (MsgType, []byte, error) {
 		if end > len(img) {
 			end = len(img)
 		}
-		payload := AppendChunk(nil, Chunk{Total: uint32(len(img)), Offset: off, Data: img[off:end]})
+		payload := AppendChunk(dst, Chunk{Total: uint32(len(img)), Offset: off, Data: img[off:end]})
 		if end == len(img) {
 			// Final byte served: drop the pin. A retry of this chunk replays
 			// from the at-most-once cache, never from the image.
@@ -435,10 +450,10 @@ func (s *Server) handle(f Frame) (MsgType, []byte, error) {
 			}
 			rep.Applied = true
 		}
-		return MsgRestored, AppendRestored(nil, rep), nil
+		return MsgRestored, AppendRestored(dst, rep), nil
 
 	case MsgClose:
-		return MsgClosed, nil, nil
+		return MsgClosed, dst, nil
 
 	default:
 		return 0, nil, fmt.Errorf("wire: unexpected %v request", f.Type)
