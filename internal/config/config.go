@@ -222,11 +222,11 @@ func (s *Scenario) Network() (*sim.Network, error) {
 	}
 	opts.BudgetJoules = s.Budget
 	if len(s.Parents) > 0 {
-		tree, links, err := s.pinnedTree()
+		tree, err := s.pinnedTree()
 		if err != nil {
 			return nil, err
 		}
-		return sim.FromTree(s.Placement(), links, tree, opts), nil
+		return sim.FromTree(s.Placement(), tree, opts), nil
 	}
 	return sim.New(s.Placement(), s.Radius, opts)
 }
@@ -235,33 +235,30 @@ func (s *Scenario) Network() (*sim.Network, error) {
 // otherwise the first-heard BFS tree over disk connectivity.
 func (s *Scenario) Tree() (*topo.Tree, error) {
 	if len(s.Parents) > 0 {
-		tree, _, err := s.pinnedTree()
-		return tree, err
+		return s.pinnedTree()
 	}
 	p := s.Placement()
 	return topo.BuildTree(p, topo.DiskLinks(p, s.Radius))
 }
 
 // pinnedTree materializes the explicit parent map.
-func (s *Scenario) pinnedTree() (*topo.Tree, *topo.Links, error) {
+func (s *Scenario) pinnedTree() (*topo.Tree, error) {
 	tree := &topo.Tree{
 		Parent:   make(map[model.NodeID]model.NodeID),
 		Children: make(map[model.NodeID][]model.NodeID),
 		Depth:    make(map[model.NodeID]int),
 		Root:     model.Sink,
 	}
-	links := topo.NewLinks()
 	for key, parent := range s.Parents {
 		var child uint16
 		if _, err := fmt.Sscanf(key, "%d", &child); err != nil {
-			return nil, nil, fmt.Errorf("config: parent key %q is not a node id", key)
+			return nil, fmt.Errorf("config: parent key %q is not a node id", key)
 		}
 		tree.Parent[model.NodeID(child)] = model.NodeID(parent)
 		tree.Children[model.NodeID(parent)] = append(tree.Children[model.NodeID(parent)], model.NodeID(child))
-		links.Connect(model.NodeID(child), model.NodeID(parent))
 	}
 	for _, cs := range tree.Children {
-		sort.Slice(cs, func(i, j int) bool { return cs[i] < cs[j] })
+		slices.Sort(cs)
 	}
 	// Fill depths by walking from the sink; unreachable nodes are an error.
 	var fill func(n model.NodeID, d int)
@@ -275,13 +272,13 @@ func (s *Scenario) pinnedTree() (*topo.Tree, *topo.Links, error) {
 	fill(model.Sink, 0)
 	for _, n := range s.Nodes {
 		if _, ok := tree.Depth[model.NodeID(n.ID)]; !ok {
-			return nil, nil, fmt.Errorf("config: node %d not reachable through pinned parents", n.ID)
+			return nil, fmt.Errorf("config: node %d not reachable through pinned parents", n.ID)
 		}
 	}
 	if err := tree.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("config: pinned tree invalid: %w", err)
+		return nil, fmt.Errorf("config: pinned tree invalid: %w", err)
 	}
-	return tree, links, nil
+	return tree, nil
 }
 
 // Source builds the scenario's trace source.
@@ -432,9 +429,15 @@ func ScaleScenario(n int) (*Scenario, error) {
 	}
 	s := FromPlacement(fmt.Sprintf("scale-%d", n), p, 15)
 	s.Workload = Workload{Kind: "rooms", Seed: int64(n), Period: 10, ActiveFrac: 0.3}
-	// A scale scenario must actually deploy: reject a layout whose routing
-	// tree does not connect rather than shipping a dead file.
-	if _, err := s.Network(); err != nil {
+	// A scale scenario must actually deploy: reject an invalid layout, or
+	// one whose routing tree does not connect, rather than shipping a dead
+	// file. Only the tree is built: the network's tables would be thrown
+	// away.
+	err := s.Validate()
+	if err == nil {
+		_, err = s.Tree()
+	}
+	if err != nil {
 		return nil, fmt.Errorf("config: scale scenario %d does not deploy: %w", n, err)
 	}
 	return s, nil
@@ -601,7 +604,7 @@ func ScaleScenarioShards(n, shards int) (*Scenario, error) {
 		return nil, err
 	}
 	for i, sub := range subs {
-		if _, err := sub.Network(); err != nil {
+		if _, err := sub.Tree(); err != nil {
 			return nil, fmt.Errorf("config: scale scenario %d shard %d does not deploy: %w", n, i, err)
 		}
 	}

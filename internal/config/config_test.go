@@ -291,6 +291,26 @@ func TestNetworkBuilds(t *testing.T) {
 	}
 }
 
+// BenchmarkNetworkBuild times what a shard's start-up and every restart
+// pay before the first epoch: a scale scenario's network — disk links, the
+// first-heard tree, the node-indexed tables — built from the scenario.
+func BenchmarkNetworkBuild(b *testing.B) {
+	for _, n := range []int{1000, 4000} {
+		s, err := ScaleScenario(n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(s.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := s.Network(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // TestNetworkAppliesRadio pins what a scenario's radio fields become: the
 // payload sizes the link, and the faults block is the fault environment
 // hosts arm, never a property of the bare link.

@@ -15,11 +15,7 @@ func fig1Net(t *testing.T, opts sim.Options) *sim.Network {
 	t.Helper()
 	p := trace.Figure1Placement()
 	tree := trace.Figure1Tree()
-	links := topo.NewLinks()
-	for child, parent := range tree.Parent {
-		links.Connect(child, parent)
-	}
-	return sim.FromTree(p, links, tree, opts)
+	return sim.FromTree(p, tree, opts)
 }
 
 func TestDrawIsIdentityDeterminedAndUniform(t *testing.T) {

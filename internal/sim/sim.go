@@ -47,7 +47,6 @@ import (
 // method call in flight on another goroutine.
 type Network struct {
 	Placement *topo.Placement
-	Links     *topo.Links
 	Tree      *topo.Tree
 	Link      *radio.Link
 	Energy    energy.Model
@@ -148,15 +147,15 @@ func DefaultOptions() Options {
 	return Options{Radio: radio.DefaultConfig(), EnergyModel: energy.MICA2()}
 }
 
-// New builds a network over the placement: disk links with the given radius
-// and a first-heard BFS tree.
+// New builds a network over the placement: a first-heard BFS tree over disk
+// links with the given radius. The links serve only to build the tree; the
+// network does not keep them.
 func New(p *topo.Placement, radius float64, opts Options) (*Network, error) {
-	links := topo.DiskLinks(p, radius)
-	tree, err := topo.BuildTree(p, links)
+	tree, err := topo.BuildTree(p, topo.DiskLinks(p, radius))
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	return FromTree(p, links, tree, opts), nil
+	return FromTree(p, tree, opts), nil
 }
 
 // FromTree builds a network over an explicit topology (used by the Figure 1
@@ -165,14 +164,13 @@ func New(p *topo.Placement, radius float64, opts Options) (*Network, error) {
 // This is where a deployment's topology stops changing, so it is where the
 // node-indexed tables are sized and the placement's roster and the tree's
 // parent table are built — once, not per epoch.
-func FromTree(p *topo.Placement, links *topo.Links, tree *topo.Tree, opts Options) *Network {
+func FromTree(p *topo.Placement, tree *topo.Tree, opts Options) *Network {
 	size := 0
 	if ids := p.Nodes(); len(ids) > 0 {
 		size = int(ids[len(ids)-1]) + 1
 	}
 	n := &Network{
 		Placement: p,
-		Links:     links,
 		Tree:      tree,
 		Link:      radio.NewLink(opts.Radio),
 		Energy:    opts.EnergyModel,

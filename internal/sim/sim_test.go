@@ -13,11 +13,7 @@ func fig1Network(t *testing.T) *Network {
 	t.Helper()
 	p := trace.Figure1Placement()
 	tree := trace.Figure1Tree()
-	links := topo.NewLinks()
-	for child, parent := range tree.Parent {
-		links.Connect(child, parent)
-	}
-	return FromTree(p, links, tree, DefaultOptions())
+	return FromTree(p, tree, DefaultOptions())
 }
 
 func TestNewBuildsConnectedNetwork(t *testing.T) {
@@ -125,13 +121,9 @@ func TestRouteToSinkMultihop(t *testing.T) {
 func TestBudgetsKillNodes(t *testing.T) {
 	p := trace.Figure1Placement()
 	tree := trace.Figure1Tree()
-	links := topo.NewLinks()
-	for child, parent := range tree.Parent {
-		links.Connect(child, parent)
-	}
 	opts := DefaultOptions()
 	opts.BudgetJoules = 1e-6 // 1 µJ: dies on first transmission
-	n := FromTree(p, links, tree, opts)
+	n := FromTree(p, tree, opts)
 	if !n.SendUp(3, radio.KindData, 0, make([]byte, 8)) {
 		t.Fatal("first send should succeed (budget spends into the red)")
 	}
@@ -152,13 +144,9 @@ func TestRestoreEnergyResumesBudget(t *testing.T) {
 	build := func() *Network {
 		p := trace.Figure1Placement()
 		tree := trace.Figure1Tree()
-		links := topo.NewLinks()
-		for child, parent := range tree.Parent {
-			links.Connect(child, parent)
-		}
 		opts := DefaultOptions()
 		opts.BudgetJoules = 0.2
-		return FromTree(p, links, tree, opts)
+		return FromTree(p, tree, opts)
 	}
 	epoch := func(n *Network, e int) {
 		n.ChargeIdleEpoch()
@@ -203,13 +191,9 @@ func TestRestoreEnergyResumesBudget(t *testing.T) {
 func TestDeadReceiverDropsMessage(t *testing.T) {
 	p := trace.Figure1Placement()
 	tree := trace.Figure1Tree()
-	links := topo.NewLinks()
-	for child, parent := range tree.Parent {
-		links.Connect(child, parent)
-	}
 	opts := DefaultOptions()
 	opts.BudgetJoules = 2e-5
-	n := FromTree(p, links, tree, opts)
+	n := FromTree(p, tree, opts)
 	n.Budgets[1].Spend(1e9) // kill s1
 	if n.SendUp(3, radio.KindData, 0, make([]byte, 4)) {
 		t.Fatal("message delivered to a dead parent")
@@ -278,14 +262,10 @@ func (k keyedLoss) Frame(m radio.Message, frag, attempt int) radio.FrameFate {
 func TestLossyBroadcastDarkSubtree(t *testing.T) {
 	p := trace.Figure1Placement()
 	tree := trace.Figure1Tree()
-	links := topo.NewLinks()
-	for child, parent := range tree.Parent {
-		links.Connect(child, parent)
-	}
 	opts := DefaultOptions()
 	opts.Radio.Fault = keyedLoss{rate: 0.995, seed: 3}
 	opts.Radio.MaxRetries = 0
-	n := FromTree(p, links, tree, opts)
+	n := FromTree(p, tree, opts)
 	reached := n.BroadcastDown(radio.KindBeacon, 0, nil)
 	if len(reached) >= 10 {
 		t.Fatalf("a 99.5%% lossy beacon reached everyone (%d)", len(reached))

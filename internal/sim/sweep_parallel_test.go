@@ -12,20 +12,18 @@ import (
 // field is a deployment topology for the sweep tests, built once and
 // shared by the networks of every run (sweeps only read it).
 type field struct {
-	p     *topo.Placement
-	links *topo.Links
-	tree  *topo.Tree
+	p    *topo.Placement
+	tree *topo.Tree
 }
 
 func newField(t *testing.T, rooms, perRoom int, radius float64) field {
 	t.Helper()
 	p := topo.Rooms(rooms, perRoom, 12, 77)
-	links := topo.DiskLinks(p, radius)
-	tree, err := topo.BuildTree(p, links)
+	tree, err := topo.BuildTree(p, topo.DiskLinks(p, radius))
 	if err != nil {
 		t.Fatalf("build tree: %v", err)
 	}
-	return field{p, links, tree}
+	return field{p, tree}
 }
 
 // deepField is 120 nodes over 7 narrow levels: the level-synchronous order
@@ -46,7 +44,7 @@ func sweepRun(t *testing.T, fd field, workers, epochs int, prune func(model.Node
 	opts.BudgetJoules = 0.004 // tight: some nodes die mid-run
 	opts.Parallel = workers
 	p := fd.p
-	n := FromTree(p, fd.links, fd.tree, opts)
+	n := FromTree(p, fd.tree, opts)
 	src := trace.NewRoomActivity(9, p.Groups, 12)
 	var roots []byte
 	for e := model.Epoch(0); e < model.Epoch(epochs); e++ {
@@ -122,7 +120,7 @@ func TestSweepParallelPrunePanicPropagates(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		opts := DefaultOptions()
 		opts.Parallel = workers
-		n := FromTree(fd.p, fd.links, fd.tree, opts)
+		n := FromTree(fd.p, fd.tree, opts)
 		func() {
 			defer func() {
 				if recover() == nil {

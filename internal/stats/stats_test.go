@@ -6,7 +6,6 @@ import (
 
 	"kspot/internal/radio"
 	"kspot/internal/sim"
-	"kspot/internal/topo"
 	"kspot/internal/trace"
 )
 
@@ -14,11 +13,7 @@ func testNet(t *testing.T) *sim.Network {
 	t.Helper()
 	p := trace.Figure1Placement()
 	tree := trace.Figure1Tree()
-	links := topo.NewLinks()
-	for c, par := range tree.Parent {
-		links.Connect(c, par)
-	}
-	return sim.FromTree(p, links, tree, sim.DefaultOptions())
+	return sim.FromTree(p, tree, sim.DefaultOptions())
 }
 
 func TestCollect(t *testing.T) {

@@ -83,10 +83,6 @@ func TestOrphanRecallAccounting(t *testing.T) {
 		p.Positions[id] = pt
 	}
 	p.Groups = map[model.NodeID]model.GroupID{2: 1, 3: 2, 4: 2, 5: 2, 6: 1}
-	links := topo.NewLinks()
-	for _, e := range [][2]model.NodeID{{0, 2}, {2, 3}, {2, 4}, {4, 5}, {3, 5}, {0, 6}} {
-		links.Connect(e[0], e[1])
-	}
 	tree := &topo.Tree{
 		Parent:   map[model.NodeID]model.NodeID{2: 0, 3: 2, 4: 2, 5: 4, 6: 0},
 		Children: map[model.NodeID][]model.NodeID{0: {2, 6}, 2: {3, 4}, 4: {5}},
@@ -96,7 +92,7 @@ func TestOrphanRecallAccounting(t *testing.T) {
 	if err := tree.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	net := sim.FromTree(p, links, tree, sim.DefaultOptions())
+	net := sim.FromTree(p, tree, sim.DefaultOptions())
 	src := trace.NewFixture(map[model.NodeID][]model.Value{
 		2: {10}, 6: {10}, // group 1: quiet
 		3: {90}, 4: {90}, 5: {90}, // group 2: loud

@@ -7,7 +7,6 @@ import (
 	"kspot/internal/model"
 	"kspot/internal/radio"
 	"kspot/internal/sim"
-	"kspot/internal/topo"
 	"kspot/internal/trace"
 )
 
@@ -15,11 +14,7 @@ func fig1Net(t *testing.T) *sim.Network {
 	t.Helper()
 	p := trace.Figure1Placement()
 	tree := trace.Figure1Tree()
-	links := topo.NewLinks()
-	for c, par := range tree.Parent {
-		links.Connect(c, par)
-	}
-	return sim.FromTree(p, links, tree, sim.DefaultOptions())
+	return sim.FromTree(p, tree, sim.DefaultOptions())
 }
 
 func fig1Readings(net *sim.Network) map[model.NodeID]model.Reading {

@@ -26,11 +26,7 @@ func Fig1NetworkOpts(t testing.TB, opts sim.Options) *sim.Network {
 	t.Helper()
 	p := trace.Figure1Placement()
 	tree := trace.Figure1Tree()
-	links := topo.NewLinks()
-	for child, parent := range tree.Parent {
-		links.Connect(child, parent)
-	}
-	return sim.FromTree(p, links, tree, opts)
+	return sim.FromTree(p, tree, opts)
 }
 
 // roomsRetries is how many derived seeds a random layout gets before a

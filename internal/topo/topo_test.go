@@ -2,6 +2,7 @@ package topo
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"kspot/internal/model"
@@ -252,14 +253,13 @@ func TestGroupMasterFigure1(t *testing.T) {
 	p.Groups[5] = 2
 	p.Groups[1] = 3
 	p.Groups[2] = 3
-	l := NewLinks()
-	l.Connect(0, 1)
-	l.Connect(0, 2)
-	l.Connect(1, 3)
-	l.Connect(1, 4)
-	l.Connect(2, 5)
-	tree, err := BuildTree(p, l)
-	if err != nil {
+	tree := &Tree{
+		Parent:   map[model.NodeID]model.NodeID{1: 0, 2: 0, 3: 1, 4: 1, 5: 2},
+		Children: map[model.NodeID][]model.NodeID{0: {1, 2}, 1: {3, 4}, 2: {5}},
+		Depth:    map[model.NodeID]int{0: 0, 1: 1, 2: 1, 3: 2, 4: 2, 5: 2},
+		Root:     model.Sink,
+	}
+	if err := tree.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	masters := GroupMaster(tree, p)
@@ -354,7 +354,10 @@ func TestParentOfMatchesParent(t *testing.T) {
 }
 
 // Connected reports whether a and b share a link.
-func (l *Links) Connected(a, b model.NodeID) bool { return l.adj[a][b] }
+func (l *Links) Connected(a, b model.NodeID) bool {
+	_, found := slices.BinarySearch(l.Neighbors(a), b)
+	return found
+}
 
 // Subtree returns the set of nodes in the subtree rooted at n (inclusive).
 func (t *Tree) Subtree(n model.NodeID) map[model.NodeID]bool {

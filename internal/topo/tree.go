@@ -1,44 +1,31 @@
 package topo
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"kspot/internal/model"
 )
 
 // Links is the symmetric connectivity relation: which pairs of nodes can
-// hear each other.
+// hear each other. It is stored in compressed-sparse-row form: node id's
+// neighbours are adj[start[id]:start[id+1]], in ascending id order. It is
+// read once, to build the routing tree, and not kept afterwards.
 type Links struct {
-	adj map[model.NodeID]map[model.NodeID]bool
+	start []int
+	adj   []model.NodeID
 }
 
-// NewLinks returns an empty link set.
-func NewLinks() *Links { return &Links{adj: make(map[model.NodeID]map[model.NodeID]bool)} }
-
-// Connect adds a bidirectional link.
-func (l *Links) Connect(a, b model.NodeID) {
-	if a == b {
-		return
-	}
-	if l.adj[a] == nil {
-		l.adj[a] = make(map[model.NodeID]bool)
-	}
-	if l.adj[b] == nil {
-		l.adj[b] = make(map[model.NodeID]bool)
-	}
-	l.adj[a][b] = true
-	l.adj[b][a] = true
-}
-
-// Neighbors returns a node's neighbors, sorted for determinism.
+// Neighbors returns a node's neighbors in ascending id order. The slice is
+// shared and read-only; an id the relation does not know has none.
 func (l *Links) Neighbors(a model.NodeID) []model.NodeID {
-	ns := make([]model.NodeID, 0, len(l.adj[a]))
-	for n := range l.adj[a] {
-		ns = append(ns, n)
+	if int(a)+1 >= len(l.start) {
+		return nil
 	}
-	sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
-	return ns
+	lo, hi := l.start[a], l.start[int(a)+1]
+	return l.adj[lo:hi:hi]
 }
 
 // DiskLinks builds unit-disk connectivity: two nodes are linked iff their
@@ -46,28 +33,61 @@ func (l *Links) Neighbors(a model.NodeID) []model.NodeID {
 // power setting). It sorts the nodes by X and tests only the pairs inside
 // one band of width radius: a pair further apart in X is further apart
 // than radius, so the links are those of the all-pairs test.
+//
+// The band scan finds the pairs in X order. A counting pass lays them out
+// per node, and a transpose — visiting the nodes in ascending id and
+// appending each to its neighbours' lists — leaves every list ascending
+// without a sort.
 func DiskLinks(p *Placement, radius float64) *Links {
 	type node struct {
 		id model.NodeID
 		at Point
 	}
-	nodes := make([]node, 0, len(p.Positions))
-	for _, id := range p.Nodes() {
-		nodes = append(nodes, node{id, p.Positions[id]})
+	ids := p.Nodes()
+	nodes := make([]node, len(ids))
+	for i, id := range ids {
+		nodes[i] = node{id, p.Positions[id]}
 	}
-	sort.SliceStable(nodes, func(i, j int) bool { return nodes[i].at.X < nodes[j].at.X })
-	l := NewLinks()
+	slices.SortStableFunc(nodes, func(a, b node) int { return cmp.Compare(a.at.X, b.at.X) })
+	size := 0
+	if len(ids) > 0 {
+		size = int(ids[len(ids)-1]) + 1
+	}
+	start := make([]int, size+1) // degrees first, at start[id+1]
+	var pairs [][2]model.NodeID
 	for i, a := range nodes {
 		for _, b := range nodes[i+1:] {
 			if b.at.X-a.at.X > radius {
 				break
 			}
 			if a.at.Dist(b.at) <= radius {
-				l.Connect(a.id, b.id)
+				pairs = append(pairs, [2]model.NodeID{a.id, b.id})
+				start[int(a.id)+1]++
+				start[int(b.id)+1]++
 			}
 		}
 	}
-	return l
+	for i := 1; i <= size; i++ {
+		start[i] += start[i-1]
+	}
+	at := make([]int, size)
+	copy(at, start)
+	scan := make([]model.NodeID, 2*len(pairs)) // per node, in scan order
+	for _, pr := range pairs {
+		a, b := pr[0], pr[1]
+		scan[at[a]], scan[at[b]] = b, a
+		at[a]++
+		at[b]++
+	}
+	copy(at, start)
+	adj := make([]model.NodeID, len(scan))
+	for u := range size {
+		for _, v := range scan[start[u]:start[u+1]] {
+			adj[at[v]] = model.NodeID(u)
+			at[v]++
+		}
+	}
+	return &Links{start: start, adj: adj}
 }
 
 // Tree is the TAG-style routing tree rooted at the sink. Every KSpot message
@@ -110,41 +130,52 @@ type LevelIndex struct {
 // sink are reported as an error — a deployment bug the Configuration Panel
 // would surface.
 func BuildTree(p *Placement, links *Links) (*Tree, error) {
+	ids := p.Nodes()
+	size := max(len(links.start)-1, int(model.Sink)+1)
+	if len(ids) > 0 {
+		size = max(size, int(ids[len(ids)-1])+1)
+	}
 	t := &Tree{
-		Parent:   make(map[model.NodeID]model.NodeID),
+		Parent:   make(map[model.NodeID]model.NodeID, len(ids)),
 		Children: make(map[model.NodeID][]model.NodeID),
-		Depth:    make(map[model.NodeID]int),
+		Depth:    make(map[model.NodeID]int, len(ids)),
 		Root:     model.Sink,
 	}
 	t.Depth[model.Sink] = 0
-	frontier := []model.NodeID{model.Sink}
-	visited := map[model.NodeID]bool{model.Sink: true}
-	for len(frontier) > 0 {
-		var next []model.NodeID
+	visited := make([]bool, size)
+	visited[model.Sink] = true
+	// kids holds every node's children, contiguous per parent: a node
+	// claims all of its children while the BFS visits it.
+	kids := make([]model.NodeID, 0, len(ids))
+	frontier, next := []model.NodeID{model.Sink}, []model.NodeID(nil)
+	for depth := 1; len(frontier) > 0; depth++ {
 		// Deterministic order: lower-id nodes claim children first, which is
-		// the "first heard" rule with ties broken by id.
-		sort.Slice(frontier, func(i, j int) bool { return frontier[i] < frontier[j] })
+		// the "first heard" rule with ties broken by id. Neighbours come in
+		// ascending id, so each node's children do too.
+		slices.Sort(frontier)
+		next = next[:0]
 		for _, u := range frontier {
+			first := len(kids)
 			for _, v := range links.Neighbors(u) {
 				if visited[v] {
 					continue
 				}
 				visited[v] = true
 				t.Parent[v] = u
-				t.Depth[v] = t.Depth[u] + 1
-				t.Children[u] = append(t.Children[u], v)
-				next = append(next, v)
+				t.Depth[v] = depth
+				kids = append(kids, v)
+			}
+			if n := len(kids); n > first {
+				t.Children[u] = kids[first:n:n]
+				next = append(next, kids[first:n]...)
 			}
 		}
-		frontier = next
+		frontier, next = next, frontier
 	}
-	for _, id := range p.Nodes() {
+	for _, id := range ids {
 		if !visited[id] {
 			return nil, fmt.Errorf("topo: node %d unreachable from sink", id)
 		}
-	}
-	for _, cs := range t.Children {
-		sort.Slice(cs, func(i, j int) bool { return cs[i] < cs[j] })
 	}
 	return t, nil
 }
