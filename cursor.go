@@ -325,35 +325,31 @@ func (c *Cursor) result(out engine.Outcome) StepResult {
 // the shard's local TOP-shipK partial sums, then the sums the coordinator's
 // two-phase threshold round targets (fed.HistoricMerger), exact and
 // byte-identical to the flat run; coordinator backhaul is accounted in
-// FederationStats. The run holds the scheduler's epoch lock throughout
-// (Scheduler.Serialized); after Close it returns the scheduler's closed
-// error.
+// FederationStats. No shard keeps anything between the phases: the second
+// re-reads the instants it fetches, which the epoch lock held across both
+// phases leaves as the first read them. The run holds the scheduler's
+// epoch lock throughout (Scheduler.Serialized); after Close it returns the
+// scheduler's closed error.
 func (c *Cursor) Run() ([]Answer, error) {
 	if c.Continuous() {
 		return nil, fmt.Errorf("kspot: continuous query %q advances with Step, not Run", c.plan.Query)
 	}
 	shards := c.sys.handles()
-	exec := c.sys.nextQueryID()
-	defer func() {
-		for _, h := range shards {
-			h.Release(exec) // best effort
-		}
-	}()
 	var answers []Answer
 	run := func() (err error) {
 		if len(shards) == 1 {
-			answers, _, err = shards[0].HistoricTopK(exec, string(c.algo), c.plan.Historic)
+			answers, _, err = shards[0].HistoricTopK(string(c.algo), c.plan.Historic)
 			return err
 		}
 		m, err := fed.NewHistoric(c.plan.Historic, fed.Config{}, c.sys.fedStats)
 		if err != nil {
 			return err
 		}
-		execs := make([]fed.HistoricShard, len(shards))
+		hosts := make([]fed.HistoricHost, len(shards))
 		for i, h := range shards {
-			execs[i] = fed.HostExec{Host: h, Exec: exec, Algo: string(c.algo), Q: c.plan.Historic}
+			hosts[i] = h
 		}
-		answers, err = m.Run(execs)
+		answers, err = m.Run(string(c.algo), hosts)
 		return err
 	}
 	// The whole round runs serialized against epoch rounds: its per-shard

@@ -140,7 +140,7 @@ func (s *System) WireMetrics() []wire.ClientMetrics {
 }
 
 // nextQueryID allocates a System-unique id for an acquisition group's
-// attachment or a historic execution.
+// attachment.
 func (s *System) nextQueryID() uint32 { return s.qidSeq.Add(1) }
 
 // ShardStats returns every shard's traffic/energy counters, in shard

@@ -105,9 +105,9 @@ func fedMintEpoch(b *testing.B) {
 // fedHistoricEpoch measures one full federated historic execution (TOP-4
 // WITH HISTORY 16) per iteration on the sharded scale deployment, through
 // the calls Cursor.Run makes: each shard body (shard.New) buffers its
-// windows and runs TJA over them, the coordinator runs the two-phase
-// threshold merge, and the execution is released. The timed loop therefore
-// includes the per-execution buffering. Its "epoch" is one execution: it
+// windows and runs TJA over them, then the coordinator runs the two-phase
+// threshold merge, whose fetches re-read the instants they sum. The timed
+// loop therefore includes the per-execution buffering. Its "epoch" is one execution: it
 // reports per-execution radio traffic (summed over the shards) and
 // coordinator backhaul bytes under the table's per-epoch units.
 func fedHistoricEpoch(b *testing.B) {
@@ -116,17 +116,16 @@ func fedHistoricEpoch(b *testing.B) {
 		b.Fatal(err)
 	}
 	q := topk.HistoricQuery{K: 4, Agg: model.AggAvg, Window: 16}
-	const exec = 1
 	bodies := make([]*shard.Shard, FederatedShardCount)
 	nets := make([]*sim.Network, len(bodies))
-	shards := make([]fed.HistoricShard, len(bodies))
+	hosts := make([]fed.HistoricHost, len(bodies))
 	for i := range bodies {
 		if bodies[i], err = shard.New(shard.Config{Scenario: scen, Shard: i}); err != nil {
 			b.Fatal(err)
 		}
 		defer bodies[i].Close()
 		nets[i] = bodies[i].Network()
-		shards[i] = fed.HostExec{Host: bodies[i], Exec: exec, Algo: "tja", Q: q}
+		hosts[i] = bodies[i]
 	}
 	var stats fed.Stats
 	merger, err := fed.NewHistoric(q, fed.Config{}, &stats)
@@ -136,11 +135,8 @@ func fedHistoricEpoch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := merger.Run(shards); err != nil {
+		if _, err := merger.Run("tja", hosts); err != nil {
 			b.Fatal(err)
-		}
-		for _, body := range bodies {
-			body.Release(exec)
 		}
 	}
 	b.StopTimer()

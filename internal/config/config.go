@@ -199,7 +199,11 @@ func (s *Scenario) FaultEnv() *faults.Config {
 
 // Placement converts the scenario to a topo.Placement.
 func (s *Scenario) Placement() *topo.Placement {
-	p := topo.NewPlacement()
+	p := &topo.Placement{
+		Positions: make(map[model.NodeID]topo.Point, len(s.Nodes)+1),
+		Groups:    make(map[model.NodeID]model.GroupID, len(s.Nodes)),
+		Names:     make(map[model.GroupID]string, len(s.Clusters)),
+	}
 	p.Positions[model.Sink] = topo.Point{X: s.SinkX, Y: s.SinkY}
 	for _, n := range s.Nodes {
 		p.Positions[model.NodeID(n.ID)] = topo.Point{X: n.X, Y: n.Y}
@@ -281,12 +285,24 @@ func (s *Scenario) pinnedTree() (*topo.Tree, error) {
 	return tree, nil
 }
 
+// nodeGroups reads node → group off the node list, with the number of
+// distinct groups: all a trace source needs of the placement.
+func (s *Scenario) nodeGroups() (map[model.NodeID]model.GroupID, int) {
+	groups := make(map[model.NodeID]model.GroupID, len(s.Nodes))
+	distinct := make(map[model.GroupID]bool, len(s.Clusters))
+	for _, n := range s.Nodes {
+		groups[model.NodeID(n.ID)] = model.GroupID(n.Cluster)
+		distinct[model.GroupID(n.Cluster)] = true
+	}
+	return groups, len(distinct)
+}
+
 // Source builds the scenario's trace source.
 func (s *Scenario) Source() (trace.Source, error) {
-	p := s.Placement()
 	switch s.Workload.Kind {
 	case "", "rooms":
-		src := trace.NewRoomActivity(s.Workload.Seed, p.Groups, len(p.GroupIDs()))
+		groups, n := s.nodeGroups()
+		src := trace.NewRoomActivity(s.Workload.Seed, groups, n)
 		if s.Workload.Period > 0 {
 			src.Period = model.Epoch(s.Workload.Period)
 		}
@@ -301,7 +317,8 @@ func (s *Scenario) Source() (trace.Source, error) {
 		return trace.NewRandomWalk(s.Workload.Seed, lo, hi), nil
 	case "zipf":
 		_, hi := defRange(s.Workload.Min, s.Workload.Max, 0, 1000)
-		return trace.NewZipf(s.Workload.Seed, p.Groups, 1.5, hi), nil
+		groups, _ := s.nodeGroups()
+		return trace.NewZipf(s.Workload.Seed, groups, 1.5, hi), nil
 	case "uniform":
 		lo, hi := defRange(s.Workload.Min, s.Workload.Max, 0, 100)
 		return &trace.Uniform{Seed: s.Workload.Seed, Min: lo, Max: hi}, nil

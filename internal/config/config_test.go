@@ -2,6 +2,7 @@ package config
 
 import (
 	"fmt"
+	"maps"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -348,6 +349,18 @@ func TestSourceKinds(t *testing.T) {
 	s.Workload = Workload{Kind: "martian"}
 	if _, err := s.Source(); err == nil {
 		t.Error("unknown workload accepted")
+	}
+}
+
+// TestSourceGroupsMatchPlacement: the trace sources read node → group and
+// the group count off the node list, as the placement would give them.
+func TestSourceGroupsMatchPlacement(t *testing.T) {
+	for _, s := range []*Scenario{Figure3Scenario(), Figure1Scenario(), validScenario()} {
+		p := s.Placement()
+		groups, n := s.nodeGroups()
+		if !maps.Equal(groups, p.Groups) || n != len(p.GroupIDs()) {
+			t.Errorf("%s: %d groups %v, placement %d %v", s.Name, n, groups, len(p.GroupIDs()), p.Groups)
+		}
 	}
 }
 

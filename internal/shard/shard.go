@@ -12,7 +12,6 @@ package shard
 
 import (
 	"fmt"
-	"sync"
 
 	"kspot/internal/config"
 	"kspot/internal/engine"
@@ -55,9 +54,6 @@ type Shard struct {
 	src    trace.Source
 	store  *storage.Store
 	dep    *engine.Deployment
-
-	mu        sync.Mutex
-	historics map[uint32]topk.HistoricData // buffered windows per execution
 }
 
 // New assembles shard cfg.Shard of the scenario: network → fault
@@ -81,12 +77,11 @@ func New(cfg Config) (*Shard, error) {
 		return nil, err
 	}
 	b := &Shard{
-		name:      cfg.Scenario.ShardName(cfg.Shard),
-		roster:    subs[cfg.Shard].Roster(),
-		net:       net,
-		src:       src,
-		store:     cfg.Store,
-		historics: make(map[uint32]topk.HistoricData),
+		name:   cfg.Scenario.ShardName(cfg.Shard),
+		roster: subs[cfg.Shard].Roster(),
+		net:    net,
+		src:    src,
+		store:  cfg.Store,
 	}
 	if env := cfg.Scenario.FaultEnv(); env != nil {
 		if err := faults.Arm(net, cfg.Scenario.ShardFaults(*env, cfg.Shard)); err != nil {
@@ -122,17 +117,15 @@ func (b *Shard) Deployment() *engine.Deployment { return b.dep }
 // Attached reports how many queries are attached.
 func (b *Shard) Attached() int { return b.dep.Attached() }
 
-// Reset forgets everything session-scoped — attachments and cached
-// historic executions — for a new coordinator session. The durable tier
-// and the network's state (energy spent, counters) persist: the field and
-// its history do not reset because a new coordinator dialed in. Nothing
-// else may be in flight.
+// Reset forgets everything session-scoped — the attachments — for a new
+// coordinator session. A historic execution holds nothing between its
+// calls, so there is nothing of it to forget. The durable tier and the
+// network's state (energy spent, counters) persist: the field and its
+// history do not reset because a new coordinator dialed in. Nothing else
+// may be in flight.
 func (b *Shard) Reset() {
 	b.dep.Drain()
 	b.dep = engine.NewDeployment(b.name, b.dep.Transport(), b.src)
-	b.mu.Lock()
-	b.historics = make(map[uint32]topk.HistoricData)
-	b.mu.Unlock()
 }
 
 // EpochRound runs one whole epoch of the shard (engine.RemoteShard): the
@@ -185,13 +178,11 @@ func (b *Shard) Detach(id uint32) error {
 	return nil
 }
 
-// HistoricTopK buffers the shard's windows under exec and runs the historic
-// operator over them, returning the ranked instants and the number of nodes
-// holding a window; the windows stay cached for FetchSums until Release.
-// They are materialized from the flat trace source by global node id, so
-// per-epoch indices align across shards at the coordinator with no
-// translation.
-func (b *Shard) HistoricTopK(exec uint32, algo string, q topk.HistoricQuery) ([]model.Answer, int, error) {
+// HistoricTopK buffers the shard's windows and runs the historic operator
+// over them, returning the ranked instants and the number of nodes holding
+// a window. Nothing outlives the call: FetchSums re-reads the instants it
+// is asked for.
+func (b *Shard) HistoricTopK(algo string, q topk.HistoricQuery) ([]model.Answer, int, error) {
 	op, err := registry.Historic(algo)
 	if err != nil {
 		return nil, 0, err
@@ -199,40 +190,61 @@ func (b *Shard) HistoricTopK(exec uint32, algo string, q topk.HistoricQuery) ([]
 	if err := q.Validate(); err != nil {
 		return nil, 0, err
 	}
-	tp := b.dep.Transport()
-	series, err := storage.BufferSeries(tp.Topology().SensorNodes(), q.Window, b.src.Sample)
+	data, err := b.history(q.Window, nil)
 	if err != nil {
 		return nil, 0, err
 	}
-	data := topk.HistoricData(series)
-	answers, err := op.Run(tp, q, data)
+	answers, err := op.Run(b.dep.Transport(), q, data)
 	if err != nil {
 		return nil, 0, err
 	}
-	b.mu.Lock()
-	b.historics[exec] = data
-	b.mu.Unlock()
 	return answers, len(data), nil
 }
 
-// FetchSums returns the exact local sums of the given instants of a cached
-// execution — the coordinator's phase-2 targeted sweep.
-func (b *Shard) FetchSums(exec uint32, ids []model.GroupID) (map[model.GroupID]int64, error) {
-	b.mu.Lock()
-	data, ok := b.historics[exec]
-	b.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("shard: historic execution %d unknown", exec)
+// FetchSums returns the exact local sums of the given instants of the
+// shard's windows — the coordinator's phase-2 targeted sweep.
+func (b *Shard) FetchSums(window int, ids []model.GroupID) (map[model.GroupID]int64, error) {
+	for _, id := range ids {
+		if int(id) >= window {
+			return nil, fmt.Errorf("shard: instant %d outside window %d", id, window)
+		}
+	}
+	data, err := b.history(window, ids)
+	if err != nil {
+		return nil, err
 	}
 	return topk.FetchHistoricSums(b.dep.Transport(), data, ids), nil
 }
 
-// Release drops an execution's cached windows; unknown ids are a no-op.
-func (b *Shard) Release(exec uint32) error {
-	b.mu.Lock()
-	delete(b.historics, exec)
-	b.mu.Unlock()
-	return nil
+// history reads the shard's buffered windows, the one place both historic
+// phases get them: each sensor node's window [0, window), sampled from the
+// flat trace source by global node id, so per-epoch indices align across
+// shards at the coordinator with no translation. Phase 1 reads every
+// instant (instants nil); phase 2 samples only the instants it fetches,
+// into series that end at the latest of them and hold zero at every other
+// offset, which FetchHistoricSums never reads. The trace is a function of
+// (node, epoch) alone, so the two phases read the same values with nothing
+// kept between them.
+func (b *Shard) history(window int, instants []model.GroupID) (topk.HistoricData, error) {
+	nodes := b.dep.Transport().Topology().SensorNodes()
+	if instants == nil {
+		series, err := storage.BufferSeries(nodes, window, b.src.Sample)
+		return topk.HistoricData(series), err
+	}
+	n := 0 // series length: one past the latest instant
+	for _, t := range instants {
+		n = max(n, int(t)+1)
+	}
+	data := make(topk.HistoricData, len(nodes))
+	buf := make([]model.Value, len(nodes)*n)
+	for i, node := range nodes {
+		series := buf[i*n : (i+1)*n : (i+1)*n]
+		for _, t := range instants {
+			series[t] = model.Quantize(b.src.Sample(node, model.Epoch(t)))
+		}
+		data[node] = series
+	}
+	return data, nil
 }
 
 // Stats reads the shard's traffic and energy counters.

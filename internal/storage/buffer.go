@@ -10,7 +10,8 @@ import (
 // query — the simulator's stand-in for the motes' flash buffers: epochs
 // [0, window) sampled per node, quantized to the fixed-point resolution a
 // buffer stores, oldest-first (window offset = series index), the layout
-// the historic operators consume.
+// the historic operators consume. The series share one backing array, each
+// capped at its window.
 //
 // On a federated deployment each shard buffers only its own nodes, but
 // samples the same flat trace by global node id — per-epoch indices
@@ -20,8 +21,9 @@ func BufferSeries(nodes []model.NodeID, window int, sample func(model.NodeID, mo
 		return nil, fmt.Errorf("storage: history window: must be >= 1, got %d", window)
 	}
 	out := make(map[model.NodeID][]model.Value, len(nodes))
-	for _, n := range nodes {
-		series := make([]model.Value, window)
+	buf := make([]model.Value, len(nodes)*window)
+	for i, n := range nodes {
+		series := buf[i*window : (i+1)*window : (i+1)*window]
 		for e := range series {
 			series[e] = model.Quantize(sample(n, model.Epoch(e)))
 		}

@@ -54,53 +54,17 @@ import (
 	"kspot/internal/topk"
 )
 
-// HistoricShard is the coordinator's surface onto one shard's historic
-// execution. HostExec is the one implementation outside tests: it runs the
-// real per-shard protocols through a shard host's historic calls.
-type HistoricShard interface {
-	// LocalTopK runs the shard-local historic operator for the shard's top
-	// shipK instants ranked by local SUM partial, returning the ranked
-	// answers (Score = the exact local sum in engineering units, wire-
-	// quantized) and the number of shard nodes holding a buffered window.
-	LocalTopK(shipK int) (answers []model.Answer, nodes int, err error)
-	// FetchSums returns the shard's exact local fixed-point sums for the
-	// given instants — the phase-2 targeted sweep.
-	FetchSums(ids []model.GroupID) (map[model.GroupID]int64, error)
-}
-
 // HistoricHost is the historic half of the shard contract: a shard body
 // (internal/shard) answers it in process and a wire client over a socket.
-// HistoricTopK buffers the host's windows under exec and runs the named
-// operator over them; FetchSums reads exact local sums off those windows.
+// HistoricTopK buffers the host's windows and runs the named operator over
+// them, returning the ranked answers (Score = the exact local sum in
+// engineering units, wire-quantized) and the number of shard nodes holding
+// a buffered window; FetchSums returns the host's exact local fixed-point
+// sums for the given instants of the window — the phase-2 targeted sweep.
+// The host keeps nothing between the two calls.
 type HistoricHost interface {
-	HistoricTopK(exec uint32, algo string, q topk.HistoricQuery) ([]model.Answer, int, error)
-	FetchSums(exec uint32, ids []model.GroupID) (map[model.GroupID]int64, error)
-}
-
-// HostExec is one historic execution on one shard host: the coordinator's
-// merge surface over the host's calls. The caller releases Exec on the
-// host when the round is over.
-type HostExec struct {
-	Host HistoricHost
-	Exec uint32
-	Algo string
-	Q    topk.HistoricQuery
-}
-
-// LocalTopK implements HistoricShard. The shard operator runs pinned to the
-// SUM aggregate: SUM and AVG rank instants identically within a shard (AVG
-// divides every instant by the same participant count), and the
-// coordinator needs the exact partial sums — a shard-local AVG would bake
-// in the shard's own divisor and lose them.
-func (h HostExec) LocalTopK(shipK int) ([]model.Answer, int, error) {
-	q := h.Q
-	q.K, q.Agg = shipK, model.AggSum
-	return h.Host.HistoricTopK(h.Exec, h.Algo, q)
-}
-
-// FetchSums implements HistoricShard: the phase-2 targeted sweep.
-func (h HostExec) FetchSums(ids []model.GroupID) (map[model.GroupID]int64, error) {
-	return h.Host.FetchSums(h.Exec, ids)
+	HistoricTopK(algo string, q topk.HistoricQuery) ([]model.Answer, int, error)
+	FetchSums(window int, ids []model.GroupID) (map[model.GroupID]int64, error)
 }
 
 // Historic sentinel bounds for τ_i: exhausted shards bound their (empty)
@@ -144,19 +108,28 @@ type shardReport struct {
 	err   error
 }
 
-// Run executes the two-phase merge over the shards, fanning each phase's
-// per-shard protocol executions out concurrently: every shard is its own
-// network (in this process or another one), so their halves of a round
-// overlap. The result is byte-identical to the flat historic run.
-func (m *HistoricMerger) Run(shards []HistoricShard) ([]model.Answer, error) {
+// Run executes the two-phase merge over the shards with the named historic
+// operator, fanning each phase's per-shard calls out concurrently: every
+// shard is its own network (in this process or another one), so their
+// halves of a round overlap. The result is byte-identical to the flat
+// historic run.
+//
+// Phase 1 runs each shard's operator pinned to the SUM aggregate: SUM and
+// AVG rank instants identically within a shard (AVG divides every instant
+// by the same participant count), and the coordinator needs the exact
+// partial sums — a shard-local AVG would bake in the shard's own divisor
+// and lose them.
+func (m *HistoricMerger) Run(algo string, shards []HistoricHost) ([]model.Answer, error) {
 	var d Snapshot
 	d.Rounds = 1
 	w := m.q.Window
+	local := m.q
+	local.K, local.Agg = m.shipK, model.AggSum
 
 	// Phase 1: per-shard local top-ShipK.
 	reports := make([]shardReport, len(shards))
-	eachShard(shards, func(i int, sh HistoricShard) {
-		ans, nodes, err := sh.LocalTopK(m.shipK)
+	eachShard(shards, func(i int, sh HistoricHost) {
+		ans, nodes, err := sh.HistoricTopK(algo, local)
 		r := shardReport{sums: make(map[model.GroupID]int64, len(ans)), nodes: nodes, err: err}
 		for _, a := range ans {
 			if int(a.Group) >= w {
@@ -262,11 +235,11 @@ func (m *HistoricMerger) Run(shards []HistoricShard) ([]model.Answer, error) {
 	fetched := make([]map[model.GroupID]int64, len(shards))
 	var errMu sync.Mutex
 	var fetchErr error
-	eachShard(shards, func(i int, sh HistoricShard) {
+	eachShard(shards, func(i int, sh HistoricHost) {
 		if len(need[i]) == 0 {
 			return
 		}
-		sums, err := sh.FetchSums(need[i])
+		sums, err := sh.FetchSums(w, need[i])
 		if err != nil {
 			errMu.Lock()
 			if fetchErr == nil {
@@ -311,11 +284,11 @@ func (m *HistoricMerger) Run(shards []HistoricShard) ([]model.Answer, error) {
 }
 
 // eachShard applies fn to every shard concurrently.
-func eachShard(shards []HistoricShard, fn func(i int, sh HistoricShard)) {
+func eachShard(shards []HistoricHost, fn func(i int, sh HistoricHost)) {
 	var wg sync.WaitGroup
 	for i, sh := range shards {
 		wg.Add(1)
-		go func(i int, sh HistoricShard) {
+		go func(i int, sh HistoricHost) {
 			defer wg.Done()
 			fn(i, sh)
 		}(i, sh)

@@ -11,12 +11,12 @@ import (
 )
 
 // fakeShard holds one shard's node series in memory and answers the
-// coordinator's two calls the way a real shard protocol does: LocalTopK
+// coordinator's two calls the way a real shard protocol does: HistoricTopK
 // ranks instants by exact local sum (quantized to wire resolution, as a
 // SUM-pinned historic operator returns), FetchSums serves exact sums.
 type fakeShard struct {
 	series   [][]model.Value // per shard node
-	starved  bool            // LocalTopK returns nothing (degraded run)
+	starved  bool            // HistoricTopK returns nothing (degraded run)
 	fetches  int
 	fetchIDs []model.GroupID
 }
@@ -31,7 +31,7 @@ func (f *fakeShard) localSums(w int) []int64 {
 	return sums
 }
 
-func (f *fakeShard) LocalTopK(shipK int) ([]model.Answer, int, error) {
+func (f *fakeShard) HistoricTopK(_ string, q topk.HistoricQuery) ([]model.Answer, int, error) {
 	if f.starved {
 		return nil, len(f.series), nil
 	}
@@ -45,13 +45,13 @@ func (f *fakeShard) LocalTopK(shipK int) ([]model.Answer, int, error) {
 		ans = append(ans, model.Answer{Group: model.GroupID(t), Score: topk.FinalScore(sums[t], len(f.series), model.AggSum)})
 	}
 	model.SortAnswers(ans)
-	if len(ans) > shipK {
-		ans = ans[:shipK]
+	if len(ans) > q.K {
+		ans = ans[:q.K]
 	}
 	return ans, len(f.series), nil
 }
 
-func (f *fakeShard) FetchSums(ids []model.GroupID) (map[model.GroupID]int64, error) {
+func (f *fakeShard) FetchSums(_ int, ids []model.GroupID) (map[model.GroupID]int64, error) {
 	f.fetches++
 	f.fetchIDs = append(f.fetchIDs, ids...)
 	if len(f.series) == 0 {
@@ -86,8 +86,8 @@ func historicWorld(rng *rand.Rand, shards, nodes, w int) ([]*fakeShard, topk.His
 	return fs, all
 }
 
-func asHistoricShards(fs []*fakeShard) []HistoricShard {
-	out := make([]HistoricShard, len(fs))
+func asHistoricShards(fs []*fakeShard) []HistoricHost {
+	out := make([]HistoricHost, len(fs))
 	for i, f := range fs {
 		out[i] = f
 	}
@@ -113,7 +113,7 @@ func TestHistoricMergeExactness(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := m.Run(asHistoricShards(fs))
+					got, err := m.Run("fake", asHistoricShards(fs))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -161,7 +161,7 @@ func TestHistoricMergeKthBoundaryTie(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := m.Run(asHistoricShards(fs))
+	got, err := m.Run("fake", asHistoricShards(fs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestHistoricMergeAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Run(asHistoricShards(fs)); err != nil {
+	if _, err := m.Run("fake", asHistoricShards(fs)); err != nil {
 		t.Fatal(err)
 	}
 	s := full.Snapshot()
@@ -198,7 +198,7 @@ func TestHistoricMergeAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Run(asHistoricShards(fs)); err != nil {
+	if _, err := m.Run("fake", asHistoricShards(fs)); err != nil {
 		t.Fatal(err)
 	}
 	s = starved.Snapshot()
@@ -229,7 +229,7 @@ func TestHistoricMergeDegradedShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := m.Run(asHistoricShards(fs))
+	got, err := m.Run("fake", asHistoricShards(fs))
 	if err != nil {
 		t.Fatal(err)
 	}

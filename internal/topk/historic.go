@@ -2,6 +2,7 @@ package topk
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"kspot/internal/engine"
@@ -23,6 +24,10 @@ type HistoricQuery struct {
 	Window int
 }
 
+// maxWindow is the longest history a historic query ranks: instants and
+// their counts travel as 16-bit values, which cannot carry 65 536.
+const maxWindow = 1<<16 - 1
+
 // Validate rejects malformed queries.
 func (q HistoricQuery) Validate() error {
 	if q.K < 1 {
@@ -31,8 +36,8 @@ func (q HistoricQuery) Validate() error {
 	if q.Window < 1 {
 		return fmt.Errorf("topk: window must be >= 1, got %d", q.Window)
 	}
-	if q.Window > 1<<16 {
-		return fmt.Errorf("topk: window %d exceeds the 16-bit item id space", q.Window)
+	if q.Window > maxWindow {
+		return fmt.Errorf("topk: window %d exceeds the 16-bit item id space (max %d)", q.Window, maxWindow)
 	}
 	if q.Agg != model.AggAvg && q.Agg != model.AggSum {
 		return fmt.Errorf("topk: historic queries support AVG and SUM, got %v", q.Agg)
@@ -124,56 +129,70 @@ func FetchHistoricSums(net engine.Transport, data HistoricData, ids []model.Grou
 	if len(ids) == 0 {
 		return map[model.GroupID]int64{}
 	}
-	set := make(map[model.GroupID]bool, len(ids))
-	for _, id := range ids {
-		set[id] = true
-	}
-	sorted := make([]model.GroupID, 0, len(set))
-	for id := range set {
-		sorted = append(sorted, id)
-	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	sorted := slices.Clone(ids)
+	slices.Sort(sorted)
+	sorted = slices.Compact(sorted)
 	payload := make([]byte, 0, 2*len(sorted))
 	for _, id := range sorted {
 		payload = append(payload, byte(id), byte(id>>8))
 	}
 	reached := net.BroadcastDown(radio.KindCL, 0, func(model.NodeID) []byte { return payload })
 
-	inbox := make(map[model.NodeID]map[model.GroupID]int64)
-	for _, node := range net.Routing().PostOrder() {
-		sums := inbox[node]
-		if sums == nil {
-			sums = make(map[model.GroupID]int64)
+	// Each tree node's partial sums, laid out by its post-order position and
+	// each instant's position in sorted, and whether any reading joined each.
+	tree := net.Routing()
+	post := tree.PostOrder()
+	top := 0
+	for _, node := range post {
+		top = max(top, int(node))
+	}
+	pos := make([]int32, top+1)
+	for i, node := range post {
+		pos[node] = int32(i)
+	}
+	m := len(sorted)
+	sums, has := make([]int64, len(post)*m), make([]bool, len(post)*m)
+	for i, node := range post {
+		sum, in := sums[i*m:(i+1)*m], has[i*m:(i+1)*m]
+		if node == tree.Root {
+			out := make(map[model.GroupID]int64, m)
+			for j, id := range sorted {
+				if in[j] {
+					out[id] = sum[j]
+				}
+			}
+			return out
 		}
-		if series, ok := data[node]; ok && reached[node] && node != net.Routing().Root {
-			for _, id := range sorted {
+		if series, ok := data[node]; ok && reached[node] {
+			for j, id := range sorted {
 				if int(id) < len(series) {
-					sums[id] += int64(model.ToFixed(series[id]))
+					sum[j] += int64(model.ToFixed(series[id]))
+					in[j] = true
 				}
 			}
 		}
-		if node == net.Routing().Root {
-			return sums
+		n := 0
+		for _, ok := range in {
+			if ok {
+				n++
+			}
 		}
-		if len(sums) == 0 || !net.Alive(node) {
+		if n == 0 || !net.Alive(node) {
 			continue
 		}
-		out := make([]byte, 0, len(sums)*model.AnswerWireSize)
-		up := make([]model.GroupID, 0, len(sums))
-		for id := range sums {
-			up = append(up, id)
-		}
-		sort.Slice(up, func(i, j int) bool { return up[i] < up[j] })
-		for _, id := range up {
-			out = model.AppendAnswer(out, model.Answer{Group: id, Score: model.Value(sums[id]) / 100})
-		}
-		if net.SendUp(node, radio.KindCL, 0, out) {
-			parent := net.Routing().Parent[node]
-			if inbox[parent] == nil {
-				inbox[parent] = make(map[model.GroupID]int64)
+		msg := make([]byte, 0, n*model.AnswerWireSize)
+		for j, id := range sorted {
+			if in[j] {
+				msg = model.AppendAnswer(msg, model.Answer{Group: id, Score: model.Value(sum[j]) / 100})
 			}
-			for id, s := range sums {
-				inbox[parent][id] += s
+		}
+		if net.SendUp(node, radio.KindCL, 0, msg) {
+			p := int(pos[tree.Parent[node]]) * m
+			for j := range sorted {
+				if in[j] {
+					sums[p+j] += sum[j]
+					has[p+j] = true
+				}
 			}
 		}
 	}

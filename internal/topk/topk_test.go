@@ -20,14 +20,19 @@ func TestSnapshotQueryValidate(t *testing.T) {
 }
 
 func TestHistoricQueryValidate(t *testing.T) {
-	ok := HistoricQuery{K: 3, Agg: model.AggAvg, Window: 100}
-	if err := ok.Validate(); err != nil {
-		t.Errorf("valid query rejected: %v", err)
+	for _, ok := range []HistoricQuery{
+		{K: 3, Agg: model.AggAvg, Window: 100},
+		{K: 1 << 17, Agg: model.AggSum, Window: 65535},
+	} {
+		if err := ok.Validate(); err != nil {
+			t.Errorf("valid query rejected: %v", err)
+		}
 	}
 	bad := []HistoricQuery{
 		{K: 0, Agg: model.AggAvg, Window: 10},
 		{K: 1, Agg: model.AggAvg, Window: 0},
 		{K: 1, Agg: model.AggMin, Window: 10},
+		{K: 1, Agg: model.AggAvg, Window: 65536}, // instant counts travel in 16 bits
 		{K: 1, Agg: model.AggAvg, Window: 1 << 17},
 	}
 	for i, q := range bad {

@@ -666,11 +666,13 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// HistoricTopK has the shard buffer its windows under exec and run the
-// historic operator over them at the given ranking size and aggregate,
-// returning the ranked answers and its buffered-node count.
-func (c *Client) HistoricTopK(exec uint32, algo string, q topk.HistoricQuery) ([]model.Answer, int, error) {
-	payload := AppendHistoric(nil, HistoricReq{Exec: exec, K: q.K, Window: q.Window, Agg: q.Agg, Algo: algo})
+// HistoricTopK has the shard buffer its windows and run the historic
+// operator over them at the given ranking size and aggregate, returning
+// the ranked answers and its buffered-node count. It ships K capped at the
+// window — a ranking past the window ranks the same instants — so any K
+// fits the request's 16 bits.
+func (c *Client) HistoricTopK(algo string, q topk.HistoricQuery) ([]model.Answer, int, error) {
+	payload := AppendHistoric(nil, HistoricReq{K: min(q.K, q.Window), Window: q.Window, Agg: q.Agg, Algo: algo})
 	f, err := c.call(MsgHistoric, payload)
 	if err != nil {
 		return nil, 0, err
@@ -678,38 +680,19 @@ func (c *Client) HistoricTopK(exec uint32, algo string, q topk.HistoricQuery) ([
 	if f.Type != MsgTopK {
 		return nil, 0, fmt.Errorf("wire: historic reply %v", f.Type)
 	}
-	got, nodes, answers, err := DecodeTopK(f.Payload)
-	if err != nil {
-		return nil, 0, err
-	}
-	if got != exec {
-		return nil, 0, fmt.Errorf("wire: historic reply for execution %d, want %d", got, exec)
-	}
-	return answers, nodes, nil
+	nodes, answers, err := DecodeTopK(f.Payload)
+	return answers, nodes, err
 }
 
-// FetchSums is the phase-2 targeted sweep over an execution's cached
-// windows.
-func (c *Client) FetchSums(exec uint32, ids []model.GroupID) (map[model.GroupID]int64, error) {
-	f, err := c.call(MsgFetch, AppendFetch(nil, exec, ids))
+// FetchSums is the phase-2 targeted sweep over the given instants of the
+// shard's windows.
+func (c *Client) FetchSums(window int, ids []model.GroupID) (map[model.GroupID]int64, error) {
+	f, err := c.call(MsgFetch, AppendFetch(nil, window, ids))
 	if err != nil {
 		return nil, err
 	}
 	if f.Type != MsgSums {
 		return nil, fmt.Errorf("wire: fetch reply %v", f.Type)
 	}
-	got, sums, err := DecodeSums(f.Payload)
-	if err != nil {
-		return nil, err
-	}
-	if got != exec {
-		return nil, fmt.Errorf("wire: fetch reply for execution %d, want %d", got, exec)
-	}
-	return sums, nil
-}
-
-// Release drops the execution's cached windows on the shard.
-func (c *Client) Release(exec uint32) error {
-	_, err := c.call(MsgRelease, AppendU32(nil, exec))
-	return err
+	return DecodeSums(f.Payload)
 }

@@ -52,10 +52,12 @@ const (
 	Magic uint32 = 0x5750534B
 	// Version is the protocol version; peers must match exactly. It is the
 	// only compatibility mechanism: any change a peer of the previous
-	// version would misread bumps it. Version 9 run-codes the roster
-	// readings block's groups and epochs (round.go); a version-8 peer
-	// carried them per node and would misread every round reply.
-	Version uint16 = 9
+	// version would misread bumps it. Version 10 makes a historic
+	// execution stateless: no execution id in the historic, topk, fetch
+	// and sums payloads, a fetch that names its window, and no release
+	// message; a version-9 peer would misread all four payloads and every
+	// message type after them.
+	Version uint16 = 10
 	// MaxPayload bounds a frame's payload. The largest legitimate frame is
 	// an epoch-round reply (a few bytes per sensor node per group), so
 	// 1 MiB is far beyond scale-100k split into shards, while a garbage
@@ -82,12 +84,10 @@ const (
 	MsgError                   // reply: application error (string payload)
 	MsgAttach                  // attach a query: qid, algorithm, SQL text
 	MsgAttached                // reply: qid
-	MsgHistoric                // run a historic execution: exec, algo, k, window, agg
-	MsgTopK                    // reply: exec, node count, (group, s64 sum) records
-	MsgFetch                   // phase-2 targeted fetch: exec, group ids
-	MsgSums                    // reply: exec, (group, s64 sum) records
-	MsgRelease                 // drop a historic execution's cached state: exec
-	MsgReleased                // reply: exec
+	MsgHistoric                // historic phase 1 (or a flat run): k, window, agg, algo
+	MsgTopK                    // reply: node count, (group, s64 sum) records
+	MsgFetch                   // historic phase 2, a targeted fetch: window, group ids
+	MsgSums                    // reply: (group, s64 sum) records
 	MsgClose                   // graceful session close
 	MsgClosed                  // reply: acknowledged
 	MsgEpochRound              // one epoch: epoch + every group's query id
@@ -120,10 +120,6 @@ func (t MsgType) String() string {
 		return "fetch"
 	case MsgSums:
 		return "sums"
-	case MsgRelease:
-		return "release"
-	case MsgReleased:
-		return "released"
 	case MsgClose:
 		return "close"
 	case MsgClosed:

@@ -9,6 +9,7 @@ import (
 	"math"
 	"net"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -194,30 +195,30 @@ func TestPayloadCodecsRoundTrip(t *testing.T) {
 		{Group: 7, Score: model.Value(30_000_000.25)},
 		{Group: 2, Score: model.Value(-30_000_000.25)},
 	}
-	exec, nodes, gotBig, err := DecodeTopK(AppendTopK(nil, 42, 250, big))
+	nodes, gotBig, err := DecodeTopK(AppendTopK(nil, 250, big))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if exec != 42 || nodes != 250 || !model.EqualAnswers(gotBig, big) {
-		t.Fatalf("topk round-trip: exec %d nodes %d %v", exec, nodes, gotBig)
+	if nodes != 250 || !model.EqualAnswers(gotBig, big) {
+		t.Fatalf("topk round-trip: nodes %d %v", nodes, gotBig)
 	}
 
 	// Fetch / sums.
 	ids := []model.GroupID{5, 1, 9}
-	fexec, gotIDs, err := DecodeFetch(AppendFetch(nil, 42, ids))
+	window, gotIDs, err := DecodeFetch(AppendFetch(nil, 42, ids))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fexec != 42 || len(gotIDs) != 3 {
-		t.Fatalf("fetch round-trip: exec %d ids %v", fexec, gotIDs)
+	if window != 42 || !slices.Equal(gotIDs, ids) {
+		t.Fatalf("fetch round-trip: window %d ids %v", window, gotIDs)
 	}
 	sums := map[model.GroupID]int64{5: -123456789, 1: 0, 9: 1 << 40}
-	sexec, gotSums, err := DecodeSums(AppendSums(nil, 42, sums))
+	gotSums, err := DecodeSums(AppendSums(nil, sums))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sexec != 42 || len(gotSums) != len(sums) {
-		t.Fatalf("sums round-trip: exec %d %v", sexec, gotSums)
+	if len(gotSums) != len(sums) {
+		t.Fatalf("sums round-trip: %v", gotSums)
 	}
 	for g, s := range sums {
 		if gotSums[g] != s {
@@ -233,27 +234,27 @@ func TestPayloadCodecsRoundTrip(t *testing.T) {
 	if att.Query != 3 || att.Algo != "mint" || att.SQL != "SELECT TOP 3 ..." {
 		t.Fatalf("attach round-trip: %+v", att)
 	}
-	hr, err := DecodeHistoric(AppendHistoric(nil, HistoricReq{Exec: 9, K: 4, Window: 16, Agg: model.AggSum, Algo: "tja"}))
+	hr, err := DecodeHistoric(AppendHistoric(nil, HistoricReq{K: 4, Window: 65535, Agg: model.AggSum, Algo: "tja"}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hr != (HistoricReq{Exec: 9, K: 4, Window: 16, Agg: model.AggSum, Algo: "tja"}) {
+	if hr != (HistoricReq{K: 4, Window: 65535, Agg: model.AggSum, Algo: "tja"}) {
 		t.Fatalf("historic round-trip: %+v", hr)
 	}
 }
 
 func TestPayloadCodecsReject(t *testing.T) {
 	valids := [][]byte{
-		AppendTopK(nil, 1, 2, []model.Answer{{Group: 1, Score: 2}}),
-		AppendFetch(nil, 1, []model.GroupID{1}),
-		AppendSums(nil, 1, map[model.GroupID]int64{1: 2}),
+		AppendTopK(nil, 2, []model.Answer{{Group: 1, Score: 2}}),
+		AppendFetch(nil, 2, []model.GroupID{1}),
+		AppendSums(nil, map[model.GroupID]int64{1: 2}),
 		AppendAttach(nil, AttachReq{Query: 1, Algo: "mint", SQL: "x"}),
-		AppendHistoric(nil, HistoricReq{Exec: 1, K: 1, Window: 1, Agg: model.AggAvg, Algo: "tja"}),
+		AppendHistoric(nil, HistoricReq{K: 1, Window: 1, Agg: model.AggAvg, Algo: "tja"}),
 	}
 	decoders := []func([]byte) error{
-		func(b []byte) error { _, _, _, err := DecodeTopK(b); return err },
+		func(b []byte) error { _, _, err := DecodeTopK(b); return err },
 		func(b []byte) error { _, _, err := DecodeFetch(b); return err },
-		func(b []byte) error { _, _, err := DecodeSums(b); return err },
+		func(b []byte) error { _, err := DecodeSums(b); return err },
 		func(b []byte) error { _, err := DecodeAttach(b); return err },
 		func(b []byte) error { _, err := DecodeHistoric(b); return err },
 	}

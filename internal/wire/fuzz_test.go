@@ -19,10 +19,16 @@ import (
 func FuzzFrameDecode(f *testing.F) {
 	f.Add(AppendFrame(nil, Frame{Seq: 1, Type: MsgHello, Payload: AppendHello(nil, Hello{Version: Version, Scenario: "demo"})}))
 	f.Add(AppendFrame(nil, Frame{Seq: 2, Type: MsgEpochRound, Payload: AppendEpochRound(nil, EpochRoundReq{Epoch: 7, Queries: []uint32{1, 2}})}))
-	f.Add(AppendFrame(nil, Frame{Seq: 3, Type: MsgSums, Payload: AppendSums(nil, 7, map[model.GroupID]int64{1: 2})}))
+	f.Add(AppendFrame(nil, Frame{Seq: 3, Type: MsgSums, Payload: AppendSums(AppendEnvelope(nil, fuzzEnvelope), map[model.GroupID]int64{1: 2, 65534: -1 << 40})}))
 	f.Add(AppendFrame(nil, Frame{Seq: 5, Type: MsgDetach, Payload: AppendU32(nil, 7)}))
 	f.Add(AppendFrame(nil, Frame{Seq: 6, Type: MsgDetached, Payload: AppendU32(AppendEnvelope(nil, fuzzEnvelope), 7)}))
-	f.Add(AppendFrame(nil, Frame{Seq: 4, Type: MsgTopK, Payload: AppendTopK(nil, 1, 9, []model.Answer{{Group: 3, Score: -4.5}})}))
+	f.Add(AppendFrame(nil, Frame{Seq: 4, Type: MsgTopK, Payload: AppendTopK(AppendEnvelope(nil, fuzzEnvelope), 9, []model.Answer{{Group: 3, Score: -4.5}, {Group: 0, Score: 1e9}})}))
+	f.Add(AppendFrame(nil, Frame{Seq: 10, Type: MsgHistoric, Payload: AppendHistoric(nil, HistoricReq{K: 16, Window: 65535, Agg: model.AggAvg, Algo: "tja"})}))
+	f.Add(AppendFrame(nil, Frame{Seq: 11, Type: MsgFetch, Payload: AppendFetch(nil, 16, []model.GroupID{0, 7, 15})}))
+	f.Add(AppendHistoric(nil, HistoricReq{K: 1, Window: 1, Agg: model.AggSum, Algo: "tput"}))
+	f.Add(AppendFetch(nil, 65535, []model.GroupID{65534}))
+	f.Add(AppendTopK(nil, 250, []model.Answer{{Group: 1, Score: 2}}))
+	f.Add(AppendSums(nil, map[model.GroupID]int64{5: -123456789}))
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add(AppendFrame(nil, Frame{Seq: 8, Type: MsgError, Payload: append(AppendEnvelope(nil, Envelope{Stamp: 300}), "wire: stale sequence"...)}))

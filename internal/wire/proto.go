@@ -100,39 +100,41 @@ func DecodeU32(b []byte) (uint32, error) {
 	return binary.LittleEndian.Uint32(b), nil
 }
 
-// HistoricReq runs a historic execution on the shard's buffered windows.
+// HistoricReq runs phase 1 of a historic execution (or a whole flat run)
+// on the shard's buffered windows.
 type HistoricReq struct {
-	Exec   uint32
-	K      int // ranking size (the merger's ShipK; the query's K when flat)
+	K      int // ranking size (the merger's ShipK; the query's K when flat), at most Window
 	Window int
 	Agg    model.AggKind
 	Algo   string
 }
 
+// historicFixedSize is a historic request ahead of its algorithm name: k,
+// window, aggregate.
+const historicFixedSize = 2 + 2 + 1
+
 // AppendHistoric appends the wire form of r.
 func AppendHistoric(dst []byte, r HistoricReq) []byte {
-	var buf [9]byte
-	binary.LittleEndian.PutUint32(buf[0:], r.Exec)
-	binary.LittleEndian.PutUint16(buf[4:], uint16(r.K))
-	binary.LittleEndian.PutUint16(buf[6:], uint16(r.Window))
-	buf[8] = byte(r.Agg)
+	var buf [historicFixedSize]byte
+	binary.LittleEndian.PutUint16(buf[0:], uint16(r.K))
+	binary.LittleEndian.PutUint16(buf[2:], uint16(r.Window))
+	buf[4] = byte(r.Agg)
 	dst = append(dst, buf[:]...)
 	return appendString(dst, r.Algo)
 }
 
 // DecodeHistoric decodes a historic request.
 func DecodeHistoric(b []byte) (HistoricReq, error) {
-	if len(b) < 9 {
+	if len(b) < historicFixedSize {
 		return HistoricReq{}, io.ErrUnexpectedEOF
 	}
 	r := HistoricReq{
-		Exec:   binary.LittleEndian.Uint32(b[0:]),
-		K:      int(binary.LittleEndian.Uint16(b[4:])),
-		Window: int(binary.LittleEndian.Uint16(b[6:])),
-		Agg:    model.AggKind(b[8]),
+		K:      int(binary.LittleEndian.Uint16(b[0:])),
+		Window: int(binary.LittleEndian.Uint16(b[2:])),
+		Agg:    model.AggKind(b[4]),
 	}
 	var err error
-	b = b[9:]
+	b = b[historicFixedSize:]
 	if r.Algo, b, err = decodeString(b); err != nil {
 		return HistoricReq{}, err
 	}
@@ -145,13 +147,12 @@ func DecodeHistoric(b []byte) (HistoricReq, error) {
 // sumRecordSize is one historic (group, s64 centi-sum) record.
 const sumRecordSize = 10
 
-// AppendTopK appends a historic reply: exec id, the count of shard nodes
-// holding a buffered window, and the ranked answers with exact s64 sums.
-func AppendTopK(dst []byte, exec uint32, nodes int, answers []model.Answer) []byte {
-	var buf [10]byte
-	binary.LittleEndian.PutUint32(buf[0:], exec)
-	binary.LittleEndian.PutUint32(buf[4:], uint32(nodes))
-	binary.LittleEndian.PutUint16(buf[8:], uint16(len(answers)))
+// AppendTopK appends a historic reply: the count of shard nodes holding a
+// buffered window and the ranked answers with exact s64 sums.
+func AppendTopK(dst []byte, nodes int, answers []model.Answer) []byte {
+	var buf [6]byte
+	binary.LittleEndian.PutUint32(buf[0:], uint32(nodes))
+	binary.LittleEndian.PutUint16(buf[4:], uint16(len(answers)))
 	dst = append(dst, buf[:]...)
 	for _, a := range answers {
 		var rec [sumRecordSize]byte
@@ -163,16 +164,15 @@ func AppendTopK(dst []byte, exec uint32, nodes int, answers []model.Answer) []by
 }
 
 // DecodeTopK decodes a historic reply.
-func DecodeTopK(b []byte) (exec uint32, nodes int, answers []model.Answer, err error) {
-	if len(b) < 10 {
-		return 0, 0, nil, io.ErrUnexpectedEOF
+func DecodeTopK(b []byte) (nodes int, answers []model.Answer, err error) {
+	if len(b) < 6 {
+		return 0, nil, io.ErrUnexpectedEOF
 	}
-	exec = binary.LittleEndian.Uint32(b[0:])
-	nodes = int(binary.LittleEndian.Uint32(b[4:]))
-	n := int(binary.LittleEndian.Uint16(b[8:]))
-	b = b[10:]
+	nodes = int(binary.LittleEndian.Uint32(b[0:]))
+	n := int(binary.LittleEndian.Uint16(b[4:]))
+	b = b[6:]
 	if len(b) != n*sumRecordSize {
-		return 0, 0, nil, fmt.Errorf("wire: topk payload %d bytes for %d records", len(b), n)
+		return 0, nil, fmt.Errorf("wire: topk payload %d bytes for %d records", len(b), n)
 	}
 	answers = make([]model.Answer, 0, n)
 	for i := 0; i < n; i++ {
@@ -182,14 +182,15 @@ func DecodeTopK(b []byte) (exec uint32, nodes int, answers []model.Answer, err e
 		})
 		b = b[sumRecordSize:]
 	}
-	return exec, nodes, answers, nil
+	return nodes, answers, nil
 }
 
-// AppendFetch appends a phase-2 targeted fetch request: exec id + group ids.
-func AppendFetch(dst []byte, exec uint32, ids []model.GroupID) []byte {
-	var buf [6]byte
-	binary.LittleEndian.PutUint32(buf[0:], exec)
-	binary.LittleEndian.PutUint16(buf[4:], uint16(len(ids)))
+// AppendFetch appends a phase-2 targeted fetch request: the window and the
+// instants (group ids) to sum within it.
+func AppendFetch(dst []byte, window int, ids []model.GroupID) []byte {
+	var buf [4]byte
+	binary.LittleEndian.PutUint16(buf[0:], uint16(window))
+	binary.LittleEndian.PutUint16(buf[2:], uint16(len(ids)))
 	dst = append(dst, buf[:]...)
 	for _, id := range ids {
 		var rec [2]byte
@@ -200,13 +201,13 @@ func AppendFetch(dst []byte, exec uint32, ids []model.GroupID) []byte {
 }
 
 // DecodeFetch decodes a fetch request.
-func DecodeFetch(b []byte) (exec uint32, ids []model.GroupID, err error) {
-	if len(b) < 6 {
+func DecodeFetch(b []byte) (window int, ids []model.GroupID, err error) {
+	if len(b) < 4 {
 		return 0, nil, io.ErrUnexpectedEOF
 	}
-	exec = binary.LittleEndian.Uint32(b[0:])
-	n := int(binary.LittleEndian.Uint16(b[4:]))
-	b = b[6:]
+	window = int(binary.LittleEndian.Uint16(b[0:]))
+	n := int(binary.LittleEndian.Uint16(b[2:]))
+	b = b[4:]
 	if len(b) != n*2 {
 		return 0, nil, fmt.Errorf("wire: fetch payload %d bytes for %d ids", len(b), n)
 	}
@@ -214,15 +215,14 @@ func DecodeFetch(b []byte) (exec uint32, ids []model.GroupID, err error) {
 	for i := 0; i < n; i++ {
 		ids = append(ids, model.GroupID(binary.LittleEndian.Uint16(b[2*i:])))
 	}
-	return exec, ids, nil
+	return window, ids, nil
 }
 
-// AppendSums appends a fetch reply: exec id + (group, s64 centi-sum)
-// records in ascending group order (canonical).
-func AppendSums(dst []byte, exec uint32, sums map[model.GroupID]int64) []byte {
-	var buf [6]byte
-	binary.LittleEndian.PutUint32(buf[0:], exec)
-	binary.LittleEndian.PutUint16(buf[4:], uint16(len(sums)))
+// AppendSums appends a fetch reply: (group, s64 centi-sum) records in
+// ascending group order (canonical).
+func AppendSums(dst []byte, sums map[model.GroupID]int64) []byte {
+	var buf [2]byte
+	binary.LittleEndian.PutUint16(buf[0:], uint16(len(sums)))
 	dst = append(dst, buf[:]...)
 	ids := make([]model.GroupID, 0, len(sums))
 	for id := range sums {
@@ -239,23 +239,22 @@ func AppendSums(dst []byte, exec uint32, sums map[model.GroupID]int64) []byte {
 }
 
 // DecodeSums decodes a fetch reply.
-func DecodeSums(b []byte) (exec uint32, sums map[model.GroupID]int64, err error) {
-	if len(b) < 6 {
-		return 0, nil, io.ErrUnexpectedEOF
+func DecodeSums(b []byte) (map[model.GroupID]int64, error) {
+	if len(b) < 2 {
+		return nil, io.ErrUnexpectedEOF
 	}
-	exec = binary.LittleEndian.Uint32(b[0:])
-	n := int(binary.LittleEndian.Uint16(b[4:]))
-	b = b[6:]
+	n := int(binary.LittleEndian.Uint16(b[0:]))
+	b = b[2:]
 	if len(b) != n*sumRecordSize {
-		return 0, nil, fmt.Errorf("wire: sums payload %d bytes for %d records", len(b), n)
+		return nil, fmt.Errorf("wire: sums payload %d bytes for %d records", len(b), n)
 	}
-	sums = make(map[model.GroupID]int64, n)
+	sums := make(map[model.GroupID]int64, n)
 	for i := 0; i < n; i++ {
 		id := model.GroupID(binary.LittleEndian.Uint16(b[0:]))
 		sums[id] = int64(binary.LittleEndian.Uint64(b[2:]))
 		b = b[sumRecordSize:]
 	}
-	return exec, sums, nil
+	return sums, nil
 }
 
 // Envelope is what every reply frame and every Welcome carries ahead of

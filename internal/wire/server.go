@@ -193,8 +193,9 @@ func (s *Server) serveConn(conn net.Conn) {
 	if hello.Nonce != s.nonce {
 		// A new coordinator session — or a restarted process, whose nonce
 		// is 0: reset the at-most-once state and the shard's session scope
-		// (shard.Reset: attachments, historic executions). The durable tier,
-		// the field's energy and its counters persist.
+		// (shard.Reset: the attachments; a historic execution keeps nothing
+		// between its calls). The durable tier, the field's energy and its
+		// counters persist.
 		s.nonce = hello.Nonce
 		s.lastSeq, s.lastReply = 0, nil
 		s.snapState = nil
@@ -371,32 +372,24 @@ func (s *Server) handle(f Frame, dst []byte) (MsgType, []byte, error) {
 		if err != nil {
 			return 0, nil, err
 		}
-		answers, nodes, err := s.body.HistoricTopK(req.Exec, req.Algo, topk.HistoricQuery{K: req.K, Agg: req.Agg, Window: req.Window})
+		answers, nodes, err := s.body.HistoricTopK(req.Algo, topk.HistoricQuery{K: req.K, Agg: req.Agg, Window: req.Window})
 		s.recordLedger()
 		if err != nil {
 			return 0, nil, err
 		}
-		return MsgTopK, AppendTopK(dst, req.Exec, nodes, answers), nil
+		return MsgTopK, AppendTopK(dst, nodes, answers), nil
 
 	case MsgFetch:
-		exec, ids, err := DecodeFetch(f.Payload)
+		window, ids, err := DecodeFetch(f.Payload)
 		if err != nil {
 			return 0, nil, err
 		}
-		sums, err := s.body.FetchSums(exec, ids)
+		sums, err := s.body.FetchSums(window, ids)
 		s.recordLedger()
 		if err != nil {
 			return 0, nil, err
 		}
-		return MsgSums, AppendSums(dst, exec, sums), nil
-
-	case MsgRelease:
-		exec, err := DecodeU32(f.Payload)
-		if err != nil {
-			return 0, nil, err
-		}
-		s.body.Release(exec)
-		return MsgReleased, AppendU32(dst, exec), nil
+		return MsgSums, AppendSums(dst, sums), nil
 
 	case MsgSnapshot:
 		off, err := DecodeU32(f.Payload)

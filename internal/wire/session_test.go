@@ -9,6 +9,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"maps"
 	"math"
 	"net"
 	"os"
@@ -21,7 +22,9 @@ import (
 	"kspot/internal/config"
 	"kspot/internal/faults"
 	"kspot/internal/model"
+	"kspot/internal/stats"
 	"kspot/internal/storage"
+	"kspot/internal/topk"
 	"kspot/internal/wire/wiretest"
 )
 
@@ -451,5 +454,57 @@ func TestEnergySurvivesAKill(t *testing.T) {
 	t.Logf("%d nodes dead at the kill, %d at epoch %d", deadAtKill, deaths(), epochs)
 	if deaths() == deadAtKill {
 		t.Fatal("no node exhausted its budget after the kill: the restore was never tested at a death")
+	}
+}
+
+// TestHistoricFetchAcrossAShardRestart: a historic execution keeps nothing
+// on a shard between its two phases, so the phase-2 fetch after a restart
+// between them — a new process on the same data dir and address, which the
+// client reconnects to, or a new coordinator session on that process —
+// returns the sums an uninterrupted execution gets.
+func TestHistoricFetchAcrossAShardRestart(t *testing.T) {
+	scen := config.Figure3Scenario()
+	q := topk.HistoricQuery{K: 2, Agg: model.AggSum, Window: 16}
+	ids := []model.GroupID{0, 5, 9, 15}
+	dir := t.TempDir()
+	addr, srv := serveOn(t, scen, dir, "127.0.0.1:0", wiretest.Faults{})
+	cl := session(t, addr)
+	phase1 := func() {
+		t.Helper()
+		if answers, _, err := cl.HistoricTopK("tja", q); err != nil || len(answers) != q.K {
+			t.Fatalf("phase 1: %v %v", answers, err)
+		}
+	}
+
+	phase1()
+	want, err := cl.FetchSums(q.Window, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(ids) {
+		t.Fatalf("uninterrupted fetch: %v, want a sum for each of %v", want, ids)
+	}
+
+	phase1()
+	srv.Close()
+	_, re := serveOn(t, scen, dir, addr, wiretest.Faults{})
+	got, err := cl.FetchSums(q.Window, ids)
+	if err != nil {
+		t.Fatalf("fetch from the restarted process: %v", err)
+	}
+	if !maps.Equal(got, want) {
+		t.Fatalf("fetch from the restarted process: %v, uninterrupted %v", got, want)
+	}
+	if row := stats.Collect("restarted", re.Network(), 0); row.Messages == 0 {
+		t.Fatal("the restarted process swept nothing: the fetch went elsewhere")
+	}
+
+	phase1()
+	got, err = session(t, addr).FetchSums(q.Window, ids)
+	if err != nil {
+		t.Fatalf("fetch in a new session: %v", err)
+	}
+	if !maps.Equal(got, want) {
+		t.Fatalf("fetch in a new session: %v, uninterrupted %v", got, want)
 	}
 }

@@ -144,9 +144,8 @@ type System struct {
 	sched  *engine.Scheduler
 	shards []shardHandle
 
-	// qidSeq allocates the ids acquisition groups and historic executions
-	// run under, unique within this System (and so within its wire
-	// sessions).
+	// qidSeq allocates the ids acquisition groups run under, unique
+	// within this System (and so within its wire sessions).
 	qidSeq  atomic.Uint32
 	wireCfg openConfig // the Open options, reused when Reshard dials new shards
 
@@ -176,13 +175,9 @@ type shardHandle interface {
 	// id; Detach releases it (an id that is not attached is a no-op).
 	Attach(id uint32, algo, sql string) error
 	Detach(id uint32) error
-	// HistoricTopK buffers the shard's windows under exec and runs the
-	// historic operator over them (ranked instants, buffered-node count);
-	// FetchSums reads exact local sums off the cached windows; Release drops
-	// them.
-	HistoricTopK(exec uint32, algo string, q topk.HistoricQuery) ([]model.Answer, int, error)
-	FetchSums(exec uint32, ids []model.GroupID) (map[model.GroupID]int64, error)
-	Release(exec uint32) error
+	// HistoricTopK and FetchSums are the two phases of a historic
+	// execution (fed.HistoricHost); the shard keeps nothing between them.
+	fed.HistoricHost
 	// Stats reads the traffic and energy counters, StorageStats the durable
 	// tier's block (zero without one). Over the wire neither makes a call:
 	// both read what the shard's newest reply carried, and both fail while

@@ -83,20 +83,20 @@ func runShardContract(h shardHandle) []contractStep {
 	call("detach unknown id", h.Detach(99))
 
 	q := topk.HistoricQuery{K: 3, Agg: model.AggSum, Window: 8}
-	answers, nodes, err := h.HistoricTopK(7, "tja", q)
+	answers, nodes, err := h.HistoricTopK("tja", q)
 	st := call("historic top-k", err)
 	st.Answers, st.Nodes = answers, nodes
-	_, _, err = h.HistoricTopK(8, "bogus", q)
+	_, _, err = h.HistoricTopK("bogus", q)
 	call("historic unknown algorithm", err)
-	_, _, err = h.HistoricTopK(8, "tja", topk.HistoricQuery{K: 0, Agg: model.AggSum, Window: 8})
+	_, _, err = h.HistoricTopK("tja", topk.HistoricQuery{K: 0, Agg: model.AggSum, Window: 8})
 	call("historic invalid query", err)
 	ids := []model.GroupID{0, 3, 7}
-	sums, err := h.FetchSums(7, ids)
+	sums, err := h.FetchSums(q.Window, ids)
 	call("fetch sums", err).Sums = sums
-	call("release", h.Release(7))
-	_, err = h.FetchSums(7, ids)
-	call("fetch on a released execution", err)
-	call("release unknown execution", h.Release(99))
+	sums, err = h.FetchSums(q.Window, ids)
+	call("fetch sums again", err).Sums = sums
+	_, err = h.FetchSums(q.Window, []model.GroupID{3, 8})
+	call("fetch past the window", err)
 
 	row, err := h.Stats()
 	call("stats", err).Stats = row
@@ -166,8 +166,9 @@ func contractTranscript(t *testing.T, r row, _ *System, _ outcome) {
 	// derived-readings query overrode its inputs, the isolated failures
 	// were failures and everything else was not.
 	failed := map[string]bool{"attach unknown algorithm": true, "attach bad sql": true, "attach historic query": true,
-		"historic unknown algorithm": true, "historic invalid query": true, "fetch on a released execution": true,
+		"historic unknown algorithm": true, "historic invalid query": true, "fetch past the window": true,
 		"restore garbage": true}
+	var fetched map[model.GroupID]int64
 	for _, st := range want {
 		if st.Failed != failed[st.Call] {
 			t.Errorf("%s: failed=%v", st.Call, st.Failed)
@@ -192,6 +193,12 @@ func contractTranscript(t *testing.T, r row, _ *System, _ outcome) {
 		case "fetch sums":
 			if len(st.Sums) != 3 {
 				t.Errorf("fetch sums: %+v", st.Sums)
+			}
+			fetched = st.Sums
+		case "fetch sums again":
+			// A fetch consumes nothing: the repeat reads the same sums.
+			if !reflect.DeepEqual(st.Sums, fetched) {
+				t.Errorf("fetch sums again: %+v, first fetch %+v", st.Sums, fetched)
 			}
 		case "stats":
 			if st.Stats.Messages == 0 || st.Stats.Algorithm != "shard-0" {

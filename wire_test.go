@@ -55,6 +55,40 @@ func TestWireFederatedHistoric(t *testing.T) {
 	runRows(t, append(rows, row{name: "group-by", world: "demo", shards: 2, wire: true, epochs: 4, queries: []rowQuery{{sql: windowedSQL}}}))
 }
 
+// TestHistoricKPastTheWindow: a historic K at or past the window ranks the
+// whole window. The wire carries K in 16 bits, where 65 536 reads 0 and
+// 65 537 reads 1, so the client ships K capped at the window: flat,
+// in-process and wire runs answer alike, and the in-process and wire
+// federations account the same coordinator tier and radio traffic.
+func TestHistoricKPastTheWindow(t *testing.T) {
+	for _, k := range []int{16, 65536, 65537} {
+		t.Run(fmt.Sprint(k), func(t *testing.T) {
+			sql := fmt.Sprintf("SELECT TOP %d epoch, AVG(sound) FROM sensors WITH HISTORY 16", k)
+			run := func(r row) outcome {
+				sys, _ := r.open(t)
+				defer sys.Close()
+				answers, err := post(t, sys, sql, AlgoAuto).Run()
+				if err != nil {
+					t.Fatalf("shards=%d wire=%v: %v", r.shards, r.wire, err)
+				}
+				out := outcome{historic: [][]Answer{answers}, capture: sys.CaptureStats("run", 0), fed: sys.FederationStats()}
+				if out.shards, err = sys.ShardStats(); err != nil {
+					t.Fatal(err)
+				}
+				return out
+			}
+			flat := run(row{world: "demo", shards: 1})
+			local := run(row{world: "demo", shards: 2})
+			remote := run(row{world: "demo", shards: 2, wire: true})
+			if n := len(flat.historic[0]); n != 16 {
+				t.Fatalf("flat run answered %d instants, want the window's 16", n)
+			}
+			compare(t, "in-process vs flat", local, outcome{historic: flat.historic}, false)
+			compare(t, "wire vs in-process", remote, local, true)
+		})
+	}
+}
+
 // TestWireFrameFaultsByteIdentical: deterministic frame faults on the
 // socket path — dropped, duplicated and delayed requests, dropped
 // responses — are absorbed entirely by the at-most-once retry layer: the
